@@ -1,0 +1,12 @@
+"""Make ``figbench`` and the program under ``src/`` importable:
+
+    python3 -m pytest figbench/tests
+"""
+
+import pathlib
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+for path in (ROOT / "src", ROOT):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))

@@ -13,8 +13,11 @@ operator form, :mod:`repro.arithmetic.farray`) against the preserved
 explicit-context baselines of ``tests/_explicit_baseline.py`` on the
 implicit-shift QL iteration — the scalar-dominated Givens/QL path where any
 wrapper overhead would show first.  Both variants execute bit-identical
-rounded-operation sequences, so the ratio isolates the pure cost of the
-operator layer.
+rounded-operation sequences.  The baseline keeps the unfused six-op
+eigenvector rotation while the solver rounds it in two calls
+(``ctx.rotate_columns``), so the ratio is the operator layer's cost net of
+that fusion gain: a negative overhead here does not mean the wrappers are
+free.
 
 Smoke mode for CI::
 

@@ -495,6 +495,25 @@ class BatchedContext:
         self._tally(rows, work.size // len(rows))
         return self.round(work, rows)
 
+    def rotate_columns(self, c, s, x, y, rows):
+        """Rowwise :meth:`ComputeContext.rotate_columns`.
+
+        ``c`` and ``s`` are ``(R,)``, ``x`` and ``y`` ``(R, n)``; returns
+        ``(R, 2, n)`` with ``[:, 0] = c*x - s*y`` and ``[:, 1] = s*x + c*y``.
+        The four products of every row are rounded in one stacked call and
+        the two results in another, exactly as in the sequential op.
+        """
+        cs = np.stack((c, s), axis=-1)
+        coef = np.stack((cs, cs[:, ::-1]), axis=1)  # per row [[c, s], [s, c]]
+        xy = np.stack((x, y), axis=1)
+        prods = np.multiply(coef[:, :, :, None], xy[:, None], dtype=self.dtype)
+        self._tally(rows, 6 * xy.shape[-1])
+        self.round(prods, rows)
+        res = np.empty(xy.shape, dtype=self.dtype)
+        np.subtract(prods[:, 0, 0], prods[:, 0, 1], out=res[:, 0])
+        np.add(prods[:, 1, 0], prods[:, 1, 1], out=res[:, 1])
+        return self.round(res, rows)
+
     def neg(self, a):
         """Exact negation (sign flips are exact in every supported format)."""
         return np.negative(np.asarray(a, dtype=self.dtype))

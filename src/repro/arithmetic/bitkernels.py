@@ -143,12 +143,16 @@ _EXT_TOP = _U(1 << 63)
 _SPECIAL_RESOLVE = 1
 _SPECIAL_IDENTITY = 2
 
-#: scratch sets cached per kernel (bounded; see BitKernel._scratch_for)
+#: exact-size scratch sets cached per kernel (all cleared when a new size
+#: would exceed this; see BitKernel._scratch_for)
 _MAX_SCRATCH_SIZES = 8
-#: calls larger than this allocate fresh scratch instead of pinning ~33
-#: bytes/element in the cache (the solvers' arrays are far below this; the
-#: 64k benchmark arrays still fit)
-_MAX_SCRATCH_ELEMENTS = 1 << 17
+#: largest call cached by exact size.  The solvers round arrays of 9-1024
+#: elements (QL columns and their fused rotation stacks) at a handful of
+#: sizes each; larger calls share one most-recent slot instead, so a run of
+#: same-size large calls (a graph's spmv, the 64k benchmark arrays) still
+#: reuses its ~33 bytes/element of scratch without the cache pinning one
+#: set per size it has ever seen
+_MAX_SCRATCH_ELEMENTS = 1024
 
 _ENABLED = os.environ.get("REPRO_DISABLE_BITKERNELS", "").lower() not in (
     "1",
@@ -227,6 +231,7 @@ class BitKernel:
         self.bits = int(bits)
         self._resolve = resolve
         self._scratch: dict[int, tuple] = {}
+        self._large_scratch: Optional[tuple] = None  # (size, bufs)
         exp_fields = 1 << self.WORD_EXP_BITS
         frac_bits = self.WORD_FRAC_BITS
         shift = np.ones(2 * exp_fields, dtype=_U)
@@ -284,20 +289,29 @@ class BitKernel:
     # ------------------------------------------------------------------ #
     # rounding
     # ------------------------------------------------------------------ #
+    def _new_scratch(self, size: int) -> tuple:
+        return (
+            np.empty(size, dtype=_U),  # exponent-field index
+            np.empty(size, dtype=_U),  # per-element shift
+            np.empty(size, dtype=_U),  # lsb / scratch
+            np.empty(size, dtype=_U),  # accumulator (rounded word)
+            np.empty(size, dtype=np.uint8),  # special mask
+        )
+
     def _scratch_for(self, size: int) -> tuple:
-        bufs = self._scratch.get(size)
+        if size <= _MAX_SCRATCH_ELEMENTS:
+            bufs = self._scratch.get(size)
+        else:
+            large = self._large_scratch
+            bufs = large[1] if large is not None and large[0] == size else None
         if bufs is None:
-            bufs = (
-                np.empty(size, dtype=_U),  # exponent-field index
-                np.empty(size, dtype=_U),  # per-element shift
-                np.empty(size, dtype=_U),  # lsb / scratch
-                np.empty(size, dtype=_U),  # accumulator (rounded word)
-                np.empty(size, dtype=np.uint8),  # special mask
-            )
-            if size <= _MAX_SCRATCH_ELEMENTS:  # don't pin memory for huge calls
+            bufs = self._new_scratch(size)
+            if size <= _MAX_SCRATCH_ELEMENTS:
                 if len(self._scratch) >= _MAX_SCRATCH_SIZES:
                     self._scratch.clear()
                 self._scratch[size] = bufs
+            else:
+                self._large_scratch = (size, bufs)
             if _telemetry.ENABLED:
                 key = (self.family, "alloc")
                 _scratch_tally[key] = _scratch_tally.get(key, 0) + 1
@@ -798,30 +812,17 @@ class ExtendedBitKernel(BitKernel):
             "per-element encode"
         )
 
-    def _scratch_for(self, size: int) -> tuple:
-        bufs = self._scratch.get(size)
-        if bufs is None:
-            bufs = (
-                np.empty(size, dtype=_U),  # masked exponent word / LUT index
-                np.empty(size, dtype=_U),  # per-element shift
-                np.empty(size, dtype=_U),  # lsb / scratch
-                np.empty(size, dtype=_U),  # significand accumulator
-                np.empty(size, dtype=_U),  # exponent-word accumulator
-                np.empty(size, dtype=bool),  # significand carry-out
-                np.empty(size, dtype=np.uint8),  # special mask
-                np.empty(2 * size, dtype=_U),  # interleaved output words
-            )
-            if size <= _MAX_SCRATCH_ELEMENTS:  # don't pin memory for huge calls
-                if len(self._scratch) >= _MAX_SCRATCH_SIZES:
-                    self._scratch.clear()
-                self._scratch[size] = bufs
-            if _telemetry.ENABLED:
-                key = (self.family, "alloc")
-                _scratch_tally[key] = _scratch_tally.get(key, 0) + 1
-        elif _telemetry.ENABLED:
-            key = (self.family, "reuse")
-            _scratch_tally[key] = _scratch_tally.get(key, 0) + 1
-        return bufs
+    def _new_scratch(self, size: int) -> tuple:
+        return (
+            np.empty(size, dtype=_U),  # masked exponent word / LUT index
+            np.empty(size, dtype=_U),  # per-element shift
+            np.empty(size, dtype=_U),  # lsb / scratch
+            np.empty(size, dtype=_U),  # significand accumulator
+            np.empty(size, dtype=_U),  # exponent-word accumulator
+            np.empty(size, dtype=bool),  # significand carry-out
+            np.empty(size, dtype=np.uint8),  # special mask
+            np.empty(2 * size, dtype=_U),  # interleaved output words
+        )
 
     def round(self, values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Round longdouble ``values`` to the format, bit-identical to the

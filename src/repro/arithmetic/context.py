@@ -639,6 +639,35 @@ class ComputeContext(ABC):
         """``alpha * x`` elementwise."""
         return self.mul(alpha, x)
 
+    def rotate_columns(self, c, s, x, y):
+        """Givens rotation of two vectors: ``[c*x - s*y, s*x + c*y]``.
+
+        Returns the stacked pair as one ``(2, *x.shape)`` array.  The six
+        rounded operations of the unfused spelling (``c*x - s*y`` and
+        ``s*x + c*y``) run in two rounding calls: one broadcast multiply
+        forms the four products ``[[c*x, s*y], [s*x, c*y]]`` and rounds
+        them together, then one subtract and one add form both results
+        from those products, with the same operands in the same order, and
+        round them together.  Rounding is elementwise, so every value and
+        the ``6n`` op tally are those of the six-op spelling; only the
+        per-call dispatch cost is paid twice instead of six times — this is
+        the eigenvector update of every QL Givens step.  (The sign bit of a
+        NaN an operation creates follows the backend the stack size
+        selects, as for any rounded op: the table and scalar paths return
+        +NaN, the bit kernels keep the sign.)
+        """
+        x = np.asarray(x, dtype=self.dtype)
+        y = np.asarray(y, dtype=self.dtype)
+        self._tally(6 * x.size)
+        coef = np.array([[c, s], [s, c]], dtype=self.dtype)
+        prods = np.multiply(coef.reshape((2, 2) + (1,) * x.ndim), np.stack((x, y)))
+        inplace = self._round_work_inplace()
+        prods = self.round(prods, out=prods) if inplace else self.round(prods)
+        res = np.empty((2,) + x.shape, dtype=self.dtype)
+        np.subtract(prods[0, 0], prods[0, 1], out=res[0])
+        np.add(prods[1, 0], prods[1, 1], out=res[1])
+        return self.round(res, out=res) if inplace else self.round(res)
+
     # ------------------------------------------------------------------ #
     # dense kernels
     # ------------------------------------------------------------------ #

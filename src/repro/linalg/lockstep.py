@@ -292,17 +292,10 @@ def _lockstep_ql(bctx, d, e, Z, rows, max_sweeps):
             pl = bctx.mul(sl, r2, lsub)
             d[la, i + 1] = bctx.add(gl, pl, lsub)
             gl2 = bctx.sub(bctx.mul(cl, r2, lsub), bl, lsub)
-            # rotate the eigenvector columns i and i+1
-            zi = np.ascontiguousarray(Z[la, :, i])
-            zi1 = np.ascontiguousarray(Z[la, :, i + 1])
-            znew_i1 = bctx.add(
-                bctx.mul(sl[:, None], zi, lsub), bctx.mul(cl[:, None], zi1, lsub), lsub
-            )
-            znew_i = bctx.sub(
-                bctx.mul(cl[:, None], zi, lsub), bctx.mul(sl[:, None], zi1, lsub), lsub
-            )
-            Z[la, :, i + 1] = znew_i1
-            Z[la, :, i] = znew_i
+            # rotate the eigenvector columns i and i+1 (fused, as sequential)
+            rot = bctx.rotate_columns(cl, sl, Z[la, :, i], Z[la, :, i + 1], lsub)
+            Z[la, :, i] = rot[:, 0]
+            Z[la, :, i + 1] = rot[:, 1]
             s[la] = sl
             c[la] = cl
             g[la] = gl2

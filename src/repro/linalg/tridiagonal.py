@@ -14,7 +14,9 @@ The kernels are written in the operator form of
 :mod:`repro.arithmetic.farray`: the rotation recurrences read as plain
 arithmetic (``r = (d[i] - g) * s + (2.0 * c) * b``) while every operator
 performs exactly one rounded context operation, keeping the trajectories
-bit-identical to the explicit ``ctx.add(ctx.mul(...))`` spelling.
+bit-identical to the explicit ``ctx.add(ctx.mul(...))`` spelling.  The
+eigenvector update of each Givens step is the one fused call,
+``ctx.rotate_columns`` (same six rounded ops, two rounding calls).
 Convergence scans and deflation thresholds read the raw ``.data`` buffers —
 they are exact float comparisons, not arithmetic in the target format.
 
@@ -121,7 +123,6 @@ def _tridiagonal_eigen(ctx, d, e, Z=None, max_sweeps: int = 60):
     # bind once; the raw buffers stay aliased for the exact float scans below
     d = ctx.wrap(d_full)
     e = ctx.wrap(e_full)
-    Z = ctx.wrap(Z_full)
     eps_f = float(ctx.machine_epsilon)  # deflation threshold, reused below
 
     for low in range(n):
@@ -176,15 +177,11 @@ def _tridiagonal_eigen(ctx, d, e, Z=None, max_sweeps: int = 60):
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                # both rotated columns are computed before either write, so
-                # the views need no defensive copies (same rounded ops, same
-                # inputs as the copy-first spelling)
-                zi = Z[:, i]
-                zi1 = Z[:, i + 1]
-                znew_i1 = s * zi + c * zi1
-                znew_i = c * zi - s * zi1
-                Z[:, i + 1] = znew_i1
-                Z[:, i] = znew_i
+                # columns i and i+1 become c*zi - s*zi1 and s*zi + c*zi1:
+                # the same six rounded ops, fused into two rounding calls
+                Z_full[:, i : i + 2] = ctx.rotate_columns(
+                    c.value, s.value, Z_full[:, i], Z_full[:, i + 1]
+                ).T
             if restart:
                 continue
             d[low] = d[low] - p

@@ -294,6 +294,21 @@ def test_out_supports_noncontiguous_views(name):
         assert np.array_equal(M[:, 1], expected, equal_nan=True), (name, n)
 
 
+@pytest.mark.parametrize("name", ["posit16", "posit64"])  # one- and two-word kernels
+def test_scratch_cache_bounds_large_calls(name):
+    """Exact sizes up to the limit are cached; larger calls share one
+    most-recent slot, which repeated same-size calls reuse."""
+    fmt = get_format(name)
+    kern = fmt.bitkernel()
+    big = bk._MAX_SCRATCH_ELEMENTS + 1
+    for size in (25, 100, big, big + 7, big + 7):
+        values = np.linspace(-3.0, 3.0, size).astype(fmt.work_dtype)
+        assert np.array_equal(kern.round(values), fmt.round_array_analytic(values))
+    assert 0 < max(kern._scratch) <= bk._MAX_SCRATCH_ELEMENTS
+    assert kern._large_scratch[0] == big + 7
+    assert kern._scratch_for(big + 7) is kern._large_scratch[1]
+
+
 def test_farray_inplace_operators_match_out_of_place():
     ctx = get_context("posit16")
     rng = np.random.default_rng(41)

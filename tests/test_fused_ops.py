@@ -209,3 +209,87 @@ class TestFArrayAxpy:
         b = get_context("posit32").array([1.0, 2.0])
         with pytest.raises(PrecisionLeakError):
             a.axpy(1.0, b)
+
+
+def unfused_rotation(ctx, c, s, x, y):
+    """The six-op Givens update ``rotate_columns`` replaces, op for op."""
+    return (
+        ctx.sub(ctx.mul(c, x), ctx.mul(s, y)),
+        ctx.add(ctx.mul(s, x), ctx.mul(c, y)),
+    )
+
+
+def assert_same_bits(got, ref, context=""):
+    """Equal values, NaNs in the same places, and signed zeros alike.
+
+    The sign bit of a NaN is not compared: the lookup-table and scalar
+    backends return +NaN while the bit kernels keep the sign a NaN-producing
+    operation gave it, so it follows the backend an array's size selects
+    (the one rounding difference that is not elementwise).
+    """
+    assert_same(got, ref, context)
+    got, ref = np.asarray(got), np.asarray(ref)
+    keep = ~np.isnan(ref)
+    assert np.array_equal(np.signbit(got[keep]), np.signbit(ref[keep])), context
+
+
+#: rotation coefficients as a Givens step produces them, plus the exact
+#: degenerate rotations and one pair large enough to saturate products
+ROTATIONS = [(0.6, 0.8), (-0.8, 0.6), (1.0, 0.0), (0.0, -1.0), (0.75, -0.5), (3e38, -3e38)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf/NaN operands
+class TestRotateColumns:
+    @pytest.fixture(params=ALL_FORMATS + ["reference"])
+    def rctx(self, request):
+        return get_context(request.param)
+
+    @staticmethod
+    def _columns(ctx, order, n=13, seed=37):
+        """Columns 1 and 2 of a ``(n, 4)`` matrix laid out in ``order``,
+        seeded with signed zeros, infinities, NaN and saturating values."""
+        rng = np.random.default_rng(seed)
+        raw = rng.standard_normal((n, 4)) * 10.0 ** rng.integers(-4, 4, (n, 4))
+        k = min(n, 7)
+        raw[:k, 1] = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e-300][:k]
+        raw[:k, 2] = [-0.0, 0.0, 1.0, np.nan, -np.inf, -1e300, 1e300][:k]
+        Z = np.asarray(ctx.round(raw), order=order)
+        assert Z.flags["F_CONTIGUOUS" if order == "F" else "C_CONTIGUOUS"]
+        return Z[:, 1], Z[:, 2]
+
+    # n = 3: the unfused ops round through the scalar paths, the fused
+    # stacks (12 and 6 elements) may take a vector backend
+    @pytest.mark.parametrize("n", [3, 13])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("c, s", ROTATIONS)
+    def test_matches_six_op_spelling(self, rctx, order, c, s, n):
+        c, s = rctx.round_scalar(c), rctx.round_scalar(s)
+        x, y = self._columns(rctx, order, n=n)
+        x0, y0 = x.copy(), y.copy()
+        ref_i, ref_i1 = unfused_rotation(rctx, c, s, x, y)
+        got = rctx.rotate_columns(c, s, x, y)
+        assert got.shape == (2, x.size) and got.dtype == rctx.dtype
+        assert_same_bits(got[0], ref_i, (rctx.name, order, "c*x - s*y"))
+        assert_same_bits(got[1], ref_i1, (rctx.name, order, "s*x + c*y"))
+        # the columns are read, never written
+        assert_same_bits(x, x0, rctx.name)
+        assert_same_bits(y, y0, rctx.name)
+
+    def test_op_count_is_six_per_element(self, rctx):
+        x, y = self._columns(rctx, "C", n=21)
+        c, s = rctx.round_scalar(0.6), rctx.round_scalar(0.8)
+        before = rctx.op_count
+        rctx.rotate_columns(c, s, x, y)
+        fused = rctx.op_count - before
+        unfused_rotation(rctx, c, s, x, y)
+        assert fused == 6 * x.size == rctx.op_count - before - fused
+
+    def test_analytic_backend_agrees(self):
+        """use_tables=False (analytic verification mode) agrees too."""
+        for name in ("posit16", "E4M3", "takum32"):
+            ctx = get_context(name, use_tables=False)
+            x, y = self._columns(ctx, "F")
+            c, s = ctx.round_scalar(0.6), ctx.round_scalar(-0.8)
+            got = ctx.rotate_columns(c, s, x, y)
+            ref = unfused_rotation(ctx, c, s, x, y)
+            assert_same_bits(got, np.stack(ref), name)

@@ -170,6 +170,50 @@ class TestBatchedOpCounts:
             assert ctx.op_count == sequential_ctx.op_count, fmt
 
 
+class TestBatchedRotateColumns:
+    """The fused Givens update, row for row against the sequential op."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf/NaN operands
+    def test_matches_sequential_per_row_on_mixed_width_batch(self):
+        rng = np.random.default_rng(41)
+        spec = BatchSpec(MIXED_WIDTH + ["float64", "float32"])
+        assert len(spec.lanes()) == 3
+        n = 11
+        for contexts, indices in spec.lanes():
+            bctx = BatchedContext(contexts)
+            nb = len(contexts)
+            raw = rng.standard_normal((nb, 2, n)) * 10.0 ** rng.integers(-3, 3, (nb, 2, n))
+            raw[:, 0, :4] = [0.0, -0.0, np.inf, np.nan]
+            raw[:, 1, :4] = [-0.0, 1e300, -np.inf, 2.0]
+            xy = bctx.round(np.array(raw, dtype=bctx.dtype), bctx.all_rows)
+            cs = bctx.round(
+                np.array(rng.uniform(-1.0, 1.0, (nb, 2)), dtype=bctx.dtype), bctx.all_rows
+            )
+            # the full lane, and a reordered sub-batch as retirement leaves it
+            for sel in (np.arange(nb), np.arange(nb)[::-2]):
+                rows = bctx.all_rows[sel]
+                got = bctx.rotate_columns(cs[sel, 0], cs[sel, 1], xy[sel, 0], xy[sel, 1], rows)
+                assert got.shape == (sel.size, 2, n)
+                for k, r in enumerate(rows):
+                    ctx = contexts[r]
+                    want = ctx.rotate_columns(cs[r, 0], cs[r, 1], xy[r, 0], xy[r, 1])
+                    label = f"{ctx.name} (row {indices[r]})"
+                    assert np.array_equal(got[k], want, equal_nan=True), label
+                    # NaN sign bits follow the rounding backend (see
+                    # tests/test_fused_ops.py::assert_same_bits)
+                    keep = ~np.isnan(want)
+                    assert np.array_equal(np.signbit(got[k][keep]), np.signbit(want[keep])), label
+
+    def test_op_tally_is_six_per_element_per_row(self):
+        contexts = [get_context(f) for f in ("posit16", "float64", "E4M3")]
+        bctx = BatchedContext(contexts)
+        xy = bctx.round(np.ones((3, 2, 5)), bctx.all_rows)
+        rows = bctx.all_rows[[2, 0]]
+        bctx.rotate_columns(xy[:2, 0, 0], xy[:2, 1, 0], xy[:2, 0], xy[:2, 1], rows)
+        bctx.flush_op_counts()
+        assert [ctx.op_count for ctx in contexts] == [30, 0, 30]
+
+
 class TestBatchedFArraySurface:
     """Operator parity, context identity, and the sequential hand-off."""
 

@@ -14,10 +14,11 @@ explicit-context baselines of ``tests/_explicit_baseline.py`` on the
 implicit-shift QL iteration — the scalar-dominated Givens/QL path where any
 wrapper overhead would show first.  Both variants execute bit-identical
 rounded-operation sequences.  The baseline keeps the unfused six-op
-eigenvector rotation while the solver rounds it in two calls
-(``ctx.rotate_columns``), so the ratio is the operator layer's cost net of
-that fusion gain: a negative overhead here does not mean the wrappers are
-free.
+eigenvector rotation per Givens step, while the solver defers the rotations
+and applies them in waves of disjoint column pairs, two rounding calls per
+wave (``ctx.rotate_columns``).  The ratio is therefore the operator layer's
+cost net of that gain: a negative overhead here does not mean the wrappers
+are free.
 
 Smoke mode for CI::
 

@@ -460,7 +460,7 @@ class NumberFormat(ABC):
     # ------------------------------------------------------------------ #
     # value-space interface
     # ------------------------------------------------------------------ #
-    def round_array(self, values, *args, out: Optional[np.ndarray] = None) -> np.ndarray:
+    def round_array(self, values, *, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Round an array of work-precision values to the nearest
         representable values of this format (returned in work precision).
 
@@ -474,8 +474,7 @@ class NumberFormat(ABC):
             how the contexts round operation results in place instead of
             allocating a second array per elementary op.  Returned when
             given.  Keyword-only under the unified signature contract
-            (``docs/api.md``); a positional buffer still works through the
-            deprecation shim.
+            (``docs/api.md``).
 
         Dispatches by (format width, array size):
 
@@ -491,10 +490,6 @@ class NumberFormat(ABC):
         * everything else falls through to the vectorised
           :meth:`round_array_analytic` ground truth.
         """
-        if args:
-            from .context import _positional_out
-
-            out = _positional_out(args, out)
         table = self._rounding_table()
         values = np.asarray(values, dtype=self.work_dtype)
         n = values.size

@@ -366,6 +366,9 @@ class _RowRounder:
                 return
             sel = sel[nonzero]
         nzrows = rows[sel // per_row]
+        if (nzrows == nzrows[0]).all():  # usually one row needs resolving
+            acc[sel] = np.asarray(self.contexts[nzrows[0]].round(flat[sel])).view(_U)
+            return
         order = np.argsort(nzrows, kind="stable")
         sel = sel[order]
         nzrows = nzrows[order]
@@ -500,8 +503,10 @@ class BatchedContext:
 
         ``c`` and ``s`` are ``(R,)``, ``x`` and ``y`` ``(R, n)``; returns
         ``(R, 2, n)`` with ``[:, 0] = c*x - s*y`` and ``[:, 1] = s*x + c*y``.
-        The four products of every row are rounded in one stacked call and
+        The four products of every entry are rounded in one stacked call and
         the two results in another, exactly as in the sequential op.
+        ``rows`` may repeat a row: the lockstep QL applies a wave of several
+        rotations per format in one call, one leading entry per rotation.
         """
         cs = np.stack((c, s), axis=-1)
         coef = np.stack((cs, cs[:, ::-1]), axis=1)  # per row [[c, s], [s, c]]

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 from abc import ABC, abstractmethod
 from typing import Optional
 
@@ -53,27 +52,6 @@ def _is_scalar(x) -> bool:
     round-trips."""
     return isinstance(x, _SCALAR_TYPES) or (isinstance(x, np.ndarray) and x.ndim == 0)
 
-
-def _positional_out(args: tuple, out):
-    """Deprecation shim for the pre-format-axis keyword order.
-
-    The rounded operations used to accept the output buffer as a trailing
-    positional argument; the unified signature contract (see
-    ``docs/api.md``) makes it keyword-only — ``out=`` — so the scalar
-    convention (scalar operands return work-dtype scalars and leave ``out``
-    untouched) reads identically across native, emulated and batched
-    contexts.  Old-style positional calls still work, with a
-    :class:`DeprecationWarning`.
-    """
-    if len(args) != 1 or out is not None:
-        raise TypeError("rounded operations take a single out= buffer")
-    warnings.warn(
-        "passing the output buffer positionally is deprecated; "
-        "pass it by keyword (out=...)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return args[0]
 
 __all__ = [
     "ComputeContext",
@@ -168,7 +146,7 @@ class ComputeContext(ABC):
     # primitives
     # ------------------------------------------------------------------ #
     @abstractmethod
-    def round(self, values, *args, out=None):
+    def round(self, values, *, out=None):
         """Round work-precision values to the context's arithmetic.
 
         Array inputs return an ndarray of :attr:`dtype`; scalar and 0-d
@@ -176,8 +154,7 @@ class ComputeContext(ABC):
         scalars never round-trip through ndarrays.  ``asarray`` inherits
         the same convention.
 
-        ``out`` (keyword-only; positional still accepted through the
-        deprecation shim) is an optional pre-allocated array of
+        ``out`` (keyword-only) is an optional pre-allocated array of
         :attr:`dtype` the result is written into; it may alias ``values``
         and is left untouched by scalar inputs.  The elementwise operations
         exploit this to round their work-precision result in place instead
@@ -370,7 +347,7 @@ class ComputeContext(ABC):
         """
         return True
 
-    def add(self, a, b, *args, out=None):
+    def add(self, a, b, *, out=None):
         """Rounded elementwise ``a + b`` (scalars stay scalars).
 
         ``out`` (keyword-only) receives the rounded result when the
@@ -381,8 +358,6 @@ class ComputeContext(ABC):
         shared by every rounded operation of every context; see
         ``docs/api.md``.
         """
-        if args:
-            out = _positional_out(args, out)
         if _is_scalar(a) and _is_scalar(b):
             return self._scalar_add(a, b)
         self._tally(np.broadcast(a, b).size)
@@ -391,10 +366,8 @@ class ComputeContext(ABC):
             return self.round(work)
         return self.round(work, out=work)
 
-    def sub(self, a, b, *args, out=None):
+    def sub(self, a, b, *, out=None):
         """Rounded elementwise ``a - b`` (scalars stay scalars)."""
-        if args:
-            out = _positional_out(args, out)
         if _is_scalar(a) and _is_scalar(b):
             return self._scalar_sub(a, b)
         self._tally(np.broadcast(a, b).size)
@@ -403,10 +376,8 @@ class ComputeContext(ABC):
             return self.round(work)
         return self.round(work, out=work)
 
-    def mul(self, a, b, *args, out=None):
+    def mul(self, a, b, *, out=None):
         """Rounded elementwise ``a * b`` (scalars stay scalars)."""
-        if args:
-            out = _positional_out(args, out)
         if _is_scalar(a) and _is_scalar(b):
             return self._scalar_mul(a, b)
         self._tally(np.broadcast(a, b).size)
@@ -415,10 +386,8 @@ class ComputeContext(ABC):
             return self.round(work)
         return self.round(work, out=work)
 
-    def div(self, a, b, *args, out=None):
+    def div(self, a, b, *, out=None):
         """Rounded elementwise ``a / b`` (scalars stay scalars)."""
-        if args:
-            out = _positional_out(args, out)
         if _is_scalar(a) and _is_scalar(b):
             return self._scalar_div(a, b)
         self._tally(np.broadcast(a, b).size)
@@ -427,10 +396,8 @@ class ComputeContext(ABC):
             return self.round(work)
         return self.round(work, out=work)
 
-    def sqrt(self, a, *args, out=None):
+    def sqrt(self, a, *, out=None):
         """Rounded elementwise square root (scalars stay scalars)."""
-        if args:
-            out = _positional_out(args, out)
         if _is_scalar(a):
             return self._scalar_sqrt(a)
         self._tally(np.size(a))
@@ -642,25 +609,29 @@ class ComputeContext(ABC):
     def rotate_columns(self, c, s, x, y):
         """Givens rotation of two vectors: ``[c*x - s*y, s*x + c*y]``.
 
-        Returns the stacked pair as one ``(2, *x.shape)`` array.  The six
-        rounded operations of the unfused spelling (``c*x - s*y`` and
-        ``s*x + c*y``) run in two rounding calls: one broadcast multiply
-        forms the four products ``[[c*x, s*y], [s*x, c*y]]`` and rounds
-        them together, then one subtract and one add form both results
-        from those products, with the same operands in the same order, and
-        round them together.  Rounding is elementwise, so every value and
-        the ``6n`` op tally are those of the six-op spelling; only the
-        per-call dispatch cost is paid twice instead of six times — this is
-        the eigenvector update of every QL Givens step.  (The sign bit of a
-        NaN an operation creates follows the backend the stack size
-        selects, as for any rounded op: the table and scalar paths return
-        +NaN, the bit kernels keep the sign.)
+        Returns the stacked pair as one ``(2, *x.shape)`` array.  ``c`` and
+        ``s`` are scalars, or ``(k,)`` vectors that broadcast over the last
+        axis of ``x`` and ``y`` (``(n, k)`` column blocks: ``k`` rotations
+        of disjoint column pairs in one call, as the QL eigenvector update
+        applies a wave of Givens steps).  The six rounded operations of the
+        unfused spelling (``c*x - s*y`` and ``s*x + c*y``) run in two
+        rounding calls: one broadcast multiply forms the four products
+        ``[[c*x, s*y], [s*x, c*y]]`` and rounds them together, then one
+        subtract and one add form both results from those products, with
+        the same operands in the same order, and round them together.
+        Rounding is elementwise, so every value and the ``6 * x.size`` op
+        tally are those of the six-op spelling; only the per-call dispatch
+        cost is paid twice instead of six times.  (The sign bit of a NaN an
+        operation creates follows the backend the stack size selects, as
+        for any rounded op: the table and scalar paths return +NaN, the bit
+        kernels keep the sign.)
         """
         x = np.asarray(x, dtype=self.dtype)
         y = np.asarray(y, dtype=self.dtype)
         self._tally(6 * x.size)
         coef = np.array([[c, s], [s, c]], dtype=self.dtype)
-        prods = np.multiply(coef.reshape((2, 2) + (1,) * x.ndim), np.stack((x, y)))
+        coef = coef.reshape((2, 2) + (1,) * (x.ndim - coef.ndim + 2) + coef.shape[2:])
+        prods = np.multiply(coef, np.stack((x, y)))
         inplace = self._round_work_inplace()
         prods = self.round(prods, out=prods) if inplace else self.round(prods)
         res = np.empty((2,) + x.shape, dtype=self.dtype)
@@ -804,13 +775,11 @@ class NativeContext(ComputeContext):
         self.name = name or np.dtype(dtype).name
         self.bits = np.dtype(dtype).itemsize * 8
 
-    def round(self, values, *args, out=None):
+    def round(self, values, *, out=None):
         """Hardware dtypes round by conversion (a cast is the rounding);
         scalar inputs return dtype scalars.  ``out`` receives the converted
         values when given (no-op when it aliases an already-converted
         ``values``)."""
-        if args:
-            out = _positional_out(args, out)
         if _is_scalar(values):
             return self.dtype(values)
         arr = np.asarray(values, dtype=self.dtype)
@@ -919,13 +888,11 @@ class EmulatedContext(ComputeContext):
             self._inplace_rounding = flag
         return flag
 
-    def round(self, values, *args, out=None):
+    def round(self, values, *, out=None):
         """Round values to the format through the selected backend (scalar
         inputs return work-dtype scalars via :meth:`round_scalar`).  ``out``
         (keyword-only, may alias ``values``) receives the rounded array —
         the in-place path the elementwise operations use."""
-        if args:
-            out = _positional_out(args, out)
         if _is_scalar(values):
             return self.round_scalar(values)
         values = np.asarray(values, dtype=self.dtype)

@@ -18,6 +18,16 @@ shift for machines entering a sweep, and executes one Givens rotation step
 for all rotating machines as a handful of batched rounded operations.
 Machines that fail to deflate (the paper's ∞ω regime) are marked failed
 and drop out; the rest continue unaffected.
+
+As in the sequential kernel, the eigenvector update is deferred: every
+Givens step records ``(row, i, c, s)``, and the iteration ends by applying
+each row's sequence in the waves of
+:func:`repro.linalg.tridiagonal.wavefront_schedule` (failed rows included,
+so their op tallies match the sequential solves that raised).  Wave ``w``
+of all rows is one :meth:`BatchedContext.rotate_columns` call whose leading
+axis holds the (row, rotation) entries, with ``rows`` repeated per entry;
+rotations of one row in one wave touch disjoint columns, so each row's
+columns see the same rounded operations in the same order as step by step.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ import numpy as np
 
 from ..arithmetic.batched import BatchedContext
 from ..telemetry import trace as _trace
-from .tridiagonal import EigenConvergenceError
+from .tridiagonal import EigenConvergenceError, wavefront_schedule
 
 __all__ = [
     "lockstep_symmetric_eigen",
@@ -142,25 +152,51 @@ def lockstep_tridiagonal_eigen(bctx, d, e, Z, rows, max_sweeps: int = 60):
     ``Z`` contents are unspecified, as the sequential exception discards
     them).
     """
-    with _trace.span("tridiagonal.ql_lockstep", rows=len(rows)):
-        return _lockstep_ql(bctx, d, e, Z, rows, max_sweeps)
-
-
-def _lockstep_ql(bctx, d, e, Z, rows, max_sweeps):
-    dtype = bctx.dtype
-    d = np.array(np.asarray(d, dtype=dtype), copy=True)
-    nb, n = d.shape
-    e_full = np.zeros((nb, n), dtype=dtype)
-    if n > 1:
-        e_full[:, : n - 1] = np.asarray(e, dtype=dtype)[:, : n - 1]
-    if Z is None:
-        Z = np.broadcast_to(np.eye(n, dtype=dtype), (nb, n, n)).copy()
-    else:
-        Z = np.array(np.asarray(Z, dtype=dtype), copy=True)
-    errors: list = [None] * nb
-    if n == 0:
+    with _trace.span("tridiagonal.ql_lockstep", rows=len(rows)) as sp:
+        dtype = bctx.dtype
+        d = np.array(np.asarray(d, dtype=dtype), copy=True)
+        nb, n = d.shape
+        e_full = np.zeros((nb, n), dtype=dtype)
+        if n > 1:
+            e_full[:, : n - 1] = np.asarray(e, dtype=dtype)[:, : n - 1]
+        if Z is None:
+            Z = np.broadcast_to(np.eye(n, dtype=dtype), (nb, n, n)).copy()
+        else:
+            Z = np.array(np.asarray(Z, dtype=dtype), copy=True)
+        errors: list = [None] * nb
+        record: list = []
+        try:
+            _lockstep_ql(bctx, d, e_full, rows, max_sweeps, errors, record)
+        finally:
+            nrot, waves = _apply_rotations(bctx, Z, rows, record)
+            sp.set(rotations=nrot, waves=waves)
         return d, Z, errors
-    e = e_full
+
+
+def _apply_rotations(bctx, Z, rows, record):
+    """Apply the recorded ``(machines, i, c, s)`` ticks to the stacked
+    ``Z`` in place, one batched ``rotate_columns`` call per wave across all
+    rows; returns ``(rotations, waves)``."""
+    if not record:
+        return 0, 0
+    a, i, c, s = (np.concatenate(part) for part in zip(*record))
+    n = Z.shape[2]
+    waves = wavefront_schedule((a * n + i).tolist(), Z.shape[0] * n)
+    for k in waves:
+        ak, ik = a[k], i[k]
+        rot = bctx.rotate_columns(c[k], s[k], Z[ak, :, ik], Z[ak, :, ik + 1], rows[ak])
+        Z[ak, :, ik] = rot[:, 0]
+        Z[ak, :, ik + 1] = rot[:, 1]
+    return a.size, len(waves)
+
+
+def _lockstep_ql(bctx, d, e, rows, max_sweeps, errors, record):
+    """Run the per-row QL state machines on ``d``/``e`` in place, filling
+    ``errors`` and appending each tick's Givens steps to ``record``."""
+    dtype = bctx.dtype
+    nb, n = d.shape
+    if n == 0:
+        return
     eps = np.array(
         [float(bctx.rows[r].machine_epsilon) for r in rows], dtype=np.float64
     )
@@ -292,10 +328,8 @@ def _lockstep_ql(bctx, d, e, Z, rows, max_sweeps):
             pl = bctx.mul(sl, r2, lsub)
             d[la, i + 1] = bctx.add(gl, pl, lsub)
             gl2 = bctx.sub(bctx.mul(cl, r2, lsub), bl, lsub)
-            # rotate the eigenvector columns i and i+1 (fused, as sequential)
-            rot = bctx.rotate_columns(cl, sl, Z[la, :, i], Z[la, :, i + 1], lsub)
-            Z[la, :, i] = rot[:, 0]
-            Z[la, :, i + 1] = rot[:, 1]
+            # eigenvector columns i and i+1, rotated once the iteration ends
+            record.append((la, i, cl, sl))
             s[la] = sl
             c[la] = cl
             g[la] = gl2
@@ -312,8 +346,6 @@ def _lockstep_ql(bctx, d, e, Z, rows, max_sweeps):
                 for a in ea:
                     phase[a] = _SCAN
                     _scan(a)
-
-    return d, Z, errors
 
 
 def lockstep_symmetric_eigen(bctx, A, rows, max_sweeps: int = 60):

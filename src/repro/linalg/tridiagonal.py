@@ -14,11 +14,24 @@ The kernels are written in the operator form of
 :mod:`repro.arithmetic.farray`: the rotation recurrences read as plain
 arithmetic (``r = (d[i] - g) * s + (2.0 * c) * b``) while every operator
 performs exactly one rounded context operation, keeping the trajectories
-bit-identical to the explicit ``ctx.add(ctx.mul(...))`` spelling.  The
-eigenvector update of each Givens step is the one fused call,
-``ctx.rotate_columns`` (same six rounded ops, two rounding calls).
+bit-identical to the explicit ``ctx.add(ctx.mul(...))`` spelling.
 Convergence scans and deflation thresholds read the raw ``.data`` buffers —
 they are exact float comparisons, not arithmetic in the target format.
+
+The eigenvector matrix never feeds back into the ``d``/``e`` recurrence, so
+its update is deferred: each Givens step only records ``(i, c, s)``, and the
+whole sequence is applied once the iteration ends — also when it raises, so
+a failed solve tallies the same ops.  :func:`wavefront_schedule` groups the
+recorded rotations into waves (Van Zee, van de Geijn & Quintana-Ortí,
+"Restructuring the tridiagonal and bidiagonal QR algorithms for
+performance", ACM TOMS 40(3), 2014): a rotation joins the wave after the
+last one that touched either of its two columns.  Rotations in one wave act
+on disjoint column pairs and are applied by one fused
+``ctx.rotate_columns`` call (six rounded ops per element, two rounding
+calls per wave instead of per step).  Rotations that share a column keep
+their original order, so every element of ``Z`` sees the same rounded
+operations on the same values in the same order: the result is
+bit-identical to rotating step by step.
 
 In very low precision the QL iteration may fail to deflate; this is reported
 as :class:`EigenConvergenceError` and surfaces as the paper's ∞ω
@@ -37,6 +50,7 @@ __all__ = [
     "tridiagonalize",
     "tridiagonal_eigen",
     "symmetric_eigen",
+    "wavefront_schedule",
 ]
 
 
@@ -104,22 +118,79 @@ def tridiagonal_eigen(ctx, d, e, Z=None, max_sweeps: int = 60):
         If a sweep budget is exhausted or non-finite values appear (both are
         common failure modes of 8-bit arithmetic).
     """
-    with _trace.span("tridiagonal.ql", fmt=ctx.name):
-        return _tridiagonal_eigen(ctx, d, e, Z, max_sweeps)
-
-
-def _tridiagonal_eigen(ctx, d, e, Z=None, max_sweeps: int = 60):
-    d_full = np.array(np.asarray(d, dtype=ctx.dtype), copy=True)
-    n = d_full.shape[0]
-    e_full = np.zeros(n, dtype=ctx.dtype)
-    if n > 1:
-        e_full[: n - 1] = np.asarray(e, dtype=ctx.dtype)[: n - 1]
-    if Z is None:
-        Z_full = np.eye(n, dtype=ctx.dtype)
-    else:
-        Z_full = np.array(np.asarray(Z, dtype=ctx.dtype), copy=True)
-    if n == 0:
+    with _trace.span("tridiagonal.ql", fmt=ctx.name) as sp:
+        d_full = np.array(np.asarray(d, dtype=ctx.dtype), copy=True)
+        n = d_full.shape[0]
+        e_full = np.zeros(n, dtype=ctx.dtype)
+        if n > 1:
+            e_full[: n - 1] = np.asarray(e, dtype=ctx.dtype)[: n - 1]
+        if Z is None:
+            Z_full = np.eye(n, dtype=ctx.dtype)
+        else:
+            Z_full = np.array(np.asarray(Z, dtype=ctx.dtype), copy=True)
+        cols: list = []
+        cs: list = []
+        ss: list = []
+        try:
+            _ql_recurrence(ctx, d_full, e_full, max_sweeps, cols, cs, ss)
+        finally:
+            # a raised EigenConvergenceError still pays for the rotations
+            # it recorded, so op tallies match the step-by-step update
+            waves = _apply_rotations(ctx, Z_full, cols, cs, ss)
+            sp.set(rotations=len(cols), waves=waves)
         return d_full, Z_full
+
+
+def wavefront_schedule(cols, ncols: int) -> list:
+    """Group a Givens sequence into waves of disjoint column pairs.
+
+    Rotation ``k`` acts on columns ``(cols[k], cols[k] + 1)`` of a matrix
+    with ``ncols`` columns.  It goes in the wave after the last one that
+    touched either of its columns, so rotations in one wave touch disjoint
+    columns and rotations that share a column stay in their original order.
+    Returns the waves in application order, each a list of rotation
+    indices in ascending order.
+
+    The lockstep engine schedules every batch row with this function at
+    once by numbering the columns of row ``a`` from ``a * n``: the rows'
+    column ranges are disjoint, so each row gets the waves it would get
+    alone.
+    """
+    last = [0] * ncols
+    waves: list = []
+    for k, i in enumerate(cols):
+        w = max(last[i], last[i + 1])
+        last[i] = last[i + 1] = w + 1
+        if w == len(waves):
+            waves.append([k])
+        else:
+            waves[w].append(k)
+    return waves
+
+
+def _apply_rotations(ctx, Z, cols, cs, ss) -> int:
+    """Apply the recorded Givens sequence to the columns of ``Z`` in place,
+    one fused ``rotate_columns`` call per wave; returns the wave count."""
+    if not cols:
+        return 0
+    waves = wavefront_schedule(cols, Z.shape[1])
+    cols = np.asarray(cols)
+    cs = np.asarray(cs, dtype=ctx.dtype)
+    ss = np.asarray(ss, dtype=ctx.dtype)
+    for k in waves:
+        i = cols[k]
+        rot = ctx.rotate_columns(cs[k], ss[k], Z[:, i], Z[:, i + 1])
+        Z[:, i] = rot[0]
+        Z[:, i + 1] = rot[1]
+    return len(waves)
+
+
+def _ql_recurrence(ctx, d_full, e_full, max_sweeps, cols, cs, ss):
+    """The QL iteration on ``d``/``e`` in place, recording each Givens step
+    of the eigenvector update as ``(i, c, s)`` in ``cols``/``cs``/``ss``."""
+    n = d_full.shape[0]
+    if n == 0:
+        return
     # bind once; the raw buffers stay aliased for the exact float scans below
     d = ctx.wrap(d_full)
     e = ctx.wrap(e_full)
@@ -177,17 +248,15 @@ def _tridiagonal_eigen(ctx, d, e, Z=None, max_sweeps: int = 60):
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                # columns i and i+1 become c*zi - s*zi1 and s*zi + c*zi1:
-                # the same six rounded ops, fused into two rounding calls
-                Z_full[:, i : i + 2] = ctx.rotate_columns(
-                    c.value, s.value, Z_full[:, i], Z_full[:, i + 1]
-                ).T
+                # columns i and i+1 become c*zi - s*zi1 and s*zi + c*zi1
+                cols.append(i)
+                cs.append(c.value)
+                ss.append(s.value)
             if restart:
                 continue
             d[low] = d[low] - p
             e[low] = g
             e[m] = 0.0
-    return d_full, Z_full
 
 
 def symmetric_eigen(ctx, A, max_sweeps: int = 60):

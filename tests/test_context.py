@@ -301,7 +301,7 @@ class TestMachineEpsilon:
 
 
 class TestOutKeywordContract:
-    """The unified ``out=`` signature and its positional deprecation shim."""
+    """The unified keyword-only ``out=`` signature."""
 
     @pytest.mark.parametrize("name", ["float64", "takum8"])
     def test_keyword_out_is_silent_and_written(self, name):
@@ -315,32 +315,9 @@ class TestOutKeywordContract:
         assert result is buffer
         assert np.array_equal(buffer, ctx.add(a, b))
 
-    @pytest.mark.parametrize("name", ["float64", "takum8"])
-    def test_positional_out_warns_but_works(self, name):
-        ctx = get_context(name)
-        a = ctx.round(np.linspace(0.25, 2.0, 8).astype(ctx.dtype))
-        b = ctx.round(np.linspace(0.5, 1.5, 8).astype(ctx.dtype))
-        expected = ctx.mul(a, b)
-        buffer = np.empty_like(a)
-        with pytest.warns(DeprecationWarning):
-            result = ctx.mul(a, b, buffer)
-        assert result is buffer
-        assert np.array_equal(buffer, expected)
-        with pytest.warns(DeprecationWarning):
-            rounded = ctx.round(a.copy(), np.empty_like(a))
-        assert np.array_equal(rounded, a)
-
     def test_scalar_operands_leave_out_untouched(self):
         ctx = get_context("takum8")
         buffer = np.full(4, 7.0, dtype=ctx.dtype)
         result = ctx.add(ctx.dtype(1.0), ctx.dtype(2.0), out=buffer)
         assert np.isscalar(result) or result.ndim == 0
         assert np.array_equal(buffer, np.full(4, 7.0, dtype=ctx.dtype))
-
-    def test_positional_out_rejects_extra_arguments(self):
-        ctx = get_context("float64")
-        a = np.ones(4)
-        with pytest.raises(TypeError):
-            ctx.add(a, a, np.empty(4), np.empty(4))
-        with pytest.raises(TypeError):
-            ctx.add(a, a, np.empty(4), out=np.empty(4))

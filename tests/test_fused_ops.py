@@ -6,7 +6,9 @@ in-place pairwise/sequential reduction tree behind ``reduce_sum``/``dot``/
 ``gemv``/``gemv_t``/``gemm``, and ``FArray.axpy`` — must produce bit-for-bit
 the same rounded values as composing ``mul``/``add``/``reduce_sum`` naively,
 for every registered format and both accumulation orders, because solver
-trajectories in this reproduction are compared at bit level.  Aliasing
+trajectories in this reproduction are compared at bit level.  The QL
+eigenvector update, applied in waves of disjoint Givens rotations, must
+equal rotating step by step.  Aliasing
 (``out=`` pointing at an operand) and non-contiguous column views must
 behave like the allocating form, and the public ``reduce_sum`` must never
 mutate its input.
@@ -16,8 +18,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.arithmetic import available_formats, get_context
+from repro.linalg.tridiagonal import _apply_rotations, wavefront_schedule
 
 #: every registered emulated format plus the native widths
 ALL_FORMATS = available_formats()
@@ -293,3 +297,79 @@ class TestRotateColumns:
             got = ctx.rotate_columns(c, s, x, y)
             ref = unfused_rotation(ctx, c, s, x, y)
             assert_same_bits(got, np.stack(ref), name)
+
+
+@st.composite
+def givens_sequences(draw, ncols=7):
+    """Column indices of a QL-shaped Givens sequence.
+
+    Sweeps run ``i = m - 1`` down to ``low``; a restart cuts one short;
+    stray single rotations repeat arbitrary columns in between.
+    """
+    cols = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            m = draw(st.integers(1, ncols - 1))
+            low = draw(st.integers(0, m - 1))
+            stop = draw(st.integers(low, m - 1))  # stop > low: cut short by a restart
+            cols.extend(range(m - 1, stop - 1, -1))
+        else:
+            cols.extend(draw(st.lists(st.integers(0, ncols - 2), max_size=4)))
+    return cols
+
+
+def rotate_step_by_step(ctx, Z, cols, cs, ss):
+    """One fused ``rotate_columns`` call per Givens step, in order."""
+    for i, c, s in zip(cols, cs, ss):
+        rot = ctx.rotate_columns(c, s, Z[:, i], Z[:, i + 1])
+        Z[:, i] = rot[0]
+        Z[:, i + 1] = rot[1]
+
+
+def special_matrix(ctx, rng, nrows, ncols):
+    """A rounded ``(nrows, ncols)`` matrix seeded with ±0, ±inf and NaN."""
+    raw = rng.standard_normal((nrows, ncols)) * 10.0 ** rng.integers(-3, 3, (nrows, ncols))
+    flat = raw.reshape(-1)
+    picks = rng.choice(flat.size, size=min(flat.size, 6), replace=False)
+    flat[picks] = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan][: picks.size]
+    return ctx.round(raw)
+
+
+class TestWavefrontSchedule:
+    """The deferred QL eigenvector update against step-by-step rotation."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(cols=givens_sequences())
+    def test_waves_are_disjoint_and_keep_column_order(self, cols):
+        waves = wavefront_schedule(cols, 7)
+        assert sorted(k for wave in waves for k in wave) == list(range(len(cols)))
+        wave_of = {k: w for w, wave in enumerate(waves) for k in wave}
+        for wave in waves:
+            touched = [j for k in wave for j in (cols[k], cols[k] + 1)]
+            assert len(touched) == len(set(touched))
+        # rotations sharing a column are applied in their recorded order
+        for k1 in range(len(cols)):
+            for k2 in range(k1 + 1, len(cols)):
+                if abs(cols[k1] - cols[k2]) <= 1:
+                    assert wave_of[k1] < wave_of[k2]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf/NaN operands
+    @pytest.mark.parametrize("name", ALL_FORMATS + ["reference"])
+    @settings(max_examples=15, deadline=None)
+    @given(cols=givens_sequences(), seed=st.integers(0, 2**32 - 1))
+    def test_wave_application_matches_step_by_step(self, name, cols, seed):
+        ctx = get_context(name)
+        rng = np.random.default_rng(seed)
+        nrows = int(rng.integers(1, 6))
+        Z = special_matrix(ctx, rng, nrows, 7)
+        cs = list(ctx.round(rng.uniform(-1.0, 1.0, len(cols))))
+        ss = list(ctx.round(rng.uniform(-1.0, 1.0, len(cols))))
+        ref = Z.copy()
+        before = ctx.op_count
+        rotate_step_by_step(ctx, ref, cols, cs, ss)
+        stepwise = ctx.op_count - before
+        got = Z.copy()
+        waves = _apply_rotations(ctx, got, cols, cs, ss)
+        assert ctx.op_count - before - stepwise == stepwise == 6 * nrows * len(cols)
+        assert waves == len(wavefront_schedule(cols, 7))
+        assert_same_bits(got, ref, (name, cols))

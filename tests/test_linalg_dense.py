@@ -17,6 +17,7 @@ from repro.linalg import (
     tridiagonal_eigen,
     tridiagonalize,
 )
+from tests._explicit_baseline import tridiagonal_eigen_explicit
 
 
 class TestHouseholder:
@@ -115,6 +116,25 @@ class TestTridiagonalEigen:
     def test_convergence_error_on_nan(self, float64_ctx):
         with pytest.raises(EigenConvergenceError):
             tridiagonal_eigen(float64_ctx, np.array([np.nan, 1.0]), np.array([1.0]))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow to NaN
+    @pytest.mark.parametrize(
+        "fmt, scale, seed, max_sweeps",
+        [("posit16", 150.0, 5, 1), ("bfloat16", 150.0, 5, 2), ("E4M3", 400.0, 0, 60)],
+    )
+    def test_failure_tallies_recorded_rotations(self, fmt, scale, seed, max_sweeps):
+        """A raised EigenConvergenceError still applies (and tallies) the
+        rotations recorded before it, like the step-by-step update."""
+        rng = np.random.default_rng(seed)
+        ctx, ref = get_context(fmt), get_context(fmt)
+        d = ctx.round(rng.uniform(-1, 1, 8) * scale)
+        e = ctx.round(rng.uniform(-1, 1, 7) * scale)
+        with pytest.raises(EigenConvergenceError) as raised:
+            tridiagonal_eigen(ctx, d, e, max_sweeps=max_sweeps)
+        with pytest.raises(EigenConvergenceError) as expected:
+            tridiagonal_eigen_explicit(ref, d, e, max_sweeps=max_sweeps)
+        assert str(raised.value) == str(expected.value)
+        assert ctx.op_count == ref.op_count > 0
 
 
 class TestSymmetricEigen:

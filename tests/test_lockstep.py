@@ -30,6 +30,9 @@ from repro.arithmetic import (
 )
 from repro.core.krylov_schur import partialschur
 from repro.core.lockstep import batched_partialschur
+from repro.linalg import EigenConvergenceError, tridiagonal_eigen
+from repro.linalg.lockstep import _apply_rotations as _apply_wave_record
+from repro.linalg.lockstep import lockstep_tridiagonal_eigen
 from repro.sparse import CSRMatrix
 from tests.conftest import random_symmetric_csr
 
@@ -212,6 +215,102 @@ class TestBatchedRotateColumns:
         bctx.rotate_columns(xy[:2, 0, 0], xy[:2, 1, 0], xy[:2, 0], xy[:2, 1], rows)
         bctx.flush_op_counts()
         assert [ctx.op_count for ctx in contexts] == [30, 0, 30]
+
+
+class TestBatchedWaveApplication:
+    """The deferred lockstep eigenvector update against the sequential one."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf/NaN operands
+    def test_matches_per_row_sequential_on_mixed_width_batch(self):
+        rng = np.random.default_rng(43)
+        n = 6
+        for contexts, indices in BatchSpec(MIXED_WIDTH).lanes():
+            bctx = BatchedContext(contexts)
+            # more machines than format rows: every row index repeats
+            rows = np.concatenate([bctx.all_rows, bctx.all_rows[::-1]])
+            nm = rows.size
+            # QL-shaped sequences: sweeps i = m - 1 down to low, per machine
+            cols = []
+            for _ in range(nm):
+                seq = []
+                for _ in range(int(rng.integers(1, 5))):
+                    m = int(rng.integers(1, n))
+                    seq.extend(range(m - 1, int(rng.integers(0, m)) - 1, -1))
+                cols.append(seq)
+            steps = max(len(seq) for seq in cols)
+            C = bctx.round(np.array(rng.uniform(-1, 1, (nm, steps)), dtype=bctx.dtype), rows)
+            S = bctx.round(np.array(rng.uniform(-1, 1, (nm, steps)), dtype=bctx.dtype), rows)
+            raw = rng.standard_normal((nm, n, n)) * 10.0 ** rng.integers(-3, 3, (nm, n, n))
+            raw[:, 0, :4] = [0.0, -0.0, np.inf, np.nan]
+            raw[:, 1, :3] = [-0.0, -np.inf, 1e300]
+            Z = bctx.round(np.array(raw, dtype=bctx.dtype), rows)
+            # one record entry per lockstep tick, as _lockstep_ql appends them
+            record = []
+            for t in range(steps):
+                la = np.array([a for a in range(nm) if len(cols[a]) > t], dtype=np.int64)
+                i = np.array([cols[a][t] for a in la], dtype=np.int64)
+                record.append((la, i, C[la, t], S[la, t]))
+            got = Z.copy()
+            before = [ctx.op_count for ctx in contexts]
+            nrot, waves = _apply_wave_record(bctx, got, rows, record)
+            bctx.flush_op_counts()
+            batched_ops = [ctx.op_count - b for ctx, b in zip(contexts, before)]
+            assert nrot == sum(len(seq) for seq in cols)
+            assert 0 < waves < nrot
+            for a in range(nm):
+                ctx = contexts[rows[a]]
+                want = Z[a].copy()
+                for t, i in enumerate(cols[a]):
+                    rot = ctx.rotate_columns(C[a, t], S[a, t], want[:, i], want[:, i + 1])
+                    want[:, i] = rot[0]
+                    want[:, i + 1] = rot[1]
+                label = f"{ctx.name} (machine {a}, row {indices[rows[a]]})"
+                assert np.array_equal(got[a], want, equal_nan=True), label
+                # NaN sign bits follow the rounding backend (see
+                # tests/test_fused_ops.py::assert_same_bits)
+                keep = ~np.isnan(want)
+                assert np.array_equal(np.signbit(got[a][keep]), np.signbit(want[keep])), label
+            for r, ops in enumerate(batched_ops):
+                rotations = sum(len(cols[a]) for a in range(nm) if rows[a] == r)
+                assert ops == 6 * n * rotations, contexts[r].name
+
+
+class TestQLFailureParity:
+    """Rotations recorded before a QL failure are still applied and tallied."""
+
+    FORMATS = ["E4M3", "E5M2", "takum8", "posit8", "bfloat16", "float16", "posit16"]
+
+    @staticmethod
+    def _problem(scale, seed, n=8):
+        rng = np.random.default_rng(seed)
+        return rng.uniform(-1, 1, n) * scale, rng.uniform(-1, 1, n - 1) * scale
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow to NaN
+    @pytest.mark.parametrize(
+        "scale, seed, max_sweeps",
+        [(150.0, 5, 2), (400.0, 0, 60)],  # sweep budget; E4M3 goes non-finite
+    )
+    def test_failed_rows_tally_like_sequential_solves(self, scale, seed, max_sweeps):
+        d, e = self._problem(scale, seed)
+        contexts = [get_context(f) for f in self.FORMATS]
+        bctx = BatchedContext(contexts)
+        rows = bctx.all_rows
+        dd = bctx.round(np.tile(np.asarray(d, dtype=bctx.dtype), (rows.size, 1)), rows)
+        ee = bctx.round(np.tile(np.asarray(e, dtype=bctx.dtype), (rows.size, 1)), rows)
+        _, _, errors = lockstep_tridiagonal_eigen(bctx, dd, ee, None, rows, max_sweeps=max_sweeps)
+        bctx.flush_op_counts()
+        failed = 0
+        for a, fmt in enumerate(self.FORMATS):
+            ctx = get_context(fmt)
+            try:
+                tridiagonal_eigen(ctx, dd[a], ee[a], max_sweeps=max_sweeps)
+                message = None
+            except EigenConvergenceError as exc:
+                message = str(exc)
+                failed += 1
+            assert errors[a] == message, fmt
+            assert contexts[a].op_count == ctx.op_count, fmt
+        assert 0 < failed < len(self.FORMATS)
 
 
 class TestBatchedFArraySurface:

@@ -16,7 +16,9 @@ import threading
 import numpy as np
 import pytest
 
-from repro.arithmetic import get_context
+from repro.arithmetic import BatchedContext, get_context
+from repro.linalg import symmetric_eigen
+from repro.linalg.lockstep import lockstep_symmetric_eigen
 from repro.telemetry import (
     MetricsRegistry,
     TelemetryReport,
@@ -344,6 +346,20 @@ def test_dispatch_counters_record_format_and_path(telemetry_on):
         key.startswith("rounding.dispatch{") and "format=bfloat16" in key
         for key in snapshot
     )
+
+
+def test_ql_spans_report_rotations_and_waves(telemetry_on):
+    """The QL spans of both engines say how much the wave batching got."""
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((12, 12))
+    A = A + A.T
+    symmetric_eigen(get_context("posit16"), A)
+    bctx = BatchedContext([get_context(f) for f in ("posit16", "bfloat16")])
+    lockstep_symmetric_eigen(bctx, np.stack([A, A]), bctx.all_rows)
+    spans = {e["name"]: e["attrs"] for e in trace.read_events(telemetry_on)}
+    for name in ("tridiagonal.ql", "tridiagonal.ql_lockstep"):
+        attrs = spans[name]
+        assert 0 < attrs["waves"] < attrs["rotations"], name
 
 
 def test_enabled_flag_round_trip():

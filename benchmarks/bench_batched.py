@@ -6,7 +6,7 @@ batched_partialschur` call must be substantially cheaper than N sequential
 :func:`repro.core.krylov_schur.partialschur` runs.  The win comes from
 amortising per-operation Python/numpy dispatch across the stacked
 ``(n_formats, n)`` axis, so it is largest in the QL-dominated regime (small
-matrix, deep restart budget) over the narrow table-served formats; wide
+matrix, deep restart budget) over the narrow (<= 16-bit) formats; wide
 scalar-kernel formats (posit32/takum32+) run as fallback rows and are
 deliberately excluded from the gate workload.
 
@@ -47,7 +47,7 @@ from repro.datasets import generate_graph
 from repro.experiments import tolerance_for
 from repro.sparse import laplacian_from_adjacency
 
-#: narrow table-served formats — the stacked fast path the gate protects
+#: narrow (<= 16-bit) formats — the stacked fast path the gate protects
 BATCH_FORMATS = (
     "bfloat16",
     "float16",
@@ -71,6 +71,11 @@ BATCH_FORMATS = (
 #: pairs again gains the sequential solves more (about 20%) than the sweep,
 #: whose QL time is mostly its per-tick d/e recurrence: on the same host
 #: five runs measured 1.24x-1.43x, against 1.36x-1.47x just before.
+#: Deleting the lookup tables sped the sequential 8/16-bit solves up by
+#: about 20% (scalar kernels on scalars, tiny arrays and the few elements
+#: a bit kernel hands back); with only that, three runs read 1.07x-1.17x.  Rounding tiny stacks through each row's
+#: scalar kernel and resolving specials through the row's kernel resolver
+#: sped the sweep up more: three runs read 1.51x-1.55x (parent 1.22x-1.40x).
 SPEEDUP_LIMIT = 1.2
 GATE_NOTE = (
     "bar lowered from 1.5x to 1.2x when the fused QL rotation sped up the "

@@ -1,9 +1,9 @@
-"""Micro-benchmark: rounding throughput (values/s) per format and backend.
+"""Micro-benchmark: rounding throughput (values/s) per format and kernel.
 
-Measures ``round_array`` throughput of the lookup-table engine
-(:mod:`repro.arithmetic.tables`) against the analytic kernels for every
-table-eligible format.  The acceptance bar for the engine is >= 3x on the
-8-bit formats, where the direct-indexed float32-pattern path applies.
+Measures ``round_array`` (the default dispatch: scalar kernel for tiny
+arrays, bit kernel above) against the analytic kernels for every format of
+up to 16 bits, at 64k values and — report-only, not gated — per call at
+the sizes the solvers round ({1, 16, 48, 512} elements).
 
 The *bit-kernel* section measures the integer bit-twiddling engine
 (:mod:`repro.arithmetic.bitkernels`) against the analytic vector kernels at
@@ -13,7 +13,7 @@ built for); the CI gate (``--check``) fails if any kernel-served format
 rounds *slower* than its analytic kernel.
 
 The *scalar* section measures per-scalar rounding at solver-call sizes for
-the wide (32/64-bit) formats the tables cannot serve: the old route (one
+the wide (32/64-bit) formats: the old route (one
 ``round_array_analytic`` call on a 1-element ndarray, which is what every
 scalar Givens/QL operation paid before the scalar kernels existed) against
 the new ``round_scalar`` fast path, plus the context-level scalar ``add``
@@ -52,12 +52,12 @@ if __package__ in (None, ""):
 import numpy as np
 import pytest
 
-from repro.arithmetic import get_context, get_format, table_for
+from repro.arithmetic import get_context, get_format
 
 EIGHT_BIT = ["E4M3", "E5M2", "posit8", "takum8"]
 SIXTEEN_BIT = ["float16", "bfloat16", "posit16", "takum16"]
 FORMATS = EIGHT_BIT + SIXTEEN_BIT
-#: wide formats served by the analytic scalar kernels instead of tables
+#: formats wider than 16 bits
 WIDE_FORMATS = ["float32", "float64", "posit32", "posit64", "takum32", "takum64"]
 #: formats served by the integer bit-twiddling engine (the 64-bit tapered
 #: formats through the two-word extended kernel, benchmarked on their own
@@ -82,6 +82,8 @@ BITKERNEL_TARGET_SPEEDUP = 3.0
 
 #: benchmark workload size (values per round_array call)
 N_VALUES = 1 << 16
+#: array sizes the solvers round (scalars, QL columns, Arnoldi vectors)
+WORKLOAD_SIZES = (1, 16, 48, 512)
 
 
 def workload(n: int = N_VALUES, seed: int = 0) -> np.ndarray:
@@ -93,15 +95,15 @@ def workload(n: int = N_VALUES, seed: int = 0) -> np.ndarray:
     return values
 
 
-def _round_table(fmt, values):
-    return table_for(fmt).round_values(values)
+def _round_dispatch(fmt, values):
+    return fmt.round_array(values)
 
 
 def _round_analytic(fmt, values):
     return fmt.round_array_analytic(values)
 
 
-BACKENDS = {"table": _round_table, "analytic": _round_analytic}
+BACKENDS = {"round_array": _round_dispatch, "analytic": _round_analytic}
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +116,7 @@ def values():
 def test_rounding_throughput(benchmark, fmt_name, backend, values):
     fmt = get_format(fmt_name)
     runner = BACKENDS[backend]
-    runner(fmt, values)  # warm the table / per-format caches
+    runner(fmt, values)  # warm the per-format kernels and caches
     benchmark.extra_info["values_per_call"] = values.size
     benchmark(lambda: runner(fmt, values))
 
@@ -273,41 +275,74 @@ def run_bitkernel_report(record: dict | None = None) -> list[str]:
     lines.append("")
     lines.append(
         "dispatch: the bit kernels serve vector rounding for every format "
-        "above except the 8-bit ones, where the direct-indexed table (a "
-        "single gather) stays faster; posit64/takum64 round through the "
-        "two-word extended kernel on their longdouble workload."
+        "above; posit64/takum64 round through the two-word extended kernel "
+        "on their longdouble workload."
     )
     return lines
 
 
-def run_report(record: dict | None = None) -> str:
+def run_workload_size_report(record: dict | None = None) -> list[str]:
+    """``round_array`` vs ``round_array_analytic`` per call at the array
+    sizes the solvers round (report only, not gated).
+
+    When ``record`` is given, per-format, per-size microseconds are stored
+    into it for the JSON artifact.
+    """
+    sizes = WORKLOAD_SIZES
+    head = " ".join(f"{f'n={n} [us]':>19s}" for n in sizes)
+    lines = [
+        "round_array vs round_array_analytic per call at solver sizes "
+        "(dispatch / analytic microseconds; report only)",
+        f"{'format':<10s} {head}",
+    ]
+    for fmt_name in FORMATS:
+        fmt = get_format(fmt_name)
+        cells = []
+        for n in sizes:
+            vals = workload(n, seed=n)
+            dispatch_s, analytic_s = [], []
+            for _ in range(3):  # interleave to cancel CPU frequency drift
+                dispatch_s.append(_median_call_time(lambda: _round_dispatch(fmt, vals), inner=200))
+                analytic_s.append(_median_call_time(lambda: _round_analytic(fmt, vals), inner=200))
+            t_dispatch = float(np.median(dispatch_s)) * 1e6
+            t_analytic = float(np.median(analytic_s)) * 1e6
+            if record is not None:
+                record.setdefault(fmt_name, {})[str(n)] = {
+                    "round_array_us": round(t_dispatch, 2),
+                    "analytic_us": round(t_analytic, 2),
+                }
+            cells.append(f"{f'{t_dispatch:.1f} / {t_analytic:.1f}':>19s}")
+        lines.append(f"{fmt_name:<10s} " + " ".join(cells))
+    return lines
+
+
+def run_report(record: dict | None = None, sizes: dict | None = None) -> str:
     values = workload()
     lines = [
         "Micro-benchmark: rounding throughput per format (values/s)",
         f"workload: {values.size} values, log-uniform magnitudes over ~29 binades",
         "",
-        f"{'format':<10s} {'table [Mval/s]':>15s} {'analytic [Mval/s]':>18s} {'speedup':>9s}",
+        f"{'format':<10s} {'round_array [Mval/s]':>21s} {'analytic [Mval/s]':>18s} {'speedup':>9s}",
     ]
     for fmt_name in FORMATS:
         fmt = get_format(fmt_name)
-        # interleave the two backends to cancel CPU frequency drift
-        table_s, analytic_s = [], []
+        # interleave the two kernels to cancel CPU frequency drift
+        dispatch_s, analytic_s = [], []
         for _ in range(3):
-            table_s.append(_median_throughput(lambda v: _round_table(fmt, v), values, repeats=5))
-            analytic_s.append(_median_throughput(lambda v: _round_analytic(fmt, v), values, repeats=5))
-        table_tp = float(np.median(table_s))
+            dispatch_s.append(
+                _median_throughput(lambda v: _round_dispatch(fmt, v), values, repeats=5)
+            )
+            analytic_s.append(
+                _median_throughput(lambda v: _round_analytic(fmt, v), values, repeats=5)
+            )
+        dispatch_tp = float(np.median(dispatch_s))
         analytic_tp = float(np.median(analytic_s))
         lines.append(
-            f"{fmt_name:<10s} {table_tp / 1e6:>15.1f} {analytic_tp / 1e6:>18.1f} "
-            f"{table_tp / analytic_tp:>8.2f}x"
+            f"{fmt_name:<10s} {dispatch_tp / 1e6:>21.1f} {analytic_tp / 1e6:>18.1f} "
+            f"{dispatch_tp / analytic_tp:>8.2f}x"
         )
     lines.append("")
-    lines.append(
-        "default backend: table rounding for the 8-bit formats (direct "
-        "index); the 16-bit formats round through the integer bit kernels "
-        "at vector sizes (tables still serve their scalar path and "
-        "encode/decode)."
-    )
+    lines.extend(run_workload_size_report(sizes))
     lines.append("")
     lines.extend(run_bitkernel_report(record))
     lines.append("")
@@ -320,9 +355,8 @@ def run_check(threshold: float = 1.0) -> int:
     must round at least as fast as its analytic kernel at 64k values, and
     the 32-bit posit/takum hot path must clear
     :data:`BITKERNEL_TARGET_SPEEDUP`.  The 8-bit formats are reported but
-    not gated: their dispatch keeps the direct-indexed table, so their
-    kernel margins (which can be thin on noisy shared runners) guard
-    nothing.  Returns an exit code.
+    not gated: their kernel margins are thin on noisy shared runners.
+    Returns an exit code.
     """
     record: dict = {}
     lines = run_bitkernel_report(record)
@@ -333,7 +367,7 @@ def run_check(threshold: float = 1.0) -> int:
     failed = []
     for fmt_name, row in record.items():
         if get_format(fmt_name).bits <= 8:
-            continue  # dispatch uses the direct-indexed table, not the kernel
+            continue  # reported, not gated
         if row["speedup"] < threshold:
             failed.append(f"{fmt_name}: {row['speedup']:.2f}x < {threshold:.2f}x")
     for fmt_name in BITKERNEL_TARGET_FORMATS:
@@ -367,7 +401,8 @@ def main(argv=None) -> int:
     if args.check:
         return run_check()
     record: dict = {}
-    report = run_report(record)
+    sizes: dict = {}
+    report = run_report(record, sizes)
     out_dir = pathlib.Path(__file__).parent / "output"
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "micro_rounding.txt"
@@ -380,6 +415,7 @@ def main(argv=None) -> int:
             "benchmark": "micro_rounding",
             "values_per_call": N_VALUES,
             "bitkernel_vs_analytic": record,
+            "round_array_vs_analytic_us": sizes,
         },
     )
     print(report)

@@ -64,7 +64,7 @@ def _laplacian(n: int):
         "reference",
         "bfloat16",
         "takum16",
-        # wide formats: scalar-kernel regime (no lookup tables)
+        # wide formats: scalar-kernel regime
         "posit32",
         "takum32",
         "posit64",
@@ -110,8 +110,8 @@ def test_partialschur_scaling_with_krylov_dimension(benchmark, maxdim):
 # operator API (FArray/FScalar) vs explicit context calls
 # --------------------------------------------------------------------- #
 
-#: formats whose QL path the overhead gate covers: the narrow table-served
-#: regime and the wide scalar-kernel regime (the arithmetics under study;
+#: formats whose QL path the overhead gate covers: the narrow and the wide
+#: scalar-kernel regimes (the arithmetics under study;
 #: native float64 is a cast, where per-operation Python overhead dominates
 #: any wrapper and the comparison measures the interpreter, not the API)
 OVERHEAD_FORMATS = (

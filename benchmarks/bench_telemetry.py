@@ -42,8 +42,8 @@ from repro.arithmetic import get_context
 from repro.linalg.tridiagonal import tridiagonal_eigen
 from repro.telemetry import metrics, set_enabled, trace
 
-#: formats whose QL path the overhead gate covers — the table-served narrow
-#: regime and the scalar-kernel wide regime (same pool as the operator gate)
+#: formats whose QL path the overhead gate covers — the narrow and the wide
+#: scalar-kernel regimes (same pool as the operator gate)
 OVERHEAD_FORMATS = (
     "bfloat16",
     "posit16",

@@ -23,21 +23,18 @@ context methods; :func:`repro.arithmetic.precision` binds a precision for a
 block of such code, and :class:`repro.arithmetic.ContextSpec` names a
 context declaratively for the runner and CLI.
 
-Three fast rounding backends serve the formats, all bit-identical to the
-analytic ground truth: the shared lookup-table engine
-(:mod:`repro.arithmetic.tables`; formats of up to 16 bits, enumerated once
-per process, cached across contexts, pre-warmed before experiment workers
-fork, direct-indexed O(1) for 8-bit widths), the integer bit-twiddling
-kernels (:mod:`repro.arithmetic.bitkernels`; one family-parameterized
-round/encode/decode engine over float64 words serving vector rounding of
-the 16/32-bit posit/takum and non-cast IEEE formats), and the pure-Python
-scalar kernels (``round_scalar_analytic``) that serve scalars and tiny
-arrays — the regime of the solvers' elementwise operations — without NumPy
-dispatch overhead; see ``docs/architecture.md`` for the full dispatch
-matrix.  The analytic vector kernels remain available as ground truth
-(``round_array_analytic`` / ``use_tables=False`` /
-``set_tables_enabled(False)`` / ``set_bitkernels_enabled(False)`` /
-``REPRO_DISABLE_ROUNDING_TABLES=1`` / ``REPRO_DISABLE_BITKERNELS=1``).
+Two fast rounding kernels serve the formats, both bit-identical to the
+analytic ground truth: the integer bit-twiddling kernels
+(:mod:`repro.arithmetic.bitkernels`; one family-parameterized
+round/encode/decode engine serving vector rounding of every posit, takum
+and non-cast IEEE/OFP8 format) and each format's pure-Python scalar kernel
+(``round_scalar_analytic``), which serves scalars and tiny arrays — the
+regime of the solvers' elementwise operations — without NumPy dispatch
+overhead; see ``docs/architecture.md`` for the dispatch matrix.  The
+analytic vector kernels remain available as ground truth
+(``round_array_analytic``), per context through
+``ContextSpec(kernels="analytic")`` and process-wide for the bit kernels
+through ``set_bitkernels_enabled(False)`` / ``REPRO_DISABLE_BITKERNELS=1``.
 """
 
 from .base import LONGDOUBLE_EXTENDED, NumberFormat, RoundingInfo
@@ -60,15 +57,6 @@ from .registry import (
     available_formats,
     formats_by_width,
     preload_tables,
-)
-from .tables import (
-    TABLE_CACHE,
-    TableCache,
-    TableSemantics,
-    ValueTable,
-    table_for,
-    tables_enabled,
-    set_enabled as set_tables_enabled,
 )
 from .context import (
     ComputeContext,
@@ -128,13 +116,6 @@ __all__ = [
     "available_formats",
     "formats_by_width",
     "preload_tables",
-    "TABLE_CACHE",
-    "TableCache",
-    "TableSemantics",
-    "ValueTable",
-    "table_for",
-    "tables_enabled",
-    "set_tables_enabled",
     "ComputeContext",
     "ContextSpec",
     "EmulatedContext",

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
-import warnings
 from abc import ABC, abstractmethod
 from typing import Optional
 
@@ -30,38 +29,23 @@ __all__ = [
     "round_to_quantum",
     "nearest_in_table",
     "nearest_in_table_scalar",
-    "MAX_TABLE_BITS",
     "SCALAR_CUTOFF",
     "WIDE_SCALAR_CUTOFF",
     "LONGDOUBLE_EXTENDED",
-    "require_extended_longdouble",
 ]
-
-#: widest format the lookup-table engine will enumerate (2^15 positive
-#: codes).  Lives here rather than in :mod:`repro.arithmetic.tables` so the
-#: dispatch in :meth:`NumberFormat.round_scalar` can skip the table lookup
-#: for formats that can never be table-served; re-exported by ``tables``.
-MAX_TABLE_BITS = 16
-
-#: memoised reference to repro.arithmetic.tables.table_for (set on first use;
-#: the tables module imports this one, so a top-level import would be a cycle)
-_TABLE_FOR = None
 
 #: sentinel distinguishing 'bit kernel never built' from 'ineligible (None)'
 _UNSET = object()
 
-#: arrays up to this size round element-wise in pure Python when a lookup
-#: table is available (a ``bisect`` over the table beats ~10 NumPy dispatch
-#: round-trips on tiny arrays, the regime of the solvers' scalar Givens/QL
-#: operations).  Re-exported by :mod:`repro.arithmetic.tables`.
+#: scalar-kernel cutoff of the longdouble kernels of the 64-bit tapered
+#: formats, which pay NumPy scalar dispatch (~4 us/element)
 SCALAR_CUTOFF = 8
 
 #: arrays up to this size round element-wise through the pure-Python
-#: analytic scalar kernels (:meth:`NumberFormat.round_scalar_analytic`) for
-#: formats the table engine cannot serve (posit/takum/IEEE wider than 16
-#: bits).  The wide vector kernels pay ~25 NumPy dispatch round-trips
-#: (~35 us) regardless of size while a scalar call costs ~1.5 us, so the
-#: break-even sits near 24 elements.
+#: analytic scalar kernels (:meth:`NumberFormat.round_scalar_analytic`)
+#: when no bit kernel serves the format.  The analytic vector kernels pay
+#: ~25 NumPy dispatch round-trips (~35 us) regardless of size while a
+#: scalar call costs ~1.5 us, so the break-even sits near 24 elements.
 WIDE_SCALAR_CUTOFF = 24
 
 #: whether ``numpy.longdouble`` carries more significand bits than float64
@@ -75,8 +59,6 @@ WIDE_SCALAR_CUTOFF = 24
 #: degraded platforms by monkeypatching this flag before constructing a
 #: format.
 LONGDOUBLE_EXTENDED = np.finfo(np.longdouble).nmant > np.finfo(np.float64).nmant
-
-_LONGDOUBLE_WARNED = False
 
 
 #: deferred dispatch tallies, ``(format, path) -> [calls, elements]``.
@@ -111,35 +93,6 @@ def _flush_dispatch_tally(discard: bool = False) -> None:
 
 
 _metrics.register_flusher(_flush_dispatch_tally)
-
-
-def require_extended_longdouble(format_name: str) -> bool:
-    """Check the extended-precision capability for ``format_name``.
-
-    Returns ``True`` when ``numpy.longdouble`` is wider than float64; emits
-    a single ``RuntimeWarning`` and returns ``False`` otherwise.
-
-    Retained for external callers that want the loud capability probe; the
-    64-bit posit/takum formats no longer call it — they degrade cleanly to
-    a float64 work dtype (served bit-exactly by the one-word kernels)
-    instead of warning about a precision they silently lost.
-    """
-    global _LONGDOUBLE_WARNED
-    if LONGDOUBLE_EXTENDED:
-        return True
-    if not _LONGDOUBLE_WARNED:
-        _LONGDOUBLE_WARNED = True
-        warnings.warn(
-            f"numpy.longdouble on this platform is plain float64, so the "
-            f"extended-precision work arithmetic of {format_name!r} (and the "
-            "other 64-bit posit/takum formats) loses precision below the "
-            "52nd significand bit; 64-bit emulated results will not be "
-            "bit-accurate here.  Use an x86 Linux/macOS build for the "
-            "64-bit format experiments.",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return False
 
 
 @dataclasses.dataclass
@@ -280,27 +233,25 @@ class NumberFormat(ABC):
     * ``numpy.inf`` is only produced by formats that have infinities,
     * rounding is round-to-nearest with ties to the even code.
 
-    Formats of up to 16 bits that declare :meth:`table_semantics` are served
-    by the shared lookup-table engine (:mod:`repro.arithmetic.tables`) for
-    :meth:`round_array`, :meth:`encode` and :meth:`decode`; the analytic
-    implementations remain the ground truth the tables are verified against.
+    :meth:`round_array` has one rule.  Arrays of up to the format's
+    cutoff — the regime of the solvers' elementwise Givens/QL operations —
+    round element-wise through the format's pure-Python scalar kernel
+    (:attr:`has_scalar_kernel` / :meth:`round_scalar_analytic`), which skips
+    the NumPy dispatch round-trips of the vector kernels; larger arrays
+    round through the format's integer bit kernel
+    (:mod:`repro.arithmetic.bitkernels`), or through the vectorised
+    :meth:`round_array_analytic` ground truth when there is none.  The bit
+    kernels also serve :meth:`encode` and :meth:`decode`.  Both fast kernels
+    are verified bit-identical to the analytic ones by the sweeps in
+    ``tests/test_scalar_rounding.py`` and ``tests/test_bitkernels.py``
+    (every value and every tie of every format up to 16 bits).
 
-    Formats the table engine cannot serve (wider than 16 bits) may declare a
-    pure-Python scalar kernel instead (:attr:`has_scalar_kernel` /
-    :meth:`round_scalar_analytic`): :meth:`round_array` then routes arrays of
-    up to :attr:`scalar_cutoff` elements — the regime of the solvers'
-    elementwise Givens/QL operations — through the scalar kernel, which
-    skips the ~25 NumPy dispatch round-trips of the vector kernels.  The
-    scalar kernels are verified bit-identical to :meth:`round_array_analytic`
-    by the sweeps in ``tests/test_scalar_rounding.py``.
-
-    Both fast backends can be bypassed for verification, from coarse to
-    fine: the ``REPRO_DISABLE_ROUNDING_TABLES=1`` environment variable and
-    :func:`repro.arithmetic.tables.set_enabled` disable the table engine
-    process-wide, and ``get_context(name, use_tables=False)`` forces one
+    The fast kernels can be bypassed for verification:
+    ``REPRO_DISABLE_BITKERNELS=1`` (or, at runtime,
+    :func:`repro.arithmetic.set_bitkernels_enabled`) turns the bit kernels
+    off process-wide, and ``ContextSpec(kernels="analytic")`` forces one
     context onto the analytic *vector* kernels for arrays and scalars
-    alike, bypassing the scalar kernels as well (``use_tables=True``
-    forces the tables even when globally disabled).
+    alike, bypassing the scalar kernels as well.
     """
 
     #: short identifier, e.g. ``"posit16"``
@@ -318,7 +269,7 @@ class NumberFormat(ABC):
     #: (as opposed to the default fallback through the vector kernel)
     has_scalar_kernel: bool = False
     #: largest array size :meth:`round_array` routes through the scalar
-    #: kernel when no lookup table serves the format; 0 disables the scalar
+    #: kernel when no bit kernel serves the format; 0 disables the scalar
     #: dispatch (formats whose vector kernel is a plain dtype cast)
     scalar_cutoff: int = WIDE_SCALAR_CUTOFF
     #: the same cutoff when an integer bit kernel serves the format: the
@@ -328,42 +279,8 @@ class NumberFormat(ABC):
     bitkernel_scalar_cutoff: int = 12
 
     # ------------------------------------------------------------------ #
-    # lookup-table backend
-    # ------------------------------------------------------------------ #
-    def table_semantics(self):
-        """Describe this format to the shared lookup-table rounding engine.
-
-        Returns a :class:`repro.arithmetic.tables.TableSemantics` for formats
-        the engine can serve, ``None`` (the default) otherwise.
-        """
-        return None
-
-    def _rounding_table(self):
-        """The active :class:`~repro.arithmetic.tables.ValueTable`, if any."""
-        # tables imports this module, so the reference is resolved lazily —
-        # but only once: this sits on the per-scalar rounding path, where a
-        # per-call ``from . import tables`` is measurable
-        global _TABLE_FOR
-        if _TABLE_FOR is None:
-            from .tables import table_for as _table_for
-
-            _TABLE_FOR = _table_for
-        return _TABLE_FOR(self)
-
-    @property
-    def table_backed(self) -> bool:
-        """Whether the lookup-table engine currently serves this format."""
-        return self._rounding_table() is not None
-
-    # ------------------------------------------------------------------ #
     # integer bit-twiddling backend
     # ------------------------------------------------------------------ #
-    #: whether the bit kernel should replace the lookup-table *rounding*
-    #: path at vector sizes (set by formats whose table kernel is a
-    #: 2^15-entry searchsorted, which the integer kernel beats; the 8-bit
-    #: direct-indexed table stays faster and keeps the table path)
-    prefer_bitkernel_rounding = False
-
     def _build_bitkernel(self):
         """Construct the family's :class:`~repro.arithmetic.bitkernels.BitKernel`
         (``None`` by default: no integer kernel serves this format)."""
@@ -388,6 +305,28 @@ class NumberFormat(ABC):
             self._bitkernel_obj = kern
         return kern
 
+    def _enumerate_magnitudes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every finite non-negative magnitude of the format, ascending, and
+        its code (``int64``): the magnitude lists the scalar and analytic
+        kernels of the narrow formats search.
+
+        Decodes the sign-clear half of the code space, where every family
+        keeps its non-negative values, through the bit kernel's vectorised
+        decode when one serves the format (a handful of integer passes),
+        otherwise code by code through :meth:`decode_code`; the exhaustive
+        decode sweeps of ``tests/test_bitkernels.py`` prove the two equal.
+        """
+        codes = np.arange(1 << (self.bits - 1), dtype=np.int64)
+        kern = self.bitkernel()
+        if kern is not None and kern.supports_codec:
+            values = np.asarray(kern.decode(codes.astype(np.uint64)), dtype=np.float64)
+        else:
+            values = np.array([float(self.decode_code(c)) for c in codes.tolist()])
+        finite = np.isfinite(values)
+        mags, codes = values[finite], codes[finite]
+        order = np.argsort(mags)
+        return mags[order], codes[order]
+
     # ------------------------------------------------------------------ #
     # bit-level interface
     # ------------------------------------------------------------------ #
@@ -410,12 +349,9 @@ class NumberFormat(ABC):
         -------
         numpy.ndarray
             Work-precision values, same shape as ``codes``.  Served by the
-            lookup-table engine when it covers this format, otherwise by a
-            per-element :meth:`decode_code` loop.
+            bit kernel's vectorised decode when one serves this format,
+            otherwise by a per-element :meth:`decode_code` loop.
         """
-        table = self._rounding_table()
-        if table is not None:
-            return table.decode_values(codes)
         kern = self.bitkernel()
         if kern is not None and kern.supports_codec:
             return kern.decode(codes)
@@ -442,12 +378,6 @@ class NumberFormat(ABC):
             rounded through :meth:`round_array`, then encoded (non-canonical
             NaNs collapse to the canonical NaN/NaR code).
         """
-        table = self._rounding_table()
-        if table is not None:
-            # round through whichever backend this format prefers (the 16-bit
-            # IEEE formats keep the cheaper analytic quantum rounding), then
-            # encode the representable results through the table
-            return table.encode_representable(self.round_array(values))
         kern = self.bitkernel()
         if kern is not None and kern.supports_codec:
             return kern.encode(self.round_array(values))
@@ -455,7 +385,7 @@ class NumberFormat(ABC):
 
     @abstractmethod
     def encode_analytic(self, values) -> np.ndarray:
-        """Analytic (table-free) implementation of :meth:`encode`."""
+        """Analytic (kernel-free) implementation of :meth:`encode`."""
 
     # ------------------------------------------------------------------ #
     # value-space interface
@@ -476,41 +406,24 @@ class NumberFormat(ABC):
             given.  Keyword-only under the unified signature contract
             (``docs/api.md``).
 
-        Dispatches by (format width, array size):
-
-        * tiny arrays (the solvers' elementwise Givens/QL regime) round
-          element-wise through the scalar paths — the lookup-table
-          ``bisect`` kernel or the format's pure-Python scalar kernel;
-        * table-served formats (<= 16 bits) route through the lookup-table
-          engine whenever it prefers the size, unless the format marks
-          :attr:`prefer_bitkernel_rounding` (the 16-bit tapered formats,
-          whose 2^15-entry ``searchsorted`` loses to the integer kernel);
-        * formats with an integer bit kernel
-          (:mod:`repro.arithmetic.bitkernels`) route through it;
-        * everything else falls through to the vectorised
-          :meth:`round_array_analytic` ground truth.
+        Arrays of up to the format's cutoff (the solvers' elementwise
+        Givens/QL regime) round element-wise through the pure-Python scalar
+        kernel: :attr:`bitkernel_scalar_cutoff` elements when a bit kernel
+        serves the format, :attr:`scalar_cutoff` otherwise.  Larger arrays
+        round through the integer bit kernel
+        (:mod:`repro.arithmetic.bitkernels`), or through the vectorised
+        :meth:`round_array_analytic` ground truth when there is none (or
+        the kernels are globally disabled).
         """
-        table = self._rounding_table()
         values = np.asarray(values, dtype=self.work_dtype)
         n = values.size
-        if table is not None:
-            if table.prefers_rounding(n) and not (
-                self.prefer_bitkernel_rounding
-                and n > SCALAR_CUTOFF
-                and self.bitkernel() is not None
-            ):
-                if _telemetry.ENABLED:
-                    _count_dispatch(self, "table", n)
-                return table.round_values(values, out=out)
-            kern = self.bitkernel()
-        else:
-            kern = self.bitkernel()
-            if self.has_scalar_kernel and n <= (
-                self.scalar_cutoff if kern is None else self.bitkernel_scalar_cutoff
-            ):
-                if _telemetry.ENABLED:
-                    _count_dispatch(self, "scalar_kernel", n)
-                return self._round_small_array(values, out=out)
+        kern = self.bitkernel()
+        if self.has_scalar_kernel and n <= (
+            self.scalar_cutoff if kern is None else self.bitkernel_scalar_cutoff
+        ):
+            if _telemetry.ENABLED:
+                _count_dispatch(self, "scalar_kernel", n)
+            return self._round_small_array(values, out=out)
         if kern is not None:
             if _telemetry.ENABLED:
                 _count_dispatch(self, "bitkernel", n)
@@ -522,6 +435,17 @@ class NumberFormat(ABC):
             out[...] = res
             return out
         return res
+
+    def _round_kernel_specials(self, values: np.ndarray) -> np.ndarray:
+        """Round the elements a bit kernel hands back (its special binades)
+        without the kernel: element-wise through the scalar kernel up to
+        :attr:`scalar_cutoff` elements, the scalar/analytic break-even,
+        else through :meth:`round_array_analytic`.  Most kernel calls hand
+        back only a few elements, where one analytic call (~40 us fixed)
+        costs far more than the scalar loop."""
+        if self.has_scalar_kernel and values.size <= self.scalar_cutoff:
+            return self._round_small_array(values)
+        return self.round_array_analytic(values)
 
     def _round_small_array(self, values: np.ndarray, out=None) -> np.ndarray:
         """Round a tiny array element-wise through the scalar kernel."""
@@ -535,11 +459,12 @@ class NumberFormat(ABC):
 
     @abstractmethod
     def round_array_analytic(self, values) -> np.ndarray:
-        """Analytic (table-free) implementation of :meth:`round_array`.
+        """Analytic (kernel-free) implementation of :meth:`round_array`.
 
-        Kept as the bit-level ground truth that the lookup-table engine and
-        the scalar kernels are verified against; also serves large arrays of
-        formats wider than 16 bits."""
+        Kept as the bit-level ground truth that the bit kernels and the
+        scalar kernels are verified against; also resolves the binades the
+        bit kernels hand back, and serves large arrays of formats without a
+        bit kernel."""
 
     def round_scalar_analytic(self, value):
         """Scalar twin of :meth:`round_array_analytic` for one value.
@@ -566,17 +491,11 @@ class NumberFormat(ABC):
     def round_scalar(self, value: float) -> float:
         """Round a single scalar without an ndarray round-trip.
 
-        Routes through the lookup-table scalar path when the table engine
-        serves this format, through :meth:`round_scalar_analytic` when a
-        scalar kernel exists, and falls back to the vector kernel otherwise.
-        Returns a Python float (wide extended-precision formats lose the
-        sub-float64 bits here; use :meth:`round_scalar_analytic` to keep the
-        work precision).
+        Always the format's :meth:`round_scalar_analytic`.  Returns a
+        Python float (wide extended-precision formats lose the sub-float64
+        bits here; use :meth:`round_scalar_analytic` to keep the work
+        precision).
         """
-        if self.bits <= MAX_TABLE_BITS:
-            table = self._rounding_table()
-            if table is not None:
-                return table.round_one(float(value))
         return float(self.round_scalar_analytic(value))
 
     def convert(self, values) -> tuple[np.ndarray, RoundingInfo]:

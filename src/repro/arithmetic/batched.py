@@ -16,8 +16,8 @@ of ``(n_formats, ...)`` trajectories advances in lockstep:
   :class:`~repro.arithmetic.context.ComputeContext`, operating on stacked
   arrays whose leading axis is the format axis.  Every element of a result
   is rounded by *its own row's* format — narrow formats through the stacked
-  integer bit-kernel tables, wide two-word formats through their own
-  context's rounding backend;
+  integer bit-kernel LUTs, wide two-word formats through their own
+  context's rounding kernels;
 * :class:`BatchedFArray` is the operator-form wrapper over a stacked array
   (the batched sibling of :class:`~repro.arithmetic.farray.FArray`).
 
@@ -31,16 +31,16 @@ per-format trajectories of the lockstep solvers
 1. IEEE elementwise operations are deterministic: ``np.add`` on a stacked
    float64 row computes the same bits as the sequential scalar path's
    ``float(a) + float(b)``;
-2. the rounding backends are value-identical (table == analytic == bit
+2. the rounding kernels are value-identical (scalar == analytic == bit
    kernel, proven in the bit-kernel test suite), so a row may be rounded by
-   whichever backend is fastest for the stacked layout.
+   whichever kernel is fastest for the stacked layout.
 
 The stacked rounder concatenates the per-row 4096-entry exponent-field
-tables of the one-word integer bit kernels (:mod:`repro.arithmetic.
+LUTs of the one-word integer bit kernels (:mod:`repro.arithmetic.
 bitkernels`) into one ``(n_formats * 4096)`` table indexed by
 ``row * 4096 + (word >> 52)``, so one fused vector pass rounds every row by
 its own format.  Rows the kernels cannot serve (two-word 64-bit formats,
-forced-table or analytic-verification contexts) fall back to their own
+``kernels="analytic"`` verification contexts) fall back to their own
 context's ``round`` / ``round_scalar`` — slower, still bit-identical.
 """
 
@@ -63,8 +63,16 @@ _U = np.uint64
 
 #: row-rounding modes
 _IDENTITY = 0  # native dtype rows: rounding is the identity on lane values
-_KERNEL = 1  # one-word integer bit kernel: served by the stacked tables
+_KERNEL = 1  # one-word integer bit kernel: served by the stacked LUTs
 _FALLBACK = 2  # everything else: per-row ctx.round / round_scalar
+
+#: stacks of up to this many elements round element by element through
+#: each row's scalar kernel instead of one fused integer pass.  Measured on
+#: an 8-row stack (2-core x86 host): at 8 elements the loop takes ~15 us,
+#: the pass ~19 us, or ~65 us when a special needs resolving; at 16 they
+#: tie without specials.  The lockstep QL rounds one value per row per
+#: tick, so most of its stacks are this small.
+_SCALAR_STACK_CUTOFF = 12
 
 
 def _as_spec(spec) -> ContextSpec:
@@ -103,7 +111,7 @@ class BatchSpec:
                     ContextSpec(
                         format=s.name,
                         accumulation=s.accumulation,
-                        use_tables=getattr(s, "use_tables", None),
+                        kernels=getattr(s, "kernels", "fast"),
                         count_ops=s.count_ops,
                     )
                 )
@@ -169,7 +177,7 @@ class _RowRounder:
 
     When every row is served by a one-word integer bit kernel (or is a
     native-dtype identity row), the rounder runs one fused pass over the
-    stacked array using the concatenated per-row tables; otherwise it loops
+    stacked array using the concatenated per-row LUTs; otherwise it loops
     over the rows and delegates to each row's own context backend.  Both
     paths produce bit-identical values (backend equivalence).
     """
@@ -234,6 +242,11 @@ class _RowRounder:
                 ],
                 dtype=_U,
             )
+            #: per-row scalar kernels of the tiny-stack path (None: native)
+            self._scalar_kernels = [
+                None if mode == _IDENTITY else ctx.format.round_scalar_analytic
+                for mode, ctx in zip(modes, contexts)
+            ]
             #: (rows bytes, per_row) -> precomputed flat table offsets; the
             #: same sub-batch rounds thousands of times per sweep, so the
             #: multiply+repeat is worth caching
@@ -245,9 +258,9 @@ class _RowRounder:
             return _IDENTITY, None
         if not isinstance(ctx, EmulatedContext):  # pragma: no cover - defensive
             return _FALLBACK, None
-        if ctx.use_tables is False or ctx._forced_table is not None:
-            # verification / forced-table contexts: honour the row's own
-            # backend selection through its round()/round_scalar()
+        if ctx.kernels == "analytic":
+            # verification contexts: honour the row's own kernel selection
+            # through its round()/round_scalar()
             return _FALLBACK, None
         kern = ctx.format.bitkernel()
         if (
@@ -282,7 +295,10 @@ class _RowRounder:
         if self.noop:
             return
         if self.stacked:
-            self._stacked_round(arr, rows)
+            if arr.size <= _SCALAR_STACK_CUTOFF:
+                self._scalar_round(arr, rows)
+            else:
+                self._stacked_round(arr, rows)
             return
         contexts = self.contexts
         if arr.ndim == 1:
@@ -292,6 +308,24 @@ class _RowRounder:
         for i in range(arr.shape[0]):
             row = arr[i]
             contexts[rows[i]].round(row, out=row)
+
+    def _scalar_round(self, arr: np.ndarray, rows: np.ndarray) -> None:
+        """Round a tiny stack element by element through each row's scalar
+        kernel (native rows are the identity), as the sequential engine
+        rounds arrays of up to its scalar cutoff."""
+        buf = arr if arr.flags["C_CONTIGUOUS"] else np.ascontiguousarray(arr)
+        flat = buf.reshape(-1)
+        values = flat.tolist()
+        rows = np.asarray(rows).tolist()
+        per_row = len(values) // len(rows)
+        kernels = self._scalar_kernels
+        for j, v in enumerate(values):
+            kernel = kernels[rows[j // per_row]]
+            if kernel is not None:
+                values[j] = kernel(v)
+        flat[:] = values
+        if buf is not arr:
+            arr[...] = buf
 
     def _offsets_for(self, rows: np.ndarray, per_row: int) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.int64)
@@ -343,17 +377,16 @@ class _RowRounder:
             arr[...] = buf
 
     def _resolve_specials(self, flat, u, acc, mask, rows, per_row) -> None:
-        """Resolve masked elements through each row's *sequential* backend.
+        """Resolve masked elements through each row's kernel resolver.
 
         Exact zeros — by far the most common special in solver data — are
         peeled inline, vectorised across all rows at once (bit-identical in
         every backend: unsigned-zero formats clear the word, IEEE-style
         formats keep the signed-zero pattern); the remaining special-band
-        elements — subnormal, overflow and non-finite regions — are rounded
-        by the row context itself, so even NaN payload bits match what the
-        sequential engine produces (the table and kernel backends differ in
-        the NaN sign bit, and a NaN's sign can leak into finite values
-        through ``copysign``).
+        elements — subnormal, overflow and non-finite regions — go to the
+        resolver the row's own bit kernel hands them to in the sequential
+        engine (the format's scalar or analytic kernel, which agree word
+        for word, NaN signs and payloads included).
         """
         rows = np.asarray(rows, dtype=np.int64)
         sel = np.nonzero(mask)[0]
@@ -367,15 +400,15 @@ class _RowRounder:
             sel = sel[nonzero]
         nzrows = rows[sel // per_row]
         if (nzrows == nzrows[0]).all():  # usually one row needs resolving
-            acc[sel] = np.asarray(self.contexts[nzrows[0]].round(flat[sel])).view(_U)
+            acc[sel] = self.kernels[nzrows[0]]._resolve(flat[sel]).view(_U)
             return
         order = np.argsort(nzrows, kind="stable")
         sel = sel[order]
         nzrows = nzrows[order]
         bounds = np.nonzero(np.diff(nzrows))[0] + 1
         for segment in np.split(sel, bounds):
-            ctx = self.contexts[rows[segment[0] // per_row]]
-            acc[segment] = np.asarray(ctx.round(flat[segment])).view(_U)
+            kern = self.kernels[rows[segment[0] // per_row]]
+            acc[segment] = kern._resolve(flat[segment]).view(_U)
 
 
 class BatchedContext:

@@ -37,8 +37,9 @@ round-to-nearest-even entirely in integer arithmetic:
 * Binades where the representable values are **not** a uniform power-of-two
   grid — posit/takum extreme regimes, IEEE overflow and deep-subnormal
   binades, zeros, infinities and NaNs — are marked *special* in the LUT and
-  resolved by the format's preserved analytic kernel on the (rare) masked
-  elements, which keeps the fast path bit-identical by construction.
+  resolved without the kernel (the format's scalar kernel for a few masked
+  elements, its analytic kernel for many), which keeps the fast path
+  bit-identical by construction.
   Binades where the format grid is at least as *fine* as the work grid
   (possible when a 64-bit format degrades to float64 work precision on
   hosts without extended longdouble) are marked *identity* and copied
@@ -64,13 +65,13 @@ the builders and the exhaustive/sweep tests in ``tests/test_bitkernels.py``:
 
 Encode/decode twins are provided per family: vectorised bit-field
 construction replacing the per-element Python loops of the analytic
-encoders, and vectorised decoding used (among others) by the lookup-table
-engine to enumerate value sets at construction time.
+encoders, and vectorised decoding used (among others) by the narrow
+formats to enumerate their magnitude lists.
 
 The engine can be disabled for verification with the environment variable
 ``REPRO_DISABLE_BITKERNELS=1`` or at runtime with :func:`set_enabled`; the
 analytic kernels (``round_array_analytic``) remain the ground truth and are
-also reachable per context via ``get_context(name, use_tables=False)``.
+also reachable per context via ``get_context(name, kernels="analytic")``.
 
 Note: the per-size scratch buffers make a kernel instance not reentrant;
 this matches the library's existing single-threaded-per-context model (the
@@ -206,8 +207,9 @@ class BitKernel:
     bits:
         Storage width of the emulated format.
     resolve:
-        Callback rounding a float64 array with the format's ground-truth
-        analytic kernel; applied to the special-masked elements.
+        Callback rounding a work-dtype array without the kernel (the
+        format's scalar or analytic kernel); applied to the special-masked
+        elements.
     """
 
     #: family tag used in reprs and dispatch diagnostics
@@ -571,7 +573,7 @@ class PositBitKernel(BitKernel):
     ``k_lo..k_hi`` regime range of the analytic kernel); the extreme regimes
     — where the representable magnitudes stop forming a uniform grid — plus
     zeros and non-finite values go to the resolver, which applies the
-    analytic extreme-region tables and minpos/maxpos saturation.
+    analytic extreme-region magnitude lists and minpos/maxpos saturation.
     """
 
     family = "posit"

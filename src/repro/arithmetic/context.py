@@ -22,10 +22,9 @@ accumulation-order ablation study.
 Scalar operands bypass ndarrays entirely: the elementary operations detect
 them, compute in the work precision (Python floats for float64 contexts,
 NumPy scalars for float32/longdouble) and round through ``round_scalar`` —
-the lookup-table ``bisect`` path for narrow formats, the pure-Python
-analytic scalar kernels for wide ones.  This is the regime of the solvers'
-Givens/QL operations, where NumPy dispatch on 1-element arrays used to
-dominate wide-format wall time.
+each format's pure-Python analytic scalar kernel.  This is the regime of
+the solvers' Givens/QL operations, where NumPy dispatch on 1-element
+arrays used to dominate wide-format wall time.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .base import MAX_TABLE_BITS, NumberFormat, RoundingInfo
+from .base import NumberFormat, RoundingInfo
 from .registry import get_format
 from ..telemetry import core as _telemetry
 from ..telemetry.metrics import metrics as _metrics
@@ -63,12 +62,22 @@ __all__ = [
     "DynamicRangeError",
 ]
 
+#: rounding-kernel selections of an emulated context: ``"fast"`` picks the
+#: format's scalar and bit kernels, ``"analytic"`` forces the analytic
+#: vector kernels (the ground truth the fast kernels are verified against)
+_KERNELS = ("fast", "analytic")
+
+
+def _check_kernels(kernels: str) -> None:
+    if kernels not in _KERNELS:
+        raise ValueError(f"kernels must be one of {_KERNELS}, got {kernels!r}")
+
 
 @dataclasses.dataclass(frozen=True)
 class ContextSpec:
     """Declarative description of a compute context.
 
-    Replaces the loose ``(name, accumulation=..., use_tables=..., ...)``
+    Replaces the loose ``(name, accumulation=..., kernels=..., ...)``
     keyword plumbing between the CLI, the experiment runner and
     :func:`get_context`: one frozen, picklable value names the arithmetic
     *and* how it is evaluated, and can be passed wherever a format name is
@@ -82,17 +91,21 @@ class ContextSpec:
     accumulation:
         Reduction order of the rounded kernels (``"pairwise"`` or
         ``"sequential"``).
-    use_tables:
-        Lookup-table rounding-backend override (``None`` = automatic; see
-        :class:`EmulatedContext`).  Ignored by native contexts.
+    kernels:
+        Rounding kernels of an emulated context, ``"fast"`` (default) or
+        ``"analytic"`` (see :class:`EmulatedContext`).  Ignored by native
+        contexts.
     count_ops:
         Whether the context tallies rounded elementary operations.
     """
 
     format: str = "float64"
     accumulation: str = "pairwise"
-    use_tables: Optional[bool] = None
+    kernels: str = "fast"
     count_ops: bool = True
+
+    def __post_init__(self):
+        _check_kernels(self.kernels)
 
     def build(self) -> "ComputeContext":
         """Construct the described compute context."""
@@ -340,10 +353,10 @@ class ComputeContext(ABC):
 
         True when the vector rounding backend writes into ``out`` natively
         (hardware casts, integer bit kernels); False when it would have to
-        append a full-array copy to honour ``out`` (table ``searchsorted``
-        and analytic vector kernels), where rounding into a fresh array is
-        strictly cheaper.  Purely a performance hint: an *explicit* caller
-        ``out=`` is always honoured regardless.
+        append a full-array copy to honour ``out`` (analytic vector
+        kernels), where rounding into a fresh array is strictly cheaper.
+        Purely a performance hint: an *explicit* caller ``out=`` is always
+        honoured regardless.
         """
         return True
 
@@ -621,10 +634,10 @@ class ComputeContext(ABC):
         the same operands in the same order, and round them together.
         Rounding is elementwise, so every value and the ``6 * x.size`` op
         tally are those of the six-op spelling; only the per-call dispatch
-        cost is paid twice instead of six times.  (The sign bit of a NaN an
-        operation creates follows the backend the stack size selects, as
-        for any rounded op: the table and scalar paths return +NaN, the bit
-        kernels keep the sign.)
+        cost is paid twice instead of six times.  (Rounding returns the same
+        word at any stack size, but when both operands of a product or sum
+        are NaN, the NaN NumPy returns depends on its loop, so a NaN's sign
+        bit can differ from the unfused spelling's.)
         """
         x = np.asarray(x, dtype=self.dtype)
         y = np.asarray(y, dtype=self.dtype)
@@ -814,48 +827,33 @@ class ReferenceContext(NativeContext):
 class EmulatedContext(ComputeContext):
     """Context that rounds every elementary result to a software format.
 
-    Formats of up to 16 bits are transparently served by the shared
-    lookup-table rounding engine (:mod:`repro.arithmetic.tables`); wider
-    formats round scalars through their pure-Python scalar kernels and
-    arrays through the analytic vector kernels (the dispatch matrix is
-    documented in ``docs/architecture.md``).
+    Scalars and tiny arrays round through the format's pure-Python scalar
+    kernel, larger arrays through its integer bit kernel or, when there is
+    none, the analytic vector kernel (the dispatch matrix is documented in
+    ``docs/architecture.md``).
 
     Parameters
     ----------
     fmt:
         Target :class:`~repro.arithmetic.base.NumberFormat` or registry
         name.
-    use_tables:
-        Rounding-backend override, the finest level of the opt-out
-        hierarchy (below ``REPRO_DISABLE_ROUNDING_TABLES`` and
-        :func:`repro.arithmetic.tables.set_enabled`):  ``None`` (default)
-        picks the fastest bit-identical backend; ``False`` forces the
-        analytic *vector* kernels for arrays and scalars alike, bypassing
-        the tables and the scalar kernels (so either fast path can be
-        verified against the ground truth); ``True`` forces the table
-        kernels even when the engine is globally disabled, and raises for
-        formats the engine cannot serve.
+    kernels:
+        ``"fast"`` (default) rounds through the dispatch above;
+        ``"analytic"`` forces the analytic *vector* kernels for arrays and
+        scalars alike, bypassing the scalar and bit kernels, so either fast
+        path can be verified against the ground truth.
     """
 
-    def __init__(self, fmt: NumberFormat | str, use_tables: Optional[bool] = None, **kwargs):
+    def __init__(self, fmt: NumberFormat | str, kernels: str = "fast", **kwargs):
         super().__init__(**kwargs)
+        _check_kernels(kernels)
         if isinstance(fmt, str):
             fmt = get_format(fmt)
         self.format = fmt
         self.dtype = fmt.work_dtype
         self.name = fmt.name
         self.bits = fmt.bits
-        self.use_tables = use_tables
-        self._forced_table = None
-        if use_tables is True:
-            from .tables import TABLE_CACHE
-
-            self._forced_table = TABLE_CACHE.get(fmt)
-            if self._forced_table is None:
-                raise ValueError(
-                    f"use_tables=True: format {fmt.name!r} ({fmt.bits} bits) "
-                    "cannot be served by the lookup-table engine"
-                )
+        self.kernels = kernels
         self._machine_epsilon: Optional[float] = None
         self._inplace_rounding: Optional[bool] = None
 
@@ -863,70 +861,49 @@ class EmulatedContext(ComputeContext):
         """Whether this format's vector rounding writes into ``out`` natively.
 
         True when the dispatch lands on an integer bit kernel at vector
-        sizes (posit/takum 16/32, non-cast IEEE); False when it lands on the
-        table ``searchsorted``/direct-index kernels (8-bit formats, forced
-        tables) or the analytic kernels (``use_tables=False``, 64-bit
-        tapered formats), which would pay a copy to honour ``out``.  Cached:
-        the answer only depends on the context configuration (a later
-        global engine toggle may stale it, which costs at most one copy per
-        op, never correctness).
+        sizes; False for the analytic kernels (``kernels="analytic"``,
+        formats without a bit kernel), which would pay a copy to honour
+        ``out``.  Cached: the answer only depends on the context
+        configuration (a later global kernel toggle may stale it, which
+        costs at most one copy per op, never correctness).
         """
         flag = self._inplace_rounding
         if flag is None:
-            fmt = self.format
-            table = fmt._rounding_table()
-            flag = (
-                self.use_tables is not False
-                and self._forced_table is None
-                and fmt.bitkernel() is not None
-                and (
-                    table is None
-                    or fmt.prefer_bitkernel_rounding
-                    or not table.semantics.prefer_table_rounding
-                )
-            )
+            flag = self.kernels == "fast" and self.format.bitkernel() is not None
             self._inplace_rounding = flag
         return flag
 
     def round(self, values, *, out=None):
-        """Round values to the format through the selected backend (scalar
+        """Round values to the format through the selected kernels (scalar
         inputs return work-dtype scalars via :meth:`round_scalar`).  ``out``
         (keyword-only, may alias ``values``) receives the rounded array —
         the in-place path the elementwise operations use."""
         if _is_scalar(values):
             return self.round_scalar(values)
         values = np.asarray(values, dtype=self.dtype)
-        if self.use_tables is False:
+        if self.kernels == "analytic":
             res = self.format.round_array_analytic(values)
             if out is not None:
                 out[...] = res
                 return out
             return res
-        if self._forced_table is not None:
-            return self._forced_table.round_values(values, out=out)
         return self.format.round_array(values, out=out)
 
     def round_scalar(self, value):
         """Round one scalar to the format without an ndarray round-trip.
 
-        Honours the same backend selection as :meth:`round`:
-        ``use_tables=False`` forces the analytic scalar kernel,
-        ``use_tables=True`` the forced table's scalar path, and the default
-        picks the table engine when it serves the format, then the format's
-        scalar kernel, then the vector fallback.  Returns a work-dtype
-        scalar (``longdouble`` formats keep their extended precision).
+        Honours the same kernel selection as :meth:`round`:
+        ``kernels="analytic"`` forces the analytic vector kernel, the
+        default the format's scalar kernel (or its vector fallback).
+        Returns a work-dtype scalar (``longdouble`` formats keep their
+        extended precision).
         """
         fmt = self.format
-        if self.use_tables is False:
+        if self.kernels == "analytic":
             # verification mode: force the vector analytic ground truth,
-            # bypassing the scalar kernels as well as the tables (so a
-            # suspect fast path can actually be isolated)
+            # bypassing the scalar kernels as well (so a suspect fast path
+            # can actually be isolated)
             return fmt.round_array_analytic(np.asarray([value], dtype=self.dtype))[0]
-        table = self._forced_table
-        if table is None and fmt.bits <= MAX_TABLE_BITS:
-            table = fmt._rounding_table()
-        if table is not None:
-            return self.dtype(table.round_one(float(value)))
         if fmt.has_scalar_kernel:
             return self.dtype(fmt.round_scalar_analytic(value))
         return fmt.round_array(np.asarray([value], dtype=self.dtype))[0]
@@ -941,29 +918,29 @@ class EmulatedContext(ComputeContext):
         return self._machine_epsilon
 
 
-def get_context(name: str | ContextSpec, use_tables: Optional[bool] = None, **kwargs) -> ComputeContext:
+def get_context(name: str | ContextSpec, kernels: str = "fast", **kwargs) -> ComputeContext:
     """Build the compute context for a format name or :class:`ContextSpec`.
 
     ``float32`` and ``float64`` use hardware arithmetic; ``reference`` (also
     accepted as ``float128`` or ``longdouble``) uses the extended-precision
-    reference; every other registered format is emulated.  ``use_tables``
-    controls the lookup-table rounding backend of emulated contexts
-    (``None`` picks the table engine whenever the format is eligible;
-    ``False`` forces the analytic kernels for verification).
+    reference; every other registered format is emulated.  ``kernels``
+    selects the rounding kernels of emulated contexts (``"fast"``, or
+    ``"analytic"`` to force the analytic kernels for verification).
 
     A :class:`ContextSpec` bundles the format name with the evaluation
     options; it cannot be combined with loose keyword arguments.
     """
     if isinstance(name, ContextSpec):
-        if use_tables is not None or kwargs:
+        if kernels != "fast" or kwargs:
             raise TypeError(
                 "get_context(ContextSpec) already carries the evaluation "
                 "options; pass them inside the spec instead of as keywords"
             )
         spec = name
         name = spec.format
-        use_tables = spec.use_tables
+        kernels = spec.kernels
         kwargs = {"accumulation": spec.accumulation, "count_ops": spec.count_ops}
+    _check_kernels(kernels)
     lowered = name.lower()
     if lowered in ("reference", "float128", "longdouble"):
         return ReferenceContext(**kwargs)
@@ -971,4 +948,4 @@ def get_context(name: str | ContextSpec, use_tables: Optional[bool] = None, **kw
         return NativeContext(np.float64, name="float64", **kwargs)
     if lowered == "float32":
         return NativeContext(np.float32, name="float32", **kwargs)
-    return EmulatedContext(get_format(name), use_tables=use_tables, **kwargs)
+    return EmulatedContext(get_format(name), kernels=kernels, **kwargs)

@@ -99,39 +99,10 @@ class IEEEFormat(NumberFormat):
         resolved through :meth:`round_array_analytic`."""
         if self._cast_dtype is not None:
             return None
-        return IEEEBitKernel(self.ebits, self.mbits, self.round_array_analytic)
-
-    def table_semantics(self):
-        """IEEE semantics for the shared lookup-table rounding engine.
-
-        IEEE formats above 8 bits keep their analytic quantum rounding (a
-        handful of vector ops, measurably cheaper than a 2^15-entry
-        ``searchsorted``) and use the tables for vectorised encode/decode;
-        the 8-bit E5M2 gets the direct-indexed rounding path.
-        """
-        from .tables import DIRECT_INDEX_BITS, TableSemantics
-
-        inf_code = ((1 << self.ebits) - 1) << self.mbits
-        # round-to-nearest overflows to infinity from half an ulp (of the top
-        # binade) past the largest finite value; the threshold itself is a
-        # tie whose even neighbour is the next power of two, i.e. infinity
-        quantum_top = math.ldexp(1.0, self.emax - self.mbits)
-        return TableSemantics(
-            negation="sign_bit",
-            unsigned_zero=False,
-            underflow_to_min=False,
-            overflow_action="inf",
-            overflow_threshold=self._max_value + quantum_top / 2.0,
-            overflow_strict=False,
-            inf_result="inf",
-            nan_code=(1 << (self.bits - 1)) | inf_code | (1 << (self.mbits - 1)),
-            pos_inf_code=inf_code,
-            neg_inf_code=(1 << (self.bits - 1)) | inf_code,
-            prefer_table_rounding=self.bits <= DIRECT_INDEX_BITS,
-        )
+        return IEEEBitKernel(self.ebits, self.mbits, self._round_kernel_specials)
 
     def encode_analytic(self, values) -> np.ndarray:
-        """Analytic (table-free) encode: round through the analytic kernel,
+        """Analytic (kernel-free) encode: round through the analytic kernel,
         then emit the sign/exponent/mantissa fields per element.  Returns
         ``uint64`` codes of the same shape as ``values``."""
         values = np.asarray(values, dtype=self.work_dtype)
@@ -196,20 +167,6 @@ class IEEEFormat(NumberFormat):
         if self._cast_dtype is not None:
             return float(np.float32(v))
         return self._round_scalar_quantum(v)
-
-    def round_scalar(self, value: float) -> float:
-        """Scalar rounding without table lookup for the cast formats.
-
-        ``float64`` values round to themselves and ``float32`` needs one
-        hardware cast, so those formats skip the generic table/kernel
-        dispatch of :meth:`NumberFormat.round_scalar` entirely — this is
-        the hottest scalar path of the native-width solver runs.
-        """
-        if self._cast_dtype is np.float64:
-            return float(value)
-        if self._cast_dtype is not None:
-            return float(np.float32(value))
-        return super().round_scalar(value)
 
     def _round_scalar_quantum(self, v: float) -> float:
         """Pure-Python quantum rounding of one float (non-cast widths)."""

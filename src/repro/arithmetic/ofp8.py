@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .base import SCALAR_CUTOFF, NumberFormat, nearest_in_table, nearest_in_table_scalar
+from .base import NumberFormat, nearest_in_table, nearest_in_table_scalar
 from .bitkernels import E4M3BitKernel
 from .ieee import IEEEFormat
 
@@ -44,9 +44,6 @@ class OFP8E4M3(NumberFormat):
     has_infinity = False
     work_dtype = np.float64
     has_scalar_kernel = True
-    # the analytic vector kernel is itself a searchsorted over the value
-    # table, so the scalar bisect only wins in the table-engine cutoff regime
-    scalar_cutoff = SCALAR_CUTOFF
 
     #: magnitude beyond which round-to-nearest can no longer return 448
     _overflow_threshold = 464.0
@@ -55,50 +52,15 @@ class OFP8E4M3(NumberFormat):
         self.saturate = bool(saturate)
         self.name = name or ("E4M3sat" if saturate else "E4M3")
         self.bias = 7
-        self._build_table()
+        self._magnitudes, self._codes = self._enumerate_magnitudes()
         self._scalar_state: tuple | None = None
-
-    def _build_table(self) -> None:
-        mags = []
-        codes = []
-        for code in range(128):  # non-negative codes
-            v = self.decode_code(code)
-            if math.isnan(v):
-                continue
-            mags.append(v)
-            codes.append(code)
-        order = np.argsort(np.asarray(mags))
-        self._magnitudes = np.asarray(mags, dtype=np.float64)[order]
-        self._codes = np.asarray(codes, dtype=np.int64)[order]
 
     def _build_bitkernel(self):
         """Integer bit-twiddling kernel; the top binade (overflow-to-NaN or
         saturation policy) and deep subnormals resolve through
         :meth:`round_array_analytic`, so both overflow variants share one
         kernel construction."""
-        return E4M3BitKernel(self.round_array_analytic)
-
-    def table_semantics(self):
-        """E4M3 semantics for the shared lookup-table rounding engine."""
-        from .tables import TableSemantics
-
-        if self.saturate:
-            return TableSemantics(
-                negation="sign_bit",
-                overflow_action="saturate",
-                inf_result="max",
-                nan_code=0x7F,
-                signed_zero_code=False,
-            )
-        return TableSemantics(
-            negation="sign_bit",
-            overflow_action="nan",
-            overflow_threshold=self._overflow_threshold,
-            overflow_strict=True,
-            inf_result="nan",
-            nan_code=0x7F,
-            signed_zero_code=False,
-        )
+        return E4M3BitKernel(self._round_kernel_specials)
 
     # ------------------------------------------------------------------ #
     def decode_code(self, code: int) -> float:
@@ -116,7 +78,7 @@ class OFP8E4M3(NumberFormat):
         return sign * math.ldexp(8 + mant, exp_field - self.bias - 3)
 
     def encode_analytic(self, values) -> np.ndarray:
-        """Analytic (table-free) encode: round through the analytic kernel,
+        """Analytic (kernel-free) encode: round through the analytic kernel,
         then look each magnitude up in the enumerated code table.  Returns
         ``uint64`` codes; ``-0.0`` canonicalises to the all-zeros code."""
         values = np.asarray(values, dtype=self.work_dtype)

@@ -77,10 +77,6 @@ class PositFormat(NumberFormat):
         self.work_dtype = (
             np.longdouble if nbits > 32 and _base.LONGDOUBLE_EXTENDED else np.float64
         )
-        # the 16-bit table kernel is a 2^15-entry searchsorted, which the
-        # integer bit kernel beats at vector sizes (8-bit posits keep the
-        # direct-indexed table, a single gather)
-        self.prefer_bitkernel_rounding = 8 < nbits <= 16
         self._useed_exp = 1 << self.es  # exponent scale per regime step
         max_k = self.bits - 2
         self._max_exp = self._useed_exp * max_k
@@ -149,28 +145,15 @@ class PositFormat(NumberFormat):
         :meth:`round_array_analytic`, so either kernel is bit-identical to
         the analytic ground truth."""
         if np.dtype(self.work_dtype) == np.dtype(np.float64):
-            return PositBitKernel(self.bits, self.es, self.round_array_analytic)
+            return PositBitKernel(self.bits, self.es, self._round_kernel_specials)
         if extended_layout_supported():
             return PositExtendedBitKernel(
-                self.bits, self.es, self.round_array_analytic
+                self.bits, self.es, self._round_kernel_specials
             )
         return None
 
-    def table_semantics(self):
-        """Posit semantics for the shared lookup-table rounding engine."""
-        from .tables import TableSemantics
-
-        return TableSemantics(
-            negation="twos_complement",
-            unsigned_zero=True,
-            underflow_to_min=True,
-            overflow_action="saturate",
-            inf_result="nan",
-            nan_code=1 << (self.bits - 1),
-        )
-
     def encode_analytic(self, values) -> np.ndarray:
-        """Analytic (table-free) encode: round through the analytic kernel,
+        """Analytic (kernel-free) encode: round through the analytic kernel,
         then emit the posit bit pattern per element.  Returns ``uint64``
         codes of the same shape as ``values``."""
         values = np.asarray(values, dtype=self.work_dtype)
@@ -228,20 +211,12 @@ class PositFormat(NumberFormat):
         return code
 
     # ------------------------------------------------------------------ #
-    # tables
+    # magnitude lists
     # ------------------------------------------------------------------ #
-    def _ensure_tables(self) -> None:
+    def _ensure_magnitudes(self) -> None:
         if self._full_table:
             if self._magnitudes is None:
-                mags, codes = [], []
-                for code in range(1, 1 << (self.bits - 1)):
-                    mags.append(float(self.decode_code(code)))
-                    codes.append(code)
-                mags = np.asarray([0.0] + mags, dtype=np.float64)
-                codes = np.asarray([0] + codes, dtype=np.int64)
-                order = np.argsort(mags)
-                self._magnitudes = mags[order]
-                self._codes = codes[order]
+                self._magnitudes, self._codes = self._enumerate_magnitudes()
             return
         if self._lo_table is None:
             lo_boundary = np.ldexp(
@@ -281,12 +256,12 @@ class PositFormat(NumberFormat):
     def _build_scalar_state(self) -> tuple:
         """Assemble the constants the scalar kernel needs, once per format.
 
-        For float64 work precision the tables are converted to plain Python
+        For float64 work precision the magnitude lists become plain Python
         lists and floats (``bisect`` plus float arithmetic beat NumPy scalar
         dispatch); the 64-bit format keeps ``longdouble`` arrays/scalars so
         the scalar arithmetic stays in extended precision.
         """
-        self._ensure_tables()
+        self._ensure_magnitudes()
         if self._full_table:
             state = (self._magnitudes.tolist(), self._codes.tolist())
         else:
@@ -328,7 +303,7 @@ class PositFormat(NumberFormat):
         Pure-Python ``math.frexp``/``math.ldexp`` kernel (NumPy scalar ops
         for the extended-precision 64-bit format), bit-identical to the
         vector kernel: same clamp to ``maxpos``, same binade-quantum
-        rounding with ties to even, same extreme-regime tables, same
+        rounding with ties to even, same extreme-regime magnitude lists, same
         saturation.  Verified by ``tests/test_scalar_rounding.py``.
         """
         state = self._scalar_state
@@ -402,12 +377,12 @@ class PositFormat(NumberFormat):
     def round_array_analytic(self, values) -> np.ndarray:
         """Vectorised ground-truth rounding.  Formats of <= 16 bits use an
         exact table of representable magnitudes; wider formats use an
-        analytic binade-quantum computation with small tables for the
+        analytic binade-quantum computation with short magnitude lists for the
         extreme regime regions (where fewer than one fraction bit
         survives).  Saturates at minpos/maxpos, maps inf to NaR."""
         x = np.asarray(values, dtype=self.work_dtype)
         out = np.empty(x.shape, dtype=self.work_dtype)
-        self._ensure_tables()
+        self._ensure_magnitudes()
         nan_mask = ~np.isfinite(x) & ~np.isinf(x)  # NaN only
         inf_mask = np.isinf(x)
         zero_mask = x == 0

@@ -75,18 +75,26 @@ def available_formats() -> list[str]:
 
 
 def preload_tables(names=None) -> list[str]:
-    """Build the lookup-table rounding engine for the named formats.
+    """Build the rounding state of the named formats now (all registered
+    formats when ``None``): each format's bit kernel and the constants of
+    its scalar kernel (magnitude lists), which the first rounding call would
+    otherwise build lazily.
 
-    Registered formats are process-wide singletons, so the tables built here
-    are shared by every context that uses them afterwards; the experiment
-    runner calls this before forking worker processes so workers inherit the
-    tables copy-on-write instead of re-enumerating the value sets.  Names
-    that are not registered formats (native/reference contexts) and formats
-    the engine cannot serve are skipped.  Returns the loaded format names.
+    Registered formats are process-wide singletons, so the state built here
+    is shared by every context that uses them afterwards; the experiment
+    runner calls this before forking worker processes so workers inherit it
+    copy-on-write instead of each rebuilding it on its first cell.  Names
+    that are not registered formats (native/reference contexts) are
+    skipped.  Returns the names whose state was built.
     """
-    from .tables import warm_tables
-
-    return warm_tables(names)
+    built = []
+    for name in FORMATS if names is None else names:
+        fmt = FORMATS.get(name)
+        if fmt is not None:
+            fmt.bitkernel()
+            fmt.round_scalar_analytic(1.0)
+            built.append(name)
+    return built
 
 
 def formats_by_width(bits: int) -> list[NumberFormat]:

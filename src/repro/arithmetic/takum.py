@@ -79,10 +79,6 @@ class TakumFormat(NumberFormat):
         self.work_dtype = (
             np.longdouble if nbits > 32 and _base.LONGDOUBLE_EXTENDED else np.float64
         )
-        # the 16-bit table kernel is a 2^15-entry searchsorted, which the
-        # integer bit kernel beats at vector sizes (8-bit takums keep the
-        # direct-indexed table, a single gather)
-        self.prefer_bitkernel_rounding = 8 < nbits <= 16
         self._full_table = self.bits <= 16
         self._magnitudes: np.ndarray | None = None
         self._codes: np.ndarray | None = None
@@ -148,26 +144,13 @@ class TakumFormat(NumberFormat):
         binades resolve through :meth:`round_array_analytic`, so either
         kernel is bit-identical to the analytic ground truth."""
         if np.dtype(self.work_dtype) == np.dtype(np.float64):
-            return TakumBitKernel(self.bits, self.round_array_analytic)
+            return TakumBitKernel(self.bits, self._round_kernel_specials)
         if extended_layout_supported():
-            return TakumExtendedBitKernel(self.bits, self.round_array_analytic)
+            return TakumExtendedBitKernel(self.bits, self._round_kernel_specials)
         return None
 
-    def table_semantics(self):
-        """Takum semantics for the shared lookup-table rounding engine."""
-        from .tables import TableSemantics
-
-        return TableSemantics(
-            negation="twos_complement",
-            unsigned_zero=True,
-            underflow_to_min=True,
-            overflow_action="saturate",
-            inf_result="nan",
-            nan_code=1 << (self.bits - 1),
-        )
-
     def encode_analytic(self, values) -> np.ndarray:
-        """Analytic (table-free) encode: round through the analytic kernel,
+        """Analytic (kernel-free) encode: round through the analytic kernel,
         then emit the takum bit pattern per element.  Returns ``uint64``
         codes of the same shape as ``values``."""
         values = np.asarray(values, dtype=self.work_dtype)
@@ -232,20 +215,11 @@ class TakumFormat(NumberFormat):
         )
 
     # ------------------------------------------------------------------ #
-    # tables
+    # magnitude lists
     # ------------------------------------------------------------------ #
-    def _ensure_tables(self) -> None:
-        if not self._full_table or self._magnitudes is not None:
-            return
-        mags, codes = [0.0], [0]
-        for code in range(1, 1 << (self.bits - 1)):
-            mags.append(float(self.decode_code(code)))
-            codes.append(code)
-        mags = np.asarray(mags, dtype=np.float64)
-        codes = np.asarray(codes, dtype=np.int64)
-        order = np.argsort(mags)
-        self._magnitudes = mags[order]
-        self._codes = codes[order]
+    def _ensure_magnitudes(self) -> None:
+        if self._full_table and self._magnitudes is None:
+            self._magnitudes, self._codes = self._enumerate_magnitudes()
 
     def _build_scalar_state(self) -> tuple:
         """Assemble the constants the scalar kernel needs, once per format.
@@ -254,7 +228,7 @@ class TakumFormat(NumberFormat):
         format keeps ``longdouble`` scalars so the arithmetic stays in
         extended precision.
         """
-        self._ensure_tables()
+        self._ensure_magnitudes()
         if self._full_table:
             state = (self._magnitudes.tolist(), self._codes.tolist())
         elif self.work_dtype is np.float64:
@@ -340,7 +314,7 @@ class TakumFormat(NumberFormat):
         representable magnitude, maps inf to NaR."""
         x = np.asarray(values, dtype=self.work_dtype)
         out = np.empty(x.shape, dtype=self.work_dtype)
-        self._ensure_tables()
+        self._ensure_magnitudes()
         nan_mask = np.isnan(x)
         inf_mask = np.isinf(x)
         zero_mask = x == 0

@@ -62,31 +62,25 @@ __all__ = [
 ]
 
 
-#: --help epilog surfacing the rounding-backend opt-out hierarchy (the
-#: fast paths are bit-identical to the analytic kernels, so these exist for
+#: --help epilog surfacing the rounding-kernel opt-outs (the fast kernels
+#: are bit-identical to the analytic kernels, so these exist for
 #: verification runs and micro-benchmarks, not for day-to-day use)
 _EPILOG = """\
-rounding backends:
-  Emulated formats round through lookup tables (8-bit widths), integer
-  bit-twiddling kernels (16/32-bit vector rounding) and pure-Python scalar
-  kernels (scalars and tiny arrays); all are bit-identical to the analytic
-  vector kernels.  Opt-outs, from coarse to fine:
-    REPRO_DISABLE_ROUNDING_TABLES=1   environment: disable the table engine
-                                      for the whole process
+rounding kernels:
+  Emulated formats round scalars and tiny arrays through pure-Python scalar
+  kernels and larger arrays through integer bit-twiddling kernels; both are
+  bit-identical to the analytic vector kernels.  Opt-outs:
+    --analytic-kernels                this run: force the analytic kernels
+                                      (ContextSpec(kernels="analytic"))
     REPRO_DISABLE_BITKERNELS=1        environment: disable the integer
-                                      bit-twiddling kernels
-    repro.arithmetic.set_tables_enabled(False)
+                                      bit-twiddling kernels process-wide
     repro.arithmetic.set_bitkernels_enabled(False)
                                       runtime: same, toggleable per phase
-    get_context(name, use_tables=False)
-                                      per context: force the analytic
-                                      kernels (use_tables=True forces the
-                                      tables even when globally disabled)
 
 parallelism:
   REPRO_WORKERS sets the default worker count of --workers (the benchmark
-  harness honours it too); rounding tables are always warmed in the parent
-  before workers fork.
+  harness honours it too); the formats' rounding kernels are always built
+  in the parent before workers fork.
 
 experiment store:
   Finished (matrix, format) cells are committed to the store as they land
@@ -162,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="reduction order of the rounded kernels (ablation)",
     )
     parser.add_argument(
-        "--no-tables",
+        "--analytic-kernels",
         action="store_true",
         help="force the analytic rounding kernels (verification runs)",
     )
@@ -176,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=default_workers(),
         help="worker processes handed to parallel_map (each worker solves "
-        "whole matrices; the rounding tables are warmed before the fork so "
+        "whole matrices; the rounding kernels are built before the fork so "
         "workers inherit them copy-on-write).  Defaults to $REPRO_WORKERS "
         "or 1; 0 uses all CPUs",
     )
@@ -395,7 +389,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-preload",
         action="store_true",
-        help="skip building the rounding tables at startup (first cold "
+        help="skip building the rounding kernels at startup (first cold "
         "solve per format pays the cost instead)",
     )
     return parser
@@ -469,7 +463,7 @@ def main(argv=None) -> int:
     config = ExperimentConfig(
         restarts=args.restarts,
         accumulation=args.accumulation,
-        use_tables=False if args.no_tables else None,
+        kernels="analytic" if args.analytic_kernels else "fast",
         count_ops=not args.no_op_count,
     )
     store = ResultStore.from_environment(args.store)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from typing import Optional
 
 from ..arithmetic.context import ContextSpec
 
@@ -40,10 +39,9 @@ class ExperimentConfig:
     accumulation:
         Accumulation order of the emulated kernels (``"pairwise"`` or
         ``"sequential"``); exposed for the accumulation-order ablation.
-    use_tables:
-        Lookup-table rounding-backend override forwarded to the contexts
-        (``None`` = automatic; ``False`` forces the analytic kernels for
-        verification runs).
+    kernels:
+        Rounding kernels forwarded to the contexts: ``"fast"`` (default) or
+        ``"analytic"`` (forces the analytic kernels for verification runs).
     count_ops:
         Whether solver contexts tally rounded elementary operations.
     reference_tolerance:
@@ -58,7 +56,7 @@ class ExperimentConfig:
     seed: int = 0
     eps_floor: bool = True
     accumulation: str = "pairwise"
-    use_tables: Optional[bool] = None
+    kernels: str = "fast"
     count_ops: bool = True
     reference_tolerance: float = 1e-18
 
@@ -73,7 +71,7 @@ class ExperimentConfig:
         return ContextSpec(
             format=format_name,
             accumulation=self.accumulation,
-            use_tables=self.use_tables,
+            kernels=self.kernels,
             count_ops=self.count_ops,
         )
 

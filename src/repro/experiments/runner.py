@@ -419,12 +419,12 @@ def run_experiment(
         rerun_failed=rerun_failed,
         batch_formats=batch_formats,
     )
-    # Build the lookup-table rounding engine once in this process: forked
-    # workers inherit the tables copy-on-write instead of re-enumerating the
-    # value sets per worker, and the serial path pays the build exactly once.
-    # Analytic-kernel verification runs (use_tables=False) never consult the
-    # engine, and a fully cached (warm) plan executes no solver at all, so
-    # skip the build there.
-    if plan.tasks and config.use_tables is not False:
+    # Build the formats' rounding state (bit kernels, scalar-kernel
+    # magnitude lists) once in this process: forked workers inherit it
+    # copy-on-write instead of rebuilding it per worker, and the serial path
+    # pays the build exactly once.  Analytic-kernel verification runs never
+    # consult it, and a fully cached (warm) plan executes no solver at all,
+    # so skip the build there.
+    if plan.tasks and config.kernels == "fast":
         preload_tables(formats)
     return execute_plan(plan, workers=workers)

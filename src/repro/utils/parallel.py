@@ -258,8 +258,9 @@ class BoundedPool:
     workers, unbounded memory).
 
     ``kind`` selects the executor: ``"process"`` (default) isolates solver
-    work in forked worker processes — create the pool *after* warming the
-    rounding tables so workers inherit them copy-on-write; ``"thread"``
+    work in forked worker processes — create the pool *after* building the
+    formats' rounding state (``preload_tables``) so workers inherit it
+    copy-on-write; ``"thread"``
     shares the calling process (used by the serve unit tests, where the
     store backend lives in memory).  Process workers are spawned lazily by
     ``concurrent.futures`` on first submission.

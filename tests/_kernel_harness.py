@@ -1,8 +1,8 @@
 """Differential kernel-test harness shared by the rounding-kernel suites.
 
-Every rounding backend in :mod:`repro.arithmetic` — the integer bit kernels
-(one-word float64 and two-word extended), the lookup tables and the scalar
-kernels — must be bit-identical to the analytic ground truth
+Every fast rounding kernel in :mod:`repro.arithmetic` — the integer bit
+kernels (one-word float64 and two-word extended) and the scalar kernels —
+must be bit-identical to the analytic ground truth
 (``round_array_analytic``).  This module centralises the machinery those
 proofs share so each suite states *what* it sweeps, not how:
 
@@ -39,6 +39,7 @@ __all__ = [
     "binade_boundary_codes",
     "differential_round_check",
     "run_differential_sweeps",
+    "exhaustive_sweep",
 ]
 
 
@@ -170,6 +171,31 @@ def boundary_sweep(fmt) -> np.ndarray:
     return np.asarray(values, dtype=wd)
 
 
+def exhaustive_sweep(fmt) -> np.ndarray:
+    """Every representable value of a <= 16-bit format, every adjacent
+    midpoint (the exact ties) and their one-ulp float64 neighbours, the
+    overflow boundary half an ulp past the largest magnitude, and the edge
+    battery; both signs.  The value set comes from the vectorised
+    ``fmt.decode`` over every code."""
+    decoded = fmt.decode(np.arange(1 << fmt.bits, dtype=np.uint64))
+    mags = np.unique(np.abs(decoded[np.isfinite(decoded)]))
+    mids = (mags[:-1] + mags[1:]) * 0.5  # exact: adjacent codes share bits
+    top = mags[-1] + (mags[-1] - mags[-2]) * 0.5
+    around = np.concatenate(
+        [
+            mags,
+            mids,
+            np.nextafter(mids, np.inf),
+            np.nextafter(mids, -np.inf),
+            np.nextafter(mags, np.inf),
+            np.nextafter(mags, -np.inf),
+            [top, np.nextafter(top, 0.0), np.nextafter(top, np.inf)],
+            [float(mags[-1]) * 2.0, float(mags[-1]) * 1e10],
+        ]
+    )
+    return np.concatenate([around, -around, edge_battery()])
+
+
 def code_midpoints(fmt, codes) -> np.ndarray:
     """Exact midpoints of each adjacent code pair ``(c, c + 1)``.
 
@@ -233,12 +259,24 @@ def binade_boundary_codes(fmt, exponents, window=48) -> np.ndarray:
 # differential drivers
 # --------------------------------------------------------------------- #
 def differential_round_check(fmt, round_fn, values, context=""):
-    """Run ``round_fn`` against ``fmt.round_array_analytic`` over ``values``
-    and require value identity.  ``values`` is never mutated."""
+    """Run ``round_fn`` against ``fmt.round_array_analytic`` over ``values``,
+    whole and in 32-element chunks (a bit kernel then hands back only a few
+    special elements per call, which it resolves through the scalar kernel
+    rather than the analytic one), and require value identity.  ``values``
+    is never mutated."""
     values = np.asarray(values, dtype=fmt.work_dtype)
-    got = round_fn(values.copy())
     expected = fmt.round_array_analytic(values.copy())
-    assert_rounded_equal(got, expected, f"{fmt.name}{context}")
+    whole = round_fn(values.copy())
+    assert_rounded_equal(whole, expected, f"{fmt.name}{context}")
+    if values.size:
+        chunks = [round_fn(values[i : i + 32].copy()) for i in range(0, values.size, 32)]
+        chunked = np.concatenate(chunks)
+        assert_rounded_equal(chunked, expected, f"{fmt.name}{context} chunked")
+        if chunked.dtype == np.float64:
+            # NaN signs and payloads too: both resolver paths agree bitwise
+            assert np.array_equal(chunked.view(np.uint64), whole.view(np.uint64)), (
+                f"{fmt.name}{context}: chunked words differ"
+            )
 
 
 def run_differential_sweeps(fmt, round_fn, *, n=20_000, seed=42, span=256):

@@ -4,9 +4,9 @@ The kernels in :mod:`repro.arithmetic.bitkernels` must reproduce the analytic
 ground truth (``round_array_analytic`` / ``decode_code`` /
 ``encode_analytic``) bit for bit:
 
-* **exhaustively** against the lookup tables for every format of <= 16 bits
-  (all representable values, every adjacent-code midpoint — the exact
-  rounding ties — and their work-precision neighbours);
+* **exhaustively** for every format of <= 16 bits (all representable
+  values, every adjacent-code midpoint — the exact rounding ties — and
+  their work-precision neighbours);
 * by **randomized, boundary and tie sweeps** against the preserved analytic
   kernels for the wide formats (posit32/64, takum32/64, float32/64; the
   64-bit tapered formats run the two-word extended kernel, the cast IEEE
@@ -26,11 +26,13 @@ import numpy as np
 import pytest
 
 from repro.arithmetic import bitkernels as bk
-from repro.arithmetic import get_context, get_format, table_for
+from repro.arithmetic import get_context, get_format, preload_tables
 from repro.arithmetic.base import SCALAR_CUTOFF
 from tests._kernel_harness import (
     assert_rounded_equal,
+    differential_round_check,
     edge_battery,
+    exhaustive_sweep,
     midpoint_sweep,
     random_sweep,
     solver_regime_sweep,
@@ -57,8 +59,8 @@ KERNEL_FORMATS = [
     "E5M2",
     "E4M3",
 ]
-#: table-eligible formats (<= 16 bits): exhaustive identity required
-TABLE_FORMATS = ["posit8", "posit16", "takum8", "takum16", "float16", "bfloat16", "E5M2", "E4M3"]
+#: formats of <= 16 bits: exhaustive identity required
+NARROW_FORMATS = ["posit8", "posit16", "takum8", "takum16", "float16", "bfloat16", "E5M2", "E4M3"]
 #: wide formats: sweep-based identity of the dispatch (the 64-bit tapered
 #: formats round through the two-word extended kernel, the cast IEEE widths
 #: through the hardware cast)
@@ -67,43 +69,22 @@ WIDE_FORMATS = ["posit32", "takum32", "posit64", "takum64", "float32", "float64"
 _U = np.uint64
 
 
-def exhaustive_table_inputs(fmt) -> np.ndarray:
-    """Every representable value, every adjacent midpoint (the exact ties)
-    and their one-ulp float64 neighbours, for a <= 16-bit format."""
-    table = table_for(fmt)
-    assert table is not None, fmt.name
-    mags = table.magnitudes
-    mids = (mags[:-1] + mags[1:]) * 0.5  # exact: adjacent codes share bits
-    around = np.concatenate(
-        [
-            mags,
-            mids,
-            np.nextafter(mids, np.inf),
-            np.nextafter(mids, -np.inf),
-            np.nextafter(mags, np.inf),
-            np.nextafter(mags, -np.inf),
-            [float(mags[-1]) * 2.0, float(mags[-1]) * 1e10],
-        ]
-    )
-    return np.concatenate([around, -around, edge_battery()])
-
-
 # --------------------------------------------------------------------- #
 # rounding identity
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("name", TABLE_FORMATS)
-def test_round_exhaustive_vs_tables(name):
-    """Kernel rounding == table rounding == analytic, over every
-    representable value and every exact tie of the format."""
+@pytest.mark.parametrize("name", NARROW_FORMATS)
+def test_round_exhaustive_vs_analytic(name):
+    """Kernel rounding == ``round_array`` == ``round_scalar`` == analytic,
+    over every representable value and every exact tie of the format."""
     fmt = get_format(name)
     kern = fmt.bitkernel()
     assert kern is not None
-    values = exhaustive_table_inputs(fmt)
+    values = exhaustive_sweep(fmt)
+    differential_round_check(fmt, kern.round, values, " kernel")
     analytic = fmt.round_array_analytic(values)
-    assert_rounded_equal(kern.round(values), analytic, f"{name} kernel-vs-analytic")
-    assert_rounded_equal(
-        table_for(fmt).round_values(values), analytic, f"{name} table-vs-analytic"
-    )
+    assert_rounded_equal(fmt.round_array(values), analytic, f"{name} round_array")
+    scalar = np.array([fmt.round_scalar(v) for v in values.tolist()])
+    assert_rounded_equal(scalar, analytic, f"{name} round_scalar")
 
 
 @pytest.mark.parametrize("name", KERNEL_FORMATS)
@@ -185,10 +166,10 @@ def test_cast_ieee_formats_have_no_kernel():
 # --------------------------------------------------------------------- #
 # decode / encode identity
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("name", TABLE_FORMATS)
+@pytest.mark.parametrize("name", NARROW_FORMATS)
 def test_decode_exhaustive(name):
     """Kernel decode == scalar ``decode_code`` for every code (this is the
-    path the lookup-table engine builds its decode LUT through)."""
+    path the narrow formats build their magnitude lists through)."""
     fmt = get_format(name)
     codes = np.arange(1 << fmt.bits, dtype=np.uint64)
     expected = np.asarray([fmt.decode_code(int(c)) for c in codes], dtype=np.float64)
@@ -219,7 +200,7 @@ def test_encode_matches_analytic(name):
     values = fmt.round_array_analytic(random_sweep(fmt, 40_000, seed=5))
     expected = fmt.encode_analytic(values)
     assert np.array_equal(fmt.bitkernel().encode(values), expected), name
-    # the format-level dispatch must agree as well (table- or kernel-served)
+    # the format-level dispatch must agree as well
     assert np.array_equal(fmt.encode(values), expected), name
 
 
@@ -371,26 +352,34 @@ def test_disable_switch_falls_back_to_analytic():
     assert fmt.bitkernel() is not None
 
 
-def test_use_tables_false_bypasses_bitkernels():
+def test_analytic_kernels_bypass_bitkernels():
     """The verification context must run the pure analytic kernels even for
     formats whose default dispatch is the bit kernel."""
-    ctx = get_context("posit32", use_tables=False)
+    ctx = get_context("posit32", kernels="analytic")
     values = np.asarray([0.3, -1.7, 64.25, 1e-40])
     assert np.array_equal(
         ctx.round(values), get_format("posit32").round_array_analytic(values)
     )
 
 
-def test_table_construction_decodes_via_bitkernels():
-    """The lookup tables are built from the vectorised kernel decode; their
-    decode LUT must equal the scalar decoder exactly (NaN-aware)."""
-    fmt = get_format("takum16")
-    table = table_for(fmt)
-    sample = np.concatenate(
-        [np.arange(0, 2_000, dtype=np.uint64), np.arange(30_000, 34_000, dtype=np.uint64)]
-    )
-    expected = np.asarray([fmt.decode_code(int(c)) for c in sample])
-    assert_rounded_equal(table.decode_values(sample), expected, "takum16 lut")
+@pytest.mark.parametrize("name", ["posit16", "takum16", "E4M3"])
+def test_magnitude_lists_decode_via_bitkernels(name):
+    """The narrow formats enumerate their magnitude lists through the
+    vectorised kernel decode; the result must equal the per-code
+    ``decode_code`` construction exactly, codes included."""
+    fmt = get_format(name)
+    via_kernel = fmt._enumerate_magnitudes()
+    previous = bk.set_enabled(False)
+    try:
+        via_scalar = fmt._enumerate_magnitudes()
+    finally:
+        bk.set_enabled(previous)
+    for got, expected in zip(via_kernel, via_scalar):
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected), name
+    preload_tables([name])
+    assert np.array_equal(fmt._magnitudes, via_scalar[0])
+    assert np.array_equal(fmt._codes, via_scalar[1])
 
 
 def test_scalar_cutoff_path_unchanged():

@@ -13,8 +13,8 @@ bit-identical to ``round_array_analytic``:
 * **forced-fallback regression**: with ``LONGDOUBLE_EXTENDED`` monkeypatched
   off (the Windows/ARM degradation), the 64-bit formats must drop to float64
   work precision, keep a bit-exact one-word kernel, and emit no
-  ``require_extended_longdouble`` warning — Windows/ARM correctness tested
-  on Linux CI rather than hoped for.
+  precision-loss warning — Windows/ARM correctness tested on Linux CI
+  rather than hoped for.
 """
 
 from __future__ import annotations
@@ -186,13 +186,12 @@ def test_disable_switch_removes_64bit_kernel(name):
 def degraded_longdouble(monkeypatch):
     """Pretend the host longdouble collapses to float64."""
     monkeypatch.setattr(base_mod, "LONGDOUBLE_EXTENDED", False)
-    monkeypatch.setattr(base_mod, "_LONGDOUBLE_WARNED", False)
 
 
 @pytest.mark.parametrize("family", [PositFormat, TakumFormat])
 def test_forced_fallback_is_warning_free(degraded_longdouble, family):
     """Constructing the 64-bit formats on a degraded platform must not emit
-    the old ``require_extended_longdouble`` RuntimeWarning."""
+    a RuntimeWarning: they degrade cleanly to float64 work precision."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         fmt = family(64)

@@ -32,9 +32,9 @@ class TestEntryPointSmoke:
         proc = _run_cli_subprocess("--help")
         assert proc.returncode == 0, proc.stderr
         assert "--suite" in proc.stdout
-        # the rounding-backend opt-out hierarchy is surfaced in the epilog
-        assert "REPRO_DISABLE_ROUNDING_TABLES" in proc.stdout
-        assert "use_tables" in proc.stdout
+        # the rounding-kernel opt-outs are surfaced in the epilog
+        assert "--analytic-kernels" in proc.stdout
+        assert "REPRO_DISABLE_BITKERNELS" in proc.stdout
 
     def test_table1_run(self):
         proc = _run_cli_subprocess("--suite", "table1", "--scale", "0.001")
@@ -56,6 +56,14 @@ class TestParser:
     def test_rejects_unknown_width(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--widths", "12"])
+
+    def test_analytic_kernels_flag(self):
+        assert build_parser().parse_args([]).analytic_kernels is False
+        assert build_parser().parse_args(["--analytic-kernels"]).analytic_kernels
+        # the flag takes no value, and there is no free-form kernel option
+        for bad in (["--analytic-kernels=bogus"], ["--kernels", "bogus"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(bad)
 
     def test_workers_env_default(self, monkeypatch):
         """$REPRO_WORKERS sets the --workers default; the flag overrides."""

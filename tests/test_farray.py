@@ -315,9 +315,16 @@ class TestFacade:
         with pytest.raises(TypeError):
             get_context(ContextSpec(format="posit16"), accumulation="sequential")
 
-    def test_spec_use_tables_false_forces_analytic(self):
-        ctx = get_context(ContextSpec(format="posit16", use_tables=False))
-        assert ctx.use_tables is False
+    def test_spec_kernels_analytic_forces_analytic(self):
+        ctx = get_context(ContextSpec(format="posit16", kernels="analytic"))
+        assert ctx.kernels == "analytic"
+        assert not ctx._round_work_inplace()  # analytic kernels allocate
+
+    def test_spec_rejects_unknown_kernels(self):
+        with pytest.raises(ValueError, match="kernels"):
+            ContextSpec(format="posit16", kernels="bogus")
+        with pytest.raises(ValueError, match="kernels"):
+            get_context("posit16", kernels="bitkernel")
 
     def test_partialschur_accepts_spec(self):
         from repro.core import partialschur

@@ -202,7 +202,7 @@ class TestBatchedRotateColumns:
                     want = ctx.rotate_columns(cs[r, 0], cs[r, 1], xy[r, 0], xy[r, 1])
                     label = f"{ctx.name} (row {indices[r]})"
                     assert np.array_equal(got[k], want, equal_nan=True), label
-                    # NaN sign bits follow the rounding backend (see
+                    # NaN sign bits follow NumPy's loop choice (see
                     # tests/test_fused_ops.py::assert_same_bits)
                     keep = ~np.isnan(want)
                     assert np.array_equal(np.signbit(got[k][keep]), np.signbit(want[keep])), label
@@ -266,7 +266,7 @@ class TestBatchedWaveApplication:
                     want[:, i + 1] = rot[1]
                 label = f"{ctx.name} (machine {a}, row {indices[rows[a]]})"
                 assert np.array_equal(got[a], want, equal_nan=True), label
-                # NaN sign bits follow the rounding backend (see
+                # NaN sign bits follow NumPy's loop choice (see
                 # tests/test_fused_ops.py::assert_same_bits)
                 keep = ~np.isnan(want)
                 assert np.array_equal(np.signbit(got[a][keep]), np.signbit(want[keep])), label

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro.arithmetic import get_context, get_format
-from repro.arithmetic import tables as tables_mod
 from repro.arithmetic.base import SCALAR_CUTOFF, WIDE_SCALAR_CUTOFF
 from tests._kernel_harness import (
     assert_scalar_matches_vector,
@@ -28,11 +27,9 @@ from tests._kernel_harness import (
     random_sweep,
 )
 
-#: formats the table engine cannot serve — the scalar kernels are their only
-#: fast path at solver-call sizes
+#: formats wider than 16 bits
 WIDE_FORMATS = ["posit32", "posit64", "takum32", "takum64", "float32", "float64"]
-#: narrow formats whose scalar kernels back ``round_array`` when the table
-#: engine is disabled
+#: formats of up to 16 bits
 NARROW_FORMATS = ["posit8", "posit16", "takum8", "takum16", "float16", "bfloat16", "E4M3", "E5M2"]
 ALL_FORMATS = WIDE_FORMATS + NARROW_FORMATS
 
@@ -107,17 +104,13 @@ class TestRoundArrayDispatch:
         assert out.shape == (2, 2)
         assert np.array_equal(out, wide_format.round_array_analytic(values))
 
-    def test_narrow_formats_use_scalar_kernel_when_tables_disabled(self):
-        previous = tables_mod.set_enabled(False)
-        try:
-            for name in NARROW_FORMATS:
-                fmt = get_format(name)
-                values = np.asarray([0.3, -1.7, 100.0], dtype=fmt.work_dtype)
-                assert np.array_equal(
-                    fmt.round_array(values), fmt.round_array_analytic(values)
-                ), name
-        finally:
-            tables_mod.set_enabled(previous)
+    def test_narrow_formats_use_scalar_kernel(self):
+        for name in NARROW_FORMATS:
+            fmt = get_format(name)
+            values = np.asarray([0.3, -1.7, 100.0], dtype=fmt.work_dtype)
+            assert np.array_equal(
+                fmt.round_array(values), fmt.round_array_analytic(values)
+            ), name
 
     def test_round_scalar_matches_round_array(self, any_kernel_format):
         fmt = any_kernel_format
@@ -182,22 +175,12 @@ class TestContextScalarOps:
         assert float(ctx.neg(1.5)) == -1.5
         assert float(ctx.abs(-1.5)) == 1.5
 
-    def test_use_tables_false_scalar_ops(self):
+    def test_analytic_kernels_scalar_ops(self):
         """Opt-out contexts must round scalars through the analytic kernels."""
-        analytic = get_context("posit16", use_tables=False)
+        analytic = get_context("posit16", kernels="analytic")
         default = get_context("posit16")
         for v in (0.3, -1.7, 1e8, 1e-8):
             assert float(analytic.round_scalar(v)) == float(default.round_scalar(v))
-
-    def test_forced_tables_scalar_ops(self):
-        previous = tables_mod.set_enabled(False)
-        try:
-            forced = get_context("takum16", use_tables=True)
-            plain = get_context("takum16")
-            for v in (0.3, -1.7, 1e8):
-                assert float(forced.round_scalar(v)) == float(plain.round_scalar(v))
-        finally:
-            tables_mod.set_enabled(previous)
 
     def test_reference_context_keeps_extended_precision(self):
         ctx = get_context("reference")

@@ -93,7 +93,7 @@ class TestCacheKeys:
             {"restarts": config.restarts + 1},
             {"eigenvalue_count": 5},
             {"accumulation": "sequential"},
-            {"use_tables": False},
+            {"kernels": "analytic"},
             {"seed": 1},
             {"reference_tolerance": 1e-16},
         ):

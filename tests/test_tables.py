@@ -1,9 +1,11 @@
-"""Bit-exactness and behaviour tests of the lookup-table rounding engine.
+"""Bit-exactness sweeps of the rounding dispatch of every format of up to 16
+bits, over each format's enumerated value table.
 
-The table backend (:mod:`repro.arithmetic.tables`) must be bit-identical to
-the analytic kernels it replaces: same rounded values (including the sign of
-zero), same NaN positions, same codes.  The fast tests sweep a strided sample
-of the float32 pattern space plus every rounding decision boundary; the
+``round_array`` (scalar kernel for tiny arrays, bit kernel above),
+``round_scalar``, ``encode`` and ``decode`` must be bit-identical to the
+analytic kernels: same rounded values (including the sign of zero), same
+NaN positions, same codes.  The fast tests sweep a strided sample of the
+float32 pattern space plus every rounding decision boundary; the
 ``slow``-marked tests densify the pattern sweep (run them with
 ``pytest -m slow tests/test_tables.py``).
 """
@@ -11,21 +13,15 @@ of the float32 pattern space plus every rounding decision boundary; the
 import numpy as np
 import pytest
 
-from repro.arithmetic import (
-    TABLE_CACHE,
-    available_formats,
-    get_context,
-    get_format,
-    preload_tables,
-    table_for,
-)
-from repro.arithmetic import tables as tables_mod
+from repro.arithmetic import bitkernels_enabled, get_context, get_format, preload_tables
+from repro.arithmetic.base import SCALAR_CUTOFF
 from repro.arithmetic.context import EmulatedContext
 from repro.arithmetic.ofp8 import OFP8E4M3
+from tests._kernel_harness import exhaustive_sweep
 
 EIGHT_BIT = ["E4M3", "E5M2", "posit8", "takum8"]
 SIXTEEN_BIT = ["float16", "bfloat16", "posit16", "takum16"]
-TABLE_FORMATS = EIGHT_BIT + SIXTEEN_BIT
+NARROW_FORMATS = EIGHT_BIT + SIXTEEN_BIT
 
 
 def assert_bit_identical(result, expected, context=""):
@@ -49,65 +45,43 @@ def float32_pattern_values(stride, offset=0):
         return patterns.view(np.float32).astype(np.float64)
 
 
-def boundary_values(table):
-    """Every rounding decision boundary of a format: exact midpoints, their
-    float64 neighbours, the representable magnitudes themselves, denormal
-    and overflow regions, both signs, plus specials."""
-    mids = table.midpoints
-    mags = table.magnitudes
-    sem = table.semantics
-    pieces = [
-        mids,
-        np.nextafter(mids, np.inf),
-        np.nextafter(mids, -np.inf),
-        mags,
-        np.nextafter(mags, np.inf),
-        np.nextafter(mags, -np.inf),
-        np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, 1e-300, 5e-324]),
+def assert_dispatch_matches_analytic(fmt, values, context=""):
+    """``round_array`` over the whole array (bit kernel) and in chunks of
+    ``SCALAR_CUTOFF`` elements (scalar kernel) equals the analytic kernel."""
+    analytic = fmt.round_array_analytic(values)
+    assert_bit_identical(fmt.round_array(values), analytic, f"{fmt.name}{context}")
+    chunks = [
+        fmt.round_array(values[i : i + SCALAR_CUTOFF])
+        for i in range(0, values.size, SCALAR_CUTOFF)
     ]
-    if sem.overflow_threshold is not None:
-        thr = sem.overflow_threshold
-        pieces.append(np.array([thr, np.nextafter(thr, 0), np.nextafter(thr, np.inf)]))
-    positive = np.concatenate(pieces)
-    return np.concatenate([positive, -positive])
+    assert_bit_identical(np.concatenate(chunks), analytic, f"{fmt.name}{context} chunked")
 
 
-@pytest.fixture(params=TABLE_FORMATS)
-def table_format(request):
+@pytest.fixture(params=NARROW_FORMATS)
+def narrow_format(request):
     return get_format(request.param)
 
 
 class TestBitExactRounding:
-    def test_boundary_sweep(self, table_format):
-        table = table_for(table_format)
-        assert table is not None
-        values = boundary_values(table)
-        assert_bit_identical(
-            table.round_values(values),
-            table_format.round_array_analytic(values),
-            context=table_format.name,
-        )
+    def test_boundary_sweep(self, narrow_format):
+        assert_dispatch_matches_analytic(narrow_format, exhaustive_sweep(narrow_format))
 
     @pytest.mark.parametrize("fmt_name", EIGHT_BIT)
     def test_float32_pattern_sweep_sample(self, fmt_name):
         fmt = get_format(fmt_name)
-        table = table_for(fmt)
         values = float32_pattern_values(stride=65537)  # ~65k patterns, odd stride
         assert_bit_identical(
-            table.round_values(values),
-            fmt.round_array_analytic(values),
-            context=fmt_name,
+            fmt.round_array(values), fmt.round_array_analytic(values), context=fmt_name
         )
 
     @pytest.mark.slow
     @pytest.mark.parametrize("fmt_name", EIGHT_BIT)
     def test_float32_pattern_sweep_dense(self, fmt_name):
         fmt = get_format(fmt_name)
-        table = table_for(fmt)
         for offset in range(0, 509, 127):
             values = float32_pattern_values(stride=509, offset=offset)
             assert_bit_identical(
-                table.round_values(values),
+                fmt.round_array(values),
                 fmt.round_array_analytic(values),
                 context=f"{fmt_name} offset={offset}",
             )
@@ -115,78 +89,87 @@ class TestBitExactRounding:
     @pytest.mark.parametrize("fmt_name", SIXTEEN_BIT)
     def test_dense_random_sweep_16bit(self, fmt_name):
         fmt = get_format(fmt_name)
-        table = table_for(fmt)
         rng = np.random.default_rng(99)
         values = rng.standard_normal(200_000) * np.exp(rng.uniform(-200, 200, 200_000))
         assert_bit_identical(
-            table.round_values(values),
-            fmt.round_array_analytic(values),
-            context=fmt_name,
+            fmt.round_array(values), fmt.round_array_analytic(values), context=fmt_name
         )
 
     def test_e4m3_saturating_variant(self):
         fmt = OFP8E4M3(saturate=True)
-        table = table_for(fmt)
-        assert table is not None
         values = np.concatenate(
-            [boundary_values(table), float32_pattern_values(stride=131101)]
+            [exhaustive_sweep(fmt), float32_pattern_values(stride=131101)]
         )
+        assert_bit_identical(fmt.round_array(values), fmt.round_array_analytic(values))
+        scalar = np.array([fmt.round_scalar(v) for v in values.tolist()])
+        assert_bit_identical(scalar, fmt.round_array_analytic(values), "round_scalar")
+
+    def test_scalar_fast_path_matches_vector_and_analytic(self, narrow_format):
+        """``round_scalar`` (the contexts' scalar elementary operations)
+        agrees with ``round_array`` and the analytic kernel on every
+        decision boundary."""
+        fmt = narrow_format
+        values = exhaustive_sweep(fmt)
+        scalar = np.array([fmt.round_scalar(v) for v in values.tolist()])
+        assert_bit_identical(scalar, fmt.round_array(values), f"{fmt.name} scalar-vs-vector")
         assert_bit_identical(
-            table.round_values(values), fmt.round_array_analytic(values)
+            scalar, fmt.round_array_analytic(values), f"{fmt.name} scalar-vs-analytic"
         )
 
-    def test_scalar_fast_path_matches_vector_and_analytic(self, table_format):
-        """Arrays of size <= SCALAR_CUTOFF take the pure-Python bisect path;
-        sweep every decision boundary through it element by element."""
-        table = table_for(table_format)
-        values = boundary_values(table)
-        batch = table.round_values(values)
-        analytic = table_format.round_array_analytic(values)
-        scalar = np.empty_like(values)
-        for i, v in enumerate(values):
-            one = table.round_values(np.asarray([v], dtype=table_format.work_dtype))
-            scalar[i] = one[0]
-        assert_bit_identical(scalar, batch, context=f"{table_format.name} scalar-vs-vector")
-        assert_bit_identical(scalar, analytic, context=f"{table_format.name} scalar-vs-analytic")
+    def test_every_path_returns_the_same_words(self, narrow_format):
+        """Scalar kernel, bit kernel and analytic kernel agree bit for bit,
+        NaN signs and payloads included (the batched rounder resolves
+        specials through whichever of them a segment's size selects)."""
+        fmt = narrow_format
+        payloads = np.array(
+            [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123, 0xFFF4000000000001],
+            dtype=np.uint64,
+        ).view(np.float64)
+        values = np.concatenate([payloads, exhaustive_sweep(fmt)])
+        expected = fmt.round_array_analytic(values).view(np.uint64)
+        paths = {"scalar": fmt._round_small_array(values), "dispatch": fmt.round_array(values)}
+        if fmt.bitkernel() is not None:
+            paths["kernel"] = fmt.bitkernel().round(values)
+        for path, got in paths.items():
+            assert np.array_equal(got.view(np.uint64), expected), f"{fmt.name} {path}"
 
-    def test_idempotent(self, table_format):
+    def test_idempotent(self, narrow_format):
         rng = np.random.default_rng(5)
         values = rng.standard_normal(1000) * np.exp(rng.uniform(-30, 30, 1000))
-        once = table_format.round_array(values)
+        once = narrow_format.round_array(values)
         finite = np.isfinite(once)
-        assert_bit_identical(table_format.round_array(once)[finite], once[finite])
+        assert_bit_identical(narrow_format.round_array(once)[finite], once[finite])
 
 
 class TestEncodeDecode:
-    def test_roundtrip_all_codes(self, table_format):
+    def test_roundtrip_all_codes(self, narrow_format):
         """encode(decode(code)) == code over every code of the format.
 
         Non-canonical NaN codes (IEEE formats have many NaN patterns) encode
         back to the canonical NaN code, and formats without a signed-zero
-        code (E4M3) canonicalise the negative-zero code to all-zeros.
+        code (E4M3) canonicalise the negative-zero code to all-zeros; both
+        canonical codes come from the analytic encoder.
         """
-        table = table_for(table_format)
-        codes = np.arange(1 << table_format.bits, dtype=np.uint64)
-        decoded = table_format.decode(codes)
-        encoded = table_format.encode(decoded)
-        expected = np.where(np.isnan(decoded), np.uint64(table.semantics.nan_code), codes)
-        if not table.semantics.signed_zero_code:
-            expected = np.where(
-                (decoded == 0.0) & np.signbit(decoded), np.uint64(0), expected
-            )
-        assert np.array_equal(encoded, expected), table_format.name
+        fmt = narrow_format
+        codes = np.arange(1 << fmt.bits, dtype=np.uint64)
+        decoded = fmt.decode(codes)
+        encoded = fmt.encode(decoded)
+        nan_code, neg_zero_code = fmt.encode_analytic(np.array([np.nan, -0.0]))
+        expected = np.where(np.isnan(decoded), nan_code, codes)
+        expected = np.where((decoded == 0.0) & np.signbit(decoded), neg_zero_code, expected)
+        assert np.array_equal(encoded, expected), fmt.name
 
-    def test_decode_matches_scalar_decode(self, table_format):
+    def test_decode_matches_scalar_decode(self, narrow_format):
         rng = np.random.default_rng(3)
-        codes = rng.integers(0, 1 << table_format.bits, 512, dtype=np.uint64)
-        vectorised = table_format.decode(codes)
+        codes = rng.integers(0, 1 << narrow_format.bits, 512, dtype=np.uint64)
+        vectorised = narrow_format.decode(codes)
         scalar = np.array(
-            [table_format.decode_code(int(c)) for c in codes],
-            dtype=table_format.work_dtype,
+            [narrow_format.decode_code(int(c)) for c in codes],
+            dtype=narrow_format.work_dtype,
         )
-        assert_bit_identical(vectorised, scalar, context=table_format.name)
+        assert_bit_identical(vectorised, scalar, context=narrow_format.name)
 
-    def test_encode_matches_analytic_encode(self, table_format):
+    def test_encode_matches_analytic_encode(self, narrow_format):
         rng = np.random.default_rng(7)
         values = np.concatenate(
             [
@@ -194,96 +177,43 @@ class TestEncodeDecode:
                 np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300]),
             ]
         )
-        table = table_for(table_format)
         assert np.array_equal(
-            table.encode_values(values), table_format.encode_analytic(values)
-        ), table_format.name
+            narrow_format.encode(values), narrow_format.encode_analytic(values)
+        ), narrow_format.name
 
-    def test_decode_preserves_shape_and_dtype(self, table_format):
+    def test_decode_preserves_shape_and_dtype(self, narrow_format):
         codes = np.zeros((3, 4), dtype=np.uint64)
-        out = table_format.decode(codes)
+        out = narrow_format.decode(codes)
         assert out.shape == (3, 4)
-        assert out.dtype == table_format.work_dtype
+        assert out.dtype == narrow_format.work_dtype
 
 
-class TestTableCache:
-    def test_formats_share_one_table(self):
-        fmt = get_format("takum16")
-        assert table_for(fmt) is table_for(fmt)
-        ctx_a = get_context("takum16")
-        ctx_b = get_context("takum16")
-        assert table_for(ctx_a.format) is table_for(ctx_b.format)
-
-    def test_wide_formats_are_not_table_backed(self):
-        for name in ("float32", "float64", "posit32", "takum64"):
-            fmt = get_format(name)
-            assert table_for(fmt) is None
-            assert not fmt.table_backed
-
+class TestPreload:
     def test_preload_tables_skips_native_names(self):
-        loaded = preload_tables(["takum16", "float64", "reference", "E4M3"])
-        assert "takum16" in loaded
-        assert "E4M3" in loaded
-        assert "float64" not in loaded
-        assert "reference" not in loaded
+        built = preload_tables(["takum16", "float64", "reference", "E4M3"])
+        # every registered format is built (float64 is one); the native
+        # reference context has no emulated format
+        assert built == ["takum16", "float64", "E4M3"]
+        fmt = get_format("takum16")
+        assert fmt._scalar_state is not None
+        if bitkernels_enabled():
+            assert fmt.__dict__["_bitkernel_obj"] is fmt.bitkernel()
 
-    def test_cache_reports_loaded_tables(self):
-        preload_tables(["posit8"])
-        assert "posit8" in TABLE_CACHE.loaded()
-        assert TABLE_CACHE.nbytes() > 0
+    def test_preload_all_registered(self):
+        from repro.arithmetic import available_formats
 
-    def test_all_narrow_formats_are_eligible(self):
-        for name in available_formats():
-            fmt = get_format(name)
-            assert TABLE_CACHE.supports(fmt) == (fmt.bits <= tables_mod.MAX_TABLE_BITS)
+        assert preload_tables() == available_formats()
 
 
 class TestOptOut:
-    def test_global_disable(self):
-        fmt = get_format("takum16")
-        previous = tables_mod.set_enabled(False)
-        try:
-            assert table_for(fmt) is None
-            assert not fmt.table_backed
-        finally:
-            tables_mod.set_enabled(previous)
-        assert fmt.table_backed
-
     def test_context_opt_out_matches_analytic(self):
         rng = np.random.default_rng(11)
         values = rng.standard_normal(256)
-        analytic_ctx = get_context("posit16", use_tables=False)
-        table_ctx = get_context("posit16")
+        analytic_ctx = get_context("posit16", kernels="analytic")
+        fast_ctx = get_context("posit16")
         assert isinstance(analytic_ctx, EmulatedContext)
-        assert analytic_ctx.use_tables is False
-        assert_bit_identical(analytic_ctx.round(values), table_ctx.round(values))
-
-    def test_context_force_tables_overrides_global_disable(self):
-        rng = np.random.default_rng(13)
-        values = rng.standard_normal(256)
-        previous = tables_mod.set_enabled(False)
-        try:
-            forced = get_context("takum16", use_tables=True)
-            plain = get_context("takum16")
-            assert forced._forced_table is not None
-            # the forced context still rounds through the tables while the
-            # plain context has fallen back to the analytic kernels
-            assert_bit_identical(forced.round(values), plain.round(values))
-        finally:
-            tables_mod.set_enabled(previous)
-
-    def test_context_force_tables_rejects_wide_formats(self):
-        with pytest.raises(ValueError, match="cannot be served"):
-            get_context("takum64", use_tables=True)
-
-    def test_ieee16_uses_analytic_rounding_but_table_codecs(self):
-        # measured: the IEEE quantum kernel beats a 2^15-entry searchsorted,
-        # so 16-bit IEEE formats keep analytic rounding and table encode/decode
-        fmt = get_format("bfloat16")
-        table = table_for(fmt)
-        assert table is not None
-        assert not table.semantics.prefer_table_rounding
-        assert table_for(get_format("E5M2")).semantics.prefer_table_rounding
+        assert analytic_ctx.kernels == "analytic"
+        assert_bit_identical(analytic_ctx.round(values), fast_ctx.round(values))
 
 
 class TestMachineEpsilonMemoisation:

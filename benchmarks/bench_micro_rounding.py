@@ -17,8 +17,13 @@ the wide (32/64-bit) formats: the old route (one
 ``round_array_analytic`` call on a 1-element ndarray, which is what every
 scalar Givens/QL operation paid before the scalar kernels existed) against
 the new ``round_scalar`` fast path, plus the context-level scalar ``add``
-(the end-to-end per-operation cost inside the solvers).  The acceptance bar
-for the scalar kernels is >= 5x on posit32/takum32/float64.
+(the end-to-end per-operation cost inside the solvers); report only.  For
+posit64/takum64 it also times ``round_scalar_analytic`` with the bit kernels
+on (the two-word kernel's scalar twin) against off (the NumPy-scalar
+kernel), which ``--check`` gates at >= 2x on one value, and the
+element-wise scalar loop against the two-word kernel at
+{1, 2, 4, 8, 12, 16} elements (report only), the measurement their
+``bitkernel_scalar_cutoff`` is set from.
 
 Run under pytest-benchmark::
 
@@ -52,7 +57,7 @@ if __package__ in (None, ""):
 import numpy as np
 import pytest
 
-from repro.arithmetic import get_context, get_format
+from repro.arithmetic import get_context, get_format, set_bitkernels_enabled
 
 EIGHT_BIT = ["E4M3", "E5M2", "posit8", "takum8"]
 SIXTEEN_BIT = ["float16", "bfloat16", "posit16", "takum16"]
@@ -79,6 +84,14 @@ BITKERNEL_FORMATS = [
 #: the paper-pipeline hot path: the bit kernels must deliver >= 3x here
 BITKERNEL_TARGET_FORMATS = ("posit32", "takum32")
 BITKERNEL_TARGET_SPEEDUP = 3.0
+
+#: the longdouble formats whose scalar kernel runs the two-word bit
+#: kernel's scalar twin; ``--check`` requires it to beat the NumPy-scalar
+#: kernel (bit kernels off) by this factor on one value
+SCALAR_TWIN_FORMATS = ("posit64", "takum64")
+SCALAR_TWIN_TARGET_SPEEDUP = 2.0
+#: array sizes around their ``bitkernel_scalar_cutoff``
+CUTOFF_SIZES = (1, 2, 4, 8, 12, 16)
 
 #: benchmark workload size (values per round_array call)
 N_VALUES = 1 << 16
@@ -237,6 +250,83 @@ def run_scalar_report() -> list[str]:
     return lines
 
 
+def run_extended_scalar_report(record: dict | None = None) -> list[str]:
+    """posit64/takum64 ``round_scalar_analytic`` with bit kernels on (the
+    two-word kernel's scalar twin) against off (the NumPy-scalar kernel).
+
+    When ``record`` is given, per-format times and speedups are stored into
+    it (feeding the ``--check`` gate).
+    """
+    lines = [
+        "posit64/takum64 scalar rounding: round_scalar_analytic per call",
+        "on: two-word kernel's scalar twin; off: NumPy-scalar kernel "
+        "(bit kernels disabled)",
+        f"{'format':<10s} {'on [us]':>10s} {'off [us]':>10s} {'speedup':>9s}",
+    ]
+    for fmt_name in SCALAR_TWIN_FORMATS:
+        fmt = get_format(fmt_name)
+        if fmt.bitkernel() is None:  # no x87 layout, or kernels disabled
+            continue
+        value = np.longdouble(0.7354) / np.longdouble(3.0)  # full 64-bit significand
+        kernel = fmt.round_scalar_analytic
+        on_s, off_s = [], []
+        for _ in range(3):  # interleave to cancel CPU frequency drift
+            on_s.append(_median_call_time(lambda: kernel(value)))
+            previous = set_bitkernels_enabled(False)
+            try:
+                off_s.append(_median_call_time(lambda: kernel(value)))
+            finally:
+                set_bitkernels_enabled(previous)
+        t_on = float(np.median(on_s))
+        t_off = float(np.median(off_s))
+        if record is not None:
+            record[fmt_name] = {
+                "on_us": round(t_on * 1e6, 3),
+                "off_us": round(t_off * 1e6, 3),
+                "speedup": round(t_off / t_on, 3),
+            }
+        lines.append(
+            f"{fmt_name:<10s} {t_on * 1e6:>10.2f} {t_off * 1e6:>10.2f} "
+            f"{t_off / t_on:>8.2f}x"
+        )
+    return lines
+
+
+def run_extended_cutoff_report(record: dict | None = None) -> list[str]:
+    """posit64/takum64 small arrays: the element-wise scalar loop against
+    the two-word bit kernel per call, at the sizes around
+    ``bitkernel_scalar_cutoff`` (report only; the cutoff is set from it).
+    """
+    head = " ".join(f"{f'n={n} [us]':>15s}" for n in CUTOFF_SIZES)
+    lines = [
+        "posit64/takum64 small arrays: scalar loop / two-word kernel "
+        "per call (microseconds; report only)",
+        f"{'format':<10s} {head}",
+    ]
+    for fmt_name in SCALAR_TWIN_FORMATS:
+        fmt = get_format(fmt_name)
+        kern = fmt.bitkernel()
+        if kern is None:
+            continue
+        cells = []
+        for n in CUTOFF_SIZES:
+            vals = workload(n, seed=n).astype(np.longdouble) / np.longdouble(3.0)
+            loop_s, kern_s = [], []
+            for _ in range(3):  # interleave to cancel CPU frequency drift
+                loop_s.append(_median_call_time(lambda: fmt._round_small_array(vals), inner=500))
+                kern_s.append(_median_call_time(lambda: kern.round(vals), inner=500))
+            t_loop = float(np.median(loop_s)) * 1e6
+            t_kern = float(np.median(kern_s)) * 1e6
+            if record is not None:
+                record.setdefault(fmt_name, {})[str(n)] = {
+                    "scalar_loop_us": round(t_loop, 2),
+                    "bitkernel_us": round(t_kern, 2),
+                }
+            cells.append(f"{f'{t_loop:.1f} / {t_kern:.1f}':>15s}")
+        lines.append(f"{fmt_name:<10s} " + " ".join(cells))
+    return lines
+
+
 def run_bitkernel_report(record: dict | None = None) -> list[str]:
     """Bit-kernel vs analytic vector rounding at benchmark size.
 
@@ -316,7 +406,12 @@ def run_workload_size_report(record: dict | None = None) -> list[str]:
     return lines
 
 
-def run_report(record: dict | None = None, sizes: dict | None = None) -> str:
+def run_report(
+    record: dict | None = None,
+    sizes: dict | None = None,
+    scalar_twin: dict | None = None,
+    cutoff: dict | None = None,
+) -> str:
     values = workload()
     lines = [
         "Micro-benchmark: rounding throughput per format (values/s)",
@@ -347,16 +442,22 @@ def run_report(record: dict | None = None, sizes: dict | None = None) -> str:
     lines.extend(run_bitkernel_report(record))
     lines.append("")
     lines.extend(run_scalar_report())
+    lines.append("")
+    lines.extend(run_extended_scalar_report(scalar_twin))
+    lines.append("")
+    lines.extend(run_extended_cutoff_report(cutoff))
     return "\n".join(lines) + "\n"
 
 
 def run_check(threshold: float = 1.0) -> int:
     """CI gate: every format whose *rounding dispatch* uses a bit kernel
-    must round at least as fast as its analytic kernel at 64k values, and
-    the 32-bit posit/takum hot path must clear
-    :data:`BITKERNEL_TARGET_SPEEDUP`.  The 8-bit formats are reported but
-    not gated: their kernel margins are thin on noisy shared runners.
-    Returns an exit code.
+    must round at least as fast as its analytic kernel at 64k values, the
+    32-bit posit/takum hot path must clear
+    :data:`BITKERNEL_TARGET_SPEEDUP`, and the posit64/takum64 scalar twin
+    must clear :data:`SCALAR_TWIN_TARGET_SPEEDUP` over the NumPy-scalar
+    kernel on one value.  The 8-bit formats are reported but not gated:
+    their kernel margins are thin on noisy shared runners.  Returns an exit
+    code.
     """
     record: dict = {}
     lines = run_bitkernel_report(record)
@@ -364,7 +465,16 @@ def run_check(threshold: float = 1.0) -> int:
     if not record:
         print("SKIP: bit kernels disabled in this environment")
         return 0
+    scalar_twin: dict = {}
+    print()
+    print("\n".join(run_extended_scalar_report(scalar_twin)))
     failed = []
+    for fmt_name, row in scalar_twin.items():
+        if row["speedup"] < SCALAR_TWIN_TARGET_SPEEDUP:
+            failed.append(
+                f"{fmt_name} scalar: {row['speedup']:.2f}x < the "
+                f"{SCALAR_TWIN_TARGET_SPEEDUP:.0f}x scalar-twin target"
+            )
     for fmt_name, row in record.items():
         if get_format(fmt_name).bits <= 8:
             continue  # reported, not gated
@@ -394,15 +504,18 @@ def main(argv=None) -> int:
         "--check",
         action="store_true",
         help="CI gate: fail (exit 1) if any bit kernel is slower than the "
-        "analytic kernel at 64k values, or the 32-bit posit/takum hot path "
-        "misses its 3x target",
+        "analytic kernel at 64k values, the 32-bit posit/takum hot path "
+        "misses its 3x target, or the posit64/takum64 scalar twin misses "
+        "its 2x target",
     )
     args = parser.parse_args(argv)
     if args.check:
         return run_check()
     record: dict = {}
     sizes: dict = {}
-    report = run_report(record, sizes)
+    scalar_twin: dict = {}
+    cutoff: dict = {}
+    report = run_report(record, sizes, scalar_twin, cutoff)
     out_dir = pathlib.Path(__file__).parent / "output"
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "micro_rounding.txt"
@@ -416,6 +529,8 @@ def main(argv=None) -> int:
             "values_per_call": N_VALUES,
             "bitkernel_vs_analytic": record,
             "round_array_vs_analytic_us": sizes,
+            "extended_scalar_twin": scalar_twin,
+            "extended_scalar_loop_vs_bitkernel_us": cutoff,
         },
     )
     print(report)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import functools
 from abc import ABC, abstractmethod
 from typing import Optional
 
@@ -37,8 +38,13 @@ __all__ = [
 #: sentinel distinguishing 'bit kernel never built' from 'ineligible (None)'
 _UNSET = object()
 
-#: scalar-kernel cutoff of the longdouble kernels of the 64-bit tapered
-#: formats, which pay NumPy scalar dispatch (~4 us/element)
+#: scalar-kernel cutoff of the 64-bit tapered formats in longdouble when
+#: no bit kernel serves them (kernels disabled, hosts without the x87
+#: layout): their scalar kernel is then the NumPy-scalar one, which pays
+#: NumPy scalar dispatch (~4 us/element).  With a bit kernel they round
+#: scalars through its scalar twin and use ``bitkernel_scalar_cutoff``;
+#: this cutoff still bounds how many special-binade elements the two-word
+#: kernel hands to the scalar kernel instead of the analytic one
 SCALAR_CUTOFF = 8
 
 #: arrays up to this size round element-wise through the pure-Python
@@ -61,35 +67,32 @@ WIDE_SCALAR_CUTOFF = 24
 LONGDOUBLE_EXTENDED = np.finfo(np.longdouble).nmant > np.finfo(np.float64).nmant
 
 
-#: deferred dispatch tallies, ``(format, path) -> [calls, elements]``.
+#: the vector rounding paths :meth:`NumberFormat.round_array` tallies, in
+#: the order of their ``[calls, elements]`` pairs in a dispatch cell
+_DISPATCH_PATHS = ("scalar_kernel", "bitkernel", "analytic")
+
+#: deferred dispatch tallies, ``format name -> cell``: one flat list of
+#: ``[calls, elements]`` per path in :data:`_DISPATCH_PATHS` order.
 #: ``round_array`` sits on the contexts' array hot path where even one
 #: registry lookup (label canonicalisation + lock) per call blows the ≤2%
-#: telemetry budget of ``benchmarks/bench_telemetry.py``; a plain-dict
-#: increment costs ~0.2µs and the registry drains the tally at read time
-#: (see :meth:`repro.telemetry.MetricsRegistry.register_flusher`).
-_dispatch_tally: dict[tuple[str, str], list] = {}
-
-
-def _count_dispatch(fmt: "NumberFormat", path: str, n: int) -> None:
-    """Tally one vector rounding dispatch decision (caller checks ENABLED)."""
-    key = (fmt.name, path)
-    entry = _dispatch_tally.get(key)
-    if entry is None:
-        entry = _dispatch_tally[key] = [0, 0]
-    entry[0] += 1
-    entry[1] += n
+#: telemetry budget of ``benchmarks/bench_telemetry.py``; each format holds
+#: its cell (:attr:`NumberFormat._dispatch_cell`), so a call costs two list
+#: increments, and the registry drains the cells at read time (see
+#: :meth:`repro.telemetry.MetricsRegistry.register_flusher`).
+_dispatch_tally: dict[str, list] = {}
 
 
 def _flush_dispatch_tally(discard: bool = False) -> None:
     """Drain the deferred tallies into the registry (or drop on reset)."""
-    for (fmt_name, path), entry in _dispatch_tally.items():
-        calls, elements = entry[0], entry[1]
-        if calls and not discard:
-            _metrics.counter("rounding.dispatch", format=fmt_name, path=path).inc(calls)
-        if elements and not discard:
-            _metrics.counter("rounding.elements", format=fmt_name, path=path).inc(elements)
-        entry[0] -= calls
-        entry[1] -= elements
+    for fmt_name, cell in _dispatch_tally.items():
+        for i, path in enumerate(_DISPATCH_PATHS):
+            calls, elements = cell[2 * i], cell[2 * i + 1]
+            if calls and not discard:
+                _metrics.counter("rounding.dispatch", format=fmt_name, path=path).inc(calls)
+            if elements and not discard:
+                _metrics.counter("rounding.elements", format=fmt_name, path=path).inc(elements)
+            cell[2 * i] -= calls
+            cell[2 * i + 1] -= elements
 
 
 _metrics.register_flusher(_flush_dispatch_tally)
@@ -278,6 +281,11 @@ class NumberFormat(ABC):
     #: to ~12 elements
     bitkernel_scalar_cutoff: int = 12
 
+    @functools.cached_property
+    def _dispatch_cell(self) -> list:
+        """This format's dispatch tally cell (shared by formats of one name)."""
+        return _dispatch_tally.setdefault(self.name, [0] * (2 * len(_DISPATCH_PATHS)))
+
     # ------------------------------------------------------------------ #
     # integer bit-twiddling backend
     # ------------------------------------------------------------------ #
@@ -422,14 +430,20 @@ class NumberFormat(ABC):
             self.scalar_cutoff if kern is None else self.bitkernel_scalar_cutoff
         ):
             if _telemetry.ENABLED:
-                _count_dispatch(self, "scalar_kernel", n)
+                cell = self._dispatch_cell
+                cell[0] += 1
+                cell[1] += n
             return self._round_small_array(values, out=out)
         if kern is not None:
             if _telemetry.ENABLED:
-                _count_dispatch(self, "bitkernel", n)
+                cell = self._dispatch_cell
+                cell[2] += 1
+                cell[3] += n
             return kern.round(values, out=out)
         if _telemetry.ENABLED:
-            _count_dispatch(self, "analytic", n)
+            cell = self._dispatch_cell
+            cell[4] += 1
+            cell[5] += n
         res = self.round_array_analytic(values)
         if out is not None:
             out[...] = res

@@ -32,7 +32,10 @@ round-to-nearest-even entirely in integer arithmetic:
   when the rounded significand is ``2^64``, in which case the result is
   significand ``2^63`` with the exponent word incremented.  No longdouble
   float operation is involved; the kernel is pure integer arithmetic over
-  the extended representation.
+  the extended representation.  Its scalar twin
+  :meth:`ExtendedBitKernel.round_one` runs the same transform in Python
+  integers on the two words of one value; the 64-bit formats' scalar
+  kernels call it first.
 
 * Binades where the representable values are **not** a uniform power-of-two
   grid — posit/takum extreme regimes, IEEE overflow and deep-subnormal
@@ -89,22 +92,17 @@ from ..telemetry import core as _telemetry
 from ..telemetry.metrics import metrics as _metrics
 
 #: deferred telemetry tallies (same pattern as ``base._dispatch_tally``:
-#: kernel calls are too hot for per-call registry lookups, so plain dicts
-#: accumulate here and the registry drains them at read time):
-#: ``(family, event) -> count`` for scratch alloc/reuse decisions
-_scratch_tally: dict[tuple[str, str], int] = {}
-#: ``(family, bits) -> [elements, lut_fallback, zero_peeled]``
+#: kernel calls are too hot for per-call registry lookups, so each kernel
+#: holds a preallocated counter cell and the registry drains the cells at
+#: read time): ``(family, bits) -> [elements, lut_fallback, zero_peeled,
+#: scratch_alloc, scratch_reuse]``, shared by the kernels of one format
 _round_tally: dict[tuple[str, int], list] = {}
 
 
 def _flush_bitkernel_tally(discard: bool = False) -> None:
     """Drain the deferred kernel tallies into the registry (or drop)."""
-    for (family, event), count in _scratch_tally.items():
-        if count and not discard:
-            _metrics.counter("bitkernel.scratch", family=family, event=event).inc(count)
-        _scratch_tally[family, event] -= count
-    for (family, bits), entry in _round_tally.items():
-        elements, lut, peeled = entry[0], entry[1], entry[2]
+    for (family, bits), cell in _round_tally.items():
+        elements, lut, peeled, alloc, reuse = cell
         if not discard:
             if elements:
                 _metrics.counter("bitkernel.elements", family=family, bits=bits).inc(elements)
@@ -112,9 +110,15 @@ def _flush_bitkernel_tally(discard: bool = False) -> None:
                 _metrics.counter("bitkernel.lut_fallback", family=family, bits=bits).inc(lut)
             if peeled:
                 _metrics.counter("bitkernel.zero_peeled", family=family, bits=bits).inc(peeled)
-        entry[0] -= elements
-        entry[1] -= lut
-        entry[2] -= peeled
+            if alloc:
+                _metrics.counter("bitkernel.scratch", family=family, event="alloc").inc(alloc)
+            if reuse:
+                _metrics.counter("bitkernel.scratch", family=family, event="reuse").inc(reuse)
+        cell[0] -= elements
+        cell[1] -= lut
+        cell[2] -= peeled
+        cell[3] -= alloc
+        cell[4] -= reuse
 
 
 _metrics.register_flusher(_flush_bitkernel_tally)
@@ -232,6 +236,7 @@ class BitKernel:
     def __init__(self, bits: int, resolve: Callable[[np.ndarray], np.ndarray]):
         self.bits = int(bits)
         self._resolve = resolve
+        self._tally = _round_tally.setdefault((self.family, self.bits), [0] * 5)
         self._scratch: dict[int, tuple] = {}
         self._large_scratch: Optional[tuple] = None  # (size, bufs)
         exp_fields = 1 << self.WORD_EXP_BITS
@@ -315,11 +320,9 @@ class BitKernel:
             else:
                 self._large_scratch = (size, bufs)
             if _telemetry.ENABLED:
-                key = (self.family, "alloc")
-                _scratch_tally[key] = _scratch_tally.get(key, 0) + 1
+                self._tally[3] += 1
         elif _telemetry.ENABLED:
-            key = (self.family, "reuse")
-            _scratch_tally[key] = _scratch_tally.get(key, 0) + 1
+            self._tally[4] += 1
         return bufs
 
     def round(self, values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -392,13 +395,10 @@ class BitKernel:
                 acc[mask] = res
         if _telemetry.ENABLED:
             # LUT fallback fraction = lut_fallback / elements per family
-            key = (self.family, self.bits)
-            entry = _round_tally.get(key)
-            if entry is None:
-                entry = _round_tally[key] = [0, 0, 0]
-            entry[0] += flat.size
-            entry[1] += resolved
-            entry[2] += peeled
+            tally = self._tally
+            tally[0] += flat.size
+            tally[1] += resolved
+            tally[2] += peeled
         if out is None:
             out = np.empty(x.shape, dtype=np.float64)
         # copyto handles non-contiguous out (e.g. a column view being
@@ -802,6 +802,18 @@ class ExtendedBitKernel(BitKernel):
     #: sign + 15-bit exponent; everything above is padding garbage
     _HI_MASK = _U(0xFFFF)
 
+    def __init__(self, *args):
+        super().__init__(*args)
+        exp_fields = 1 << self.WORD_EXP_BITS
+        # scalar twin's LUT: one Python int per 15-bit biased exponent (the
+        # sign half mirrors it), the shift of a served binade or 0 for a
+        # special one; the bias is derived from the shift, not stored
+        self._shift_one = np.where(
+            self._special[:exp_fields] == 0, self._shift[:exp_fields], _U(0)
+        ).tolist()
+        self._one = np.empty(1, dtype=np.longdouble)
+        self._one_words = self._one.view(_U)  # [significand, sign/exponent]
+
     def decode(self, codes) -> np.ndarray:
         raise NotImplementedError(
             "extended kernels have no vectorised codec; use the format's "
@@ -879,13 +891,10 @@ class ExtendedBitKernel(BitKernel):
                 acc[mask] = rlo
                 hexp[mask] = rhi
         if _telemetry.ENABLED:
-            key = (self.family, self.bits)
-            entry = _round_tally.get(key)
-            if entry is None:
-                entry = _round_tally[key] = [0, 0, 0]
-            entry[0] += flat.size
-            entry[1] += resolved
-            entry[2] += peeled
+            tally = self._tally
+            tally[0] += flat.size
+            tally[1] += resolved
+            tally[2] += peeled
         # reassemble into canonical 16-byte slots: the padding bytes of
         # every output word are written as zeros (the input padding is
         # unspecified memory and must not leak into results)
@@ -895,6 +904,35 @@ class ExtendedBitKernel(BitKernel):
             out = np.empty(x.shape, dtype=np.longdouble)
         np.copyto(out, pair.view(np.longdouble).reshape(x.shape))
         return out
+
+    def round_one(self, value):
+        """Scalar twin of :meth:`round` for one value.
+
+        Runs the same two-word RNE transform in Python integers on the
+        words of a one-element longdouble buffer the kernel owns, writes
+        the result words back with zero padding, and returns the buffer's
+        value as a fresh ``numpy.longdouble`` scalar, bit-identical to the
+        vector kernel's.  Returns ``None``
+        when the value lies in a special binade (zeros, subnormals,
+        inf/NaN, the family's extreme binades): the caller rounds those
+        without the kernel.  Counts no telemetry, like the scalar kernels.
+        The buffer makes it non-reentrant, like the kernel's scratch sets
+        (see the module note).
+        """
+        words = self._one_words
+        self._one[0] = value
+        lo, hi = words.tolist()
+        hi &= 0xFFFF  # drop the padding bytes
+        s = self._shift_one[hi & 0x7FFF]
+        if not s:
+            return None
+        lo = ((lo + (1 << (s - 1)) - 1 + ((lo >> s) & 1)) >> s) << s
+        if lo >> 64:  # carry out of the binade: 1.0 one binade up
+            lo = 1 << 63
+            hi += 1
+        words[0] = lo
+        words[1] = hi
+        return self._one[0]
 
 
 class PositExtendedBitKernel(ExtendedBitKernel, PositBitKernel):

@@ -13,10 +13,15 @@ Posit semantics implemented here:
   saturate at ``minpos``/``maxpos``,
 * no signed zero and no infinities.
 
-The hot path (:meth:`PositFormat.round_array`) is fully vectorised: formats of
-16 bits or fewer use an exact table of representable magnitudes, wider formats
-use an analytic binade-quantum computation with a small table for the extreme
-regime regions (where fewer than one fraction bit survives).
+Rounding (:meth:`~repro.arithmetic.base.NumberFormat.round_array`) takes the
+format's scalar kernel for scalars and tiny arrays and its integer bit kernel
+(:mod:`repro.arithmetic.bitkernels`) above the cutoff; posit64 works in
+``numpy.longdouble`` and rounds its scalars through the two-word kernel's
+scalar twin.  The analytic kernels stay the ground truth and serve the
+binades the bit kernels hand back: formats of 16 bits or fewer search the
+sorted list of their representable magnitudes, wider formats compute the
+binade quantum, with short magnitude lists for the extreme regime regions
+(where fewer than one fraction bit survives).
 """
 
 from __future__ import annotations
@@ -89,15 +94,19 @@ class PositFormat(NumberFormat):
         self._lo_table: tuple[np.ndarray, np.ndarray] | None = None
         self._hi_table: tuple[np.ndarray, np.ndarray] | None = None
         self._scalar_state: tuple | None = None
-        # the longdouble kernel pays NumPy scalar dispatch (~4 us/element),
-        # which moves its break-even against the vector kernel down to ~8
+        # without a bit kernel the longdouble scalar kernel pays NumPy
+        # scalar dispatch (~4 us/element), which moves its break-even
+        # against the analytic vector kernel down to ~8
         self.scalar_cutoff = (
             WIDE_SCALAR_CUTOFF if self.work_dtype is np.float64 else SCALAR_CUTOFF
         )
         if self.work_dtype is np.longdouble:
-            # the two-word bitkernel's fixed cost (~12 us) is below two
-            # longdouble scalar roundings, so hand off almost immediately
-            self.bitkernel_scalar_cutoff = 2
+            # with a bit kernel the scalar kernel is the two-word kernel's
+            # scalar twin: its loop costs ~1.1 us/element against the
+            # kernel's ~12 us per call, so the loop wins up to 8 elements
+            # and the two cross near 10 (bench_micro_rounding.py's
+            # small-array report)
+            self.bitkernel_scalar_cutoff = 8
 
     # ------------------------------------------------------------------ #
     # bit-level
@@ -300,11 +309,16 @@ class PositFormat(NumberFormat):
     def round_scalar_analytic(self, value):
         """Scalar twin of :meth:`round_array_analytic` for one value.
 
-        Pure-Python ``math.frexp``/``math.ldexp`` kernel (NumPy scalar ops
-        for the extended-precision 64-bit format), bit-identical to the
-        vector kernel: same clamp to ``maxpos``, same binade-quantum
+        Pure-Python ``math.frexp``/``math.ldexp`` kernel, bit-identical to
+        the vector kernel: same clamp to ``maxpos``, same binade-quantum
         rounding with ties to even, same extreme-regime magnitude lists, same
-        saturation.  Verified by ``tests/test_scalar_rounding.py``.
+        saturation.  The extended-precision 64-bit format rounds through
+        the two-word bit kernel's scalar twin
+        (:meth:`~repro.arithmetic.bitkernels.ExtendedBitKernel.round_one`)
+        and runs the same structure on NumPy longdouble scalars for the
+        special binades, with the bit kernels disabled and on hosts without
+        the x87 layout.  Verified by ``tests/test_scalar_rounding.py`` and
+        ``tests/test_bitkernels_64bit.py``.
         """
         state = self._scalar_state
         if state is None:
@@ -343,7 +357,14 @@ class PositFormat(NumberFormat):
                 elif mag > maxpos:
                     mag = maxpos
             return -mag if v < 0.0 else mag
-        # extended-precision (longdouble) twin: same structure, NumPy scalars
+        # extended precision: the two-word bit kernel's scalar twin serves
+        # every LUT-served binade; the NumPy-scalar kernel below keeps the
+        # special binades, disabled kernels and non-x87 hosts
+        kern = self.bitkernel()
+        if kern is not None:
+            res = kern.round_one(value)
+            if res is not None:
+                return res
         wd = self.work_dtype
         v = value if isinstance(value, wd) else wd(value)
         if v != v or v == np.inf or v == -np.inf:

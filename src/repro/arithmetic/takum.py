@@ -85,15 +85,19 @@ class TakumFormat(NumberFormat):
         self._max_value = self._decode_magnitude_of_code((1 << (self.bits - 1)) - 1)
         self._min_positive = self._decode_magnitude_of_code(1)
         self._scalar_state: tuple | None = None
-        # the longdouble kernel pays NumPy scalar dispatch (~4 us/element),
-        # which moves its break-even against the vector kernel down to ~8
+        # without a bit kernel the longdouble scalar kernel pays NumPy
+        # scalar dispatch (~4 us/element), which moves its break-even
+        # against the analytic vector kernel down to ~8
         self.scalar_cutoff = (
             WIDE_SCALAR_CUTOFF if self.work_dtype is np.float64 else SCALAR_CUTOFF
         )
         if self.work_dtype is np.longdouble:
-            # the two-word bitkernel's fixed cost (~12 us) is below two
-            # longdouble scalar roundings, so hand off almost immediately
-            self.bitkernel_scalar_cutoff = 2
+            # with a bit kernel the scalar kernel is the two-word kernel's
+            # scalar twin: its loop costs ~1.1 us/element against the
+            # kernel's ~12 us per call, so the loop wins up to 8 elements
+            # and the two cross near 10 (bench_micro_rounding.py's
+            # small-array report)
+            self.bitkernel_scalar_cutoff = 8
 
     def _decode_magnitude_of_code(self, code: int):
         return abs(self.decode_code(code))
@@ -241,12 +245,17 @@ class TakumFormat(NumberFormat):
     def round_scalar_analytic(self, value):
         """Scalar twin of :meth:`round_array_analytic` for one value.
 
-        Pure-Python ``math.frexp``/``math.ldexp`` kernel (NumPy scalar ops
-        for the extended-precision 64-bit format).  The characteristic-field
-        length ``r = floor(log2(...))`` is computed exactly with integer
-        ``bit_length`` instead of a float ``log2``; everything else mirrors
-        the vector kernel operation for operation.  Verified bit-identical
-        by ``tests/test_scalar_rounding.py``.
+        Pure-Python ``math.frexp``/``math.ldexp`` kernel.  The
+        characteristic-field length ``r = floor(log2(...))`` is computed
+        exactly with integer ``bit_length`` instead of a float ``log2``;
+        everything else mirrors the vector kernel operation for operation.
+        The extended-precision 64-bit format rounds through the two-word
+        bit kernel's scalar twin
+        (:meth:`~repro.arithmetic.bitkernels.ExtendedBitKernel.round_one`)
+        and runs the same structure on NumPy longdouble scalars for the
+        special binades, with the bit kernels disabled and on hosts without
+        the x87 layout.  Verified bit-identical by
+        ``tests/test_scalar_rounding.py`` and ``tests/test_bitkernels_64bit.py``.
         """
         state = self._scalar_state
         if state is None:
@@ -280,7 +289,14 @@ class TakumFormat(NumberFormat):
                 elif mag > maxval:
                     mag = maxval
             return -mag if v < 0.0 else mag
-        # extended-precision (longdouble) twin: same structure, NumPy scalars
+        # extended precision: the two-word bit kernel's scalar twin serves
+        # every LUT-served binade; the NumPy-scalar kernel below keeps the
+        # special binades, disabled kernels and non-x87 hosts
+        kern = self.bitkernel()
+        if kern is not None:
+            res = kern.round_one(value)
+            if res is not None:
+                return res
         wd = self.work_dtype
         v = value if isinstance(value, wd) else wd(value)
         if v != v or v == np.inf or v == -np.inf:

@@ -174,7 +174,9 @@ class MetricsRegistry:
         Per-element instrumentation (the rounding dispatch of
         ``arithmetic/base.py`` and the kernels under it) cannot afford a
         registry lookup — or even a lock acquisition — per call; those
-        sites accumulate into plain module-local dicts and register a
+        sites accumulate into preallocated counter cells (plain lists held
+        by each format and kernel, indexed in module-local dicts) and
+        register a
         ``flush(discard)`` callable here.  Every read path (:meth:`snapshot`,
         :meth:`counters`, :meth:`value`, :meth:`sum_counters`) drains the
         tallies first, so readers always observe exact totals;

@@ -40,6 +40,8 @@ from tests._kernel_harness import (
     binade_boundary_codes,
     code_midpoints,
     differential_round_check,
+    midpoint_sweep,
+    random_sweep,
     run_differential_sweeps,
 )
 
@@ -218,3 +220,161 @@ def test_forced_fallback_dispatch_round_array(degraded_longdouble, family):
     assert_rounded_equal(
         fmt.round_array(x.copy()), fmt.round_array_analytic(x.copy()), fmt.name
     )
+
+
+# --------------------------------------------------------------------- #
+# scalar twin: ExtendedBitKernel.round_one
+# --------------------------------------------------------------------- #
+_EXP_FIELDS = 1 << 15
+_SIG_TOP = 1 << 63
+
+
+def _from_words(sigs, his) -> np.ndarray:
+    """Longdouble array assembled from significand and sign/exponent words."""
+    words = np.empty(2 * len(sigs), dtype=np.uint64)
+    words[0::2] = np.asarray(sigs, dtype=np.uint64)
+    words[1::2] = np.asarray(his, dtype=np.uint64)
+    return words.view(np.longdouble)
+
+
+def _masked_words(values) -> tuple:
+    """(significand, sign/exponent) words, padding bytes dropped."""
+    u = np.ascontiguousarray(values, dtype=np.longdouble).reshape(-1).view(np.uint64)
+    return u[0::2].copy(), u[1::2] & np.uint64(0xFFFF)
+
+
+def _round_one_elementwise(fmt):
+    """``round_one`` element by element; the values it hands back (``None``)
+    take the format's scalar kernel."""
+    kern = fmt.bitkernel()
+
+    def round_fn(values):
+        out = np.empty(values.shape, dtype=np.longdouble)
+        for i, v in enumerate(values):
+            res = kern.round_one(v)
+            out[i] = fmt.round_scalar_analytic(v) if res is None else res
+        return out
+
+    return round_fn
+
+
+def _assert_round_one_words(fmt, values, context):
+    """``round_one`` on every (served) value equals the analytic kernel word
+    for word, and leaves zero padding in the kernel's buffer."""
+    kern = fmt.bitkernel()
+    got = np.empty(values.shape, dtype=np.longdouble)
+    for i, v in enumerate(values):
+        res = kern.round_one(v)
+        assert res is not None, f"{fmt.name}{context}: {v!r} not served"
+        assert int(kern._one_words[1]) >> 16 == 0, f"{fmt.name}{context}: padding"
+        got[i] = res
+    expected = fmt.round_array_analytic(values.copy())
+    for g, e in zip(_masked_words(got), _masked_words(expected)):
+        assert np.array_equal(g, e), f"{fmt.name}{context}: words differ"
+
+
+def _served_fields(kern) -> list:
+    return [e for e in range(_EXP_FIELDS) if kern._shift_one[e]]
+
+
+@extended_only
+@pytest.mark.parametrize("name", FORMATS_64)
+def test_round_one_differential_sweeps(name):
+    fmt = get_format(name)
+    run_differential_sweeps(fmt, _round_one_elementwise(fmt), n=10_000, seed=23, span=96)
+
+
+@extended_only
+@pytest.mark.parametrize("name", FORMATS_64)
+def test_round_one_every_served_binade(name):
+    """Every served exponent field, both signs: a random significand, the
+    all-ones significand (its round-up carries out of the binade) and the
+    exact midpoints of codes inside the binade."""
+    fmt = get_format(name)
+    kern = fmt.bitkernel()
+    fields = _served_fields(kern)
+    assert len(fields) > 400, "too few served binades"
+    rng = np.random.default_rng(37)
+    random_sigs = rng.integers(0, 1 << 63, len(fields), dtype=np.uint64) | np.uint64(_SIG_TOP)
+    for sign in (0, 1 << 15):
+        his = [e | sign for e in fields]
+        _assert_round_one_words(fmt, _from_words(random_sigs, his), " random significand")
+        ones = [(1 << 64) - 1] * len(fields)
+        _assert_round_one_words(fmt, _from_words(ones, his), " all-ones significand")
+    exponents = [e - kern.WORD_BIAS for e in fields]
+    mids = code_midpoints(fmt, binade_boundary_codes(fmt, exponents, window=2))
+    served = np.asarray([kern.round_one(m) is not None for m in mids])
+    assert served.sum() > 1_000, "too few served midpoints"
+    _assert_round_one_words(fmt, mids[served], " midpoints")
+
+
+@extended_only
+@pytest.mark.parametrize("name", FORMATS_64)
+def test_round_one_hands_back_every_special(name):
+    """``None`` for zeros, subnormals, inf/NaN and every special binade
+    (extreme regimes, characteristic bounds), in both signs."""
+    fmt = get_format(name)
+    kern = fmt.bitkernel()
+    special = [e for e in range(_EXP_FIELDS) if not kern._shift_one[e]]
+    assert {0, _EXP_FIELDS - 1} <= set(special)
+    for sign in (0, 1 << 15):
+        sigs = [_SIG_TOP | 0x1234567] * len(special)
+        values = _from_words(sigs, [e | sign for e in special])
+        extra = _from_words(
+            [0, 1, _SIG_TOP - 1, _SIG_TOP, _SIG_TOP | (1 << 62)],  # zero, subnormals, inf, NaN
+            [sign, sign, sign, sign | 0x7FFF, sign | 0x7FFF],
+        )
+        for v in np.concatenate([values, extra]):
+            assert kern.round_one(v) is None, f"{name}: {v!r} served"
+
+
+@extended_only
+@pytest.mark.parametrize("name", FORMATS_64)
+def test_round_one_masks_input_padding(name):
+    """Garbage in the six padding bytes of the input is dropped and the
+    kernel writes the result words back with zero padding."""
+    fmt = get_format(name)
+    kern = fmt.bitkernel()
+    x = np.asarray([np.longdouble(1) / np.longdouble(3), -np.longdouble(7) / np.longdouble(9)])
+    dirty = x.copy()
+    dirty.view(np.uint64)[1::2] |= np.uint64(0xFFFFFFFFFFFF) << np.uint64(16)
+    expected = fmt.round_array_analytic(x)
+    for v, e in zip(dirty, expected):
+        res = kern.round_one(v)
+        assert int(kern._one_words[1]) >> 16 == 0
+        assert res == e
+
+
+@extended_only
+@pytest.mark.parametrize("name", FORMATS_64)
+def test_round_one_results_are_independent(name):
+    """Two back-to-back calls return independent scalars, not views of the
+    kernel's buffer."""
+    fmt = get_format(name)
+    kern = fmt.bitkernel()
+    a, b = np.longdouble(1) / np.longdouble(3), np.longdouble(-5) / np.longdouble(7)
+    ra = kern.round_one(a)
+    rb = kern.round_one(b)
+    assert ra == fmt.round_array_analytic(np.asarray([a]))[0]
+    assert rb == fmt.round_array_analytic(np.asarray([b]))[0]
+    assert ra != rb
+    assert isinstance(ra, np.longdouble) and isinstance(rb, np.longdouble)
+
+
+@extended_only
+@pytest.mark.parametrize("name", FORMATS_64)
+def test_round_scalar_identical_with_kernels_disabled(name):
+    """``round_scalar_analytic`` returns the same words through the scalar
+    twin as through the NumPy-scalar kernel (bit kernels off)."""
+    fmt = get_format(name)
+    values = np.concatenate([random_sweep(fmt, 4_000, seed=41), midpoint_sweep(fmt, 64)])
+    on = np.asarray([fmt.round_scalar_analytic(v) for v in values], dtype=np.longdouble)
+    previous = bk.set_enabled(False)
+    try:
+        off = np.asarray([fmt.round_scalar_analytic(v) for v in values], dtype=np.longdouble)
+    finally:
+        bk.set_enabled(previous)
+    nan_on, nan_off = np.isnan(on), np.isnan(off)
+    assert np.array_equal(nan_on, nan_off)
+    for g, e in zip(_masked_words(on[~nan_on]), _masked_words(off[~nan_off])):
+        assert np.array_equal(g, e), name

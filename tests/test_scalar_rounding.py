@@ -14,6 +14,7 @@ The sweeps and the scalar-vs-vector comparator come from
 """
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -188,6 +189,30 @@ class TestContextScalarOps:
         eps = np.finfo(np.longdouble).eps
         out = ctx.add(one, np.longdouble(eps))
         assert out > one  # a float64 round-trip would have lost the eps
+
+    @pytest.mark.parametrize("name", ["posit64", "takum64", "posit32", "reference", "float32"])
+    @pytest.mark.parametrize("op", ["add", "sub", "mul"])
+    def test_scalar_ops_match_casting_both_operands(self, name, op):
+        """``_scalar_add/_sub/_mul`` skip the cast of an operand that
+        already is the work dtype; type and bits must stay those of casting
+        both operands and rounding the result."""
+        ctx = get_context(name)
+        dt = ctx.dtype
+        fn = getattr(ctx, f"_scalar_{op}")
+        pyop = getattr(operator, op)
+        third = np.longdouble(1.0) / np.longdouble(3.0)
+        operands = [0.3123, -1.7, np.float64(2.5e-3), np.float64(-7.25), third, -third, dt(third)]
+        nbytes = 10 if dt is np.longdouble else np.dtype(dt).itemsize  # skip x87 padding
+
+        def bits(x):
+            return np.asarray([x]).tobytes()[:nbytes]
+
+        for a in operands:
+            for b in operands:
+                got = fn(a, b)
+                expected = ctx.round_scalar(pyop(dt(a), dt(b)))
+                assert type(got) is type(expected) is dt, (name, op, a, b)
+                assert bits(got) == bits(expected), (name, op, a, b)
 
     def test_longdouble_emulated_scalar_ops_keep_precision(self):
         """posit64 scalar ops must not round-trip through Python floats."""

@@ -9,9 +9,9 @@ The package is organised as:
   per-operation rounding compute contexts;
 * :mod:`repro.sparse` — CSR/COO sparse-matrix substrate, Matrix Market and
   edge-list I/O, graph-Laplacian preparation;
-* :mod:`repro.linalg` — dense kernels (Hessenberg, real Schur, symmetric
-  tridiagonal QL) written against the compute contexts, plus the Hungarian
-  assignment algorithm;
+* :mod:`repro.linalg` — dense kernels (Householder reflectors, symmetric
+  tridiagonalisation and QL) written against the compute contexts, plus the
+  Hungarian assignment algorithm;
 * :mod:`repro.core` — the implicitly restarted Arnoldi method with
   Krylov-Schur restarts (``partialschur``);
 * :mod:`repro.datasets` — synthetic stand-ins for the SuiteSparse Matrix

@@ -31,10 +31,10 @@ and non-cast IEEE/OFP8 format) and each format's pure-Python scalar kernel
 (``round_scalar_analytic``), which serves scalars and tiny arrays — the
 regime of the solvers' elementwise operations — without NumPy dispatch
 overhead; see ``docs/architecture.md`` for the dispatch matrix.  The
-analytic vector kernels remain available as ground truth
-(``round_array_analytic``), per context through
-``ContextSpec(kernels="analytic")`` and process-wide for the bit kernels
-through ``set_bitkernels_enabled(False)`` / ``REPRO_DISABLE_BITKERNELS=1``.
+format alone decides how a value rounds.  The analytic vector kernels
+remain the ground truth (``round_array_analytic``); the one opt-out,
+``set_bitkernels_enabled(False)`` / ``REPRO_DISABLE_BITKERNELS=1``, turns
+the bit kernels off process-wide so arrays round through them.
 """
 
 from .base import LONGDOUBLE_EXTENDED, NumberFormat, RoundingInfo

@@ -239,7 +239,7 @@ class NumberFormat(ABC):
     :meth:`round_array` has one rule.  Arrays of up to the format's
     cutoff — the regime of the solvers' elementwise Givens/QL operations —
     round element-wise through the format's pure-Python scalar kernel
-    (:attr:`has_scalar_kernel` / :meth:`round_scalar_analytic`), which skips
+    (:meth:`round_scalar_analytic`), which skips
     the NumPy dispatch round-trips of the vector kernels; larger arrays
     round through the format's integer bit kernel
     (:mod:`repro.arithmetic.bitkernels`), or through the vectorised
@@ -249,12 +249,11 @@ class NumberFormat(ABC):
     ``tests/test_scalar_rounding.py`` and ``tests/test_bitkernels.py``
     (every value and every tie of every format up to 16 bits).
 
-    The fast kernels can be bypassed for verification:
+    The format alone decides how a value rounds; the one opt-out is
     ``REPRO_DISABLE_BITKERNELS=1`` (or, at runtime,
-    :func:`repro.arithmetic.set_bitkernels_enabled`) turns the bit kernels
-    off process-wide, and ``ContextSpec(kernels="analytic")`` forces one
-    context onto the analytic *vector* kernels for arrays and scalars
-    alike, bypassing the scalar kernels as well.
+    :func:`repro.arithmetic.set_bitkernels_enabled`), which turns the bit
+    kernels off process-wide so arrays above the cutoff round through the
+    analytic vector kernels.
     """
 
     #: short identifier, e.g. ``"posit16"``
@@ -268,9 +267,6 @@ class NumberFormat(ABC):
     #: whether out-of-range magnitudes saturate (tapered formats) instead of
     #: overflowing to infinity/NaN
     saturating: bool = False
-    #: whether :meth:`round_scalar_analytic` implements a fast scalar kernel
-    #: (as opposed to the default fallback through the vector kernel)
-    has_scalar_kernel: bool = False
     #: largest array size :meth:`round_array` routes through the scalar
     #: kernel when no bit kernel serves the format; 0 disables the scalar
     #: dispatch (formats whose vector kernel is a plain dtype cast)
@@ -426,9 +422,7 @@ class NumberFormat(ABC):
         values = np.asarray(values, dtype=self.work_dtype)
         n = values.size
         kern = self.bitkernel()
-        if self.has_scalar_kernel and n <= (
-            self.scalar_cutoff if kern is None else self.bitkernel_scalar_cutoff
-        ):
+        if n <= (self.scalar_cutoff if kern is None else self.bitkernel_scalar_cutoff):
             if _telemetry.ENABLED:
                 cell = self._dispatch_cell
                 cell[0] += 1
@@ -457,7 +451,7 @@ class NumberFormat(ABC):
         else through :meth:`round_array_analytic`.  Most kernel calls hand
         back only a few elements, where one analytic call (~40 us fixed)
         costs far more than the scalar loop."""
-        if self.has_scalar_kernel and values.size <= self.scalar_cutoff:
+        if values.size <= self.scalar_cutoff:
             return self._round_small_array(values)
         return self.round_array_analytic(values)
 
@@ -494,8 +488,8 @@ class NumberFormat(ABC):
         ``numpy.longdouble`` scalar for extended-precision formats),
         bit-identical to what the vector kernel produces for the same input.
 
-        The default implementation falls back to the vector kernel; formats
-        that set :attr:`has_scalar_kernel` override it with a pure-Python
+        The default implementation falls back to the vector kernel; every
+        format family overrides it with a pure-Python
         (``math.frexp``/``math.ldexp``) kernel that skips NumPy dispatch.
         """
         return self.round_array_analytic(

@@ -40,7 +40,7 @@ LUTs of the one-word integer bit kernels (:mod:`repro.arithmetic.
 bitkernels`) into one ``(n_formats * 4096)`` table indexed by
 ``row * 4096 + (word >> 52)``, so one fused vector pass rounds every row by
 its own format.  Rows the kernels cannot serve (two-word 64-bit formats,
-``kernels="analytic"`` verification contexts) fall back to their own
+any format while the bit kernels are disabled) fall back to their own
 context's ``round`` / ``round_scalar`` — slower, still bit-identical.
 """
 
@@ -89,7 +89,7 @@ class BatchSpec:
     The order is the row order of every stacked array; results are reported
     in the same order.  All specs must agree on ``accumulation`` (mixing
     reduction orders in one lockstep sweep would make the shared index
-    bookkeeping ambiguous); ``count_ops`` may vary per row.
+    bookkeeping ambiguous).
 
     Rows may also be given as already-built
     :class:`~repro.arithmetic.context.ComputeContext` instances;
@@ -107,14 +107,7 @@ class BatchSpec:
         for s in items:
             if isinstance(s, ComputeContext):
                 prebuilt.append(s)
-                canonical.append(
-                    ContextSpec(
-                        format=s.name,
-                        accumulation=s.accumulation,
-                        kernels=getattr(s, "kernels", "fast"),
-                        count_ops=s.count_ops,
-                    )
-                )
+                canonical.append(ContextSpec(format=s.name, accumulation=s.accumulation))
             else:
                 prebuilt.append(None)
                 canonical.append(_as_spec(s))
@@ -257,10 +250,6 @@ class _RowRounder:
         if isinstance(ctx, NativeContext):
             return _IDENTITY, None
         if not isinstance(ctx, EmulatedContext):  # pragma: no cover - defensive
-            return _FALLBACK, None
-        if ctx.kernels == "analytic":
-            # verification contexts: honour the row's own kernel selection
-            # through its round()/round_scalar()
             return _FALLBACK, None
         kern = ctx.format.bitkernel()
         if (
@@ -447,7 +436,6 @@ class BatchedContext:
         self.nrows = len(contexts)
         self.dtype = contexts[0].dtype
         self.accumulation = contexts[0].accumulation
-        self.count_ops = any(ctx.count_ops for ctx in contexts)
         self.names = tuple(ctx.name for ctx in contexts)
         self._rounder = _RowRounder(contexts)
         #: deferred per-op tallies: (rows, elements-per-row) pairs folded
@@ -469,8 +457,7 @@ class BatchedContext:
     # rounding & tallies
     # ------------------------------------------------------------------ #
     def _tally(self, rows, n: int) -> None:
-        if self.count_ops:
-            self._pending_tallies.append((rows, n))
+        self._pending_tallies.append((rows, n))
 
     def flush_op_counts(self) -> None:
         """Fold the deferred per-op tallies into the row contexts.
@@ -487,7 +474,7 @@ class BatchedContext:
             np.add.at(totals, rows, n)
         self._pending_tallies.clear()
         for i, ctx in enumerate(self.rows):
-            if ctx.count_ops and totals[i]:
+            if totals[i]:
                 ctx.op_count += int(totals[i])
 
     def round(self, arr: np.ndarray, rows: np.ndarray) -> np.ndarray:

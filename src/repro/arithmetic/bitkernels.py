@@ -72,9 +72,10 @@ encoders, and vectorised decoding used (among others) by the narrow
 formats to enumerate their magnitude lists.
 
 The engine can be disabled for verification with the environment variable
-``REPRO_DISABLE_BITKERNELS=1`` or at runtime with :func:`set_enabled`; the
-analytic kernels (``round_array_analytic``) remain the ground truth and are
-also reachable per context via ``get_context(name, kernels="analytic")``.
+``REPRO_DISABLE_BITKERNELS=1`` or at runtime with :func:`set_enabled`, the
+library's one rounding opt-out; the analytic vector kernels
+(``round_array_analytic``) remain the ground truth and then serve every
+array above the scalar cutoff.
 
 Note: the per-size scratch buffers make a kernel instance not reentrant;
 this matches the library's existing single-threaded-per-context model (the
@@ -169,8 +170,9 @@ _ENABLED = os.environ.get("REPRO_DISABLE_BITKERNELS", "").lower() not in (
 def set_enabled(enabled: bool) -> bool:
     """Globally enable/disable the bit kernels; returns the previous state.
 
-    Intended for verification runs that want to force the analytic kernels
-    (``REPRO_DISABLE_BITKERNELS=1`` has the same effect at start-up).
+    Intended for verification runs that want to force the analytic vector
+    kernels (``REPRO_DISABLE_BITKERNELS=1`` has the same effect at
+    start-up).
     """
     global _ENABLED
     previous = _ENABLED

@@ -62,26 +62,18 @@ __all__ = [
     "DynamicRangeError",
 ]
 
-#: rounding-kernel selections of an emulated context: ``"fast"`` picks the
-#: format's scalar and bit kernels, ``"analytic"`` forces the analytic
-#: vector kernels (the ground truth the fast kernels are verified against)
-_KERNELS = ("fast", "analytic")
-
-
-def _check_kernels(kernels: str) -> None:
-    if kernels not in _KERNELS:
-        raise ValueError(f"kernels must be one of {_KERNELS}, got {kernels!r}")
-
-
 @dataclasses.dataclass(frozen=True)
 class ContextSpec:
     """Declarative description of a compute context.
 
-    Replaces the loose ``(name, accumulation=..., kernels=..., ...)``
-    keyword plumbing between the CLI, the experiment runner and
-    :func:`get_context`: one frozen, picklable value names the arithmetic
-    *and* how it is evaluated, and can be passed wherever a format name is
-    accepted (``get_context(spec)``, ``partialschur(..., ctx=spec)``).
+    Replaces the loose ``(name, accumulation=...)`` keyword plumbing
+    between the CLI, the experiment runner and :func:`get_context`: one
+    frozen, picklable value names the arithmetic *and* its reduction order,
+    and can be passed wherever a format name is accepted
+    (``get_context(spec)``, ``partialschur(..., ctx=spec)``).  How a value
+    rounds is the format's own business (see
+    :meth:`~repro.arithmetic.base.NumberFormat.round_array`), and every
+    context tallies its rounded operations in :attr:`ComputeContext.op_count`.
 
     Attributes
     ----------
@@ -91,21 +83,10 @@ class ContextSpec:
     accumulation:
         Reduction order of the rounded kernels (``"pairwise"`` or
         ``"sequential"``).
-    kernels:
-        Rounding kernels of an emulated context, ``"fast"`` (default) or
-        ``"analytic"`` (see :class:`EmulatedContext`).  Ignored by native
-        contexts.
-    count_ops:
-        Whether the context tallies rounded elementary operations.
     """
 
     format: str = "float64"
     accumulation: str = "pairwise"
-    kernels: str = "fast"
-    count_ops: bool = True
-
-    def __post_init__(self):
-        _check_kernels(self.kernels)
 
     def build(self) -> "ComputeContext":
         """Construct the described compute context."""
@@ -146,11 +127,10 @@ class ComputeContext(ABC):
     #: accumulation strategy: "pairwise" or "sequential"
     accumulation: str = "pairwise"
 
-    def __init__(self, accumulation: str = "pairwise", count_ops: bool = True):
+    def __init__(self, accumulation: str = "pairwise"):
         if accumulation not in ("pairwise", "sequential"):
             raise ValueError("accumulation must be 'pairwise' or 'sequential'")
         self.accumulation = accumulation
-        self.count_ops = count_ops
         self.op_count: int = 0
         # ops already flushed into the telemetry registry (publish_op_count)
         self._published_ops: int = 0
@@ -255,8 +235,7 @@ class ComputeContext(ABC):
         return cls(self, value)
 
     def _tally(self, n: int) -> None:
-        if self.count_ops:
-            self.op_count += int(n)
+        self.op_count += int(n)
 
     def publish_op_count(self) -> int:
         """Flush the context-local op tally into the telemetry registry.
@@ -299,8 +278,7 @@ class ComputeContext(ABC):
     # costs ~0.5 us on a longdouble).
 
     def _scalar_add(self, a, b):
-        if self.count_ops:
-            self.op_count += 1
+        self.op_count += 1
         if self.dtype is np.float64:
             return self.round_scalar(float(a) + float(b))
         dt = self.dtype
@@ -309,8 +287,7 @@ class ComputeContext(ABC):
         )
 
     def _scalar_sub(self, a, b):
-        if self.count_ops:
-            self.op_count += 1
+        self.op_count += 1
         if self.dtype is np.float64:
             return self.round_scalar(float(a) - float(b))
         dt = self.dtype
@@ -319,8 +296,7 @@ class ComputeContext(ABC):
         )
 
     def _scalar_mul(self, a, b):
-        if self.count_ops:
-            self.op_count += 1
+        self.op_count += 1
         if self.dtype is np.float64:
             return self.round_scalar(float(a) * float(b))
         dt = self.dtype
@@ -329,8 +305,7 @@ class ComputeContext(ABC):
         )
 
     def _scalar_div(self, a, b):
-        if self.count_ops:
-            self.op_count += 1
+        self.op_count += 1
         if self.dtype is np.float64:
             fb = float(b)
             if fb == 0.0:
@@ -341,8 +316,7 @@ class ComputeContext(ABC):
         return self.round_scalar(np.divide(self.dtype(a), self.dtype(b)))
 
     def _scalar_sqrt(self, a):
-        if self.count_ops:
-            self.op_count += 1
+        self.op_count += 1
         if self.dtype is np.float64:
             fa = float(a)
             # math.sqrt raises on negative input where the vector kernel
@@ -593,10 +567,6 @@ class ComputeContext(ABC):
         xs = self.div(x, scale)
         return self.mul(scale, self.sqrt(self.dot(xs, xs)))
 
-    def norm2_naive(self, x):
-        """Unscaled Euclidean norm ``sqrt(dot(x, x))`` (ablation variant)."""
-        return self.sqrt(self.dot(x, x))
-
     def axpy(self, alpha, x, y, out=None):
         """``y + alpha * x`` with per-operation rounding.
 
@@ -838,87 +808,62 @@ class ReferenceContext(NativeContext):
 class EmulatedContext(ComputeContext):
     """Context that rounds every elementary result to a software format.
 
-    Scalars and tiny arrays round through the format's pure-Python scalar
-    kernel, larger arrays through its integer bit kernel or, when there is
-    none, the analytic vector kernel (the dispatch matrix is documented in
-    ``docs/architecture.md``).
+    Every rounding goes to the format, which alone decides how a value
+    rounds: arrays through :meth:`~repro.arithmetic.base.NumberFormat.round_array`
+    (scalar kernel for tiny arrays, integer bit kernel or analytic vector
+    kernel above), scalars through its scalar kernel
+    (:meth:`~repro.arithmetic.base.NumberFormat.round_scalar_analytic`).
+    The dispatch matrix is documented in ``docs/architecture.md``; the one
+    opt-out is the process-wide bit-kernel switch
+    (``REPRO_DISABLE_BITKERNELS`` / :func:`repro.arithmetic.set_bitkernels_enabled`).
 
     Parameters
     ----------
     fmt:
         Target :class:`~repro.arithmetic.base.NumberFormat` or registry
         name.
-    kernels:
-        ``"fast"`` (default) rounds through the dispatch above;
-        ``"analytic"`` forces the analytic *vector* kernels for arrays and
-        scalars alike, bypassing the scalar and bit kernels, so either fast
-        path can be verified against the ground truth.
     """
 
-    def __init__(self, fmt: NumberFormat | str, kernels: str = "fast", **kwargs):
+    def __init__(self, fmt: NumberFormat | str, **kwargs):
         super().__init__(**kwargs)
-        _check_kernels(kernels)
         if isinstance(fmt, str):
             fmt = get_format(fmt)
         self.format = fmt
         self.dtype = fmt.work_dtype
         self.name = fmt.name
         self.bits = fmt.bits
-        self.kernels = kernels
         self._machine_epsilon: Optional[float] = None
         self._inplace_rounding: Optional[bool] = None
 
     def _round_work_inplace(self) -> bool:
         """Whether this format's vector rounding writes into ``out`` natively.
 
-        True when the dispatch lands on an integer bit kernel at vector
-        sizes; False for the analytic kernels (``kernels="analytic"``,
-        formats without a bit kernel), which would pay a copy to honour
-        ``out``.  Cached: the answer only depends on the context
-        configuration (a later global kernel toggle may stale it, which
-        costs at most one copy per op, never correctness).
+        True when an integer bit kernel serves the format at vector sizes;
+        False when the analytic vector kernel does (bit kernels disabled),
+        which would pay a copy to honour ``out``.  Cached: a later global
+        kernel toggle may stale it, which costs at most one copy per op,
+        never correctness.
         """
         flag = self._inplace_rounding
         if flag is None:
-            flag = self.kernels == "fast" and self.format.bitkernel() is not None
-            self._inplace_rounding = flag
+            flag = self._inplace_rounding = self.format.bitkernel() is not None
         return flag
 
     def round(self, values, *, out=None):
-        """Round values to the format through the selected kernels (scalar
-        inputs return work-dtype scalars via :meth:`round_scalar`).  ``out``
-        (keyword-only, may alias ``values``) receives the rounded array —
-        the in-place path the elementwise operations use."""
+        """Round values to the format (scalar inputs return work-dtype
+        scalars via :meth:`round_scalar`).  ``out`` (keyword-only, may
+        alias ``values``) receives the rounded array — the in-place path
+        the elementwise operations use."""
         if _is_scalar(values):
             return self.round_scalar(values)
-        values = np.asarray(values, dtype=self.dtype)
-        if self.kernels == "analytic":
-            res = self.format.round_array_analytic(values)
-            if out is not None:
-                out[...] = res
-                return out
-            return res
         return self.format.round_array(values, out=out)
 
     def round_scalar(self, value):
-        """Round one scalar to the format without an ndarray round-trip.
-
-        Honours the same kernel selection as :meth:`round`:
-        ``kernels="analytic"`` forces the analytic vector kernel, the
-        default the format's scalar kernel (or its vector fallback).
-        Returns a work-dtype scalar (``longdouble`` formats keep their
-        extended precision).
-        """
-        fmt = self.format
-        if self.kernels == "analytic":
-            # verification mode: force the vector analytic ground truth,
-            # bypassing the scalar kernels as well (so a suspect fast path
-            # can actually be isolated)
-            return fmt.round_array_analytic(np.asarray([value], dtype=self.dtype))[0]
-        if fmt.has_scalar_kernel:
-            res = fmt.round_scalar_analytic(value)
-            return res if type(res) is self.dtype else self.dtype(res)
-        return fmt.round_array(np.asarray([value], dtype=self.dtype))[0]
+        """Round one scalar through the format's scalar kernel, without an
+        ndarray round-trip.  Returns a work-dtype scalar (``longdouble``
+        formats keep their extended precision)."""
+        res = self.format.round_scalar_analytic(value)
+        return res if type(res) is self.dtype else self.dtype(res)
 
     @property
     def machine_epsilon(self) -> float:
@@ -930,29 +875,24 @@ class EmulatedContext(ComputeContext):
         return self._machine_epsilon
 
 
-def get_context(name: str | ContextSpec, kernels: str = "fast", **kwargs) -> ComputeContext:
+def get_context(name: str | ContextSpec, **kwargs) -> ComputeContext:
     """Build the compute context for a format name or :class:`ContextSpec`.
 
     ``float32`` and ``float64`` use hardware arithmetic; ``reference`` (also
     accepted as ``float128`` or ``longdouble``) uses the extended-precision
-    reference; every other registered format is emulated.  ``kernels``
-    selects the rounding kernels of emulated contexts (``"fast"``, or
-    ``"analytic"`` to force the analytic kernels for verification).
+    reference; every other registered format is emulated.
 
-    A :class:`ContextSpec` bundles the format name with the evaluation
-    options; it cannot be combined with loose keyword arguments.
+    A :class:`ContextSpec` bundles the format name with the reduction
+    order; it cannot be combined with loose keyword arguments.
     """
     if isinstance(name, ContextSpec):
-        if kernels != "fast" or kwargs:
+        if kwargs:
             raise TypeError(
                 "get_context(ContextSpec) already carries the evaluation "
                 "options; pass them inside the spec instead of as keywords"
             )
-        spec = name
-        name = spec.format
-        kernels = spec.kernels
-        kwargs = {"accumulation": spec.accumulation, "count_ops": spec.count_ops}
-    _check_kernels(kernels)
+        kwargs = {"accumulation": name.accumulation}
+        name = name.format
     lowered = name.lower()
     if lowered in ("reference", "float128", "longdouble"):
         return ReferenceContext(**kwargs)
@@ -960,4 +900,4 @@ def get_context(name: str | ContextSpec, kernels: str = "fast", **kwargs) -> Com
         return NativeContext(np.float64, name="float64", **kwargs)
     if lowered == "float32":
         return NativeContext(np.float32, name="float32", **kwargs)
-    return EmulatedContext(get_format(name), kernels=kernels, **kwargs)
+    return EmulatedContext(get_format(name), **kwargs)

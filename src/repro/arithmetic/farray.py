@@ -262,8 +262,7 @@ class FScalar:
             return _wrap(c, c.add(self.value, other))
         else:
             return NotImplemented
-        if c.count_ops:
-            c.op_count += 1
+        c.op_count += 1
         r = _new(FScalar)
         r.ctx = c
         r.value = c.round_scalar(self.value + other)
@@ -281,8 +280,7 @@ class FScalar:
             return _wrap(c, c.add(other, self.value))
         else:
             return NotImplemented
-        if c.count_ops:
-            c.op_count += 1
+        c.op_count += 1
         r = _new(FScalar)
         r.ctx = c
         r.value = c.round_scalar(other + self.value)
@@ -311,8 +309,7 @@ class FScalar:
             return _wrap(c, c.sub(self.value, other))
         else:
             return NotImplemented
-        if c.count_ops:
-            c.op_count += 1
+        c.op_count += 1
         r = _new(FScalar)
         r.ctx = c
         r.value = c.round_scalar(self.value - other)
@@ -330,8 +327,7 @@ class FScalar:
             return _wrap(c, c.sub(other, self.value))
         else:
             return NotImplemented
-        if c.count_ops:
-            c.op_count += 1
+        c.op_count += 1
         r = _new(FScalar)
         r.ctx = c
         r.value = c.round_scalar(other - self.value)
@@ -360,8 +356,7 @@ class FScalar:
             return _wrap(c, c.mul(self.value, other))
         else:
             return NotImplemented
-        if c.count_ops:
-            c.op_count += 1
+        c.op_count += 1
         r = _new(FScalar)
         r.ctx = c
         r.value = c.round_scalar(self.value * other)
@@ -379,8 +374,7 @@ class FScalar:
             return _wrap(c, c.mul(other, self.value))
         else:
             return NotImplemented
-        if c.count_ops:
-            c.op_count += 1
+        c.op_count += 1
         r = _new(FScalar)
         r.ctx = c
         r.value = c.round_scalar(other * self.value)
@@ -409,8 +403,7 @@ class FScalar:
             return _wrap(c, c.div(self.value, other))
         else:
             return NotImplemented
-        if c.count_ops:
-            c.op_count += 1
+        c.op_count += 1
         r = _new(FScalar)
         r.ctx = c
         r.value = c.round_scalar(self.value / other)
@@ -428,8 +421,7 @@ class FScalar:
             return _wrap(c, c.div(other, self.value))
         else:
             return NotImplemented
-        if c.count_ops:
-            c.op_count += 1
+        c.op_count += 1
         r = _new(FScalar)
         r.ctx = c
         r.value = c.round_scalar(other / self.value)

@@ -38,7 +38,6 @@ class IEEEFormat(NumberFormat):
     has_infinity = True
     saturating = False
     work_dtype = np.float64
-    has_scalar_kernel = True
 
     def __init__(self, ebits: int, mbits: int, name: str):
         if ebits < 2 or mbits < 1:

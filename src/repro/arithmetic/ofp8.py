@@ -43,7 +43,6 @@ class OFP8E4M3(NumberFormat):
     bits = 8
     has_infinity = False
     work_dtype = np.float64
-    has_scalar_kernel = True
 
     #: magnitude beyond which round-to-nearest can no longer return 448
     _overflow_threshold = 464.0

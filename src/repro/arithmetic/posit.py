@@ -17,11 +17,11 @@ Rounding (:meth:`~repro.arithmetic.base.NumberFormat.round_array`) takes the
 format's scalar kernel for scalars and tiny arrays and its integer bit kernel
 (:mod:`repro.arithmetic.bitkernels`) above the cutoff; posit64 works in
 ``numpy.longdouble`` and rounds its scalars through the two-word kernel's
-scalar twin.  The analytic kernels stay the ground truth and serve the
-binades the bit kernels hand back: formats of 16 bits or fewer search the
-sorted list of their representable magnitudes, wider formats compute the
-binade quantum, with short magnitude lists for the extreme regime regions
-(where fewer than one fraction bit survives).
+scalar twin.  The analytic (kernel-free) rounding stays the ground truth
+and serves the binades the bit kernels hand back: formats of 16 bits or
+fewer search the sorted list of their representable magnitudes, wider
+formats compute the binade quantum, with short magnitude lists for the
+extreme regime regions (where fewer than one fraction bit survives).
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ class PositFormat(NumberFormat):
 
     saturating = True
     has_infinity = False
-    has_scalar_kernel = True
 
     def __init__(self, nbits: int, es: int = 2, name: str | None = None):
         if nbits < 3:

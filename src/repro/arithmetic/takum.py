@@ -61,7 +61,6 @@ class TakumFormat(NumberFormat):
 
     saturating = True
     has_infinity = False
-    has_scalar_kernel = True
 
     def __init__(self, nbits: int, name: str | None = None):
         if nbits < 6:

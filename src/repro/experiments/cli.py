@@ -62,20 +62,21 @@ __all__ = [
 ]
 
 
-#: --help epilog surfacing the rounding-kernel opt-outs (the fast kernels
-#: are bit-identical to the analytic kernels, so these exist for
+#: --help epilog surfacing the rounding-kernel opt-out (the bit kernels
+#: are bit-identical to the analytic vector kernels, so it exists for
 #: verification runs and micro-benchmarks, not for day-to-day use)
 _EPILOG = """\
 rounding kernels:
   Emulated formats round scalars and tiny arrays through pure-Python scalar
   kernels and larger arrays through integer bit-twiddling kernels; both are
-  bit-identical to the analytic vector kernels.  Opt-outs:
-    --analytic-kernels                this run: force the analytic kernels
-                                      (ContextSpec(kernels="analytic"))
+  bit-identical to the analytic vector kernels.  The one opt-out:
     REPRO_DISABLE_BITKERNELS=1        environment: disable the integer
                                       bit-twiddling kernels process-wide
+                                      (arrays round through the analytic
+                                      vector kernels)
     repro.arithmetic.set_bitkernels_enabled(False)
-                                      runtime: same, toggleable per phase
+                                      runtime: same switch, toggleable
+                                      per phase
 
 parallelism:
   REPRO_WORKERS sets the default worker count of --workers (the benchmark
@@ -154,16 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="pairwise",
         choices=["pairwise", "sequential"],
         help="reduction order of the rounded kernels (ablation)",
-    )
-    parser.add_argument(
-        "--analytic-kernels",
-        action="store_true",
-        help="force the analytic rounding kernels (verification runs)",
-    )
-    parser.add_argument(
-        "--no-op-count",
-        action="store_true",
-        help="disable the per-context tally of rounded operations",
     )
     parser.add_argument(
         "--workers",
@@ -458,14 +449,7 @@ def main(argv=None) -> int:
         print("no matrices generated for the requested workload", file=sys.stderr)
         return 1
     formats = [name for width in args.widths for name in PAPER_FORMATS[width]]
-    # the per-context evaluation options travel as one ContextSpec template
-    # inside the config instead of loose keyword arguments
-    config = ExperimentConfig(
-        restarts=args.restarts,
-        accumulation=args.accumulation,
-        kernels="analytic" if args.analytic_kernels else "fast",
-        count_ops=not args.no_op_count,
-    )
+    config = ExperimentConfig(restarts=args.restarts, accumulation=args.accumulation)
     store = ResultStore.from_environment(args.store)
     print(
         f"running suite {args.suite!r}: {len(suite)} matrices x {len(formats)} formats "

@@ -39,11 +39,6 @@ class ExperimentConfig:
     accumulation:
         Accumulation order of the emulated kernels (``"pairwise"`` or
         ``"sequential"``); exposed for the accumulation-order ablation.
-    kernels:
-        Rounding kernels forwarded to the contexts: ``"fast"`` (default) or
-        ``"analytic"`` (forces the analytic kernels for verification runs).
-    count_ops:
-        Whether solver contexts tally rounded elementary operations.
     reference_tolerance:
         Convergence tolerance of the reference solve.
     """
@@ -56,8 +51,6 @@ class ExperimentConfig:
     seed: int = 0
     eps_floor: bool = True
     accumulation: str = "pairwise"
-    kernels: str = "fast"
-    count_ops: bool = True
     reference_tolerance: float = 1e-18
 
     @property
@@ -68,19 +61,14 @@ class ExperimentConfig:
     def context_spec(self, format_name: str) -> ContextSpec:
         """The :class:`~repro.arithmetic.ContextSpec` for one format under
         this configuration (what the runner hands to ``get_context``)."""
-        return ContextSpec(
-            format=format_name,
-            accumulation=self.accumulation,
-            kernels=self.kernels,
-            count_ops=self.count_ops,
-        )
+        return ContextSpec(format=format_name, accumulation=self.accumulation)
 
     def canonical_dict(self) -> dict:
         """Stable, JSON-serialisable view of every field, for cache keys.
 
         The experiment store hashes this dict (sorted keys, canonical JSON)
         into each task's cache key, so *any* field change — solver budget,
-        accumulation order, rounding backend, tolerance — moves the task to
+        accumulation order, tolerance — moves the task to
         a fresh key and invalidates the cached result.  Field order is
         irrelevant; only names and values enter the hash.
         """

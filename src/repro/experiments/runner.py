@@ -422,9 +422,8 @@ def run_experiment(
     # Build the formats' rounding state (bit kernels, scalar-kernel
     # magnitude lists) once in this process: forked workers inherit it
     # copy-on-write instead of rebuilding it per worker, and the serial path
-    # pays the build exactly once.  Analytic-kernel verification runs never
-    # consult it, and a fully cached (warm) plan executes no solver at all,
-    # so skip the build there.
-    if plan.tasks and config.kernels == "fast":
+    # pays the build exactly once.  A fully cached (warm) plan executes no
+    # solver at all, so skip the build there.
+    if plan.tasks:
         preload_tables(formats)
     return execute_plan(plan, workers=workers)

@@ -9,12 +9,10 @@ LAPACK the kernels here are written directly on top of the
 
 Provided kernels:
 
-* Householder reflectors and Givens rotations (:mod:`repro.linalg.reflectors`);
+* Householder reflectors (:mod:`repro.linalg.reflectors`);
 * symmetric tridiagonalisation and the implicit-shift QL eigensolver
   (:mod:`repro.linalg.tridiagonal`), the default spectral-decomposition path
   for the symmetric matrices studied in the paper;
-* a general real Schur decomposition via Francis double-shift QR
-  (:mod:`repro.linalg.schur`);
 * eigenvalue ordering rules used for selecting wanted Ritz values
   (:mod:`repro.linalg.ordering`);
 * the Hungarian algorithm used to match computed eigenvectors to reference
@@ -25,7 +23,6 @@ from .reflectors import (
     householder_vector,
     apply_reflector_left,
     apply_reflector_right,
-    givens_rotation,
 )
 from .tridiagonal import (
     tridiagonalize,
@@ -33,7 +30,6 @@ from .tridiagonal import (
     symmetric_eigen,
     EigenConvergenceError,
 )
-from .schur import hessenberg, real_schur, schur_eigenvalues
 from .ordering import ordering_key, select_order, WHICH_RULES
 from .hungarian import hungarian
 
@@ -41,14 +37,10 @@ __all__ = [
     "householder_vector",
     "apply_reflector_left",
     "apply_reflector_right",
-    "givens_rotation",
     "tridiagonalize",
     "tridiagonal_eigen",
     "symmetric_eigen",
     "EigenConvergenceError",
-    "hessenberg",
-    "real_schur",
-    "schur_eigenvalues",
     "ordering_key",
     "select_order",
     "WHICH_RULES",

@@ -1,4 +1,4 @@
-"""Householder reflectors and Givens rotations in a compute context.
+"""Householder reflectors in a compute context.
 
 Every arithmetic operation goes through the context so the kernels behave as
 if they were executed on hardware implementing the target format.  The
@@ -23,7 +23,6 @@ __all__ = [
     "householder_vector",
     "apply_reflector_left",
     "apply_reflector_right",
-    "givens_rotation",
 ]
 
 
@@ -89,22 +88,3 @@ def apply_reflector_right(ctx, A, v, beta):
     update = w[:, np.newaxis] * (beta * v)[np.newaxis, :]
     return (A - update).data
 
-
-def givens_rotation(ctx, a, b):
-    """Compute ``(c, s, r)`` with ``c*a + s*b = r`` and ``-s*a + c*b = 0``.
-
-    The rotation is normalised so that ``c^2 + s^2 = 1`` up to rounding in the
-    target arithmetic.
-    """
-    a = ctx.wrap_scalar(a)
-    b = ctx.wrap_scalar(b)
-    if float(b) == 0.0:
-        return ctx.dtype(1.0), ctx.dtype(0.0), a.value
-    if float(a) == 0.0:
-        return ctx.dtype(0.0), ctx.dtype(1.0), b.value
-    r = a.hypot(b)
-    if not r.isfinite() or float(r) == 0.0:
-        return ctx.dtype(1.0), ctx.dtype(0.0), a.value
-    c = a / r
-    s = b / r
-    return c.value, s.value, r.value

@@ -74,21 +74,6 @@ def apply_reflector_right_explicit(ctx, A, v, beta):
     return ctx.sub(A, update)
 
 
-def givens_rotation_explicit(ctx, a, b):
-    a = ctx.dtype(a)
-    b = ctx.dtype(b)
-    if float(b) == 0.0:
-        return ctx.dtype(1.0), ctx.dtype(0.0), a
-    if float(a) == 0.0:
-        return ctx.dtype(0.0), ctx.dtype(1.0), b
-    r = ctx.hypot(a, b)
-    if not np.isfinite(r) or float(r) == 0.0:
-        return ctx.dtype(1.0), ctx.dtype(0.0), a
-    c = ctx.div(a, r)
-    s = ctx.div(b, r)
-    return c, s, r
-
-
 # --------------------------------------------------------------------- #
 # symmetric eigensolver (explicit form)
 # --------------------------------------------------------------------- #

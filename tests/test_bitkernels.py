@@ -353,13 +353,21 @@ def test_disable_switch_falls_back_to_analytic():
 
 
 def test_analytic_kernels_bypass_bitkernels():
-    """The verification context must run the pure analytic kernels even for
-    formats whose default dispatch is the bit kernel."""
-    ctx = get_context("posit32", kernels="analytic")
-    values = np.asarray([0.3, -1.7, 64.25, 1e-40])
-    assert np.array_equal(
-        ctx.round(values), get_format("posit32").round_array_analytic(values)
-    )
+    """With the bit kernels disabled a context rounds arrays above the
+    scalar cutoff through the pure analytic kernels, for a format whose
+    default dispatch is the bit kernel; both agree bit for bit."""
+    values = np.tile([0.3, -1.7, 64.25, 1e-40], 8)
+    fmt = get_format("posit32")
+    fast = get_context("posit32").round(values)
+    previous = bk.set_enabled(False)
+    try:
+        ctx = get_context("posit32")
+        assert not ctx._round_work_inplace()
+        analytic = ctx.round(values)
+    finally:
+        bk.set_enabled(previous)
+    assert np.array_equal(analytic, fmt.round_array_analytic(values))
+    assert np.array_equal(analytic, fast)
 
 
 @pytest.mark.parametrize("name", ["posit16", "takum16", "E4M3"])

@@ -32,8 +32,7 @@ class TestEntryPointSmoke:
         proc = _run_cli_subprocess("--help")
         assert proc.returncode == 0, proc.stderr
         assert "--suite" in proc.stdout
-        # the rounding-kernel opt-outs are surfaced in the epilog
-        assert "--analytic-kernels" in proc.stdout
+        # the one rounding-kernel opt-out is surfaced in the epilog
         assert "REPRO_DISABLE_BITKERNELS" in proc.stdout
 
     def test_table1_run(self):
@@ -58,10 +57,9 @@ class TestParser:
             build_parser().parse_args(["--widths", "12"])
 
     def test_analytic_kernels_flag(self):
-        assert build_parser().parse_args([]).analytic_kernels is False
-        assert build_parser().parse_args(["--analytic-kernels"]).analytic_kernels
-        # the flag takes no value, and there is no free-form kernel option
-        for bad in (["--analytic-kernels=bogus"], ["--kernels", "bogus"]):
+        # the format alone decides how a value rounds: there is no per-run
+        # kernel or op-count flag (the one opt-out is REPRO_DISABLE_BITKERNELS)
+        for bad in (["--analytic-kernels"], ["--no-op-count"], ["--kernels", "analytic"]):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(bad)
 

@@ -1,5 +1,7 @@
 """Unit tests of the context-bound operator API (repro.arithmetic.farray)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -304,27 +306,25 @@ class TestFArray:
 
 class TestFacade:
     def test_context_spec_builds_context(self):
-        spec = ContextSpec(format="posit16", accumulation="sequential", count_ops=False)
+        spec = ContextSpec(format="posit16", accumulation="sequential")
         ctx = spec.build()
         assert ctx.name == "posit16"
         assert ctx.accumulation == "sequential"
-        assert ctx.count_ops is False
         assert spec.with_format("takum16").format == "takum16"
+        # the format alone decides how a value rounds: a spec names the
+        # format and the reduction order, nothing else
+        assert [f.name for f in dataclasses.fields(ContextSpec)] == ["format", "accumulation"]
 
     def test_get_context_rejects_spec_plus_kwargs(self):
         with pytest.raises(TypeError):
             get_context(ContextSpec(format="posit16"), accumulation="sequential")
 
-    def test_spec_kernels_analytic_forces_analytic(self):
-        ctx = get_context(ContextSpec(format="posit16", kernels="analytic"))
-        assert ctx.kernels == "analytic"
-        assert not ctx._round_work_inplace()  # analytic kernels allocate
-
     def test_spec_rejects_unknown_kernels(self):
-        with pytest.raises(ValueError, match="kernels"):
-            ContextSpec(format="posit16", kernels="bogus")
-        with pytest.raises(ValueError, match="kernels"):
-            get_context("posit16", kernels="bitkernel")
+        # no kernel selection exists: the format decides how a value rounds
+        with pytest.raises(TypeError):
+            ContextSpec(format="posit16", kernels="analytic")
+        with pytest.raises(TypeError):
+            get_context("posit16", kernels="analytic")
 
     def test_partialschur_accepts_spec(self):
         from repro.core import partialschur

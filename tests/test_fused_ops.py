@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.arithmetic import available_formats, get_context
+from repro.arithmetic import available_formats, get_context, set_bitkernels_enabled
 from repro.linalg.tridiagonal import _apply_rotations, wavefront_schedule
 
 #: every registered emulated format plus the native widths
@@ -291,14 +291,23 @@ class TestRotateColumns:
         assert fused == 6 * x.size == rctx.op_count - before - fused
 
     def test_analytic_backend_agrees(self):
-        """kernels="analytic" (analytic verification mode) agrees too."""
+        """With the bit kernels disabled (arrays round through the analytic
+        vector kernels) the fused rotation agrees with the unfused one and
+        with the bit-kernel result."""
         for name in ("posit16", "E4M3", "takum32"):
-            ctx = get_context(name, kernels="analytic")
-            x, y = self._columns(ctx, "F")
-            c, s = ctx.round_scalar(0.6), ctx.round_scalar(-0.8)
-            got = ctx.rotate_columns(c, s, x, y)
-            ref = unfused_rotation(ctx, c, s, x, y)
+            fast = get_context(name)
+            x, y = self._columns(fast, "F")
+            c, s = fast.round_scalar(0.6), fast.round_scalar(-0.8)
+            expected = fast.rotate_columns(c, s, x, y)
+            previous = set_bitkernels_enabled(False)
+            try:
+                ctx = get_context(name)
+                got = ctx.rotate_columns(c, s, x, y)
+                ref = unfused_rotation(ctx, c, s, x, y)
+            finally:
+                set_bitkernels_enabled(previous)
             assert_same_bits(got, np.stack(ref), name)
+            assert_same_bits(got, expected, name)
 
 
 @st.composite

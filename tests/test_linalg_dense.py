@@ -1,4 +1,4 @@
-"""Tests of the dense context-generic kernels (reflectors, tridiagonal, Schur)."""
+"""Tests of the dense context-generic kernels (reflectors, tridiagonal QL)."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,7 @@ from repro.linalg import (
     EigenConvergenceError,
     apply_reflector_left,
     apply_reflector_right,
-    givens_rotation,
-    hessenberg,
     householder_vector,
-    real_schur,
-    schur_eigenvalues,
     symmetric_eigen,
     tridiagonal_eigen,
     tridiagonalize,
@@ -55,22 +51,6 @@ class TestHouseholder:
         v, beta, alpha = householder_vector(ctx, x)
         assert np.all(np.isfinite(v))
         assert np.isfinite(float(beta))
-
-
-class TestGivens:
-    def test_rotation_zeroes_second_component(self, float64_ctx, rng):
-        for _ in range(10):
-            a, b = rng.standard_normal(2)
-            c, s, r = givens_rotation(float64_ctx, a, b)
-            assert abs(c * b - s * a) < 1e-12
-            assert abs(c * a + s * b - r) < 1e-12
-            assert abs(c * c + s * s - 1.0) < 1e-12
-
-    def test_trivial_cases(self, float64_ctx):
-        c, s, r = givens_rotation(float64_ctx, 3.0, 0.0)
-        assert (float(c), float(s), float(r)) == (1.0, 0.0, 3.0)
-        c, s, r = givens_rotation(float64_ctx, 0.0, 2.0)
-        assert (float(c), float(s), float(r)) == (0.0, 1.0, 2.0)
 
 
 class TestTridiagonalization:
@@ -168,35 +148,3 @@ class TestSymmetricEigen:
         assert np.allclose(
             np.sort(np.asarray(w, dtype=np.float64)), np.linalg.eigvalsh(A), atol=1e-12
         )
-
-
-class TestSchur:
-    def test_hessenberg_structure(self, float64_ctx, rng):
-        A = rng.standard_normal((9, 9))
-        H, Q = hessenberg(float64_ctx, A)
-        assert np.allclose(Q.T @ A @ Q, H, atol=1e-10)
-        assert np.allclose(Q @ Q.T, np.eye(9), atol=1e-12)
-        assert np.max(np.abs(np.tril(H, -2))) == 0.0
-
-    @pytest.mark.parametrize("n", [4, 9, 16])
-    def test_real_schur_eigenvalues(self, float64_ctx, rng, n):
-        A = rng.standard_normal((n, n))
-        T, Z = real_schur(float64_ctx, A)
-        ours = np.sort_complex(schur_eigenvalues(T))
-        ref = np.sort_complex(np.linalg.eigvals(A))
-        assert np.allclose(ours, ref, atol=1e-6)
-        assert np.allclose(Z @ T @ Z.T, A, atol=1e-6)
-        assert np.allclose(Z @ Z.T, np.eye(n), atol=1e-10)
-
-    def test_real_schur_symmetric_gives_diagonal(self, float64_ctx, rng):
-        B = rng.standard_normal((8, 8))
-        A = (B + B.T) / 2
-        T, Z = real_schur(float64_ctx, A)
-        assert np.max(np.abs(np.tril(T, -1))) < 1e-8
-        assert np.allclose(np.sort(np.diag(T)), np.linalg.eigvalsh(A), atol=1e-8)
-
-    def test_schur_eigenvalues_of_2x2_block(self):
-        T = np.array([[1.0, 2.0], [-2.0, 1.0]])
-        eigs = schur_eigenvalues(T)
-        assert np.allclose(sorted(eigs.imag), [-2.0, 2.0])
-        assert np.allclose(eigs.real, 1.0)

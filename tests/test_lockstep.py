@@ -163,12 +163,10 @@ class TestBatchedOpCounts:
     def test_op_count_parity(self):
         matrix = random_symmetric_csr(20, density=0.15, seed=8)
         formats = ["float64", "posit16"]
-        contexts = [
-            get_context(ContextSpec(format=f, count_ops=True)) for f in formats
-        ]
+        contexts = [get_context(ContextSpec(format=f)) for f in formats]
         batched_partialschur(matrix, BatchSpec(contexts), nev=3, restarts=2, seed=1)
         for fmt, ctx in zip(formats, contexts):
-            sequential_ctx = get_context(ContextSpec(format=fmt, count_ops=True))
+            sequential_ctx = get_context(ContextSpec(format=fmt))
             partialschur(matrix, ctx=sequential_ctx, nev=3, restarts=2, seed=1)
             assert ctx.op_count == sequential_ctx.op_count, fmt
 

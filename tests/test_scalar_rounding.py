@@ -13,6 +13,7 @@ The sweeps and the scalar-vs-vector comparator come from
 :mod:`tests._kernel_harness`, shared with the bit-kernel suites.
 """
 
+import functools
 import math
 import operator
 
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.arithmetic import get_context, get_format
-from repro.arithmetic.base import SCALAR_CUTOFF, WIDE_SCALAR_CUTOFF
+from repro.arithmetic.base import SCALAR_CUTOFF, WIDE_SCALAR_CUTOFF, NumberFormat
 from tests._kernel_harness import (
     assert_scalar_matches_vector,
     boundary_sweep,
@@ -177,11 +178,13 @@ class TestContextScalarOps:
         assert float(ctx.abs(-1.5)) == 1.5
 
     def test_analytic_kernels_scalar_ops(self):
-        """Opt-out contexts must round scalars through the analytic kernels."""
-        analytic = get_context("posit16", kernels="analytic")
-        default = get_context("posit16")
+        """Context scalar rounding (the format's scalar kernel) must equal
+        the analytic vector kernel."""
+        ctx = get_context("posit16")
+        fmt = ctx.format
         for v in (0.3, -1.7, 1e8, 1e-8):
-            assert float(analytic.round_scalar(v)) == float(default.round_scalar(v))
+            analytic = fmt.round_array_analytic(np.asarray([v], dtype=fmt.work_dtype))[0]
+            assert float(ctx.round_scalar(v)) == float(analytic)
 
     def test_reference_context_keeps_extended_precision(self):
         ctx = get_context("reference")
@@ -237,19 +240,15 @@ class TestSolverEquivalence:
         result_fast = partialschur(matrix, nev=4, tol=1e-6, ctx=name, restarts=10, seed=1)
 
         fmt = get_format(name)
-        saved_kernel = type(fmt).has_scalar_kernel
-        saved_cutoff = fmt.scalar_cutoff
-        try:
-            type(fmt).has_scalar_kernel = False
-            fmt.scalar_cutoff = 0
-            # neutralise the context-level scalar plumbing as well: route
-            # every scalar rounding back through the vector kernel
+        with pytest.MonkeyPatch.context() as mp:
+            # route every scalar rounding (context scalars and tiny arrays)
+            # back through the analytic vector kernel
+            mp.setattr(fmt, "round_scalar_analytic", functools.partial(NumberFormat.round_scalar_analytic, fmt))
+            mp.setattr(fmt, "scalar_cutoff", 0)
+            mp.setattr(fmt, "bitkernel_scalar_cutoff", 0)
             result_slow = partialschur(
                 matrix, nev=4, tol=1e-6, ctx=name, restarts=10, seed=1
             )
-        finally:
-            type(fmt).has_scalar_kernel = saved_kernel
-            fmt.scalar_cutoff = saved_cutoff
         assert np.array_equal(
             np.asarray(result_fast.eigenvalues, dtype=np.float64),
             np.asarray(result_slow.eigenvalues, dtype=np.float64),

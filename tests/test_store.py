@@ -93,7 +93,6 @@ class TestCacheKeys:
             {"restarts": config.restarts + 1},
             {"eigenvalue_count": 5},
             {"accumulation": "sequential"},
-            {"kernels": "analytic"},
             {"seed": 1},
             {"reference_tolerance": 1e-16},
         ):

@@ -13,7 +13,13 @@ float32 pattern space plus every rounding decision boundary; the
 import numpy as np
 import pytest
 
-from repro.arithmetic import bitkernels_enabled, get_context, get_format, preload_tables
+from repro.arithmetic import (
+    bitkernels_enabled,
+    get_context,
+    get_format,
+    preload_tables,
+    set_bitkernels_enabled,
+)
 from repro.arithmetic.base import SCALAR_CUTOFF
 from repro.arithmetic.context import EmulatedContext
 from repro.arithmetic.ofp8 import OFP8E4M3
@@ -207,13 +213,22 @@ class TestPreload:
 
 class TestOptOut:
     def test_context_opt_out_matches_analytic(self):
+        """The process-wide opt-out rounds a context's arrays through the
+        analytic vector kernel, bit-identical to the bit kernel."""
         rng = np.random.default_rng(11)
         values = rng.standard_normal(256)
-        analytic_ctx = get_context("posit16", kernels="analytic")
         fast_ctx = get_context("posit16")
-        assert isinstance(analytic_ctx, EmulatedContext)
-        assert analytic_ctx.kernels == "analytic"
-        assert_bit_identical(analytic_ctx.round(values), fast_ctx.round(values))
+        fast = fast_ctx.round(values)
+        previous = set_bitkernels_enabled(False)
+        try:
+            analytic_ctx = get_context("posit16")
+            assert isinstance(analytic_ctx, EmulatedContext)
+            assert not analytic_ctx._round_work_inplace()  # analytic kernels allocate
+            analytic = analytic_ctx.round(values)
+        finally:
+            set_bitkernels_enabled(previous)
+        assert_bit_identical(analytic, fast)
+        assert_bit_identical(analytic, analytic_ctx.format.round_array_analytic(values))
 
 
 class TestMachineEpsilonMemoisation:

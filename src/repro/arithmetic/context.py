@@ -20,9 +20,9 @@ passes; a strictly sequential accumulation order is available for the
 accumulation-order ablation study.
 
 Scalar operands bypass ndarrays entirely: the elementary operations detect
-them, compute in the work precision (Python floats for float64 contexts,
-NumPy scalars for float32/longdouble) and round through ``round_scalar`` —
-each format's pure-Python analytic scalar kernel.  This is the regime of
+them, compute in the work precision on work-dtype NumPy scalars and round
+through ``round_scalar`` — each format's pure-Python analytic scalar
+kernel.  This is the regime of
 the solvers' Givens/QL operations, where NumPy dispatch on 1-element
 arrays used to dominate wide-format wall time.
 """
@@ -263,57 +263,38 @@ class ComputeContext(ABC):
     # elementwise operations (each result is rounded once)
     # ------------------------------------------------------------------ #
     # Scalar operands take a pure-scalar path: the work-precision operation
-    # runs on Python floats (float64 contexts) or NumPy scalars (float32 /
-    # longdouble, whose arithmetic must stay in the work precision) and the
-    # result is rounded through ``round_scalar`` — no ndarray round-trip.
-    # This is the regime of the solvers' elementwise Givens/QL operations,
-    # where NumPy dispatch on 1-element arrays dominates the arithmetic.
+    # runs on work-dtype NumPy scalars (an operand that already is the work
+    # dtype is not cast: an exact copy that costs ~0.5 us on a longdouble)
+    # and the result is rounded through ``round_scalar`` — no ndarray
+    # round-trip.  This is the regime of the solvers' elementwise Givens/QL
+    # operations, where NumPy dispatch on 1-element arrays dominates the
+    # arithmetic.  NumPy scalar division keeps IEEE semantics: division by
+    # zero gives inf/NaN with a RuntimeWarning, never ZeroDivisionError.
 
-    # The ``_scalar_*`` twins implement exactly the scalar branch of each
-    # operation.  The operator API (:mod:`repro.arithmetic.farray`) calls
-    # them directly — an :class:`~repro.arithmetic.farray.FScalar` already
-    # knows its payload is a scalar, so skipping the dynamic detection here
-    # offsets the cost of the wrapper object.  Add, sub and mul skip the
-    # cast of an operand that already is the work dtype (an exact copy that
-    # costs ~0.5 us on a longdouble).
+    # The ``_scalar_*`` twins are the one implementation of a rounded scalar
+    # op: the scalar branch of each operation below, and every arithmetic
+    # operator of :class:`~repro.arithmetic.farray.FScalar` (which already
+    # knows its payload is a scalar and skips the detection).
 
     def _scalar_add(self, a, b):
         self.op_count += 1
-        if self.dtype is np.float64:
-            return self.round_scalar(float(a) + float(b))
         dt = self.dtype
-        return self.round_scalar(
-            (a if type(a) is dt else dt(a)) + (b if type(b) is dt else dt(b))
-        )
+        return self.round_scalar((a if type(a) is dt else dt(a)) + (b if type(b) is dt else dt(b)))
 
     def _scalar_sub(self, a, b):
         self.op_count += 1
-        if self.dtype is np.float64:
-            return self.round_scalar(float(a) - float(b))
         dt = self.dtype
-        return self.round_scalar(
-            (a if type(a) is dt else dt(a)) - (b if type(b) is dt else dt(b))
-        )
+        return self.round_scalar((a if type(a) is dt else dt(a)) - (b if type(b) is dt else dt(b)))
 
     def _scalar_mul(self, a, b):
         self.op_count += 1
-        if self.dtype is np.float64:
-            return self.round_scalar(float(a) * float(b))
         dt = self.dtype
-        return self.round_scalar(
-            (a if type(a) is dt else dt(a)) * (b if type(b) is dt else dt(b))
-        )
+        return self.round_scalar((a if type(a) is dt else dt(a)) * (b if type(b) is dt else dt(b)))
 
     def _scalar_div(self, a, b):
         self.op_count += 1
-        if self.dtype is np.float64:
-            fb = float(b)
-            if fb == 0.0:
-                # IEEE inf/nan semantics (plus the RuntimeWarning the
-                # vector path would emit) instead of ZeroDivisionError
-                return self.round_scalar(float(np.divide(float(a), fb)))
-            return self.round_scalar(float(a) / fb)
-        return self.round_scalar(np.divide(self.dtype(a), self.dtype(b)))
+        dt = self.dtype
+        return self.round_scalar((a if type(a) is dt else dt(a)) / (b if type(b) is dt else dt(b)))
 
     def _scalar_sqrt(self, a):
         self.op_count += 1
@@ -326,24 +307,15 @@ class ComputeContext(ABC):
             )
         return self.round_scalar(np.sqrt(self.dtype(a)))
 
-    # The array branches of the elementwise operations compute the
-    # work-precision result (one fresh ufunc output, or the caller's ``out``
-    # buffer) and round *into that same buffer* whenever the rounding
-    # backend can exploit it (:meth:`_round_work_inplace`): with the
-    # ``out=``-aware backends this halves the allocations of every rounded
-    # op, and a caller-provided ``out`` is honoured unconditionally.
+    # The array branch of every elementwise operation computes the
+    # work-precision result into one buffer (a fresh ufunc output, or the
+    # caller's ``out``, which may alias an operand) and rounds it in place:
+    # one allocation per op at most, and none with ``out``.
 
-    def _round_work_inplace(self) -> bool:
-        """Whether the ops should hand their fresh work buffer to ``round``.
-
-        True when the vector rounding backend writes into ``out`` natively
-        (hardware casts, integer bit kernels); False when it would have to
-        append a full-array copy to honour ``out`` (analytic vector
-        kernels), where rounding into a fresh array is strictly cheaper.
-        Purely a performance hint: an *explicit* caller ``out=`` is always
-        honoured regardless.
-        """
-        return True
+    def _round_ufunc(self, ufunc, out, *operands):
+        self._tally(np.broadcast(*operands).size)
+        work = ufunc(*operands, dtype=self.dtype, out=out)
+        return self.round(work, out=work)
 
     def add(self, a, b, *, out=None):
         """Rounded elementwise ``a + b`` (scalars stay scalars).
@@ -358,51 +330,31 @@ class ComputeContext(ABC):
         """
         if _is_scalar(a) and _is_scalar(b):
             return self._scalar_add(a, b)
-        self._tally(np.broadcast(a, b).size)
-        work = np.add(a, b, dtype=self.dtype, out=out)
-        if out is None and not self._round_work_inplace():
-            return self.round(work)
-        return self.round(work, out=work)
+        return self._round_ufunc(np.add, out, a, b)
 
     def sub(self, a, b, *, out=None):
         """Rounded elementwise ``a - b`` (scalars stay scalars)."""
         if _is_scalar(a) and _is_scalar(b):
             return self._scalar_sub(a, b)
-        self._tally(np.broadcast(a, b).size)
-        work = np.subtract(a, b, dtype=self.dtype, out=out)
-        if out is None and not self._round_work_inplace():
-            return self.round(work)
-        return self.round(work, out=work)
+        return self._round_ufunc(np.subtract, out, a, b)
 
     def mul(self, a, b, *, out=None):
         """Rounded elementwise ``a * b`` (scalars stay scalars)."""
         if _is_scalar(a) and _is_scalar(b):
             return self._scalar_mul(a, b)
-        self._tally(np.broadcast(a, b).size)
-        work = np.multiply(a, b, dtype=self.dtype, out=out)
-        if out is None and not self._round_work_inplace():
-            return self.round(work)
-        return self.round(work, out=work)
+        return self._round_ufunc(np.multiply, out, a, b)
 
     def div(self, a, b, *, out=None):
         """Rounded elementwise ``a / b`` (scalars stay scalars)."""
         if _is_scalar(a) and _is_scalar(b):
             return self._scalar_div(a, b)
-        self._tally(np.broadcast(a, b).size)
-        work = np.divide(a, b, dtype=self.dtype, out=out)
-        if out is None and not self._round_work_inplace():
-            return self.round(work)
-        return self.round(work, out=work)
+        return self._round_ufunc(np.divide, out, a, b)
 
     def sqrt(self, a, *, out=None):
         """Rounded elementwise square root (scalars stay scalars)."""
         if _is_scalar(a):
             return self._scalar_sqrt(a)
-        self._tally(np.size(a))
-        work = np.sqrt(np.asarray(a, dtype=self.dtype), out=out)
-        if out is None and not self._round_work_inplace():
-            return self.round(work)
-        return self.round(work, out=work)
+        return self._round_ufunc(np.sqrt, out, a)
 
     def neg(self, a, *, out=None):
         """Exact negation (sign flips are exact in every supported format)."""
@@ -626,12 +578,11 @@ class ComputeContext(ABC):
         coef = np.array([[c, s], [s, c]], dtype=self.dtype)
         coef = coef.reshape((2, 2) + (1,) * (x.ndim - coef.ndim + 2) + coef.shape[2:])
         prods = np.multiply(coef, np.stack((x, y)))
-        inplace = self._round_work_inplace()
-        prods = self.round(prods, out=prods) if inplace else self.round(prods)
+        self.round(prods, out=prods)
         res = np.empty((2,) + x.shape, dtype=self.dtype)
         np.subtract(prods[0, 0], prods[0, 1], out=res[0])
         np.add(prods[1, 0], prods[1, 1], out=res[1])
-        return self.round(res, out=res) if inplace else self.round(res)
+        return self.round(res, out=res)
 
     # ------------------------------------------------------------------ #
     # dense kernels
@@ -784,7 +735,7 @@ class NativeContext(ComputeContext):
 
     def round_scalar(self, value):
         """Hardware dtypes round by conversion; returns a dtype scalar."""
-        return self.dtype(value)
+        return value if type(value) is self.dtype else self.dtype(value)
 
     @property
     def machine_epsilon(self) -> float:
@@ -833,21 +784,6 @@ class EmulatedContext(ComputeContext):
         self.name = fmt.name
         self.bits = fmt.bits
         self._machine_epsilon: Optional[float] = None
-        self._inplace_rounding: Optional[bool] = None
-
-    def _round_work_inplace(self) -> bool:
-        """Whether this format's vector rounding writes into ``out`` natively.
-
-        True when an integer bit kernel serves the format at vector sizes;
-        False when the analytic vector kernel does (bit kernels disabled),
-        which would pay a copy to honour ``out``.  Cached: a later global
-        kernel toggle may stale it, which costs at most one copy per op,
-        never correctness.
-        """
-        flag = self._inplace_rounding
-        if flag is None:
-            flag = self._inplace_rounding = self.format.bitkernel() is not None
-        return flag
 
     def round(self, values, *, out=None):
         """Round values to the format (scalar inputs return work-dtype

@@ -14,10 +14,11 @@ Design rules (these are what make the API safe to use in the solvers):
 * **Bit identity** — each operator maps 1:1 onto one context call, in source
   order, so an operator-form kernel produces *exactly* the trajectory of its
   explicit-context spelling (proven in ``tests/test_operator_equivalence.py``).
-* **Scalars stay scalars** — operations between :class:`FScalar` values run
-  the work-precision operation directly on the two work-dtype payloads and
-  round once through ``round_scalar``; no 1-element ndarray is ever created.
-  This is the regime of the solvers' Givens/QL operations.
+* **One implementation per operation** — operators add no arithmetic of
+  their own: they unwrap their operand and call the context method, so a
+  rounded scalar op exists once, in the context's ``_scalar_*`` twins, and
+  :class:`FScalar` operands never become 1-element ndarrays (the regime of
+  the solvers' Givens/QL operations).
 * **No silent leaks** — NumPy ufuncs and dispatched functions applied to a
   bound value raise :class:`PrecisionLeakError` instead of silently computing
   an unrounded result.  Reading values *out* is always explicit: ``.data``,
@@ -55,6 +56,8 @@ __all__ = [
 
 #: plain-number operand types accepted next to a bound value
 _NUMBERS = (float, int, np.floating, np.integer)
+#: every unbound operand type the elementwise operators accept
+_OPERANDS = _NUMBERS + (np.ndarray,)
 
 _new = object.__new__
 
@@ -105,10 +108,6 @@ class ContextMismatchError(PrecisionLeakError):
         self.right_name = right_name
 
 
-def _ctx_mismatch(left_ctx, right_ctx):
-    raise ContextMismatchError(left_ctx.name, right_ctx.name)
-
-
 #: ufuncs with a rounded context equivalent the guard reroutes to
 _UFUNC_BINARY = {
     np.add: "add",
@@ -136,6 +135,31 @@ _UFUNC_EXACT = frozenset(
 )
 
 
+def _operand(ctx, other):
+    """Unwrap one operand of an operation on a value bound to ``ctx``.
+
+    The single operand rule of every operator and method: a bound value
+    hands over its payload (raising :class:`ContextMismatchError` when it is
+    bound elsewhere), anything else passes through unchanged for the caller
+    to accept or refuse.
+    """
+    t = type(other)
+    if t is FScalar or t is FArray:
+        if other.ctx is not ctx:
+            raise ContextMismatchError(ctx.name, other.ctx.name)
+        return other.value if t is FScalar else other.data
+    return other
+
+
+def _matmul(ctx, a, b):
+    """``a @ b`` on unwrapped arrays: ``gemv``/``gemv_t``/``gemm``/``dot``."""
+    if a.ndim == 2:
+        return _wrap(ctx, ctx.gemv(a, b) if b.ndim == 1 else ctx.gemm(a, b))
+    if b.ndim == 2:
+        return _wrap(ctx, ctx.gemv_t(b, a))  # x @ M == M^T x
+    return _wrap(ctx, ctx.dot(a, b))
+
+
 def _route_ufunc(bound, ufunc, method, inputs, kwargs):
     """NEP-13 entry point shared by :class:`FArray` and :class:`FScalar`.
 
@@ -154,19 +178,7 @@ def _route_ufunc(bound, ufunc, method, inputs, kwargs):
     # instead of silently ignoring the modifier
     if method != "__call__" or any(v is not None for v in kwargs.values()):
         _leak(bound, f"{ufunc.__name__}.{method}" if method != "__call__" else ufunc.__name__)
-    raw = []
-    for x in inputs:
-        tx = type(x)
-        if tx is FArray:
-            if x.ctx is not ctx:
-                _ctx_mismatch(ctx, x.ctx)
-            raw.append(x.data)
-        elif tx is FScalar:
-            if x.ctx is not ctx:
-                _ctx_mismatch(ctx, x.ctx)
-            raw.append(x.value)
-        else:
-            raw.append(x)
+    raw = [_operand(ctx, x) for x in inputs]
     name = _UFUNC_BINARY.get(ufunc)
     if name is not None and len(raw) == 2:
         return _wrap(ctx, getattr(ctx, name)(raw[0], raw[1]))
@@ -178,13 +190,16 @@ def _route_ufunc(bound, ufunc, method, inputs, kwargs):
     if name is not None and len(raw) == 1:
         return _wrap(ctx, getattr(ctx, name)(raw[0]))
     if ufunc is np.matmul and len(raw) == 2:
-        a, b = raw
-        if a.ndim == 2:
-            return _wrap(ctx, ctx.gemv(a, b) if b.ndim == 1 else ctx.gemm(a, b))
-        if b.ndim == 2:
-            return _wrap(ctx, ctx.gemv_t(b, a))
-        return _wrap(ctx, ctx.dot(a, b))
+        return _matmul(ctx, raw[0], raw[1])
     _leak(bound, ufunc.__name__)
+
+
+def _scalar(ctx, value):
+    """Bind a work-dtype scalar context result as an :class:`FScalar`."""
+    s = _new(FScalar)
+    s.ctx = ctx
+    s.value = value
+    return s
 
 
 def _wrap(ctx, out):
@@ -209,9 +224,9 @@ def _wrap(ctx, out):
 class FScalar:
     """A work-dtype scalar bound to a :class:`ComputeContext`.
 
-    Arithmetic operators (``+ - * / ** -x abs``) perform the operation in the
-    work precision and round the result through the context's scalar fast
-    path (:meth:`ComputeContext.round_scalar` underneath) — results are again
+    Arithmetic operators (``+ - * / ** -x abs``) are the context's scalar
+    operations (one work-precision op and one
+    :meth:`ComputeContext.round_scalar` each) — results are again
     :class:`FScalar`, never 1-element ndarrays.  Comparisons are exact (no
     rounding) and return plain booleans.
 
@@ -228,226 +243,102 @@ class FScalar:
     # ------------------------------------------------------------------ #
     # arithmetic operators (each is exactly one rounded context call)
     # ------------------------------------------------------------------ #
-    # The hot bodies are the solvers' Givens/QL regime.  They skip the
-    # generic context dispatch entirely: both payloads of an
-    # FScalar-FScalar operation are work-dtype scalars by class invariant,
-    # so the work-precision operation runs directly on them (NumPy scalar
-    # arithmetic keeps IEEE semantics, including inf-with-warning on
-    # division by zero) and only the single rounding call remains.  This is
-    # bit-identical to ComputeContext.add/sub/mul/div for every format --
-    # guarded by tests/test_operator_equivalence.py; foreign NumPy scalars
-    # are converted into the work dtype first so no silent promotion to a
-    # wider dtype can occur.
+    # Scalar operands go to the context's ``_scalar_*`` twins, which own the
+    # work-precision operation, the op tally and the one ``round_scalar``
+    # call; array operands go to the elementwise op and come back as an
+    # FArray.  The FScalar-FScalar test comes first and the result is built
+    # inline: that is the solvers' Givens/QL regime.  A reflected operator
+    # never sees a bound operand (the bound left operand's own operator
+    # takes it), so it needs no unwrap.
 
     def __add__(self, other):
         c = self.ctx
-        t = type(other)
-        if t is FScalar:
-            if other.ctx is not c:
-                _ctx_mismatch(c, other.ctx)
-            other = other.value
-        elif t is float or t is int:
-            # exact for float64 work dtypes; narrower/wider dtypes convert
-            # first so the work-precision op cannot promote (NumPy-1 value
-            # based casting would compute float32 op float in float64)
-            if c.dtype is not np.float64:
-                other = c.dtype(other)
-        elif isinstance(other, _NUMBERS):
-            other = c.dtype(other)  # foreign NumPy scalar: convert first
-        elif isinstance(other, FArray):
-            if other.ctx is not c:
-                _ctx_mismatch(c, other.ctx)
-            return _wrap(c, c.add(self.value, other.data))
-        elif isinstance(other, np.ndarray):
-            return _wrap(c, c.add(self.value, other))
-        else:
-            return NotImplemented
-        c.op_count += 1
-        r = _new(FScalar)
-        r.ctx = c
-        r.value = c.round_scalar(self.value + other)
-        return r
+        o = other.value if type(other) is FScalar and other.ctx is c else _operand(c, other)
+        if isinstance(o, _NUMBERS):
+            r = _new(FScalar)
+            r.ctx = c
+            r.value = c._scalar_add(self.value, o)
+            return r
+        return _wrap(c, c.add(self.value, o)) if isinstance(o, np.ndarray) else NotImplemented
 
     def __radd__(self, other):
         c = self.ctx
-        t = type(other)
-        if t is float or t is int:
-            if c.dtype is not np.float64:
-                other = c.dtype(other)
-        elif isinstance(other, _NUMBERS):
-            other = c.dtype(other)
-        elif isinstance(other, np.ndarray):
-            return _wrap(c, c.add(other, self.value))
-        else:
-            return NotImplemented
-        c.op_count += 1
-        r = _new(FScalar)
-        r.ctx = c
-        r.value = c.round_scalar(other + self.value)
-        return r
+        if isinstance(other, _NUMBERS):
+            r = _new(FScalar)
+            r.ctx = c
+            r.value = c._scalar_add(other, self.value)
+            return r
+        return _wrap(c, c.add(other, self.value)) if isinstance(other, np.ndarray) else NotImplemented
 
     def __sub__(self, other):
         c = self.ctx
-        t = type(other)
-        if t is FScalar:
-            if other.ctx is not c:
-                _ctx_mismatch(c, other.ctx)
-            other = other.value
-        elif t is float or t is int:
-            # exact for float64 work dtypes; narrower/wider dtypes convert
-            # first so the work-precision op cannot promote (NumPy-1 value
-            # based casting would compute float32 op float in float64)
-            if c.dtype is not np.float64:
-                other = c.dtype(other)
-        elif isinstance(other, _NUMBERS):
-            other = c.dtype(other)  # foreign NumPy scalar: convert first
-        elif isinstance(other, FArray):
-            if other.ctx is not c:
-                _ctx_mismatch(c, other.ctx)
-            return _wrap(c, c.sub(self.value, other.data))
-        elif isinstance(other, np.ndarray):
-            return _wrap(c, c.sub(self.value, other))
-        else:
-            return NotImplemented
-        c.op_count += 1
-        r = _new(FScalar)
-        r.ctx = c
-        r.value = c.round_scalar(self.value - other)
-        return r
+        o = other.value if type(other) is FScalar and other.ctx is c else _operand(c, other)
+        if isinstance(o, _NUMBERS):
+            r = _new(FScalar)
+            r.ctx = c
+            r.value = c._scalar_sub(self.value, o)
+            return r
+        return _wrap(c, c.sub(self.value, o)) if isinstance(o, np.ndarray) else NotImplemented
 
     def __rsub__(self, other):
         c = self.ctx
-        t = type(other)
-        if t is float or t is int:
-            if c.dtype is not np.float64:
-                other = c.dtype(other)
-        elif isinstance(other, _NUMBERS):
-            other = c.dtype(other)
-        elif isinstance(other, np.ndarray):
-            return _wrap(c, c.sub(other, self.value))
-        else:
-            return NotImplemented
-        c.op_count += 1
-        r = _new(FScalar)
-        r.ctx = c
-        r.value = c.round_scalar(other - self.value)
-        return r
+        if isinstance(other, _NUMBERS):
+            r = _new(FScalar)
+            r.ctx = c
+            r.value = c._scalar_sub(other, self.value)
+            return r
+        return _wrap(c, c.sub(other, self.value)) if isinstance(other, np.ndarray) else NotImplemented
 
     def __mul__(self, other):
         c = self.ctx
-        t = type(other)
-        if t is FScalar:
-            if other.ctx is not c:
-                _ctx_mismatch(c, other.ctx)
-            other = other.value
-        elif t is float or t is int:
-            # exact for float64 work dtypes; narrower/wider dtypes convert
-            # first so the work-precision op cannot promote (NumPy-1 value
-            # based casting would compute float32 op float in float64)
-            if c.dtype is not np.float64:
-                other = c.dtype(other)
-        elif isinstance(other, _NUMBERS):
-            other = c.dtype(other)  # foreign NumPy scalar: convert first
-        elif isinstance(other, FArray):
-            if other.ctx is not c:
-                _ctx_mismatch(c, other.ctx)
-            return _wrap(c, c.mul(self.value, other.data))
-        elif isinstance(other, np.ndarray):
-            return _wrap(c, c.mul(self.value, other))
-        else:
-            return NotImplemented
-        c.op_count += 1
-        r = _new(FScalar)
-        r.ctx = c
-        r.value = c.round_scalar(self.value * other)
-        return r
+        o = other.value if type(other) is FScalar and other.ctx is c else _operand(c, other)
+        if isinstance(o, _NUMBERS):
+            r = _new(FScalar)
+            r.ctx = c
+            r.value = c._scalar_mul(self.value, o)
+            return r
+        return _wrap(c, c.mul(self.value, o)) if isinstance(o, np.ndarray) else NotImplemented
 
     def __rmul__(self, other):
         c = self.ctx
-        t = type(other)
-        if t is float or t is int:
-            if c.dtype is not np.float64:
-                other = c.dtype(other)
-        elif isinstance(other, _NUMBERS):
-            other = c.dtype(other)
-        elif isinstance(other, np.ndarray):
-            return _wrap(c, c.mul(other, self.value))
-        else:
-            return NotImplemented
-        c.op_count += 1
-        r = _new(FScalar)
-        r.ctx = c
-        r.value = c.round_scalar(other * self.value)
-        return r
+        if isinstance(other, _NUMBERS):
+            r = _new(FScalar)
+            r.ctx = c
+            r.value = c._scalar_mul(other, self.value)
+            return r
+        return _wrap(c, c.mul(other, self.value)) if isinstance(other, np.ndarray) else NotImplemented
 
     def __truediv__(self, other):
         c = self.ctx
-        t = type(other)
-        if t is FScalar:
-            if other.ctx is not c:
-                _ctx_mismatch(c, other.ctx)
-            other = other.value
-        elif t is float or t is int:
-            # exact for float64 work dtypes; narrower/wider dtypes convert
-            # first so the work-precision op cannot promote (NumPy-1 value
-            # based casting would compute float32 op float in float64)
-            if c.dtype is not np.float64:
-                other = c.dtype(other)
-        elif isinstance(other, _NUMBERS):
-            other = c.dtype(other)  # foreign NumPy scalar: convert first
-        elif isinstance(other, FArray):
-            if other.ctx is not c:
-                _ctx_mismatch(c, other.ctx)
-            return _wrap(c, c.div(self.value, other.data))
-        elif isinstance(other, np.ndarray):
-            return _wrap(c, c.div(self.value, other))
-        else:
-            return NotImplemented
-        c.op_count += 1
-        r = _new(FScalar)
-        r.ctx = c
-        r.value = c.round_scalar(self.value / other)
-        return r
+        o = other.value if type(other) is FScalar and other.ctx is c else _operand(c, other)
+        if isinstance(o, _NUMBERS):
+            r = _new(FScalar)
+            r.ctx = c
+            r.value = c._scalar_div(self.value, o)
+            return r
+        return _wrap(c, c.div(self.value, o)) if isinstance(o, np.ndarray) else NotImplemented
 
     def __rtruediv__(self, other):
         c = self.ctx
-        t = type(other)
-        if t is float or t is int:
-            if c.dtype is not np.float64:
-                other = c.dtype(other)
-        elif isinstance(other, _NUMBERS):
-            other = c.dtype(other)
-        elif isinstance(other, np.ndarray):
-            return _wrap(c, c.div(other, self.value))
-        else:
-            return NotImplemented
-        c.op_count += 1
-        r = _new(FScalar)
-        r.ctx = c
-        r.value = c.round_scalar(other / self.value)
-        return r
+        if isinstance(other, _NUMBERS):
+            r = _new(FScalar)
+            r.ctx = c
+            r.value = c._scalar_div(other, self.value)
+            return r
+        return _wrap(c, c.div(other, self.value)) if isinstance(other, np.ndarray) else NotImplemented
 
     def __neg__(self):
-        r = _new(FScalar)
-        r.ctx = c = self.ctx
-        r.value = c.neg(self.value)
-        return r
+        return _scalar(self.ctx, self.ctx.neg(self.value))
 
     def __pos__(self):
         return self
 
     def __abs__(self):
-        r = _new(FScalar)
-        r.ctx = c = self.ctx
-        r.value = c.abs(self.value)
-        return r
+        return _scalar(self.ctx, self.ctx.abs(self.value))
 
     def __pow__(self, exponent):
         if exponent == 2:  # the only power the kernels need: one rounded mul
-            r = _new(FScalar)
-            r.ctx = c = self.ctx
-            r.value = c._scalar_mul(self.value, self.value)
-            return r
+            return _scalar(self.ctx, self.ctx._scalar_mul(self.value, self.value))
         return NotImplemented
 
     # ------------------------------------------------------------------ #
@@ -455,46 +346,16 @@ class FScalar:
     # ------------------------------------------------------------------ #
     def sqrt(self) -> "FScalar":
         """Rounded square root (one context operation)."""
-        r = _new(FScalar)
-        r.ctx = c = self.ctx
-        r.value = c._scalar_sqrt(self.value)
-        return r
+        return _scalar(self.ctx, self.ctx._scalar_sqrt(self.value))
 
     def hypot(self, other) -> "FScalar":
         """Overflow-safe ``sqrt(self² + other²)`` (:meth:`ComputeContext.hypot`)."""
         c = self.ctx
-        if type(other) is FScalar:
-            if other.ctx is not c:
-                _ctx_mismatch(c, other.ctx)
-            other = other.value
-        elif isinstance(other, FArray):
-            if other.ctx is not c:
-                _ctx_mismatch(c, other.ctx)
-            return _wrap(c, c.hypot(self.value, other.data))
-        elif isinstance(other, np.ndarray):
-            return _wrap(c, c.hypot(self.value, other))
-        r = _new(FScalar)
-        r.ctx = c
-        r.value = c.hypot(self.value, other)
-        return r
+        return _wrap(c, c.hypot(self.value, _operand(c, other)))
 
     def copysign(self, other) -> "FScalar":
         """Magnitude of ``self`` with the sign of ``other`` (exact)."""
-        c = self.ctx
-        if type(other) is FScalar:
-            if other.ctx is not c:
-                _ctx_mismatch(c, other.ctx)
-            other = other.value
-        elif isinstance(other, FArray):
-            if other.ctx is not c:
-                _ctx_mismatch(c, other.ctx)
-            return _wrap(c, np.copysign(self.value, other.data))
-        elif isinstance(other, np.ndarray):
-            return _wrap(c, np.copysign(self.value, other))
-        r = _new(FScalar)
-        r.ctx = c
-        r.value = np.copysign(self.value, other)
-        return r
+        return _wrap(self.ctx, np.copysign(self.value, _operand(self.ctx, other)))
 
     # ------------------------------------------------------------------ #
     # exact queries (no rounding involved)
@@ -639,14 +500,8 @@ class FArray:
         return s
 
     def __setitem__(self, key, value):
-        if type(value) is FScalar:
-            if value.ctx is not self.ctx:
-                _ctx_mismatch(self.ctx, value.ctx)
-            value = value.value
-        elif type(value) is FArray:
-            if value.ctx is not self.ctx:
-                _ctx_mismatch(self.ctx, value.ctx)
-            value = value.data
+        if type(value) is FScalar or type(value) is FArray:
+            value = _operand(self.ctx, value)
         else:
             # unbound values are rounded into the context on the way in, so
             # assignment cannot smuggle unrepresentable values past the
@@ -662,68 +517,36 @@ class FArray:
     # elementwise operators (one rounded context call each)
     # ------------------------------------------------------------------ #
     def __add__(self, other):
-        c = self.ctx
-        if type(other) is FArray or type(other) is FScalar:
-            if other.ctx is not c:
-                _ctx_mismatch(c, other.ctx)
-            return _wrap(c, c.add(self.data, other.data if type(other) is FArray else other.value))
-        if isinstance(other, _NUMBERS) or isinstance(other, np.ndarray):
-            return _wrap(c, c.add(self.data, other))
-        return NotImplemented
+        c, o = self.ctx, _operand(self.ctx, other)
+        return _wrap(c, c.add(self.data, o)) if isinstance(o, _OPERANDS) else NotImplemented
 
     def __radd__(self, other):
         c = self.ctx
-        if isinstance(other, _NUMBERS) or isinstance(other, np.ndarray):
-            return _wrap(c, c.add(other, self.data))
-        return NotImplemented
+        return _wrap(c, c.add(other, self.data)) if isinstance(other, _OPERANDS) else NotImplemented
 
     def __sub__(self, other):
-        c = self.ctx
-        if type(other) is FArray or type(other) is FScalar:
-            if other.ctx is not c:
-                _ctx_mismatch(c, other.ctx)
-            return _wrap(c, c.sub(self.data, other.data if type(other) is FArray else other.value))
-        if isinstance(other, _NUMBERS) or isinstance(other, np.ndarray):
-            return _wrap(c, c.sub(self.data, other))
-        return NotImplemented
+        c, o = self.ctx, _operand(self.ctx, other)
+        return _wrap(c, c.sub(self.data, o)) if isinstance(o, _OPERANDS) else NotImplemented
 
     def __rsub__(self, other):
         c = self.ctx
-        if isinstance(other, _NUMBERS) or isinstance(other, np.ndarray):
-            return _wrap(c, c.sub(other, self.data))
-        return NotImplemented
+        return _wrap(c, c.sub(other, self.data)) if isinstance(other, _OPERANDS) else NotImplemented
 
     def __mul__(self, other):
-        c = self.ctx
-        if type(other) is FArray or type(other) is FScalar:
-            if other.ctx is not c:
-                _ctx_mismatch(c, other.ctx)
-            return _wrap(c, c.mul(self.data, other.data if type(other) is FArray else other.value))
-        if isinstance(other, _NUMBERS) or isinstance(other, np.ndarray):
-            return _wrap(c, c.mul(self.data, other))
-        return NotImplemented
+        c, o = self.ctx, _operand(self.ctx, other)
+        return _wrap(c, c.mul(self.data, o)) if isinstance(o, _OPERANDS) else NotImplemented
 
     def __rmul__(self, other):
         c = self.ctx
-        if isinstance(other, _NUMBERS) or isinstance(other, np.ndarray):
-            return _wrap(c, c.mul(other, self.data))
-        return NotImplemented
+        return _wrap(c, c.mul(other, self.data)) if isinstance(other, _OPERANDS) else NotImplemented
 
     def __truediv__(self, other):
-        c = self.ctx
-        if type(other) is FArray or type(other) is FScalar:
-            if other.ctx is not c:
-                _ctx_mismatch(c, other.ctx)
-            return _wrap(c, c.div(self.data, other.data if type(other) is FArray else other.value))
-        if isinstance(other, _NUMBERS) or isinstance(other, np.ndarray):
-            return _wrap(c, c.div(self.data, other))
-        return NotImplemented
+        c, o = self.ctx, _operand(self.ctx, other)
+        return _wrap(c, c.div(self.data, o)) if isinstance(o, _OPERANDS) else NotImplemented
 
     def __rtruediv__(self, other):
         c = self.ctx
-        if isinstance(other, _NUMBERS) or isinstance(other, np.ndarray):
-            return _wrap(c, c.div(other, self.data))
-        return NotImplemented
+        return _wrap(c, c.div(other, self.data)) if isinstance(other, _OPERANDS) else NotImplemented
 
     def __neg__(self):
         return _wrap(self.ctx, self.ctx.neg(self.data))
@@ -736,21 +559,12 @@ class FArray:
 
     # ------------------------------------------------------------------ #
     # in-place operators (allocation-free: the work-precision operation
-    # writes into this array's buffer and the rounding backend rounds it in
-    # place via the contexts' ``out=`` path — no temporary per update)
+    # writes into this array's buffer and the context rounds it there)
     # ------------------------------------------------------------------ #
-    def _inplace_operand(self, other):
-        """Unwrap an operand for an in-place op (``None``: unsupported)."""
-        t = type(other)
-        if t is FArray or t is FScalar:
-            if other.ctx is not self.ctx:
-                _ctx_mismatch(self.ctx, other.ctx)
-            return other.data if t is FArray else other.value
-        if isinstance(other, _NUMBERS) or isinstance(other, np.ndarray):
-            return other
-        return None
-
-    def _inplace(self, op, od):
+    def _inplace(self, op, other):
+        od = _operand(self.ctx, other)
+        if not isinstance(od, _OPERANDS):
+            return NotImplemented
         if self.data.ndim == 0:
             # the contexts' all-scalar branch treats a 0-d buffer as a
             # scalar operand, returns the rounded scalar and ignores
@@ -762,62 +576,30 @@ class FArray:
         return self
 
     def __iadd__(self, other):
-        od = self._inplace_operand(other)
-        if od is None:
-            return NotImplemented
-        return self._inplace(self.ctx.add, od)
+        return self._inplace(self.ctx.add, other)
 
     def __isub__(self, other):
-        od = self._inplace_operand(other)
-        if od is None:
-            return NotImplemented
-        return self._inplace(self.ctx.sub, od)
+        return self._inplace(self.ctx.sub, other)
 
     def __imul__(self, other):
-        od = self._inplace_operand(other)
-        if od is None:
-            return NotImplemented
-        return self._inplace(self.ctx.mul, od)
+        return self._inplace(self.ctx.mul, other)
 
     def __itruediv__(self, other):
-        od = self._inplace_operand(other)
-        if od is None:
-            return NotImplemented
-        return self._inplace(self.ctx.div, od)
+        return self._inplace(self.ctx.div, other)
 
     # ------------------------------------------------------------------ #
     # matrix products
     # ------------------------------------------------------------------ #
     def __matmul__(self, other):
-        c = self.ctx
-        if type(other) is FArray:
-            if other.ctx is not c:
-                _ctx_mismatch(c, other.ctx)
-            od = other.data
-        elif isinstance(other, np.ndarray):
-            od = other
-        else:
-            return NotImplemented
-        sd = self.data
-        if sd.ndim == 2:
-            return _wrap(c, c.gemv(sd, od) if od.ndim == 1 else c.gemm(sd, od))
-        if od.ndim == 2:
-            return _wrap(c, c.gemv_t(od, sd))  # x @ M == M^T x
-        return _wrap(c, c.dot(sd, od))
+        o = _operand(self.ctx, other)
+        return _matmul(self.ctx, self.data, o) if isinstance(o, np.ndarray) else NotImplemented
 
     def __rmatmul__(self, other):
         c = self.ctx
         if hasattr(other, "indptr") and hasattr(other, "indices"):
             # CSR substrate: the rounded sparse kernel
             return _wrap(c, c.spmv(other, self.data))
-        if isinstance(other, np.ndarray):
-            sd = self.data
-            if other.ndim == 2:
-                return _wrap(c, c.gemv(other, sd) if sd.ndim == 1 else c.gemm(other, sd))
-            if sd.ndim == 2:
-                return _wrap(c, c.gemv_t(sd, other))
-            return _wrap(c, c.dot(other, sd))
-        return NotImplemented
+        return _matmul(c, other, self.data) if isinstance(other, np.ndarray) else NotImplemented
 
     # ------------------------------------------------------------------ #
     # rounded reductions & methods
@@ -828,11 +610,7 @@ class FArray:
 
     def dot(self, other) -> "FScalar":
         """Rounded inner product (products and accumulation both round)."""
-        if type(other) is FArray:
-            if other.ctx is not self.ctx:
-                _ctx_mismatch(self.ctx, other.ctx)
-            other = other.data
-        return _wrap(self.ctx, self.ctx.dot(self.data, other))
+        return _wrap(self.ctx, self.ctx.dot(self.data, _operand(self.ctx, other)))
 
     def norm2(self) -> "FScalar":
         """Overflow-safe rounded Euclidean norm (:meth:`ComputeContext.norm2`)."""
@@ -847,15 +625,8 @@ class FArray:
         the dominant solver update.  ``alpha`` may be a scalar or
         :class:`FScalar`; ``x`` an :class:`FArray` or ndarray.
         """
-        if type(alpha) is FScalar:
-            if alpha.ctx is not self.ctx:
-                _ctx_mismatch(self.ctx, alpha.ctx)
-            alpha = alpha.value
-        if type(x) is FArray:
-            if x.ctx is not self.ctx:
-                _ctx_mismatch(self.ctx, x.ctx)
-            x = x.data
-        return _wrap(self.ctx, self.ctx.axpy(alpha, x, self.data))
+        c = self.ctx
+        return _wrap(c, c.axpy(_operand(c, alpha), _operand(c, x), self.data))
 
     def sum(self, axis: int | None = None):
         """Rounded sum (:meth:`ComputeContext.reduce_sum` underneath).
@@ -885,7 +656,7 @@ class FArray:
             other = other.data
         elif type(other) is FScalar:
             other = other.value
-        if isinstance(other, (np.ndarray,) + _NUMBERS):
+        if isinstance(other, _OPERANDS):
             return self.data == other
         return NotImplemented
 
@@ -894,7 +665,7 @@ class FArray:
             other = other.data
         elif type(other) is FScalar:
             other = other.value
-        if isinstance(other, (np.ndarray,) + _NUMBERS):
+        if isinstance(other, _OPERANDS):
             return self.data != other
         return NotImplemented
 

@@ -672,10 +672,6 @@ class ExperimentPlan:
     def planned_cells(self) -> int:
         return len(self.suite) * len(self.formats)
 
-    @property
-    def missing_cells(self) -> int:
-        return sum(len(task.formats) for task in self.tasks)
-
 
 def plan_experiment(
     suite: Iterable[TestMatrix],

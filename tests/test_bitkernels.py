@@ -355,19 +355,33 @@ def test_disable_switch_falls_back_to_analytic():
 def test_analytic_kernels_bypass_bitkernels():
     """With the bit kernels disabled a context rounds arrays above the
     scalar cutoff through the pure analytic kernels, for a format whose
-    default dispatch is the bit kernel; both agree bit for bit."""
+    default dispatch is the bit kernel; both agree bit for bit.  The ops
+    that round their work buffer in place (an aliased ``out``, a fresh
+    product, the fused Givens rotation) give the analytic kernel's words
+    too."""
     values = np.tile([0.3, -1.7, 64.25, 1e-40], 8)
+    other = np.tile([1.1, -0.7, 3.0, 2e-3], 8)
+    c, s = 0.6, 0.8
     fmt = get_format("posit32")
     fast = get_context("posit32").round(values)
     previous = bk.set_enabled(False)
     try:
         ctx = get_context("posit32")
-        assert not ctx._round_work_inplace()
         analytic = ctx.round(values)
+        acc = analytic.copy()
+        summed = ctx.add(acc, other, out=acc)
+        product = ctx.mul(analytic, other)
+        rotated = ctx.rotate_columns(c, s, analytic, product)
     finally:
         bk.set_enabled(previous)
-    assert np.array_equal(analytic, fmt.round_array_analytic(values))
+    ref = fmt.round_array_analytic
+    assert np.array_equal(analytic, ref(values))
     assert np.array_equal(analytic, fast)
+    assert summed is acc
+    assert np.array_equal(summed, ref(analytic + other))
+    assert np.array_equal(product, ref(analytic * other))
+    prods = ref(np.stack((c * analytic, s * product, s * analytic, c * product)))
+    assert np.array_equal(rotated, ref(np.stack((prods[0] - prods[1], prods[2] + prods[3]))))
 
 
 @pytest.mark.parametrize("name", ["posit16", "takum16", "E4M3"])

@@ -11,11 +11,26 @@ from repro.arithmetic import (
     FArray,
     FScalar,
     PrecisionLeakError,
+    available_formats,
     get_context,
     get_format,
     precision,
 )
 from tests.conftest import random_symmetric_csr
+
+#: every context name: the registered formats plus the native contexts
+_ALL_CONTEXTS = list(dict.fromkeys([*available_formats(), "float32", "float64", "reference"]))
+
+#: the float operand values: signed zeros, infinities and NaN included,
+#: so division by +-0 and the IEEE special cases are all exercised
+_SPECIAL_VALUES = (0.0, -0.0, 1.5, -3.0, 1e-3, np.inf, -np.inf, np.nan)
+
+
+def _same_word(x, y) -> bool:
+    """Bitwise equality of two scalars, NaN-aware (any NaN equals any NaN)."""
+    if np.isnan(x) or np.isnan(y):
+        return bool(np.isnan(x) and np.isnan(y))
+    return bool(x == y and np.signbit(x) == np.signbit(y))
 
 
 class TestFScalarStaysScalar:
@@ -45,6 +60,50 @@ class TestFScalarStaysScalar:
             assert float(a * b) == float(ctx.mul(a.value, b.value))
             assert float(a / b) == float(ctx.div(a.value, b.value))
             assert float(abs(a).sqrt()) == float(ctx.sqrt(ctx.abs(a.value)))
+
+    @pytest.mark.parametrize("fmt", _ALL_CONTEXTS)
+    def test_operand_coercion_matches_context_ops(self, fmt):
+        """Every FScalar arithmetic operator, in both operand orders, against
+        every operand form (FScalar, Python int/float, foreign NumPy
+        scalars, 0-d arrays) is exactly one rounded context op: a
+        work-dtype FScalar equal to ``ctx.add/sub/mul/div`` bit for bit,
+        tallying one op."""
+        ctx = get_context(fmt)
+        ops = (
+            ("+", lambda x, y: x + y, ctx.add),
+            ("-", lambda x, y: x - y, ctx.sub),
+            ("*", lambda x, y: x * y, ctx.mul),
+            ("/", lambda x, y: x / y, ctx.div),
+        )
+        operands = [0, 3, -2] + [
+            form(v)
+            for v in _SPECIAL_VALUES
+            for form in (
+                ctx.scalar,
+                float,
+                np.float32,
+                np.float64,
+                np.longdouble,
+                lambda v: np.array(v),
+            )
+        ]
+        with np.errstate(all="ignore"):
+            for v in _SPECIAL_VALUES:
+                a = ctx.scalar(v)
+                for other in operands:
+                    raw = other.value if isinstance(other, FScalar) else other
+                    for sym, apply, op in ops:
+                        for left, right, expected in (
+                            (a, other, op(a.value, raw)),
+                            (other, a, op(raw, a.value)),
+                        ):
+                            before = ctx.op_count
+                            got = apply(left, right)
+                            where = f"{fmt}: {left!r} {sym} {right!r}"
+                            assert ctx.op_count == before + 1, where
+                            assert type(got) is FScalar, where
+                            assert type(got.value) is ctx.dtype, where
+                            assert _same_word(got.value, expected), where
 
     def test_mixed_operand_forms(self):
         ctx = get_context("bfloat16")

@@ -193,16 +193,18 @@ class TestContextScalarOps:
         out = ctx.add(one, np.longdouble(eps))
         assert out > one  # a float64 round-trip would have lost the eps
 
-    @pytest.mark.parametrize("name", ["posit64", "takum64", "posit32", "reference", "float32"])
-    @pytest.mark.parametrize("op", ["add", "sub", "mul"])
+    @pytest.mark.parametrize(
+        "name", ["posit64", "takum64", "posit32", "reference", "float32", "float64"]
+    )
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
     def test_scalar_ops_match_casting_both_operands(self, name, op):
-        """``_scalar_add/_sub/_mul`` skip the cast of an operand that
+        """``_scalar_add/_sub/_mul/_div`` skip the cast of an operand that
         already is the work dtype; type and bits must stay those of casting
         both operands and rounding the result."""
         ctx = get_context(name)
         dt = ctx.dtype
         fn = getattr(ctx, f"_scalar_{op}")
-        pyop = getattr(operator, op)
+        pyop = operator.truediv if op == "div" else getattr(operator, op)
         third = np.longdouble(1.0) / np.longdouble(3.0)
         operands = [0.3123, -1.7, np.float64(2.5e-3), np.float64(-7.25), third, -third, dt(third)]
         nbytes = 10 if dt is np.longdouble else np.dtype(dt).itemsize  # skip x87 padding

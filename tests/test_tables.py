@@ -214,21 +214,35 @@ class TestPreload:
 class TestOptOut:
     def test_context_opt_out_matches_analytic(self):
         """The process-wide opt-out rounds a context's arrays through the
-        analytic vector kernel, bit-identical to the bit kernel."""
+        analytic vector kernel, bit-identical to the bit kernel.  The ops
+        still round their work buffer in place: an aliased ``out=``, a
+        fresh product and the fused Givens rotation all give the analytic
+        kernel's words."""
         rng = np.random.default_rng(11)
         values = rng.standard_normal(256)
         fast_ctx = get_context("posit16")
         fast = fast_ctx.round(values)
+        other = fast_ctx.round(rng.standard_normal(256))
+        c, s = 0.6, 0.8
         previous = set_bitkernels_enabled(False)
         try:
             analytic_ctx = get_context("posit16")
             assert isinstance(analytic_ctx, EmulatedContext)
-            assert not analytic_ctx._round_work_inplace()  # analytic kernels allocate
             analytic = analytic_ctx.round(values)
+            acc = analytic.copy()
+            summed = analytic_ctx.add(acc, other, out=acc)
+            product = analytic_ctx.mul(analytic, other)
+            rotated = analytic_ctx.rotate_columns(c, s, analytic, other)
         finally:
             set_bitkernels_enabled(previous)
+        ref = analytic_ctx.format.round_array_analytic
         assert_bit_identical(analytic, fast)
-        assert_bit_identical(analytic, analytic_ctx.format.round_array_analytic(values))
+        assert_bit_identical(analytic, ref(values))
+        assert summed is acc
+        assert_bit_identical(summed, ref(analytic + other))
+        assert_bit_identical(product, ref(analytic * other))
+        prods = ref(np.stack((c * analytic, s * other, s * analytic, c * other)))
+        assert_bit_identical(rotated, ref(np.stack((prods[0] - prods[1], prods[2] + prods[3]))))
 
 
 class TestMachineEpsilonMemoisation:

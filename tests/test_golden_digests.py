@@ -5,9 +5,20 @@ with a small restart budget, by the sequential engine and by the lockstep
 engine.  Each (format) outcome is reduced to a SHA-256 digest over the
 eigenvalue, eigenvector and residual bytes plus the restart, matvec and
 rounded-op counts, and compared against the checked-in
-``benchmarks/reference/golden_digests.json``.  A refactor of the solver or
-the rounding backends proves it changed nothing by leaving these digests
-untouched; an intentional numerical change regenerates the file with::
+``benchmarks/reference/golden_digests.json``.
+
+The dense symmetric eigensolver is pinned on its own as well (the
+``eigen`` section): ``symmetric_eigen`` of one seeded order-25 symmetric
+matrix at three scales in every paper format and the reference context,
+and seeded tridiagonal inputs of ``tridiagonal_eigen`` that reach the QL
+restart branch (a zero rotation radius) and each
+:class:`~repro.linalg.tridiagonal.EigenConvergenceError` exit.  Each digest
+covers the eigenvalue and eigenvector bytes, the rounded-op count and the
+error text.
+
+A refactor of the solver or the rounding backends proves it changed nothing
+by leaving these digests untouched; an intentional numerical change
+regenerates the file with::
 
     PYTHONPATH=src python tests/test_golden_digests.py --update
 """
@@ -19,6 +30,8 @@ import json
 import sys
 from pathlib import Path
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -28,6 +41,7 @@ from repro.core.krylov_schur import partialschur
 from repro.core.lockstep import batched_partialschur
 from repro.datasets import get_suite
 from repro.experiments.tolerances import tolerance_for
+from repro.linalg.tridiagonal import EigenConvergenceError, symmetric_eigen, tridiagonal_eigen
 
 GOLDEN = Path(__file__).resolve().parents[1] / "benchmarks" / "reference" / "golden_digests.json"
 
@@ -98,6 +112,134 @@ def batched_digests() -> dict:
     }
 
 
+#: the eigensolver inputs: a symmetric matrix of order ``order`` drawn from
+#: ``seed`` at each of ``scales``, and tridiagonals of order
+#: ``tridiagonal_order`` drawn from seeds below ``seed_limit``
+EIGEN_SETTINGS = {
+    "order": 25,
+    "seed": 0,
+    "scales": [1.0, 1e3, 1e-3],
+    "tridiagonal_order": 8,
+    "seed_limit": 600,
+}
+#: every context the eigensolver runs in: the paper's formats and the reference
+EIGEN_CONTEXTS = FORMATS + ["reference"]
+#: the outcomes of the QL iteration each recorded tridiagonal input reaches
+BRANCHES = ("restart", "nonfinite", "sweeps")
+
+
+def _runnable(name: str) -> bool:
+    return LONGDOUBLE_EXTENDED or name not in LONGDOUBLE_FORMATS + ("reference",)
+
+
+def _symmetric_input(ctx, scale: float):
+    rng = np.random.default_rng(EIGEN_SETTINGS["seed"])
+    n = EIGEN_SETTINGS["order"]
+    raw = rng.standard_normal((n, n))
+    return ctx.asarray((raw + raw.T) / 2 * scale)
+
+
+def _tridiagonal_input(ctx, seed: int):
+    """A tridiagonal whose off-diagonal spans nine decades below its scale,
+    so narrow formats underflow and overflow inside the QL iteration."""
+    rng = np.random.default_rng(seed)
+    n = EIGEN_SETTINGS["tridiagonal_order"]
+    scale = 10.0 ** rng.uniform(-4, 4)
+    d = rng.standard_normal(n) * scale
+    e = rng.standard_normal(n - 1) * scale * 10.0 ** rng.uniform(-8, 1, n - 1)
+    return ctx.asarray(d), ctx.asarray(e)
+
+
+def _eigen_outcome(h, ctx, solve) -> tuple:
+    """Run ``solve()`` in ``ctx``, hash its observables into ``h`` and return
+    ``(op_count, error text)``."""
+    start = ctx.op_count
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            arrays = solve()
+        error = None
+    except EigenConvergenceError as exc:
+        arrays, error = (), str(exc)
+    ops = ctx.op_count - start
+    h.update(json.dumps({"op_count": ops, "error": error}).encode())
+    for arr in arrays:
+        arr = np.asarray(arr)
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(_array_bytes(arr))
+    return ops, error
+
+
+def symmetric_eigen_digest(name: str) -> dict:
+    """``symmetric_eigen`` of the seeded matrix at every scale in ``name``."""
+    ctx = get_context(name)
+    h = hashlib.sha256()
+    ops, errors = [], []
+    for scale in EIGEN_SETTINGS["scales"]:
+        A = _symmetric_input(ctx, scale)
+        n, error = _eigen_outcome(h, ctx, lambda: symmetric_eigen(ctx, A))
+        ops.append(n)
+        errors.append(error)
+    return {"digest": h.hexdigest(), "op_count": ops, "errors": errors}
+
+
+def tridiagonal_case(name: str, seed: int) -> dict:
+    """``tridiagonal_eigen`` of the tridiagonal drawn from ``seed`` in
+    ``name``, with the branches it reached: ``restart`` when a rotation
+    radius came out exactly zero, ``nonfinite``/``sweeps`` for the two
+    :class:`EigenConvergenceError` exits."""
+    ctx = get_context(name)
+    d, e = _tridiagonal_input(ctx, seed)
+    hypot = ctx.hypot
+    zero_radius = []
+
+    def watched_hypot(a, b, **kwargs):
+        r = hypot(a, b, **kwargs)
+        if np.ndim(r) == 0 and r == 0:
+            zero_radius.append(True)
+        return r
+
+    ctx.hypot = watched_hypot  # the QL iteration takes every radius from ctx.hypot
+    h = hashlib.sha256()
+    ops, error = _eigen_outcome(h, ctx, lambda: tridiagonal_eigen(ctx, d, e))
+    branches = ["restart"] if zero_radius else []
+    if error is not None:
+        branches.append("nonfinite" if error.startswith("non-finite") else "sweeps")
+    return {
+        "context": name,
+        "seed": seed,
+        "branches": branches,
+        "digest": h.hexdigest(),
+        "op_count": ops,
+        "error": error,
+    }
+
+
+def eigen_digests() -> dict:
+    """The ``eigen`` section: per-context ``symmetric_eigen`` digests, and
+    for each (context, branch) the first seed whose tridiagonal is finite
+    in the context and reaches the branch."""
+    cases = []
+    for name in EIGEN_CONTEXTS:
+        found = set()
+        ctx = get_context(name)
+        for seed in range(EIGEN_SETTINGS["seed_limit"]):
+            if not all(np.isfinite(x).all() for x in _tridiagonal_input(ctx, seed)):
+                continue  # the input itself overflows the format
+            case = tridiagonal_case(name, seed)
+            new = set(case["branches"]) - found
+            if new:
+                cases.append(case)
+                found |= new
+            if found == set(BRANCHES):
+                break
+    return {
+        "settings": EIGEN_SETTINGS,
+        "symmetric": {name: symmetric_eigen_digest(name) for name in EIGEN_CONTEXTS},
+        "tridiagonal": cases,
+    }
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     data = json.loads(GOLDEN.read_text())
@@ -120,6 +262,40 @@ def test_golden_file_covers_the_paper_formats(golden):
     assert {entry["reason"] for entry in golden.values()} >= {"converged", "maxiter", "breakdown"}
 
 
+@pytest.fixture(scope="module")
+def golden_eigen() -> dict:
+    data = json.loads(GOLDEN.read_text())["eigen"]
+    assert data["settings"] == EIGEN_SETTINGS, "golden file was generated with other settings"
+    return data
+
+
+@pytest.mark.parametrize("name", EIGEN_CONTEXTS)
+def test_symmetric_eigen_matches_golden_digest(name, golden_eigen):
+    if not _runnable(name):
+        pytest.skip("numpy.longdouble is not extended precision here")
+    assert symmetric_eigen_digest(name) == golden_eigen["symmetric"][name]
+
+
+def test_tridiagonal_cases_match_golden_digests(golden_eigen):
+    want = [case for case in golden_eigen["tridiagonal"] if _runnable(case["context"])]
+    got = [tridiagonal_case(case["context"], case["seed"]) for case in want]
+    mismatched = [(g, w) for g, w in zip(got, want) if g != w]
+    assert not mismatched, mismatched
+
+
+def test_tridiagonal_cases_reach_every_branch(golden_eigen):
+    """The recorded inputs reach the restart branch and both error exits,
+    each in a narrow IEEE-style format (where underflow and overflow occur)."""
+    reached = {}
+    for case in golden_eigen["tridiagonal"]:
+        for branch in case["branches"]:
+            reached.setdefault(branch, set()).add(case["context"])
+    assert set(reached) == set(BRANCHES)
+    assert {"E4M3", "float16"} <= reached["nonfinite"]
+    assert "float16" in reached["restart"]
+    assert {"E4M3", "takum8", "posit8"} <= reached["sweeps"]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--update"]:
         sys.exit("usage: python tests/test_golden_digests.py --update")
@@ -128,5 +304,7 @@ if __name__ == "__main__":
     seq = sequential_digests()
     if seq != batched_digests():
         sys.exit("sequential and batched engines disagree; not writing digests")
-    GOLDEN.write_text(json.dumps({"settings": SETTINGS, "formats": seq}, indent=2) + "\n")
+    GOLDEN.write_text(
+        json.dumps({"settings": SETTINGS, "formats": seq, "eigen": eigen_digests()}, indent=2) + "\n"
+    )
     print(f"wrote {GOLDEN}")

@@ -9,7 +9,10 @@ reads like NumPy while the trajectories stay bit-identical to the explicit
 ``ctx.sub(..., ctx.mul(...))`` spelling (proven in
 ``tests/test_operator_equivalence.py``).  The routines operate on small dense
 matrices (the projected problems of the Krylov-Schur iteration) and
-therefore favour clarity over asymptotic performance.
+therefore favour clarity over asymptotic performance, with one exception:
+:func:`apply_reflector_right` also takes a ``(k, n, n)`` stack of matrices
+that share the reflector and updates all of them with the rounding calls of
+one, which is how the tridiagonalisation updates ``A`` and ``Q`` together.
 
 Public signatures keep plain ndarrays / work-dtype scalars in and out, so
 callers of the explicit context API are unaffected.
@@ -78,13 +81,20 @@ def apply_reflector_left(ctx, v, beta, A):
 
 
 def apply_reflector_right(ctx, A, v, beta):
-    """Apply ``(I - beta v v^T)`` from the right: ``A <- A - beta (A v) v^T``."""
+    """Apply ``(I - beta v v^T)`` from the right: ``A <- A - beta (A v) v^T``.
+
+    ``A`` is one ``(n, n)`` matrix or a ``(k, n, n)`` stack of matrices that
+    share the reflector (the tridiagonalisation's ``[A; Q]``).  A stack is
+    updated with one rounding call per step for all its matrices, and each
+    matrix gets exactly the values and op tally of updating it alone: the
+    products ``A v`` reduce row by row, ``beta * v`` is formed once per
+    matrix, and the outer product and the subtraction are elementwise.
+    """
     A = ctx.wrap(A)
     if float(beta) == 0.0:
         return A.data.copy()
-    v = ctx.wrap(v)
-    beta = ctx.wrap_scalar(beta)
-    w = A @ v
-    update = w[:, np.newaxis] * (beta * v)[np.newaxis, :]
-    return (A - update).data
-
+    n = A.shape[-1]
+    w = ctx.wrap(A.data.reshape(-1, n)) @ v  # A v over every row of the stack
+    w = ctx.wrap(w.data.reshape(A.shape[:-1] + (1,)))
+    bv = ctx.wrap_scalar(beta) * np.broadcast_to(v, A.shape[:-2] + (n,))  # per matrix
+    return (A - w * bv[..., np.newaxis, :]).data

@@ -10,13 +10,32 @@ that it can run in any emulated arithmetic:
    (:func:`tridiagonal_eigen`), following the classic EISPACK ``tql2``
    algorithm.
 
-The kernels are written in the operator form of
-:mod:`repro.arithmetic.farray`: the rotation recurrences read as plain
-arithmetic (``r = (d[i] - g) * s + (2.0 * c) * b``) while every operator
-performs exactly one rounded context operation, keeping the trajectories
-bit-identical to the explicit ``ctx.add(ctx.mul(...))`` spelling.
-Convergence scans and deflation thresholds read the raw ``.data`` buffers —
-they are exact float comparisons, not arithmetic in the target format.
+These two loops are the solver's innermost code: every restart of the
+Krylov-Schur iteration runs them on the projected matrix, one rounded
+scalar or small-array operation at a time, where the wrapper objects and
+method calls of the operator API (:mod:`repro.arithmetic.farray`) and the
+fixed cost of each rounding call outweigh the arithmetic itself.  They are
+therefore written for dispatch cost:
+
+* the QL recurrence works on raw work-dtype scalars and spells each rounded
+  operation ``rs(a * b)`` with ``rs = ctx.round_scalar``, looked up once per
+  call (never cached at import or on the context, so a ``round_scalar``
+  patched on the class is still the one that runs).  The rotation radius
+  comes from ``ctx.hypot``, and exact zeros are stored without a rounding
+  call.  Each step adds its op count to
+  ``ctx.op_count`` once, when its ops are done, so a raised
+  :class:`EigenConvergenceError` tallies exactly the ops performed;
+* the Householder reduction keeps ``A`` and the accumulated ``Q`` stacked in
+  one buffer, so one :func:`~repro.linalg.reflectors.apply_reflector_right`
+  call updates both: each rounding call covers both matrices.
+
+The invariant is the operator form's: the same rounded operations on the
+same values in the same order, and the same op tally
+(``tests/test_operator_equivalence.py`` checks the QL recurrence against the
+explicit ``ctx.add(ctx.mul(...))`` spelling, the golden digests pin both
+kernels in every format).  Convergence scans and deflation thresholds read
+the raw buffers — they are exact float comparisons, not arithmetic in the
+target format.
 
 The eigenvector matrix never feeds back into the ``d``/``e`` recurrence, so
 its update is deferred: each Givens step only records ``(i, c, s)``, and the
@@ -70,24 +89,25 @@ def tridiagonalize(ctx, A):
 
 
 def _tridiagonalize(ctx, A):
-    A = np.array(np.asarray(A, dtype=ctx.dtype), copy=True)
+    A = np.asarray(A, dtype=ctx.dtype)
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:
         raise ValueError("tridiagonalize requires a square matrix")
-    Q = np.eye(n, dtype=ctx.dtype)
+    # [A; Q] share every right reflector: one stacked update rounds both
+    AQ = np.empty((2, n, n), dtype=ctx.dtype)
+    AQ[0] = A
+    AQ[1] = np.eye(n, dtype=ctx.dtype)
     for k in range(n - 2):
-        x = A[k + 1 :, k]
+        x = AQ[0, k + 1 :, k]
         v_small, beta, _ = householder_vector(ctx, x)
         if float(beta) == 0.0:
             continue
         v = np.zeros(n, dtype=ctx.dtype)
         v[k + 1 :] = v_small
-        A = apply_reflector_left(ctx, v, beta, A)
-        A = apply_reflector_right(ctx, A, v, beta)
-        Q = apply_reflector_right(ctx, Q, v, beta)
-    d = np.array([A[i, i] for i in range(n)], dtype=ctx.dtype)
-    e = np.array([A[i + 1, i] for i in range(n - 1)], dtype=ctx.dtype)
-    return d, e, Q
+        AQ[0] = apply_reflector_left(ctx, v, beta, AQ[0])
+        AQ = apply_reflector_right(ctx, AQ, v, beta)
+    A, Q = AQ
+    return np.diagonal(A).copy(), np.diagonal(A, -1).copy(), Q
 
 
 def tridiagonal_eigen(ctx, d, e, Z=None, max_sweeps: int = 60):
@@ -185,28 +205,30 @@ def _apply_rotations(ctx, Z, cols, cs, ss) -> int:
     return len(waves)
 
 
-def _ql_recurrence(ctx, d_full, e_full, max_sweeps, cols, cs, ss):
+def _ql_recurrence(ctx, d, e, max_sweeps, cols, cs, ss):
     """The QL iteration on ``d``/``e`` in place, recording each Givens step
     of the eigenvector update as ``(i, c, s)`` in ``cols``/``cs``/``ss``."""
-    n = d_full.shape[0]
+    n = d.shape[0]
     if n == 0:
         return
-    # bind once; the raw buffers stay aliased for the exact float scans below
-    d = ctx.wrap(d_full)
-    e = ctx.wrap(e_full)
+    rs = ctx.round_scalar
+    hypot = ctx.hypot  # tallies its own ops
+    dt = ctx.dtype
+    one, two, zero = dt(1.0), dt(2.0), dt(0.0)
     eps_f = float(ctx.machine_epsilon)  # deflation threshold, reused below
+    isfinite = np.isfinite
 
     for low in range(n):
         sweeps = 0
         while True:
-            if not (d.all_finite() and e.all_finite()):
+            if not (isfinite(d).all() and isfinite(e).all()):
                 raise EigenConvergenceError(
                     "non-finite values during QL iteration"
                 )
             m = low
             while m < n - 1:
-                dd = abs(float(d_full[m])) + abs(float(d_full[m + 1]))
-                if abs(float(e_full[m])) <= eps_f * dd:
+                dd = abs(float(d[m])) + abs(float(d[m + 1]))
+                if abs(float(e[m])) <= eps_f * dd:
                     break
                 m += 1
             if m == low:
@@ -218,45 +240,46 @@ def _ql_recurrence(ctx, d_full, e_full, max_sweeps, cols, cs, ss):
                     f"{max_sweeps} sweeps in {ctx.name}"
                 )
             # Wilkinson-like shift
-            g = (d[low + 1] - d[low]) / (2.0 * e[low])
-            r = g.hypot(1.0)
-            denom = g + r.copysign(g)
-            if float(denom) == 0.0 or not denom.isfinite():
-                denom = ctx.wrap_scalar(
-                    np.copysign(ctx.dtype(max(eps_f, 1e-30)), g.value)
-                )
-            g = (d[m] - d[low]) + e[low] / denom
-            s = ctx.wrap_scalar(1.0)
-            c = ctx.wrap_scalar(1.0)
-            p = ctx.wrap_scalar(0.0)
+            g = rs(rs(d[low + 1] - d[low]) / rs(two * e[low]))
+            r = hypot(g, one)
+            denom = rs(g + np.copysign(r, g))
+            if denom == 0 or not isfinite(denom):
+                denom = np.copysign(dt(max(eps_f, 1e-30)), g)
+            g = rs(rs(d[m] - d[low]) + rs(e[low] / denom))
+            ctx.op_count += 7
+            s = c = one
+            p = zero
             restart = False
             for i in range(m - 1, low - 1, -1):
                 ei = e[i]
-                f = s * ei
-                b = c * ei
-                r = f.hypot(g)
+                f = rs(s * ei)
+                b = rs(c * ei)
+                r = hypot(f, g)
                 e[i + 1] = r
-                if float(r) == 0.0:
-                    d[i + 1] = d[i + 1] - p
+                if r == 0:
+                    d[i + 1] = rs(d[i + 1] - p)
                     e[m] = 0.0
+                    ctx.op_count += 3
                     restart = True
                     break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + (2.0 * c) * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
+                s = rs(f / r)
+                c = rs(g / r)
+                g = rs(d[i + 1] - p)
+                r = rs(rs(rs(d[i] - g) * s) + rs(rs(two * c) * b))
+                p = rs(s * r)
+                d[i + 1] = rs(g + p)
+                g = rs(rs(c * r) - b)
+                ctx.op_count += 14
                 # columns i and i+1 become c*zi - s*zi1 and s*zi + c*zi1
                 cols.append(i)
-                cs.append(c.value)
-                ss.append(s.value)
+                cs.append(c)
+                ss.append(s)
             if restart:
                 continue
-            d[low] = d[low] - p
+            d[low] = rs(d[low] - p)
             e[low] = g
             e[m] = 0.0
+            ctx.op_count += 1
 
 
 def symmetric_eigen(ctx, A, max_sweeps: int = 60):

@@ -1,13 +1,16 @@
 """Explicit-context baseline implementations of the migrated solver kernels.
 
 The solver modules (``repro.core.arnoldi``, ``repro.core.krylov_schur``,
-``repro.linalg.tridiagonal``, ``repro.linalg.reflectors``) are written in the
-operator form of :mod:`repro.arithmetic.farray`.  This module preserves the
-explicit ``ctx.sub(w, ctx.gemv(V, h))`` spelling of the same algorithms —
-the pre-migration code, byte for byte where possible — so that
-``tests/test_operator_equivalence.py`` can prove the operator API produces
-*bit-identical* trajectories: every operator must map onto exactly the same
-sequence of rounded context operations.
+``repro.linalg.reflectors``) are written in the operator form of
+:mod:`repro.arithmetic.farray`; ``repro.linalg.tridiagonal`` runs its QL
+recurrence on raw work-dtype scalars and its reduction on a stacked
+``[A; Q]`` buffer.  This module preserves the explicit
+``ctx.sub(w, ctx.gemv(V, h))`` spelling of the same algorithms — the
+pre-migration code, byte for byte where possible — so that
+``tests/test_operator_equivalence.py`` can prove the shipped kernels produce
+*bit-identical* trajectories: every operator, and every rounded scalar op of
+the QL recurrence, must map onto exactly the same sequence of rounded
+context operations.
 
 Do not "modernise" this file: its value is that it does NOT use the
 operator API.

@@ -8,7 +8,8 @@ the same rounded values as composing ``mul``/``add``/``reduce_sum`` naively,
 for every registered format and both accumulation orders, because solver
 trajectories in this reproduction are compared at bit level.  The QL
 eigenvector update, applied in waves of disjoint Givens rotations, must
-equal rotating step by step.  Aliasing
+equal rotating step by step, and the stacked right Householder update of
+the tridiagonal reduction must equal updating each matrix alone.  Aliasing
 (``out=`` pointing at an operand) and non-contiguous column views must
 behave like the allocating form, and the public ``reduce_sum`` must never
 mutate its input.
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arithmetic import available_formats, get_context, set_bitkernels_enabled
+from repro.linalg.reflectors import apply_reflector_right, householder_vector
 from repro.linalg.tridiagonal import _apply_rotations, wavefront_schedule
 
 #: every registered emulated format plus the native widths
@@ -384,3 +386,24 @@ class TestWavefrontSchedule:
         assert ctx.op_count - before - stepwise == stepwise == 6 * nrows * len(cols)
         assert waves == len(wavefront_schedule(cols, 7))
         assert_same_bits(got, ref, (name, cols))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in narrow formats
+@pytest.mark.parametrize("name", ALL_FORMATS + ["reference"])
+@pytest.mark.parametrize("n", [3, 9, 26])
+def test_stacked_right_reflector_matches_one_matrix_at_a_time(name, n, accumulation):
+    """A ``(k, n, n)`` stack sharing one reflector gets, matrix by matrix,
+    the values and the op tally of updating each matrix alone."""
+    ctx = get_context(name, accumulation=accumulation)
+    rng = np.random.default_rng(n)
+    stack = ctx.round(rng.standard_normal((3, n, n)) * 10.0 ** rng.integers(-3, 3, (3, n, n)))
+    v, beta, _ = householder_vector(ctx, ctx.round(rng.standard_normal(n)))
+    assert float(beta) != 0.0
+    before = ctx.op_count
+    alone = [apply_reflector_right(ctx, M, v, beta) for M in stack]
+    one_by_one = ctx.op_count - before
+    got = apply_reflector_right(ctx, stack, v, beta)
+    assert ctx.op_count - before - one_by_one == one_by_one
+    assert got.shape == stack.shape and got.dtype == ctx.dtype
+    for M, ref in zip(got, alone):
+        assert_same_bits(M, ref, (name, n))

@@ -348,15 +348,6 @@ class FScalar:
         """Rounded square root (one context operation)."""
         return _scalar(self.ctx, self.ctx._scalar_sqrt(self.value))
 
-    def hypot(self, other) -> "FScalar":
-        """Overflow-safe ``sqrt(self² + other²)`` (:meth:`ComputeContext.hypot`)."""
-        c = self.ctx
-        return _wrap(c, c.hypot(self.value, _operand(c, other)))
-
-    def copysign(self, other) -> "FScalar":
-        """Magnitude of ``self`` with the sign of ``other`` (exact)."""
-        return _wrap(self.ctx, np.copysign(self.value, _operand(self.ctx, other)))
-
     # ------------------------------------------------------------------ #
     # exact queries (no rounding involved)
     # ------------------------------------------------------------------ #

@@ -284,8 +284,9 @@ def test_tridiagonal_cases_match_golden_digests(golden_eigen):
 
 
 def test_tridiagonal_cases_reach_every_branch(golden_eigen):
-    """The recorded inputs reach the restart branch and both error exits,
-    each in a narrow IEEE-style format (where underflow and overflow occur)."""
+    """The recorded inputs reach the restart branch and both error exits in
+    the narrow formats where they occur: underflow and overflow in the
+    IEEE-style ones, a sweep limit in the 8-bit ones."""
     reached = {}
     for case in golden_eigen["tridiagonal"]:
         for branch in case["branches"]:

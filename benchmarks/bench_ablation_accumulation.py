@@ -2,8 +2,9 @@
 
 The emulated dot products / sparse matrix-vector products round after every
 elementary operation; the *order* of the additions is a design choice
-(DESIGN.md).  This benchmark runs the 16-bit formats on a small general suite
-with both orders and reports how the error distributions shift.
+(docs/experiments.md, "Substitutions").  This benchmark runs the 16-bit
+formats on a small general suite with both orders and reports how the error
+distributions shift.
 """
 
 import numpy as np

@@ -13,12 +13,13 @@ use.  Both write ``benchmarks/output/bench_serve.json`` (plus the generic
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
 
 from .conftest import bench_config, bench_size_range, write_json_report
 
 from repro.datasets import suitesparse_like
-from repro.experiments import DictBackend, ResultStore, run_experiment
+from repro.experiments import ResultStore, run_experiment
 from repro.serve import Request, ServeClient, ServiceThread, SpectralService
 
 FORMAT = "takum16"
@@ -82,11 +83,11 @@ def test_serve_warm_latency(benchmark, tmp_path):
     )
 
 
-def test_serve_coalesced_cold_throughput(benchmark):
+def test_serve_coalesced_cold_throughput(benchmark, tmp_path):
     """A burst of identical cold requests completes in ~one solve's time.
 
-    Each round gets a fresh in-memory store, so every round is genuinely
-    cold; the requests run concurrently on one event loop against the
+    Each round gets a store in its own fresh directory, so every round is
+    genuinely cold; the requests run concurrently on one event loop against the
     service handler (no socket noise), exactly how joiners coalesce in
     production.
     """
@@ -94,10 +95,11 @@ def test_serve_coalesced_cold_throughput(benchmark):
     config = bench_config()
     request_body = json.dumps({"matrix": suite[0].name, "format": FORMAT}).encode()
     state: dict = {}
+    rounds = itertools.count()
 
     def fresh_service():
         state["service"] = SpectralService(
-            ResultStore(backend=DictBackend()),
+            ResultStore(tmp_path / f"round{next(rounds)}"),
             suite,
             formats=[FORMAT],
             config=config,

@@ -2,8 +2,8 @@
 
 Every figure/table of the paper has one benchmark module.  The workloads are
 scaled-down versions of the paper's populations (synthetic stand-ins; see
-DESIGN.md) so the whole harness completes on a laptop in minutes; the scale
-is controlled by environment variables:
+docs/experiments.md, "Substitutions") so the whole harness completes on a
+laptop in minutes; the scale is controlled by environment variables:
 
 ``REPRO_BENCH_MATRICES``
     matrices per suite (default 4),

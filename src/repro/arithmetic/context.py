@@ -749,7 +749,7 @@ class ReferenceContext(NativeContext):
     The paper computes reference solutions in ``float128``; this environment
     substitutes ``numpy.longdouble`` (80-bit extended precision on x86, 64-bit
     significand), which retains a comfortable accuracy margin over the widest
-    formats under test.  See DESIGN.md, substitution 3.
+    formats under test.  See docs/experiments.md, "Substitutions", item 3.
     """
 
     def __init__(self, **kwargs):

@@ -1,7 +1,7 @@
 """Synthetic stand-ins for the paper's matrix collections.
 
 The paper evaluates two data sources that cannot be downloaded in this
-environment (see DESIGN.md, substitutions 1 and 2):
+environment (see docs/experiments.md, "Substitutions", items 1 and 2):
 
 * 302 general symmetric matrices from the SuiteSparse Matrix Collection
   (``<= 20 000`` non-zeros) — replaced by :func:`suitesparse_like`;

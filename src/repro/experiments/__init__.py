@@ -45,9 +45,6 @@ from .figures import (
 )
 from .store import (
     STORE_SCHEMA_VERSION,
-    StoreBackend,
-    LocalDirBackend,
-    DictBackend,
     ResultStore,
     ExperimentPlan,
     ExecutionReport,
@@ -87,9 +84,6 @@ __all__ = [
     "table1_report",
     "render_figure",
     "STORE_SCHEMA_VERSION",
-    "StoreBackend",
-    "LocalDirBackend",
-    "DictBackend",
     "ResultStore",
     "ExperimentPlan",
     "ExecutionReport",

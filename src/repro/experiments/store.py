@@ -7,7 +7,9 @@ whole suite.  This module replaces that with
 * a :class:`ResultStore` — an on-disk, content-addressed JSON store where
   every finished (matrix, format) cell lives under a stable SHA-256 cache
   key and is committed with an atomic write-rename (a killed run loses at
-  most its in-flight tasks, never a finished cell);
+  most its in-flight tasks, never a finished cell); the store is just its
+  directory, so any process — a CLI run, a serve worker — reopens it by
+  path;
 * a plan/execute engine — :func:`plan_experiment` subtracts cached cells
   from the requested suite × formats grid and groups the remainder into
   per-matrix shards (so the extended-precision reference solve is amortised
@@ -26,13 +28,11 @@ results are never served.
 
 from __future__ import annotations
 
-import abc
 import dataclasses
 import hashlib
 import json
 import os
 import pathlib
-import threading
 import time
 import uuid
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -59,9 +59,6 @@ __all__ = [
     "matrix_fingerprint",
     "task_key",
     "reference_key",
-    "StoreBackend",
-    "LocalDirBackend",
-    "DictBackend",
     "ResultStore",
     "ExperimentPlan",
     "ExecutionReport",
@@ -196,85 +193,38 @@ def reference_from_payload(payload: dict) -> ReferenceRecord:
 
 
 # ---------------------------------------------------------------------------
-# pluggable storage backends
+# the store
 
 
-class StoreBackend(abc.ABC):
-    """Storage layer under :class:`ResultStore`: a key → JSON-payload map.
+class ResultStore:
+    """Content-addressed on-disk store of experiment records.
 
-    Keys are SHA-256 content addresses derived by the engine, so a backend
-    never needs to understand them — any layout that maps a hex string to a
-    JSON document works (a local directory today, an S3-style object bucket
-    tomorrow), and many service replicas can share one backend as a common
-    cache tier.  The contract is deliberately small:
-
-    * :meth:`get` returns the committed payload or ``None`` — unreadable or
-      corrupt entries read as ``None`` (the caller recomputes and the commit
-      overwrites the bad entry) instead of raising;
-    * :meth:`put` commits atomically — a reader, or a concurrent writer of
-      the same key, only ever observes a complete payload (last writer
-      wins);
-    * :meth:`contains` / :meth:`keys` / :meth:`delete` support planning and
-      maintenance.
-
-    ``sweep_staging`` exists for backends with a staging area (the local
-    directory layout); the default is a no-op.
-    """
-
-    @abc.abstractmethod
-    def get(self, key: str) -> Optional[dict]:
-        """The committed payload under ``key``, or ``None`` (missing/corrupt)."""
-
-    @abc.abstractmethod
-    def put(self, key: str, payload: dict) -> None:
-        """Atomically commit ``payload`` under ``key``."""
-
-    @abc.abstractmethod
-    def contains(self, key: str) -> bool:
-        """Whether a committed entry exists under ``key``."""
-
-    @abc.abstractmethod
-    def keys(self) -> Iterator[str]:
-        """All committed keys (no particular order guaranteed)."""
-
-    @abc.abstractmethod
-    def delete(self, key: str) -> bool:
-        """Remove the entry under ``key``; returns whether one was removed."""
-
-    def entry_nbytes(self, key: str) -> int:
-        """Approximate stored size of one entry (0 when unknown)."""
-        payload = self.get(key)
-        return len(_canonical_json(payload)) if payload is not None else 0
-
-    def sweep_staging(self, max_age_seconds: float) -> int:
-        """Remove staging leftovers older than ``max_age_seconds``.
-
-        Backends without a staging area (everything except the local
-        directory layout) have nothing to sweep."""
-        return 0
-
-    @property
-    def location(self) -> str:
-        """Human-readable description of where the entries live."""
-        return f"<{type(self).__name__}>"
-
-
-class LocalDirBackend(StoreBackend):
-    """The historical on-disk layout: one JSON file per key under ``root``.
-
-    Layout::
+    Layout under ``root``::
 
         objects/<key[:2]>/<key>.json   one committed record per file
         tmp/                           staging area for atomic commits
 
-    Commits write to ``tmp/`` and ``os.replace`` into place, so a reader (or
-    a concurrent writer of the same key) only ever observes a complete file;
-    interrupted runs leave at most orphaned ``tmp/`` files, which
-    :meth:`sweep_staging` reclaims.
+    Keys are self-certifying — the engine only looks up keys it derived
+    itself, so a store directory can be shared between branches, machines,
+    configurations and serve replicas without collisions.  Commits write to
+    ``tmp/`` and ``os.replace`` into place, so a reader (or a concurrent
+    writer of the same key) only ever observes a complete file; interrupted
+    runs leave at most orphaned ``tmp/`` files, which :meth:`gc` reclaims.
+    Any process can reopen a store by its path.
     """
+
+    #: staging files younger than this are presumed to belong to a live
+    #: writer and are left alone by ``gc`` (commits take milliseconds, so
+    #: anything this old is an orphan of a killed run)
+    STAGING_GRACE_SECONDS = 3600.0
 
     def __init__(self, root: str | os.PathLike):
         self.root = pathlib.Path(root).expanduser()
+
+    @classmethod
+    def from_environment(cls, root: Optional[str] = None) -> "ResultStore":
+        """Store at ``root`` if given, else :func:`default_store_root`."""
+        return cls(root if root else default_store_root())
 
     @property
     def _objects(self) -> pathlib.Path:
@@ -288,14 +238,32 @@ class LocalDirBackend(StoreBackend):
         """On-disk location of one key (two-level fan-out by key prefix)."""
         return self._objects / key[:2] / f"{key}.json"
 
-    def get(self, key: str) -> Optional[dict]:
+    # -- primitives -------------------------------------------------------
+
+    def _read(self, key: str) -> Optional[dict]:
         try:
             with open(self.path_for(key), "r", encoding="utf-8") as handle:
                 return json.load(handle)
         except (OSError, ValueError):
             return None
 
+    def get(self, key: str) -> Optional[dict]:
+        """The committed payload under ``key``, or ``None``.
+
+        Unreadable/corrupt entries read as misses (the cell recomputes and
+        the commit overwrites the bad entry) instead of failing the run.
+        """
+        payload = self._read(key)
+        if payload is None:
+            if _telemetry.ENABLED:
+                _metrics.counter("store.get.miss").inc()
+            return None
+        if _telemetry.ENABLED:
+            _metrics.counter("store.get.hit", kind=payload.get("kind", "unknown")).inc()
+        return payload
+
     def put(self, key: str, payload: dict) -> None:
+        """Atomically commit ``payload`` under ``key`` (last writer wins)."""
         # the payload is fully written and flushed to a unique staging file,
         # then renamed over the destination; ``os.replace`` is atomic on
         # POSIX and Windows, so concurrent writers of the same key are safe
@@ -309,30 +277,30 @@ class LocalDirBackend(StoreBackend):
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(staging, destination)
+        if _telemetry.ENABLED:
+            _metrics.counter("store.put", kind=payload.get("kind", "unknown")).inc()
 
-    def contains(self, key: str) -> bool:
+    def __contains__(self, key: str) -> bool:
         return self.path_for(key).exists()
 
+    # -- maintenance ------------------------------------------------------
+
     def keys(self) -> Iterator[str]:
+        """All committed keys (no particular order)."""
         if not self._objects.is_dir():
             return
         for path in sorted(self._objects.glob("*/*.json")):
             yield path.stem
 
-    def delete(self, key: str) -> bool:
+    def _delete(self, key: str) -> bool:
         try:
             self.path_for(key).unlink()
             return True
         except OSError:
             return False
 
-    def entry_nbytes(self, key: str) -> int:
-        try:
-            return self.path_for(key).stat().st_size
-        except OSError:
-            return 0
-
-    def sweep_staging(self, max_age_seconds: float) -> int:
+    def _sweep_staging(self, max_age_seconds: float) -> int:
+        """Remove staging files older than ``max_age_seconds``."""
         if not self._tmp.is_dir():
             return 0
         removed = 0
@@ -347,141 +315,6 @@ class LocalDirBackend(StoreBackend):
                 removed += 1
         return removed
 
-    @property
-    def location(self) -> str:
-        return str(self.root)
-
-
-class DictBackend(StoreBackend):
-    """In-memory backend: a thread-safe dict of serialised payloads.
-
-    Payloads are stored as their JSON text (the same bytes
-    :class:`LocalDirBackend` would write), so entries are isolated from
-    caller-side mutation and ``get`` returns exactly what a disk round-trip
-    would.  Used by the serve unit tests (fast, no tmpdir churn) and handy
-    as a scratch cache for in-process experiments.
-    """
-
-    def __init__(self):
-        self._entries: dict[str, str] = {}
-        self._lock = threading.Lock()
-
-    def get(self, key: str) -> Optional[dict]:
-        with self._lock:
-            text = self._entries.get(key)
-        return json.loads(text) if text is not None else None
-
-    def put(self, key: str, payload: dict) -> None:
-        text = json.dumps(payload)
-        with self._lock:
-            self._entries[key] = text
-
-    def contains(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    def keys(self) -> Iterator[str]:
-        with self._lock:
-            snapshot = list(self._entries)
-        yield from snapshot
-
-    def delete(self, key: str) -> bool:
-        with self._lock:
-            return self._entries.pop(key, None) is not None
-
-    def entry_nbytes(self, key: str) -> int:
-        with self._lock:
-            text = self._entries.get(key)
-        return len(text) if text is not None else 0
-
-    @property
-    def location(self) -> str:
-        return f"<memory:{id(self):#x}>"
-
-
-# ---------------------------------------------------------------------------
-# the store facade
-
-
-class ResultStore:
-    """Content-addressed store of experiment records over a pluggable backend.
-
-    ``ResultStore(root)`` keeps the historical on-disk behaviour
-    (:class:`LocalDirBackend`); ``ResultStore(backend=...)`` mounts any
-    :class:`StoreBackend`.  Keys are self-certifying — the engine only looks
-    up keys it derived itself, so a store can be shared between branches,
-    machines and configurations without collisions, and many serve replicas
-    can mount the same backend as a common cache tier.
-
-    The facade owns the cross-backend concerns: telemetry (hit/miss/put
-    counters), schema-version hygiene (:meth:`gc`, :meth:`entries`,
-    :meth:`stats`) and the aggregate views the CLI renders.
-    """
-
-    def __init__(
-        self, root: str | os.PathLike | None = None, backend: Optional[StoreBackend] = None
-    ):
-        if backend is None:
-            if root is None:
-                raise ValueError("ResultStore needs a root directory or an explicit backend")
-            backend = LocalDirBackend(root)
-        elif root is not None:
-            raise ValueError("pass either a root directory or a backend, not both")
-        self.backend = backend
-        #: root path of the local-dir layout (``None`` for other backends)
-        self.root = getattr(backend, "root", None)
-
-    @classmethod
-    def from_environment(cls, root: Optional[str] = None) -> "ResultStore":
-        """Store at ``root`` if given, else :func:`default_store_root`."""
-        return cls(pathlib.Path(root).expanduser() if root else default_store_root())
-
-    # -- local-dir conveniences (delegated; raise for other backends) ------
-
-    @property
-    def _objects(self) -> pathlib.Path:
-        return self.backend._objects
-
-    @property
-    def _tmp(self) -> pathlib.Path:
-        return self.backend._tmp
-
-    def path_for(self, key: str) -> pathlib.Path:
-        """On-disk location of one key (local-dir backend only)."""
-        return self.backend.path_for(key)
-
-    # -- primitives -------------------------------------------------------
-
-    def get(self, key: str) -> Optional[dict]:
-        """The committed payload under ``key``, or ``None``.
-
-        Unreadable/corrupt entries read as misses (the cell recomputes and
-        the commit overwrites the bad entry) instead of failing the run.
-        """
-        payload = self.backend.get(key)
-        if payload is None:
-            if _telemetry.ENABLED:
-                _metrics.counter("store.get.miss").inc()
-            return None
-        if _telemetry.ENABLED:
-            _metrics.counter("store.get.hit", kind=payload.get("kind", "unknown")).inc()
-        return payload
-
-    def put(self, key: str, payload: dict) -> None:
-        """Atomically commit ``payload`` under ``key``."""
-        self.backend.put(key, payload)
-        if _telemetry.ENABLED:
-            _metrics.counter("store.put", kind=payload.get("kind", "unknown")).inc()
-
-    def __contains__(self, key: str) -> bool:
-        return self.backend.contains(key)
-
-    # -- maintenance ------------------------------------------------------
-
-    def keys(self) -> Iterator[str]:
-        """All committed keys (no particular order)."""
-        return self.backend.keys()
-
     def entries(self, include_foreign: bool = False) -> Iterator[dict]:
         """All committed payloads readable under the current schema.
 
@@ -491,18 +324,13 @@ class ResultStore:
         with a newer writer must not crash on them).  Pass
         ``include_foreign=True`` to yield them anyway.
         """
-        for key in self.backend.keys():
-            payload = self.backend.get(key)
+        for key in self.keys():
+            payload = self._read(key)
             if payload is None:
                 continue
             if not include_foreign and payload.get("schema_version") != STORE_SCHEMA_VERSION:
                 continue
             yield payload
-
-    #: staging files younger than this are presumed to belong to a live
-    #: writer and are left alone by ``gc`` (commits take milliseconds, so
-    #: anything this old is an orphan of a killed run)
-    STAGING_GRACE_SECONDS = 3600.0
 
     def gc(self) -> int:
         """Remove old-schema / corrupt entries and staging leftovers.
@@ -518,17 +346,16 @@ class ResultStore:
         the number of entries removed.
         """
         removed = 0
-        for key in list(self.backend.keys()):
-            payload = self.backend.get(key)
+        for key in list(self.keys()):
+            payload = self._read(key)
             if payload is None:
                 stale = True  # corrupt: can never be read
             else:
                 version = payload.get("schema_version")
                 stale = not isinstance(version, int) or version < STORE_SCHEMA_VERSION
-            if stale and self.backend.delete(key):
+            if stale and self._delete(key):
                 removed += 1
-        removed += self.backend.sweep_staging(self.STAGING_GRACE_SECONDS)
-        return removed
+        return removed + self._sweep_staging(self.STAGING_GRACE_SECONDS)
 
     def clear(self) -> int:
         """Remove every entry (and staging leftovers); returns the count.
@@ -536,12 +363,8 @@ class ResultStore:
         Unlike :meth:`gc` this is deliberately destructive: it also sweeps
         live staging files, so an experiment committing concurrently will
         fail its in-flight commit."""
-        removed = 0
-        for key in list(self.backend.keys()):
-            if self.backend.delete(key):
-                removed += 1
-        removed += self.backend.sweep_staging(0.0)
-        return removed
+        removed = sum(self._delete(key) for key in list(self.keys()))
+        return removed + self._sweep_staging(0.0)
 
     def stats(self) -> dict:
         """Aggregate view for ``repro store ls``: counts, bytes, statuses.
@@ -558,10 +381,13 @@ class ResultStore:
         kinds: dict[str, int] = {}
         statuses: dict[str, int] = {}
         formats: dict[str, int] = {}
-        for key in self.backend.keys():
+        for key in self.keys():
             entries += 1
-            size += self.backend.entry_nbytes(key)
-            payload = self.backend.get(key)
+            try:
+                size += self.path_for(key).stat().st_size
+            except OSError:
+                pass  # removed concurrently
+            payload = self._read(key)
             if payload is None:
                 kinds["corrupt"] = kinds.get("corrupt", 0) + 1
                 continue
@@ -575,7 +401,7 @@ class ResultStore:
                 statuses[record.get("status", "?")] = statuses.get(record.get("status", "?"), 0) + 1
                 formats[record.get("format", "?")] = formats.get(record.get("format", "?"), 0) + 1
         return {
-            "root": self.backend.location,
+            "root": str(self.root),
             "entries": entries,
             "bytes": size,
             "foreign_schema": foreign,
@@ -584,8 +410,8 @@ class ResultStore:
             "run_formats": formats,
         }
 
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"<ResultStore {self.backend.location!r}>"
+    def __repr__(self) -> str:
+        return f"<ResultStore {str(self.root)!r}>"
 
 
 # ---------------------------------------------------------------------------

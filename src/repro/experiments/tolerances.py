@@ -4,7 +4,7 @@ The paper sets the relative convergence tolerance of ``partialschur`` to
 10^-2 for 8-bit formats, 10^-4 for 16-bit, 10^-8 for 32-bit, 10^-12 for
 64-bit and 10^-20 for the float128 reference.  The reference here is
 ``numpy.longdouble`` (64-bit significand), so its tolerance is relaxed to
-10^-18 (see DESIGN.md, substitution 3).
+10^-18 (see docs/experiments.md, "Substitutions", item 3).
 """
 
 from __future__ import annotations

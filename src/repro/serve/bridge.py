@@ -5,10 +5,10 @@ A cold request becomes one ``solve_cell`` task: re-plan the single
 it meanwhile — then nothing executes) and run :func:`execute_plan` with the
 store attached, so the record and the per-matrix reference commit through
 the same atomic path as a batch run.  With the default ``"process"`` pool
-the task runs in a forked worker that opens its own handle onto the store
-directory; with a ``"thread"`` pool (unit tests, in-memory
-:class:`~repro.experiments.store.DictBackend`) it shares the service's
-store object.
+the task runs in a forked worker that reopens the store by its directory;
+with a ``"thread"`` pool (unit tests) it shares the service's store
+object.  Both commit through the same atomic write-rename, so they are
+interchangeable over one store directory.
 
 Admission control is the whole point of the bridge: the underlying
 :class:`~repro.utils.parallel.BoundedPool` accepts at most
@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 from ..datasets.testmatrix import TestMatrix
 from ..experiments.config import ExperimentConfig
-from ..experiments.store import ExecutionReport, LocalDirBackend, ResultStore
+from ..experiments.store import ExecutionReport, ResultStore
 from ..telemetry import core as _telemetry
 from ..telemetry.metrics import metrics as _metrics
 from ..utils.parallel import BoundedPool, PoolSaturatedError
@@ -124,9 +124,8 @@ class WorkerBridge:
     Parameters
     ----------
     store:
-        The service's result store.  A ``"process"`` pool requires a
-        :class:`~repro.experiments.store.LocalDirBackend` store (workers
-        re-open it by path); any backend works with a ``"thread"`` pool.
+        The service's result store.  ``"process"`` workers reopen it by
+        its ``root`` path; ``"thread"`` workers share this object.
     workers:
         Concurrent solve slots (``<= 0``: all CPUs).
     queue_limit:
@@ -157,13 +156,6 @@ class WorkerBridge:
         kind: str = "process",
         solve_fn: Optional[Callable] = None,
     ):
-        if kind == "process" and solve_fn is None and not isinstance(
-            store.backend, LocalDirBackend
-        ):
-            raise ValueError(
-                "a process pool needs a local-dir store (workers re-open it by "
-                "path); use kind='thread' for in-memory backends"
-            )
         self.store = store
         self.kind = kind
         self.solve_fn = solve_fn

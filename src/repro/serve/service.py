@@ -292,7 +292,7 @@ class SpectralService:
                 "queue_depth": self.bridge.depth,
                 "queue_capacity": self.bridge.capacity,
                 "inflight_cells": self.coalescer.depth,
-                "store": self.store.backend.location,
+                "store": str(self.store.root),
             }
         )
 
@@ -667,7 +667,7 @@ def run_service(service: SpectralService) -> None:
         print(
             f"  suite: {len(service.suite)} matrices, formats: {', '.join(service.formats)}"
         )
-        print(f"  store: {service.store.backend.location}")
+        print(f"  store: {service.store.root}")
         stop_event = asyncio.Event()
         loop = asyncio.get_running_loop()
         for signum in (signal.SIGINT, signal.SIGTERM):

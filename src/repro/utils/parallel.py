@@ -261,8 +261,8 @@ class BoundedPool:
     work in forked worker processes — create the pool *after* building the
     formats' rounding state (``preload_tables``) so workers inherit it
     copy-on-write; ``"thread"``
-    shares the calling process (used by the serve unit tests, where the
-    store backend lives in memory).  Process workers are spawned lazily by
+    shares the calling process (used by the serve unit tests, whose gated
+    solver doubles must run in-process).  Process workers are spawned lazily by
     ``concurrent.futures`` on first submission.
     """
 

@@ -24,7 +24,6 @@ import pytest
 
 from repro.datasets.registry import get_suite
 from repro.experiments import (
-    DictBackend,
     ExperimentConfig,
     ResultStore,
     task_key,
@@ -41,6 +40,7 @@ from repro.serve import (
     ServiceThread,
     ServiceUnavailable,
     SpectralService,
+    WorkerBridge,
     apply_config_overrides,
     solve_cell,
 )
@@ -179,20 +179,18 @@ def test_config_overrides_reject_bad_values(overrides):
 # warm path: byte identity, zero solver work
 
 
-@pytest.mark.parametrize("backend_kind", ["local", "dict"])
-def test_warm_cell_round_trips_store_bytes(tmp_path, backend_kind):
+@pytest.mark.parametrize("opened", ["local", "reopened"])
+def test_warm_cell_round_trips_store_bytes(tmp_path, opened):
+    """The served body is the committed file's bytes, also when the service
+    reads through a second handle reopened on the same directory."""
     suite = _suite()
     config = _config()
-    if backend_kind == "local":
-        store = ResultStore(tmp_path / "store")
-    else:
-        store = ResultStore(backend=DictBackend())
+    store = ResultStore(tmp_path / "store")
     solve_cell(store, suite[0], FMT, config)  # prewarm out-of-band
     key = task_key(config, FMT, matrix_fingerprint(suite[0]))
-    if backend_kind == "local":
-        stored_bytes = store.path_for(key).read_bytes()
-    else:
-        stored_bytes = store.backend._entries[key].encode("utf-8")
+    stored_bytes = store.path_for(key).read_bytes()
+    if opened == "reopened":
+        store = ResultStore(str(store.root))
 
     metrics.reset()  # drop the prewarm's executor/store counters
     service = SpectralService(
@@ -213,10 +211,10 @@ def test_warm_cell_round_trips_store_bytes(tmp_path, backend_kind):
 # cold path: coalescing
 
 
-def test_concurrent_cold_requests_cost_one_solve():
+def test_concurrent_cold_requests_cost_one_solve(tmp_path):
     suite = _suite(seed=7)
     config = _config(restarts=2)
-    store = ResultStore(backend=DictBackend())
+    store = ResultStore(tmp_path / "store")
     gate = threading.Event()
 
     def gated_solve(store, tm, format_name, config):
@@ -270,10 +268,10 @@ def test_concurrent_cold_requests_cost_one_solve():
     assert metrics.value("store.get.miss") == 3
 
 
-def test_cold_cell_then_warm_cell():
+def test_cold_cell_then_warm_cell(tmp_path):
     suite = _suite(seed=9)
     config = _config(restarts=2)
-    store = ResultStore(backend=DictBackend())
+    store = ResultStore(tmp_path / "store")
     service = SpectralService(
         store, suite, formats=[FMT], config=config, pool_kind="thread", preload=False
     )
@@ -297,10 +295,10 @@ def test_cold_cell_then_warm_cell():
 # backpressure: 503 + Retry-After, bounded memory
 
 
-def test_saturated_pool_rejects_with_retry_after():
+def test_saturated_pool_rejects_with_retry_after(tmp_path):
     suite = _suite(seed=11)
     config = _config()
-    store = ResultStore(backend=DictBackend())
+    store = ResultStore(tmp_path / "store")
     gate = threading.Event()
 
     def blocked_solve(store, tm, format_name, config):
@@ -448,6 +446,7 @@ def test_healthz_and_listings(warm_serve):
     assert health["status"] == "ok"
     assert health["matrices"] == 2
     assert health["queue_depth"] == 0
+    assert health["store"] == str(service.store.root)
     names = [row["name"] for row in client.matrices()]
     assert names == [tm.name for tm in suite]
     fingerprints = [row["fingerprint"] for row in client.matrices()]
@@ -527,6 +526,12 @@ def test_warmup_endpoint(warm_serve):
     assert excinfo.value.status == 404
 
 
+def test_process_bridge_builds_and_shuts_down(tmp_path):
+    bridge = WorkerBridge(ResultStore(tmp_path / "store"), kind="process")
+    assert bridge.kind == "process" and bridge.depth == 0
+    bridge.shutdown()
+
+
 def test_clean_shutdown_refuses_new_connections(tmp_path):
     suite = _suite()
     store = ResultStore(tmp_path / "store")
@@ -601,12 +606,12 @@ def test_cells_validation_errors(warm_serve):
         connection.close()
 
 
-def test_cells_coalesces_with_single_cell_requests():
+def test_cells_coalesces_with_single_cell_requests(tmp_path):
     """A /v1/cell request arriving while /v1/cells is solving the same key
     joins the batch instead of re-solving; disjoint formats still solve."""
     suite = _suite(seed=7)
     config = _config(restarts=2)
-    store = ResultStore(backend=DictBackend())
+    store = ResultStore(tmp_path / "store")
     gate = threading.Event()
     solves: list[str] = []
 
@@ -667,9 +672,9 @@ def test_cells_coalesces_with_single_cell_requests():
     assert joined_cells[FMT]["record"] == leader_cells[FMT]["record"]
 
 
-def test_cells_saturation_returns_503_with_retry_after():
+def test_cells_saturation_returns_503_with_retry_after(tmp_path):
     suite = _suite(seed=7)
-    store = ResultStore(backend=DictBackend())
+    store = ResultStore(tmp_path / "store")
     gate = threading.Event()
 
     def blocked_solve(store, tm, format_name, config):

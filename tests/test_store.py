@@ -20,11 +20,8 @@ import pytest
 from repro.core.results import PartialSchurResult
 from repro.datasets import suitesparse_like
 from repro.experiments import (
-    DictBackend,
     ExperimentConfig,
-    LocalDirBackend,
     ResultStore,
-    StoreBackend,
     figure_json,
     matrix_fingerprint,
     reference_key,
@@ -240,66 +237,37 @@ class TestResultStore:
         assert stats["kinds"] == {"run": 1}
         assert stats["run_statuses"] == {"ok": 1}
 
+    def test_put_snapshots_the_callers_payload(self, store):
+        key = "cd" + "0" * 62
+        payload = {"schema_version": 1, "record": {"x": 1}}
+        store.put(key, payload)
+        payload["record"]["x"] = 999  # caller mutates its own dict afterwards
+        assert store.get(key)["record"] == {"x": 1}
+
+    def test_gets_return_independent_dicts(self, store):
+        key = "ce" + "0" * 62
+        store.put(key, {"schema_version": 1, "record": {"x": 1}})
+        first = store.get(key)
+        first["record"]["x"] = -1
+        second = store.get(key)
+        assert second is not first and second["record"] == {"x": 1}
+
+    def test_root_is_an_expanded_path(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("HOME", str(tmp_path))
+        store = ResultStore("~/x")
+        assert store.root == tmp_path / "x"
+        assert ResultStore.from_environment("~/x").root == tmp_path / "x"
+
+    def test_stats_and_repr_name_the_root(self, store):
+        assert store.stats()["root"] == str(store.root)
+        assert repr(store) == f"<ResultStore {str(store.root)!r}>"
+
     def test_default_root_env_precedence(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_STORE", str(tmp_path / "explicit"))
         assert store_mod.default_store_root() == tmp_path / "explicit"
         monkeypatch.delenv("REPRO_STORE")
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
         assert store_mod.default_store_root() == tmp_path / "xdg" / "repro-store"
-
-
-class TestStoreBackends:
-    def test_backend_interface_is_abstract(self):
-        with pytest.raises(TypeError):
-            StoreBackend()  # get/put/contains/keys/delete are required
-        assert isinstance(LocalDirBackend.__new__(LocalDirBackend), StoreBackend)
-        assert isinstance(DictBackend(), StoreBackend)
-
-    def test_store_requires_exactly_one_of_root_and_backend(self, tmp_path):
-        with pytest.raises(ValueError):
-            ResultStore()
-        with pytest.raises(ValueError):
-            ResultStore(tmp_path / "store", backend=DictBackend())
-
-    def test_dict_backend_primitives(self):
-        backend = DictBackend()
-        key = "ab" + "0" * 62
-        assert backend.get(key) is None and not backend.contains(key)
-        backend.put(key, {"schema_version": 1, "kind": "run"})
-        assert backend.contains(key)
-        assert list(backend.keys()) == [key]
-        assert backend.entry_nbytes(key) == len(json.dumps({"schema_version": 1, "kind": "run"}))
-        assert backend.delete(key) and not backend.delete(key)
-        assert backend.location.startswith("<memory:")
-
-    def test_dict_backend_isolates_payloads(self):
-        backend = DictBackend()
-        key = "cd" + "0" * 62
-        payload = {"schema_version": 1, "record": {"x": 1}}
-        backend.put(key, payload)
-        payload["record"]["x"] = 999  # caller mutates its own dict afterwards
-        first = backend.get(key)
-        first["record"]["x"] = -1  # ... and the returned copy too
-        assert backend.get(key)["record"] == {"x": 1}
-
-    def test_dict_backend_matches_disk_bytes(self, tmp_path):
-        """Both backends hold the identical serialised form of a payload."""
-        payload = {"schema_version": 1, "kind": "run", "record": {"b": 2, "a": 1}}
-        key = "ef" + "0" * 62
-        disk = ResultStore(tmp_path / "store")
-        disk.put(key, payload)
-        memory = DictBackend()
-        memory.put(key, payload)
-        assert disk.path_for(key).read_bytes() == memory._entries[key].encode("utf-8")
-
-    def test_experiment_engine_runs_on_dict_backend(self, suite, config, solver_calls):
-        store = ResultStore(backend=DictBackend())
-        cold = run_experiment(suite[:1], FORMATS, config, store=store, workers=1)
-        assert cold.report.executed == len(FORMATS)
-        solver_calls.clear()
-        warm = run_experiment(suite[:1], FORMATS, config, store=store, workers=1)
-        assert warm.report.executed == 0 and solver_calls == []
-        assert store.root is None  # no filesystem behind this store
 
     def test_stats_and_entries_tolerate_newer_schema(self, store):
         record = RunRecord(matrix="m", group="g", category="c", format="posit16", status="ok")

@@ -19,14 +19,19 @@ proofs share so each suite states *what* it sweeps, not how:
   analytic kernel over a batch of named sweeps.
 
 The harness is import-light (no fixtures): suites compose these helpers with
-their own parametrisation.
+their own parametrisation.  :func:`format_for` also builds the tapered
+widths the registry never constructs, so the suites can sweep them by name.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 
 import numpy as np
+
+from repro.arithmetic import PositFormat, TakumFormat, get_format
 
 __all__ = [
     "assert_rounded_equal",
@@ -40,7 +45,36 @@ __all__ = [
     "differential_round_check",
     "run_differential_sweeps",
     "exhaustive_sweep",
+    "UNREGISTERED_TAPERED",
+    "format_for",
 ]
+
+#: posit/takum widths the registry never builds, swept beside the
+#: registered formats; ``es1`` marks a posit with one exponent bit
+UNREGISTERED_TAPERED = (
+    "posit10",
+    "posit12",
+    "posit16es1",
+    "posit20",
+    "posit24",
+    "posit24es1",
+    "takum10",
+    "takum12",
+    "takum20",
+    "takum24",
+)
+
+
+@functools.cache
+def format_for(name: str):
+    """The registered format ``name``, or one of :data:`UNREGISTERED_TAPERED`
+    (built once, under its own name: the dispatch tally is keyed by name)."""
+    if name not in UNREGISTERED_TAPERED:
+        return get_format(name)
+    family, width, es = re.fullmatch(r"(posit|takum)(\d+)(?:es(\d+))?", name).groups()
+    if family == "takum":
+        return TakumFormat(int(width), name=name)
+    return PositFormat(int(width), es=int(es or 2), name=name)
 
 
 # --------------------------------------------------------------------- #

@@ -29,10 +29,12 @@ from repro.arithmetic import bitkernels as bk
 from repro.arithmetic import get_context, get_format, preload_tables
 from repro.arithmetic.base import SCALAR_CUTOFF
 from tests._kernel_harness import (
+    UNREGISTERED_TAPERED,
     assert_rounded_equal,
     differential_round_check,
     edge_battery,
     exhaustive_sweep,
+    format_for,
     midpoint_sweep,
     random_sweep,
     solver_regime_sweep,
@@ -58,9 +60,20 @@ KERNEL_FORMATS = [
     "bfloat16",
     "E5M2",
     "E4M3",
+    *UNREGISTERED_TAPERED,
 ]
 #: formats of <= 16 bits: exhaustive identity required
-NARROW_FORMATS = ["posit8", "posit16", "takum8", "takum16", "float16", "bfloat16", "E5M2", "E4M3"]
+NARROW_FORMATS = [
+    "posit8",
+    "posit16",
+    "takum8",
+    "takum16",
+    "float16",
+    "bfloat16",
+    "E5M2",
+    "E4M3",
+    *(name for name in UNREGISTERED_TAPERED if format_for(name).bits <= 16),
+]
 #: wide formats: sweep-based identity of the dispatch (the 64-bit tapered
 #: formats round through the two-word extended kernel, the cast IEEE widths
 #: through the hardware cast)
@@ -76,7 +89,7 @@ _U = np.uint64
 def test_round_exhaustive_vs_analytic(name):
     """Kernel rounding == ``round_array`` == ``round_scalar`` == analytic,
     over every representable value and every exact tie of the format."""
-    fmt = get_format(name)
+    fmt = format_for(name)
     kern = fmt.bitkernel()
     assert kern is not None
     values = exhaustive_sweep(fmt)
@@ -90,7 +103,7 @@ def test_round_exhaustive_vs_analytic(name):
 @pytest.mark.parametrize("name", KERNEL_FORMATS)
 @pytest.mark.parametrize("sweep", ["whole_range", "solver_regime"])
 def test_round_random_sweeps(name, sweep):
-    fmt = get_format(name)
+    fmt = format_for(name)
     values = (
         random_sweep(fmt, 150_000, seed=5)
         if sweep == "whole_range"
@@ -107,7 +120,7 @@ def test_round_random_sweeps(name, sweep):
 def test_round_tie_sweep(name):
     """Exact midpoints of adjacent representable codes (the rounding ties)
     across the small, middle and large ends of the code range."""
-    fmt = get_format(name)
+    fmt = format_for(name)
     values = midpoint_sweep(fmt)
     assert_rounded_equal(
         fmt.bitkernel().round(values),
@@ -118,7 +131,7 @@ def test_round_tie_sweep(name):
 
 @pytest.mark.parametrize("name", KERNEL_FORMATS)
 def test_round_edge_battery(name):
-    fmt = get_format(name)
+    fmt = format_for(name)
     values = edge_battery()
     assert_rounded_equal(
         fmt.bitkernel().round(values), fmt.round_array_analytic(values), name
@@ -130,7 +143,7 @@ def test_wide_dispatch_matches_analytic(name):
     """``round_array`` (bit kernel for the 32-bit tapered formats, hardware
     cast / longdouble fallback elsewhere) stays bit-identical to the
     preserved analytic kernels across random/boundary/tie sweeps."""
-    fmt = get_format(name)
+    fmt = format_for(name)
     rng = np.random.default_rng(17)
     values = (
         rng.standard_normal(5_000) * np.exp(rng.uniform(-320, 320, 5_000))
@@ -149,7 +162,7 @@ def test_64bit_formats_get_extended_kernel():
     extended kernels on 80-bit-longdouble hosts (the deep battery lives in
     ``test_bitkernels_64bit.py``)."""
     for name in ("posit64", "takum64"):
-        fmt = get_format(name)
+        fmt = format_for(name)
         kern = fmt.bitkernel()
         if not bk.extended_layout_supported():
             pytest.skip("host longdouble is not the two-word extended layout")
@@ -170,7 +183,7 @@ def test_cast_ieee_formats_have_no_kernel():
 def test_decode_exhaustive(name):
     """Kernel decode == scalar ``decode_code`` for every code (this is the
     path the narrow formats build their magnitude lists through)."""
-    fmt = get_format(name)
+    fmt = format_for(name)
     codes = np.arange(1 << fmt.bits, dtype=np.uint64)
     expected = np.asarray([fmt.decode_code(int(c)) for c in codes], dtype=np.float64)
     assert_rounded_equal(fmt.bitkernel().decode(codes), expected, name)
@@ -178,7 +191,7 @@ def test_decode_exhaustive(name):
 
 @pytest.mark.parametrize("name", ["posit32", "takum32"])
 def test_decode_sampled_32bit(name):
-    fmt = get_format(name)
+    fmt = format_for(name)
     rng = np.random.default_rng(23)
     codes = np.unique(
         np.concatenate(
@@ -196,7 +209,7 @@ def test_decode_sampled_32bit(name):
 
 @pytest.mark.parametrize("name", KERNEL_FORMATS)
 def test_encode_matches_analytic(name):
-    fmt = get_format(name)
+    fmt = format_for(name)
     values = fmt.round_array_analytic(random_sweep(fmt, 40_000, seed=5))
     expected = fmt.encode_analytic(values)
     assert np.array_equal(fmt.bitkernel().encode(values), expected), name
@@ -206,7 +219,7 @@ def test_encode_matches_analytic(name):
 
 @pytest.mark.parametrize("name", KERNEL_FORMATS)
 def test_encode_decode_roundtrip(name):
-    fmt = get_format(name)
+    fmt = format_for(name)
     kern = fmt.bitkernel()
     values = fmt.round_array_analytic(solver_regime_sweep(fmt, 10_000))
     if name == "E4M3":
@@ -223,7 +236,7 @@ def test_encode_decode_roundtrip(name):
 def test_round_array_out(name):
     """``round_array(values, out=)`` writes into ``out`` (including when it
     aliases the input) and matches the allocating form bit for bit."""
-    fmt = get_format(name)
+    fmt = format_for(name)
     rng = np.random.default_rng(31)
     values = (rng.standard_normal(512) * np.exp(rng.uniform(-20, 20, 512))).astype(
         fmt.work_dtype
@@ -279,7 +292,7 @@ def test_out_supports_noncontiguous_views(name):
 def test_scratch_cache_bounds_large_calls(name):
     """Exact sizes up to the limit are cached; larger calls share one
     most-recent slot, which repeated same-size calls reuse."""
-    fmt = get_format(name)
+    fmt = format_for(name)
     kern = fmt.bitkernel()
     big = bk._MAX_SCRATCH_ELEMENTS + 1
     for size in (25, 100, big, big + 7, big + 7):
@@ -389,7 +402,7 @@ def test_magnitude_lists_decode_via_bitkernels(name):
     """The narrow formats enumerate their magnitude lists through the
     vectorised kernel decode; the result must equal the per-code
     ``decode_code`` construction exactly, codes included."""
-    fmt = get_format(name)
+    fmt = format_for(name)
     via_kernel = fmt._enumerate_magnitudes()
     previous = bk.set_enabled(False)
     try:

@@ -23,8 +23,10 @@ import pytest
 from repro.arithmetic import get_context, get_format
 from repro.arithmetic.base import SCALAR_CUTOFF, WIDE_SCALAR_CUTOFF, NumberFormat
 from tests._kernel_harness import (
+    UNREGISTERED_TAPERED,
     assert_scalar_matches_vector,
     boundary_sweep,
+    format_for,
     midpoint_sweep,
     random_sweep,
 )
@@ -33,12 +35,12 @@ from tests._kernel_harness import (
 WIDE_FORMATS = ["posit32", "posit64", "takum32", "takum64", "float32", "float64"]
 #: formats of up to 16 bits
 NARROW_FORMATS = ["posit8", "posit16", "takum8", "takum16", "float16", "bfloat16", "E4M3", "E5M2"]
-ALL_FORMATS = WIDE_FORMATS + NARROW_FORMATS
+ALL_FORMATS = WIDE_FORMATS + NARROW_FORMATS + list(UNREGISTERED_TAPERED)
 
 
 @pytest.fixture(params=ALL_FORMATS)
 def any_kernel_format(request):
-    return get_format(request.param)
+    return format_for(request.param)
 
 
 @pytest.fixture(params=WIDE_FORMATS)

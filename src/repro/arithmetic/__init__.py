@@ -6,7 +6,9 @@ in the paper:
 * IEEE 754 style formats: ``float16``, ``bfloat16``, ``float32``, ``float64``
   and the OFP8 types ``E4M3`` and ``E5M2``;
 * tapered-precision formats: posits (2022 standard, ``es = 2``) and linear
-  takums at 8, 16, 32 and 64 bits;
+  takums at 8, 16, 32 and 64 bits, which share one rounding skeleton
+  (:class:`~repro.arithmetic.tapered.TaperedFormat`) and differ only in
+  their bit layout and binade rule;
 * an extended-precision reference format backed by ``numpy.longdouble``.
 
 Every format exposes a vectorised ``round`` operation (round an array of
@@ -32,7 +34,9 @@ and non-cast IEEE/OFP8 format) and each format's pure-Python scalar kernel
 regime of the solvers' elementwise operations — without NumPy dispatch
 overhead; see ``docs/architecture.md`` for the dispatch matrix.  The
 format alone decides how a value rounds.  The analytic vector kernels
-remain the ground truth (``round_array_analytic``); the one opt-out,
+remain the ground truth (``round_array_analytic``); the bit kernels state
+each tapered binade rule independently of it (``_keep_bits``), so the
+sweeps compare two derivations.  The one opt-out,
 ``set_bitkernels_enabled(False)`` / ``REPRO_DISABLE_BITKERNELS=1``, turns
 the bit kernels off process-wide so arrays round through them.
 """
@@ -51,6 +55,7 @@ from .ieee import IEEEFormat, BFLOAT16, FLOAT16, FLOAT32, FLOAT64
 from .ofp8 import OFP8E4M3, OFP8E5M2, E4M3, E5M2
 from .posit import PositFormat, POSIT8, POSIT16, POSIT32, POSIT64
 from .takum import TakumFormat, TAKUM8, TAKUM16, TAKUM32, TAKUM64
+from .tapered import TaperedFormat
 from .registry import (
     FORMATS,
     get_format,
@@ -107,6 +112,7 @@ __all__ = [
     "POSIT32",
     "POSIT64",
     "TakumFormat",
+    "TaperedFormat",
     "TAKUM8",
     "TAKUM16",
     "TAKUM32",

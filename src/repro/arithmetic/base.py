@@ -228,9 +228,11 @@ def nearest_in_table_scalar(a, magnitudes, codes=None) -> int:
 class NumberFormat(ABC):
     """A machine-number format emulated in software.
 
-    Subclasses must provide bit-level ``decode_code``/representable-value
-    enumeration and a vectorised :meth:`round_array_analytic`.  All formats
-    share the conventions:
+    Subclasses must provide the bit layout (``decode_code`` and
+    ``_encode_scalar``) and a vectorised :meth:`round_array_analytic`; the
+    tapered formats get the latter from
+    :class:`~repro.arithmetic.tapered.TaperedFormat`.  All formats share
+    the conventions:
 
     * NaN in value space represents the format's NaN/NaR,
     * ``numpy.inf`` is only produced by formats that have infinities,
@@ -387,9 +389,22 @@ class NumberFormat(ABC):
             return kern.encode(self.round_array(values))
         return self.encode_analytic(values)
 
-    @abstractmethod
     def encode_analytic(self, values) -> np.ndarray:
-        """Analytic (kernel-free) implementation of :meth:`encode`."""
+        """Analytic (kernel-free) implementation of :meth:`encode`: round
+        through :meth:`round_array_analytic`, then emit each element's code
+        through :meth:`_encode_scalar`.  Returns ``uint64`` codes of the
+        same shape as ``values``."""
+        rounded = self.round_array_analytic(np.asarray(values, dtype=self.work_dtype))
+        out = np.zeros(rounded.shape, dtype=np.uint64)
+        res = out.ravel()
+        for i, v in enumerate(rounded.ravel()):
+            res[i] = self._encode_scalar(v)
+        return out
+
+    @abstractmethod
+    def _encode_scalar(self, v) -> int:
+        """Code of one work-precision value that is already representable
+        in the format (NaN encodes as the canonical NaN/NaR code)."""
 
     # ------------------------------------------------------------------ #
     # value-space interface

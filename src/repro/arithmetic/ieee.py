@@ -100,20 +100,10 @@ class IEEEFormat(NumberFormat):
             return None
         return IEEEBitKernel(self.ebits, self.mbits, self._round_kernel_specials)
 
-    def encode_analytic(self, values) -> np.ndarray:
-        """Analytic (kernel-free) encode: round through the analytic kernel,
-        then emit the sign/exponent/mantissa fields per element.  Returns
-        ``uint64`` codes of the same shape as ``values``."""
-        values = np.asarray(values, dtype=self.work_dtype)
-        rounded = self.round_array_analytic(values)
-        out = np.zeros(values.shape, dtype=np.uint64)
-        flat = rounded.ravel()
-        res = out.ravel()
-        for i in range(flat.size):
-            res[i] = self._encode_scalar(float(flat[i]))
-        return out
-
-    def _encode_scalar(self, v: float) -> int:
+    def _encode_scalar(self, v) -> int:
+        """Sign, biased exponent and mantissa fields of one representable
+        value (canonical quiet NaN for NaN)."""
+        v = float(v)
         sign_bit = 1 if (math.copysign(1.0, v) < 0) else 0
         if math.isnan(v):
             # canonical quiet NaN: all exponent bits set, MSB of mantissa set

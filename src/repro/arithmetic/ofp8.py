@@ -76,27 +76,17 @@ class OFP8E4M3(NumberFormat):
             return sign * math.ldexp(mant, -6 - 3)
         return sign * math.ldexp(8 + mant, exp_field - self.bias - 3)
 
-    def encode_analytic(self, values) -> np.ndarray:
-        """Analytic (kernel-free) encode: round through the analytic kernel,
-        then look each magnitude up in the enumerated code table.  Returns
-        ``uint64`` codes; ``-0.0`` canonicalises to the all-zeros code."""
-        values = np.asarray(values, dtype=self.work_dtype)
-        rounded = self.round_array_analytic(values)
-        out = np.zeros(values.shape, dtype=np.uint64)
-        flat = rounded.ravel()
-        res = out.ravel()
-        for i in range(flat.size):
-            v = float(flat[i])
-            if math.isnan(v):
-                res[i] = 0x7F
-                continue
-            idx = int(np.searchsorted(self._magnitudes, abs(v)))
-            idx = min(idx, len(self._magnitudes) - 1)
-            code = int(self._codes[idx])
-            if math.copysign(1.0, v) < 0 and v != 0.0:
-                code |= 0x80
-            res[i] = code
-        return out
+    def _encode_scalar(self, v) -> int:
+        """Look one representable magnitude up in the enumerated code table;
+        ``-0.0`` canonicalises to the all-zeros code, NaN to ``0x7F``."""
+        v = float(v)
+        if math.isnan(v):
+            return 0x7F
+        idx = int(np.searchsorted(self._magnitudes, abs(v)))
+        code = int(self._codes[min(idx, len(self._magnitudes) - 1)])
+        if math.copysign(1.0, v) < 0 and v != 0.0:
+            code |= 0x80
+        return code
 
     def round_scalar_analytic(self, value):
         """Scalar twin of :meth:`round_array_analytic` for one value.

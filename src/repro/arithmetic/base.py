@@ -521,31 +521,6 @@ class NumberFormat(ABC):
         """
         return float(self.round_scalar_analytic(value))
 
-    def convert(self, values) -> tuple[np.ndarray, RoundingInfo]:
-        """Convert ``values`` into the format, reporting range diagnostics.
-
-        Used when casting an input matrix into the target arithmetic; the
-        returned :class:`RoundingInfo` feeds the ∞σ ("dynamic range of matrix
-        entries exceeded") failure flag of the experiments.
-        """
-        values = np.asarray(values, dtype=self.work_dtype)
-        rounded = self.round_array(values)
-        finite_nonzero = np.isfinite(values) & (values != 0)
-        overflowed = int(np.count_nonzero(finite_nonzero & ~np.isfinite(rounded)))
-        underflowed = int(np.count_nonzero(finite_nonzero & (rounded == 0)))
-        saturated = 0
-        if self.saturating:
-            max_mag = self.max_value
-            min_mag = self.min_positive
-            saturated_high = np.count_nonzero(
-                finite_nonzero & (np.abs(rounded) == max_mag) & (np.abs(values) > max_mag)
-            )
-            saturated_low = np.count_nonzero(
-                finite_nonzero & (np.abs(rounded) == min_mag) & (np.abs(values) < min_mag)
-            )
-            saturated = int(saturated_high + saturated_low)
-        return rounded, RoundingInfo(overflowed, underflowed, saturated)
-
     # ------------------------------------------------------------------ #
     # metadata
     # ------------------------------------------------------------------ #

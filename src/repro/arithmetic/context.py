@@ -126,6 +126,10 @@ class ComputeContext(ABC):
     bits: int = 64
     #: accumulation strategy: "pairwise" or "sequential"
     accumulation: str = "pairwise"
+    #: ``(smallest, largest)`` magnitude a saturating arithmetic clamps
+    #: out-of-range values to, or ``None`` when it underflows to zero and
+    #: overflows instead
+    saturation_range: Optional[tuple[float, float]] = None
 
     def __init__(self, accumulation: str = "pairwise"):
         if accumulation not in ("pairwise", "sequential"):
@@ -691,13 +695,24 @@ class ComputeContext(ABC):
         return matrix.with_data(data), info
 
     def convert_values(self, values) -> tuple[np.ndarray, RoundingInfo]:
-        """Convert raw values into the context, reporting range diagnostics."""
+        """Convert raw values into the context, reporting range diagnostics.
+
+        Counts the finite non-zero inputs that overflowed to a non-finite
+        value, underflowed to zero, or (saturating arithmetic) were clamped
+        to an end of :attr:`saturation_range`.
+        """
         values = np.asarray(values, dtype=self.dtype)
         rounded = self.round(values)
         finite_nonzero = np.isfinite(values) & (values != 0)
         overflowed = int(np.count_nonzero(finite_nonzero & ~np.isfinite(rounded)))
         underflowed = int(np.count_nonzero(finite_nonzero & (rounded == 0)))
-        return rounded, RoundingInfo(overflowed, underflowed, 0)
+        saturated = 0
+        if self.saturation_range is not None:
+            lo, hi = self.saturation_range
+            got, raw = np.abs(rounded), np.abs(values)
+            clamped = ((got == hi) & (raw > hi)) | ((got == lo) & (raw < lo))
+            saturated = int(np.count_nonzero(finite_nonzero & clamped))
+        return rounded, RoundingInfo(overflowed, underflowed, saturated)
 
     # ------------------------------------------------------------------ #
     # numerical metadata
@@ -783,6 +798,8 @@ class EmulatedContext(ComputeContext):
         self.dtype = fmt.work_dtype
         self.name = fmt.name
         self.bits = fmt.bits
+        if fmt.saturating:
+            self.saturation_range = (fmt.min_positive, fmt.max_value)
         self._machine_epsilon: Optional[float] = None
 
     def round(self, values, *, out=None):

@@ -12,6 +12,7 @@ from repro.arithmetic import (
     get_context,
     get_format,
 )
+from repro.sparse import CSRMatrix
 from tests.conftest import random_symmetric_csr
 
 
@@ -285,6 +286,37 @@ class TestConversion:
         A = A.with_data(A.data * 1e30)
         _, info = ctx.convert_matrix(A)
         assert not info.range_exceeded
+
+    def test_convert_reports_overflow_for_ieee(self):
+        _, info = get_context("float16").convert_values(np.array([1.0, 1e9, -1e9]))
+        assert info.overflowed == 2
+        assert info.range_exceeded
+
+    def test_convert_reports_underflow_for_ieee(self):
+        _, info = get_context("bfloat16").convert_values(np.array([1.0, 1e-60]))
+        assert info.underflowed == 1
+
+    def test_posit_saturates_instead_of_overflowing(self):
+        ctx = get_context("posit16")
+        rounded, info = ctx.convert_values(np.array([1.0, 1e30, 1e-30]))
+        assert info.overflowed == 0
+        assert info.underflowed == 0
+        assert info.saturated == 2
+        assert rounded[1] == ctx.format.max_value
+        assert rounded[2] == ctx.format.min_positive
+
+    @pytest.mark.parametrize("name", ["posit8", "takum8", "posit64"])
+    def test_convert_matrix_counts_saturation(self, name):
+        A = CSRMatrix.from_dense(np.diag([1.0, 1e100, 1e-100]))
+        _, info = get_context(name).convert_matrix(A)
+        assert (info.overflowed, info.underflowed, info.saturated) == (0, 0, 2)
+
+    def test_native_and_ieee_contexts_never_saturate(self):
+        for name in ("float64", "reference", "bfloat16", "E4M3"):
+            ctx = get_context(name)
+            assert ctx.saturation_range is None, name
+            _, info = ctx.convert_values(np.array([1.0, 1e300, 1e-300]))
+            assert info.saturated == 0, name
 
     def test_dynamic_range_error_carries_info(self):
         from repro.arithmetic.base import RoundingInfo

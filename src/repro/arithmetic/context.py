@@ -423,41 +423,18 @@ class ComputeContext(ABC):
 
         The pairwise strategy reduces adjacent pairs level by level (a
         balanced tree, matching Julia's pairwise summation); the sequential
-        strategy accumulates left to right.  Only the first reduction level
-        allocates — the caller's array is never modified — and the
-        remaining levels run in place on that buffer
-        (:meth:`_reduce_last_axis_inplace`), so an m-way reduction costs one
-        buffer instead of ``log2(m)`` of them.
+        strategy accumulates left to right.  The caller's array is never
+        modified: one copy is donated to :meth:`_reduce_last_axis_inplace`.
         """
-        v = np.asarray(values, dtype=self.dtype)
-        v = np.moveaxis(v, axis, -1)
-        m = v.shape[-1]
-        if m == 0:
-            return np.zeros(v.shape[:-1], dtype=self.dtype)
-        if m == 1:
-            return v[..., 0]
-        if self.accumulation == "pairwise":
-            half = m // 2
-            buf = self.add(v[..., 0 : 2 * half : 2], v[..., 1 : 2 * half : 2])
-            if m % 2:
-                buf = np.concatenate([buf, v[..., -1:]], axis=-1)
-            return self._reduce_last_axis_inplace(buf)
-        if v.ndim == 1:
-            acc = v[0]
-            for j in range(1, m):
-                acc = self.add(acc, v[j])
-            return acc
-        buf = self.add(v[..., 0], v[..., 1])
-        for j in range(2, m):
-            self.add(buf, v[..., j], out=buf)
-        return buf
+        v = np.moveaxis(np.asarray(values, dtype=self.dtype), axis, -1)
+        return self._reduce_last_axis_inplace(v.copy())
 
     def _reduce_last_axis_inplace(self, buf: np.ndarray) -> np.ndarray:
         """Reduce an *owned* buffer along its last axis, mutating it.
 
         ``buf`` must be a work-dtype array this context allocated itself
         (the rounded-products buffer of :meth:`dot`/:meth:`gemv`/
-        :meth:`gemm`, or the first pairwise level of :meth:`reduce_sum`) —
+        :meth:`gemm`, or the copy :meth:`reduce_sum` makes) —
         callers donate it and must not rely on its contents afterwards.
 
         Pairwise levels pair live partials in place on a doubling stride:

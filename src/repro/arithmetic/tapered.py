@@ -43,6 +43,10 @@ __all__ = ["TaperedFormat"]
 #: code range at most
 _EXTREME_LIST_LIMIT = 4096
 
+#: range of the exponent ``math.frexp`` returns for a positive finite float64
+_FREXP_MIN = -1073
+_FREXP_MAX = 1024
+
 
 class TaperedFormat(NumberFormat):
     """Base of the tapered-precision formats (posits and takums).
@@ -186,8 +190,11 @@ class TaperedFormat(NumberFormat):
 
         For float64 work precision the magnitude lists become plain Python
         lists and floats (``bisect`` plus float arithmetic beat NumPy scalar
-        dispatch); the longdouble formats keep ``longdouble`` arrays and
-        scalars so the scalar arithmetic stays in extended precision.
+        dispatch), and the binade rule becomes a list of quantum exponents
+        indexed by ``math.frexp``'s exponent (one index instead of the
+        rule's arithmetic per scalar); the longdouble formats keep
+        ``longdouble`` arrays and scalars so the scalar arithmetic stays in
+        extended precision.
         """
         self._ensure_magnitudes()
         if self._full_table:
@@ -198,7 +205,8 @@ class TaperedFormat(NumberFormat):
             tables = (lo_mags, lo_codes, hi_mags, hi_codes)
             if self.work_dtype is np.float64:
                 bounds = tuple(float(b) for b in bounds)
-                tables = tuple(t.tolist() for t in tables)
+                qexps = [self._quantum_exp(e - 1) for e in range(_FREXP_MIN, _FREXP_MAX + 1)]
+                tables = tuple(t.tolist() for t in tables) + (qexps,)
             state = bounds + tables
         self._scalar_state = state
         return state
@@ -238,14 +246,14 @@ class TaperedFormat(NumberFormat):
                 if mag == 0.0:
                     mag = self.min_positive  # never round non-zero to zero
             else:
-                maxpos, minpos, lo, hi, lo_mags, lo_codes, hi_mags, hi_codes = state
+                maxpos, minpos, lo, hi, lo_mags, lo_codes, hi_mags, hi_codes, qexps = state
                 safe = a if a < maxpos else maxpos
                 if safe < lo:
                     mag = lo_mags[nearest_in_table_scalar(safe, lo_mags, lo_codes)]
                 elif safe >= hi:
                     mag = hi_mags[nearest_in_table_scalar(safe, hi_mags, hi_codes)]
                 else:
-                    qexp = self._quantum_exp(math.frexp(safe)[1] - 1)
+                    qexp = qexps[math.frexp(safe)[1] - _FREXP_MIN]
                     mag = float(round(math.ldexp(safe, -qexp))) * math.ldexp(1.0, qexp)
                 if mag < minpos:
                     mag = minpos

@@ -55,7 +55,6 @@ from .ieee import IEEEFormat, BFLOAT16, FLOAT16, FLOAT32, FLOAT64
 from .ofp8 import OFP8E4M3, OFP8E5M2, E4M3, E5M2
 from .posit import PositFormat, POSIT8, POSIT16, POSIT32, POSIT64
 from .takum import TakumFormat, TAKUM8, TAKUM16, TAKUM32, TAKUM64
-from .tapered import TaperedFormat
 from .registry import (
     FORMATS,
     get_format,
@@ -112,7 +111,6 @@ __all__ = [
     "POSIT32",
     "POSIT64",
     "TakumFormat",
-    "TaperedFormat",
     "TAKUM8",
     "TAKUM16",
     "TAKUM32",

@@ -63,17 +63,8 @@ KERNEL_FORMATS = [
     *UNREGISTERED_TAPERED,
 ]
 #: formats of <= 16 bits: exhaustive identity required
-NARROW_FORMATS = [
-    "posit8",
-    "posit16",
-    "takum8",
-    "takum16",
-    "float16",
-    "bfloat16",
-    "E5M2",
-    "E4M3",
-    *(name for name in UNREGISTERED_TAPERED if format_for(name).bits <= 16),
-]
+NARROW_FORMATS = ["posit8", "posit16", "takum8", "takum16", "float16", "bfloat16", "E5M2", "E4M3"]
+NARROW_FORMATS += [name for name in UNREGISTERED_TAPERED if format_for(name).bits <= 16]
 #: wide formats: sweep-based identity of the dispatch (the 64-bit tapered
 #: formats round through the two-word extended kernel, the cast IEEE widths
 #: through the hardware cast)

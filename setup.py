@@ -1,11 +1,20 @@
 """Setuptools shim.
 
-The canonical project metadata lives in ``pyproject.toml``; this file only
-exists so that legacy (non-PEP-517) editable installs — ``pip install -e .
---no-use-pep517`` — work in offline environments that lack the ``wheel``
-package.
+The project has no ``pyproject.toml`` and needs no installation: the
+package runs from the source tree with ``PYTHONPATH=src``.  This file
+exists so that a legacy (non-PEP-517) editable install —
+``pip install -e . --no-use-pep517`` — works in offline environments that
+lack the ``wheel`` package.  It declares the package under ``src/`` and
+ships the C source of the compiled rounding kernel
+(``repro/arithmetic/_rounding.c``), which the package compiles on first
+use; nothing is compiled at install time.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    package_data={"repro.arithmetic": ["_rounding.c"]},
+)

@@ -25,20 +25,21 @@ context methods; :func:`repro.arithmetic.precision` binds a precision for a
 block of such code, and :class:`repro.arithmetic.ContextSpec` names a
 context declaratively for the runner and CLI.
 
-Two fast rounding kernels serve the formats, both bit-identical to the
-analytic ground truth: the integer bit-twiddling kernels
-(:mod:`repro.arithmetic.bitkernels`; one family-parameterized
-round/encode/decode engine serving vector rounding of every posit, takum
-and non-cast IEEE/OFP8 format) and each format's pure-Python scalar kernel
-(``round_scalar_analytic``), which serves scalars and tiny arrays — the
-regime of the solvers' elementwise operations — without NumPy dispatch
-overhead; see ``docs/architecture.md`` for the dispatch matrix.  The
-format alone decides how a value rounds.  The analytic vector kernels
-remain the ground truth (``round_array_analytic``); the bit kernels state
-each tapered binade rule independently of it (``_keep_bits``), so the
-sweeps compare two derivations.  The one opt-out,
+One compiled rounding kernel serves every posit, takum and non-cast
+IEEE/OFP8 format, bit-identical to the analytic ground truth: the integer
+bit kernels (:mod:`repro.arithmetic.bitkernels`; one family-parameterized
+round/encode/decode engine) build each format's binade lookup tables, and
+a small C extension (``_rounding.c``, compiled on first use) rounds arrays
+of every size and the contexts' scalars over them; see
+``docs/architecture.md`` for the dispatch matrix.  The format alone
+decides how a value rounds.  The analytic kernels remain the ground truth
+(``round_array_analytic``, and the pure-Python scalar kernels
+``round_scalar_analytic``) and round what the compiled kernel hands back;
+the bit kernels state each tapered binade rule independently of them
+(``_keep_bits``), so the sweeps compare two derivations.  The one opt-out,
 ``set_bitkernels_enabled(False)`` / ``REPRO_DISABLE_BITKERNELS=1``, turns
-the bit kernels off process-wide so arrays round through them.
+the compiled kernels off process-wide so every format rounds through its
+analytic kernels, as it does on a host without a C compiler.
 """
 
 from .base import LONGDOUBLE_EXTENDED, NumberFormat, RoundingInfo

@@ -15,6 +15,7 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import functools
+import weakref
 from abc import ABC, abstractmethod
 from typing import Optional
 
@@ -38,20 +39,19 @@ __all__ = [
 #: sentinel distinguishing 'bit kernel never built' from 'ineligible (None)'
 _UNSET = object()
 
-#: scalar-kernel cutoff of the 64-bit tapered formats in longdouble when
-#: no bit kernel serves them (kernels disabled, hosts without the x87
-#: layout): their scalar kernel is then the NumPy-scalar one, which pays
-#: NumPy scalar dispatch (~4 us/element).  With a bit kernel they round
-#: scalars through its scalar twin and use ``bitkernel_scalar_cutoff``;
-#: this cutoff still bounds how many special-binade elements the two-word
-#: kernel hands to the scalar kernel instead of the analytic one
+#: scalar-kernel cutoff of the 64-bit tapered formats in longdouble: their
+#: analytic scalar kernel runs on NumPy longdouble scalars and pays NumPy
+#: scalar dispatch (~4 us/element), which moves its break-even against the
+#: analytic vector kernel down to ~8 elements
 SCALAR_CUTOFF = 8
 
 #: arrays up to this size round element-wise through the pure-Python
 #: analytic scalar kernels (:meth:`NumberFormat.round_scalar_analytic`)
-#: when no bit kernel serves the format.  The analytic vector kernels pay
-#: ~25 NumPy dispatch round-trips (~35 us) regardless of size while a
-#: scalar call costs ~1.5 us, so the break-even sits near 24 elements.
+#: instead of the analytic vector kernels: when no bit kernel serves the
+#: format, and for the elements a bit kernel hands back.  The analytic
+#: vector kernels pay ~25 NumPy dispatch round-trips (~35 us) regardless of
+#: size while a scalar call costs ~1.5 us, so the break-even sits near 24
+#: elements.
 WIDE_SCALAR_CUTOFF = 24
 
 #: whether ``numpy.longdouble`` carries more significand bits than float64
@@ -67,9 +67,10 @@ WIDE_SCALAR_CUTOFF = 24
 LONGDOUBLE_EXTENDED = np.finfo(np.longdouble).nmant > np.finfo(np.float64).nmant
 
 
-#: the vector rounding paths :meth:`NumberFormat.round_array` tallies, in
-#: the order of their ``[calls, elements]`` pairs in a dispatch cell
-_DISPATCH_PATHS = ("scalar_kernel", "bitkernel", "analytic")
+#: the analytic rounding paths :meth:`NumberFormat.round_array` tallies
+#: in Python, in the order of their ``[calls, elements]`` pairs in a
+#: dispatch cell (the ``bitkernel`` path is tallied by the compiled kernel)
+_DISPATCH_PATHS = ("scalar_kernel", "analytic")
 
 #: deferred dispatch tallies, ``format name -> cell``: one flat list of
 #: ``[calls, elements]`` per path in :data:`_DISPATCH_PATHS` order.
@@ -80,6 +81,12 @@ _DISPATCH_PATHS = ("scalar_kernel", "bitkernel", "analytic")
 #: increments, and the registry drains the cells at read time (see
 #: :meth:`repro.telemetry.MetricsRegistry.register_flusher`).
 _dispatch_tally: dict[str, list] = {}
+
+#: ``(format name, weak reference)`` of every bit kernel built: each keeps
+#: its ``[calls, elements, handed_back, zeros]`` tallies in its compiled
+#: object, which the flusher drains into the ``bitkernel`` dispatch path
+#: and the ``bitkernel.*`` counters
+_kernels: list[tuple[str, weakref.ref]] = []
 
 
 def _flush_dispatch_tally(discard: bool = False) -> None:
@@ -93,9 +100,49 @@ def _flush_dispatch_tally(discard: bool = False) -> None:
                 _metrics.counter("rounding.elements", format=fmt_name, path=path).inc(elements)
             cell[2 * i] -= calls
             cell[2 * i + 1] -= elements
+    live = []
+    for fmt_name, ref in _kernels:
+        kern = ref()
+        if kern is None:
+            continue
+        live.append((fmt_name, ref))
+        calls, elements, handed_back, zeros = kern.compiled.take_counts()
+        if discard or not calls:
+            continue
+        _metrics.counter("rounding.dispatch", format=fmt_name, path="bitkernel").inc(calls)
+        if elements:
+            _metrics.counter("rounding.elements", format=fmt_name, path="bitkernel").inc(elements)
+        for name, count in (
+            ("bitkernel.elements", elements),
+            ("bitkernel.lut_fallback", handed_back),
+            ("bitkernel.zero_peeled", zeros),
+        ):
+            if count:
+                _metrics.counter(name, family=kern.family, bits=kern.bits).inc(count)
+    _kernels[:] = live
 
 
 _metrics.register_flusher(_flush_dispatch_tally)
+
+#: formats whose kernel is bound (:attr:`NumberFormat._bound_kernel`), by id
+_bound: "weakref.WeakValueDictionary[int, NumberFormat]" = weakref.WeakValueDictionary()
+
+
+def _unbind_kernels() -> None:
+    """Drop every bound kernel, so the next call binds per the switch."""
+    for fmt in list(_bound.values()):
+        fmt.__dict__.pop("_bound_kernel", None)
+        fmt.__dict__.pop("_round_one", None)
+    _bound.clear()
+
+
+_bitkernels._switch_hooks.append(_unbind_kernels)
+
+
+def _hand_back(value) -> None:
+    """Scalar entry of a format no bit kernel serves: hands every value
+    back to the analytic scalar kernel."""
+    return None
 
 
 @dataclasses.dataclass
@@ -238,24 +285,25 @@ class NumberFormat(ABC):
     * ``numpy.inf`` is only produced by formats that have infinities,
     * rounding is round-to-nearest with ties to the even code.
 
-    :meth:`round_array` has one rule.  Arrays of up to the format's
-    cutoff — the regime of the solvers' elementwise Givens/QL operations —
-    round element-wise through the format's pure-Python scalar kernel
-    (:meth:`round_scalar_analytic`), which skips
-    the NumPy dispatch round-trips of the vector kernels; larger arrays
-    round through the format's integer bit kernel
-    (:mod:`repro.arithmetic.bitkernels`), or through the vectorised
-    :meth:`round_array_analytic` ground truth when there is none.  The bit
-    kernels also serve :meth:`encode` and :meth:`decode`.  Both fast kernels
-    are verified bit-identical to the analytic ones by the sweeps in
+    :meth:`round_array` has one rule.  Arrays of every size round through
+    the format's compiled integer bit kernel
+    (:mod:`repro.arithmetic.bitkernels`), bound once per format
+    (:attr:`_bound_kernel`); the contexts round scalars through its scalar
+    entry (:attr:`_round_one`).  Formats no bit kernel serves round through
+    their analytic kernels: arrays of up to :attr:`scalar_cutoff` elements
+    element-wise through the pure-Python scalar kernel
+    (:meth:`round_scalar_analytic`), larger ones through the vectorised
+    :meth:`round_array_analytic` ground truth.  The bit kernels also serve
+    :meth:`encode` and :meth:`decode`.  The kernels are verified
+    bit-identical to the analytic ones by the sweeps in
     ``tests/test_scalar_rounding.py`` and ``tests/test_bitkernels.py``
     (every value and every tie of every format up to 16 bits).
 
     The format alone decides how a value rounds; the one opt-out is
     ``REPRO_DISABLE_BITKERNELS=1`` (or, at runtime,
     :func:`repro.arithmetic.set_bitkernels_enabled`), which turns the bit
-    kernels off process-wide so arrays above the cutoff round through the
-    analytic vector kernels.
+    kernels off process-wide so every format rounds through its analytic
+    kernels.  A host without a C compiler rounds the same way.
     """
 
     #: short identifier, e.g. ``"posit16"``
@@ -269,15 +317,11 @@ class NumberFormat(ABC):
     #: whether out-of-range magnitudes saturate (tapered formats) instead of
     #: overflowing to infinity/NaN
     saturating: bool = False
-    #: largest array size :meth:`round_array` routes through the scalar
-    #: kernel when no bit kernel serves the format; 0 disables the scalar
-    #: dispatch (formats whose vector kernel is a plain dtype cast)
+    #: largest array the analytic path rounds element-wise through the
+    #: scalar kernel (when no bit kernel serves the format, and for the
+    #: elements a bit kernel hands back); 0 disables the scalar dispatch
+    #: (formats whose vector kernel is a plain dtype cast)
     scalar_cutoff: int = WIDE_SCALAR_CUTOFF
-    #: the same cutoff when an integer bit kernel serves the format: the
-    #: kernel's fixed dispatch cost (~20 us) undercuts the analytic vector
-    #: chain (~80 us), which moves the scalar-loop break-even down from ~24
-    #: to ~12 elements
-    bitkernel_scalar_cutoff: int = 12
 
     @functools.cached_property
     def _dispatch_cell(self) -> list:
@@ -309,7 +353,25 @@ class NumberFormat(ABC):
         if kern is _UNSET:
             kern = self._build_bitkernel()
             self._bitkernel_obj = kern
+            if kern is not None:
+                _kernels.append((self.name, weakref.ref(kern)))
         return kern
+
+    @functools.cached_property
+    def _bound_kernel(self):
+        """The bit kernel :meth:`round_array` rounds through, bound on first
+        use (``None``: the analytic kernels round).  Flipping the bit-kernel
+        switch drops the binding, so the next call binds per the switch."""
+        _bound[id(self)] = self
+        return self.bitkernel()
+
+    @functools.cached_property
+    def _round_one(self):
+        """The compiled scalar entry of :attr:`_bound_kernel`: the rounded
+        work-dtype scalar, or ``None`` for a value the analytic scalar
+        kernel must round (every value when no bit kernel is bound)."""
+        kern = self._bound_kernel
+        return _hand_back if kern is None else kern.round_one
 
     def _enumerate_magnitudes(self) -> tuple[np.ndarray, np.ndarray]:
         """Every finite non-negative magnitude of the format, ascending, and
@@ -425,34 +487,29 @@ class NumberFormat(ABC):
             given.  Keyword-only under the unified signature contract
             (``docs/api.md``).
 
-        Arrays of up to the format's cutoff (the solvers' elementwise
-        Givens/QL regime) round element-wise through the pure-Python scalar
-        kernel: :attr:`bitkernel_scalar_cutoff` elements when a bit kernel
-        serves the format, :attr:`scalar_cutoff` otherwise.  Larger arrays
-        round through the integer bit kernel
-        (:mod:`repro.arithmetic.bitkernels`), or through the vectorised
-        :meth:`round_array_analytic` ground truth when there is none (or
-        the kernels are globally disabled).
+        Arrays of every size round through the compiled bit kernel
+        (:mod:`repro.arithmetic.bitkernels`), which tallies its own
+        telemetry.  Without one (no kernel for the format, the kernels
+        globally disabled, no C compiler), arrays of up to
+        :attr:`scalar_cutoff` elements round element-wise through the
+        pure-Python scalar kernel and larger ones through the vectorised
+        :meth:`round_array_analytic` ground truth.
         """
+        kern = self._bound_kernel
+        if kern is not None:
+            return kern.round(values, out)
         values = np.asarray(values, dtype=self.work_dtype)
         n = values.size
-        kern = self.bitkernel()
-        if n <= (self.scalar_cutoff if kern is None else self.bitkernel_scalar_cutoff):
+        if n <= self.scalar_cutoff:
             if _telemetry.ENABLED:
                 cell = self._dispatch_cell
                 cell[0] += 1
                 cell[1] += n
             return self._round_small_array(values, out=out)
-        if kern is not None:
-            if _telemetry.ENABLED:
-                cell = self._dispatch_cell
-                cell[2] += 1
-                cell[3] += n
-            return kern.round(values, out=out)
         if _telemetry.ENABLED:
             cell = self._dispatch_cell
-            cell[4] += 1
-            cell[5] += n
+            cell[2] += 1
+            cell[3] += n
         res = self.round_array_analytic(values)
         if out is not None:
             out[...] = res

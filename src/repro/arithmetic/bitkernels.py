@@ -3,8 +3,8 @@
 The analytic vector kernels of the posit/takum/IEEE format families each run
 a chain of ~25 NumPy float passes (``frexp``, ``floor_divide``, ``ldexp``,
 ``rint``, divisions, ``np.where`` ladders) per ``round_array`` call.  This
-module replaces those chains with **one** family-parameterized integer kernel
-that views the work array as unsigned integer words and performs
+module replaces those chains with **one** family-parameterized integer
+kernel that reads the work value as unsigned integer words and performs
 round-to-nearest-even entirely in integer arithmetic:
 
 * For every work binade, the number of work-significand bits a format
@@ -16,7 +16,7 @@ round-to-nearest-even entirely in integer arithmetic:
   shift ``s`` and the rounding bias ``2^(s-1) - 1``; the whole rounding
   step is then the classic integer RNE transform
   ``((u + bias + lsb) >> s) << s`` with ``lsb = (u >> s) & 1`` breaking
-  ties towards the even retained word.  For float64 work arrays the
+  ties towards the even retained word.  For float64 work values the
   transform operates on the *full* word, sign bit included: in the binades
   the LUT serves, the carry of a round-up can reach the exponent field
   (that is exactly how a binade boundary rounds up) but provably never the
@@ -28,19 +28,15 @@ round-to-nearest-even entirely in integer arithmetic:
   sign + 15-bit-exponent word (the remaining six bytes are unspecified
   padding).  :class:`ExtendedBitKernel` runs the same RNE transform on the
   significand word alone — magnitudes round independently of the sign — and
-  handles the binade-boundary carry manually: the uint64 add wraps exactly
-  when the rounded significand is ``2^64``, in which case the result is
-  significand ``2^63`` with the exponent word incremented.  No longdouble
-  float operation is involved; the kernel is pure integer arithmetic over
-  the extended representation.  Its scalar twin
-  :meth:`ExtendedBitKernel.round_one` runs the same transform in Python
-  integers on the two words of one value; the 64-bit formats' scalar
-  kernels call it first.
+  handles the binade-boundary carry explicitly: the add wraps exactly when
+  the rounded significand is ``2^64``, in which case the result is
+  significand ``2^63`` with the exponent word incremented.
 
 * Binades where the representable values are **not** a uniform power-of-two
   grid — posit/takum extreme regimes, IEEE overflow and deep-subnormal
-  binades, zeros, infinities and NaNs — are marked *special* in the LUT and
-  resolved without the kernel (the format's scalar kernel for a few masked
+  binades, zeros, infinities and NaNs — are marked *special* in the LUT.
+  Exact zeros there round inline; every other special value is handed back
+  and resolved without the kernel (the format's scalar kernel for a few
   elements, its analytic kernel for many), which keeps the fast path
   bit-identical by construction.
   Binades where the format grid is at least as *fine* as the work grid
@@ -48,10 +44,14 @@ round-to-nearest-even entirely in integer arithmetic:
   hosts without extended longdouble) are marked *identity* and copied
   through unchanged.
 
-The kernels allocate nothing per call beyond a small per-size scratch set
-(reused across calls) and support writing the result into a caller-provided
-``out=`` buffer — the entry point `EmulatedContext` uses to round operation
-results in place instead of allocating a second array per elementary op.
+The Python classes here state each family's binade rule (``_keep_bits``)
+and build the LUTs from it; the transform itself runs in C
+(``_rounding.c``, compiled on first use by :mod:`repro.arithmetic._build`),
+which reads the LUTs in place.  A kernel has two compiled entries: the
+scalar :attr:`BitKernel.round_one` and the array ``round_into`` behind
+:meth:`BitKernel.round`, which writes into a caller-provided ``out=``
+buffer — the entry point `EmulatedContext` uses to round operation results
+in place instead of allocating a second array per elementary op.
 
 Correctness invariants of the LUT-served ("main region") binades, checked by
 the builders and the exhaustive/sweep tests in ``tests/test_bitkernels.py``:
@@ -71,15 +71,12 @@ construction replacing the per-element Python loops of the analytic
 encoders, and vectorised decoding used (among others) by the narrow
 formats to enumerate their magnitude lists.
 
-The engine can be disabled for verification with the environment variable
-``REPRO_DISABLE_BITKERNELS=1`` or at runtime with :func:`set_enabled`, the
-library's one rounding opt-out; the analytic vector kernels
-(``round_array_analytic``) remain the ground truth and then serve every
-array above the scalar cutoff.
-
-Note: the per-size scratch buffers make a kernel instance not reentrant;
-this matches the library's existing single-threaded-per-context model (the
-contexts' op counters are unsynchronised too).
+The engine is off with the environment variable
+``REPRO_DISABLE_BITKERNELS=1``, at runtime with :func:`set_enabled` (the
+library's one rounding opt-out), and when the compiled library cannot be
+built; every format then rounds through its analytic kernels
+(``round_scalar_analytic``/``round_array_analytic``), the ground truth,
+with the same results.
 """
 
 from __future__ import annotations
@@ -90,39 +87,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..telemetry import core as _telemetry
-from ..telemetry.metrics import metrics as _metrics
-
-#: deferred telemetry tallies (same pattern as ``base._dispatch_tally``:
-#: kernel calls are too hot for per-call registry lookups, so each kernel
-#: holds a preallocated counter cell and the registry drains the cells at
-#: read time): ``(family, bits) -> [elements, lut_fallback, zero_peeled,
-#: scratch_alloc, scratch_reuse]``, shared by the kernels of one format
-_round_tally: dict[tuple[str, int], list] = {}
-
-
-def _flush_bitkernel_tally(discard: bool = False) -> None:
-    """Drain the deferred kernel tallies into the registry (or drop)."""
-    for (family, bits), cell in _round_tally.items():
-        elements, lut, peeled, alloc, reuse = cell
-        if not discard:
-            if elements:
-                _metrics.counter("bitkernel.elements", family=family, bits=bits).inc(elements)
-            if lut:
-                _metrics.counter("bitkernel.lut_fallback", family=family, bits=bits).inc(lut)
-            if peeled:
-                _metrics.counter("bitkernel.zero_peeled", family=family, bits=bits).inc(peeled)
-            if alloc:
-                _metrics.counter("bitkernel.scratch", family=family, event="alloc").inc(alloc)
-            if reuse:
-                _metrics.counter("bitkernel.scratch", family=family, event="reuse").inc(reuse)
-        cell[0] -= elements
-        cell[1] -= lut
-        cell[2] -= peeled
-        cell[3] -= alloc
-        cell[4] -= reuse
-
-
-_metrics.register_flusher(_flush_bitkernel_tally)
+from . import _build
 
 __all__ = [
     "BitKernel",
@@ -142,23 +107,12 @@ _U = np.uint64
 _ONE = _U(1)
 _MAG64 = _U(0x7FFFFFFFFFFFFFFF)
 _MANT52 = _U(0x000FFFFFFFFFFFFF)
-#: extended-layout significand of 1.0 in the next binade up (carry target)
-_EXT_TOP = _U(1 << 63)
+#: sign + 15-bit exponent of an x87 extended value; the rest is padding
+_HI_MASK = _U(0xFFFF)
 
 #: special-LUT codes: resolve through the analytic kernel / copy through
 _SPECIAL_RESOLVE = 1
 _SPECIAL_IDENTITY = 2
-
-#: exact-size scratch sets cached per kernel (all cleared when a new size
-#: would exceed this; see BitKernel._scratch_for)
-_MAX_SCRATCH_SIZES = 8
-#: largest call cached by exact size.  The solvers round arrays of 9-1024
-#: elements (QL columns and their fused rotation stacks) at a handful of
-#: sizes each; larger calls share one most-recent slot instead, so a run of
-#: same-size large calls (a graph's spmv, the 64k benchmark arrays) still
-#: reuses its ~33 bytes/element of scratch without the cache pinning one
-#: set per size it has ever seen
-_MAX_SCRATCH_ELEMENTS = 1024
 
 _ENABLED = os.environ.get("REPRO_DISABLE_BITKERNELS", "").lower() not in (
     "1",
@@ -166,23 +120,43 @@ _ENABLED = os.environ.get("REPRO_DISABLE_BITKERNELS", "").lower() not in (
     "yes",
 )
 
+#: the compiled extension: ``None`` until first needed, ``False`` when it
+#: could not be built
+_extension = None
+
+#: callables run after the switch flips; the formats register the drop of
+#: the kernels they bound, so the flip reaches formats built before it
+_switch_hooks: list[Callable[[], None]] = []
+
+
+def _compiled():
+    """The compiled extension module, loaded (and built) on first use;
+    ``None`` when it cannot be built."""
+    global _extension
+    if _extension is None:
+        _extension = _build.load() or False
+    return _extension or None
+
 
 def set_enabled(enabled: bool) -> bool:
     """Globally enable/disable the bit kernels; returns the previous state.
 
-    Intended for verification runs that want to force the analytic vector
-    kernels (``REPRO_DISABLE_BITKERNELS=1`` has the same effect at
-    start-up).
+    Intended for verification runs that want to force the analytic kernels
+    (``REPRO_DISABLE_BITKERNELS=1`` has the same effect at start-up).  Takes
+    effect on formats and contexts built before the call too.
     """
     global _ENABLED
     previous = _ENABLED
     _ENABLED = bool(enabled)
+    for hook in _switch_hooks:
+        hook()
     return previous
 
 
 def bitkernels_enabled() -> bool:
-    """Whether the bit-twiddling kernels are globally enabled."""
-    return _ENABLED
+    """Whether the bit kernels round: the switch is on and the compiled
+    library is available (built on the first call that needs it)."""
+    return _ENABLED and _compiled() is not None
 
 
 def extended_layout_supported() -> bool:
@@ -206,7 +180,8 @@ class BitKernel:
     Subclasses define the format family by implementing :meth:`_keep_bits`
     (how many work-significand bits survive in a given binade, or ``None``
     for binades the analytic resolver must handle) plus the family's
-    :meth:`decode` / :meth:`encode` bit-field layouts.
+    :meth:`decode` / :meth:`encode` bit-field layouts.  Construction needs
+    the compiled library (see :func:`bitkernels_enabled`).
 
     Parameters
     ----------
@@ -214,8 +189,21 @@ class BitKernel:
         Storage width of the emulated format.
     resolve:
         Callback rounding a work-dtype array without the kernel (the
-        format's scalar or analytic kernel); applied to the special-masked
-        elements.
+        format's scalar or analytic kernel); applied to the elements the
+        kernel hands back.
+
+    Attributes
+    ----------
+    round_one:
+        The compiled scalar entry: ``round_one(value)`` returns the rounded
+        work-dtype scalar (``numpy.float64``, or ``numpy.longdouble`` for
+        the extended kernels), or ``None`` when the value lies in a special
+        binade (or is not a float of the work layout) and is handed back.
+        Counts no telemetry.
+    compiled:
+        The compiled kernel object; its ``take_counts()`` drains the
+        ``(calls, elements, handed_back, zeros)`` tallies of :meth:`round`
+        made while telemetry is on.
     """
 
     #: family tag used in reprs and dispatch diagnostics
@@ -225,11 +213,13 @@ class BitKernel:
     unsigned_zero = False
 
     #: work-word layout: exponent-field width, exponent bias and fraction
-    #: bits of the word the kernel transforms (float64 by default; the
-    #: extended kernels override all three for the 80-bit x87 layout)
+    #: bits of the word the kernel transforms, and the work dtype (float64
+    #: by default; the extended kernels override all four for the 80-bit
+    #: x87 layout)
     WORD_EXP_BITS = 11
     WORD_BIAS = 1023
     WORD_FRAC_BITS = 52
+    work_dtype = np.float64
     #: whether the family's vectorised decode/encode twins serve this
     #: kernel's word layout (the extended kernels have none: the 64-bit
     #: formats keep their per-element codecs)
@@ -238,9 +228,6 @@ class BitKernel:
     def __init__(self, bits: int, resolve: Callable[[np.ndarray], np.ndarray]):
         self.bits = int(bits)
         self._resolve = resolve
-        self._tally = _round_tally.setdefault((self.family, self.bits), [0] * 5)
-        self._scratch: dict[int, tuple] = {}
-        self._large_scratch: Optional[tuple] = None  # (size, bufs)
         exp_fields = 1 << self.WORD_EXP_BITS
         frac_bits = self.WORD_FRAC_BITS
         shift = np.ones(2 * exp_fields, dtype=_U)
@@ -275,6 +262,18 @@ class BitKernel:
         self._bias = bias
         self._special = special
         self._has_identity = bool(np.any(special == _SPECIAL_IDENTITY))
+        extension = _compiled()
+        if extension is None:
+            raise RuntimeError("the compiled rounding kernel is not available")
+        self.compiled = extension.Kernel(
+            shift,
+            bias,
+            special,
+            self.work_dtype is np.longdouble,
+            self.unsigned_zero,
+            _telemetry.ENABLED_FLAG,
+        )
+        self.round_one = self.compiled.round_one
 
     # ------------------------------------------------------------------ #
     # family hooks
@@ -298,114 +297,42 @@ class BitKernel:
     # ------------------------------------------------------------------ #
     # rounding
     # ------------------------------------------------------------------ #
-    def _new_scratch(self, size: int) -> tuple:
-        return (
-            np.empty(size, dtype=_U),  # exponent-field index
-            np.empty(size, dtype=_U),  # per-element shift
-            np.empty(size, dtype=_U),  # lsb / scratch
-            np.empty(size, dtype=_U),  # accumulator (rounded word)
-            np.empty(size, dtype=np.uint8),  # special mask
-        )
-
-    def _scratch_for(self, size: int) -> tuple:
-        if size <= _MAX_SCRATCH_ELEMENTS:
-            bufs = self._scratch.get(size)
-        else:
-            large = self._large_scratch
-            bufs = large[1] if large is not None and large[0] == size else None
-        if bufs is None:
-            bufs = self._new_scratch(size)
-            if size <= _MAX_SCRATCH_ELEMENTS:
-                if len(self._scratch) >= _MAX_SCRATCH_SIZES:
-                    self._scratch.clear()
-                self._scratch[size] = bufs
-            else:
-                self._large_scratch = (size, bufs)
-            if _telemetry.ENABLED:
-                self._tally[3] += 1
-        elif _telemetry.ENABLED:
-            self._tally[4] += 1
-        return bufs
-
-    def round(self, values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Round float64 ``values`` to the format, bit-identical to the
+    def round(self, values, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Round work-dtype ``values`` to the format, bit-identical to the
         analytic kernel.
 
         Parameters
         ----------
         values:
-            Array of float64 work values (any shape).
+            Work values (any shape; converted to :attr:`work_dtype`).
         out:
-            Optional float64 array of the same shape to write the result
-            into; may alias ``values`` (the rounded word is accumulated in
-            scratch and copied in one final pass).
+            Optional work-dtype array of the same shape to write the result
+            into; may alias ``values`` or be a non-contiguous view.
 
         Returns
         -------
         numpy.ndarray
             ``out`` if given, else a fresh array.
         """
-        x = np.asarray(values, dtype=np.float64)
-        flat = x.ravel()  # view when contiguous, copy otherwise
-        u = flat.view(_U)
-        idx, shift, lsb, acc, spec = self._scratch_for(flat.size)
-        np.right_shift(u, _U(52), out=idx)
-        idx_i = idx.view(np.int64)  # free reinterpret; values are < 4096
-        # ndarray.take (not np.take: the dispatch wrapper is measurable at
-        # solver-call sizes)
-        self._shift.take(idx_i, out=shift)
-        # RNE: ((u + (half - 1) + lsb) >> s) << s, ties to the even word
-        np.right_shift(u, shift, out=lsb)
-        np.bitwise_and(lsb, _ONE, out=lsb)
-        self._bias.take(idx_i, out=acc)
-        np.add(acc, u, out=acc)
-        np.add(acc, lsb, out=acc)
-        np.right_shift(acc, shift, out=acc)
-        np.left_shift(acc, shift, out=acc)
-        self._special.take(idx_i, out=spec)
-        resolved = peeled = 0
-        if spec.any():
-            if self._has_identity:
-                # identity binades (format grid at least as fine as the
-                # work grid): the input word passes through unchanged
-                np.copyto(acc, u, where=spec == _SPECIAL_IDENTITY)
-                mask = spec == _SPECIAL_RESOLVE
-                need_resolve = bool(mask.any())
-            else:
-                mask = spec.view(bool)
-                need_resolve = True
-        else:
-            need_resolve = False
-        if need_resolve:
-            sub = flat[mask]
-            nonzero = sub != 0.0
-            if nonzero.all():
-                acc[mask] = self._resolve(sub).view(_U)
-                resolved = sub.size
-            else:
-                # exact zeros are by far the most common "special" in solver
-                # data (structurally zero matrix entries); peel them off
-                # inline instead of paying an analytic-kernel call
-                res = u[mask]
-                if self.unsigned_zero:
-                    res = res & np.where(nonzero, _U(0xFFFFFFFFFFFFFFFF), _U(0))
-                if nonzero.any():
-                    nz = sub[nonzero]
-                    res[nonzero] = self._resolve(nz).view(_U)
-                    resolved = nz.size
-                peeled = sub.size - resolved
-                acc[mask] = res
-        if _telemetry.ENABLED:
-            # LUT fallback fraction = lut_fallback / elements per family
-            tally = self._tally
-            tally[0] += flat.size
-            tally[1] += resolved
-            tally[2] += peeled
+        x = np.asarray(values, dtype=self.work_dtype)
         if out is None:
-            out = np.empty(x.shape, dtype=np.float64)
-        # copyto handles non-contiguous out (e.g. a column view being
-        # updated in place); acc is scratch, so the copy is mandatory
-        np.copyto(out, acc.view(np.float64).reshape(x.shape))
+            out = np.empty(x.shape, dtype=self.work_dtype)
+        try:
+            back = self.compiled.round_into(x, out)
+            src, dst = x, out
+        except BufferError:
+            # non-contiguous, partially overlapping or foreign-dtype
+            # operands: round a contiguous copy into a fresh buffer
+            src = np.ascontiguousarray(x)
+            dst = np.empty(x.shape, dtype=self.work_dtype)
+            back = self.compiled.round_into(src, dst)
+        if back is not None:
+            res = np.ascontiguousarray(self._resolve(src.reshape(-1)[back]), dtype=self.work_dtype)
+            if self.work_dtype is np.longdouble:
+                res.view(_U)[1::2] &= _HI_MASK  # zero the padding bytes
+            dst.reshape(-1)[back] = res
+        if dst is not out:
+            np.copyto(out, dst)
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
@@ -776,7 +703,7 @@ class ExtendedBitKernel(BitKernel):
     significand word with an **explicit** integer bit at position 63,
     followed by a word whose low 16 bits are the sign bit and the 15-bit
     biased exponent (bias 16383) — the remaining six bytes are unspecified
-    padding that must be masked on read and is written as zeros on output.
+    padding that is masked on read and written as zeros on output.
 
     The RNE transform runs on the significand word alone (magnitude rounding
     is sign-independent; the parity of the retained word still decides
@@ -791,30 +718,16 @@ class ExtendedBitKernel(BitKernel):
     Subclasses combine this mixin with a format family
     (``class PositExtendedBitKernel(ExtendedBitKernel, PositBitKernel)``):
     the family contributes ``_keep_bits`` and the special-binade policy,
-    this class contributes the word layout and the two-word ``round``.  The
-    family codecs are float64-word specific, so :attr:`supports_codec` is
-    False and the 64-bit formats keep their per-element decode/encode.
+    this class contributes the word layout.  The family codecs only know
+    the float64 word, so :attr:`supports_codec` is False and the 64-bit
+    formats keep their per-element decode/encode.
     """
 
     WORD_EXP_BITS = 15
     WORD_BIAS = 16383
     WORD_FRAC_BITS = 63
+    work_dtype = np.longdouble
     supports_codec = False
-
-    #: sign + 15-bit exponent; everything above is padding garbage
-    _HI_MASK = _U(0xFFFF)
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        exp_fields = 1 << self.WORD_EXP_BITS
-        # scalar twin's LUT: one Python int per 15-bit biased exponent (the
-        # sign half mirrors it), the shift of a served binade or 0 for a
-        # special one; the bias is derived from the shift, not stored
-        self._shift_one = np.where(
-            self._special[:exp_fields] == 0, self._shift[:exp_fields], _U(0)
-        ).tolist()
-        self._one = np.empty(1, dtype=np.longdouble)
-        self._one_words = self._one.view(_U)  # [significand, sign/exponent]
 
     def decode(self, codes) -> np.ndarray:
         raise NotImplementedError(
@@ -827,114 +740,6 @@ class ExtendedBitKernel(BitKernel):
             "extended kernels have no vectorised codec; use the format's "
             "per-element encode"
         )
-
-    def _new_scratch(self, size: int) -> tuple:
-        return (
-            np.empty(size, dtype=_U),  # masked exponent word / LUT index
-            np.empty(size, dtype=_U),  # per-element shift
-            np.empty(size, dtype=_U),  # lsb / scratch
-            np.empty(size, dtype=_U),  # significand accumulator
-            np.empty(size, dtype=_U),  # exponent-word accumulator
-            np.empty(size, dtype=bool),  # significand carry-out
-            np.empty(size, dtype=np.uint8),  # special mask
-            np.empty(2 * size, dtype=_U),  # interleaved output words
-        )
-
-    def round(self, values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Round longdouble ``values`` to the format, bit-identical to the
-        analytic kernel (same contract as :meth:`BitKernel.round`, with
-        ``numpy.longdouble`` in place of float64)."""
-        x = np.asarray(values, dtype=np.longdouble)
-        flat = x.ravel()  # view when contiguous, copy otherwise
-        u = flat.view(_U)  # [sig0, exp0, sig1, exp1, ...] (little-endian)
-        lo = u[0::2]
-        hi = u[1::2]
-        idx, shift, lsb, acc, hexp, wrap, spec, pair = self._scratch_for(flat.size)
-        np.bitwise_and(hi, self._HI_MASK, out=idx)  # drop the padding bytes
-        idx_i = idx.view(np.int64)  # free reinterpret; values are < 65536
-        self._shift.take(idx_i, out=shift)
-        # RNE on the significand word: ((lo + (half - 1) + lsb) >> s) << s
-        np.right_shift(lo, shift, out=lsb)
-        np.bitwise_and(lsb, _ONE, out=lsb)
-        self._bias.take(idx_i, out=acc)
-        np.add(acc, lo, out=acc)
-        np.add(acc, lsb, out=acc)
-        np.less(acc, lo, out=wrap)  # uint64 wrap == carry out of the binade
-        np.right_shift(acc, shift, out=acc)
-        np.left_shift(acc, shift, out=acc)
-        np.add(idx, wrap, out=hexp)  # exponent + 1 on carry
-        np.copyto(acc, _EXT_TOP, where=wrap)  # significand 1.0 next binade up
-        self._special.take(idx_i, out=spec)
-        resolved = peeled = 0
-        if spec.any():
-            mask = spec.view(bool)
-            sub = flat[mask]
-            nonzero = sub != 0.0
-            if nonzero.all():
-                rw = np.ascontiguousarray(self._resolve(sub)).view(_U)
-                acc[mask] = rw[0::2]
-                hexp[mask] = rw[1::2] & self._HI_MASK
-                resolved = sub.size
-            else:
-                # exact zeros are by far the most common "special" in solver
-                # data; peel them off inline instead of paying an
-                # analytic-kernel call
-                rlo = lo[mask]
-                rhi = idx[mask]
-                if self.unsigned_zero:
-                    rhi[~nonzero] = _U(0)  # -0.0 rounds to +0.0
-                if nonzero.any():
-                    nz = sub[nonzero]
-                    rw = np.ascontiguousarray(self._resolve(nz)).view(_U)
-                    rlo[nonzero] = rw[0::2]
-                    rhi[nonzero] = rw[1::2] & self._HI_MASK
-                    resolved = nz.size
-                peeled = sub.size - resolved
-                acc[mask] = rlo
-                hexp[mask] = rhi
-        if _telemetry.ENABLED:
-            tally = self._tally
-            tally[0] += flat.size
-            tally[1] += resolved
-            tally[2] += peeled
-        # reassemble into canonical 16-byte slots: the padding bytes of
-        # every output word are written as zeros (the input padding is
-        # unspecified memory and must not leak into results)
-        pair[0::2] = acc
-        pair[1::2] = hexp
-        if out is None:
-            out = np.empty(x.shape, dtype=np.longdouble)
-        np.copyto(out, pair.view(np.longdouble).reshape(x.shape))
-        return out
-
-    def round_one(self, value):
-        """Scalar twin of :meth:`round` for one value.
-
-        Runs the same two-word RNE transform in Python integers on the
-        words of a one-element longdouble buffer the kernel owns, writes
-        the result words back with zero padding, and returns the buffer's
-        value as a fresh ``numpy.longdouble`` scalar, bit-identical to the
-        vector kernel's.  Returns ``None``
-        when the value lies in a special binade (zeros, subnormals,
-        inf/NaN, the family's extreme binades): the caller rounds those
-        without the kernel.  Counts no telemetry, like the scalar kernels.
-        The buffer makes it non-reentrant, like the kernel's scratch sets
-        (see the module note).
-        """
-        words = self._one_words
-        self._one[0] = value
-        lo, hi = words.tolist()
-        hi &= 0xFFFF  # drop the padding bytes
-        s = self._shift_one[hi & 0x7FFF]
-        if not s:
-            return None
-        lo = ((lo + (1 << (s - 1)) - 1 + ((lo >> s) & 1)) >> s) << s
-        if lo >> 64:  # carry out of the binade: 1.0 one binade up
-            lo = 1 << 63
-            hi += 1
-        words[0] = lo
-        words[1] = hi
-        return self._one[0]
 
 
 class PositExtendedBitKernel(ExtendedBitKernel, PositBitKernel):

@@ -21,8 +21,8 @@ accumulation-order ablation study.
 
 Scalar operands bypass ndarrays entirely: the elementary operations detect
 them, compute in the work precision on work-dtype NumPy scalars and round
-through ``round_scalar`` — each format's pure-Python analytic scalar
-kernel.  This is the regime of
+through ``round_scalar`` — the compiled scalar entry of the format's bit
+kernel, or its pure-Python analytic scalar kernel.  This is the regime of
 the solvers' Givens/QL operations, where NumPy dispatch on 1-element
 arrays used to dominate wide-format wall time.
 """
@@ -753,9 +753,11 @@ class EmulatedContext(ComputeContext):
 
     Every rounding goes to the format, which alone decides how a value
     rounds: arrays through :meth:`~repro.arithmetic.base.NumberFormat.round_array`
-    (scalar kernel for tiny arrays, integer bit kernel or analytic vector
-    kernel above), scalars through its scalar kernel
-    (:meth:`~repro.arithmetic.base.NumberFormat.round_scalar_analytic`).
+    (the compiled bit kernel, or the analytic kernels without one), scalars
+    through the bit kernel's compiled scalar entry, with the format's
+    analytic scalar kernel
+    (:meth:`~repro.arithmetic.base.NumberFormat.round_scalar_analytic`) for
+    the values it hands back.
     The dispatch matrix is documented in ``docs/architecture.md``; the one
     opt-out is the process-wide bit-kernel switch
     (``REPRO_DISABLE_BITKERNELS`` / :func:`repro.arithmetic.set_bitkernels_enabled`).
@@ -789,11 +791,18 @@ class EmulatedContext(ComputeContext):
         return self.format.round_array(values, out=out)
 
     def round_scalar(self, value):
-        """Round one scalar through the format's scalar kernel, without an
-        ndarray round-trip.  Returns a work-dtype scalar (``longdouble``
-        formats keep their extended precision)."""
-        res = self.format.round_scalar_analytic(value)
-        return res if type(res) is self.dtype else self.dtype(res)
+        """Round one scalar through the compiled scalar entry of the
+        format's bit kernel, without an ndarray round-trip; the format's
+        analytic scalar kernel rounds only the values the entry hands back
+        (and every value when no bit kernel is bound).  Returns a work-dtype
+        scalar (``longdouble`` formats keep their extended precision)."""
+        fmt = self.format
+        res = fmt._round_one(value)
+        if res is None:
+            res = fmt.round_scalar_analytic(value)
+            if type(res) is not self.dtype:
+                res = self.dtype(res)
+        return res
 
     @property
     def machine_epsilon(self) -> float:

@@ -8,7 +8,7 @@ unsigned, a non-zero value never rounds to zero or NaR but saturates at the
 smallest (code ``0…01``) or largest (code ``01…1``) magnitude, formats of
 16 bits or fewer search the sorted list of all their magnitudes, wider ones
 round to the quantum of the containing binade with magnitude lists for the
-extreme binades, and the work precision, scalar cutoffs and bit-kernel
+extreme binades, and the work precision, scalar cutoff and bit-kernel
 wiring follow from the width.
 
 A family supplies its bit layout (``decode_code``, ``_encode_scalar``), its
@@ -87,19 +87,12 @@ class TaperedFormat(NumberFormat):
         self._scalar_state: tuple | None = None
         self._min_mag = self.decode_code(1)
         self._max_mag = self.decode_code((1 << (self.bits - 1)) - 1)
-        # without a bit kernel the longdouble scalar kernel pays NumPy
-        # scalar dispatch (~4 us/element), which moves its break-even
-        # against the analytic vector kernel down to ~8
+        # the longdouble scalar kernel pays NumPy scalar dispatch
+        # (~4 us/element), which moves its break-even against the analytic
+        # vector kernel down to ~8
         self.scalar_cutoff = (
             WIDE_SCALAR_CUTOFF if self.work_dtype is np.float64 else SCALAR_CUTOFF
         )
-        if self.work_dtype is np.longdouble:
-            # with a bit kernel the scalar kernel is the two-word kernel's
-            # scalar twin: its loop costs ~1.1 us/element against the
-            # kernel's ~12 us per call, so the loop wins up to 8 elements
-            # and the two cross near 10 (bench_micro_rounding.py's
-            # small-array report)
-            self.bitkernel_scalar_cutoff = 8
 
     # ------------------------------------------------------------------ #
     # family hooks
@@ -220,12 +213,9 @@ class TaperedFormat(NumberFormat):
         Pure-Python ``math.frexp``/``math.ldexp`` kernel, bit-identical to
         the vector kernel: same clamp to the largest magnitude, same
         binade-quantum rounding with ties to even, same extreme magnitude
-        lists, same saturation.  The extended-precision formats round
-        through the two-word bit kernel's scalar twin
-        (:meth:`~repro.arithmetic.bitkernels.ExtendedBitKernel.round_one`)
-        and run the same structure on NumPy longdouble scalars for the
-        special binades, with the bit kernels disabled and on hosts without
-        the x87 layout.  Verified by ``tests/test_scalar_rounding.py`` and
+        lists, same saturation.  The extended-precision formats run the
+        same structure on NumPy longdouble scalars.  Verified by
+        ``tests/test_scalar_rounding.py`` and
         ``tests/test_bitkernels_64bit.py``.
         """
         state = self._scalar_state
@@ -260,14 +250,6 @@ class TaperedFormat(NumberFormat):
                 elif mag > maxpos:
                     mag = maxpos
             return -mag if v < 0.0 else mag
-        # extended precision: the two-word bit kernel's scalar twin serves
-        # every LUT-served binade; the NumPy-scalar kernel below keeps the
-        # special binades, disabled kernels and non-x87 hosts
-        kern = self.bitkernel()
-        if kern is not None:
-            res = kern.round_one(value)
-            if res is not None:
-                return res
         wd = self.work_dtype
         v = value if isinstance(value, wd) else wd(value)
         if v != v or v == np.inf or v == -np.inf:

@@ -20,16 +20,21 @@ because observability is the optional layer here:
 
 Call sites read the flag as ``_core.ENABLED`` (module attribute, *not* a
 ``from``-import) so a runtime toggle is observed everywhere immediately.
+Compiled call sites (the rounding kernels of ``arithmetic/_rounding.c``)
+read the one-byte mirror :data:`ENABLED_FLAG` in place instead.
 """
 
 from __future__ import annotations
 
 import os
 
-__all__ = ["ENABLED", "enabled", "set_enabled"]
+__all__ = ["ENABLED", "ENABLED_FLAG", "enabled", "set_enabled"]
 
 #: the process-wide switch; read via module attribute so toggles propagate
 ENABLED: bool = os.environ.get("REPRO_TELEMETRY", "").lower() in ("1", "true", "yes")
+#: :data:`ENABLED` as one byte, kept in step by :func:`set_enabled`, for
+#: compiled call sites that hold a buffer view of it
+ENABLED_FLAG = bytearray([ENABLED])
 
 
 def set_enabled(value: bool) -> bool:
@@ -42,6 +47,7 @@ def set_enabled(value: bool) -> bool:
     global ENABLED
     previous = ENABLED
     ENABLED = bool(value)
+    ENABLED_FLAG[0] = ENABLED
     return previous
 
 

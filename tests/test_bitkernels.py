@@ -280,18 +280,27 @@ def test_out_supports_noncontiguous_views(name):
 
 
 @pytest.mark.parametrize("name", ["posit16", "posit64"])  # one- and two-word kernels
-def test_scratch_cache_bounds_large_calls(name):
-    """Exact sizes up to the limit are cached; larger calls share one
-    most-recent slot, which repeated same-size calls reuse."""
+def test_kernel_rounds_any_size_and_layout(name):
+    """The compiled kernel keeps no per-size state: every size, repeated
+    sizes, non-contiguous inputs and outputs, and an ``out`` that overlaps
+    the input without aliasing it all round like the analytic kernel."""
     fmt = format_for(name)
     kern = fmt.bitkernel()
-    big = bk._MAX_SCRATCH_ELEMENTS + 1
-    for size in (25, 100, big, big + 7, big + 7):
+    for size in (0, 1, 25, 100, 1025, 1032, 1032):
         values = np.linspace(-3.0, 3.0, size).astype(fmt.work_dtype)
         assert np.array_equal(kern.round(values), fmt.round_array_analytic(values))
-    assert 0 < max(kern._scratch) <= bk._MAX_SCRATCH_ELEMENTS
-    assert kern._large_scratch[0] == big + 7
-    assert kern._scratch_for(big + 7) is kern._large_scratch[1]
+    values = np.linspace(-5.0, 5.0, 64).astype(fmt.work_dtype)
+    expected = fmt.round_array_analytic(values)
+    strided = np.repeat(values, 2)[::2]
+    assert not strided.flags.c_contiguous
+    assert np.array_equal(kern.round(strided), expected)
+    grid = np.zeros((64, 3), dtype=fmt.work_dtype)
+    assert kern.round(values, out=grid[:, 1]) is not None
+    assert np.array_equal(grid[:, 1], expected)
+    shifted = np.concatenate([values, values[-1:]])
+    kern.round(shifted[1:], out=shifted[:-1])  # overlapping, not aliased
+    moved = np.concatenate([values[1:], values[-1:]])
+    assert np.array_equal(shifted[:-1], fmt.round_array_analytic(moved))
 
 
 def test_farray_inplace_operators_match_out_of_place():
@@ -409,7 +418,8 @@ def test_magnitude_lists_decode_via_bitkernels(name):
 
 
 def test_scalar_cutoff_path_unchanged():
-    """Tiny arrays still take the scalar loop, not the kernel (dispatch)."""
+    """Arrays of the analytic path's scalar-loop size round through the
+    kernel with the same result."""
     fmt = get_format("posit32")
     rng = np.random.default_rng(43)
     values = rng.standard_normal(SCALAR_CUTOFF)

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro.arithmetic import bitkernels as bk
-from repro.arithmetic import get_format
+from repro.arithmetic import get_context, get_format
 from repro.arithmetic import base as base_mod
 from repro.arithmetic.bitkernels import (
     PositExtendedBitKernel,
@@ -223,7 +223,7 @@ def test_forced_fallback_dispatch_round_array(degraded_longdouble, family):
 
 
 # --------------------------------------------------------------------- #
-# scalar twin: ExtendedBitKernel.round_one
+# the compiled scalar entry: BitKernel.round_one
 # --------------------------------------------------------------------- #
 _EXP_FIELDS = 1 << 15
 _SIG_TOP = 1 << 63
@@ -243,6 +243,11 @@ def _masked_words(values) -> tuple:
     return u[0::2].copy(), u[1::2] & np.uint64(0xFFFF)
 
 
+def _scalar_padding(value) -> bytes:
+    """The six padding bytes of a longdouble scalar, read from its buffer."""
+    return bytes(memoryview(value).cast("B"))[10:]
+
+
 def _round_one_elementwise(fmt):
     """``round_one`` element by element; the values it hands back (``None``)
     take the format's scalar kernel."""
@@ -260,13 +265,13 @@ def _round_one_elementwise(fmt):
 
 def _assert_round_one_words(fmt, values, context):
     """``round_one`` on every (served) value equals the analytic kernel word
-    for word, and leaves zero padding in the kernel's buffer."""
+    for word, and returns scalars with zero padding."""
     kern = fmt.bitkernel()
     got = np.empty(values.shape, dtype=np.longdouble)
     for i, v in enumerate(values):
         res = kern.round_one(v)
         assert res is not None, f"{fmt.name}{context}: {v!r} not served"
-        assert int(kern._one_words[1]) >> 16 == 0, f"{fmt.name}{context}: padding"
+        assert _scalar_padding(res) == bytes(6), f"{fmt.name}{context}: padding"
         got[i] = res
     expected = fmt.round_array_analytic(values.copy())
     for g, e in zip(_masked_words(got), _masked_words(expected)):
@@ -274,7 +279,7 @@ def _assert_round_one_words(fmt, values, context):
 
 
 def _served_fields(kern) -> list:
-    return [e for e in range(_EXP_FIELDS) if kern._shift_one[e]]
+    return [e for e in range(_EXP_FIELDS) if kern._special[e] == 0]
 
 
 @extended_only
@@ -311,28 +316,32 @@ def test_round_one_every_served_binade(name):
 @extended_only
 @pytest.mark.parametrize("name", FORMATS_64)
 def test_round_one_hands_back_every_special(name):
-    """``None`` for zeros, subnormals, inf/NaN and every special binade
-    (extreme regimes, characteristic bounds), in both signs."""
+    """``None`` for subnormals, inf/NaN and every special binade (extreme
+    regimes, characteristic bounds), in both signs; the zeros of the
+    special exponent field round to the unsigned ``+0.0`` instead."""
     fmt = get_format(name)
     kern = fmt.bitkernel()
-    special = [e for e in range(_EXP_FIELDS) if not kern._shift_one[e]]
+    special = [e for e in range(_EXP_FIELDS) if kern._special[e] != 0]
     assert {0, _EXP_FIELDS - 1} <= set(special)
     for sign in (0, 1 << 15):
         sigs = [_SIG_TOP | 0x1234567] * len(special)
         values = _from_words(sigs, [e | sign for e in special])
         extra = _from_words(
-            [0, 1, _SIG_TOP - 1, _SIG_TOP, _SIG_TOP | (1 << 62)],  # zero, subnormals, inf, NaN
-            [sign, sign, sign, sign | 0x7FFF, sign | 0x7FFF],
+            [1, _SIG_TOP - 1, _SIG_TOP, _SIG_TOP | (1 << 62)],  # subnormals, inf, NaN
+            [sign, sign, sign | 0x7FFF, sign | 0x7FFF],
         )
         for v in np.concatenate([values, extra]):
             assert kern.round_one(v) is None, f"{name}: {v!r} served"
+        zero = kern.round_one(_from_words([0], [sign])[0])
+        assert zero == 0 and not np.signbit(zero), f"{name}: signed zero"
+        assert _scalar_padding(zero) == bytes(6)
 
 
 @extended_only
 @pytest.mark.parametrize("name", FORMATS_64)
 def test_round_one_masks_input_padding(name):
     """Garbage in the six padding bytes of the input is dropped and the
-    kernel writes the result words back with zero padding."""
+    result is returned with zero padding."""
     fmt = get_format(name)
     kern = fmt.bitkernel()
     x = np.asarray([np.longdouble(1) / np.longdouble(3), -np.longdouble(7) / np.longdouble(9)])
@@ -340,8 +349,9 @@ def test_round_one_masks_input_padding(name):
     dirty.view(np.uint64)[1::2] |= np.uint64(0xFFFFFFFFFFFF) << np.uint64(16)
     expected = fmt.round_array_analytic(x)
     for v, e in zip(dirty, expected):
+        assert _scalar_padding(v) != bytes(6)
         res = kern.round_one(v)
-        assert int(kern._one_words[1]) >> 16 == 0
+        assert _scalar_padding(res) == bytes(6)
         assert res == e
 
 
@@ -364,17 +374,46 @@ def test_round_one_results_are_independent(name):
 @extended_only
 @pytest.mark.parametrize("name", FORMATS_64)
 def test_round_scalar_identical_with_kernels_disabled(name):
-    """``round_scalar_analytic`` returns the same words through the scalar
-    twin as through the NumPy-scalar kernel (bit kernels off)."""
+    """A context's ``round_scalar`` returns the same words through the
+    compiled scalar entry as through the NumPy-scalar kernel (bit kernels
+    off, flipped after the context was built)."""
     fmt = get_format(name)
+    ctx = get_context(name)
     values = np.concatenate([random_sweep(fmt, 4_000, seed=41), midpoint_sweep(fmt, 64)])
-    on = np.asarray([fmt.round_scalar_analytic(v) for v in values], dtype=np.longdouble)
+    on = np.asarray([ctx.round_scalar(v) for v in values], dtype=np.longdouble)
     previous = bk.set_enabled(False)
     try:
-        off = np.asarray([fmt.round_scalar_analytic(v) for v in values], dtype=np.longdouble)
+        assert fmt._round_one(values[0]) is None
+        off = np.asarray([ctx.round_scalar(v) for v in values], dtype=np.longdouble)
     finally:
         bk.set_enabled(previous)
     nan_on, nan_off = np.isnan(on), np.isnan(off)
     assert np.array_equal(nan_on, nan_off)
     for g, e in zip(_masked_words(on[~nan_on]), _masked_words(off[~nan_off])):
+        assert np.array_equal(g, e), name
+
+
+@extended_only
+@pytest.mark.parametrize("name", FORMATS_64)
+def test_round_writes_zero_output_padding(name):
+    """Every element of a longdouble output has zero padding bytes: served,
+    zero and handed-back elements alike, whatever the input padding and
+    the prior contents of ``out``."""
+    fmt = get_format(name)
+    kern = fmt.bitkernel()
+    tiny = np.longdouble(2.0) ** -16000  # extreme binade: handed back
+    x = np.asarray(
+        [1 / np.longdouble(3), -0.0, 0.0, tiny, -tiny, np.nan, np.inf, np.longdouble(2.0) ** 16000],
+        dtype=np.longdouble,
+    )
+    dirty = x.copy()
+    dirty.view(np.uint64)[1::2] |= np.uint64(0xABCDEF) << np.uint64(16)
+    out = np.empty_like(x)
+    out.view(np.uint8)[:] = 0xFF
+    kern.round(dirty, out=out)
+    assert not np.any(out.view(np.uint64)[1::2] >> np.uint64(16)), name
+    expected = fmt.round_array_analytic(x)
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(out), nan)
+    for g, e in zip(_masked_words(out[~nan]), _masked_words(expected[~nan])):
         assert np.array_equal(g, e), name

@@ -20,7 +20,7 @@ import operator
 import numpy as np
 import pytest
 
-from repro.arithmetic import get_context, get_format
+from repro.arithmetic import get_context, get_format, set_bitkernels_enabled
 from repro.arithmetic.base import SCALAR_CUTOFF, WIDE_SCALAR_CUTOFF, NumberFormat
 from tests._kernel_harness import (
     UNREGISTERED_TAPERED,
@@ -245,14 +245,17 @@ class TestSolverEquivalence:
 
         fmt = get_format(name)
         with pytest.MonkeyPatch.context() as mp:
-            # route every scalar rounding (context scalars and tiny arrays)
-            # back through the analytic vector kernel
+            # route every rounding (context scalars and arrays of any size)
+            # through the analytic vector kernel
             mp.setattr(fmt, "round_scalar_analytic", functools.partial(NumberFormat.round_scalar_analytic, fmt))
             mp.setattr(fmt, "scalar_cutoff", 0)
-            mp.setattr(fmt, "bitkernel_scalar_cutoff", 0)
-            result_slow = partialschur(
-                matrix, nev=4, tol=1e-6, ctx=name, restarts=10, seed=1
-            )
+            previous = set_bitkernels_enabled(False)
+            try:
+                result_slow = partialschur(
+                    matrix, nev=4, tol=1e-6, ctx=name, restarts=10, seed=1
+                )
+            finally:
+                set_bitkernels_enabled(previous)
         assert np.array_equal(
             np.asarray(result_fast.eigenvalues, dtype=np.float64),
             np.asarray(result_slow.eigenvalues, dtype=np.float64),

@@ -3,12 +3,13 @@
 Measures the central promise of the format-axis engine: solving one matrix
 under N number formats as a single :func:`repro.core.lockstep.
 batched_partialschur` call must be substantially cheaper than N sequential
-:func:`repro.core.krylov_schur.partialschur` runs.  The win comes from
-amortising per-operation Python/numpy dispatch across the stacked
-``(n_formats, n)`` axis, so it is largest in the QL-dominated regime (small
-matrix, deep restart budget) over the narrow (<= 16-bit) formats; wide
-scalar-kernel formats (posit32/takum32+) run as fallback rows and are
-deliberately excluded from the gate workload.
+:func:`repro.core.krylov_schur.partialschur` runs.  The lockstep sweep
+amortises the per-operation Python/NumPy dispatch of the work-precision
+arithmetic across the stacked ``(n_formats, n)`` axis; the rounding is not
+amortised, since every row rounds through its own context (one compiled
+kernel call per row and operation).  The gate workload is the
+QL-dominated regime (small matrix, deep restart budget) over the narrow
+(<= 16-bit) formats.
 
 Every measurement also asserts per-row bit-identity against the sequential
 engine — a speedup obtained by diverging from the sequential trajectory
@@ -47,7 +48,7 @@ from repro.datasets import generate_graph
 from repro.experiments import tolerance_for
 from repro.sparse import laplacian_from_adjacency
 
-#: narrow (<= 16-bit) formats — the stacked fast path the gate protects
+#: narrow (<= 16-bit) formats: the QL-dominated regime the gate was set on
 BATCH_FORMATS = (
     "bfloat16",
     "float16",
@@ -76,6 +77,12 @@ BATCH_FORMATS = (
 #: a bit kernel hands back); with only that, three runs read 1.07x-1.17x.  Rounding tiny stacks through each row's
 #: scalar kernel and resolving specials through the row's kernel resolver
 #: sped the sweep up more: three runs read 1.51x-1.55x (parent 1.22x-1.40x).
+#: The compiled rounding kernel then sped the sequential solves up far more
+#: than the sweep, whose NumPy stacked rounder it did not reach (0.53x).
+#: Rounding each row through its own context, and so through the compiled
+#: kernel, brought the sweep back to par: four runs pinned to one CPU of a
+#: 2-core x86 host read 0.94x-1.11x (three parent runs: 0.51x-0.59x).  The
+#: gate still fails; it goes with the lockstep engine, not with a lower bar.
 SPEEDUP_LIMIT = 1.2
 GATE_NOTE = (
     "bar lowered from 1.5x to 1.2x when the fused QL rotation sped up the "

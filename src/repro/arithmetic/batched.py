@@ -15,9 +15,10 @@ of ``(n_formats, ...)`` trajectories advances in lockstep:
   same rounded-operation vocabulary as
   :class:`~repro.arithmetic.context.ComputeContext`, operating on stacked
   arrays whose leading axis is the format axis.  Every element of a result
-  is rounded by *its own row's* format — narrow formats through the stacked
-  integer bit-kernel LUTs, wide two-word formats through their own
-  context's rounding kernels;
+  is rounded by *its own row's* context: each leading-axis entry goes
+  through that row's ``round_scalar`` (one value per row) or ``round``
+  (anything larger), the same compiled kernel the sequential engine binds
+  once per format;
 * :class:`BatchedFArray` is the operator-form wrapper over a stacked array
   (the batched sibling of :class:`~repro.arithmetic.farray.FArray`).
 
@@ -31,48 +32,18 @@ per-format trajectories of the lockstep solvers
 1. IEEE elementwise operations are deterministic: ``np.add`` on a stacked
    float64 row computes the same bits as the sequential scalar path's
    ``float(a) + float(b)``;
-2. the rounding kernels are value-identical (scalar == analytic == bit
-   kernel, proven in the bit-kernel test suite), so a row may be rounded by
-   whichever kernel is fastest for the stacked layout.
-
-The stacked rounder concatenates the per-row 4096-entry exponent-field
-LUTs of the one-word integer bit kernels (:mod:`repro.arithmetic.
-bitkernels`) into one ``(n_formats * 4096)`` table indexed by
-``row * 4096 + (word >> 52)``, so one fused vector pass rounds every row by
-its own format.  Rows the kernels cannot serve (two-word 64-bit formats,
-any format while the bit kernels are disabled) fall back to their own
-context's ``round`` / ``round_scalar`` — slower, still bit-identical.
+2. every row rounds through its own sequential context, and a format's
+   scalar and array entries agree value for value (proven in the
+   bit-kernel test suite).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bitkernels import _SPECIAL_IDENTITY, _SPECIAL_RESOLVE
-from .context import (
-    ComputeContext,
-    ContextSpec,
-    EmulatedContext,
-    NativeContext,
-    get_context,
-)
+from .context import ComputeContext, ContextSpec, NativeContext, get_context
 
 __all__ = ["BatchSpec", "BatchedContext", "BatchedFArray"]
-
-_U = np.uint64
-
-#: row-rounding modes
-_IDENTITY = 0  # native dtype rows: rounding is the identity on lane values
-_KERNEL = 1  # one-word integer bit kernel: served by the stacked LUTs
-_FALLBACK = 2  # everything else: per-row ctx.round / round_scalar
-
-#: stacks of up to this many elements round element by element through
-#: each row's scalar kernel instead of one fused integer pass.  Measured on
-#: an 8-row stack (2-core x86 host): at 8 elements the loop takes ~15 us,
-#: the pass ~19 us, or ~65 us when a special needs resolving; at 16 they
-#: tie without specials.  The lockstep QL rounds one value per row per
-#: tick, so most of its stacks are this small.
-_SCALAR_STACK_CUTOFF = 12
 
 
 def _as_spec(spec) -> ContextSpec:
@@ -165,241 +136,6 @@ class BatchSpec:
         return f"BatchSpec({list(self.formats)!r})"
 
 
-class _RowRounder:
-    """Rounds each row of a stacked lane array by its own format.
-
-    When every row is served by a one-word integer bit kernel (or is a
-    native-dtype identity row), the rounder runs one fused pass over the
-    stacked array using the concatenated per-row LUTs; otherwise it loops
-    over the rows and delegates to each row's own context backend.  Both
-    paths produce bit-identical values (backend equivalence).
-    """
-
-    #: exponent-field table length of the one-word kernels (sign-mirrored)
-    _TABLE = 4096
-
-    def __init__(self, contexts):
-        self.contexts = contexts
-        nrows = len(contexts)
-        modes = []
-        kernels = []
-        lane_dtype = contexts[0].dtype
-        for ctx in contexts:
-            mode, kern = self._classify(ctx, lane_dtype)
-            modes.append(mode)
-            kernels.append(kern)
-        self.modes = modes
-        self.kernels = kernels
-        #: rounding is the identity for every row (pure native lanes)
-        self.noop = all(m == _IDENTITY for m in modes)
-        #: one fused stacked pass serves every row
-        self.stacked = (
-            not self.noop
-            and lane_dtype is np.float64
-            and all(m in (_IDENTITY, _KERNEL) for m in modes)
-        )
-        if self.stacked:
-            T = self._TABLE
-            shift = np.ones(nrows * T, dtype=_U)
-            bias = np.zeros(nrows * T, dtype=_U)
-            special = np.zeros(nrows * T, dtype=np.uint8)
-            for i, (mode, kern) in enumerate(zip(modes, kernels)):
-                sl = slice(i * T, (i + 1) * T)
-                if mode == _IDENTITY:
-                    special[sl] = _SPECIAL_IDENTITY
-                else:
-                    if len(kern._shift) != T:
-                        raise AssertionError("one-word kernel table size mismatch")
-                    shift[sl] = kern._shift
-                    bias[sl] = kern._bias
-                    special[sl] = kern._special
-            self._shift_all = shift
-            self._bias_all = bias
-            self._special_all = special
-            self._scratch: dict = {}
-            self._last_size = -1
-            self._last_bufs: tuple = ()
-            #: identity entries exist only for native rows or kernels with
-            #: identity binades; without them ``special`` is 0/RESOLVE and
-            #: the per-call IDENTITY scan can be skipped entirely
-            self._any_identity = any(
-                m == _IDENTITY or (k is not None and k._has_identity)
-                for m, k in zip(modes, kernels)
-            )
-            #: zero-word mask per batch row: unsigned-zero formats clear the
-            #: word, IEEE-style formats keep the signed-zero bit pattern
-            self._zero_mask = np.array(
-                [
-                    _U(0) if (k is not None and k.unsigned_zero) else _U(0xFFFFFFFFFFFFFFFF)
-                    for k in kernels
-                ],
-                dtype=_U,
-            )
-            #: per-row scalar kernels of the tiny-stack path (None: native)
-            self._scalar_kernels = [
-                None if mode == _IDENTITY else ctx.format.round_scalar_analytic
-                for mode, ctx in zip(modes, contexts)
-            ]
-            #: (rows bytes, per_row) -> precomputed flat table offsets; the
-            #: same sub-batch rounds thousands of times per sweep, so the
-            #: multiply+repeat is worth caching
-            self._offsets: dict = {}
-
-    @staticmethod
-    def _classify(ctx, lane_dtype):
-        if isinstance(ctx, NativeContext):
-            return _IDENTITY, None
-        if not isinstance(ctx, EmulatedContext):  # pragma: no cover - defensive
-            return _FALLBACK, None
-        kern = ctx.format.bitkernel()
-        if (
-            lane_dtype is np.float64
-            and kern is not None
-            and kern.WORD_FRAC_BITS == 52  # one-word kernels only
-        ):
-            return _KERNEL, kern
-        return _FALLBACK, None
-
-    def _scratch_for(self, size: int):
-        if size == self._last_size:  # consecutive same-shape ops dominate
-            return self._last_bufs
-        bufs = self._scratch.get(size)
-        if bufs is None:
-            bufs = (
-                np.empty(size, dtype=np.int64),  # flat table index
-                np.empty(size, dtype=_U),  # per-element shift
-                np.empty(size, dtype=_U),  # lsb / scratch
-                np.empty(size, dtype=_U),  # accumulator (rounded word)
-                np.empty(size, dtype=np.uint8),  # special mask
-            )
-            if size <= 1 << 16 and len(self._scratch) < 32:
-                self._scratch[size] = bufs
-        self._last_size = size
-        self._last_bufs = bufs
-        return bufs
-
-    def round(self, arr: np.ndarray, rows: np.ndarray) -> None:
-        """Round ``arr`` in place; ``rows[i]`` is the format row of
-        ``arr[i]`` (the leading axis is the format axis)."""
-        if self.noop:
-            return
-        if self.stacked:
-            if arr.size <= _SCALAR_STACK_CUTOFF:
-                self._scalar_round(arr, rows)
-            else:
-                self._stacked_round(arr, rows)
-            return
-        contexts = self.contexts
-        if arr.ndim == 1:
-            for i in range(arr.shape[0]):
-                arr[i] = contexts[rows[i]].round_scalar(arr[i])
-            return
-        for i in range(arr.shape[0]):
-            row = arr[i]
-            contexts[rows[i]].round(row, out=row)
-
-    def _scalar_round(self, arr: np.ndarray, rows: np.ndarray) -> None:
-        """Round a tiny stack element by element through each row's scalar
-        kernel (native rows are the identity), as the sequential engine
-        rounds arrays of up to its scalar cutoff."""
-        buf = arr if arr.flags["C_CONTIGUOUS"] else np.ascontiguousarray(arr)
-        flat = buf.reshape(-1)
-        values = flat.tolist()
-        rows = np.asarray(rows).tolist()
-        per_row = len(values) // len(rows)
-        kernels = self._scalar_kernels
-        for j, v in enumerate(values):
-            kernel = kernels[rows[j // per_row]]
-            if kernel is not None:
-                values[j] = kernel(v)
-        flat[:] = values
-        if buf is not arr:
-            arr[...] = buf
-
-    def _offsets_for(self, rows: np.ndarray, per_row: int) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.int64)
-        key = (rows.tobytes(), per_row)
-        off = self._offsets.get(key)
-        if off is None:
-            off = (rows * self._TABLE).repeat(per_row)
-            if len(self._offsets) < 256:
-                self._offsets[key] = off
-        return off
-
-    def _stacked_round(self, arr: np.ndarray, rows: np.ndarray) -> None:
-        if arr.flags["C_CONTIGUOUS"]:
-            buf = arr
-        else:
-            buf = np.ascontiguousarray(arr)
-        flat = buf.reshape(-1)
-        u = flat.view(_U)
-        size = flat.size
-        per_row = size // len(rows)
-        idx, shift, lsb, acc, spec = self._scratch_for(size)
-        np.right_shift(u, _U(52), out=idx.view(_U))
-        # per-element table offset: row * 4096 (+ the word's exponent field)
-        np.add(idx, self._offsets_for(rows, per_row), out=idx)
-        self._shift_all.take(idx, out=shift)
-        # RNE transform: ((u + (half - 1) + lsb) >> s) << s, ties to even
-        np.right_shift(u, shift, out=lsb)
-        np.bitwise_and(lsb, _U(1), out=lsb)
-        self._bias_all.take(idx, out=acc)
-        np.add(acc, u, out=acc)
-        np.add(acc, lsb, out=acc)
-        np.right_shift(acc, shift, out=acc)
-        np.left_shift(acc, shift, out=acc)
-        self._special_all.take(idx, out=spec)
-        if spec.any():
-            if self._any_identity:
-                np.copyto(acc, u, where=spec == _SPECIAL_IDENTITY)
-                mask = spec == _SPECIAL_RESOLVE
-                if mask.any():
-                    self._resolve_specials(flat, u, acc, mask, rows, per_row)
-            else:
-                # the table holds only 0/RESOLVE entries: any special needs
-                # resolution and the IDENTITY scan can be skipped
-                self._resolve_specials(flat, u, acc, spec.view(np.bool_), rows, per_row)
-        flat.view(_U)[...] = acc
-        if buf is not arr:
-            # arr was not contiguous: the transform ran on a copy, so copy
-            # the rounded values back through the float view
-            arr[...] = buf
-
-    def _resolve_specials(self, flat, u, acc, mask, rows, per_row) -> None:
-        """Resolve masked elements through each row's kernel resolver.
-
-        Exact zeros — by far the most common special in solver data — are
-        peeled inline, vectorised across all rows at once (bit-identical in
-        every backend: unsigned-zero formats clear the word, IEEE-style
-        formats keep the signed-zero pattern); the remaining special-band
-        elements — subnormal, overflow and non-finite regions — go to the
-        resolver the row's own bit kernel hands them to in the sequential
-        engine (the format's scalar or analytic kernel, which agree word
-        for word, NaN signs and payloads included).
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        sel = np.nonzero(mask)[0]
-        vals = flat[sel]
-        nonzero = vals != 0.0
-        if not nonzero.all():
-            zsel = sel if not nonzero.any() else sel[~nonzero]
-            acc[zsel] = u[zsel] & self._zero_mask[rows[zsel // per_row]]
-            if not nonzero.any():
-                return
-            sel = sel[nonzero]
-        nzrows = rows[sel // per_row]
-        if (nzrows == nzrows[0]).all():  # usually one row needs resolving
-            acc[sel] = self.kernels[nzrows[0]]._resolve(flat[sel]).view(_U)
-            return
-        order = np.argsort(nzrows, kind="stable")
-        sel = sel[order]
-        nzrows = nzrows[order]
-        bounds = np.nonzero(np.diff(nzrows))[0] + 1
-        for segment in np.split(sel, bounds):
-            kern = self.kernels[rows[segment[0] // per_row]]
-            acc[segment] = kern._resolve(flat[segment]).view(_U)
-
-
 class BatchedContext:
     """Rounded stacked operations over one work-dtype lane of a batch.
 
@@ -437,7 +173,8 @@ class BatchedContext:
         self.dtype = contexts[0].dtype
         self.accumulation = contexts[0].accumulation
         self.names = tuple(ctx.name for ctx in contexts)
-        self._rounder = _RowRounder(contexts)
+        #: every row is native to the lane dtype: rounding is the identity
+        self._noop = all(isinstance(ctx, NativeContext) for ctx in contexts)
         #: deferred per-op tallies: (rows, elements-per-row) pairs folded
         #: into the row contexts' op counters at flush_op_counts()
         self._pending_tallies: list = []
@@ -467,20 +204,31 @@ class BatchedContext:
         flush at phase boundaries so ``ctx.op_count`` of each row stays
         meaningful for records and telemetry.
         """
-        if not self._pending_tallies:
+        pending = self._pending_tallies
+        if not pending:
             return
+        rows = [r for r, _ in pending]
+        counts = np.repeat([n for _, n in pending], [len(r) for r in rows])
         totals = np.zeros(self.nrows, dtype=np.int64)
-        for rows, n in self._pending_tallies:
-            np.add.at(totals, rows, n)
-        self._pending_tallies.clear()
+        np.add.at(totals, np.concatenate(rows), counts)
+        pending.clear()
         for i, ctx in enumerate(self.rows):
             if totals[i]:
                 ctx.op_count += int(totals[i])
 
     def round(self, arr: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Round ``arr`` in place, each leading-axis slice by its row's
-        format, and return it."""
-        self._rounder.round(arr, rows)
+        """Round ``arr`` in place, each leading-axis entry ``arr[i]``
+        through its own row's context ``rows[i]``, and return it."""
+        if self._noop:
+            return arr
+        contexts = self.rows
+        if arr.ndim == 1:
+            for i, r in enumerate(rows.tolist()):
+                arr[i] = contexts[r].round_scalar(arr[i])
+            return arr
+        for i, r in enumerate(rows.tolist()):
+            row = arr[i]
+            contexts[r].round(row, out=row)
         return arr
 
     # ------------------------------------------------------------------ #
@@ -523,8 +271,9 @@ class BatchedContext:
 
         ``c`` and ``s`` are ``(R,)``, ``x`` and ``y`` ``(R, n)``; returns
         ``(R, 2, n)`` with ``[:, 0] = c*x - s*y`` and ``[:, 1] = s*x + c*y``.
-        The four products of every entry are rounded in one stacked call and
-        the two results in another, exactly as in the sequential op.
+        The four products of every entry are rounded in one call of its
+        row's context and the two results in another, exactly as in the
+        sequential op.
         ``rows`` may repeat a row: the lockstep QL applies a wave of several
         rotations per format in one call, one leading entry per rotation.
         """

@@ -261,7 +261,6 @@ class BitKernel:
         self._shift = shift
         self._bias = bias
         self._special = special
-        self._has_identity = bool(np.any(special == _SPECIAL_IDENTITY))
         extension = _compiled()
         if extension is None:
             raise RuntimeError("the compiled rounding kernel is not available")

@@ -7,7 +7,8 @@ the same format — eigenvalues, eigenvectors, residuals, convergence
 metadata, and rounded-op tallies alike.  The batched engine is a pure
 re-scheduling of the sequential one; any observable difference is a bug.
 
-Also covered: the retirement-mask edge cases (rows leaving the batch in
+Also covered: batched rounding of boundary values row for row against each
+row's own context, the retirement-mask edge cases (rows leaving the batch in
 every order, all at once, via deflation), mixed-width batches spanning
 work-dtype lanes, and the :class:`~repro.arithmetic.batched.BatchedFArray`
 surface (operator parity with FArray, context-mismatch detection, the
@@ -25,8 +26,10 @@ from repro.arithmetic import (
     BatchedFArray,
     ContextMismatchError,
     ContextSpec,
+    NativeContext,
     available_formats,
     get_context,
+    set_bitkernels_enabled,
 )
 from repro.core.krylov_schur import partialschur
 from repro.core.lockstep import batched_partialschur
@@ -34,6 +37,7 @@ from repro.linalg import EigenConvergenceError, tridiagonal_eigen
 from repro.linalg.lockstep import _apply_rotations as _apply_wave_record
 from repro.linalg.lockstep import lockstep_tridiagonal_eigen
 from repro.sparse import CSRMatrix
+from tests._kernel_harness import assert_rounded_equal
 from tests.conftest import random_symmetric_csr
 
 #: formats spanning 8-, 16-, and 64-bit storage (all registered in the seed)
@@ -61,6 +65,120 @@ def _check_batch(matrix, formats, **kwargs):
         sequential = partialschur(matrix, ctx=fmt, tol=row_tol, **kwargs)
         _assert_rows_match(batched, sequential, label=fmt)
     return results
+
+
+def _boundary_values(ctx) -> np.ndarray:
+    """Values at the edges of ``ctx``'s range, in its work dtype: ±0, ±inf,
+    NaN, ``min_positive`` and ``max_value`` with their work-precision
+    neighbours, halfway ties, deep subnormals and magnitudes past the
+    largest value, both signs."""
+    wd = ctx.dtype
+    if isinstance(ctx, NativeContext):
+        info = np.finfo(wd)
+        maxv, minp, eps = wd(info.max), wd(info.smallest_subnormal), wd(info.eps)
+    else:
+        fmt = ctx.format
+        maxv, minp, eps = wd(fmt.max_value), wd(fmt.min_positive), wd(ctx.machine_epsilon)
+    zero, one, half = wd(0.0), wd(1.0), wd(0.5)
+    with np.errstate(over="ignore"):
+        mags = [
+            maxv,
+            np.nextafter(maxv, zero),
+            np.nextafter(maxv, wd(np.inf)),
+            minp,
+            np.nextafter(minp, zero),
+            np.nextafter(minp, wd(np.inf)),
+            one + eps * half,  # ties next to 1.0, to the even neighbour
+            one + eps * (one + half),
+            minp * half,  # ties next to min_positive
+            minp * (one + half),
+            minp * wd(0.25),  # deep subnormals of the IEEE/OFP8 formats
+            minp * wd(0.75),
+            minp * wd(3.0),
+            wd(np.finfo(wd).smallest_subnormal),
+            maxv * wd(2.0),  # past the largest value
+            maxv * wd(1e10),
+        ]
+    mags = np.asarray(mags, dtype=wd)
+    specials = np.asarray([0.0, -0.0, np.inf, -np.inf, np.nan], dtype=wd)
+    return np.concatenate([specials, mags, -mags])
+
+
+def _assert_same_bits(got, want, label):
+    """Word identity; longdouble by value, zero sign and NaN position (the
+    padding bytes of its slots are undefined)."""
+    assert got.shape == want.shape, label
+    if got.dtype == np.longdouble:
+        assert_rounded_equal(got, want, label)
+        return
+    uint = np.dtype(f"u{got.dtype.itemsize}")
+    assert np.array_equal(got.view(uint), want.view(uint)), label
+
+
+class TestBatchedRoundingBoundaries:
+    """``BatchedContext.round`` of boundary values, row for row against each
+    row's own ``round`` / ``round_scalar``, with the bit kernels on and off,
+    for every lane of the registered formats."""
+
+    @pytest.fixture(params=[True, False], ids=["bitkernels", "analytic"])
+    def kernels(self, request):
+        previous = set_bitkernels_enabled(request.param)
+        yield
+        set_bitkernels_enabled(previous)
+
+    @staticmethod
+    def _lane(dtype):
+        for contexts, _ in BatchSpec(list(available_formats())).lanes():
+            if contexts[0].dtype is dtype:
+                bctx = BatchedContext(contexts)
+                # every row twice, the second time in reverse order, as a
+                # wave of the lockstep QL repeats rows
+                rows = np.concatenate([bctx.all_rows, bctx.all_rows[::-1]])
+                values = np.stack([_boundary_values(contexts[r]) for r in rows])
+                return bctx, rows, values
+        raise AssertionError(f"no {np.dtype(dtype).name} lane")
+
+    @staticmethod
+    def _want_rows(bctx, rows, values):
+        want = np.stack([bctx.rows[r].round(v.copy()) for r, v in zip(rows, values)])
+        for r, v, w in zip(rows, values, want):
+            if not isinstance(bctx.rows[r], NativeContext):  # a real rounding
+                assert not np.array_equal(v, w, equal_nan=True), bctx.rows[r].name
+        return want
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "dtype", [np.float64, np.float32, np.longdouble], ids=["float64", "float32", "longdouble"]
+    )
+    @pytest.mark.parametrize("layout", ["1d", "2d", "column_view"])
+    def test_round_matches_each_rows_context(self, kernels, dtype, layout):
+        bctx, rows, values = self._lane(dtype)
+        label = f"{np.dtype(dtype).name} lane, {layout}"
+        if layout == "1d":  # one value per row: each row's round_scalar
+            for j in range(values.shape[1]):
+                stack = values[:, j].copy()
+                got = bctx.round(stack, rows)
+                assert got is stack
+                want = np.array(
+                    [bctx.rows[r].round_scalar(v) for r, v in zip(rows, values[:, j])],
+                    dtype=bctx.dtype,
+                )
+                _assert_same_bits(got, want, f"{label}, value {j}")
+            return
+        want = self._want_rows(bctx, rows, values)
+        if layout == "2d":
+            stack = values.copy()
+            assert bctx.round(stack, rows) is stack
+            _assert_same_bits(stack, want, label)
+            return
+        # a strided column of a 3-D buffer, as the QL rotation rounds Z[:, :, i]
+        buf = np.full(values.shape + (2,), 3.0, dtype=bctx.dtype)
+        buf[:, :, 0] = values
+        view = buf[:, :, 0]
+        assert not view.flags["C_CONTIGUOUS"]
+        bctx.round(view, rows)
+        _assert_same_bits(np.ascontiguousarray(view), want, label)
+        assert np.all(buf[:, :, 1] == 3.0), label
 
 
 class TestBatchedDifferential:

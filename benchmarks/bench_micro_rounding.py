@@ -17,7 +17,10 @@ the wide (32/64-bit) formats: the old route (one
 ``round_array_analytic`` call on a 1-element ndarray, which is what every
 scalar Givens/QL operation paid before the scalar kernels existed) against
 the ``round_scalar`` scalar kernel, plus the context-level scalar ``add``
-(the end-to-end per-operation cost inside the solvers); report only.  For
+(the end-to-end per-operation cost inside the solvers); report only.  The
+*context-op* section times one call of ``ctx.add``, ``ctx.dot``,
+``ctx.gemv`` and the scalar ``ctx.hypot`` at the Krylov dimension (25) and
+the fig1 matrix order (32); report only.  For
 posit64/takum64 it also times the bit kernel's compiled scalar entry
 (``round_one``) against the NumPy-scalar kernel
 (``round_scalar_analytic``), which ``--check`` gates at >= 2x on one
@@ -93,6 +96,9 @@ SCALAR_ENTRY_TARGET_SPEEDUP = 2.0
 N_VALUES = 1 << 16
 #: array sizes the solvers round (scalars, QL columns, Arnoldi vectors)
 WORKLOAD_SIZES = (1, 16, 48, 512)
+#: context-op section: the Krylov dimension and the fig1 matrix order
+CONTEXT_OP_SIZES = (25, 32)
+CONTEXT_OP_FORMATS = ("posit16", "posit32", "posit64", "float16", "E4M3", "float64", "reference")
 
 
 def workload(n: int = N_VALUES, seed: int = 0) -> np.ndarray:
@@ -363,10 +369,48 @@ def run_workload_size_report(record: dict | None = None) -> list[str]:
     return lines
 
 
+def run_context_op_report(record: dict | None = None) -> list[str]:
+    """Per-call cost of rounded context ops at the solvers' sizes (report
+    only, not gated): ``ctx.add`` and ``ctx.dot`` on ``n``-vectors,
+    ``ctx.gemv`` on an ``(n, n)`` matrix and the scalar ``ctx.hypot``,
+    each one call of the context API with its dispatch and rounding.
+
+    When ``record`` is given, per-format microseconds are stored into it
+    for the JSON artifact.
+    """
+    ops = [f"{op} n={n}" for n in CONTEXT_OP_SIZES for op in ("add", "dot", "gemv")]
+    ops.append("hypot")
+    lines = [
+        "Rounded context ops per call (microseconds; report only)",
+        f"{'format':<10s} " + " ".join(f"{op:>11s}" for op in ops),
+    ]
+    for fmt_name in CONTEXT_OP_FORMATS:
+        ctx = get_context(fmt_name)
+        calls = {}
+        for n in CONTEXT_OP_SIZES:
+            rng = np.random.default_rng(n)  # O(1) values, as in the solves
+            x, y = ctx.asarray(rng.standard_normal(n)), ctx.asarray(rng.standard_normal(n))
+            M = ctx.asarray(rng.standard_normal((n, n)))
+            calls[f"add n={n}"] = lambda x=x, y=y: ctx.add(x, y)
+            calls[f"dot n={n}"] = lambda x=x, y=y: ctx.dot(x, y)
+            calls[f"gemv n={n}"] = lambda M=M, x=x: ctx.gemv(M, x)
+        a, b = ctx.round_scalar(0.3123), ctx.round_scalar(1.7)
+        calls["hypot"] = lambda: ctx.hypot(a, b)
+        row = {}
+        for op in ops:
+            samples = [_median_call_time(calls[op], inner=300) for _ in range(3)]
+            row[op] = round(float(np.median(samples)) * 1e6, 2)
+        if record is not None:
+            record[fmt_name] = row
+        lines.append(f"{fmt_name:<10s} " + " ".join(f"{row[op]:>11.2f}" for op in ops))
+    return lines
+
+
 def run_report(
     record: dict | None = None,
     sizes: dict | None = None,
     scalar_entry: dict | None = None,
+    context_ops: dict | None = None,
 ) -> str:
     values = workload()
     lines = [
@@ -400,6 +444,8 @@ def run_report(
     lines.extend(run_scalar_report())
     lines.append("")
     lines.extend(run_extended_scalar_report(scalar_entry))
+    lines.append("")
+    lines.extend(run_context_op_report(context_ops))
     return "\n".join(lines) + "\n"
 
 
@@ -464,7 +510,8 @@ def main(argv=None) -> int:
     record: dict = {}
     sizes: dict = {}
     scalar_entry: dict = {}
-    report = run_report(record, sizes, scalar_entry)
+    context_ops: dict = {}
+    report = run_report(record, sizes, scalar_entry, context_ops)
     out_dir = pathlib.Path(__file__).parent / "output"
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "micro_rounding.txt"
@@ -479,6 +526,7 @@ def main(argv=None) -> int:
             "bitkernel_vs_analytic": record,
             "round_array_vs_analytic_us": sizes,
             "extended_scalar_entry": scalar_entry,
+            "context_op_us": context_ops,
         },
     )
     print(report)

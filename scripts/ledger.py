@@ -1,0 +1,168 @@
+#!/usr/bin/env python3
+"""Performance ledger: one JSON record of a tree's figure benchmark.
+
+Drives ``figbench/run.py`` on fig1_seq and graphs_large at seed 0:
+best-of-``--runs`` untraced runs (each as long as ``BENCHMARK.json``'s
+``run_seconds``) give the end-to-end ``figure_s``, ``warm_s`` and
+``peak_rss_mb``, and one traced run gives the self seconds of every layer
+and the deterministic counts that CI's figure-counter gate pins (rounded
+ops in total and per format, the rounding-call size buckets, the dispatch
+split, restarts and matvecs).  Provenance comes from
+``benchmarks/conftest.bench_metadata``.
+
+    python scripts/ledger.py --out BENCH_23.json
+    python scripts/ledger.py --baseline-tree ../parent --out BENCH_23.json
+    python scripts/ledger.py --compare BENCH_23.json            # baseline -> measured
+    python scripts/ledger.py --compare OLD.json NEW.json
+
+``--baseline-tree`` measures a second checkout (say, the parent commit) in
+the same session, alternating its runs with this tree's, and stores it as
+the ledger's ``baseline``.  ``--compare`` prints every metric of two
+ledgers (or of one ledger's baseline and measurement) side by side, and
+exits 1 when a pinned count moved.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+for _entry in (str(ROOT / "src"), str(ROOT)):
+    if _entry not in sys.path:
+        sys.path.insert(0, _entry)
+
+from figbench.tracing import BUCKET_NAMES  # noqa: E402
+from figbench.workloads import WORKLOADS  # noqa: E402
+
+WORKLOAD_NAMES = ("fig1_seq", "graphs_large")
+#: the seed CI's counter gate pins the counts at
+SEED = 0
+END_TO_END = ("figure_s", "warm_s", "peak_rss_mb")
+DISPATCH_PATHS = ("scalar_kernel", "bitkernel", "analytic")
+
+
+def pinned_keys(workload: str) -> list:
+    """The counts CI's figure-counter gate pins for ``workload``."""
+    formats = WORKLOADS[workload].formats
+    return (
+        ["arithmetic.rounded_ops"]
+        + [f"arithmetic.rounded_ops.{fmt}" for fmt in formats]
+        + [f"arithmetic.round_calls.{bucket}" for bucket in BUCKET_NAMES]
+        + [f"arithmetic.dispatch.{path}" for path in DISPATCH_PATHS]
+        + ["core.restarts", "core.matvecs"]
+    )
+
+
+def _run(tree: pathlib.Path, workload: str, traced: bool) -> dict:
+    """One ``figbench/run.py`` run in ``tree``; a traced run is one cycle."""
+    command = [sys.executable, "figbench/run.py", "--workload", workload, "--seed", str(SEED)]
+    if traced:
+        command += ["--seconds", "0", "--trace", "1"]
+    done = subprocess.run(command, cwd=tree, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def _values(result: dict) -> dict:
+    return {name: metric["value"] for name, metric in result["metrics"].items()}
+
+
+def _entry(workload: str, runs: list, traced: dict) -> dict:
+    """One workload's ledger entry from its untraced runs and traced run."""
+    values = [_values(run) for run in runs]
+    layers = _values(traced)
+    units = {name: metric["unit"] for name, metric in traced["metrics"].items()}
+    entry = {name: min(v[name] for v in values) for name in END_TO_END}
+    entry.update({f"{name}_runs": [v[name] for v in values] for name in END_TO_END})
+    entry["correct"] = all(r["correct"] for r in runs + [traced])
+    entry["failed"] = max(r["failed"] for r in runs + [traced])
+    entry["layers_s"] = {name: value for name, value in layers.items() if units[name] == "s"}
+    entry["counts"] = {name: int(layers[name]) for name in pinned_keys(workload)}
+    return entry
+
+
+def _tree_rev(tree: pathlib.Path):
+    done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree, capture_output=True, text=True)
+    return done.stdout.strip() or None
+
+
+def measure(trees: list, runs: int) -> list:
+    """Measure every tree, alternating their runs; one dict per tree."""
+    measured = [{} for _ in trees]
+    for workload in WORKLOAD_NAMES:
+        plain = [[] for _ in trees]
+        for k in range(runs):
+            order = range(len(trees)) if k % 2 == 0 else reversed(range(len(trees)))
+            for i in order:
+                run = _run(trees[i], workload, traced=False)
+                plain[i].append(run)
+                value = run["metrics"]["figure_s"]["value"]
+                print(f"ledger: {workload} {trees[i]}: figure_s {value:.3f}", file=sys.stderr)
+        for i, tree in enumerate(trees):
+            measured[i][workload] = _entry(workload, plain[i], _run(tree, workload, traced=True))
+    return measured
+
+
+def compare(old: dict, new: dict) -> int:
+    """Print ``old`` against ``new`` (``{workload: entry}``); returns the
+    number of pinned counts that moved."""
+    moved = 0
+    for workload in sorted(old.keys() & new.keys()):
+        a, b = old[workload], new[workload]
+        print(f"{workload}:")
+        layers = b["layers_s"]
+        rows = [(name, a[name], b[name]) for name in END_TO_END]
+        rows += [(name, a["layers_s"].get(name, 0.0), layers[name]) for name in layers]
+        for name, x, y in rows:
+            change = f"{(y / x - 1.0) * 100:+7.1f}%" if x else "      -"
+            print(f"  {name:<34s} {x:>12.4f} {y:>12.4f} {change}")
+        moves = [(name, a["counts"].get(name), y) for name, y in b["counts"].items()]
+        moves = [(name, x, y) for name, x, y in moves if x != y]
+        for name, x, y in moves:
+            print(f"  MOVED {name}: {x} -> {y}")
+        print(f"  {len(b['counts'])} pinned counts, {len(moves)} moved")
+        moved += len(moves)
+    return moved
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--compare", nargs="+", metavar="LEDGER", help="one or two ledgers")
+    parser.add_argument("--out", default="BENCH.json", help="ledger file to write")
+    parser.add_argument("--baseline-tree", help="a second checkout to measure as the baseline")
+    parser.add_argument("--runs", type=int, default=3, help="untraced runs per workload")
+    args = parser.parse_args(argv)
+    if args.compare:
+        if len(args.compare) > 2:
+            parser.error("--compare takes one or two ledgers")
+        ledgers = [json.loads(pathlib.Path(p).read_text(encoding="utf-8")) for p in args.compare]
+        if len(ledgers) == 1:
+            old, new = ledgers[0]["baseline"]["measured"], ledgers[0]["measured"]
+        else:
+            old, new = ledgers[0]["measured"], ledgers[1]["measured"]
+        return 1 if compare(old, new) else 0
+
+    from benchmarks.conftest import bench_metadata
+
+    trees = [ROOT] + ([pathlib.Path(args.baseline_tree).resolve()] if args.baseline_tree else [])
+    measured = measure(trees, args.runs)
+    ledger = {
+        "provenance": bench_metadata(),
+        "settings": {"seed": SEED, "runs": args.runs},
+        "measured": measured[0],
+    }
+    if args.baseline_tree:
+        ledger["baseline"] = {"git_rev": _tree_rev(trees[1]), "measured": measured[1]}
+    out = pathlib.Path(args.out)
+    out.write_text(json.dumps(ledger, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"ledger written to {out}", file=sys.stderr)
+    if args.baseline_tree:
+        compare(measured[1], measured[0])
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -342,10 +342,11 @@ class BatchedContext:
     def reduce_last_inplace(self, buf: np.ndarray, rows) -> np.ndarray:
         """Rounded reduction along the last axis of an *owned* buffer.
 
-        Mirrors :meth:`ComputeContext._reduce_last_axis_inplace` exactly:
-        the pairwise strategy pairs live partials on a doubling stride, so
-        the per-row pairing — and every intermediate rounding — is
-        identical to the sequential reduction of each row.
+        Pairs adjacent partials level by level as
+        :meth:`ComputeContext._reduce_last_axis` does, with the same odd
+        leftover carried up, so the per-row pairing — and every
+        intermediate rounding — is identical to the sequential engine's
+        reduction of each row.
         """
         m = buf.shape[-1]
         if m == 0:

@@ -48,7 +48,10 @@ _SCALAR_TYPES = (float, int, np.floating, np.integer)
 def _is_scalar(x) -> bool:
     """Whether ``x`` is a scalar operand (Python number, NumPy scalar or
     0-d array) that the elementary operations can keep out of ndarray
-    round-trips."""
+    round-trips.  Plain ndarrays, the common operand of the array
+    branches, are answered by the first test."""
+    if type(x) is np.ndarray:
+        return x.ndim == 0
     return isinstance(x, _SCALAR_TYPES) or (isinstance(x, np.ndarray) and x.ndim == 0)
 
 
@@ -238,9 +241,6 @@ class ComputeContext(ABC):
             _, cls = self._operator_classes()
         return cls(self, value)
 
-    def _tally(self, n: int) -> None:
-        self.op_count += int(n)
-
     def publish_op_count(self) -> int:
         """Flush the context-local op tally into the telemetry registry.
 
@@ -311,15 +311,24 @@ class ComputeContext(ABC):
             )
         return self.round_scalar(np.sqrt(self.dtype(a)))
 
-    # The array branch of every elementwise operation computes the
-    # work-precision result into one buffer (a fresh ufunc output, or the
-    # caller's ``out``, which may alias an operand) and rounds it in place:
-    # one allocation per op at most, and none with ``out``.
+    # The array branch of every elementwise operation is one ufunc into one
+    # buffer (a fresh C-contiguous output, or the caller's ``out``, which
+    # may alias an operand) and one in-place rounding of that buffer
+    # through :meth:`_round_work`: one allocation per op at most, and none
+    # with ``out``.
+
+    @abstractmethod
+    def _round_work(self, work: np.ndarray) -> None:
+        """Round an op's work-dtype result buffer in place."""
 
     def _round_ufunc(self, ufunc, out, *operands):
-        self._tally(np.broadcast(*operands).size)
-        work = ufunc(*operands, dtype=self.dtype, out=out)
-        return self.round(work, out=work)
+        if out is None:  # (an explicit out=None costs the ufunc ~0.2 us)
+            work = ufunc(*operands, dtype=self.dtype, order="C")
+        else:
+            work = ufunc(*operands, out=out, dtype=self.dtype)
+        self.op_count += work.size
+        self._round_work(work)
+        return work
 
     def add(self, a, b, *, out=None):
         """Rounded elementwise ``a + b`` (scalars stay scalars).
@@ -387,20 +396,23 @@ class ComputeContext(ABC):
         does, at five rounded operations instead of seven.
         """
         if _is_scalar(a) and _is_scalar(b):
-            aa = self.abs(a)
-            ab = self.abs(b)
+            dt = self.dtype
+            aa = abs(dt(a))
+            ab = abs(dt(b))
             if aa != aa or ab != ab:  # NaN operands propagate
-                return self.dtype(np.nan)
+                return dt(np.nan)
             scale, small = (aa, ab) if aa >= ab else (ab, aa)
             if scale == 0:
-                return self.dtype(0.0)
+                return dt(0.0)
             if scale == np.inf:
-                return self.dtype(np.inf)
-            t = self._scalar_div(small, scale)
-            return self._scalar_mul(
-                scale,
-                self._scalar_sqrt(self._scalar_add(1.0, self._scalar_mul(t, t))),
-            )
+                return dt(np.inf)
+            # the five ops of the ``_scalar_*`` spelling, one rounding each
+            rs = self.round_scalar
+            t = rs(small / scale)
+            u = rs(dt(1.0) + rs(t * t))  # in [1, 2]: math.sqrt is safe
+            root = rs(math.sqrt(float(u)) if dt is np.float64 else np.sqrt(u))
+            self.op_count += 5
+            return rs(scale * root)
         aa = np.abs(np.asarray(a, dtype=self.dtype))
         ab = np.abs(np.asarray(b, dtype=self.dtype))
         scale = np.maximum(aa, ab)
@@ -423,63 +435,62 @@ class ComputeContext(ABC):
 
         The pairwise strategy reduces adjacent pairs level by level (a
         balanced tree, matching Julia's pairwise summation); the sequential
-        strategy accumulates left to right.  The caller's array is never
-        modified: one copy is donated to :meth:`_reduce_last_axis_inplace`.
+        strategy accumulates left to right.  The caller's array is only
+        read (see :meth:`_reduce_last_axis`).
         """
         v = np.moveaxis(np.asarray(values, dtype=self.dtype), axis, -1)
-        return self._reduce_last_axis_inplace(v.copy())
+        return self._reduce_last_axis(v)
 
-    def _reduce_last_axis_inplace(self, buf: np.ndarray) -> np.ndarray:
-        """Reduce an *owned* buffer along its last axis, mutating it.
+    def _reduce_last_axis(self, buf: np.ndarray) -> np.ndarray:
+        """Rounded reduction of ``buf`` along its last axis.
 
-        ``buf`` must be a work-dtype array this context allocated itself
-        (the rounded-products buffer of :meth:`dot`/:meth:`gemv`/
-        :meth:`gemm`, or the copy :meth:`reduce_sum` makes) —
-        callers donate it and must not rely on its contents afterwards.
+        ``buf`` is only read, and the result never aliases it.
 
-        Pairwise levels pair live partials in place on a doubling stride:
-        at stride ``step`` the partials sit at positions ``j * step``, each
-        ``add`` writes the even slots, and an odd leftover at
-        ``(count - 1) * step`` is already on the doubled stride, so the
-        pairing order — and therefore every intermediate rounding — is
-        identical to reducing into freshly concatenated buffers.  The
-        sequential strategy accumulates into the first slot (1-D keeps the
+        Pairwise levels pair adjacent partials: each level adds the even
+        and the odd partials (strided views) into a fresh C-contiguous
+        buffer with one rounded addition, and carries an odd leftover
+        into the buffer's last slot unrounded.  The partials sit on the
+        leading axis of the level buffers, so both the sums and the whole
+        next level are contiguous rows.  Every level rounds ``half`` sums
+        per output entry in one call, so the pairing, every intermediate
+        rounding and the op tally are those of reducing each row alone.
+        The sequential strategy accumulates left to right (1-D keeps the
         pure-scalar loop of the scalar hot path).
         """
         m = buf.shape[-1]
         if m == 0:
             return np.zeros(buf.shape[:-1], dtype=self.dtype)
-        if m > 1:
-            if self.accumulation == "pairwise":
-                step, count = 1, m
-                while count > 1:
-                    half = count // 2
-                    even = buf[..., 0 : 2 * half * step : 2 * step]
-                    odd = buf[..., step : 2 * half * step : 2 * step]
-                    self.add(even, odd, out=even)
-                    count = half + (count & 1)
-                    step *= 2
-            elif buf.ndim == 1:
+        if buf.ndim == 1:
+            if m == 1:
+                return buf[0]
+            if self.accumulation == "sequential":
                 acc = buf[0]
                 for j in range(1, m):
                     acc = self.add(acc, buf[j])
                 return acc
-            else:
-                acc = buf[..., 0]
+            parts = buf
+        else:
+            parts = buf.transpose((buf.ndim - 1,) + tuple(range(buf.ndim - 1)))
+            if m == 1:
+                return parts[0].copy()
+            if self.accumulation == "sequential":
+                acc = parts[0].copy()
                 for j in range(1, m):
-                    self.add(acc, buf[..., j], out=acc)
-        if buf.ndim == 1:
-            return buf[0]
-        # a view of column 0 would pin the whole donated buffer alive
-        return np.ascontiguousarray(buf[..., 0])
+                    self.add(acc, parts[j], out=acc)
+                return acc
+        add, dt, rest = np.add, self.dtype, parts.shape[1:]
+        while m > 1:
+            half, odd = divmod(m, 2)
+            level = np.empty((half + odd,) + rest, dtype=dt)
+            self._round_ufunc(add, level[:half], parts[0 : 2 * half : 2], parts[1 : 2 * half : 2])
+            if odd:
+                level[half] = parts[m - 1]
+            parts, m = level, half + odd
+        return parts[0]
 
     def dot(self, x, y):
-        """Inner product with rounded products and rounded accumulation.
-
-        The rounded-products buffer is donated to the in-place reduction,
-        so the whole contraction allocates once.
-        """
-        return self._reduce_last_axis_inplace(self.mul(x, y))
+        """Inner product with rounded products and rounded accumulation."""
+        return self._reduce_last_axis(self.mul(x, y))
 
     def norm2(self, x):
         """Euclidean norm built from rounded operations.
@@ -536,16 +547,19 @@ class ComputeContext(ABC):
     def rotate_columns(self, c, s, x, y):
         """Givens rotation of two vectors: ``[c*x - s*y, s*x + c*y]``.
 
-        Returns the stacked pair as one ``(2, *x.shape)`` array.  ``c`` and
-        ``s`` are scalars, or ``(k,)`` vectors that broadcast over the last
-        axis of ``x`` and ``y`` (``(n, k)`` column blocks: ``k`` rotations
-        of disjoint column pairs in one call, as the QL eigenvector update
-        applies a wave of Givens steps).  The six rounded operations of the
-        unfused spelling (``c*x - s*y`` and ``s*x + c*y``) run in two
-        rounding calls: one broadcast multiply forms the four products
-        ``[[c*x, s*y], [s*x, c*y]]`` and rounds them together, then one
-        subtract and one add form both results from those products, with
-        the same operands in the same order, and round them together.
+        Returns the stacked pair as one C-ordered ``(2, *x.shape)`` array.
+        ``c`` and ``s`` are scalars, or arrays that broadcast against the
+        trailing axes of ``x`` and ``y``: ``(k,)`` vectors over ``(n, k)``
+        column blocks, or ``(k, 1)`` columns over ``(k, n)`` row blocks —
+        ``k`` rotations of disjoint pairs in one call, as the QL
+        eigenvector update applies a wave of Givens steps to the rows of
+        ``Z^T``.  The six rounded operations of the unfused spelling
+        (``c*x - s*y`` and ``s*x + c*y``) run in two rounding calls, each
+        on a C-contiguous buffer: one broadcast multiply forms the four
+        products ``[[c*x, s*y], [s*x, c*y]]`` and rounds them together,
+        then one subtract and one add form both results from those
+        products, with the same operands in the same order, and round them
+        together.
         Rounding is elementwise, so every value and the ``6 * x.size`` op
         tally are those of the six-op spelling; only the per-call dispatch
         cost is paid twice instead of six times.  (Rounding returns the same
@@ -555,15 +569,16 @@ class ComputeContext(ABC):
         """
         x = np.asarray(x, dtype=self.dtype)
         y = np.asarray(y, dtype=self.dtype)
-        self._tally(6 * x.size)
+        self.op_count += 6 * x.size
         coef = np.array([[c, s], [s, c]], dtype=self.dtype)
         coef = coef.reshape((2, 2) + (1,) * (x.ndim - coef.ndim + 2) + coef.shape[2:])
-        prods = np.multiply(coef, np.stack((x, y)))
-        self.round(prods, out=prods)
+        prods = np.multiply(coef, np.stack((x, y)), order="C")
+        self._round_work(prods)
         res = np.empty((2,) + x.shape, dtype=self.dtype)
         np.subtract(prods[0, 0], prods[0, 1], out=res[0])
         np.add(prods[1, 0], prods[1, 1], out=res[1])
-        return self.round(res, out=res)
+        self._round_work(res)
+        return res
 
     # ------------------------------------------------------------------ #
     # dense kernels
@@ -574,8 +589,7 @@ class ComputeContext(ABC):
         x = np.asarray(x, dtype=self.dtype)
         if M.shape[1] == 0:
             return np.zeros(M.shape[0], dtype=self.dtype)
-        prods = self.mul(M, x[np.newaxis, :])
-        return self._reduce_last_axis_inplace(prods)
+        return self._reduce_last_axis(self.mul(M, x[np.newaxis, :]))
 
     def gemv_t(self, M, x):
         """Dense transposed matrix-vector product ``M.T @ x``."""
@@ -583,8 +597,7 @@ class ComputeContext(ABC):
         x = np.asarray(x, dtype=self.dtype)
         if M.shape[0] == 0:
             return np.zeros(M.shape[1], dtype=self.dtype)
-        prods = self.mul(M.T, x[np.newaxis, :])
-        return self._reduce_last_axis_inplace(prods)
+        return self._reduce_last_axis(self.mul(M.T, x[np.newaxis, :]))
 
     def gemm(self, A, B):
         """Dense matrix-matrix product with per-operation rounding.
@@ -598,8 +611,8 @@ class ComputeContext(ABC):
             raise ValueError("gemm dimension mismatch")
         if A.shape[1] == 0:
             return np.zeros((A.shape[0], B.shape[1]), dtype=self.dtype)
-        prods = self.mul(A[:, :, np.newaxis], B[np.newaxis, :, :])
-        return self._reduce_last_axis_inplace(np.moveaxis(prods, 1, -1))
+        # products laid out (i, j, l) so the contraction is the last axis
+        return self._reduce_last_axis(self.mul(A[:, np.newaxis, :], B.T[np.newaxis, :, :]))
 
     # ------------------------------------------------------------------ #
     # sparse kernel
@@ -725,6 +738,10 @@ class NativeContext(ComputeContext):
             return out
         return arr
 
+    def _round_work(self, work: np.ndarray) -> None:
+        """A work buffer of the hardware dtype is already rounded: the
+        ``dtype=`` of the op's ufunc was the rounding."""
+
     def round_scalar(self, value):
         """Hardware dtypes round by conversion; returns a dtype scalar."""
         return value if type(value) is self.dtype else self.dtype(value)
@@ -789,6 +806,12 @@ class EmulatedContext(ComputeContext):
         if _is_scalar(values):
             return self.round_scalar(values)
         return self.format.round_array(values, out=out)
+
+    def _round_work(self, work: np.ndarray) -> None:
+        """Round a work buffer in place through the format's array entry,
+        which reads its kernel binding on every call (the bit-kernel switch
+        still takes effect between calls)."""
+        self.format.round_array(work, out=work)
 
     def round_scalar(self, value):
         """Round one scalar through the compiled scalar entry of the

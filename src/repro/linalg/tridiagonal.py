@@ -47,10 +47,12 @@ performance", ACM TOMS 40(3), 2014): a rotation joins the wave after the
 last one that touched either of its two columns.  Rotations in one wave act
 on disjoint column pairs and are applied by one fused
 ``ctx.rotate_columns`` call (six rounded ops per element, two rounding
-calls per wave instead of per step).  Rotations that share a column keep
-their original order, so every element of ``Z`` sees the same rounded
-operations on the same values in the same order: the result is
-bit-identical to rotating step by step.
+calls per wave instead of per step).  The rotations are sorted by wave
+once, so a wave's columns and coefficients are slices, and the columns of
+``Z`` are rotated as contiguous rows of a ``Z^T`` copy.  Rotations that
+share a column keep their original order, so every element of ``Z`` sees
+the same rounded operations on the same values in the same order: the
+result is bit-identical to rotating step by step.
 
 In very low precision the QL iteration may fail to deflate; this is reported
 as :class:`EigenConvergenceError` and surfaces as the paper's ∞ω
@@ -190,18 +192,28 @@ def wavefront_schedule(cols, ncols: int) -> list:
 
 def _apply_rotations(ctx, Z, cols, cs, ss) -> int:
     """Apply the recorded Givens sequence to the columns of ``Z`` in place,
-    one fused ``rotate_columns`` call per wave; returns the wave count."""
+    one fused ``rotate_columns`` call per wave; returns the wave count.
+
+    The rotations are sorted by wave once, so each wave's columns and
+    coefficients are slices; the columns of ``Z`` are rotated as the
+    contiguous rows of a ``Z^T`` copy, written back at the end."""
     if not cols:
         return 0
     waves = wavefront_schedule(cols, Z.shape[1])
-    cols = np.asarray(cols)
-    cs = np.asarray(cs, dtype=ctx.dtype)
-    ss = np.asarray(ss, dtype=ctx.dtype)
-    for k in waves:
-        i = cols[k]
-        rot = ctx.rotate_columns(cs[k], ss[k], Z[:, i], Z[:, i + 1])
-        Z[:, i] = rot[0]
-        Z[:, i + 1] = rot[1]
+    order = np.concatenate(waves)
+    cols = np.asarray(cols)[order]
+    cs = np.asarray(cs, dtype=ctx.dtype)[order, np.newaxis]
+    ss = np.asarray(ss, dtype=ctx.dtype)[order, np.newaxis]
+    ZT = np.ascontiguousarray(Z.T)
+    start = 0
+    for wave in waves:
+        stop = start + len(wave)
+        i = cols[start:stop]
+        rot = ctx.rotate_columns(cs[start:stop], ss[start:stop], ZT[i], ZT[i + 1])
+        ZT[i] = rot[0]
+        ZT[i + 1] = rot[1]
+        start = stop
+    Z[...] = ZT.T
     return len(waves)
 
 

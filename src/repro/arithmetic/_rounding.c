@@ -40,9 +40,31 @@
  *                                left unwritten.  Non-contiguous or
  *                                partially overlapping buffers raise
  *                                BufferError;
+ *   Kernel.reduce_pairwise(values, indptr, resolve)
+ *                                the rounded pairwise sums of `values` (see
+ *                                below) as a fresh 1-D array; `resolve`
+ *                                rounds the sums a tree level hands back;
  *   Kernel.take_counts()         (calls, elements, handed_back, zeros) of
- *                                `round_into` since the last call, counted
- *                                while the telemetry flag byte is set.
+ *                                `round_into` and of the tree levels of
+ *                                `reduce_pairwise` since the last call,
+ *                                counted while the telemetry flag byte is
+ *                                set;
+ *   reduce_pairwise(values, indptr)
+ *                                the same tree over a float32, float64 or
+ *                                longdouble array without rounding: the
+ *                                native contexts, whose storage type is
+ *                                the rounding.
+ *
+ * A pairwise reduction sums each segment of `values` as a balanced tree:
+ * the segments are the rows along the last axis of `values` (`indptr`
+ * None), or the CSR segments `values[indptr[r]:indptr[r + 1]]` of a 1-D
+ * `values`.  Each tree level adds partial `2i` to partial `2i + 1`, rounds
+ * every sum, and carries an odd leftover unrounded into the next level.
+ * One level is computed for every segment first; the sums it handed back
+ * then go to one `resolve` call, and only then does the next level start.
+ * The kernel counts one call per level, with that level's sums, hand-backs
+ * and zeros, as `round_into` would count rounding the level in one call.
+ * Empty segments sum to zero; `values` is only read.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -312,6 +334,330 @@ done:
     return res;
 }
 
+/* ------------------------------------------------------------------ */
+/* pairwise reduction                                                   */
+/* ------------------------------------------------------------------ */
+
+/* the segments of a reduction, reduced in place: segment r holds its
+ * `len[r]` current partials from element `off[r]` of the work buffer on */
+typedef struct {
+    npy_intp *off;
+    npy_intp *len;
+    npy_intp count;
+} Segments;
+
+/* One level of the native tree (the storage type is the rounding); the
+ * number of sums it added. */
+#define NATIVE_LEVEL(NAME, T)                                                                   \
+    static npy_intp NAME(char *buf, Segments *seg)                                              \
+    {                                                                                           \
+        npy_intp sums = 0;                                                                      \
+        for (npy_intp r = 0; r < seg->count; r++) {                                             \
+            const npy_intp len = seg->len[r];                                                   \
+            if (len < 2) {                                                                      \
+                continue;                                                                       \
+            }                                                                                   \
+            T *s = (T *)buf + seg->off[r];                                                      \
+            const npy_intp half = len / 2;                                                      \
+            for (npy_intp i = 0; i < half; i++) {                                               \
+                s[i] = s[2 * i] + s[2 * i + 1];                                                 \
+            }                                                                                   \
+            if (len & 1) {                                                                      \
+                memcpy(&s[half], &s[len - 1], sizeof(T));                                       \
+            }                                                                                   \
+            seg->len[r] = half + (len & 1);                                                     \
+            sums += half;                                                                       \
+        }                                                                                       \
+        return sums;                                                                            \
+    }
+
+NATIVE_LEVEL(level_float, float)
+NATIVE_LEVEL(level_double, double)
+NATIVE_LEVEL(level_longdouble, npy_longdouble)
+
+/* One rounded level over float64 words: the number of sums, or -1 on a
+ * memory error.  Handed-back sums stay unrounded at the positions recorded
+ * in `back`. */
+static npy_intp
+level_word(char *buf, Segments *seg, const Tables *t, Positions *back, unsigned long long *zeros)
+{
+    npy_intp sums = 0;
+    for (npy_intp r = 0; r < seg->count; r++) {
+        const npy_intp len = seg->len[r];
+        if (len < 2) {
+            continue;
+        }
+        const npy_intp off = seg->off[r];
+        double *s = (double *)buf + off;
+        const npy_intp half = len / 2;
+        for (npy_intp i = 0; i < half; i++) {
+            const double v = s[2 * i] + s[2 * i + 1];
+            uint64_t u;
+            memcpy(&u, &v, sizeof u);
+            const int outcome = round_f64(t, &u);
+            memcpy(&s[i], &u, sizeof u);
+            if (outcome == ZERO) {
+                *zeros += 1;
+            }
+            else if (outcome == HAND_BACK && hand_back(back, off + i) < 0) {
+                return -1;
+            }
+        }
+        if (len & 1) {
+            memcpy(&s[half], &s[len - 1], sizeof(double));
+        }
+        seg->len[r] = half + (len & 1);
+        sums += half;
+    }
+    return sums;
+}
+
+/* One rounded level over x87 extended values in 16-byte slots; every sum
+ * is stored with its padding bytes zeroed. */
+static npy_intp
+level_x87(char *buf, Segments *seg, const Tables *t, Positions *back, unsigned long long *zeros)
+{
+    npy_intp sums = 0;
+    for (npy_intp r = 0; r < seg->count; r++) {
+        const npy_intp len = seg->len[r];
+        if (len < 2) {
+            continue;
+        }
+        const npy_intp off = seg->off[r];
+        npy_longdouble *s = (npy_longdouble *)buf + off;
+        const npy_intp half = len / 2;
+        for (npy_intp i = 0; i < half; i++) {
+            const npy_longdouble v = s[2 * i] + s[2 * i + 1];
+            uint64_t w[2];
+            memcpy(w, &v, X87_SLOT);
+            w[1] &= 0xFFFF;
+            const int outcome = round_x87(t, &w[0], &w[1]);
+            memcpy(&s[i], w, X87_SLOT);
+            if (outcome == ZERO) {
+                *zeros += 1;
+            }
+            else if (outcome == HAND_BACK && hand_back(back, off + i) < 0) {
+                return -1;
+            }
+        }
+        if (len & 1) {
+            memcpy(&s[half], &s[len - 1], X87_SLOT);
+        }
+        seg->len[r] = half + (len & 1);
+        sums += half;
+    }
+    return sums;
+}
+
+/* Round the sums one level handed back with one `resolve` call and store
+ * them in place (x87 values with their padding zeroed). */
+static int
+resolve_level(const Kernel *k, char *buf, Positions *back, PyObject *resolve)
+{
+    const int typenum = k->extended ? NPY_LONGDOUBLE : NPY_DOUBLE;
+    const npy_intp size = k->extended ? X87_SLOT : 8;
+    PyObject *handed = PyArray_SimpleNew(1, &back->count, typenum);
+    if (handed == NULL) {
+        return -1;
+    }
+    char *src = PyArray_BYTES((PyArrayObject *)handed);
+    for (npy_intp j = 0; j < back->count; j++) {
+        memcpy(src + j * size, buf + back->pos[j] * size, (size_t)size);
+    }
+    PyObject *res = PyObject_CallOneArg(resolve, handed);
+    Py_DECREF(handed);
+    if (res == NULL) {
+        return -1;
+    }
+    PyArrayObject *rounded =
+        (PyArrayObject *)PyArray_FROMANY(res, typenum, 0, 0, NPY_ARRAY_CARRAY_RO);
+    Py_DECREF(res);
+    if (rounded == NULL) {
+        return -1;
+    }
+    if (PyArray_SIZE(rounded) != back->count) {
+        PyErr_Format(PyExc_ValueError, "resolve returned %zd values for %zd", PyArray_SIZE(rounded),
+                     back->count);
+        Py_DECREF(rounded);
+        return -1;
+    }
+    const char *got = PyArray_BYTES(rounded);
+    for (npy_intp j = 0; j < back->count; j++) {
+        char *dst = buf + back->pos[j] * size;
+        memcpy(dst, got + j * size, (size_t)size);
+        if (k->extended) {
+            ((uint64_t *)dst)[1] &= 0xFFFF;
+        }
+    }
+    Py_DECREF(rounded);
+    back->count = 0;
+    return 0;
+}
+
+/* The segments of `work`: its rows along the last axis (`indptr` None), or
+ * the CSR segments of a 1-D `work`. */
+static int
+segments_of(PyArrayObject *work, PyObject *indptr, Segments *seg)
+{
+    PyArrayObject *ptr = NULL;
+    npy_intp count, m = 0;
+    if (indptr == Py_None) {
+        const int nd = PyArray_NDIM(work);
+        m = PyArray_DIM(work, nd - 1);
+        count = 1;
+        for (int d = 0; d < nd - 1; d++) {
+            count *= PyArray_DIM(work, d);
+        }
+    }
+    else {
+        if (PyArray_NDIM(work) != 1) {
+            PyErr_SetString(PyExc_ValueError, "CSR values must be one-dimensional");
+            return -1;
+        }
+        ptr = (PyArrayObject *)PyArray_FROMANY(indptr, NPY_INTP, 1, 1, NPY_ARRAY_CARRAY_RO);
+        if (ptr == NULL) {
+            return -1;
+        }
+        count = PyArray_DIM(ptr, 0) - 1;
+        if (count < 0) {
+            PyErr_SetString(PyExc_ValueError, "indptr is empty");
+            Py_DECREF(ptr);
+            return -1;
+        }
+    }
+    seg->count = count;
+    seg->off = PyMem_Malloc((size_t)(2 * count + 1) * sizeof(npy_intp));
+    if (seg->off == NULL) {
+        Py_XDECREF(ptr);
+        PyErr_NoMemory();
+        return -1;
+    }
+    seg->len = seg->off + count;
+    if (ptr == NULL) {
+        for (npy_intp r = 0; r < count; r++) {
+            seg->off[r] = r * m;
+            seg->len[r] = m;
+        }
+        return 0;
+    }
+    const npy_intp *p = (const npy_intp *)PyArray_DATA(ptr);
+    const npy_intp n = PyArray_DIM(work, 0);
+    int bad = p[0] < 0 || p[count] > n;
+    for (npy_intp r = 0; r < count && !bad; r++) {
+        seg->off[r] = p[r];
+        seg->len[r] = p[r + 1] - p[r];
+        bad = seg->len[r] < 0;
+    }
+    Py_DECREF(ptr);
+    if (bad) {
+        PyErr_SetString(PyExc_ValueError, "indptr must be non-decreasing within the values");
+        return -1;
+    }
+    return 0;
+}
+
+/* The pairwise reduction of `values`, rounded through `k` (NULL: native). */
+static PyObject *
+reduce_pairwise(Kernel *k, PyObject *values, PyObject *indptr, PyObject *resolve)
+{
+    int typenum;
+    if (k != NULL) {
+        typenum = k->extended ? NPY_LONGDOUBLE : NPY_DOUBLE;
+    }
+    else {
+        typenum = PyArray_Check(values) ? PyArray_TYPE((PyArrayObject *)values) : NPY_NOTYPE;
+        if (typenum != NPY_FLOAT && typenum != NPY_DOUBLE && typenum != NPY_LONGDOUBLE) {
+            PyErr_SetString(PyExc_TypeError,
+                            "reduce_pairwise: values must be a float32, float64 or longdouble array");
+            return NULL;
+        }
+    }
+    /* a private C-contiguous copy, reduced in place */
+    PyArrayObject *work = (PyArrayObject *)PyArray_FromAny(
+        values, PyArray_DescrFromType(typenum), 1, 0, NPY_ARRAY_CARRAY | NPY_ARRAY_ENSURECOPY, NULL);
+    if (work == NULL) {
+        return NULL;
+    }
+    Segments seg = {NULL, NULL, 0};
+    Positions back = {NULL, 0, 0};
+    PyObject *res = NULL;
+    if (segments_of(work, indptr, &seg) < 0) {
+        goto done;
+    }
+    char *buf = PyArray_BYTES(work);
+    const Tables t = k != NULL ? tables_of(k) : (Tables){NULL, NULL, NULL, 0};
+    for (;;) {
+        unsigned long long zeros = 0;
+        npy_intp sums;
+        if (k == NULL) {
+            sums = typenum == NPY_FLOAT    ? level_float(buf, &seg)
+                   : typenum == NPY_DOUBLE ? level_double(buf, &seg)
+                                           : level_longdouble(buf, &seg);
+        }
+        else if (k->extended) {
+            sums = level_x87(buf, &seg, &t, &back, &zeros);
+        }
+        else {
+            sums = level_word(buf, &seg, &t, &back, &zeros);
+        }
+        if (sums < 0) {
+            goto done;
+        }
+        if (sums == 0) {
+            break;
+        }
+        if (k == NULL) {
+            continue;
+        }
+        if (*(const char *)k->counting.buf) {
+            k->counts[CALLS] += 1;
+            k->counts[ELEMENTS] += (unsigned long long)sums;
+            k->counts[HANDED_BACK] += (unsigned long long)back.count;
+            k->counts[ZEROS] += zeros;
+        }
+        if (back.count && resolve_level(k, buf, &back, resolve) < 0) {
+            goto done;
+        }
+    }
+    res = PyArray_ZEROS(1, &seg.count, typenum, 0);
+    if (res != NULL) {
+        const npy_intp size = PyArray_ITEMSIZE(work);
+        char *out = PyArray_BYTES((PyArrayObject *)res);
+        for (npy_intp r = 0; r < seg.count; r++) {
+            if (seg.len[r]) {
+                memcpy(out + r * size, buf + seg.off[r] * size, (size_t)size);
+            }
+        }
+    }
+
+done:
+    PyMem_Free(seg.off);
+    PyMem_Free(back.pos);
+    Py_DECREF(work);
+    return res;
+}
+
+static PyObject *
+Kernel_reduce_pairwise(Kernel *k, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 3 || !PyCallable_Check(args[2])) {
+        PyErr_SetString(PyExc_TypeError,
+                        "reduce_pairwise(values, indptr, resolve) takes two arrays and a callable");
+        return NULL;
+    }
+    return reduce_pairwise(k, args[0], args[1], args[2]);
+}
+
+static PyObject *
+module_reduce_pairwise(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "reduce_pairwise(values, indptr) takes two arguments");
+        return NULL;
+    }
+    return reduce_pairwise(NULL, args[0], args[1], NULL);
+}
+
 static PyObject *
 Kernel_take_counts(Kernel *k, PyObject *Py_UNUSED(ignored))
 {
@@ -386,6 +732,8 @@ static PyMethodDef Kernel_methods[] = {
      "round_one(value) -> the rounded work-dtype scalar, or None when handed back"},
     {"round_into", (PyCFunction)(void (*)(void))Kernel_round_into, METH_FASTCALL,
      "round_into(src, dst) -> None, or the intp array of positions handed back"},
+    {"reduce_pairwise", (PyCFunction)(void (*)(void))Kernel_reduce_pairwise, METH_FASTCALL,
+     "reduce_pairwise(values, indptr, resolve) -> the rounded pairwise sums of each segment"},
     {"take_counts", (PyCFunction)Kernel_take_counts, METH_NOARGS,
      "take_counts() -> (calls, elements, handed_back, zeros), then reset them"},
     {NULL, NULL, 0, NULL},
@@ -403,11 +751,18 @@ static PyTypeObject KernelType = {
     .tp_methods = Kernel_methods,
 };
 
+static PyMethodDef module_methods[] = {
+    {"reduce_pairwise", (PyCFunction)(void (*)(void))module_reduce_pairwise, METH_FASTCALL,
+     "reduce_pairwise(values, indptr) -> the unrounded pairwise sums of each segment"},
+    {NULL, NULL, 0, NULL},
+};
+
 static struct PyModuleDef rounding_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_rounding",
     .m_doc = "Compiled round-to-nearest-even kernels of the emulated number formats.",
     .m_size = -1,
+    .m_methods = module_methods,
 };
 
 PyMODINIT_FUNC

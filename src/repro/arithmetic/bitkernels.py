@@ -47,11 +47,13 @@ round-to-nearest-even entirely in integer arithmetic:
 The Python classes here state each family's binade rule (``_keep_bits``)
 and build the LUTs from it; the transform itself runs in C
 (``_rounding.c``, compiled on first use by :mod:`repro.arithmetic._build`),
-which reads the LUTs in place.  A kernel has two compiled entries: the
-scalar :attr:`BitKernel.round_one` and the array ``round_into`` behind
+which reads the LUTs in place.  A kernel has three compiled entries: the
+scalar :attr:`BitKernel.round_one`, the array ``round_into`` behind
 :meth:`BitKernel.round`, which writes into a caller-provided ``out=``
 buffer — the entry point `EmulatedContext` uses to round operation results
-in place instead of allocating a second array per elementary op.
+in place instead of allocating a second array per elementary op — and the
+pairwise reduction ``reduce_pairwise`` behind :meth:`BitKernel.reduce`,
+which runs a whole rounded summation tree in one call.
 
 Correctness invariants of the LUT-served ("main region") binades, checked by
 the builders and the exhaustive/sweep tests in ``tests/test_bitkernels.py``:
@@ -99,6 +101,7 @@ __all__ = [
     "PositExtendedBitKernel",
     "TakumExtendedBitKernel",
     "extended_layout_supported",
+    "native_reducer",
     "set_enabled",
     "bitkernels_enabled",
 ]
@@ -157,6 +160,14 @@ def bitkernels_enabled() -> bool:
     """Whether the bit kernels round: the switch is on and the compiled
     library is available (built on the first call that needs it)."""
     return _ENABLED and _compiled() is not None
+
+
+def native_reducer():
+    """The compiled pairwise reduction of the native dtypes,
+    ``reduce_pairwise(values, indptr)``, or ``None`` when the bit kernels
+    are off (see :meth:`BitKernel.reduce` for the tree it builds)."""
+    extension = _compiled() if _ENABLED else None
+    return None if extension is None else extension.reduce_pairwise
 
 
 def extended_layout_supported() -> bool:
@@ -333,6 +344,21 @@ class BitKernel:
         if dst is not out:
             np.copyto(out, dst)
         return out
+
+    def reduce(self, values, indptr=None) -> np.ndarray:
+        """Rounded pairwise sums of ``values``, one compiled call.
+
+        The segments are the rows along the last axis of ``values``
+        (``indptr`` ``None``), or the CSR segments
+        ``values[indptr[r]:indptr[r + 1]]`` of a 1-D ``values``.  Each tree
+        level adds partial ``2i`` to partial ``2i + 1`` in every segment,
+        rounds each sum as :meth:`round` would and carries an odd leftover
+        unrounded; the sums a level hands back go to one call of the
+        resolver before the next level starts.  Returns a fresh 1-D work
+        array with one sum per segment (zero for an empty one); ``values``
+        is only read.
+        """
+        return self.compiled.reduce_pairwise(values, indptr, self._resolve)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         half = len(self._special) // 2

@@ -15,9 +15,9 @@ the same effect is achieved with a :class:`ComputeContext`:
 Vector and matrix kernels (dot products, dense and sparse matrix-vector
 products) are built from the rounded elementary operations.  Accumulations
 use a pairwise (tree) reduction by default — each partial sum is rounded — so
-the whole kernel is expressible with a logarithmic number of vectorised
-passes; a strictly sequential accumulation order is available for the
-accumulation-order ablation study.
+the whole tree is one call of the compiled reduction (or, without it, a
+logarithmic number of vectorised passes); a strictly sequential accumulation
+order is available for the accumulation-order ablation study.
 
 Scalar operands bypass ndarrays entirely: the elementary operations detect
 them, compute in the work precision on work-dtype NumPy scalars and round
@@ -36,6 +36,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import bitkernels as _bitkernels
 from .base import NumberFormat, RoundingInfo
 from .registry import get_format
 from ..telemetry import core as _telemetry
@@ -441,25 +442,42 @@ class ComputeContext(ABC):
         v = np.moveaxis(np.asarray(values, dtype=self.dtype), axis, -1)
         return self._reduce_last_axis(v)
 
+    def _pairwise_reducer(self):
+        """The compiled pairwise reduction ``(values, indptr) -> sums`` of
+        this context, or ``None`` when the NumPy tree runs (the bit-kernel
+        switch is off, the compiled library is not loaded, or no kernel
+        serves the format).  Looked up on every reduction, so the switch
+        takes effect between calls."""
+        return None
+
     def _reduce_last_axis(self, buf: np.ndarray) -> np.ndarray:
         """Rounded reduction of ``buf`` along its last axis.
 
         ``buf`` is only read, and the result never aliases it.
 
-        Pairwise levels pair adjacent partials: each level adds the even
-        and the odd partials (strided views) into a fresh C-contiguous
-        buffer with one rounded addition, and carries an odd leftover
-        into the buffer's last slot unrounded.  The partials sit on the
-        leading axis of the level buffers, so both the sums and the whole
-        next level are contiguous rows.  Every level rounds ``half`` sums
-        per output entry in one call, so the pairing, every intermediate
-        rounding and the op tally are those of reducing each row alone.
-        The sequential strategy accumulates left to right (1-D keeps the
-        pure-scalar loop of the scalar hot path).
+        Pairwise levels pair adjacent partials: each level adds partial
+        ``2i`` to partial ``2i + 1``, rounds every sum, and carries an odd
+        leftover into the next level unrounded.  With a compiled reducer
+        (:meth:`_pairwise_reducer`) the whole tree of every row is one
+        call.  Otherwise each level adds the even and the odd partials
+        (strided views) into a fresh C-contiguous buffer with one rounded
+        addition; the partials sit on the leading axis of the level
+        buffers, so both the sums and the whole next level are contiguous
+        rows.  Either way every level rounds ``half`` sums per output entry
+        in one kernel call, so the pairing, every intermediate rounding and
+        the op tally (``m - 1`` per row) are those of reducing each row
+        alone.  The sequential strategy accumulates left to right (1-D
+        keeps the pure-scalar loop of the scalar hot path).
         """
         m = buf.shape[-1]
         if m == 0:
             return np.zeros(buf.shape[:-1], dtype=self.dtype)
+        if m > 1 and self.accumulation == "pairwise":
+            reduce = self._pairwise_reducer()
+            if reduce is not None:
+                sums = reduce(buf, None)
+                self.op_count += sums.size * (m - 1)
+                return sums[0] if buf.ndim == 1 else sums.reshape(buf.shape[:-1])
         if buf.ndim == 1:
             if m == 1:
                 return buf[0]
@@ -633,6 +651,14 @@ class ComputeContext(ABC):
         return self._segmented_reduce(prods, matrix.indptr, nrows)
 
     def _segmented_reduce(self, vals, indptr, nrows) -> np.ndarray:
+        """Rounded sum of each CSR segment ``vals[indptr[r]:indptr[r + 1]]``
+        (zero for an empty row), in the tree of :meth:`_reduce_last_axis`."""
+        if self.accumulation == "pairwise":
+            reduce = self._pairwise_reducer()
+            if reduce is not None:
+                counts = np.diff(indptr)
+                self.op_count += int(counts.sum()) - int(np.count_nonzero(counts))
+                return reduce(vals, indptr)
         counts = np.diff(indptr).astype(np.int64)
         out = np.zeros(nrows, dtype=self.dtype)
         if vals.size == 0:
@@ -742,6 +768,11 @@ class NativeContext(ComputeContext):
         """A work buffer of the hardware dtype is already rounded: the
         ``dtype=`` of the op's ufunc was the rounding."""
 
+    def _pairwise_reducer(self):
+        """The compiled tree over the hardware dtype, which adds in its
+        storage type and rounds nothing."""
+        return _bitkernels.native_reducer()
+
     def round_scalar(self, value):
         """Hardware dtypes round by conversion; returns a dtype scalar."""
         return value if type(value) is self.dtype else self.dtype(value)
@@ -812,6 +843,11 @@ class EmulatedContext(ComputeContext):
         which reads its kernel binding on every call (the bit-kernel switch
         still takes effect between calls)."""
         self.format.round_array(work, out=work)
+
+    def _pairwise_reducer(self):
+        """The compiled tree of the format's bound bit kernel, if any."""
+        kern = self.format._bound_kernel
+        return None if kern is None else kern.reduce
 
     def round_scalar(self, value):
         """Round one scalar through the compiled scalar entry of the

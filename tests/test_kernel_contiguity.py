@@ -5,7 +5,10 @@
 costs an extra allocation and two copies per call.  Every rounded array op
 of the contexts is one ufunc into a C-contiguous buffer, so a full
 ``partialschur`` solve in each paper format, as the figure runs it, must
-reach the kernel with no other operand.
+reach the kernel with no other operand.  The solve's pairwise reductions
+must take the compiled reduction entry (``Kernel.reduce_pairwise``, or the
+module's native ``reduce_pairwise`` for float32/float64), with C-contiguous
+operands too: a silent fallback to the NumPy tree fails the test.
 """
 
 from __future__ import annotations
@@ -22,22 +25,53 @@ from repro.experiments.tolerances import tolerance_for
 FORMATS = [name for width in (8, 16, 32, 64) for name in PAPER_FORMATS[width]]
 
 
-class _RecordingKernel:
-    """Delegates to a compiled kernel, recording every ``round_into``
-    operand that is not a C-contiguous ndarray."""
+def _record_strays(strays: list, *operands) -> None:
+    for operand in operands:
+        if not (isinstance(operand, np.ndarray) and operand.flags.c_contiguous):
+            strays.append((np.shape(operand), getattr(operand, "strides", None)))
 
-    def __init__(self, compiled, strays: list):
+
+class _RecordingKernel:
+    """Delegates to a compiled kernel, recording every ``round_into`` and
+    ``reduce_pairwise`` operand that is not a C-contiguous ndarray, and
+    counting the reductions."""
+
+    def __init__(self, compiled, strays: list, reductions: list):
         self._compiled = compiled
         self._strays = strays
+        self._reductions = reductions
 
     def __getattr__(self, name):
         return getattr(self._compiled, name)
 
     def round_into(self, src, dst):
-        for operand in (src, dst):
-            if not (isinstance(operand, np.ndarray) and operand.flags.c_contiguous):
-                self._strays.append((np.shape(operand), getattr(operand, "strides", None)))
+        _record_strays(self._strays, src, dst)
         return self._compiled.round_into(src, dst)
+
+    def reduce_pairwise(self, values, indptr, resolve):
+        _record_strays(self._strays, values, *(() if indptr is None else (indptr,)))
+        self._reductions.append(np.shape(values))
+        return self._compiled.reduce_pairwise(values, indptr, resolve)
+
+
+def _recording_native_reducer(strays: list, reductions: list):
+    """A stand-in for :func:`bitkernels.native_reducer` whose reducer
+    records like :class:`_RecordingKernel`."""
+    native_reducer = bitkernels.native_reducer
+
+    def reducer():
+        reduce = native_reducer()
+        if reduce is None:
+            return None
+
+        def recorded(values, indptr):
+            _record_strays(strays, values, *(() if indptr is None else (indptr,)))
+            reductions.append(np.shape(values))
+            return reduce(values, indptr)
+
+        return recorded
+
+    return reducer
 
 
 @pytest.fixture(scope="module")
@@ -49,14 +83,21 @@ def fig1_matrix():
 @pytest.mark.parametrize("name", FORMATS)
 def test_solve_rounds_only_contiguous_buffers(name, fig1_matrix, monkeypatch):
     strays: list = []
+    reductions: list = []
     for fmt_name in FORMATS:  # float32/float64 round in hardware: no kernel
         kern = get_format(fmt_name).bitkernel()
         if kern is not None:
-            monkeypatch.setattr(kern, "compiled", _RecordingKernel(kern.compiled, strays))
+            monkeypatch.setattr(
+                kern, "compiled", _RecordingKernel(kern.compiled, strays, reductions)
+            )
+    monkeypatch.setattr(
+        bitkernels, "native_reducer", _recording_native_reducer(strays, reductions)
+    )
     ctx = get_context(name)
     matrix, _ = ctx.convert_matrix(fig1_matrix)
     with np.errstate(all="ignore"):
         partialschur(
             matrix, nev=12, tol=tolerance_for(name), restarts=25, ctx=ctx, seed=0, eps_floor=True
         )
+    assert reductions, "the solve never took the compiled reduction"
     assert strays == []

@@ -2,14 +2,24 @@
 
 Every rounded contraction of :class:`~repro.arithmetic.context.ComputeContext`
 (``reduce_sum``, ``dot``, ``gemv``, ``gemv_t``, ``gemm``) forms its rounded
-products and reduces them along one axis.  The reference below spells that
-reduction the plain way: the pairwise strategy concatenates the rounded sums
-of adjacent pairs with any odd leftover, level by level, through ``ctx.add``;
-the sequential strategy adds left to right.  The products of ``gemv``,
-``gemv_t`` and ``gemm`` are formed row by row.  Every result word and the op
-tally must match, at every length from 0 to 70, for 1-D, 2-D, 3-D and
-transposed (F-ordered) inputs holding ±0, ±inf, NaN and the extreme
-magnitudes of each arithmetic, in every paper format and the reference.
+products and reduces them along one axis, and ``spmv`` reduces each CSR row
+segment.  The reference below spells that reduction the plain way: the
+pairwise strategy concatenates the rounded sums of adjacent pairs with any
+odd leftover, level by level, through ``ctx.add``; the sequential strategy
+adds left to right.  The products of ``gemv``, ``gemv_t`` and ``gemm`` are
+formed row by row, and ``spmv`` is reduced one row at a time.  Every result
+word and the op tally must match, at every length from 0 to 70, for 1-D,
+2-D, 3-D and transposed (F-ordered) inputs, and for CSR rows that are
+empty, of one element, of every length up to 70 and of a 300-vertex graph
+Laplacian, holding ±0, ±inf, NaN and the extreme magnitudes of each
+arithmetic, in every paper format and the reference.
+
+Each case runs under both dispatches of the pairwise tree: the compiled
+reduction (one call per tree, with the bit kernels on) and the NumPy tree
+(the bit kernels off).  The compiled reduction hands the sums a level
+cannot round to the format's resolver in one call per level, counts one
+kernel call per level like the NumPy tree, and propagates a resolver's
+exception.
 """
 
 from __future__ import annotations
@@ -17,12 +27,34 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.arithmetic import LONGDOUBLE_EXTENDED, get_context
-from repro.arithmetic.context import ComputeContext
+from repro.arithmetic import LONGDOUBLE_EXTENDED, bitkernels, get_context, set_bitkernels_enabled
+from repro.arithmetic.context import ComputeContext, EmulatedContext
 from repro.arithmetic.registry import PAPER_FORMATS
+from repro.datasets.graphs import generate_graph
+from repro.sparse import CSRMatrix
+from repro.sparse.laplacian import laplacian_from_adjacency
+from repro.telemetry import core as telemetry
 
 CONTEXTS = [name for width in (8, 16, 32, 64) for name in PAPER_FORMATS[width]] + ["reference"]
 LENGTHS = range(71)
+#: CSR row lengths: every length up to 70, with empty and one-element rows
+#: between them
+CSR_LENGTHS = [0, 1, 0, 0] + [n for k in range(71) for n in (k, k % 2, 0)] + [1, 0]
+
+needs_compiled = pytest.mark.skipif(
+    not bitkernels.bitkernels_enabled(), reason="no compiled kernel (or the bit kernels are off)"
+)
+
+
+@pytest.fixture(params=["compiled", "numpy"])
+def dispatch(request):
+    """Run the test with the compiled reduction, or with the NumPy tree (the
+    bit kernels off)."""
+    if request.param == "compiled" and not bitkernels.bitkernels_enabled():
+        pytest.skip("no compiled kernel (or the bit kernels are off)")
+    previous = set_bitkernels_enabled(request.param == "compiled")
+    yield request.param
+    set_bitkernels_enabled(previous)
 
 
 def _words(values) -> np.ndarray:
@@ -121,30 +153,193 @@ def _cases(ctx, m: int):
         )
 
 
+def _csr(ctx, lengths, seed: int, ncols: int = 71) -> CSRMatrix:
+    """A CSR matrix of representable values with the given row lengths."""
+    indptr = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
+    nnz = int(indptr[-1])
+    indices = np.random.default_rng(seed).integers(0, ncols, nnz)
+    return CSRMatrix(_values(ctx, (nnz,), seed), indices, indptr, (len(lengths), ncols))
+
+
+def _laplacian(ctx) -> CSRMatrix:
+    """A 300-vertex infrastructure graph Laplacian converted into ``ctx``."""
+    lap = laplacian_from_adjacency(generate_graph("inf", 0, 300, seed=0)[0])
+    return ctx.convert_matrix(lap)[0]
+
+
+def _spelled_spmv(ctx, matrix: CSRMatrix, x: np.ndarray) -> np.ndarray:
+    """``spmv`` as rounded products reduced one row segment at a time."""
+    if matrix.data.size == 0:
+        return np.zeros(matrix.shape[0], dtype=ctx.dtype)
+    prods = ctx.mul(np.asarray(matrix.data, dtype=ctx.dtype), x[matrix.indices])
+    ptr = matrix.indptr
+    return np.array(
+        [_reference_reduce(ctx, prods[a:b]) for a, b in zip(ptr[:-1], ptr[1:])], dtype=ctx.dtype
+    )
+
+
+def _csr_cases(ctx):
+    """``(label, kernel call, reference call)`` for the CSR row segments."""
+    for label, matrix in (
+        ("spmv rows 0-70", _csr(ctx, CSR_LENGTHS, 1)),
+        ("spmv empty rows", _csr(ctx, [0, 0, 0], 2)),
+        ("spmv one row", _csr(ctx, [37], 3)),
+        ("spmv laplacian 300", _laplacian(ctx)),
+    ):
+        x = _values(ctx, (matrix.shape[1],), matrix.shape[0])
+        yield (
+            label,
+            lambda c, matrix=matrix, x=x: c.spmv(matrix, x),
+            lambda c, matrix=matrix, x=x: _spelled_spmv(c, matrix, x),
+        )
+
+
 def _mismatches(name: str, accumulation: str) -> list:
     """Every case whose kernel words or op tally differ from the reference."""
     kernel = get_context(name, accumulation=accumulation)
     reference = get_context(name, accumulation=accumulation)
+    cases = [(m, case) for m in LENGTHS for case in _cases(kernel, m)]
+    cases += [("csr", case) for case in _csr_cases(kernel)]
     bad = []
     with np.errstate(all="ignore"):
-        for m in LENGTHS:
-            for label, call, spelled in _cases(kernel, m):
-                k0, r0 = kernel.op_count, reference.op_count
-                got, want = call(kernel), spelled(reference)
-                if np.shape(got) != np.shape(want) or not np.array_equal(_words(got), _words(want)):
-                    bad.append(f"{label} m={m}: words differ")
-                elif kernel.op_count - k0 != reference.op_count - r0:
-                    bad.append(
-                        f"{label} m={m}: {kernel.op_count - k0} ops, "
-                        f"reference {reference.op_count - r0}"
-                    )
+        for m, (label, call, spelled) in cases:
+            k0, r0 = kernel.op_count, reference.op_count
+            got, want = call(kernel), spelled(reference)
+            if np.shape(got) != np.shape(want) or not np.array_equal(_words(got), _words(want)):
+                bad.append(f"{label} m={m}: words differ")
+            elif kernel.op_count - k0 != reference.op_count - r0:
+                bad.append(
+                    f"{label} m={m}: {kernel.op_count - k0} ops, "
+                    f"reference {reference.op_count - r0}"
+                )
     return bad
 
 
 @pytest.mark.parametrize("accumulation", ["pairwise", "sequential"])
 @pytest.mark.parametrize("name", CONTEXTS)
-def test_reduction_matches_level_by_level_reference(name, accumulation):
+def test_reduction_matches_level_by_level_reference(name, accumulation, dispatch):
     assert _mismatches(name, accumulation) == []
+
+
+def _no_level(*args, **kwargs):
+    raise AssertionError("a NumPy tree level ran")
+
+
+@needs_compiled
+@pytest.mark.parametrize("name", CONTEXTS)
+def test_compiled_tree_is_one_call(name, monkeypatch):
+    """With the bit kernels on, a pairwise reduction runs no rounded NumPy
+    level; with them off, it runs the NumPy tree."""
+    ctx = get_context(name)
+    buf = _values(ctx, (3, 40), 0)
+    matrix = _csr(ctx, CSR_LENGTHS, 1)
+    monkeypatch.setattr(ComputeContext, "_round_ufunc", _no_level)
+    with np.errstate(all="ignore"):
+        ctx.reduce_sum(buf)
+        ctx._segmented_reduce(matrix.data, matrix.indptr, matrix.shape[0])
+        previous = set_bitkernels_enabled(False)
+        try:
+            with pytest.raises(AssertionError, match="NumPy tree level"):
+                ctx.reduce_sum(buf)
+        finally:
+            set_bitkernels_enabled(previous)
+
+
+class _RecordingCompiled:
+    """Delegates to a compiled kernel, counting its ``reduce_pairwise``
+    calls."""
+
+    def __init__(self, compiled):
+        self._compiled = compiled
+        self.reductions = 0
+
+    def __getattr__(self, name):
+        return getattr(self._compiled, name)
+
+    def reduce_pairwise(self, values, indptr, resolve):
+        self.reductions += 1
+        return self._compiled.reduce_pairwise(values, indptr, resolve)
+
+
+#: ``(format, value)``: every sum of copies of ``value`` lies in a binade
+#: the kernel hands back (E4M3 overflow to NaN, posit8's extreme regimes)
+EXTREMES = [("E4M3", 256.0), ("posit8", 2.0**20)]
+
+
+def _extreme_reductions(ctx, big: float):
+    """``(label, call, sums per level)``: reductions whose every sum, in
+    every level, is handed back, spread over several rows."""
+    buf = np.full((4, 16), big, dtype=ctx.dtype)
+    vals, indptr = np.full(37, big, dtype=ctx.dtype), np.array([0, 16, 16, 21, 37])
+    return [
+        ("rows", lambda: ctx.reduce_sum(buf), [32, 16, 8, 4]),
+        ("csr", lambda: ctx._segmented_reduce(vals, indptr, 4), [18, 9, 5, 2]),
+    ]
+
+
+def _run_counted(ctx, call):
+    """``(result, resolver call sizes, kernel counts)`` of one reduction."""
+    kern = ctx.format._bound_kernel
+    sizes: list = []
+    resolve = kern._resolve
+
+    def counted(values):
+        sizes.append(values.size)
+        return resolve(values)
+
+    kern._resolve = counted
+    kern.compiled.take_counts()
+    previous = telemetry.set_enabled(True)
+    try:
+        with np.errstate(all="ignore"):
+            result = call()
+    finally:
+        telemetry.set_enabled(previous)
+        kern._resolve = resolve
+    return result, sizes, kern.compiled.take_counts()
+
+
+@needs_compiled
+@pytest.mark.parametrize("name, big", EXTREMES)
+def test_hand_backs_resolve_once_per_level(name, big, monkeypatch):
+    """Each level hands all its sums, from every row, to one resolver call;
+    the kernel counts one call per level, as the NumPy tree does."""
+    ctx = get_context(name)
+    kern = ctx.format._bound_kernel
+    recording = _RecordingCompiled(kern.compiled)
+    monkeypatch.setattr(kern, "compiled", recording)
+    for label, call, per_level in _extreme_reductions(ctx, big):
+        before = recording.reductions
+        got, sizes, counts = _run_counted(ctx, call)
+        assert recording.reductions == before + 1, label
+        assert sizes == per_level, label
+        total = sum(per_level)
+        # (calls, elements, handed_back, zeros): one call per level
+        assert counts == (len(per_level), total, total, 0), label
+        with monkeypatch.context() as numpy_tree:
+            numpy_tree.setattr(EmulatedContext, "_pairwise_reducer", lambda self: None)
+            want, want_sizes, want_counts = _run_counted(ctx, call)
+        assert recording.reductions == before + 1, label
+        assert (sizes, counts) == (want_sizes, want_counts), label
+        assert np.array_equal(_words(got), _words(want)), label
+
+
+@needs_compiled
+def test_a_raising_resolver_propagates(monkeypatch):
+    ctx = get_context("E4M3")
+    kern = ctx.format._bound_kernel
+    recording = _RecordingCompiled(kern.compiled)
+    monkeypatch.setattr(kern, "compiled", recording)
+
+    def fail(values):
+        raise RuntimeError("resolver failed")
+
+    monkeypatch.setattr(kern, "_resolve", fail)
+    with np.errstate(all="ignore"):
+        for label, call, _ in _extreme_reductions(ctx, 256.0):
+            with pytest.raises(RuntimeError, match="resolver failed"):
+                call()
+    assert recording.reductions == 2
 
 
 def _drop_odd_leftover(self, buf):

@@ -20,7 +20,11 @@ the ``round_scalar`` scalar kernel, plus the context-level scalar ``add``
 (the end-to-end per-operation cost inside the solvers); report only.  The
 *context-op* section times one call of ``ctx.add``, ``ctx.dot``,
 ``ctx.gemv`` and the scalar ``ctx.hypot`` at the Krylov dimension (25) and
-the fig1 matrix order (32); report only.  For
+the fig1 matrix order (32); report only.  The *reduction* section times
+the pairwise contractions ``ctx.reduce_sum``, ``ctx.dot``, ``ctx.gemv``,
+``ctx.gemv_t`` and ``ctx.spmv`` over 25, 32 and 300 elements, with the bit
+kernels on (the compiled reduction) and off (the NumPy tree over the
+analytic kernels); report only.  For
 posit64/takum64 it also times the bit kernel's compiled scalar entry
 (``round_one``) against the NumPy-scalar kernel
 (``round_scalar_analytic``), which ``--check`` gates at >= 2x on one
@@ -58,7 +62,7 @@ if __package__ in (None, ""):
 import numpy as np
 import pytest
 
-from repro.arithmetic import get_context, get_format
+from repro.arithmetic import get_context, get_format, set_bitkernels_enabled
 
 EIGHT_BIT = ["E4M3", "E5M2", "posit8", "takum8"]
 SIXTEEN_BIT = ["float16", "bfloat16", "posit16", "takum16"]
@@ -99,6 +103,11 @@ WORKLOAD_SIZES = (1, 16, 48, 512)
 #: context-op section: the Krylov dimension and the fig1 matrix order
 CONTEXT_OP_SIZES = (25, 32)
 CONTEXT_OP_FORMATS = ("posit16", "posit32", "posit64", "float16", "E4M3", "float64", "reference")
+#: reduction section: elements per reduction (the Krylov dimension, the
+#: fig1 matrix order, the graphs_large graph order)
+REDUCTION_SIZES = (25, 32, 300)
+REDUCTION_FORMATS = ("posit16", "posit64", "E4M3", "float64", "reference")
+REDUCTION_OPS = ("reduce_sum", "dot", "gemv", "gemv_t", "spmv")
 
 
 def workload(n: int = N_VALUES, seed: int = 0) -> np.ndarray:
@@ -406,11 +415,84 @@ def run_context_op_report(record: dict | None = None) -> list[str]:
     return lines
 
 
+def _per_call_time(func, samples: int = 5, budget: float = 0.004) -> float:
+    """Median seconds per call, each sample as many calls as fit ``budget``."""
+    start = time.perf_counter()
+    func()  # warm-up and calibration
+    inner = max(1, int(budget / max(time.perf_counter() - start, 1e-7)))
+    times = []
+    for _ in range(samples):
+        start = time.perf_counter()
+        for _ in range(inner):
+            func()
+        times.append((time.perf_counter() - start) / inner)
+    return float(np.median(times))
+
+
+def _reduction_calls(ctx, n: int) -> dict:
+    """One call per op in :data:`REDUCTION_OPS`, each reducing ``n``
+    elements: a vector, a ``(25, n)`` matrix against an ``n``-vector (and
+    its transpose), and an ``n``-vertex graph Laplacian."""
+    from repro.datasets.graphs import generate_graph
+    from repro.sparse.laplacian import laplacian_from_adjacency
+
+    rng = np.random.default_rng(n)  # O(1) values, as in the solves
+    x, y = ctx.asarray(rng.standard_normal(n)), ctx.asarray(rng.standard_normal(n))
+    M = ctx.asarray(rng.standard_normal((25, n)))
+    Mt = np.ascontiguousarray(M.T)
+    lap = ctx.convert_matrix(laplacian_from_adjacency(generate_graph("inf", 0, n)[0]))[0]
+    return {
+        "reduce_sum": lambda: ctx.reduce_sum(x),
+        "dot": lambda: ctx.dot(x, y),
+        "gemv": lambda: ctx.gemv(M, x),
+        "gemv_t": lambda: ctx.gemv_t(Mt, x),
+        "spmv": lambda: ctx.spmv(lap, x),
+    }
+
+
+def run_reduction_report(record: dict | None = None) -> list[str]:
+    """Per-call cost of the pairwise contractions (report only, not gated),
+    with the bit kernels on and off.  ``on`` is the compiled reduction
+    where the library has one; ``off`` is the NumPy tree, whose formats
+    round through their analytic kernels.
+
+    When ``record`` is given, the microseconds are stored into it as
+    ``record[format][op][f"n={n}"] = {"on": us, "off": us}``.
+    """
+    columns = [f"n={n} {mode}" for n in REDUCTION_SIZES for mode in ("on", "off")]
+    lines = [
+        "Pairwise contractions per call (microseconds; bit kernels on / off; report only)",
+        f"{'format':<10s} {'op':<10s} " + " ".join(f"{c:>10s}" for c in columns),
+    ]
+    for fmt_name in REDUCTION_FORMATS:
+        ctx = get_context(fmt_name)
+        calls = {n: _reduction_calls(ctx, n) for n in REDUCTION_SIZES}
+        for op in REDUCTION_OPS:
+            row = {}
+            for n in REDUCTION_SIZES:
+                call = calls[n][op]
+                timing = {}
+                for mode in ("on", "off"):
+                    previous = set_bitkernels_enabled(mode == "on")
+                    try:
+                        with np.errstate(all="ignore"):
+                            timing[mode] = round(_per_call_time(call) * 1e6, 2)
+                    finally:
+                        set_bitkernels_enabled(previous)
+                row[f"n={n}"] = timing
+            if record is not None:
+                record.setdefault(fmt_name, {})[op] = row
+            cells = [row[f"n={n}"][mode] for n in REDUCTION_SIZES for mode in ("on", "off")]
+            lines.append(f"{fmt_name:<10s} {op:<10s} " + " ".join(f"{c:>10.2f}" for c in cells))
+    return lines
+
+
 def run_report(
     record: dict | None = None,
     sizes: dict | None = None,
     scalar_entry: dict | None = None,
     context_ops: dict | None = None,
+    reductions: dict | None = None,
 ) -> str:
     values = workload()
     lines = [
@@ -446,6 +528,8 @@ def run_report(
     lines.extend(run_extended_scalar_report(scalar_entry))
     lines.append("")
     lines.extend(run_context_op_report(context_ops))
+    lines.append("")
+    lines.extend(run_reduction_report(reductions))
     return "\n".join(lines) + "\n"
 
 
@@ -511,7 +595,8 @@ def main(argv=None) -> int:
     sizes: dict = {}
     scalar_entry: dict = {}
     context_ops: dict = {}
-    report = run_report(record, sizes, scalar_entry, context_ops)
+    reductions: dict = {}
+    report = run_report(record, sizes, scalar_entry, context_ops, reductions)
     out_dir = pathlib.Path(__file__).parent / "output"
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "micro_rounding.txt"
@@ -527,6 +612,7 @@ def main(argv=None) -> int:
             "round_array_vs_analytic_us": sizes,
             "extended_scalar_entry": scalar_entry,
             "context_op_us": context_ops,
+            "reduction_us": reductions,
         },
     )
     print(report)

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Performance ledger: one JSON record of a tree's figure benchmark.
+"""Performance ledger: one JSON record of a tree's figure benchmark, and
+the source of CI's figure-counter pins.
 
 Drives ``figbench/run.py`` on fig1_seq and graphs_large at seed 0:
 best-of-``--runs`` untraced runs (each as long as ``BENCHMARK.json``'s
@@ -11,15 +12,27 @@ split, restarts and matvecs).  Provenance comes from
 ``benchmarks/conftest.bench_metadata``.
 
     python scripts/ledger.py --out BENCH_23.json
-    python scripts/ledger.py --baseline-tree ../parent --out BENCH_23.json
+    python scripts/ledger.py --baseline-tree ../parent --out BENCH_24.json
+        [--declare WORKLOAD:COUNT ... --reason TEXT]            # moved pins
     python scripts/ledger.py --compare BENCH_23.json            # baseline -> measured
     python scripts/ledger.py --compare OLD.json NEW.json
+    python scripts/ledger.py --gate RESULTS_DIR                 # CI's counter gate
 
 ``--baseline-tree`` measures a second checkout (say, the parent commit) in
 the same session, alternating its runs with this tree's, and stores it as
 the ledger's ``baseline``.  ``--compare`` prints every metric of two
 ledgers (or of one ledger's baseline and measurement) side by side, and
 exits 1 when a pinned count moved.
+
+The newest committed ``BENCH_<n>.json`` holds the pins: ``--gate`` reads
+``<workload>.json`` (the output of one traced ``figbench/run.py`` cycle)
+from ``RESULTS_DIR`` for each pinned workload and exits 1 unless every cell
+is correct and every pinned count equals the newest ledger's, exactly.  It
+also fails when the newest ledger moved a count against the ledger before
+it without declaring the move: each moved count needs a
+``declared_moves`` entry ``{"workload", "count", "from", "to", "reason"}``
+(written by ``--declare WORKLOAD:COUNT`` with ``--reason``), and each entry
+must name a count that moved from ``from`` to ``to``.
 """
 
 from __future__ import annotations
@@ -27,6 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -55,6 +69,75 @@ def pinned_keys(workload: str) -> list:
         + [f"arithmetic.dispatch.{path}" for path in DISPATCH_PATHS]
         + ["core.restarts", "core.matvecs"]
     )
+
+
+def committed_ledgers(root: pathlib.Path = ROOT) -> list:
+    """The ``BENCH_<n>.json`` files in ``root``, oldest (lowest ``n``) first."""
+    return sorted(root.glob("BENCH_*.json"), key=lambda p: int(re.sub(r"\D", "", p.name)))
+
+
+def _load(path: pathlib.Path) -> dict:
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def _moves(previous: dict, newest: dict) -> dict:
+    """``{(workload, count): (from, to)}`` of the pinned counts that differ
+    between two ledgers (``from`` is ``None`` for a new count)."""
+    moves = {}
+    for workload, entry in newest["measured"].items():
+        before = previous["measured"].get(workload, {}).get("counts", {})
+        for name, value in entry["counts"].items():
+            if before.get(name) != value:
+                moves[(workload, name)] = (before.get(name), value)
+    return moves
+
+
+def undeclared_moves(previous: dict, newest: dict) -> list:
+    """What is wrong with ``newest``'s ``declared_moves`` against the
+    ledger before it: moved counts it does not declare, and declarations
+    that do not match a move."""
+    moves = _moves(previous, newest)
+    declared = {}
+    problems = []
+    for move in newest.get("declared_moves", []):
+        key = (move["workload"], move["count"])
+        declared[key] = (move["from"], move["to"])
+        if moves.get(key) != declared[key]:
+            problems.append(
+                f"{key[0]} {key[1]}: declared {move['from']} -> {move['to']}, "
+                f"ledgers read {moves.get(key, 'no move')}"
+            )
+    for key, (old, new) in sorted(moves.items()):
+        if key not in declared:
+            problems.append(f"{key[0]} {key[1]}: moved {old} -> {new} without a declaration")
+    return problems
+
+
+def gate(results_dir: pathlib.Path, root: pathlib.Path = ROOT) -> list:
+    """CI's figure-counter gate: the failures of the traced figbench results
+    in ``results_dir`` against the newest committed ledger in ``root``."""
+    ledgers = committed_ledgers(root)
+    if not ledgers:
+        return [f"no committed BENCH_*.json in {root}"]
+    newest = _load(ledgers[-1])
+    failures = []
+    if len(ledgers) > 1:
+        problems = undeclared_moves(_load(ledgers[-2]), newest)
+        failures += [f"{ledgers[-1].name}: {problem}" for problem in problems]
+    for workload in WORKLOAD_NAMES:
+        pins = newest["measured"][workload]["counts"]
+        if sorted(pins) != sorted(pinned_keys(workload)):
+            failures.append(f"{workload}: {ledgers[-1].name} does not pin {pinned_keys(workload)}")
+            continue
+        result = _load(pathlib.Path(results_dir) / f"{workload}.json")
+        got = {name: result["metrics"][name]["value"] for name in pins}
+        print(f"{workload}: correct={result['correct']} failed={result['failed']} counts={got}")
+        if not result["correct"] or result["failed"]:
+            failures.append(f"{workload}: the figure does not reproduce its reference")
+        for name, value in pins.items():
+            if got[name] != value:
+                failures.append(f"{workload} {name}: {got[name]}, pinned {value}")
+    return failures
 
 
 def _run(tree: pathlib.Path, workload: str, traced: bool) -> dict:
@@ -134,7 +217,22 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="BENCH.json", help="ledger file to write")
     parser.add_argument("--baseline-tree", help="a second checkout to measure as the baseline")
     parser.add_argument("--runs", type=int, default=3, help="untraced runs per workload")
+    parser.add_argument(
+        "--declare",
+        action="append",
+        default=[],
+        metavar="WORKLOAD:COUNT",
+        help="declare an intended move of a pinned count (repeatable)",
+    )
+    parser.add_argument("--reason", default="", help="why the declared counts moved")
+    parser.add_argument("--gate", metavar="RESULTS_DIR", help="run CI's figure-counter gate")
     args = parser.parse_args(argv)
+    if args.gate:
+        failures = gate(pathlib.Path(args.gate))
+        for failure in failures:
+            print(f"FAIL: {failure}")
+        print("figure counter gate " + ("failed" if failures else "passed"))
+        return 1 if failures else 0
     if args.compare:
         if len(args.compare) > 2:
             parser.error("--compare takes one or two ledgers")
@@ -157,10 +255,27 @@ def main(argv=None) -> int:
     if args.baseline_tree:
         ledger["baseline"] = {"git_rev": _tree_rev(trees[1]), "measured": measured[1]}
     out = pathlib.Path(args.out)
+    previous = [p for p in committed_ledgers() if p.resolve() != out.resolve()]
+    before = _load(previous[-1])["measured"] if previous else {}
+    ledger["declared_moves"] = []
+    for item in args.declare:
+        workload, name = item.split(":", 1)
+        ledger["declared_moves"].append(
+            {
+                "workload": workload,
+                "count": name,
+                "from": before.get(workload, {}).get("counts", {}).get(name),
+                "to": measured[0][workload]["counts"][name],
+                "reason": args.reason,
+            }
+        )
     out.write_text(json.dumps(ledger, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"ledger written to {out}", file=sys.stderr)
     if args.baseline_tree:
         compare(measured[1], measured[0])
+    if previous:
+        for problem in undeclared_moves(_load(previous[-1]), ledger):
+            print(f"ledger: {problem}", file=sys.stderr)
     return 0
 
 

@@ -334,11 +334,7 @@ done:
     return res;
 }
 
-/* ------------------------------------------------------------------ */
-/* pairwise reduction                                                   */
-/* ------------------------------------------------------------------ */
-
-/* the segments of a reduction, reduced in place: segment r holds its
+/* the segments of a pairwise reduction, reduced in place: segment r holds its
  * `len[r]` current partials from element `off[r]` of the work buffer on */
 typedef struct {
     npy_intp *off;

@@ -1,20 +1,22 @@
-"""The performance ledger (``scripts/ledger.py``) and CI's counter gate
-agree on what is pinned.
+"""The performance ledger (``scripts/ledger.py``) is the source of CI's
+counter pins.
 
-The ledger's ``counts`` section must hold exactly the keys the
-figure-counter gate of ``.github/workflows/ci.yml`` pins for each workload,
-and the newest committed ``BENCH_*.json`` must hold the pinned values, so
-the ledger can become the one home of the pins.  ``--compare`` must flag a
-moved count.
+CI's figure-counter gate (``.github/workflows/ci.yml``) runs
+``scripts/ledger.py --gate``, which reads the pins from the newest committed
+``BENCH_*.json``: its ``counts`` section must hold exactly the keys the gate
+pins for each workload, every count it moved against the ledger before it
+must be declared, and the gate must fail on a count that differs from the
+pin, on an incorrect figure and on an undeclared move.  ``--compare`` must
+flag a moved count.
 """
 
 from __future__ import annotations
 
-import ast
+import copy
 import importlib.util
 import json
 import pathlib
-import re
+import shutil
 
 import pytest
 
@@ -30,28 +32,107 @@ def _load_ledger():
 
 ledger = _load_ledger()
 
+LEDGERS = ledger.committed_ledgers()
+needs_ledger = pytest.mark.skipif(not LEDGERS, reason="no committed ledger")
 
-def _ci_pins() -> dict:
+
+def _read(path: pathlib.Path) -> dict:
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def test_ci_gate_reads_the_ledger():
     text = (ROOT / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
-    block = re.search(r"expected = (\{.*?\n\s*\})\n", text, re.S).group(1)
-    return ast.literal_eval(block)
+    step = text[text.index("- name: Figure-benchmark counter gate") :]
+    step = step[: step.index("- name:", 1)]
+    assert 'python3 scripts/ledger.py --gate "$RUNNER_TEMP"' in step
+    assert "expected = {" not in step  # no inline pins
 
 
+@needs_ledger
 def test_ledger_counts_are_the_ci_pins():
-    pins = _ci_pins()
-    assert set(pins) == set(ledger.WORKLOAD_NAMES)
-    for workload, counts in pins.items():
-        assert sorted(ledger.pinned_keys(workload)) == sorted(counts)
-
-
-def test_newest_ledger_holds_the_pinned_values():
-    ledgers = sorted(ROOT.glob("BENCH_*.json"), key=lambda p: int(re.sub(r"\D", "", p.name)))
-    if not ledgers:
-        pytest.skip("no committed ledger")
-    measured = json.loads(ledgers[-1].read_text(encoding="utf-8"))["measured"]
-    for workload, counts in _ci_pins().items():
-        assert measured[workload]["counts"] == counts
+    """The newest ledger pins every count the gate checks, measured on a
+    correct figure."""
+    measured = _read(LEDGERS[-1])["measured"]
+    for workload in ledger.WORKLOAD_NAMES:
+        assert sorted(measured[workload]["counts"]) == sorted(ledger.pinned_keys(workload))
         assert measured[workload]["correct"] and measured[workload]["failed"] == 0
+
+
+@pytest.mark.skipif(len(LEDGERS) < 2, reason="fewer than two committed ledgers")
+def test_newest_ledger_holds_the_pinned_values():
+    """The newest ledger keeps the previous ledger's pins except the moves
+    it declares."""
+    assert ledger.undeclared_moves(_read(LEDGERS[-2]), _read(LEDGERS[-1])) == []
+
+
+def _results(directory: pathlib.Path, newest: dict) -> pathlib.Path:
+    """Correct figbench results holding ``newest``'s pinned counts."""
+    directory.mkdir(exist_ok=True)
+    for workload in ledger.WORKLOAD_NAMES:
+        counts = newest["measured"][workload]["counts"]
+        metrics = {name: {"value": value, "unit": "count"} for name, value in counts.items()}
+        result = {"correct": True, "failed": 0, "metrics": metrics}
+        (directory / f"{workload}.json").write_text(json.dumps(result), encoding="utf-8")
+    return directory
+
+
+def _edit(path: pathlib.Path, change) -> None:
+    result = _read(path)
+    change(result)
+    path.write_text(json.dumps(result), encoding="utf-8")
+
+
+@needs_ledger
+def test_gate_passes_on_the_pinned_counts(tmp_path):
+    results = _results(tmp_path / "results", _read(LEDGERS[-1]))
+    assert ledger.gate(results) == []
+    assert ledger.main(["--gate", str(results)]) == 0
+
+
+@needs_ledger
+def test_gate_fails_on_a_count_off_its_pin(tmp_path):
+    newest = _read(LEDGERS[-1])
+    pinned = newest["measured"]["fig1_seq"]["counts"]["core.restarts"]
+    results = _results(tmp_path / "results", newest)
+    _edit(results / "fig1_seq.json", lambda r: r["metrics"]["core.restarts"].update(value=0))
+    assert ledger.gate(results) == [f"fig1_seq core.restarts: 0, pinned {pinned}"]
+    assert ledger.main(["--gate", str(results)]) == 1
+
+
+@needs_ledger
+def test_gate_fails_on_an_incorrect_figure(tmp_path):
+    results = _results(tmp_path / "results", _read(LEDGERS[-1]))
+    _edit(results / "graphs_large.json", lambda r: r.update(correct=False))
+    assert ledger.gate(results) == ["graphs_large: the figure does not reproduce its reference"]
+
+
+@needs_ledger
+def test_gate_fails_on_an_undeclared_move(tmp_path):
+    """A deliberately wrong ledger: one count moved against the previous
+    ledger with no declaration, and one declaration that does not match."""
+    root = tmp_path / "ledgers"
+    root.mkdir()
+    previous = _read(LEDGERS[-1])
+    shutil.copy(LEDGERS[-1], root / "BENCH_1000.json")
+    wrong = copy.deepcopy(previous)
+    wrong["measured"]["fig1_seq"]["counts"]["core.matvecs"] += 1
+    wrong["declared_moves"] = [
+        {"workload": "graphs_large", "count": "core.restarts", "from": 1, "to": 2, "reason": "x"}
+    ]
+    (root / "BENCH_1001.json").write_text(json.dumps(wrong), encoding="utf-8")
+    matvecs = previous["measured"]["fig1_seq"]["counts"]["core.matvecs"]
+    results = _results(tmp_path / "results", wrong)
+    assert ledger.gate(results, root) == [
+        "BENCH_1001.json: graphs_large core.restarts: declared 1 -> 2, ledgers read no move",
+        f"BENCH_1001.json: fig1_seq core.matvecs: moved {matvecs} -> {matvecs + 1} "
+        "without a declaration",
+    ]
+    wrong["declared_moves"] = [
+        {"workload": "fig1_seq", "count": "core.matvecs", "from": matvecs, "to": matvecs + 1,
+         "reason": "x"}
+    ]  # fmt: skip
+    (root / "BENCH_1001.json").write_text(json.dumps(wrong), encoding="utf-8")
+    assert ledger.gate(results, root) == []
 
 
 def _entry(figure_s: float, counts: dict) -> dict:

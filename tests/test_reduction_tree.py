@@ -16,13 +16,15 @@ arithmetic, in every paper format and the reference.
 
 Each case runs under both dispatches of the pairwise tree: the compiled
 reduction (one call per tree, with the bit kernels on) and the NumPy tree
-(the bit kernels off).  The compiled reduction hands the sums a level
-cannot round to the format's resolver in one call per level, counts one
-kernel call per level like the NumPy tree, and propagates a resolver's
-exception.
+(the bit kernels off; the only dispatch without the compiled library).
+The compiled reduction hands the sums a level cannot round to the format's
+resolver in one call per level, counts one kernel call per level like the
+NumPy tree, and propagates a resolver's exception.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -44,17 +46,18 @@ CSR_LENGTHS = [0, 1, 0, 0] + [n for k in range(71) for n in (k, k % 2, 0)] + [1,
 needs_compiled = pytest.mark.skipif(
     not bitkernels.bitkernels_enabled(), reason="no compiled kernel (or the bit kernels are off)"
 )
+#: the bit-kernel switch of each dispatch a case runs under: on, the
+#: compiled reduction (where the library is available); off, the NumPy tree
+DISPATCHES = (True, False) if bitkernels.bitkernels_enabled() else (False,)
 
 
-@pytest.fixture(params=["compiled", "numpy"])
-def dispatch(request):
-    """Run the test with the compiled reduction, or with the NumPy tree (the
-    bit kernels off)."""
-    if request.param == "compiled" and not bitkernels.bitkernels_enabled():
-        pytest.skip("no compiled kernel (or the bit kernels are off)")
-    previous = set_bitkernels_enabled(request.param == "compiled")
-    yield request.param
-    set_bitkernels_enabled(previous)
+@contextlib.contextmanager
+def _switch(enabled: bool):
+    previous = set_bitkernels_enabled(enabled)
+    try:
+        yield
+    finally:
+        set_bitkernels_enabled(previous)
 
 
 def _words(values) -> np.ndarray:
@@ -217,8 +220,12 @@ def _mismatches(name: str, accumulation: str) -> list:
 
 @pytest.mark.parametrize("accumulation", ["pairwise", "sequential"])
 @pytest.mark.parametrize("name", CONTEXTS)
-def test_reduction_matches_level_by_level_reference(name, accumulation, dispatch):
-    assert _mismatches(name, accumulation) == []
+def test_reduction_matches_level_by_level_reference(name, accumulation):
+    bad = {}
+    for enabled in DISPATCHES:
+        with _switch(enabled):
+            bad[enabled] = _mismatches(name, accumulation)
+    assert bad == {enabled: [] for enabled in DISPATCHES}
 
 
 def _no_level(*args, **kwargs):
@@ -237,12 +244,8 @@ def test_compiled_tree_is_one_call(name, monkeypatch):
     with np.errstate(all="ignore"):
         ctx.reduce_sum(buf)
         ctx._segmented_reduce(matrix.data, matrix.indptr, matrix.shape[0])
-        previous = set_bitkernels_enabled(False)
-        try:
-            with pytest.raises(AssertionError, match="NumPy tree level"):
-                ctx.reduce_sum(buf)
-        finally:
-            set_bitkernels_enabled(previous)
+        with _switch(False), pytest.raises(AssertionError, match="NumPy tree level"):
+            ctx.reduce_sum(buf)
 
 
 class _RecordingCompiled:
@@ -336,7 +339,7 @@ def test_a_raising_resolver_propagates(monkeypatch):
 
     monkeypatch.setattr(kern, "_resolve", fail)
     with np.errstate(all="ignore"):
-        for label, call, _ in _extreme_reductions(ctx, 256.0):
+        for _, call, _ in _extreme_reductions(ctx, 256.0):
             with pytest.raises(RuntimeError, match="resolver failed"):
                 call()
     assert recording.reductions == 2

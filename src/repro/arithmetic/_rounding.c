@@ -64,7 +64,9 @@
  * then go to one `resolve` call, and only then does the next level start.
  * The kernel counts one call per level, with that level's sums, hand-backs
  * and zeros, as `round_into` would count rounding the level in one call.
- * Empty segments sum to zero; `values` is only read.
+ * Empty segments sum to zero.  `values` is only read: the first level
+ * writes its sums into a work buffer of half the size, where the later
+ * levels reduce in place.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -334,32 +336,41 @@ done:
     return res;
 }
 
-/* the segments of a pairwise reduction, reduced in place: segment r holds its
- * `len[r]` current partials from element `off[r]` of the work buffer on */
+/* the segments of a pairwise reduction: segment r holds `len[r]` partials;
+ * the first level reads them from element `from[r]` of the input on and
+ * writes its sums from element `off[r]` of a work buffer on, where every
+ * later level reduces them in place */
 typedef struct {
+    npy_intp *from;
     npy_intp *off;
     npy_intp *len;
     npy_intp count;
 } Segments;
 
-/* One level of the native tree (the storage type is the rounding); the
- * number of sums it added. */
+/* One level of the native tree (the storage type is the rounding), from the
+ * partials at `src + from[r]` into the work buffer `dst`; the number of sums
+ * it added.  A one-element segment is copied, so the work buffer holds every
+ * partial after the first level. */
 #define NATIVE_LEVEL(NAME, T)                                                                   \
-    static npy_intp NAME(char *buf, Segments *seg)                                              \
+    static npy_intp NAME(const char *src, const npy_intp *from, char *dst, Segments *seg)       \
     {                                                                                           \
         npy_intp sums = 0;                                                                      \
         for (npy_intp r = 0; r < seg->count; r++) {                                             \
             const npy_intp len = seg->len[r];                                                   \
+            const T *s = (const T *)src + from[r];                                              \
+            T *d = (T *)dst + seg->off[r];                                                      \
             if (len < 2) {                                                                      \
+                if (len == 1 && s != d) {                                                       \
+                    memcpy(d, s, sizeof(T));                                                    \
+                }                                                                               \
                 continue;                                                                       \
             }                                                                                   \
-            T *s = (T *)buf + seg->off[r];                                                      \
             const npy_intp half = len / 2;                                                      \
             for (npy_intp i = 0; i < half; i++) {                                               \
-                s[i] = s[2 * i] + s[2 * i + 1];                                                 \
+                d[i] = s[2 * i] + s[2 * i + 1];                                                 \
             }                                                                                   \
             if (len & 1) {                                                                      \
-                memcpy(&s[half], &s[len - 1], sizeof(T));                                       \
+                memcpy(&d[half], &s[len - 1], sizeof(T));                                       \
             }                                                                                   \
             seg->len[r] = half + (len & 1);                                                     \
             sums += half;                                                                       \
@@ -371,27 +382,32 @@ NATIVE_LEVEL(level_float, float)
 NATIVE_LEVEL(level_double, double)
 NATIVE_LEVEL(level_longdouble, npy_longdouble)
 
-/* One rounded level over float64 words: the number of sums, or -1 on a
- * memory error.  Handed-back sums stay unrounded at the positions recorded
- * in `back`. */
+/* One rounded level over float64 words, as `NATIVE_LEVEL`: the number of
+ * sums, or -1 on a memory error.  Handed-back sums stay unrounded at the
+ * work-buffer positions recorded in `back`. */
 static npy_intp
-level_word(char *buf, Segments *seg, const Tables *t, Positions *back, unsigned long long *zeros)
+level_word(const char *src, const npy_intp *from, char *dst, Segments *seg, const Tables *t,
+           Positions *back, unsigned long long *zeros)
 {
     npy_intp sums = 0;
     for (npy_intp r = 0; r < seg->count; r++) {
         const npy_intp len = seg->len[r];
+        const npy_intp off = seg->off[r];
+        const double *s = (const double *)src + from[r];
+        double *d = (double *)dst + off;
         if (len < 2) {
+            if (len == 1 && s != d) {
+                memcpy(d, s, sizeof(double));
+            }
             continue;
         }
-        const npy_intp off = seg->off[r];
-        double *s = (double *)buf + off;
         const npy_intp half = len / 2;
         for (npy_intp i = 0; i < half; i++) {
             const double v = s[2 * i] + s[2 * i + 1];
             uint64_t u;
             memcpy(&u, &v, sizeof u);
             const int outcome = round_f64(t, &u);
-            memcpy(&s[i], &u, sizeof u);
+            memcpy(&d[i], &u, sizeof u);
             if (outcome == ZERO) {
                 *zeros += 1;
             }
@@ -400,7 +416,7 @@ level_word(char *buf, Segments *seg, const Tables *t, Positions *back, unsigned 
             }
         }
         if (len & 1) {
-            memcpy(&s[half], &s[len - 1], sizeof(double));
+            memcpy(&d[half], &s[len - 1], sizeof(double));
         }
         seg->len[r] = half + (len & 1);
         sums += half;
@@ -411,16 +427,21 @@ level_word(char *buf, Segments *seg, const Tables *t, Positions *back, unsigned 
 /* One rounded level over x87 extended values in 16-byte slots; every sum
  * is stored with its padding bytes zeroed. */
 static npy_intp
-level_x87(char *buf, Segments *seg, const Tables *t, Positions *back, unsigned long long *zeros)
+level_x87(const char *src, const npy_intp *from, char *dst, Segments *seg, const Tables *t,
+          Positions *back, unsigned long long *zeros)
 {
     npy_intp sums = 0;
     for (npy_intp r = 0; r < seg->count; r++) {
         const npy_intp len = seg->len[r];
+        const npy_intp off = seg->off[r];
+        const npy_longdouble *s = (const npy_longdouble *)src + from[r];
+        npy_longdouble *d = (npy_longdouble *)dst + off;
         if (len < 2) {
+            if (len == 1 && s != d) {
+                memcpy(d, s, X87_SLOT);
+            }
             continue;
         }
-        const npy_intp off = seg->off[r];
-        npy_longdouble *s = (npy_longdouble *)buf + off;
         const npy_intp half = len / 2;
         for (npy_intp i = 0; i < half; i++) {
             const npy_longdouble v = s[2 * i] + s[2 * i + 1];
@@ -428,7 +449,7 @@ level_x87(char *buf, Segments *seg, const Tables *t, Positions *back, unsigned l
             memcpy(w, &v, X87_SLOT);
             w[1] &= 0xFFFF;
             const int outcome = round_x87(t, &w[0], &w[1]);
-            memcpy(&s[i], w, X87_SLOT);
+            memcpy(&d[i], w, X87_SLOT);
             if (outcome == ZERO) {
                 *zeros += 1;
             }
@@ -437,7 +458,7 @@ level_x87(char *buf, Segments *seg, const Tables *t, Positions *back, unsigned l
             }
         }
         if (len & 1) {
-            memcpy(&s[half], &s[len - 1], X87_SLOT);
+            memcpy(&d[half], &s[len - 1], X87_SLOT);
         }
         seg->len[r] = half + (len & 1);
         sums += half;
@@ -490,23 +511,24 @@ resolve_level(const Kernel *k, char *buf, Positions *back, PyObject *resolve)
     return 0;
 }
 
-/* The segments of `work`: its rows along the last axis (`indptr` None), or
- * the CSR segments of a 1-D `work`. */
+/* The segments of `values`: its rows along the last axis (`indptr` None),
+ * or the CSR segments of a 1-D `values`; sets `*size` to the elements of
+ * the work buffer, half of each segment rounded up. */
 static int
-segments_of(PyArrayObject *work, PyObject *indptr, Segments *seg)
+segments_of(PyArrayObject *values, PyObject *indptr, Segments *seg, npy_intp *size)
 {
     PyArrayObject *ptr = NULL;
     npy_intp count, m = 0;
     if (indptr == Py_None) {
-        const int nd = PyArray_NDIM(work);
-        m = PyArray_DIM(work, nd - 1);
+        const int nd = PyArray_NDIM(values);
+        m = PyArray_DIM(values, nd - 1);
         count = 1;
         for (int d = 0; d < nd - 1; d++) {
-            count *= PyArray_DIM(work, d);
+            count *= PyArray_DIM(values, d);
         }
     }
     else {
-        if (PyArray_NDIM(work) != 1) {
+        if (PyArray_NDIM(values) != 1) {
             PyErr_SetString(PyExc_ValueError, "CSR values must be one-dimensional");
             return -1;
         }
@@ -522,32 +544,39 @@ segments_of(PyArrayObject *work, PyObject *indptr, Segments *seg)
         }
     }
     seg->count = count;
-    seg->off = PyMem_Malloc((size_t)(2 * count + 1) * sizeof(npy_intp));
-    if (seg->off == NULL) {
+    seg->from = PyMem_Malloc((size_t)(3 * count + 1) * sizeof(npy_intp));
+    if (seg->from == NULL) {
         Py_XDECREF(ptr);
         PyErr_NoMemory();
         return -1;
     }
+    seg->off = seg->from + count;
     seg->len = seg->off + count;
+    int bad = 0;
     if (ptr == NULL) {
         for (npy_intp r = 0; r < count; r++) {
-            seg->off[r] = r * m;
+            seg->from[r] = r * m;
             seg->len[r] = m;
         }
-        return 0;
     }
-    const npy_intp *p = (const npy_intp *)PyArray_DATA(ptr);
-    const npy_intp n = PyArray_DIM(work, 0);
-    int bad = p[0] < 0 || p[count] > n;
-    for (npy_intp r = 0; r < count && !bad; r++) {
-        seg->off[r] = p[r];
-        seg->len[r] = p[r + 1] - p[r];
-        bad = seg->len[r] < 0;
+    else {
+        const npy_intp *p = (const npy_intp *)PyArray_DATA(ptr);
+        bad = p[0] < 0 || p[count] > PyArray_DIM(values, 0);
+        for (npy_intp r = 0; r < count && !bad; r++) {
+            seg->from[r] = p[r];
+            seg->len[r] = p[r + 1] - p[r];
+            bad = seg->len[r] < 0;
+        }
+        Py_DECREF(ptr);
     }
-    Py_DECREF(ptr);
     if (bad) {
         PyErr_SetString(PyExc_ValueError, "indptr must be non-decreasing within the values");
         return -1;
+    }
+    *size = 0;
+    for (npy_intp r = 0; r < count; r++) {
+        seg->off[r] = *size;
+        *size += (seg->len[r] + 1) / 2;
     }
     return 0;
 }
@@ -568,33 +597,40 @@ reduce_pairwise(Kernel *k, PyObject *values, PyObject *indptr, PyObject *resolve
             return NULL;
         }
     }
-    /* a private C-contiguous copy, reduced in place */
-    PyArrayObject *work = (PyArrayObject *)PyArray_FromAny(
-        values, PyArray_DescrFromType(typenum), 1, 0, NPY_ARRAY_CARRAY | NPY_ARRAY_ENSURECOPY, NULL);
-    if (work == NULL) {
+    /* read in place when C-contiguous (a contiguous copy otherwise) */
+    PyArrayObject *in = (PyArrayObject *)PyArray_FromAny(values, PyArray_DescrFromType(typenum), 1,
+                                                         0, NPY_ARRAY_CARRAY_RO, NULL);
+    if (in == NULL) {
         return NULL;
     }
-    Segments seg = {NULL, NULL, 0};
+    Segments seg = {NULL, NULL, NULL, 0};
     Positions back = {NULL, 0, 0};
+    PyArrayObject *work = NULL;
     PyObject *res = NULL;
-    if (segments_of(work, indptr, &seg) < 0) {
+    npy_intp size;
+    if (segments_of(in, indptr, &seg, &size) < 0) {
         goto done;
     }
+    if ((work = (PyArrayObject *)PyArray_SimpleNew(1, &size, typenum)) == NULL) {
+        goto done;
+    }
+    const char *src = PyArray_BYTES(in);
+    const npy_intp *from = seg.from;
     char *buf = PyArray_BYTES(work);
     const Tables t = k != NULL ? tables_of(k) : (Tables){NULL, NULL, NULL, 0};
     for (;;) {
         unsigned long long zeros = 0;
         npy_intp sums;
         if (k == NULL) {
-            sums = typenum == NPY_FLOAT    ? level_float(buf, &seg)
-                   : typenum == NPY_DOUBLE ? level_double(buf, &seg)
-                                           : level_longdouble(buf, &seg);
+            sums = typenum == NPY_FLOAT    ? level_float(src, from, buf, &seg)
+                   : typenum == NPY_DOUBLE ? level_double(src, from, buf, &seg)
+                                           : level_longdouble(src, from, buf, &seg);
         }
         else if (k->extended) {
-            sums = level_x87(buf, &seg, &t, &back, &zeros);
+            sums = level_x87(src, from, buf, &seg, &t, &back, &zeros);
         }
         else {
-            sums = level_word(buf, &seg, &t, &back, &zeros);
+            sums = level_word(src, from, buf, &seg, &t, &back, &zeros);
         }
         if (sums < 0) {
             goto done;
@@ -602,6 +638,8 @@ reduce_pairwise(Kernel *k, PyObject *values, PyObject *indptr, PyObject *resolve
         if (sums == 0) {
             break;
         }
+        src = buf;
+        from = seg.off;
         if (k == NULL) {
             continue;
         }
@@ -617,19 +655,20 @@ reduce_pairwise(Kernel *k, PyObject *values, PyObject *indptr, PyObject *resolve
     }
     res = PyArray_ZEROS(1, &seg.count, typenum, 0);
     if (res != NULL) {
-        const npy_intp size = PyArray_ITEMSIZE(work);
+        const npy_intp itemsize = PyArray_ITEMSIZE(work);
         char *out = PyArray_BYTES((PyArrayObject *)res);
         for (npy_intp r = 0; r < seg.count; r++) {
             if (seg.len[r]) {
-                memcpy(out + r * size, buf + seg.off[r] * size, (size_t)size);
+                memcpy(out + r * itemsize, buf + seg.off[r] * itemsize, (size_t)itemsize);
             }
         }
     }
 
 done:
-    PyMem_Free(seg.off);
+    PyMem_Free(seg.from);
     PyMem_Free(back.pos);
-    Py_DECREF(work);
+    Py_XDECREF(work);
+    Py_DECREF(in);
     return res;
 }
 

@@ -8,7 +8,8 @@ best-of-``--runs`` untraced runs (each as long as ``BENCHMARK.json``'s
 ``peak_rss_mb``, and one traced run gives the self seconds of every layer
 and the deterministic counts that CI's figure-counter gate pins (rounded
 ops in total and per format, the rounding-call size buckets, the dispatch
-split, restarts and matvecs).  Provenance comes from
+split, the share of bit-kernel elements handed back, restarts and
+matvecs).  Provenance comes from
 ``benchmarks/conftest.bench_metadata``.
 
     python scripts/ledger.py --out BENCH_23.json
@@ -57,6 +58,9 @@ WORKLOAD_NAMES = ("fig1_seq", "graphs_large")
 SEED = 0
 END_TO_END = ("figure_s", "warm_s", "peak_rss_mb")
 DISPATCH_PATHS = ("scalar_kernel", "bitkernel", "analytic")
+#: pinned ratios of two counts, kept as floats: one traced cycle divides
+#: the same two integers on every run, so they are pinned exactly too
+RATIOS = ("arithmetic.lut_fallback_ratio",)
 
 
 def pinned_keys(workload: str) -> list:
@@ -67,6 +71,7 @@ def pinned_keys(workload: str) -> list:
         + [f"arithmetic.rounded_ops.{fmt}" for fmt in formats]
         + [f"arithmetic.round_calls.{bucket}" for bucket in BUCKET_NAMES]
         + [f"arithmetic.dispatch.{path}" for path in DISPATCH_PATHS]
+        + list(RATIOS)
         + ["core.restarts", "core.matvecs"]
     )
 
@@ -163,7 +168,10 @@ def _entry(workload: str, runs: list, traced: dict) -> dict:
     entry["correct"] = all(r["correct"] for r in runs + [traced])
     entry["failed"] = max(r["failed"] for r in runs + [traced])
     entry["layers_s"] = {name: value for name, value in layers.items() if units[name] == "s"}
-    entry["counts"] = {name: int(layers[name]) for name in pinned_keys(workload)}
+    entry["counts"] = {
+        name: layers[name] if name in RATIOS else int(layers[name])
+        for name in pinned_keys(workload)
+    }
     return entry
 
 

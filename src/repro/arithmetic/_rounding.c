@@ -22,33 +22,36 @@
  *     round-up into the next binade (significand 2^63, exponent + 1).  The
  *     six padding bytes are ignored on input and written as zeros.
  *
- * Exact zeros in a special binade are rounded here too (`-0.0` becomes
- * `+0.0` for formats with one unsigned zero).  Every other value in a
- * special binade (extreme regimes, overflow bands, deep subnormals,
- * infinities, NaN) is handed back to the caller, which rounds it with the
- * format's analytic kernel.
+ * Each layout has one step that rounds one value in place and returns
+ * SERVED, ZERO or HAND_BACK: `step_f64` and `step_x87`; the native dtypes
+ * have `step_none`, which leaves the value as it is.  Every entry below
+ * rounds through these steps.  Exact zeros in a special binade are rounded
+ * here too (`-0.0` becomes `+0.0` for formats with one unsigned zero).
+ * Every other value in a special binade (extreme regimes, overflow bands,
+ * deep subnormals, infinities, NaN) is handed back: it stays unrounded in
+ * its slot, and once a pass over the buffer ends, the values the pass
+ * handed back go to one call of the caller's `resolve`, which rounds them
+ * with the format's analytic kernel; the kernel stores its results in
+ * place (x87 values with their padding zeroed).
  *
  * Entries:
  *   Kernel.round_one(value)      one float64 / longdouble scalar -> the
  *                                rounded NumPy scalar, or None when the
  *                                value is handed back (or is not a float
  *                                of the work layout);
- *   Kernel.round_into(src, dst)  rounds the C-contiguous buffer `src` into
+ *   Kernel.round_into(src, dst, resolve)
+ *                                rounds the C-contiguous buffer `src` into
  *                                `dst` (same length; may be `src` itself)
- *                                and returns None, or the `intp` array of
- *                                the positions it handed back, which it
- *                                left unwritten.  Non-contiguous or
- *                                partially overlapping buffers raise
- *                                BufferError;
+ *                                in one pass and returns None.
+ *                                Non-contiguous or partially overlapping
+ *                                buffers raise BufferError;
  *   Kernel.reduce_pairwise(values, indptr, resolve)
  *                                the rounded pairwise sums of `values` (see
- *                                below) as a fresh 1-D array; `resolve`
- *                                rounds the sums a tree level hands back;
+ *                                below) as a fresh 1-D array, one pass per
+ *                                tree level;
  *   Kernel.take_counts()         (calls, elements, handed_back, zeros) of
- *                                `round_into` and of the tree levels of
- *                                `reduce_pairwise` since the last call,
- *                                counted while the telemetry flag byte is
- *                                set;
+ *                                the passes since the last call, counted
+ *                                while the telemetry flag byte is set;
  *   reduce_pairwise(values, indptr)
  *                                the same tree over a float32, float64 or
  *                                longdouble array without rounding: the
@@ -62,6 +65,7 @@
  * every sum, and carries an odd leftover unrounded into the next level.
  * One level is computed for every segment first; the sums it handed back
  * then go to one `resolve` call, and only then does the next level start.
+ * All levels run one loop body, instantiated per element type and step.
  * The kernel counts one call per level, with that level's sums, hand-backs
  * and zeros, as `round_into` would count rounding the level in one call.
  * Empty segments sum to zero.  `values` is only read: the first level
@@ -116,15 +120,18 @@ tables_of(const Kernel *k)
     return t;
 }
 
+/* Round the float64 word in `slot` in place. */
 static inline int
-round_f64(const Tables *t, uint64_t *word)
+step_f64(const Tables *t, void *slot)
 {
-    const uint64_t u = *word;
+    uint64_t u;
+    memcpy(&u, slot, sizeof u);
     const unsigned idx = (unsigned)(u >> 52);
     const uint8_t special = t->special[idx];
     if (special == 0) {
         const uint64_t s = t->shift[idx];
-        *word = ((u + t->bias[idx] + ((u >> s) & 1)) >> s) << s;
+        u = ((u + t->bias[idx] + ((u >> s) & 1)) >> s) << s;
+        memcpy(slot, &u, sizeof u);
         return SERVED;
     }
     if (special == SPECIAL_IDENTITY) {
@@ -134,109 +141,184 @@ round_f64(const Tables *t, uint64_t *word)
         return HAND_BACK;
     }
     if (t->unsigned_zero) {
-        *word = 0;
+        memset(slot, 0, sizeof u);
     }
     return ZERO;
 }
 
-/* `*hi` holds the sign/exponent word with the padding already masked off */
+/* Round the x87 extended value in the 16-byte `slot` in place.  Its padding
+ * is zeroed whatever the outcome; a handed-back value keeps its words. */
 static inline int
-round_x87(const Tables *t, uint64_t *lo, uint64_t *hi)
+step_x87(const Tables *t, void *slot)
 {
-    const unsigned idx = (unsigned)*hi;
-    const uint8_t special = t->special[idx];
+    uint64_t w[2];
+    memcpy(w, slot, X87_SLOT);
+    w[1] &= 0xFFFF;
+    const uint8_t special = t->special[w[1]];
+    int outcome = SERVED;
     if (special == 0) {
-        const uint64_t m = *lo;
-        const uint64_t s = t->shift[idx];
-        const uint64_t acc = m + t->bias[idx] + ((m >> s) & 1);
+        const uint64_t m = w[0];
+        const uint64_t s = t->shift[w[1]];
+        const uint64_t acc = m + t->bias[w[1]] + ((m >> s) & 1);
         if (acc < m) { /* carry out of the binade: 1.0 one binade up */
-            *lo = (uint64_t)1 << 63;
-            *hi += 1;
+            w[0] = (uint64_t)1 << 63;
+            w[1] += 1;
         }
         else {
-            *lo = (acc >> s) << s;
+            w[0] = (acc >> s) << s;
         }
-        return SERVED;
     }
-    if (special == SPECIAL_IDENTITY) {
-        return SERVED;
+    else if (special != SPECIAL_IDENTITY) {
+        if (w[0] || (w[1] & 0x7FFF)) {
+            outcome = HAND_BACK;
+        }
+        else {
+            outcome = ZERO;
+            if (t->unsigned_zero) {
+                w[1] = 0;
+            }
+        }
     }
-    if (*lo || (*hi & 0x7FFF)) {
-        return HAND_BACK;
-    }
-    if (t->unsigned_zero) {
-        *hi = 0;
-    }
-    return ZERO;
+    memcpy(slot, w, X87_SLOT);
+    return outcome;
+}
+
+/* The step of the native dtypes, whose storage type is the rounding. */
+static inline int
+step_none(const Tables *Py_UNUSED(t), void *Py_UNUSED(slot))
+{
+    return SERVED;
 }
 
 static PyObject *
 Kernel_round_one(Kernel *k, PyObject *value)
 {
+    const Tables t = tables_of(k);
     if (k->extended) {
-        uint64_t w[2] = {0, 0};
+        npy_longdouble x;
         if (PyArray_IsScalar(value, LongDouble)) {
-            memcpy(w, &PyArrayScalar_VAL(value, LongDouble), X87_SLOT);
+            x = PyArrayScalar_VAL(value, LongDouble);
         }
         else if (PyFloat_Check(value)) {
-            const npy_longdouble x = (npy_longdouble)PyFloat_AS_DOUBLE(value);
-            memcpy(w, &x, X87_SLOT);
+            x = (npy_longdouble)PyFloat_AS_DOUBLE(value);
         }
         else {
             Py_RETURN_NONE;
         }
-        uint64_t lo = w[0], hi = w[1] & 0xFFFF;
-        const Tables t = tables_of(k);
-        if (round_x87(&t, &lo, &hi) == HAND_BACK) {
+        if (step_x87(&t, &x) == HAND_BACK) {
             Py_RETURN_NONE;
         }
         PyObject *res = PyArrayScalar_New(LongDouble);
         if (res != NULL) {
-            uint64_t *out = (uint64_t *)&PyArrayScalar_VAL(res, LongDouble);
-            out[0] = lo;
-            out[1] = hi;
+            memcpy(&PyArrayScalar_VAL(res, LongDouble), &x, X87_SLOT);
         }
         return res;
     }
     if (!PyFloat_Check(value)) {
         Py_RETURN_NONE;
     }
-    const double x = PyFloat_AS_DOUBLE(value);
-    uint64_t u;
-    memcpy(&u, &x, sizeof u);
-    const Tables t = tables_of(k);
-    if (round_f64(&t, &u) == HAND_BACK) {
+    double x = PyFloat_AS_DOUBLE(value);
+    if (step_f64(&t, &x) == HAND_BACK) {
         Py_RETURN_NONE;
     }
     PyObject *res = PyArrayScalar_New(Double);
     if (res != NULL) {
-        memcpy(&PyArrayScalar_VAL(res, Double), &u, sizeof u);
+        PyArrayScalar_VAL(res, Double) = x;
     }
     return res;
 }
 
-/* positions handed back by one `round_into` call, grown on demand */
+/* The outcomes of one rounding pass: the zeros it rounded and the positions
+ * it handed back (grown on demand). */
 typedef struct {
     npy_intp *pos;
     npy_intp count;
     npy_intp capacity;
-} Positions;
+    unsigned long long zeros;
+} Pass;
 
-static int
-hand_back(Positions *back, npy_intp i)
+/* Record the outcome of rounding the value at position `i`. */
+static inline int
+note(Pass *pass, int outcome, npy_intp i)
 {
-    if (back->count == back->capacity) {
-        const npy_intp capacity = back->capacity ? 2 * back->capacity : 64;
-        npy_intp *pos = PyMem_Realloc(back->pos, (size_t)capacity * sizeof(npy_intp));
-        if (pos == NULL) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        back->pos = pos;
-        back->capacity = capacity;
+    if (outcome == ZERO) {
+        pass->zeros++;
     }
-    back->pos[back->count++] = i;
+    else if (outcome == HAND_BACK) {
+        if (pass->count == pass->capacity) {
+            const npy_intp capacity = pass->capacity ? 2 * pass->capacity : 64;
+            npy_intp *pos = PyMem_Realloc(pass->pos, (size_t)capacity * sizeof(npy_intp));
+            if (pos == NULL) {
+                PyErr_NoMemory();
+                return -1;
+            }
+            pass->pos = pos;
+            pass->capacity = capacity;
+        }
+        pass->pos[pass->count++] = i;
+    }
     return 0;
+}
+
+/* Round the values a pass handed back with one `resolve` call and store
+ * them in place (x87 values with their padding zeroed). */
+static int
+resolve_level(const Kernel *k, char *buf, Pass *pass, PyObject *resolve)
+{
+    const int typenum = k->extended ? NPY_LONGDOUBLE : NPY_DOUBLE;
+    const npy_intp size = k->extended ? X87_SLOT : 8;
+    PyObject *handed = PyArray_SimpleNew(1, &pass->count, typenum);
+    if (handed == NULL) {
+        return -1;
+    }
+    char *src = PyArray_BYTES((PyArrayObject *)handed);
+    for (npy_intp j = 0; j < pass->count; j++) {
+        memcpy(src + j * size, buf + pass->pos[j] * size, (size_t)size);
+    }
+    PyObject *res = PyObject_CallOneArg(resolve, handed);
+    Py_DECREF(handed);
+    if (res == NULL) {
+        return -1;
+    }
+    PyArrayObject *rounded =
+        (PyArrayObject *)PyArray_FROMANY(res, typenum, 0, 0, NPY_ARRAY_CARRAY_RO);
+    Py_DECREF(res);
+    if (rounded == NULL) {
+        return -1;
+    }
+    if (PyArray_SIZE(rounded) != pass->count) {
+        PyErr_Format(PyExc_ValueError, "resolve returned %zd values for %zd", PyArray_SIZE(rounded),
+                     pass->count);
+        Py_DECREF(rounded);
+        return -1;
+    }
+    const char *got = PyArray_BYTES(rounded);
+    for (npy_intp j = 0; j < pass->count; j++) {
+        char *dst = buf + pass->pos[j] * size;
+        memcpy(dst, got + j * size, (size_t)size);
+        if (k->extended) {
+            ((uint64_t *)dst)[1] &= 0xFFFF;
+        }
+    }
+    Py_DECREF(rounded);
+    return 0;
+}
+
+/* Close a pass that rounded `n` values of `buf`: count it while the
+ * telemetry flag byte is set, resolve its hand-backs, and start afresh. */
+static int
+end_pass(Kernel *k, char *buf, npy_intp n, Pass *pass, PyObject *resolve)
+{
+    if (*(const char *)k->counting.buf) {
+        k->counts[CALLS] += 1;
+        k->counts[ELEMENTS] += (unsigned long long)n;
+        k->counts[HANDED_BACK] += (unsigned long long)pass->count;
+        k->counts[ZEROS] += pass->zeros;
+    }
+    const int status = pass->count ? resolve_level(k, buf, pass, resolve) : 0;
+    pass->count = 0;
+    pass->zeros = 0;
+    return status;
 }
 
 static int
@@ -258,8 +340,9 @@ check_buffer(const Kernel *k, const Py_buffer *view, const char *what)
 static PyObject *
 Kernel_round_into(Kernel *k, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError, "round_into(src, dst) takes two buffers");
+    if (nargs != 3 || !PyCallable_Check(args[2])) {
+        PyErr_SetString(PyExc_TypeError,
+                        "round_into(src, dst, resolve) takes two buffers and a callable");
         return NULL;
     }
     Py_buffer in, out;
@@ -270,9 +353,8 @@ Kernel_round_into(Kernel *k, PyObject *const *args, Py_ssize_t nargs)
         PyBuffer_Release(&in);
         return NULL;
     }
-    Positions back = {NULL, 0, 0};
+    Pass pass = {NULL, 0, 0, 0};
     PyObject *res = NULL;
-    const char *src = in.buf;
     char *dst = out.buf;
     if (check_buffer(k, &in, "src") < 0 || check_buffer(k, &out, "dst") < 0) {
         goto done;
@@ -281,56 +363,30 @@ Kernel_round_into(Kernel *k, PyObject *const *args, Py_ssize_t nargs)
         PyErr_SetString(PyExc_BufferError, "src and dst differ in length");
         goto done;
     }
-    const uintptr_t a = (uintptr_t)src, b = (uintptr_t)dst;
+    const uintptr_t a = (uintptr_t)in.buf, b = (uintptr_t)dst;
     if (a != b && a < b + (uintptr_t)out.len && b < a + (uintptr_t)in.len) {
         PyErr_SetString(PyExc_BufferError, "src and dst overlap without being the same buffer");
         goto done;
     }
-    const Py_ssize_t n = in.len / in.itemsize;
+    if (a != b) {
+        memcpy(dst, in.buf, (size_t)in.len);
+    }
+    const npy_intp n = in.len / in.itemsize;
     const Tables t = tables_of(k);
     const int extended = k->extended;
-    unsigned long long zeros = 0;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        int outcome;
-        if (extended) {
-            uint64_t w[2];
-            memcpy(w, src + i * X87_SLOT, X87_SLOT);
-            w[1] &= 0xFFFF;
-            outcome = round_x87(&t, &w[0], &w[1]);
-            if (outcome != HAND_BACK) {
-                memcpy(dst + i * X87_SLOT, w, X87_SLOT);
-            }
-        }
-        else {
-            uint64_t u;
-            memcpy(&u, src + i * 8, 8);
-            outcome = round_f64(&t, &u);
-            if (outcome != HAND_BACK) {
-                memcpy(dst + i * 8, &u, 8);
-            }
-        }
-        if (outcome == ZERO) {
-            zeros++;
-        }
-        else if (outcome == HAND_BACK && hand_back(&back, i) < 0) {
+    for (npy_intp i = 0; i < n; i++) {
+        const int outcome =
+            extended ? step_x87(&t, dst + i * X87_SLOT) : step_f64(&t, dst + i * 8);
+        if (note(&pass, outcome, i) < 0) {
             goto done;
         }
     }
-    if (*(const char *)k->counting.buf) {
-        k->counts[CALLS] += 1;
-        k->counts[ELEMENTS] += (unsigned long long)n;
-        k->counts[HANDED_BACK] += (unsigned long long)back.count;
-        k->counts[ZEROS] += zeros;
-    }
-    if (back.count == 0) {
+    if (end_pass(k, dst, n, &pass, args[2]) == 0) {
         res = Py_NewRef(Py_None);
-    }
-    else if ((res = PyArray_SimpleNew(1, &back.count, NPY_INTP)) != NULL) {
-        memcpy(PyArray_DATA((PyArrayObject *)res), back.pos, (size_t)back.count * sizeof(npy_intp));
     }
 
 done:
-    PyMem_Free(back.pos);
+    PyMem_Free(pass.pos);
     PyBuffer_Release(&in);
     PyBuffer_Release(&out);
     return res;
@@ -347,18 +403,25 @@ typedef struct {
     npy_intp count;
 } Segments;
 
-/* One level of the native tree (the storage type is the rounding), from the
- * partials at `src + from[r]` into the work buffer `dst`; the number of sums
- * it added.  A one-element segment is copied, so the work buffer holds every
- * partial after the first level. */
-#define NATIVE_LEVEL(NAME, T)                                                                   \
-    static npy_intp NAME(const char *src, const npy_intp *from, char *dst, Segments *seg)       \
+typedef npy_intp (*Level)(const char *src, const npy_intp *from, char *dst, Segments *seg,
+                          const Tables *t, Pass *pass);
+
+/* One tree level over elements of type `T`, each sum rounded in place by
+ * `STEP`: from the partials at `src + from[r]` into the work buffer `dst`.
+ * A one-element segment is copied, so the work buffer holds every partial
+ * after the first level.  Returns the number of sums, or -1 on a memory
+ * error; `pass` records the work-buffer positions of the sums handed back,
+ * which stay unrounded. */
+#define LEVEL(NAME, T, STEP)                                                                    \
+    static npy_intp NAME(const char *src, const npy_intp *from, char *dst, Segments *seg,      \
+                         const Tables *t, Pass *pass)                                          \
     {                                                                                           \
         npy_intp sums = 0;                                                                      \
         for (npy_intp r = 0; r < seg->count; r++) {                                             \
             const npy_intp len = seg->len[r];                                                   \
+            const npy_intp off = seg->off[r];                                                   \
             const T *s = (const T *)src + from[r];                                              \
-            T *d = (T *)dst + seg->off[r];                                                      \
+            T *d = (T *)dst + off;                                                              \
             if (len < 2) {                                                                      \
                 if (len == 1 && s != d) {                                                       \
                     memcpy(d, s, sizeof(T));                                                    \
@@ -368,6 +431,9 @@ typedef struct {
             const npy_intp half = len / 2;                                                      \
             for (npy_intp i = 0; i < half; i++) {                                               \
                 d[i] = s[2 * i] + s[2 * i + 1];                                                 \
+                if (note(pass, STEP(t, &d[i]), off + i) < 0) {                                  \
+                    return -1;                                                                  \
+                }                                                                               \
             }                                                                                   \
             if (len & 1) {                                                                      \
                 memcpy(&d[half], &s[len - 1], sizeof(T));                                       \
@@ -378,138 +444,11 @@ typedef struct {
         return sums;                                                                            \
     }
 
-NATIVE_LEVEL(level_float, float)
-NATIVE_LEVEL(level_double, double)
-NATIVE_LEVEL(level_longdouble, npy_longdouble)
-
-/* One rounded level over float64 words, as `NATIVE_LEVEL`: the number of
- * sums, or -1 on a memory error.  Handed-back sums stay unrounded at the
- * work-buffer positions recorded in `back`. */
-static npy_intp
-level_word(const char *src, const npy_intp *from, char *dst, Segments *seg, const Tables *t,
-           Positions *back, unsigned long long *zeros)
-{
-    npy_intp sums = 0;
-    for (npy_intp r = 0; r < seg->count; r++) {
-        const npy_intp len = seg->len[r];
-        const npy_intp off = seg->off[r];
-        const double *s = (const double *)src + from[r];
-        double *d = (double *)dst + off;
-        if (len < 2) {
-            if (len == 1 && s != d) {
-                memcpy(d, s, sizeof(double));
-            }
-            continue;
-        }
-        const npy_intp half = len / 2;
-        for (npy_intp i = 0; i < half; i++) {
-            const double v = s[2 * i] + s[2 * i + 1];
-            uint64_t u;
-            memcpy(&u, &v, sizeof u);
-            const int outcome = round_f64(t, &u);
-            memcpy(&d[i], &u, sizeof u);
-            if (outcome == ZERO) {
-                *zeros += 1;
-            }
-            else if (outcome == HAND_BACK && hand_back(back, off + i) < 0) {
-                return -1;
-            }
-        }
-        if (len & 1) {
-            memcpy(&d[half], &s[len - 1], sizeof(double));
-        }
-        seg->len[r] = half + (len & 1);
-        sums += half;
-    }
-    return sums;
-}
-
-/* One rounded level over x87 extended values in 16-byte slots; every sum
- * is stored with its padding bytes zeroed. */
-static npy_intp
-level_x87(const char *src, const npy_intp *from, char *dst, Segments *seg, const Tables *t,
-          Positions *back, unsigned long long *zeros)
-{
-    npy_intp sums = 0;
-    for (npy_intp r = 0; r < seg->count; r++) {
-        const npy_intp len = seg->len[r];
-        const npy_intp off = seg->off[r];
-        const npy_longdouble *s = (const npy_longdouble *)src + from[r];
-        npy_longdouble *d = (npy_longdouble *)dst + off;
-        if (len < 2) {
-            if (len == 1 && s != d) {
-                memcpy(d, s, X87_SLOT);
-            }
-            continue;
-        }
-        const npy_intp half = len / 2;
-        for (npy_intp i = 0; i < half; i++) {
-            const npy_longdouble v = s[2 * i] + s[2 * i + 1];
-            uint64_t w[2];
-            memcpy(w, &v, X87_SLOT);
-            w[1] &= 0xFFFF;
-            const int outcome = round_x87(t, &w[0], &w[1]);
-            memcpy(&d[i], w, X87_SLOT);
-            if (outcome == ZERO) {
-                *zeros += 1;
-            }
-            else if (outcome == HAND_BACK && hand_back(back, off + i) < 0) {
-                return -1;
-            }
-        }
-        if (len & 1) {
-            memcpy(&d[half], &s[len - 1], X87_SLOT);
-        }
-        seg->len[r] = half + (len & 1);
-        sums += half;
-    }
-    return sums;
-}
-
-/* Round the sums one level handed back with one `resolve` call and store
- * them in place (x87 values with their padding zeroed). */
-static int
-resolve_level(const Kernel *k, char *buf, Positions *back, PyObject *resolve)
-{
-    const int typenum = k->extended ? NPY_LONGDOUBLE : NPY_DOUBLE;
-    const npy_intp size = k->extended ? X87_SLOT : 8;
-    PyObject *handed = PyArray_SimpleNew(1, &back->count, typenum);
-    if (handed == NULL) {
-        return -1;
-    }
-    char *src = PyArray_BYTES((PyArrayObject *)handed);
-    for (npy_intp j = 0; j < back->count; j++) {
-        memcpy(src + j * size, buf + back->pos[j] * size, (size_t)size);
-    }
-    PyObject *res = PyObject_CallOneArg(resolve, handed);
-    Py_DECREF(handed);
-    if (res == NULL) {
-        return -1;
-    }
-    PyArrayObject *rounded =
-        (PyArrayObject *)PyArray_FROMANY(res, typenum, 0, 0, NPY_ARRAY_CARRAY_RO);
-    Py_DECREF(res);
-    if (rounded == NULL) {
-        return -1;
-    }
-    if (PyArray_SIZE(rounded) != back->count) {
-        PyErr_Format(PyExc_ValueError, "resolve returned %zd values for %zd", PyArray_SIZE(rounded),
-                     back->count);
-        Py_DECREF(rounded);
-        return -1;
-    }
-    const char *got = PyArray_BYTES(rounded);
-    for (npy_intp j = 0; j < back->count; j++) {
-        char *dst = buf + back->pos[j] * size;
-        memcpy(dst, got + j * size, (size_t)size);
-        if (k->extended) {
-            ((uint64_t *)dst)[1] &= 0xFFFF;
-        }
-    }
-    Py_DECREF(rounded);
-    back->count = 0;
-    return 0;
-}
+LEVEL(level_float, float, step_none)
+LEVEL(level_double, double, step_none)
+LEVEL(level_longdouble, npy_longdouble, step_none)
+LEVEL(level_word, double, step_f64)
+LEVEL(level_x87, npy_longdouble, step_x87)
 
 /* The segments of `values`: its rows along the last axis (`indptr` None),
  * or the CSR segments of a 1-D `values`; sets `*size` to the elements of
@@ -604,7 +543,7 @@ reduce_pairwise(Kernel *k, PyObject *values, PyObject *indptr, PyObject *resolve
         return NULL;
     }
     Segments seg = {NULL, NULL, NULL, 0};
-    Positions back = {NULL, 0, 0};
+    Pass pass = {NULL, 0, 0, 0};
     PyArrayObject *work = NULL;
     PyObject *res = NULL;
     npy_intp size;
@@ -618,20 +557,12 @@ reduce_pairwise(Kernel *k, PyObject *values, PyObject *indptr, PyObject *resolve
     const npy_intp *from = seg.from;
     char *buf = PyArray_BYTES(work);
     const Tables t = k != NULL ? tables_of(k) : (Tables){NULL, NULL, NULL, 0};
+    const Level level = k != NULL              ? (k->extended ? level_x87 : level_word)
+                        : typenum == NPY_FLOAT  ? level_float
+                        : typenum == NPY_DOUBLE ? level_double
+                                                : level_longdouble;
     for (;;) {
-        unsigned long long zeros = 0;
-        npy_intp sums;
-        if (k == NULL) {
-            sums = typenum == NPY_FLOAT    ? level_float(src, from, buf, &seg)
-                   : typenum == NPY_DOUBLE ? level_double(src, from, buf, &seg)
-                                           : level_longdouble(src, from, buf, &seg);
-        }
-        else if (k->extended) {
-            sums = level_x87(src, from, buf, &seg, &t, &back, &zeros);
-        }
-        else {
-            sums = level_word(src, from, buf, &seg, &t, &back, &zeros);
-        }
+        const npy_intp sums = level(src, from, buf, &seg, &t, &pass);
         if (sums < 0) {
             goto done;
         }
@@ -640,16 +571,7 @@ reduce_pairwise(Kernel *k, PyObject *values, PyObject *indptr, PyObject *resolve
         }
         src = buf;
         from = seg.off;
-        if (k == NULL) {
-            continue;
-        }
-        if (*(const char *)k->counting.buf) {
-            k->counts[CALLS] += 1;
-            k->counts[ELEMENTS] += (unsigned long long)sums;
-            k->counts[HANDED_BACK] += (unsigned long long)back.count;
-            k->counts[ZEROS] += zeros;
-        }
-        if (back.count && resolve_level(k, buf, &back, resolve) < 0) {
+        if (k != NULL && end_pass(k, buf, sums, &pass, resolve) < 0) {
             goto done;
         }
     }
@@ -666,7 +588,7 @@ reduce_pairwise(Kernel *k, PyObject *values, PyObject *indptr, PyObject *resolve
 
 done:
     PyMem_Free(seg.from);
-    PyMem_Free(back.pos);
+    PyMem_Free(pass.pos);
     Py_XDECREF(work);
     Py_DECREF(in);
     return res;
@@ -766,9 +688,10 @@ static PyMethodDef Kernel_methods[] = {
     {"round_one", (PyCFunction)Kernel_round_one, METH_O,
      "round_one(value) -> the rounded work-dtype scalar, or None when handed back"},
     {"round_into", (PyCFunction)(void (*)(void))Kernel_round_into, METH_FASTCALL,
-     "round_into(src, dst) -> None, or the intp array of positions handed back"},
+     "round_into(src, dst, resolve) -> None; `resolve` rounds the values handed back"},
     {"reduce_pairwise", (PyCFunction)(void (*)(void))Kernel_reduce_pairwise, METH_FASTCALL,
-     "reduce_pairwise(values, indptr, resolve) -> the rounded pairwise sums of each segment"},
+     "reduce_pairwise(values, indptr, resolve) -> the rounded pairwise sums of each segment; "
+     "`resolve` rounds the sums a level hands back"},
     {"take_counts", (PyCFunction)Kernel_take_counts, METH_NOARGS,
      "take_counts() -> (calls, elements, handed_back, zeros), then reset them"},
     {NULL, NULL, 0, NULL},

@@ -499,33 +499,28 @@ class NumberFormat(ABC):
         if kern is not None:
             return kern.round(values, out)
         values = np.asarray(values, dtype=self.work_dtype)
-        n = values.size
-        if n <= self.scalar_cutoff:
-            if _telemetry.ENABLED:
-                cell = self._dispatch_cell
-                cell[0] += 1
-                cell[1] += n
-            return self._round_small_array(values, out=out)
         if _telemetry.ENABLED:
             cell = self._dispatch_cell
-            cell[2] += 1
-            cell[3] += n
-        res = self.round_array_analytic(values)
-        if out is not None:
-            out[...] = res
-            return out
-        return res
+            path = 0 if values.size <= self.scalar_cutoff else 2
+            cell[path] += 1
+            cell[path + 1] += values.size
+        return self._round_kernel_specials(values, out)
 
-    def _round_kernel_specials(self, values: np.ndarray) -> np.ndarray:
-        """Round the elements a bit kernel hands back (its special binades)
-        without the kernel: element-wise through the scalar kernel up to
-        :attr:`scalar_cutoff` elements, the scalar/analytic break-even,
-        else through :meth:`round_array_analytic`.  Most kernel calls hand
-        back only a few elements, where one analytic call (~40 us fixed)
-        costs far more than the scalar loop."""
+    def _round_kernel_specials(self, values: np.ndarray, out=None) -> np.ndarray:
+        """Round ``values`` without a bit kernel (into ``out`` when given):
+        element-wise through the scalar kernel up to :attr:`scalar_cutoff`
+        elements, the scalar/analytic break-even, else through
+        :meth:`round_array_analytic`.  Rounds the arrays of formats no
+        kernel serves, and the elements a bit kernel hands back, where most
+        calls carry only a few elements and one analytic call (~40 us
+        fixed) costs far more than the scalar loop."""
         if values.size <= self.scalar_cutoff:
-            return self._round_small_array(values)
-        return self.round_array_analytic(values)
+            return self._round_small_array(values, out=out)
+        res = self.round_array_analytic(values)
+        if out is None:
+            return res
+        out[...] = res
+        return out
 
     def _round_small_array(self, values: np.ndarray, out=None) -> np.ndarray:
         """Round a tiny array element-wise through the scalar kernel."""

@@ -53,7 +53,12 @@ scalar :attr:`BitKernel.round_one`, the array ``round_into`` behind
 buffer — the entry point `EmulatedContext` uses to round operation results
 in place instead of allocating a second array per elementary op — and the
 pairwise reduction ``reduce_pairwise`` behind :meth:`BitKernel.reduce`,
-which runs a whole rounded summation tree in one call.
+which runs a whole rounded summation tree in one call.  Both array entries
+share one hand-back protocol: a pass over the buffer (the whole buffer for
+``round_into``, one tree level for ``reduce_pairwise``) leaves the values
+it hands back unrounded in place, then gives them to one call of the
+kernel's resolver and stores the results (x87 padding zeroed).  No Python
+code sees the handed-back positions.
 
 Correctness invariants of the LUT-served ("main region") binades, checked by
 the builders and the exhaustive/sweep tests in ``tests/test_bitkernels.py``:
@@ -110,8 +115,6 @@ _U = np.uint64
 _ONE = _U(1)
 _MAG64 = _U(0x7FFFFFFFFFFFFFFF)
 _MANT52 = _U(0x000FFFFFFFFFFFFF)
-#: sign + 15-bit exponent of an x87 extended value; the rest is padding
-_HI_MASK = _U(0xFFFF)
 
 #: special-LUT codes: resolve through the analytic kernel / copy through
 _SPECIAL_RESOLVE = 1
@@ -213,8 +216,8 @@ class BitKernel:
         Counts no telemetry.
     compiled:
         The compiled kernel object; its ``take_counts()`` drains the
-        ``(calls, elements, handed_back, zeros)`` tallies of :meth:`round`
-        made while telemetry is on.
+        ``(calls, elements, handed_back, zeros)`` tallies of the passes of
+        :meth:`round` and :meth:`reduce` made while telemetry is on.
     """
 
     #: family tag used in reprs and dispatch diagnostics
@@ -309,7 +312,9 @@ class BitKernel:
     # ------------------------------------------------------------------ #
     def round(self, values, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Round work-dtype ``values`` to the format, bit-identical to the
-        analytic kernel.
+        analytic kernel, in one compiled pass (``round_into``): the values
+        the pass hands back go to one call of the resolver, whose results
+        the kernel stores in place.
 
         Parameters
         ----------
@@ -317,7 +322,9 @@ class BitKernel:
             Work values (any shape; converted to :attr:`work_dtype`).
         out:
             Optional work-dtype array of the same shape to write the result
-            into; may alias ``values`` or be a non-contiguous view.
+            into; may alias ``values`` or be a non-contiguous view (such
+            operands raise ``BufferError`` in the compiled entry and are
+            rounded through a contiguous copy).
 
         Returns
         -------
@@ -328,20 +335,12 @@ class BitKernel:
         if out is None:
             out = np.empty(x.shape, dtype=self.work_dtype)
         try:
-            back = self.compiled.round_into(x, out)
-            src, dst = x, out
+            self.compiled.round_into(x, out, self._resolve)
         except BufferError:
             # non-contiguous, partially overlapping or foreign-dtype
             # operands: round a contiguous copy into a fresh buffer
-            src = np.ascontiguousarray(x)
             dst = np.empty(x.shape, dtype=self.work_dtype)
-            back = self.compiled.round_into(src, dst)
-        if back is not None:
-            res = np.ascontiguousarray(self._resolve(src.reshape(-1)[back]), dtype=self.work_dtype)
-            if self.work_dtype is np.longdouble:
-                res.view(_U)[1::2] &= _HI_MASK  # zero the padding bytes
-            dst.reshape(-1)[back] = res
-        if dst is not out:
+            self.compiled.round_into(np.ascontiguousarray(x), dst, self._resolve)
             np.copyto(out, dst)
         return out
 
@@ -353,10 +352,10 @@ class BitKernel:
         ``values[indptr[r]:indptr[r + 1]]`` of a 1-D ``values``.  Each tree
         level adds partial ``2i`` to partial ``2i + 1`` in every segment,
         rounds each sum as :meth:`round` would and carries an odd leftover
-        unrounded; the sums a level hands back go to one call of the
-        resolver before the next level starts.  Returns a fresh 1-D work
-        array with one sum per segment (zero for an empty one); ``values``
-        is only read.
+        unrounded; each level is one pass, so the sums it hands back go to
+        one call of the resolver before the next level starts.  Returns a
+        fresh 1-D work array with one sum per segment (zero for an empty
+        one); ``values`` is only read.
         """
         return self.compiled.reduce_pairwise(values, indptr, self._resolve)
 

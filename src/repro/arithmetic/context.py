@@ -652,49 +652,21 @@ class ComputeContext(ABC):
 
     def _segmented_reduce(self, vals, indptr, nrows) -> np.ndarray:
         """Rounded sum of each CSR segment ``vals[indptr[r]:indptr[r + 1]]``
-        (zero for an empty row), in the tree of :meth:`_reduce_last_axis`."""
+        (zero for an empty row), in the tree of :meth:`_reduce_last_axis`:
+        one compiled call, or, without a compiled reducer, the rows of each
+        length gathered into one ``(rows, m)`` block and reduced by
+        :meth:`_reduce_last_axis`."""
+        counts = np.diff(indptr)
         if self.accumulation == "pairwise":
             reduce = self._pairwise_reducer()
             if reduce is not None:
-                counts = np.diff(indptr)
                 self.op_count += int(counts.sum()) - int(np.count_nonzero(counts))
                 return reduce(vals, indptr)
-        counts = np.diff(indptr).astype(np.int64)
         out = np.zeros(nrows, dtype=self.dtype)
-        if vals.size == 0:
-            return out
-        if self.accumulation == "sequential":
-            starts = np.asarray(indptr[:-1], dtype=np.int64)
-            acc_rows = np.nonzero(counts > 0)[0]
-            out[acc_rows] = vals[starts[acc_rows]]
-            k = 1
-            while True:
-                rows = np.nonzero(counts > k)[0]
-                if rows.size == 0:
-                    break
-                out[rows] = self.add(out[rows], vals[starts[rows] + k])
-                k += 1
-            return out
-        # pairwise segmented reduction
-        vals = np.array(vals, dtype=self.dtype, copy=True)
-        counts = counts.copy()
-        while counts.max(initial=0) > 1:
-            starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            rowid = np.repeat(np.arange(nrows), counts)
-            local = np.arange(vals.size) - starts[rowid]
-            count_per_elem = counts[rowid]
-            is_left = (local % 2 == 0) & (local + 1 < count_per_elem)
-            is_single = (local % 2 == 0) & (local + 1 >= count_per_elem)
-            keep = is_left | is_single
-            left_idx = np.nonzero(is_left)[0]
-            merged = self.add(vals[left_idx], vals[left_idx + 1])
-            new_vals = vals[keep].copy()
-            positions = np.cumsum(keep)[left_idx] - 1
-            new_vals[positions] = merged
-            vals = new_vals
-            counts = (counts + 1) // 2
-        nonempty = np.nonzero(counts == 1)[0]
-        out[nonempty] = vals
+        starts = np.asarray(indptr[:-1], dtype=np.intp)
+        for m in np.unique(counts[counts > 0]):
+            rows = np.flatnonzero(counts == m)
+            out[rows] = self._reduce_last_axis(vals[starts[rows, np.newaxis] + np.arange(m)])
         return out
 
     # ------------------------------------------------------------------ #

@@ -1,6 +1,7 @@
 """The solver hands the compiled rounding kernel C-contiguous buffers only.
 
-``Kernel.round_into`` rounds C-contiguous buffers; any other operand raises
+``Kernel.round_into(src, dst, resolve)`` rounds C-contiguous buffers in one
+pass and resolves its hand-backs itself; any other operand raises
 ``BufferError`` and ``BitKernel.round`` retries on a contiguous copy, which
 costs an extra allocation and two copies per call.  Every rounded array op
 of the contexts is one ufunc into a C-contiguous buffer, so a full
@@ -44,9 +45,9 @@ class _RecordingKernel:
     def __getattr__(self, name):
         return getattr(self._compiled, name)
 
-    def round_into(self, src, dst):
+    def round_into(self, src, dst, resolve):
         _record_strays(self._strays, src, dst)
-        return self._compiled.round_into(src, dst)
+        return self._compiled.round_into(src, dst, resolve)
 
     def reduce_pairwise(self, values, indptr, resolve):
         _record_strays(self._strays, values, *(() if indptr is None else (indptr,)))

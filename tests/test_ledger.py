@@ -6,7 +6,8 @@ CI's figure-counter gate (``.github/workflows/ci.yml``) runs
 ``BENCH_*.json``: its ``counts`` section must hold exactly the keys the gate
 pins for each workload, every count it moved against the ledger before it
 must be declared, and the gate must fail on a count that differs from the
-pin, on an incorrect figure and on an undeclared move.  ``--compare`` must
+pin (the share of bit-kernel elements handed back is pinned exactly too),
+on an incorrect figure and on an undeclared move.  ``--compare`` must
 flag a moved count.
 """
 
@@ -91,12 +92,19 @@ def test_gate_passes_on_the_pinned_counts(tmp_path):
 
 @needs_ledger
 def test_gate_fails_on_a_count_off_its_pin(tmp_path):
+    """An integer count and the exactly pinned share of bit-kernel
+    elements handed back."""
     newest = _read(LEDGERS[-1])
-    pinned = newest["measured"]["fig1_seq"]["counts"]["core.restarts"]
-    results = _results(tmp_path / "results", newest)
-    _edit(results / "fig1_seq.json", lambda r: r["metrics"]["core.restarts"].update(value=0))
-    assert ledger.gate(results) == [f"fig1_seq core.restarts: 0, pinned {pinned}"]
-    assert ledger.main(["--gate", str(results)]) == 1
+    for workload, name, off in (
+        ("fig1_seq", "core.restarts", lambda pinned: 0),
+        ("graphs_large", "arithmetic.lut_fallback_ratio", lambda pinned: pinned + 2.0**-30),
+    ):
+        pinned = newest["measured"][workload]["counts"][name]
+        wrong = off(pinned)
+        results = _results(tmp_path / workload, newest)
+        _edit(results / f"{workload}.json", lambda r: r["metrics"][name].update(value=wrong))
+        assert ledger.gate(results) == [f"{workload} {name}: {wrong}, pinned {pinned}"]
+        assert ledger.main(["--gate", str(results)]) == 1
 
 
 @needs_ledger

@@ -16,10 +16,13 @@ arithmetic, in every paper format and the reference.
 
 Each case runs under both dispatches of the pairwise tree: the compiled
 reduction (one call per tree, with the bit kernels on) and the NumPy tree
-(the bit kernels off; the only dispatch without the compiled library).
+(the bit kernels off; the only dispatch without the compiled library),
+which reduces CSR rows by gathering the rows of each length into one block.
 The compiled reduction hands the sums a level cannot round to the format's
-resolver in one call per level, counts one kernel call per level like the
-NumPy tree, and propagates a resolver's exception.
+resolver in one call per level, and ``NumberFormat.round_array`` hands the
+values its one pass cannot round to one call; both count one kernel call
+per pass, store resolved x87 slots with zero padding, and propagate a
+resolver's exception.
 """
 
 from __future__ import annotations
@@ -249,39 +252,81 @@ def test_compiled_tree_is_one_call(name, monkeypatch):
 
 
 class _RecordingCompiled:
-    """Delegates to a compiled kernel, counting its ``reduce_pairwise``
-    calls."""
+    """Delegates to a compiled kernel, recording the name of every
+    ``round_into`` and ``reduce_pairwise`` call."""
 
     def __init__(self, compiled):
         self._compiled = compiled
-        self.reductions = 0
+        self.entries: list = []
 
     def __getattr__(self, name):
         return getattr(self._compiled, name)
 
+    def round_into(self, src, dst, resolve):
+        self.entries.append("round_into")
+        return self._compiled.round_into(src, dst, resolve)
+
     def reduce_pairwise(self, values, indptr, resolve):
-        self.reductions += 1
+        self.entries.append("reduce_pairwise")
         return self._compiled.reduce_pairwise(values, indptr, resolve)
 
 
-#: ``(format, value)``: every sum of copies of ``value`` lies in a binade
-#: the kernel hands back (E4M3 overflow to NaN, posit8's extreme regimes)
-EXTREMES = [("E4M3", 256.0), ("posit8", 2.0**20)]
+#: ``(format, value)``: ``value`` and every sum of its copies lie in a
+#: binade the kernel hands back (E4M3 overflow to NaN, the extreme regimes
+#: of posit8 and posit64, takum64 beyond its largest value)
+EXTREMES = [("E4M3", 256.0), ("posit8", 2.0**20), ("posit64", 2.0**300), ("takum64", 2.0**300)]
+
+_X87 = bitkernels.extended_layout_supported()
 
 
-def _extreme_reductions(ctx, big: float):
-    """``(label, call, sums per level)``: reductions whose every sum, in
-    every level, is handed back, spread over several rows."""
-    buf = np.full((4, 16), big, dtype=ctx.dtype)
-    vals, indptr = np.full(37, big, dtype=ctx.dtype), np.array([0, 16, 16, 21, 37])
+def _filled(ctx, shape, big: float) -> np.ndarray:
+    """An array of copies of ``big``; x87 slots carry non-zero padding."""
+    buf = np.full(shape, big, dtype=ctx.dtype)
+    if _X87 and ctx.dtype is np.longdouble:
+        buf.view(np.uint64)[..., 1::2] |= np.uint64(0xDEADBEEF0000)
+    return buf
+
+
+def _padding(values) -> np.ndarray:
+    """The padding bits of each x87 slot of ``values`` (none for other
+    dtypes)."""
+    arr = np.ascontiguousarray(np.atleast_1d(values))
+    if not (_X87 and arr.dtype == np.longdouble):
+        return np.zeros(0, dtype=np.uint64)
+    return arr.view(np.uint64)[..., 1::2] >> np.uint64(16)
+
+
+def _extreme_passes(ctx, big: float):
+    """``(label, call, compiled entries called, values per pass)``:
+    rounding passes whose every value is handed back, spread over several
+    rows: the reductions (one pass per tree level) and
+    ``NumberFormat.round_array`` (one pass; a strided ``out`` costs one
+    refused call first)."""
+    fmt = ctx.format
+    buf = _filled(ctx, (4, 16), big)
+    vals, indptr = _filled(ctx, (37,), big), np.array([0, 16, 16, 21, 37])
+    strided = np.empty((4, 32), dtype=ctx.dtype)[:, ::2]
+
+    def in_place():
+        work = buf.copy()
+        return fmt.round_array(work, out=work)
+
     return [
-        ("rows", lambda: ctx.reduce_sum(buf), [32, 16, 8, 4]),
-        ("csr", lambda: ctx._segmented_reduce(vals, indptr, 4), [18, 9, 5, 2]),
+        ("rows", lambda: ctx.reduce_sum(buf), ["reduce_pairwise"], [32, 16, 8, 4]),
+        ("csr", lambda: ctx._segmented_reduce(vals, indptr, 4), ["reduce_pairwise"], [18, 9, 5, 2]),
+        ("round_array", lambda: fmt.round_array(buf), ["round_into"], [64]),
+        ("round_array in place", in_place, ["round_into"], [64]),
+        (
+            "round_array strided out",
+            lambda: fmt.round_array(buf, out=strided),
+            ["round_into", "round_into"],
+            [64],
+        ),
     ]
 
 
 def _run_counted(ctx, call):
-    """``(result, resolver call sizes, kernel counts)`` of one reduction."""
+    """``(result, resolver call sizes, kernel counts)`` of one call."""
     kern = ctx.format._bound_kernel
     sizes: list = []
     resolve = kern._resolve
@@ -305,44 +350,56 @@ def _run_counted(ctx, call):
 @needs_compiled
 @pytest.mark.parametrize("name, big", EXTREMES)
 def test_hand_backs_resolve_once_per_level(name, big, monkeypatch):
-    """Each level hands all its sums, from every row, to one resolver call;
-    the kernel counts one call per level, as the NumPy tree does."""
+    """Each rounding pass (a tree level of every row, or one ``round_into``
+    over a whole buffer) hands all its values to one resolver call, and
+    the kernel counts one call per pass; resolved x87 slots hold zero
+    padding.  The reductions agree with the NumPy tree, which rounds the
+    rows of one block with one call per level too."""
     ctx = get_context(name)
     kern = ctx.format._bound_kernel
     recording = _RecordingCompiled(kern.compiled)
     monkeypatch.setattr(kern, "compiled", recording)
-    for label, call, per_level in _extreme_reductions(ctx, big):
-        before = recording.reductions
+    for label, call, entries, per_pass in _extreme_passes(ctx, big):
+        recording.entries.clear()
         got, sizes, counts = _run_counted(ctx, call)
-        assert recording.reductions == before + 1, label
-        assert sizes == per_level, label
-        total = sum(per_level)
-        # (calls, elements, handed_back, zeros): one call per level
-        assert counts == (len(per_level), total, total, 0), label
+        assert recording.entries == entries, label
+        assert sizes == per_pass, label
+        total = sum(per_pass)
+        # (calls, elements, handed_back, zeros): one call per pass
+        assert counts == (len(per_pass), total, total, 0), label
+        assert not _padding(got).any(), label
+        if entries != ["reduce_pairwise"]:
+            continue
         with monkeypatch.context() as numpy_tree:
             numpy_tree.setattr(EmulatedContext, "_pairwise_reducer", lambda self: None)
             want, want_sizes, want_counts = _run_counted(ctx, call)
-        assert recording.reductions == before + 1, label
-        assert (sizes, counts) == (want_sizes, want_counts), label
+        assert "reduce_pairwise" not in recording.entries[1:], label
         assert np.array_equal(_words(got), _words(want)), label
+        # one resolver call per rounding call; the CSR fallback reduces the
+        # rows of each length as one block, so it makes more, smaller calls
+        assert want_counts[0] == len(want_sizes), label
+        assert want_counts[1:] == counts[1:], label
+        if label == "rows":
+            assert (want_sizes, want_counts) == (sizes, counts), label
 
 
 @needs_compiled
 def test_a_raising_resolver_propagates(monkeypatch):
-    ctx = get_context("E4M3")
-    kern = ctx.format._bound_kernel
-    recording = _RecordingCompiled(kern.compiled)
-    monkeypatch.setattr(kern, "compiled", recording)
-
     def fail(values):
         raise RuntimeError("resolver failed")
 
-    monkeypatch.setattr(kern, "_resolve", fail)
-    with np.errstate(all="ignore"):
-        for _, call, _ in _extreme_reductions(ctx, 256.0):
-            with pytest.raises(RuntimeError, match="resolver failed"):
-                call()
-    assert recording.reductions == 2
+    for name, big in EXTREMES:
+        ctx = get_context(name)
+        kern = ctx.format._bound_kernel
+        recording = _RecordingCompiled(kern.compiled)
+        monkeypatch.setattr(kern, "compiled", recording)
+        monkeypatch.setattr(kern, "_resolve", fail)
+        with np.errstate(all="ignore"):
+            for label, call, entries, _ in _extreme_passes(ctx, big):
+                recording.entries.clear()
+                with pytest.raises(RuntimeError, match="resolver failed"):
+                    call()
+                assert recording.entries == entries, (name, label)
 
 
 def _drop_odd_leftover(self, buf):

@@ -22,9 +22,10 @@
  *     round-up into the next binade (significand 2^63, exponent + 1).  The
  *     six padding bytes are ignored on input and written as zeros.
  *
- * Each layout has one step that rounds one value in place and returns
- * SERVED, ZERO or HAND_BACK: `step_f64` and `step_x87`; the native dtypes
- * have `step_none`, which leaves the value as it is.  Every entry below
+ * Each layout has one step that loads one value, rounds it, stores it
+ * (into the slot it came from, or into another) and returns SERVED, ZERO
+ * or HAND_BACK: `step_f64` and `step_x87`; the native dtypes have
+ * `step_none`, which leaves the value as it is.  Every entry below
  * rounds through these steps.  Exact zeros in a special binade are rounded
  * here too (`-0.0` becomes `+0.0` for formats with one unsigned zero).
  * Every other value in a special binade (extreme regimes, overflow bands,
@@ -43,8 +44,11 @@
  *                                rounds the C-contiguous buffer `src` into
  *                                `dst` (same length; may be `src` itself)
  *                                in one pass and returns None.
- *                                Non-contiguous or partially overlapping
- *                                buffers raise BufferError;
+ *                                Non-contiguous, foreign-format or
+ *                                partially overlapping buffers raise
+ *                                OperandError (a BufferError) before
+ *                                anything is written; an exception of
+ *                                `resolve` propagates as it is;
  *   Kernel.reduce_pairwise(values, indptr, resolve)
  *                                the rounded pairwise sums of `values` (see
  *                                below) as a fresh 1-D array, one pass per
@@ -93,6 +97,9 @@
 /* bytes of one x87 extended value in memory */
 #define X87_SLOT 16
 
+/* OperandError: the operands `round_into` refuses, before it writes */
+static PyObject *OperandError;
+
 enum { SHIFT, BIAS, SPECIAL, N_LUTS };
 enum { CALLS, ELEMENTS, HANDED_BACK, ZEROS, N_COUNTS };
 
@@ -120,39 +127,43 @@ tables_of(const Kernel *k)
     return t;
 }
 
-/* Round the float64 word in `slot` in place. */
+/* Round the float64 word in `in` into `out` (which may be `in`); a
+ * handed-back value is stored as it is. */
 static inline int
-step_f64(const Tables *t, void *slot)
+step_f64(const Tables *t, const void *in, void *out)
 {
     uint64_t u;
-    memcpy(&u, slot, sizeof u);
+    memcpy(&u, in, sizeof u);
     const unsigned idx = (unsigned)(u >> 52);
     const uint8_t special = t->special[idx];
+    int outcome = SERVED;
     if (special == 0) {
         const uint64_t s = t->shift[idx];
         u = ((u + t->bias[idx] + ((u >> s) & 1)) >> s) << s;
-        memcpy(slot, &u, sizeof u);
-        return SERVED;
     }
-    if (special == SPECIAL_IDENTITY) {
-        return SERVED;
+    else if (special != SPECIAL_IDENTITY) {
+        if (u << 1) {
+            outcome = HAND_BACK;
+        }
+        else {
+            outcome = ZERO;
+            if (t->unsigned_zero) {
+                u = 0;
+            }
+        }
     }
-    if (u << 1) {
-        return HAND_BACK;
-    }
-    if (t->unsigned_zero) {
-        memset(slot, 0, sizeof u);
-    }
-    return ZERO;
+    memcpy(out, &u, sizeof u);
+    return outcome;
 }
 
-/* Round the x87 extended value in the 16-byte `slot` in place.  Its padding
- * is zeroed whatever the outcome; a handed-back value keeps its words. */
+/* Round the x87 extended value in the 16-byte slot `in` into `out` (which
+ * may be `in`).  The padding is zeroed whatever the outcome; a handed-back
+ * value keeps its words. */
 static inline int
-step_x87(const Tables *t, void *slot)
+step_x87(const Tables *t, const void *in, void *out)
 {
     uint64_t w[2];
-    memcpy(w, slot, X87_SLOT);
+    memcpy(w, in, X87_SLOT);
     w[1] &= 0xFFFF;
     const uint8_t special = t->special[w[1]];
     int outcome = SERVED;
@@ -179,13 +190,14 @@ step_x87(const Tables *t, void *slot)
             }
         }
     }
-    memcpy(slot, w, X87_SLOT);
+    memcpy(out, w, X87_SLOT);
     return outcome;
 }
 
-/* The step of the native dtypes, whose storage type is the rounding. */
+/* The step of the native dtypes, whose storage type is the rounding; the
+ * reduction levels call it in place only. */
 static inline int
-step_none(const Tables *Py_UNUSED(t), void *Py_UNUSED(slot))
+step_none(const Tables *Py_UNUSED(t), const void *Py_UNUSED(in), void *Py_UNUSED(out))
 {
     return SERVED;
 }
@@ -205,7 +217,7 @@ Kernel_round_one(Kernel *k, PyObject *value)
         else {
             Py_RETURN_NONE;
         }
-        if (step_x87(&t, &x) == HAND_BACK) {
+        if (step_x87(&t, &x, &x) == HAND_BACK) {
             Py_RETURN_NONE;
         }
         PyObject *res = PyArrayScalar_New(LongDouble);
@@ -218,7 +230,7 @@ Kernel_round_one(Kernel *k, PyObject *value)
         Py_RETURN_NONE;
     }
     double x = PyFloat_AS_DOUBLE(value);
-    if (step_f64(&t, &x) == HAND_BACK) {
+    if (step_f64(&t, &x, &x) == HAND_BACK) {
         Py_RETURN_NONE;
     }
     PyObject *res = PyArrayScalar_New(Double);
@@ -327,11 +339,11 @@ check_buffer(const Kernel *k, const Py_buffer *view, const char *what)
     const char *want = k->extended ? "g" : "d";
     const Py_ssize_t size = k->extended ? X87_SLOT : 8;
     if (view->itemsize != size || view->format == NULL || strcmp(view->format, want) != 0) {
-        PyErr_Format(PyExc_BufferError, "%s: expected a buffer of format '%s'", what, want);
+        PyErr_Format(OperandError, "%s: expected a buffer of format '%s'", what, want);
         return -1;
     }
     if (!PyBuffer_IsContiguous(view, 'C')) {
-        PyErr_Format(PyExc_BufferError, "%s: buffer is not C-contiguous", what);
+        PyErr_Format(OperandError, "%s: buffer is not C-contiguous", what);
         return -1;
     }
     return 0;
@@ -360,23 +372,21 @@ Kernel_round_into(Kernel *k, PyObject *const *args, Py_ssize_t nargs)
         goto done;
     }
     if (in.len != out.len) {
-        PyErr_SetString(PyExc_BufferError, "src and dst differ in length");
+        PyErr_SetString(OperandError, "src and dst differ in length");
         goto done;
     }
     const uintptr_t a = (uintptr_t)in.buf, b = (uintptr_t)dst;
     if (a != b && a < b + (uintptr_t)out.len && b < a + (uintptr_t)in.len) {
-        PyErr_SetString(PyExc_BufferError, "src and dst overlap without being the same buffer");
+        PyErr_SetString(OperandError, "src and dst overlap without being the same buffer");
         goto done;
     }
-    if (a != b) {
-        memcpy(dst, in.buf, (size_t)in.len);
-    }
+    const char *src = in.buf;
     const npy_intp n = in.len / in.itemsize;
     const Tables t = tables_of(k);
     const int extended = k->extended;
     for (npy_intp i = 0; i < n; i++) {
-        const int outcome =
-            extended ? step_x87(&t, dst + i * X87_SLOT) : step_f64(&t, dst + i * 8);
+        const int outcome = extended ? step_x87(&t, src + i * X87_SLOT, dst + i * X87_SLOT)
+                                     : step_f64(&t, src + i * 8, dst + i * 8);
         if (note(&pass, outcome, i) < 0) {
             goto done;
         }
@@ -431,7 +441,7 @@ typedef npy_intp (*Level)(const char *src, const npy_intp *from, char *dst, Segm
             const npy_intp half = len / 2;                                                      \
             for (npy_intp i = 0; i < half; i++) {                                               \
                 d[i] = s[2 * i] + s[2 * i + 1];                                                 \
-                if (note(pass, STEP(t, &d[i]), off + i) < 0) {                                  \
+                if (note(pass, STEP(t, &d[i], &d[i]), off + i) < 0) {                           \
                     return -1;                                                                  \
                 }                                                                               \
             }                                                                                   \
@@ -737,6 +747,15 @@ PyInit__rounding(void)
     Py_INCREF(&KernelType);
     if (PyModule_AddObject(module, "Kernel", (PyObject *)&KernelType) < 0) {
         Py_DECREF(&KernelType);
+        Py_DECREF(module);
+        return NULL;
+    }
+    OperandError = PyErr_NewExceptionWithDoc(
+        "repro.arithmetic._rounding.OperandError",
+        "round_into cannot take its operands (not C-contiguous, another format, "
+        "lengths that differ or a partial overlap); nothing was written",
+        PyExc_BufferError, NULL);
+    if (PyModule_AddObjectRef(module, "OperandError", OperandError) < 0) {
         Py_DECREF(module);
         return NULL;
     }

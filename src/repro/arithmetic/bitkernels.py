@@ -322,9 +322,10 @@ class BitKernel:
             Work values (any shape; converted to :attr:`work_dtype`).
         out:
             Optional work-dtype array of the same shape to write the result
-            into; may alias ``values`` or be a non-contiguous view (such
-            operands raise ``BufferError`` in the compiled entry and are
-            rounded through a contiguous copy).
+            into; may alias ``values`` or be a non-contiguous view.  The
+            compiled entry refuses such operands with ``OperandError``
+            before it writes anything, and they are rounded through a
+            contiguous copy; an exception of the resolver propagates.
 
         Returns
         -------
@@ -336,7 +337,7 @@ class BitKernel:
             out = np.empty(x.shape, dtype=self.work_dtype)
         try:
             self.compiled.round_into(x, out, self._resolve)
-        except BufferError:
+        except _compiled().OperandError:
             # non-contiguous, partially overlapping or foreign-dtype
             # operands: round a contiguous copy into a fresh buffer
             dst = np.empty(x.shape, dtype=self.work_dtype)

@@ -652,10 +652,16 @@ class ComputeContext(ABC):
 
     def _segmented_reduce(self, vals, indptr, nrows) -> np.ndarray:
         """Rounded sum of each CSR segment ``vals[indptr[r]:indptr[r + 1]]``
-        (zero for an empty row), in the tree of :meth:`_reduce_last_axis`:
-        one compiled call, or, without a compiled reducer, the rows of each
-        length gathered into one ``(rows, m)`` block and reduced by
-        :meth:`_reduce_last_axis`."""
+        (zero for an empty row), in the tree of :meth:`_reduce_last_axis`.
+
+        Every step rounds the sums of all rows in one call, as the compiled
+        reducer counts its levels: a pairwise level, or one column of the
+        sequential accumulation.  Without a compiled reducer the pairwise
+        tree runs in place on a copy of ``vals``: at stride ``s`` the
+        partials sit at the row offsets that are multiples of ``s``, and
+        each one at a multiple of ``2 s`` takes in its right neighbour, if
+        its row has one; an odd leftover stays put, unrounded.
+        """
         counts = np.diff(indptr)
         if self.accumulation == "pairwise":
             reduce = self._pairwise_reducer()
@@ -664,9 +670,27 @@ class ComputeContext(ABC):
                 return reduce(vals, indptr)
         out = np.zeros(nrows, dtype=self.dtype)
         starts = np.asarray(indptr[:-1], dtype=np.intp)
-        for m in np.unique(counts[counts > 0]):
-            rows = np.flatnonzero(counts == m)
-            out[rows] = self._reduce_last_axis(vals[starts[rows, np.newaxis] + np.arange(m)])
+        filled = np.flatnonzero(counts)
+        if self.accumulation == "sequential":
+            out[filled] = vals[starts[filled]]
+            for k in range(1, counts.max(initial=0)):
+                rows = np.flatnonzero(counts > k)
+                out[rows] = self.add(out[rows], vals[starts[rows] + k])
+            return out
+        vals = np.array(vals, dtype=self.dtype)
+        pos = np.arange(vals.size)
+        offset = pos - np.repeat(starts, counts)
+        room = np.repeat(counts, counts) - offset  # entries from here to the row's end
+        step = 1
+        while True:
+            heads = offset % (2 * step) == 0
+            pos, offset, room = pos[heads], offset[heads], room[heads]
+            left = pos[room > step]
+            if left.size == 0:
+                break
+            vals[left] = self.add(vals[left], vals[left + step])
+            step *= 2
+        out[filled] = vals[starts[filled]]
         return out
 
     # ------------------------------------------------------------------ #

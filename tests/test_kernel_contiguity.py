@@ -1,9 +1,9 @@
 """The solver hands the compiled rounding kernel C-contiguous buffers only.
 
 ``Kernel.round_into(src, dst, resolve)`` rounds C-contiguous buffers in one
-pass and resolves its hand-backs itself; any other operand raises
-``BufferError`` and ``BitKernel.round`` retries on a contiguous copy, which
-costs an extra allocation and two copies per call.  Every rounded array op
+pass and resolves its hand-backs itself; it refuses any other operand with
+``OperandError`` (a ``BufferError``) and ``BitKernel.round`` retries on a
+contiguous copy, which costs an extra allocation and two copies per call.  Every rounded array op
 of the contexts is one ufunc into a C-contiguous buffer, so a full
 ``partialschur`` solve in each paper format, as the figure runs it, must
 reach the kernel with no other operand.  The solve's pairwise reductions

@@ -16,13 +16,13 @@ arithmetic, in every paper format and the reference.
 
 Each case runs under both dispatches of the pairwise tree: the compiled
 reduction (one call per tree, with the bit kernels on) and the NumPy tree
-(the bit kernels off; the only dispatch without the compiled library),
-which reduces CSR rows by gathering the rows of each length into one block.
+(the bit kernels off; the only dispatch without the compiled library).
 The compiled reduction hands the sums a level cannot round to the format's
 resolver in one call per level, and ``NumberFormat.round_array`` hands the
 values its one pass cannot round to one call; both count one kernel call
-per pass, store resolved x87 slots with zero padding, and propagate a
-resolver's exception.
+per pass, as the NumPy tree and the sequential CSR accumulation count one
+per level or column, store resolved x87 slots with zero padding, and
+propagate a resolver's exception.
 """
 
 from __future__ import annotations
@@ -353,8 +353,8 @@ def test_hand_backs_resolve_once_per_level(name, big, monkeypatch):
     """Each rounding pass (a tree level of every row, or one ``round_into``
     over a whole buffer) hands all its values to one resolver call, and
     the kernel counts one call per pass; resolved x87 slots hold zero
-    padding.  The reductions agree with the NumPy tree, which rounds the
-    rows of one block with one call per level too."""
+    padding.  The reductions agree with the NumPy tree, which rounds a
+    level of every row with one call too."""
     ctx = get_context(name)
     kern = ctx.format._bound_kernel
     recording = _RecordingCompiled(kern.compiled)
@@ -374,32 +374,48 @@ def test_hand_backs_resolve_once_per_level(name, big, monkeypatch):
             numpy_tree.setattr(EmulatedContext, "_pairwise_reducer", lambda self: None)
             want, want_sizes, want_counts = _run_counted(ctx, call)
         assert "reduce_pairwise" not in recording.entries[1:], label
+        assert (sizes, counts) == (want_sizes, want_counts), label
         assert np.array_equal(_words(got), _words(want)), label
-        # one resolver call per rounding call; the CSR fallback reduces the
-        # rows of each length as one block, so it makes more, smaller calls
-        assert want_counts[0] == len(want_sizes), label
-        assert want_counts[1:] == counts[1:], label
-        if label == "rows":
-            assert (want_sizes, want_counts) == (sizes, counts), label
+
+
+@needs_compiled
+@pytest.mark.parametrize("name", ["posit16", "E4M3", "takum64"])
+def test_sequential_csr_sum_rounds_once_per_column(name):
+    """The sequential accumulation of CSR rows adds column ``k`` of every
+    row longer than ``k`` in one rounding call: ``max_len - 1`` kernel
+    calls, with one element per row still accumulating."""
+    ctx = get_context(name, accumulation="sequential")
+    counts = np.array([16, 0, 5, 16, 1])
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    vals = ctx.round(np.random.default_rng(0).standard_normal(indptr[-1]))
+    _, _, (calls, elements, _, _) = _run_counted(
+        ctx, lambda: ctx._segmented_reduce(vals, indptr, counts.size)
+    )
+    assert calls == counts.max() - 1
+    assert elements == sum(int(np.count_nonzero(counts > k)) for k in range(1, counts.max()))
 
 
 @needs_compiled
 def test_a_raising_resolver_propagates(monkeypatch):
-    def fail(values):
-        raise RuntimeError("resolver failed")
+    """The resolver's exception leaves each entry as it is, once: a
+    ``BufferError`` of the resolver is not taken for a refused operand."""
+    for error in (RuntimeError, BufferError):
 
-    for name, big in EXTREMES:
-        ctx = get_context(name)
-        kern = ctx.format._bound_kernel
-        recording = _RecordingCompiled(kern.compiled)
-        monkeypatch.setattr(kern, "compiled", recording)
-        monkeypatch.setattr(kern, "_resolve", fail)
-        with np.errstate(all="ignore"):
-            for label, call, entries, _ in _extreme_passes(ctx, big):
-                recording.entries.clear()
-                with pytest.raises(RuntimeError, match="resolver failed"):
-                    call()
-                assert recording.entries == entries, (name, label)
+        def fail(values):
+            raise error("resolver failed")
+
+        for name, big in EXTREMES:
+            ctx = get_context(name)
+            kern = ctx.format._bound_kernel
+            recording = _RecordingCompiled(kern.compiled)
+            monkeypatch.setattr(kern, "compiled", recording)
+            monkeypatch.setattr(kern, "_resolve", fail)
+            with np.errstate(all="ignore"):
+                for label, call, entries, _ in _extreme_passes(ctx, big):
+                    recording.entries.clear()
+                    with pytest.raises(error, match="resolver failed"):
+                        call()
+                    assert recording.entries == entries, (error, name, label)
 
 
 def _drop_odd_leftover(self, buf):

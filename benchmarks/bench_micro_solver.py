@@ -3,23 +3,23 @@
 Measures the end-to-end cost of one partial spectral decomposition (the unit
 of work behind every data point of Figures 1-5) for a representative graph
 Laplacian, across formats and Krylov dimensions.  The wide (32/64-bit)
-posit/takum cases quantify the scalar-kernel fast path end to end: their
-per-operation rounding is dominated by the solvers' scalar Givens/QL
-operations, which route through ``round_scalar`` instead of 1-element
-``round_array_analytic`` calls.
+posit/takum cases quantify the scalar fast paths end to end: the solvers'
+scalar Givens operations round through the compiled scalar entry of the
+format's kernel, inside the compiled QL or through ``round_scalar``.
 
 The QL section times the shipped implicit-shift QL iteration
 (``repro.linalg.tridiagonal.tridiagonal_eigen``) against the explicit
 step-by-step baseline preserved in ``tests/_explicit_baseline.py``, which
 spells every rounded operation as a ``ctx.add(ctx.mul(...))`` call and
 rotates the eigenvectors with six array ops per Givens step.  Both execute
-bit-identical rounded-operation sequences.  The shipped recurrence runs on
-raw work-dtype scalars with ``ctx.round_scalar`` (no operator-API wrappers)
-and defers the rotations, applying them in waves of disjoint column pairs,
-two rounding calls per wave (``ctx.rotate_columns``).  The ratio is the
-shipped loop's cost relative to that baseline; it is expected to be well
-below zero, and the gate catches a QL rewrite that makes the loop slower
-than the step-by-step spelling it replaced.
+bit-identical rounded-operation sequences.  The shipped iteration is two
+calls of the compiled rounding library: ``ql`` runs the recurrence in C,
+each op rounded by the step of the format's kernel, and ``rotate``
+applies the deferred rotations in waves of disjoint column pairs, two
+rounding passes per wave.  The ratio is the shipped loop's cost relative
+to that baseline; it is expected to be far below zero, and the gate
+catches a QL rewrite that makes the loop slower than the step-by-step
+spelling it replaced.
 
 Smoke mode for CI::
 

@@ -3,10 +3,13 @@
 The telemetry layer (:mod:`repro.telemetry`) promises to be effectively
 free: disabled it must cost nothing but a module-attribute check per
 instrumented site, and *enabled* (metrics + a configured trace sink) it must
-stay within a small single-digit-percent budget on the scalar-dominated QL
-iteration — the tightest loop any instrumented code path sits on
-(``tridiagonal_eigen`` opens one span per call while every vector rounding
-dispatch underneath increments labelled counters).
+stay within a small single-digit-percent budget on the solver.  The timed
+unit is one ``partialschur`` solve of the seed-0 order-32 matrix of the
+fig1 grid, as the figure runs it: its restarts hold the projected
+eigensolver (one ``tridiagonal.ql`` span per restart), the Arnoldi spans
+and every rounding dispatch tally underneath.  A single
+``tridiagonal_eigen`` call is no longer a fair unit: it is one compiled
+call, so one live-sink span (~24 µs) alone is several percent of it.
 
 The measurement interleaves disabled and enabled runs per format and takes
 the per-variant minima, exactly like the operator-API gate in
@@ -39,11 +42,13 @@ import numpy as np
 import pytest
 
 from repro.arithmetic import get_context
-from repro.linalg.tridiagonal import tridiagonal_eigen
+from repro.core import partialschur
+from repro.datasets import get_suite
+from repro.experiments import tolerance_for
 from repro.telemetry import metrics, set_enabled, trace
 
-#: formats whose QL path the overhead gate covers — the narrow and the wide
-#: scalar-kernel regimes (same pool as the operator gate)
+#: formats whose solve the overhead gate covers — the narrow and the wide
+#: scalar-kernel regimes (same pool as the QL gate of bench_micro_solver)
 OVERHEAD_FORMATS = (
     "bfloat16",
     "posit16",
@@ -59,15 +64,23 @@ OVERHEAD_FORMATS = (
 OVERHEAD_LIMIT = 0.02
 
 
-def _ql_problem(ctx, n: int = 24):
-    """A tridiagonalised symmetric matrix: input for the QL iteration."""
-    from benchmarks.bench_micro_solver import _ql_problem as build
+def _solve_problem(fmt: str):
+    """The timed unit: a ``partialschur`` solve of the seed-0 order-32
+    general matrix of the fig1 grid in ``fmt``, as the figure runs it."""
+    matrix = get_suite("general", size_range=(32, 32), seed=0, count=1)[0].matrix
+    ctx = get_context(fmt)
+    converted, _ = ctx.convert_matrix(matrix)
+    tol = tolerance_for(fmt)
 
-    return build(ctx, n)
+    def solve():
+        with np.errstate(all="ignore"):
+            return partialschur(converted, nev=12, tol=tol, restarts=25, ctx=ctx, seed=0, eps_floor=True)
+
+    return ctx, solve
 
 
-def measure_telemetry_overhead(formats=OVERHEAD_FORMATS, repeats: int = 7, n: int = 24):
-    """Interleaved best-of-N timing of telemetry enabled vs disabled QL runs.
+def measure_telemetry_overhead(formats=OVERHEAD_FORMATS, repeats: int = 7):
+    """Interleaved best-of-N timing of telemetry enabled vs disabled solves.
 
     Returns ``(per_format, aggregate)``: a dict ``fmt -> (t_enabled,
     t_disabled)`` of the fastest observed runs and the aggregate overhead
@@ -82,21 +95,20 @@ def measure_telemetry_overhead(formats=OVERHEAD_FORMATS, repeats: int = 7, n: in
         with tempfile.TemporaryDirectory() as tmp:
             sink = f"{tmp}/bench_trace.jsonl"
             for fmt in formats:
-                ctx = get_context(fmt)
-                d, e, Q = _ql_problem(ctx, n)
+                ctx, solve = _solve_problem(fmt)
                 t_on = []
                 t_off = []
                 for _ in range(repeats):
                     set_enabled(False)
                     trace.shutdown()
                     t0 = time.perf_counter()
-                    tridiagonal_eigen(ctx, d, e, Q)
+                    solve()
                     t_off.append(time.perf_counter() - t0)
 
                     set_enabled(True)
                     trace.configure(sink, export_env=False)
                     t0 = time.perf_counter()
-                    tridiagonal_eigen(ctx, d, e, Q)
+                    solve()
                     t_on.append(time.perf_counter() - t0)
                     ctx.publish_op_count()
                 best_on, best_off = min(t_on), min(t_off)
@@ -112,7 +124,7 @@ def measure_telemetry_overhead(formats=OVERHEAD_FORMATS, repeats: int = 7, n: in
 
 def format_telemetry_report(per_format, aggregate) -> str:
     lines = [
-        "Telemetry enabled (metrics + trace sink) vs disabled — QL path",
+        "Telemetry enabled (metrics + trace sink) vs disabled — partialschur solve",
         f"{'format':10s} {'enabled':>12s} {'disabled':>12s} {'overhead':>9s}",
     ]
     for fmt, (t_on, t_off) in per_format.items():
@@ -126,22 +138,19 @@ def format_telemetry_report(per_format, aggregate) -> str:
 
 @pytest.mark.parametrize("fmt", ["bfloat16", "posit32", "takum64"])
 @pytest.mark.parametrize("mode", ["disabled", "enabled"])
-def test_ql_telemetry_overhead(benchmark, tmp_path, fmt, mode):
+def test_solve_telemetry_overhead(benchmark, tmp_path, fmt, mode):
     """pytest-benchmark view of the same comparison (representative formats)."""
-    ctx = get_context(fmt)
-    d, e, Q = _ql_problem(ctx)
+    _, solve = _solve_problem(fmt)
     previous = set_enabled(mode == "enabled")
     if mode == "enabled":
         trace.configure(tmp_path / "trace.jsonl", export_env=False)
     try:
-        w, _ = benchmark.pedantic(
-            lambda: tridiagonal_eigen(ctx, d, e, Q), rounds=1, iterations=1
-        )
+        result = benchmark.pedantic(solve, rounds=1, iterations=1)
     finally:
         trace.shutdown()
         metrics.reset()
         set_enabled(previous)
-    assert np.all(np.isfinite(np.asarray(w, dtype=np.float64)))
+    assert result.matvecs > 0
 
 
 def main(argv=None) -> int:
@@ -154,7 +163,7 @@ def main(argv=None) -> int:
         action="store_true",
         help="fail (exit 1) if aggregate telemetry overhead exceeds "
         # argparse expands help printf-style, so the percent sign is doubled
-        f"{OVERHEAD_LIMIT:.0%}".replace("%", "%%") + " on the QL path",
+        f"{OVERHEAD_LIMIT:.0%}".replace("%", "%%") + " on the solver",
     )
     parser.add_argument("--repeats", type=int, default=7, help="interleaved repeats")
     parser.add_argument(

@@ -39,7 +39,8 @@ the bit kernels state each tapered binade rule independently of them
 (``_keep_bits``), so the sweeps compare two derivations.  The one opt-out,
 ``set_bitkernels_enabled(False)`` / ``REPRO_DISABLE_BITKERNELS=1``, turns
 the compiled kernels off process-wide so every format rounds through its
-analytic kernels, as it does on a host without a C compiler.
+analytic kernels.  The compiled library itself is required (it also holds
+the QL iteration of the projected eigensolver).
 """
 
 from .base import LONGDOUBLE_EXTENDED, NumberFormat, RoundingInfo

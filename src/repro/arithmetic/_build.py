@@ -4,16 +4,21 @@ The extension is compiled on first use with the system C compiler (the one
 Python's own extensions are linked with, ``sysconfig``'s ``LDSHARED``)
 into the user cache directory, ``$XDG_CACHE_HOME/repro/ext`` (default
 ``~/.cache/repro/ext``), and loaded from there.  The file name carries a
-hash of the source, the interpreter's extension suffix and the NumPy
-version, so a warm cache never runs the compiler and a changed source or
-interpreter builds its own library.  A build writes to a temporary file
+hash of the source, the compiler command, the interpreter's extension
+suffix and the NumPy version, so a warm cache never runs the compiler and a
+changed source, flag or interpreter builds its own library.  A build writes to a temporary file
 and publishes it by atomic rename: processes racing to build the same
 library each publish a complete one.  A cached library that fails to load
 is rebuilt once.
 
-:func:`load` returns ``None``, with one ``RuntimeWarning``, when the
-library cannot be built (no compiler, no Python or NumPy headers); the
-formats then round through their analytic kernels, with the same results.
+:func:`load` raises :class:`ImportError`, naming the compiler, when the
+library cannot be built (no compiler, no Python or NumPy headers): the
+package needs it, since the projected eigensolver runs only in C.
+
+The library is compiled with ``-ffp-contract=off``: every ``a * b + c`` of
+the eigensolver rounds its product before the sum, as NumPy does, and never
+fuses into one FMA (GCC fuses by default where the target has FMA, as on
+aarch64).
 """
 
 from __future__ import annotations
@@ -25,11 +30,8 @@ import shlex
 import subprocess
 import sysconfig
 import tempfile
-import warnings
 from pathlib import Path
 from types import ModuleType
-from typing import Optional
-
 import numpy as np
 
 __all__ = ["SOURCE", "cache_dir", "compiler_command", "library_path", "load"]
@@ -47,11 +49,15 @@ def cache_dir() -> Path:
 
 
 def library_path() -> Path:
-    """Cache path of the library built from the current source for this
-    interpreter and NumPy version."""
+    """Cache path of the library built from the current source with the
+    current compiler command, for this interpreter and NumPy version."""
     suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
+    # the command with placeholder paths: the key does not depend on where
+    # the checkout lies
+    command = compiler_command(Path(SOURCE.name), Path("_rounding" + suffix))
     key = hashlib.sha256()
-    for part in (SOURCE.read_bytes(), suffix.encode(), np.__version__.encode()):
+    parts = (SOURCE.read_bytes(), "\0".join(command).encode(), suffix.encode(), np.__version__.encode())
+    for part in parts:
         key.update(part)
         key.update(b"\0")
     return cache_dir() / f"_rounding_{key.hexdigest()[:16]}{suffix}"
@@ -66,10 +72,12 @@ def compiler_command(source: Path, target: Path) -> list[str]:
         *link,
         *pic,
         "-O2",
+        "-ffp-contract=off",
         *(f"-I{path}" for path in includes),
         str(source),
         "-o",
         str(target),
+        "-lm",
     ]
 
 
@@ -99,10 +107,16 @@ def _import(path: Path) -> ModuleType:
     return module
 
 
-def load() -> Optional[ModuleType]:
+def load() -> ModuleType:
     """The compiled extension, built first when the cache has no loadable
-    library for it; ``None`` (after one ``RuntimeWarning``) when it cannot
-    be built."""
+    library for it.
+
+    Raises
+    ------
+    ImportError
+        When the library cannot be built; the message names the compiler
+        and carries its error output.
+    """
     path = library_path()
     if path.exists():
         try:
@@ -111,15 +125,12 @@ def load() -> Optional[ModuleType]:
             pass  # truncated or corrupt: rebuild it
     try:
         _compile(path)
-        return _import(path)
-    except (OSError, subprocess.CalledProcessError, ImportError) as exc:
+    except (OSError, subprocess.CalledProcessError) as exc:
+        compiler = compiler_command(SOURCE, path)[0]
         stderr = getattr(exc, "stderr", None)
         detail = stderr.decode(errors="replace").strip() if stderr else exc
-        warnings.warn(
-            f"repro: could not build the compiled rounding kernel ({detail}); "
-            "every format rounds through its analytic kernels instead: the "
-            "results are the same, only slower",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return None
+        raise ImportError(
+            f"repro needs a C compiler to build its rounding kernel: {compiler!r} "
+            f"failed ({detail})"
+        ) from exc
+    return _import(path)

@@ -25,8 +25,9 @@
  * Each layout has one step that loads one value, rounds it, stores it
  * (into the slot it came from, or into another) and returns SERVED, ZERO
  * or HAND_BACK: `step_f64` and `step_x87`; the native dtypes have
- * `step_none`, which leaves the value as it is.  Every entry below
- * rounds through these steps.  Exact zeros in a special binade are rounded
+ * `step_none`, which leaves the value as it is, and an emulated format no
+ * kernel serves has `step_all`, which hands every value back.  Every entry
+ * below rounds through these steps.  Exact zeros in a special binade are rounded
  * here too (`-0.0` becomes `+0.0` for formats with one unsigned zero).
  * Every other value in a special binade (extreme regimes, overflow bands,
  * deep subnormals, infinities, NaN) is handed back: it stays unrounded in
@@ -60,7 +61,32 @@
  *                                the same tree over a float32, float64 or
  *                                longdouble array without rounding: the
  *                                native contexts, whose storage type is
- *                                the rounding.
+ *                                the rounding;
+ *   ql(d, e, max_sweeps, eps, kernel, resolve)
+ *                                the implicit-shift QL iteration of the
+ *                                projected eigensolver on the diagonal `d`
+ *                                and the subdiagonal `e` (as long as `d`)
+ *                                in place -> (ops, status, low, restarts,
+ *                                cols, cs, ss): the rounded-op tally, 0 or
+ *                                the failure (1: a non-finite value, 2: no
+ *                                deflation of eigenvalue `low` within
+ *                                `max_sweeps` sweeps), the steps that met a
+ *                                zero rotation radius, and the Givens steps
+ *                                (i, c, s) recorded for the eigenvectors;
+ *   rotate(ZT, cols, cs, ss, kernel, resolve)
+ *                                those Givens steps applied to the rows of
+ *                                `ZT` in place, wave by wave -> the number
+ *                                of waves.
+ *
+ * The eigensolver entries round through `kernel` (a Kernel of the work
+ * type of the arrays), or, with `kernel` None, not at all (`resolve` None:
+ * float32, float64 and longdouble arrays of the native contexts) or by
+ * handing every value to `resolve` (an emulated format without a kernel).
+ * `ql` resolves a handed-back scalar at once, one value per call of
+ * `resolve`, since the next op reads it; `rotate` rounds each wave in two
+ * passes, as `round_into` would round them, each resolved in one call of
+ * `resolve` and counted as one call of the kernel.  Both take
+ * well-behaved C-contiguous arrays only, and write in place.
  *
  * A pairwise reduction sums each segment of `values` as a balanced tree:
  * the segments are the rows along the last axis of `values` (`indptr`
@@ -79,6 +105,8 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <float.h>
+#include <math.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -96,9 +124,13 @@
 
 /* bytes of one x87 extended value in memory */
 #define X87_SLOT 16
+/* whether npy_longdouble is the x87 extended value in a 16-byte slot */
+#define X87_LONGDOUBLE (LDBL_MANT_DIG == 64 && NPY_SIZEOF_LONGDOUBLE == X87_SLOT)
 
 /* OperandError: the operands `round_into` refuses, before it writes */
 static PyObject *OperandError;
+
+static PyTypeObject KernelType;
 
 enum { SHIFT, BIAS, SPECIAL, N_LUTS };
 enum { CALLS, ELEMENTS, HANDED_BACK, ZEROS, N_COUNTS };
@@ -119,6 +151,13 @@ typedef struct {
     const uint8_t *special;
     int unsigned_zero;
 } Tables;
+
+/* the NumPy type of the kernel's work values */
+static inline int
+work_type(const Kernel *k)
+{
+    return k->extended ? NPY_LONGDOUBLE : NPY_DOUBLE;
+}
 
 static inline Tables
 tables_of(const Kernel *k)
@@ -202,6 +241,14 @@ step_none(const Tables *Py_UNUSED(t), const void *Py_UNUSED(in), void *Py_UNUSED
     return SERVED;
 }
 
+/* The step of an emulated format no kernel serves: every value is handed
+ * back, unchanged, for the caller's resolver to round; in place only. */
+static inline int
+step_all(const Tables *Py_UNUSED(t), const void *Py_UNUSED(in), void *Py_UNUSED(out))
+{
+    return HAND_BACK;
+}
+
 static PyObject *
 Kernel_round_one(Kernel *k, PyObject *value)
 {
@@ -272,13 +319,14 @@ note(Pass *pass, int outcome, npy_intp i)
     return 0;
 }
 
-/* Round the values a pass handed back with one `resolve` call and store
- * them in place (x87 values with their padding zeroed). */
+/* Round the values a pass over the `typenum` buffer `buf` handed back with
+ * one `resolve` call and store them in place (x87 values with their padding
+ * zeroed). */
 static int
-resolve_level(const Kernel *k, char *buf, Pass *pass, PyObject *resolve)
+resolve_level(int typenum, char *buf, Pass *pass, PyObject *resolve)
 {
-    const int typenum = k->extended ? NPY_LONGDOUBLE : NPY_DOUBLE;
-    const npy_intp size = k->extended ? X87_SLOT : 8;
+    const npy_intp size = typenum == NPY_LONGDOUBLE ? NPY_SIZEOF_LONGDOUBLE : 8;
+    const int x87 = typenum == NPY_LONGDOUBLE && X87_LONGDOUBLE;
     PyObject *handed = PyArray_SimpleNew(1, &pass->count, typenum);
     if (handed == NULL) {
         return -1;
@@ -308,7 +356,7 @@ resolve_level(const Kernel *k, char *buf, Pass *pass, PyObject *resolve)
     for (npy_intp j = 0; j < pass->count; j++) {
         char *dst = buf + pass->pos[j] * size;
         memcpy(dst, got + j * size, (size_t)size);
-        if (k->extended) {
+        if (x87) {
             ((uint64_t *)dst)[1] &= 0xFFFF;
         }
     }
@@ -316,18 +364,19 @@ resolve_level(const Kernel *k, char *buf, Pass *pass, PyObject *resolve)
     return 0;
 }
 
-/* Close a pass that rounded `n` values of `buf`: count it while the
- * telemetry flag byte is set, resolve its hand-backs, and start afresh. */
+/* Close a pass that rounded `n` values of the `typenum` buffer `buf`: count
+ * it into `k` (if any) while the telemetry flag byte is set, resolve its
+ * hand-backs, and start afresh. */
 static int
-end_pass(Kernel *k, char *buf, npy_intp n, Pass *pass, PyObject *resolve)
+end_pass(Kernel *k, int typenum, char *buf, npy_intp n, Pass *pass, PyObject *resolve)
 {
-    if (*(const char *)k->counting.buf) {
+    if (k != NULL && *(const char *)k->counting.buf) {
         k->counts[CALLS] += 1;
         k->counts[ELEMENTS] += (unsigned long long)n;
         k->counts[HANDED_BACK] += (unsigned long long)pass->count;
         k->counts[ZEROS] += pass->zeros;
     }
-    const int status = pass->count ? resolve_level(k, buf, pass, resolve) : 0;
+    const int status = pass->count ? resolve_level(typenum, buf, pass, resolve) : 0;
     pass->count = 0;
     pass->zeros = 0;
     return status;
@@ -391,7 +440,7 @@ Kernel_round_into(Kernel *k, PyObject *const *args, Py_ssize_t nargs)
             goto done;
         }
     }
-    if (end_pass(k, dst, n, &pass, args[2]) == 0) {
+    if (end_pass(k, work_type(k), dst, n, &pass, args[2]) == 0) {
         res = Py_NewRef(Py_None);
     }
 
@@ -536,7 +585,7 @@ reduce_pairwise(Kernel *k, PyObject *values, PyObject *indptr, PyObject *resolve
 {
     int typenum;
     if (k != NULL) {
-        typenum = k->extended ? NPY_LONGDOUBLE : NPY_DOUBLE;
+        typenum = work_type(k);
     }
     else {
         typenum = PyArray_Check(values) ? PyArray_TYPE((PyArrayObject *)values) : NPY_NOTYPE;
@@ -581,7 +630,7 @@ reduce_pairwise(Kernel *k, PyObject *values, PyObject *indptr, PyObject *resolve
         }
         src = buf;
         from = seg.off;
-        if (k != NULL && end_pass(k, buf, sums, &pass, resolve) < 0) {
+        if (k != NULL && end_pass(k, typenum, buf, sums, &pass, resolve) < 0) {
             goto done;
         }
     }
@@ -623,6 +672,577 @@ module_reduce_pairwise(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ss
         return NULL;
     }
     return reduce_pairwise(NULL, args[0], args[1], NULL);
+}
+
+/* ------------------------------------------------------------------------ */
+/* The projected eigensolver: the QL recurrence and its wave rotations.      */
+
+enum { QL_OK, QL_NONFINITE, QL_SWEEPS };
+
+/* One `ql` call: its rounding, its limits, and what it found. */
+typedef struct {
+    const Tables *t;
+    PyObject *resolve; /* rounds one handed-back scalar (NULL: native) */
+    long max_sweeps;
+    double eps;   /* deflation threshold */
+    double floor; /* max(eps, 1e-30): the shift denominator that replaces 0 */
+    unsigned long long ops;
+    unsigned long long restarts; /* steps that met a zero rotation radius */
+    int status;
+    npy_intp low; /* the eigenvalue a failure was deflating */
+    /* the recorded rotations (i, c, s) */
+    npy_intp count;
+    npy_intp capacity;
+    npy_intp itemsize;
+    npy_intp *cols;
+    char *cs;
+    char *ss;
+} Ql;
+
+/* Round the `typenum` scalar at `x`, which a step handed back, in place
+ * with one call of `resolve` (a work-dtype scalar in, a number out). */
+static int
+resolve_scalar(PyObject *resolve, int typenum, void *x)
+{
+    PyArray_Descr *descr = PyArray_DescrFromType(typenum);
+    PyObject *arg = PyArray_Scalar(x, descr, NULL);
+    Py_DECREF(descr);
+    if (arg == NULL) {
+        return -1;
+    }
+    PyObject *res = PyObject_CallOneArg(resolve, arg);
+    Py_DECREF(arg);
+    if (res == NULL) {
+        return -1;
+    }
+    int status = 0;
+    if (typenum == NPY_DOUBLE && PyFloat_Check(res)) {
+        *(double *)x = PyFloat_AS_DOUBLE(res);
+    }
+    else if (typenum == NPY_LONGDOUBLE && PyArray_IsScalar(res, LongDouble)) {
+        *(npy_longdouble *)x = PyArrayScalar_VAL(res, LongDouble);
+    }
+    else {
+        PyArrayObject *arr =
+            (PyArrayObject *)PyArray_FROMANY(res, typenum, 0, 0, NPY_ARRAY_CARRAY_RO);
+        if (arr == NULL) {
+            status = -1;
+        }
+        else if (PyArray_SIZE(arr) != 1) {
+            PyErr_SetString(PyExc_ValueError, "resolve returned more than one value");
+            status = -1;
+        }
+        else {
+            memcpy(x, PyArray_DATA(arr), (size_t)PyArray_ITEMSIZE(arr));
+        }
+        Py_XDECREF(arr);
+    }
+    Py_DECREF(res);
+    return status;
+}
+
+/* Record the Givens step (i, c, s) of the eigenvector update. */
+static int
+record(Ql *q, npy_intp i, const void *c, const void *s)
+{
+    if (q->count == q->capacity) {
+        const npy_intp capacity = q->capacity ? 2 * q->capacity : 64;
+        npy_intp *cols = PyMem_Realloc(q->cols, (size_t)capacity * sizeof(npy_intp));
+        if (cols != NULL) {
+            q->cols = cols;
+        }
+        char *cs = PyMem_Realloc(q->cs, (size_t)(capacity * q->itemsize));
+        if (cs != NULL) {
+            q->cs = cs;
+        }
+        char *ss = PyMem_Realloc(q->ss, (size_t)(capacity * q->itemsize));
+        if (ss != NULL) {
+            q->ss = ss;
+        }
+        if (cols == NULL || cs == NULL || ss == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        q->capacity = capacity;
+    }
+    q->cols[q->count] = i;
+    memcpy(q->cs + q->count * q->itemsize, c, (size_t)q->itemsize);
+    memcpy(q->ss + q->count * q->itemsize, s, (size_t)q->itemsize);
+    q->count++;
+    return 0;
+}
+
+/* One `rotate` call: its rounding and the pass it is in. */
+typedef struct {
+    Kernel *k; /* counts the passes (NULL: none) */
+    const Tables *t;
+    PyObject *resolve; /* rounds the values a pass hands back (NULL: native) */
+    Pass pass;
+} Rot;
+
+/* `var = expr`, rounded through the instance's `rs`; returns -1 from the
+ * enclosing function when the resolver fails. */
+#define RS(var, expr)                \
+    do {                             \
+        (var) = (expr);              \
+        if (rs(q, &(var)) < 0) {     \
+            return -1;               \
+        }                            \
+    } while (0)
+
+/* The eigensolver over elements of type `T` (NumPy type `TYPENUM`), each
+ * op rounded by `STEP` and, when `STEP` hands the value back, by the
+ * caller's resolver:
+ *
+ *   NAME_hypot   the scaled hypot `scale * sqrt(1 + (small / scale)^2)`,
+ *                five rounded ops; NaN, zero and infinite operands return
+ *                NaN, 0 and inf with no op;
+ *   NAME_ql      the implicit-shift QL iteration on `d` and `e` in place,
+ *                recording each Givens step (EISPACK tql2);
+ *   NAME_rotate  the recorded steps applied to the rows of `Z^T`, wave by
+ *                wave: one pass rounds the products `c x, s y, s x, c y` of
+ *                every rotation in the wave, one pass the differences and
+ *                sums `c x - s y`, `s x + c y`, which overwrite the rows. */
+#define EIGEN(NAME, T, STEP, TYPENUM, SQRT, FABS, COPYSIGN)                                     \
+    static inline int NAME##_rs(Ql *q, T *x)                                                    \
+    {                                                                                           \
+        return STEP(q->t, x, x) == HAND_BACK ? resolve_scalar(q->resolve, TYPENUM, x) : 0;      \
+    }                                                                                           \
+                                                                                                \
+    static int NAME##_hypot(Ql *q, T a, T b, T *out)                                            \
+    {                                                                                           \
+        int (*const rs)(Ql *, T *) = NAME##_rs;                                                 \
+        const T aa = FABS(a), ab = FABS(b);                                                     \
+        if (aa != aa || ab != ab) {                                                             \
+            *out = (T)NAN;                                                                      \
+            return 0;                                                                           \
+        }                                                                                       \
+        const T scale = aa >= ab ? aa : ab, small = aa >= ab ? ab : aa;                         \
+        if (scale == 0 || isinf(scale)) {                                                       \
+            *out = scale;                                                                       \
+            return 0;                                                                           \
+        }                                                                                       \
+        T t, sq, u, root;                                                                       \
+        RS(t, small / scale);                                                                   \
+        RS(sq, t * t);                                                                          \
+        RS(u, (T)1 + sq); /* in [1, 2] */                                                       \
+        RS(root, SQRT(u));                                                                      \
+        q->ops += 5;                                                                            \
+        RS(*out, scale * root);                                                                 \
+        return 0;                                                                               \
+    }                                                                                           \
+                                                                                                \
+    static int NAME##_ql(Ql *q, char *d_, char *e_, npy_intp n)                                 \
+    {                                                                                           \
+        int (*const rs)(Ql *, T *) = NAME##_rs;                                                 \
+        T *d = (T *)d_, *e = (T *)e_;                                                           \
+        const T one = 1, two = 2;                                                               \
+        for (npy_intp low = 0; low < n; low++) {                                                \
+            long sweeps = 0;                                                                    \
+            for (;;) {                                                                          \
+                for (npy_intp j = 0; j < n; j++) {                                              \
+                    if (!isfinite(d[j]) || !isfinite(e[j])) {                                   \
+                        q->status = QL_NONFINITE;                                               \
+                        q->low = low;                                                           \
+                        return 0;                                                               \
+                    }                                                                           \
+                }                                                                               \
+                /* deflation: a float64 test on the values, not format arithmetic */           \
+                npy_intp m = low;                                                               \
+                while (m < n - 1) {                                                             \
+                    const double dd = fabs((double)d[m]) + fabs((double)d[m + 1]);              \
+                    if (fabs((double)e[m]) <= q->eps * dd) {                                    \
+                        break;                                                                  \
+                    }                                                                           \
+                    m++;                                                                        \
+                }                                                                               \
+                if (m == low) {                                                                 \
+                    break;                                                                      \
+                }                                                                               \
+                if (++sweeps > q->max_sweeps) {                                                 \
+                    q->status = QL_SWEEPS;                                                      \
+                    q->low = low;                                                               \
+                    return 0;                                                                   \
+                }                                                                               \
+                /* Wilkinson-like shift */                                                      \
+                T a, b, g, r, denom;                                                            \
+                RS(a, d[low + 1] - d[low]);                                                     \
+                RS(b, two * e[low]);                                                            \
+                RS(g, a / b);                                                                   \
+                if (NAME##_hypot(q, g, one, &r) < 0) {                                          \
+                    return -1;                                                                  \
+                }                                                                               \
+                RS(denom, g + COPYSIGN(r, g));                                                  \
+                if (denom == 0 || !isfinite(denom)) {                                           \
+                    denom = COPYSIGN((T)q->floor, g);                                           \
+                }                                                                               \
+                RS(a, d[m] - d[low]);                                                           \
+                RS(b, e[low] / denom);                                                          \
+                RS(g, a + b);                                                                   \
+                q->ops += 7;                                                                    \
+                T s = one, c = one, p = 0;                                                      \
+                int restart = 0;                                                                \
+                for (npy_intp i = m - 1; i >= low; i--) {                                       \
+                    const T ei = e[i];                                                          \
+                    T f, x, y;                                                                  \
+                    RS(f, s * ei);                                                              \
+                    RS(b, c * ei);                                                              \
+                    if (NAME##_hypot(q, f, g, &r) < 0) {                                        \
+                        return -1;                                                              \
+                    }                                                                           \
+                    e[i + 1] = r;                                                               \
+                    if (r == 0) {                                                               \
+                        RS(d[i + 1], d[i + 1] - p);                                             \
+                        e[m] = 0;                                                               \
+                        q->ops += 3;                                                            \
+                        q->restarts++;                                                          \
+                        restart = 1;                                                            \
+                        break;                                                                  \
+                    }                                                                           \
+                    RS(s, f / r);                                                               \
+                    RS(c, g / r);                                                               \
+                    RS(g, d[i + 1] - p);                                                        \
+                    RS(x, d[i] - g);                                                            \
+                    RS(x, x * s);                                                               \
+                    RS(y, two * c);                                                             \
+                    RS(y, y * b);                                                               \
+                    RS(r, x + y);                                                               \
+                    RS(p, s * r);                                                               \
+                    RS(d[i + 1], g + p);                                                        \
+                    RS(x, c * r);                                                               \
+                    RS(g, x - b);                                                               \
+                    q->ops += 14;                                                               \
+                    /* columns i, i + 1 become c zi - s zi1, s zi + c zi1 */                    \
+                    if (record(q, i, &c, &s) < 0) {                                             \
+                        return -1;                                                              \
+                    }                                                                           \
+                }                                                                               \
+                if (restart) {                                                                  \
+                    continue;                                                                   \
+                }                                                                               \
+                RS(d[low], d[low] - p);                                                         \
+                e[low] = g;                                                                     \
+                e[m] = 0;                                                                       \
+                q->ops += 1;                                                                    \
+            }                                                                                   \
+        }                                                                                       \
+        return 0;                                                                               \
+    }                                                                                           \
+                                                                                                \
+    static int NAME##_rotate(Rot *rot, char *zt_, npy_intp nrows, const npy_intp *cols,        \
+                             const char *cs_, const char *ss_, const npy_intp *order,           \
+                             const npy_intp *start, npy_intp waves, char *prods_)               \
+    {                                                                                           \
+        T *zt = (T *)zt_, *prods = (T *)prods_;                                                 \
+        const T *cs = (const T *)cs_, *ss = (const T *)ss_;                                     \
+        for (npy_intp w = 0; w < waves; w++) {                                                  \
+            const npy_intp *wave = order + start[w];                                            \
+            const npy_intp width = start[w + 1] - start[w], block = width * nrows;              \
+            /* [[c x, s y], [s x, c y]], each block one row per rotation */                     \
+            T *p = prods;                                                                       \
+            for (int h = 0; h < 4; h++) {                                                       \
+                for (npy_intp j = 0; j < width; j++) {                                          \
+                    const npy_intp k = wave[j];                                                 \
+                    const T coef = h == 0 || h == 3 ? cs[k] : ss[k];                            \
+                    const T *v = zt + (cols[k] + (h & 1)) * nrows;                              \
+                    for (npy_intp i = 0; i < nrows; i++, p++) {                                 \
+                        *p = coef * v[i];                                                       \
+                        if (note(&rot->pass, STEP(rot->t, p, p), p - prods) < 0) {              \
+                            return -1;                                                          \
+                        }                                                                       \
+                    }                                                                           \
+                }                                                                               \
+            }                                                                                   \
+            if (end_pass(rot->k, TYPENUM, prods_, 4 * block, &rot->pass, rot->resolve) < 0) {   \
+                return -1;                                                                      \
+            }                                                                                   \
+            /* c x - s y into row i, then s x + c y into row i + 1 */                           \
+            for (int h = 0; h < 2; h++) {                                                       \
+                const T *left = prods + 2 * h * block, *right = left + block;                   \
+                for (npy_intp j = 0; j < width; j++) {                                          \
+                    T *z = zt + (cols[wave[j]] + h) * nrows;                                    \
+                    for (npy_intp i = 0; i < nrows; i++, left++, right++) {                     \
+                        z[i] = h ? *left + *right : *left - *right;                             \
+                        if (note(&rot->pass, STEP(rot->t, &z[i], &z[i]), &z[i] - zt) < 0) {     \
+                            return -1;                                                          \
+                        }                                                                       \
+                    }                                                                           \
+                }                                                                               \
+            }                                                                                   \
+            if (end_pass(rot->k, TYPENUM, zt_, 2 * block, &rot->pass, rot->resolve) < 0) {      \
+                return -1;                                                                      \
+            }                                                                                   \
+        }                                                                                       \
+        return 0;                                                                               \
+    }
+
+EIGEN(f64, double, step_f64, NPY_DOUBLE, sqrt, fabs, copysign)
+EIGEN(x87, npy_longdouble, step_x87, NPY_LONGDOUBLE, sqrtl, fabsl, copysignl)
+EIGEN(native_float, float, step_none, NPY_FLOAT, sqrtf, fabsf, copysignf)
+EIGEN(native_double, double, step_none, NPY_DOUBLE, sqrt, fabs, copysign)
+EIGEN(native_longdouble, npy_longdouble, step_none, NPY_LONGDOUBLE, sqrtl, fabsl, copysignl)
+EIGEN(all_double, double, step_all, NPY_DOUBLE, sqrt, fabs, copysign)
+EIGEN(all_longdouble, npy_longdouble, step_all, NPY_LONGDOUBLE, sqrtl, fabsl, copysignl)
+
+#undef RS
+
+typedef int (*QlFn)(Ql *q, char *d, char *e, npy_intp n);
+typedef int (*RotateFn)(Rot *rot, char *zt, npy_intp nrows, const npy_intp *cols, const char *cs,
+                        const char *ss, const npy_intp *order, const npy_intp *start, npy_intp waves,
+                        char *prods);
+
+/* the instances, by the rounding of the work array */
+enum { WITH_F64, WITH_X87, NATIVE_FLOAT, NATIVE_DOUBLE, NATIVE_LONGDOUBLE, ALL_DOUBLE, ALL_LONGDOUBLE };
+static const QlFn ql_of[] = {f64_ql,           x87_ql,        native_float_ql,
+                             native_double_ql, native_longdouble_ql, all_double_ql,
+                             all_longdouble_ql};
+static const RotateFn rotate_of[] = {f64_rotate,           x87_rotate,        native_float_rotate,
+                                     native_double_rotate, native_longdouble_rotate,
+                                     all_double_rotate,    all_longdouble_rotate};
+
+/* The instance rounding a `typenum` work array through `kernel` (a Kernel),
+ * or with no kernel either not at all (`resolve` None: the native dtypes)
+ * or by handing every value to `resolve` (an emulated format no kernel
+ * serves); sets `*k` to the kernel, if any.  -1 with TypeError otherwise. */
+static int
+instance_of(PyObject *kernel, PyObject *resolve, int typenum, Kernel **k)
+{
+    *k = NULL;
+    if (kernel != Py_None) {
+        if (!PyObject_TypeCheck(kernel, &KernelType) || !PyCallable_Check(resolve)) {
+            PyErr_SetString(PyExc_TypeError, "a kernel needs a callable resolve");
+            return -1;
+        }
+        *k = (Kernel *)kernel;
+        if (typenum == work_type(*k)) {
+            return (*k)->extended ? WITH_X87 : WITH_F64;
+        }
+    }
+    else if (resolve == Py_None) {
+        switch (typenum) {
+        case NPY_FLOAT:
+            return NATIVE_FLOAT;
+        case NPY_DOUBLE:
+            return NATIVE_DOUBLE;
+        case NPY_LONGDOUBLE:
+            return NATIVE_LONGDOUBLE;
+        }
+    }
+    else if (PyCallable_Check(resolve)) {
+        switch (typenum) {
+        case NPY_DOUBLE:
+            return ALL_DOUBLE;
+        case NPY_LONGDOUBLE:
+            return ALL_LONGDOUBLE;
+        }
+    }
+    PyErr_SetString(PyExc_TypeError, "the work arrays do not match the kernel and resolve given");
+    return -1;
+}
+
+/* `obj` as a borrowed, well-behaved C-contiguous array with `ndim`
+ * dimensions, of `typenum` (-1: float32, float64 or longdouble), or NULL
+ * with TypeError. */
+static PyArrayObject *
+work_array(PyObject *obj, int ndim, int typenum, int writeable, const char *what)
+{
+    PyArrayObject *a = (PyArrayObject *)obj;
+    if (!PyArray_Check(obj) || PyArray_NDIM(a) != ndim ||
+        !(writeable ? PyArray_ISCARRAY(a) : PyArray_ISCARRAY_RO(a))) {
+        PyErr_Format(PyExc_TypeError, "%s must be a %s%d-D C-contiguous array", what,
+                     writeable ? "writeable " : "", ndim);
+        return NULL;
+    }
+    const int type = PyArray_TYPE(a);
+    if (typenum >= 0 ? type != typenum
+                     : type != NPY_FLOAT && type != NPY_DOUBLE && type != NPY_LONGDOUBLE) {
+        PyErr_Format(PyExc_TypeError, "%s has the wrong dtype", what);
+        return NULL;
+    }
+    return a;
+}
+
+/* ql(d, e, max_sweeps, eps, kernel, resolve) */
+static PyObject *
+module_ql(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 6) {
+        PyErr_SetString(PyExc_TypeError,
+                        "ql(d, e, max_sweeps, eps, kernel, resolve) takes six arguments");
+        return NULL;
+    }
+    PyArrayObject *d = work_array(args[0], 1, -1, 1, "d");
+    if (d == NULL) {
+        return NULL;
+    }
+    const int typenum = PyArray_TYPE(d);
+    PyArrayObject *e = work_array(args[1], 1, typenum, 1, "e");
+    if (e == NULL) {
+        return NULL;
+    }
+    const npy_intp n = PyArray_DIM(d, 0);
+    if (PyArray_DIM(e, 0) != n) {
+        PyErr_SetString(PyExc_ValueError, "e must be as long as d");
+        return NULL;
+    }
+    const long max_sweeps = PyLong_AsLong(args[2]);
+    const double eps = PyFloat_AsDouble(args[3]);
+    if (PyErr_Occurred()) {
+        return NULL;
+    }
+    Kernel *k;
+    const int which = instance_of(args[4], args[5], typenum, &k);
+    if (which < 0) {
+        return NULL;
+    }
+    const Tables t = k != NULL ? tables_of(k) : (Tables){NULL, NULL, NULL, 0};
+    Ql q = {&t, args[5] == Py_None ? NULL : args[5], max_sweeps, eps, eps > 1e-30 ? eps : 1e-30,
+            0,  0, QL_OK, 0, 0, 0, PyArray_ITEMSIZE(d), NULL, NULL, NULL};
+    PyObject *res = NULL, *cols = NULL, *cs = NULL, *ss = NULL;
+    if (ql_of[which](&q, PyArray_BYTES(d), PyArray_BYTES(e), n) < 0) {
+        goto done;
+    }
+    cols = PyArray_SimpleNew(1, &q.count, NPY_INTP);
+    cs = PyArray_SimpleNew(1, &q.count, typenum);
+    ss = PyArray_SimpleNew(1, &q.count, typenum);
+    if (cols == NULL || cs == NULL || ss == NULL) {
+        goto done;
+    }
+    if (q.count) {
+        memcpy(PyArray_DATA((PyArrayObject *)cols), q.cols, (size_t)q.count * sizeof(npy_intp));
+        memcpy(PyArray_DATA((PyArrayObject *)cs), q.cs, (size_t)(q.count * q.itemsize));
+        memcpy(PyArray_DATA((PyArrayObject *)ss), q.ss, (size_t)(q.count * q.itemsize));
+    }
+    res = Py_BuildValue("(KinKOOO)", q.ops, q.status, (Py_ssize_t)q.low, q.restarts, cols, cs, ss);
+
+done:
+    Py_XDECREF(cols);
+    Py_XDECREF(cs);
+    Py_XDECREF(ss);
+    PyMem_Free(q.cols);
+    PyMem_Free(q.cs);
+    PyMem_Free(q.ss);
+    return res;
+}
+
+/* Group rotations `k` on columns (cols[k], cols[k] + 1) into waves, as
+ * `repro.linalg.tridiagonal.wavefront_schedule` does: a rotation goes in
+ * the wave after the last one that touched either of its columns.  Fills
+ * `order` (the rotations by wave, in recorded order within a wave) and
+ * `start` (wave w is order[start[w]:start[w + 1]]); returns the number of
+ * waves, or -1 on a memory error. */
+static npy_intp
+schedule(const npy_intp *cols, npy_intp count, npy_intp ncols, npy_intp *order, npy_intp *start)
+{
+    npy_intp *last = PyMem_Calloc((size_t)ncols, sizeof(npy_intp));
+    npy_intp *wave = PyMem_Malloc((size_t)(count ? count : 1) * sizeof(npy_intp));
+    if (last == NULL || wave == NULL) {
+        PyMem_Free(last);
+        PyMem_Free(wave);
+        PyErr_NoMemory();
+        return -1;
+    }
+    npy_intp waves = 0;
+    memset(start, 0, (size_t)(count + 2) * sizeof(npy_intp));
+    for (npy_intp k = 0; k < count; k++) {
+        const npy_intp i = cols[k];
+        const npy_intp w = last[i] > last[i + 1] ? last[i] : last[i + 1];
+        last[i] = last[i + 1] = w + 1;
+        wave[k] = w;
+        start[w + 1]++;
+        waves = w + 1 > waves ? w + 1 : waves;
+    }
+    for (npy_intp w = 0; w < waves; w++) {
+        start[w + 1] += start[w];
+    }
+    for (npy_intp k = 0; k < count; k++) { /* stable: recorded order within a wave */
+        order[start[wave[k]]++] = k;
+    }
+    for (npy_intp w = waves; w > 0; w--) { /* the fill moved each start one wave on */
+        start[w] = start[w - 1];
+    }
+    start[0] = 0;
+    PyMem_Free(last);
+    PyMem_Free(wave);
+    return waves;
+}
+
+/* rotate(ZT, cols, cs, ss, kernel, resolve) */
+static PyObject *
+module_rotate(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 6) {
+        PyErr_SetString(PyExc_TypeError,
+                        "rotate(ZT, cols, cs, ss, kernel, resolve) takes six arguments");
+        return NULL;
+    }
+    PyArrayObject *zt = work_array(args[0], 2, -1, 1, "ZT");
+    if (zt == NULL) {
+        return NULL;
+    }
+    const int typenum = PyArray_TYPE(zt);
+    PyArrayObject *cols = (PyArrayObject *)args[1];
+    if (!PyArray_Check(args[1]) || PyArray_NDIM(cols) != 1 || !PyArray_ISCARRAY_RO(cols) ||
+        PyArray_TYPE(cols) != NPY_INTP) {
+        PyErr_SetString(PyExc_TypeError, "cols must be a 1-D C-contiguous intp array");
+        return NULL;
+    }
+    PyArrayObject *cs = work_array(args[2], 1, typenum, 0, "cs");
+    PyArrayObject *ss = cs == NULL ? NULL : work_array(args[3], 1, typenum, 0, "ss");
+    if (ss == NULL) {
+        return NULL;
+    }
+    const npy_intp count = PyArray_DIM(cols, 0), ncols = PyArray_DIM(zt, 0);
+    const npy_intp nrows = PyArray_DIM(zt, 1);
+    if (PyArray_DIM(cs, 0) != count || PyArray_DIM(ss, 0) != count) {
+        PyErr_SetString(PyExc_ValueError, "cols, cs and ss differ in length");
+        return NULL;
+    }
+    const npy_intp *col = (const npy_intp *)PyArray_DATA(cols);
+    for (npy_intp k = 0; k < count; k++) {
+        if (col[k] < 0 || col[k] >= ncols - 1) {
+            PyErr_SetString(PyExc_ValueError, "a rotation column lies outside ZT");
+            return NULL;
+        }
+    }
+    Kernel *k;
+    const int which = instance_of(args[4], args[5], typenum, &k);
+    if (which < 0) {
+        return NULL;
+    }
+    const Tables t = k != NULL ? tables_of(k) : (Tables){NULL, NULL, NULL, 0};
+    Rot rot = {k, &t, args[5] == Py_None ? NULL : args[5], {NULL, 0, 0, 0}};
+    PyObject *res = NULL;
+    char *prods = NULL;
+    npy_intp *order = PyMem_Malloc((size_t)(2 * count + 2) * sizeof(npy_intp));
+    if (order == NULL) {
+        PyErr_NoMemory();
+        return NULL;
+    }
+    npy_intp *start = order + count;
+    const npy_intp waves = schedule(col, count, ncols, order, start);
+    if (waves < 0) {
+        goto done;
+    }
+    npy_intp widest = 0;
+    for (npy_intp w = 0; w < waves; w++) {
+        widest = start[w + 1] - start[w] > widest ? start[w + 1] - start[w] : widest;
+    }
+    prods = PyMem_Malloc((size_t)(4 * widest * nrows * PyArray_ITEMSIZE(zt)) + 1);
+    if (prods == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (rotate_of[which](&rot, PyArray_BYTES(zt), nrows, col, PyArray_BYTES(cs), PyArray_BYTES(ss),
+                         order, start, waves, prods) == 0) {
+        res = PyLong_FromSsize_t((Py_ssize_t)waves);
+    }
+
+done:
+    PyMem_Free(rot.pass.pos);
+    PyMem_Free(prods);
+    PyMem_Free(order);
+    return res;
 }
 
 static PyObject *
@@ -722,6 +1342,12 @@ static PyTypeObject KernelType = {
 static PyMethodDef module_methods[] = {
     {"reduce_pairwise", (PyCFunction)(void (*)(void))module_reduce_pairwise, METH_FASTCALL,
      "reduce_pairwise(values, indptr) -> the unrounded pairwise sums of each segment"},
+    {"ql", (PyCFunction)(void (*)(void))module_ql, METH_FASTCALL,
+     "ql(d, e, max_sweeps, eps, kernel, resolve) -> (ops, status, low, restarts, cols, cs, ss); "
+     "the QL iteration on d and e in place"},
+    {"rotate", (PyCFunction)(void (*)(void))module_rotate, METH_FASTCALL,
+     "rotate(ZT, cols, cs, ss, kernel, resolve) -> waves; the recorded Givens steps applied "
+     "to the rows of ZT in place"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -303,7 +303,7 @@ class NumberFormat(ABC):
     ``REPRO_DISABLE_BITKERNELS=1`` (or, at runtime,
     :func:`repro.arithmetic.set_bitkernels_enabled`), which turns the bit
     kernels off process-wide so every format rounds through its analytic
-    kernels.  A host without a C compiler rounds the same way.
+    kernels.
     """
 
     #: short identifier, e.g. ``"posit16"``
@@ -489,8 +489,8 @@ class NumberFormat(ABC):
 
         Arrays of every size round through the compiled bit kernel
         (:mod:`repro.arithmetic.bitkernels`), which tallies its own
-        telemetry.  Without one (no kernel for the format, the kernels
-        globally disabled, no C compiler), arrays of up to
+        telemetry.  Without one (no kernel for the format, or the kernels
+        globally disabled), arrays of up to
         :attr:`scalar_cutoff` elements round element-wise through the
         pure-Python scalar kernel and larger ones through the vectorised
         :meth:`round_array_analytic` ground truth.

@@ -79,11 +79,12 @@ encoders, and vectorised decoding used (among others) by the narrow
 formats to enumerate their magnitude lists.
 
 The engine is off with the environment variable
-``REPRO_DISABLE_BITKERNELS=1``, at runtime with :func:`set_enabled` (the
-library's one rounding opt-out), and when the compiled library cannot be
-built; every format then rounds through its analytic kernels
-(``round_scalar_analytic``/``round_array_analytic``), the ground truth,
-with the same results.
+``REPRO_DISABLE_BITKERNELS=1`` or at runtime with :func:`set_enabled` (the
+library's one rounding opt-out); every format then rounds through its
+analytic kernels (``round_scalar_analytic``/``round_array_analytic``), the
+ground truth, with the same results.  The compiled library itself is
+required either way: the projected eigensolver
+(:mod:`repro.linalg.tridiagonal`) runs only in it.
 """
 
 from __future__ import annotations
@@ -106,6 +107,7 @@ __all__ = [
     "PositExtendedBitKernel",
     "TakumExtendedBitKernel",
     "extended_layout_supported",
+    "extension",
     "native_reducer",
     "set_enabled",
     "bitkernels_enabled",
@@ -126,8 +128,7 @@ _ENABLED = os.environ.get("REPRO_DISABLE_BITKERNELS", "").lower() not in (
     "yes",
 )
 
-#: the compiled extension: ``None`` until first needed, ``False`` when it
-#: could not be built
+#: the compiled extension: ``None`` until first needed
 _extension = None
 
 #: callables run after the switch flips; the formats register the drop of
@@ -135,13 +136,15 @@ _extension = None
 _switch_hooks: list[Callable[[], None]] = []
 
 
-def _compiled():
-    """The compiled extension module, loaded (and built) on first use;
-    ``None`` when it cannot be built."""
+def extension():
+    """The compiled extension module, loaded (and built) on first use.
+
+    Raises :class:`ImportError` when it cannot be built (see
+    :func:`repro.arithmetic._build.load`)."""
     global _extension
     if _extension is None:
-        _extension = _build.load() or False
-    return _extension or None
+        _extension = _build.load()
+    return _extension
 
 
 def set_enabled(enabled: bool) -> bool:
@@ -160,17 +163,15 @@ def set_enabled(enabled: bool) -> bool:
 
 
 def bitkernels_enabled() -> bool:
-    """Whether the bit kernels round: the switch is on and the compiled
-    library is available (built on the first call that needs it)."""
-    return _ENABLED and _compiled() is not None
+    """Whether the bit kernels round (the switch is on)."""
+    return _ENABLED
 
 
 def native_reducer():
     """The compiled pairwise reduction of the native dtypes,
     ``reduce_pairwise(values, indptr)``, or ``None`` when the bit kernels
     are off (see :meth:`BitKernel.reduce` for the tree it builds)."""
-    extension = _compiled() if _ENABLED else None
-    return None if extension is None else extension.reduce_pairwise
+    return extension().reduce_pairwise if _ENABLED else None
 
 
 def extended_layout_supported() -> bool:
@@ -194,8 +195,8 @@ class BitKernel:
     Subclasses define the format family by implementing :meth:`_keep_bits`
     (how many work-significand bits survive in a given binade, or ``None``
     for binades the analytic resolver must handle) plus the family's
-    :meth:`decode` / :meth:`encode` bit-field layouts.  Construction needs
-    the compiled library (see :func:`bitkernels_enabled`).
+    :meth:`decode` / :meth:`encode` bit-field layouts.  Construction loads
+    the compiled library (:func:`extension`).
 
     Parameters
     ----------
@@ -275,10 +276,7 @@ class BitKernel:
         self._shift = shift
         self._bias = bias
         self._special = special
-        extension = _compiled()
-        if extension is None:
-            raise RuntimeError("the compiled rounding kernel is not available")
-        self.compiled = extension.Kernel(
+        self.compiled = extension().Kernel(
             shift,
             bias,
             special,
@@ -337,7 +335,7 @@ class BitKernel:
             out = np.empty(x.shape, dtype=self.work_dtype)
         try:
             self.compiled.round_into(x, out, self._resolve)
-        except _compiled().OperandError:
+        except extension().OperandError:
             # non-contiguous, partially overlapping or foreign-dtype
             # operands: round a contiguous copy into a fresh buffer
             dst = np.empty(x.shape, dtype=self.work_dtype)

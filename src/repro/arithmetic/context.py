@@ -445,10 +445,23 @@ class ComputeContext(ABC):
     def _pairwise_reducer(self):
         """The compiled pairwise reduction ``(values, indptr) -> sums`` of
         this context, or ``None`` when the NumPy tree runs (the bit-kernel
-        switch is off, the compiled library is not loaded, or no kernel
-        serves the format).  Looked up on every reduction, so the switch
-        takes effect between calls."""
+        switch is off, or no kernel serves the format).  Looked up on every
+        reduction, so the switch takes effect between calls."""
         return None
+
+    @abstractmethod
+    def compiled_rounding(self) -> tuple:
+        """How the compiled eigensolver entries (``ql`` and ``rotate`` of
+        :mod:`repro.arithmetic._rounding`) round in this context:
+        ``(kernel, resolve_scalar, resolve_array)``.
+
+        ``kernel`` is the compiled kernel of the format, or ``None``;
+        ``resolve_scalar`` rounds one scalar the entries hand back and
+        ``resolve_array`` the values one pass hands back.  ``(None, None,
+        None)`` rounds nothing (the storage dtype is the rounding), and a
+        ``None`` kernel with resolvers hands every value to them.  Looked up
+        on every solve, so the bit-kernel switch takes effect between
+        calls."""
 
     def _reduce_last_axis(self, buf: np.ndarray) -> np.ndarray:
         """Rounded reduction of ``buf`` along its last axis.
@@ -773,6 +786,10 @@ class NativeContext(ComputeContext):
         """Hardware dtypes round by conversion; returns a dtype scalar."""
         return value if type(value) is self.dtype else self.dtype(value)
 
+    def compiled_rounding(self) -> tuple:
+        """The storage dtype is the rounding: no kernel, no resolver."""
+        return None, None, None
+
     @property
     def machine_epsilon(self) -> float:
         """Spacing above 1.0 of the hardware dtype (``numpy.finfo`` eps)."""
@@ -844,6 +861,18 @@ class EmulatedContext(ComputeContext):
         """The compiled tree of the format's bound bit kernel, if any."""
         kern = self.format._bound_kernel
         return None if kern is None else kern.reduce
+
+    def compiled_rounding(self) -> tuple:
+        """The format's bound bit kernel, whose hand-backs its analytic
+        kernels round (as :meth:`round_scalar` and :meth:`_round_work` do);
+        without one, every value goes to :meth:`NumberFormat.round_array`
+        and ``round_scalar_analytic``, which is how those two round every
+        value then."""
+        fmt = self.format
+        kern = fmt._bound_kernel
+        if kern is None:
+            return None, fmt.round_scalar_analytic, fmt.round_array
+        return kern.compiled, fmt.round_scalar_analytic, kern._resolve
 
     def round_scalar(self, value):
         """Round one scalar through the compiled scalar entry of the

@@ -14,45 +14,56 @@ These two loops are the solver's innermost code: every restart of the
 Krylov-Schur iteration runs them on the projected matrix, one rounded
 scalar or small-array operation at a time, where the wrapper objects and
 method calls of the operator API (:mod:`repro.arithmetic.farray`) and the
-fixed cost of each rounding call outweigh the arithmetic itself.  They are
-therefore written for dispatch cost:
+fixed cost of each rounding call outweigh the arithmetic itself.
 
-* the QL recurrence works on raw work-dtype scalars and spells each rounded
-  operation ``rs(a * b)`` with ``rs = ctx.round_scalar``, looked up once per
-  call (never cached at import or on the context, so a ``round_scalar``
-  patched on the class is still the one that runs).  The rotation radius
-  comes from ``ctx.hypot``, and exact zeros are stored without a rounding
-  call.  Each step adds its op count to
-  ``ctx.op_count`` once, when its ops are done, so a raised
-  :class:`EigenConvergenceError` tallies exactly the ops performed;
-* the Householder reduction keeps ``A`` and the accumulated ``Q`` stacked in
-  one buffer, so one :func:`~repro.linalg.reflectors.apply_reflector_right`
-  call updates both: each rounding call covers both matrices.
+The QL iteration therefore runs in C, as two entries of the compiled
+rounding kernel (:mod:`repro.arithmetic._rounding`), each one call per
+solve:
 
-The invariant is the operator form's: the same rounded operations on the
-same values in the same order, and the same op tally
-(``tests/test_operator_equivalence.py`` checks the QL recurrence against the
-explicit ``ctx.add(ctx.mul(...))`` spelling, the golden digests pin both
-kernels in every format).  Convergence scans and deflation thresholds read
-the raw buffers — they are exact float comparisons, not arithmetic in the
-target format.
+* ``ql`` runs the recurrence on ``d``/``e`` in place, in the work type of
+  the context (``double``, x87 ``long double`` for posit64/takum64 and the
+  reference context, ``float`` for float32), with the scaled five-op
+  ``hypot`` of :meth:`~repro.arithmetic.context.ComputeContext.hypot`.
+  Every op is the same op on the same values in the same order as the
+  operator spelling ``ctx.add(ctx.mul(...))``, and rounds through the
+  step of the format's kernel; a value the kernel hands back goes at once
+  to the format's analytic scalar kernel, since the next op reads it.  The
+  deflation test reads the values as float64 (exact comparisons, not
+  arithmetic in the target format).  The entry returns the op tally, the
+  exit status, the number of zero rotation radii (steps that restarted the
+  sweep; the ``restarts`` of the ``tridiagonal.ql`` trace span), and the
+  recorded Givens steps.
+* ``rotate`` applies the recorded steps to the eigenvectors.  The
+  eigenvector matrix never feeds back into the ``d``/``e`` recurrence, so
+  its update is deferred: each Givens step only records ``(i, c, s)``, and
+  the whole sequence is applied once the iteration ends — also when it
+  fails, so a failed solve tallies the same ops.  The rotations are grouped
+  into waves as :func:`wavefront_schedule` does (Van Zee, van de Geijn &
+  Quintana-Ortí, "Restructuring the tridiagonal and bidiagonal QR
+  algorithms for performance", ACM TOMS 40(3), 2014): a rotation joins the
+  wave after the last one that touched either of its two columns.
+  Rotations in one wave act on disjoint column pairs, on the contiguous
+  rows of a ``Z^T`` copy, and each wave is two rounding passes, as
+  :meth:`~repro.arithmetic.context.ComputeContext.rotate_columns` rounds
+  them: one over the four products ``c*x, s*y, s*x, c*y`` of every
+  rotation in the wave, one over ``c*x - s*y`` and ``s*x + c*y``.  Each
+  pass counts as one call of the kernel and gives its hand-backs to one
+  resolver call.  Rotations that share a column keep their original
+  order, so every element of ``Z`` sees the same rounded operations on the
+  same values in the same order: the result is bit-identical to rotating
+  step by step.
 
-The eigenvector matrix never feeds back into the ``d``/``e`` recurrence, so
-its update is deferred: each Givens step only records ``(i, c, s)``, and the
-whole sequence is applied once the iteration ends — also when it raises, so
-a failed solve tallies the same ops.  :func:`wavefront_schedule` groups the
-recorded rotations into waves (Van Zee, van de Geijn & Quintana-Ortí,
-"Restructuring the tridiagonal and bidiagonal QR algorithms for
-performance", ACM TOMS 40(3), 2014): a rotation joins the wave after the
-last one that touched either of its two columns.  Rotations in one wave act
-on disjoint column pairs and are applied by one fused
-``ctx.rotate_columns`` call (six rounded ops per element, two rounding
-calls per wave instead of per step).  The rotations are sorted by wave
-once, so a wave's columns and coefficients are slices, and the columns of
-``Z`` are rotated as contiguous rows of a ``Z^T`` copy.  Rotations that
-share a column keep their original order, so every element of ``Z`` sees
-the same rounded operations on the same values in the same order: the
-result is bit-identical to rotating step by step.
+:meth:`~repro.arithmetic.context.ComputeContext.compiled_rounding` says
+how the entries round in a context: through the format's kernel, handing
+every value to the analytic kernels (the bit-kernel switch off), or not at
+all (the native dtypes).  The golden digests pin both entries in every
+format (``tests/test_golden_digests.py``), and
+``tests/test_operator_equivalence.py`` checks them against the explicit
+``ctx.add(ctx.mul(...))`` spelling in both switch positions.
+
+The Householder reduction keeps ``A`` and the accumulated ``Q`` stacked in
+one buffer, so one :func:`~repro.linalg.reflectors.apply_reflector_right`
+call updates both: each rounding call covers both matrices.
 
 In very low precision the QL iteration may fail to deflate; this is reported
 as :class:`EigenConvergenceError` and surfaces as the paper's ∞ω
@@ -63,6 +74,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..arithmetic import bitkernels as _bitkernels
 from ..telemetry import trace as _trace
 from .reflectors import apply_reflector_left, apply_reflector_right, householder_vector
 
@@ -77,6 +89,11 @@ __all__ = [
 
 class EigenConvergenceError(RuntimeError):
     """The iterative eigensolver failed to converge in the target arithmetic."""
+
+
+#: the failure statuses of the compiled ``ql``: a non-finite value, and a
+#: sweep budget exhausted
+_NONFINITE, _SWEEPS = 1, 2
 
 
 def tridiagonalize(ctx, A):
@@ -150,16 +167,22 @@ def tridiagonal_eigen(ctx, d, e, Z=None, max_sweeps: int = 60):
             Z_full = np.eye(n, dtype=ctx.dtype)
         else:
             Z_full = np.array(np.asarray(Z, dtype=ctx.dtype), copy=True)
-        cols: list = []
-        cs: list = []
-        ss: list = []
-        try:
-            _ql_recurrence(ctx, d_full, e_full, max_sweeps, cols, cs, ss)
-        finally:
-            # a raised EigenConvergenceError still pays for the rotations
-            # it recorded, so op tallies match the step-by-step update
-            waves = _apply_rotations(ctx, Z_full, cols, cs, ss)
-            sp.set(rotations=len(cols), waves=waves)
+        kernel, resolve_scalar, _ = ctx.compiled_rounding()
+        ops, status, low, restarts, cols, cs, ss = _bitkernels.extension().ql(
+            d_full, e_full, max_sweeps, float(ctx.machine_epsilon), kernel, resolve_scalar
+        )
+        ctx.op_count += ops
+        # a failed iteration still pays for the rotations it recorded, so
+        # op tallies match the step-by-step update
+        waves = _apply_rotations(ctx, Z_full, cols, cs, ss)
+        sp.set(rotations=len(cols), waves=waves, restarts=restarts)
+        if status == _NONFINITE:
+            raise EigenConvergenceError("non-finite values during QL iteration")
+        if status == _SWEEPS:
+            raise EigenConvergenceError(
+                f"QL iteration did not deflate eigenvalue {low} within "
+                f"{max_sweeps} sweeps in {ctx.name}"
+            )
         return d_full, Z_full
 
 
@@ -171,7 +194,8 @@ def wavefront_schedule(cols, ncols: int) -> list:
     touched either of its columns, so rotations in one wave touch disjoint
     columns and rotations that share a column stay in their original order.
     Returns the waves in application order, each a list of rotation
-    indices in ascending order.
+    indices in ascending order.  The compiled ``rotate`` groups the
+    rotations of :func:`tridiagonal_eigen` the same way.
 
     The lockstep engine schedules every batch row with this function at
     once by numbering the columns of row ``a`` from ``a * n``: the rows'
@@ -191,107 +215,26 @@ def wavefront_schedule(cols, ncols: int) -> list:
 
 
 def _apply_rotations(ctx, Z, cols, cs, ss) -> int:
-    """Apply the recorded Givens sequence to the columns of ``Z`` in place,
-    one fused ``rotate_columns`` call per wave; returns the wave count.
-
-    The rotations are sorted by wave once, so each wave's columns and
-    coefficients are slices; the columns of ``Z`` are rotated as the
-    contiguous rows of a ``Z^T`` copy, written back at the end."""
-    if not cols:
+    """Apply the Givens sequence ``(cols[k], cs[k], ss[k])`` to the columns
+    of ``Z`` in place, wave by wave, in one compiled ``rotate`` call;
+    returns the wave count.  The columns are rotated as the contiguous rows
+    of a ``Z^T`` copy, written back at the end."""
+    cols = np.asarray(cols, dtype=np.intp)
+    if cols.size == 0:
         return 0
-    waves = wavefront_schedule(cols, Z.shape[1])
-    order = np.concatenate(waves)
-    cols = np.asarray(cols)[order]
-    cs = np.asarray(cs, dtype=ctx.dtype)[order, np.newaxis]
-    ss = np.asarray(ss, dtype=ctx.dtype)[order, np.newaxis]
+    kernel, _, resolve_array = ctx.compiled_rounding()
     ZT = np.ascontiguousarray(Z.T)
-    start = 0
-    for wave in waves:
-        stop = start + len(wave)
-        i = cols[start:stop]
-        rot = ctx.rotate_columns(cs[start:stop], ss[start:stop], ZT[i], ZT[i + 1])
-        ZT[i] = rot[0]
-        ZT[i + 1] = rot[1]
-        start = stop
+    waves = _bitkernels.extension().rotate(
+        ZT,
+        cols,
+        np.asarray(cs, dtype=ctx.dtype),
+        np.asarray(ss, dtype=ctx.dtype),
+        kernel,
+        resolve_array,
+    )
+    ctx.op_count += 6 * cols.size * ZT.shape[1]
     Z[...] = ZT.T
-    return len(waves)
-
-
-def _ql_recurrence(ctx, d, e, max_sweeps, cols, cs, ss):
-    """The QL iteration on ``d``/``e`` in place, recording each Givens step
-    of the eigenvector update as ``(i, c, s)`` in ``cols``/``cs``/``ss``."""
-    n = d.shape[0]
-    if n == 0:
-        return
-    rs = ctx.round_scalar
-    hypot = ctx.hypot  # tallies its own ops
-    dt = ctx.dtype
-    one, two, zero = dt(1.0), dt(2.0), dt(0.0)
-    eps_f = float(ctx.machine_epsilon)  # deflation threshold, reused below
-    isfinite = np.isfinite
-
-    for low in range(n):
-        sweeps = 0
-        while True:
-            if not (isfinite(d).all() and isfinite(e).all()):
-                raise EigenConvergenceError(
-                    "non-finite values during QL iteration"
-                )
-            m = low
-            while m < n - 1:
-                dd = abs(float(d[m])) + abs(float(d[m + 1]))
-                if abs(float(e[m])) <= eps_f * dd:
-                    break
-                m += 1
-            if m == low:
-                break
-            sweeps += 1
-            if sweeps > max_sweeps:
-                raise EigenConvergenceError(
-                    f"QL iteration did not deflate eigenvalue {low} within "
-                    f"{max_sweeps} sweeps in {ctx.name}"
-                )
-            # Wilkinson-like shift
-            g = rs(rs(d[low + 1] - d[low]) / rs(two * e[low]))
-            r = hypot(g, one)
-            denom = rs(g + np.copysign(r, g))
-            if denom == 0 or not isfinite(denom):
-                denom = np.copysign(dt(max(eps_f, 1e-30)), g)
-            g = rs(rs(d[m] - d[low]) + rs(e[low] / denom))
-            ctx.op_count += 7
-            s = c = one
-            p = zero
-            restart = False
-            for i in range(m - 1, low - 1, -1):
-                ei = e[i]
-                f = rs(s * ei)
-                b = rs(c * ei)
-                r = hypot(f, g)
-                e[i + 1] = r
-                if r == 0:
-                    d[i + 1] = rs(d[i + 1] - p)
-                    e[m] = 0.0
-                    ctx.op_count += 3
-                    restart = True
-                    break
-                s = rs(f / r)
-                c = rs(g / r)
-                g = rs(d[i + 1] - p)
-                r = rs(rs(rs(d[i] - g) * s) + rs(rs(two * c) * b))
-                p = rs(s * r)
-                d[i + 1] = rs(g + p)
-                g = rs(rs(c * r) - b)
-                ctx.op_count += 14
-                # columns i and i+1 become c*zi - s*zi1 and s*zi + c*zi1
-                cols.append(i)
-                cs.append(c)
-                ss.append(s)
-            if restart:
-                continue
-            d[low] = rs(d[low] - p)
-            e[low] = g
-            e[m] = 0.0
-            ctx.op_count += 1
+    return waves
 
 
 def symmetric_eigen(ctx, A, max_sweeps: int = 60):

@@ -1,40 +1,36 @@
-"""Build cache of the compiled rounding kernel and its analytic fallback.
+"""Build cache of the compiled rounding kernel, and its build flags.
 
 The extension (``src/repro/arithmetic/_rounding.c``) is compiled on first
 use into the user cache directory; these tests redirect that directory to
 a temporary one and check that a warm cache never runs the compiler, that
-a corrupt cached library is rebuilt, and that without a compiler every
-format rounds through its analytic kernels, after one warning, with the
-same results.
+a corrupt cached library is rebuilt, that a changed compiler command
+builds its own library, and that without a compiler loading the library
+raises an ``ImportError`` that names the compiler.
 """
 
 from __future__ import annotations
 
-import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.arithmetic import _build, get_context
 from repro.arithmetic import bitkernels as bk
-from repro.arithmetic.context import EmulatedContext
-from repro.arithmetic.ieee import IEEEFormat
-from repro.arithmetic.posit import PositFormat
-from repro.arithmetic.takum import TakumFormat
 
 
 @pytest.fixture
 def cache(tmp_path, monkeypatch):
-    """An empty build cache, with every compiler invocation recorded."""
+    """An empty build cache, with every build recorded."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     calls = []
-    command = _build.compiler_command
+    compile_ = _build._compile
 
-    def recording(source, target):
+    def recording(target):
         calls.append(target)
-        return command(source, target)
+        return compile_(target)
 
-    monkeypatch.setattr(_build, "compiler_command", recording)
+    monkeypatch.setattr(_build, "_compile", recording)
     return calls
 
 
@@ -81,45 +77,47 @@ def test_cache_key_follows_the_numpy_version(cache, monkeypatch):
     assert _build.library_path().parent == path.parent
 
 
-def test_without_a_compiler_formats_round_analytically(cache, monkeypatch):
-    """Formats built after a failed build round through their analytic
-    kernels, after one warning, exactly like the compiled kernels."""
-    fresh = {
-        "posit16": PositFormat(16),
-        "takum64": TakumFormat(64),
-        "float16": IEEEFormat(5, 10, "float16"),
-    }
-    rng = np.random.default_rng(3)
-    cases = []
-    for name in fresh:
-        compiled = get_context(name)
-        values = np.concatenate(
-            [rng.standard_normal(300) * 10.0 ** rng.uniform(-30, 30, 300), [0.0, -0.0, np.nan]]
-        ).astype(compiled.dtype)
-        scalars = [compiled.round_scalar(v) for v in values[:40]]
-        cases.append((fresh[name], values, compiled.format.round_array(values), scalars))
+def test_cache_key_follows_the_compiler_command(cache, monkeypatch):
+    """A flag added to the compiler command builds a library of its own
+    instead of loading the one cached for the old command."""
+    path = _build.library_path()
+    command = _build.compiler_command
+    monkeypatch.setattr(
+        _build, "compiler_command", lambda source, target: [*command(source, target), "-DFLAG"]
+    )
+    assert _build.library_path() != path
+    assert _kernel_works(_build.load())
+    assert cache == [_build.library_path()]
+
+
+def test_cache_key_does_not_follow_the_checkout_location(monkeypatch, tmp_path):
+    path = _build.library_path()
+    moved = tmp_path / "_rounding.c"
+    moved.write_bytes(_build.SOURCE.read_bytes())
+    monkeypatch.setattr(_build, "SOURCE", moved)
+    assert _build.library_path() == path
+
+
+def test_compiler_command_never_fuses_multiply_add():
+    """The eigensolver rounds every product before its sum: the library is
+    built without floating-point contraction (no FMA), on every target."""
+    command = _build.compiler_command(Path("in.c"), Path("out.so"))
+    assert "-ffp-contract=off" in command
+    assert command.index("-ffp-contract=off") < command.index("in.c")
+
+
+def test_without_a_compiler_loading_raises_import_error(cache, monkeypatch):
+    """The library is required: without a compiler, loading it raises an
+    ImportError that names the compiler, and the failed build leaves
+    nothing in the cache."""
     monkeypatch.setattr(_build, "compiler_command", lambda source, target: ["/nonexistent/cc"])
     monkeypatch.setattr(bk, "_extension", None)  # no library loaded yet
-    monkeypatch.setattr(bk, "_ENABLED", True)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert not bk.bitkernels_enabled()
-        for fmt, values, expected, scalars in cases:
-            assert fmt.bitkernel() is None
-            for size in (1, 5, values.size):
-                got = fmt.round_array(values[:size])
-                assert np.array_equal(got, expected[:size], equal_nan=True), fmt.name
-                assert np.array_equal(np.signbit(got), np.signbit(expected[:size])), fmt.name
-            ctx = EmulatedContext(fmt)
-            for v, want in zip(values, scalars):
-                got = ctx.round_scalar(v)
-                assert type(got) is type(want)
-                assert got == want or (np.isnan(got) and np.isnan(want)), (fmt.name, v)
-    build = [w for w in caught if "compiled rounding kernel" in str(w.message)]
-    assert len(build) == 1, [str(w.message) for w in build]
-    assert build[0].category is RuntimeWarning
-    assert "analytic" in str(build[0].message)
-    assert not any(_build.cache_dir().iterdir())  # the failed build left nothing
+    with pytest.raises(ImportError, match="/nonexistent/cc"):
+        bk.extension()
+    with pytest.raises(ImportError, match="C compiler"):
+        _build.load()
+    assert bk._extension is None
+    assert not any(_build.cache_dir().iterdir())
 
 
 @pytest.mark.skipif(

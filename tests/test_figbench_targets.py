@@ -14,6 +14,7 @@ import numpy as np
 from figbench import layers, tracing
 from repro.arithmetic import get_context
 from repro.linalg import tridiagonal
+from tests._explicit_baseline import tridiagonal_eigen_explicit
 
 
 def _owners():
@@ -55,35 +56,27 @@ def test_rounding_goes_through_the_traced_class_methods():
     assert totals["arithmetic.round.le1024"][1] == 1
 
 
-def test_ql_rounds_every_scalar_op_through_the_traced_round_scalar(monkeypatch):
-    """Every rounded scalar op of the QL recurrence is one call of the
-    patched ``EmulatedContext.round_scalar``: the traced ``n1`` calls equal
-    the context's op tally minus the ``6 n`` ops of each recorded rotation
-    (which round as arrays).  The context is built before the targets are
-    installed, so a loop that bound a format kernel, or a ``round_scalar``
-    cached when the context was built, would escape the count."""
+def test_ql_makes_no_traced_scalar_rounding_call():
+    """The QL iteration rounds in the compiled kernel, not through the
+    patched ``EmulatedContext.round_scalar``: the traced ``n1`` calls of a
+    posit32 solve are zero, and its op tally is the explicit spelling's,
+    where every rounded op is one context call."""
     ctx = get_context("posit32")
+    explicit_ctx = get_context("posit32")
     n = 12
     rng = np.random.default_rng(0)
     d = ctx.asarray(rng.standard_normal(n))
     e = ctx.asarray(rng.standard_normal(n - 1))
-    rotations = []
-    schedule = tridiagonal.wavefront_schedule
-
-    def recording_schedule(cols, ncols):
-        rotations.append(len(cols))
-        return schedule(cols, ncols)
-
-    monkeypatch.setattr(tridiagonal, "wavefront_schedule", recording_schedule)
     tracer = tracing.Tracer()
     tracer.install(layers.TARGETS)
     try:
         with tracer.root("root") as closed:
-            tridiagonal.tridiagonal_eigen(ctx, d, e)
+            w, Z = tridiagonal.tridiagonal_eigen(ctx, d, e)
     finally:
         tracer.uninstall()
     totals = closed[0].totals()
-    assert len(rotations) == 1 and rotations[0] > 0
-    scalar_ops = ctx.op_count - 6 * n * rotations[0]
-    assert scalar_ops > 0
-    assert totals["arithmetic.round.n1"][1] == scalar_ops
+    assert totals.get("arithmetic.round.n1", (0, 0))[1] == 0
+    assert totals["linalg.ql"][1] == 1
+    want_w, want_Z = tridiagonal_eigen_explicit(explicit_ctx, d, e)
+    assert ctx.op_count == explicit_ctx.op_count > 0
+    assert np.array_equal(w, want_w) and np.array_equal(Z, want_Z)

@@ -349,7 +349,8 @@ def special_matrix(ctx, rng, nrows, ncols):
 
 
 class TestWavefrontSchedule:
-    """The deferred QL eigenvector update against step-by-step rotation."""
+    """The deferred QL eigenvector update (``_apply_rotations``: one call of
+    the compiled ``rotate``) against step-by-step ``rotate_columns``."""
 
     @settings(max_examples=60, deadline=None)
     @given(cols=givens_sequences())

@@ -31,6 +31,7 @@ import sys
 from pathlib import Path
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from repro.core.krylov_schur import partialschur
 from repro.core.lockstep import batched_partialschur
 from repro.datasets import get_suite
 from repro.experiments.tolerances import tolerance_for
+from repro.linalg import tridiagonal
 from repro.linalg.tridiagonal import EigenConvergenceError, symmetric_eigen, tridiagonal_eigen
 
 GOLDEN = Path(__file__).resolve().parents[1] / "benchmarks" / "reference" / "golden_digests.json"
@@ -183,26 +185,41 @@ def symmetric_eigen_digest(name: str) -> dict:
     return {"digest": h.hexdigest(), "op_count": ops, "errors": errors}
 
 
+class _QlSpan:
+    """Stands in for the trace span of ``tridiagonal_eigen`` and keeps the
+    attributes the solve sets on it."""
+
+    def __init__(self):
+        self.attrs: dict = {}
+
+    def __call__(self, name: str, **attrs):
+        assert name == "tridiagonal.ql", name
+        self.attrs.update(attrs)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        return False
+
+    def set(self, **attrs) -> None:
+        self.attrs.update(attrs)
+
+
 def tridiagonal_case(name: str, seed: int) -> dict:
     """``tridiagonal_eigen`` of the tridiagonal drawn from ``seed`` in
     ``name``, with the branches it reached: ``restart`` when a rotation
-    radius came out exactly zero, ``nonfinite``/``sweeps`` for the two
+    radius came out exactly zero (the ``restarts`` the solve reports on its
+    ``tridiagonal.ql`` span), ``nonfinite``/``sweeps`` for the two
     :class:`EigenConvergenceError` exits."""
     ctx = get_context(name)
     d, e = _tridiagonal_input(ctx, seed)
-    hypot = ctx.hypot
-    zero_radius = []
-
-    def watched_hypot(a, b, **kwargs):
-        r = hypot(a, b, **kwargs)
-        if np.ndim(r) == 0 and r == 0:
-            zero_radius.append(True)
-        return r
-
-    ctx.hypot = watched_hypot  # the QL iteration takes every radius from ctx.hypot
+    span = _QlSpan()
     h = hashlib.sha256()
-    ops, error = _eigen_outcome(h, ctx, lambda: tridiagonal_eigen(ctx, d, e))
-    branches = ["restart"] if zero_radius else []
+    with mock.patch.object(tridiagonal._trace, "span", span):
+        ops, error = _eigen_outcome(h, ctx, lambda: tridiagonal_eigen(ctx, d, e))
+    branches = ["restart"] if span.attrs["restarts"] else []
     if error is not None:
         branches.append("nonfinite" if error.startswith("non-finite") else "sweeps")
     return {

@@ -9,7 +9,9 @@ of the contexts is one ufunc into a C-contiguous buffer, so a full
 reach the kernel with no other operand.  The solve's pairwise reductions
 must take the compiled reduction entry (``Kernel.reduce_pairwise``, or the
 module's native ``reduce_pairwise`` for float32/float64), with C-contiguous
-operands too: a silent fallback to the NumPy tree fails the test.
+operands too: a silent fallback to the NumPy tree fails the test.  The
+compiled eigensolver entries (``ql`` and ``rotate``) refuse other operands
+outright; the test records theirs as well.
 """
 
 from __future__ import annotations
@@ -55,6 +57,34 @@ class _RecordingKernel:
         return self._compiled.reduce_pairwise(values, indptr, resolve)
 
 
+class _RecordingExtension:
+    """Delegates to the compiled extension, recording every array operand
+    of the eigensolver entries ``ql`` and ``rotate`` that is not a
+    C-contiguous ndarray; a :class:`_RecordingKernel` they are given is
+    replaced by the kernel it wraps."""
+
+    def __init__(self, module, strays: list, solves: list):
+        self._module = module
+        self._strays = strays
+        self._solves = solves
+
+    def __getattr__(self, name):
+        return getattr(self._module, name)
+
+    def ql(self, d, e, max_sweeps, eps, kernel, resolve):
+        _record_strays(self._strays, d, e)
+        self._solves.append(np.shape(d))
+        return self._module.ql(d, e, max_sweeps, eps, _unwrap(kernel), resolve)
+
+    def rotate(self, ZT, cols, cs, ss, kernel, resolve):
+        _record_strays(self._strays, ZT, cols, cs, ss)
+        return self._module.rotate(ZT, cols, cs, ss, _unwrap(kernel), resolve)
+
+
+def _unwrap(kernel):
+    return kernel._compiled if isinstance(kernel, _RecordingKernel) else kernel
+
+
 def _recording_native_reducer(strays: list, reductions: list):
     """A stand-in for :func:`bitkernels.native_reducer` whose reducer
     records like :class:`_RecordingKernel`."""
@@ -85,6 +115,7 @@ def fig1_matrix():
 def test_solve_rounds_only_contiguous_buffers(name, fig1_matrix, monkeypatch):
     strays: list = []
     reductions: list = []
+    solves: list = []
     for fmt_name in FORMATS:  # float32/float64 round in hardware: no kernel
         kern = get_format(fmt_name).bitkernel()
         if kern is not None:
@@ -94,6 +125,8 @@ def test_solve_rounds_only_contiguous_buffers(name, fig1_matrix, monkeypatch):
     monkeypatch.setattr(
         bitkernels, "native_reducer", _recording_native_reducer(strays, reductions)
     )
+    extension = _RecordingExtension(bitkernels.extension(), strays, solves)
+    monkeypatch.setattr(bitkernels, "extension", lambda: extension)
     ctx = get_context(name)
     matrix, _ = ctx.convert_matrix(fig1_matrix)
     with np.errstate(all="ignore"):
@@ -101,4 +134,5 @@ def test_solve_rounds_only_contiguous_buffers(name, fig1_matrix, monkeypatch):
             matrix, nev=12, tol=tolerance_for(name), restarts=25, ctx=ctx, seed=0, eps_floor=True
         )
     assert reductions, "the solve never took the compiled reduction"
+    assert solves, "the solve never took the compiled eigensolver"
     assert strays == []

@@ -14,7 +14,8 @@ round-trip in the operator layer would break these comparisons.
 import numpy as np
 import pytest
 
-from repro.arithmetic import available_formats, get_context
+from repro.arithmetic import available_formats, get_context, set_bitkernels_enabled
+from repro.arithmetic.registry import PAPER_FORMATS
 from repro.core.arnoldi import KrylovDecomposition, arnoldi_expand
 from repro.core.krylov_schur import partialschur
 from repro.datasets import generate_graph
@@ -138,9 +139,27 @@ class TestBitIdentity:
         _assert_identical(got[1], want[1], f"{fmt} eigenvectors")
 
 
-@pytest.mark.parametrize("fmt", ["bfloat16", "posit16", "E5M2", "takum32", "float64"])
+#: the paper's formats (float64 among them), float32 and the reference
+PIPELINE_CONTEXTS = [
+    name for width in sorted(PAPER_FORMATS) for name in PAPER_FORMATS[width]
+] + ["float32", "reference"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in narrow formats
+@pytest.mark.parametrize("fmt", PIPELINE_CONTEXTS)
 def test_tridiagonal_pipeline_identical(fmt):
-    """tridiagonalize + QL iteration agree step by step with the baseline."""
+    """tridiagonalize + QL iteration agree step by step with the baseline,
+    with the bit kernels on (the compiled QL rounds through the format's
+    kernel) and off (it hands every value to the analytic kernels)."""
+    for enabled in (True, False):
+        previous = set_bitkernels_enabled(enabled)
+        try:
+            _check_tridiagonal_pipeline(fmt)
+        finally:
+            set_bitkernels_enabled(previous)
+
+
+def _check_tridiagonal_pipeline(fmt):
     ctx = get_context(fmt)
     ctx_ref = get_context(fmt)
     rng = np.random.default_rng(3)
@@ -155,11 +174,12 @@ def test_tridiagonal_pipeline_identical(fmt):
     def run(fn, c):
         try:
             return fn(c, d, e, Z=Q)
-        except EigenConvergenceError:
-            return "EigenConvergenceError"
+        except EigenConvergenceError as exc:
+            return str(exc)
 
     got = run(tridiagonal_eigen, ctx)
     want = run(tridiagonal_eigen_explicit, ctx_ref)
+    assert ctx.op_count == ctx_ref.op_count, f"{fmt} op tally"
     if isinstance(want, str) or isinstance(got, str):
         assert got == want
         return

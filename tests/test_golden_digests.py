@@ -14,7 +14,11 @@ and seeded tridiagonal inputs of ``tridiagonal_eigen`` that reach the QL
 restart branch (a zero rotation radius) and each
 :class:`~repro.linalg.tridiagonal.EigenConvergenceError` exit.  Each digest
 covers the eigenvalue and eigenvector bytes, the rounded-op count and the
-error text.
+error text.  The Householder reduction has a section of its own (the
+``tridiagonalize`` section): ``d``, ``e`` and ``Q`` of a seeded order-25
+matrix, the same with a skipped reflector, scaled until the 8-bit formats
+overflow, and with an ``inf`` entry, with the rounded-op tallies, in every
+paper format and the reference context.
 
 A refactor of the solver or the rounding backends proves it changed nothing
 by leaving these digests untouched; an intentional numerical change
@@ -257,6 +261,54 @@ def eigen_digests() -> dict:
     }
 
 
+#: the Householder reduction inputs: a symmetric matrix of order ``order``
+#: drawn from ``seed``; the same with the subcolumn below its first diagonal
+#: entry zeroed (a skipped reflector); the same times each of ``scales``
+#: (E4M3 overflows to NaN on input at both, E5M2 inside the reduction at the
+#: larger); and the same with ``inf`` at ``inf_at`` and its mirror
+TRIDIAGONALIZE_SETTINGS = {"order": 25, "seed": 1, "scales": [200.0, 1e4], "inf_at": [3, 5]}
+#: the inputs in hashing order: ``(kind, scale)``
+TRIDIAGONALIZE_INPUTS = (
+    [("seeded", 1.0), ("zero_subcolumn", 1.0)]
+    + [("scaled", scale) for scale in TRIDIAGONALIZE_SETTINGS["scales"]]
+    + [("inf_entry", 1.0)]
+)
+
+
+def _reduction_input(ctx, kind: str, scale: float = 1.0):
+    rng = np.random.default_rng(TRIDIAGONALIZE_SETTINGS["seed"])
+    n = TRIDIAGONALIZE_SETTINGS["order"]
+    raw = rng.standard_normal((n, n))
+    A = (raw + raw.T) / 2 * scale
+    if kind == "zero_subcolumn":
+        A[1:, 0] = A[0, 1:] = 0.0
+    elif kind == "inf_entry":
+        i, j = TRIDIAGONALIZE_SETTINGS["inf_at"]
+        A[i, j] = A[j, i] = np.inf
+    return ctx.asarray(A)
+
+
+def tridiagonalize_digest(name: str) -> dict:
+    """``tridiagonalize`` of every reduction input in ``name``: one digest
+    over the bytes of ``d``, ``e`` and ``Q`` and the rounded-op tallies."""
+    ctx = get_context(name)
+    h = hashlib.sha256()
+    ops = []
+    for kind, scale in TRIDIAGONALIZE_INPUTS:
+        A = _reduction_input(ctx, kind, scale)
+        n, _ = _eigen_outcome(h, ctx, lambda: tridiagonal.tridiagonalize(ctx, A))
+        ops.append(n)
+    return {"digest": h.hexdigest(), "op_count": ops}
+
+
+def tridiagonalize_digests() -> dict:
+    """The ``tridiagonalize`` section: per-context reduction digests."""
+    return {
+        "settings": TRIDIAGONALIZE_SETTINGS,
+        "contexts": {name: tridiagonalize_digest(name) for name in EIGEN_CONTEXTS},
+    }
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     data = json.loads(GOLDEN.read_text())
@@ -314,6 +366,20 @@ def test_tridiagonal_cases_reach_every_branch(golden_eigen):
     assert {"E4M3", "takum8", "posit8"} <= reached["sweeps"]
 
 
+@pytest.fixture(scope="module")
+def golden_tridiagonalize() -> dict:
+    data = json.loads(GOLDEN.read_text())["tridiagonalize"]
+    assert data["settings"] == TRIDIAGONALIZE_SETTINGS, "golden file was generated with other settings"
+    return data["contexts"]
+
+
+@pytest.mark.parametrize("name", EIGEN_CONTEXTS)
+def test_tridiagonalize_matches_golden_digest(name, golden_tridiagonalize):
+    if not _runnable(name):
+        pytest.skip("numpy.longdouble is not extended precision here")
+    assert tridiagonalize_digest(name) == golden_tridiagonalize[name]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--update"]:
         sys.exit("usage: python tests/test_golden_digests.py --update")
@@ -323,6 +389,15 @@ if __name__ == "__main__":
     if seq != batched_digests():
         sys.exit("sequential and batched engines disagree; not writing digests")
     GOLDEN.write_text(
-        json.dumps({"settings": SETTINGS, "formats": seq, "eigen": eigen_digests()}, indent=2) + "\n"
+        json.dumps(
+            {
+                "settings": SETTINGS,
+                "formats": seq,
+                "eigen": eigen_digests(),
+                "tridiagonalize": tridiagonalize_digests(),
+            },
+            indent=2,
+        )
+        + "\n"
     )
     print(f"wrote {GOLDEN}")

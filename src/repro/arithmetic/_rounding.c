@@ -76,17 +76,32 @@
  *   rotate(ZT, cols, cs, ss, kernel, resolve)
  *                                those Givens steps applied to the rows of
  *                                `ZT` in place, wave by wave -> the number
- *                                of waves.
+ *                                of waves;
+ *   tridiagonalize(AQ, sequential, kernel, resolve_scalar, resolve_array)
+ *                                the Householder reduction of the stacked
+ *                                `(2, n, n)` buffer `[A; Q]` in place (A
+ *                                symmetric, Q the identity on entry) ->
+ *                                (ops, skipped, first_nonfinite): the
+ *                                rounded-op tally, the reflectors skipped
+ *                                (beta 0) and the first step after which
+ *                                the stack held a non-finite value (None:
+ *                                no step).
  *
  * The eigensolver entries round through `kernel` (a Kernel of the work
- * type of the arrays), or, with `kernel` None, not at all (`resolve` None:
- * float32, float64 and longdouble arrays of the native contexts) or by
- * handing every value to `resolve` (an emulated format without a kernel).
- * `ql` resolves a handed-back scalar at once, one value per call of
- * `resolve`, since the next op reads it; `rotate` rounds each wave in two
- * passes, as `round_into` would round them, each resolved in one call of
- * `resolve` and counted as one call of the kernel.  Both take
- * well-behaved C-contiguous arrays only, and write in place.
+ * type of the arrays), or, with `kernel` None, not at all (the resolvers
+ * None: float32, float64 and longdouble arrays of the native contexts) or
+ * by handing every value to the resolvers (an emulated format without a
+ * kernel).  A scalar op resolves a handed-back value at once, one value
+ * per call of the scalar resolver (`ql`'s `resolve`), since the next op
+ * reads it.  An array op rounds in one pass, as `round_into` would round
+ * it, resolved in one call of the array resolver (`rotate`'s `resolve`)
+ * and counted as one call of the kernel; `rotate` rounds each wave in two
+ * passes.  `tridiagonalize` rounds each elementwise op of the reduction in
+ * one pass and each dot product or matrix-vector product as the contexts'
+ * reductions do: one pass per pairwise tree level, or, with `sequential`
+ * true, left to right, one pass per column (a scalar op per addition for
+ * the dot products).  The entries take well-behaved C-contiguous arrays
+ * only, and write in place.
  *
  * A pairwise reduction sums each segment of `values` as a balanced tree:
  * the segments are the rows along the last axis of `values` (`indptr`
@@ -508,6 +523,8 @@ LEVEL(level_double, double, step_none)
 LEVEL(level_longdouble, npy_longdouble, step_none)
 LEVEL(level_word, double, step_f64)
 LEVEL(level_x87, npy_longdouble, step_x87)
+LEVEL(level_all_double, double, step_all)
+LEVEL(level_all_longdouble, npy_longdouble, step_all)
 
 /* The segments of `values`: its rows along the last axis (`indptr` None),
  * or the CSR segments of a 1-D `values`; sets `*size` to the elements of
@@ -780,6 +797,19 @@ typedef struct {
     Pass pass;
 } Rot;
 
+/* One `tridiagonalize` call: the rounding and tally of its scalar ops
+ * (`q`), the rounding of its passes (`rot`), its scratch, and what it
+ * found. */
+typedef struct {
+    Ql q;
+    Rot rot;
+    int sequential;
+    Segments seg; /* the rows of a pairwise sum */
+    char *work;   /* the level buffer of a pairwise sum */
+    npy_intp skipped;
+    npy_intp first_nonfinite; /* -1: none */
+} Tri;
+
 /* `var = expr`, rounded through the instance's `rs`; returns -1 from the
  * enclosing function when the resolver fails. */
 #define RS(var, expr)                \
@@ -802,8 +832,13 @@ typedef struct {
  *   NAME_rotate  the recorded steps applied to the rows of `Z^T`, wave by
  *                wave: one pass rounds the products `c x, s y, s x, c y` of
  *                every rotation in the wave, one pass the differences and
- *                sums `c x - s y`, `s x + c y`, which overwrite the rows. */
-#define EIGEN(NAME, T, STEP, TYPENUM, SQRT, FABS, COPYSIGN)                                     \
+ *                sums `c x - s y`, `s x + c y`, which overwrite the rows;
+ *   NAME_tridiagonalize
+ *                the Householder reduction of `[A; Q]` (EISPACK tred2;
+ *                Golub & Van Loan, Alg. 8.3.1), with the dot products and
+ *                matrix-vector products summed by `NAME_sum`, whose pairwise
+ *                tree runs `LEVEL_FN`. */
+#define EIGEN(NAME, T, STEP, TYPENUM, SQRT, FABS, COPYSIGN, LEVEL_FN)                           \
     static inline int NAME##_rs(Ql *q, T *x)                                                    \
     {                                                                                           \
         return STEP(q->t, x, x) == HAND_BACK ? resolve_scalar(q->resolve, TYPENUM, x) : 0;      \
@@ -974,15 +1009,296 @@ typedef struct {
             }                                                                                   \
         }                                                                                       \
         return 0;                                                                               \
+    }                                                                                           \
+                                                                                                \
+    /* round `buf[i]`, the value at position `i` of the pass */                                 \
+    static inline int NAME##_note(Tri *r, T *buf, npy_intp i)                                   \
+    {                                                                                           \
+        return note(&r->rot.pass, STEP(r->rot.t, &buf[i], &buf[i]), i);                         \
+    }                                                                                           \
+                                                                                                \
+    /* close the pass that rounded the `n` values from `buf` on */                              \
+    static inline int NAME##_end(Tri *r, T *buf, npy_intp n)                                    \
+    {                                                                                           \
+        return end_pass(r->rot.k, TYPENUM, (char *)buf, n, &r->rot.pass, r->rot.resolve);       \
+    }                                                                                           \
+                                                                                                \
+    /* The rounded sums of the `rows` rows of `m >= 1` products at `p` into                     \
+     * `out`: pairwise, one pass per tree level, or left to right, one pass                     \
+     * per column of all rows (a scalar op per addition for a `vector`).  */                    \
+    static int NAME##_sum(Tri *r, const T *p, npy_intp rows, npy_intp m, int vector, T *out)    \
+    {                                                                                           \
+        r->q.ops += (unsigned long long)(rows * (m - 1));                                       \
+        if (r->sequential && vector) {                                                          \
+            T acc = p[0];                                                                       \
+            for (npy_intp j = 1; j < m; j++) {                                                  \
+                acc = acc + p[j];                                                               \
+                if (NAME##_rs(&r->q, &acc) < 0) {                                               \
+                    return -1;                                                                  \
+                }                                                                               \
+            }                                                                                   \
+            *out = acc;                                                                         \
+            return 0;                                                                           \
+        }                                                                                       \
+        if (r->sequential) {                                                                    \
+            for (npy_intp i = 0; i < rows; i++) {                                               \
+                out[i] = p[i * m];                                                              \
+            }                                                                                   \
+            for (npy_intp j = 1; j < m; j++) {                                                  \
+                for (npy_intp i = 0; i < rows; i++) {                                           \
+                    out[i] = out[i] + p[i * m + j];                                             \
+                    if (NAME##_note(r, out, i) < 0) {                                           \
+                        return -1;                                                              \
+                    }                                                                           \
+                }                                                                               \
+                if (NAME##_end(r, out, rows) < 0) {                                             \
+                    return -1;                                                                  \
+                }                                                                               \
+            }                                                                                   \
+            return 0;                                                                           \
+        }                                                                                       \
+        Segments *seg = &r->seg;                                                                \
+        seg->count = rows;                                                                      \
+        for (npy_intp i = 0; i < rows; i++) {                                                   \
+            seg->from[i] = i * m;                                                               \
+            seg->len[i] = m;                                                                    \
+            seg->off[i] = i * ((m + 1) / 2);                                                    \
+        }                                                                                       \
+        const char *src = (const char *)p;                                                      \
+        const npy_intp *from = seg->from;                                                       \
+        for (;;) {                                                                              \
+            const npy_intp sums = LEVEL_FN(src, from, r->work, seg, r->rot.t, &r->rot.pass);    \
+            if (sums < 0) {                                                                     \
+                return -1;                                                                      \
+            }                                                                                   \
+            if (sums == 0) {                                                                    \
+                break;                                                                          \
+            }                                                                                   \
+            src = r->work;                                                                      \
+            from = seg->off;                                                                    \
+            if (NAME##_end(r, (T *)r->work, sums) < 0) {                                        \
+                return -1;                                                                      \
+            }                                                                                   \
+        }                                                                                       \
+        for (npy_intp i = 0; i < rows; i++) {                                                   \
+            out[i] = ((const T *)r->work)[seg->off[i]];                                         \
+        }                                                                                       \
+        return 0;                                                                               \
+    }                                                                                           \
+                                                                                                \
+    /* The reflector `(I - beta v v^T)` that annihilates all but the first                      \
+     * of the `m` values `x[0], x[stride], ...` into `v` (`m` values) and                       \
+     * `*beta`; `*beta` is 0 when the reflector is skipped: a zero or                           \
+     * non-finite norm, a zero or non-finite `v.v`, or a non-finite `beta`.                     \
+     * The norm is scaled by `max |x|` (NaN: NaN, inf: inf, 0: 0, no op).                       \
+     * `xs` and `p` are scratch of `m` values. */                                               \
+    static int NAME##_householder(Tri *r, const T *x, npy_intp stride, npy_intp m, T *v,        \
+                                  T *beta, T *xs, T *p)                                         \
+    {                                                                                           \
+        Ql *const q = &r->q;                                                                    \
+        int (*const rs)(Ql *, T *) = NAME##_rs;                                                 \
+        *beta = 0;                                                                              \
+        T scale = 0;                                                                            \
+        for (npy_intp i = 0; i < m; i++) {                                                      \
+            const T a = FABS(x[i * stride]);                                                    \
+            if (a != a) {                                                                       \
+                return 0;                                                                       \
+            }                                                                                   \
+            scale = a > scale ? a : scale;                                                      \
+        }                                                                                       \
+        if (scale == 0 || isinf(scale)) {                                                       \
+            return 0;                                                                           \
+        }                                                                                       \
+        /* the norm: scale * sqrt((x / scale) . (x / scale)) */                                 \
+        for (npy_intp i = 0; i < m; i++) {                                                      \
+            xs[i] = x[i * stride] / scale;                                                      \
+            if (NAME##_note(r, xs, i) < 0) {                                                    \
+                return -1;                                                                      \
+            }                                                                                   \
+        }                                                                                       \
+        if (NAME##_end(r, xs, m) < 0) {                                                         \
+            return -1;                                                                          \
+        }                                                                                       \
+        for (npy_intp i = 0; i < m; i++) {                                                      \
+            p[i] = xs[i] * xs[i];                                                               \
+            if (NAME##_note(r, p, i) < 0) {                                                     \
+                return -1;                                                                      \
+            }                                                                                   \
+        }                                                                                       \
+        if (NAME##_end(r, p, m) < 0) {                                                          \
+            return -1;                                                                          \
+        }                                                                                       \
+        q->ops += 2 * (unsigned long long)m + 2;                                                \
+        T dot, root, normx;                                                                     \
+        if (NAME##_sum(r, p, 1, m, 1, &dot) < 0) {                                              \
+            return -1;                                                                          \
+        }                                                                                       \
+        RS(root, SQRT(dot));                                                                    \
+        RS(normx, scale * root);                                                                \
+        if (!isfinite(normx) || normx == 0) {                                                   \
+            return 0;                                                                           \
+        }                                                                                       \
+        /* v = x / normx with v[0] + sign(x[0]); alpha = -sign * normx is                       \
+         * one op (exact, and not read: counted, not formed) */                                 \
+        for (npy_intp i = 0; i < m; i++) {                                                      \
+            v[i] = x[i * stride] / normx;                                                       \
+            if (NAME##_note(r, v, i) < 0) {                                                     \
+                return -1;                                                                      \
+            }                                                                                   \
+        }                                                                                       \
+        if (NAME##_end(r, v, m) < 0) {                                                          \
+            return -1;                                                                          \
+        }                                                                                       \
+        const T sign = x[0] < 0 ? -1 : 1;                                                       \
+        RS(v[0], v[0] - (-sign));                                                               \
+        for (npy_intp i = 0; i < m; i++) {                                                      \
+            p[i] = v[i] * v[i];                                                                 \
+            if (NAME##_note(r, p, i) < 0) {                                                     \
+                return -1;                                                                      \
+            }                                                                                   \
+        }                                                                                       \
+        if (NAME##_end(r, p, m) < 0) {                                                          \
+            return -1;                                                                          \
+        }                                                                                       \
+        q->ops += 2 * (unsigned long long)m + 2;                                                \
+        T vnorm2, b;                                                                            \
+        if (NAME##_sum(r, p, 1, m, 1, &vnorm2) < 0) {                                           \
+            return -1;                                                                          \
+        }                                                                                       \
+        if (!isfinite(vnorm2) || vnorm2 == 0) {                                                 \
+            return 0;                                                                           \
+        }                                                                                       \
+        RS(b, (T)2 / vnorm2);                                                                   \
+        q->ops += 1;                                                                            \
+        *beta = isfinite(b) ? b : 0;                                                            \
+        return 0;                                                                               \
+    }                                                                                           \
+                                                                                                \
+    /* `S[i] - U[i]` over the `size` values of `S`, in place, in one pass */                    \
+    static int NAME##_subtract(Tri *r, T *S, const T *U, npy_intp size)                         \
+    {                                                                                           \
+        for (npy_intp i = 0; i < size; i++) {                                                   \
+            S[i] = S[i] - U[i];                                                                 \
+            if (NAME##_note(r, S, i) < 0) {                                                     \
+                return -1;                                                                      \
+            }                                                                                   \
+        }                                                                                       \
+        r->q.ops += (unsigned long long)size;                                                   \
+        return NAME##_end(r, S, size);                                                          \
+    }                                                                                           \
+                                                                                                \
+    /* `beta * v` for each of `copies` copies of the `n` values of `v`, in                      \
+     * one pass into `bv` */                                                                    \
+    static int NAME##_scale(Tri *r, T beta, const T *v, npy_intp n, npy_intp copies, T *bv)     \
+    {                                                                                           \
+        for (npy_intp c = 0; c < copies; c++) {                                                 \
+            for (npy_intp j = 0; j < n; j++) {                                                  \
+                bv[c * n + j] = beta * v[j];                                                    \
+                if (NAME##_note(r, bv, c * n + j) < 0) {                                        \
+                    return -1;                                                                  \
+                }                                                                               \
+            }                                                                                   \
+        }                                                                                       \
+        r->q.ops += (unsigned long long)(copies * n);                                           \
+        return NAME##_end(r, bv, copies * n);                                                   \
+    }                                                                                           \
+                                                                                                \
+    /* Reduce the `(2, n, n)` stack `[A; Q]` at `aq_` in place: for each                        \
+     * column k < n - 2 of A, the reflector of `A[k + 1:, k]`, applied to A                     \
+     * from the left (`A - (beta v)(v^T A)`) and to the stack from the right                    \
+     * (`S - (S v)(beta v)^T`, both matrices in each pass), with `v` zero                       \
+     * above row k + 1.  `scratch` holds `2 n^2 + 7 n` values. */                               \
+    static int NAME##_tridiagonalize(Tri *r, char *aq_, npy_intp n, char *scratch)              \
+    {                                                                                           \
+        T *const A = (T *)aq_, *const P = (T *)scratch;                                         \
+        T *const w = P + 2 * n * n, *const bv = w + 2 * n, *const v = bv + 2 * n;              \
+        T *const xs = v + n, *const p = xs + n;                                                 \
+        for (npy_intp k = 0; k + 2 < n; k++) {                                                  \
+            T beta;                                                                             \
+            memset(v, 0, (size_t)(k + 1) * sizeof(T));                                          \
+            if (NAME##_householder(r, A + (k + 1) * n + k, n, n - k - 1, v + k + 1, &beta, xs,  \
+                                   p) < 0) {                                                    \
+                return -1;                                                                      \
+            }                                                                                   \
+            if (beta == 0) {                                                                    \
+                r->skipped++;                                                                   \
+            }                                                                                   \
+            else {                                                                              \
+                /* from the left: w = A^T v from the products A[i, j] v[i] */                   \
+                for (npy_intp j = 0; j < n; j++) {                                              \
+                    for (npy_intp i = 0; i < n; i++) {                                          \
+                        P[j * n + i] = A[i * n + j] * v[i];                                     \
+                        if (NAME##_note(r, P, j * n + i) < 0) {                                 \
+                            return -1;                                                          \
+                        }                                                                       \
+                    }                                                                           \
+                }                                                                               \
+                r->q.ops += (unsigned long long)(n * n);                                        \
+                if (NAME##_end(r, P, n * n) < 0 || NAME##_sum(r, P, n, n, 0, w) < 0 ||          \
+                    NAME##_scale(r, beta, v, n, 1, bv) < 0) {                                   \
+                    return -1;                                                                  \
+                }                                                                               \
+                for (npy_intp i = 0; i < n; i++) {                                              \
+                    for (npy_intp j = 0; j < n; j++) {                                          \
+                        P[i * n + j] = bv[i] * w[j];                                            \
+                        if (NAME##_note(r, P, i * n + j) < 0) {                                 \
+                            return -1;                                                          \
+                        }                                                                       \
+                    }                                                                           \
+                }                                                                               \
+                r->q.ops += (unsigned long long)(n * n);                                        \
+                if (NAME##_end(r, P, n * n) < 0 || NAME##_subtract(r, A, P, n * n) < 0) {       \
+                    return -1;                                                                  \
+                }                                                                               \
+                /* from the right, over the 2n rows of the stack: w = S v */                    \
+                for (npy_intp i = 0; i < 2 * n; i++) {                                          \
+                    for (npy_intp j = 0; j < n; j++) {                                          \
+                        P[i * n + j] = A[i * n + j] * v[j];                                     \
+                        if (NAME##_note(r, P, i * n + j) < 0) {                                 \
+                            return -1;                                                          \
+                        }                                                                       \
+                    }                                                                           \
+                }                                                                               \
+                r->q.ops += (unsigned long long)(2 * n * n);                                    \
+                if (NAME##_end(r, P, 2 * n * n) < 0 || NAME##_sum(r, P, 2 * n, n, 0, w) < 0 ||  \
+                    NAME##_scale(r, beta, v, n, 2, bv) < 0) {                                   \
+                    return -1;                                                                  \
+                }                                                                               \
+                for (npy_intp i = 0; i < 2 * n; i++) {                                          \
+                    const T *b = bv + (i / n) * n; /* beta v of row i's matrix */               \
+                    for (npy_intp j = 0; j < n; j++) {                                          \
+                        P[i * n + j] = w[i] * b[j];                                             \
+                        if (NAME##_note(r, P, i * n + j) < 0) {                                 \
+                            return -1;                                                          \
+                        }                                                                       \
+                    }                                                                           \
+                }                                                                               \
+                r->q.ops += (unsigned long long)(2 * n * n);                                    \
+                if (NAME##_end(r, P, 2 * n * n) < 0 || NAME##_subtract(r, A, P, 2 * n * n) < 0) { \
+                    return -1;                                                                  \
+                }                                                                               \
+            }                                                                                   \
+            if (r->first_nonfinite < 0) {                                                       \
+                for (npy_intp i = 0; i < 2 * n * n; i++) {                                      \
+                    if (!isfinite(A[i])) {                                                      \
+                        r->first_nonfinite = k;                                                 \
+                        break;                                                                  \
+                    }                                                                           \
+                }                                                                               \
+            }                                                                                   \
+        }                                                                                       \
+        return 0;                                                                               \
     }
 
-EIGEN(f64, double, step_f64, NPY_DOUBLE, sqrt, fabs, copysign)
-EIGEN(x87, npy_longdouble, step_x87, NPY_LONGDOUBLE, sqrtl, fabsl, copysignl)
-EIGEN(native_float, float, step_none, NPY_FLOAT, sqrtf, fabsf, copysignf)
-EIGEN(native_double, double, step_none, NPY_DOUBLE, sqrt, fabs, copysign)
-EIGEN(native_longdouble, npy_longdouble, step_none, NPY_LONGDOUBLE, sqrtl, fabsl, copysignl)
-EIGEN(all_double, double, step_all, NPY_DOUBLE, sqrt, fabs, copysign)
-EIGEN(all_longdouble, npy_longdouble, step_all, NPY_LONGDOUBLE, sqrtl, fabsl, copysignl)
+EIGEN(f64, double, step_f64, NPY_DOUBLE, sqrt, fabs, copysign, level_word)
+EIGEN(x87, npy_longdouble, step_x87, NPY_LONGDOUBLE, sqrtl, fabsl, copysignl, level_x87)
+EIGEN(native_float, float, step_none, NPY_FLOAT, sqrtf, fabsf, copysignf, level_float)
+EIGEN(native_double, double, step_none, NPY_DOUBLE, sqrt, fabs, copysign, level_double)
+EIGEN(native_longdouble, npy_longdouble, step_none, NPY_LONGDOUBLE, sqrtl, fabsl, copysignl,
+      level_longdouble)
+EIGEN(all_double, double, step_all, NPY_DOUBLE, sqrt, fabs, copysign, level_all_double)
+EIGEN(all_longdouble, npy_longdouble, step_all, NPY_LONGDOUBLE, sqrtl, fabsl, copysignl,
+      level_all_longdouble)
 
 #undef RS
 
@@ -990,6 +1306,7 @@ typedef int (*QlFn)(Ql *q, char *d, char *e, npy_intp n);
 typedef int (*RotateFn)(Rot *rot, char *zt, npy_intp nrows, const npy_intp *cols, const char *cs,
                         const char *ss, const npy_intp *order, const npy_intp *start, npy_intp waves,
                         char *prods);
+typedef int (*TridiagonalizeFn)(Tri *r, char *aq, npy_intp n, char *scratch);
 
 /* the instances, by the rounding of the work array */
 enum { WITH_F64, WITH_X87, NATIVE_FLOAT, NATIVE_DOUBLE, NATIVE_LONGDOUBLE, ALL_DOUBLE, ALL_LONGDOUBLE };
@@ -999,6 +1316,10 @@ static const QlFn ql_of[] = {f64_ql,           x87_ql,        native_float_ql,
 static const RotateFn rotate_of[] = {f64_rotate,           x87_rotate,        native_float_rotate,
                                      native_double_rotate, native_longdouble_rotate,
                                      all_double_rotate,    all_longdouble_rotate};
+static const TridiagonalizeFn tridiagonalize_of[] = {
+    f64_tridiagonalize,           x87_tridiagonalize,        native_float_tridiagonalize,
+    native_double_tridiagonalize, native_longdouble_tridiagonalize,
+    all_double_tridiagonalize,    all_longdouble_tridiagonalize};
 
 /* The instance rounding a `typenum` work array through `kernel` (a Kernel),
  * or with no kernel either not at all (`resolve` None: the native dtypes)
@@ -1245,6 +1566,73 @@ done:
     return res;
 }
 
+/* tridiagonalize(AQ, sequential, kernel, resolve_scalar, resolve_array) */
+static PyObject *
+module_tridiagonalize(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 5) {
+        PyErr_SetString(PyExc_TypeError, "tridiagonalize(AQ, sequential, kernel, resolve_scalar, "
+                                         "resolve_array) takes five arguments");
+        return NULL;
+    }
+    PyArrayObject *aq = work_array(args[0], 3, -1, 1, "AQ");
+    if (aq == NULL) {
+        return NULL;
+    }
+    const npy_intp n = PyArray_DIM(aq, 1);
+    if (PyArray_DIM(aq, 0) != 2 || PyArray_DIM(aq, 2) != n) {
+        PyErr_SetString(PyExc_ValueError, "AQ must be a (2, n, n) stack");
+        return NULL;
+    }
+    const int sequential = PyObject_IsTrue(args[1]);
+    if (sequential < 0) {
+        return NULL;
+    }
+    if ((args[3] == Py_None) != (args[4] == Py_None) ||
+        (args[3] != Py_None && !PyCallable_Check(args[3]))) {
+        PyErr_SetString(PyExc_TypeError, "resolve_scalar and resolve_array go together");
+        return NULL;
+    }
+    Kernel *k;
+    const int which = instance_of(args[2], args[4], PyArray_TYPE(aq), &k);
+    if (which < 0) {
+        return NULL;
+    }
+    const Tables t = k != NULL ? tables_of(k) : (Tables){NULL, NULL, NULL, 0};
+    Tri tri = {
+        .q = {.t = &t, .resolve = args[3] == Py_None ? NULL : args[3]},
+        .rot = {k, &t, args[4] == Py_None ? NULL : args[4], {NULL, 0, 0, 0}},
+        .sequential = sequential,
+        .first_nonfinite = -1,
+    };
+    /* the stack's 2n rows of a pairwise sum, each of n products */
+    const npy_intp itemsize = PyArray_ITEMSIZE(aq), rows = 2 * n;
+    char *scratch = PyMem_Malloc((size_t)((2 * n * n + 7 * n + rows * ((n + 1) / 2)) * itemsize) + 1);
+    tri.seg.from = PyMem_Malloc((size_t)(3 * rows + 1) * sizeof(npy_intp));
+    PyObject *res = NULL;
+    if (scratch == NULL || tri.seg.from == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    tri.seg.off = tri.seg.from + rows;
+    tri.seg.len = tri.seg.off + rows;
+    tri.work = scratch + (2 * n * n + 7 * n) * itemsize;
+    if (tridiagonalize_of[which](&tri, PyArray_BYTES(aq), n, scratch) == 0) {
+        if (tri.first_nonfinite < 0) {
+            res = Py_BuildValue("(KnO)", tri.q.ops, tri.skipped, Py_None);
+        }
+        else {
+            res = Py_BuildValue("(Knn)", tri.q.ops, tri.skipped, tri.first_nonfinite);
+        }
+    }
+
+done:
+    PyMem_Free(tri.rot.pass.pos);
+    PyMem_Free(tri.seg.from);
+    PyMem_Free(scratch);
+    return res;
+}
+
 static PyObject *
 Kernel_take_counts(Kernel *k, PyObject *Py_UNUSED(ignored))
 {
@@ -1348,6 +1736,9 @@ static PyMethodDef module_methods[] = {
     {"rotate", (PyCFunction)(void (*)(void))module_rotate, METH_FASTCALL,
      "rotate(ZT, cols, cs, ss, kernel, resolve) -> waves; the recorded Givens steps applied "
      "to the rows of ZT in place"},
+    {"tridiagonalize", (PyCFunction)(void (*)(void))module_tridiagonalize, METH_FASTCALL,
+     "tridiagonalize(AQ, sequential, kernel, resolve_scalar, resolve_array) -> (ops, skipped, "
+     "first_nonfinite); the Householder reduction of the stack [A; Q] in place"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -9,21 +9,16 @@ LAPACK the kernels here are written directly on top of the
 
 Provided kernels:
 
-* Householder reflectors (:mod:`repro.linalg.reflectors`);
-* symmetric tridiagonalisation and the implicit-shift QL eigensolver
-  (:mod:`repro.linalg.tridiagonal`), the default spectral-decomposition path
-  for the symmetric matrices studied in the paper;
+* symmetric (Householder) tridiagonalisation and the implicit-shift QL
+  eigensolver (:mod:`repro.linalg.tridiagonal`, compiled in the rounding
+  kernel), the default spectral-decomposition path for the symmetric
+  matrices studied in the paper;
 * eigenvalue ordering rules used for selecting wanted Ritz values
   (:mod:`repro.linalg.ordering`);
 * the Hungarian algorithm used to match computed eigenvectors to reference
   eigenvectors (:mod:`repro.linalg.hungarian`).
 """
 
-from .reflectors import (
-    householder_vector,
-    apply_reflector_left,
-    apply_reflector_right,
-)
 from .tridiagonal import (
     tridiagonalize,
     tridiagonal_eigen,
@@ -34,9 +29,6 @@ from .ordering import ordering_key, select_order, WHICH_RULES
 from .hungarian import hungarian
 
 __all__ = [
-    "householder_vector",
-    "apply_reflector_left",
-    "apply_reflector_right",
     "tridiagonalize",
     "tridiagonal_eigen",
     "symmetric_eigen",

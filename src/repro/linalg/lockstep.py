@@ -1,8 +1,7 @@
 """Lockstep symmetric eigendecomposition over a stacked format axis.
 
-Batched siblings of :mod:`repro.linalg.tridiagonal` /
-:mod:`repro.linalg.reflectors`: the same EISPACK ``tql2`` algorithm, the
-same Householder reduction, executed for a whole stack of formats at once
+Batched siblings of :mod:`repro.linalg.tridiagonal`: the same EISPACK
+``tql2`` algorithm, the same Householder reduction, executed for a whole stack of formats at once
 through :class:`repro.arithmetic.BatchedContext`.  Per-row trajectories are
 bit-identical to the sequential kernels — every rounded operation is the
 same operation on the same values, merely performed for all rows in one
@@ -82,12 +81,12 @@ def lockstep_tridiagonalize(bctx: BatchedContext, A, rows):
         v[:, k + 1 :] = v_small[active]
         beta_a = beta[active]
         Asub = np.ascontiguousarray(A[active])
-        # apply_reflector_left: A <- A - (beta v)[:, None] * (v^T A)[None, :]
+        # left update: A <- A - (beta v)[:, None] * (v^T A)[None, :]
         w = bctx.gemv_t(Asub, v, sub)
         bv = bctx.mul(beta_a[:, None], v, sub)
         update = bctx.mul(bv[:, :, None], w[:, None, :], sub)
         Asub = bctx.sub(Asub, update, sub)
-        # apply_reflector_right: A <- A - (A v)[:, None] * (beta v)[None, :]
+        # right update: A <- A - (A v)[:, None] * (beta v)[None, :]
         w = bctx.gemv(Asub, v, sub)
         bv = bctx.mul(beta_a[:, None], v, sub)
         update = bctx.mul(w[:, :, None], bv[:, None, :], sub)
@@ -105,7 +104,9 @@ def lockstep_tridiagonalize(bctx: BatchedContext, A, rows):
 
 
 def _householder_vectors(bctx: BatchedContext, x, rows):
-    """Batched :func:`repro.linalg.reflectors.householder_vector`.
+    """The reflectors of one step of the reduction, for every row: the
+    ops of the compiled ``tridiagonalize`` entry's reflector (scaled norm,
+    ``x / normx``, ``v[0] + sign``, ``v . v``, ``2 / (v . v)``).
 
     Returns ``(v, beta)`` stacked; rows that hit any of the sequential
     zero/non-finite short-circuits get ``beta = 0`` (their ``v`` is the

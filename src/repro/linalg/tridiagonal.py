@@ -16,10 +16,31 @@ scalar or small-array operation at a time, where the wrapper objects and
 method calls of the operator API (:mod:`repro.arithmetic.farray`) and the
 fixed cost of each rounding call outweigh the arithmetic itself.
 
-The QL iteration therefore runs in C, as two entries of the compiled
-rounding kernel (:mod:`repro.arithmetic._rounding`), each one call per
-solve:
+Both therefore run in C, as three entries of the compiled rounding kernel
+(:mod:`repro.arithmetic._rounding`), each one call per solve:
 
+* ``tridiagonalize`` reduces ``A`` (EISPACK ``tred2``; Golub & Van Loan,
+  "Matrix Computations", Alg. 8.3.1) with the accumulated ``Q``, stacked in
+  one ``(2, n, n)`` buffer ``[A; Q]`` that it updates in place, in the work
+  type of the context.  Column ``k`` gets the reflector of ``A[k+1:, k]``:
+  the norm scaled by ``max |x|`` (``scale * sqrt((x/scale).(x/scale))``),
+  ``v = x / normx`` with ``v[0] + sign(x[0])``, ``v.v`` and
+  ``beta = 2 / v.v``; a zero or non-finite norm or ``v.v`` (or a
+  non-finite ``beta``) skips the reflector.  Then ``A`` is updated from
+  the left (``A^T v``, ``beta v``, the outer product, the difference) and
+  the whole stack from the right (``S v`` over its ``2n`` rows, ``beta v``
+  per matrix, the outer product, the difference), with ``v`` zero above
+  row ``k + 1``: each rounding pass covers both matrices, and each matrix
+  gets the values and op tally of updating it alone.  Every op is the
+  operator spelling's op on the same values in the same order: an
+  elementwise op is one rounding pass, a tree level of a dot or
+  matrix-vector product one pass (a sequential accumulation adds left to
+  right, one pass per column, or one scalar op per addition of a dot),
+  counted as one call of the kernel with its hand-backs resolved in one
+  resolver call, and a scalar op resolves a hand-back at once.  The entry
+  returns the op tally, the reflectors it skipped and the first step after
+  which the stack held a non-finite value (the ``skipped`` and
+  ``first_nonfinite`` of the ``tridiagonal.reduce`` trace span).
 * ``ql`` runs the recurrence on ``d``/``e`` in place, in the work type of
   the context (``double``, x87 ``long double`` for posit64/takum64 and the
   reference context, ``float`` for float32), with the scaled five-op
@@ -56,14 +77,10 @@ solve:
 :meth:`~repro.arithmetic.context.ComputeContext.compiled_rounding` says
 how the entries round in a context: through the format's kernel, handing
 every value to the analytic kernels (the bit-kernel switch off), or not at
-all (the native dtypes).  The golden digests pin both entries in every
+all (the native dtypes).  The golden digests pin the three entries in every
 format (``tests/test_golden_digests.py``), and
 ``tests/test_operator_equivalence.py`` checks them against the explicit
 ``ctx.add(ctx.mul(...))`` spelling in both switch positions.
-
-The Householder reduction keeps ``A`` and the accumulated ``Q`` stacked in
-one buffer, so one :func:`~repro.linalg.reflectors.apply_reflector_right`
-call updates both: each rounding call covers both matrices.
 
 In very low precision the QL iteration may fail to deflate; this is reported
 as :class:`EigenConvergenceError` and surfaces as the paper's ∞ω
@@ -76,7 +93,6 @@ import numpy as np
 
 from ..arithmetic import bitkernels as _bitkernels
 from ..telemetry import trace as _trace
-from .reflectors import apply_reflector_left, apply_reflector_right, householder_vector
 
 __all__ = [
     "EigenConvergenceError",
@@ -101,32 +117,28 @@ def tridiagonalize(ctx, A):
 
     Returns ``(d, e, Q)`` with ``Q^T A Q`` (numerically) tridiagonal, ``d``
     its diagonal, ``e`` its subdiagonal (length ``n - 1``) and ``Q``
-    orthogonal.  All operations are carried out in the context arithmetic.
+    orthogonal.  All operations are carried out in the context arithmetic,
+    in one call of the compiled ``tridiagonalize``; the ``tridiagonal.reduce``
+    trace span reports the reflectors it ``skipped`` and the step after
+    which a value first went non-finite (``first_nonfinite``, ``None`` if
+    none did).
     """
-    with _trace.span("tridiagonal.reduce", fmt=ctx.name):
-        return _tridiagonalize(ctx, A)
-
-
-def _tridiagonalize(ctx, A):
-    A = np.asarray(A, dtype=ctx.dtype)
-    n = A.shape[0]
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("tridiagonalize requires a square matrix")
-    # [A; Q] share every right reflector: one stacked update rounds both
-    AQ = np.empty((2, n, n), dtype=ctx.dtype)
-    AQ[0] = A
-    AQ[1] = np.eye(n, dtype=ctx.dtype)
-    for k in range(n - 2):
-        x = AQ[0, k + 1 :, k]
-        v_small, beta, _ = householder_vector(ctx, x)
-        if float(beta) == 0.0:
-            continue
-        v = np.zeros(n, dtype=ctx.dtype)
-        v[k + 1 :] = v_small
-        AQ[0] = apply_reflector_left(ctx, v, beta, AQ[0])
-        AQ = apply_reflector_right(ctx, AQ, v, beta)
-    A, Q = AQ
-    return np.diagonal(A).copy(), np.diagonal(A, -1).copy(), Q
+    with _trace.span("tridiagonal.reduce", fmt=ctx.name) as sp:
+        A = np.asarray(A, dtype=ctx.dtype)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise ValueError("tridiagonalize requires a square matrix")
+        n = A.shape[0]
+        AQ = np.empty((2, n, n), dtype=ctx.dtype)
+        AQ[0] = A
+        AQ[1] = np.eye(n, dtype=ctx.dtype)
+        kernel, resolve_scalar, resolve_array = ctx.compiled_rounding()
+        ops, skipped, first_nonfinite = _bitkernels.extension().tridiagonalize(
+            AQ, ctx.accumulation == "sequential", kernel, resolve_scalar, resolve_array
+        )
+        ctx.op_count += ops
+        sp.set(skipped=skipped, first_nonfinite=first_nonfinite)
+        A, Q = AQ
+        return np.diagonal(A).copy(), np.diagonal(A, -1).copy(), Q
 
 
 def tridiagonal_eigen(ctx, d, e, Z=None, max_sweeps: int = 60):

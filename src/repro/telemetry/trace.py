@@ -14,8 +14,11 @@ carries both the inclusive duration (``dur``) and the self time (``self`` =
 ``dur`` minus children) — the phase breakdown of ``repro trace summarize``
 needs no cross-event reconstruction.  One JSON line is written per span at
 *exit* (exceptions propagate; the event is still emitted, flagged
-``error``), flushed line-by-line so a crashed worker loses at most its
-in-flight span.
+``error``), in one ``os.write`` on an append-only descriptor, so a crashed
+worker loses at most its in-flight span.  A line is what
+``json.dumps(event, sort_keys=True, separators=(",", ":"))`` writes, but
+spelled out key by key (:func:`_event_line`): the encoder's set-up costs
+more than the whole line.
 
 Sink files and worker processes
 -------------------------------
@@ -40,9 +43,11 @@ from __future__ import annotations
 
 import glob
 import json
+import math
 import os
 import threading
 import time
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterator, Optional
 
 from . import core as _core
@@ -66,30 +71,76 @@ _writer_lock = threading.Lock()
 _tls = threading.local()
 
 
+#: the other JSON values, as ``json.dumps(..., sort_keys=True)`` writes them
+_encode_sorted = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _json_value(value) -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, separators=(",",
+    ":"))`` writes it: strings, ``None``, booleans, ints and floats spelled
+    out, anything else through the encoder (which raises ``TypeError`` on
+    what JSON cannot hold, as ``json.dumps`` does)."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
+    return _encode_sorted(value)
+
+
+def _event_line(name, pid, t0, dur, self_time, depth, attrs, error) -> bytes:
+    """One span event as a JSON line, its keys in sorted order."""
+    head = "{"
+    if attrs:
+        fields = ",".join(f"{_quote(key)}:{_json_value(attrs[key])}" for key in sorted(attrs))
+        head += f'"attrs":{{{fields}}},'
+    flag = '"error":true,' if error else ""
+    line = (
+        f'{head}"depth":{_json_value(depth)},"dur":{_json_value(dur)},{flag}'
+        f'"ev":"span","name":{_quote(name)},"pid":{pid},'
+        f'"self":{_json_value(self_time)},"t0":{_json_value(t0)}}}\n'
+    )
+    return line.encode()
+
+
 class _Writer:
-    """Line-buffered JSON-lines writer bound to one process.
+    """Append-only JSON-lines writer bound to one process.
 
     ``pid`` records the opening process: a forked worker inheriting the
     module state sees a pid mismatch in :func:`_get_writer` and opens its
-    own shard file instead of sharing the parent's file descriptor.
+    own shard file instead of sharing the parent's file descriptor.  Each
+    line is one ``os.write`` on an ``O_APPEND`` descriptor: it reaches the
+    file as it is written (crash capture: every completed span survives),
+    with no user-space buffer to flush.
     """
 
-    def __init__(self, path: str, mode: str):
+    def __init__(self, path: str):
         self.path = path
         self.pid = os.getpid()
         self._lock = threading.Lock()
-        self._handle = open(path, mode, encoding="utf-8")
+        self._fd: Optional[int] = os.open(
+            path, os.O_WRONLY | os.O_APPEND | os.O_CREAT | getattr(os, "O_CLOEXEC", 0), 0o666
+        )
 
-    def write(self, event: dict) -> None:
-        line = json.dumps(event, sort_keys=True, separators=(",", ":"))
+    def write(self, line: bytes) -> None:
         with self._lock:
-            self._handle.write(line + "\n")
-            self._handle.flush()  # crash capture: every completed span survives
+            while line:
+                line = line[os.write(self._fd, line) :]
 
     def close(self) -> None:
         with self._lock:
-            if not self._handle.closed:
-                self._handle.close()
+            if self._fd is not None:
+                os.close(self._fd)
+                self._fd = None
 
 
 def configure(path: str | os.PathLike, export_env: bool = True) -> None:
@@ -159,11 +210,11 @@ def _get_writer() -> Optional[_Writer]:
         if owner == str(os.getpid()):
             # the configuring process appends to the main file (configure
             # already truncated it)
-            writer = _Writer(path, "a")
+            writer = _Writer(path)
         else:
             # worker process: private shard, appended in case the pid is
             # reused within one run
-            writer = _Writer(_shard_path(path), "a")
+            writer = _Writer(_shard_path(path))
         _writer = writer
         return writer
 
@@ -219,20 +270,18 @@ class Span:
             pass
         if stack:
             stack[-1]._child += dur
-        event = {
-            "ev": "span",
-            "name": self.name,
-            "pid": os.getpid(),
-            "t0": round(self._t0_wall, 6),
-            "dur": round(dur, 9),
-            "self": round(max(dur - self._child, 0.0), 9),
-            "depth": self._depth,
-        }
-        if self.attrs:
-            event["attrs"] = self.attrs
-        if exc_type is not None:
-            event["error"] = True
-        self._writer.write(event)
+        self._writer.write(
+            _event_line(
+                self.name,
+                os.getpid(),
+                round(self._t0_wall, 6),
+                round(dur, 9),
+                round(max(dur - self._child, 0.0), 9),
+                self._depth,
+                self.attrs,
+                exc_type is not None,
+            )
+        )
         return False  # never swallow the exception
 
 
@@ -263,20 +312,11 @@ def emit(name: str, t0_wall: float, dur: float, error: bool = False, **attrs) ->
     writer = _get_writer()
     if writer is None:
         return
-    event = {
-        "ev": "span",
-        "name": name,
-        "pid": os.getpid(),
-        "t0": round(t0_wall, 6),
-        "dur": round(dur, 9),
-        "self": round(dur, 9),
-        "depth": 0,
-    }
-    if attrs:
-        event["attrs"] = attrs
-    if error:
-        event["error"] = True
-    writer.write(event)
+    writer.write(
+        _event_line(
+            name, os.getpid(), round(t0_wall, 6), round(dur, 9), round(dur, 9), 0, attrs, error
+        )
+    )
 
 
 def collate(path: Optional[str] = None) -> int:

@@ -1,10 +1,10 @@
 """Explicit-context baseline implementations of the migrated solver kernels.
 
-The solver modules (``repro.core.arnoldi``, ``repro.core.krylov_schur``,
-``repro.linalg.reflectors``) are written in the operator form of
-:mod:`repro.arithmetic.farray`; ``repro.linalg.tridiagonal`` runs its QL
-recurrence on raw work-dtype scalars and its reduction on a stacked
-``[A; Q]`` buffer.  This module preserves the explicit
+The solver modules (``repro.core.arnoldi``, ``repro.core.krylov_schur``)
+are written in the operator form of :mod:`repro.arithmetic.farray`;
+``repro.linalg.tridiagonal`` runs its Householder reduction (on a stacked
+``[A; Q]`` buffer) and its QL iteration in the compiled rounding library.
+This module preserves the explicit
 ``ctx.sub(w, ctx.gemv(V, h))`` spelling of the same algorithms — the
 pre-migration code, byte for byte where possible — so that
 ``tests/test_operator_equivalence.py`` can prove the shipped kernels produce

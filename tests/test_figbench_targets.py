@@ -14,7 +14,7 @@ import numpy as np
 from figbench import layers, tracing
 from repro.arithmetic import get_context
 from repro.linalg import tridiagonal
-from tests._explicit_baseline import tridiagonal_eigen_explicit
+from tests._explicit_baseline import tridiagonal_eigen_explicit, tridiagonalize_explicit
 
 
 def _owners():
@@ -80,3 +80,30 @@ def test_ql_makes_no_traced_scalar_rounding_call():
     want_w, want_Z = tridiagonal_eigen_explicit(explicit_ctx, d, e)
     assert ctx.op_count == explicit_ctx.op_count > 0
     assert np.array_equal(w, want_w) and np.array_equal(Z, want_Z)
+
+
+def test_tridiagonalize_makes_no_traced_rounding_call():
+    """The Householder reduction rounds in the compiled kernel, not through
+    the patched ``EmulatedContext.round_scalar`` or
+    ``NumberFormat.round_array``: a posit16 reduction makes no traced
+    rounding call, and its values and op tally are the explicit
+    spelling's, where every rounded op is one context call."""
+    ctx = get_context("posit16")
+    explicit_ctx = get_context("posit16")
+    rng = np.random.default_rng(0)
+    raw = rng.standard_normal((12, 12))
+    A = ctx.asarray((raw + raw.T) / 2)
+    tracer = tracing.Tracer()
+    tracer.install(layers.TARGETS)
+    try:
+        with tracer.root("root") as closed:
+            got = tridiagonal.tridiagonalize(ctx, A)
+    finally:
+        tracer.uninstall()
+    totals = closed[0].totals()
+    rounding = {key: calls for key, (_, calls) in totals.items() if key.startswith("arithmetic.round")}
+    assert rounding == {}, rounding
+    assert totals["linalg.tridiagonalize"][1] == 1
+    want = tridiagonalize_explicit(explicit_ctx, A)
+    assert ctx.op_count == explicit_ctx.op_count > 0
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))

@@ -10,8 +10,9 @@ reach the kernel with no other operand.  The solve's pairwise reductions
 must take the compiled reduction entry (``Kernel.reduce_pairwise``, or the
 module's native ``reduce_pairwise`` for float32/float64), with C-contiguous
 operands too: a silent fallback to the NumPy tree fails the test.  The
-compiled eigensolver entries (``ql`` and ``rotate``) refuse other operands
-outright; the test records theirs as well.
+compiled eigensolver entries (``tridiagonalize``, ``ql`` and ``rotate``)
+refuse other operands outright; the test records theirs as well, and every
+eigensolve must reduce its matrix through the compiled ``tridiagonalize``.
 """
 
 from __future__ import annotations
@@ -59,14 +60,23 @@ class _RecordingKernel:
 
 class _RecordingExtension:
     """Delegates to the compiled extension, recording every array operand
-    of the eigensolver entries ``ql`` and ``rotate`` that is not a
-    C-contiguous ndarray; a :class:`_RecordingKernel` they are given is
-    replaced by the kernel it wraps."""
+    of the eigensolver entries ``tridiagonalize``, ``ql`` and ``rotate``
+    that is not a C-contiguous ndarray, and the reductions and QL solves;
+    a :class:`_RecordingKernel` they are given is replaced by the kernel it
+    wraps."""
 
-    def __init__(self, module, strays: list, solves: list):
+    def __init__(self, module, strays: list, solves: list, reduced: list):
         self._module = module
         self._strays = strays
         self._solves = solves
+        self._reduced = reduced
+
+    def tridiagonalize(self, AQ, sequential, kernel, resolve_scalar, resolve_array):
+        _record_strays(self._strays, AQ)
+        self._reduced.append(np.shape(AQ)[1:])
+        return self._module.tridiagonalize(
+            AQ, sequential, _unwrap(kernel), resolve_scalar, resolve_array
+        )
 
     def __getattr__(self, name):
         return getattr(self._module, name)
@@ -116,6 +126,7 @@ def test_solve_rounds_only_contiguous_buffers(name, fig1_matrix, monkeypatch):
     strays: list = []
     reductions: list = []
     solves: list = []
+    reduced: list = []
     for fmt_name in FORMATS:  # float32/float64 round in hardware: no kernel
         kern = get_format(fmt_name).bitkernel()
         if kern is not None:
@@ -125,7 +136,7 @@ def test_solve_rounds_only_contiguous_buffers(name, fig1_matrix, monkeypatch):
     monkeypatch.setattr(
         bitkernels, "native_reducer", _recording_native_reducer(strays, reductions)
     )
-    extension = _RecordingExtension(bitkernels.extension(), strays, solves)
+    extension = _RecordingExtension(bitkernels.extension(), strays, solves, reduced)
     monkeypatch.setattr(bitkernels, "extension", lambda: extension)
     ctx = get_context(name)
     matrix, _ = ctx.convert_matrix(fig1_matrix)
@@ -135,4 +146,6 @@ def test_solve_rounds_only_contiguous_buffers(name, fig1_matrix, monkeypatch):
         )
     assert reductions, "the solve never took the compiled reduction"
     assert solves, "the solve never took the compiled eigensolver"
+    # each QL solve of order n > 1 follows the compiled reduction of its matrix
+    assert reduced == [(n, n) for (n,) in solves], "an eigensolve skipped the compiled reduction"
     assert strays == []

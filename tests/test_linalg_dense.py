@@ -1,4 +1,6 @@
-"""Tests of the dense context-generic kernels (reflectors, tridiagonal QL)."""
+"""Tests of the dense context-generic kernels (Householder reduction, tridiagonal QL)."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,51 +8,104 @@ import pytest
 from repro.arithmetic import get_context
 from repro.linalg import (
     EigenConvergenceError,
-    apply_reflector_left,
-    apply_reflector_right,
-    householder_vector,
     symmetric_eigen,
+    tridiagonal,
     tridiagonal_eigen,
     tridiagonalize,
 )
-from tests._explicit_baseline import tridiagonal_eigen_explicit
+from tests._explicit_baseline import (
+    apply_reflector_left_explicit,
+    apply_reflector_right_explicit,
+    householder_vector_explicit,
+    tridiagonal_eigen_explicit,
+)
+
+
+class _ReduceSpan:
+    """Stands in for the trace span of ``tridiagonalize`` and keeps the
+    attributes the reduction sets on it."""
+
+    def __init__(self):
+        self.attrs: dict = {}
+
+    def __call__(self, name: str, **attrs):
+        assert name == "tridiagonal.reduce", name
+        self.attrs.update(attrs)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        return False
+
+    def set(self, **attrs) -> None:
+        self.attrs.update(attrs)
+
+
+def _reduce(ctx, A):
+    """``tridiagonalize(ctx, A)`` and the attributes of its trace span."""
+    span = _ReduceSpan()
+    with mock.patch.object(tridiagonal._trace, "span", span):
+        d, e, Q = tridiagonalize(ctx, A)
+    return d, e, Q, span.attrs
+
+
+def _symmetric(rng, n):
+    B = rng.standard_normal((n, n))
+    return (B + B.T) / 2
 
 
 class TestHouseholder:
-    def test_annihilates_tail(self, float64_ctx, rng):
-        x = rng.standard_normal(8)
-        v, beta, alpha = householder_vector(float64_ctx, x)
-        H = np.eye(8) - float(beta) * np.outer(v, v)
-        y = H @ x
-        assert abs(abs(y[0]) - np.linalg.norm(x)) < 1e-12
-        assert np.max(np.abs(y[1:])) < 1e-12
-        assert abs(float(alpha)) == pytest.approx(np.linalg.norm(x))
+    """The reflectors of the reduction, observed through ``tridiagonalize``
+    (the compiled reduction) and through the explicit baseline spelling."""
 
-    def test_zero_vector_gives_identity_reflector(self, float64_ctx):
-        v, beta, alpha = householder_vector(float64_ctx, np.zeros(5))
-        assert float(beta) == 0.0
-        assert float(alpha) == 0.0
+    def test_first_reflector_annihilates_tail(self, float64_ctx, rng):
+        A = _symmetric(rng, 8)
+        d, e, Q, attrs = _reduce(float64_ctx, A)
+        T = Q.T @ A @ Q
+        assert abs(abs(e[0]) - np.linalg.norm(A[1:, 0])) < 1e-12
+        assert np.max(np.abs(T[2:, 0])) < 1e-12
+        assert attrs["skipped"] == 0 and attrs["first_nonfinite"] is None
 
-    def test_reflector_is_orthogonal(self, float64_ctx, rng):
-        x = rng.standard_normal(6)
-        v, beta, _ = householder_vector(float64_ctx, x)
-        H = np.eye(6) - float(beta) * np.outer(v, v)
-        assert np.allclose(H @ H.T, np.eye(6), atol=1e-12)
+    def test_zero_subcolumn_skips_the_reflector(self, float64_ctx, rng):
+        A = _symmetric(rng, 6)
+        A[1:, 0] = A[0, 1:] = 0.0
+        d, e, Q, attrs = _reduce(float64_ctx, A)
+        assert attrs["skipped"] == 1
+        assert d[0] == A[0, 0] and e[0] == 0.0
+        assert np.array_equal(Q[:, 0], np.eye(6)[0]) and np.array_equal(Q[0], np.eye(6)[0])
 
-    def test_apply_left_right_match_dense(self, float64_ctx, rng):
+    def test_q_is_orthogonal(self, float64_ctx, rng):
+        _, _, Q, _ = _reduce(float64_ctx, _symmetric(rng, 6))
+        assert np.allclose(Q @ Q.T, np.eye(6), atol=1e-12)
+
+    def test_explicit_apply_left_right_match_dense(self, float64_ctx, rng):
         A = rng.standard_normal((6, 6))
         x = rng.standard_normal(6)
-        v, beta, _ = householder_vector(float64_ctx, x)
+        v, beta, _ = householder_vector_explicit(float64_ctx, x)
         H = np.eye(6) - float(beta) * np.outer(v, v)
-        assert np.allclose(apply_reflector_left(float64_ctx, v, beta, A), H @ A)
-        assert np.allclose(apply_reflector_right(float64_ctx, A, v, beta), A @ H)
+        assert np.allclose(apply_reflector_left_explicit(float64_ctx, v, beta, A), H @ A)
+        assert np.allclose(apply_reflector_right_explicit(float64_ctx, A, v, beta), A @ H)
 
     def test_low_precision_reflector_stays_finite(self):
         ctx = get_context("E4M3")
-        x = ctx.asarray([300.0, 200.0, 100.0])  # squared entries overflow E4M3
-        v, beta, alpha = householder_vector(ctx, x)
-        assert np.all(np.isfinite(v))
-        assert np.isfinite(float(beta))
+        A = np.zeros((4, 4))
+        A[1:, 0] = A[0, 1:] = [300.0, 200.0, 100.0]  # squared entries overflow E4M3
+        with np.errstate(all="ignore"):
+            _, _, Q, attrs = _reduce(ctx, ctx.asarray(A))
+        # the first reflector applies (Q is that reflector) and is finite;
+        # the update overflows A, so the second subcolumn is skipped
+        assert attrs["skipped"] == 1 and attrs["first_nonfinite"] == 0
+        assert np.all(np.isfinite(Q)) and not np.array_equal(Q, np.eye(4))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf
+    def test_nonfinite_entry_is_reported(self, float64_ctx, rng):
+        A = _symmetric(rng, 6)
+        A[3, 5] = A[5, 3] = np.inf
+        _, _, _, attrs = _reduce(float64_ctx, A)
+        assert attrs["first_nonfinite"] == 0
+        assert attrs["skipped"] > 0  # the reflectors of non-finite subcolumns
 
 
 class TestTridiagonalization:

@@ -145,31 +145,58 @@ PIPELINE_CONTEXTS = [
 ] + ["float32", "reference"]
 
 
+#: the reduction inputs: ``(kind, scale)`` of :func:`_pipeline_input`
+PIPELINE_INPUTS = [
+    ("seeded", 1.0),
+    ("zero_subcolumn", 1.0),
+    ("scaled", 200.0),
+    ("scaled", 1e4),
+    ("inf_entry", 1.0),
+]
+
+
+def _pipeline_input(ctx, kind, scale):
+    """A seeded symmetric matrix of order 7; with a zero subcolumn below its
+    first diagonal entry (a skipped reflector), scaled until the 8-bit
+    formats overflow, or with an ``inf`` entry and its mirror."""
+    rng = np.random.default_rng(3)
+    raw = rng.standard_normal((7, 7))
+    A = (raw + raw.T) / 2 * scale
+    if kind == "zero_subcolumn":
+        A[1:, 0] = A[0, 1:] = 0.0
+    elif kind == "inf_entry":
+        A[2, 4] = A[4, 2] = np.inf
+    return ctx.round(np.asarray(A, dtype=ctx.dtype))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in narrow formats
+@pytest.mark.parametrize("accumulation", ["pairwise", "sequential"])
 @pytest.mark.parametrize("fmt", PIPELINE_CONTEXTS)
-def test_tridiagonal_pipeline_identical(fmt):
+def test_tridiagonal_pipeline_identical(fmt, accumulation):
     """tridiagonalize + QL iteration agree step by step with the baseline,
-    with the bit kernels on (the compiled QL rounds through the format's
-    kernel) and off (it hands every value to the analytic kernels)."""
+    op tallies included, on every input, in both accumulation orders, with
+    the bit kernels on (the compiled entries round through the format's
+    kernel) and off (they hand every value to the analytic kernels)."""
     for enabled in (True, False):
         previous = set_bitkernels_enabled(enabled)
         try:
-            _check_tridiagonal_pipeline(fmt)
+            for kind, scale in PIPELINE_INPUTS:
+                _check_tridiagonal_pipeline(fmt, accumulation, kind, scale)
         finally:
             set_bitkernels_enabled(previous)
 
 
-def _check_tridiagonal_pipeline(fmt):
-    ctx = get_context(fmt)
-    ctx_ref = get_context(fmt)
-    rng = np.random.default_rng(3)
-    raw = rng.standard_normal((7, 7))
-    A = ctx.round(np.asarray((raw + raw.T) / 2, dtype=ctx.dtype))
+def _check_tridiagonal_pipeline(fmt, accumulation, kind, scale):
+    ctx = get_context(fmt, accumulation=accumulation)
+    ctx_ref = get_context(fmt, accumulation=accumulation)
+    label = f"{fmt} {accumulation} {kind} x{scale}"
+    A = _pipeline_input(ctx, kind, scale)
     d, e, Q = tridiagonalize(ctx, A)
     d_ref, e_ref, Q_ref = tridiagonalize_explicit(ctx_ref, A)
-    _assert_identical(d, d_ref, f"{fmt} diagonal")
-    _assert_identical(e, e_ref, f"{fmt} subdiagonal")
-    _assert_identical(Q, Q_ref, f"{fmt} Q")
+    _assert_identical(d, d_ref, f"{label} diagonal")
+    _assert_identical(e, e_ref, f"{label} subdiagonal")
+    _assert_identical(Q, Q_ref, f"{label} Q")
+    assert ctx.op_count == ctx_ref.op_count, f"{label} reduction op tally"
 
     def run(fn, c):
         try:
@@ -179,12 +206,12 @@ def _check_tridiagonal_pipeline(fmt):
 
     got = run(tridiagonal_eigen, ctx)
     want = run(tridiagonal_eigen_explicit, ctx_ref)
-    assert ctx.op_count == ctx_ref.op_count, f"{fmt} op tally"
+    assert ctx.op_count == ctx_ref.op_count, f"{label} op tally"
     if isinstance(want, str) or isinstance(got, str):
         assert got == want
         return
-    _assert_identical(got[0], want[0], f"{fmt} QL eigenvalues")
-    _assert_identical(got[1], want[1], f"{fmt} QL eigenvectors")
+    _assert_identical(got[0], want[0], f"{label} QL eigenvalues")
+    _assert_identical(got[1], want[1], f"{label} QL eigenvectors")
 
 
 def test_operator_solver_converges_like_before():

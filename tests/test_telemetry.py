@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.arithmetic import BatchedContext, get_context
-from repro.linalg import symmetric_eigen
+from repro.linalg import symmetric_eigen, tridiagonalize
 from repro.linalg.lockstep import lockstep_symmetric_eigen
 from repro.telemetry import (
     MetricsRegistry,
@@ -224,6 +224,51 @@ def test_worker_shards_merge_after_crash(telemetry_on):
     assert metrics.value("parallel.tasks", status="failed") == 1
 
 
+def _sorted_dumps_line(name, pid, t0, dur, self_time, depth, attrs, error) -> bytes:
+    """A span event line as ``json.dumps(..., sort_keys=True)`` writes it."""
+    event = {"ev": "span", "name": name, "pid": pid, "t0": t0, "dur": dur}
+    event.update({"self": self_time, "depth": depth})
+    if attrs:
+        event["attrs"] = attrs
+    if error:
+        event["error"] = True
+    return (json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "attrs",
+    [
+        {},
+        {"fmt": "posit16", "skipped": 2, "first_nonfinite": None},
+        {"z": [1, {"b": 1, "a": 2}], "a": float("nan"), "b": float("inf"), "c": -float("inf")},
+        {"t": True, "f": False, "x": np.float64(0.1), "s": "é\n\"", "big": 2**70, "neg": -0.0},
+    ],
+)
+@pytest.mark.parametrize("error", [False, True])
+def test_event_line_is_the_sorted_json_dump(attrs, error):
+    """Each span line is byte for byte the sorted ``json.dumps`` line."""
+    args = ("tridiagonal.reduce", 4321, round(1760000000.1234567, 6), round(1.5e-5, 9), 0.0, 3)
+    assert trace._event_line(*args, attrs, error) == _sorted_dumps_line(*args, attrs, error)
+    with pytest.raises(TypeError):  # what JSON cannot hold fails as json.dumps does
+        trace._event_line(*args, {"bad": np.int64(3)}, error)
+
+
+def test_span_line_survives_a_hard_exit(tmp_path, telemetry_on):
+    """A completed span is in the file before the process dies without any
+    clean-up (``os._exit`` after a fork): each line is one ``os.write``."""
+    pid = os.fork()
+    if pid == 0:  # child: its own shard file, then a hard exit
+        try:
+            with trace.span("child.work", item=1):
+                pass
+        finally:
+            os._exit(0)
+    os.waitpid(pid, 0)
+    assert trace.collate() == 1
+    events = [e for e in trace.read_events(telemetry_on) if e["name"] == "child.work"]
+    assert [e["attrs"] for e in events] == [{"item": 1}]
+
+
 def test_read_events_tolerates_torn_lines(tmp_path):
     path = tmp_path / "torn.jsonl"
     good = {"ev": "span", "name": "ok", "t0": 1.0, "dur": 0.5, "depth": 0}
@@ -360,6 +405,27 @@ def test_ql_spans_report_rotations_and_waves(telemetry_on):
     for name in ("tridiagonal.ql", "tridiagonal.ql_lockstep"):
         attrs = spans[name]
         assert 0 < attrs["waves"] < attrs["rotations"], name
+
+
+def test_reduce_span_reports_skipped_and_first_nonfinite(telemetry_on):
+    """The reduction's span says how many reflectors it skipped and after
+    which step a value first went non-finite."""
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((8, 8))
+    A = A + A.T
+    B = A * 8000.0
+    B[1:, 0] = B[0, 1:] = 0.0  # step 0 meets a zero subcolumn
+    ctx = get_context("E5M2")
+    with np.errstate(all="ignore"):
+        tridiagonalize(ctx, ctx.asarray(A))
+        tridiagonalize(ctx, ctx.asarray(B))
+    first, second = [
+        e["attrs"] for e in trace.read_events(telemetry_on) if e["name"] == "tridiagonal.reduce"
+    ]
+    assert first == {"fmt": "E5M2", "skipped": 0, "first_nonfinite": None}
+    # the finite input overflows in the update of step 2; the reflectors of
+    # the subcolumns it leaves non-finite are skipped as well
+    assert second == {"fmt": "E5M2", "skipped": 3, "first_nonfinite": 2}
 
 
 def test_enabled_flag_round_trip():

@@ -12,7 +12,7 @@ import importlib
 import numpy as np
 
 from figbench import layers, tracing
-from repro.arithmetic import get_context
+from repro.arithmetic import get_context, set_bitkernels_enabled
 from repro.linalg import tridiagonal
 from tests._explicit_baseline import tridiagonal_eigen_explicit, tridiagonalize_explicit
 
@@ -87,12 +87,15 @@ def test_tridiagonalize_makes_no_traced_rounding_call():
     the patched ``EmulatedContext.round_scalar`` or
     ``NumberFormat.round_array``: a posit16 reduction makes no traced
     rounding call, and its values and op tally are the explicit
-    spelling's, where every rounded op is one context call."""
+    spelling's, where every rounded op is one context call.  (With the
+    bit-kernel switch off, each pass goes to ``NumberFormat.round_array``
+    by design, so the switch is on here.)"""
     ctx = get_context("posit16")
     explicit_ctx = get_context("posit16")
     rng = np.random.default_rng(0)
     raw = rng.standard_normal((12, 12))
     A = ctx.asarray((raw + raw.T) / 2)
+    previous = set_bitkernels_enabled(True)
     tracer = tracing.Tracer()
     tracer.install(layers.TARGETS)
     try:
@@ -100,6 +103,7 @@ def test_tridiagonalize_makes_no_traced_rounding_call():
             got = tridiagonal.tridiagonalize(ctx, A)
     finally:
         tracer.uninstall()
+        set_bitkernels_enabled(previous)
     totals = closed[0].totals()
     rounding = {key: calls for key, (_, calls) in totals.items() if key.startswith("arithmetic.round")}
     assert rounding == {}, rounding

@@ -392,7 +392,7 @@ class TestWavefrontSchedule:
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in narrow formats
 @pytest.mark.parametrize("name", ALL_FORMATS + ["reference"])
 @pytest.mark.parametrize("n", [3, 9, 26])
-def test_stacked_reduction_matches_one_matrix_at_a_time(name, n, accumulation):
+def test_stacked_right_reflector_matches_one_matrix_at_a_time(name, n, accumulation):
     """The compiled reduction updates ``[A; Q]`` as one stack; ``A`` and
     ``Q`` get the values and the op tally of the explicit spelling, which
     updates each matrix alone."""

@@ -60,7 +60,7 @@ class TestHouseholder:
     """The reflectors of the reduction, observed through ``tridiagonalize``
     (the compiled reduction) and through the explicit baseline spelling."""
 
-    def test_first_reflector_annihilates_tail(self, float64_ctx, rng):
+    def test_annihilates_tail(self, float64_ctx, rng):
         A = _symmetric(rng, 8)
         d, e, Q, attrs = _reduce(float64_ctx, A)
         T = Q.T @ A @ Q
@@ -68,7 +68,7 @@ class TestHouseholder:
         assert np.max(np.abs(T[2:, 0])) < 1e-12
         assert attrs["skipped"] == 0 and attrs["first_nonfinite"] is None
 
-    def test_zero_subcolumn_skips_the_reflector(self, float64_ctx, rng):
+    def test_zero_vector_gives_identity_reflector(self, float64_ctx, rng):
         A = _symmetric(rng, 6)
         A[1:, 0] = A[0, 1:] = 0.0
         d, e, Q, attrs = _reduce(float64_ctx, A)
@@ -76,11 +76,11 @@ class TestHouseholder:
         assert d[0] == A[0, 0] and e[0] == 0.0
         assert np.array_equal(Q[:, 0], np.eye(6)[0]) and np.array_equal(Q[0], np.eye(6)[0])
 
-    def test_q_is_orthogonal(self, float64_ctx, rng):
+    def test_reflector_is_orthogonal(self, float64_ctx, rng):
         _, _, Q, _ = _reduce(float64_ctx, _symmetric(rng, 6))
         assert np.allclose(Q @ Q.T, np.eye(6), atol=1e-12)
 
-    def test_explicit_apply_left_right_match_dense(self, float64_ctx, rng):
+    def test_apply_left_right_match_dense(self, float64_ctx, rng):
         A = rng.standard_normal((6, 6))
         x = rng.standard_normal(6)
         v, beta, _ = householder_vector_explicit(float64_ctx, x)

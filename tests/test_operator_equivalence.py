@@ -170,9 +170,8 @@ def _pipeline_input(ctx, kind, scale):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in narrow formats
-@pytest.mark.parametrize("accumulation", ["pairwise", "sequential"])
 @pytest.mark.parametrize("fmt", PIPELINE_CONTEXTS)
-def test_tridiagonal_pipeline_identical(fmt, accumulation):
+def test_tridiagonal_pipeline_identical(fmt):
     """tridiagonalize + QL iteration agree step by step with the baseline,
     op tallies included, on every input, in both accumulation orders, with
     the bit kernels on (the compiled entries round through the format's
@@ -180,8 +179,9 @@ def test_tridiagonal_pipeline_identical(fmt, accumulation):
     for enabled in (True, False):
         previous = set_bitkernels_enabled(enabled)
         try:
-            for kind, scale in PIPELINE_INPUTS:
-                _check_tridiagonal_pipeline(fmt, accumulation, kind, scale)
+            for accumulation in ("pairwise", "sequential"):
+                for kind, scale in PIPELINE_INPUTS:
+                    _check_tridiagonal_pipeline(fmt, accumulation, kind, scale)
         finally:
             set_bitkernels_enabled(previous)
 

@@ -1086,6 +1086,36 @@ typedef struct {
         return 0;                                                                               \
     }                                                                                           \
                                                                                                 \
+    /* `x[i * stride] / d` for i < m into `out`, in one pass */                                 \
+    static int NAME##_divide(Tri *r, const T *x, npy_intp stride, npy_intp m, T d, T *out)      \
+    {                                                                                           \
+        for (npy_intp i = 0; i < m; i++) {                                                      \
+            out[i] = x[i * stride] / d;                                                         \
+            if (NAME##_note(r, out, i) < 0) {                                                   \
+                return -1;                                                                      \
+            }                                                                                   \
+        }                                                                                       \
+        r->q.ops += (unsigned long long)m;                                                      \
+        return NAME##_end(r, out, m);                                                           \
+    }                                                                                           \
+                                                                                                \
+    /* `v . v` into `*dot`: the `m` squares in one pass (into `p`), then                        \
+     * their sum */                                                                             \
+    static int NAME##_dot_self(Tri *r, const T *v, npy_intp m, T *p, T *dot)                    \
+    {                                                                                           \
+        for (npy_intp i = 0; i < m; i++) {                                                      \
+            p[i] = v[i] * v[i];                                                                 \
+            if (NAME##_note(r, p, i) < 0) {                                                     \
+                return -1;                                                                      \
+            }                                                                                   \
+        }                                                                                       \
+        r->q.ops += (unsigned long long)m;                                                      \
+        if (NAME##_end(r, p, m) < 0) {                                                          \
+            return -1;                                                                          \
+        }                                                                                       \
+        return NAME##_sum(r, p, 1, m, 1, dot);                                                  \
+    }                                                                                           \
+                                                                                                \
     /* The reflector `(I - beta v v^T)` that annihilates all but the first                      \
      * of the `m` values `x[0], x[stride], ...` into `v` (`m` values) and                       \
      * `*beta`; `*beta` is 0 when the reflector is skipped: a zero or                           \
@@ -1110,59 +1140,26 @@ typedef struct {
             return 0;                                                                           \
         }                                                                                       \
         /* the norm: scale * sqrt((x / scale) . (x / scale)) */                                 \
-        for (npy_intp i = 0; i < m; i++) {                                                      \
-            xs[i] = x[i * stride] / scale;                                                      \
-            if (NAME##_note(r, xs, i) < 0) {                                                    \
-                return -1;                                                                      \
-            }                                                                                   \
-        }                                                                                       \
-        if (NAME##_end(r, xs, m) < 0) {                                                         \
-            return -1;                                                                          \
-        }                                                                                       \
-        for (npy_intp i = 0; i < m; i++) {                                                      \
-            p[i] = xs[i] * xs[i];                                                               \
-            if (NAME##_note(r, p, i) < 0) {                                                     \
-                return -1;                                                                      \
-            }                                                                                   \
-        }                                                                                       \
-        if (NAME##_end(r, p, m) < 0) {                                                          \
-            return -1;                                                                          \
-        }                                                                                       \
-        q->ops += 2 * (unsigned long long)m + 2;                                                \
-        T dot, root, normx;                                                                     \
-        if (NAME##_sum(r, p, 1, m, 1, &dot) < 0) {                                              \
+        T dot, root, normx, vnorm2, b;                                                          \
+        if (NAME##_divide(r, x, stride, m, scale, xs) < 0 ||                                    \
+            NAME##_dot_self(r, xs, m, p, &dot) < 0) {                                           \
             return -1;                                                                          \
         }                                                                                       \
         RS(root, SQRT(dot));                                                                    \
         RS(normx, scale * root);                                                                \
+        q->ops += 2;                                                                            \
         if (!isfinite(normx) || normx == 0) {                                                   \
             return 0;                                                                           \
         }                                                                                       \
         /* v = x / normx with v[0] + sign(x[0]); alpha = -sign * normx is                       \
          * one op (exact, and not read: counted, not formed) */                                 \
-        for (npy_intp i = 0; i < m; i++) {                                                      \
-            v[i] = x[i * stride] / normx;                                                       \
-            if (NAME##_note(r, v, i) < 0) {                                                     \
-                return -1;                                                                      \
-            }                                                                                   \
-        }                                                                                       \
-        if (NAME##_end(r, v, m) < 0) {                                                          \
+        if (NAME##_divide(r, x, stride, m, normx, v) < 0) {                                     \
             return -1;                                                                          \
         }                                                                                       \
         const T sign = x[0] < 0 ? -1 : 1;                                                       \
         RS(v[0], v[0] - (-sign));                                                               \
-        for (npy_intp i = 0; i < m; i++) {                                                      \
-            p[i] = v[i] * v[i];                                                                 \
-            if (NAME##_note(r, p, i) < 0) {                                                     \
-                return -1;                                                                      \
-            }                                                                                   \
-        }                                                                                       \
-        if (NAME##_end(r, p, m) < 0) {                                                          \
-            return -1;                                                                          \
-        }                                                                                       \
-        q->ops += 2 * (unsigned long long)m + 2;                                                \
-        T vnorm2, b;                                                                            \
-        if (NAME##_sum(r, p, 1, m, 1, &vnorm2) < 0) {                                           \
+        q->ops += 2;                                                                            \
+        if (NAME##_dot_self(r, v, m, p, &vnorm2) < 0) {                                         \
             return -1;                                                                          \
         }                                                                                       \
         if (!isfinite(vnorm2) || vnorm2 == 0) {                                                 \
@@ -1210,7 +1207,7 @@ typedef struct {
      * above row k + 1.  `scratch` holds `2 n^2 + 7 n` values. */                               \
     static int NAME##_tridiagonalize(Tri *r, char *aq_, npy_intp n, char *scratch)              \
     {                                                                                           \
-        T *const A = (T *)aq_, *const P = (T *)scratch;                                         \
+        T *const A = (T *)aq_, *const P = (T *)scratch; /* A, then Q: the stack */            \
         T *const w = P + 2 * n * n, *const bv = w + 2 * n, *const v = bv + 2 * n;              \
         T *const xs = v + n, *const p = xs + n;                                                 \
         for (npy_intp k = 0; k + 2 < n; k++) {                                                  \

@@ -127,9 +127,7 @@ class _Writer:
         self.path = path
         self.pid = os.getpid()
         self._lock = threading.Lock()
-        self._fd: Optional[int] = os.open(
-            path, os.O_WRONLY | os.O_APPEND | os.O_CREAT | getattr(os, "O_CLOEXEC", 0), 0o666
-        )
+        self._fd: Optional[int] = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
 
     def write(self, line: bytes) -> None:
         with self._lock:

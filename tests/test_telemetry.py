@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -254,16 +256,18 @@ def test_event_line_is_the_sorted_json_dump(attrs, error):
 
 
 def test_span_line_survives_a_hard_exit(tmp_path, telemetry_on):
-    """A completed span is in the file before the process dies without any
-    clean-up (``os._exit`` after a fork): each line is one ``os.write``."""
-    pid = os.fork()
-    if pid == 0:  # child: its own shard file, then a hard exit
-        try:
-            with trace.span("child.work", item=1):
-                pass
-        finally:
-            os._exit(0)
-    os.waitpid(pid, 0)
+    """A completed span is in the file before its process dies without any
+    clean-up (``os._exit``): each line is one ``os.write``."""
+    code = (
+        "import os\n"
+        "from repro.telemetry import set_enabled, trace\n"
+        "set_enabled(True)\n"
+        "with trace.span('child.work', item=1):\n"
+        "    pass\n"
+        "os._exit(0)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
     assert trace.collate() == 1
     events = [e for e in trace.read_events(telemetry_on) if e["name"] == "child.work"]
     assert [e["attrs"] for e in events] == [{"item": 1}]

@@ -98,16 +98,16 @@ def _json_value(value) -> str:
 
 
 def _event_line(name, pid, t0, dur, self_time, depth, attrs, error) -> bytes:
-    """One span event as a JSON line, its keys in sorted order."""
+    """One span event as a JSON line, its keys in sorted order; ``t0``,
+    ``dur`` and ``self_time`` come as JSON numbers already."""
     head = "{"
     if attrs:
         fields = ",".join(f"{_quote(key)}:{_json_value(attrs[key])}" for key in sorted(attrs))
         head += f'"attrs":{{{fields}}},'
     flag = '"error":true,' if error else ""
     line = (
-        f'{head}"depth":{_json_value(depth)},"dur":{_json_value(dur)},{flag}'
-        f'"ev":"span","name":{_quote(name)},"pid":{pid},'
-        f'"self":{_json_value(self_time)},"t0":{_json_value(t0)}}}\n'
+        f'{head}"depth":{depth},"dur":{dur},{flag}"ev":"span","name":{_quote(name)},'
+        f'"pid":{pid},"self":{self_time},"t0":{t0}}}\n'
     )
     return line.encode()
 
@@ -268,13 +268,14 @@ class Span:
             pass
         if stack:
             stack[-1]._child += dur
+        # the clock readings are finite floats: their repr is their JSON
         self._writer.write(
             _event_line(
                 self.name,
                 os.getpid(),
-                round(self._t0_wall, 6),
-                round(dur, 9),
-                round(max(dur - self._child, 0.0), 9),
+                repr(round(self._t0_wall, 6)),
+                repr(round(dur, 9)),
+                repr(round(max(dur - self._child, 0.0), 9)),
                 self._depth,
                 self.attrs,
                 exc_type is not None,
@@ -310,9 +311,10 @@ def emit(name: str, t0_wall: float, dur: float, error: bool = False, **attrs) ->
     writer = _get_writer()
     if writer is None:
         return
+    dur_json = _json_value(round(dur, 9))
     writer.write(
         _event_line(
-            name, os.getpid(), round(t0_wall, 6), round(dur, 9), round(dur, 9), 0, attrs, error
+            name, os.getpid(), _json_value(round(t0_wall, 6)), dur_json, dur_json, 0, attrs, error
         )
     )
 

@@ -249,10 +249,25 @@ def _sorted_dumps_line(name, pid, t0, dur, self_time, depth, attrs, error) -> by
 @pytest.mark.parametrize("error", [False, True])
 def test_event_line_is_the_sorted_json_dump(attrs, error):
     """Each span line is byte for byte the sorted ``json.dumps`` line."""
-    args = ("tridiagonal.reduce", 4321, round(1760000000.1234567, 6), round(1.5e-5, 9), 0.0, 3)
-    assert trace._event_line(*args, attrs, error) == _sorted_dumps_line(*args, attrs, error)
+    numbers = (round(1760000000.1234567, 6), round(1.5e-5, 9), 0.0)
+    args = ("tridiagonal.reduce", 4321, *map(repr, numbers), 3)
+    want = _sorted_dumps_line("tridiagonal.reduce", 4321, *numbers, 3, attrs, error)
+    assert trace._event_line(*args, attrs, error) == want
     with pytest.raises(TypeError):  # what JSON cannot hold fails as json.dumps does
         trace._event_line(*args, {"bad": np.int64(3)}, error)
+
+
+def test_emitted_line_is_the_sorted_json_dump(telemetry_on):
+    trace.emit("serve.request", 1760000000.25, 0.125, error=True, path="/v1/cell", status=200)
+    trace.emit("serve.request", 1760000001, 2)  # ints stay ints, as json.dumps writes them
+    with open(telemetry_on, "rb") as handle:
+        lines = handle.read().splitlines(keepends=True)
+    pid = os.getpid()
+    attrs = {"path": "/v1/cell", "status": 200}
+    assert lines == [
+        _sorted_dumps_line("serve.request", pid, 1760000000.25, 0.125, 0.125, 0, attrs, True),
+        _sorted_dumps_line("serve.request", pid, 1760000001, 2, 2, 0, {}, False),
+    ]
 
 
 def test_span_line_survives_a_hard_exit(tmp_path, telemetry_on):

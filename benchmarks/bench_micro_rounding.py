@@ -22,9 +22,10 @@ the ``round_scalar`` scalar kernel, plus the context-level scalar ``add``
 ``ctx.gemv`` and the scalar ``ctx.hypot`` at the Krylov dimension (25) and
 the fig1 matrix order (32); report only.  The *reduction* section times
 the pairwise contractions ``ctx.reduce_sum``, ``ctx.dot``, ``ctx.gemv``,
-``ctx.gemv_t`` and ``ctx.spmv`` over 25, 32 and 300 elements, with the bit
-kernels on (the compiled reduction) and off (the NumPy tree over the
-analytic kernels); report only.  For
+``ctx.gemv_t`` and ``ctx.spmv`` over 25, 32 and 300 elements, in one call
+of the compiled reduction each, with the bit kernels on (the format's
+kernel rounds) and off (every sum is handed back to the analytic kernels,
+the ``handback`` column); report only.  For
 posit64/takum64 it also times the bit kernel's compiled scalar entry
 (``round_one``) against the NumPy-scalar kernel
 (``round_scalar_analytic``), which ``--check`` gates at >= 2x on one
@@ -452,17 +453,19 @@ def _reduction_calls(ctx, n: int) -> dict:
 
 def run_reduction_report(record: dict | None = None) -> list[str]:
     """Per-call cost of the pairwise contractions (report only, not gated),
-    with the bit kernels on and off.  ``on`` is the compiled reduction
-    where the library has one; ``off`` is the NumPy tree, whose formats
-    round through their analytic kernels.
+    in both positions of the bit-kernel switch.  Both run the compiled
+    reduction: ``on`` rounds through the format's kernel, ``handback``
+    (the switch off) hands every sum to the format's analytic kernels.
 
     When ``record`` is given, the microseconds are stored into it as
-    ``record[format][op][f"n={n}"] = {"on": us, "off": us}``.
+    ``record[format][op][f"n={n}"] = {"on": us, "handback": us}``.
     """
-    columns = [f"n={n} {mode}" for n in REDUCTION_SIZES for mode in ("on", "off")]
+    modes = ("on", "handback")
+    columns = [f"n={n} {mode}" for n in REDUCTION_SIZES for mode in modes]
     lines = [
-        "Pairwise contractions per call (microseconds; bit kernels on / off; report only)",
-        f"{'format':<10s} {'op':<10s} " + " ".join(f"{c:>10s}" for c in columns),
+        "Pairwise contractions per call (microseconds; compiled reduction with the bit "
+        "kernels on / every sum handed back to the analytic kernels; report only)",
+        f"{'format':<10s} {'op':<10s} " + " ".join(f"{c:>14s}" for c in columns),
     ]
     for fmt_name in REDUCTION_FORMATS:
         ctx = get_context(fmt_name)
@@ -472,7 +475,7 @@ def run_reduction_report(record: dict | None = None) -> list[str]:
             for n in REDUCTION_SIZES:
                 call = calls[n][op]
                 timing = {}
-                for mode in ("on", "off"):
+                for mode in modes:
                     previous = set_bitkernels_enabled(mode == "on")
                     try:
                         with np.errstate(all="ignore"):
@@ -482,8 +485,8 @@ def run_reduction_report(record: dict | None = None) -> list[str]:
                 row[f"n={n}"] = timing
             if record is not None:
                 record.setdefault(fmt_name, {})[op] = row
-            cells = [row[f"n={n}"][mode] for n in REDUCTION_SIZES for mode in ("on", "off")]
-            lines.append(f"{fmt_name:<10s} {op:<10s} " + " ".join(f"{c:>10.2f}" for c in cells))
+            cells = [row[f"n={n}"][mode] for n in REDUCTION_SIZES for mode in modes]
+            lines.append(f"{fmt_name:<10s} {op:<10s} " + " ".join(f"{c:>14.2f}" for c in cells))
     return lines
 
 

@@ -11,17 +11,19 @@ and every rounding dispatch tally underneath.  A single
 ``tridiagonal_eigen`` call is no longer a fair unit: it is one compiled
 call, so one live-sink span (~24 µs) alone is several percent of it.
 
-The measurement interleaves disabled and enabled runs per format and takes
-the per-variant minima, exactly like the operator-API gate in
-``bench_micro_solver.py``: machine noise only ever inflates the ratio, never
-hides a real regression.
+The measurement runs pairs of one disabled and one enabled solve per
+format, and the side that runs first alternates from pair to pair, so a
+drift of the machine's speed within a pair favours neither side.  The
+overhead is the median over all pairs of the per-pair ratio
+``enabled / disabled``, minus 1: a ratio of two solves timed back to back
+cancels the slow drift of the box's speed, and the median drops the pairs
+a burst of scheduler noise lands in, on either side.
 
 Smoke mode for CI::
 
     PYTHONPATH=src python benchmarks/bench_telemetry.py --check
 
-fails (exit code 1) if the aggregate enabled-vs-disabled overhead exceeds
-2%.
+fails (exit code 1) if the median enabled-vs-disabled overhead exceeds 2%.
 """
 
 import tempfile
@@ -59,8 +61,8 @@ OVERHEAD_FORMATS = (
     "takum64",
 )
 
-#: acceptance threshold on the aggregate telemetry overhead (enabled, with
-#: metrics and a live trace sink, vs fully disabled)
+#: acceptance threshold on the median per-pair telemetry overhead (enabled,
+#: with metrics and a live trace sink, vs fully disabled)
 OVERHEAD_LIMIT = 0.02
 
 
@@ -79,60 +81,70 @@ def _solve_problem(fmt: str):
     return ctx, solve
 
 
-def measure_telemetry_overhead(formats=OVERHEAD_FORMATS, repeats: int = 7):
-    """Interleaved best-of-N timing of telemetry enabled vs disabled solves.
+def measure_telemetry_overhead(formats=OVERHEAD_FORMATS, repeats: int = 14):
+    """Alternating pairs of telemetry enabled and disabled solves.
 
-    Returns ``(per_format, aggregate)``: a dict ``fmt -> (t_enabled,
-    t_disabled)`` of the fastest observed runs and the aggregate overhead
-    ratio ``sum(enabled) / sum(disabled) - 1``.  The enabled variant is the
-    worst-case production configuration: metrics on *and* a trace sink
-    writing spans to a real file.
+    Returns ``(per_format, overhead)``: a dict ``fmt -> [(t_enabled,
+    t_disabled), ...]`` with one entry per pair (``repeats`` pairs per
+    format; odd pairs run the enabled solve first), and the median over
+    all pairs of ``t_enabled / t_disabled``, minus 1.  The enabled variant
+    is the worst-case production configuration: metrics on *and* a trace
+    sink writing spans to a real file.
     """
     previous = set_enabled(False)
     per_format = {}
-    agg_on = agg_off = 0.0
     try:
         with tempfile.TemporaryDirectory() as tmp:
             sink = f"{tmp}/bench_trace.jsonl"
             for fmt in formats:
                 ctx, solve = _solve_problem(fmt)
-                t_on = []
-                t_off = []
-                for _ in range(repeats):
-                    set_enabled(False)
-                    trace.shutdown()
-                    t0 = time.perf_counter()
-                    solve()
-                    t_off.append(time.perf_counter() - t0)
 
-                    set_enabled(True)
-                    trace.configure(sink, export_env=False)
+                def timed(enabled: bool) -> float:
+                    set_enabled(enabled)
+                    if enabled:
+                        trace.configure(sink, export_env=False)
+                    else:
+                        trace.shutdown()
                     t0 = time.perf_counter()
                     solve()
-                    t_on.append(time.perf_counter() - t0)
-                    ctx.publish_op_count()
-                best_on, best_off = min(t_on), min(t_off)
-                per_format[fmt] = (best_on, best_off)
-                agg_on += best_on
-                agg_off += best_off
+                    elapsed = time.perf_counter() - t0
+                    if enabled:
+                        ctx.publish_op_count()
+                    return elapsed
+
+                pairs = per_format[fmt] = []
+                for i in range(repeats):
+                    enabled_first = i % 2 == 1
+                    first = timed(enabled_first)
+                    second = timed(not enabled_first)
+                    pairs.append((first, second) if enabled_first else (second, first))
     finally:
         trace.shutdown()
         metrics.reset()
         set_enabled(previous)
-    return per_format, agg_on / agg_off - 1.0
+    return per_format, _median_ratio(pair for pairs in per_format.values() for pair in pairs) - 1.0
 
 
-def format_telemetry_report(per_format, aggregate) -> str:
+def _median_ratio(pairs) -> float:
+    """The median of ``t_enabled / t_disabled`` over ``(t_enabled,
+    t_disabled)`` pairs."""
+    return float(np.median([t_on / t_off for t_on, t_off in pairs]))
+
+
+def format_telemetry_report(per_format, overhead) -> str:
     lines = [
         "Telemetry enabled (metrics + trace sink) vs disabled — partialschur solve",
+        "(median per format; overhead: median of the per-pair ratios)",
         f"{'format':10s} {'enabled':>12s} {'disabled':>12s} {'overhead':>9s}",
     ]
-    for fmt, (t_on, t_off) in per_format.items():
+    for fmt, pairs in per_format.items():
+        t_on, t_off = np.median(pairs, axis=0)
         lines.append(
             f"{fmt:10s} {t_on * 1e3:9.2f} ms {t_off * 1e3:9.2f} ms "
-            f"{100 * (t_on / t_off - 1):+8.2f}%"
+            f"{100 * (_median_ratio(pairs) - 1):+8.2f}%"
         )
-    lines.append(f"{'aggregate':10s} {'':>12s} {'':>12s} {100 * aggregate:+8.2f}%")
+    count = sum(len(pairs) for pairs in per_format.values())
+    lines.append(f"{f'all {count} pairs':22s} {'':>12s} {100 * overhead:+8.2f}%")
     return "\n".join(lines)
 
 
@@ -161,48 +173,42 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="fail (exit 1) if aggregate telemetry overhead exceeds "
+        help="fail (exit 1) if the median telemetry overhead exceeds "
         # argparse expands help printf-style, so the percent sign is doubled
         f"{OVERHEAD_LIMIT:.0%}".replace("%", "%%") + " on the solver",
     )
-    parser.add_argument("--repeats", type=int, default=7, help="interleaved repeats")
     parser.add_argument(
-        "--passes",
-        type=int,
-        default=2,
-        help="independent measurement passes; the best aggregate counts "
-        "(scheduler noise only ever inflates the ratio)",
+        "--repeats", type=int, default=14, help="alternating enabled/disabled pairs per format"
     )
     args = parser.parse_args(argv)
 
-    per_format, aggregate = measure_telemetry_overhead(repeats=args.repeats)
-    for _ in range(args.passes - 1):
-        pf, agg = measure_telemetry_overhead(repeats=args.repeats)
-        if agg < aggregate:
-            per_format, aggregate = pf, agg
-    print(format_telemetry_report(per_format, aggregate))
+    per_format, overhead = measure_telemetry_overhead(repeats=args.repeats)
+    print(format_telemetry_report(per_format, overhead))
     from benchmarks.conftest import write_json_report
 
     write_json_report(
         "telemetry_overhead.json",
         {
             "benchmark": "telemetry_overhead",
-            "aggregate_overhead": round(aggregate, 4),
+            "median_overhead": round(overhead, 4),
             "overhead_limit": OVERHEAD_LIMIT,
             "per_format": {
-                fmt: {"enabled_s": round(t_on, 6), "disabled_s": round(t_off, 6)}
-                for fmt, (t_on, t_off) in per_format.items()
+                fmt: {
+                    "pairs_s": [[round(t_on, 6), round(t_off, 6)] for t_on, t_off in pairs],
+                    "median_overhead": round(_median_ratio(pairs) - 1, 4),
+                }
+                for fmt, pairs in per_format.items()
             },
         },
     )
-    if args.check and aggregate > OVERHEAD_LIMIT:
+    if args.check and overhead > OVERHEAD_LIMIT:
         print(
-            f"FAIL: aggregate telemetry overhead {aggregate:+.2%} exceeds "
+            f"FAIL: median telemetry overhead {overhead:+.2%} exceeds "
             f"the {OVERHEAD_LIMIT:.0%} budget"
         )
         return 1
     if args.check:
-        print(f"OK: aggregate telemetry overhead {aggregate:+.2%} within budget")
+        print(f"OK: median telemetry overhead {overhead:+.2%} within budget")
     return 0
 
 

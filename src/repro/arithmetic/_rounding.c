@@ -50,18 +50,14 @@
  *                                OperandError (a BufferError) before
  *                                anything is written; an exception of
  *                                `resolve` propagates as it is;
- *   Kernel.reduce_pairwise(values, indptr, resolve)
- *                                the rounded pairwise sums of `values` (see
- *                                below) as a fresh 1-D array, one pass per
- *                                tree level;
  *   Kernel.take_counts()         (calls, elements, handed_back, zeros) of
  *                                the passes since the last call, counted
  *                                while the telemetry flag byte is set;
- *   reduce_pairwise(values, indptr)
- *                                the same tree over a float32, float64 or
- *                                longdouble array without rounding: the
- *                                native contexts, whose storage type is
- *                                the rounding;
+ *   reduce(values, indptr, sequential, kernel, resolve_scalar, resolve_array)
+ *                                the rounded sum of each segment of
+ *                                `values` (see below) as a fresh 1-D
+ *                                array: pairwise, or with `sequential`
+ *                                true left to right;
  *   ql(d, e, max_sweeps, eps, kernel, resolve)
  *                                the implicit-shift QL iteration of the
  *                                projected eigensolver on the diagonal `d`
@@ -87,35 +83,36 @@
  *                                the stack held a non-finite value (None:
  *                                no step).
  *
- * The eigensolver entries round through `kernel` (a Kernel of the work
- * type of the arrays), or, with `kernel` None, not at all (the resolvers
- * None: float32, float64 and longdouble arrays of the native contexts) or
- * by handing every value to the resolvers (an emulated format without a
- * kernel).  A scalar op resolves a handed-back value at once, one value
- * per call of the scalar resolver (`ql`'s `resolve`), since the next op
- * reads it.  An array op rounds in one pass, as `round_into` would round
- * it, resolved in one call of the array resolver (`rotate`'s `resolve`)
- * and counted as one call of the kernel; `rotate` rounds each wave in two
- * passes.  `tridiagonalize` rounds each elementwise op of the reduction in
- * one pass and each dot product or matrix-vector product as the contexts'
- * reductions do: one pass per pairwise tree level, or, with `sequential`
- * true, left to right, one pass per column (a scalar op per addition for
- * the dot products).  The entries take well-behaved C-contiguous arrays
- * only, and write in place.
+ * The module entries round through `kernel` (a Kernel of the work type of
+ * the arrays), or, with `kernel` None, not at all (the resolvers None:
+ * float32, float64 and longdouble arrays of the native contexts) or by
+ * handing every value to the resolvers (an emulated format without a
+ * kernel, or the bit-kernel switch off).  A scalar op resolves a
+ * handed-back value at once, one value per call of the scalar resolver
+ * (`ql`'s `resolve`), since the next op reads it.  An array op rounds in
+ * one pass, as `round_into` would round it, resolved in one call of the
+ * array resolver (`rotate`'s `resolve`) and counted as one call of the
+ * kernel; `rotate` rounds each wave in two passes.  `tridiagonalize`
+ * rounds each elementwise op of the reduction in one pass and each dot
+ * product or matrix-vector product as `reduce` does.  `ql`, `rotate` and
+ * `tridiagonalize` take well-behaved C-contiguous arrays only, and write
+ * in place; `reduce` only reads `values`.
  *
- * A pairwise reduction sums each segment of `values` as a balanced tree:
- * the segments are the rows along the last axis of `values` (`indptr`
- * None), or the CSR segments `values[indptr[r]:indptr[r + 1]]` of a 1-D
- * `values`.  Each tree level adds partial `2i` to partial `2i + 1`, rounds
- * every sum, and carries an odd leftover unrounded into the next level.
- * One level is computed for every segment first; the sums it handed back
- * then go to one `resolve` call, and only then does the next level start.
- * All levels run one loop body, instantiated per element type and step.
- * The kernel counts one call per level, with that level's sums, hand-backs
- * and zeros, as `round_into` would count rounding the level in one call.
- * Empty segments sum to zero.  `values` is only read: the first level
- * writes its sums into a work buffer of half the size, where the later
- * levels reduce in place.
+ * A reduction sums each segment of `values`: the segments are the rows
+ * along the last axis of `values` (`indptr` None), or the CSR segments
+ * `values[indptr[r]:indptr[r + 1]]` of a 1-D `values`; empty segments sum
+ * to zero.  The pairwise order sums each segment as a balanced tree: each
+ * tree level adds partial `2i` to partial `2i + 1`, rounds every sum, and
+ * carries an odd leftover unrounded into the next level.  One level is
+ * computed for every segment first; the sums it handed back then go to one
+ * call of the array resolver, and only then does the next level start.
+ * The first level writes its sums into a work buffer of half the size,
+ * where the later levels reduce in place.  The sequential order adds
+ * column `j` of every segment longer than `j` in one pass, left to right;
+ * the segment of a 1-D `values` (`indptr` None) instead takes one scalar
+ * op, resolved at once, per addition.  Every pass (a tree level or a
+ * column) is counted as one call of the kernel, with its sums, hand-backs
+ * and zeros, as `round_into` would count rounding them in one call.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -466,19 +463,16 @@ done:
     return res;
 }
 
-/* the segments of a pairwise reduction: segment r holds `len[r]` partials;
- * the first level reads them from element `from[r]` of the input on and
- * writes its sums from element `off[r]` of a work buffer on, where every
- * later level reduces them in place */
+/* the segments of a reduction: segment r holds `len[r]` values from
+ * element `from[r]` of the input on; a pairwise tree writes the sums of its
+ * first level from element `off[r]` of a work buffer on, where every later
+ * level reduces them in place */
 typedef struct {
     npy_intp *from;
     npy_intp *off;
     npy_intp *len;
     npy_intp count;
 } Segments;
-
-typedef npy_intp (*Level)(const char *src, const npy_intp *from, char *dst, Segments *seg,
-                          const Tables *t, Pass *pass);
 
 /* One tree level over elements of type `T`, each sum rounded in place by
  * `STEP`: from the partials at `src + from[r]` into the work buffer `dst`.
@@ -526,9 +520,24 @@ LEVEL(level_x87, npy_longdouble, step_x87)
 LEVEL(level_all_double, double, step_all)
 LEVEL(level_all_longdouble, npy_longdouble, step_all)
 
+/* `rows` segments of `m` values each, one after the other; their level
+ * sums go to the work buffer in the same order, half of each segment
+ * rounded up.  `seg` has room for `rows` segments. */
+static void
+rows_of(Segments *seg, npy_intp rows, npy_intp m)
+{
+    seg->count = rows;
+    for (npy_intp r = 0; r < rows; r++) {
+        seg->from[r] = r * m;
+        seg->len[r] = m;
+        seg->off[r] = r * ((m + 1) / 2);
+    }
+}
+
 /* The segments of `values`: its rows along the last axis (`indptr` None),
- * or the CSR segments of a 1-D `values`; sets `*size` to the elements of
- * the work buffer, half of each segment rounded up. */
+ * or the CSR segments of a 1-D `values`, in freshly allocated arrays; sets
+ * `*size` to the elements of the work buffer, half of each segment rounded
+ * up. */
 static int
 segments_of(PyArrayObject *values, PyObject *indptr, Segments *seg, npy_intp *size)
 {
@@ -558,7 +567,6 @@ segments_of(PyArrayObject *values, PyObject *indptr, Segments *seg, npy_intp *si
             return -1;
         }
     }
-    seg->count = count;
     seg->from = PyMem_Malloc((size_t)(3 * count + 1) * sizeof(npy_intp));
     if (seg->from == NULL) {
         Py_XDECREF(ptr);
@@ -567,128 +575,28 @@ segments_of(PyArrayObject *values, PyObject *indptr, Segments *seg, npy_intp *si
     }
     seg->off = seg->from + count;
     seg->len = seg->off + count;
-    int bad = 0;
     if (ptr == NULL) {
-        for (npy_intp r = 0; r < count; r++) {
-            seg->from[r] = r * m;
-            seg->len[r] = m;
-        }
+        rows_of(seg, count, m);
+        *size = count * ((m + 1) / 2);
+        return 0;
     }
-    else {
-        const npy_intp *p = (const npy_intp *)PyArray_DATA(ptr);
-        bad = p[0] < 0 || p[count] > PyArray_DIM(values, 0);
-        for (npy_intp r = 0; r < count && !bad; r++) {
-            seg->from[r] = p[r];
-            seg->len[r] = p[r + 1] - p[r];
-            bad = seg->len[r] < 0;
-        }
-        Py_DECREF(ptr);
+    const npy_intp *p = (const npy_intp *)PyArray_DATA(ptr);
+    int bad = p[0] < 0 || p[count] > PyArray_DIM(values, 0);
+    seg->count = count;
+    *size = 0;
+    for (npy_intp r = 0; r < count && !bad; r++) {
+        seg->from[r] = p[r];
+        seg->len[r] = p[r + 1] - p[r];
+        seg->off[r] = *size;
+        *size += (seg->len[r] + 1) / 2;
+        bad = seg->len[r] < 0;
     }
+    Py_DECREF(ptr);
     if (bad) {
         PyErr_SetString(PyExc_ValueError, "indptr must be non-decreasing within the values");
         return -1;
     }
-    *size = 0;
-    for (npy_intp r = 0; r < count; r++) {
-        seg->off[r] = *size;
-        *size += (seg->len[r] + 1) / 2;
-    }
     return 0;
-}
-
-/* The pairwise reduction of `values`, rounded through `k` (NULL: native). */
-static PyObject *
-reduce_pairwise(Kernel *k, PyObject *values, PyObject *indptr, PyObject *resolve)
-{
-    int typenum;
-    if (k != NULL) {
-        typenum = work_type(k);
-    }
-    else {
-        typenum = PyArray_Check(values) ? PyArray_TYPE((PyArrayObject *)values) : NPY_NOTYPE;
-        if (typenum != NPY_FLOAT && typenum != NPY_DOUBLE && typenum != NPY_LONGDOUBLE) {
-            PyErr_SetString(PyExc_TypeError,
-                            "reduce_pairwise: values must be a float32, float64 or longdouble array");
-            return NULL;
-        }
-    }
-    /* read in place when C-contiguous (a contiguous copy otherwise) */
-    PyArrayObject *in = (PyArrayObject *)PyArray_FromAny(values, PyArray_DescrFromType(typenum), 1,
-                                                         0, NPY_ARRAY_CARRAY_RO, NULL);
-    if (in == NULL) {
-        return NULL;
-    }
-    Segments seg = {NULL, NULL, NULL, 0};
-    Pass pass = {NULL, 0, 0, 0};
-    PyArrayObject *work = NULL;
-    PyObject *res = NULL;
-    npy_intp size;
-    if (segments_of(in, indptr, &seg, &size) < 0) {
-        goto done;
-    }
-    if ((work = (PyArrayObject *)PyArray_SimpleNew(1, &size, typenum)) == NULL) {
-        goto done;
-    }
-    const char *src = PyArray_BYTES(in);
-    const npy_intp *from = seg.from;
-    char *buf = PyArray_BYTES(work);
-    const Tables t = k != NULL ? tables_of(k) : (Tables){NULL, NULL, NULL, 0};
-    const Level level = k != NULL              ? (k->extended ? level_x87 : level_word)
-                        : typenum == NPY_FLOAT  ? level_float
-                        : typenum == NPY_DOUBLE ? level_double
-                                                : level_longdouble;
-    for (;;) {
-        const npy_intp sums = level(src, from, buf, &seg, &t, &pass);
-        if (sums < 0) {
-            goto done;
-        }
-        if (sums == 0) {
-            break;
-        }
-        src = buf;
-        from = seg.off;
-        if (k != NULL && end_pass(k, typenum, buf, sums, &pass, resolve) < 0) {
-            goto done;
-        }
-    }
-    res = PyArray_ZEROS(1, &seg.count, typenum, 0);
-    if (res != NULL) {
-        const npy_intp itemsize = PyArray_ITEMSIZE(work);
-        char *out = PyArray_BYTES((PyArrayObject *)res);
-        for (npy_intp r = 0; r < seg.count; r++) {
-            if (seg.len[r]) {
-                memcpy(out + r * itemsize, buf + seg.off[r] * itemsize, (size_t)itemsize);
-            }
-        }
-    }
-
-done:
-    PyMem_Free(seg.from);
-    PyMem_Free(pass.pos);
-    Py_XDECREF(work);
-    Py_DECREF(in);
-    return res;
-}
-
-static PyObject *
-Kernel_reduce_pairwise(Kernel *k, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 3 || !PyCallable_Check(args[2])) {
-        PyErr_SetString(PyExc_TypeError,
-                        "reduce_pairwise(values, indptr, resolve) takes two arrays and a callable");
-        return NULL;
-    }
-    return reduce_pairwise(k, args[0], args[1], args[2]);
-}
-
-static PyObject *
-module_reduce_pairwise(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError, "reduce_pairwise(values, indptr) takes two arguments");
-        return NULL;
-    }
-    return reduce_pairwise(NULL, args[0], args[1], NULL);
 }
 
 /* ------------------------------------------------------------------------ */
@@ -797,14 +705,14 @@ typedef struct {
     Pass pass;
 } Rot;
 
-/* One `tridiagonalize` call: the rounding and tally of its scalar ops
- * (`q`), the rounding of its passes (`rot`), its scratch, and what it
- * found. */
+/* One `tridiagonalize` or `reduce` call: the rounding and tally of its
+ * scalar ops (`q`), the rounding of its passes (`rot`), its scratch, and
+ * what it found. */
 typedef struct {
     Ql q;
     Rot rot;
     int sequential;
-    Segments seg; /* the rows of a pairwise sum */
+    Segments seg; /* the segments of a sum */
     char *work;   /* the level buffer of a pairwise sum */
     npy_intp skipped;
     npy_intp first_nonfinite; /* -1: none */
@@ -820,9 +728,9 @@ typedef struct {
         }                            \
     } while (0)
 
-/* The eigensolver over elements of type `T` (NumPy type `TYPENUM`), each
- * op rounded by `STEP` and, when `STEP` hands the value back, by the
- * caller's resolver:
+/* The eigensolver and the reduction over elements of type `T` (NumPy type
+ * `TYPENUM`), each op rounded by `STEP` and, when `STEP` hands the value
+ * back, by the caller's resolver:
  *
  *   NAME_hypot   the scaled hypot `scale * sqrt(1 + (small / scale)^2)`,
  *                five rounded ops; NaN, zero and infinite operands return
@@ -836,8 +744,10 @@ typedef struct {
  *   NAME_tridiagonalize
  *                the Householder reduction of `[A; Q]` (EISPACK tred2;
  *                Golub & Van Loan, Alg. 8.3.1), with the dot products and
- *                matrix-vector products summed by `NAME_sum`, whose pairwise
- *                tree runs `LEVEL_FN`. */
+ *                matrix-vector products summed by `NAME_sum`;
+ *   NAME_reduce  the `reduce` entry: `NAME_sum` over the segments of its
+ *                values.
+ * `NAME_sum` runs the levels of a pairwise tree with `LEVEL_FN`. */
 #define EIGEN(NAME, T, STEP, TYPENUM, SQRT, FABS, COPYSIGN, LEVEL_FN)                           \
     static inline int NAME##_rs(Ql *q, T *x)                                                    \
     {                                                                                           \
@@ -1023,46 +933,51 @@ typedef struct {
         return end_pass(r->rot.k, TYPENUM, (char *)buf, n, &r->rot.pass, r->rot.resolve);       \
     }                                                                                           \
                                                                                                 \
-    /* The rounded sums of the `rows` rows of `m >= 1` products at `p` into                     \
-     * `out`: pairwise, one pass per tree level, or left to right, one pass                     \
-     * per column of all rows (a scalar op per addition for a `vector`).  */                    \
-    static int NAME##_sum(Tri *r, const T *p, npy_intp rows, npy_intp m, int vector, T *out)    \
+    /* The rounded sums of the segments `r->seg` of the values at `p` into                      \
+     * `out` (0 for an empty segment): pairwise, one pass per tree level, or                    \
+     * left to right, one pass per column of the segments still                                 \
+     * accumulating (for a `vector`, one segment, a scalar op per addition). */                 \
+    static int NAME##_sum(Tri *r, const T *p, int vector, T *out)                               \
     {                                                                                           \
-        r->q.ops += (unsigned long long)(rows * (m - 1));                                       \
+        Segments *const seg = &r->seg;                                                          \
+        npy_intp longest = 0;                                                                   \
+        for (npy_intp i = 0; i < seg->count; i++) {                                             \
+            const npy_intp len = seg->len[i];                                                   \
+            r->q.ops += len ? (unsigned long long)(len - 1) : 0;                                \
+            longest = len > longest ? len : longest;                                            \
+            if (len) {                                                                          \
+                memcpy(&out[i], &p[seg->from[i]], sizeof(T));                                   \
+            }                                                                                   \
+            else {                                                                              \
+                out[i] = 0;                                                                     \
+            }                                                                                   \
+        }                                                                                       \
         if (r->sequential && vector) {                                                          \
-            T acc = p[0];                                                                       \
-            for (npy_intp j = 1; j < m; j++) {                                                  \
-                acc = acc + p[j];                                                               \
-                if (NAME##_rs(&r->q, &acc) < 0) {                                               \
+            for (npy_intp j = 1; j < longest; j++) {                                            \
+                out[0] = out[0] + p[seg->from[0] + j];                                          \
+                if (NAME##_rs(&r->q, out) < 0) {                                                \
                     return -1;                                                                  \
                 }                                                                               \
             }                                                                                   \
-            *out = acc;                                                                         \
             return 0;                                                                           \
         }                                                                                       \
         if (r->sequential) {                                                                    \
-            for (npy_intp i = 0; i < rows; i++) {                                               \
-                out[i] = p[i * m];                                                              \
-            }                                                                                   \
-            for (npy_intp j = 1; j < m; j++) {                                                  \
-                for (npy_intp i = 0; i < rows; i++) {                                           \
-                    out[i] = out[i] + p[i * m + j];                                             \
-                    if (NAME##_note(r, out, i) < 0) {                                           \
-                        return -1;                                                              \
+            for (npy_intp j = 1; j < longest; j++) {                                            \
+                npy_intp n = 0;                                                                 \
+                for (npy_intp i = 0; i < seg->count; i++) {                                     \
+                    if (seg->len[i] > j) {                                                      \
+                        out[i] = out[i] + p[seg->from[i] + j];                                  \
+                        if (NAME##_note(r, out, i) < 0) {                                       \
+                            return -1;                                                          \
+                        }                                                                       \
+                        n++;                                                                    \
                     }                                                                           \
                 }                                                                               \
-                if (NAME##_end(r, out, rows) < 0) {                                             \
+                if (NAME##_end(r, out, n) < 0) {                                                \
                     return -1;                                                                  \
                 }                                                                               \
             }                                                                                   \
             return 0;                                                                           \
-        }                                                                                       \
-        Segments *seg = &r->seg;                                                                \
-        seg->count = rows;                                                                      \
-        for (npy_intp i = 0; i < rows; i++) {                                                   \
-            seg->from[i] = i * m;                                                               \
-            seg->len[i] = m;                                                                    \
-            seg->off[i] = i * ((m + 1) / 2);                                                    \
         }                                                                                       \
         const char *src = (const char *)p;                                                      \
         const npy_intp *from = seg->from;                                                       \
@@ -1080,10 +995,18 @@ typedef struct {
                 return -1;                                                                      \
             }                                                                                   \
         }                                                                                       \
-        for (npy_intp i = 0; i < rows; i++) {                                                   \
-            out[i] = ((const T *)r->work)[seg->off[i]];                                         \
+        for (npy_intp i = 0; i < seg->count; i++) {                                             \
+            if (seg->len[i]) {                                                                  \
+                memcpy(&out[i], (const T *)r->work + seg->off[i], sizeof(T));                   \
+            }                                                                                   \
         }                                                                                       \
         return 0;                                                                               \
+    }                                                                                           \
+                                                                                                \
+    /* `reduce` over the segments of the values at `p`, into `out` */                           \
+    static int NAME##_reduce(Tri *r, const char *p, int vector, char *out)                      \
+    {                                                                                           \
+        return NAME##_sum(r, (const T *)p, vector, (T *)out);                                   \
     }                                                                                           \
                                                                                                 \
     /* `x[i * stride] / d` for i < m into `out`, in one pass */                                 \
@@ -1113,7 +1036,8 @@ typedef struct {
         if (NAME##_end(r, p, m) < 0) {                                                          \
             return -1;                                                                          \
         }                                                                                       \
-        return NAME##_sum(r, p, 1, m, 1, dot);                                                  \
+        rows_of(&r->seg, 1, m);                                                                 \
+        return NAME##_sum(r, p, 1, dot);                                                        \
     }                                                                                           \
                                                                                                 \
     /* The reflector `(I - beta v v^T)` that annihilates all but the first                      \
@@ -1231,7 +1155,8 @@ typedef struct {
                     }                                                                           \
                 }                                                                               \
                 r->q.ops += (unsigned long long)(n * n);                                        \
-                if (NAME##_end(r, P, n * n) < 0 || NAME##_sum(r, P, n, n, 0, w) < 0 ||          \
+                rows_of(&r->seg, n, n);                                                         \
+                if (NAME##_end(r, P, n * n) < 0 || NAME##_sum(r, P, 0, w) < 0 ||                \
                     NAME##_scale(r, beta, v, n, 1, bv) < 0) {                                   \
                     return -1;                                                                  \
                 }                                                                               \
@@ -1257,7 +1182,8 @@ typedef struct {
                     }                                                                           \
                 }                                                                               \
                 r->q.ops += (unsigned long long)(2 * n * n);                                    \
-                if (NAME##_end(r, P, 2 * n * n) < 0 || NAME##_sum(r, P, 2 * n, n, 0, w) < 0 ||  \
+                rows_of(&r->seg, 2 * n, n);                                                     \
+                if (NAME##_end(r, P, 2 * n * n) < 0 || NAME##_sum(r, P, 0, w) < 0 ||            \
                     NAME##_scale(r, beta, v, n, 2, bv) < 0) {                                   \
                     return -1;                                                                  \
                 }                                                                               \
@@ -1304,6 +1230,7 @@ typedef int (*RotateFn)(Rot *rot, char *zt, npy_intp nrows, const npy_intp *cols
                         const char *ss, const npy_intp *order, const npy_intp *start, npy_intp waves,
                         char *prods);
 typedef int (*TridiagonalizeFn)(Tri *r, char *aq, npy_intp n, char *scratch);
+typedef int (*ReduceFn)(Tri *r, const char *p, int vector, char *out);
 
 /* the instances, by the rounding of the work array */
 enum { WITH_F64, WITH_X87, NATIVE_FLOAT, NATIVE_DOUBLE, NATIVE_LONGDOUBLE, ALL_DOUBLE, ALL_LONGDOUBLE };
@@ -1317,6 +1244,9 @@ static const TridiagonalizeFn tridiagonalize_of[] = {
     f64_tridiagonalize,           x87_tridiagonalize,        native_float_tridiagonalize,
     native_double_tridiagonalize, native_longdouble_tridiagonalize,
     all_double_tridiagonalize,    all_longdouble_tridiagonalize};
+static const ReduceFn reduce_of[] = {f64_reduce,           x87_reduce,        native_float_reduce,
+                                     native_double_reduce, native_longdouble_reduce,
+                                     all_double_reduce,    all_longdouble_reduce};
 
 /* The instance rounding a `typenum` work array through `kernel` (a Kernel),
  * or with no kernel either not at all (`resolve` None: the native dtypes)
@@ -1356,6 +1286,19 @@ instance_of(PyObject *kernel, PyObject *resolve, int typenum, Kernel **k)
     }
     PyErr_SetString(PyExc_TypeError, "the work arrays do not match the kernel and resolve given");
     return -1;
+}
+
+/* Whether `resolve_scalar` and `resolve_array` are both None or both
+ * callable; -1 with TypeError otherwise. */
+static int
+check_resolvers(PyObject *resolve_scalar, PyObject *resolve_array)
+{
+    if ((resolve_scalar == Py_None) != (resolve_array == Py_None) ||
+        (resolve_scalar != Py_None && !PyCallable_Check(resolve_scalar))) {
+        PyErr_SetString(PyExc_TypeError, "resolve_scalar and resolve_array go together");
+        return -1;
+    }
+    return 0;
 }
 
 /* `obj` as a borrowed, well-behaved C-contiguous array with `ndim`
@@ -1585,13 +1528,10 @@ module_tridiagonalize(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssi
     if (sequential < 0) {
         return NULL;
     }
-    if ((args[3] == Py_None) != (args[4] == Py_None) ||
-        (args[3] != Py_None && !PyCallable_Check(args[3]))) {
-        PyErr_SetString(PyExc_TypeError, "resolve_scalar and resolve_array go together");
-        return NULL;
-    }
     Kernel *k;
-    const int which = instance_of(args[2], args[4], PyArray_TYPE(aq), &k);
+    const int which = check_resolvers(args[3], args[4]) < 0
+                          ? -1
+                          : instance_of(args[2], args[4], PyArray_TYPE(aq), &k);
     if (which < 0) {
         return NULL;
     }
@@ -1627,6 +1567,68 @@ done:
     PyMem_Free(tri.rot.pass.pos);
     PyMem_Free(tri.seg.from);
     PyMem_Free(scratch);
+    return res;
+}
+
+/* reduce(values, indptr, sequential, kernel, resolve_scalar, resolve_array) */
+static PyObject *
+module_reduce(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 6) {
+        PyErr_SetString(PyExc_TypeError, "reduce(values, indptr, sequential, kernel, "
+                                         "resolve_scalar, resolve_array) takes six arguments");
+        return NULL;
+    }
+    if (!PyArray_Check(args[0]) || PyArray_NDIM((PyArrayObject *)args[0]) < 1) {
+        PyErr_SetString(PyExc_TypeError, "values must be an array of at least one dimension");
+        return NULL;
+    }
+    const int typenum = PyArray_TYPE((PyArrayObject *)args[0]);
+    const int sequential = PyObject_IsTrue(args[2]);
+    if (sequential < 0) {
+        return NULL;
+    }
+    Kernel *k;
+    const int which = check_resolvers(args[4], args[5]) < 0
+                          ? -1
+                          : instance_of(args[3], args[5], typenum, &k);
+    if (which < 0) {
+        return NULL;
+    }
+    /* read in place when C-contiguous (a contiguous copy otherwise) */
+    PyArrayObject *in = (PyArrayObject *)PyArray_FromAny(args[0], PyArray_DescrFromType(typenum), 1,
+                                                         0, NPY_ARRAY_CARRAY_RO, NULL);
+    if (in == NULL) {
+        return NULL;
+    }
+    const Tables t = k != NULL ? tables_of(k) : (Tables){NULL, NULL, NULL, 0};
+    Tri tri = {
+        .q = {.t = &t, .resolve = args[4] == Py_None ? NULL : args[4]},
+        .rot = {k, &t, args[5] == Py_None ? NULL : args[5], {NULL, 0, 0, 0}},
+        .sequential = sequential,
+    };
+    PyObject *res = NULL;
+    npy_intp size;
+    if (segments_of(in, args[1], &tri.seg, &size) < 0) {
+        goto done;
+    }
+    tri.work = PyMem_Malloc((size_t)(size * PyArray_ITEMSIZE(in)) + 1);
+    if (tri.work == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    res = PyArray_ZEROS(1, &tri.seg.count, typenum, 0);
+    const int vector = args[1] == Py_None && PyArray_NDIM(in) == 1;
+    if (res != NULL &&
+        reduce_of[which](&tri, PyArray_BYTES(in), vector, PyArray_BYTES((PyArrayObject *)res)) < 0) {
+        Py_CLEAR(res);
+    }
+
+done:
+    PyMem_Free(tri.rot.pass.pos);
+    PyMem_Free(tri.seg.from);
+    PyMem_Free(tri.work);
+    Py_DECREF(in);
     return res;
 }
 
@@ -1704,9 +1706,6 @@ static PyMethodDef Kernel_methods[] = {
      "round_one(value) -> the rounded work-dtype scalar, or None when handed back"},
     {"round_into", (PyCFunction)(void (*)(void))Kernel_round_into, METH_FASTCALL,
      "round_into(src, dst, resolve) -> None; `resolve` rounds the values handed back"},
-    {"reduce_pairwise", (PyCFunction)(void (*)(void))Kernel_reduce_pairwise, METH_FASTCALL,
-     "reduce_pairwise(values, indptr, resolve) -> the rounded pairwise sums of each segment; "
-     "`resolve` rounds the sums a level hands back"},
     {"take_counts", (PyCFunction)Kernel_take_counts, METH_NOARGS,
      "take_counts() -> (calls, elements, handed_back, zeros), then reset them"},
     {NULL, NULL, 0, NULL},
@@ -1725,8 +1724,9 @@ static PyTypeObject KernelType = {
 };
 
 static PyMethodDef module_methods[] = {
-    {"reduce_pairwise", (PyCFunction)(void (*)(void))module_reduce_pairwise, METH_FASTCALL,
-     "reduce_pairwise(values, indptr) -> the unrounded pairwise sums of each segment"},
+    {"reduce", (PyCFunction)(void (*)(void))module_reduce, METH_FASTCALL,
+     "reduce(values, indptr, sequential, kernel, resolve_scalar, resolve_array) -> the rounded "
+     "sum of each segment of values: pairwise, or left to right"},
     {"ql", (PyCFunction)(void (*)(void))module_ql, METH_FASTCALL,
      "ql(d, e, max_sweeps, eps, kernel, resolve) -> (ops, status, low, restarts, cols, cs, ss); "
      "the QL iteration on d and e in place"},

@@ -47,18 +47,20 @@ round-to-nearest-even entirely in integer arithmetic:
 The Python classes here state each family's binade rule (``_keep_bits``)
 and build the LUTs from it; the transform itself runs in C
 (``_rounding.c``, compiled on first use by :mod:`repro.arithmetic._build`),
-which reads the LUTs in place.  A kernel has three compiled entries: the
-scalar :attr:`BitKernel.round_one`, the array ``round_into`` behind
+which reads the LUTs in place.  A kernel has two compiled entries: the
+scalar :attr:`BitKernel.round_one`, and the array ``round_into`` behind
 :meth:`BitKernel.round`, which writes into a caller-provided ``out=``
 buffer — the entry point `EmulatedContext` uses to round operation results
-in place instead of allocating a second array per elementary op — and the
-pairwise reduction ``reduce_pairwise`` behind :meth:`BitKernel.reduce`,
-which runs a whole rounded summation tree in one call.  Both array entries
-share one hand-back protocol: a pass over the buffer (the whole buffer for
-``round_into``, one tree level for ``reduce_pairwise``) leaves the values
+in place instead of allocating a second array per elementary op.  The
+module's entries (``reduce``, the rounded sums of the contexts' dot
+products, matrix-vector products and ``spmv``, and the projected
+eigensolver's ``tridiagonalize``, ``ql`` and ``rotate``) take the kernel
+object :attr:`BitKernel.compiled` as an argument.  Every array pass shares
+one hand-back protocol: a pass over a buffer (the whole buffer for
+``round_into``, one tree level or column for ``reduce``) leaves the values
 it hands back unrounded in place, then gives them to one call of the
-kernel's resolver and stores the results (x87 padding zeroed).  No Python
-code sees the handed-back positions.
+resolver and stores the results (x87 padding zeroed).  No Python code sees
+the handed-back positions.
 
 Correctness invariants of the LUT-served ("main region") binades, checked by
 the builders and the exhaustive/sweep tests in ``tests/test_bitkernels.py``:
@@ -83,8 +85,9 @@ The engine is off with the environment variable
 library's one rounding opt-out); every format then rounds through its
 analytic kernels (``round_scalar_analytic``/``round_array_analytic``), the
 ground truth, with the same results.  The compiled library itself is
-required either way: the projected eigensolver
-(:mod:`repro.linalg.tridiagonal`) runs only in it.
+required either way: the reductions and the projected eigensolver
+(:mod:`repro.linalg.tridiagonal`) run only in it, and with the switch off
+they run the same loops, handing every value to those analytic kernels.
 """
 
 from __future__ import annotations
@@ -108,7 +111,6 @@ __all__ = [
     "TakumExtendedBitKernel",
     "extended_layout_supported",
     "extension",
-    "native_reducer",
     "set_enabled",
     "bitkernels_enabled",
 ]
@@ -167,13 +169,6 @@ def bitkernels_enabled() -> bool:
     return _ENABLED
 
 
-def native_reducer():
-    """The compiled pairwise reduction of the native dtypes,
-    ``reduce_pairwise(values, indptr)``, or ``None`` when the bit kernels
-    are off (see :meth:`BitKernel.reduce` for the tree it builds)."""
-    return extension().reduce_pairwise if _ENABLED else None
-
-
 def extended_layout_supported() -> bool:
     """Whether ``numpy.longdouble`` is the 80-bit x87 format in 16-byte slots.
 
@@ -216,9 +211,10 @@ class BitKernel:
         binade (or is not a float of the work layout) and is handed back.
         Counts no telemetry.
     compiled:
-        The compiled kernel object; its ``take_counts()`` drains the
-        ``(calls, elements, handed_back, zeros)`` tallies of the passes of
-        :meth:`round` and :meth:`reduce` made while telemetry is on.
+        The compiled kernel object, which the module's entries take; its
+        ``take_counts()`` drains the ``(calls, elements, handed_back,
+        zeros)`` tallies of the passes made through it while telemetry is
+        on.
     """
 
     #: family tag used in reprs and dispatch diagnostics
@@ -342,21 +338,6 @@ class BitKernel:
             self.compiled.round_into(np.ascontiguousarray(x), dst, self._resolve)
             np.copyto(out, dst)
         return out
-
-    def reduce(self, values, indptr=None) -> np.ndarray:
-        """Rounded pairwise sums of ``values``, one compiled call.
-
-        The segments are the rows along the last axis of ``values``
-        (``indptr`` ``None``), or the CSR segments
-        ``values[indptr[r]:indptr[r + 1]]`` of a 1-D ``values``.  Each tree
-        level adds partial ``2i`` to partial ``2i + 1`` in every segment,
-        rounds each sum as :meth:`round` would and carries an odd leftover
-        unrounded; each level is one pass, so the sums it hands back go to
-        one call of the resolver before the next level starts.  Returns a
-        fresh 1-D work array with one sum per segment (zero for an empty
-        one); ``values`` is only read.
-        """
-        return self.compiled.reduce_pairwise(values, indptr, self._resolve)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         half = len(self._special) // 2

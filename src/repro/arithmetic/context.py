@@ -14,10 +14,10 @@ the same effect is achieved with a :class:`ComputeContext`:
 
 Vector and matrix kernels (dot products, dense and sparse matrix-vector
 products) are built from the rounded elementary operations.  Accumulations
-use a pairwise (tree) reduction by default — each partial sum is rounded — so
-the whole tree is one call of the compiled reduction (or, without it, a
-logarithmic number of vectorised passes); a strictly sequential accumulation
-order is available for the accumulation-order ablation study.
+use a pairwise (tree) reduction by default — each partial sum is rounded —
+and a strictly sequential accumulation order is available for the
+accumulation-order ablation study; either order is one call of the compiled
+reduction, in every context and in both positions of the bit-kernel switch.
 
 Scalar operands bypass ndarrays entirely: the elementary operations detect
 them, compute in the work precision on work-dtype NumPy scalars and round
@@ -442,82 +442,46 @@ class ComputeContext(ABC):
         v = np.moveaxis(np.asarray(values, dtype=self.dtype), axis, -1)
         return self._reduce_last_axis(v)
 
-    def _pairwise_reducer(self):
-        """The compiled pairwise reduction ``(values, indptr) -> sums`` of
-        this context, or ``None`` when the NumPy tree runs (the bit-kernel
-        switch is off, or no kernel serves the format).  Looked up on every
-        reduction, so the switch takes effect between calls."""
-        return None
-
     @abstractmethod
     def compiled_rounding(self) -> tuple:
-        """How the compiled eigensolver entries (``ql`` and ``rotate`` of
-        :mod:`repro.arithmetic._rounding`) round in this context:
-        ``(kernel, resolve_scalar, resolve_array)``.
+        """How the compiled entries of :mod:`repro.arithmetic._rounding`
+        (``reduce``, ``tridiagonalize``, ``ql`` and ``rotate``) round in
+        this context: ``(kernel, resolve_scalar, resolve_array)``.
 
         ``kernel`` is the compiled kernel of the format, or ``None``;
         ``resolve_scalar`` rounds one scalar the entries hand back and
         ``resolve_array`` the values one pass hands back.  ``(None, None,
         None)`` rounds nothing (the storage dtype is the rounding), and a
         ``None`` kernel with resolvers hands every value to them.  Looked up
-        on every solve, so the bit-kernel switch takes effect between
+        on every call, so the bit-kernel switch takes effect between
         calls."""
 
+    def _reduce(self, values: np.ndarray, indptr) -> np.ndarray:
+        """The rounded sum of each segment of ``values`` in one call of the
+        compiled ``reduce``: the rows along its last axis (``indptr``
+        ``None``), or its CSR segments."""
+        return _bitkernels.extension().reduce(
+            values, indptr, self.accumulation == "sequential", *self.compiled_rounding()
+        )
+
     def _reduce_last_axis(self, buf: np.ndarray) -> np.ndarray:
-        """Rounded reduction of ``buf`` along its last axis.
+        """Rounded reduction of ``buf`` along its last axis, in one call of
+        the compiled reduction.
 
         ``buf`` is only read, and the result never aliases it.
 
         Pairwise levels pair adjacent partials: each level adds partial
         ``2i`` to partial ``2i + 1``, rounds every sum, and carries an odd
-        leftover into the next level unrounded.  With a compiled reducer
-        (:meth:`_pairwise_reducer`) the whole tree of every row is one
-        call.  Otherwise each level adds the even and the odd partials
-        (strided views) into a fresh C-contiguous buffer with one rounded
-        addition; the partials sit on the leading axis of the level
-        buffers, so both the sums and the whole next level are contiguous
-        rows.  Either way every level rounds ``half`` sums per output entry
-        in one kernel call, so the pairing, every intermediate rounding and
-        the op tally (``m - 1`` per row) are those of reducing each row
-        alone.  The sequential strategy accumulates left to right (1-D
-        keeps the pure-scalar loop of the scalar hot path).
+        leftover into the next level unrounded; the sequential strategy
+        adds column ``j`` of every row to its running sum (a 1-D ``buf``
+        takes one scalar op per addition).  Every level or column rounds
+        the sums of all rows in one rounding pass, so the pairing, every
+        intermediate rounding and the op tally (``m - 1`` per row) are
+        those of reducing each row alone.
         """
-        m = buf.shape[-1]
-        if m == 0:
-            return np.zeros(buf.shape[:-1], dtype=self.dtype)
-        if m > 1 and self.accumulation == "pairwise":
-            reduce = self._pairwise_reducer()
-            if reduce is not None:
-                sums = reduce(buf, None)
-                self.op_count += sums.size * (m - 1)
-                return sums[0] if buf.ndim == 1 else sums.reshape(buf.shape[:-1])
-        if buf.ndim == 1:
-            if m == 1:
-                return buf[0]
-            if self.accumulation == "sequential":
-                acc = buf[0]
-                for j in range(1, m):
-                    acc = self.add(acc, buf[j])
-                return acc
-            parts = buf
-        else:
-            parts = buf.transpose((buf.ndim - 1,) + tuple(range(buf.ndim - 1)))
-            if m == 1:
-                return parts[0].copy()
-            if self.accumulation == "sequential":
-                acc = parts[0].copy()
-                for j in range(1, m):
-                    self.add(acc, parts[j], out=acc)
-                return acc
-        add, dt, rest = np.add, self.dtype, parts.shape[1:]
-        while m > 1:
-            half, odd = divmod(m, 2)
-            level = np.empty((half + odd,) + rest, dtype=dt)
-            self._round_ufunc(add, level[:half], parts[0 : 2 * half : 2], parts[1 : 2 * half : 2])
-            if odd:
-                level[half] = parts[m - 1]
-            parts, m = level, half + odd
-        return parts[0]
+        sums = self._reduce(buf, None)
+        self.op_count += sums.size * max(buf.shape[-1] - 1, 0)
+        return sums[0] if buf.ndim == 1 else sums.reshape(buf.shape[:-1])
 
     def dot(self, x, y):
         """Inner product with rounded products and rounded accumulation."""
@@ -661,50 +625,17 @@ class ComputeContext(ABC):
         if data.size == 0:
             return np.zeros(nrows, dtype=self.dtype)
         prods = self.mul(data, x[matrix.indices])
-        return self._segmented_reduce(prods, matrix.indptr, nrows)
+        return self._segmented_reduce(prods, matrix.indptr)
 
-    def _segmented_reduce(self, vals, indptr, nrows) -> np.ndarray:
+    def _segmented_reduce(self, vals, indptr) -> np.ndarray:
         """Rounded sum of each CSR segment ``vals[indptr[r]:indptr[r + 1]]``
-        (zero for an empty row), in the tree of :meth:`_reduce_last_axis`.
-
-        Every step rounds the sums of all rows in one call, as the compiled
-        reducer counts its levels: a pairwise level, or one column of the
-        sequential accumulation.  Without a compiled reducer the pairwise
-        tree runs in place on a copy of ``vals``: at stride ``s`` the
-        partials sit at the row offsets that are multiples of ``s``, and
-        each one at a multiple of ``2 s`` takes in its right neighbour, if
-        its row has one; an odd leftover stays put, unrounded.
-        """
+        (zero for an empty row), in the order of :meth:`_reduce_last_axis`,
+        in one call of the compiled reduction.  Every step rounds the sums
+        of all rows in one pass: a pairwise level, or one column of the
+        sequential accumulation (``nnz`` minus the non-empty rows ops)."""
         counts = np.diff(indptr)
-        if self.accumulation == "pairwise":
-            reduce = self._pairwise_reducer()
-            if reduce is not None:
-                self.op_count += int(counts.sum()) - int(np.count_nonzero(counts))
-                return reduce(vals, indptr)
-        out = np.zeros(nrows, dtype=self.dtype)
-        starts = np.asarray(indptr[:-1], dtype=np.intp)
-        filled = np.flatnonzero(counts)
-        if self.accumulation == "sequential":
-            out[filled] = vals[starts[filled]]
-            for k in range(1, counts.max(initial=0)):
-                rows = np.flatnonzero(counts > k)
-                out[rows] = self.add(out[rows], vals[starts[rows] + k])
-            return out
-        vals = np.array(vals, dtype=self.dtype)
-        pos = np.arange(vals.size)
-        offset = pos - np.repeat(starts, counts)
-        room = np.repeat(counts, counts) - offset  # entries from here to the row's end
-        step = 1
-        while True:
-            heads = offset % (2 * step) == 0
-            pos, offset, room = pos[heads], offset[heads], room[heads]
-            left = pos[room > step]
-            if left.size == 0:
-                break
-            vals[left] = self.add(vals[left], vals[left + step])
-            step *= 2
-        out[filled] = vals[starts[filled]]
-        return out
+        self.op_count += int(counts.sum()) - int(np.count_nonzero(counts))
+        return self._reduce(vals, indptr)
 
     # ------------------------------------------------------------------ #
     # conversion of input data
@@ -776,11 +707,6 @@ class NativeContext(ComputeContext):
     def _round_work(self, work: np.ndarray) -> None:
         """A work buffer of the hardware dtype is already rounded: the
         ``dtype=`` of the op's ufunc was the rounding."""
-
-    def _pairwise_reducer(self):
-        """The compiled tree over the hardware dtype, which adds in its
-        storage type and rounds nothing."""
-        return _bitkernels.native_reducer()
 
     def round_scalar(self, value):
         """Hardware dtypes round by conversion; returns a dtype scalar."""
@@ -856,11 +782,6 @@ class EmulatedContext(ComputeContext):
         which reads its kernel binding on every call (the bit-kernel switch
         still takes effect between calls)."""
         self.format.round_array(work, out=work)
-
-    def _pairwise_reducer(self):
-        """The compiled tree of the format's bound bit kernel, if any."""
-        kern = self.format._bound_kernel
-        return None if kern is None else kern.reduce
 
     def compiled_rounding(self) -> tuple:
         """The format's bound bit kernel, whose hand-backs its analytic

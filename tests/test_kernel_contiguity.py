@@ -6,13 +6,13 @@ pass and resolves its hand-backs itself; it refuses any other operand with
 contiguous copy, which costs an extra allocation and two copies per call.  Every rounded array op
 of the contexts is one ufunc into a C-contiguous buffer, so a full
 ``partialschur`` solve in each paper format, as the figure runs it, must
-reach the kernel with no other operand.  The solve's pairwise reductions
-must take the compiled reduction entry (``Kernel.reduce_pairwise``, or the
-module's native ``reduce_pairwise`` for float32/float64), with C-contiguous
-operands too: a silent fallback to the NumPy tree fails the test.  The
-compiled eigensolver entries (``tridiagonalize``, ``ql`` and ``rotate``)
-refuse other operands outright; the test records theirs as well, and every
-eigensolve must reduce its matrix through the compiled ``tridiagonalize``.
+reach the kernel with no other operand.  The solve's reductions take the
+module's compiled ``reduce`` entry, which reads a non-contiguous operand
+through a contiguous copy; the test records its operands too, and fails if
+the solve never reduces through it.  The compiled eigensolver entries
+(``tridiagonalize``, ``ql`` and ``rotate``) refuse other operands outright;
+the test records theirs as well, and every eigensolve must reduce its
+matrix through the compiled ``tridiagonalize``.
 """
 
 from __future__ import annotations
@@ -36,14 +36,12 @@ def _record_strays(strays: list, *operands) -> None:
 
 
 class _RecordingKernel:
-    """Delegates to a compiled kernel, recording every ``round_into`` and
-    ``reduce_pairwise`` operand that is not a C-contiguous ndarray, and
-    counting the reductions."""
+    """Delegates to a compiled kernel, recording every ``round_into``
+    operand that is not a C-contiguous ndarray."""
 
-    def __init__(self, compiled, strays: list, reductions: list):
+    def __init__(self, compiled, strays: list):
         self._compiled = compiled
         self._strays = strays
-        self._reductions = reductions
 
     def __getattr__(self, name):
         return getattr(self._compiled, name)
@@ -52,24 +50,27 @@ class _RecordingKernel:
         _record_strays(self._strays, src, dst)
         return self._compiled.round_into(src, dst, resolve)
 
-    def reduce_pairwise(self, values, indptr, resolve):
-        _record_strays(self._strays, values, *(() if indptr is None else (indptr,)))
-        self._reductions.append(np.shape(values))
-        return self._compiled.reduce_pairwise(values, indptr, resolve)
-
 
 class _RecordingExtension:
     """Delegates to the compiled extension, recording every array operand
-    of the eigensolver entries ``tridiagonalize``, ``ql`` and ``rotate``
-    that is not a C-contiguous ndarray, and the reductions and QL solves;
-    a :class:`_RecordingKernel` they are given is replaced by the kernel it
-    wraps."""
+    of the entries ``reduce``, ``tridiagonalize``, ``ql`` and ``rotate``
+    that is not a C-contiguous ndarray, and the reductions, the
+    tridiagonalised matrices and the QL solves; a :class:`_RecordingKernel`
+    they are given is replaced by the kernel it wraps."""
 
-    def __init__(self, module, strays: list, solves: list, reduced: list):
+    def __init__(self, module, strays: list, reductions: list, solves: list, reduced: list):
         self._module = module
         self._strays = strays
+        self._reductions = reductions
         self._solves = solves
         self._reduced = reduced
+
+    def reduce(self, values, indptr, sequential, kernel, resolve_scalar, resolve_array):
+        _record_strays(self._strays, values, *(() if indptr is None else (indptr,)))
+        self._reductions.append(np.shape(values))
+        return self._module.reduce(
+            values, indptr, sequential, _unwrap(kernel), resolve_scalar, resolve_array
+        )
 
     def tridiagonalize(self, AQ, sequential, kernel, resolve_scalar, resolve_array):
         _record_strays(self._strays, AQ)
@@ -95,26 +96,6 @@ def _unwrap(kernel):
     return kernel._compiled if isinstance(kernel, _RecordingKernel) else kernel
 
 
-def _recording_native_reducer(strays: list, reductions: list):
-    """A stand-in for :func:`bitkernels.native_reducer` whose reducer
-    records like :class:`_RecordingKernel`."""
-    native_reducer = bitkernels.native_reducer
-
-    def reducer():
-        reduce = native_reducer()
-        if reduce is None:
-            return None
-
-        def recorded(values, indptr):
-            _record_strays(strays, values, *(() if indptr is None else (indptr,)))
-            reductions.append(np.shape(values))
-            return reduce(values, indptr)
-
-        return recorded
-
-    return reducer
-
-
 @pytest.fixture(scope="module")
 def fig1_matrix():
     return get_suite("general", size_range=(32, 32), seed=0, count=1)[0].matrix
@@ -130,13 +111,8 @@ def test_solve_rounds_only_contiguous_buffers(name, fig1_matrix, monkeypatch):
     for fmt_name in FORMATS:  # float32/float64 round in hardware: no kernel
         kern = get_format(fmt_name).bitkernel()
         if kern is not None:
-            monkeypatch.setattr(
-                kern, "compiled", _RecordingKernel(kern.compiled, strays, reductions)
-            )
-    monkeypatch.setattr(
-        bitkernels, "native_reducer", _recording_native_reducer(strays, reductions)
-    )
-    extension = _RecordingExtension(bitkernels.extension(), strays, solves, reduced)
+            monkeypatch.setattr(kern, "compiled", _RecordingKernel(kern.compiled, strays))
+    extension = _RecordingExtension(bitkernels.extension(), strays, reductions, solves, reduced)
     monkeypatch.setattr(bitkernels, "extension", lambda: extension)
     ctx = get_context(name)
     matrix, _ = ctx.convert_matrix(fig1_matrix)

@@ -139,10 +139,10 @@ class TestBitIdentity:
         _assert_identical(got[1], want[1], f"{fmt} eigenvectors")
 
 
-#: the paper's formats (float64 among them), float32 and the reference
+#: the paper's formats (float32 and float64 among them) and the reference
 PIPELINE_CONTEXTS = [
     name for width in sorted(PAPER_FORMATS) for name in PAPER_FORMATS[width]
-] + ["float32", "reference"]
+] + ["reference"]
 
 
 #: the reduction inputs: ``(kind, scale)`` of :func:`_pipeline_input`

@@ -14,15 +14,16 @@ empty, of one element, of every length up to 70 and of a 300-vertex graph
 Laplacian, holding ±0, ±inf, NaN and the extreme magnitudes of each
 arithmetic, in every paper format and the reference.
 
-Each case runs under both dispatches of the pairwise tree: the compiled
-reduction (one call per tree, with the bit kernels on) and the NumPy tree
-(the bit kernels off; the only dispatch without the compiled library).
-The compiled reduction hands the sums a level cannot round to the format's
-resolver in one call per level, and ``NumberFormat.round_array`` hands the
-values its one pass cannot round to one call; both count one kernel call
-per pass, as the NumPy tree and the sequential CSR accumulation count one
-per level or column, store resolved x87 slots with zero padding, and
-propagate a resolver's exception.
+Every reduction, in either order and in every context, is one call of
+the compiled ``reduce`` entry, and each case runs in both positions of the
+bit-kernel switch: with it on, the format's kernel rounds; with it off, the
+same entry hands every sum to the format's analytic kernels.  The
+reduction hands the sums a pass (a tree level, or a column of the
+sequential order) cannot round to the format's resolver in one call per
+pass, and ``NumberFormat.round_array`` hands the values its one pass cannot
+round to one call; both count one kernel call per pass, store resolved x87
+slots with zero padding, and propagate a resolver's exception.  With the
+switch off, every pass is one ``round_array`` call of the same size.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ import numpy as np
 import pytest
 
 from repro.arithmetic import LONGDOUBLE_EXTENDED, bitkernels, get_context, set_bitkernels_enabled
-from repro.arithmetic.context import ComputeContext, EmulatedContext
+from repro.arithmetic.base import _DISPATCH_PATHS
+from repro.arithmetic.context import ComputeContext
 from repro.arithmetic.registry import PAPER_FORMATS
 from repro.datasets.graphs import generate_graph
 from repro.sparse import CSRMatrix
@@ -49,8 +51,10 @@ CSR_LENGTHS = [0, 1, 0, 0] + [n for k in range(71) for n in (k, k % 2, 0)] + [1,
 needs_compiled = pytest.mark.skipif(
     not bitkernels.bitkernels_enabled(), reason="no compiled kernel (or the bit kernels are off)"
 )
-#: the bit-kernel switch of each dispatch a case runs under: on, the
-#: compiled reduction (where the library is available); off, the NumPy tree
+#: the positions of the bit-kernel switch a case runs in: on, the format's
+#: kernel rounds in the compiled reduction; off, the same reduction hands
+#: every sum to the analytic kernels (a run with the switch off from the
+#: start stays off)
 DISPATCHES = (True, False) if bitkernels.bitkernels_enabled() else (False,)
 
 
@@ -232,32 +236,33 @@ def test_reduction_matches_level_by_level_reference(name, accumulation):
 
 
 def _no_level(*args, **kwargs):
-    raise AssertionError("a NumPy tree level ran")
+    raise AssertionError("a rounded NumPy level ran")
 
 
-@needs_compiled
 @pytest.mark.parametrize("name", CONTEXTS)
 def test_compiled_tree_is_one_call(name, monkeypatch):
-    """With the bit kernels on, a pairwise reduction runs no rounded NumPy
-    level; with them off, it runs the NumPy tree."""
-    ctx = get_context(name)
-    buf = _values(ctx, (3, 40), 0)
-    matrix = _csr(ctx, CSR_LENGTHS, 1)
+    """A reduction runs no rounded NumPy level: in both switch positions,
+    both accumulation orders, dense rows and CSR segments, in every
+    emulated and native context."""
     monkeypatch.setattr(ComputeContext, "_round_ufunc", _no_level)
-    with np.errstate(all="ignore"):
-        ctx.reduce_sum(buf)
-        ctx._segmented_reduce(matrix.data, matrix.indptr, matrix.shape[0])
-        with _switch(False), pytest.raises(AssertionError, match="NumPy tree level"):
-            ctx.reduce_sum(buf)
+    for accumulation in ("pairwise", "sequential"):
+        ctx = get_context(name, accumulation=accumulation)
+        v1, buf = _values(ctx, (40,), 0), _values(ctx, (3, 40), 1)
+        matrix = _csr(ctx, CSR_LENGTHS, 1)
+        for enabled in DISPATCHES:
+            with _switch(enabled), np.errstate(all="ignore"):
+                ctx.reduce_sum(v1)
+                ctx.reduce_sum(buf)
+                ctx._segmented_reduce(matrix.data, matrix.indptr)
 
 
 class _RecordingCompiled:
-    """Delegates to a compiled kernel, recording the name of every
-    ``round_into`` and ``reduce_pairwise`` call."""
+    """Delegates to a compiled kernel, recording every ``round_into``
+    call in ``entries``."""
 
-    def __init__(self, compiled):
+    def __init__(self, compiled, entries: list):
         self._compiled = compiled
-        self.entries: list = []
+        self.entries = entries
 
     def __getattr__(self, name):
         return getattr(self._compiled, name)
@@ -266,9 +271,34 @@ class _RecordingCompiled:
         self.entries.append("round_into")
         return self._compiled.round_into(src, dst, resolve)
 
-    def reduce_pairwise(self, values, indptr, resolve):
-        self.entries.append("reduce_pairwise")
-        return self._compiled.reduce_pairwise(values, indptr, resolve)
+
+class _RecordingExtension:
+    """Delegates to the compiled extension, recording every ``reduce`` call
+    in ``entries``; a :class:`_RecordingCompiled` it is given is replaced
+    by the kernel it wraps."""
+
+    def __init__(self, module, entries: list):
+        self._module = module
+        self.entries = entries
+
+    def __getattr__(self, name):
+        return getattr(self._module, name)
+
+    def reduce(self, values, indptr, sequential, kernel, resolve_scalar, resolve_array):
+        self.entries.append("reduce")
+        if isinstance(kernel, _RecordingCompiled):
+            kernel = kernel._compiled
+        return self._module.reduce(values, indptr, sequential, kernel, resolve_scalar, resolve_array)
+
+
+def _record_entries(kern, monkeypatch) -> list:
+    """The list the compiled entries ``round_into`` (of ``kern``) and
+    ``reduce`` append their names to."""
+    entries: list = []
+    monkeypatch.setattr(kern, "compiled", _RecordingCompiled(kern.compiled, entries))
+    extension = _RecordingExtension(bitkernels.extension(), entries)
+    monkeypatch.setattr(bitkernels, "extension", lambda: extension)
+    return entries
 
 
 #: ``(format, value)``: ``value`` and every sum of its copies lie in a
@@ -312,8 +342,8 @@ def _extreme_passes(ctx, big: float):
         return fmt.round_array(work, out=work)
 
     return [
-        ("rows", lambda: ctx.reduce_sum(buf), ["reduce_pairwise"], [32, 16, 8, 4]),
-        ("csr", lambda: ctx._segmented_reduce(vals, indptr, 4), ["reduce_pairwise"], [18, 9, 5, 2]),
+        ("rows", lambda: ctx.reduce_sum(buf), ["reduce"], [32, 16, 8, 4]),
+        ("csr", lambda: ctx._segmented_reduce(vals, indptr), ["reduce"], [18, 9, 5, 2]),
         ("round_array", lambda: fmt.round_array(buf), ["round_into"], [64]),
         ("round_array in place", in_place, ["round_into"], [64]),
         (
@@ -347,34 +377,74 @@ def _run_counted(ctx, call):
     return result, sizes, kern.compiled.take_counts()
 
 
+def _run_switched_off(ctx, call):
+    """``(result, round_array call sizes, dispatch tally)`` of one call with
+    the bit kernels off: the resolver of every pass is the format's
+    ``round_array``, and the tally is the ``[calls, elements]`` it adds per
+    analytic path."""
+    fmt = ctx.format
+    sizes: list = []
+    round_array = type(fmt).round_array
+
+    def counted(self, values, *, out=None):
+        sizes.append(np.size(values))
+        return round_array(self, values, out=out)
+
+    cell = fmt._dispatch_cell
+    with _switch(False), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(type(fmt), "round_array", counted)
+        before = list(cell)
+        previous = telemetry.set_enabled(True)
+        try:
+            with np.errstate(all="ignore"):
+                result = call()
+        finally:
+            telemetry.set_enabled(previous)
+    return result, sizes, [after - was for after, was in zip(cell, before)]
+
+
+def _analytic_tally(fmt, sizes) -> list:
+    """The dispatch tally of ``round_array`` calls of ``sizes`` without a
+    kernel: each call goes to the scalar kernel up to the format's cutoff,
+    else to the analytic kernel."""
+    tally = [0] * (2 * len(_DISPATCH_PATHS))
+    for size in sizes:
+        path = 2 * _DISPATCH_PATHS.index(
+            "scalar_kernel" if size <= fmt.scalar_cutoff else "analytic"
+        )
+        tally[path] += 1
+        tally[path + 1] += size
+    return tally
+
+
 @needs_compiled
 @pytest.mark.parametrize("name, big", EXTREMES)
 def test_hand_backs_resolve_once_per_level(name, big, monkeypatch):
     """Each rounding pass (a tree level of every row, or one ``round_into``
     over a whole buffer) hands all its values to one resolver call, and
     the kernel counts one call per pass; resolved x87 slots hold zero
-    padding.  The reductions agree with the NumPy tree, which rounds a
-    level of every row with one call too."""
+    padding.  With the switch off the same call gives the same words, and
+    each pass is one ``round_array`` call of the same size, tallied on the
+    scalar-kernel or analytic path by that size."""
     ctx = get_context(name)
     kern = ctx.format._bound_kernel
-    recording = _RecordingCompiled(kern.compiled)
-    monkeypatch.setattr(kern, "compiled", recording)
-    for label, call, entries, per_pass in _extreme_passes(ctx, big):
-        recording.entries.clear()
+    entries = _record_entries(kern, monkeypatch)
+    for label, call, want_entries, per_pass in _extreme_passes(ctx, big):
+        entries.clear()
         got, sizes, counts = _run_counted(ctx, call)
-        assert recording.entries == entries, label
+        assert entries == want_entries, label
         assert sizes == per_pass, label
         total = sum(per_pass)
         # (calls, elements, handed_back, zeros): one call per pass
         assert counts == (len(per_pass), total, total, 0), label
         assert not _padding(got).any(), label
-        if entries != ["reduce_pairwise"]:
-            continue
-        with monkeypatch.context() as numpy_tree:
-            numpy_tree.setattr(EmulatedContext, "_pairwise_reducer", lambda self: None)
-            want, want_sizes, want_counts = _run_counted(ctx, call)
-        assert "reduce_pairwise" not in recording.entries[1:], label
-        assert (sizes, counts) == (want_sizes, want_counts), label
+        want, off_sizes, tally = _run_switched_off(ctx, call)
+        assert "round_into" not in entries[len(want_entries):], label
+        if want_entries == ["reduce"]:
+            assert off_sizes == per_pass, label
+        else:  # the call itself is the one round_array call
+            assert off_sizes == [total], label
+        assert tally == _analytic_tally(ctx.format, off_sizes), label
         assert np.array_equal(_words(got), _words(want)), label
 
 
@@ -388,9 +458,7 @@ def test_sequential_csr_sum_rounds_once_per_column(name):
     counts = np.array([16, 0, 5, 16, 1])
     indptr = np.concatenate(([0], np.cumsum(counts)))
     vals = ctx.round(np.random.default_rng(0).standard_normal(indptr[-1]))
-    _, _, (calls, elements, _, _) = _run_counted(
-        ctx, lambda: ctx._segmented_reduce(vals, indptr, counts.size)
-    )
+    _, _, (calls, elements, _, _) = _run_counted(ctx, lambda: ctx._segmented_reduce(vals, indptr))
     assert calls == counts.max() - 1
     assert elements == sum(int(np.count_nonzero(counts > k)) for k in range(1, counts.max()))
 
@@ -407,15 +475,43 @@ def test_a_raising_resolver_propagates(monkeypatch):
         for name, big in EXTREMES:
             ctx = get_context(name)
             kern = ctx.format._bound_kernel
-            recording = _RecordingCompiled(kern.compiled)
-            monkeypatch.setattr(kern, "compiled", recording)
+            entries = _record_entries(kern, monkeypatch)
             monkeypatch.setattr(kern, "_resolve", fail)
             with np.errstate(all="ignore"):
-                for label, call, entries, _ in _extreme_passes(ctx, big):
-                    recording.entries.clear()
+                for label, call, want_entries, _ in _extreme_passes(ctx, big):
+                    entries.clear()
                     with pytest.raises(error, match="resolver failed"):
                         call()
-                    assert recording.entries == entries, (error, name, label)
+                    assert entries == want_entries, (error, name, label)
+
+
+def test_reduce_refuses_bad_arguments():
+    """The compiled ``reduce`` refuses segments outside its values with
+    ``ValueError``, and a kernel or resolvers that do not match the dtype of
+    the values with ``TypeError``."""
+    reduce = bitkernels.extension().reduce
+    vals = np.arange(6, dtype=np.float64)
+    fmt = get_context("posit16").format
+    kernel = fmt._build_bitkernel().compiled  # a float64 kernel in either switch position
+    for indptr in ([0, 4, 2, 6], [0, 3, 7], [-1, 3, 6], []):  # decreasing, past the end, empty
+        with pytest.raises(ValueError):
+            reduce(vals, np.array(indptr, dtype=np.intp), False, None, None, None)
+    with pytest.raises(ValueError):
+        reduce(vals.reshape(2, 3), np.array([0, 3, 6]), False, None, None, None)
+    resolvers = (fmt.round_scalar_analytic, fmt.round_array)
+    with pytest.raises(TypeError):  # a float64 kernel, float32 values
+        reduce(vals.astype(np.float32), None, False, kernel, *resolvers)
+    with pytest.raises(TypeError):  # a kernel without resolvers
+        reduce(vals, None, False, kernel, None, None)
+    with pytest.raises(TypeError):  # resolvers without a kernel: only float64/longdouble
+        reduce(vals.astype(np.float32), None, False, None, *resolvers)
+    with pytest.raises(TypeError):  # integer values
+        reduce(np.arange(6), None, False, None, None, None)
+    with pytest.raises(TypeError):  # one resolver without the other
+        reduce(vals, None, False, None, resolvers[0], None)
+    with pytest.raises(TypeError):  # not an array
+        reduce([1.0, 2.0], None, False, None, None, None)
+    assert reduce(vals, np.array([0, 2, 2, 6]), False, None, None, None).tolist() == [1, 0, 14]
 
 
 def _drop_odd_leftover(self, buf):

@@ -456,14 +456,6 @@ class ComputeContext(ABC):
         on every call, so the bit-kernel switch takes effect between
         calls."""
 
-    def _reduce(self, values: np.ndarray, indptr) -> np.ndarray:
-        """The rounded sum of each segment of ``values`` in one call of the
-        compiled ``reduce``: the rows along its last axis (``indptr``
-        ``None``), or its CSR segments."""
-        return _bitkernels.extension().reduce(
-            values, indptr, self.accumulation == "sequential", *self.compiled_rounding()
-        )
-
     def _reduce_last_axis(self, buf: np.ndarray) -> np.ndarray:
         """Rounded reduction of ``buf`` along its last axis, in one call of
         the compiled reduction.
@@ -479,8 +471,12 @@ class ComputeContext(ABC):
         intermediate rounding and the op tally (``m - 1`` per row) are
         those of reducing each row alone.
         """
-        sums = self._reduce(buf, None)
-        self.op_count += sums.size * max(buf.shape[-1] - 1, 0)
+        sums = _bitkernels.extension().reduce(
+            buf, None, self.accumulation == "sequential", *self.compiled_rounding()
+        )
+        m = buf.shape[-1]
+        if m > 1:
+            self.op_count += sums.size * (m - 1)
         return sums[0] if buf.ndim == 1 else sums.reshape(buf.shape[:-1])
 
     def dot(self, x, y):
@@ -635,7 +631,9 @@ class ComputeContext(ABC):
         sequential accumulation (``nnz`` minus the non-empty rows ops)."""
         counts = np.diff(indptr)
         self.op_count += int(counts.sum()) - int(np.count_nonzero(counts))
-        return self._reduce(vals, indptr)
+        return _bitkernels.extension().reduce(
+            vals, indptr, self.accumulation == "sequential", *self.compiled_rounding()
+        )
 
     # ------------------------------------------------------------------ #
     # conversion of input data

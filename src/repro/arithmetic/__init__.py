@@ -83,7 +83,6 @@ from .farray import (
 )
 from .batched import (
     BatchedContext,
-    BatchedFArray,
     BatchSpec,
 )
 
@@ -137,5 +136,4 @@ __all__ = [
     "precision",
     "BatchSpec",
     "BatchedContext",
-    "BatchedFArray",
 ]

@@ -4,10 +4,12 @@
 partial spectral decomposition across many number formats — as *one*
 lockstep sweep per work-dtype lane instead of one full solver run per
 format.  Per-row trajectories are bit-identical to
-:func:`repro.core.krylov_schur.partialschur`: every rounded operation of
-the sequential solver is performed for each row, on the same values, in
-the same order, merely vectorised across the format axis through
-:class:`repro.arithmetic.BatchedContext`.
+:func:`repro.core.krylov_schur.partialschur`: the Arnoldi expansion's
+elementwise operations are stacked across the format axis through
+:class:`repro.arithmetic.BatchedContext` and round each row in its own
+context, and every reduction and every Ritz eigensolve
+(:mod:`repro.linalg.lockstep`) is the row's own sequential code — its
+compiled ``reduce``, ``tridiagonalize``, ``ql`` and ``rotate`` entries.
 
 The solver is inherently divergent across formats — an 8-bit run breaks
 down in the first sweep while float64 restarts dozens of times — so the
@@ -451,7 +453,6 @@ def _lane_solve(
                 exp = exp[keep]
             alive = exp
             mv_committed[alive] = matvecs[alive]
-            bctx.flush_op_counts()
             if alive.size == 0:
                 break
 
@@ -469,7 +470,6 @@ def _lane_solve(
                 _retire_breakdown(int(alive[pos]))  # "non-finite Ritz values"
             ok &= tfinite
             alive, theta, Y = alive[ok], theta[ok], Y[ok]
-            bctx.flush_op_counts()
             if alive.size == 0:
                 break
             b_ritz = bctx.gemv_t(np.ascontiguousarray(Y), b[alive], alive)
@@ -518,7 +518,6 @@ def _lane_solve(
                 )
             cont = ~done
             alive = alive[cont]
-            bctx.flush_op_counts()
             if alive.size == 0:
                 break
 
@@ -541,7 +540,6 @@ def _lane_solve(
                 S_prev[a, ar, ar] = np.asarray(theta[pos])[sel]
                 b_prev[a] = np.asarray(b_ritz[pos])[sel].astype(dtype)
             k = keep_n
-            bctx.flush_op_counts()
 
     bctx.flush_op_counts()
     for ctx in contexts:

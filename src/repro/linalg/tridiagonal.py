@@ -207,12 +207,8 @@ def wavefront_schedule(cols, ncols: int) -> list:
     columns and rotations that share a column stay in their original order.
     Returns the waves in application order, each a list of rotation
     indices in ascending order.  The compiled ``rotate`` groups the
-    rotations of :func:`tridiagonal_eigen` the same way.
-
-    The lockstep engine schedules every batch row with this function at
-    once by numbering the columns of row ``a`` from ``a * n``: the rows'
-    column ranges are disjoint, so each row gets the waves it would get
-    alone.
+    rotations of :func:`tridiagonal_eigen` the same way; this function is
+    the Python reference of that schedule (``tests/test_fused_ops.py``).
     """
     last = [0] * ncols
     waves: list = []

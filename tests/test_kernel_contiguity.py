@@ -12,16 +12,22 @@ through a contiguous copy; the test records its operands too, and fails if
 the solve never reduces through it.  The compiled eigensolver entries
 (``tridiagonalize``, ``ql`` and ``rotate``) refuse other operands outright;
 the test records theirs as well, and every eigensolve must reduce its
-matrix through the compiled ``tridiagonalize``.
+matrix through the compiled ``tridiagonalize``.  The lockstep solver runs
+each batch row through the same compiled entries: one ``tridiagonalize``
+and one ``ql`` per live row per restart, and reductions that never round
+through ``BatchedContext.round``.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 import pytest
 
 from repro import get_context, partialschur
-from repro.arithmetic import bitkernels, get_format
+from repro.arithmetic import BatchedContext, BatchSpec, bitkernels, get_format
+from repro.core.lockstep import batched_partialschur
 from repro.arithmetic.registry import PAPER_FORMATS
 from repro.datasets import get_suite
 from repro.experiments.tolerances import tolerance_for
@@ -124,4 +130,43 @@ def test_solve_rounds_only_contiguous_buffers(name, fig1_matrix, monkeypatch):
     assert solves, "the solve never took the compiled eigensolver"
     # each QL solve of order n > 1 follows the compiled reduction of its matrix
     assert reduced == [(n, n) for (n,) in solves], "an eigensolve skipped the compiled reduction"
+    assert strays == []
+
+
+#: 16- to 64-bit formats in three work-dtype lanes (float32, float64 and
+#: longdouble), none of which breaks down on the fig1 matrix
+BATCH_FORMATS = ["float16", "bfloat16", "posit16", "float32", "takum32", "float64", "posit64"]
+
+
+def test_batched_rows_take_the_compiled_reduction_and_eigensolver(fig1_matrix, monkeypatch):
+    strays: list = []
+    reductions: list = []
+    solves: list = []
+    reduced: list = []
+    extension = _RecordingExtension(bitkernels.extension(), strays, reductions, solves, reduced)
+    monkeypatch.setattr(bitkernels, "extension", lambda: extension)
+    round_callers: set = set()
+    batched_round = BatchedContext.round
+
+    def recording_round(self, arr, rows):
+        round_callers.add(sys._getframe(1).f_code.co_name)
+        return batched_round(self, arr, rows)
+
+    monkeypatch.setattr(BatchedContext, "round", recording_round)
+    assert len(BatchSpec(BATCH_FORMATS).lanes()) == 3
+    nev, maxdim = 6, 14
+    with np.errstate(all="ignore"):
+        results = batched_partialschur(
+            fig1_matrix, BATCH_FORMATS, nev=nev, maxdim=maxdim, tol=1e-6, restarts=4, seed=0
+        )
+    assert {r.reason for r in results} <= {"converged", "maxiter"}
+    # every row solves its projected matrix once per restart, and once more
+    # on the expansion it retires after
+    ritz_steps = sum(r.restarts + 1 for r in results)
+    assert solves == [(maxdim,)] * ritz_steps
+    assert reduced == [(maxdim, maxdim)] * ritz_steps
+    assert reductions, "no batched row took the compiled reduction"
+    # only the stacked elementwise ops round through the batch; a reduction
+    # level never does
+    assert round_callers <= {"add", "sub", "mul", "div"}, round_callers
     assert strays == []

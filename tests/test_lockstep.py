@@ -10,9 +10,7 @@ re-scheduling of the sequential one; any observable difference is a bug.
 Also covered: batched rounding of boundary values row for row against each
 row's own context, the retirement-mask edge cases (rows leaving the batch in
 every order, all at once, via deflation), mixed-width batches spanning
-work-dtype lanes, and the :class:`~repro.arithmetic.batched.BatchedFArray`
-surface (operator parity with FArray, context-mismatch detection, the
-``row()`` hand-off).
+work-dtype lanes, failed QL rows, and the batch validation.
 """
 
 from __future__ import annotations
@@ -23,8 +21,6 @@ import pytest
 from repro.arithmetic import (
     BatchSpec,
     BatchedContext,
-    BatchedFArray,
-    ContextMismatchError,
     ContextSpec,
     NativeContext,
     available_formats,
@@ -34,7 +30,6 @@ from repro.arithmetic import (
 from repro.core.krylov_schur import partialschur
 from repro.core.lockstep import batched_partialschur
 from repro.linalg import EigenConvergenceError, tridiagonal_eigen
-from repro.linalg.lockstep import _apply_rotations as _apply_wave_record
 from repro.linalg.lockstep import lockstep_tridiagonal_eigen
 from repro.sparse import CSRMatrix
 from tests._kernel_harness import assert_rounded_equal
@@ -131,8 +126,8 @@ class TestBatchedRoundingBoundaries:
         for contexts, _ in BatchSpec(list(available_formats())).lanes():
             if contexts[0].dtype is dtype:
                 bctx = BatchedContext(contexts)
-                # every row twice, the second time in reverse order, as a
-                # wave of the lockstep QL repeats rows
+                # every row twice, the second time in reverse order: a row
+                # map may repeat and reorder rows
                 rows = np.concatenate([bctx.all_rows, bctx.all_rows[::-1]])
                 values = np.stack([_boundary_values(contexts[r]) for r in rows])
                 return bctx, rows, values
@@ -171,7 +166,7 @@ class TestBatchedRoundingBoundaries:
             assert bctx.round(stack, rows) is stack
             _assert_same_bits(stack, want, label)
             return
-        # a strided column of a 3-D buffer, as the QL rotation rounds Z[:, :, i]
+        # a strided column of a 3-D buffer
         buf = np.full(values.shape + (2,), 3.0, dtype=bctx.dtype)
         buf[:, :, 0] = values
         view = buf[:, :, 0]
@@ -289,108 +284,6 @@ class TestBatchedOpCounts:
             assert ctx.op_count == sequential_ctx.op_count, fmt
 
 
-class TestBatchedRotateColumns:
-    """The fused Givens update, row for row against the sequential op."""
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf/NaN operands
-    def test_matches_sequential_per_row_on_mixed_width_batch(self):
-        rng = np.random.default_rng(41)
-        spec = BatchSpec(MIXED_WIDTH + ["float64", "float32"])
-        assert len(spec.lanes()) == 3
-        n = 11
-        for contexts, indices in spec.lanes():
-            bctx = BatchedContext(contexts)
-            nb = len(contexts)
-            raw = rng.standard_normal((nb, 2, n)) * 10.0 ** rng.integers(-3, 3, (nb, 2, n))
-            raw[:, 0, :4] = [0.0, -0.0, np.inf, np.nan]
-            raw[:, 1, :4] = [-0.0, 1e300, -np.inf, 2.0]
-            xy = bctx.round(np.array(raw, dtype=bctx.dtype), bctx.all_rows)
-            cs = bctx.round(
-                np.array(rng.uniform(-1.0, 1.0, (nb, 2)), dtype=bctx.dtype), bctx.all_rows
-            )
-            # the full lane, and a reordered sub-batch as retirement leaves it
-            for sel in (np.arange(nb), np.arange(nb)[::-2]):
-                rows = bctx.all_rows[sel]
-                got = bctx.rotate_columns(cs[sel, 0], cs[sel, 1], xy[sel, 0], xy[sel, 1], rows)
-                assert got.shape == (sel.size, 2, n)
-                for k, r in enumerate(rows):
-                    ctx = contexts[r]
-                    want = ctx.rotate_columns(cs[r, 0], cs[r, 1], xy[r, 0], xy[r, 1])
-                    label = f"{ctx.name} (row {indices[r]})"
-                    assert np.array_equal(got[k], want, equal_nan=True), label
-                    # NaN sign bits follow NumPy's loop choice (see
-                    # tests/test_fused_ops.py::assert_same_bits)
-                    keep = ~np.isnan(want)
-                    assert np.array_equal(np.signbit(got[k][keep]), np.signbit(want[keep])), label
-
-    def test_op_tally_is_six_per_element_per_row(self):
-        contexts = [get_context(f) for f in ("posit16", "float64", "E4M3")]
-        bctx = BatchedContext(contexts)
-        xy = bctx.round(np.ones((3, 2, 5)), bctx.all_rows)
-        rows = bctx.all_rows[[2, 0]]
-        bctx.rotate_columns(xy[:2, 0, 0], xy[:2, 1, 0], xy[:2, 0], xy[:2, 1], rows)
-        bctx.flush_op_counts()
-        assert [ctx.op_count for ctx in contexts] == [30, 0, 30]
-
-
-class TestBatchedWaveApplication:
-    """The deferred lockstep eigenvector update against the sequential one."""
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf/NaN operands
-    def test_matches_per_row_sequential_on_mixed_width_batch(self):
-        rng = np.random.default_rng(43)
-        n = 6
-        for contexts, indices in BatchSpec(MIXED_WIDTH).lanes():
-            bctx = BatchedContext(contexts)
-            # more machines than format rows: every row index repeats
-            rows = np.concatenate([bctx.all_rows, bctx.all_rows[::-1]])
-            nm = rows.size
-            # QL-shaped sequences: sweeps i = m - 1 down to low, per machine
-            cols = []
-            for _ in range(nm):
-                seq = []
-                for _ in range(int(rng.integers(1, 5))):
-                    m = int(rng.integers(1, n))
-                    seq.extend(range(m - 1, int(rng.integers(0, m)) - 1, -1))
-                cols.append(seq)
-            steps = max(len(seq) for seq in cols)
-            C = bctx.round(np.array(rng.uniform(-1, 1, (nm, steps)), dtype=bctx.dtype), rows)
-            S = bctx.round(np.array(rng.uniform(-1, 1, (nm, steps)), dtype=bctx.dtype), rows)
-            raw = rng.standard_normal((nm, n, n)) * 10.0 ** rng.integers(-3, 3, (nm, n, n))
-            raw[:, 0, :4] = [0.0, -0.0, np.inf, np.nan]
-            raw[:, 1, :3] = [-0.0, -np.inf, 1e300]
-            Z = bctx.round(np.array(raw, dtype=bctx.dtype), rows)
-            # one record entry per lockstep tick, as _lockstep_ql appends them
-            record = []
-            for t in range(steps):
-                la = np.array([a for a in range(nm) if len(cols[a]) > t], dtype=np.int64)
-                i = np.array([cols[a][t] for a in la], dtype=np.int64)
-                record.append((la, i, C[la, t], S[la, t]))
-            got = Z.copy()
-            before = [ctx.op_count for ctx in contexts]
-            nrot, waves = _apply_wave_record(bctx, got, rows, record)
-            bctx.flush_op_counts()
-            batched_ops = [ctx.op_count - b for ctx, b in zip(contexts, before)]
-            assert nrot == sum(len(seq) for seq in cols)
-            assert 0 < waves < nrot
-            for a in range(nm):
-                ctx = contexts[rows[a]]
-                want = Z[a].copy()
-                for t, i in enumerate(cols[a]):
-                    rot = ctx.rotate_columns(C[a, t], S[a, t], want[:, i], want[:, i + 1])
-                    want[:, i] = rot[0]
-                    want[:, i + 1] = rot[1]
-                label = f"{ctx.name} (machine {a}, row {indices[rows[a]]})"
-                assert np.array_equal(got[a], want, equal_nan=True), label
-                # NaN sign bits follow NumPy's loop choice (see
-                # tests/test_fused_ops.py::assert_same_bits)
-                keep = ~np.isnan(want)
-                assert np.array_equal(np.signbit(got[a][keep]), np.signbit(want[keep])), label
-            for r, ops in enumerate(batched_ops):
-                rotations = sum(len(cols[a]) for a in range(nm) if rows[a] == r)
-                assert ops == 6 * n * rotations, contexts[r].name
-
-
 class TestQLFailureParity:
     """Rotations recorded before a QL failure are still applied and tallied."""
 
@@ -429,53 +322,8 @@ class TestQLFailureParity:
         assert 0 < failed < len(self.FORMATS)
 
 
-class TestBatchedFArraySurface:
-    """Operator parity, context identity, and the sequential hand-off."""
-
-    @staticmethod
-    def _chain(add, value_a, value_b):
-        """A representative rounded chain; ``add`` flavours the operands."""
-        s = (value_a + value_b) * value_a
-        t = s - value_b / (value_b + add)
-        return abs(-t)
-
-    def test_operator_chain_matches_farray_per_lane(self):
-        rng = np.random.default_rng(21)
-        spec = BatchSpec(list(available_formats()))
-        for contexts, indices in spec.lanes():
-            bctx = BatchedContext(contexts)
-            raw = rng.standard_normal((len(contexts), 12)) * 2.0
-            data = bctx.round(np.array(raw, dtype=bctx.dtype), bctx.all_rows)
-            other = bctx.round(
-                np.abs(np.array(rng.standard_normal((len(contexts), 12)), dtype=bctx.dtype))
-                + bctx.dtype(0.5),
-                bctx.all_rows,
-            )
-            batched = self._chain(1.5, BatchedFArray(bctx, data.copy()), BatchedFArray(bctx, other.copy()))
-            for i, ctx in enumerate(contexts):
-                sequential = self._chain(1.5, ctx.wrap(data[i].copy()), ctx.wrap(other[i].copy()))
-                assert np.array_equal(batched.data[i], sequential.data), (
-                    f"lane dtype {np.dtype(bctx.dtype).name}, row {indices[i]} "
-                    f"({ctx.name})"
-                )
-
-    def test_row_handoff_returns_bound_farray(self):
-        bctx = BatchedContext.from_formats(["float64", "float64"])
-        stacked = BatchedFArray(bctx, np.arange(6, dtype=np.float64).reshape(2, 3))
-        row = stacked.row(1)
-        assert row.ctx is bctx.rows[1]
-        assert np.array_equal(row.data, stacked.data[1])
-
-    def test_context_mismatch_raises(self):
-        a = BatchedFArray(BatchedContext.from_formats(["float64"]), np.ones((1, 4)))
-        b = BatchedFArray(BatchedContext.from_formats(["float64"]), np.ones((1, 4)))
-        with pytest.raises(ContextMismatchError):
-            a + b  # same formats, different context objects: still a leak
-
-    def test_row_map_length_mismatch_raises(self):
-        bctx = BatchedContext.from_formats(["float64", "float64"])
-        with pytest.raises(ValueError):
-            BatchedFArray(bctx, np.ones((3, 4)))
+class TestBatchValidation:
+    """Batches refuse rows they cannot run in one lockstep sweep."""
 
     def test_mixed_lane_context_rejected(self):
         with pytest.raises(ValueError):

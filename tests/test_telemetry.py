@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.arithmetic import BatchedContext, get_context
-from repro.linalg import symmetric_eigen, tridiagonalize
+from repro.linalg import tridiagonalize
 from repro.linalg.lockstep import lockstep_symmetric_eigen
 from repro.telemetry import (
     MetricsRegistry,
@@ -413,17 +413,21 @@ def test_dispatch_counters_record_format_and_path(telemetry_on):
 
 
 def test_ql_spans_report_rotations_and_waves(telemetry_on):
-    """The QL spans of both engines say how much the wave batching got."""
+    """Every lockstep batch row emits the sequential reduction and QL spans
+    with its own format, and its QL span says how much the wave batching
+    got."""
     rng = np.random.default_rng(3)
     A = rng.standard_normal((12, 12))
     A = A + A.T
-    symmetric_eigen(get_context("posit16"), A)
-    bctx = BatchedContext([get_context(f) for f in ("posit16", "bfloat16")])
+    formats = ["posit16", "bfloat16"]
+    bctx = BatchedContext([get_context(f) for f in formats])
     lockstep_symmetric_eigen(bctx, np.stack([A, A]), bctx.all_rows)
-    spans = {e["name"]: e["attrs"] for e in trace.read_events(telemetry_on)}
-    for name in ("tridiagonal.ql", "tridiagonal.ql_lockstep"):
-        attrs = spans[name]
-        assert 0 < attrs["waves"] < attrs["rotations"], name
+    events = list(trace.read_events(telemetry_on))
+    for name in ("tridiagonal.reduce", "tridiagonal.ql"):
+        assert [e["attrs"]["fmt"] for e in events if e["name"] == name] == formats, name
+    for attrs in (e["attrs"] for e in events if e["name"] == "tridiagonal.ql"):
+        assert 0 < attrs["waves"] < attrs["rotations"], attrs["fmt"]
+        assert attrs["restarts"] >= 0, attrs["fmt"]
 
 
 def test_reduce_span_reports_skipped_and_first_nonfinite(telemetry_on):

@@ -2,7 +2,8 @@
 """Performance ledger: one JSON record of a tree's figure benchmark, and
 the source of CI's figure-counter pins.
 
-Drives ``figbench/run.py`` on fig1_seq and graphs_large at seed 0:
+Drives ``figbench/run.py`` on fig1_seq, fig1_batched and graphs_large at
+seed 0:
 best-of-``--runs`` untraced runs (each as long as ``BENCHMARK.json``'s
 ``run_seconds``) give the end-to-end ``figure_s``, ``warm_s`` and
 ``peak_rss_mb``, and one traced run gives the self seconds of every layer
@@ -53,7 +54,7 @@ for _entry in (str(ROOT / "src"), str(ROOT)):
 from figbench.tracing import BUCKET_NAMES  # noqa: E402
 from figbench.workloads import WORKLOADS  # noqa: E402
 
-WORKLOAD_NAMES = ("fig1_seq", "graphs_large")
+WORKLOAD_NAMES = ("fig1_seq", "fig1_batched", "graphs_large")
 #: the seed CI's counter gate pins the counts at
 SEED = 0
 END_TO_END = ("figure_s", "warm_s", "peak_rss_mb")

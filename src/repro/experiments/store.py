@@ -651,7 +651,7 @@ def execute_plan(
     with _trace.span(
         "experiment.run", shards=len(plan.tasks), planned=report.planned, cached=report.cached
     ):
-        parallel_map(_run_shard, plan.tasks, workers=workers, capture=True, on_result=commit)
+        parallel_map(_run_shard, plan.tasks, workers=workers, on_result=commit)
 
     records: list[RunRecord] = []
     references: list[ReferenceRecord] = []

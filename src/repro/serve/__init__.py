@@ -31,7 +31,7 @@ embed it::
 See ``docs/serving.md`` for the endpoint reference and operational notes.
 """
 
-from .bridge import WorkerBridge, solve_cell
+from .bridge import WorkerBridge, solve_cells
 from .client import ServeClient, ServeError, ServiceUnavailable
 from .coalesce import RequestCoalescer
 from .http import AsyncHTTPServer, HTTPError, Request, Response
@@ -50,7 +50,7 @@ __all__ = [
     "Response",
     "RequestCoalescer",
     "WorkerBridge",
-    "solve_cell",
+    "solve_cells",
     "SpectralService",
     "ServiceThread",
     "run_service",

@@ -1,13 +1,14 @@
 """Worker bridge: cold cells onto a bounded pool via the plan/execute engine.
 
-A cold request becomes one ``solve_cell`` task: re-plan the single
-(matrix, format) cell against the store (another replica may have committed
-it meanwhile — then nothing executes) and run :func:`execute_plan` with the
-store attached, so the record and the per-matrix reference commit through
-the same atomic path as a batch run.  With the default ``"process"`` pool
-the task runs in a forked worker that reopens the store by its directory;
-with a ``"thread"`` pool (unit tests) it shares the service's store
-object.  Both commit through the same atomic write-rename, so they are
+Every cold submission — one format from ``/v1/cell`` or several from
+``/v1/cells`` — becomes one ``solve_cells`` task: re-plan the matrix's
+cold formats against the store (another replica may have committed some
+meanwhile — those drop out) and run :func:`execute_plan` with the store
+attached, so the records and the per-matrix reference commit through the
+same atomic path as a batch run.  With the default ``"process"`` pool the
+task runs in a forked worker that reopens the store by its directory; with
+a ``"thread"`` pool (unit tests) it shares the service's store object.
+Both commit through the same atomic write-rename, so they are
 interchangeable over one store directory.
 
 Admission control is the whole point of the bridge: the underlying
@@ -34,27 +35,7 @@ from ..telemetry import core as _telemetry
 from ..telemetry.metrics import metrics as _metrics
 from ..utils.parallel import BoundedPool, PoolSaturatedError
 
-__all__ = ["solve_cell", "solve_cells", "WorkerBridge"]
-
-
-def solve_cell(
-    store: ResultStore,
-    test_matrix: TestMatrix,
-    format_name: str,
-    config: ExperimentConfig,
-) -> ExecutionReport:
-    """Solve one (matrix, format) cell through the plan/execute engine.
-
-    Planning subtracts anything the store already holds (a racing replica
-    may have won), execution commits the record and the per-matrix reference
-    atomically as they land.  Returns the execution report; the caller reads
-    the committed payload back from the store.
-    """
-    from ..experiments.store import execute_plan, plan_experiment
-
-    plan = plan_experiment([test_matrix], [format_name], config, store=store, use_cache=True)
-    result = execute_plan(plan, workers=1)
-    return result.report
+__all__ = ["solve_cells", "WorkerBridge"]
 
 
 def solve_cells(
@@ -63,13 +44,15 @@ def solve_cells(
     format_names: list[str],
     config: ExperimentConfig,
 ) -> ExecutionReport:
-    """Solve several formats of one matrix as a single lockstep batch.
+    """Solve the cold formats of one matrix through the plan/execute engine.
 
-    Planning still subtracts store hits, so cells a racing replica committed
-    meanwhile drop out of the batch before it runs; whatever remains becomes
-    one shard solved by the batched engine (``batch_formats=True``).  Cache
-    keys and payloads are identical to the per-cell path — the batched
-    trajectories are bit-for-bit those of the sequential engine.
+    Planning subtracts store hits, so cells a racing replica committed
+    meanwhile drop out before anything runs; execution commits each record
+    and the per-matrix reference atomically as they land.  Several formats
+    run as one lockstep sweep (``batch_formats=True``), a single format as
+    one sequential solve — the faster engine for each; cache keys and
+    payloads are the same either way.  Returns the execution report; the
+    caller reads the committed payloads back from the store.
     """
     from ..experiments.store import execute_plan, plan_experiment
 
@@ -79,47 +62,25 @@ def solve_cells(
         config,
         store=store,
         use_cache=True,
-        batch_formats=True,
+        batch_formats=len(format_names) > 1,
     )
     result = execute_plan(plan, workers=1)
     return result.report
 
 
-def _solve_cell_local(
-    root: str, test_matrix: TestMatrix, format_name: str, config: ExperimentConfig
-) -> ExecutionReport:
-    """Process-pool entry point: open the store by path in the worker."""
-    return solve_cell(ResultStore(root), test_matrix, format_name, config)
-
-
 def _solve_cells_local(
     root: str, test_matrix: TestMatrix, format_names: list[str], config: ExperimentConfig
 ) -> ExecutionReport:
-    """Process-pool entry point for a format batch."""
+    """Process-pool entry point: open the store by path in the worker."""
     return solve_cells(ResultStore(root), test_matrix, format_names, config)
-
-
-def _solve_cells_via(
-    solve_fn: Callable,
-    store: ResultStore,
-    test_matrix: TestMatrix,
-    format_names: list[str],
-    config: ExperimentConfig,
-):
-    """Drive an injected per-cell ``solve_fn`` over a format batch.
-
-    Test doubles provide the single-cell signature; inside the one pool slot
-    the batch occupies we just iterate them, preserving whatever gating or
-    counting the double implements.  Returns the last report.
-    """
-    report = None
-    for format_name in format_names:
-        report = solve_fn(store, test_matrix, format_name, config)
-    return report
 
 
 class WorkerBridge:
     """Submits cold-cell solves onto a bounded worker pool.
+
+    One :meth:`submit` carries the cold formats of one matrix — one from
+    ``/v1/cell``, any number from ``/v1/cells`` — and occupies one pool
+    slot, so it is admitted or rejected as a unit.
 
     Parameters
     ----------
@@ -136,8 +97,8 @@ class WorkerBridge:
         ``"process"`` (default) or ``"thread"`` — see
         :class:`~repro.utils.parallel.BoundedPool`.
     solve_fn:
-        Override of :func:`solve_cell` with the same
-        ``(store, matrix, format, config)`` signature.  Tests inject gated
+        Override of :func:`solve_cells` with the same
+        ``(store, matrix, formats, config)`` signature.  Tests inject gated
         or counting solvers here; ``None`` uses the real engine.
     """
 
@@ -172,53 +133,20 @@ class WorkerBridge:
         return self.pool.capacity
 
     def submit(
-        self, test_matrix: TestMatrix, format_name: str, config: ExperimentConfig
+        self, test_matrix: TestMatrix, format_names: list[str], config: ExperimentConfig
     ) -> asyncio.Future:
-        """Submit one cold cell; returns an awaitable for its report.
+        """Submit the cold formats of one matrix; returns an awaitable for
+        its report.
 
         Raises :class:`~repro.utils.parallel.PoolSaturatedError` when the
         pool is full — the caller turns that into 503 + ``Retry-After``.
         """
-        if self.solve_fn is not None:
-            future = self.pool.submit(self.solve_fn, self.store, test_matrix, format_name, config)
-        elif self.kind == "process":
-            future = self.pool.submit(
-                _solve_cell_local, str(self.store.root), test_matrix, format_name, config
-            )
-        else:
-            future = self.pool.submit(solve_cell, self.store, test_matrix, format_name, config)
-        submitted = time.perf_counter()
-        if _telemetry.ENABLED:
-            _metrics.counter("serve.solves").inc()
-            _metrics.gauge("serve.queue_depth").set(self.depth)
-
-        def _done(completed_future) -> None:
-            self._record_completion(completed_future, submitted)
-
-        future.add_done_callback(_done)
-        return asyncio.wrap_future(future)
-
-    def submit_batch(
-        self, test_matrix: TestMatrix, format_names: list[str], config: ExperimentConfig
-    ) -> asyncio.Future:
-        """Submit several formats of one matrix as one batched solve.
-
-        The whole batch occupies a single pool slot (it is one lockstep
-        sweep, not N independent solves), so a format batch is admitted or
-        rejected as a unit; saturation raises
-        :class:`~repro.utils.parallel.PoolSaturatedError` like :meth:`submit`.
-        """
         formats = list(format_names)
-        if self.solve_fn is not None:
-            future = self.pool.submit(
-                _solve_cells_via, self.solve_fn, self.store, test_matrix, formats, config
-            )
-        elif self.kind == "process":
-            future = self.pool.submit(
-                _solve_cells_local, str(self.store.root), test_matrix, formats, config
-            )
+        if self.solve_fn is None and self.kind == "process":
+            fn, store = _solve_cells_local, str(self.store.root)
         else:
-            future = self.pool.submit(solve_cells, self.store, test_matrix, formats, config)
+            fn, store = self.solve_fn or solve_cells, self.store
+        future = self.pool.submit(fn, store, test_matrix, formats, config)
         submitted = time.perf_counter()
         if _telemetry.ENABLED:
             _metrics.counter("serve.solves").inc()

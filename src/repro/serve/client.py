@@ -182,8 +182,8 @@ class ServeClient:
     ) -> dict:
         """Fetch many formats of one matrix in a single batched request.
 
-        Cold cells are solved by the service as one lockstep batch; the
-        response document has a ``cells`` list with one entry per requested
+        The service solves the cold cells as one submission (one lockstep
+        sweep when several are cold); the response document has a ``cells`` list with one entry per requested
         format carrying its own ``status``/``source`` and, on 200, the
         stored ``record``.  Saturation (``503``) is retried like
         :meth:`cell`; any other non-200 raises :class:`ServeError`.

@@ -52,33 +52,20 @@ class RequestCoalescer:
         self._inflight[key] = future
         return future
 
-    async def join(self, key: str):
-        """Await the in-flight result under ``key`` (joiner path)."""
-        return await self.join_future(self._inflight[key])
-
     async def join_future(self, future: asyncio.Future):
-        """Await a future captured earlier via :meth:`peek`.
+        """Await a future captured earlier via :meth:`peek` (joiner path).
 
-        The batch route partitions its cells synchronously and may only get
-        around to awaiting a joined cell after its leader finished — at which
-        point the key is already released, so a key lookup would fail.  The
-        future itself stays valid.
+        The service partitions a request's cells synchronously and may only
+        get around to awaiting a joined cell after its leader finished — at
+        which point the key is already released, so a key lookup would
+        fail.  The future itself stays valid.
         """
         self.coalesced_total += 1
         # shield: one joiner's disconnect must not cancel the shared future
         return await asyncio.shield(future)
 
-    def finish(self, key: str, result=None, error: Optional[BaseException] = None) -> None:
+    def finish(self, key: str, result=None) -> None:
         """Resolve and release ``key`` (leader path; exactly once per begin)."""
         future = self._inflight.pop(key, None)
-        if future is None or future.done():
-            return
-        if error is not None:
-            future.set_exception(error)
-        else:
+        if future is not None and not future.done():
             future.set_result(result)
-
-    def abort_all(self, error: BaseException) -> None:
-        """Fail every in-flight future (service shutdown)."""
-        for key in list(self._inflight):
-            self.finish(key, error=error)

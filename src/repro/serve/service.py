@@ -10,25 +10,26 @@ overrides; the response is the stored
 :class:`~repro.experiments.runner.RunRecord` payload — byte-identical to the
 store entry on the warm path.
 
-Request flow for ``/v1/cell`` (the order matters — see
+Request flow, the same for ``GET/POST /v1/cell`` (one format) and
+``POST /v1/cells`` (one matrix, many formats) — the order matters, see
 :mod:`repro.serve.coalesce` for why the first three steps must not be
-separated by an ``await``):
+separated by an ``await``:
 
-1. resolve matrix/format/config, derive the cell's ``task_key``;
-2. if that key is already in flight, **join** it (no store access at all);
-3. otherwise probe the store — a hit is served straight from the payload
-   bytes;
-4. otherwise **lead**: register the in-flight future, submit the solve to
-   the bridge (full pool ⇒ ``503`` + ``Retry-After``), read the committed
-   payload back, and resolve the future for every joiner.
+1. resolve matrix/formats/config, derive each cell's ``task_key``;
+2. a key already in flight is **joined** (no store access at all);
+3. otherwise the store is probed — a hit is served straight from the
+   payload bytes;
+4. the cold remainder is **led**: each of its keys registers an in-flight
+   future, and the cells go to the bridge as **one** submission (full pool
+   ⇒ ``503`` + ``Retry-After``) — one sequential solve for a single format,
+   one lockstep sweep (the format axis of
+   :func:`repro.core.lockstep.batched_partialschur`) for several.  The
+   committed payloads are read back and resolve every joiner's future.
 
-``POST /v1/cells`` is the batched variant — one matrix, many formats.  Warm
-cells come straight from the store, in-flight cells are joined, and the cold
-remainder is submitted to the bridge as **one** lockstep batched solve (the
-format axis of :func:`repro.core.lockstep.batched_partialschur`), each cold
-cell registered with the coalescer so concurrent single-cell requests join
-the batch.  The response carries per-cell statuses; records are bit-identical
-to the sequential per-cell path, so both routes share one store.
+``/v1/cell`` is a batch of one: it answers with its cell's payload bytes and
+``X-Repro-Source``/``X-Repro-Key`` headers, while ``/v1/cells`` answers a
+document of per-cell statuses.  Records are bit-identical between the two
+engines, so both routes share one store and join each other's solves.
 
 Lifecycle helpers: :class:`ServiceThread` runs a service on a dedicated
 event-loop thread (tests, benchmarks, smoke scripts) and
@@ -334,212 +335,71 @@ class SpectralService:
                 self.preloaded_formats.append(name)
         return Response.json_document({"preloaded": loaded})
 
-    # -- the cell route ----------------------------------------------------
+    # -- the cell routes --------------------------------------------------
 
-    def _parse_cell_request(
-        self, request: Request
-    ) -> tuple[TestMatrix, str, ExperimentConfig, str]:
-        """Resolve (matrix, format, config) and derive the cell's task key."""
+    def _parse_cells_request(
+        self, request: Request, single: bool
+    ) -> tuple[TestMatrix, list[str], ExperimentConfig, list[str]]:
+        """Resolve (matrix, formats, config) and derive one key per cell.
+
+        ``/v1/cell`` (``single``) names one ``format`` in a POST body or the
+        query string, where every other query key is a config override;
+        ``/v1/cells`` POSTs a list of ``formats``.
+        """
         if request.method == "POST":
             body = request.json()
             matrix_ref = body.get("matrix")
-            format_name = body.get("format")
+            formats = [body.get("format")] if single else body.get("formats")
             overrides = body.get("config", {})
             if overrides and not isinstance(overrides, dict):
                 raise HTTPError(400, "'config' must be a JSON object of overrides")
         else:
-            query = dict(request.query)
-            matrix_ref = query.pop("matrix", None)
-            format_name = query.pop("format", None)
-            overrides = query  # any remaining query key is a config override
+            overrides = dict(request.query)
+            matrix_ref = overrides.pop("matrix", None)
+            formats = [overrides.pop("format", None)]
         if not matrix_ref or not isinstance(matrix_ref, str):
             raise HTTPError(400, "missing 'matrix' (suite name or content fingerprint)")
-        if not format_name or not isinstance(format_name, str):
-            raise HTTPError(400, "missing 'format'")
-        tm = self._by_name.get(matrix_ref) or self._by_fingerprint.get(matrix_ref)
-        if tm is None:
-            raise HTTPError(404, f"matrix {matrix_ref!r} is not in this service's suite")
-        if format_name not in self.formats:
-            raise HTTPError(404, f"format {format_name!r} is not served here; see /v1/formats")
-        config = apply_config_overrides(self.config, overrides)
-        key = task_key(config, format_name, self._fingerprints[tm.name])
-        return tm, format_name, config, key
-
-    async def _handle_cell(self, request: Request) -> Response:
-        tm, format_name, config, key = self._parse_cell_request(request)
-
-        # Joiner path first: while a leader is solving this exact cell the
-        # store has no entry yet, so probing it would just count a redundant
-        # miss.  NOTE: no await between peek/begin and the bridge submit —
-        # the check-then-register must be atomic on the event loop.
-        if self.coalescer.peek(key) is not None:
-            if _telemetry.ENABLED:
-                _metrics.counter("serve.coalesced").inc()
-            status, body = await self.coalescer.join(key)
-            return Response.raw_json(
-                body, status=status, headers={"X-Repro-Source": "coalesced", "X-Repro-Key": key}
-            )
-
-        payload = self.store.get(key)
-        if payload is not None:
-            # Warm path: the store wrote this payload with json.dump default
-            # settings and preserved key order, so re-serialising reproduces
-            # the stored bytes exactly (the byte-identity contract).
-            return Response.raw_json(
-                _payload_bytes(payload),
-                headers={"X-Repro-Source": "store", "X-Repro-Key": key},
-            )
-
-        # Leader path: register the in-flight future, then submit.
-        future = self.coalescer.begin(key)
-        try:
-            solve = self.bridge.submit(tm, format_name, config)
-        except PoolSaturatedError as exc:
-            self.coalescer.finish(key, result=None)  # no joiner can exist yet
-            retry_after = self.bridge.retry_after()
-            if _telemetry.ENABLED:
-                _metrics.counter("serve.rejected", reason="saturated").inc()
-            raise HTTPError(
-                503,
-                f"solver pool saturated ({exc.depth}/{exc.capacity} in flight); retry later",
-                headers={"Retry-After": str(retry_after)},
-            ) from None
-
-        status, body = await self._lead_solve(key, solve, future)
-        return Response.raw_json(
-            body, status=status, headers={"X-Repro-Source": "computed", "X-Repro-Key": key}
-        )
-
-    async def _lead_solve(self, key: str, solve: asyncio.Future, future) -> tuple[int, bytes]:
-        """Await the bridge solve and resolve every joiner with the outcome.
-
-        The shared future always resolves to a ``(status, body)`` pair —
-        never an exception — so a failed solve is reported identically to
-        leader and joiners and no joiner is left with an unretrieved error.
-        """
-        try:
-            report = await solve
-        except asyncio.CancelledError:
-            outcome = (
-                503,
-                _error_body("service shutting down before the solve started"),
-            )
-            self.coalescer.finish(key, result=outcome)
-            return outcome
-        except Exception as exc:  # worker crash / pickling failure
-            outcome = (500, _error_body(f"solve crashed: {type(exc).__name__}: {exc}"))
-            self.coalescer.finish(key, result=outcome)
-            return outcome
-
-        payload = self.store.get(key)
-        if payload is None:
-            # the engine records solver failures in the store, so a missing
-            # payload after a "successful" execution means the shard crashed
-            outcome = (
-                500,
-                _error_body("solve did not commit a record", report=report.to_dict()),
-            )
-        else:
-            outcome = (200, _payload_bytes(payload))
-        self.coalescer.finish(key, result=outcome)
-        return outcome
-
-    # -- the batch route ---------------------------------------------------
-
-    def _parse_cells_request(
-        self, request: Request
-    ) -> tuple[TestMatrix, list[str], ExperimentConfig, list[str]]:
-        """Resolve (matrix, formats, config) and derive one key per cell."""
-        body = request.json()
-        matrix_ref = body.get("matrix")
-        format_names = body.get("formats")
-        overrides = body.get("config", {})
-        if overrides and not isinstance(overrides, dict):
-            raise HTTPError(400, "'config' must be a JSON object of overrides")
-        if not matrix_ref or not isinstance(matrix_ref, str):
-            raise HTTPError(400, "missing 'matrix' (suite name or content fingerprint)")
-        if (
-            not isinstance(format_names, list)
-            or not format_names
-            or not all(isinstance(f, str) for f in format_names)
+        if single:
+            if not formats[0] or not isinstance(formats[0], str):
+                raise HTTPError(400, "missing 'format'")
+        elif (
+            not isinstance(formats, list)
+            or not formats
+            or not all(isinstance(f, str) for f in formats)
         ):
             raise HTTPError(400, "'formats' must be a non-empty list of format names")
-        if len(set(format_names)) != len(format_names):
+        elif len(set(formats)) != len(formats):
             raise HTTPError(400, "'formats' contains duplicates")
         tm = self._by_name.get(matrix_ref) or self._by_fingerprint.get(matrix_ref)
         if tm is None:
             raise HTTPError(404, f"matrix {matrix_ref!r} is not in this service's suite")
-        unknown = [f for f in format_names if f not in self.formats]
+        unknown = [f for f in formats if f not in self.formats]
         if unknown:
             raise HTTPError(404, f"formats not served here: {unknown}; see /v1/formats")
         config = apply_config_overrides(self.config, overrides)
         fingerprint = self._fingerprints[tm.name]
-        keys = [task_key(config, f, fingerprint) for f in format_names]
-        return tm, format_names, config, keys
+        keys = [task_key(config, f, fingerprint) for f in formats]
+        return tm, formats, config, keys
+
+    async def _handle_cell(self, request: Request) -> Response:
+        """``/v1/cell``: one cell, answered with its payload bytes."""
+        tm, formats, config, keys = self._parse_cells_request(request, single=True)
+        [(source, status, body)] = await self._serve_cells(tm, formats, config, keys)
+        return Response.raw_json(
+            body, status=status, headers={"X-Repro-Source": source, "X-Repro-Key": keys[0]}
+        )
 
     async def _handle_cells(self, request: Request) -> Response:
         """``POST /v1/cells``: many formats of one matrix, per-cell statuses.
 
-        Warm cells are answered from the store, cells another request is
-        already solving are joined, and the remaining cold cells go to the
-        bridge as **one** lockstep batched solve (one pool slot).  Each cold
-        cell is registered with the coalescer, so a concurrent ``/v1/cell``
-        for the same key joins the batch instead of re-solving.  The response
-        is 200 whenever the batch was admitted; each cell carries its own
-        ``status``/``source`` (its record on 200, an ``error`` otherwise).
+        The response is 200 whenever the cold cells were admitted; each
+        cell carries its own ``status``/``source`` (its record on 200, an
+        ``error`` otherwise).
         """
-        tm, formats, config, keys = self._parse_cells_request(request)
-
-        # Partition synchronously — no await between peek/begin and the
-        # bridge submit, same atomicity contract as the single-cell route.
-        outcomes: dict[str, tuple[str, int, bytes]] = {}
-        joined: list[tuple[str, asyncio.Future]] = []
-        cold: list[tuple[str, str]] = []
-        for fmt, key in zip(formats, keys):
-            inflight = self.coalescer.peek(key)
-            if inflight is not None:
-                joined.append((fmt, inflight))
-                continue
-            payload = self.store.get(key)
-            if payload is not None:
-                outcomes[fmt] = ("store", 200, _payload_bytes(payload))
-            else:
-                cold.append((fmt, key))
-
-        if joined and _telemetry.ENABLED:
-            _metrics.counter("serve.coalesced").inc(len(joined))
-
-        if cold:
-            for _, key in cold:
-                self.coalescer.begin(key)
-            try:
-                solve = self.bridge.submit_batch(tm, [f for f, _ in cold], config)
-            except PoolSaturatedError as exc:
-                for _, key in cold:
-                    self.coalescer.finish(key, result=None)  # no joiner yet
-                retry_after = self.bridge.retry_after()
-                if _telemetry.ENABLED:
-                    _metrics.counter("serve.rejected", reason="saturated").inc()
-                raise HTTPError(
-                    503,
-                    f"solver pool saturated ({exc.depth}/{exc.capacity} in flight); "
-                    "retry later",
-                    headers={"Retry-After": str(retry_after)},
-                ) from None
-            outcomes.update(await self._lead_batch(cold, solve))
-
-        if joined:
-            # join concurrently: every pending join registers with the
-            # coalescer immediately instead of one per resolved future
-            shared = await asyncio.gather(
-                *(self.coalescer.join_future(future) for _, future in joined)
-            )
-            for (fmt, _), (status, body) in zip(joined, shared):
-                outcomes[fmt] = ("coalesced", status, body)
-
+        tm, formats, config, keys = self._parse_cells_request(request, single=False)
+        outcomes = await self._serve_cells(tm, formats, config, keys)
         cells = []
-        for fmt, key in zip(formats, keys):
-            source, status, body = outcomes[fmt]
+        for fmt, key, (source, status, body) in zip(formats, keys, outcomes):
             entry = {"format": fmt, "key": key, "status": status, "source": source}
             document = json.loads(body)
             if status == 200:
@@ -552,15 +412,80 @@ class SpectralService:
             headers={"X-Repro-Source": "batched"},
         )
 
-    async def _lead_batch(
-        self, cold: list[tuple[str, str]], solve: asyncio.Future
-    ) -> dict[str, tuple[str, int, bytes]]:
-        """Await the batched solve; resolve every cold cell's future.
+    async def _serve_cells(
+        self, tm: TestMatrix, formats: list[str], config: ExperimentConfig, keys: list[str]
+    ) -> list[tuple[str, int, bytes]]:
+        """``(source, status, body)`` of each requested cell, in request order.
 
-        Mirrors :meth:`_lead_solve` per cell: the shared futures always
-        resolve to ``(status, body)`` pairs, and each cell's payload is read
-        back from the store individually, so a partially failed batch still
-        reports every cell honestly.
+        Joins the cells in flight, reads the warm ones from the store, and
+        leads the cold remainder as one bridge submission; a full pool
+        raises 503 + ``Retry-After``.
+        """
+        # Partition synchronously: no await between peek/begin and the
+        # bridge submit, so the check-then-register is atomic on the event
+        # loop.  A key in flight is joined before the store is probed —
+        # its leader has not committed yet, so the probe would only count
+        # a redundant miss.
+        outcomes: dict[str, tuple[str, int, bytes]] = {}
+        joined: list[tuple[str, asyncio.Future]] = []
+        cold: list[tuple[str, str]] = []
+        for fmt, key in zip(formats, keys):
+            inflight = self.coalescer.peek(key)
+            if inflight is not None:
+                joined.append((key, inflight))
+                continue
+            payload = self.store.get(key)
+            if payload is not None:
+                # the store wrote this payload with json.dump defaults and
+                # preserved key order, so re-serialising reproduces the
+                # stored bytes exactly (the byte-identity contract)
+                outcomes[key] = ("store", 200, _payload_bytes(payload))
+            else:
+                cold.append((fmt, key))
+
+        if joined and _telemetry.ENABLED:
+            _metrics.counter("serve.coalesced").inc(len(joined))
+
+        if cold:
+            for _, key in cold:
+                self.coalescer.begin(key)
+            try:
+                solve = self.bridge.submit(tm, [f for f, _ in cold], config)
+            except PoolSaturatedError as exc:
+                for _, key in cold:
+                    self.coalescer.finish(key, result=None)  # no joiner yet
+                retry_after = self.bridge.retry_after()
+                if _telemetry.ENABLED:
+                    _metrics.counter("serve.rejected", reason="saturated").inc()
+                raise HTTPError(
+                    503,
+                    f"solver pool saturated ({exc.depth}/{exc.capacity} in flight); "
+                    "retry later",
+                    headers={"Retry-After": str(retry_after)},
+                ) from None
+            outcomes.update(await self._lead([key for _, key in cold], solve))
+
+        if joined:
+            # join concurrently: every pending join registers with the
+            # coalescer immediately instead of one per resolved future
+            shared = await asyncio.gather(
+                *(self.coalescer.join_future(future) for _, future in joined)
+            )
+            for (key, _), (status, body) in zip(joined, shared):
+                outcomes[key] = ("coalesced", status, body)
+
+        return [outcomes[key] for key in keys]
+
+    async def _lead(
+        self, keys: list[str], solve: asyncio.Future
+    ) -> dict[str, tuple[str, int, bytes]]:
+        """Await the bridge solve and resolve every cold cell's future.
+
+        The shared futures always resolve to ``(status, body)`` pairs —
+        never an exception — so a failed solve is reported identically to
+        leader and joiners, and no joiner is left with an unretrieved
+        error.  Each cell's payload is read back from the store on its own,
+        so a partly failed submission still reports every cell honestly.
         """
         try:
             report = await solve
@@ -569,22 +494,24 @@ class SpectralService:
         except Exception as exc:  # worker crash / pickling failure
             failure = (500, _error_body(f"solve crashed: {type(exc).__name__}: {exc}"))
         else:
-            outcomes = {}
-            for fmt, key in cold:
-                payload = self.store.get(key)
-                if payload is None:
-                    outcome = (
-                        500,
-                        _error_body("solve did not commit a record", report=report.to_dict()),
-                    )
-                else:
-                    outcome = (200, _payload_bytes(payload))
-                self.coalescer.finish(key, result=outcome)
-                outcomes[fmt] = ("computed",) + outcome
-            return outcomes
-        for _, key in cold:
-            self.coalescer.finish(key, result=failure)
-        return {fmt: ("computed",) + failure for fmt, _ in cold}
+            failure = None
+        outcomes = {}
+        for key in keys:
+            if failure is not None:
+                outcome = failure
+            elif (payload := self.store.get(key)) is not None:
+                outcome = (200, _payload_bytes(payload))
+            else:
+                # the engine records solver failures in the store, so a
+                # missing payload after a "successful" execution means the
+                # shard crashed
+                outcome = (
+                    500,
+                    _error_body("solve did not commit a record", report=report.to_dict()),
+                )
+            self.coalescer.finish(key, result=outcome)
+            outcomes[key] = ("computed",) + outcome
+        return outcomes
 
 
 def _payload_bytes(payload: dict) -> bytes:

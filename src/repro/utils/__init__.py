@@ -1,13 +1,12 @@
 """Small shared utilities: parallel execution and text rendering."""
 
-from .parallel import ParallelTaskError, TaskOutcome, default_workers, parallel_map
+from .parallel import TaskOutcome, default_workers, parallel_map
 from .textplot import ascii_plot, format_table
 
 __all__ = [
     "default_workers",
     "parallel_map",
     "TaskOutcome",
-    "ParallelTaskError",
     "ascii_plot",
     "format_table",
 ]

@@ -12,9 +12,7 @@ Two properties matter for the resumable experiment store built on top:
   store before the next arrives);
 * **per-task exception capture** — a crashing task is materialised as a
   :class:`TaskOutcome` carrying the formatted traceback instead of poisoning
-  the whole pool.  Callers either receive the outcomes (``capture=True``) or
-  get the legacy fail-fast behaviour (a :class:`ParallelTaskError` raised
-  after the surviving results streamed out).
+  the whole pool; callers receive every task's outcome.
 
 ``KeyboardInterrupt`` is deliberately *not* captured: Ctrl-C still tears the
 pool down, and whatever the parent committed before the interrupt is exactly
@@ -39,7 +37,6 @@ __all__ = [
     "default_workers",
     "parallel_map",
     "TaskOutcome",
-    "ParallelTaskError",
     "PoolSaturatedError",
     "BoundedPool",
 ]
@@ -94,20 +91,6 @@ class TaskOutcome:
         return self.error is None
 
 
-class ParallelTaskError(RuntimeError):
-    """A task raised inside ``parallel_map`` (fail-fast mode).
-
-    The worker's formatted traceback is embedded in the message — the
-    original exception object may not survive pickling back from the worker
-    process, but its traceback text always does.
-    """
-
-    def __init__(self, index: int, error: str):
-        self.index = index
-        self.error = error
-        super().__init__(f"task {index} raised:\n{error}")
-
-
 class _CaptureCall:
     """Picklable wrapper running one ``(index, item)`` task under capture.
 
@@ -136,10 +119,12 @@ def parallel_map(
     items: Sequence,
     workers: int = 1,
     chunksize: int = 1,
-    capture: bool = False,
     on_result: Optional[Callable[[TaskOutcome], None]] = None,
-) -> list:
+) -> list[TaskOutcome]:
     """Apply ``func`` to every item, optionally across worker processes.
+
+    A raising task does not stop the map: its :class:`TaskOutcome` carries
+    the traceback, and every other task still runs.
 
     Parameters
     ----------
@@ -152,13 +137,6 @@ def parallel_map(
         ``0`` or negative uses all available CPUs.
     chunksize:
         Work chunk size handed to each worker (``imap_unordered`` batches).
-    capture:
-        With ``capture=False`` (default, legacy behaviour) a raising task
-        aborts the map with :class:`ParallelTaskError` — but only after all
-        surviving outcomes were streamed to ``on_result``, so completed work
-        is never silently discarded.  With ``capture=True`` the return value
-        is a list of :class:`TaskOutcome` (input order) and no exception is
-        raised for failing tasks.
     on_result:
         Parent-process callback invoked with each :class:`TaskOutcome` as it
         completes (completion order, not input order).  This is where the
@@ -168,9 +146,7 @@ def parallel_map(
     Returns
     -------
     list
-        ``capture=False``: the results, in the order of ``items``.
-        ``capture=True``: :class:`TaskOutcome` objects, in the order of
-        ``items``.
+        :class:`TaskOutcome` objects, in the order of ``items``.
     """
     items = list(items)
     call = _CaptureCall(func)
@@ -186,11 +162,7 @@ def parallel_map(
             if on_result is not None:
                 on_result(outcome)
             outcomes[index] = outcome
-            if not capture and not outcome.ok:
-                # fail fast like the historical serial loop did — nothing
-                # after the crash has started, so nothing is lost
-                raise ParallelTaskError(index, outcome.error)
-        return _finalise(outcomes, capture)
+        return outcomes
 
     if workers <= 0:
         workers = multiprocessing.cpu_count()
@@ -208,7 +180,7 @@ def parallel_map(
             if on_result is not None:
                 on_result(outcome)
             outcomes[outcome.index] = outcome
-    return _finalise(outcomes, capture)
+    return outcomes
 
 
 def _record_outcome(outcome: TaskOutcome) -> None:
@@ -216,16 +188,6 @@ def _record_outcome(outcome: TaskOutcome) -> None:
     _metrics.counter("parallel.tasks", status="ok" if outcome.ok else "failed").inc()
     _metrics.histogram("parallel.task_seconds").observe(outcome.seconds)
     _metrics.histogram("parallel.queue_seconds").observe(outcome.queue_seconds)
-
-
-def _finalise(outcomes: list, capture: bool) -> list:
-    """Order-restored results; raise the first failure in fail-fast mode."""
-    if capture:
-        return outcomes
-    for outcome in outcomes:
-        if outcome is not None and not outcome.ok:
-            raise ParallelTaskError(outcome.index, outcome.error)
-    return [outcome.value for outcome in outcomes]
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import asyncio
 import http.client
 import json
 import os
+import re
 import socket
 import threading
 
@@ -42,7 +43,7 @@ from repro.serve import (
     SpectralService,
     WorkerBridge,
     apply_config_overrides,
-    solve_cell,
+    solve_cells,
 )
 from repro.serve import client as client_module
 from repro.telemetry import metrics, set_enabled
@@ -96,7 +97,9 @@ def test_coalescer_single_flight():
         future = coalescer.begin("k")
         assert coalescer.peek("k") is future
         assert coalescer.depth == 1
-        joiners = [asyncio.create_task(coalescer.join("k")) for _ in range(4)]
+        joiners = [
+            asyncio.create_task(coalescer.join_future(coalescer.peek("k"))) for _ in range(4)
+        ]
         await asyncio.sleep(0)  # let every joiner attach
         coalescer.finish("k", result=("ok", 1))
         results = await asyncio.gather(*joiners)
@@ -124,22 +127,6 @@ def test_coalescer_finish_is_idempotent():
         coalescer.begin("k")
         coalescer.finish("k", result=1)
         coalescer.finish("k", result=2)  # no-op: key already released
-        assert coalescer.depth == 0
-
-    asyncio.run(scenario())
-
-
-def test_coalescer_abort_all_fails_joiners():
-    async def scenario():
-        coalescer = RequestCoalescer()
-        coalescer.begin("a")
-        coalescer.begin("b")
-        joiner = asyncio.create_task(coalescer.join("a"))
-        await asyncio.sleep(0)
-        coalescer.abort_all(RuntimeError("shutdown"))
-        with pytest.raises(RuntimeError, match="shutdown"):
-            await joiner
-        # un-joined future must not warn at GC: retrieve its exception
         assert coalescer.depth == 0
 
     asyncio.run(scenario())
@@ -186,7 +173,7 @@ def test_warm_cell_round_trips_store_bytes(tmp_path, opened):
     suite = _suite()
     config = _config()
     store = ResultStore(tmp_path / "store")
-    solve_cell(store, suite[0], FMT, config)  # prewarm out-of-band
+    solve_cells(store, suite[0], [FMT], config)  # prewarm out-of-band
     key = task_key(config, FMT, matrix_fingerprint(suite[0]))
     stored_bytes = store.path_for(key).read_bytes()
     if opened == "reopened":
@@ -217,9 +204,9 @@ def test_concurrent_cold_requests_cost_one_solve(tmp_path):
     store = ResultStore(tmp_path / "store")
     gate = threading.Event()
 
-    def gated_solve(store, tm, format_name, config):
+    def gated_solve(store, tm, formats, config):
         assert gate.wait(60), "test gate never released"
-        return solve_cell(store, tm, format_name, config)
+        return solve_cells(store, tm, formats, config)
 
     service = SpectralService(
         store,
@@ -301,7 +288,7 @@ def test_saturated_pool_rejects_with_retry_after(tmp_path):
     store = ResultStore(tmp_path / "store")
     gate = threading.Event()
 
-    def blocked_solve(store, tm, format_name, config):
+    def blocked_solve(store, tm, formats, config):
         assert gate.wait(60), "test gate never released"
         return ExecutionReport(planned=1, executed=1)  # commits nothing
 
@@ -428,7 +415,7 @@ def warm_serve(tmp_path):
     suite = _suite(count=2)
     config = _config()
     store = ResultStore(tmp_path / "store")
-    solve_cell(store, suite[0], FMT, config)
+    solve_cells(store, suite[0], [FMT], config)
     metrics.reset()
     service = SpectralService(
         store, suite, formats=[FMT, FMT2], config=config, pool_kind="thread", preload=False
@@ -615,10 +602,10 @@ def test_cells_coalesces_with_single_cell_requests(tmp_path):
     gate = threading.Event()
     solves: list[str] = []
 
-    def gated_solve(store, tm, format_name, config):
+    def gated_solve(store, tm, formats, config):
         assert gate.wait(60), "test gate never released"
-        solves.append(format_name)
-        return solve_cell(store, tm, format_name, config)
+        solves.extend(formats)
+        return solve_cells(store, tm, formats, config)
 
     service = SpectralService(
         store,
@@ -677,9 +664,9 @@ def test_cells_saturation_returns_503_with_retry_after(tmp_path):
     store = ResultStore(tmp_path / "store")
     gate = threading.Event()
 
-    def blocked_solve(store, tm, format_name, config):
+    def blocked_solve(store, tm, formats, config):
         assert gate.wait(60)
-        return solve_cell(store, tm, format_name, config)
+        return solve_cells(store, tm, formats, config)
 
     service = SpectralService(
         store,
@@ -719,3 +706,87 @@ def test_cells_saturation_returns_503_with_retry_after(tmp_path):
     finally:
         gate.set()
         service.bridge.shutdown()
+
+
+# --------------------------------------------------------------------- #
+# one cold-solve path for both routes
+
+
+@pytest.mark.parametrize("formats, sweeps", [([FMT], 0), ([FMT, FMT2], 1)])
+def test_cold_cells_pick_their_engine_from_the_format_count(
+    tmp_path, monkeypatch, formats, sweeps
+):
+    """One cold format solves sequentially; several solve as one lockstep
+    sweep."""
+    from repro.core import lockstep
+
+    calls = []
+    original = lockstep.batched_partialschur
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lockstep, "batched_partialschur", counting)
+    suite = _suite(seed=13)
+    service = SpectralService(
+        ResultStore(tmp_path / "store"),
+        suite,
+        formats=[FMT, FMT2],
+        config=_config(restarts=2),
+        pool_kind="thread",
+        preload=False,
+    )
+    try:
+        response = asyncio.run(service.handle_request(_cells_request(suite[0].name, formats)))
+    finally:
+        service.bridge.shutdown()
+    cells = json.loads(response.body)["cells"]
+    assert [(c["status"], c["source"]) for c in cells] == [(200, "computed")] * len(formats)
+    assert len(calls) == sweeps
+    assert metrics.value("serve.solves") == 1
+    assert metrics.value("serve.batch_cells") == len(formats)
+
+
+def _without_wall_time(raw: bytes) -> bytes:
+    """A store object's bytes with its measured ``solve_seconds`` zeroed —
+    the one field two solves of the same cell never share."""
+    return re.sub(rb'"solve_seconds": [-+.0-9e]+', b'"solve_seconds": 0', raw)
+
+
+def test_both_routes_commit_the_same_cold_cell(tmp_path):
+    """A cold cell solved via /v1/cell and via /v1/cells commits the same
+    store objects — byte for byte apart from the wall-clock
+    ``solve_seconds`` — at one solve each."""
+    suite = _suite(seed=15)
+    config = _config(restarts=2)
+    objects = {}
+    for route, request in (
+        ("cell", _cell_request(suite[0].name, FMT)),
+        ("cells", _cells_request(suite[0].name, [FMT])),
+    ):
+        metrics.reset()
+        store = ResultStore(tmp_path / route)
+        service = SpectralService(
+            store, suite, formats=[FMT], config=config, pool_kind="thread", preload=False
+        )
+        try:
+            response = asyncio.run(service.handle_request(request))
+        finally:
+            service.bridge.shutdown()
+        assert response.status == 200
+        assert metrics.value("serve.solves") == 1
+        objects[route] = {
+            path.relative_to(store.root): path.read_bytes()
+            for path in sorted((store.root / "objects").glob("*/*.json"))
+        }
+    key = task_key(config, FMT, matrix_fingerprint(suite[0]))
+    record = store.path_for(key).relative_to(store.root)
+    assert len(objects["cell"]) == 2  # the run record and the matrix reference
+    assert objects["cell"].keys() == objects["cells"].keys()
+    for path, raw in objects["cell"].items():
+        if path == record:
+            assert raw.count(b'"solve_seconds": ') == 1
+            assert _without_wall_time(raw) == _without_wall_time(objects["cells"][path])
+        else:
+            assert raw == objects["cells"][path]

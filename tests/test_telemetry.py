@@ -204,7 +204,7 @@ def _span_task(item):
 def test_worker_shards_merge_after_crash(telemetry_on):
     """Spans of parallel workers collate into the main file — crashed
     workers' flushed spans included (the store's crash-capture contract)."""
-    outcomes = parallel_map(_span_task, ["a", "crash", "b"], workers=2, capture=True)
+    outcomes = parallel_map(_span_task, ["a", "crash", "b"], workers=2)
     assert [o.ok for o in outcomes] == [True, False, True]
     assert "worker crash" in outcomes[1].error
     assert all(o.seconds >= 0.0 for o in outcomes)

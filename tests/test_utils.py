@@ -2,13 +2,16 @@
 
 import math
 
-import pytest
-
-from repro.utils import ParallelTaskError, ascii_plot, format_table, parallel_map
+from repro.utils import ascii_plot, format_table, parallel_map
 
 
 def _square(x):
     return x * x
+
+
+def _values(outcomes):
+    assert all(outcome.ok for outcome in outcomes)
+    return [outcome.value for outcome in outcomes]
 
 
 def _square_or_boom(x):
@@ -19,19 +22,20 @@ def _square_or_boom(x):
 
 class TestParallelMap:
     def test_serial(self):
-        assert parallel_map(_square, [1, 2, 3], workers=1) == [1, 4, 9]
+        assert _values(parallel_map(_square, [1, 2, 3], workers=1)) == [1, 4, 9]
 
     def test_parallel_two_workers(self):
-        assert parallel_map(_square, list(range(8)), workers=2) == [x * x for x in range(8)]
+        outcomes = parallel_map(_square, list(range(8)), workers=2)
+        assert _values(outcomes) == [x * x for x in range(8)]
 
     def test_all_cpus(self):
-        assert parallel_map(_square, [3, 4], workers=0) == [9, 16]
+        assert _values(parallel_map(_square, [3, 4], workers=0)) == [9, 16]
 
     def test_empty(self):
         assert parallel_map(_square, [], workers=4) == []
 
     def test_single_item_runs_serially(self):
-        assert parallel_map(_square, [5], workers=8) == [25]
+        assert _values(parallel_map(_square, [5], workers=8)) == [25]
 
 
 class TestParallelMapExceptionCapture:
@@ -39,7 +43,7 @@ class TestParallelMapExceptionCapture:
     every completed result; now it is captured per task."""
 
     def test_pool_crash_does_not_discard_siblings(self):
-        outcomes = parallel_map(_square_or_boom, list(range(8)), workers=2, capture=True)
+        outcomes = parallel_map(_square_or_boom, list(range(8)), workers=2)
         assert [o.index for o in outcomes] == list(range(8))  # input order restored
         failed = [o for o in outcomes if not o.ok]
         assert len(failed) == 1 and failed[0].index == 3
@@ -47,16 +51,8 @@ class TestParallelMapExceptionCapture:
         assert [o.value for o in outcomes if o.ok] == [x * x for x in range(8) if x != 3]
 
     def test_serial_capture(self):
-        outcomes = parallel_map(_square_or_boom, list(range(5)), workers=1, capture=True)
+        outcomes = parallel_map(_square_or_boom, list(range(5)), workers=1)
         assert [o.ok for o in outcomes] == [True, True, True, False, True]
-
-    def test_fail_fast_raises_with_traceback_pool(self):
-        with pytest.raises(ParallelTaskError, match="boom at three"):
-            parallel_map(_square_or_boom, list(range(8)), workers=2)
-
-    def test_fail_fast_raises_with_traceback_serial(self):
-        with pytest.raises(ParallelTaskError, match="boom at three"):
-            parallel_map(_square_or_boom, list(range(8)), workers=1)
 
     def test_on_result_streams_every_outcome(self):
         seen = []
@@ -64,17 +60,9 @@ class TestParallelMapExceptionCapture:
             _square_or_boom,
             list(range(6)),
             workers=2,
-            capture=True,
             on_result=seen.append,
         )
         assert sorted(o.index for o in seen) == list(range(6))
-
-    def test_on_result_sees_completed_work_before_fail_fast_raise(self):
-        seen = []
-        with pytest.raises(ParallelTaskError):
-            parallel_map(_square_or_boom, list(range(8)), workers=2, on_result=seen.append)
-        # every task's outcome streamed out before the error was raised
-        assert sorted(o.index for o in seen) == list(range(8))
 
 
 class TestAsciiPlot:

@@ -29,7 +29,11 @@ the ``handback`` column); report only.  For
 posit64/takum64 it also times the bit kernel's compiled scalar entry
 (``round_one``) against the NumPy-scalar kernel
 (``round_scalar_analytic``), which ``--check`` gates at >= 2x on one
-value.
+value.  The *hand-back* section times rounding of finite values in the
+special binades of a kernel (deep regimes, overflow bands, deep
+subnormals), which the kernel's finite rule rounds in C, per call at the
+workload's sizes: one scalar through the context and arrays of 16, 25 and
+32 elements through ``round_array``; report only.
 
 Run under pytest-benchmark::
 
@@ -40,6 +44,10 @@ machine-readable twin ``micro_rounding.json``)::
 
     PYTHONPATH=src python benchmarks/bench_micro_rounding.py
 
+The hand-back section alone (printed, nothing written)::
+
+    PYTHONPATH=src python benchmarks/bench_micro_rounding.py --handback
+
 CI gate::
 
     PYTHONPATH=src python benchmarks/bench_micro_rounding.py --check
@@ -47,6 +55,7 @@ CI gate::
 
 from __future__ import annotations
 
+import math
 import pathlib
 import time
 
@@ -109,6 +118,11 @@ CONTEXT_OP_FORMATS = ("posit16", "posit32", "posit64", "float16", "E4M3", "float
 REDUCTION_SIZES = (25, 32, 300)
 REDUCTION_FORMATS = ("posit16", "posit64", "E4M3", "float64", "reference")
 REDUCTION_OPS = ("reduce_sum", "dot", "gemv", "gemv_t", "spmv")
+#: hand-back section: the formats whose special binades the solves reach
+#: most, and the sizes of the workload's calls (scalars, 16 elements, the
+#: Krylov dimension and the fig1 matrix order)
+HANDBACK_FORMATS = ("takum8", "posit8", "E4M3", "float16", "posit16", "posit64")
+HANDBACK_SIZES = (1, 16, 25, 32)
 
 
 def workload(n: int = N_VALUES, seed: int = 0) -> np.ndarray:
@@ -490,12 +504,64 @@ def run_reduction_report(record: dict | None = None) -> list[str]:
     return lines
 
 
+def deep_regime(fmt, n: int, seed: int = 0) -> np.ndarray:
+    """``n`` sign-symmetric finite work values in the special binades of
+    ``fmt``'s bit kernel, at most four binades beyond the format's range."""
+    kern = fmt.bitkernel()
+    half = len(kern._special) // 2
+    fields = np.flatnonzero(kern._special[1 : half - 1] == 1) + 1  # not zero, inf or NaN
+    exps = fields - kern.WORD_BIAS
+    low = math.log2(fmt.min_positive) - 4
+    high = math.log2(fmt.max_value) + 4
+    exps = exps[(exps >= low) & (exps <= high)]
+    rng = np.random.default_rng(seed)
+    mags = np.ldexp(rng.uniform(1.0, 2.0, n).astype(fmt.work_dtype), rng.choice(exps, n))
+    return np.where(rng.integers(0, 2, n) == 1, -mags, mags)
+
+
+def run_handback_report(record: dict | None = None) -> list[str]:
+    """Per-call cost of rounding finite values of the special binades at
+    the workload's sizes (report only, not gated): one scalar through
+    ``ctx.round_scalar`` (``n=1``) and arrays of ``n`` elements through
+    ``round_array``.
+
+    When ``record`` is given, the microseconds are stored into it as
+    ``record[format][f"n={n}"]``.
+    """
+    lines = [
+        "Special-binade (hand-back) rounding per call at the workload's sizes "
+        "(microseconds; n=1: ctx.round_scalar, else round_array; report only)",
+        f"{'format':<10s} " + " ".join(f"{f'n={n}':>9s}" for n in HANDBACK_SIZES),
+    ]
+    for fmt_name in HANDBACK_FORMATS:
+        ctx = get_context(fmt_name)
+        fmt = ctx.format
+        if fmt.bitkernel() is None:  # engine disabled, or no x87 layout
+            continue
+        scalars = [v for v in deep_regime(fmt, 64, seed=1)]
+        calls = {1: lambda: [ctx.round_scalar(v) for v in scalars]}
+        for n in HANDBACK_SIZES[1:]:
+            calls[n] = lambda vals=deep_regime(fmt, n, seed=n): fmt.round_array(vals)
+        row = {}
+        with np.errstate(all="ignore"):
+            for n in HANDBACK_SIZES:
+                samples = [_per_call_time(calls[n]) for _ in range(3)]
+                per_call = float(np.median(samples)) / (len(scalars) if n == 1 else 1)
+                row[f"n={n}"] = round(per_call * 1e6, 3)
+        if record is not None:
+            record[fmt_name] = row
+        cells = " ".join(f"{row[f'n={n}']:>9.2f}" for n in HANDBACK_SIZES)
+        lines.append(f"{fmt_name:<10s} {cells}")
+    return lines
+
+
 def run_report(
     record: dict | None = None,
     sizes: dict | None = None,
     scalar_entry: dict | None = None,
     context_ops: dict | None = None,
     reductions: dict | None = None,
+    handbacks: dict | None = None,
 ) -> str:
     values = workload()
     lines = [
@@ -533,6 +599,8 @@ def run_report(
     lines.extend(run_context_op_report(context_ops))
     lines.append("")
     lines.extend(run_reduction_report(reductions))
+    lines.append("")
+    lines.extend(run_handback_report(handbacks))
     return "\n".join(lines) + "\n"
 
 
@@ -591,15 +659,24 @@ def main(argv=None) -> int:
         "misses its 3x target, or the posit64/takum64 compiled scalar entry "
         "misses its 2x target",
     )
+    parser.add_argument(
+        "--handback",
+        action="store_true",
+        help="print only the special-binade (hand-back) section and write nothing",
+    )
     args = parser.parse_args(argv)
     if args.check:
         return run_check()
+    if args.handback:
+        print("\n".join(run_handback_report()))
+        return 0
     record: dict = {}
     sizes: dict = {}
     scalar_entry: dict = {}
     context_ops: dict = {}
     reductions: dict = {}
-    report = run_report(record, sizes, scalar_entry, context_ops, reductions)
+    handbacks: dict = {}
+    report = run_report(record, sizes, scalar_entry, context_ops, reductions, handbacks)
     out_dir = pathlib.Path(__file__).parent / "output"
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "micro_rounding.txt"
@@ -616,6 +693,7 @@ def main(argv=None) -> int:
             "extended_scalar_entry": scalar_entry,
             "context_op_us": context_ops,
             "reduction_us": reductions,
+            "handback_us": handbacks,
         },
     )
     print(report)

@@ -34,9 +34,11 @@ of every size and the contexts' scalars over them; see
 ``docs/architecture.md`` for the dispatch matrix.  The format alone
 decides how a value rounds.  The analytic kernels remain the ground truth
 (``round_array_analytic``, and the pure-Python scalar kernels
-``round_scalar_analytic``) and round what the compiled kernel hands back;
-the bit kernels state each tapered binade rule independently of them
-(``_keep_bits``), so the sweeps compare two derivations.  The one opt-out,
+``round_scalar_analytic``); the compiled kernel rounds every finite value
+itself, restating their rules in C for the binades its integer transform
+does not serve, and hands them only infinities and NaN.  The bit kernels
+state each tapered binade rule independently of them (``_keep_bits``), so
+the sweeps compare two derivations.  The one opt-out,
 ``set_bitkernels_enabled(False)`` / ``REPRO_DISABLE_BITKERNELS=1``, turns
 the compiled kernels off process-wide so every format rounds through its
 analytic kernels.  The compiled library itself is required (it also holds

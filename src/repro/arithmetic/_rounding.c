@@ -23,24 +23,47 @@
  *     six padding bytes are ignored on input and written as zeros.
  *
  * Each layout has one step that loads one value, rounds it, stores it
- * (into the slot it came from, or into another) and returns SERVED, ZERO
- * or HAND_BACK: `step_f64` and `step_x87`; the native dtypes have
+ * (into the slot it came from, or into another) and returns SERVED, ZERO,
+ * RESOLVED or HAND_BACK: `step_f64` and `step_x87`; the native dtypes have
  * `step_none`, which leaves the value as it is, and an emulated format no
  * kernel serves has `step_all`, which hands every value back.  Every entry
- * below rounds through these steps.  Exact zeros in a special binade are rounded
- * here too (`-0.0` becomes `+0.0` for formats with one unsigned zero).
- * Every other value in a special binade (extreme regimes, overflow bands,
- * deep subnormals, infinities, NaN) is handed back: it stays unrounded in
- * its slot, and once a pass over the buffer ends, the values the pass
- * handed back go to one call of the caller's `resolve`, which rounds them
- * with the format's analytic kernel; the kernel stores its results in
- * place (x87 values with their padding zeroed).
+ * below rounds through these steps.  In a special binade the step rounds
+ * exact zeros itself (`-0.0` becomes `+0.0` for formats with one unsigned
+ * zero), and every other finite value (extreme regimes, overflow bands,
+ * deep subnormals) with the kernel's finite rule, the format's own rounding
+ * rule restated here (see `Rule`): RESOLVED.  Only infinities and NaN are
+ * handed back: they stay unrounded in their slot, and once a pass over the
+ * buffer ends, the values the pass handed back go to one call of the
+ * caller's `resolve`, which rounds them with the format's analytic kernel;
+ * the kernel stores its results in place (x87 values with their padding
+ * zeroed).
+ *
+ * The finite rules follow the format definitions (posit-2022, takum,
+ * OFP8, IEEE 754) and the analytic kernels of `repro.arithmetic`
+ * comparison for comparison, in the work type (`double`, or the x87
+ * `long double` with `frexpl`, `ldexpl` and `rintl`), so they round
+ * bit-identically to them:
+ *
+ *   RULE_TABLE    the nearest entry of a sorted magnitude table
+ *                 (`bisect_left`, then the nearer neighbour, ties to the
+ *                 even code); magnitudes above `hi` round to `maxpos`, a
+ *                 zero result becomes `minpos`, and the sign is copied
+ *                 back (the tapered formats of at most 16 bits, E4M3);
+ *   RULE_QUANTUM  the magnitude, clamped to `maxpos`, rounded to the
+ *                 quantum of its binade (`qexps`, indexed by its `frexp`
+ *                 exponent), or to the nearest entry of the `lo`/`hi`
+ *                 extreme tables beyond the bounds, then clamped to
+ *                 `[minpos, maxpos]` (the wider tapered formats);
+ *   RULE_IEEE     the quantum `2^(max(exp, emin) - mbits)`, overflow past
+ *                 `maxpos` to the signed infinity, the sign of zero kept
+ *                 (float16, bfloat16, E5M2).
  *
  * Entries:
- *   Kernel.round_one(value)      one float64 / longdouble scalar -> the
- *                                rounded NumPy scalar, or None when the
- *                                value is handed back (or is not a float
- *                                of the work layout);
+ *   Kernel.round_one(value)      one float64 / longdouble scalar (or 0-d
+ *                                array of the work type) -> the rounded
+ *                                NumPy scalar, or None when the value is
+ *                                handed back (an infinity or NaN, or not a
+ *                                float of the work layout);
  *   Kernel.round_into(src, dst, resolve)
  *                                rounds the C-contiguous buffer `src` into
  *                                `dst` (same length; may be `src` itself)
@@ -52,7 +75,9 @@
  *                                `resolve` propagates as it is;
  *   Kernel.take_counts()         (calls, elements, handed_back, zeros) of
  *                                the passes since the last call, counted
- *                                while the telemetry flag byte is set;
+ *                                while the telemetry flag byte is set (the
+ *                                values a finite rule rounded count as
+ *                                handed back);
  *   reduce(values, indptr, sequential, kernel, resolve_scalar, resolve_array)
  *                                the rounded sum of each segment of
  *                                `values` (see below) as a fresh 1-D
@@ -133,6 +158,7 @@
 #define SERVED 0
 #define ZERO 1
 #define HAND_BACK 2
+#define RESOLVED 3
 
 /* bytes of one x87 extended value in memory */
 #define X87_SLOT 16
@@ -146,6 +172,24 @@ static PyTypeObject KernelType;
 
 enum { SHIFT, BIAS, SPECIAL, N_LUTS };
 enum { CALLS, ELEMENTS, HANDED_BACK, ZEROS, N_COUNTS };
+enum { RULE_TABLE, RULE_QUANTUM, RULE_IEEE };
+/* the buffers of a rule: the magnitudes and codes of the table (RULE_TABLE)
+ * or of the `lo` and `hi` extreme tables (RULE_QUANTUM), and the quantum
+ * exponents */
+enum { LO_MAGS, LO_CODES, HI_MAGS, HI_CODES, QEXPS, N_RULE_BUFS };
+
+/* How a kernel rounds the finite non-zero values of its special binades
+ * (see the header); the bounds are work values, exact in `long double`. */
+typedef struct {
+    int kind;
+    Py_buffer bufs[N_RULE_BUFS]; /* read in place; QEXPS: RULE_QUANTUM only */
+    npy_intp n_lo, n_hi;          /* entries of the two tables */
+    long qbase;                   /* the `frexp` exponent of qexps[0] */
+    int emin, mbits;              /* RULE_IEEE */
+    /* RULE_TABLE: `hi` the overflow bound, `maxpos` its result, `minpos`
+     * the floor; RULE_QUANTUM: the bounds; RULE_IEEE: `maxpos` */
+    npy_longdouble minpos, maxpos, lo, hi;
+} Rule;
 
 typedef struct {
     PyObject_HEAD
@@ -153,6 +197,7 @@ typedef struct {
     Py_buffer counting; /* one byte: count while non-zero */
     int extended;
     int unsigned_zero;
+    Rule rule;
     unsigned long long counts[N_COUNTS];
 } Kernel;
 
@@ -162,6 +207,7 @@ typedef struct {
     const uint64_t *bias;
     const uint8_t *special;
     int unsigned_zero;
+    const Rule *rule;
 } Tables;
 
 /* the NumPy type of the kernel's work values */
@@ -174,8 +220,103 @@ work_type(const Kernel *k)
 static inline Tables
 tables_of(const Kernel *k)
 {
-    Tables t = {k->luts[SHIFT].buf, k->luts[BIAS].buf, k->luts[SPECIAL].buf, k->unsigned_zero};
+    Tables t = {k->luts[SHIFT].buf, k->luts[BIAS].buf, k->luts[SPECIAL].buf, k->unsigned_zero,
+                &k->rule};
     return t;
+}
+
+/* The index of the entry of the `n` ascending values `m` nearest to `a`:
+ * `bisect_left`, capped at the last entry, then the lower neighbour when it
+ * is nearer or, at a tie, has an even code. */
+#define NEAREST(NAME, T, FABS)                                                  \
+    static npy_intp NAME(const T *m, const int64_t *codes, npy_intp n, T a)     \
+    {                                                                           \
+        npy_intp lo = 0, hi = n;                                                \
+        while (lo < hi) {                                                       \
+            const npy_intp mid = (lo + hi) / 2;                                 \
+            if (m[mid] < a) {                                                   \
+                lo = mid + 1;                                                   \
+            }                                                                   \
+            else {                                                              \
+                hi = mid;                                                       \
+            }                                                                   \
+        }                                                                       \
+        const npy_intp up = lo < n - 1 ? lo : n - 1, down = up > 0 ? up - 1 : 0; \
+        const T d_up = FABS(m[up] - a), d_down = FABS(a - m[down]);             \
+        if (d_down < d_up || (d_down == d_up && codes[down] % 2 == 0)) {        \
+            return down;                                                        \
+        }                                                                       \
+        return up;                                                              \
+    }
+
+NEAREST(nearest_f64, double, fabs)
+NEAREST(nearest_x87, npy_longdouble, fabsl)
+
+/* The finite non-zero value `v` of type `T` rounded by the RULE_QUANTUM
+ * rule `r`. */
+#define QUANTUM(NAME, T, NEAREST_FN, FABS, FREXP, LDEXP, RINT)                  \
+    static T NAME(const Rule *r, T v)                                           \
+    {                                                                           \
+        const T minpos = (T)r->minpos, maxpos = (T)r->maxpos;                   \
+        const T a = FABS(v), safe = a < maxpos ? a : maxpos;                    \
+        T mag;                                                                  \
+        if (safe < (T)r->lo) {                                                  \
+            const T *m = r->bufs[LO_MAGS].buf;                                  \
+            mag = m[NEAREST_FN(m, r->bufs[LO_CODES].buf, r->n_lo, safe)];       \
+        }                                                                       \
+        else if (safe >= (T)r->hi) {                                            \
+            const T *m = r->bufs[HI_MAGS].buf;                                  \
+            mag = m[NEAREST_FN(m, r->bufs[HI_CODES].buf, r->n_hi, safe)];       \
+        }                                                                       \
+        else {                                                                  \
+            int e;                                                              \
+            FREXP(safe, &e);                                                    \
+            const int q = (int)((const int64_t *)r->bufs[QEXPS].buf)[e - r->qbase]; \
+            mag = RINT(LDEXP(safe, -q)) * LDEXP((T)1, q);                       \
+        }                                                                       \
+        if (mag < minpos) {                                                     \
+            mag = minpos;                                                       \
+        }                                                                       \
+        else if (mag > maxpos) {                                                \
+            mag = maxpos;                                                       \
+        }                                                                       \
+        return v < 0 ? -mag : mag;                                              \
+    }
+
+QUANTUM(quantum_f64, double, nearest_f64, fabs, frexp, ldexp, rint)
+/* the extended kernels' only rule */
+QUANTUM(finite_x87, npy_longdouble, nearest_x87, fabsl, frexpl, ldexpl, rintl)
+
+/* The finite non-zero float64 value `v` rounded by the rule `r`. */
+static double
+finite_f64(const Rule *r, double v)
+{
+    const double a = fabs(v);
+    double mag;
+    if (r->kind == RULE_TABLE) {
+        if (a > (double)r->hi) {
+            mag = (double)r->maxpos;
+        }
+        else {
+            const double *m = r->bufs[LO_MAGS].buf;
+            mag = m[nearest_f64(m, r->bufs[LO_CODES].buf, r->n_lo, a)];
+            if (mag == 0) {
+                mag = (double)r->minpos;
+            }
+        }
+        return copysign(mag, v);
+    }
+    if (r->kind == RULE_IEEE) {
+        int e;
+        frexp(a, &e);
+        const int q = (e - 1 < r->emin ? r->emin : e - 1) - r->mbits;
+        mag = rint(ldexp(a, -q)) * ldexp(1.0, q);
+        if (mag > (double)r->maxpos) {
+            mag = INFINITY;
+        }
+        return v < 0 ? -mag : mag;
+    }
+    return quantum_f64(r, v);
 }
 
 /* Round the float64 word in `in` into `out` (which may be `in`); a
@@ -193,14 +334,21 @@ step_f64(const Tables *t, const void *in, void *out)
         u = ((u + t->bias[idx] + ((u >> s) & 1)) >> s) << s;
     }
     else if (special != SPECIAL_IDENTITY) {
-        if (u << 1) {
-            outcome = HAND_BACK;
-        }
-        else {
+        if (!(u << 1)) {
             outcome = ZERO;
             if (t->unsigned_zero) {
                 u = 0;
             }
+        }
+        else if ((idx & 0x7FF) == 0x7FF) {
+            outcome = HAND_BACK;
+        }
+        else {
+            double x;
+            memcpy(&x, &u, sizeof x);
+            x = finite_f64(t->rule, x);
+            memcpy(&u, &x, sizeof u);
+            outcome = RESOLVED;
         }
     }
     memcpy(out, &u, sizeof u);
@@ -231,14 +379,22 @@ step_x87(const Tables *t, const void *in, void *out)
         }
     }
     else if (special != SPECIAL_IDENTITY) {
-        if (w[0] || (w[1] & 0x7FFF)) {
-            outcome = HAND_BACK;
-        }
-        else {
+        if (!w[0] && !(w[1] & 0x7FFF)) {
             outcome = ZERO;
             if (t->unsigned_zero) {
                 w[1] = 0;
             }
+        }
+        else if ((w[1] & 0x7FFF) == 0x7FFF) {
+            outcome = HAND_BACK;
+        }
+        else {
+            npy_longdouble x;
+            memcpy(&x, w, X87_SLOT);
+            x = finite_x87(t->rule, x);
+            memcpy(w, &x, X87_SLOT);
+            w[1] &= 0xFFFF;
+            outcome = RESOLVED;
         }
     }
     memcpy(out, w, X87_SLOT);
@@ -261,6 +417,20 @@ step_all(const Tables *Py_UNUSED(t), const void *Py_UNUSED(in), void *Py_UNUSED(
     return HAND_BACK;
 }
 
+/* Whether `value` is a 0-d array of the kernel's work type; its value is
+ * then copied to `x`. */
+static int
+zero_dim_of(const Kernel *k, PyObject *value, void *x)
+{
+    PyArrayObject *a = (PyArrayObject *)value;
+    if (!PyArray_Check(value) || PyArray_NDIM(a) != 0 || PyArray_TYPE(a) != work_type(k) ||
+        !PyArray_ISNOTSWAPPED(a)) {
+        return 0;
+    }
+    memcpy(x, PyArray_DATA(a), (size_t)PyArray_ITEMSIZE(a));
+    return 1;
+}
+
 static PyObject *
 Kernel_round_one(Kernel *k, PyObject *value)
 {
@@ -273,7 +443,7 @@ Kernel_round_one(Kernel *k, PyObject *value)
         else if (PyFloat_Check(value)) {
             x = (npy_longdouble)PyFloat_AS_DOUBLE(value);
         }
-        else {
+        else if (!zero_dim_of(k, value, &x)) {
             Py_RETURN_NONE;
         }
         if (step_x87(&t, &x, &x) == HAND_BACK) {
@@ -285,10 +455,13 @@ Kernel_round_one(Kernel *k, PyObject *value)
         }
         return res;
     }
-    if (!PyFloat_Check(value)) {
+    double x;
+    if (PyFloat_Check(value)) {
+        x = PyFloat_AS_DOUBLE(value);
+    }
+    else if (!zero_dim_of(k, value, &x)) {
         Py_RETURN_NONE;
     }
-    double x = PyFloat_AS_DOUBLE(value);
     if (step_f64(&t, &x, &x) == HAND_BACK) {
         Py_RETURN_NONE;
     }
@@ -299,13 +472,14 @@ Kernel_round_one(Kernel *k, PyObject *value)
     return res;
 }
 
-/* The outcomes of one rounding pass: the zeros it rounded and the positions
- * it handed back (grown on demand). */
+/* The outcomes of one rounding pass: the zeros it rounded, the values its
+ * finite rule rounded and the positions it handed back (grown on demand). */
 typedef struct {
     npy_intp *pos;
     npy_intp count;
     npy_intp capacity;
     unsigned long long zeros;
+    unsigned long long resolved;
 } Pass;
 
 /* Record the outcome of rounding the value at position `i`. */
@@ -314,6 +488,9 @@ note(Pass *pass, int outcome, npy_intp i)
 {
     if (outcome == ZERO) {
         pass->zeros++;
+    }
+    else if (outcome == RESOLVED) {
+        pass->resolved++;
     }
     else if (outcome == HAND_BACK) {
         if (pass->count == pass->capacity) {
@@ -377,20 +554,22 @@ resolve_level(int typenum, char *buf, Pass *pass, PyObject *resolve)
 }
 
 /* Close a pass that rounded `n` values of the `typenum` buffer `buf`: count
- * it into `k` (if any) while the telemetry flag byte is set, resolve its
- * hand-backs, and start afresh. */
+ * it into `k` (if any) while the telemetry flag byte is set, the values its
+ * finite rule rounded as handed back, resolve its hand-backs, and start
+ * afresh. */
 static int
 end_pass(Kernel *k, int typenum, char *buf, npy_intp n, Pass *pass, PyObject *resolve)
 {
     if (k != NULL && *(const char *)k->counting.buf) {
         k->counts[CALLS] += 1;
         k->counts[ELEMENTS] += (unsigned long long)n;
-        k->counts[HANDED_BACK] += (unsigned long long)pass->count;
+        k->counts[HANDED_BACK] += (unsigned long long)pass->count + pass->resolved;
         k->counts[ZEROS] += pass->zeros;
     }
     const int status = pass->count ? resolve_level(typenum, buf, pass, resolve) : 0;
     pass->count = 0;
     pass->zeros = 0;
+    pass->resolved = 0;
     return status;
 }
 
@@ -426,7 +605,7 @@ Kernel_round_into(Kernel *k, PyObject *const *args, Py_ssize_t nargs)
         PyBuffer_Release(&in);
         return NULL;
     }
-    Pass pass = {NULL, 0, 0, 0};
+    Pass pass = {NULL, 0, 0, 0, 0};
     PyObject *res = NULL;
     char *dst = out.buf;
     if (check_buffer(k, &in, "src") < 0 || check_buffer(k, &out, "dst") < 0) {
@@ -1472,7 +1651,7 @@ module_rotate(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nar
         return NULL;
     }
     const Tables t = k != NULL ? tables_of(k) : (Tables){NULL, NULL, NULL, 0};
-    Rot rot = {k, &t, args[5] == Py_None ? NULL : args[5], {NULL, 0, 0, 0}};
+    Rot rot = {k, &t, args[5] == Py_None ? NULL : args[5], {NULL, 0, 0, 0, 0}};
     PyObject *res = NULL;
     char *prods = NULL;
     npy_intp *order = PyMem_Malloc((size_t)(2 * count + 2) * sizeof(npy_intp));
@@ -1538,7 +1717,7 @@ module_tridiagonalize(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssi
     const Tables t = k != NULL ? tables_of(k) : (Tables){NULL, NULL, NULL, 0};
     Tri tri = {
         .q = {.t = &t, .resolve = args[3] == Py_None ? NULL : args[3]},
-        .rot = {k, &t, args[4] == Py_None ? NULL : args[4], {NULL, 0, 0, 0}},
+        .rot = {k, &t, args[4] == Py_None ? NULL : args[4], {NULL, 0, 0, 0, 0}},
         .sequential = sequential,
         .first_nonfinite = -1,
     };
@@ -1604,7 +1783,7 @@ module_reduce(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nar
     const Tables t = k != NULL ? tables_of(k) : (Tables){NULL, NULL, NULL, 0};
     Tri tri = {
         .q = {.t = &t, .resolve = args[4] == Py_None ? NULL : args[4]},
-        .rot = {k, &t, args[5] == Py_None ? NULL : args[5], {NULL, 0, 0, 0}},
+        .rot = {k, &t, args[5] == Py_None ? NULL : args[5], {NULL, 0, 0, 0, 0}},
         .sequential = sequential,
     };
     PyObject *res = NULL;
@@ -1649,19 +1828,126 @@ Kernel_dealloc(Kernel *k)
     for (int i = 0; i < N_LUTS; i++) {
         PyBuffer_Release(&k->luts[i]);
     }
+    for (int i = 0; i < N_RULE_BUFS; i++) {
+        PyBuffer_Release(&k->rule.bufs[i]);
+    }
     PyBuffer_Release(&k->counting);
     Py_TYPE(k)->tp_free((PyObject *)k);
+}
+
+/* Read the 1-D C-contiguous table `obj` of `itemsize`-byte items in place
+ * into `view` (work values of format `fmt`, or int64 codes and exponents
+ * with `fmt` NULL); returns its length, or -1 with ValueError. */
+static npy_intp
+rule_table(PyObject *obj, Py_buffer *view, Py_ssize_t itemsize, const char *fmt)
+{
+    if (PyObject_GetBuffer(obj, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0) {
+        return -1;
+    }
+    const char *got = view->format != NULL ? view->format : "B";
+    if (view->ndim != 1 || view->itemsize != itemsize ||
+        (fmt != NULL ? strcmp(got, fmt) != 0 : strcmp(got, "l") != 0 && strcmp(got, "q") != 0)) {
+        PyErr_Format(PyExc_ValueError, "a rule table must be a 1-D array of %s",
+                     fmt == NULL ? "int64" : fmt);
+        return -1;
+    }
+    return view->len / itemsize;
+}
+
+/* A work value of a rule (a float, or a longdouble scalar exactly). */
+static int
+rule_value(PyObject *obj, npy_longdouble *out)
+{
+    if (PyArray_IsScalar(obj, LongDouble)) {
+        *out = PyArrayScalar_VAL(obj, LongDouble);
+        return 0;
+    }
+    const double x = PyFloat_AsDouble(obj);
+    if (x == -1.0 && PyErr_Occurred()) {
+        return -1;
+    }
+    *out = x;
+    return 0;
+}
+
+/* Parse the rule tuple of `Kernel(...)` into `r`:
+ *   (RULE_TABLE, mags, codes, over, top, floor)
+ *   (RULE_QUANTUM, lo_mags, lo_codes, hi_mags, hi_codes, qexps, qbase, minpos, maxpos, lo, hi)
+ *   (RULE_IEEE, emin, mbits, maxpos)
+ * The tables and the bounds are of the kernel's work type; `qexps` must
+ * cover every `frexp` exponent of a finite work value. */
+static int
+parse_rule(PyObject *spec, int extended, Rule *r)
+{
+    const Py_ssize_t size = PyTuple_Check(spec) ? PyTuple_GET_SIZE(spec) : -1;
+    const long kind = size > 0 ? PyLong_AsLong(PyTuple_GET_ITEM(spec, 0)) : -1;
+    if (kind == -1 && PyErr_Occurred()) {
+        return -1;
+    }
+    static const Py_ssize_t sizes[] = {6, 11, 4};
+    if (kind < RULE_TABLE || kind > RULE_IEEE || size != sizes[kind] ||
+        (extended && kind != RULE_QUANTUM)) {
+        PyErr_SetString(PyExc_ValueError, "rule: not a rule of this kernel's work type");
+        return -1;
+    }
+    r->kind = (int)kind;
+    PyObject *const *item = &PyTuple_GET_ITEM(spec, 1);
+    if (kind == RULE_IEEE) {
+        r->emin = (int)PyLong_AsLong(item[0]);
+        r->mbits = (int)PyLong_AsLong(item[1]);
+        return PyErr_Occurred() || rule_value(item[2], &r->maxpos) < 0 ? -1 : 0;
+    }
+    const Py_ssize_t wsize = extended ? X87_SLOT : 8;
+    const char *wfmt = extended ? "g" : "d";
+    const int tables = kind == RULE_TABLE ? 1 : 2;
+    for (int i = 0; i < tables; i++) {
+        const npy_intp n = rule_table(item[2 * i], &r->bufs[2 * i], wsize, wfmt);
+        if (n < 0 || rule_table(item[2 * i + 1], &r->bufs[2 * i + 1], 8, NULL) != n) {
+            if (!PyErr_Occurred()) {
+                PyErr_SetString(PyExc_ValueError, "rule: magnitudes and codes differ in length");
+            }
+            return -1;
+        }
+        *(i ? &r->n_hi : &r->n_lo) = n;
+    }
+    if (kind == RULE_TABLE) {
+        if (r->n_lo < 1) {
+            PyErr_SetString(PyExc_ValueError, "rule: the magnitude table is empty");
+            return -1;
+        }
+        return rule_value(item[2], &r->hi) < 0 || rule_value(item[3], &r->maxpos) < 0 ||
+                       rule_value(item[4], &r->minpos) < 0
+                   ? -1
+                   : 0;
+    }
+    const npy_intp n = rule_table(item[4], &r->bufs[QEXPS], 8, NULL);
+    r->qbase = PyLong_AsLong(item[5]);
+    if (n < 0 || PyErr_Occurred()) {
+        return -1;
+    }
+    /* the frexp exponents of the smallest subnormal and of the largest value */
+    const long first = extended ? LDBL_MIN_EXP - LDBL_MANT_DIG + 1 : DBL_MIN_EXP - DBL_MANT_DIG + 1;
+    const long last = extended ? LDBL_MAX_EXP : DBL_MAX_EXP;
+    if (r->qbase > first || r->qbase + n - 1 < last) {
+        PyErr_SetString(PyExc_ValueError, "rule: qexps does not cover the work exponents");
+        return -1;
+    }
+    return rule_value(item[6], &r->minpos) < 0 || rule_value(item[7], &r->maxpos) < 0 ||
+                   rule_value(item[8], &r->lo) < 0 || rule_value(item[9], &r->hi) < 0
+               ? -1
+               : 0;
 }
 
 static PyObject *
 Kernel_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"shift",         "bias",     "special", "extended",
-                             "unsigned_zero", "counting", NULL};
-    PyObject *luts[N_LUTS], *counting;
+                             "unsigned_zero", "counting", "rule",    NULL};
+    PyObject *luts[N_LUTS], *counting, *rule;
     int extended, unsigned_zero;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOppO", kwlist, &luts[SHIFT], &luts[BIAS],
-                                     &luts[SPECIAL], &extended, &unsigned_zero, &counting)) {
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOppOO", kwlist, &luts[SHIFT], &luts[BIAS],
+                                     &luts[SPECIAL], &extended, &unsigned_zero, &counting,
+                                     &rule)) {
         return NULL;
     }
     if (extended && sizeof(npy_longdouble) != X87_SLOT) {
@@ -1694,6 +1980,9 @@ Kernel_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         PyErr_SetString(PyExc_ValueError, "the counting flag needs one byte");
         goto fail;
     }
+    if (parse_rule(rule, extended, &k->rule) < 0) {
+        goto fail;
+    }
     return (PyObject *)k;
 
 fail:
@@ -1703,7 +1992,8 @@ fail:
 
 static PyMethodDef Kernel_methods[] = {
     {"round_one", (PyCFunction)Kernel_round_one, METH_O,
-     "round_one(value) -> the rounded work-dtype scalar, or None when handed back"},
+     "round_one(value) -> the rounded work-dtype scalar, or None when handed back (an "
+     "infinity or NaN)"},
     {"round_into", (PyCFunction)(void (*)(void))Kernel_round_into, METH_FASTCALL,
      "round_into(src, dst, resolve) -> None; `resolve` rounds the values handed back"},
     {"take_counts", (PyCFunction)Kernel_take_counts, METH_NOARGS,
@@ -1716,8 +2006,9 @@ static PyTypeObject KernelType = {
     .tp_name = "repro.arithmetic._rounding.Kernel",
     .tp_basicsize = sizeof(Kernel),
     .tp_flags = Py_TPFLAGS_DEFAULT,
-    .tp_doc = "Kernel(shift, bias, special, extended, unsigned_zero, counting): "
-              "round-to-nearest-even over one format's binade lookup tables",
+    .tp_doc = "Kernel(shift, bias, special, extended, unsigned_zero, counting, rule): "
+              "round-to-nearest-even over one format's binade lookup tables, and its "
+              "finite rule over the special binades",
     .tp_new = Kernel_new,
     .tp_dealloc = (destructor)Kernel_dealloc,
     .tp_methods = Kernel_methods,
@@ -1769,7 +2060,10 @@ PyInit__rounding(void)
         "round_into cannot take its operands (not C-contiguous, another format, "
         "lengths that differ or a partial overlap); nothing was written",
         PyExc_BufferError, NULL);
-    if (PyModule_AddObjectRef(module, "OperandError", OperandError) < 0) {
+    if (PyModule_AddObjectRef(module, "OperandError", OperandError) < 0 ||
+        PyModule_AddIntConstant(module, "RULE_TABLE", RULE_TABLE) < 0 ||
+        PyModule_AddIntConstant(module, "RULE_QUANTUM", RULE_QUANTUM) < 0 ||
+        PyModule_AddIntConstant(module, "RULE_IEEE", RULE_IEEE) < 0) {
         Py_DECREF(module);
         return NULL;
     }

@@ -48,7 +48,7 @@ SCALAR_CUTOFF = 8
 #: arrays up to this size round element-wise through the pure-Python
 #: analytic scalar kernels (:meth:`NumberFormat.round_scalar_analytic`)
 #: instead of the analytic vector kernels: when no bit kernel serves the
-#: format, and for the elements a bit kernel hands back.  The analytic
+#: format, and for the infinities and NaN a bit kernel hands back.  The analytic
 #: vector kernels pay ~25 NumPy dispatch round-trips (~35 us) regardless of
 #: size while a scalar call costs ~1.5 us, so the break-even sits near 24
 #: elements.
@@ -319,7 +319,7 @@ class NumberFormat(ABC):
     saturating: bool = False
     #: largest array the analytic path rounds element-wise through the
     #: scalar kernel (when no bit kernel serves the format, and for the
-    #: elements a bit kernel hands back); 0 disables the scalar dispatch
+    #: infinities and NaN a bit kernel hands back); 0 disables the scalar dispatch
     #: (formats whose vector kernel is a plain dtype cast)
     scalar_cutoff: int = WIDE_SCALAR_CUTOFF
 
@@ -369,23 +369,26 @@ class NumberFormat(ABC):
     def _round_one(self):
         """The compiled scalar entry of :attr:`_bound_kernel`: the rounded
         work-dtype scalar, or ``None`` for a value the analytic scalar
-        kernel must round (every value when no bit kernel is bound)."""
+        kernel must round (an infinity or NaN; every value when no bit
+        kernel is bound)."""
         kern = self._bound_kernel
         return _hand_back if kern is None else kern.round_one
 
-    def _enumerate_magnitudes(self) -> tuple[np.ndarray, np.ndarray]:
+    def _enumerate_magnitudes(self, kern=None) -> tuple[np.ndarray, np.ndarray]:
         """Every finite non-negative magnitude of the format, ascending, and
-        its code (``int64``): the magnitude lists the scalar and analytic
-        kernels of the narrow formats search.
+        its code (``int64``): the magnitude lists the finite rule and the
+        scalar and analytic kernels of the narrow formats search.
 
         Decodes the sign-clear half of the code space, where every family
-        keeps its non-negative values, through the bit kernel's vectorised
-        decode when one serves the format (a handful of integer passes),
-        otherwise code by code through :meth:`decode_code`; the exhaustive
-        decode sweeps of ``tests/test_bitkernels.py`` prove the two equal.
+        keeps its non-negative values, through the vectorised decode of
+        ``kern`` (default: :meth:`bitkernel`) when a bit kernel serves the
+        format (a handful of integer passes), otherwise code by code
+        through :meth:`decode_code`; the exhaustive decode sweeps of
+        ``tests/test_bitkernels.py`` prove the two equal.
         """
         codes = np.arange(1 << (self.bits - 1), dtype=np.int64)
-        kern = self.bitkernel()
+        if kern is None:
+            kern = self.bitkernel()
         if kern is not None and kern.supports_codec:
             values = np.asarray(kern.decode(codes.astype(np.uint64)), dtype=np.float64)
         else:
@@ -394,6 +397,20 @@ class NumberFormat(ABC):
         mags, codes = values[finite], codes[finite]
         order = np.argsort(mags)
         return mags[order], codes[order]
+
+    def _ensure_table(self, kern=None) -> None:
+        """Enumerate the magnitude table (``_magnitudes``, ``_codes``) once.
+
+        A bit kernel being built passes itself (``kern``): its finite rule
+        reads the table, which it enumerates through its own decode.
+        Otherwise the format's kernel is built first (enumerating the table
+        for its rule), and the table is decoded without it only when no
+        kernel serves the format.
+        """
+        if self._magnitudes is None and kern is None:
+            self.bitkernel()
+        if self._magnitudes is None:
+            self._magnitudes, self._codes = self._enumerate_magnitudes(kern)
 
     # ------------------------------------------------------------------ #
     # bit-level interface
@@ -511,9 +528,12 @@ class NumberFormat(ABC):
         element-wise through the scalar kernel up to :attr:`scalar_cutoff`
         elements, the scalar/analytic break-even, else through
         :meth:`round_array_analytic`.  Rounds the arrays of formats no
-        kernel serves, and the elements a bit kernel hands back, where most
-        calls carry only a few elements and one analytic call (~40 us
-        fixed) costs far more than the scalar loop."""
+        kernel serves (and every array with the bit-kernel switch off),
+        where most calls carry only a few elements and one analytic call
+        (~40 us fixed) costs far more than the scalar loop.  A bound bit
+        kernel rounds every finite value itself (its finite rule restates
+        these kernels in C) and hands only infinities and NaN to this
+        resolver."""
         if values.size <= self.scalar_cutoff:
             return self._round_small_array(values, out=out)
         res = self.round_array_analytic(values)
@@ -537,9 +557,9 @@ class NumberFormat(ABC):
         """Analytic (kernel-free) implementation of :meth:`round_array`.
 
         Kept as the bit-level ground truth that the bit kernels and the
-        scalar kernels are verified against; also resolves the binades the
-        bit kernels hand back, and serves large arrays of formats without a
-        bit kernel."""
+        scalar kernels are verified against; also resolves the infinities
+        and NaN the bit kernels hand back, and serves large arrays of
+        formats without a bit kernel."""
 
     def round_scalar_analytic(self, value):
         """Scalar twin of :meth:`round_array_analytic` for one value.

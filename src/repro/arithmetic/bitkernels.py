@@ -35,10 +35,14 @@ round-to-nearest-even entirely in integer arithmetic:
 * Binades where the representable values are **not** a uniform power-of-two
   grid — posit/takum extreme regimes, IEEE overflow and deep-subnormal
   binades, zeros, infinities and NaNs — are marked *special* in the LUT.
-  Exact zeros there round inline; every other special value is handed back
-  and resolved without the kernel (the format's scalar kernel for a few
-  elements, its analytic kernel for many), which keeps the fast path
-  bit-identical by construction.
+  Exact zeros there round inline, and every other finite value rounds
+  inline too, by the format's *finite rule*: the format's own rounding
+  rule, restated in C over tables the format hands the kernel when it is
+  built (:func:`table_rule` for the tapered formats of at most 16 bits and
+  E4M3, :func:`quantum_rule` for the wider tapered formats,
+  :func:`ieee_rule` for float16, bfloat16 and E5M2).  Only infinities and
+  NaN are handed back and resolved without the kernel (the format's
+  scalar kernel for a few elements, its analytic kernel for many).
   Binades where the format grid is at least as *fine* as the work grid
   (possible when a 64-bit format degrades to float64 work precision on
   hosts without extended longdouble) are marked *identity* and copied
@@ -57,10 +61,11 @@ products, matrix-vector products and ``spmv``, and the projected
 eigensolver's ``tridiagonalize``, ``ql`` and ``rotate``) take the kernel
 object :attr:`BitKernel.compiled` as an argument.  Every array pass shares
 one hand-back protocol: a pass over a buffer (the whole buffer for
-``round_into``, one tree level or column for ``reduce``) leaves the values
-it hands back unrounded in place, then gives them to one call of the
-resolver and stores the results (x87 padding zeroed).  No Python code sees
-the handed-back positions.
+``round_into``, one tree level or column for ``reduce``) leaves the
+infinities and NaN it hands back unrounded in place, then gives them to
+one call of the resolver and stores the results (x87 padding zeroed).  No
+Python code sees the handed-back positions, and no finite value reaches the
+resolver.
 
 Correctness invariants of the LUT-served ("main region") binades, checked by
 the builders and the exhaustive/sweep tests in ``tests/test_bitkernels.py``:
@@ -111,6 +116,9 @@ __all__ = [
     "TakumExtendedBitKernel",
     "extended_layout_supported",
     "extension",
+    "ieee_rule",
+    "quantum_rule",
+    "table_rule",
     "set_enabled",
     "bitkernels_enabled",
 ]
@@ -184,6 +192,33 @@ def extended_layout_supported() -> bool:
     )
 
 
+def table_rule(magnitudes, codes, over, top, floor) -> tuple:
+    """The finite rule of a format that rounds to the nearest entry of its
+    ascending float64 ``magnitudes`` table (ties to the even entry of the
+    parallel int64 ``codes``): a magnitude above ``over`` rounds to ``top``,
+    a zero result becomes ``floor``, and the value keeps its sign."""
+    return (extension().RULE_TABLE, magnitudes, codes, over, top, floor)
+
+
+def quantum_rule(lo_table, hi_table, qexp_base, qexps, minpos, maxpos, lo, hi) -> tuple:
+    """The finite rule of a wide tapered format: the magnitude, clamped to
+    ``maxpos``, rounds to the nearest entry of the ``(magnitudes, codes)``
+    table ``lo_table`` below ``lo``, of ``hi_table`` from ``hi`` up, and in
+    between to the quantum ``2^qexps[e - qexp_base]`` of its binade (``e``
+    its ``frexp`` exponent); the result is clamped to ``[minpos, maxpos]``.
+    Tables and bounds are of the work dtype, ``qexps`` is int64 over every
+    ``frexp`` exponent of the work dtype."""
+    kind = extension().RULE_QUANTUM
+    return (kind, *lo_table, *hi_table, qexps, qexp_base, minpos, maxpos, lo, hi)
+
+
+def ieee_rule(emin: int, mbits: int, max_value: float) -> tuple:
+    """The finite rule of an IEEE-style format: the quantum
+    ``2^(max(e, emin) - mbits)`` of the magnitude's binade ``2^e``, overflow
+    past ``max_value`` to the signed infinity."""
+    return (extension().RULE_IEEE, emin, mbits, max_value)
+
+
 class BitKernel:
     """Family-parameterized integer round/encode/decode kernel.
 
@@ -199,22 +234,29 @@ class BitKernel:
         Storage width of the emulated format.
     resolve:
         Callback rounding a work-dtype array without the kernel (the
-        format's scalar or analytic kernel); applied to the elements the
-        kernel hands back.
+        format's scalar or analytic kernel); applied to the infinities and
+        NaN the kernel hands back.
+    rule:
+        Callback building the format's finite rule (:func:`table_rule`,
+        :func:`quantum_rule` or :func:`ieee_rule`) from this kernel, whose
+        vectorised :meth:`decode` serves before the compiled kernel exists;
+        the compiled kernel rounds every finite value of a special binade
+        with it.
 
     Attributes
     ----------
     round_one:
         The compiled scalar entry: ``round_one(value)`` returns the rounded
         work-dtype scalar (``numpy.float64``, or ``numpy.longdouble`` for
-        the extended kernels), or ``None`` when the value lies in a special
-        binade (or is not a float of the work layout) and is handed back.
+        the extended kernels), or ``None`` when the value is an infinity or
+        NaN (or is not a float of the work layout) and is handed back.
         Counts no telemetry.
     compiled:
         The compiled kernel object, which the module's entries take; its
         ``take_counts()`` drains the ``(calls, elements, handed_back,
         zeros)`` tallies of the passes made through it while telemetry is
-        on.
+        on; ``handed_back`` counts the values of the special binades, those
+        the finite rule rounds included.
     """
 
     #: family tag used in reprs and dispatch diagnostics
@@ -236,7 +278,12 @@ class BitKernel:
     #: formats keep their per-element codecs)
     supports_codec = True
 
-    def __init__(self, bits: int, resolve: Callable[[np.ndarray], np.ndarray]):
+    def __init__(
+        self,
+        bits: int,
+        resolve: Callable[[np.ndarray], np.ndarray],
+        rule: Callable[["BitKernel"], tuple],
+    ):
         self.bits = int(bits)
         self._resolve = resolve
         exp_fields = 1 << self.WORD_EXP_BITS
@@ -279,6 +326,7 @@ class BitKernel:
             self.work_dtype is np.longdouble,
             self.unsigned_zero,
             _telemetry.ENABLED_FLAG,
+            rule(self),
         )
         self.round_one = self.compiled.round_one
 
@@ -306,9 +354,9 @@ class BitKernel:
     # ------------------------------------------------------------------ #
     def round(self, values, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Round work-dtype ``values`` to the format, bit-identical to the
-        analytic kernel, in one compiled pass (``round_into``): the values
-        the pass hands back go to one call of the resolver, whose results
-        the kernel stores in place.
+        analytic kernel, in one compiled pass (``round_into``): the
+        infinities and NaN the pass hands back go to one call of the
+        resolver, whose results the kernel stores in place.
 
         Parameters
         ----------
@@ -370,19 +418,19 @@ class IEEEBitKernel(BitKernel):
     Serves the normal range below the top binade at a constant shift and the
     gradual-underflow taper down to the last binade that retains a fraction
     bit.  The top binade (where a round-up must overflow to infinity), the
-    deep-subnormal binades (``keep < 1``) and the specials go to the
-    resolver.
+    deep-subnormal binades (``keep < 1``) and the specials are special: the
+    finite rule rounds their finite values.
     """
 
     family = "ieee"
 
-    def __init__(self, ebits: int, mbits: int, resolve):
+    def __init__(self, ebits: int, mbits: int, resolve, rule):
         self.ebits = int(ebits)
         self.mbits = int(mbits)
         self.bias_f = (1 << (ebits - 1)) - 1
         self.emin = 1 - self.bias_f
         self.emax = self.bias_f
-        super().__init__(1 + ebits + mbits, resolve)
+        super().__init__(1 + ebits + mbits, resolve, rule)
 
     def _keep_bits(self, e: int) -> Optional[int]:
         if self.emin <= e < self.emax:
@@ -452,18 +500,18 @@ class E4M3BitKernel(IEEEBitKernel):
     The rounding grid matches a 1-4-3 IEEE format except in the top binade,
     where the all-ones exponent still encodes normal values and overflow
     resolves to NaN (or saturates) — that binade is special, so the policy
-    lives entirely in the analytic resolver.
+    lives entirely in the format's finite rule.
     """
 
     family = "e4m3"
 
-    def __init__(self, resolve):
+    def __init__(self, resolve, rule):
         # the top *encodable* binade is e = emax + 1 = 8 (exponent field 15
-        # holds normals); its round-ups overflow to NaN/448, so it resolves
-        # analytically and the inherited _keep_bits stopping at e = emax - 1
-        # (like plain IEEE, whose top binade overflows to inf) is exactly
-        # right here too
-        super().__init__(4, 3, resolve)
+        # holds normals); its round-ups overflow to NaN/448, so the finite
+        # rule rounds it and the inherited _keep_bits stopping at
+        # e = emax - 1 (like plain IEEE, whose top binade overflows to inf)
+        # is exactly right here too
+        super().__init__(4, 3, resolve, rule)
 
     def decode(self, codes) -> np.ndarray:
         c = _as_code_array(codes, 8)
@@ -504,18 +552,18 @@ class PositBitKernel(BitKernel):
 
     Serves every binade that retains at least one fraction bit (the
     ``k_lo..k_hi`` regime range of the analytic kernel); the extreme regimes
-    — where the representable magnitudes stop forming a uniform grid — plus
-    zeros and non-finite values go to the resolver, which applies the
-    analytic extreme-region magnitude lists and minpos/maxpos saturation.
+    — where the representable magnitudes stop forming a uniform grid — are
+    special: the finite rule applies the extreme-region magnitude lists and
+    minpos/maxpos saturation there.
     """
 
     family = "posit"
     unsigned_zero = True
 
-    def __init__(self, nbits: int, es: int, resolve):
+    def __init__(self, nbits: int, es: int, resolve, rule):
         self.es = int(es)
         self._useed_exp = 1 << self.es
-        super().__init__(nbits, resolve)
+        super().__init__(nbits, resolve, rule)
 
     def _keep_bits(self, e: int) -> Optional[int]:
         k = e // self._useed_exp
@@ -595,7 +643,8 @@ class TakumBitKernel(BitKernel):
     ``[-255, 254]`` and retains at least one mantissa bit; the boundary
     binades (where rounding can leave the representable range and must
     saturate at minpos/maxval), the truncated-characteristic binades of very
-    narrow takums, and the specials go to the resolver.
+    narrow takums, and the specials are special: the finite rule rounds
+    their finite values.
     """
 
     family = "takum"

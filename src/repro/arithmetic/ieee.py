@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .base import NumberFormat, round_to_quantum
-from .bitkernels import IEEEBitKernel
+from .bitkernels import IEEEBitKernel, ieee_rule
 
 __all__ = ["IEEEFormat", "FLOAT16", "BFLOAT16", "FLOAT32", "FLOAT64"]
 
@@ -94,11 +94,19 @@ class IEEEFormat(NumberFormat):
 
         float32/float64 round via a single hardware cast, which no integer
         kernel can beat; every other width (float16, bfloat16, E5M2) gets
-        the LUT-driven RNE kernel with overflow and deep-subnormal binades
-        resolved through :meth:`round_array_analytic`."""
+        the LUT-driven RNE kernel, whose finite rule
+        (:meth:`_finite_rule`) rounds the overflow and deep-subnormal
+        binades."""
         if self._cast_dtype is not None:
             return None
-        return IEEEBitKernel(self.ebits, self.mbits, self._round_kernel_specials)
+        return IEEEBitKernel(
+            self.ebits, self.mbits, self._round_kernel_specials, self._finite_rule
+        )
+
+    def _finite_rule(self, kern) -> tuple:
+        """The rule of :meth:`_round_scalar_quantum`: the binade quantum
+        with gradual underflow, overflow to the signed infinity."""
+        return ieee_rule(self.emin, self.mbits, self._max_value)
 
     def _encode_scalar(self, v) -> int:
         """Sign, biased exponent and mantissa fields of one representable

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .base import NumberFormat, nearest_in_table, nearest_in_table_scalar
-from .bitkernels import E4M3BitKernel
+from .bitkernels import E4M3BitKernel, table_rule
 from .ieee import IEEEFormat
 
 __all__ = ["OFP8E4M3", "OFP8E5M2", "E4M3", "E5M2"]
@@ -51,15 +51,24 @@ class OFP8E4M3(NumberFormat):
         self.saturate = bool(saturate)
         self.name = name or ("E4M3sat" if saturate else "E4M3")
         self.bias = 7
-        self._magnitudes, self._codes = self._enumerate_magnitudes()
+        self._magnitudes = self._codes = None
+        self._ensure_table()
         self._scalar_state: tuple | None = None
 
     def _build_bitkernel(self):
-        """Integer bit-twiddling kernel; the top binade (overflow-to-NaN or
-        saturation policy) and deep subnormals resolve through
-        :meth:`round_array_analytic`, so both overflow variants share one
-        kernel construction."""
-        return E4M3BitKernel(self._round_kernel_specials)
+        """Integer bit-twiddling kernel; the finite rule
+        (:meth:`_finite_rule`) rounds the top binade (overflow-to-NaN or
+        saturation policy) and deep subnormals, so both overflow variants
+        share one kernel class."""
+        return E4M3BitKernel(self._round_kernel_specials, self._finite_rule)
+
+    def _finite_rule(self, kern) -> tuple:
+        """The rule of :meth:`round_scalar_analytic`: the nearest entry of
+        the magnitude table (enumerated through ``kern``'s decode), NaN or
+        448 above the overflow threshold."""
+        self._ensure_table(kern)
+        top = self.max_value if self.saturate else math.nan
+        return table_rule(self._magnitudes, self._codes, self._overflow_threshold, top, 0.0)
 
     # ------------------------------------------------------------------ #
     def decode_code(self, code: int) -> float:

@@ -35,7 +35,7 @@ from .base import (
     nearest_in_table_scalar,
     round_to_quantum,
 )
-from .bitkernels import extended_layout_supported
+from .bitkernels import extended_layout_supported, quantum_rule, table_rule
 
 __all__ = ["TaperedFormat"]
 
@@ -43,9 +43,8 @@ __all__ = ["TaperedFormat"]
 #: code range at most
 _EXTREME_LIST_LIMIT = 4096
 
-#: range of the exponent ``math.frexp`` returns for a positive finite float64
+#: the exponent ``math.frexp`` returns for the smallest positive float64
 _FREXP_MIN = -1073
-_FREXP_MAX = 1024
 
 
 class TaperedFormat(NumberFormat):
@@ -84,6 +83,7 @@ class TaperedFormat(NumberFormat):
         self._magnitudes: np.ndarray | None = None
         self._codes: np.ndarray | None = None
         self._extremes: tuple | None = None
+        self._qexps: np.ndarray | None = None
         self._scalar_state: tuple | None = None
         self._min_mag = self.decode_code(1)
         self._max_mag = self.decode_code((1 << (self.bits - 1)) - 1)
@@ -125,21 +125,50 @@ class TaperedFormat(NumberFormat):
         """Integer bit-twiddling kernel: the one-word float64 kernel for
         float64-work widths, the two-word extended kernel for the 64-bit
         formats on 80-bit-longdouble hosts (``None`` on other longdouble
-        layouts).  The binades a kernel hands back resolve through
-        :meth:`round_array_analytic`, so either kernel is bit-identical to
-        the analytic ground truth."""
+        layouts).  Its special binades round by :meth:`_finite_rule`, the
+        analytic kernels' rule, and only NaN and infinities resolve through
+        them, so either kernel is bit-identical to the analytic ground
+        truth."""
         if np.dtype(self.work_dtype) == np.dtype(np.float64):
-            return self._kernel(*self._kernel_args(), self._round_kernel_specials)
-        if extended_layout_supported():
-            return self._extended_kernel(
-                *self._kernel_args(), self._round_kernel_specials
-            )
-        return None
+            kernel = self._kernel
+        elif extended_layout_supported():
+            kernel = self._extended_kernel
+        else:
+            return None
+        return kernel(*self._kernel_args(), self._round_kernel_specials, self._finite_rule)
 
-    def _ensure_magnitudes(self) -> None:
+    def _finite_rule(self, kern) -> tuple:
+        """The rule the bit kernel ``kern`` rounds finite special values
+        with, the analytic kernels' own: the nearest entry of the full
+        magnitude table (enumerated through ``kern``'s decode) for formats
+        of at most 16 bits, else the binade quantum with the extreme
+        magnitude lists, both saturating at minpos and maxpos."""
+        self._ensure_magnitudes(kern)
         if self._full_table:
-            if self._magnitudes is None:
-                self._magnitudes, self._codes = self._enumerate_magnitudes()
+            last = self._magnitudes[-1]
+            return table_rule(self._magnitudes, self._codes, last, last, self._min_mag)
+        lo, hi, lo_table, hi_table = self._extremes
+        base, qexps = self._quantum_exp_lut()
+        return quantum_rule(
+            lo_table, hi_table, base, qexps, self._min_mag, self._max_mag, lo, hi
+        )
+
+    def _quantum_exp_lut(self) -> tuple[int, np.ndarray]:
+        """``(base, qexps)``: :meth:`_quantum_exp` of the binade of every
+        ``frexp`` exponent ``e`` of a positive finite work value, at
+        ``qexps[e - base]`` (``int64``), built once through the vector twin
+        (``tests/test_scalar_rounding.py`` checks every entry against the
+        scalar rule)."""
+        info = np.finfo(self.work_dtype)
+        base = info.minexp - info.nmant + 1  # the exponent of the smallest subnormal
+        if self._qexps is None:
+            exps = np.arange(base - 1, info.maxexp, dtype=np.int64)
+            self._qexps = self._quantum_exp_array(exps).astype(np.int64)
+        return base, self._qexps
+
+    def _ensure_magnitudes(self, kern=None) -> None:
+        if self._full_table:
+            self._ensure_table(kern)
         elif self._extremes is None:
             self._extremes = self._extreme_lists()
 
@@ -198,7 +227,7 @@ class TaperedFormat(NumberFormat):
             tables = (lo_mags, lo_codes, hi_mags, hi_codes)
             if self.work_dtype is np.float64:
                 bounds = tuple(float(b) for b in bounds)
-                qexps = [self._quantum_exp(e - 1) for e in range(_FREXP_MIN, _FREXP_MAX + 1)]
+                qexps = self._quantum_exp_lut()[1].tolist()
                 tables = tuple(t.tolist() for t in tables) + (qexps,)
             state = bounds + tables
         self._scalar_state = state

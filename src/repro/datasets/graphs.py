@@ -10,6 +10,9 @@ for social/web graphs, Erdős–Rényi for the ``rand``/``misc`` categories, ...
 The per-category *counts* follow Table 1, scaled down by a configurable
 factor so that the full pipeline runs in minutes; ``scale=1.0`` reproduces
 the paper's population sizes.
+
+Each graph model imports ``networkx`` itself: importing it takes about as
+long as the rest of the package, and only the graph suites need it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import math
 import zlib
 from typing import Callable
 
-import networkx as nx
 import numpy as np
 
 from ..sparse import COOMatrix, CSRMatrix, laplacian_from_adjacency
@@ -82,10 +84,12 @@ def _seed_int(rng: np.random.Generator) -> int:
 
 
 def _duplication(n, rng):
+    import networkx as nx
     return nx.duplication_divergence_graph(n, float(rng.uniform(0.2, 0.5)), seed=_seed_int(rng))
 
 
 def _small_world(n, rng, k=6, p=0.3):
+    import networkx as nx
     k = min(k, max(2, n - 1))
     if k % 2:
         k -= 1
@@ -93,10 +97,12 @@ def _small_world(n, rng, k=6, p=0.3):
 
 
 def _power_grid(n, rng):
+    import networkx as nx
     return nx.newman_watts_strogatz_graph(n, 2, 0.08, seed=_seed_int(rng))
 
 
 def _grid_like(n, rng):
+    import networkx as nx
     side = max(2, int(math.sqrt(n)))
     g = nx.grid_2d_graph(side, max(2, n // side))
     g = nx.convert_node_labels_to_integers(g)
@@ -109,24 +115,29 @@ def _grid_like(n, rng):
 
 
 def _preferential(n, rng, m=2):
+    import networkx as nx
     return nx.barabasi_albert_graph(n, min(m, max(1, n - 1)), seed=_seed_int(rng))
 
 
 def _powerlaw_cluster(n, rng, m=2, p=0.3):
+    import networkx as nx
     return nx.powerlaw_cluster_graph(n, min(m, max(1, n - 1)), p, seed=_seed_int(rng))
 
 
 def _gnp(n, rng, avg_degree=6.0):
+    import networkx as nx
     p = min(1.0, avg_degree / max(n - 1, 1))
     return nx.gnp_random_graph(n, p, seed=_seed_int(rng))
 
 
 def _geometric(n, rng):
+    import networkx as nx
     radius = math.sqrt(4.0 / max(n, 4))
     return nx.random_geometric_graph(n, radius, seed=_seed_int(rng))
 
 
 def _blocks(n, rng):
+    import networkx as nx
     n_blocks = int(rng.integers(2, 5))
     sizes = [max(2, n // n_blocks)] * n_blocks
     p_in, p_out = 0.25, 0.02
@@ -135,6 +146,7 @@ def _blocks(n, rng):
 
 
 def _regular(n, rng, d=3):
+    import networkx as nx
     d = min(d, n - 1)
     if (n * d) % 2:
         d += 1
@@ -148,6 +160,7 @@ def _regular(n, rng, d=3):
 
 
 def _tree_like(n, rng):
+    import networkx as nx
     branching = int(rng.integers(2, 4))
     height = max(1, int(math.log(max(n, 2), branching)))
     g = nx.balanced_tree(branching, height)
@@ -155,12 +168,14 @@ def _tree_like(n, rng):
 
 
 def _bipartite(n, rng):
+    import networkx as nx
     a = max(2, n // 3)
     b = max(2, n - a)
     return nx.bipartite.random_graph(a, b, 0.1, seed=_seed_int(rng))
 
 
 def _star_bursts(n, rng):
+    import networkx as nx
     # retweet cascades: a few hubs with many leaves
     g = nx.barabasi_albert_graph(n, 1, seed=_seed_int(rng))
     return g

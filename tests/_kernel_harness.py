@@ -31,7 +31,7 @@ import re
 
 import numpy as np
 
-from repro.arithmetic import PositFormat, TakumFormat, get_format
+from repro.arithmetic import OFP8E4M3, PositFormat, TakumFormat, get_format
 
 __all__ = [
     "assert_rounded_equal",
@@ -46,6 +46,7 @@ __all__ = [
     "run_differential_sweeps",
     "exhaustive_sweep",
     "UNREGISTERED_TAPERED",
+    "E4M3_SATURATING",
     "format_for",
 ]
 
@@ -64,11 +65,18 @@ UNREGISTERED_TAPERED = (
     "takum24",
 )
 
+#: the saturating E4M3 (overflow clamps to ±448), which the registry never
+#: builds either
+E4M3_SATURATING = "E4M3sat"
+
 
 @functools.cache
 def format_for(name: str):
-    """The registered format ``name``, or one of :data:`UNREGISTERED_TAPERED`
-    (built once, under its own name: the dispatch tally is keyed by name)."""
+    """The registered format ``name``, one of :data:`UNREGISTERED_TAPERED`
+    or :data:`E4M3_SATURATING` (built once, under its own name: the
+    dispatch tally is keyed by name)."""
+    if name == E4M3_SATURATING:
+        return OFP8E4M3(saturate=True)
     if name not in UNREGISTERED_TAPERED:
         return get_format(name)
     family, width, es = re.fullmatch(r"(posit|takum)(\d+)(?:es(\d+))?", name).groups()

@@ -29,6 +29,7 @@ from repro.arithmetic import bitkernels as bk
 from repro.arithmetic import get_context, get_format, preload_tables
 from repro.arithmetic.base import SCALAR_CUTOFF
 from tests._kernel_harness import (
+    E4M3_SATURATING,
     UNREGISTERED_TAPERED,
     assert_rounded_equal,
     differential_round_check,
@@ -60,10 +61,12 @@ KERNEL_FORMATS = [
     "bfloat16",
     "E5M2",
     "E4M3",
+    E4M3_SATURATING,
     *UNREGISTERED_TAPERED,
 ]
 #: formats of <= 16 bits: exhaustive identity required
 NARROW_FORMATS = ["posit8", "posit16", "takum8", "takum16", "float16", "bfloat16", "E5M2", "E4M3"]
+NARROW_FORMATS += [E4M3_SATURATING]
 NARROW_FORMATS += [name for name in UNREGISTERED_TAPERED if format_for(name).bits <= 16]
 #: wide formats: sweep-based identity of the dispatch (the 64-bit tapered
 #: formats round through the two-word extended kernel, the cast IEEE widths
@@ -213,7 +216,7 @@ def test_encode_decode_roundtrip(name):
     fmt = format_for(name)
     kern = fmt.bitkernel()
     values = fmt.round_array_analytic(solver_regime_sweep(fmt, 10_000))
-    if name == "E4M3":
+    if name in ("E4M3", E4M3_SATURATING):
         # E4M3 has no signed-zero code: -0.0 canonicalises to +0.0 on encode
         values = np.where(values == 0.0, 0.0, values)
     codes = kern.encode(values)

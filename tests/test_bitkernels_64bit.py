@@ -316,21 +316,21 @@ def test_round_one_every_served_binade(name):
 @extended_only
 @pytest.mark.parametrize("name", FORMATS_64)
 def test_round_one_hands_back_every_special(name):
-    """``None`` for subnormals, inf/NaN and every special binade (extreme
-    regimes, characteristic bounds), in both signs; the zeros of the
-    special exponent field round to the unsigned ``+0.0`` instead."""
+    """``None`` for the special values, inf and NaN, in both signs.  Every
+    finite value of a special binade (extreme regimes, characteristic
+    bounds, subnormals) rounds in the kernel by the format's finite rule,
+    word for word as the analytic kernel and with zero padding, and the
+    zeros of the special exponent field round to the unsigned ``+0.0``."""
     fmt = get_format(name)
     kern = fmt.bitkernel()
-    special = [e for e in range(_EXP_FIELDS) if kern._special[e] != 0]
-    assert {0, _EXP_FIELDS - 1} <= set(special)
+    special = [e for e in range(1, _EXP_FIELDS - 1) if kern._special[e] != 0]
+    assert special
     for sign in (0, 1 << 15):
-        sigs = [_SIG_TOP | 0x1234567] * len(special)
-        values = _from_words(sigs, [e | sign for e in special])
-        extra = _from_words(
-            [1, _SIG_TOP - 1, _SIG_TOP, _SIG_TOP | (1 << 62)],  # subnormals, inf, NaN
-            [sign, sign, sign | 0x7FFF, sign | 0x7FFF],
-        )
-        for v in np.concatenate([values, extra]):
+        sigs = [_SIG_TOP | 0x1234567] * len(special) + [(1 << 64) - 1] * len(special)
+        values = _from_words(sigs, [e | sign for e in special] * 2)
+        subnormals = _from_words([1, _SIG_TOP - 1], [sign, sign])
+        _assert_round_one_words(fmt, np.concatenate([values, subnormals]), " special")
+        for v in _from_words([_SIG_TOP, _SIG_TOP | (1 << 62)], [sign | 0x7FFF] * 2):
             assert kern.round_one(v) is None, f"{name}: {v!r} served"
         zero = kern.round_one(_from_words([0], [sign])[0])
         assert zero == 0 and not np.signbit(zero), f"{name}: signed zero"

@@ -18,12 +18,14 @@ Every reduction, in either order and in every context, is one call of
 the compiled ``reduce`` entry, and each case runs in both positions of the
 bit-kernel switch: with it on, the format's kernel rounds; with it off, the
 same entry hands every sum to the format's analytic kernels.  The
-reduction hands the sums a pass (a tree level, or a column of the
-sequential order) cannot round to the format's resolver in one call per
-pass, and ``NumberFormat.round_array`` hands the values its one pass cannot
-round to one call; both count one kernel call per pass, store resolved x87
-slots with zero padding, and propagate a resolver's exception.  With the
-switch off, every pass is one ``round_array`` call of the same size.
+reduction hands the infinities and NaN of a pass (a tree level, or a column
+of the sequential order) to the format's resolver in one call per pass,
+and ``NumberFormat.round_array`` hands those of its one pass to one call;
+the finite values of the special binades round in the kernel, by the
+format's finite rule, with no resolver call.  Both count one kernel call
+per pass, with every special value counted as handed back, store resolved
+x87 slots with zero padding, and propagate a resolver's exception.  With
+the switch off, every pass is one ``round_array`` call of the same size.
 """
 
 from __future__ import annotations
@@ -301,10 +303,15 @@ def _record_entries(kern, monkeypatch) -> list:
     return entries
 
 
+#: ``(format, value)``: ``value`` and every sum of its copies are non-finite,
+#: which the kernel hands back (E4M3 inf to NaN, posit and takum NaR)
+HAND_BACKS = [("E4M3", np.inf), ("posit8", -np.inf), ("posit64", np.nan), ("takum64", np.inf)]
+
 #: ``(format, value)``: ``value`` and every sum of its copies lie in a
-#: binade the kernel hands back (E4M3 overflow to NaN, the extreme regimes
-#: of posit8 and posit64, takum64 beyond its largest value)
-EXTREMES = [("E4M3", 256.0), ("posit8", 2.0**20), ("posit64", 2.0**300), ("takum64", 2.0**300)]
+#: special binade whose finite values the kernel rounds by the format's
+#: finite rule (the extreme regimes of posit8 and posit64, takum64 beyond
+#: its largest value)
+FINITE_EXTREMES = [("posit8", 2.0**20), ("posit64", 2.0**300), ("takum64", 2.0**300)]
 
 _X87 = bitkernels.extended_layout_supported()
 
@@ -328,8 +335,8 @@ def _padding(values) -> np.ndarray:
 
 def _extreme_passes(ctx, big: float):
     """``(label, call, compiled entries called, values per pass)``:
-    rounding passes whose every value is handed back, spread over several
-    rows: the reductions (one pass per tree level) and
+    rounding passes whose every value is a copy or a sum of ``big``, spread
+    over several rows: the reductions (one pass per tree level) and
     ``NumberFormat.round_array`` (one pass; a strided ``out`` costs one
     refused call first)."""
     fmt = ctx.format
@@ -418,14 +425,29 @@ def _analytic_tally(fmt, sizes) -> list:
 
 
 @needs_compiled
-@pytest.mark.parametrize("name, big", EXTREMES)
+@pytest.mark.parametrize("name, big", HAND_BACKS)
 def test_hand_backs_resolve_once_per_level(name, big, monkeypatch):
     """Each rounding pass (a tree level of every row, or one ``round_into``
-    over a whole buffer) hands all its values to one resolver call, and
-    the kernel counts one call per pass; resolved x87 slots hold zero
-    padding.  With the switch off the same call gives the same words, and
-    each pass is one ``round_array`` call of the same size, tallied on the
-    scalar-kernel or analytic path by that size."""
+    over a whole buffer) of non-finite values hands all of them to one
+    resolver call, and the kernel counts one call per pass; resolved x87
+    slots hold zero padding.  With the switch off the same call gives the
+    same words, and each pass is one ``round_array`` call of the same size,
+    tallied on the scalar-kernel or analytic path by that size."""
+    _check_extreme_passes(name, big, monkeypatch, handed_back=True)
+
+
+@needs_compiled
+@pytest.mark.parametrize("name, big", FINITE_EXTREMES)
+def test_finite_extremes_round_in_the_kernel(name, big, monkeypatch):
+    """The same passes over finite values of special binades make no
+    resolver call: the kernel rounds them by the format's finite rule, and
+    still counts every one of them as handed back (the
+    ``bitkernel.lut_fallback`` counter), one call per pass, with the words
+    of the switched-off run."""
+    _check_extreme_passes(name, big, monkeypatch, handed_back=False)
+
+
+def _check_extreme_passes(name, big, monkeypatch, handed_back):
     ctx = get_context(name)
     kern = ctx.format._bound_kernel
     entries = _record_entries(kern, monkeypatch)
@@ -433,7 +455,7 @@ def test_hand_backs_resolve_once_per_level(name, big, monkeypatch):
         entries.clear()
         got, sizes, counts = _run_counted(ctx, call)
         assert entries == want_entries, label
-        assert sizes == per_pass, label
+        assert sizes == (per_pass if handed_back else []), label
         total = sum(per_pass)
         # (calls, elements, handed_back, zeros): one call per pass
         assert counts == (len(per_pass), total, total, 0), label
@@ -472,7 +494,7 @@ def test_a_raising_resolver_propagates(monkeypatch):
         def fail(values):
             raise error("resolver failed")
 
-        for name, big in EXTREMES:
+        for name, big in HAND_BACKS:
             ctx = get_context(name)
             kern = ctx.format._bound_kernel
             entries = _record_entries(kern, monkeypatch)

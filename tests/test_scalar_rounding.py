@@ -43,6 +43,20 @@ def any_kernel_format(request):
     return format_for(request.param)
 
 
+@pytest.mark.parametrize(
+    "name", ["posit32", "posit64", "takum32", "takum64", "posit20", "posit24es1", "takum24"]
+)
+def test_quantum_exp_lut_is_the_scalar_rule(name):
+    """The quantum-exponent table of the wide tapered formats (the scalar
+    kernel's and the compiled finite rule's) holds the scalar binade rule
+    for every ``frexp`` exponent of the work dtype."""
+    fmt = format_for(name)
+    base, qexps = fmt._quantum_exp_lut()
+    info = np.finfo(fmt.work_dtype)
+    assert base == info.minexp - info.nmant + 1 and base + len(qexps) - 1 == info.maxexp
+    assert qexps.tolist() == [fmt._quantum_exp(e - 1) for e in range(base, info.maxexp + 1)]
+
+
 @pytest.fixture(params=WIDE_FORMATS)
 def wide_format(request):
     return get_format(request.param)

@@ -44,10 +44,6 @@ machine-readable twin ``micro_rounding.json``)::
 
     PYTHONPATH=src python benchmarks/bench_micro_rounding.py
 
-The hand-back section alone (printed, nothing written)::
-
-    PYTHONPATH=src python benchmarks/bench_micro_rounding.py --handback
-
 CI gate::
 
     PYTHONPATH=src python benchmarks/bench_micro_rounding.py --check
@@ -659,17 +655,9 @@ def main(argv=None) -> int:
         "misses its 3x target, or the posit64/takum64 compiled scalar entry "
         "misses its 2x target",
     )
-    parser.add_argument(
-        "--handback",
-        action="store_true",
-        help="print only the special-binade (hand-back) section and write nothing",
-    )
     args = parser.parse_args(argv)
     if args.check:
         return run_check()
-    if args.handback:
-        print("\n".join(run_handback_report()))
-        return 0
     record: dict = {}
     sizes: dict = {}
     scalar_entry: dict = {}

@@ -48,15 +48,14 @@
  *                 (`bisect_left`, then the nearer neighbour, ties to the
  *                 even code); magnitudes above `hi` round to `maxpos`, a
  *                 zero result becomes `minpos`, and the sign is copied
- *                 back (the tapered formats of at most 16 bits, E4M3);
+ *                 back (the tapered formats of at most 16 bits, E4M3,
+ *                 and float16, bfloat16 and E5M2, whose uniform binades
+ *                 make the even code the quantum's round-to-even);
  *   RULE_QUANTUM  the magnitude, clamped to `maxpos`, rounded to the
  *                 quantum of its binade (`qexps`, indexed by its `frexp`
  *                 exponent), or to the nearest entry of the `lo`/`hi`
  *                 extreme tables beyond the bounds, then clamped to
- *                 `[minpos, maxpos]` (the wider tapered formats);
- *   RULE_IEEE     the quantum `2^(max(exp, emin) - mbits)`, overflow past
- *                 `maxpos` to the signed infinity, the sign of zero kept
- *                 (float16, bfloat16, E5M2).
+ *                 `[minpos, maxpos]` (the wider tapered formats).
  *
  * Entries:
  *   Kernel.round_one(value)      one float64 / longdouble scalar (or 0-d
@@ -172,7 +171,7 @@ static PyTypeObject KernelType;
 
 enum { SHIFT, BIAS, SPECIAL, N_LUTS };
 enum { CALLS, ELEMENTS, HANDED_BACK, ZEROS, N_COUNTS };
-enum { RULE_TABLE, RULE_QUANTUM, RULE_IEEE };
+enum { RULE_TABLE, RULE_QUANTUM };
 /* the buffers of a rule: the magnitudes and codes of the table (RULE_TABLE)
  * or of the `lo` and `hi` extreme tables (RULE_QUANTUM), and the quantum
  * exponents */
@@ -185,9 +184,8 @@ typedef struct {
     Py_buffer bufs[N_RULE_BUFS]; /* read in place; QEXPS: RULE_QUANTUM only */
     npy_intp n_lo, n_hi;          /* entries of the two tables */
     long qbase;                   /* the `frexp` exponent of qexps[0] */
-    int emin, mbits;              /* RULE_IEEE */
     /* RULE_TABLE: `hi` the overflow bound, `maxpos` its result, `minpos`
-     * the floor; RULE_QUANTUM: the bounds; RULE_IEEE: `maxpos` */
+     * the floor; RULE_QUANTUM: the bounds */
     npy_longdouble minpos, maxpos, lo, hi;
 } Rule;
 
@@ -305,16 +303,6 @@ finite_f64(const Rule *r, double v)
             }
         }
         return copysign(mag, v);
-    }
-    if (r->kind == RULE_IEEE) {
-        int e;
-        frexp(a, &e);
-        const int q = (e - 1 < r->emin ? r->emin : e - 1) - r->mbits;
-        mag = rint(ldexp(a, -q)) * ldexp(1.0, q);
-        if (mag > (double)r->maxpos) {
-            mag = INFINITY;
-        }
-        return v < 0 ? -mag : mag;
     }
     return quantum_f64(r, v);
 }
@@ -1873,7 +1861,6 @@ rule_value(PyObject *obj, npy_longdouble *out)
 /* Parse the rule tuple of `Kernel(...)` into `r`:
  *   (RULE_TABLE, mags, codes, over, top, floor)
  *   (RULE_QUANTUM, lo_mags, lo_codes, hi_mags, hi_codes, qexps, qbase, minpos, maxpos, lo, hi)
- *   (RULE_IEEE, emin, mbits, maxpos)
  * The tables and the bounds are of the kernel's work type; `qexps` must
  * cover every `frexp` exponent of a finite work value. */
 static int
@@ -1884,19 +1871,14 @@ parse_rule(PyObject *spec, int extended, Rule *r)
     if (kind == -1 && PyErr_Occurred()) {
         return -1;
     }
-    static const Py_ssize_t sizes[] = {6, 11, 4};
-    if (kind < RULE_TABLE || kind > RULE_IEEE || size != sizes[kind] ||
+    static const Py_ssize_t sizes[] = {6, 11};
+    if (kind < RULE_TABLE || kind > RULE_QUANTUM || size != sizes[kind] ||
         (extended && kind != RULE_QUANTUM)) {
         PyErr_SetString(PyExc_ValueError, "rule: not a rule of this kernel's work type");
         return -1;
     }
     r->kind = (int)kind;
     PyObject *const *item = &PyTuple_GET_ITEM(spec, 1);
-    if (kind == RULE_IEEE) {
-        r->emin = (int)PyLong_AsLong(item[0]);
-        r->mbits = (int)PyLong_AsLong(item[1]);
-        return PyErr_Occurred() || rule_value(item[2], &r->maxpos) < 0 ? -1 : 0;
-    }
     const Py_ssize_t wsize = extended ? X87_SLOT : 8;
     const char *wfmt = extended ? "g" : "d";
     const int tables = kind == RULE_TABLE ? 1 : 2;
@@ -2062,8 +2044,7 @@ PyInit__rounding(void)
         PyExc_BufferError, NULL);
     if (PyModule_AddObjectRef(module, "OperandError", OperandError) < 0 ||
         PyModule_AddIntConstant(module, "RULE_TABLE", RULE_TABLE) < 0 ||
-        PyModule_AddIntConstant(module, "RULE_QUANTUM", RULE_QUANTUM) < 0 ||
-        PyModule_AddIntConstant(module, "RULE_IEEE", RULE_IEEE) < 0) {
+        PyModule_AddIntConstant(module, "RULE_QUANTUM", RULE_QUANTUM) < 0) {
         Py_DECREF(module);
         return NULL;
     }

@@ -38,9 +38,8 @@ round-to-nearest-even entirely in integer arithmetic:
   Exact zeros there round inline, and every other finite value rounds
   inline too, by the format's *finite rule*: the format's own rounding
   rule, restated in C over tables the format hands the kernel when it is
-  built (:func:`table_rule` for the tapered formats of at most 16 bits and
-  E4M3, :func:`quantum_rule` for the wider tapered formats,
-  :func:`ieee_rule` for float16, bfloat16 and E5M2).  Only infinities and
+  built (:func:`table_rule` for the formats of at most 16 bits,
+  :func:`quantum_rule` for the wider tapered formats).  Only infinities and
   NaN are handed back and resolved without the kernel (the format's
   scalar kernel for a few elements, its analytic kernel for many).
   Binades where the format grid is at least as *fine* as the work grid
@@ -116,7 +115,6 @@ __all__ = [
     "TakumExtendedBitKernel",
     "extended_layout_supported",
     "extension",
-    "ieee_rule",
     "quantum_rule",
     "table_rule",
     "set_enabled",
@@ -212,13 +210,6 @@ def quantum_rule(lo_table, hi_table, qexp_base, qexps, minpos, maxpos, lo, hi) -
     return (kind, *lo_table, *hi_table, qexps, qexp_base, minpos, maxpos, lo, hi)
 
 
-def ieee_rule(emin: int, mbits: int, max_value: float) -> tuple:
-    """The finite rule of an IEEE-style format: the quantum
-    ``2^(max(e, emin) - mbits)`` of the magnitude's binade ``2^e``, overflow
-    past ``max_value`` to the signed infinity."""
-    return (extension().RULE_IEEE, emin, mbits, max_value)
-
-
 class BitKernel:
     """Family-parameterized integer round/encode/decode kernel.
 
@@ -237,8 +228,8 @@ class BitKernel:
         format's scalar or analytic kernel); applied to the infinities and
         NaN the kernel hands back.
     rule:
-        Callback building the format's finite rule (:func:`table_rule`,
-        :func:`quantum_rule` or :func:`ieee_rule`) from this kernel, whose
+        Callback building the format's finite rule (:func:`table_rule` or
+        :func:`quantum_rule`) from this kernel, whose
         vectorised :meth:`decode` serves before the compiled kernel exists;
         the compiled kernel rounds every finite value of a special binade
         with it.

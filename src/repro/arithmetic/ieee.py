@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .base import NumberFormat, round_to_quantum
-from .bitkernels import IEEEBitKernel, ieee_rule
+from .bitkernels import IEEEBitKernel, table_rule
 
 __all__ = ["IEEEFormat", "FLOAT16", "BFLOAT16", "FLOAT32", "FLOAT64"]
 
@@ -56,6 +56,7 @@ class IEEEFormat(NumberFormat):
         )
         self._min_positive = float(math.ldexp(1.0, self.emin - self.mbits))
         self._min_normal = float(math.ldexp(1.0, self.emin))
+        self._magnitudes = self._codes = None
         # float32/float64 round via a single hardware cast; there the vector
         # kernel beats any per-element Python loop, so the small-array scalar
         # dispatch is disabled (the scalar kernel itself stays available for
@@ -104,9 +105,15 @@ class IEEEFormat(NumberFormat):
         )
 
     def _finite_rule(self, kern) -> tuple:
-        """The rule of :meth:`_round_scalar_quantum`: the binade quantum
-        with gradual underflow, overflow to the signed infinity."""
-        return ieee_rule(self.emin, self.mbits, self._max_value)
+        """The rule of :meth:`_round_scalar_quantum` as a table rule: on
+        the uniform grid of each binade the nearest magnitude with an even
+        code is the quantum's round-to-even, from ``max + ulp/2`` up the
+        magnitude overflows to the signed infinity, and the sign of zero is
+        kept."""
+        self._ensure_table(kern)
+        ulp = math.ldexp(1.0, self.emax - self.mbits)
+        over = math.nextafter(self._max_value + ulp / 2, 0.0)
+        return table_rule(self._magnitudes, self._codes, over, math.inf, 0.0)
 
     def _encode_scalar(self, v) -> int:
         """Sign, biased exponent and mantissa fields of one representable

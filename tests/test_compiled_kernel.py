@@ -39,7 +39,8 @@ def _kernel_works(module) -> bool:
     shift = np.full(1 << 12, 52 - 2, dtype=np.uint64)
     bias = (np.uint64(1) << (shift - np.uint64(1))) - np.uint64(1)
     special = np.zeros(1 << 12, dtype=np.uint8)
-    rule = (module.RULE_IEEE, -1022, 2, 1e308)  # no binade is special
+    mags, codes = np.zeros(1), np.zeros(1, dtype=np.int64)
+    rule = (module.RULE_TABLE, mags, codes, 0.0, 0.0, 0.0)  # no binade is special
     kern = module.Kernel(shift, bias, special, False, False, bytearray(1), rule)
     return kern.round_one(1.3) == 1.25 and kern.round_one(-1.4) == -1.5
 

@@ -1,39 +1,38 @@
 """Micro-benchmark: rounding throughput (values/s) per format and kernel.
 
 Measures ``round_array`` (the compiled bit kernel at every size) against
-the analytic kernels for every format of up to 16 bits, at 64k values and
-— report-only, not gated — per call at the sizes the solvers round
-({1, 16, 48, 512} elements).
+the NumPy differential reference of ``tests/_reference.py`` (the
+``analytic`` column: each format's rounding as vectorised NumPy passes)
+for every format of up to 16 bits, at 64k values and — report-only, not
+gated — per call at the sizes the solvers round ({1, 16, 48, 512}
+elements).
 
 The *bit-kernel* section measures the compiled integer rounding engine
-(:mod:`repro.arithmetic.bitkernels`) against the analytic vector kernels at
-64k values for every format it serves.  The acceptance bar is >= 3x on the
+(:mod:`repro.arithmetic.bitkernels`) against that vector reference at 64k
+values for every format it serves.  The acceptance bar is >= 3x on the
 32-bit posit/takum formats (the paper-pipeline hot path the engine was
 built for); the CI gate (``--check``) fails if any kernel-served format,
-the 8-bit ones included, rounds *slower* than its analytic kernel.
+the 8-bit ones included, rounds *slower* than the reference.
 
 The *scalar* section measures per-scalar rounding at solver-call sizes for
-the wide (32/64-bit) formats: the old route (one
-``round_array_analytic`` call on a 1-element ndarray, which is what every
-scalar Givens/QL operation paid before the scalar kernels existed) against
-the ``round_scalar`` scalar kernel, plus the context-level scalar ``add``
-(the end-to-end per-operation cost inside the solvers); report only.  The
+the wide (32/64-bit) formats: the old route (one vector-reference call on a
+1-element ndarray, which is what every scalar Givens/QL operation paid
+before the scalar entry existed) against ``round_scalar`` through the
+compiled scalar entry, plus the context-level scalar ``add`` (the
+end-to-end per-operation cost inside the solvers); report only.  The
 *context-op* section times one call of ``ctx.add``, ``ctx.dot``,
 ``ctx.gemv`` and the scalar ``ctx.hypot`` at the Krylov dimension (25) and
 the fig1 matrix order (32); report only.  The *reduction* section times
 the pairwise contractions ``ctx.reduce_sum``, ``ctx.dot``, ``ctx.gemv``,
 ``ctx.gemv_t`` and ``ctx.spmv`` over 25, 32 and 300 elements, in one call
 of the compiled reduction each, with the bit kernels on (the format's
-kernel rounds) and off (every sum is handed back to the analytic kernels,
-the ``handback`` column); report only.  For
-posit64/takum64 it also times the bit kernel's compiled scalar entry
-(``round_one``) against the NumPy-scalar kernel
-(``round_scalar_analytic``), which ``--check`` gates at >= 2x on one
-value.  The *hand-back* section times rounding of finite values in the
-special binades of a kernel (deep regimes, overflow bands, deep
-subnormals), which the kernel's finite rule rounds in C, per call at the
-workload's sizes: one scalar through the context and arrays of 16, 25 and
-32 elements through ``round_array``; report only.
+lookup tables round) and off (every sum rounds by the format's rule
+alone, the ``rule`` column); report only.  The *hand-back* section times
+rounding of finite values in the special binades of a kernel (deep
+regimes, overflow bands, deep subnormals), which the kernel's rule rounds
+in C and counts as handed back, per call at the workload's sizes: one
+scalar through the context and arrays of 16, 25 and 32 elements through
+``round_array``; report only.
 
 Run under pytest-benchmark::
 
@@ -69,6 +68,7 @@ import numpy as np
 import pytest
 
 from repro.arithmetic import get_context, get_format, set_bitkernels_enabled
+from tests._reference import round_array_analytic
 
 EIGHT_BIT = ["E4M3", "E5M2", "posit8", "takum8"]
 SIXTEEN_BIT = ["float16", "bfloat16", "posit16", "takum16"]
@@ -95,12 +95,6 @@ BITKERNEL_FORMATS = [
 #: the paper-pipeline hot path: the bit kernels must deliver >= 3x here
 BITKERNEL_TARGET_FORMATS = ("posit32", "takum32")
 BITKERNEL_TARGET_SPEEDUP = 3.0
-
-#: the longdouble formats whose contexts round scalars through the
-#: compiled scalar entry of the two-word kernel; ``--check`` requires it to
-#: beat their NumPy-scalar kernel by this factor on one value
-SCALAR_ENTRY_FORMATS = ("posit64", "takum64")
-SCALAR_ENTRY_TARGET_SPEEDUP = 2.0
 
 #: benchmark workload size (values per round_array call)
 N_VALUES = 1 << 16
@@ -135,7 +129,7 @@ def _round_dispatch(fmt, values):
 
 
 def _round_analytic(fmt, values):
-    return fmt.round_array_analytic(values)
+    return round_array_analytic(fmt, values)
 
 
 BACKENDS = {"round_array": _round_dispatch, "analytic": _round_analytic}
@@ -169,8 +163,8 @@ def _round_bitkernel(fmt, values):
 @pytest.mark.parametrize("backend", ["analytic", "bitkernel"])
 def test_bitkernel_throughput(benchmark, fmt_name, backend, values):
     fmt = get_format(fmt_name)
-    if fmt.bitkernel() is None:
-        pytest.skip("no bit kernel on this host/configuration")
+    if fmt.bitkernel()._special is None:
+        pytest.skip("no lookup tables on this host/configuration")
     vals = values.astype(fmt.work_dtype)  # 64-bit formats round longdouble
     runner = _round_analytic if backend == "analytic" else _round_bitkernel
     runner(fmt, vals)  # warm the LUTs / per-format caches
@@ -182,9 +176,9 @@ def test_bitkernel_throughput(benchmark, fmt_name, backend, values):
 # wide-format scalar rounding (solver-call sizes)
 # --------------------------------------------------------------------- #
 def _scalar_round_old(fmt, value):
-    """Pre-scalar-kernel route: wrap, round through the vector analytic
-    kernel, unwrap — what each scalar solver operation paid before."""
-    return float(fmt.round_array_analytic(np.asarray([value], dtype=fmt.work_dtype))[0])
+    """Pre-scalar-entry route: wrap, round through the vector reference,
+    unwrap — what each scalar solver operation paid before."""
+    return float(round_array_analytic(fmt, np.asarray([value], dtype=fmt.work_dtype))[0])
 
 
 def _scalar_round_new(fmt, value):
@@ -241,11 +235,12 @@ def _median_call_time(func, repeats: int = 7, inner: int = 2000) -> float:
 
 
 def run_scalar_report() -> list[str]:
-    """Wide-format scalar rounding: old array route vs new scalar kernels."""
+    """Wide-format scalar rounding: old array route vs the compiled scalar
+    entry."""
     lines = [
         "Scalar rounding at solver-call sizes (per-call cost, one value)",
-        "old: round_array_analytic on a 1-element ndarray (pre-kernel route)",
-        "new: round_scalar through the pure-Python scalar kernels",
+        "old: the vector reference on a 1-element ndarray (pre-kernel route)",
+        "new: round_scalar through the compiled scalar entry",
         "",
         f"{'format':<10s} {'old [us]':>10s} {'new [us]':>10s} {'speedup':>9s}",
     ]
@@ -272,58 +267,20 @@ def run_scalar_report() -> list[str]:
     return lines
 
 
-def run_extended_scalar_report(record: dict | None = None) -> list[str]:
-    """posit64/takum64 scalar rounding: the two-word kernel's compiled
-    scalar entry against the NumPy-scalar kernel.
-
-    When ``record`` is given, per-format times and speedups are stored into
-    it (feeding the ``--check`` gate).
-    """
-    lines = [
-        "posit64/takum64 scalar rounding per call",
-        "compiled: the two-word kernel's scalar entry (round_one); "
-        "numpy: the NumPy-scalar kernel (round_scalar_analytic)",
-        f"{'format':<10s} {'compiled [us]':>14s} {'numpy [us]':>11s} {'speedup':>9s}",
-    ]
-    for fmt_name in SCALAR_ENTRY_FORMATS:
-        fmt = get_format(fmt_name)
-        kern = fmt.bitkernel()
-        if kern is None:  # no x87 layout, or kernels disabled
-            continue
-        value = np.longdouble(0.7354) / np.longdouble(3.0)  # full 64-bit significand
-        compiled_s, numpy_s = [], []
-        for _ in range(3):  # interleave to cancel CPU frequency drift
-            compiled_s.append(_median_call_time(lambda: kern.round_one(value)))
-            numpy_s.append(_median_call_time(lambda: fmt.round_scalar_analytic(value)))
-        t_compiled = float(np.median(compiled_s))
-        t_numpy = float(np.median(numpy_s))
-        if record is not None:
-            record[fmt_name] = {
-                "compiled_us": round(t_compiled * 1e6, 3),
-                "numpy_us": round(t_numpy * 1e6, 3),
-                "speedup": round(t_numpy / t_compiled, 3),
-            }
-        lines.append(
-            f"{fmt_name:<10s} {t_compiled * 1e6:>14.2f} {t_numpy * 1e6:>11.2f} "
-            f"{t_numpy / t_compiled:>8.2f}x"
-        )
-    return lines
-
-
 def run_bitkernel_report(record: dict | None = None) -> list[str]:
-    """Bit-kernel vs analytic vector rounding at benchmark size.
+    """Bit-kernel vs vector-reference rounding at benchmark size.
 
     When ``record`` is given, per-format speedups are stored into it
     (feeding both the JSON artifact and the ``--check`` gate).
     """
     values = workload()
     lines = [
-        f"Bit-kernel rounding vs analytic kernels ({values.size} values/call)",
+        f"Bit-kernel rounding vs the vector reference ({values.size} values/call)",
         f"{'format':<10s} {'bitkernel [Mval/s]':>19s} {'analytic [Mval/s]':>18s} {'speedup':>9s}",
     ]
     for fmt_name in BITKERNEL_FORMATS:
         fmt = get_format(fmt_name)
-        if fmt.bitkernel() is None:  # engine disabled via env/runtime switch
+        if fmt.bitkernel()._special is None:  # no lookup tables: switch off
             continue
         # the 64-bit formats round longdouble workloads; benchmark both
         # backends on the dtype the dispatch actually feeds them
@@ -355,7 +312,7 @@ def run_bitkernel_report(record: dict | None = None) -> list[str]:
 
 
 def run_workload_size_report(record: dict | None = None) -> list[str]:
-    """``round_array`` vs ``round_array_analytic`` per call at the array
+    """``round_array`` vs the vector reference per call at the array
     sizes the solvers round (report only, not gated).
 
     When ``record`` is given, per-format, per-size microseconds are stored
@@ -364,7 +321,7 @@ def run_workload_size_report(record: dict | None = None) -> list[str]:
     sizes = WORKLOAD_SIZES
     head = " ".join(f"{f'n={n} [us]':>19s}" for n in sizes)
     lines = [
-        "round_array vs round_array_analytic per call at solver sizes "
+        "round_array vs the vector reference per call at solver sizes "
         "(dispatch / analytic microseconds; report only)",
         f"{'format':<10s} {head}",
     ]
@@ -464,17 +421,17 @@ def _reduction_calls(ctx, n: int) -> dict:
 def run_reduction_report(record: dict | None = None) -> list[str]:
     """Per-call cost of the pairwise contractions (report only, not gated),
     in both positions of the bit-kernel switch.  Both run the compiled
-    reduction: ``on`` rounds through the format's kernel, ``handback``
-    (the switch off) hands every sum to the format's analytic kernels.
+    reduction: ``on`` rounds through the format's lookup tables, ``rule``
+    (the switch off) rounds every sum by the format's rule alone.
 
     When ``record`` is given, the microseconds are stored into it as
-    ``record[format][op][f"n={n}"] = {"on": us, "handback": us}``.
+    ``record[format][op][f"n={n}"] = {"on": us, "rule": us}``.
     """
-    modes = ("on", "handback")
+    modes = ("on", "rule")
     columns = [f"n={n} {mode}" for n in REDUCTION_SIZES for mode in modes]
     lines = [
         "Pairwise contractions per call (microseconds; compiled reduction with the bit "
-        "kernels on / every sum handed back to the analytic kernels; report only)",
+        "kernels on / every sum by the format's rule alone; report only)",
         f"{'format':<10s} {'op':<10s} " + " ".join(f"{c:>14s}" for c in columns),
     ]
     for fmt_name in REDUCTION_FORMATS:
@@ -532,7 +489,7 @@ def run_handback_report(record: dict | None = None) -> list[str]:
     for fmt_name in HANDBACK_FORMATS:
         ctx = get_context(fmt_name)
         fmt = ctx.format
-        if fmt.bitkernel() is None:  # engine disabled, or no x87 layout
+        if fmt.bitkernel()._special is None:  # no lookup tables: no special binades
             continue
         scalars = [v for v in deep_regime(fmt, 64, seed=1)]
         calls = {1: lambda: [ctx.round_scalar(v) for v in scalars]}
@@ -554,7 +511,6 @@ def run_handback_report(record: dict | None = None) -> list[str]:
 def run_report(
     record: dict | None = None,
     sizes: dict | None = None,
-    scalar_entry: dict | None = None,
     context_ops: dict | None = None,
     reductions: dict | None = None,
     handbacks: dict | None = None,
@@ -590,8 +546,6 @@ def run_report(
     lines.append("")
     lines.extend(run_scalar_report())
     lines.append("")
-    lines.extend(run_extended_scalar_report(scalar_entry))
-    lines.append("")
     lines.extend(run_context_op_report(context_ops))
     lines.append("")
     lines.extend(run_reduction_report(reductions))
@@ -602,11 +556,9 @@ def run_report(
 
 def run_check(threshold: float = 1.0) -> int:
     """CI gate: every format whose *rounding dispatch* uses a bit kernel
-    must round at least as fast as its analytic kernel at 64k values, the
-    32-bit posit/takum hot path must clear
-    :data:`BITKERNEL_TARGET_SPEEDUP`, and the posit64/takum64 compiled
-    scalar entry must clear :data:`SCALAR_ENTRY_TARGET_SPEEDUP` over the
-    NumPy-scalar kernel on one value.  Returns an exit code.
+    must round at least as fast as the vector reference at 64k values, and
+    the 32-bit posit/takum hot path must clear
+    :data:`BITKERNEL_TARGET_SPEEDUP`.  Returns an exit code.
     """
     record: dict = {}
     lines = run_bitkernel_report(record)
@@ -614,16 +566,7 @@ def run_check(threshold: float = 1.0) -> int:
     if not record:
         print("SKIP: bit kernels disabled in this environment")
         return 0
-    scalar_entry: dict = {}
-    print()
-    print("\n".join(run_extended_scalar_report(scalar_entry)))
     failed = []
-    for fmt_name, row in scalar_entry.items():
-        if row["speedup"] < SCALAR_ENTRY_TARGET_SPEEDUP:
-            failed.append(
-                f"{fmt_name} scalar: {row['speedup']:.2f}x < the "
-                f"{SCALAR_ENTRY_TARGET_SPEEDUP:.0f}x compiled-scalar-entry target"
-            )
     for fmt_name, row in record.items():
         if row["speedup"] < threshold:
             failed.append(f"{fmt_name}: {row['speedup']:.2f}x < {threshold:.2f}x")
@@ -651,20 +594,18 @@ def main(argv=None) -> int:
         "--check",
         action="store_true",
         help="CI gate: fail (exit 1) if any bit kernel is slower than the "
-        "analytic kernel at 64k values, the 32-bit posit/takum hot path "
-        "misses its 3x target, or the posit64/takum64 compiled scalar entry "
-        "misses its 2x target",
+        "vector reference at 64k values, or the 32-bit posit/takum hot path "
+        "misses its 3x target",
     )
     args = parser.parse_args(argv)
     if args.check:
         return run_check()
     record: dict = {}
     sizes: dict = {}
-    scalar_entry: dict = {}
     context_ops: dict = {}
     reductions: dict = {}
     handbacks: dict = {}
-    report = run_report(record, sizes, scalar_entry, context_ops, reductions, handbacks)
+    report = run_report(record, sizes, context_ops, reductions, handbacks)
     out_dir = pathlib.Path(__file__).parent / "output"
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "micro_rounding.txt"
@@ -678,7 +619,6 @@ def main(argv=None) -> int:
             "values_per_call": N_VALUES,
             "bitkernel_vs_analytic": record,
             "round_array_vs_analytic_us": sizes,
-            "extended_scalar_entry": scalar_entry,
             "context_op_us": context_ops,
             "reduction_us": reductions,
             "handback_us": handbacks,

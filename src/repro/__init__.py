@@ -4,9 +4,10 @@ Arnoldi Method in OFP8, Bfloat16, Posit, and Takum Arithmetics" (SC '25).
 The package is organised as:
 
 * :mod:`repro.arithmetic` — machine-number formats (OFP8, bfloat16, posits,
-  takums, IEEE), their rounding kernels (integer bit kernels compiled on
-  first use, :mod:`repro.arithmetic.bitkernels`, over the pure-Python
-  analytic kernels), and per-operation rounding compute contexts;
+  takums, IEEE), their rounding kernels (integer bit kernels and each
+  format's rounding rule, compiled on first use,
+  :mod:`repro.arithmetic.bitkernels`), and per-operation rounding compute
+  contexts;
 * :mod:`repro.sparse` — CSR/COO sparse-matrix substrate, Matrix Market and
   edge-list I/O, graph-Laplacian preparation;
 * :mod:`repro.linalg` — dense kernels (symmetric Householder

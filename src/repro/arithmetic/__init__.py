@@ -26,23 +26,22 @@ block of such code, and :class:`repro.arithmetic.ContextSpec` names a
 context declaratively for the runner and CLI.
 
 One compiled rounding kernel serves every posit, takum and non-cast
-IEEE/OFP8 format, bit-identical to the analytic ground truth: the integer
-bit kernels (:mod:`repro.arithmetic.bitkernels`; one family-parameterized
-round/encode/decode engine) build each format's binade lookup tables, and
-a small C extension (``_rounding.c``, compiled on first use) rounds arrays
-of every size and the contexts' scalars over them; see
-``docs/architecture.md`` for the dispatch matrix.  The format alone
-decides how a value rounds.  The analytic kernels remain the ground truth
-(``round_array_analytic``, and the pure-Python scalar kernels
-``round_scalar_analytic``); the compiled kernel rounds every finite value
-itself, restating their rules in C for the binades its integer transform
-does not serve, and hands them only infinities and NaN.  The bit kernels
-state each tapered binade rule independently of them (``_keep_bits``), so
-the sweeps compare two derivations.  The one opt-out,
+IEEE/OFP8 format and rounds every value itself, NaN and infinities
+included: the integer bit kernels (:mod:`repro.arithmetic.bitkernels`; one
+family-parameterized round/encode/decode engine) build each format's
+binade lookup tables and its rule, and a small C extension
+(``_rounding.c``, compiled on first use) rounds arrays of every size and
+the contexts' scalars with them; see ``docs/architecture.md`` for the
+dispatch matrix.  The format alone decides how a value rounds.  The rule
+restates each format's rounding in C for the binades the integer transform
+does not serve; the bit kernels state each tapered binade rule
+independently (``_keep_bits``), and the differential reference of
+``tests/`` is the independent check of both.  The one opt-out,
 ``set_bitkernels_enabled(False)`` / ``REPRO_DISABLE_BITKERNELS=1``, turns
-the compiled kernels off process-wide so every format rounds through its
-analytic kernels.  The compiled library itself is required (it also holds
-the QL iteration of the projected eigensolver).
+the integer transform off process-wide so every format rounds by its rule
+alone.  float32 and float64 round by a dtype cast.  The compiled library
+itself is required (it also holds the QL iteration of the projected
+eigensolver).
 """
 
 from .base import LONGDOUBLE_EXTENDED, NumberFormat, RoundingInfo

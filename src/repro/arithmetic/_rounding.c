@@ -1,17 +1,19 @@
 /*
  * Compiled round-to-nearest-even kernels of the emulated number formats.
  *
- * One `Kernel` object serves one format.  It reads, in place, the three
- * lookup tables `repro.arithmetic.bitkernels.BitKernel` derives from the
- * format's binade rule, indexed by the sign + exponent field of the work
- * word: the truncation shift `s`, the rounding bias `2^(s-1) - 1` and a
- * special code (0: served, 1: hand back, 2: copy through unchanged).  A
- * served value rounds with the integer transform
+ * One `Kernel` object serves one format and rounds every value itself.  It
+ * is built with the format's *rule* (see `Rule`), and, with the integer
+ * transform on, with three lookup tables (LUTs) that
+ * `repro.arithmetic.bitkernels.BitKernel` derives from the format's binade
+ * rule, indexed by the sign + exponent field of the work word: the
+ * truncation shift `s`, the rounding bias `2^(s-1) - 1` and a special code
+ * (0: served, 1: round by the rule, 2: copy through unchanged).  A served
+ * value rounds with the integer transform
  *
  *     ((u + bias + ((u >> s) & 1)) >> s) << s
  *
- * which breaks ties towards the even retained word.  Two word layouts are
- * supported:
+ * which breaks ties towards the even retained word.  Two word layouts have
+ * LUTs:
  *
  *   - the float64 word, transformed whole (a round-up may carry into the
  *     exponent field, which is how a binade boundary rounds up);
@@ -22,27 +24,22 @@
  *     round-up into the next binade (significand 2^63, exponent + 1).  The
  *     six padding bytes are ignored on input and written as zeros.
  *
- * Each layout has one step that loads one value, rounds it, stores it
- * (into the slot it came from, or into another) and returns SERVED, ZERO,
- * RESOLVED or HAND_BACK: `step_f64` and `step_x87`; the native dtypes have
- * `step_none`, which leaves the value as it is, and an emulated format no
- * kernel serves has `step_all`, which hands every value back.  Every entry
- * below rounds through these steps.  In a special binade the step rounds
- * exact zeros itself (`-0.0` becomes `+0.0` for formats with one unsigned
- * zero), and every other finite value (extreme regimes, overflow bands,
- * deep subnormals) with the kernel's finite rule, the format's own rounding
- * rule restated here (see `Rule`): RESOLVED.  Only infinities and NaN are
- * handed back: they stay unrounded in their slot, and once a pass over the
- * buffer ends, the values the pass handed back go to one call of the
- * caller's `resolve`, which rounds them with the format's analytic kernel;
- * the kernel stores its results in place (x87 values with their padding
- * zeroed).
+ * Each kernel has one step that loads one value, rounds it, stores it (into
+ * the slot it came from, or into another) and returns SERVED, ZERO or RULE:
+ * `step_f64` and `step_x87` with the LUTs, `step_rule_f64` and
+ * `step_rule_ld` without them (the integer transform switched off, or a
+ * `long double` layout other than the x87 slot); the native dtypes have
+ * `step_none`, which leaves the value as it is.  Every entry below rounds
+ * through these steps.  A step without LUTs, and a LUT step in a special
+ * binade, rounds by the rule: an exact zero stays zero (`-0.0` becomes
+ * `+0.0` for formats with one unsigned zero), an infinity or NaN follows
+ * the rule's non-finite policy, and every other value rounds by the rule's
+ * finite part.  The values the rule rounds are counted as handed back (the
+ * `bitkernel.lut_fallback` counter).
  *
- * The finite rules follow the format definitions (posit-2022, takum,
- * OFP8, IEEE 754) and the analytic kernels of `repro.arithmetic`
- * comparison for comparison, in the work type (`double`, or the x87
- * `long double` with `frexpl`, `ldexpl` and `rintl`), so they round
- * bit-identically to them:
+ * The rules follow the format definitions (posit-2022, takum, OFP8, IEEE
+ * 754) comparison for comparison, in the work type (`double`, or `long
+ * double` with `frexpl`, `ldexpl` and `rintl`):
  *
  *   RULE_TABLE    the nearest entry of a sorted magnitude table
  *                 (`bisect_left`, then the nearer neighbour, ties to the
@@ -57,32 +54,35 @@
  *                 extreme tables beyond the bounds, then clamped to
  *                 `[minpos, maxpos]` (the wider tapered formats).
  *
+ * The non-finite policies:
+ *
+ *   NONFINITE_KEEP  a NaN keeps its bits and an infinity stays (IEEE);
+ *   NONFINITE_NAR   NaN and both infinities become +NaN (posit, takum);
+ *   NONFINITE_RULE  NaN becomes +NaN and an infinity rounds by the finite
+ *                   rule, as a magnitude above every bound (E4M3: the sign
+ *                   of the NaN above 464, or +-448 when saturating).
+ *
  * Entries:
  *   Kernel.round_one(value)      one float64 / longdouble scalar (or 0-d
  *                                array of the work type) -> the rounded
- *                                NumPy scalar, or None when the value is
- *                                handed back (an infinity or NaN, or not a
- *                                float of the work layout);
- *   Kernel.round_into(src, dst, resolve)
- *                                rounds the C-contiguous buffer `src` into
+ *                                NumPy scalar, or None when the value is not
+ *                                a float of the work layout;
+ *   Kernel.round_into(src, dst)  rounds the C-contiguous buffer `src` into
  *                                `dst` (same length; may be `src` itself)
  *                                in one pass and returns None.
  *                                Non-contiguous, foreign-format or
  *                                partially overlapping buffers raise
  *                                OperandError (a BufferError) before
- *                                anything is written; an exception of
- *                                `resolve` propagates as it is;
+ *                                anything is written;
  *   Kernel.take_counts()         (calls, elements, handed_back, zeros) of
  *                                the passes since the last call, counted
- *                                while the telemetry flag byte is set (the
- *                                values a finite rule rounded count as
- *                                handed back);
- *   reduce(values, indptr, sequential, kernel, resolve_scalar, resolve_array)
+ *                                while the telemetry flag byte is set;
+ *   reduce(values, indptr, sequential, kernel)
  *                                the rounded sum of each segment of
  *                                `values` (see below) as a fresh 1-D
  *                                array: pairwise, or with `sequential`
  *                                true left to right;
- *   ql(d, e, max_sweeps, eps, kernel, resolve)
+ *   ql(d, e, max_sweeps, eps, kernel)
  *                                the implicit-shift QL iteration of the
  *                                projected eigensolver on the diagonal `d`
  *                                and the subdiagonal `e` (as long as `d`)
@@ -93,11 +93,11 @@
  *                                `max_sweeps` sweeps), the steps that met a
  *                                zero rotation radius, and the Givens steps
  *                                (i, c, s) recorded for the eigenvectors;
- *   rotate(ZT, cols, cs, ss, kernel, resolve)
+ *   rotate(ZT, cols, cs, ss, kernel)
  *                                those Givens steps applied to the rows of
  *                                `ZT` in place, wave by wave -> the number
  *                                of waves;
- *   tridiagonalize(AQ, sequential, kernel, resolve_scalar, resolve_array)
+ *   tridiagonalize(AQ, sequential, kernel)
  *                                the Householder reduction of the stacked
  *                                `(2, n, n)` buffer `[A; Q]` in place (A
  *                                symmetric, Q the identity on entry) ->
@@ -108,19 +108,15 @@
  *                                no step).
  *
  * The module entries round through `kernel` (a Kernel of the work type of
- * the arrays), or, with `kernel` None, not at all (the resolvers None:
- * float32, float64 and longdouble arrays of the native contexts) or by
- * handing every value to the resolvers (an emulated format without a
- * kernel, or the bit-kernel switch off).  A scalar op resolves a
- * handed-back value at once, one value per call of the scalar resolver
- * (`ql`'s `resolve`), since the next op reads it.  An array op rounds in
- * one pass, as `round_into` would round it, resolved in one call of the
- * array resolver (`rotate`'s `resolve`) and counted as one call of the
- * kernel; `rotate` rounds each wave in two passes.  `tridiagonalize`
- * rounds each elementwise op of the reduction in one pass and each dot
- * product or matrix-vector product as `reduce` does.  `ql`, `rotate` and
- * `tridiagonalize` take well-behaved C-contiguous arrays only, and write
- * in place; `reduce` only reads `values`.
+ * the arrays), or, with `kernel` None, not at all (float32, float64 and
+ * longdouble arrays of the native contexts).  A scalar op rounds its value
+ * at once, since the next op reads it, and is not counted.  An array op
+ * rounds in one pass, as `round_into` would round it, counted as one call
+ * of the kernel; `rotate` rounds each wave in two passes.
+ * `tridiagonalize` rounds each elementwise op of the reduction in one pass
+ * and each dot product or matrix-vector product as `reduce` does.  `ql`,
+ * `rotate` and `tridiagonalize` take well-behaved C-contiguous arrays
+ * only, and write in place; `reduce` only reads `values`.
  *
  * A reduction sums each segment of `values`: the segments are the rows
  * along the last axis of `values` (`indptr` None), or the CSR segments
@@ -128,15 +124,14 @@
  * to zero.  The pairwise order sums each segment as a balanced tree: each
  * tree level adds partial `2i` to partial `2i + 1`, rounds every sum, and
  * carries an odd leftover unrounded into the next level.  One level is
- * computed for every segment first; the sums it handed back then go to one
- * call of the array resolver, and only then does the next level start.
- * The first level writes its sums into a work buffer of half the size,
- * where the later levels reduce in place.  The sequential order adds
- * column `j` of every segment longer than `j` in one pass, left to right;
- * the segment of a 1-D `values` (`indptr` None) instead takes one scalar
- * op, resolved at once, per addition.  Every pass (a tree level or a
- * column) is counted as one call of the kernel, with its sums, hand-backs
- * and zeros, as `round_into` would count rounding them in one call.
+ * computed for every segment before the next level starts.  The first
+ * level writes its sums into a work buffer of half the size, where the
+ * later levels reduce in place.  The sequential order adds column `j` of
+ * every segment longer than `j` in one pass, left to right; the segment of
+ * a 1-D `values` (`indptr` None) instead takes one scalar op per addition.
+ * Every pass (a tree level or a column) is counted as one call of the
+ * kernel, with its sums, the values its rule rounded and its zeros, as
+ * `round_into` would count rounding them in one call.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -150,19 +145,28 @@
 #include <numpy/arrayobject.h>
 #include <numpy/arrayscalars.h>
 
-#define SPECIAL_RESOLVE 1
+#define SPECIAL_RULE 1
 #define SPECIAL_IDENTITY 2
 
-/* outcome of rounding one value */
+/* outcome of rounding one value: the integer transform (or a copy), an
+ * exact zero, or the rule */
 #define SERVED 0
 #define ZERO 1
-#define HAND_BACK 2
-#define RESOLVED 3
+#define RULE 2
 
-/* bytes of one x87 extended value in memory */
+/* bytes of one x87 extended value in memory, and of its value */
 #define X87_SLOT 16
+#define X87_VALUE 10
 /* whether npy_longdouble is the x87 extended value in a 16-byte slot */
 #define X87_LONGDOUBLE (LDBL_MANT_DIG == 64 && NPY_SIZEOF_LONGDOUBLE == X87_SLOT)
+
+/* a function off the hot path, kept out of line so that the LUT steps it
+ * falls back from stay small enough to inline into every loop */
+#if defined(__GNUC__)
+#define OUT_OF_LINE __attribute__((noinline))
+#else
+#define OUT_OF_LINE
+#endif
 
 /* OperandError: the operands `round_into` refuses, before it writes */
 static PyObject *OperandError;
@@ -172,15 +176,17 @@ static PyTypeObject KernelType;
 enum { SHIFT, BIAS, SPECIAL, N_LUTS };
 enum { CALLS, ELEMENTS, HANDED_BACK, ZEROS, N_COUNTS };
 enum { RULE_TABLE, RULE_QUANTUM };
+enum { NONFINITE_KEEP, NONFINITE_NAR, NONFINITE_RULE };
 /* the buffers of a rule: the magnitudes and codes of the table (RULE_TABLE)
  * or of the `lo` and `hi` extreme tables (RULE_QUANTUM), and the quantum
  * exponents */
 enum { LO_MAGS, LO_CODES, HI_MAGS, HI_CODES, QEXPS, N_RULE_BUFS };
 
-/* How a kernel rounds the finite non-zero values of its special binades
- * (see the header); the bounds are work values, exact in `long double`. */
+/* How a kernel rounds the values its LUTs do not serve (see the header);
+ * the bounds are work values, exact in `long double`. */
 typedef struct {
     int kind;
+    int nonfinite;                /* the non-finite policy */
     Py_buffer bufs[N_RULE_BUFS]; /* read in place; QEXPS: RULE_QUANTUM only */
     npy_intp n_lo, n_hi;          /* entries of the two tables */
     long qbase;                   /* the `frexp` exponent of qexps[0] */
@@ -194,12 +200,13 @@ typedef struct {
     Py_buffer luts[N_LUTS];
     Py_buffer counting; /* one byte: count while non-zero */
     int extended;
+    int lut; /* whether the kernel has its LUTs */
     int unsigned_zero;
     Rule rule;
     unsigned long long counts[N_COUNTS];
 } Kernel;
 
-/* the lookup tables of one kernel, read in place */
+/* the lookup tables and the rule of one kernel, read in place */
 typedef struct {
     const uint64_t *shift;
     const uint64_t *bias;
@@ -248,10 +255,10 @@ tables_of(const Kernel *k)
     }
 
 NEAREST(nearest_f64, double, fabs)
-NEAREST(nearest_x87, npy_longdouble, fabsl)
+NEAREST(nearest_ld, npy_longdouble, fabsl)
 
-/* The finite non-zero value `v` of type `T` rounded by the RULE_QUANTUM
- * rule `r`. */
+/* The non-zero value `v` of type `T`, finite or infinite, rounded by the
+ * RULE_QUANTUM rule `r`. */
 #define QUANTUM(NAME, T, NEAREST_FN, FABS, FREXP, LDEXP, RINT)                  \
     static T NAME(const Rule *r, T v)                                           \
     {                                                                           \
@@ -282,10 +289,11 @@ NEAREST(nearest_x87, npy_longdouble, fabsl)
     }
 
 QUANTUM(quantum_f64, double, nearest_f64, fabs, frexp, ldexp, rint)
-/* the extended kernels' only rule */
-QUANTUM(finite_x87, npy_longdouble, nearest_x87, fabsl, frexpl, ldexpl, rintl)
+/* the only rule of the `long double` kernels */
+QUANTUM(finite_ld, npy_longdouble, nearest_ld, fabsl, frexpl, ldexpl, rintl)
 
-/* The finite non-zero float64 value `v` rounded by the rule `r`. */
+/* The non-zero float64 value `v`, finite or infinite, rounded by the rule
+ * `r`. */
 static double
 finite_f64(const Rule *r, double v)
 {
@@ -307,8 +315,61 @@ finite_f64(const Rule *r, double v)
     return quantum_f64(r, v);
 }
 
-/* Round the float64 word in `in` into `out` (which may be `in`); a
- * handed-back value is stored as it is. */
+/* Round the value `*x` of type `T` in place by the kernel's rule: an exact
+ * zero (unsigned for formats with one zero), then the non-finite policy or
+ * the finite rule `FINITE`. */
+#define BY_RULE(NAME, T, FINITE)                                                \
+    static inline int NAME(const Tables *t, T *x)                               \
+    {                                                                           \
+        const Rule *r = t->rule;                                                \
+        if (*x == 0) {                                                          \
+            if (t->unsigned_zero) {                                             \
+                *x = 0;                                                         \
+            }                                                                   \
+            return ZERO;                                                        \
+        }                                                                       \
+        if (isfinite(*x) || (r->nonfinite == NONFINITE_RULE && *x == *x)) {     \
+            *x = FINITE(r, *x);                                                 \
+        }                                                                       \
+        else if (r->nonfinite != NONFINITE_KEEP) {                              \
+            *x = (T)NAN;                                                        \
+        }                                                                       \
+        return RULE;                                                            \
+    }
+
+BY_RULE(rule_f64, double, finite_f64)
+BY_RULE(rule_ld, npy_longdouble, finite_ld)
+
+/* Round the float64 word in `in` into `out` (which may be `in`) by the
+ * rule alone. */
+static OUT_OF_LINE int
+step_rule_f64(const Tables *t, const void *in, void *out)
+{
+    double x;
+    memcpy(&x, in, sizeof x);
+    const int outcome = rule_f64(t, &x);
+    memcpy(out, &x, sizeof x);
+    return outcome;
+}
+
+/* Round the `long double` in `in` into `out` (which may be `in`) by the
+ * rule alone; an x87 slot gets its padding zeroed. */
+static OUT_OF_LINE int
+step_rule_ld(const Tables *t, const void *in, void *out)
+{
+    npy_longdouble x;
+    memcpy(&x, in, sizeof x);
+    const int outcome = rule_ld(t, &x);
+    memcpy(out, &x, sizeof x);
+    if (X87_LONGDOUBLE) {
+        memset((char *)out + X87_VALUE, 0, X87_SLOT - X87_VALUE);
+    }
+    return outcome;
+}
+
+/* Round the float64 word in `in` into `out` (which may be `in`) through the
+ * LUTs, or by the rule in a special binade; exact zeros, frequent in the
+ * eigensolver's products, round inline as the rule rounds them. */
 static inline int
 step_f64(const Tables *t, const void *in, void *out)
 {
@@ -321,22 +382,13 @@ step_f64(const Tables *t, const void *in, void *out)
         const uint64_t s = t->shift[idx];
         u = ((u + t->bias[idx] + ((u >> s) & 1)) >> s) << s;
     }
-    else if (special != SPECIAL_IDENTITY) {
-        if (!(u << 1)) {
-            outcome = ZERO;
-            if (t->unsigned_zero) {
-                u = 0;
-            }
+    else if (special == SPECIAL_RULE) {
+        if (u << 1) {
+            return step_rule_f64(t, in, out);
         }
-        else if ((idx & 0x7FF) == 0x7FF) {
-            outcome = HAND_BACK;
-        }
-        else {
-            double x;
-            memcpy(&x, &u, sizeof x);
-            x = finite_f64(t->rule, x);
-            memcpy(&u, &x, sizeof u);
-            outcome = RESOLVED;
+        outcome = ZERO;
+        if (t->unsigned_zero) {
+            u = 0;
         }
     }
     memcpy(out, &u, sizeof u);
@@ -344,8 +396,9 @@ step_f64(const Tables *t, const void *in, void *out)
 }
 
 /* Round the x87 extended value in the 16-byte slot `in` into `out` (which
- * may be `in`).  The padding is zeroed whatever the outcome; a handed-back
- * value keeps its words. */
+ * may be `in`) through the LUTs, or by the rule in a special binade, exact
+ * zeros inline as in `step_f64`.  The padding is zeroed whatever the
+ * outcome. */
 static inline int
 step_x87(const Tables *t, const void *in, void *out)
 {
@@ -366,23 +419,13 @@ step_x87(const Tables *t, const void *in, void *out)
             w[0] = (acc >> s) << s;
         }
     }
-    else if (special != SPECIAL_IDENTITY) {
-        if (!w[0] && !(w[1] & 0x7FFF)) {
-            outcome = ZERO;
-            if (t->unsigned_zero) {
-                w[1] = 0;
-            }
+    else if (special == SPECIAL_RULE) {
+        if (w[0] || (w[1] & 0x7FFF)) {
+            return step_rule_ld(t, in, out);
         }
-        else if ((w[1] & 0x7FFF) == 0x7FFF) {
-            outcome = HAND_BACK;
-        }
-        else {
-            npy_longdouble x;
-            memcpy(&x, w, X87_SLOT);
-            x = finite_x87(t->rule, x);
-            memcpy(w, &x, X87_SLOT);
-            w[1] &= 0xFFFF;
-            outcome = RESOLVED;
+        outcome = ZERO;
+        if (t->unsigned_zero) {
+            w[1] = 0;
         }
     }
     memcpy(out, w, X87_SLOT);
@@ -395,14 +438,6 @@ static inline int
 step_none(const Tables *Py_UNUSED(t), const void *Py_UNUSED(in), void *Py_UNUSED(out))
 {
     return SERVED;
-}
-
-/* The step of an emulated format no kernel serves: every value is handed
- * back, unchanged, for the caller's resolver to round; in place only. */
-static inline int
-step_all(const Tables *Py_UNUSED(t), const void *Py_UNUSED(in), void *Py_UNUSED(out))
-{
-    return HAND_BACK;
 }
 
 /* Whether `value` is a 0-d array of the kernel's work type; its value is
@@ -434,12 +469,15 @@ Kernel_round_one(Kernel *k, PyObject *value)
         else if (!zero_dim_of(k, value, &x)) {
             Py_RETURN_NONE;
         }
-        if (step_x87(&t, &x, &x) == HAND_BACK) {
-            Py_RETURN_NONE;
+        if (k->lut) {
+            step_x87(&t, &x, &x);
+        }
+        else {
+            step_rule_ld(&t, &x, &x);
         }
         PyObject *res = PyArrayScalar_New(LongDouble);
         if (res != NULL) {
-            memcpy(&PyArrayScalar_VAL(res, LongDouble), &x, X87_SLOT);
+            memcpy(&PyArrayScalar_VAL(res, LongDouble), &x, sizeof x);
         }
         return res;
     }
@@ -450,8 +488,11 @@ Kernel_round_one(Kernel *k, PyObject *value)
     else if (!zero_dim_of(k, value, &x)) {
         Py_RETURN_NONE;
     }
-    if (step_f64(&t, &x, &x) == HAND_BACK) {
-        Py_RETURN_NONE;
+    if (k->lut) {
+        step_f64(&t, &x, &x);
+    }
+    else {
+        step_rule_f64(&t, &x, &x);
     }
     PyObject *res = PyArrayScalar_New(Double);
     if (res != NULL) {
@@ -460,112 +501,47 @@ Kernel_round_one(Kernel *k, PyObject *value)
     return res;
 }
 
-/* The outcomes of one rounding pass: the zeros it rounded, the values its
- * finite rule rounded and the positions it handed back (grown on demand). */
+/* The outcomes of one rounding pass: the zeros it rounded and the values
+ * its rule rounded. */
 typedef struct {
-    npy_intp *pos;
-    npy_intp count;
-    npy_intp capacity;
     unsigned long long zeros;
-    unsigned long long resolved;
+    unsigned long long rule;
 } Pass;
 
-/* Record the outcome of rounding the value at position `i`. */
-static inline int
-note(Pass *pass, int outcome, npy_intp i)
+/* Record the outcome of rounding one value (a served value writes
+ * nothing: the common case stays free of stores). */
+static inline void
+note(Pass *pass, int outcome)
 {
     if (outcome == ZERO) {
         pass->zeros++;
     }
-    else if (outcome == RESOLVED) {
-        pass->resolved++;
+    else if (outcome == RULE) {
+        pass->rule++;
     }
-    else if (outcome == HAND_BACK) {
-        if (pass->count == pass->capacity) {
-            const npy_intp capacity = pass->capacity ? 2 * pass->capacity : 64;
-            npy_intp *pos = PyMem_Realloc(pass->pos, (size_t)capacity * sizeof(npy_intp));
-            if (pos == NULL) {
-                PyErr_NoMemory();
-                return -1;
-            }
-            pass->pos = pos;
-            pass->capacity = capacity;
-        }
-        pass->pos[pass->count++] = i;
-    }
-    return 0;
 }
 
-/* Round the values a pass over the `typenum` buffer `buf` handed back with
- * one `resolve` call and store them in place (x87 values with their padding
- * zeroed). */
-static int
-resolve_level(int typenum, char *buf, Pass *pass, PyObject *resolve)
-{
-    const npy_intp size = typenum == NPY_LONGDOUBLE ? NPY_SIZEOF_LONGDOUBLE : 8;
-    const int x87 = typenum == NPY_LONGDOUBLE && X87_LONGDOUBLE;
-    PyObject *handed = PyArray_SimpleNew(1, &pass->count, typenum);
-    if (handed == NULL) {
-        return -1;
-    }
-    char *src = PyArray_BYTES((PyArrayObject *)handed);
-    for (npy_intp j = 0; j < pass->count; j++) {
-        memcpy(src + j * size, buf + pass->pos[j] * size, (size_t)size);
-    }
-    PyObject *res = PyObject_CallOneArg(resolve, handed);
-    Py_DECREF(handed);
-    if (res == NULL) {
-        return -1;
-    }
-    PyArrayObject *rounded =
-        (PyArrayObject *)PyArray_FROMANY(res, typenum, 0, 0, NPY_ARRAY_CARRAY_RO);
-    Py_DECREF(res);
-    if (rounded == NULL) {
-        return -1;
-    }
-    if (PyArray_SIZE(rounded) != pass->count) {
-        PyErr_Format(PyExc_ValueError, "resolve returned %zd values for %zd", PyArray_SIZE(rounded),
-                     pass->count);
-        Py_DECREF(rounded);
-        return -1;
-    }
-    const char *got = PyArray_BYTES(rounded);
-    for (npy_intp j = 0; j < pass->count; j++) {
-        char *dst = buf + pass->pos[j] * size;
-        memcpy(dst, got + j * size, (size_t)size);
-        if (x87) {
-            ((uint64_t *)dst)[1] &= 0xFFFF;
-        }
-    }
-    Py_DECREF(rounded);
-    return 0;
-}
-
-/* Close a pass that rounded `n` values of the `typenum` buffer `buf`: count
- * it into `k` (if any) while the telemetry flag byte is set, the values its
- * finite rule rounded as handed back, resolve its hand-backs, and start
- * afresh. */
-static int
-end_pass(Kernel *k, int typenum, char *buf, npy_intp n, Pass *pass, PyObject *resolve)
+/* Close a pass that rounded `n` values: count it into `k` (if any) while
+ * the telemetry flag byte is set, the values its rule rounded as handed
+ * back, and start afresh. */
+static void
+end_pass(Kernel *k, npy_intp n, Pass *pass)
 {
     if (k != NULL && *(const char *)k->counting.buf) {
         k->counts[CALLS] += 1;
         k->counts[ELEMENTS] += (unsigned long long)n;
-        k->counts[HANDED_BACK] += (unsigned long long)pass->count + pass->resolved;
+        k->counts[HANDED_BACK] += pass->rule;
         k->counts[ZEROS] += pass->zeros;
     }
-    const int status = pass->count ? resolve_level(typenum, buf, pass, resolve) : 0;
-    pass->count = 0;
     pass->zeros = 0;
-    pass->resolved = 0;
-    return status;
+    pass->rule = 0;
 }
 
 static int
 check_buffer(const Kernel *k, const Py_buffer *view, const char *what)
 {
     const char *want = k->extended ? "g" : "d";
-    const Py_ssize_t size = k->extended ? X87_SLOT : 8;
+    const Py_ssize_t size = k->extended ? NPY_SIZEOF_LONGDOUBLE : 8;
     if (view->itemsize != size || view->format == NULL || strcmp(view->format, want) != 0) {
         PyErr_Format(OperandError, "%s: expected a buffer of format '%s'", what, want);
         return -1;
@@ -580,9 +556,8 @@ check_buffer(const Kernel *k, const Py_buffer *view, const char *what)
 static PyObject *
 Kernel_round_into(Kernel *k, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 3 || !PyCallable_Check(args[2])) {
-        PyErr_SetString(PyExc_TypeError,
-                        "round_into(src, dst, resolve) takes two buffers and a callable");
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "round_into(src, dst) takes two buffers");
         return NULL;
     }
     Py_buffer in, out;
@@ -593,7 +568,6 @@ Kernel_round_into(Kernel *k, PyObject *const *args, Py_ssize_t nargs)
         PyBuffer_Release(&in);
         return NULL;
     }
-    Pass pass = {NULL, 0, 0, 0, 0};
     PyObject *res = NULL;
     char *dst = out.buf;
     if (check_buffer(k, &in, "src") < 0 || check_buffer(k, &out, "dst") < 0) {
@@ -611,20 +585,30 @@ Kernel_round_into(Kernel *k, PyObject *const *args, Py_ssize_t nargs)
     const char *src = in.buf;
     const npy_intp n = in.len / in.itemsize;
     const Tables t = tables_of(k);
-    const int extended = k->extended;
-    for (npy_intp i = 0; i < n; i++) {
-        const int outcome = extended ? step_x87(&t, src + i * X87_SLOT, dst + i * X87_SLOT)
-                                     : step_f64(&t, src + i * 8, dst + i * 8);
-        if (note(&pass, outcome, i) < 0) {
-            goto done;
+    Pass pass = {0, 0};
+#define ROUND_ALL(STEP, SIZE)                                                                    \
+    for (npy_intp i = 0; i < n; i++) {                                                           \
+        note(&pass, STEP(&t, src + i * (SIZE), dst + i * (SIZE)));                               \
+    }
+    if (!k->lut) {
+        if (k->extended) {
+            ROUND_ALL(step_rule_ld, NPY_SIZEOF_LONGDOUBLE)
+        }
+        else {
+            ROUND_ALL(step_rule_f64, 8)
         }
     }
-    if (end_pass(k, work_type(k), dst, n, &pass, args[2]) == 0) {
-        res = Py_NewRef(Py_None);
+    else if (k->extended) {
+        ROUND_ALL(step_x87, X87_SLOT)
     }
+    else {
+        ROUND_ALL(step_f64, 8)
+    }
+#undef ROUND_ALL
+    end_pass(k, n, &pass);
+    res = Py_NewRef(Py_None);
 
 done:
-    PyMem_Free(pass.pos);
     PyBuffer_Release(&in);
     PyBuffer_Release(&out);
     return res;
@@ -644,9 +628,8 @@ typedef struct {
 /* One tree level over elements of type `T`, each sum rounded in place by
  * `STEP`: from the partials at `src + from[r]` into the work buffer `dst`.
  * A one-element segment is copied, so the work buffer holds every partial
- * after the first level.  Returns the number of sums, or -1 on a memory
- * error; `pass` records the work-buffer positions of the sums handed back,
- * which stay unrounded. */
+ * after the first level.  Returns the number of sums; `pass` records their
+ * outcomes. */
 #define LEVEL(NAME, T, STEP)                                                                    \
     static npy_intp NAME(const char *src, const npy_intp *from, char *dst, Segments *seg,      \
                          const Tables *t, Pass *pass)                                          \
@@ -666,9 +649,7 @@ typedef struct {
             const npy_intp half = len / 2;                                                      \
             for (npy_intp i = 0; i < half; i++) {                                               \
                 d[i] = s[2 * i] + s[2 * i + 1];                                                 \
-                if (note(pass, STEP(t, &d[i], &d[i]), off + i) < 0) {                           \
-                    return -1;                                                                  \
-                }                                                                               \
+                note(pass, STEP(t, &d[i], &d[i]));                                              \
             }                                                                                   \
             if (len & 1) {                                                                      \
                 memcpy(&d[half], &s[len - 1], sizeof(T));                                       \
@@ -684,8 +665,8 @@ LEVEL(level_double, double, step_none)
 LEVEL(level_longdouble, npy_longdouble, step_none)
 LEVEL(level_word, double, step_f64)
 LEVEL(level_x87, npy_longdouble, step_x87)
-LEVEL(level_all_double, double, step_all)
-LEVEL(level_all_longdouble, npy_longdouble, step_all)
+LEVEL(level_rule_double, double, step_rule_f64)
+LEVEL(level_rule_longdouble, npy_longdouble, step_rule_ld)
 
 /* `rows` segments of `m` values each, one after the other; their level
  * sums go to the work buffer in the same order, half of each segment
@@ -774,7 +755,6 @@ enum { QL_OK, QL_NONFINITE, QL_SWEEPS };
 /* One `ql` call: its rounding, its limits, and what it found. */
 typedef struct {
     const Tables *t;
-    PyObject *resolve; /* rounds one handed-back scalar (NULL: native) */
     long max_sweeps;
     double eps;   /* deflation threshold */
     double floor; /* max(eps, 1e-30): the shift denominator that replaces 0 */
@@ -790,48 +770,6 @@ typedef struct {
     char *cs;
     char *ss;
 } Ql;
-
-/* Round the `typenum` scalar at `x`, which a step handed back, in place
- * with one call of `resolve` (a work-dtype scalar in, a number out). */
-static int
-resolve_scalar(PyObject *resolve, int typenum, void *x)
-{
-    PyArray_Descr *descr = PyArray_DescrFromType(typenum);
-    PyObject *arg = PyArray_Scalar(x, descr, NULL);
-    Py_DECREF(descr);
-    if (arg == NULL) {
-        return -1;
-    }
-    PyObject *res = PyObject_CallOneArg(resolve, arg);
-    Py_DECREF(arg);
-    if (res == NULL) {
-        return -1;
-    }
-    int status = 0;
-    if (typenum == NPY_DOUBLE && PyFloat_Check(res)) {
-        *(double *)x = PyFloat_AS_DOUBLE(res);
-    }
-    else if (typenum == NPY_LONGDOUBLE && PyArray_IsScalar(res, LongDouble)) {
-        *(npy_longdouble *)x = PyArrayScalar_VAL(res, LongDouble);
-    }
-    else {
-        PyArrayObject *arr =
-            (PyArrayObject *)PyArray_FROMANY(res, typenum, 0, 0, NPY_ARRAY_CARRAY_RO);
-        if (arr == NULL) {
-            status = -1;
-        }
-        else if (PyArray_SIZE(arr) != 1) {
-            PyErr_SetString(PyExc_ValueError, "resolve returned more than one value");
-            status = -1;
-        }
-        else {
-            memcpy(x, PyArray_DATA(arr), (size_t)PyArray_ITEMSIZE(arr));
-        }
-        Py_XDECREF(arr);
-    }
-    Py_DECREF(res);
-    return status;
-}
 
 /* Record the Givens step (i, c, s) of the eigenvector update. */
 static int
@@ -868,7 +806,6 @@ record(Ql *q, npy_intp i, const void *c, const void *s)
 typedef struct {
     Kernel *k; /* counts the passes (NULL: none) */
     const Tables *t;
-    PyObject *resolve; /* rounds the values a pass hands back (NULL: native) */
     Pass pass;
 } Rot;
 
@@ -885,19 +822,15 @@ typedef struct {
     npy_intp first_nonfinite; /* -1: none */
 } Tri;
 
-/* `var = expr`, rounded through the instance's `rs`; returns -1 from the
- * enclosing function when the resolver fails. */
-#define RS(var, expr)                \
-    do {                             \
-        (var) = (expr);              \
-        if (rs(q, &(var)) < 0) {     \
-            return -1;               \
-        }                            \
+/* `var = expr`, rounded through the instance's `rs`. */
+#define RS(var, expr)        \
+    do {                     \
+        (var) = (expr);      \
+        rs(q, &(var));       \
     } while (0)
 
 /* The eigensolver and the reduction over elements of type `T` (NumPy type
- * `TYPENUM`), each op rounded by `STEP` and, when `STEP` hands the value
- * back, by the caller's resolver:
+ * `TYPENUM`), each op rounded by `STEP`:
  *
  *   NAME_hypot   the scaled hypot `scale * sqrt(1 + (small / scale)^2)`,
  *                five rounded ops; NaN, zero and infinite operands return
@@ -915,24 +848,24 @@ typedef struct {
  *   NAME_reduce  the `reduce` entry: `NAME_sum` over the segments of its
  *                values.
  * `NAME_sum` runs the levels of a pairwise tree with `LEVEL_FN`. */
-#define EIGEN(NAME, T, STEP, TYPENUM, SQRT, FABS, COPYSIGN, LEVEL_FN)                           \
-    static inline int NAME##_rs(Ql *q, T *x)                                                    \
+#define EIGEN(NAME, T, STEP, SQRT, FABS, COPYSIGN, LEVEL_FN)                                    \
+    static inline void NAME##_rs(Ql *q, T *x)                                                   \
     {                                                                                           \
-        return STEP(q->t, x, x) == HAND_BACK ? resolve_scalar(q->resolve, TYPENUM, x) : 0;      \
+        STEP(q->t, x, x);                                                                       \
     }                                                                                           \
                                                                                                 \
-    static int NAME##_hypot(Ql *q, T a, T b, T *out)                                            \
+    static void NAME##_hypot(Ql *q, T a, T b, T *out)                                           \
     {                                                                                           \
-        int (*const rs)(Ql *, T *) = NAME##_rs;                                                 \
+        void (*const rs)(Ql *, T *) = NAME##_rs;                                                \
         const T aa = FABS(a), ab = FABS(b);                                                     \
         if (aa != aa || ab != ab) {                                                             \
             *out = (T)NAN;                                                                      \
-            return 0;                                                                           \
+            return;                                                                             \
         }                                                                                       \
         const T scale = aa >= ab ? aa : ab, small = aa >= ab ? ab : aa;                         \
         if (scale == 0 || isinf(scale)) {                                                       \
             *out = scale;                                                                       \
-            return 0;                                                                           \
+            return;                                                                             \
         }                                                                                       \
         T t, sq, u, root;                                                                       \
         RS(t, small / scale);                                                                   \
@@ -941,12 +874,11 @@ typedef struct {
         RS(root, SQRT(u));                                                                      \
         q->ops += 5;                                                                            \
         RS(*out, scale * root);                                                                 \
-        return 0;                                                                               \
     }                                                                                           \
                                                                                                 \
     static int NAME##_ql(Ql *q, char *d_, char *e_, npy_intp n)                                 \
     {                                                                                           \
-        int (*const rs)(Ql *, T *) = NAME##_rs;                                                 \
+        void (*const rs)(Ql *, T *) = NAME##_rs;                                                \
         T *d = (T *)d_, *e = (T *)e_;                                                           \
         const T one = 1, two = 2;                                                               \
         for (npy_intp low = 0; low < n; low++) {                                                \
@@ -981,9 +913,7 @@ typedef struct {
                 RS(a, d[low + 1] - d[low]);                                                     \
                 RS(b, two * e[low]);                                                            \
                 RS(g, a / b);                                                                   \
-                if (NAME##_hypot(q, g, one, &r) < 0) {                                          \
-                    return -1;                                                                  \
-                }                                                                               \
+                NAME##_hypot(q, g, one, &r);                                                    \
                 RS(denom, g + COPYSIGN(r, g));                                                  \
                 if (denom == 0 || !isfinite(denom)) {                                           \
                     denom = COPYSIGN((T)q->floor, g);                                           \
@@ -999,9 +929,7 @@ typedef struct {
                     T f, x, y;                                                                  \
                     RS(f, s * ei);                                                              \
                     RS(b, c * ei);                                                              \
-                    if (NAME##_hypot(q, f, g, &r) < 0) {                                        \
-                        return -1;                                                              \
-                    }                                                                           \
+                    NAME##_hypot(q, f, g, &r);                                                  \
                     e[i + 1] = r;                                                               \
                     if (r == 0) {                                                               \
                         RS(d[i + 1], d[i + 1] - p);                                             \
@@ -1041,9 +969,9 @@ typedef struct {
         return 0;                                                                               \
     }                                                                                           \
                                                                                                 \
-    static int NAME##_rotate(Rot *rot, char *zt_, npy_intp nrows, const npy_intp *cols,        \
-                             const char *cs_, const char *ss_, const npy_intp *order,           \
-                             const npy_intp *start, npy_intp waves, char *prods_)               \
+    static void NAME##_rotate(Rot *rot, char *zt_, npy_intp nrows, const npy_intp *cols,       \
+                              const char *cs_, const char *ss_, const npy_intp *order,          \
+                              const npy_intp *start, npy_intp waves, char *prods_)              \
     {                                                                                           \
         T *zt = (T *)zt_, *prods = (T *)prods_;                                                 \
         const T *cs = (const T *)cs_, *ss = (const T *)ss_;                                     \
@@ -1059,15 +987,11 @@ typedef struct {
                     const T *v = zt + (cols[k] + (h & 1)) * nrows;                              \
                     for (npy_intp i = 0; i < nrows; i++, p++) {                                 \
                         *p = coef * v[i];                                                       \
-                        if (note(&rot->pass, STEP(rot->t, p, p), p - prods) < 0) {              \
-                            return -1;                                                          \
-                        }                                                                       \
+                        note(&rot->pass, STEP(rot->t, p, p));                                   \
                     }                                                                           \
                 }                                                                               \
             }                                                                                   \
-            if (end_pass(rot->k, TYPENUM, prods_, 4 * block, &rot->pass, rot->resolve) < 0) {   \
-                return -1;                                                                      \
-            }                                                                                   \
+            end_pass(rot->k, 4 * block, &rot->pass);                                            \
             /* c x - s y into row i, then s x + c y into row i + 1 */                           \
             for (int h = 0; h < 2; h++) {                                                       \
                 const T *left = prods + 2 * h * block, *right = left + block;                   \
@@ -1075,36 +999,25 @@ typedef struct {
                     T *z = zt + (cols[wave[j]] + h) * nrows;                                    \
                     for (npy_intp i = 0; i < nrows; i++, left++, right++) {                     \
                         z[i] = h ? *left + *right : *left - *right;                             \
-                        if (note(&rot->pass, STEP(rot->t, &z[i], &z[i]), &z[i] - zt) < 0) {     \
-                            return -1;                                                          \
-                        }                                                                       \
+                        note(&rot->pass, STEP(rot->t, &z[i], &z[i]));                           \
                     }                                                                           \
                 }                                                                               \
             }                                                                                   \
-            if (end_pass(rot->k, TYPENUM, zt_, 2 * block, &rot->pass, rot->resolve) < 0) {      \
-                return -1;                                                                      \
-            }                                                                                   \
+            end_pass(rot->k, 2 * block, &rot->pass);                                            \
         }                                                                                       \
-        return 0;                                                                               \
     }                                                                                           \
                                                                                                 \
-    /* round `buf[i]`, the value at position `i` of the pass */                                 \
-    static inline int NAME##_note(Tri *r, T *buf, npy_intp i)                                   \
+    /* round `buf[i]` into the current pass */                                                  \
+    static inline void NAME##_note(Tri *r, T *buf, npy_intp i)                                  \
     {                                                                                           \
-        return note(&r->rot.pass, STEP(r->rot.t, &buf[i], &buf[i]), i);                         \
-    }                                                                                           \
-                                                                                                \
-    /* close the pass that rounded the `n` values from `buf` on */                              \
-    static inline int NAME##_end(Tri *r, T *buf, npy_intp n)                                    \
-    {                                                                                           \
-        return end_pass(r->rot.k, TYPENUM, (char *)buf, n, &r->rot.pass, r->rot.resolve);       \
+        note(&r->rot.pass, STEP(r->rot.t, &buf[i], &buf[i]));                                   \
     }                                                                                           \
                                                                                                 \
     /* The rounded sums of the segments `r->seg` of the values at `p` into                      \
      * `out` (0 for an empty segment): pairwise, one pass per tree level, or                    \
      * left to right, one pass per column of the segments still                                 \
      * accumulating (for a `vector`, one segment, a scalar op per addition). */                 \
-    static int NAME##_sum(Tri *r, const T *p, int vector, T *out)                               \
+    static void NAME##_sum(Tri *r, const T *p, int vector, T *out)                              \
     {                                                                                           \
         Segments *const seg = &r->seg;                                                          \
         npy_intp longest = 0;                                                                   \
@@ -1122,11 +1035,9 @@ typedef struct {
         if (r->sequential && vector) {                                                          \
             for (npy_intp j = 1; j < longest; j++) {                                            \
                 out[0] = out[0] + p[seg->from[0] + j];                                          \
-                if (NAME##_rs(&r->q, out) < 0) {                                                \
-                    return -1;                                                                  \
-                }                                                                               \
+                NAME##_rs(&r->q, out);                                                          \
             }                                                                                   \
-            return 0;                                                                           \
+            return;                                                                             \
         }                                                                                       \
         if (r->sequential) {                                                                    \
             for (npy_intp j = 1; j < longest; j++) {                                            \
@@ -1134,77 +1045,61 @@ typedef struct {
                 for (npy_intp i = 0; i < seg->count; i++) {                                     \
                     if (seg->len[i] > j) {                                                      \
                         out[i] = out[i] + p[seg->from[i] + j];                                  \
-                        if (NAME##_note(r, out, i) < 0) {                                       \
-                            return -1;                                                          \
-                        }                                                                       \
+                        NAME##_note(r, out, i);                                                 \
                         n++;                                                                    \
                     }                                                                           \
                 }                                                                               \
-                if (NAME##_end(r, out, n) < 0) {                                                \
-                    return -1;                                                                  \
-                }                                                                               \
+                end_pass(r->rot.k, n, &r->rot.pass);                                            \
             }                                                                                   \
-            return 0;                                                                           \
+            return;                                                                             \
         }                                                                                       \
         const char *src = (const char *)p;                                                      \
         const npy_intp *from = seg->from;                                                       \
         for (;;) {                                                                              \
             const npy_intp sums = LEVEL_FN(src, from, r->work, seg, r->rot.t, &r->rot.pass);    \
-            if (sums < 0) {                                                                     \
-                return -1;                                                                      \
-            }                                                                                   \
             if (sums == 0) {                                                                    \
                 break;                                                                          \
             }                                                                                   \
             src = r->work;                                                                      \
             from = seg->off;                                                                    \
-            if (NAME##_end(r, (T *)r->work, sums) < 0) {                                        \
-                return -1;                                                                      \
-            }                                                                                   \
+            end_pass(r->rot.k, sums, &r->rot.pass);                                             \
         }                                                                                       \
         for (npy_intp i = 0; i < seg->count; i++) {                                             \
             if (seg->len[i]) {                                                                  \
                 memcpy(&out[i], (const T *)r->work + seg->off[i], sizeof(T));                   \
             }                                                                                   \
         }                                                                                       \
-        return 0;                                                                               \
     }                                                                                           \
                                                                                                 \
     /* `reduce` over the segments of the values at `p`, into `out` */                           \
-    static int NAME##_reduce(Tri *r, const char *p, int vector, char *out)                      \
+    static void NAME##_reduce(Tri *r, const char *p, int vector, char *out)                     \
     {                                                                                           \
-        return NAME##_sum(r, (const T *)p, vector, (T *)out);                                   \
+        NAME##_sum(r, (const T *)p, vector, (T *)out);                                          \
     }                                                                                           \
                                                                                                 \
     /* `x[i * stride] / d` for i < m into `out`, in one pass */                                 \
-    static int NAME##_divide(Tri *r, const T *x, npy_intp stride, npy_intp m, T d, T *out)      \
+    static void NAME##_divide(Tri *r, const T *x, npy_intp stride, npy_intp m, T d, T *out)     \
     {                                                                                           \
         for (npy_intp i = 0; i < m; i++) {                                                      \
             out[i] = x[i * stride] / d;                                                         \
-            if (NAME##_note(r, out, i) < 0) {                                                   \
-                return -1;                                                                      \
-            }                                                                                   \
+            NAME##_note(r, out, i);                                                             \
         }                                                                                       \
         r->q.ops += (unsigned long long)m;                                                      \
-        return NAME##_end(r, out, m);                                                           \
+        end_pass(r->rot.k, m, &r->rot.pass);                                                    \
     }                                                                                           \
                                                                                                 \
     /* `v . v` into `*dot`: the `m` squares in one pass (into `p`), then                        \
      * their sum */                                                                             \
-    static int NAME##_dot_self(Tri *r, const T *v, npy_intp m, T *p, T *dot)                    \
+    static void NAME##_dot_self(Tri *r, const T *v, npy_intp m, T *p, T *dot)                   \
     {                                                                                           \
         for (npy_intp i = 0; i < m; i++) {                                                      \
             p[i] = v[i] * v[i];                                                                 \
-            if (NAME##_note(r, p, i) < 0) {                                                     \
-                return -1;                                                                      \
-            }                                                                                   \
+            NAME##_note(r, p, i);                                                               \
         }                                                                                       \
         r->q.ops += (unsigned long long)m;                                                      \
-        if (NAME##_end(r, p, m) < 0) {                                                          \
-            return -1;                                                                          \
-        }                                                                                       \
+        end_pass(r->rot.k, m, &r->rot.pass);                                                    \
         rows_of(&r->seg, 1, m);                                                                 \
-        return NAME##_sum(r, p, 1, dot);                                                        \
+        NAME##_sum(r, p, 1, dot);                                                               \
     }                                                                                           \
                                                                                                 \
     /* The reflector `(I - beta v v^T)` that annihilates all but the first                      \
@@ -1213,82 +1108,71 @@ typedef struct {
      * non-finite norm, a zero or non-finite `v.v`, or a non-finite `beta`.                     \
      * The norm is scaled by `max |x|` (NaN: NaN, inf: inf, 0: 0, no op).                       \
      * `xs` and `p` are scratch of `m` values. */                                               \
-    static int NAME##_householder(Tri *r, const T *x, npy_intp stride, npy_intp m, T *v,        \
-                                  T *beta, T *xs, T *p)                                         \
+    static void NAME##_householder(Tri *r, const T *x, npy_intp stride, npy_intp m, T *v,       \
+                                   T *beta, T *xs, T *p)                                        \
     {                                                                                           \
         Ql *const q = &r->q;                                                                    \
-        int (*const rs)(Ql *, T *) = NAME##_rs;                                                 \
+        void (*const rs)(Ql *, T *) = NAME##_rs;                                                \
         *beta = 0;                                                                              \
         T scale = 0;                                                                            \
         for (npy_intp i = 0; i < m; i++) {                                                      \
             const T a = FABS(x[i * stride]);                                                    \
             if (a != a) {                                                                       \
-                return 0;                                                                       \
+                return;                                                                         \
             }                                                                                   \
             scale = a > scale ? a : scale;                                                      \
         }                                                                                       \
         if (scale == 0 || isinf(scale)) {                                                       \
-            return 0;                                                                           \
+            return;                                                                             \
         }                                                                                       \
         /* the norm: scale * sqrt((x / scale) . (x / scale)) */                                 \
         T dot, root, normx, vnorm2, b;                                                          \
-        if (NAME##_divide(r, x, stride, m, scale, xs) < 0 ||                                    \
-            NAME##_dot_self(r, xs, m, p, &dot) < 0) {                                           \
-            return -1;                                                                          \
-        }                                                                                       \
+        NAME##_divide(r, x, stride, m, scale, xs);                                              \
+        NAME##_dot_self(r, xs, m, p, &dot);                                                     \
         RS(root, SQRT(dot));                                                                    \
         RS(normx, scale * root);                                                                \
         q->ops += 2;                                                                            \
         if (!isfinite(normx) || normx == 0) {                                                   \
-            return 0;                                                                           \
+            return;                                                                             \
         }                                                                                       \
         /* v = x / normx with v[0] + sign(x[0]); alpha = -sign * normx is                       \
          * one op (exact, and not read: counted, not formed) */                                 \
-        if (NAME##_divide(r, x, stride, m, normx, v) < 0) {                                     \
-            return -1;                                                                          \
-        }                                                                                       \
+        NAME##_divide(r, x, stride, m, normx, v);                                               \
         const T sign = x[0] < 0 ? -1 : 1;                                                       \
         RS(v[0], v[0] - (-sign));                                                               \
         q->ops += 2;                                                                            \
-        if (NAME##_dot_self(r, v, m, p, &vnorm2) < 0) {                                         \
-            return -1;                                                                          \
-        }                                                                                       \
+        NAME##_dot_self(r, v, m, p, &vnorm2);                                                   \
         if (!isfinite(vnorm2) || vnorm2 == 0) {                                                 \
-            return 0;                                                                           \
+            return;                                                                             \
         }                                                                                       \
         RS(b, (T)2 / vnorm2);                                                                   \
         q->ops += 1;                                                                            \
         *beta = isfinite(b) ? b : 0;                                                            \
-        return 0;                                                                               \
     }                                                                                           \
                                                                                                 \
     /* `S[i] - U[i]` over the `size` values of `S`, in place, in one pass */                    \
-    static int NAME##_subtract(Tri *r, T *S, const T *U, npy_intp size)                         \
+    static void NAME##_subtract(Tri *r, T *S, const T *U, npy_intp size)                        \
     {                                                                                           \
         for (npy_intp i = 0; i < size; i++) {                                                   \
             S[i] = S[i] - U[i];                                                                 \
-            if (NAME##_note(r, S, i) < 0) {                                                     \
-                return -1;                                                                      \
-            }                                                                                   \
+            NAME##_note(r, S, i);                                                               \
         }                                                                                       \
         r->q.ops += (unsigned long long)size;                                                   \
-        return NAME##_end(r, S, size);                                                          \
+        end_pass(r->rot.k, size, &r->rot.pass);                                                 \
     }                                                                                           \
                                                                                                 \
     /* `beta * v` for each of `copies` copies of the `n` values of `v`, in                      \
      * one pass into `bv` */                                                                    \
-    static int NAME##_scale(Tri *r, T beta, const T *v, npy_intp n, npy_intp copies, T *bv)     \
+    static void NAME##_scale(Tri *r, T beta, const T *v, npy_intp n, npy_intp copies, T *bv)    \
     {                                                                                           \
         for (npy_intp c = 0; c < copies; c++) {                                                 \
             for (npy_intp j = 0; j < n; j++) {                                                  \
                 bv[c * n + j] = beta * v[j];                                                    \
-                if (NAME##_note(r, bv, c * n + j) < 0) {                                        \
-                    return -1;                                                                  \
-                }                                                                               \
+                NAME##_note(r, bv, c * n + j);                                                  \
             }                                                                                   \
         }                                                                                       \
         r->q.ops += (unsigned long long)(copies * n);                                           \
-        return NAME##_end(r, bv, copies * n);                                                   \
+        end_pass(r->rot.k, copies * n, &r->rot.pass);                                           \
     }                                                                                           \
                                                                                                 \
     /* Reduce the `(2, n, n)` stack `[A; Q]` at `aq_` in place: for each                        \
@@ -1296,7 +1180,7 @@ typedef struct {
      * from the left (`A - (beta v)(v^T A)`) and to the stack from the right                    \
      * (`S - (S v)(beta v)^T`, both matrices in each pass), with `v` zero                       \
      * above row k + 1.  `scratch` holds `2 n^2 + 7 n` values. */                               \
-    static int NAME##_tridiagonalize(Tri *r, char *aq_, npy_intp n, char *scratch)              \
+    static void NAME##_tridiagonalize(Tri *r, char *aq_, npy_intp n, char *scratch)             \
     {                                                                                           \
         T *const A = (T *)aq_, *const P = (T *)scratch; /* A, then Q: the stack */            \
         T *const w = P + 2 * n * n, *const bv = w + 2 * n, *const v = bv + 2 * n;              \
@@ -1304,10 +1188,7 @@ typedef struct {
         for (npy_intp k = 0; k + 2 < n; k++) {                                                  \
             T beta;                                                                             \
             memset(v, 0, (size_t)(k + 1) * sizeof(T));                                          \
-            if (NAME##_householder(r, A + (k + 1) * n + k, n, n - k - 1, v + k + 1, &beta, xs,  \
-                                   p) < 0) {                                                    \
-                return -1;                                                                      \
-            }                                                                                   \
+            NAME##_householder(r, A + (k + 1) * n + k, n, n - k - 1, v + k + 1, &beta, xs, p);  \
             if (beta == 0) {                                                                    \
                 r->skipped++;                                                                   \
             }                                                                                   \
@@ -1316,57 +1197,45 @@ typedef struct {
                 for (npy_intp j = 0; j < n; j++) {                                              \
                     for (npy_intp i = 0; i < n; i++) {                                          \
                         P[j * n + i] = A[i * n + j] * v[i];                                     \
-                        if (NAME##_note(r, P, j * n + i) < 0) {                                 \
-                            return -1;                                                          \
-                        }                                                                       \
+                        NAME##_note(r, P, j * n + i);                                           \
                     }                                                                           \
                 }                                                                               \
                 r->q.ops += (unsigned long long)(n * n);                                        \
+                end_pass(r->rot.k, n * n, &r->rot.pass);                                        \
                 rows_of(&r->seg, n, n);                                                         \
-                if (NAME##_end(r, P, n * n) < 0 || NAME##_sum(r, P, 0, w) < 0 ||                \
-                    NAME##_scale(r, beta, v, n, 1, bv) < 0) {                                   \
-                    return -1;                                                                  \
-                }                                                                               \
+                NAME##_sum(r, P, 0, w);                                                         \
+                NAME##_scale(r, beta, v, n, 1, bv);                                             \
                 for (npy_intp i = 0; i < n; i++) {                                              \
                     for (npy_intp j = 0; j < n; j++) {                                          \
                         P[i * n + j] = bv[i] * w[j];                                            \
-                        if (NAME##_note(r, P, i * n + j) < 0) {                                 \
-                            return -1;                                                          \
-                        }                                                                       \
+                        NAME##_note(r, P, i * n + j);                                           \
                     }                                                                           \
                 }                                                                               \
                 r->q.ops += (unsigned long long)(n * n);                                        \
-                if (NAME##_end(r, P, n * n) < 0 || NAME##_subtract(r, A, P, n * n) < 0) {       \
-                    return -1;                                                                  \
-                }                                                                               \
+                end_pass(r->rot.k, n * n, &r->rot.pass);                                        \
+                NAME##_subtract(r, A, P, n * n);                                                \
                 /* from the right, over the 2n rows of the stack: w = S v */                    \
                 for (npy_intp i = 0; i < 2 * n; i++) {                                          \
                     for (npy_intp j = 0; j < n; j++) {                                          \
                         P[i * n + j] = A[i * n + j] * v[j];                                     \
-                        if (NAME##_note(r, P, i * n + j) < 0) {                                 \
-                            return -1;                                                          \
-                        }                                                                       \
+                        NAME##_note(r, P, i * n + j);                                           \
                     }                                                                           \
                 }                                                                               \
                 r->q.ops += (unsigned long long)(2 * n * n);                                    \
+                end_pass(r->rot.k, 2 * n * n, &r->rot.pass);                                    \
                 rows_of(&r->seg, 2 * n, n);                                                     \
-                if (NAME##_end(r, P, 2 * n * n) < 0 || NAME##_sum(r, P, 0, w) < 0 ||            \
-                    NAME##_scale(r, beta, v, n, 2, bv) < 0) {                                   \
-                    return -1;                                                                  \
-                }                                                                               \
+                NAME##_sum(r, P, 0, w);                                                         \
+                NAME##_scale(r, beta, v, n, 2, bv);                                             \
                 for (npy_intp i = 0; i < 2 * n; i++) {                                          \
                     const T *b = bv + (i / n) * n; /* beta v of row i's matrix */               \
                     for (npy_intp j = 0; j < n; j++) {                                          \
                         P[i * n + j] = w[i] * b[j];                                             \
-                        if (NAME##_note(r, P, i * n + j) < 0) {                                 \
-                            return -1;                                                          \
-                        }                                                                       \
+                        NAME##_note(r, P, i * n + j);                                           \
                     }                                                                           \
                 }                                                                               \
                 r->q.ops += (unsigned long long)(2 * n * n);                                    \
-                if (NAME##_end(r, P, 2 * n * n) < 0 || NAME##_subtract(r, A, P, 2 * n * n) < 0) { \
-                    return -1;                                                                  \
-                }                                                                               \
+                end_pass(r->rot.k, 2 * n * n, &r->rot.pass);                                    \
+                NAME##_subtract(r, A, P, 2 * n * n);                                            \
             }                                                                                   \
             if (r->first_nonfinite < 0) {                                                       \
                 for (npy_intp i = 0; i < 2 * n * n; i++) {                                      \
@@ -1377,63 +1246,51 @@ typedef struct {
                 }                                                                               \
             }                                                                                   \
         }                                                                                       \
-        return 0;                                                                               \
     }
 
-EIGEN(f64, double, step_f64, NPY_DOUBLE, sqrt, fabs, copysign, level_word)
-EIGEN(x87, npy_longdouble, step_x87, NPY_LONGDOUBLE, sqrtl, fabsl, copysignl, level_x87)
-EIGEN(native_float, float, step_none, NPY_FLOAT, sqrtf, fabsf, copysignf, level_float)
-EIGEN(native_double, double, step_none, NPY_DOUBLE, sqrt, fabs, copysign, level_double)
-EIGEN(native_longdouble, npy_longdouble, step_none, NPY_LONGDOUBLE, sqrtl, fabsl, copysignl,
-      level_longdouble)
-EIGEN(all_double, double, step_all, NPY_DOUBLE, sqrt, fabs, copysign, level_all_double)
-EIGEN(all_longdouble, npy_longdouble, step_all, NPY_LONGDOUBLE, sqrtl, fabsl, copysignl,
-      level_all_longdouble)
+EIGEN(f64, double, step_f64, sqrt, fabs, copysign, level_word)
+EIGEN(x87, npy_longdouble, step_x87, sqrtl, fabsl, copysignl, level_x87)
+EIGEN(native_float, float, step_none, sqrtf, fabsf, copysignf, level_float)
+EIGEN(native_double, double, step_none, sqrt, fabs, copysign, level_double)
+EIGEN(native_longdouble, npy_longdouble, step_none, sqrtl, fabsl, copysignl, level_longdouble)
+EIGEN(rule_double, double, step_rule_f64, sqrt, fabs, copysign, level_rule_double)
+EIGEN(rule_longdouble, npy_longdouble, step_rule_ld, sqrtl, fabsl, copysignl,
+      level_rule_longdouble)
 
 #undef RS
 
 typedef int (*QlFn)(Ql *q, char *d, char *e, npy_intp n);
-typedef int (*RotateFn)(Rot *rot, char *zt, npy_intp nrows, const npy_intp *cols, const char *cs,
-                        const char *ss, const npy_intp *order, const npy_intp *start, npy_intp waves,
-                        char *prods);
-typedef int (*TridiagonalizeFn)(Tri *r, char *aq, npy_intp n, char *scratch);
-typedef int (*ReduceFn)(Tri *r, const char *p, int vector, char *out);
+typedef void (*RotateFn)(Rot *rot, char *zt, npy_intp nrows, const npy_intp *cols, const char *cs,
+                         const char *ss, const npy_intp *order, const npy_intp *start,
+                         npy_intp waves, char *prods);
+typedef void (*TridiagonalizeFn)(Tri *r, char *aq, npy_intp n, char *scratch);
+typedef void (*ReduceFn)(Tri *r, const char *p, int vector, char *out);
 
 /* the instances, by the rounding of the work array */
-enum { WITH_F64, WITH_X87, NATIVE_FLOAT, NATIVE_DOUBLE, NATIVE_LONGDOUBLE, ALL_DOUBLE, ALL_LONGDOUBLE };
+enum { WITH_F64, WITH_X87, NATIVE_FLOAT, NATIVE_DOUBLE, NATIVE_LONGDOUBLE, RULE_DOUBLE, RULE_LONGDOUBLE };
 static const QlFn ql_of[] = {f64_ql,           x87_ql,        native_float_ql,
-                             native_double_ql, native_longdouble_ql, all_double_ql,
-                             all_longdouble_ql};
+                             native_double_ql, native_longdouble_ql, rule_double_ql,
+                             rule_longdouble_ql};
 static const RotateFn rotate_of[] = {f64_rotate,           x87_rotate,        native_float_rotate,
                                      native_double_rotate, native_longdouble_rotate,
-                                     all_double_rotate,    all_longdouble_rotate};
+                                     rule_double_rotate,   rule_longdouble_rotate};
 static const TridiagonalizeFn tridiagonalize_of[] = {
     f64_tridiagonalize,           x87_tridiagonalize,        native_float_tridiagonalize,
     native_double_tridiagonalize, native_longdouble_tridiagonalize,
-    all_double_tridiagonalize,    all_longdouble_tridiagonalize};
+    rule_double_tridiagonalize,   rule_longdouble_tridiagonalize};
 static const ReduceFn reduce_of[] = {f64_reduce,           x87_reduce,        native_float_reduce,
                                      native_double_reduce, native_longdouble_reduce,
-                                     all_double_reduce,    all_longdouble_reduce};
+                                     rule_double_reduce,   rule_longdouble_reduce};
 
-/* The instance rounding a `typenum` work array through `kernel` (a Kernel),
- * or with no kernel either not at all (`resolve` None: the native dtypes)
- * or by handing every value to `resolve` (an emulated format no kernel
- * serves); sets `*k` to the kernel, if any.  -1 with TypeError otherwise. */
+/* The instance rounding a `typenum` work array through `kernel` (a Kernel
+ * of that work type: with its LUTs, or by its rule alone), or, with
+ * `kernel` None, not at all (the native dtypes); sets `*k` to the kernel,
+ * if any.  -1 with TypeError otherwise. */
 static int
-instance_of(PyObject *kernel, PyObject *resolve, int typenum, Kernel **k)
+instance_of(PyObject *kernel, int typenum, Kernel **k)
 {
     *k = NULL;
-    if (kernel != Py_None) {
-        if (!PyObject_TypeCheck(kernel, &KernelType) || !PyCallable_Check(resolve)) {
-            PyErr_SetString(PyExc_TypeError, "a kernel needs a callable resolve");
-            return -1;
-        }
-        *k = (Kernel *)kernel;
-        if (typenum == work_type(*k)) {
-            return (*k)->extended ? WITH_X87 : WITH_F64;
-        }
-    }
-    else if (resolve == Py_None) {
+    if (kernel == Py_None) {
         switch (typenum) {
         case NPY_FLOAT:
             return NATIVE_FLOAT;
@@ -1443,29 +1300,17 @@ instance_of(PyObject *kernel, PyObject *resolve, int typenum, Kernel **k)
             return NATIVE_LONGDOUBLE;
         }
     }
-    else if (PyCallable_Check(resolve)) {
-        switch (typenum) {
-        case NPY_DOUBLE:
-            return ALL_DOUBLE;
-        case NPY_LONGDOUBLE:
-            return ALL_LONGDOUBLE;
+    else if (PyObject_TypeCheck(kernel, &KernelType)) {
+        *k = (Kernel *)kernel;
+        if (typenum == work_type(*k)) {
+            if ((*k)->extended) {
+                return (*k)->lut ? WITH_X87 : RULE_LONGDOUBLE;
+            }
+            return (*k)->lut ? WITH_F64 : RULE_DOUBLE;
         }
     }
-    PyErr_SetString(PyExc_TypeError, "the work arrays do not match the kernel and resolve given");
+    PyErr_SetString(PyExc_TypeError, "the work arrays do not match the kernel given");
     return -1;
-}
-
-/* Whether `resolve_scalar` and `resolve_array` are both None or both
- * callable; -1 with TypeError otherwise. */
-static int
-check_resolvers(PyObject *resolve_scalar, PyObject *resolve_array)
-{
-    if ((resolve_scalar == Py_None) != (resolve_array == Py_None) ||
-        (resolve_scalar != Py_None && !PyCallable_Check(resolve_scalar))) {
-        PyErr_SetString(PyExc_TypeError, "resolve_scalar and resolve_array go together");
-        return -1;
-    }
-    return 0;
 }
 
 /* `obj` as a borrowed, well-behaved C-contiguous array with `ndim`
@@ -1490,13 +1335,13 @@ work_array(PyObject *obj, int ndim, int typenum, int writeable, const char *what
     return a;
 }
 
-/* ql(d, e, max_sweeps, eps, kernel, resolve) */
+/* ql(d, e, max_sweeps, eps, kernel) */
 static PyObject *
 module_ql(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 6) {
+    if (nargs != 5) {
         PyErr_SetString(PyExc_TypeError,
-                        "ql(d, e, max_sweeps, eps, kernel, resolve) takes six arguments");
+                        "ql(d, e, max_sweeps, eps, kernel) takes five arguments");
         return NULL;
     }
     PyArrayObject *d = work_array(args[0], 1, -1, 1, "d");
@@ -1519,13 +1364,13 @@ module_ql(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     }
     Kernel *k;
-    const int which = instance_of(args[4], args[5], typenum, &k);
+    const int which = instance_of(args[4], typenum, &k);
     if (which < 0) {
         return NULL;
     }
-    const Tables t = k != NULL ? tables_of(k) : (Tables){NULL, NULL, NULL, 0};
-    Ql q = {&t, args[5] == Py_None ? NULL : args[5], max_sweeps, eps, eps > 1e-30 ? eps : 1e-30,
-            0,  0, QL_OK, 0, 0, 0, PyArray_ITEMSIZE(d), NULL, NULL, NULL};
+    const Tables t = k != NULL ? tables_of(k) : (Tables){NULL, NULL, NULL, 0, NULL};
+    Ql q = {&t,     max_sweeps, eps, eps > 1e-30 ? eps : 1e-30, 0, 0, QL_OK, 0, 0, 0,
+            PyArray_ITEMSIZE(d), NULL, NULL, NULL};
     PyObject *res = NULL, *cols = NULL, *cs = NULL, *ss = NULL;
     if (ql_of[which](&q, PyArray_BYTES(d), PyArray_BYTES(e), n) < 0) {
         goto done;
@@ -1595,13 +1440,13 @@ schedule(const npy_intp *cols, npy_intp count, npy_intp ncols, npy_intp *order, 
     return waves;
 }
 
-/* rotate(ZT, cols, cs, ss, kernel, resolve) */
+/* rotate(ZT, cols, cs, ss, kernel) */
 static PyObject *
 module_rotate(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 6) {
+    if (nargs != 5) {
         PyErr_SetString(PyExc_TypeError,
-                        "rotate(ZT, cols, cs, ss, kernel, resolve) takes six arguments");
+                        "rotate(ZT, cols, cs, ss, kernel) takes five arguments");
         return NULL;
     }
     PyArrayObject *zt = work_array(args[0], 2, -1, 1, "ZT");
@@ -1634,12 +1479,12 @@ module_rotate(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nar
         }
     }
     Kernel *k;
-    const int which = instance_of(args[4], args[5], typenum, &k);
+    const int which = instance_of(args[4], typenum, &k);
     if (which < 0) {
         return NULL;
     }
-    const Tables t = k != NULL ? tables_of(k) : (Tables){NULL, NULL, NULL, 0};
-    Rot rot = {k, &t, args[5] == Py_None ? NULL : args[5], {NULL, 0, 0, 0, 0}};
+    const Tables t = k != NULL ? tables_of(k) : (Tables){NULL, NULL, NULL, 0, NULL};
+    Rot rot = {k, &t, {0, 0}};
     PyObject *res = NULL;
     char *prods = NULL;
     npy_intp *order = PyMem_Malloc((size_t)(2 * count + 2) * sizeof(npy_intp));
@@ -1661,25 +1506,23 @@ module_rotate(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nar
         PyErr_NoMemory();
         goto done;
     }
-    if (rotate_of[which](&rot, PyArray_BYTES(zt), nrows, col, PyArray_BYTES(cs), PyArray_BYTES(ss),
-                         order, start, waves, prods) == 0) {
-        res = PyLong_FromSsize_t((Py_ssize_t)waves);
-    }
+    rotate_of[which](&rot, PyArray_BYTES(zt), nrows, col, PyArray_BYTES(cs), PyArray_BYTES(ss), order,
+                     start, waves, prods);
+    res = PyLong_FromSsize_t((Py_ssize_t)waves);
 
 done:
-    PyMem_Free(rot.pass.pos);
     PyMem_Free(prods);
     PyMem_Free(order);
     return res;
 }
 
-/* tridiagonalize(AQ, sequential, kernel, resolve_scalar, resolve_array) */
+/* tridiagonalize(AQ, sequential, kernel) */
 static PyObject *
 module_tridiagonalize(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 5) {
-        PyErr_SetString(PyExc_TypeError, "tridiagonalize(AQ, sequential, kernel, resolve_scalar, "
-                                         "resolve_array) takes five arguments");
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError,
+                        "tridiagonalize(AQ, sequential, kernel) takes three arguments");
         return NULL;
     }
     PyArrayObject *aq = work_array(args[0], 3, -1, 1, "AQ");
@@ -1696,16 +1539,14 @@ module_tridiagonalize(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssi
         return NULL;
     }
     Kernel *k;
-    const int which = check_resolvers(args[3], args[4]) < 0
-                          ? -1
-                          : instance_of(args[2], args[4], PyArray_TYPE(aq), &k);
+    const int which = instance_of(args[2], PyArray_TYPE(aq), &k);
     if (which < 0) {
         return NULL;
     }
-    const Tables t = k != NULL ? tables_of(k) : (Tables){NULL, NULL, NULL, 0};
+    const Tables t = k != NULL ? tables_of(k) : (Tables){NULL, NULL, NULL, 0, NULL};
     Tri tri = {
-        .q = {.t = &t, .resolve = args[3] == Py_None ? NULL : args[3]},
-        .rot = {k, &t, args[4] == Py_None ? NULL : args[4], {NULL, 0, 0, 0, 0}},
+        .q = {.t = &t},
+        .rot = {k, &t, {0, 0}},
         .sequential = sequential,
         .first_nonfinite = -1,
     };
@@ -1721,29 +1562,27 @@ module_tridiagonalize(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssi
     tri.seg.off = tri.seg.from + rows;
     tri.seg.len = tri.seg.off + rows;
     tri.work = scratch + (2 * n * n + 7 * n) * itemsize;
-    if (tridiagonalize_of[which](&tri, PyArray_BYTES(aq), n, scratch) == 0) {
-        if (tri.first_nonfinite < 0) {
-            res = Py_BuildValue("(KnO)", tri.q.ops, tri.skipped, Py_None);
-        }
-        else {
-            res = Py_BuildValue("(Knn)", tri.q.ops, tri.skipped, tri.first_nonfinite);
-        }
+    tridiagonalize_of[which](&tri, PyArray_BYTES(aq), n, scratch);
+    if (tri.first_nonfinite < 0) {
+        res = Py_BuildValue("(KnO)", tri.q.ops, tri.skipped, Py_None);
+    }
+    else {
+        res = Py_BuildValue("(Knn)", tri.q.ops, tri.skipped, tri.first_nonfinite);
     }
 
 done:
-    PyMem_Free(tri.rot.pass.pos);
     PyMem_Free(tri.seg.from);
     PyMem_Free(scratch);
     return res;
 }
 
-/* reduce(values, indptr, sequential, kernel, resolve_scalar, resolve_array) */
+/* reduce(values, indptr, sequential, kernel) */
 static PyObject *
 module_reduce(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 6) {
-        PyErr_SetString(PyExc_TypeError, "reduce(values, indptr, sequential, kernel, "
-                                         "resolve_scalar, resolve_array) takes six arguments");
+    if (nargs != 4) {
+        PyErr_SetString(PyExc_TypeError,
+                        "reduce(values, indptr, sequential, kernel) takes four arguments");
         return NULL;
     }
     if (!PyArray_Check(args[0]) || PyArray_NDIM((PyArrayObject *)args[0]) < 1) {
@@ -1756,9 +1595,7 @@ module_reduce(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nar
         return NULL;
     }
     Kernel *k;
-    const int which = check_resolvers(args[4], args[5]) < 0
-                          ? -1
-                          : instance_of(args[3], args[5], typenum, &k);
+    const int which = instance_of(args[3], typenum, &k);
     if (which < 0) {
         return NULL;
     }
@@ -1768,10 +1605,10 @@ module_reduce(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nar
     if (in == NULL) {
         return NULL;
     }
-    const Tables t = k != NULL ? tables_of(k) : (Tables){NULL, NULL, NULL, 0};
+    const Tables t = k != NULL ? tables_of(k) : (Tables){NULL, NULL, NULL, 0, NULL};
     Tri tri = {
-        .q = {.t = &t, .resolve = args[4] == Py_None ? NULL : args[4]},
-        .rot = {k, &t, args[5] == Py_None ? NULL : args[5], {NULL, 0, 0, 0, 0}},
+        .q = {.t = &t},
+        .rot = {k, &t, {0, 0}},
         .sequential = sequential,
     };
     PyObject *res = NULL;
@@ -1786,13 +1623,11 @@ module_reduce(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nar
     }
     res = PyArray_ZEROS(1, &tri.seg.count, typenum, 0);
     const int vector = args[1] == Py_None && PyArray_NDIM(in) == 1;
-    if (res != NULL &&
-        reduce_of[which](&tri, PyArray_BYTES(in), vector, PyArray_BYTES((PyArrayObject *)res)) < 0) {
-        Py_CLEAR(res);
+    if (res != NULL) {
+        reduce_of[which](&tri, PyArray_BYTES(in), vector, PyArray_BYTES((PyArrayObject *)res));
     }
 
 done:
-    PyMem_Free(tri.rot.pass.pos);
     PyMem_Free(tri.seg.from);
     PyMem_Free(tri.work);
     Py_DECREF(in);
@@ -1859,27 +1694,31 @@ rule_value(PyObject *obj, npy_longdouble *out)
 }
 
 /* Parse the rule tuple of `Kernel(...)` into `r`:
- *   (RULE_TABLE, mags, codes, over, top, floor)
- *   (RULE_QUANTUM, lo_mags, lo_codes, hi_mags, hi_codes, qexps, qbase, minpos, maxpos, lo, hi)
+ *   (RULE_TABLE, nonfinite, mags, codes, over, top, floor)
+ *   (RULE_QUANTUM, nonfinite, lo_mags, lo_codes, hi_mags, hi_codes, qexps, qbase, minpos,
+ *    maxpos, lo, hi)
  * The tables and the bounds are of the kernel's work type; `qexps` must
  * cover every `frexp` exponent of a finite work value. */
 static int
 parse_rule(PyObject *spec, int extended, Rule *r)
 {
     const Py_ssize_t size = PyTuple_Check(spec) ? PyTuple_GET_SIZE(spec) : -1;
-    const long kind = size > 0 ? PyLong_AsLong(PyTuple_GET_ITEM(spec, 0)) : -1;
-    if (kind == -1 && PyErr_Occurred()) {
+    const long kind = size > 1 ? PyLong_AsLong(PyTuple_GET_ITEM(spec, 0)) : -1;
+    const long nonfinite = size > 1 ? PyLong_AsLong(PyTuple_GET_ITEM(spec, 1)) : -1;
+    if (PyErr_Occurred()) {
         return -1;
     }
-    static const Py_ssize_t sizes[] = {6, 11};
+    static const Py_ssize_t sizes[] = {7, 12};
     if (kind < RULE_TABLE || kind > RULE_QUANTUM || size != sizes[kind] ||
-        (extended && kind != RULE_QUANTUM)) {
+        (extended && kind != RULE_QUANTUM) || nonfinite < NONFINITE_KEEP ||
+        nonfinite > NONFINITE_RULE) {
         PyErr_SetString(PyExc_ValueError, "rule: not a rule of this kernel's work type");
         return -1;
     }
     r->kind = (int)kind;
-    PyObject *const *item = &PyTuple_GET_ITEM(spec, 1);
-    const Py_ssize_t wsize = extended ? X87_SLOT : 8;
+    r->nonfinite = (int)nonfinite;
+    PyObject *const *item = &PyTuple_GET_ITEM(spec, 2);
+    const Py_ssize_t wsize = extended ? NPY_SIZEOF_LONGDOUBLE : 8;
     const char *wfmt = extended ? "g" : "d";
     const int tables = kind == RULE_TABLE ? 1 : 2;
     for (int i = 0; i < tables; i++) {
@@ -1932,8 +1771,13 @@ Kernel_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
                                      &rule)) {
         return NULL;
     }
-    if (extended && sizeof(npy_longdouble) != X87_SLOT) {
-        PyErr_SetString(PyExc_ValueError, "longdouble is not a 16-byte slot on this host");
+    const int lut = luts[SHIFT] != Py_None;
+    if ((luts[BIAS] != Py_None) != lut || (luts[SPECIAL] != Py_None) != lut) {
+        PyErr_SetString(PyExc_ValueError, "the lookup tables go together");
+        return NULL;
+    }
+    if (extended && lut && !X87_LONGDOUBLE) {
+        PyErr_SetString(PyExc_ValueError, "longdouble is not the x87 layout on this host");
         return NULL;
     }
     Kernel *k = (Kernel *)type->tp_alloc(type, 0);
@@ -1941,11 +1785,12 @@ Kernel_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         return NULL;
     }
     k->extended = extended;
+    k->lut = lut;
     k->unsigned_zero = unsigned_zero;
     /* one entry per sign + exponent field */
     const Py_ssize_t entries = (Py_ssize_t)1 << (extended ? 16 : 12);
     const Py_ssize_t itemsize[N_LUTS] = {8, 8, 1};
-    for (int i = 0; i < N_LUTS; i++) {
+    for (int i = 0; i < N_LUTS && lut; i++) {
         if (PyObject_GetBuffer(luts[i], &k->luts[i], PyBUF_C_CONTIGUOUS) < 0) {
             goto fail;
         }
@@ -1974,10 +1819,10 @@ fail:
 
 static PyMethodDef Kernel_methods[] = {
     {"round_one", (PyCFunction)Kernel_round_one, METH_O,
-     "round_one(value) -> the rounded work-dtype scalar, or None when handed back (an "
-     "infinity or NaN)"},
+     "round_one(value) -> the rounded work-dtype scalar, or None when the value is not a "
+     "float of the work layout"},
     {"round_into", (PyCFunction)(void (*)(void))Kernel_round_into, METH_FASTCALL,
-     "round_into(src, dst, resolve) -> None; `resolve` rounds the values handed back"},
+     "round_into(src, dst) -> None; rounds src into dst"},
     {"take_counts", (PyCFunction)Kernel_take_counts, METH_NOARGS,
      "take_counts() -> (calls, elements, handed_back, zeros), then reset them"},
     {NULL, NULL, 0, NULL},
@@ -1989,8 +1834,8 @@ static PyTypeObject KernelType = {
     .tp_basicsize = sizeof(Kernel),
     .tp_flags = Py_TPFLAGS_DEFAULT,
     .tp_doc = "Kernel(shift, bias, special, extended, unsigned_zero, counting, rule): "
-              "round-to-nearest-even over one format's binade lookup tables, and its "
-              "finite rule over the special binades",
+              "round-to-nearest-even over one format's binade lookup tables (None: none), "
+              "and its rule over the values they do not serve",
     .tp_new = Kernel_new,
     .tp_dealloc = (destructor)Kernel_dealloc,
     .tp_methods = Kernel_methods,
@@ -1998,17 +1843,17 @@ static PyTypeObject KernelType = {
 
 static PyMethodDef module_methods[] = {
     {"reduce", (PyCFunction)(void (*)(void))module_reduce, METH_FASTCALL,
-     "reduce(values, indptr, sequential, kernel, resolve_scalar, resolve_array) -> the rounded "
-     "sum of each segment of values: pairwise, or left to right"},
+     "reduce(values, indptr, sequential, kernel) -> the rounded sum of each segment of "
+     "values: pairwise, or left to right"},
     {"ql", (PyCFunction)(void (*)(void))module_ql, METH_FASTCALL,
-     "ql(d, e, max_sweeps, eps, kernel, resolve) -> (ops, status, low, restarts, cols, cs, ss); "
-     "the QL iteration on d and e in place"},
+     "ql(d, e, max_sweeps, eps, kernel) -> (ops, status, low, restarts, cols, cs, ss); the QL "
+     "iteration on d and e in place"},
     {"rotate", (PyCFunction)(void (*)(void))module_rotate, METH_FASTCALL,
-     "rotate(ZT, cols, cs, ss, kernel, resolve) -> waves; the recorded Givens steps applied "
-     "to the rows of ZT in place"},
+     "rotate(ZT, cols, cs, ss, kernel) -> waves; the recorded Givens steps applied to the "
+     "rows of ZT in place"},
     {"tridiagonalize", (PyCFunction)(void (*)(void))module_tridiagonalize, METH_FASTCALL,
-     "tridiagonalize(AQ, sequential, kernel, resolve_scalar, resolve_array) -> (ops, skipped, "
-     "first_nonfinite); the Householder reduction of the stack [A; Q] in place"},
+     "tridiagonalize(AQ, sequential, kernel) -> (ops, skipped, first_nonfinite); the "
+     "Householder reduction of the stack [A; Q] in place"},
     {NULL, NULL, 0, NULL},
 };
 
@@ -2044,7 +1889,10 @@ PyInit__rounding(void)
         PyExc_BufferError, NULL);
     if (PyModule_AddObjectRef(module, "OperandError", OperandError) < 0 ||
         PyModule_AddIntConstant(module, "RULE_TABLE", RULE_TABLE) < 0 ||
-        PyModule_AddIntConstant(module, "RULE_QUANTUM", RULE_QUANTUM) < 0) {
+        PyModule_AddIntConstant(module, "RULE_QUANTUM", RULE_QUANTUM) < 0 ||
+        PyModule_AddIntConstant(module, "NONFINITE_KEEP", NONFINITE_KEEP) < 0 ||
+        PyModule_AddIntConstant(module, "NONFINITE_NAR", NONFINITE_NAR) < 0 ||
+        PyModule_AddIntConstant(module, "NONFINITE_RULE", NONFINITE_RULE) < 0) {
         Py_DECREF(module);
         return NULL;
     }

@@ -1,26 +1,30 @@
 """Integer bit-twiddling rounding engine shared by every emulated format.
 
-The analytic vector kernels of the posit/takum/IEEE format families each run
-a chain of ~25 NumPy float passes (``frexp``, ``floor_divide``, ``ldexp``,
-``rint``, divisions, ``np.where`` ladders) per ``round_array`` call.  This
-module replaces those chains with **one** family-parameterized integer
-kernel that reads the work value as unsigned integer words and performs
-round-to-nearest-even entirely in integer arithmetic:
+Every emulated format rounds through one compiled kernel, built here from
+two statements of the format's rounding:
 
-* For every work binade, the number of work-significand bits a format
-  retains is a pure function of the exponent field (the mantissa
-  length taper of posits/takums, the constant significand of IEEE formats,
-  the gradual-underflow taper of IEEE subnormals).  A lookup table over the
-  **sign+exponent field** (4096 entries for float64 words, 65536 for the
-  80-bit extended words) therefore yields, per element, the truncation
-  shift ``s`` and the rounding bias ``2^(s-1) - 1``; the whole rounding
-  step is then the classic integer RNE transform
-  ``((u + bias + lsb) >> s) << s`` with ``lsb = (u >> s) & 1`` breaking
-  ties towards the even retained word.  For float64 work values the
-  transform operates on the *full* word, sign bit included: in the binades
-  the LUT serves, the carry of a round-up can reach the exponent field
-  (that is exactly how a binade boundary rounds up) but provably never the
-  sign bit.
+* its *rule*: the format's own round-to-nearest-even, restated in C over
+  tables the format hands the kernel when it is built (:func:`table_rule`
+  for the formats of at most 16 bits, :func:`quantum_rule` for the wider
+  tapered formats), with its non-finite policy (IEEE formats keep NaN and
+  ±inf, posits and takums map them to NaR, E4M3 maps NaN to NaN and
+  rounds ±inf by its overflow rule).  The rule alone rounds every value;
+* its *binade rule* (``_keep_bits``), from which the kernel derives an
+  integer lookup table (LUT) that rounds most values without the rule.
+
+For every work binade, the number of work-significand bits a format
+retains is a pure function of the exponent field (the mantissa length
+taper of posits/takums, the constant significand of IEEE formats, the
+gradual-underflow taper of IEEE subnormals).  A lookup table over the
+**sign+exponent field** (4096 entries for float64 words, 65536 for the
+80-bit extended words) therefore yields, per element, the truncation shift
+``s`` and the rounding bias ``2^(s-1) - 1``; the rounding step is then the
+classic integer RNE transform ``((u + bias + lsb) >> s) << s`` with
+``lsb = (u >> s) & 1`` breaking ties towards the even retained word.  For
+float64 work values the transform operates on the *full* word, sign bit
+included: in the binades the LUT serves, the carry of a round-up can reach
+the exponent field (that is exactly how a binade boundary rounds up) but
+provably never the sign bit.
 
 * The 64-bit posit/takum formats work in 80-bit x87 extended precision
   (``numpy.longdouble``), whose 16-byte memory layout is **two** uint64
@@ -34,37 +38,25 @@ round-to-nearest-even entirely in integer arithmetic:
 
 * Binades where the representable values are **not** a uniform power-of-two
   grid — posit/takum extreme regimes, IEEE overflow and deep-subnormal
-  binades, zeros, infinities and NaNs — are marked *special* in the LUT.
-  Exact zeros there round inline, and every other finite value rounds
-  inline too, by the format's *finite rule*: the format's own rounding
-  rule, restated in C over tables the format hands the kernel when it is
-  built (:func:`table_rule` for the formats of at most 16 bits,
-  :func:`quantum_rule` for the wider tapered formats).  Only infinities and
-  NaN are handed back and resolved without the kernel (the format's
-  scalar kernel for a few elements, its analytic kernel for many).
-  Binades where the format grid is at least as *fine* as the work grid
-  (possible when a 64-bit format degrades to float64 work precision on
-  hosts without extended longdouble) are marked *identity* and copied
-  through unchanged.
+  binades, zeros, infinities and NaNs — are marked *special* in the LUT,
+  and their values round by the rule.  Binades where the format grid is at
+  least as *fine* as the work grid (possible when a 64-bit format degrades
+  to float64 work precision on hosts without extended longdouble) are
+  marked *identity* and copied through unchanged.
 
 The Python classes here state each family's binade rule (``_keep_bits``)
-and build the LUTs from it; the transform itself runs in C
-(``_rounding.c``, compiled on first use by :mod:`repro.arithmetic._build`),
-which reads the LUTs in place.  A kernel has two compiled entries: the
-scalar :attr:`BitKernel.round_one`, and the array ``round_into`` behind
-:meth:`BitKernel.round`, which writes into a caller-provided ``out=``
-buffer — the entry point `EmulatedContext` uses to round operation results
-in place instead of allocating a second array per elementary op.  The
-module's entries (``reduce``, the rounded sums of the contexts' dot
-products, matrix-vector products and ``spmv``, and the projected
-eigensolver's ``tridiagonalize``, ``ql`` and ``rotate``) take the kernel
-object :attr:`BitKernel.compiled` as an argument.  Every array pass shares
-one hand-back protocol: a pass over a buffer (the whole buffer for
-``round_into``, one tree level or column for ``reduce``) leaves the
-infinities and NaN it hands back unrounded in place, then gives them to
-one call of the resolver and stores the results (x87 padding zeroed).  No
-Python code sees the handed-back positions, and no finite value reaches the
-resolver.
+and build the LUTs from it; the rounding itself runs in C (``_rounding.c``,
+compiled on first use by :mod:`repro.arithmetic._build`), which reads the
+LUTs and the rule's tables in place.  A kernel has two compiled entries:
+the scalar :attr:`BitKernel.round_one`, and the array ``round_into``
+behind :meth:`BitKernel.round`, which writes into a caller-provided
+``out=`` buffer — the entry point `EmulatedContext` uses to round
+operation results in place instead of allocating a second array per
+elementary op.  The module's entries (``reduce``, the rounded sums of the
+contexts' dot products, matrix-vector products and ``spmv``, and the
+projected eigensolver's ``tridiagonalize``, ``ql`` and ``rotate``) take the
+kernel object :attr:`BitKernel.compiled` as an argument.  No value leaves
+the kernel unrounded.
 
 Correctness invariants of the LUT-served ("main region") binades, checked by
 the builders and the exhaustive/sweep tests in ``tests/test_bitkernels.py``:
@@ -76,22 +68,21 @@ the builders and the exhaustive/sweep tests in ``tests/test_bitkernels.py``:
    of the binade lands on a representable value);
 3. *parity safety*: at least one fraction bit is retained (``keep >= 1``),
    so the retained word's LSB parity equals the parity of the quantized
-   significand and ties resolve exactly as the analytic
-   ``rint``-ties-to-even does.
+   significand and ties resolve exactly as round-half-to-even on the
+   quantum does.
 
 Encode/decode twins are provided per family: vectorised bit-field
-construction replacing the per-element Python loops of the analytic
-encoders, and vectorised decoding used (among others) by the narrow
-formats to enumerate their magnitude lists.
+construction replacing the per-element Python loops of the format codecs,
+and vectorised decoding used (among others) by the narrow formats to
+enumerate their magnitude lists.
 
-The engine is off with the environment variable
+The integer transform is off with the environment variable
 ``REPRO_DISABLE_BITKERNELS=1`` or at runtime with :func:`set_enabled` (the
-library's one rounding opt-out); every format then rounds through its
-analytic kernels (``round_scalar_analytic``/``round_array_analytic``), the
-ground truth, with the same results.  The compiled library itself is
-required either way: the reductions and the projected eigensolver
-(:mod:`repro.linalg.tridiagonal`) run only in it, and with the switch off
-they run the same loops, handing every value to those analytic kernels.
+library's one rounding opt-out): kernels are then built without their LUTs
+and round every value by the rule alone, with the same results.  The
+differential reference of ``tests/`` checks both positions.  The extended
+kernels have no LUT on hosts whose ``long double`` is not the x87 slot;
+there the rule alone rounds in that host's ``long double``.
 """
 
 from __future__ import annotations
@@ -126,8 +117,8 @@ _ONE = _U(1)
 _MAG64 = _U(0x7FFFFFFFFFFFFFFF)
 _MANT52 = _U(0x000FFFFFFFFFFFFF)
 
-#: special-LUT codes: resolve through the analytic kernel / copy through
-_SPECIAL_RESOLVE = 1
+#: special-LUT codes: round by the rule / copy through
+_SPECIAL_RULE = 1
 _SPECIAL_IDENTITY = 2
 
 _ENABLED = os.environ.get("REPRO_DISABLE_BITKERNELS", "").lower() not in (
@@ -156,9 +147,10 @@ def extension():
 
 
 def set_enabled(enabled: bool) -> bool:
-    """Globally enable/disable the bit kernels; returns the previous state.
+    """Globally enable/disable the integer transform; returns the previous
+    state.
 
-    Intended for verification runs that want to force the analytic kernels
+    Disabled, every kernel rounds by its format's rule alone
     (``REPRO_DISABLE_BITKERNELS=1`` has the same effect at start-up).  Takes
     effect on formats and contexts built before the call too.
     """
@@ -171,7 +163,7 @@ def set_enabled(enabled: bool) -> bool:
 
 
 def bitkernels_enabled() -> bool:
-    """Whether the bit kernels round (the switch is on)."""
+    """Whether the kernels round through their LUTs (the switch is on)."""
     return _ENABLED
 
 
@@ -181,8 +173,8 @@ def extended_layout_supported() -> bool:
     That is the two-word (significand word + sign/exponent word) memory
     layout the extended kernels operate on.  False where longdouble is plain
     float64 (Windows, most ARM builds), IEEE binary128, or the 12-byte ix86
-    layout — those hosts keep the analytic fallback (or, when longdouble
-    degenerates to float64, the one-word float64 kernels).
+    layout — there the extended kernels round by their rule alone (or, when
+    longdouble degenerates to float64, the one-word float64 kernels serve).
     """
     return (
         np.finfo(np.longdouble).nmant == 63
@@ -190,24 +182,35 @@ def extended_layout_supported() -> bool:
     )
 
 
-def table_rule(magnitudes, codes, over, top, floor) -> tuple:
-    """The finite rule of a format that rounds to the nearest entry of its
+def _nonfinite(policy: str) -> int:
+    """The compiled constant of a non-finite policy: ``"keep"`` (a NaN keeps
+    its bits, ±inf stays), ``"nar"`` (NaN and ±inf become +NaN) or
+    ``"rule"`` (NaN becomes +NaN, ±inf rounds by the finite rule)."""
+    return getattr(extension(), f"NONFINITE_{policy.upper()}")
+
+
+def table_rule(magnitudes, codes, over, top, floor, nonfinite: str) -> tuple:
+    """The rule of a format that rounds to the nearest entry of its
     ascending float64 ``magnitudes`` table (ties to the even entry of the
     parallel int64 ``codes``): a magnitude above ``over`` rounds to ``top``,
-    a zero result becomes ``floor``, and the value keeps its sign."""
-    return (extension().RULE_TABLE, magnitudes, codes, over, top, floor)
+    a zero result becomes ``floor``, and the value keeps its sign; NaN and
+    ±inf follow the ``nonfinite`` policy (see :func:`_nonfinite`)."""
+    ext = extension()
+    return (ext.RULE_TABLE, _nonfinite(nonfinite), magnitudes, codes, over, top, floor)
 
 
 def quantum_rule(lo_table, hi_table, qexp_base, qexps, minpos, maxpos, lo, hi) -> tuple:
-    """The finite rule of a wide tapered format: the magnitude, clamped to
+    """The rule of a wide tapered format: the magnitude, clamped to
     ``maxpos``, rounds to the nearest entry of the ``(magnitudes, codes)``
     table ``lo_table`` below ``lo``, of ``hi_table`` from ``hi`` up, and in
     between to the quantum ``2^qexps[e - qexp_base]`` of its binade (``e``
-    its ``frexp`` exponent); the result is clamped to ``[minpos, maxpos]``.
-    Tables and bounds are of the work dtype, ``qexps`` is int64 over every
-    ``frexp`` exponent of the work dtype."""
+    its ``frexp`` exponent); the result is clamped to ``[minpos, maxpos]``,
+    and NaN and ±inf become NaR (+NaN).  Tables and bounds are of the work
+    dtype, ``qexps`` is int64 over every ``frexp`` exponent of the work
+    dtype."""
     kind = extension().RULE_QUANTUM
-    return (kind, *lo_table, *hi_table, qexps, qexp_base, minpos, maxpos, lo, hi)
+    nar = _nonfinite("nar")
+    return (kind, nar, *lo_table, *hi_table, qexps, qexp_base, minpos, maxpos, lo, hi)
 
 
 class BitKernel:
@@ -215,39 +218,34 @@ class BitKernel:
 
     Subclasses define the format family by implementing :meth:`_keep_bits`
     (how many work-significand bits survive in a given binade, or ``None``
-    for binades the analytic resolver must handle) plus the family's
-    :meth:`decode` / :meth:`encode` bit-field layouts.  Construction loads
-    the compiled library (:func:`extension`).
+    for binades the rule must round) plus the family's :meth:`decode` /
+    :meth:`encode` bit-field layouts.  Construction loads the compiled
+    library (:func:`extension`).
 
     Parameters
     ----------
     bits:
         Storage width of the emulated format.
-    resolve:
-        Callback rounding a work-dtype array without the kernel (the
-        format's scalar or analytic kernel); applied to the infinities and
-        NaN the kernel hands back.
     rule:
-        Callback building the format's finite rule (:func:`table_rule` or
-        :func:`quantum_rule`) from this kernel, whose
-        vectorised :meth:`decode` serves before the compiled kernel exists;
-        the compiled kernel rounds every finite value of a special binade
-        with it.
+        Callback building the format's rule (:func:`table_rule` or
+        :func:`quantum_rule`) from this kernel, whose vectorised
+        :meth:`decode` serves before the compiled kernel exists.  With the
+        switch on, the compiled kernel rounds the values of the special
+        binades with it; with the switch off (or without a LUT layout),
+        every value.
 
     Attributes
     ----------
     round_one:
         The compiled scalar entry: ``round_one(value)`` returns the rounded
         work-dtype scalar (``numpy.float64``, or ``numpy.longdouble`` for
-        the extended kernels), or ``None`` when the value is an infinity or
-        NaN (or is not a float of the work layout) and is handed back.
-        Counts no telemetry.
+        the extended kernels), or ``None`` when the value is not a float of
+        the work layout.  Counts no telemetry.
     compiled:
         The compiled kernel object, which the module's entries take; its
         ``take_counts()`` drains the ``(calls, elements, handed_back,
         zeros)`` tallies of the passes made through it while telemetry is
-        on; ``handed_back`` counts the values of the special binades, those
-        the finite rule rounds included.
+        on; ``handed_back`` counts the non-zero values the rule rounded.
     """
 
     #: family tag used in reprs and dispatch diagnostics
@@ -269,14 +267,30 @@ class BitKernel:
     #: formats keep their per-element codecs)
     supports_codec = True
 
-    def __init__(
-        self,
-        bits: int,
-        resolve: Callable[[np.ndarray], np.ndarray],
-        rule: Callable[["BitKernel"], tuple],
-    ):
+    def __init__(self, bits: int, rule: Callable[["BitKernel"], tuple]):
         self.bits = int(bits)
-        self._resolve = resolve
+        luts = (None, None, None)
+        if _ENABLED and self._has_lut_layout():
+            luts = self._luts()
+        self._special = luts[2]
+        self.compiled = extension().Kernel(
+            *luts,
+            self.work_dtype is np.longdouble,
+            self.unsigned_zero,
+            _telemetry.ENABLED_FLAG,
+            rule(self),
+        )
+        self.round_one = self.compiled.round_one
+
+    @staticmethod
+    def _has_lut_layout() -> bool:
+        """Whether the host stores the work dtype in the layout the LUTs
+        index (always, for float64)."""
+        return True
+
+    def _luts(self) -> tuple:
+        """The ``(shift, bias, special)`` lookup tables over the sign and
+        exponent field of the work word."""
         exp_fields = 1 << self.WORD_EXP_BITS
         frac_bits = self.WORD_FRAC_BITS
         shift = np.ones(2 * exp_fields, dtype=_U)
@@ -288,7 +302,7 @@ class BitKernel:
                 keep = self._keep_bits(exp_field - self.WORD_BIAS)
             for idx in (exp_field, exp_field + exp_fields):  # mirror the sign half
                 if keep is None:
-                    special[idx] = _SPECIAL_RESOLVE
+                    special[idx] = _SPECIAL_RULE
                 elif keep >= frac_bits:
                     # the format grid is at least as fine as the work grid in
                     # this binade (a 64-bit format degraded to float64 work
@@ -307,19 +321,7 @@ class BitKernel:
                     s = frac_bits - keep
                     shift[idx] = s
                     bias[idx] = (1 << (s - 1)) - 1
-        self._shift = shift
-        self._bias = bias
-        self._special = special
-        self.compiled = extension().Kernel(
-            shift,
-            bias,
-            special,
-            self.work_dtype is np.longdouble,
-            self.unsigned_zero,
-            _telemetry.ENABLED_FLAG,
-            rule(self),
-        )
-        self.round_one = self.compiled.round_one
+        return shift, bias, special
 
     # ------------------------------------------------------------------ #
     # family hooks
@@ -344,10 +346,8 @@ class BitKernel:
     # rounding
     # ------------------------------------------------------------------ #
     def round(self, values, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Round work-dtype ``values`` to the format, bit-identical to the
-        analytic kernel, in one compiled pass (``round_into``): the
-        infinities and NaN the pass hands back go to one call of the
-        resolver, whose results the kernel stores in place.
+        """Round work-dtype ``values`` to the format in one compiled pass
+        (``round_into``).
 
         Parameters
         ----------
@@ -358,7 +358,7 @@ class BitKernel:
             into; may alias ``values`` or be a non-contiguous view.  The
             compiled entry refuses such operands with ``OperandError``
             before it writes anything, and they are rounded through a
-            contiguous copy; an exception of the resolver propagates.
+            contiguous copy.
 
         Returns
         -------
@@ -369,16 +369,18 @@ class BitKernel:
         if out is None:
             out = np.empty(x.shape, dtype=self.work_dtype)
         try:
-            self.compiled.round_into(x, out, self._resolve)
+            self.compiled.round_into(x, out)
         except extension().OperandError:
             # non-contiguous, partially overlapping or foreign-dtype
             # operands: round a contiguous copy into a fresh buffer
             dst = np.empty(x.shape, dtype=self.work_dtype)
-            self.compiled.round_into(np.ascontiguousarray(x), dst, self._resolve)
+            self.compiled.round_into(np.ascontiguousarray(x), dst)
             np.copyto(out, dst)
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
+        if self._special is None:
+            return f"<{type(self).__name__} {self.family!r} ({self.bits} bits, rule only)>"
         half = len(self._special) // 2
         served = int(np.count_nonzero(self._special[:half] == 0))
         return (
@@ -410,18 +412,18 @@ class IEEEBitKernel(BitKernel):
     gradual-underflow taper down to the last binade that retains a fraction
     bit.  The top binade (where a round-up must overflow to infinity), the
     deep-subnormal binades (``keep < 1``) and the specials are special: the
-    finite rule rounds their finite values.
+    rule rounds their values.
     """
 
     family = "ieee"
 
-    def __init__(self, ebits: int, mbits: int, resolve, rule):
+    def __init__(self, ebits: int, mbits: int, rule):
         self.ebits = int(ebits)
         self.mbits = int(mbits)
         self.bias_f = (1 << (ebits - 1)) - 1
         self.emin = 1 - self.bias_f
         self.emax = self.bias_f
-        super().__init__(1 + ebits + mbits, resolve, rule)
+        super().__init__(1 + ebits + mbits, rule)
 
     def _keep_bits(self, e: int) -> Optional[int]:
         if self.emin <= e < self.emax:
@@ -491,18 +493,18 @@ class E4M3BitKernel(IEEEBitKernel):
     The rounding grid matches a 1-4-3 IEEE format except in the top binade,
     where the all-ones exponent still encodes normal values and overflow
     resolves to NaN (or saturates) — that binade is special, so the policy
-    lives entirely in the format's finite rule.
+    lives entirely in the format's rule.
     """
 
     family = "e4m3"
 
-    def __init__(self, resolve, rule):
+    def __init__(self, rule):
         # the top *encodable* binade is e = emax + 1 = 8 (exponent field 15
-        # holds normals); its round-ups overflow to NaN/448, so the finite
-        # rule rounds it and the inherited _keep_bits stopping at
-        # e = emax - 1 (like plain IEEE, whose top binade overflows to inf)
-        # is exactly right here too
-        super().__init__(4, 3, resolve, rule)
+        # holds normals); its round-ups overflow to NaN/448, so the rule
+        # rounds it and the inherited _keep_bits stopping at e = emax - 1
+        # (like plain IEEE, whose top binade overflows to inf) is exactly
+        # right here too
+        super().__init__(4, 3, rule)
 
     def decode(self, codes) -> np.ndarray:
         c = _as_code_array(codes, 8)
@@ -541,20 +543,19 @@ class E4M3BitKernel(IEEEBitKernel):
 class PositBitKernel(BitKernel):
     """Kernel for posit formats (2022 standard layout, parametric ``es``).
 
-    Serves every binade that retains at least one fraction bit (the
-    ``k_lo..k_hi`` regime range of the analytic kernel); the extreme regimes
-    — where the representable magnitudes stop forming a uniform grid — are
-    special: the finite rule applies the extreme-region magnitude lists and
-    minpos/maxpos saturation there.
+    Serves every binade that retains at least one fraction bit; the extreme
+    regimes — where the representable magnitudes stop forming a uniform
+    grid — are special: the rule applies the extreme-region magnitude lists
+    and minpos/maxpos saturation there.
     """
 
     family = "posit"
     unsigned_zero = True
 
-    def __init__(self, nbits: int, es: int, resolve, rule):
+    def __init__(self, nbits: int, es: int, rule):
         self.es = int(es)
         self._useed_exp = 1 << self.es
-        super().__init__(nbits, resolve, rule)
+        super().__init__(nbits, rule)
 
     def _keep_bits(self, e: int) -> Optional[int]:
         k = e // self._useed_exp
@@ -634,8 +635,8 @@ class TakumBitKernel(BitKernel):
     ``[-255, 254]`` and retains at least one mantissa bit; the boundary
     binades (where rounding can leave the representable range and must
     saturate at minpos/maxval), the truncated-characteristic binades of very
-    narrow takums, and the specials are special: the finite rule rounds
-    their finite values.
+    narrow takums, and the specials are special: the rule rounds their
+    values.
     """
 
     family = "takum"
@@ -764,7 +765,9 @@ class ExtendedBitKernel(BitKernel):
     the family contributes ``_keep_bits`` and the special-binade policy,
     this class contributes the word layout.  The family codecs only know
     the float64 word, so :attr:`supports_codec` is False and the 64-bit
-    formats keep their per-element decode/encode.
+    formats keep their per-element decode/encode.  On hosts whose
+    ``long double`` is not the x87 slot the kernel has no LUT and rounds
+    every value by the rule in that host's ``long double``.
     """
 
     WORD_EXP_BITS = 15
@@ -772,6 +775,7 @@ class ExtendedBitKernel(BitKernel):
     WORD_FRAC_BITS = 63
     work_dtype = np.longdouble
     supports_codec = False
+    _has_lut_layout = staticmethod(extended_layout_supported)
 
     def decode(self, codes) -> np.ndarray:
         raise NotImplementedError(

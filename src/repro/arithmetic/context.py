@@ -22,9 +22,8 @@ reduction, in every context and in both positions of the bit-kernel switch.
 Scalar operands bypass ndarrays entirely: the elementary operations detect
 them, compute in the work precision on work-dtype NumPy scalars and round
 through ``round_scalar`` — the compiled scalar entry of the format's bit
-kernel, or its pure-Python analytic scalar kernel.  This is the regime of
-the solvers' Givens/QL operations, where NumPy dispatch on 1-element
-arrays used to dominate wide-format wall time.
+kernel.  This is the regime of the solvers' Givens/QL operations, where
+NumPy dispatch on 1-element arrays used to dominate wide-format wall time.
 """
 
 from __future__ import annotations
@@ -443,18 +442,13 @@ class ComputeContext(ABC):
         return self._reduce_last_axis(v)
 
     @abstractmethod
-    def compiled_rounding(self) -> tuple:
-        """How the compiled entries of :mod:`repro.arithmetic._rounding`
-        (``reduce``, ``tridiagonalize``, ``ql`` and ``rotate``) round in
-        this context: ``(kernel, resolve_scalar, resolve_array)``.
-
-        ``kernel`` is the compiled kernel of the format, or ``None``;
-        ``resolve_scalar`` rounds one scalar the entries hand back and
-        ``resolve_array`` the values one pass hands back.  ``(None, None,
-        None)`` rounds nothing (the storage dtype is the rounding), and a
-        ``None`` kernel with resolvers hands every value to them.  Looked up
-        on every call, so the bit-kernel switch takes effect between
-        calls."""
+    def compiled_rounding(self):
+        """The kernel the compiled entries of
+        :mod:`repro.arithmetic._rounding` (``reduce``, ``tridiagonalize``,
+        ``ql`` and ``rotate``) round through in this context: the compiled
+        kernel of the format, or ``None``, which rounds nothing (the storage
+        dtype is the rounding).  Looked up on every call, so the bit-kernel
+        switch takes effect between calls."""
 
     def _reduce_last_axis(self, buf: np.ndarray) -> np.ndarray:
         """Rounded reduction of ``buf`` along its last axis, in one call of
@@ -472,7 +466,7 @@ class ComputeContext(ABC):
         those of reducing each row alone.
         """
         sums = _bitkernels.extension().reduce(
-            buf, None, self.accumulation == "sequential", *self.compiled_rounding()
+            buf, None, self.accumulation == "sequential", self.compiled_rounding()
         )
         m = buf.shape[-1]
         if m > 1:
@@ -632,7 +626,7 @@ class ComputeContext(ABC):
         counts = np.diff(indptr)
         self.op_count += int(counts.sum()) - int(np.count_nonzero(counts))
         return _bitkernels.extension().reduce(
-            vals, indptr, self.accumulation == "sequential", *self.compiled_rounding()
+            vals, indptr, self.accumulation == "sequential", self.compiled_rounding()
         )
 
     # ------------------------------------------------------------------ #
@@ -710,9 +704,9 @@ class NativeContext(ComputeContext):
         """Hardware dtypes round by conversion; returns a dtype scalar."""
         return value if type(value) is self.dtype else self.dtype(value)
 
-    def compiled_rounding(self) -> tuple:
-        """The storage dtype is the rounding: no kernel, no resolver."""
-        return None, None, None
+    def compiled_rounding(self):
+        """The storage dtype is the rounding: no kernel."""
+        return None
 
     @property
     def machine_epsilon(self) -> float:
@@ -736,28 +730,31 @@ class ReferenceContext(NativeContext):
 class EmulatedContext(ComputeContext):
     """Context that rounds every elementary result to a software format.
 
-    Every rounding goes to the format, which alone decides how a value
-    rounds: arrays through :meth:`~repro.arithmetic.base.NumberFormat.round_array`
-    (the compiled bit kernel, or the analytic kernels without one), scalars
-    through the bit kernel's compiled scalar entry, with the format's
-    analytic scalar kernel
-    (:meth:`~repro.arithmetic.base.NumberFormat.round_scalar_analytic`) for
-    the values it hands back.
-    The dispatch matrix is documented in ``docs/architecture.md``; the one
-    opt-out is the process-wide bit-kernel switch
-    (``REPRO_DISABLE_BITKERNELS`` / :func:`repro.arithmetic.set_bitkernels_enabled`).
+    Every rounding goes to the format's compiled kernel, which alone decides
+    how a value rounds: arrays through
+    :meth:`~repro.arithmetic.base.NumberFormat.round_array`, scalars through
+    its compiled scalar entry.  The dispatch matrix is documented in
+    ``docs/architecture.md``; the one opt-out is the process-wide bit-kernel
+    switch (``REPRO_DISABLE_BITKERNELS`` /
+    :func:`repro.arithmetic.set_bitkernels_enabled`), under which the kernel
+    rounds by the format's rule alone.
 
     Parameters
     ----------
     fmt:
         Target :class:`~repro.arithmetic.base.NumberFormat` or registry
-        name.
+        name.  float32 and float64 round by a cast and have native contexts
+        (:func:`get_context`); they are refused here.
     """
 
     def __init__(self, fmt: NumberFormat | str, **kwargs):
         super().__init__(**kwargs)
         if isinstance(fmt, str):
             fmt = get_format(fmt)
+        if fmt.bitkernel() is None:
+            raise ValueError(
+                f"{fmt.name} rounds by a cast: use get_context({fmt.name!r}), a native context"
+            )
         self.format = fmt
         self.dtype = fmt.work_dtype
         self.name = fmt.name
@@ -781,30 +778,20 @@ class EmulatedContext(ComputeContext):
         still takes effect between calls)."""
         self.format.round_array(work, out=work)
 
-    def compiled_rounding(self) -> tuple:
-        """The format's bound bit kernel, whose hand-backs its analytic
-        kernels round (as :meth:`round_scalar` and :meth:`_round_work` do);
-        without one, every value goes to :meth:`NumberFormat.round_array`
-        and ``round_scalar_analytic``, which is how those two round every
-        value then."""
-        fmt = self.format
-        kern = fmt._bound_kernel
-        if kern is None:
-            return None, fmt.round_scalar_analytic, fmt.round_array
-        return kern.compiled, fmt.round_scalar_analytic, kern._resolve
+    def compiled_rounding(self):
+        """The compiled kernel of the format's bound bit kernel (as
+        :meth:`round_scalar` and :meth:`_round_work` round through)."""
+        return self.format._bound_kernel.compiled
 
     def round_scalar(self, value):
         """Round one scalar through the compiled scalar entry of the
-        format's bit kernel, without an ndarray round-trip; the format's
-        analytic scalar kernel rounds only the values the entry hands back
-        (and every value when no bit kernel is bound).  Returns a work-dtype
-        scalar (``longdouble`` formats keep their extended precision)."""
-        fmt = self.format
-        res = fmt._round_one(value)
+        format's bit kernel, without an ndarray round-trip; a value that is
+        not a float of the work layout (an int, a float32) is converted
+        first.  Returns a work-dtype scalar (``longdouble`` formats keep
+        their extended precision)."""
+        res = self.format._round_one(value)
         if res is None:
-            res = fmt.round_scalar_analytic(value)
-            if type(res) is not self.dtype:
-                res = self.dtype(res)
+            res = self.format._round_one(self.dtype(value))
         return res
 
     @property

@@ -13,11 +13,12 @@ operation; rounding is round-to-nearest, ties-to-even, with gradual underflow
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from .base import NumberFormat, round_to_quantum
+from .base import NumberFormat
 from .bitkernels import IEEEBitKernel, table_rule
 
 __all__ = ["IEEEFormat", "FLOAT16", "BFLOAT16", "FLOAT32", "FLOAT64"]
@@ -57,17 +58,11 @@ class IEEEFormat(NumberFormat):
         self._min_positive = float(math.ldexp(1.0, self.emin - self.mbits))
         self._min_normal = float(math.ldexp(1.0, self.emin))
         self._magnitudes = self._codes = None
-        # float32/float64 round via a single hardware cast; there the vector
-        # kernel beats any per-element Python loop, so the small-array scalar
-        # dispatch is disabled (the scalar kernel itself stays available for
-        # the contexts' scalar elementary operations)
-        self._cast_dtype = None
-        if (self.ebits, self.mbits) == (11, 52):
-            self._cast_dtype = np.float64
-            self.scalar_cutoff = 0
-        elif (self.ebits, self.mbits) == (8, 23):
-            self._cast_dtype = np.float32
-            self.scalar_cutoff = 0
+        # float32/float64 round by a single hardware cast, which no kernel
+        # can beat (the contexts of both are native: see get_context)
+        self._cast_dtype = {(11, 52): np.float64, (8, 23): np.float32}.get(
+            (self.ebits, self.mbits)
+        )
 
     # ------------------------------------------------------------------ #
     # bit-level
@@ -95,25 +90,24 @@ class IEEEFormat(NumberFormat):
 
         float32/float64 round via a single hardware cast, which no integer
         kernel can beat; every other width (float16, bfloat16, E5M2) gets
-        the LUT-driven RNE kernel, whose finite rule
-        (:meth:`_finite_rule`) rounds the overflow and deep-subnormal
-        binades."""
+        the LUT-driven RNE kernel, whose rule (:meth:`_rule`) rounds the
+        overflow and deep-subnormal binades."""
         if self._cast_dtype is not None:
             return None
-        return IEEEBitKernel(
-            self.ebits, self.mbits, self._round_kernel_specials, self._finite_rule
-        )
+        return IEEEBitKernel(self.ebits, self.mbits, self._rule)
 
-    def _finite_rule(self, kern) -> tuple:
-        """The rule of :meth:`_round_scalar_quantum` as a table rule: on
-        the uniform grid of each binade the nearest magnitude with an even
-        code is the quantum's round-to-even, from ``max + ulp/2`` up the
-        magnitude overflows to the signed infinity, and the sign of zero is
-        kept."""
+    def _rule(self, kern) -> tuple:
+        """Quantum rounding with gradual underflow as a table rule: on the
+        uniform grid of each binade the nearest magnitude with an even code
+        is the quantum's round-to-even, from ``max + ulp/2`` up the
+        magnitude overflows to the signed infinity, the sign of zero is
+        kept, and NaN (its bits too) and ±inf stay as they are."""
         self._ensure_table(kern)
         ulp = math.ldexp(1.0, self.emax - self.mbits)
         over = math.nextafter(self._max_value + ulp / 2, 0.0)
-        return table_rule(self._magnitudes, self._codes, over, math.inf, 0.0)
+        return table_rule(
+            self._magnitudes, self._codes, over, math.inf, 0.0, nonfinite="keep"
+        )
 
     def _encode_scalar(self, v) -> int:
         """Sign, biased exponent and mantissa fields of one representable
@@ -156,63 +150,24 @@ class IEEEFormat(NumberFormat):
     # ------------------------------------------------------------------ #
     # value-space rounding
     # ------------------------------------------------------------------ #
-    def round_scalar_analytic(self, value):
-        """Scalar twin of :meth:`round_array_analytic` for one value.
-
-        ``float64`` is the identity, ``float32`` one hardware cast; every
-        other width runs the pure-Python quantum kernel
-        (``math.frexp``/``math.ldexp``, ties to even via Python's banker
-        ``round``) with gradual underflow and overflow to signed infinity,
-        bit-identical to the vector kernel — including the sign of zero.
-        """
-        v = float(value)
-        if self._cast_dtype is np.float64:
-            return v
-        if self._cast_dtype is not None:
-            return float(np.float32(v))
-        return self._round_scalar_quantum(v)
-
-    def _round_scalar_quantum(self, v: float) -> float:
-        """Pure-Python quantum rounding of one float (non-cast widths)."""
-        if v != v or v == math.inf or v == -math.inf:
-            return v  # non-finite values pass through unchanged
-        if v == 0.0:
-            return v  # preserve the sign of zero
-        a = -v if v < 0.0 else v
-        exp = math.frexp(a)[1] - 1
-        if exp < self.emin:
-            exp = self.emin  # gradual underflow: subnormal quantum
-        qexp = exp - self.mbits
-        mag = float(round(math.ldexp(a, -qexp))) * math.ldexp(1.0, qexp)
-        if mag > self._max_value:
-            mag = math.inf
-        return -mag if v < 0.0 else mag
-
-    def round_array_analytic(self, values) -> np.ndarray:
-        """Vectorised ground-truth rounding: a single hardware cast for
-        float32/float64, otherwise quantum rounding at the magnitude's
-        (clamped) binade — gradual underflow below ``emin``, overflow to
-        the signed infinity beyond ``max_value``."""
-        x = np.asarray(values, dtype=self.work_dtype)
-        if self.ebits == 11 and self.mbits == 52:
-            return x.astype(np.float64)
-        if self.ebits == 8 and self.mbits == 23:
-            return x.astype(np.float32).astype(self.work_dtype)
-        out = np.array(x, dtype=self.work_dtype, copy=True)
-        finite = np.isfinite(x)
-        if not finite.any():
-            return out
-        a = np.abs(np.where(finite, x, 0.0))
-        # exponent of each magnitude; frexp(0) -> (0, 0) which is harmless
-        _, e = np.frexp(a)
-        exp = e.astype(np.int64) - 1
-        exp_eff = np.maximum(exp, self.emin)
-        quantum = np.ldexp(np.ones_like(a), (exp_eff - self.mbits).astype(np.int64))
-        rounded = round_to_quantum(np.where(finite, x, 0.0), quantum)
-        over = np.abs(rounded) > self._max_value
-        rounded = np.where(over, np.copysign(np.inf, rounded), rounded)
-        out[finite] = rounded[finite]
+    def round_array(self, values, *, out=None) -> np.ndarray:
+        """Round through the compiled kernel, or by a hardware cast for
+        float32/float64 (see :meth:`NumberFormat.round_array`)."""
+        if self._cast_dtype is None:
+            return super().round_array(values, out=out)
+        res = np.asarray(values, dtype=np.float64).astype(self._cast_dtype)
+        if out is None:
+            return res.astype(np.float64)
+        out[...] = res
         return out
+
+    @functools.cached_property
+    def _round_one(self):
+        """The compiled scalar entry, or the cast of float32/float64."""
+        cast = self._cast_dtype
+        if cast is None:
+            return self._bound_kernel.round_one
+        return lambda value: np.float64(cast(value))
 
     # ------------------------------------------------------------------ #
     # metadata

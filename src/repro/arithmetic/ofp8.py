@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .base import NumberFormat, nearest_in_table, nearest_in_table_scalar
+from .base import NumberFormat
 from .bitkernels import E4M3BitKernel, table_rule
 from .ieee import IEEEFormat
 
@@ -53,22 +53,23 @@ class OFP8E4M3(NumberFormat):
         self.bias = 7
         self._magnitudes = self._codes = None
         self._ensure_table()
-        self._scalar_state: tuple | None = None
 
     def _build_bitkernel(self):
-        """Integer bit-twiddling kernel; the finite rule
-        (:meth:`_finite_rule`) rounds the top binade (overflow-to-NaN or
-        saturation policy) and deep subnormals, so both overflow variants
-        share one kernel class."""
-        return E4M3BitKernel(self._round_kernel_specials, self._finite_rule)
+        """Integer bit-twiddling kernel; the rule (:meth:`_rule`) rounds
+        the top binade (overflow-to-NaN or saturation policy) and deep
+        subnormals, so both overflow variants share one kernel class."""
+        return E4M3BitKernel(self._rule)
 
-    def _finite_rule(self, kern) -> tuple:
-        """The rule of :meth:`round_scalar_analytic`: the nearest entry of
-        the magnitude table (enumerated through ``kern``'s decode), NaN or
-        448 above the overflow threshold."""
+    def _rule(self, kern) -> tuple:
+        """The nearest entry of the magnitude table (enumerated through
+        ``kern``'s decode, ties to the even code), NaN of the value's sign
+        or ±448 above the overflow threshold, infinities included; NaN
+        rounds to +NaN."""
         self._ensure_table(kern)
         top = self.max_value if self.saturate else math.nan
-        return table_rule(self._magnitudes, self._codes, self._overflow_threshold, top, 0.0)
+        return table_rule(
+            self._magnitudes, self._codes, self._overflow_threshold, top, 0.0, nonfinite="rule"
+        )
 
     # ------------------------------------------------------------------ #
     def decode_code(self, code: int) -> float:
@@ -96,51 +97,6 @@ class OFP8E4M3(NumberFormat):
         if math.copysign(1.0, v) < 0 and v != 0.0:
             code |= 0x80
         return code
-
-    def round_scalar_analytic(self, value):
-        """Scalar twin of :meth:`round_array_analytic` for one value.
-
-        Bisect over the enumerated magnitude table with ties to the even
-        code, plus the configured overflow policy (NaN above 464, or
-        saturation at ±448); bit-identical to the vector kernel, including
-        the sign of zero.
-        """
-        state = self._scalar_state
-        if state is None:
-            state = (self._magnitudes.tolist(), self._codes.tolist())
-            self._scalar_state = state
-        v = float(value)
-        if v != v:
-            return math.nan
-        a = -v if v < 0.0 else v
-        if a > self._overflow_threshold:  # includes infinite inputs
-            mag = 448.0 if self.saturate else math.nan
-        else:
-            mags, codes = state
-            mag = mags[nearest_in_table_scalar(a, mags, codes)]
-        return math.copysign(mag, v)
-
-    def round_array_analytic(self, values) -> np.ndarray:
-        """Vectorised ground-truth rounding: nearest entry of the
-        enumerated magnitude table (ties to the even code), with the
-        configured overflow policy above 464 (NaN, or ±448 when
-        saturating)."""
-        x = np.asarray(values, dtype=self.work_dtype)
-        out = np.empty(x.shape, dtype=self.work_dtype)
-        nan_mask = np.isnan(x)
-        a = np.abs(np.where(nan_mask, 0.0, x))
-        idx = nearest_in_table(
-            np.where(np.isfinite(a), a, self.max_value), self._magnitudes, self._codes
-        )
-        mags = self._magnitudes[idx]
-        over = a > self._overflow_threshold
-        if self.saturate:
-            mags = np.where(over, self.max_value, mags)
-        else:
-            mags = np.where(over, np.nan, mags)
-        out[...] = np.copysign(mags, np.where(nan_mask, 1.0, x))
-        out[nan_mask] = np.nan
-        return out
 
     @property
     def max_value(self) -> float:

@@ -17,8 +17,8 @@ The rounding skeleton is the tapered formats' shared one
 (:class:`~repro.arithmetic.tapered.TaperedFormat`); this module supplies the
 bit layout, the binade rule (a binade with regime ``k`` keeps
 ``n - 1 - regime_length - es`` fraction bits) and the extreme regimes, where
-fewer than one fraction bit survives and the analytic kernel rounds through
-short magnitude lists instead.
+fewer than one fraction bit survives and the rule rounds through short
+magnitude lists instead.
 """
 
 from __future__ import annotations
@@ -144,11 +144,6 @@ class PositFormat(TaperedFormat):
     # ------------------------------------------------------------------ #
     def _kernel_args(self) -> tuple:
         return (self.bits, self.es)
-
-    def _quantum_exp(self, exp: int) -> int:
-        k = exp // self._useed_exp
-        frac_bits = self.bits - 1 - (k + 2 if k >= 0 else 1 - k) - self.es
-        return exp - frac_bits if frac_bits > 0 else exp
 
     def _quantum_exp_array(self, exp: np.ndarray) -> np.ndarray:
         k = np.floor_divide(exp, self._useed_exp)

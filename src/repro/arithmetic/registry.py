@@ -77,9 +77,9 @@ def available_formats() -> list[str]:
 def preload_tables(names=None) -> list[str]:
     """Build the rounding state of the named formats now (all registered
     formats when ``None``): the compiled kernel library (built on first use
-    into the user cache), each format's bound bit kernel and the constants
-    of its scalar kernel (magnitude lists), which the first rounding call
-    would otherwise build lazily.
+    into the user cache) and each format's bound bit kernel with the tables
+    of its rule (magnitude lists), which the first rounding call would
+    otherwise build lazily.
 
     Registered formats are process-wide singletons, so the state built here
     is shared by every context that uses them afterwards; the experiment
@@ -93,7 +93,6 @@ def preload_tables(names=None) -> list[str]:
         fmt = FORMATS.get(name)
         if fmt is not None:
             fmt._round_one  # binds the bit kernel
-            fmt.round_scalar_analytic(1.0)
             built.append(name)
     return built
 

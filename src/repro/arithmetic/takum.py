@@ -152,13 +152,6 @@ class TakumFormat(TaperedFormat):
     # ------------------------------------------------------------------ #
     # binade rule
     # ------------------------------------------------------------------ #
-    def _quantum_exp(self, exp: int) -> int:
-        # the characteristic-field length r = floor(log2(...)) exactly, with
-        # integer bit_length instead of a float log2
-        c = _C_MIN if exp < _C_MIN else _C_MAX if exp > _C_MAX else exp
-        r = (c + 1).bit_length() - 1 if c >= 0 else (-c).bit_length() - 1
-        return c - (self.bits - 5 - r)
-
     def _quantum_exp_array(self, exp: np.ndarray) -> np.ndarray:
         c = np.clip(exp, _C_MIN, _C_MAX)
         cf = c.astype(np.float64)

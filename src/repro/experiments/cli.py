@@ -62,18 +62,18 @@ __all__ = [
 ]
 
 
-#: --help epilog surfacing the rounding-kernel opt-out (the bit kernels
-#: are bit-identical to the analytic vector kernels, so it exists for
-#: verification runs and micro-benchmarks, not for day-to-day use)
+#: --help epilog surfacing the rounding-kernel opt-out (both switch
+#: positions round bit-identically, so it exists for verification runs and
+#: micro-benchmarks, not for day-to-day use)
 _EPILOG = """\
 rounding kernels:
-  Emulated formats round scalars and tiny arrays through pure-Python scalar
-  kernels and larger arrays through integer bit-twiddling kernels; both are
-  bit-identical to the analytic vector kernels.  The one opt-out:
-    REPRO_DISABLE_BITKERNELS=1        environment: disable the integer
-                                      bit-twiddling kernels process-wide
-                                      (arrays round through the analytic
-                                      vector kernels)
+  Emulated formats round every value in a compiled kernel: most through
+  integer lookup tables, the rest by the format's own rounding rule.  The
+  one opt-out:
+    REPRO_DISABLE_BITKERNELS=1        environment: build the kernels
+                                      without their lookup tables
+                                      process-wide (every value rounds by
+                                      the format's rule, bit-identically)
     repro.arithmetic.set_bitkernels_enabled(False)
                                       runtime: same switch, toggleable
                                       per phase

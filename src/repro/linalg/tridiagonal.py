@@ -36,19 +36,17 @@ Both therefore run in C, as three entries of the compiled rounding kernel
   elementwise op is one rounding pass, a tree level of a dot or
   matrix-vector product one pass (a sequential accumulation adds left to
   right, one pass per column, or one scalar op per addition of a dot),
-  counted as one call of the kernel with its hand-backs resolved in one
-  resolver call, and a scalar op resolves a hand-back at once.  The entry
-  returns the op tally, the reflectors it skipped and the first step after
-  which the stack held a non-finite value (the ``skipped`` and
+  counted as one call of the kernel, and a scalar op rounds at once.  The
+  entry returns the op tally, the reflectors it skipped and the first step
+  after which the stack held a non-finite value (the ``skipped`` and
   ``first_nonfinite`` of the ``tridiagonal.reduce`` trace span).
 * ``ql`` runs the recurrence on ``d``/``e`` in place, in the work type of
   the context (``double``, x87 ``long double`` for posit64/takum64 and the
   reference context, ``float`` for float32), with the scaled five-op
   ``hypot`` of :meth:`~repro.arithmetic.context.ComputeContext.hypot`.
   Every op is the same op on the same values in the same order as the
-  operator spelling ``ctx.add(ctx.mul(...))``, and rounds through the
-  step of the format's kernel; a value the kernel hands back goes at once
-  to the format's analytic scalar kernel, since the next op reads it.  The
+  operator spelling ``ctx.add(ctx.mul(...))``, and rounds at once through
+  the step of the format's kernel, since the next op reads it.  The
   deflation test reads the values as float64 (exact comparisons, not
   arithmetic in the target format).  The entry returns the op tally, the
   exit status, the number of zero rotation radii (steps that restarted the
@@ -68,16 +66,16 @@ Both therefore run in C, as three entries of the compiled rounding kernel
   :meth:`~repro.arithmetic.context.ComputeContext.rotate_columns` rounds
   them: one over the four products ``c*x, s*y, s*x, c*y`` of every
   rotation in the wave, one over ``c*x - s*y`` and ``s*x + c*y``.  Each
-  pass counts as one call of the kernel and gives its hand-backs to one
-  resolver call.  Rotations that share a column keep their original
+  pass counts as one call of the kernel.  Rotations that share a column
+  keep their original
   order, so every element of ``Z`` sees the same rounded operations on the
   same values in the same order: the result is bit-identical to rotating
   step by step.
 
 :meth:`~repro.arithmetic.context.ComputeContext.compiled_rounding` says
-how the entries round in a context: through the format's kernel, handing
-every value to the analytic kernels (the bit-kernel switch off), or not at
-all (the native dtypes).  The golden digests pin the three entries in every
+how the entries round in a context: through the format's kernel (by its
+rule alone with the bit-kernel switch off), or not at all (the native
+dtypes).  The golden digests pin the three entries in every
 format (``tests/test_golden_digests.py``), and
 ``tests/test_operator_equivalence.py`` checks them against the explicit
 ``ctx.add(ctx.mul(...))`` spelling in both switch positions.
@@ -131,9 +129,8 @@ def tridiagonalize(ctx, A):
         AQ = np.empty((2, n, n), dtype=ctx.dtype)
         AQ[0] = A
         AQ[1] = np.eye(n, dtype=ctx.dtype)
-        kernel, resolve_scalar, resolve_array = ctx.compiled_rounding()
         ops, skipped, first_nonfinite = _bitkernels.extension().tridiagonalize(
-            AQ, ctx.accumulation == "sequential", kernel, resolve_scalar, resolve_array
+            AQ, ctx.accumulation == "sequential", ctx.compiled_rounding()
         )
         ctx.op_count += ops
         sp.set(skipped=skipped, first_nonfinite=first_nonfinite)
@@ -179,9 +176,8 @@ def tridiagonal_eigen(ctx, d, e, Z=None, max_sweeps: int = 60):
             Z_full = np.eye(n, dtype=ctx.dtype)
         else:
             Z_full = np.array(np.asarray(Z, dtype=ctx.dtype), copy=True)
-        kernel, resolve_scalar, _ = ctx.compiled_rounding()
         ops, status, low, restarts, cols, cs, ss = _bitkernels.extension().ql(
-            d_full, e_full, max_sweeps, float(ctx.machine_epsilon), kernel, resolve_scalar
+            d_full, e_full, max_sweeps, float(ctx.machine_epsilon), ctx.compiled_rounding()
         )
         ctx.op_count += ops
         # a failed iteration still pays for the rotations it recorded, so
@@ -230,15 +226,13 @@ def _apply_rotations(ctx, Z, cols, cs, ss) -> int:
     cols = np.asarray(cols, dtype=np.intp)
     if cols.size == 0:
         return 0
-    kernel, _, resolve_array = ctx.compiled_rounding()
     ZT = np.ascontiguousarray(Z.T)
     waves = _bitkernels.extension().rotate(
         ZT,
         cols,
         np.asarray(cs, dtype=ctx.dtype),
         np.asarray(ss, dtype=ctx.dtype),
-        kernel,
-        resolve_array,
+        ctx.compiled_rounding(),
     )
     ctx.op_count += 6 * cols.size * ZT.shape[1]
     Z[...] = ZT.T

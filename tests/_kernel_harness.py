@@ -1,22 +1,24 @@
 """Differential kernel-test harness shared by the rounding-kernel suites.
 
-Every fast rounding kernel in :mod:`repro.arithmetic` — the integer bit
-kernels (one-word float64 and two-word extended) and the scalar kernels —
-must be bit-identical to the analytic ground truth
-(``round_array_analytic``).  This module centralises the machinery those
-proofs share so each suite states *what* it sweeps, not how:
+The compiled rounding kernel of :mod:`repro.arithmetic` — its array and
+scalar entries, through the integer lookup tables (one-word float64 and
+two-word extended) or by the format's rule alone — must be bit-identical to
+the differential reference (:func:`tests._reference.round_array_analytic`).
+This module centralises the machinery those proofs share so each suite
+states *what* it sweeps, not how:
 
 * **sweep generators**, all seeded and format-aware: log-uniform random
   magnitudes across (and beyond) a format's dynamic range in its own work
   precision, the shared NaR/NaN/inf/signed-zero edge battery, range/epsilon
   boundary values, and exact adjacent-code midpoints (the rounding ties),
   either from explicit code ranges or sampled around binade boundaries;
-* **comparators** that work for any work dtype: longdouble results cannot be
-  compared as raw words (the x87 16-byte slots carry 6 bytes of undefined
-  padding), so identity is asserted as value + NaN-position + zero-sign
-  equality, which is equivalent to word identity for canonical floats;
+* **comparators** that work for any work dtype: word identity (NaN signs
+  and payloads included) over the 8 bytes of a float64 or the 10 value
+  bytes of an x87 extended value, whose 6 padding bytes the kernel writes
+  as zeros; and value + NaN-position + zero-sign equality where values of
+  another provenance are compared;
 * **differential drivers** running any kernel-like callable against the
-  analytic kernel over a batch of named sweeps.
+  reference over a batch of named sweeps.
 
 The harness is import-light (no fixtures): suites compose these helpers with
 their own parametrisation.  :func:`format_for` also builds the tapered
@@ -32,9 +34,11 @@ import re
 import numpy as np
 
 from repro.arithmetic import OFP8E4M3, PositFormat, TakumFormat, get_format
+from tests._reference import round_array_analytic
 
 __all__ = [
     "assert_rounded_equal",
+    "assert_same_words",
     "assert_scalar_matches_vector",
     "edge_battery",
     "random_sweep",
@@ -112,21 +116,34 @@ def assert_rounded_equal(got, expected, context=""):
     assert np.array_equal(sg, se), f"{context}: zero signs differ"
 
 
+def assert_same_words(got, expected, context="", *, zero_padding=False):
+    """Require word identity, NaN signs and payloads included: the 8 bytes of
+    each float64, or the 10 value bytes of each x87 extended value, whose 6
+    padding bytes must also be zero in ``got`` with ``zero_padding`` (an
+    array the compiled kernel wrote)."""
+    got = np.ascontiguousarray(got)
+    expected = np.ascontiguousarray(expected, dtype=got.dtype)
+    assert got.shape == expected.shape, f"{context}: shape mismatch"
+    size = got.dtype.itemsize
+    nbytes = 10 if got.dtype == np.longdouble and size == 16 else size
+    g = got.reshape(-1).view(np.uint8).reshape(-1, size)
+    e = expected.reshape(-1).view(np.uint8).reshape(-1, size)
+    differ = np.flatnonzero(np.any(g[:, :nbytes] != e[:, :nbytes], axis=1))
+    assert differ.size == 0, (
+        f"{context}: words differ at {differ[:8].tolist()} "
+        f"(got {got.reshape(-1)[differ[:4]]!r}, expected {expected.reshape(-1)[differ[:4]]!r})"
+    )
+    if zero_padding and nbytes < size:
+        assert not g[:, nbytes:].any(), f"{context}: non-zero x87 padding"
+
+
 def assert_scalar_matches_vector(fmt, values, context=""):
-    """Round ``values`` through the scalar and vector analytic kernels and
-    require bit identity element by element."""
+    """Round ``values`` one by one through the compiled scalar entry and
+    require word identity with the vector reference."""
     values = np.asarray(values, dtype=fmt.work_dtype)
-    expected = fmt.round_array_analytic(values)
-    for i, v in enumerate(values):
-        got = fmt.round_scalar_analytic(v)
-        exp = expected[i]
-        if exp != exp:  # NaN expected
-            assert got != got, f"{fmt.name}{context}: {v!r} -> {got!r}, expected NaN"
-            continue
-        assert got == exp, f"{fmt.name}{context}: {v!r} -> {got!r}, expected {exp!r}"
-        assert bool(np.signbit(np.asarray(got))) == bool(np.signbit(exp)), (
-            f"{fmt.name}{context}: {v!r} -> {got!r} has wrong zero sign"
-        )
+    expected = round_array_analytic(fmt, values)
+    got = np.asarray([fmt._round_one(v) for v in values], dtype=fmt.work_dtype)
+    assert_same_words(got, expected, f"{fmt.name}{context}")
 
 
 # --------------------------------------------------------------------- #
@@ -141,6 +158,7 @@ def edge_battery(dtype=np.float64) -> np.ndarray:
             math.inf,
             -math.inf,
             math.nan,
+            -math.nan,
             5e-324,
             -5e-324,
             1e-308,
@@ -193,6 +211,7 @@ def boundary_sweep(fmt) -> np.ndarray:
         math.inf,
         -math.inf,
         math.nan,
+        -math.nan,
         1.0,
         -1.0,
         1e300,
@@ -288,8 +307,8 @@ def binade_boundary_codes(fmt, exponents, window=48) -> np.ndarray:
     Out-of-range exponents saturate harmlessly to the end of the code range.
     """
     wd = fmt.work_dtype
-    anchors = fmt.encode_analytic(
-        fmt.round_array_analytic(wd(2.0) ** np.asarray(exponents, dtype=wd))
+    anchors = fmt.encode(
+        round_array_analytic(fmt, wd(2.0) ** np.asarray(exponents, dtype=wd))
     ).astype(np.int64)
     half_codes = 1 << (fmt.bits - 1)
     codes = (anchors[:, None] + np.arange(-window, window + 1)[None, :]).ravel()
@@ -301,29 +320,23 @@ def binade_boundary_codes(fmt, exponents, window=48) -> np.ndarray:
 # differential drivers
 # --------------------------------------------------------------------- #
 def differential_round_check(fmt, round_fn, values, context=""):
-    """Run ``round_fn`` against ``fmt.round_array_analytic`` over ``values``,
-    whole and in 32-element chunks (a bit kernel then hands back only a few
-    special elements per call, which it resolves through the scalar kernel
-    rather than the analytic one), and require value identity.  ``values``
-    is never mutated."""
+    """Run ``round_fn`` (a compiled kernel entry) against the reference over
+    ``values``, whole and in 32-element chunks, and require word identity
+    (NaN bits included, x87 padding zeroed).  ``values`` is never
+    mutated."""
     values = np.asarray(values, dtype=fmt.work_dtype)
-    expected = fmt.round_array_analytic(values.copy())
+    expected = round_array_analytic(fmt, values.copy())
     whole = round_fn(values.copy())
-    assert_rounded_equal(whole, expected, f"{fmt.name}{context}")
+    assert_same_words(whole, expected, f"{fmt.name}{context}", zero_padding=True)
     if values.size:
         chunks = [round_fn(values[i : i + 32].copy()) for i in range(0, values.size, 32)]
         chunked = np.concatenate(chunks)
-        assert_rounded_equal(chunked, expected, f"{fmt.name}{context} chunked")
-        if chunked.dtype == np.float64:
-            # NaN signs and payloads too: both resolver paths agree bitwise
-            assert np.array_equal(chunked.view(np.uint64), whole.view(np.uint64)), (
-                f"{fmt.name}{context}: chunked words differ"
-            )
+        assert_same_words(chunked, expected, f"{fmt.name}{context} chunked", zero_padding=True)
 
 
 def run_differential_sweeps(fmt, round_fn, *, n=20_000, seed=42, span=256):
     """The standard battery: random + boundary + adjacent-code-midpoint
-    sweeps of ``round_fn`` against the analytic kernel."""
+    sweeps of ``round_fn`` against the reference."""
     differential_round_check(fmt, round_fn, random_sweep(fmt, n, seed), " random")
     differential_round_check(fmt, round_fn, boundary_sweep(fmt), " boundary")
     differential_round_check(fmt, round_fn, midpoint_sweep(fmt, span), " ties")

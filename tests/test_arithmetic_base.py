@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.arithmetic.base import RoundingInfo, nearest_in_table, round_to_quantum
+from repro.arithmetic.base import RoundingInfo
+from tests._reference import nearest_in_table, round_to_quantum
 
 
 class TestRoundToQuantum:

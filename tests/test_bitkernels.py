@@ -1,16 +1,17 @@
-"""Bit-identity proofs for the integer bit-twiddling rounding engine.
+"""Bit-identity proofs for the compiled rounding engine.
 
-The kernels in :mod:`repro.arithmetic.bitkernels` must reproduce the analytic
-ground truth (``round_array_analytic`` / ``decode_code`` /
-``encode_analytic``) bit for bit:
+The kernels in :mod:`repro.arithmetic.bitkernels` must reproduce the
+differential reference of ``tests/_reference.py`` (and ``decode_code`` /
+``_encode_scalar`` for the codecs) bit for bit, NaN bits included, in
+either position of the bit-kernel switch (through the integer lookup
+tables, or by the format's rule alone):
 
 * **exhaustively** for every format of <= 16 bits (all representable
   values, every adjacent-code midpoint — the exact rounding ties — and
   their work-precision neighbours);
-* by **randomized, boundary and tie sweeps** against the preserved analytic
-  kernels for the wide formats (posit32/64, takum32/64, float32/64; the
-  64-bit tapered formats run the two-word extended kernel, the cast IEEE
-  widths keep the hardware cast);
+* by **randomized, boundary and tie sweeps** for the wide formats
+  (posit32/64, takum32/64, float32/64; the 64-bit tapered formats run the
+  two-word extended kernel, the cast IEEE widths keep the hardware cast);
 * through a shared **NaR/NaN/inf/signed-zero battery** for every family.
 
 The sweep generators and comparators live in :mod:`tests._kernel_harness`;
@@ -27,11 +28,13 @@ import pytest
 
 from repro.arithmetic import bitkernels as bk
 from repro.arithmetic import get_context, get_format, preload_tables
-from repro.arithmetic.base import SCALAR_CUTOFF
+from repro.arithmetic.context import EmulatedContext
+from tests._reference import round_array_analytic
 from tests._kernel_harness import (
     E4M3_SATURATING,
     UNREGISTERED_TAPERED,
     assert_rounded_equal,
+    assert_same_words,
     differential_round_check,
     edge_battery,
     exhaustive_sweep,
@@ -39,14 +42,6 @@ from tests._kernel_harness import (
     midpoint_sweep,
     random_sweep,
     solver_regime_sweep,
-)
-
-# these are identity proofs *of* the engine: with the engine globally
-# disabled (the REPRO_DISABLE_BITKERNELS=1 analytic-only CI job) there is
-# nothing to difference against
-pytestmark = pytest.mark.skipif(
-    not bk.bitkernels_enabled(),
-    reason="bit kernels globally disabled (REPRO_DISABLE_BITKERNELS)",
 )
 
 #: formats with a one-word (float64) integer kernel, by family
@@ -81,17 +76,18 @@ _U = np.uint64
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("name", NARROW_FORMATS)
 def test_round_exhaustive_vs_analytic(name):
-    """Kernel rounding == ``round_array`` == ``round_scalar`` == analytic,
-    over every representable value and every exact tie of the format."""
+    """Kernel rounding == ``round_array`` == ``round_scalar`` == the
+    reference, over every representable value and every exact tie of the
+    format, word for word."""
     fmt = format_for(name)
     kern = fmt.bitkernel()
     assert kern is not None
     values = exhaustive_sweep(fmt)
     differential_round_check(fmt, kern.round, values, " kernel")
-    analytic = fmt.round_array_analytic(values)
-    assert_rounded_equal(fmt.round_array(values), analytic, f"{name} round_array")
+    reference = round_array_analytic(fmt, values)
+    assert_same_words(fmt.round_array(values), reference, f"{name} round_array")
     scalar = np.array([fmt.round_scalar(v) for v in values.tolist()])
-    assert_rounded_equal(scalar, analytic, f"{name} round_scalar")
+    assert_same_words(scalar, reference, f"{name} round_scalar")
 
 
 @pytest.mark.parametrize("name", KERNEL_FORMATS)
@@ -103,9 +99,9 @@ def test_round_random_sweeps(name, sweep):
         if sweep == "whole_range"
         else solver_regime_sweep(fmt, 80_000, seed=6)
     )
-    assert_rounded_equal(
+    assert_same_words(
         fmt.bitkernel().round(values),
-        fmt.round_array_analytic(values),
+        round_array_analytic(fmt, values),
         f"{name} {sweep}",
     )
 
@@ -116,9 +112,9 @@ def test_round_tie_sweep(name):
     across the small, middle and large ends of the code range."""
     fmt = format_for(name)
     values = midpoint_sweep(fmt)
-    assert_rounded_equal(
+    assert_same_words(
         fmt.bitkernel().round(values),
-        fmt.round_array_analytic(values),
+        round_array_analytic(fmt, values),
         f"{name} ties",
     )
 
@@ -127,16 +123,15 @@ def test_round_tie_sweep(name):
 def test_round_edge_battery(name):
     fmt = format_for(name)
     values = edge_battery()
-    assert_rounded_equal(
-        fmt.bitkernel().round(values), fmt.round_array_analytic(values), name
-    )
+    assert_same_words(fmt.bitkernel().round(values), round_array_analytic(fmt, values), name)
 
 
 @pytest.mark.parametrize("name", WIDE_FORMATS)
 def test_wide_dispatch_matches_analytic(name):
-    """``round_array`` (bit kernel for the 32-bit tapered formats, hardware
-    cast / longdouble fallback elsewhere) stays bit-identical to the
-    preserved analytic kernels across random/boundary/tie sweeps."""
+    """``round_array`` (the one-word kernel for the 32-bit tapered formats,
+    the extended kernel for the 64-bit ones, the hardware cast for
+    float32/float64) stays word-identical to the reference across random
+    and edge sweeps."""
     fmt = format_for(name)
     rng = np.random.default_rng(17)
     values = (
@@ -144,11 +139,7 @@ def test_wide_dispatch_matches_analytic(name):
     ).astype(fmt.work_dtype)
     battery = edge_battery(fmt.work_dtype)
     for sweep in (values, battery):
-        got = fmt.round_array(sweep)
-        expected = fmt.round_array_analytic(sweep)
-        nan_g, nan_e = np.isnan(got), np.isnan(expected)
-        assert np.array_equal(nan_g, nan_e), name
-        assert np.array_equal(got[~nan_g], expected[~nan_e]), name
+        assert_same_words(fmt.round_array(sweep), round_array_analytic(fmt, sweep), name)
 
 
 def test_64bit_formats_get_extended_kernel():
@@ -168,6 +159,58 @@ def test_cast_ieee_formats_have_no_kernel():
     """float32/float64 round via one hardware cast; no kernel can beat it."""
     for name in ("float32", "float64"):
         assert get_format(name).bitkernel() is None, name
+
+
+#: the float64 words of NaN, -NaN, inf and -inf
+_NAN, _NEG_NAN, _INF, _NEG_INF = 0x7FF8 << 48, 0xFFF8 << 48, 0x7FF0 << 48, 0xFFF0 << 48
+
+
+def _pinned_words(name) -> tuple:
+    """``(NaN, -NaN, inf, -inf)`` rounded to the format ``name``, and the
+    pairwise sums of ``[max, max]`` and ``[-max, -max]``, as float64
+    words (``None``: the format's largest value, of that sign)."""
+    if name in ("float16", "bfloat16", "E5M2"):  # NaN bits and ±inf kept
+        return (_NAN, _NEG_NAN, _INF, _NEG_INF), (_INF, _NEG_INF)
+    if name == "E4M3":  # NaN to NaN; ±inf and overflow to the NaN of their sign
+        return (_NAN, _NAN, _NAN, _NEG_NAN), (_NAN, _NEG_NAN)
+    if name == E4M3_SATURATING:  # NaN to NaN; ±inf and overflow to ±448
+        w448 = int(np.float64(448.0).view(np.uint64))
+        return (_NAN, _NAN, w448, w448 | 1 << 63), (w448, w448 | 1 << 63)
+    return (_NAN,) * 4, (None, None)  # posit and takum: NaR; sums saturate
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["lut", "rule"])
+@pytest.mark.parametrize("name", KERNEL_FORMATS + ["posit64", "takum64"])
+def test_nonfinite_words_are_pinned(name, enabled):
+    """NaN, -NaN, inf and -inf round to the words each standard fixes,
+    through ``round_one`` and ``round_array``, in both switch positions,
+    and so does a pairwise sum that overflows: IEEE formats keep NaN bits
+    and ±inf, E4M3 maps NaN to +NaN and ±inf to the NaN of its sign (±448
+    saturating), posits and takums map all four to NaR (+NaN) and saturate
+    the sum.  x87 values compare their 10 value bytes, with zero padding."""
+    fmt = format_for(name)
+    wd = fmt.work_dtype
+    specials, sums = _pinned_words(name)
+    words = np.asarray(specials, dtype=np.uint64).view(np.float64)
+    expected = words.astype(wd)  # NaN bits survive the widening
+    previous = bk.set_enabled(enabled)
+    try:
+        inputs = np.asarray([np.nan, -np.nan, np.inf, -np.inf], dtype=wd)
+        assert_same_words(fmt.round_array(inputs), expected, f"{name} round_array", zero_padding=True)
+        scalars = np.zeros(4, dtype=wd)
+        slots = scalars.view(np.uint8).reshape(4, -1)
+        for i, v in enumerate(inputs):
+            slots[i] = np.frombuffer(memoryview(fmt._round_one(v)).cast("B"), dtype=np.uint8)
+        assert_same_words(scalars, expected, f"{name} round_one", zero_padding=True)
+        top = wd(fmt.max_value)
+        ctx = EmulatedContext(fmt)
+        overflow = ctx.reduce_sum(np.asarray([[top, top], [-top, -top]], dtype=wd))
+    finally:
+        bk.set_enabled(previous)
+    want = np.asarray([top, -top], dtype=wd)
+    if sums[0] is not None:
+        want = np.asarray(sums, dtype=np.uint64).view(np.float64).astype(wd)
+    assert_same_words(overflow, want, f"{name} overflowing sum", zero_padding=True)
 
 
 # --------------------------------------------------------------------- #
@@ -203,9 +246,11 @@ def test_decode_sampled_32bit(name):
 
 @pytest.mark.parametrize("name", KERNEL_FORMATS)
 def test_encode_matches_analytic(name):
+    """Kernel encode == the per-element ``_encode_scalar`` of the
+    reference's rounded values."""
     fmt = format_for(name)
-    values = fmt.round_array_analytic(random_sweep(fmt, 40_000, seed=5))
-    expected = fmt.encode_analytic(values)
+    values = round_array_analytic(fmt, random_sweep(fmt, 40_000, seed=5))
+    expected = np.asarray([fmt._encode_scalar(v) for v in values], dtype=np.uint64)
     assert np.array_equal(fmt.bitkernel().encode(values), expected), name
     # the format-level dispatch must agree as well
     assert np.array_equal(fmt.encode(values), expected), name
@@ -215,7 +260,7 @@ def test_encode_matches_analytic(name):
 def test_encode_decode_roundtrip(name):
     fmt = format_for(name)
     kern = fmt.bitkernel()
-    values = fmt.round_array_analytic(solver_regime_sweep(fmt, 10_000))
+    values = round_array_analytic(fmt, solver_regime_sweep(fmt, 10_000))
     if name in ("E4M3", E4M3_SATURATING):
         # E4M3 has no signed-zero code: -0.0 canonicalises to +0.0 on encode
         values = np.where(values == 0.0, 0.0, values)
@@ -286,14 +331,14 @@ def test_out_supports_noncontiguous_views(name):
 def test_kernel_rounds_any_size_and_layout(name):
     """The compiled kernel keeps no per-size state: every size, repeated
     sizes, non-contiguous inputs and outputs, and an ``out`` that overlaps
-    the input without aliasing it all round like the analytic kernel."""
+    the input without aliasing it all round like the reference."""
     fmt = format_for(name)
     kern = fmt.bitkernel()
     for size in (0, 1, 25, 100, 1025, 1032, 1032):
         values = np.linspace(-3.0, 3.0, size).astype(fmt.work_dtype)
-        assert np.array_equal(kern.round(values), fmt.round_array_analytic(values))
+        assert np.array_equal(kern.round(values), round_array_analytic(fmt, values))
     values = np.linspace(-5.0, 5.0, 64).astype(fmt.work_dtype)
-    expected = fmt.round_array_analytic(values)
+    expected = round_array_analytic(fmt, values)
     strided = np.repeat(values, 2)[::2]
     assert not strided.flags.c_contiguous
     assert np.array_equal(kern.round(strided), expected)
@@ -303,7 +348,7 @@ def test_kernel_rounds_any_size_and_layout(name):
     shifted = np.concatenate([values, values[-1:]])
     kern.round(shifted[1:], out=shifted[:-1])  # overlapping, not aliased
     moved = np.concatenate([values[1:], values[-1:]])
-    assert np.array_equal(shifted[:-1], fmt.round_array_analytic(moved))
+    assert np.array_equal(shifted[:-1], round_array_analytic(fmt, moved))
 
 
 def test_farray_inplace_operators_match_out_of_place():
@@ -357,24 +402,25 @@ def test_farray_inplace_on_zero_dim_buffer():
 # engine plumbing
 # --------------------------------------------------------------------- #
 def test_disable_switch_falls_back_to_analytic():
+    """The switch off builds the kernel without its lookup tables: it
+    rounds every value by the format's rule, like the reference."""
     fmt = get_format("posit32")
-    values = np.asarray([0.3, -1.7, 1e30, -1e-30])
+    values = np.asarray([0.3, -1.7, 1e30, -1e-30, np.inf, np.nan])
     previous = bk.set_enabled(False)
     try:
-        assert fmt.bitkernel() is None
-        assert np.array_equal(fmt.round_array(values), fmt.round_array_analytic(values))
+        assert fmt.bitkernel()._special is None
+        assert_same_words(fmt.round_array(values), round_array_analytic(fmt, values))
     finally:
         bk.set_enabled(previous)
-    assert fmt.bitkernel() is not None
+    assert (fmt.bitkernel()._special is None) == (not previous)
 
 
 def test_analytic_kernels_bypass_bitkernels():
-    """With the bit kernels disabled a context rounds arrays above the
-    scalar cutoff through the pure analytic kernels, for a format whose
-    default dispatch is the bit kernel; both agree bit for bit.  The ops
-    that round their work buffer in place (an aliased ``out``, a fresh
-    product, the fused Givens rotation) give the analytic kernel's words
-    too."""
+    """With the integer transform disabled a context rounds by the format's
+    rule alone; it agrees with the switched-on kernel and the reference bit
+    for bit.  The ops that round their work buffer in place (an aliased
+    ``out``, a fresh product, the fused Givens rotation) give the
+    reference's words too."""
     values = np.tile([0.3, -1.7, 64.25, 1e-40], 8)
     other = np.tile([1.1, -0.7, 3.0, 2e-3], 8)
     c, s = 0.6, 0.8
@@ -390,7 +436,9 @@ def test_analytic_kernels_bypass_bitkernels():
         rotated = ctx.rotate_columns(c, s, analytic, product)
     finally:
         bk.set_enabled(previous)
-    ref = fmt.round_array_analytic
+    def ref(values):
+        return round_array_analytic(fmt, values)
+
     assert np.array_equal(analytic, ref(values))
     assert np.array_equal(analytic, fast)
     assert summed is acc
@@ -407,11 +455,11 @@ def test_magnitude_lists_decode_via_bitkernels(name):
     ``decode_code`` construction exactly, codes included."""
     fmt = format_for(name)
     via_kernel = fmt._enumerate_magnitudes()
-    previous = bk.set_enabled(False)
-    try:
-        via_scalar = fmt._enumerate_magnitudes()
-    finally:
-        bk.set_enabled(previous)
+    codes = np.arange(1 << (fmt.bits - 1), dtype=np.int64)
+    values = np.array([float(fmt.decode_code(c)) for c in codes.tolist()])
+    finite = np.isfinite(values)
+    order = np.argsort(values[finite])
+    via_scalar = values[finite][order], codes[finite][order]
     for got, expected in zip(via_kernel, via_scalar):
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected), name
@@ -421,12 +469,12 @@ def test_magnitude_lists_decode_via_bitkernels(name):
 
 
 def test_scalar_cutoff_path_unchanged():
-    """Arrays of the analytic path's scalar-loop size round through the
-    kernel with the same result."""
+    """Arrays of a few elements round through the kernel like the
+    reference."""
     fmt = get_format("posit32")
     rng = np.random.default_rng(43)
-    values = rng.standard_normal(SCALAR_CUTOFF)
-    assert np.array_equal(fmt.round_array(values), fmt.round_array_analytic(values))
+    values = rng.standard_normal(8)
+    assert np.array_equal(fmt.round_array(values), round_array_analytic(fmt, values))
 
 
 @pytest.mark.extended_longdouble

@@ -3,12 +3,14 @@
 posit64/takum64 round in 80-bit extended precision; on hosts whose
 ``np.longdouble`` is the x87 two-word layout they are served by
 ``PositExtendedBitKernel``/``TakumExtendedBitKernel``, which must be
-bit-identical to ``round_array_analytic``:
+bit-identical to the differential reference of ``tests/_reference.py`` in
+either position of the bit-kernel switch (through the lookup tables, or by
+the format's rule alone):
 
 * differential random/boundary/midpoint sweeps (:mod:`tests._kernel_harness`);
 * **tie-exhaustive coverage**: sampled regime/binade boundaries across each
   format's full dynamic range, with *all* adjacent-code midpoints in a
-  window around every boundary asserted against the analytic kernel and the
+  window around every boundary asserted against the reference and the
   ties-to-even-code rule;
 * **forced-fallback regression**: with ``LONGDOUBLE_EXTENDED`` monkeypatched
   off (the Windows/ARM degradation), the 64-bit formats must drop to float64
@@ -35,8 +37,10 @@ from repro.arithmetic.bitkernels import (
 )
 from repro.arithmetic.posit import PositFormat
 from repro.arithmetic.takum import TakumFormat
+from tests._reference import round_array_analytic
 from tests._kernel_harness import (
     assert_rounded_equal,
+    assert_same_words,
     binade_boundary_codes,
     code_midpoints,
     differential_round_check,
@@ -46,13 +50,6 @@ from tests._kernel_harness import (
 )
 
 FORMATS_64 = ["posit64", "takum64"]
-
-# kernel-identity proofs: nothing to difference when the engine is off
-# (the REPRO_DISABLE_BITKERNELS=1 analytic-only CI job)
-pytestmark = pytest.mark.skipif(
-    not bk.bitkernels_enabled(),
-    reason="bit kernels globally disabled (REPRO_DISABLE_BITKERNELS)",
-)
 
 extended_only = pytest.mark.skipif(
     not extended_layout_supported(),
@@ -92,7 +89,7 @@ def test_extended_kernel_differential_sweeps(name):
 @pytest.mark.parametrize("name", FORMATS_64)
 def test_tie_exhaustive_at_binade_boundaries(name):
     """All adjacent-code midpoints around sampled regime/binade boundaries
-    round ties-to-even, identically to the analytic kernel."""
+    round ties-to-even, identically to the reference."""
     fmt = get_format(name)
     kern = fmt.bitkernel()
     codes = binade_boundary_codes(fmt, boundary_exponents(fmt), window=24)
@@ -100,16 +97,16 @@ def test_tie_exhaustive_at_binade_boundaries(name):
     assert mids.size > 1_000, "boundary sampling produced too few ties"
     differential_round_check(fmt, kern.round, mids, " boundary-ties")
     # the tie rule itself: every exact midpoint must land on an even code
-    rounded = fmt.round_array_analytic(mids)
+    rounded = round_array_analytic(fmt, mids)
     finite = np.isfinite(rounded) & (rounded != 0)
-    recoded = fmt.encode_analytic(rounded[finite])
+    recoded = fmt.encode(rounded[finite])
     assert not np.any(recoded & np.uint64(1)), f"{name}: tie broke to an odd code"
 
 
 @extended_only
 @pytest.mark.parametrize("name", FORMATS_64)
 def test_encode_roundtrips_boundary_codes(name):
-    """``encode_analytic(decode_code(c)) == c`` around every sampled binade
+    """``encode(decode_code(c)) == c`` around every sampled binade
     boundary (regression: the encoders used to round the 59-bit fraction
     through float64, shifting codes near characteristic transitions)."""
     fmt = get_format(name)
@@ -117,7 +114,7 @@ def test_encode_roundtrips_boundary_codes(name):
     values = np.asarray(
         [fmt.decode_code(int(c)) for c in codes], dtype=np.longdouble
     )
-    recoded = fmt.encode_analytic(values)
+    recoded = fmt.encode(values)
     assert np.array_equal(recoded, codes.astype(np.uint64)), name
 
 
@@ -131,7 +128,7 @@ def test_extended_kernel_out_aliasing(name):
     x = (np.longdouble(2.0) ** rng.uniform(-80, 80, 96).astype(np.longdouble)) * np.sign(
         rng.standard_normal(96)
     ).astype(np.longdouble)
-    expected = fmt.round_array_analytic(x.copy())
+    expected = round_array_analytic(fmt, x.copy())
     aliased = x.copy()
     res = kern.round(aliased, out=aliased)
     assert res is aliased
@@ -145,16 +142,14 @@ def test_extended_kernel_out_aliasing(name):
 @extended_only
 @pytest.mark.parametrize("name", FORMATS_64)
 def test_dispatch_round_array_uses_extended_kernel(name):
-    """``round_array`` above the scalar cutoff is bit-identical to the
-    analytic kernel (it routes through the extended kernel)."""
+    """``round_array`` is bit-identical to the reference (it routes
+    through the extended kernel)."""
     fmt = get_format(name)
     rng = np.random.default_rng(31)
     x = (np.longdouble(2.0) ** rng.uniform(-200, 200, 4_096).astype(np.longdouble)) * np.sign(
         rng.standard_normal(4_096)
     ).astype(np.longdouble)
-    assert_rounded_equal(
-        fmt.round_array(x.copy()), fmt.round_array_analytic(x.copy()), name
-    )
+    assert_same_words(fmt.round_array(x.copy()), round_array_analytic(fmt, x.copy()), name)
 
 
 @extended_only
@@ -171,12 +166,14 @@ def test_extended_kernel_has_no_codec(name):
 
 @pytest.mark.parametrize("name", FORMATS_64)
 def test_disable_switch_removes_64bit_kernel(name):
+    """The switch off leaves the 64-bit kernels without their lookup
+    tables: they round by the rule alone, in ``long double``."""
     previous = bk.set_enabled(False)
     try:
-        assert get_format(name).bitkernel() is None
-        x = np.asarray([0.3, -1.7, 1e30], dtype=get_format(name).work_dtype)
         fmt = get_format(name)
-        assert_rounded_equal(fmt.round_array(x), fmt.round_array_analytic(x), name)
+        assert fmt.bitkernel()._special is None
+        x = np.asarray([0.3, -1.7, 1e30, np.inf, np.nan], dtype=fmt.work_dtype)
+        assert_same_words(fmt.round_array(x), round_array_analytic(fmt, x), name)
     finally:
         bk.set_enabled(previous)
 
@@ -204,7 +201,7 @@ def test_forced_fallback_is_warning_free(degraded_longdouble, family):
 def test_forced_fallback_keeps_bit_exact_kernel(degraded_longdouble, family):
     """On degraded platforms the 64-bit formats get the one-word kernel
     (binades finer than float64 become identity rows) and stay bit-exact
-    against the analytic kernel at float64 work precision."""
+    against the reference at float64 work precision."""
     fmt = family(64)
     kern = fmt.bitkernel()
     assert kern is not None
@@ -217,9 +214,7 @@ def test_forced_fallback_dispatch_round_array(degraded_longdouble, family):
     fmt = family(64)
     rng = np.random.default_rng(19)
     x = rng.standard_normal(2_048) * 10.0 ** rng.uniform(-300, 300, 2_048)
-    assert_rounded_equal(
-        fmt.round_array(x.copy()), fmt.round_array_analytic(x.copy()), fmt.name
-    )
+    assert_same_words(fmt.round_array(x.copy()), round_array_analytic(fmt, x.copy()), fmt.name)
 
 
 # --------------------------------------------------------------------- #
@@ -237,49 +232,49 @@ def _from_words(sigs, his) -> np.ndarray:
     return words.view(np.longdouble)
 
 
-def _masked_words(values) -> tuple:
-    """(significand, sign/exponent) words, padding bytes dropped."""
-    u = np.ascontiguousarray(values, dtype=np.longdouble).reshape(-1).view(np.uint64)
-    return u[0::2].copy(), u[1::2] & np.uint64(0xFFFF)
-
-
 def _scalar_padding(value) -> bytes:
     """The six padding bytes of a longdouble scalar, read from its buffer."""
     return bytes(memoryview(value).cast("B"))[10:]
 
 
 def _round_one_elementwise(fmt):
-    """``round_one`` element by element; the values it hands back (``None``)
-    take the format's scalar kernel."""
+    """``round_one`` element by element, each result's 16 bytes copied as
+    they are (padding included)."""
     kern = fmt.bitkernel()
 
     def round_fn(values):
         out = np.empty(values.shape, dtype=np.longdouble)
+        slots = out.reshape(-1).view(np.uint8).reshape(-1, out.itemsize)
         for i, v in enumerate(values):
-            res = kern.round_one(v)
-            out[i] = fmt.round_scalar_analytic(v) if res is None else res
+            slots[i] = np.frombuffer(memoryview(kern.round_one(v)).cast("B"), dtype=np.uint8)
         return out
 
     return round_fn
 
 
 def _assert_round_one_words(fmt, values, context):
-    """``round_one`` on every (served) value equals the analytic kernel word
-    for word, and returns scalars with zero padding."""
+    """``round_one`` on every value equals the reference word for word, and
+    returns scalars with zero padding."""
     kern = fmt.bitkernel()
     got = np.empty(values.shape, dtype=np.longdouble)
     for i, v in enumerate(values):
         res = kern.round_one(v)
-        assert res is not None, f"{fmt.name}{context}: {v!r} not served"
+        assert res is not None, f"{fmt.name}{context}: {v!r} not rounded"
         assert _scalar_padding(res) == bytes(6), f"{fmt.name}{context}: padding"
         got[i] = res
-    expected = fmt.round_array_analytic(values.copy())
-    for g, e in zip(_masked_words(got), _masked_words(expected)):
-        assert np.array_equal(g, e), f"{fmt.name}{context}: words differ"
+    assert_same_words(got, round_array_analytic(fmt, values.copy()), f"{fmt.name}{context}")
+
+
+def _special_lut(kern):
+    """The special codes of the kernel's lookup table over the exponent
+    field, also when the switch is off (which builds the kernel without
+    it)."""
+    return kern._luts()[2]
 
 
 def _served_fields(kern) -> list:
-    return [e for e in range(_EXP_FIELDS) if kern._special[e] == 0]
+    special = _special_lut(kern)
+    return [e for e in range(_EXP_FIELDS) if special[e] == 0]
 
 
 @extended_only
@@ -308,30 +303,34 @@ def test_round_one_every_served_binade(name):
         _assert_round_one_words(fmt, _from_words(ones, his), " all-ones significand")
     exponents = [e - kern.WORD_BIAS for e in fields]
     mids = code_midpoints(fmt, binade_boundary_codes(fmt, exponents, window=2))
-    served = np.asarray([kern.round_one(m) is not None for m in mids])
-    assert served.sum() > 1_000, "too few served midpoints"
-    _assert_round_one_words(fmt, mids[served], " midpoints")
+    assert mids.size > 1_000, "too few midpoints"
+    _assert_round_one_words(fmt, mids, " midpoints")
 
 
 @extended_only
 @pytest.mark.parametrize("name", FORMATS_64)
 def test_round_one_hands_back_every_special(name):
-    """``None`` for the special values, inf and NaN, in both signs.  Every
-    finite value of a special binade (extreme regimes, characteristic
-    bounds, subnormals) rounds in the kernel by the format's finite rule,
-    word for word as the analytic kernel and with zero padding, and the
-    zeros of the special exponent field round to the unsigned ``+0.0``."""
+    """Every value of a special binade (the binades whose values the kernel
+    rounds by the format's rule and counts as handed back: extreme regimes,
+    characteristic bounds, subnormals, inf and NaN), in both signs, rounds
+    in the kernel word for word as the reference, with zero padding: inf
+    and NaN to NaR (+NaN), and the zeros of the special exponent field to
+    the unsigned ``+0.0``."""
     fmt = get_format(name)
     kern = fmt.bitkernel()
-    special = [e for e in range(1, _EXP_FIELDS - 1) if kern._special[e] != 0]
+    lut = _special_lut(kern)
+    special = [e for e in range(1, _EXP_FIELDS - 1) if lut[e] != 0]
     assert special
+    nar = np.asarray([np.nan], dtype=np.longdouble)
     for sign in (0, 1 << 15):
         sigs = [_SIG_TOP | 0x1234567] * len(special) + [(1 << 64) - 1] * len(special)
         values = _from_words(sigs, [e | sign for e in special] * 2)
         subnormals = _from_words([1, _SIG_TOP - 1], [sign, sign])
         _assert_round_one_words(fmt, np.concatenate([values, subnormals]), " special")
-        for v in _from_words([_SIG_TOP, _SIG_TOP | (1 << 62)], [sign | 0x7FFF] * 2):
-            assert kern.round_one(v) is None, f"{name}: {v!r} served"
+        non_finite = _from_words([_SIG_TOP, _SIG_TOP | (1 << 62)], [sign | 0x7FFF] * 2)
+        _assert_round_one_words(fmt, non_finite, " inf/NaN")
+        for v in non_finite:
+            assert_same_words(np.asarray([kern.round_one(v)]), nar, f"{name}: {v!r} -> NaR")
         zero = kern.round_one(_from_words([0], [sign])[0])
         assert zero == 0 and not np.signbit(zero), f"{name}: signed zero"
         assert _scalar_padding(zero) == bytes(6)
@@ -347,7 +346,7 @@ def test_round_one_masks_input_padding(name):
     x = np.asarray([np.longdouble(1) / np.longdouble(3), -np.longdouble(7) / np.longdouble(9)])
     dirty = x.copy()
     dirty.view(np.uint64)[1::2] |= np.uint64(0xFFFFFFFFFFFF) << np.uint64(16)
-    expected = fmt.round_array_analytic(x)
+    expected = round_array_analytic(fmt, x)
     for v, e in zip(dirty, expected):
         assert _scalar_padding(v) != bytes(6)
         res = kern.round_one(v)
@@ -365,8 +364,8 @@ def test_round_one_results_are_independent(name):
     a, b = np.longdouble(1) / np.longdouble(3), np.longdouble(-5) / np.longdouble(7)
     ra = kern.round_one(a)
     rb = kern.round_one(b)
-    assert ra == fmt.round_array_analytic(np.asarray([a]))[0]
-    assert rb == fmt.round_array_analytic(np.asarray([b]))[0]
+    assert ra == round_array_analytic(fmt, np.asarray([a]))[0]
+    assert rb == round_array_analytic(fmt, np.asarray([b]))[0]
     assert ra != rb
     assert isinstance(ra, np.longdouble) and isinstance(rb, np.longdouble)
 
@@ -375,33 +374,30 @@ def test_round_one_results_are_independent(name):
 @pytest.mark.parametrize("name", FORMATS_64)
 def test_round_scalar_identical_with_kernels_disabled(name):
     """A context's ``round_scalar`` returns the same words through the
-    compiled scalar entry as through the NumPy-scalar kernel (bit kernels
-    off, flipped after the context was built)."""
+    kernel's lookup tables as by the rule alone (the switch off, flipped
+    after the context was built)."""
     fmt = get_format(name)
     ctx = get_context(name)
     values = np.concatenate([random_sweep(fmt, 4_000, seed=41), midpoint_sweep(fmt, 64)])
     on = np.asarray([ctx.round_scalar(v) for v in values], dtype=np.longdouble)
     previous = bk.set_enabled(False)
     try:
-        assert fmt._round_one(values[0]) is None
+        assert fmt._bound_kernel._special is None
         off = np.asarray([ctx.round_scalar(v) for v in values], dtype=np.longdouble)
     finally:
         bk.set_enabled(previous)
-    nan_on, nan_off = np.isnan(on), np.isnan(off)
-    assert np.array_equal(nan_on, nan_off)
-    for g, e in zip(_masked_words(on[~nan_on]), _masked_words(off[~nan_off])):
-        assert np.array_equal(g, e), name
+    assert_same_words(on, off, name)
 
 
 @extended_only
 @pytest.mark.parametrize("name", FORMATS_64)
 def test_round_writes_zero_output_padding(name):
     """Every element of a longdouble output has zero padding bytes: served,
-    zero and handed-back elements alike, whatever the input padding and
+    zero and rule-rounded elements alike, whatever the input padding and
     the prior contents of ``out``."""
     fmt = get_format(name)
     kern = fmt.bitkernel()
-    tiny = np.longdouble(2.0) ** -16000  # extreme binade: handed back
+    tiny = np.longdouble(2.0) ** -16000  # extreme binade: rounded by the rule
     x = np.asarray(
         [1 / np.longdouble(3), -0.0, 0.0, tiny, -tiny, np.nan, np.inf, np.longdouble(2.0) ** 16000],
         dtype=np.longdouble,
@@ -411,9 +407,4 @@ def test_round_writes_zero_output_padding(name):
     out = np.empty_like(x)
     out.view(np.uint8)[:] = 0xFF
     kern.round(dirty, out=out)
-    assert not np.any(out.view(np.uint64)[1::2] >> np.uint64(16)), name
-    expected = fmt.round_array_analytic(x)
-    nan = np.isnan(expected)
-    assert np.array_equal(np.isnan(out), nan)
-    for g, e in zip(_masked_words(out[~nan]), _masked_words(expected[~nan])):
-        assert np.array_equal(g, e), name
+    assert_same_words(out, round_array_analytic(fmt, x), name, zero_padding=True)

@@ -17,6 +17,7 @@ import pytest
 
 from repro.arithmetic import _build, get_context
 from repro.arithmetic import bitkernels as bk
+from tests._reference import round_array_analytic
 
 
 @pytest.fixture
@@ -40,7 +41,8 @@ def _kernel_works(module) -> bool:
     bias = (np.uint64(1) << (shift - np.uint64(1))) - np.uint64(1)
     special = np.zeros(1 << 12, dtype=np.uint8)
     mags, codes = np.zeros(1), np.zeros(1, dtype=np.int64)
-    rule = (module.RULE_TABLE, mags, codes, 0.0, 0.0, 0.0)  # no binade is special
+    # no binade is special
+    rule = (module.RULE_TABLE, module.NONFINITE_KEEP, mags, codes, 0.0, 0.0, 0.0)
     kern = module.Kernel(shift, bias, special, False, False, bytearray(1), rule)
     return kern.round_one(1.3) == 1.25 and kern.round_one(-1.4) == -1.5
 
@@ -128,19 +130,23 @@ def test_without_a_compiler_loading_raises_import_error(cache, monkeypatch):
 )
 def test_switch_reaches_formats_and_contexts_built_before_it():
     """Flipping the switch after a context has bound its format's kernel
-    takes effect on the next call, and flipping it back restores it."""
+    takes effect on the next call (the kernel without lookup tables, which
+    rounds by the format's rule alone), and flipping it back restores the
+    kernel bound before."""
     ctx = get_context("posit32")
     fmt = ctx.format
     values = np.linspace(-3.0, 3.0, 40)
     ctx.round(values)
-    assert fmt._bound_kernel is not None
+    bound = fmt._bound_kernel
+    assert bound._special is not None
+    expected = round_array_analytic(fmt, np.asarray([0.3]))[0]
     previous = bk.set_enabled(False)
     try:
-        assert fmt._bound_kernel is None
-        assert fmt._round_one(0.3) is None
-        assert np.array_equal(ctx.round(values), fmt.round_array_analytic(values))
-        assert ctx.round_scalar(0.3) == fmt.round_scalar_analytic(0.3)
+        assert fmt._bound_kernel._special is None
+        assert ctx.compiled_rounding() is fmt._bound_kernel.compiled
+        assert np.array_equal(ctx.round(values), round_array_analytic(fmt, values))
+        assert ctx.round_scalar(0.3) == expected
     finally:
         bk.set_enabled(previous)
-    assert fmt._bound_kernel is fmt.bitkernel()
-    assert fmt._round_one(0.3) == fmt.round_scalar_analytic(0.3)
+    assert fmt._bound_kernel is bound is fmt.bitkernel()
+    assert fmt._round_one(0.3) == expected

@@ -29,6 +29,14 @@ class TestGetContext:
             assert isinstance(ctx, EmulatedContext)
             assert ctx.name == name
 
+    def test_cast_formats_have_no_emulated_context(self):
+        """float32 and float64 round by a cast and have no compiled kernel,
+        so the compiled reductions could not round their sums: an emulated
+        context of either is refused, and get_context gives a native one."""
+        for name in ("float32", "float64"):
+            with pytest.raises(ValueError, match="rounds by a cast"):
+                EmulatedContext(get_format(name))
+
     def test_unknown_format_raises(self):
         with pytest.raises(KeyError):
             get_context("float8_e3m4")

@@ -293,9 +293,9 @@ class TestRotateColumns:
         assert fused == 6 * x.size == rctx.op_count - before - fused
 
     def test_analytic_backend_agrees(self):
-        """With the bit kernels disabled (arrays round through the analytic
-        vector kernels) the fused rotation agrees with the unfused one and
-        with the bit-kernel result."""
+        """With the bit kernels disabled (every value rounds by the format's
+        rule alone) the fused rotation agrees with the unfused one and with
+        the bit-kernel result."""
         for name in ("posit16", "E4M3", "takum32"):
             fast = get_context(name)
             x, y = self._columns(fast, "F")

@@ -1,7 +1,7 @@
 """The solver hands the compiled rounding kernel C-contiguous buffers only.
 
-``Kernel.round_into(src, dst, resolve)`` rounds C-contiguous buffers in one
-pass and resolves its hand-backs itself; it refuses any other operand with
+``Kernel.round_into(src, dst)`` rounds C-contiguous buffers in one pass,
+every value in the kernel; it refuses any other operand with
 ``OperandError`` (a ``BufferError``) and ``BitKernel.round`` retries on a
 contiguous copy, which costs an extra allocation and two copies per call.  Every rounded array op
 of the contexts is one ufunc into a C-contiguous buffer, so a full
@@ -52,9 +52,9 @@ class _RecordingKernel:
     def __getattr__(self, name):
         return getattr(self._compiled, name)
 
-    def round_into(self, src, dst, resolve):
+    def round_into(self, src, dst):
         _record_strays(self._strays, src, dst)
-        return self._compiled.round_into(src, dst, resolve)
+        return self._compiled.round_into(src, dst)
 
 
 class _RecordingExtension:
@@ -71,31 +71,27 @@ class _RecordingExtension:
         self._solves = solves
         self._reduced = reduced
 
-    def reduce(self, values, indptr, sequential, kernel, resolve_scalar, resolve_array):
+    def reduce(self, values, indptr, sequential, kernel):
         _record_strays(self._strays, values, *(() if indptr is None else (indptr,)))
         self._reductions.append(np.shape(values))
-        return self._module.reduce(
-            values, indptr, sequential, _unwrap(kernel), resolve_scalar, resolve_array
-        )
+        return self._module.reduce(values, indptr, sequential, _unwrap(kernel))
 
-    def tridiagonalize(self, AQ, sequential, kernel, resolve_scalar, resolve_array):
+    def tridiagonalize(self, AQ, sequential, kernel):
         _record_strays(self._strays, AQ)
         self._reduced.append(np.shape(AQ)[1:])
-        return self._module.tridiagonalize(
-            AQ, sequential, _unwrap(kernel), resolve_scalar, resolve_array
-        )
+        return self._module.tridiagonalize(AQ, sequential, _unwrap(kernel))
 
     def __getattr__(self, name):
         return getattr(self._module, name)
 
-    def ql(self, d, e, max_sweeps, eps, kernel, resolve):
+    def ql(self, d, e, max_sweeps, eps, kernel):
         _record_strays(self._strays, d, e)
         self._solves.append(np.shape(d))
-        return self._module.ql(d, e, max_sweeps, eps, _unwrap(kernel), resolve)
+        return self._module.ql(d, e, max_sweeps, eps, _unwrap(kernel))
 
-    def rotate(self, ZT, cols, cs, ss, kernel, resolve):
+    def rotate(self, ZT, cols, cs, ss, kernel):
         _record_strays(self._strays, ZT, cols, cs, ss)
-        return self._module.rotate(ZT, cols, cs, ss, _unwrap(kernel), resolve)
+        return self._module.rotate(ZT, cols, cs, ss, _unwrap(kernel))
 
 
 def _unwrap(kernel):
@@ -107,7 +103,6 @@ def fig1_matrix():
     return get_suite("general", size_range=(32, 32), seed=0, count=1)[0].matrix
 
 
-@pytest.mark.skipif(not bitkernels.bitkernels_enabled(), reason="no compiled kernel")
 @pytest.mark.parametrize("name", FORMATS)
 def test_solve_rounds_only_contiguous_buffers(name, fig1_matrix, monkeypatch):
     strays: list = []

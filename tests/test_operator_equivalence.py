@@ -175,7 +175,7 @@ def test_tridiagonal_pipeline_identical(fmt):
     """tridiagonalize + QL iteration agree step by step with the baseline,
     op tallies included, on every input, in both accumulation orders, with
     the bit kernels on (the compiled entries round through the format's
-    kernel) and off (they hand every value to the analytic kernels)."""
+    lookup tables) and off (by the format's rule alone)."""
     for enabled in (True, False):
         previous = set_bitkernels_enabled(enabled)
         try:

@@ -16,16 +16,15 @@ arithmetic, in every paper format and the reference.
 
 Every reduction, in either order and in every context, is one call of
 the compiled ``reduce`` entry, and each case runs in both positions of the
-bit-kernel switch: with it on, the format's kernel rounds; with it off, the
-same entry hands every sum to the format's analytic kernels.  The
-reduction hands the infinities and NaN of a pass (a tree level, or a column
-of the sequential order) to the format's resolver in one call per pass,
-and ``NumberFormat.round_array`` hands those of its one pass to one call;
-the finite values of the special binades round in the kernel, by the
-format's finite rule, with no resolver call.  Both count one kernel call
-per pass, with every special value counted as handed back, store resolved
-x87 slots with zero padding, and propagate a resolver's exception.  With
-the switch off, every pass is one ``round_array`` call of the same size.
+bit-kernel switch: with it on, the format's kernel rounds through its
+lookup tables; with it off, the same entry rounds every sum by the
+format's rule alone.  The values of the special binades (extreme finite
+values, infinities and NaN) round in the kernel by the format's rule.  A
+reduction counts one kernel call per pass (a tree level, or a column of
+the sequential order), and ``NumberFormat.round_array`` one for its pass,
+with every special value counted as handed back (the
+``bitkernel.lut_fallback`` counter), in both switch positions, and writes
+x87 slots with zero padding.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ import numpy as np
 import pytest
 
 from repro.arithmetic import LONGDOUBLE_EXTENDED, bitkernels, get_context, set_bitkernels_enabled
-from repro.arithmetic.base import _DISPATCH_PATHS
 from repro.arithmetic.context import ComputeContext
 from repro.arithmetic.registry import PAPER_FORMATS
 from repro.datasets.graphs import generate_graph
@@ -54,9 +52,9 @@ needs_compiled = pytest.mark.skipif(
     not bitkernels.bitkernels_enabled(), reason="no compiled kernel (or the bit kernels are off)"
 )
 #: the positions of the bit-kernel switch a case runs in: on, the format's
-#: kernel rounds in the compiled reduction; off, the same reduction hands
-#: every sum to the analytic kernels (a run with the switch off from the
-#: start stays off)
+#: kernel rounds in the compiled reduction through its lookup tables; off,
+#: by the format's rule alone (a run with the switch off from the start
+#: stays off)
 DISPATCHES = (True, False) if bitkernels.bitkernels_enabled() else (False,)
 
 
@@ -269,9 +267,9 @@ class _RecordingCompiled:
     def __getattr__(self, name):
         return getattr(self._compiled, name)
 
-    def round_into(self, src, dst, resolve):
+    def round_into(self, src, dst):
         self.entries.append("round_into")
-        return self._compiled.round_into(src, dst, resolve)
+        return self._compiled.round_into(src, dst)
 
 
 class _RecordingExtension:
@@ -286,11 +284,11 @@ class _RecordingExtension:
     def __getattr__(self, name):
         return getattr(self._module, name)
 
-    def reduce(self, values, indptr, sequential, kernel, resolve_scalar, resolve_array):
+    def reduce(self, values, indptr, sequential, kernel):
         self.entries.append("reduce")
         if isinstance(kernel, _RecordingCompiled):
             kernel = kernel._compiled
-        return self._module.reduce(values, indptr, sequential, kernel, resolve_scalar, resolve_array)
+        return self._module.reduce(values, indptr, sequential, kernel)
 
 
 def _record_entries(kern, monkeypatch) -> list:
@@ -303,14 +301,22 @@ def _record_entries(kern, monkeypatch) -> list:
     return entries
 
 
-#: ``(format, value)``: ``value`` and every sum of its copies are non-finite,
-#: which the kernel hands back (E4M3 inf to NaN, posit and takum NaR)
-HAND_BACKS = [("E4M3", np.inf), ("posit8", -np.inf), ("posit64", np.nan), ("takum64", np.inf)]
+#: ``(format, value)``: every sum of copies of ``value`` is non-finite, which
+#: the kernel rounds by the format's non-finite policy to +NaN (E4M3 inf
+#: and overflow to NaN, posit and takum NaR), and ``value`` lies in a
+#: special binade too
+HAND_BACKS = [
+    ("E4M3", np.inf),
+    ("E4M3", 256.0),
+    ("posit8", -np.inf),
+    ("posit64", np.nan),
+    ("takum64", np.inf),
+]
 
 #: ``(format, value)``: ``value`` and every sum of its copies lie in a
 #: special binade whose finite values the kernel rounds by the format's
-#: finite rule (the extreme regimes of posit8 and posit64, takum64 beyond
-#: its largest value)
+#: rule (the extreme regimes of posit8 and posit64, takum64 beyond its
+#: largest value)
 FINITE_EXTREMES = [("posit8", 2.0**20), ("posit64", 2.0**300), ("takum64", 2.0**300)]
 
 _X87 = bitkernels.extended_layout_supported()
@@ -363,16 +369,9 @@ def _extreme_passes(ctx, big: float):
 
 
 def _run_counted(ctx, call):
-    """``(result, resolver call sizes, kernel counts)`` of one call."""
+    """``(result, kernel counts)`` of one call through the format's bound
+    kernel."""
     kern = ctx.format._bound_kernel
-    sizes: list = []
-    resolve = kern._resolve
-
-    def counted(values):
-        sizes.append(values.size)
-        return resolve(values)
-
-    kern._resolve = counted
     kern.compiled.take_counts()
     previous = telemetry.set_enabled(True)
     try:
@@ -380,94 +379,67 @@ def _run_counted(ctx, call):
             result = call()
     finally:
         telemetry.set_enabled(previous)
-        kern._resolve = resolve
-    return result, sizes, kern.compiled.take_counts()
+    return result, kern.compiled.take_counts()
 
 
-def _run_switched_off(ctx, call):
-    """``(result, round_array call sizes, dispatch tally)`` of one call with
-    the bit kernels off: the resolver of every pass is the format's
-    ``round_array``, and the tally is the ``[calls, elements]`` it adds per
-    analytic path."""
-    fmt = ctx.format
-    sizes: list = []
-    round_array = type(fmt).round_array
-
-    def counted(self, values, *, out=None):
-        sizes.append(np.size(values))
-        return round_array(self, values, out=out)
-
-    cell = fmt._dispatch_cell
-    with _switch(False), pytest.MonkeyPatch.context() as patch:
-        patch.setattr(type(fmt), "round_array", counted)
-        before = list(cell)
-        previous = telemetry.set_enabled(True)
-        try:
-            with np.errstate(all="ignore"):
-                result = call()
-        finally:
-            telemetry.set_enabled(previous)
-    return result, sizes, [after - was for after, was in zip(cell, before)]
-
-
-def _analytic_tally(fmt, sizes) -> list:
-    """The dispatch tally of ``round_array`` calls of ``sizes`` without a
-    kernel: each call goes to the scalar kernel up to the format's cutoff,
-    else to the analytic kernel."""
-    tally = [0] * (2 * len(_DISPATCH_PATHS))
-    for size in sizes:
-        path = 2 * _DISPATCH_PATHS.index(
-            "scalar_kernel" if size <= fmt.scalar_cutoff else "analytic"
-        )
-        tally[path] += 1
-        tally[path + 1] += size
-    return tally
+def _nan_words(dtype) -> bytes:
+    """The significant bytes of the one positive quiet NaN of ``dtype``."""
+    return _words(np.asarray([np.nan], dtype=dtype)).tobytes()
 
 
 @needs_compiled
 @pytest.mark.parametrize("name, big", HAND_BACKS)
 def test_hand_backs_resolve_once_per_level(name, big, monkeypatch):
     """Each rounding pass (a tree level of every row, or one ``round_into``
-    over a whole buffer) of non-finite values hands all of them to one
-    resolver call, and the kernel counts one call per pass; resolved x87
-    slots hold zero padding.  With the switch off the same call gives the
-    same words, and each pass is one ``round_array`` call of the same size,
-    tallied on the scalar-kernel or analytic path by that size."""
-    _check_extreme_passes(name, big, monkeypatch, handed_back=True)
+    over a whole buffer) whose sums are non-finite rounds them in the
+    kernel, and the kernel counts one call per pass with every value
+    counted as handed back; every sum of a non-empty row is +NaN, word for
+    word, and x87 slots hold zero padding.  With the switch off the same
+    call gives the same words and the same counts."""
+    _check_extreme_passes(name, big, monkeypatch)
+    ctx = get_context(name)
+    for label, call, want_entries, _ in _extreme_passes(ctx, big):
+        if want_entries == ["reduce"]:
+            got, _ = _run_counted(ctx, call)
+            sums = _raw_words(got[got != 0])  # the empty CSR row sums to 0
+            assert sums.size and all(w.tobytes() == _nan_words(ctx.dtype) for w in sums), label
 
 
 @needs_compiled
 @pytest.mark.parametrize("name, big", FINITE_EXTREMES)
 def test_finite_extremes_round_in_the_kernel(name, big, monkeypatch):
-    """The same passes over finite values of special binades make no
-    resolver call: the kernel rounds them by the format's finite rule, and
-    still counts every one of them as handed back (the
-    ``bitkernel.lut_fallback`` counter), one call per pass, with the words
-    of the switched-off run."""
-    _check_extreme_passes(name, big, monkeypatch, handed_back=False)
+    """The same passes over finite values of special binades: the kernel
+    rounds them by the format's rule and counts every one of them as
+    handed back (the ``bitkernel.lut_fallback`` counter), one call per
+    pass, with the words and counts of the switched-off run."""
+    _check_extreme_passes(name, big, monkeypatch)
 
 
-def _check_extreme_passes(name, big, monkeypatch, handed_back):
+def _raw_words(values) -> np.ndarray:
+    """The significant bytes of each value (x87 longdouble: its 10 bytes),
+    NaN bits as they are."""
+    arr = np.ascontiguousarray(np.atleast_1d(values))
+    size = arr.dtype.itemsize
+    nbytes = 10 if arr.dtype == np.longdouble and size == 16 else size
+    return arr.reshape(-1).view(np.uint8).reshape(-1, size)[:, :nbytes]
+
+
+def _check_extreme_passes(name, big, monkeypatch):
     ctx = get_context(name)
     kern = ctx.format._bound_kernel
     entries = _record_entries(kern, monkeypatch)
     for label, call, want_entries, per_pass in _extreme_passes(ctx, big):
         entries.clear()
-        got, sizes, counts = _run_counted(ctx, call)
+        got, counts = _run_counted(ctx, call)
         assert entries == want_entries, label
-        assert sizes == (per_pass if handed_back else []), label
         total = sum(per_pass)
         # (calls, elements, handed_back, zeros): one call per pass
         assert counts == (len(per_pass), total, total, 0), label
         assert not _padding(got).any(), label
-        want, off_sizes, tally = _run_switched_off(ctx, call)
-        assert "round_into" not in entries[len(want_entries):], label
-        if want_entries == ["reduce"]:
-            assert off_sizes == per_pass, label
-        else:  # the call itself is the one round_array call
-            assert off_sizes == [total], label
-        assert tally == _analytic_tally(ctx.format, off_sizes), label
-        assert np.array_equal(_words(got), _words(want)), label
+        with _switch(False):
+            want, counts_off = _run_counted(ctx, call)
+        assert counts_off == counts, label
+        assert np.array_equal(_raw_words(got), _raw_words(want)), label
 
 
 @needs_compiled
@@ -480,60 +452,35 @@ def test_sequential_csr_sum_rounds_once_per_column(name):
     counts = np.array([16, 0, 5, 16, 1])
     indptr = np.concatenate(([0], np.cumsum(counts)))
     vals = ctx.round(np.random.default_rng(0).standard_normal(indptr[-1]))
-    _, _, (calls, elements, _, _) = _run_counted(ctx, lambda: ctx._segmented_reduce(vals, indptr))
+    _, (calls, elements, _, _) = _run_counted(ctx, lambda: ctx._segmented_reduce(vals, indptr))
     assert calls == counts.max() - 1
     assert elements == sum(int(np.count_nonzero(counts > k)) for k in range(1, counts.max()))
 
 
-@needs_compiled
-def test_a_raising_resolver_propagates(monkeypatch):
-    """The resolver's exception leaves each entry as it is, once: a
-    ``BufferError`` of the resolver is not taken for a refused operand."""
-    for error in (RuntimeError, BufferError):
-
-        def fail(values):
-            raise error("resolver failed")
-
-        for name, big in HAND_BACKS:
-            ctx = get_context(name)
-            kern = ctx.format._bound_kernel
-            entries = _record_entries(kern, monkeypatch)
-            monkeypatch.setattr(kern, "_resolve", fail)
-            with np.errstate(all="ignore"):
-                for label, call, want_entries, _ in _extreme_passes(ctx, big):
-                    entries.clear()
-                    with pytest.raises(error, match="resolver failed"):
-                        call()
-                    assert entries == want_entries, (error, name, label)
-
-
 def test_reduce_refuses_bad_arguments():
     """The compiled ``reduce`` refuses segments outside its values with
-    ``ValueError``, and a kernel or resolvers that do not match the dtype of
-    the values with ``TypeError``."""
+    ``ValueError``, and a kernel that does not match the dtype of the
+    values, or a callable beside it, with ``TypeError``."""
     reduce = bitkernels.extension().reduce
     vals = np.arange(6, dtype=np.float64)
     fmt = get_context("posit16").format
     kernel = fmt._build_bitkernel().compiled  # a float64 kernel in either switch position
     for indptr in ([0, 4, 2, 6], [0, 3, 7], [-1, 3, 6], []):  # decreasing, past the end, empty
         with pytest.raises(ValueError):
-            reduce(vals, np.array(indptr, dtype=np.intp), False, None, None, None)
+            reduce(vals, np.array(indptr, dtype=np.intp), False, None)
     with pytest.raises(ValueError):
-        reduce(vals.reshape(2, 3), np.array([0, 3, 6]), False, None, None, None)
-    resolvers = (fmt.round_scalar_analytic, fmt.round_array)
+        reduce(vals.reshape(2, 3), np.array([0, 3, 6]), False, None)
     with pytest.raises(TypeError):  # a float64 kernel, float32 values
-        reduce(vals.astype(np.float32), None, False, kernel, *resolvers)
-    with pytest.raises(TypeError):  # a kernel without resolvers
-        reduce(vals, None, False, kernel, None, None)
-    with pytest.raises(TypeError):  # resolvers without a kernel: only float64/longdouble
-        reduce(vals.astype(np.float32), None, False, None, *resolvers)
+        reduce(vals.astype(np.float32), None, False, kernel)
+    with pytest.raises(TypeError):  # a callable in place of the kernel
+        reduce(vals, None, False, fmt.round_array)
+    with pytest.raises(TypeError):  # a resolver beside the kernel
+        reduce(vals, None, False, kernel, fmt.round_array)
     with pytest.raises(TypeError):  # integer values
-        reduce(np.arange(6), None, False, None, None, None)
-    with pytest.raises(TypeError):  # one resolver without the other
-        reduce(vals, None, False, None, resolvers[0], None)
+        reduce(np.arange(6), None, False, None)
     with pytest.raises(TypeError):  # not an array
-        reduce([1.0, 2.0], None, False, None, None, None)
-    assert reduce(vals, np.array([0, 2, 2, 6]), False, None, None, None).tolist() == [1, 0, 14]
+        reduce([1.0, 2.0], None, False, None)
+    assert reduce(vals, np.array([0, 2, 2, 6]), False, None).tolist() == [1, 0, 14]
 
 
 def _drop_odd_leftover(self, buf):

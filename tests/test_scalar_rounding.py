@@ -1,19 +1,20 @@
-"""Bit-identity sweeps of the scalar rounding kernels against the vector
-ground truth.
+"""Bit-identity sweeps of the compiled scalar entry against the vector
+reference.
 
-The pure-Python scalar kernels (``NumberFormat.round_scalar_analytic``) must
-be bit-identical to ``round_array_analytic`` for every input: same rounded
-values, same NaN positions, same sign of zero, same saturation and overflow
-behaviour.  The sweeps cover randomized values across (and beyond) each
-format's dynamic range, every special value, exact rounding ties built from
-adjacent code pairs, and the size-based dispatch plumbing in
-``NumberFormat.round_array`` and the contexts' scalar elementary operations.
+The compiled scalar entry (``NumberFormat._round_one``, which the contexts'
+``round_scalar`` calls) must be word-identical to the differential
+reference of ``tests/_reference.py`` for every input: same rounded values,
+same NaN bits, same sign of zero, same saturation and overflow behaviour.
+The sweeps cover randomized values across (and beyond) each format's
+dynamic range, every special value, exact rounding ties built from
+adjacent code pairs, ``NumberFormat.round_array`` at the sizes the solvers
+round, and the contexts' scalar elementary operations.  The suite runs in
+either position of the bit-kernel switch.
 
 The sweeps and the scalar-vs-vector comparator come from
 :mod:`tests._kernel_harness`, shared with the bit-kernel suites.
 """
 
-import functools
 import math
 import operator
 
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.arithmetic import get_context, get_format, set_bitkernels_enabled
-from repro.arithmetic.base import SCALAR_CUTOFF, WIDE_SCALAR_CUTOFF, NumberFormat
+from tests._reference import quantum_exp, round_array_analytic
 from tests._kernel_harness import (
     UNREGISTERED_TAPERED,
     assert_scalar_matches_vector,
@@ -47,14 +48,14 @@ def any_kernel_format(request):
     "name", ["posit32", "posit64", "takum32", "takum64", "posit20", "posit24es1", "takum24"]
 )
 def test_quantum_exp_lut_is_the_scalar_rule(name):
-    """The quantum-exponent table of the wide tapered formats (the scalar
-    kernel's and the compiled finite rule's) holds the scalar binade rule
-    for every ``frexp`` exponent of the work dtype."""
+    """The quantum-exponent table of the wide tapered formats (the compiled
+    rule's) holds the reference's scalar binade rule for every ``frexp``
+    exponent of the work dtype."""
     fmt = format_for(name)
     base, qexps = fmt._quantum_exp_lut()
     info = np.finfo(fmt.work_dtype)
     assert base == info.minexp - info.nmant + 1 and base + len(qexps) - 1 == info.maxexp
-    assert qexps.tolist() == [fmt._quantum_exp(e - 1) for e in range(base, info.maxexp + 1)]
+    assert qexps.tolist() == [quantum_exp(fmt, e - 1) for e in range(base, info.maxexp + 1)]
 
 
 @pytest.fixture(params=WIDE_FORMATS)
@@ -94,22 +95,23 @@ class TestScalarKernelBitIdentity:
 
     def test_idempotent_on_representables(self, any_kernel_format):
         fmt = any_kernel_format
-        rounded = fmt.round_array_analytic(random_sweep(fmt, n=512, seed=7))
+        rounded = round_array_analytic(fmt, random_sweep(fmt, n=512, seed=7))
         for v in rounded[np.isfinite(rounded)]:
-            assert fmt.round_scalar_analytic(v) == v, fmt.name
+            assert fmt._round_one(v) == v, fmt.name
 
 
 class TestRoundArrayDispatch:
     def test_small_arrays_route_through_scalar_kernel(self, wide_format):
-        """round_array on solver-call sizes must equal the vector kernel."""
+        """round_array on solver-call sizes must equal the vector
+        reference."""
         fmt = wide_format
         rng = np.random.default_rng(3)
-        for size in (0, 1, 2, SCALAR_CUTOFF, WIDE_SCALAR_CUTOFF, WIDE_SCALAR_CUTOFF + 1):
+        for size in (0, 1, 2, 8, 24, 25):
             values = (rng.standard_normal(size) * np.exp(rng.uniform(-30, 30, size))).astype(
                 fmt.work_dtype
             )
             got = fmt.round_array(values)
-            expected = fmt.round_array_analytic(values)
+            expected = round_array_analytic(fmt, values)
             assert got.shape == expected.shape
             assert got.dtype == expected.dtype
             nan_g, nan_e = np.isnan(got), np.isnan(expected)
@@ -120,14 +122,14 @@ class TestRoundArrayDispatch:
         values = np.asarray([[1.3, -2.7], [0.0, 4.1]], dtype=wide_format.work_dtype)
         out = wide_format.round_array(values)
         assert out.shape == (2, 2)
-        assert np.array_equal(out, wide_format.round_array_analytic(values))
+        assert np.array_equal(out, round_array_analytic(wide_format, values))
 
     def test_narrow_formats_use_scalar_kernel(self):
         for name in NARROW_FORMATS:
             fmt = get_format(name)
             values = np.asarray([0.3, -1.7, 100.0], dtype=fmt.work_dtype)
             assert np.array_equal(
-                fmt.round_array(values), fmt.round_array_analytic(values)
+                fmt.round_array(values), round_array_analytic(fmt, values)
             ), name
 
     def test_round_scalar_matches_round_array(self, any_kernel_format):
@@ -194,13 +196,16 @@ class TestContextScalarOps:
         assert float(ctx.abs(-1.5)) == 1.5
 
     def test_analytic_kernels_scalar_ops(self):
-        """Context scalar rounding (the format's scalar kernel) must equal
-        the analytic vector kernel."""
+        """Context scalar rounding (the compiled scalar entry) must equal
+        the vector reference, for floats and for other scalars (an int, a
+        float32), which it converts first."""
         ctx = get_context("posit16")
         fmt = ctx.format
-        for v in (0.3, -1.7, 1e8, 1e-8):
-            analytic = fmt.round_array_analytic(np.asarray([v], dtype=fmt.work_dtype))[0]
-            assert float(ctx.round_scalar(v)) == float(analytic)
+        for v in (0.3, -1.7, 1e8, 1e-8, 3, np.float32(0.3)):
+            reference = round_array_analytic(fmt, np.asarray([v], dtype=fmt.work_dtype))[0]
+            got = ctx.round_scalar(v)
+            assert type(got) is ctx.dtype
+            assert float(got) == float(reference)
 
     def test_reference_context_keeps_extended_precision(self):
         ctx = get_context("reference")
@@ -247,7 +252,7 @@ class TestContextScalarOps:
 
 
 class TestSolverEquivalence:
-    """The scalar fast path must not change solver trajectories at all."""
+    """The integer transform must not change solver trajectories at all."""
 
     @pytest.mark.parametrize("name", ["posit32", "takum32"])
     def test_partialschur_identical_with_and_without_fast_path(self, name):
@@ -255,21 +260,15 @@ class TestSolverEquivalence:
         from tests.conftest import random_symmetric_csr
 
         matrix = random_symmetric_csr(24, density=0.2, seed=4)
-        result_fast = partialschur(matrix, nev=4, tol=1e-6, ctx=name, restarts=10, seed=1)
-
-        fmt = get_format(name)
-        with pytest.MonkeyPatch.context() as mp:
-            # route every rounding (context scalars and arrays of any size)
-            # through the analytic vector kernel
-            mp.setattr(fmt, "round_scalar_analytic", functools.partial(NumberFormat.round_scalar_analytic, fmt))
-            mp.setattr(fmt, "scalar_cutoff", 0)
-            previous = set_bitkernels_enabled(False)
-            try:
-                result_slow = partialschur(
-                    matrix, nev=4, tol=1e-6, ctx=name, restarts=10, seed=1
-                )
-            finally:
-                set_bitkernels_enabled(previous)
+        previous = set_bitkernels_enabled(True)
+        try:
+            result_fast = partialschur(matrix, nev=4, tol=1e-6, ctx=name, restarts=10, seed=1)
+            # every rounding (context scalars, arrays, reductions, the
+            # eigensolver) by the format's rule alone
+            set_bitkernels_enabled(False)
+            result_slow = partialschur(matrix, nev=4, tol=1e-6, ctx=name, restarts=10, seed=1)
+        finally:
+            set_bitkernels_enabled(previous)
         assert np.array_equal(
             np.asarray(result_fast.eigenvalues, dtype=np.float64),
             np.asarray(result_slow.eigenvalues, dtype=np.float64),

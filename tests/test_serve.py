@@ -749,15 +749,19 @@ def test_cold_cells_pick_their_engine_from_the_format_count(
 
 
 def _without_wall_time(raw: bytes) -> bytes:
-    """A store object's bytes with its measured ``solve_seconds`` zeroed —
-    the one field two solves of the same cell never share."""
+    """A store object's bytes with its wall-clock fields blanked: the
+    ``created`` stamp (to the second) and a run record's measured
+    ``solve_seconds`` — the fields two solves of the same cell never
+    share."""
+    raw = re.sub(rb'"created": "[^"]*"', b'"created": ""', raw)
     return re.sub(rb'"solve_seconds": [-+.0-9e]+', b'"solve_seconds": 0', raw)
 
 
 def test_both_routes_commit_the_same_cold_cell(tmp_path):
-    """A cold cell solved via /v1/cell and via /v1/cells commits the same
-    store objects — byte for byte apart from the wall-clock
-    ``solve_seconds`` — at one solve each."""
+    """A cold cell requested alone (``/v1/cell``, a batch of one) and in a
+    ``/v1/cells`` batch commits the same store objects — byte for byte
+    apart from the wall-clock ``created`` and ``solve_seconds`` — at one
+    solve each."""
     suite = _suite(seed=15)
     config = _config(restarts=2)
     objects = {}
@@ -785,8 +789,6 @@ def test_both_routes_commit_the_same_cold_cell(tmp_path):
     assert len(objects["cell"]) == 2  # the run record and the matrix reference
     assert objects["cell"].keys() == objects["cells"].keys()
     for path, raw in objects["cell"].items():
-        if path == record:
-            assert raw.count(b'"solve_seconds": ') == 1
-            assert _without_wall_time(raw) == _without_wall_time(objects["cells"][path])
-        else:
-            assert raw == objects["cells"][path]
+        assert raw.count(b'"solve_seconds": ') == (path == record)
+        assert raw.count(b'"created": ') == 1
+        assert _without_wall_time(raw) == _without_wall_time(objects["cells"][path])

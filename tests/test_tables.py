@@ -1,10 +1,11 @@
 """Bit-exactness sweeps of the rounding dispatch of every format of up to 16
 bits, over each format's enumerated value table.
 
-``round_array`` (scalar kernel for tiny arrays, bit kernel above),
-``round_scalar``, ``encode`` and ``decode`` must be bit-identical to the
-analytic kernels: same rounded values (including the sign of zero), same
-NaN positions, same codes.  The fast tests sweep a strided sample of the
+``round_array`` (the compiled kernel at every size), ``round_scalar``,
+``encode`` and ``decode`` must be bit-identical to the differential
+reference of ``tests/_reference.py`` and the per-element codecs: same
+rounded values (including the sign of zero), same NaN positions and bits,
+same codes.  The fast tests sweep a strided sample of the
 float32 pattern space plus every rounding decision boundary; the
 ``slow``-marked tests densify the pattern sweep (run them with
 ``pytest -m slow tests/test_tables.py``).
@@ -14,16 +15,18 @@ import numpy as np
 import pytest
 
 from repro.arithmetic import (
-    bitkernels_enabled,
     get_context,
     get_format,
     preload_tables,
     set_bitkernels_enabled,
 )
-from repro.arithmetic.base import SCALAR_CUTOFF
 from repro.arithmetic.context import EmulatedContext
 from repro.arithmetic.ofp8 import OFP8E4M3
 from tests._kernel_harness import exhaustive_sweep
+from tests._reference import round_array_analytic
+
+#: the chunk size of the small-array sweeps
+CHUNK = 8
 
 EIGHT_BIT = ["E4M3", "E5M2", "posit8", "takum8"]
 SIXTEEN_BIT = ["float16", "bfloat16", "posit16", "takum16"]
@@ -52,14 +55,11 @@ def float32_pattern_values(stride, offset=0):
 
 
 def assert_dispatch_matches_analytic(fmt, values, context=""):
-    """``round_array`` over the whole array (bit kernel) and in chunks of
-    ``SCALAR_CUTOFF`` elements (scalar kernel) equals the analytic kernel."""
-    analytic = fmt.round_array_analytic(values)
+    """``round_array`` over the whole array and in chunks of ``CHUNK``
+    elements equals the reference."""
+    analytic = round_array_analytic(fmt, values)
     assert_bit_identical(fmt.round_array(values), analytic, f"{fmt.name}{context}")
-    chunks = [
-        fmt.round_array(values[i : i + SCALAR_CUTOFF])
-        for i in range(0, values.size, SCALAR_CUTOFF)
-    ]
+    chunks = [fmt.round_array(values[i : i + CHUNK]) for i in range(0, values.size, CHUNK)]
     assert_bit_identical(np.concatenate(chunks), analytic, f"{fmt.name}{context} chunked")
 
 
@@ -77,7 +77,7 @@ class TestBitExactRounding:
         fmt = get_format(fmt_name)
         values = float32_pattern_values(stride=65537)  # ~65k patterns, odd stride
         assert_bit_identical(
-            fmt.round_array(values), fmt.round_array_analytic(values), context=fmt_name
+            fmt.round_array(values), round_array_analytic(fmt, values), context=fmt_name
         )
 
     @pytest.mark.slow
@@ -88,7 +88,7 @@ class TestBitExactRounding:
             values = float32_pattern_values(stride=509, offset=offset)
             assert_bit_identical(
                 fmt.round_array(values),
-                fmt.round_array_analytic(values),
+                round_array_analytic(fmt, values),
                 context=f"{fmt_name} offset={offset}",
             )
 
@@ -98,7 +98,7 @@ class TestBitExactRounding:
         rng = np.random.default_rng(99)
         values = rng.standard_normal(200_000) * np.exp(rng.uniform(-200, 200, 200_000))
         assert_bit_identical(
-            fmt.round_array(values), fmt.round_array_analytic(values), context=fmt_name
+            fmt.round_array(values), round_array_analytic(fmt, values), context=fmt_name
         )
 
     def test_e4m3_saturating_variant(self):
@@ -106,36 +106,38 @@ class TestBitExactRounding:
         values = np.concatenate(
             [exhaustive_sweep(fmt), float32_pattern_values(stride=131101)]
         )
-        assert_bit_identical(fmt.round_array(values), fmt.round_array_analytic(values))
+        assert_bit_identical(fmt.round_array(values), round_array_analytic(fmt, values))
         scalar = np.array([fmt.round_scalar(v) for v in values.tolist()])
-        assert_bit_identical(scalar, fmt.round_array_analytic(values), "round_scalar")
+        assert_bit_identical(scalar, round_array_analytic(fmt, values), "round_scalar")
 
     def test_scalar_fast_path_matches_vector_and_analytic(self, narrow_format):
         """``round_scalar`` (the contexts' scalar elementary operations)
-        agrees with ``round_array`` and the analytic kernel on every
-        decision boundary."""
+        agrees with ``round_array`` and the reference on every decision
+        boundary."""
         fmt = narrow_format
         values = exhaustive_sweep(fmt)
         scalar = np.array([fmt.round_scalar(v) for v in values.tolist()])
         assert_bit_identical(scalar, fmt.round_array(values), f"{fmt.name} scalar-vs-vector")
         assert_bit_identical(
-            scalar, fmt.round_array_analytic(values), f"{fmt.name} scalar-vs-analytic"
+            scalar, round_array_analytic(fmt, values), f"{fmt.name} scalar-vs-analytic"
         )
 
     def test_every_path_returns_the_same_words(self, narrow_format):
-        """Scalar kernel, bit kernel and analytic kernel agree bit for bit,
-        NaN signs and payloads included (the batched rounder resolves
-        specials through whichever of them a segment's size selects)."""
+        """The scalar entry, the array entry and the reference agree bit for
+        bit, NaN signs and payloads included (the batched rounder rounds
+        through whichever entry a segment's size selects)."""
         fmt = narrow_format
         payloads = np.array(
             [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123, 0xFFF4000000000001],
             dtype=np.uint64,
         ).view(np.float64)
         values = np.concatenate([payloads, exhaustive_sweep(fmt)])
-        expected = fmt.round_array_analytic(values).view(np.uint64)
-        paths = {"scalar": fmt._round_small_array(values), "dispatch": fmt.round_array(values)}
-        if fmt.bitkernel() is not None:
-            paths["kernel"] = fmt.bitkernel().round(values)
+        expected = round_array_analytic(fmt, values).view(np.uint64)
+        paths = {
+            "scalar": np.array([fmt._round_one(v) for v in values]),
+            "dispatch": fmt.round_array(values),
+            "kernel": fmt.bitkernel().round(values),
+        }
         for path, got in paths.items():
             assert np.array_equal(got.view(np.uint64), expected), f"{fmt.name} {path}"
 
@@ -154,13 +156,13 @@ class TestEncodeDecode:
         Non-canonical NaN codes (IEEE formats have many NaN patterns) encode
         back to the canonical NaN code, and formats without a signed-zero
         code (E4M3) canonicalise the negative-zero code to all-zeros; both
-        canonical codes come from the analytic encoder.
+        canonical codes come from the per-element encoder.
         """
         fmt = narrow_format
         codes = np.arange(1 << fmt.bits, dtype=np.uint64)
         decoded = fmt.decode(codes)
         encoded = fmt.encode(decoded)
-        nan_code, neg_zero_code = fmt.encode_analytic(np.array([np.nan, -0.0]))
+        nan_code, neg_zero_code = (fmt._encode_scalar(v) for v in (np.nan, -0.0))
         expected = np.where(np.isnan(decoded), nan_code, codes)
         expected = np.where((decoded == 0.0) & np.signbit(decoded), neg_zero_code, expected)
         assert np.array_equal(encoded, expected), fmt.name
@@ -183,9 +185,9 @@ class TestEncodeDecode:
                 np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300]),
             ]
         )
-        assert np.array_equal(
-            narrow_format.encode(values), narrow_format.encode_analytic(values)
-        ), narrow_format.name
+        rounded = round_array_analytic(narrow_format, values)
+        expected = [narrow_format._encode_scalar(v) for v in rounded]
+        assert np.array_equal(narrow_format.encode(values), expected), narrow_format.name
 
     def test_decode_preserves_shape_and_dtype(self, narrow_format):
         codes = np.zeros((3, 4), dtype=np.uint64)
@@ -201,9 +203,8 @@ class TestPreload:
         # reference context has no emulated format
         assert built == ["takum16", "float64", "E4M3"]
         fmt = get_format("takum16")
-        assert fmt._scalar_state is not None
-        if bitkernels_enabled():
-            assert fmt.__dict__["_bitkernel_obj"] is fmt.bitkernel()
+        assert fmt._magnitudes is not None
+        assert fmt.__dict__["_round_one"] is fmt.bitkernel().round_one
 
     def test_preload_all_registered(self):
         from repro.arithmetic import available_formats
@@ -213,11 +214,11 @@ class TestPreload:
 
 class TestOptOut:
     def test_context_opt_out_matches_analytic(self):
-        """The process-wide opt-out rounds a context's arrays through the
-        analytic vector kernel, bit-identical to the bit kernel.  The ops
+        """The process-wide opt-out rounds a context's arrays by the
+        format's rule alone, bit-identical to the lookup tables.  The ops
         still round their work buffer in place: an aliased ``out=``, a
-        fresh product and the fused Givens rotation all give the analytic
-        kernel's words."""
+        fresh product and the fused Givens rotation all give the
+        reference's words."""
         rng = np.random.default_rng(11)
         values = rng.standard_normal(256)
         fast_ctx = get_context("posit16")
@@ -235,7 +236,9 @@ class TestOptOut:
             rotated = analytic_ctx.rotate_columns(c, s, analytic, other)
         finally:
             set_bitkernels_enabled(previous)
-        ref = analytic_ctx.format.round_array_analytic
+        def ref(values):
+            return round_array_analytic(analytic_ctx.format, values)
+
         assert_bit_identical(analytic, fast)
         assert_bit_identical(analytic, ref(values))
         assert summed is acc

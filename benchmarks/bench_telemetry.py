@@ -14,6 +14,9 @@ call, so one live-sink span (~24 µs) alone is several percent of it.
 The measurement runs pairs of one disabled and one enabled solve per
 format, and the side that runs first alternates from pair to pair, so a
 drift of the machine's speed within a pair favours neither side.  The
+trace sink is configured once per format and its file opened by an untimed
+enabled solve before the pairs, as a traced run keeps one sink open for all
+its solves; the pairs then toggle only the telemetry switch.  The
 overhead is the median over all pairs of the per-pair ratio
 ``enabled / disabled``, minus 1: a ratio of two solves timed back to back
 cancels the slow drift of the box's speed, and the median drops the pairs
@@ -98,13 +101,12 @@ def measure_telemetry_overhead(formats=OVERHEAD_FORMATS, repeats: int = 14):
             sink = f"{tmp}/bench_trace.jsonl"
             for fmt in formats:
                 ctx, solve = _solve_problem(fmt)
+                trace.configure(sink, export_env=False)
+                set_enabled(True)
+                solve()  # opens the sink's file outside the timed pairs
 
                 def timed(enabled: bool) -> float:
                     set_enabled(enabled)
-                    if enabled:
-                        trace.configure(sink, export_env=False)
-                    else:
-                        trace.shutdown()
                     t0 = time.perf_counter()
                     solve()
                     elapsed = time.perf_counter() - t0

@@ -25,11 +25,12 @@ context methods; :func:`repro.arithmetic.precision` binds a precision for a
 block of such code, and :class:`repro.arithmetic.ContextSpec` names a
 context declaratively for the runner and CLI.
 
-One compiled rounding kernel serves every posit, takum and non-cast
-IEEE/OFP8 format and rounds every value itself, NaN and infinities
-included: the integer bit kernels (:mod:`repro.arithmetic.bitkernels`; one
-family-parameterized round/encode/decode engine) build each format's
-binade lookup tables and its rule, and a small C extension
+Each format family owns one vectorised bit codec (``decode``/``encode``)
+for every width and work dtype.  One compiled rounding kernel serves every
+posit, takum and non-cast IEEE/OFP8 format and rounds every value itself,
+NaN and infinities included: the integer bit kernels (:mod:`repro.arithmetic.bitkernels`; one
+family-parameterized rounding engine) build each format's binade lookup
+tables around the rule the format hands them, and a small C extension
 (``_rounding.c``, compiled on first use) rounds arrays of every size and
 the contexts' scalars with them; see ``docs/architecture.md`` for the
 dispatch matrix.  The format alone decides how a value rounds.  The rule

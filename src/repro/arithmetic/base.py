@@ -6,8 +6,11 @@ infinities).  The formats operate in *value space*: arrays hold work-precision
 floating-point numbers (``float64`` or ``numpy.longdouble``) whose values are
 exactly representable in the emulated format.  Rounding an arbitrary
 work-precision array onto that set is the performance-critical primitive
-(:meth:`NumberFormat.round_array`); bit-level encode/decode is provided for
-storage, interchange and testing.
+(:meth:`NumberFormat.round_array`).  Each family states its bit layout
+once, as a vectorised :meth:`NumberFormat.decode`/:meth:`NumberFormat.encode`
+pair over integer codes and work-precision values of every width and work
+dtype; the formats of at most 16 bits also enumerate the magnitude table
+their rounding rule searches through it (:attr:`NumberFormat._table`).
 """
 
 from __future__ import annotations
@@ -120,9 +123,9 @@ class RoundingInfo:
 class NumberFormat(ABC):
     """A machine-number format emulated in software.
 
-    Subclasses must provide the bit layout (``decode_code`` and
-    ``_encode_scalar``) and the compiled kernel
-    (:meth:`_build_bitkernel`).  All formats share the conventions:
+    Subclasses must provide the bit layout (:meth:`decode` and
+    :meth:`encode`) and the compiled kernel (:meth:`_build_bitkernel`).
+    All formats share the conventions:
 
     * NaN in value space represents the format's NaN/NaR,
     * ``numpy.inf`` is only produced by formats that have infinities,
@@ -132,11 +135,11 @@ class NumberFormat(ABC):
     the format's compiled kernel (:mod:`repro.arithmetic.bitkernels`),
     bound once per format (:attr:`_bound_kernel`); the contexts round
     scalars through its scalar entry (:attr:`_round_one`).  The kernel
-    rounds every value itself, NaN and infinities included.  It also
-    serves :meth:`encode` and :meth:`decode`.  The kernels are verified
-    bit-identical to the differential reference of ``tests/`` by the sweeps
-    in ``tests/test_scalar_rounding.py`` and ``tests/test_bitkernels.py``
-    (every value and every tie of every format up to 16 bits).
+    rounds every value itself, NaN and infinities included.  The kernels
+    are verified bit-identical to the differential reference of ``tests/``
+    by the sweeps in ``tests/test_scalar_rounding.py`` and
+    ``tests/test_bitkernels.py`` (every value and every tie of every format
+    up to 16 bits).
 
     The format alone decides how a value rounds; the one opt-out is
     ``REPRO_DISABLE_BITKERNELS=1`` (or, at runtime,
@@ -200,75 +203,40 @@ class NumberFormat(ABC):
         other inputs, which callers convert first)."""
         return self._bound_kernel.round_one
 
-    def _enumerate_magnitudes(self, kern=None) -> tuple[np.ndarray, np.ndarray]:
+    @functools.cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
         """Every finite non-negative magnitude of the format, ascending, and
-        its code (``int64``): the magnitude list the rule of the narrow
-        formats searches.
-
-        Decodes the sign-clear half of the code space, where every family
-        keeps its non-negative values, through the vectorised decode of
-        ``kern`` (default: :meth:`bitkernel`) in a handful of integer
-        passes; the exhaustive decode sweeps of ``tests/test_bitkernels.py``
-        prove it equal to :meth:`decode_code`.
-        """
+        its code (``int64``): the magnitude table the rule of the formats of
+        at most 16 bits searches, decoded once from the sign-clear half of
+        the code space, where every family keeps its non-negative values."""
         codes = np.arange(1 << (self.bits - 1), dtype=np.int64)
-        if kern is None:
-            kern = self.bitkernel()
-        values = np.asarray(kern.decode(codes.astype(np.uint64)), dtype=np.float64)
+        values = self.decode(codes)
         finite = np.isfinite(values)
         mags, codes = values[finite], codes[finite]
         order = np.argsort(mags)
         return mags[order], codes[order]
 
-    def _ensure_table(self, kern=None) -> None:
-        """Enumerate the magnitude table (``_magnitudes``, ``_codes``) once.
-
-        A bit kernel being built passes itself (``kern``): its rule reads
-        the table, which it enumerates through its own decode.  Otherwise
-        the format's kernel is built first, enumerating the table for its
-        rule.
-        """
-        if self._magnitudes is None and kern is None:
-            self.bitkernel()
-        if self._magnitudes is None:
-            self._magnitudes, self._codes = self._enumerate_magnitudes(kern)
-
     # ------------------------------------------------------------------ #
     # bit-level interface
     # ------------------------------------------------------------------ #
     @abstractmethod
-    def decode_code(self, code: int) -> float:
-        """Decode a single integer code into its work-precision value.
-
-        NaN/NaR codes decode to ``nan``; infinity codes (if any) to ``inf``.
-        """
-
     def decode(self, codes) -> np.ndarray:
-        """Vectorised decode of an array of integer codes.
+        """Decode integer codes into their work-precision values.
 
         Parameters
         ----------
         codes:
-            Integer codes (any shape; converted to ``uint64``).
+            Integer codes (any shape; converted to ``uint64`` and masked to
+            the format's width).
 
         Returns
         -------
         numpy.ndarray
-            Work-precision values, same shape as ``codes``.  Served by the
-            bit kernel's vectorised decode when it has one, otherwise by a
-            per-element :meth:`decode_code` loop.
+            Work-precision values, same shape as ``codes``; NaN/NaR codes
+            decode to ``+nan``, infinity codes (if any) to ``±inf``.
         """
-        kern = self.bitkernel()
-        if kern is not None and kern.supports_codec:
-            return kern.decode(codes)
-        codes = np.asarray(codes, dtype=np.uint64)
-        out = np.empty(codes.shape, dtype=self.work_dtype)
-        flat = codes.ravel()
-        res = out.ravel()
-        for i in range(flat.size):
-            res[i] = self.decode_code(int(flat[i]))
-        return out
 
+    @abstractmethod
     def encode(self, values) -> np.ndarray:
         """Encode work-precision values into integer codes (nearest).
 
@@ -280,26 +248,10 @@ class NumberFormat(ABC):
         Returns
         -------
         numpy.ndarray
-            ``uint64`` codes, same shape as ``values``; each value is first
-            rounded through :meth:`round_array`, then encoded by the bit
-            kernel's vectorised encode when it has one, otherwise element
-            by element through :meth:`_encode_scalar` (non-canonical NaNs
-            collapse to the canonical NaN/NaR code).
+            ``uint64`` codes, same shape as ``values``: each value is first
+            rounded through :meth:`round_array`, then encoded; every NaN
+            encodes as the format's canonical NaN/NaR code.
         """
-        rounded = self.round_array(values)
-        kern = self.bitkernel()
-        if kern is not None and kern.supports_codec:
-            return kern.encode(rounded)
-        out = np.zeros(rounded.shape, dtype=np.uint64)
-        res = out.ravel()
-        for i, v in enumerate(rounded.ravel()):
-            res[i] = self._encode_scalar(v)
-        return out
-
-    @abstractmethod
-    def _encode_scalar(self, v) -> int:
-        """Code of one work-precision value that is already representable
-        in the format (NaN encodes as the canonical NaN/NaR code)."""
 
     # ------------------------------------------------------------------ #
     # value-space interface

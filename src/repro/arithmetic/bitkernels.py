@@ -71,10 +71,9 @@ the builders and the exhaustive/sweep tests in ``tests/test_bitkernels.py``:
    significand and ties resolve exactly as round-half-to-even on the
    quantum does.
 
-Encode/decode twins are provided per family: vectorised bit-field
-construction replacing the per-element Python loops of the format codecs,
-and vectorised decoding used (among others) by the narrow formats to
-enumerate their magnitude lists.
+The kernels hold no bit codec: each format family encodes and decodes
+its own codes (``decode``/``encode`` of the format classes), and the
+format hands the kernel its finished rule tuple.
 
 The integer transform is off with the environment variable
 ``REPRO_DISABLE_BITKERNELS=1`` or at runtime with :func:`set_enabled` (the
@@ -113,9 +112,6 @@ __all__ = [
 ]
 
 _U = np.uint64
-_ONE = _U(1)
-_MAG64 = _U(0x7FFFFFFFFFFFFFFF)
-_MANT52 = _U(0x000FFFFFFFFFFFFF)
 
 #: special-LUT codes: round by the rule / copy through
 _SPECIAL_RULE = 1
@@ -214,12 +210,11 @@ def quantum_rule(lo_table, hi_table, qexp_base, qexps, minpos, maxpos, lo, hi) -
 
 
 class BitKernel:
-    """Family-parameterized integer round/encode/decode kernel.
+    """Family-parameterized integer rounding kernel.
 
     Subclasses define the format family by implementing :meth:`_keep_bits`
     (how many work-significand bits survive in a given binade, or ``None``
-    for binades the rule must round) plus the family's :meth:`decode` /
-    :meth:`encode` bit-field layouts.  Construction loads the compiled
+    for binades the rule must round).  Construction loads the compiled
     library (:func:`extension`).
 
     Parameters
@@ -227,12 +222,10 @@ class BitKernel:
     bits:
         Storage width of the emulated format.
     rule:
-        Callback building the format's rule (:func:`table_rule` or
-        :func:`quantum_rule`) from this kernel, whose vectorised
-        :meth:`decode` serves before the compiled kernel exists.  With the
-        switch on, the compiled kernel rounds the values of the special
-        binades with it; with the switch off (or without a LUT layout),
-        every value.
+        The format's rule (:func:`table_rule` or :func:`quantum_rule`).
+        With the switch on, the compiled kernel rounds the values of the
+        special binades with it; with the switch off (or without a LUT
+        layout), every value.
 
     Attributes
     ----------
@@ -262,12 +255,8 @@ class BitKernel:
     WORD_BIAS = 1023
     WORD_FRAC_BITS = 52
     work_dtype = np.float64
-    #: whether the family's vectorised decode/encode twins serve this
-    #: kernel's word layout (the extended kernels have none: the 64-bit
-    #: formats keep their per-element codecs)
-    supports_codec = True
 
-    def __init__(self, bits: int, rule: Callable[["BitKernel"], tuple]):
+    def __init__(self, bits: int, rule: tuple):
         self.bits = int(bits)
         luts = (None, None, None)
         if _ENABLED and self._has_lut_layout():
@@ -278,7 +267,7 @@ class BitKernel:
             self.work_dtype is np.longdouble,
             self.unsigned_zero,
             _telemetry.ENABLED_FLAG,
-            rule(self),
+            rule,
         )
         self.round_one = self.compiled.round_one
 
@@ -334,14 +323,6 @@ class BitKernel:
         """
         raise NotImplementedError
 
-    def decode(self, codes) -> np.ndarray:
-        """Vectorised decode of integer codes into float64 values."""
-        raise NotImplementedError
-
-    def encode(self, values) -> np.ndarray:
-        """Vectorised encode of *representable* float64 values into codes."""
-        raise NotImplementedError
-
     # ------------------------------------------------------------------ #
     # rounding
     # ------------------------------------------------------------------ #
@@ -389,22 +370,6 @@ class BitKernel:
         )
 
 
-def _as_code_array(codes, bits: int) -> np.ndarray:
-    codes = np.asarray(codes, dtype=_U)
-    return codes & _U((1 << bits) - 1)
-
-
-def _bit_length_u64(v: np.ndarray) -> np.ndarray:
-    """Vectorised ``int.bit_length`` for uint64 values below 2**53.
-
-    The float64 conversion is exact in that range, so the biased exponent
-    field of the converted value is ``bit_length - 1`` for non-zero inputs.
-    """
-    f = v.astype(np.float64)
-    bl = (f.view(np.int64) >> 52) - 1022  # exponent + 1
-    return np.where(v == 0, np.int64(0), bl)
-
-
 class IEEEBitKernel(BitKernel):
     """Kernel for IEEE-754 style formats (sign / ``ebits`` / ``mbits``).
 
@@ -417,12 +382,11 @@ class IEEEBitKernel(BitKernel):
 
     family = "ieee"
 
-    def __init__(self, ebits: int, mbits: int, rule):
-        self.ebits = int(ebits)
+    def __init__(self, ebits: int, mbits: int, rule: tuple):
         self.mbits = int(mbits)
-        self.bias_f = (1 << (ebits - 1)) - 1
-        self.emin = 1 - self.bias_f
-        self.emax = self.bias_f
+        bias = (1 << (ebits - 1)) - 1
+        self.emin = 1 - bias
+        self.emax = bias
         super().__init__(1 + ebits + mbits, rule)
 
     def _keep_bits(self, e: int) -> Optional[int]:
@@ -431,60 +395,6 @@ class IEEEBitKernel(BitKernel):
         if self.emin - self.mbits < e < self.emin:
             return self.mbits + (e - self.emin)  # gradual underflow taper
         return None
-
-    # -------------------------------------------------------------- #
-    def decode(self, codes) -> np.ndarray:
-        c = _as_code_array(codes, self.bits)
-        mbits, ebits = self.mbits, self.ebits
-        sign = c >> _U(self.bits - 1)
-        exp_field = (c >> _U(mbits)) & _U((1 << ebits) - 1)
-        mant = c & _U((1 << mbits) - 1)
-        # normals: rebias into the float64 exponent field, shift the mantissa
-        vbits = ((exp_field + _U(1023 - self.bias_f)) << _U(52)) | (
-            mant << _U(52 - mbits)
-        )
-        value = vbits.view(np.float64)  # fresh ufunc output: contiguous uint64
-        # subnormals: exact small-integer scaling
-        sub = mant.astype(np.float64) * float(np.ldexp(1.0, self.emin - mbits))
-        value = np.where(exp_field == 0, sub, value)
-        top = exp_field == _U((1 << ebits) - 1)
-        value = np.where(top & (mant == 0), np.inf, value)
-        value = np.where(sign == 1, -value, value)
-        value = np.where(top & (mant != 0), np.nan, value)
-        return value
-
-    def encode(self, values) -> np.ndarray:
-        v = np.ascontiguousarray(values, dtype=np.float64)
-        u = v.view(_U).reshape(v.shape)
-        mbits = self.mbits
-        sign = u >> _U(63)
-        m = u & _MAG64
-        e = (m >> _U(52)).view(np.int64) - 1023
-        # normal targets
-        exp_field = np.clip(e + self.bias_f, 0, (1 << self.ebits) - 1)
-        mant = (m & _MANT52) >> _U(52 - mbits)
-        # subnormal targets: denormalise the full significand
-        sub_shift = np.clip(52 - mbits + (self.emin - e), 0, 63).astype(_U)
-        sub_mant = ((m & _MANT52) | (_ONE << _U(52))) >> sub_shift
-        subnormal = e < self.emin
-        mant = np.where(subnormal, sub_mant, mant)
-        exp_field = np.where(subnormal, np.int64(0), exp_field)
-        code = (
-            (sign << _U(self.bits - 1))
-            | (exp_field.astype(_U) << _U(mbits))
-            | mant
-        )
-        zero = m == 0
-        code = np.where(zero, sign << _U(self.bits - 1), code)
-        inf_code = _U(((1 << self.ebits) - 1) << mbits)
-        code = np.where(m == _U(0x7FF0000000000000), (sign << _U(self.bits - 1)) | inf_code, code)
-        nan_code = _U(
-            (1 << (self.bits - 1))
-            | (((1 << self.ebits) - 1) << mbits)
-            | (1 << (mbits - 1))
-        )
-        code = np.where(m > _U(0x7FF0000000000000), nan_code, code)
-        return code.astype(_U)
 
 
 class E4M3BitKernel(IEEEBitKernel):
@@ -498,46 +408,13 @@ class E4M3BitKernel(IEEEBitKernel):
 
     family = "e4m3"
 
-    def __init__(self, rule):
+    def __init__(self, rule: tuple):
         # the top *encodable* binade is e = emax + 1 = 8 (exponent field 15
         # holds normals); its round-ups overflow to NaN/448, so the rule
         # rounds it and the inherited _keep_bits stopping at e = emax - 1
         # (like plain IEEE, whose top binade overflows to inf) is exactly
         # right here too
         super().__init__(4, 3, rule)
-
-    def decode(self, codes) -> np.ndarray:
-        c = _as_code_array(codes, 8)
-        sign = c >> _U(7)
-        exp_field = (c >> _U(3)) & _U(0xF)
-        mant = c & _U(0x7)
-        vbits = ((exp_field + _U(1023 - self.bias_f)) << _U(52)) | (mant << _U(49))
-        value = vbits.view(np.float64)  # fresh ufunc output: contiguous uint64
-        sub = mant.astype(np.float64) * float(np.ldexp(1.0, -9))
-        value = np.where(exp_field == 0, sub, value)
-        value = np.where(sign == 1, -value, value)
-        value = np.where((exp_field == _U(0xF)) & (mant == _U(0x7)), np.nan, value)
-        return value
-
-    def encode(self, values) -> np.ndarray:
-        v = np.ascontiguousarray(values, dtype=np.float64)
-        u = v.view(_U).reshape(v.shape)
-        sign = u >> _U(63)
-        m = u & _MAG64
-        e = (m >> _U(52)).view(np.int64) - 1023
-        exp_field = np.clip(e + self.bias_f, 0, 15)
-        mant = (m & _MANT52) >> _U(49)
-        sub_shift = np.clip(49 + (self.emin - e), 0, 63).astype(_U)
-        sub_mant = ((m & _MANT52) | (_ONE << _U(52))) >> sub_shift
-        subnormal = e < self.emin
-        mant = np.where(subnormal, sub_mant, mant)
-        exp_field = np.where(subnormal, np.int64(0), exp_field)
-        code = (sign << _U(7)) | (exp_field.astype(_U) << _U(3)) | mant
-        # E4M3 canonicalises -0.0 to the all-zeros code (no signed zero code)
-        code = np.where(m == 0, _U(0), code)
-        # canonical (only) NaN 0x7F; infinities cannot occur post-rounding
-        code = np.where(m >= _U(0x7FF0000000000000), _U(0x7F), code)
-        return code.astype(_U)
 
 
 class PositBitKernel(BitKernel):
@@ -552,80 +429,15 @@ class PositBitKernel(BitKernel):
     family = "posit"
     unsigned_zero = True
 
-    def __init__(self, nbits: int, es: int, rule):
+    def __init__(self, nbits: int, es: int, rule: tuple):
         self.es = int(es)
-        self._useed_exp = 1 << self.es
         super().__init__(nbits, rule)
 
     def _keep_bits(self, e: int) -> Optional[int]:
-        k = e // self._useed_exp
+        k = e >> self.es
         regime_len = k + 2 if k >= 0 else 1 - k
         frac_bits = self.bits - 1 - regime_len - self.es
         return frac_bits if frac_bits >= 1 else None
-
-    # -------------------------------------------------------------- #
-    def decode(self, codes) -> np.ndarray:
-        n = self.bits
-        c = _as_code_array(codes, n)
-        zero = c == 0
-        nar = c == _U(1 << (n - 1))
-        neg = (c >> _U(n - 1)) == _ONE
-        body = np.where(neg, _U(1 << n) - c, c) & _U((1 << (n - 1)) - 1)
-        first = (body >> _U(n - 2)) & _ONE
-        inverted = np.where(first == _ONE, body ^ _U((1 << (n - 1)) - 1), body)
-        run = np.int64(n - 1) - _bit_length_u64(inverted)
-        k = np.where(first == _ONE, run - 1, -run)
-        remaining = np.maximum(np.int64(n - 2) - run, 0)
-        exp_bits = np.minimum(np.int64(self.es), remaining)
-        exponent = (body >> (remaining - exp_bits).astype(_U)) & (
-            (_ONE << exp_bits.astype(_U)) - _ONE
-        )
-        exponent = exponent.astype(np.int64) << (self.es - exp_bits)
-        frac_bits = remaining - exp_bits
-        frac = body & ((_ONE << frac_bits.astype(_U)) - _ONE)
-        scale = k * self._useed_exp + exponent
-        vbits = ((scale + 1023).astype(_U) << _U(52)) | (
-            frac << (52 - frac_bits).astype(_U)
-        )
-        vbits = vbits | (neg.astype(_U) << _U(63))
-        value = vbits.view(np.float64).reshape(c.shape)
-        value = np.where(zero, 0.0, value)
-        value = np.where(nar, np.nan, value)
-        return value
-
-    def encode(self, values) -> np.ndarray:
-        n, es = self.bits, self.es
-        v = np.ascontiguousarray(values, dtype=np.float64)
-        u = v.view(_U).reshape(v.shape)
-        m = u & _MAG64
-        neg = (u >> _U(63)) == _ONE
-        e = (m >> _U(52)).view(np.int64) - 1023
-        k = np.floor_divide(e, self._useed_exp)
-        exponent = (e - k * self._useed_exp).astype(_U)
-        regime_len = np.where(k >= 0, k + 2, 1 - k)
-        body_bits = n - 1
-        # k >= 0: k+1 ones then a zero (regime run may fill the body at
-        # maxpos); k < 0: -k zeros then a one
-        regime_width = np.minimum(regime_len, body_bits).astype(_U)
-        pattern_pos = ((_ONE << np.minimum(k + 1, body_bits).astype(_U)) - _ONE) << _ONE
-        pattern_pos = np.where(regime_len > body_bits, (_ONE << _U(body_bits)) - _ONE, pattern_pos)
-        regime_pattern = np.where(k >= 0, pattern_pos, _ONE)
-        avail = (_U(body_bits) - regime_width).astype(np.int64)
-        frac_bits = np.maximum(n - 1 - regime_len - es, 0)
-        frac = (m & _MANT52) >> (52 - frac_bits).astype(_U)
-        payload = (exponent << frac_bits.astype(_U)) | frac
-        payload_width = np.int64(es) + frac_bits
-        over = payload_width > avail
-        payload = np.where(over, payload >> (payload_width - avail).astype(_U), payload)
-        payload_width = np.where(over, avail, payload_width)
-        body = (regime_pattern << avail.astype(_U)) | (
-            payload << (avail - payload_width).astype(_U)
-        )
-        body = body & _U((1 << body_bits) - 1)
-        code = np.where(neg, (_U(1 << n) - body) & _U((1 << n) - 1), body)
-        code = np.where(m == 0, _U(0), code)
-        code = np.where(m > _U(0x7FF0000000000000), _U(1 << (n - 1)), code)
-        return code.astype(_U)
 
 
 class TakumBitKernel(BitKernel):
@@ -652,94 +464,6 @@ class TakumBitKernel(BitKernel):
         p = self.bits - 5 - r
         return p if p >= 1 else None
 
-    # -------------------------------------------------------------- #
-    def decode(self, codes) -> np.ndarray:
-        n = self.bits
-        c = _as_code_array(codes, n)
-        zero = c == 0
-        nar = c == _U(1 << (n - 1))
-        sign = (c >> _U(n - 1)) & _ONE
-        direction = (c >> _U(n - 2)) & _ONE
-        regime = (c >> _U(n - 5)) & _U(0x7)
-        r = np.where(direction == _ONE, regime, _U(7) - regime).astype(np.int64)
-        tail_bits = n - 5
-        tail = c & _U((1 << tail_bits) - 1)
-        wide = tail_bits >= r  # characteristic fully present
-        char_wide = np.where(
-            r > 0, tail >> np.maximum(tail_bits - r, 0).astype(_U), _U(0)
-        ).astype(np.int64)
-        char_narrow = (tail.astype(np.int64)) << np.maximum(r - tail_bits, 0)
-        characteristic = np.where(wide, char_wide, char_narrow)
-        p = np.where(wide, tail_bits - r, 0)
-        mant = np.where(
-            wide & (p > 0), tail & ((_ONE << p.astype(_U)) - _ONE), _U(0)
-        ).astype(np.int64)
-        cval = np.where(
-            direction == _ONE,
-            (np.int64(1) << r) - 1 + characteristic,
-            -(np.int64(2) << r) + 1 + characteristic,
-        )
-        # positive: (2^p + mant) * 2^(c - p)
-        pos_bits = ((cval + 1023).astype(_U) << _U(52)) | (
-            mant.astype(_U) << (52 - p).astype(_U)
-        )
-        # negative, mant == 0: -(2^-c); mant > 0: -(2^(p+1) - mant) * 2^(-c-1-p)
-        neg_pow = ((1023 - cval).astype(_U) << _U(52))
-        neg_frac = ((-cval - 1 + 1023).astype(_U) << _U(52)) | (
-            ((np.int64(1) << p) - mant).astype(_U) << (52 - p).astype(_U)
-        )
-        vbits = np.where(sign == 0, pos_bits, np.where(mant == 0, neg_pow, neg_frac))
-        vbits = vbits | (sign << _U(63))
-        value = vbits.view(np.float64).reshape(c.shape)
-        value = np.where(zero, 0.0, value)
-        value = np.where(nar, np.nan, value)
-        return value
-
-    def encode(self, values) -> np.ndarray:
-        n = self.bits
-        v = np.ascontiguousarray(values, dtype=np.float64)
-        u = v.view(_U).reshape(v.shape)
-        m = u & _MAG64
-        sign = (u >> _U(63)).astype(np.int64)
-        e = (m >> _U(52)).view(np.int64) - 1023  # floor(log2 |v|), exact
-        mant52 = (m & _MANT52).astype(np.int64)
-        # (c, mantissa) from the logarithmic value l = (-1)^S (c + f/2^p)
-        frac_zero = mant52 == 0
-        c = np.where(sign == 0, e, np.where(frac_zero, -e, -e - 1))
-        r = np.where(
-            c >= 0,
-            _bit_length_u64((c + 1).astype(_U)) - 1,
-            _bit_length_u64((-c).astype(_U)) - 1,
-        )
-        tail_bits = n - 5
-        p = tail_bits - r
-        # mantissa field: f * 2^p for positives, (1 - f) * 2^p for negatives
-        shift = np.clip(52 - p, 0, 63)
-        mpos = mant52 >> shift
-        mneg = np.where(frac_zero, np.int64(0), (np.int64(1) << np.maximum(p, 0)) - mpos)
-        mfield = np.where(sign == 0, mpos, mneg)
-        characteristic = np.where(
-            c >= 0, c - ((np.int64(1) << r) - 1), c + (np.int64(2) << r) - 1
-        )
-        wide = p >= 0
-        tail = np.where(
-            wide,
-            (characteristic << np.maximum(p, 0)) | mfield,
-            characteristic >> np.maximum(r - tail_bits, 0),
-        )
-        direction = (c >= 0).astype(np.int64)
-        regime = np.where(direction == 1, r, 7 - r)
-        code = (
-            (sign.astype(_U) << _U(n - 1))
-            | (direction.astype(_U) << _U(n - 2))
-            | (regime.astype(_U) << _U(n - 5))
-            | (tail.astype(_U) & _U((1 << tail_bits) - 1))
-        )
-        code = np.where(m == 0, _U(0), code)
-        # infinite inputs and NaN alike encode as NaR
-        code = np.where(m >= _U(0x7FF0000000000000), _U(1 << (n - 1)), code)
-        return code.astype(_U)
-
 
 class ExtendedBitKernel(BitKernel):
     """Two-word rounding kernel for 80-bit extended (x87) work arrays.
@@ -763,31 +487,16 @@ class ExtendedBitKernel(BitKernel):
     Subclasses combine this mixin with a format family
     (``class PositExtendedBitKernel(ExtendedBitKernel, PositBitKernel)``):
     the family contributes ``_keep_bits`` and the special-binade policy,
-    this class contributes the word layout.  The family codecs only know
-    the float64 word, so :attr:`supports_codec` is False and the 64-bit
-    formats keep their per-element decode/encode.  On hosts whose
-    ``long double`` is not the x87 slot the kernel has no LUT and rounds
-    every value by the rule in that host's ``long double``.
+    this class contributes the word layout.  On hosts whose ``long double``
+    is not the x87 slot the kernel has no LUT and rounds every value by the
+    rule in that host's ``long double``.
     """
 
     WORD_EXP_BITS = 15
     WORD_BIAS = 16383
     WORD_FRAC_BITS = 63
     work_dtype = np.longdouble
-    supports_codec = False
     _has_lut_layout = staticmethod(extended_layout_supported)
-
-    def decode(self, codes) -> np.ndarray:
-        raise NotImplementedError(
-            "extended kernels have no vectorised codec; use the format's "
-            "per-element decode"
-        )
-
-    def encode(self, values) -> np.ndarray:
-        raise NotImplementedError(
-            "extended kernels have no vectorised codec; use the format's "
-            "per-element encode"
-        )
 
 
 class PositExtendedBitKernel(ExtendedBitKernel, PositBitKernel):

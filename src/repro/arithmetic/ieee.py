@@ -9,6 +9,10 @@ and lives in :mod:`repro.arithmetic.ofp8`.
 The emulation keeps values in ``float64`` "value space" and rounds after each
 operation; rounding is round-to-nearest, ties-to-even, with gradual underflow
 (subnormals) and overflow to the signed infinity of the format.
+
+The sign / exponent / mantissa field arithmetic (:func:`field_values`,
+:func:`field_codes`) serves both IEEE-layout families: this module's and
+E4M3's, which differ only in what the all-ones exponent field holds.
 """
 
 from __future__ import annotations
@@ -22,6 +26,46 @@ from .base import NumberFormat
 from .bitkernels import IEEEBitKernel, table_rule
 
 __all__ = ["IEEEFormat", "FLOAT16", "BFLOAT16", "FLOAT32", "FLOAT64"]
+
+
+def field_values(codes, ebits: int, mbits: int) -> tuple:
+    """``(sign, exp_field, mant, magnitude)`` of the ``1 + ebits + mbits``-bit
+    codes ``codes``: the sign as a bool array, the two fields as ``int64``
+    arrays, and the float64 magnitude that reads every exponent field as a
+    finite binade (field 0 as the subnormals), so that each family maps its
+    own special fields afterwards."""
+    bits = 1 + ebits + mbits
+    c = np.asarray(codes, dtype=np.uint64) & np.uint64((1 << bits) - 1)
+    sign = (c >> np.uint64(bits - 1)).astype(bool)
+    exp_field = ((c >> np.uint64(mbits)) & np.uint64((1 << ebits) - 1)).astype(np.int64)
+    mant = (c & np.uint64((1 << mbits) - 1)).astype(np.int64)
+    significand = np.where(exp_field > 0, mant + (1 << mbits), mant)
+    bias = (1 << (ebits - 1)) - 1
+    # float64's all-ones field overflows here; IEEE reads it as inf/NaN
+    with np.errstate(over="ignore"):
+        magnitude = np.ldexp(
+            significand.astype(np.float64), np.maximum(exp_field, 1) - bias - mbits
+        )
+    return sign, exp_field, mant, magnitude
+
+
+def field_codes(values, ebits: int, mbits: int) -> np.ndarray:
+    """The exponent and mantissa fields (``uint64``, sign bit clear) of the
+    magnitudes of the representable float64 ``values``; zeros and
+    non-finite values give 0, which each family replaces by its own
+    codes."""
+    v = np.asarray(values, dtype=np.float64)
+    a = np.where(np.isfinite(v), np.abs(v), 0.0)
+    frac, e = np.frexp(a)  # a = frac * 2^e with frac in [0.5, 1)
+    bias = (1 << (ebits - 1)) - 1
+    normal = a >= math.ldexp(1.0, 1 - bias)
+    mant = np.where(
+        normal,
+        np.ldexp(frac, mbits + 1) - float(1 << mbits),
+        np.ldexp(np.where(normal, 0.0, a), mbits + bias - 1),
+    )
+    exp_field = np.where(normal, e - 1 + bias, 0).astype(np.uint64)
+    return (exp_field << np.uint64(mbits)) | mant.astype(np.uint64)
 
 
 class IEEEFormat(NumberFormat):
@@ -57,7 +101,6 @@ class IEEEFormat(NumberFormat):
         )
         self._min_positive = float(math.ldexp(1.0, self.emin - self.mbits))
         self._min_normal = float(math.ldexp(1.0, self.emin))
-        self._magnitudes = self._codes = None
         # float32/float64 round by a single hardware cast, which no kernel
         # can beat (the contexts of both are native: see get_context)
         self._cast_dtype = {(11, 52): np.float64, (8, 23): np.float32}.get(
@@ -67,23 +110,24 @@ class IEEEFormat(NumberFormat):
     # ------------------------------------------------------------------ #
     # bit-level
     # ------------------------------------------------------------------ #
-    def decode_code(self, code: int) -> float:
-        """Decode one IEEE code (sign, biased exponent, mantissa) into its
-        float64 value: subnormals for exponent field 0, ±inf/NaN for the
-        all-ones exponent field."""
-        code = int(code) & ((1 << self.bits) - 1)
-        sign = -1.0 if (code >> (self.bits - 1)) & 1 else 1.0
-        exp_field = (code >> self.mbits) & ((1 << self.ebits) - 1)
-        mant = code & ((1 << self.mbits) - 1)
-        if exp_field == (1 << self.ebits) - 1:
-            if mant == 0:
-                return sign * math.inf
-            return math.nan
-        if exp_field == 0:
-            return sign * math.ldexp(mant, self.emin - self.mbits)
-        return sign * math.ldexp(
-            (1 << self.mbits) + mant, exp_field - self.bias - self.mbits
-        )
+    def decode(self, codes) -> np.ndarray:
+        """Sign, biased exponent and mantissa fields: subnormals for
+        exponent field 0, ±inf/NaN for the all-ones exponent field."""
+        sign, exp_field, mant, value = field_values(codes, self.ebits, self.mbits)
+        top = exp_field == (1 << self.ebits) - 1
+        value = np.where(top & (mant == 0), np.inf, value)
+        value = np.where(sign, -value, value)
+        return np.where(top & (mant != 0), np.nan, value)
+
+    def encode(self, values) -> np.ndarray:
+        """Fields of each rounded value; zeros and infinities keep their
+        sign, NaN encodes as the quiet NaN with the sign bit set."""
+        v = self.round_array(values)
+        sign = np.signbit(v).astype(np.uint64) << np.uint64(self.bits - 1)
+        top = np.uint64(((1 << self.ebits) - 1) << self.mbits)
+        code = np.where(np.isinf(v), sign | top, sign | field_codes(v, self.ebits, self.mbits))
+        nan = np.uint64(1 << (self.bits - 1)) | top | np.uint64(1 << (self.mbits - 1))
+        return np.where(np.isnan(v), nan, code)
 
     def _build_bitkernel(self):
         """Integer bit-twiddling kernel for the non-cast widths.
@@ -94,58 +138,17 @@ class IEEEFormat(NumberFormat):
         overflow and deep-subnormal binades."""
         if self._cast_dtype is not None:
             return None
-        return IEEEBitKernel(self.ebits, self.mbits, self._rule)
+        return IEEEBitKernel(self.ebits, self.mbits, self._rule())
 
-    def _rule(self, kern) -> tuple:
+    def _rule(self) -> tuple:
         """Quantum rounding with gradual underflow as a table rule: on the
         uniform grid of each binade the nearest magnitude with an even code
         is the quantum's round-to-even, from ``max + ulp/2`` up the
         magnitude overflows to the signed infinity, the sign of zero is
         kept, and NaN (its bits too) and ±inf stay as they are."""
-        self._ensure_table(kern)
         ulp = math.ldexp(1.0, self.emax - self.mbits)
         over = math.nextafter(self._max_value + ulp / 2, 0.0)
-        return table_rule(
-            self._magnitudes, self._codes, over, math.inf, 0.0, nonfinite="keep"
-        )
-
-    def _encode_scalar(self, v) -> int:
-        """Sign, biased exponent and mantissa fields of one representable
-        value (canonical quiet NaN for NaN)."""
-        v = float(v)
-        sign_bit = 1 if (math.copysign(1.0, v) < 0) else 0
-        if math.isnan(v):
-            # canonical quiet NaN: all exponent bits set, MSB of mantissa set
-            return (
-                (1 << (self.bits - 1))
-                | (((1 << self.ebits) - 1) << self.mbits)
-                | (1 << (self.mbits - 1))
-            )
-        if math.isinf(v):
-            return (sign_bit << (self.bits - 1)) | (
-                ((1 << self.ebits) - 1) << self.mbits
-            )
-        a = abs(v)
-        if a == 0.0:
-            return sign_bit << (self.bits - 1)
-        if a < self._min_normal:
-            mant = int(round(a / self._min_positive))
-            exp_field = 0
-            if mant >= (1 << self.mbits):
-                exp_field, mant = 1, 0
-        else:
-            exp = math.floor(math.log2(a))
-            # guard against log2 rounding at binade boundaries
-            if math.ldexp(1.0, exp) > a:
-                exp -= 1
-            elif math.ldexp(1.0, exp + 1) <= a:
-                exp += 1
-            mant = int(round(math.ldexp(a, self.mbits - exp))) - (1 << self.mbits)
-            exp_field = exp + self.bias
-            if mant >= (1 << self.mbits):
-                mant = 0
-                exp_field += 1
-        return (sign_bit << (self.bits - 1)) | (exp_field << self.mbits) | mant
+        return table_rule(*self._table, over, math.inf, 0.0, nonfinite="keep")
 
     # ------------------------------------------------------------------ #
     # value-space rounding

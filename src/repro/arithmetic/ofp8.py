@@ -23,7 +23,7 @@ import numpy as np
 
 from .base import NumberFormat
 from .bitkernels import E4M3BitKernel, table_rule
-from .ieee import IEEEFormat
+from .ieee import IEEEFormat, field_codes, field_values
 
 __all__ = ["OFP8E4M3", "OFP8E5M2", "E4M3", "E5M2"]
 
@@ -50,53 +50,36 @@ class OFP8E4M3(NumberFormat):
     def __init__(self, saturate: bool = False, name: str | None = None):
         self.saturate = bool(saturate)
         self.name = name or ("E4M3sat" if saturate else "E4M3")
-        self.bias = 7
-        self._magnitudes = self._codes = None
-        self._ensure_table()
 
     def _build_bitkernel(self):
         """Integer bit-twiddling kernel; the rule (:meth:`_rule`) rounds
         the top binade (overflow-to-NaN or saturation policy) and deep
         subnormals, so both overflow variants share one kernel class."""
-        return E4M3BitKernel(self._rule)
+        return E4M3BitKernel(self._rule())
 
-    def _rule(self, kern) -> tuple:
-        """The nearest entry of the magnitude table (enumerated through
-        ``kern``'s decode, ties to the even code), NaN of the value's sign
-        or ±448 above the overflow threshold, infinities included; NaN
-        rounds to +NaN."""
-        self._ensure_table(kern)
+    def _rule(self) -> tuple:
+        """The nearest entry of the magnitude table (ties to the even
+        code), NaN of the value's sign or ±448 above the overflow
+        threshold, infinities included; NaN rounds to +NaN."""
         top = self.max_value if self.saturate else math.nan
-        return table_rule(
-            self._magnitudes, self._codes, self._overflow_threshold, top, 0.0, nonfinite="rule"
-        )
+        return table_rule(*self._table, self._overflow_threshold, top, 0.0, nonfinite="rule")
 
     # ------------------------------------------------------------------ #
-    def decode_code(self, code: int) -> float:
-        """Decode one E4M3 code: IEEE-style fields except the all-ones
-        exponent still encodes normals, with ``S.1111.111`` the only NaN
-        and no infinities."""
-        code = int(code) & 0xFF
-        sign = -1.0 if code & 0x80 else 1.0
-        exp_field = (code >> 3) & 0xF
-        mant = code & 0x7
-        if exp_field == 0xF and mant == 0x7:
-            return math.nan
-        if exp_field == 0:
-            return sign * math.ldexp(mant, -6 - 3)
-        return sign * math.ldexp(8 + mant, exp_field - self.bias - 3)
+    def decode(self, codes) -> np.ndarray:
+        """IEEE-style 1-4-3 fields, except that the all-ones exponent still
+        encodes normals, with ``S.1111.111`` the only NaN and no
+        infinities."""
+        sign, exp_field, mant, value = field_values(codes, 4, 3)
+        value = np.where(sign, -value, value)
+        return np.where((exp_field == 0xF) & (mant == 0x7), np.nan, value)
 
-    def _encode_scalar(self, v) -> int:
-        """Look one representable magnitude up in the enumerated code table;
-        ``-0.0`` canonicalises to the all-zeros code, NaN to ``0x7F``."""
-        v = float(v)
-        if math.isnan(v):
-            return 0x7F
-        idx = int(np.searchsorted(self._magnitudes, abs(v)))
-        code = int(self._codes[min(idx, len(self._magnitudes) - 1)])
-        if math.copysign(1.0, v) < 0 and v != 0.0:
-            code |= 0x80
-        return code
+    def encode(self, values) -> np.ndarray:
+        """Fields of each rounded value; ``-0.0`` canonicalises to the
+        all-zeros code, NaN (and ±inf, which rounding never leaves) to
+        ``0x7F``."""
+        v = self.round_array(values)
+        sign = (np.signbit(v) & (v != 0)).astype(np.uint64) << np.uint64(7)
+        return np.where(np.isfinite(v), sign | field_codes(v, 4, 3), np.uint64(0x7F))
 
     @property
     def max_value(self) -> float:

@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .bitkernels import PositBitKernel, PositExtendedBitKernel
-from .tapered import TaperedFormat
+from .tapered import TaperedFormat, bit_length
 
 __all__ = ["PositFormat", "POSIT8", "POSIT16", "POSIT32", "POSIT64"]
 
@@ -59,85 +59,57 @@ class PositFormat(TaperedFormat):
     # ------------------------------------------------------------------ #
     # bit-level
     # ------------------------------------------------------------------ #
-    def decode_code(self, code: int):
-        """Decode one posit code (sign, regime run, exponent, fraction) into
-        its work-precision value; ``0`` decodes to 0.0 and ``10…0`` to NaR
-        (NaN).  Negative codes are two's-complement of the positive pattern."""
-        n = self.bits
-        code = int(code) & ((1 << n) - 1)
-        if code == 0:
-            return self.work_dtype(0.0)
-        if code == 1 << (n - 1):
-            return self.work_dtype(np.nan)
-        sign = 1.0
-        if code >> (n - 1):
-            code = (1 << n) - code
-            sign = -1.0
-        body = code & ((1 << (n - 1)) - 1)
-        # regime: run of identical bits starting at position n-2
-        pos = n - 2
-        first = (body >> pos) & 1
-        run = 0
-        while pos >= 0 and ((body >> pos) & 1) == first:
-            run += 1
-            pos -= 1
-        k = (run - 1) if first == 1 else -run
-        pos -= 1  # skip terminating bit (may step past the end; that is fine)
-        remaining = max(pos + 1, 0)
-        exp_bits = min(self.es, remaining)
-        exponent = (body >> (remaining - exp_bits)) & ((1 << exp_bits) - 1) if exp_bits > 0 else 0
-        exponent <<= self.es - exp_bits
+    def decode(self, codes) -> np.ndarray:
+        """Sign, regime run, exponent and fraction of each code, negative
+        codes read as the two's complement of the positive pattern; ``0``
+        decodes to 0.0 and ``10…0`` to NaR (NaN)."""
+        n, es, wd = self.bits, self.es, self.work_dtype
+        c = np.asarray(codes, dtype=np.uint64) & np.uint64((1 << n) - 1)
+        neg = (c >> np.uint64(n - 1)).astype(bool)
+        body_mask = (1 << (n - 1)) - 1
+        body = (np.where(neg, ~c + np.uint64(1), c) & np.uint64(body_mask)).astype(np.int64)
+        # regime: a run of identical bits from position n - 2 and its
+        # terminating bit, which may fall past the end
+        first = (body >> (n - 2)) & 1
+        run = (n - 1) - bit_length(np.where(first == 1, body ^ body_mask, body))
+        k = np.where(first == 1, run - 1, -run)
+        remaining = np.maximum(n - 2 - run, 0)
+        exp_bits = np.minimum(es, remaining)
+        exponent = ((body >> (remaining - exp_bits)) & ((1 << exp_bits) - 1)) << (es - exp_bits)
         frac_bits = remaining - exp_bits
-        frac = body & ((1 << frac_bits) - 1) if frac_bits > 0 else 0
-        scale = k * self._useed_exp + exponent
-        significand = (1 << frac_bits) + frac
-        value = np.ldexp(self.work_dtype(significand), int(scale - frac_bits))
-        return self.work_dtype(sign) * value
+        significand = (body & ((1 << frac_bits) - 1)) | (1 << frac_bits)
+        value = np.ldexp(significand.astype(wd), k * self._useed_exp + exponent - frac_bits)
+        value = np.where(neg, -value, value)
+        value = np.where(c == 0, wd(0.0), value)
+        return np.where(c == np.uint64(1 << (n - 1)), wd(np.nan), value)
 
-    def _encode_scalar(self, v) -> int:
-        n = self.bits
-        if np.isnan(v):
-            return 1 << (n - 1)
-        if v == 0:
-            return 0
-        neg = v < 0
-        a = abs(v)
-        # exact scale and fraction of an already-representable magnitude
-        scale = int(np.floor(np.log2(a)))
-        if np.ldexp(self.work_dtype(1.0), scale) > a:
-            scale -= 1
-        elif np.ldexp(self.work_dtype(1.0), scale + 1) <= a:
-            scale += 1
-        k, exponent = divmod(scale, self._useed_exp)
-        regime_len = k + 2 if k >= 0 else -k + 1
-        frac_bits = max(n - 1 - regime_len - self.es, 0)
-        frac_val = a / np.ldexp(self.work_dtype(1.0), scale) - 1.0
-        # stay in the work precision: posit64 fractions carry up to 59
-        # bits, which a float64 round-trip would round to 53 and shift
-        # the emitted code by one
-        frac = int(np.rint(np.ldexp(frac_val, frac_bits)))
+    def encode(self, values) -> np.ndarray:
+        """Regime, exponent and fraction fields of each rounded value (the
+        exponent cut where the regime leaves it fewer than ``es`` bits),
+        two's complement for negative values; NaN encodes as NaR."""
+        n, es = self.bits, self.es
+        v = self.round_array(values)
+        finite = np.isfinite(v)
+        frac, e = np.frexp(np.where(finite, np.abs(v), 0))
+        scale = e.astype(np.int64) - 1
+        k = np.floor_divide(scale, self._useed_exp)
+        regime_len = np.where(k >= 0, k + 2, 1 - k)
         body_bits = n - 1
-        if k >= 0:
-            regime_pattern = ((1 << (k + 1)) - 1) << 1  # k+1 ones then a zero
-            regime_width = k + 2
-            if regime_width > body_bits:  # maxpos: regime run fills the body
-                regime_pattern = (1 << body_bits) - 1
-                regime_width = body_bits
-        else:
-            regime_pattern = 1  # -k zeros then a one
-            regime_width = -k + 1
-        avail = body_bits - regime_width
-        payload = (exponent << frac_bits) | frac
-        payload_width = self.es + frac_bits
-        if payload_width > avail:
-            payload >>= payload_width - avail
-            payload_width = avail
-        body = (regime_pattern << (avail)) | (payload << (avail - payload_width))
-        body &= (1 << body_bits) - 1
-        code = body
-        if neg:
-            code = ((1 << n) - code) & ((1 << n) - 1)
-        return code
+        frac_bits = np.maximum(body_bits - regime_len - es, 0)
+        fraction = np.ldexp(frac, frac_bits + 1).astype(np.int64) - (1 << frac_bits)
+        # k >= 0: k + 1 ones then a zero (at maxpos the ones fill the
+        # body); k < 0: -k zeros then a one
+        width = np.minimum(regime_len, body_bits)
+        ones = (1 << width) - 1
+        regime = np.where(k < 0, 1, np.where(regime_len > body_bits, ones, ones - 1))
+        avail = body_bits - width
+        payload = ((scale - k * self._useed_exp) << frac_bits) | fraction
+        cut = np.maximum(es + frac_bits - avail, 0)
+        body = (regime << avail) | ((payload >> cut) << (avail - es - frac_bits + cut))
+        body = body.astype(np.uint64)
+        code = np.where(np.signbit(v), (~body + np.uint64(1)) & np.uint64((1 << n) - 1), body)
+        code = np.where(v == 0, np.uint64(0), code)
+        return np.where(finite, code, np.uint64(1 << (n - 1)))
 
     # ------------------------------------------------------------------ #
     # binade rule

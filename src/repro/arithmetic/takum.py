@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .bitkernels import TakumBitKernel, TakumExtendedBitKernel
-from .tapered import TaperedFormat
+from .tapered import TaperedFormat, bit_length
 
 __all__ = ["TakumFormat", "TAKUM8", "TAKUM16", "TAKUM32", "TAKUM64"]
 
@@ -62,92 +62,70 @@ class TakumFormat(TaperedFormat):
     # ------------------------------------------------------------------ #
     # bit-level
     # ------------------------------------------------------------------ #
-    def decode_code(self, code: int):
-        """Decode one takum code (sign, direction, regime, characteristic,
-        mantissa) into its work-precision value; ``0`` decodes to 0.0 and
-        ``10…0`` to NaR (NaN)."""
-        n = self.bits
-        code = int(code) & ((1 << n) - 1)
-        if code == 0:
-            return self.work_dtype(0.0)
-        if code == 1 << (n - 1):
-            return self.work_dtype(np.nan)
-        sign = (code >> (n - 1)) & 1
-        direction = (code >> (n - 2)) & 1
-        regime = (code >> (n - 5)) & 0x7
-        r = regime if direction else 7 - regime
+    def decode(self, codes) -> np.ndarray:
+        """Sign, direction, regime, characteristic and mantissa of each
+        code (a characteristic longer than the tail is zero-padded); ``0``
+        decodes to 0.0 and ``10…0`` to NaR (NaN)."""
+        n, wd = self.bits, self.work_dtype
+        c = np.asarray(codes, dtype=np.uint64) & np.uint64((1 << n) - 1)
+        sign = (c >> np.uint64(n - 1)).astype(bool)
+        direction = ((c >> np.uint64(n - 2)) & np.uint64(1)).astype(bool)
+        regime = ((c >> np.uint64(n - 5)) & np.uint64(0x7)).astype(np.int64)
+        r = np.where(direction, regime, 7 - regime)
         tail_bits = n - 5
-        tail = code & ((1 << tail_bits) - 1)
-        if tail_bits >= r:
-            characteristic = tail >> (tail_bits - r) if r > 0 else 0
-            p = tail_bits - r
-            mantissa = tail & ((1 << p) - 1) if p > 0 else 0
-        else:
-            characteristic = tail << (r - tail_bits)
-            p = 0
-            mantissa = 0
-        c = (2**r - 1 + characteristic) if direction else (-(2 ** (r + 1)) + 1 + characteristic)
-        one = self.work_dtype(1.0)
-        if sign == 0:
-            significand = (1 << p) + mantissa if p > 0 else 1
-            return np.ldexp(self.work_dtype(significand), int(c - p))
-        # negative branch: l = -(c + m)
-        if mantissa == 0:
-            return -np.ldexp(one, int(-c))
-        significand = (1 << (p + 1)) - mantissa  # (2 - m) * 2^p
-        return -np.ldexp(self.work_dtype(significand), int(-c - 1 - p))
+        tail = (c & np.uint64((1 << tail_bits) - 1)).astype(np.int64)
+        p = np.maximum(tail_bits - r, 0)
+        characteristic = (tail >> p) << np.maximum(r - tail_bits, 0)
+        mantissa = tail & ((1 << p) - 1)
+        cval = np.where(
+            direction, (1 << r) - 1 + characteristic, -(2 << r) + 1 + characteristic
+        )
+        # l = (-1)^S (cval + M / 2^p); the value is 2^floor(l) (1 + l - floor(l)):
+        # (2^p + M) 2^(cval - p) for S = 0, and for S = 1 either 2^-cval
+        # (M = 0) or (2^(p+1) - M) 2^(-cval-1-p)
+        significand = np.where(
+            ~sign, (1 << p) + mantissa, np.where(mantissa == 0, 1, (2 << p) - mantissa)
+        )
+        exponent = np.where(~sign, cval - p, np.where(mantissa == 0, -cval, -cval - 1 - p))
+        value = np.ldexp(significand.astype(wd), exponent)
+        value = np.where(sign, -value, value)
+        value = np.where(c == 0, wd(0.0), value)
+        return np.where(c == np.uint64(1 << (n - 1)), wd(np.nan), value)
 
-    def _encode_scalar(self, v) -> int:
+    def encode(self, values) -> np.ndarray:
+        """The logarithmic value ``l = (-1)^S (cval + m)`` of each rounded
+        value split into direction, regime, characteristic and mantissa
+        fields (a characteristic longer than the tail is cut); NaN encodes
+        as NaR."""
         n = self.bits
-        if np.isnan(v):
-            return 1 << (n - 1)
-        if v == 0:
-            return 0
-        sign = 1 if v < 0 else 0
-        g = abs(v)
-        lfloor = int(np.floor(np.log2(g)))
-        one = self.work_dtype(1.0)
-        if np.ldexp(one, lfloor) > g:
-            lfloor -= 1
-        elif np.ldexp(one, lfloor + 1) <= g:
-            lfloor += 1
-        # fraction in [0, 1), kept in the work precision: for 64-bit takums
-        # it carries up to 59 bits, which a float64 round-trip would corrupt
-        frac = g / np.ldexp(one, lfloor) - one
-        if sign == 0:
-            c = lfloor
-            m = frac
-        else:
-            if frac == 0:
-                c, m = -lfloor, self.work_dtype(0.0)
-            else:
-                c, m = -lfloor - 1, one - frac
-        if c >= 0:
-            direction = 1
-            r = int(math.floor(math.log2(c + 1)))
-            characteristic = c - (2**r - 1)
-        else:
-            direction = 0
-            r = int(math.floor(math.log2(-c)))
-            characteristic = c + 2 ** (r + 1) - 1
+        v = self.round_array(values)
+        finite = np.isfinite(v)
+        frac, e = np.frexp(np.where(finite & (v != 0), np.abs(v), 1))
+        scale = e.astype(np.int64) - 1  # |v| = 2^scale (1 + f)
+        neg = np.signbit(v)
+        f_zero = frac == 0.5
+        cval = np.where(~neg, scale, np.where(f_zero, -scale, -scale - 1))
+        r = bit_length(np.where(cval >= 0, cval + 1, -cval)) - 1
         tail_bits = n - 5
         p = tail_bits - r
-        if p >= 0:
-            # ldexp and rint are exact in the work precision for
-            # representable inputs (m has at most p fraction bits)
-            mantissa = int(np.rint(np.ldexp(m, p)))
-            if mantissa >= (1 << p) and p > 0:
-                mantissa = (1 << p) - 1  # cannot happen for representable v
-            tail = (characteristic << p) | mantissa if p > 0 else characteristic
-        else:
-            tail = characteristic >> (r - tail_bits)
-        regime = r if direction else 7 - r
-        return (
-            (sign << (n - 1))
-            | (direction << (n - 2))
-            | (regime << (n - 5))
-            | (tail & ((1 << tail_bits) - 1))
+        q = np.maximum(p, 0)
+        # mantissa field: f 2^p for S = 0 (and for f = 0), (1 - f) 2^p else
+        f_field = np.ldexp(frac, q + 1).astype(np.int64) - (1 << q)
+        mantissa = np.where(~neg | f_zero, f_field, (1 << q) - f_field)
+        characteristic = np.where(cval >= 0, cval - ((1 << r) - 1), cval + (2 << r) - 1)
+        tail = np.where(
+            p >= 0, (characteristic << q) | mantissa, characteristic >> np.maximum(-p, 0)
         )
+        direction = cval >= 0
+        regime = np.where(direction, r, 7 - r)
+        code = (
+            (neg.astype(np.uint64) << np.uint64(n - 1))
+            | (direction.astype(np.uint64) << np.uint64(n - 2))
+            | (regime.astype(np.uint64) << np.uint64(n - 5))
+            | (tail.astype(np.uint64) & np.uint64((1 << tail_bits) - 1))
+        )
+        code = np.where(v == 0, np.uint64(0), code)
+        return np.where(finite, code, np.uint64(1 << (n - 1)))
 
     # ------------------------------------------------------------------ #
     # binade rule

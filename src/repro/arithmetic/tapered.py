@@ -12,17 +12,21 @@ extreme binades, and the work precision and bit-kernel wiring follow from
 the width.  That is the rule (:meth:`TaperedFormat._rule`) the compiled
 kernel rounds by.
 
-A family supplies its bit layout (``decode_code``, ``_encode_scalar``), its
-bit kernel classes and the binade rule
-(:meth:`TaperedFormat._quantum_exp_array`), plus
+A family supplies its bit layout (a vectorised ``decode``/``encode`` over
+integer fields, in the work dtype of every width: values are built with
+``ldexp`` and taken apart with ``frexp``), its bit kernel classes and the
+binade rule (:meth:`TaperedFormat._quantum_exp_array`), plus
 :meth:`TaperedFormat._extreme_bounds` when some binades fall off that rule.
-The bit kernels keep their own statement of each binade rule
-(``_keep_bits``), and ``tests/`` a third, so the differential sweeps
-compare independent derivations.
+The magnitude tables and extreme lists of the rule are decoded through the
+family's ``decode``.  The bit kernels keep their own statement of each
+binade rule (``_keep_bits``), and ``tests/`` a third, so the differential
+sweeps compare independent derivations; ``tests/_oracle.py`` decodes every
+layout again, exactly, from the standards.
 """
 
 from __future__ import annotations
 
+import functools
 from abc import abstractmethod
 
 import numpy as np
@@ -38,10 +42,21 @@ __all__ = ["TaperedFormat"]
 _EXTREME_LIST_LIMIT = 4096
 
 
+def bit_length(v: np.ndarray) -> np.ndarray:
+    """Vectorised ``int.bit_length`` of non-negative ``int64`` values.
+
+    The float64 conversion can round a value up to the next power of two,
+    which makes its ``frexp`` exponent one too large; the shift test takes
+    that bit back."""
+    _, e = np.frexp(v.astype(np.float64))
+    e = e.astype(np.int64)
+    return e - ((v != 0) & ((v >> np.maximum(e - 1, 0)) == 0))
+
+
 class TaperedFormat(NumberFormat):
     """Base of the tapered-precision formats (posits and takums).
 
-    Subclasses set the fields their :meth:`decode_code` reads before calling
+    Subclasses set the fields their ``decode`` reads before calling
     ``super().__init__(nbits, name)``, name their bit kernel classes in
     ``_kernel``/``_extended_kernel`` (built from :meth:`_kernel_args` plus
     the rule) and implement the binade rule.
@@ -70,13 +85,8 @@ class TaperedFormat(NumberFormat):
         self.work_dtype = (
             np.longdouble if nbits > 32 and _base.LONGDOUBLE_EXTENDED else np.float64
         )
-        self._full_table = self.bits <= 16
-        self._magnitudes: np.ndarray | None = None
-        self._codes: np.ndarray | None = None
-        self._extremes: tuple | None = None
         self._qexps: np.ndarray | None = None
-        self._min_mag = self.decode_code(1)
-        self._max_mag = self.decode_code((1 << (self.bits - 1)) - 1)
+        self._min_mag, self._max_mag = self.decode([1, (1 << (self.bits - 1)) - 1])
 
     # ------------------------------------------------------------------ #
     # family hooks
@@ -108,21 +118,16 @@ class TaperedFormat(NumberFormat):
         LUTs do not serve."""
         wide = np.dtype(self.work_dtype) != np.dtype(np.float64)
         kernel = self._extended_kernel if wide else self._kernel
-        return kernel(*self._kernel_args(), self._rule)
+        return kernel(*self._kernel_args(), self._rule())
 
-    def _rule(self, kern) -> tuple:
-        """The rule of the bit kernel ``kern``: the nearest entry of the
-        full magnitude table (enumerated through ``kern``'s decode) for
-        formats of at most 16 bits, else the binade quantum with the extreme
-        magnitude lists, both saturating at minpos and maxpos; NaN and
-        infinities (which arise only from division by an exact zero) round
-        to NaR."""
-        self._ensure_magnitudes(kern)
-        if self._full_table:
-            last = self._magnitudes[-1]
-            return table_rule(
-                self._magnitudes, self._codes, last, last, self._min_mag, nonfinite="nar"
-            )
+    def _rule(self) -> tuple:
+        """The nearest entry of the full magnitude table for formats of at
+        most 16 bits, else the binade quantum with the extreme magnitude
+        lists, both saturating at minpos and maxpos; NaN and infinities
+        (which arise only from division by an exact zero) round to NaR."""
+        if self.bits <= 16:
+            last = self._table[0][-1]
+            return table_rule(*self._table, last, last, self._min_mag, nonfinite="nar")
         lo, hi, lo_table, hi_table = self._extremes
         base, qexps = self._quantum_exp_lut()
         return quantum_rule(
@@ -142,13 +147,8 @@ class TaperedFormat(NumberFormat):
             self._qexps = self._quantum_exp_array(exps).astype(np.int64)
         return base, self._qexps
 
-    def _ensure_magnitudes(self, kern=None) -> None:
-        if self._full_table:
-            self._ensure_table(kern)
-        elif self._extremes is None:
-            self._extremes = self._extreme_lists()
-
-    def _extreme_lists(self) -> tuple:
+    @functools.cached_property
+    def _extremes(self) -> tuple:
         """``(lo, hi, lo_table, hi_table)`` of a wide format: the bounds of
         :meth:`_extreme_bounds` and the ascending ``(magnitudes, codes)``
         lists decoded inwards from codes ``0…01`` and ``01…1`` until each
@@ -164,24 +164,21 @@ class TaperedFormat(NumberFormat):
         return (
             lo,
             hi,
-            self._decode_run(range(1, top), lambda v: v >= lo),
-            self._decode_run(range(top, 0, -1), lambda v: v <= hi),
+            self._decode_run(1, 1, top - 1, lambda v: v >= lo),
+            self._decode_run(top, -1, top, lambda v: v <= hi),
         )
 
-    def _decode_run(self, codes, stop) -> tuple[np.ndarray, np.ndarray]:
-        """Decode ``codes`` in order up to the first value ``stop`` accepts
-        (or :data:`_EXTREME_LIST_LIMIT` codes past the first), sorted by
-        magnitude."""
-        mags, kept = [], []
-        for code in codes:
-            v = self.decode_code(code)
-            mags.append(v)
-            kept.append(code)
-            if stop(v) or len(kept) > _EXTREME_LIST_LIMIT:
-                break
-        mags = np.asarray(mags, dtype=self.work_dtype)
+    def _decode_run(self, first: int, step: int, count: int, stop) -> tuple[np.ndarray, np.ndarray]:
+        """Decode the ``count`` codes ``first, first + step, …`` in order up
+        to the first value ``stop`` accepts (or :data:`_EXTREME_LIST_LIMIT`
+        codes past the first), sorted by magnitude."""
+        codes = first + step * np.arange(min(count, _EXTREME_LIST_LIMIT + 1), dtype=np.int64)
+        mags = self.decode(codes)
+        hits = np.flatnonzero(stop(mags))
+        if hits.size:
+            codes, mags = codes[: hits[0] + 1], mags[: hits[0] + 1]
         order = np.argsort(mags)
-        return mags[order], np.asarray(kept, dtype=np.int64)[order]
+        return mags[order], codes[order]
 
     # ------------------------------------------------------------------ #
     # metadata

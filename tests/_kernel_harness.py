@@ -34,6 +34,7 @@ import re
 import numpy as np
 
 from repro.arithmetic import OFP8E4M3, PositFormat, TakumFormat, get_format
+from tests import _oracle
 from tests._reference import round_array_analytic
 
 __all__ = [
@@ -51,6 +52,7 @@ __all__ = [
     "exhaustive_sweep",
     "UNREGISTERED_TAPERED",
     "E4M3_SATURATING",
+    "CANONICAL_NAN_CODES",
     "format_for",
 ]
 
@@ -72,6 +74,38 @@ UNREGISTERED_TAPERED = (
 #: the saturating E4M3 (overflow clamps to ±448), which the registry never
 #: builds either
 E4M3_SATURATING = "E4M3sat"
+
+
+#: the canonical NaN/NaR code of each format: the quiet NaN with the sign
+#: bit set for IEEE layouts, ``S.1111.111`` with a clear sign for E4M3, and
+#: ``10…0`` for posits and takums
+CANONICAL_NAN_CODES = {
+    "E4M3": 0x7F,
+    E4M3_SATURATING: 0x7F,
+    "E5M2": 0xFE,
+    "float16": 0xFE00,
+    "bfloat16": 0xFFC0,
+    "float32": 0xFFC00000,
+    "float64": 0xFFF8000000000000,
+    "posit8": 0x80,
+    "takum8": 0x80,
+    "posit10": 0x200,
+    "takum10": 0x200,
+    "posit12": 0x800,
+    "takum12": 0x800,
+    "posit16": 0x8000,
+    "posit16es1": 0x8000,
+    "takum16": 0x8000,
+    "posit20": 0x80000,
+    "takum20": 0x80000,
+    "posit24": 0x800000,
+    "posit24es1": 0x800000,
+    "takum24": 0x800000,
+    "posit32": 0x80000000,
+    "takum32": 0x80000000,
+    "posit64": 0x8000000000000000,
+    "takum64": 0x8000000000000000,
+}
 
 
 @functools.cache
@@ -236,9 +270,9 @@ def exhaustive_sweep(fmt) -> np.ndarray:
     """Every representable value of a <= 16-bit format, every adjacent
     midpoint (the exact ties) and their one-ulp float64 neighbours, the
     overflow boundary half an ulp past the largest magnitude, and the edge
-    battery; both signs.  The value set comes from the vectorised
-    ``fmt.decode`` over every code."""
-    decoded = fmt.decode(np.arange(1 << fmt.bits, dtype=np.uint64))
+    battery; both signs.  The value set is every code decoded by the
+    oracle (``tests/_oracle.py``)."""
+    decoded = _oracle.values(fmt, np.arange(1 << fmt.bits, dtype=np.uint64))
     mags = np.unique(np.abs(decoded[np.isfinite(decoded)]))
     mids = (mags[:-1] + mags[1:]) * 0.5  # exact: adjacent codes share bits
     top = mags[-1] + (mags[-1] - mags[-2]) * 0.5
@@ -260,22 +294,22 @@ def exhaustive_sweep(fmt) -> np.ndarray:
 def code_midpoints(fmt, codes) -> np.ndarray:
     """Exact midpoints of each adjacent code pair ``(c, c + 1)``.
 
-    Midpoints whose decoded endpoints are non-finite, zero-crossing, or not
+    The endpoints are decoded by the oracle (``tests/_oracle.py``).
+    Midpoints whose endpoints are non-finite, zero-crossing, or not
     exactly representable in the work precision are skipped, so every value
     returned is a *true* rounding tie exercising ties-to-even on the code
     grid.  Both signs are returned.
     """
     wd = fmt.work_dtype
     half = wd(0.5)
+    codes = np.asarray(codes, dtype=np.int64)
+    lows, highs = _oracle.values(fmt, codes), _oracle.values(fmt, codes + 1)
     mids = []
-    for code in codes:
-        v1 = fmt.decode_code(int(code))
-        v2 = fmt.decode_code(int(code) + 1)
-        if not (np.isfinite(v1) and np.isfinite(v2)):
+    for a, b in zip(lows, highs):
+        if not (np.isfinite(a) and np.isfinite(b)):
             continue
-        if (v1 < 0) != (v2 < 0) or v1 == v2:
+        if (a < 0) != (b < 0) or a == b:
             continue
-        a, b = wd(v1), wd(v2)
         mid = (a + b) * half
         if mid == a or mid == b:  # the extra bit does not fit work precision
             continue

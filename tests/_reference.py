@@ -18,7 +18,10 @@ in both switch positions, NaN bits included:
   never zero or NaR for a non-zero finite value; NaN and ±inf to +NaN.
 
 :func:`quantum_exp` is the tapered families' binade rule in Python ints,
-which checks the int64 table the compiled rule reads.
+which checks the int64 table the compiled rule reads.  Every magnitude the
+reference reads (the full tables of the formats of at most 16 bits, the
+extreme lists of the wide posits, minpos and maxpos) comes from the exact
+decoder of ``tests/_oracle.py``, not from the library's own decode.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.arithmetic import IEEEFormat, OFP8E4M3, PositFormat, TakumFormat
+from tests import _oracle
 
 __all__ = ["nearest_in_table", "quantum_exp", "round_array_analytic", "round_to_quantum"]
 
@@ -109,14 +113,12 @@ def _round_ieee(fmt, x: np.ndarray) -> np.ndarray:
 
 
 def _round_e4m3(fmt, x: np.ndarray) -> np.ndarray:
-    fmt._ensure_table()
+    magnitudes, codes = _oracle.table(fmt)
     out = np.empty(x.shape, dtype=fmt.work_dtype)
     nan_mask = np.isnan(x)
     a = np.abs(np.where(nan_mask, 0.0, x))
-    idx = nearest_in_table(
-        np.where(np.isfinite(a), a, fmt.max_value), fmt._magnitudes, fmt._codes
-    )
-    mags = fmt._magnitudes[idx]
+    idx = nearest_in_table(np.where(np.isfinite(a), a, fmt.max_value), magnitudes, codes)
+    mags = magnitudes[idx]
     over = a > fmt._overflow_threshold
     mags = np.where(over, fmt.max_value if fmt.saturate else np.nan, mags)
     out[...] = np.copysign(mags, np.where(nan_mask, 1.0, x))
@@ -124,43 +126,91 @@ def _round_e4m3(fmt, x: np.ndarray) -> np.ndarray:
     return out
 
 
+#: :func:`_tapered_magnitudes` by layout and work dtype
+_TAPERED: dict = {}
+
+
+def _tapered_magnitudes(fmt) -> tuple:
+    """``(min_mag, max_mag, table, extremes)`` of a tapered format, decoded
+    by the oracle once per layout and work dtype: ``table`` the full
+    ``(magnitudes, codes)`` of a format of at most 16 bits, else ``None``;
+    ``extremes`` the ``(lo, hi, lo_table, hi_table)`` of a wide posit, whose
+    regimes past ``lo`` and ``hi`` keep no fraction bit and round through
+    the magnitude lists walked in from either end of the code range
+    (``None`` for takums, whose binade rule holds over the whole range)."""
+    key = (_oracle.layout(fmt), fmt.work_dtype)
+    if key not in _TAPERED:
+        _TAPERED[key] = _decode_magnitudes(fmt)
+    return _TAPERED[key]
+
+
+def _decode_magnitudes(fmt) -> tuple:
+    dtype = fmt.work_dtype
+    top = (1 << (fmt.bits - 1)) - 1
+    min_mag, max_mag = _oracle.values(fmt, [1, top]).astype(dtype)
+    if fmt.bits <= 16:
+        return min_mag, max_mag, _oracle.table(fmt), None
+    if not isinstance(fmt, PositFormat):
+        return min_mag, max_mag, None, None
+    # regime k keeps n - 1 - (k + 2 or 1 - k) - es fraction bits: at least
+    # one from 2^(-kmax 2^es) up to below 2^(kmax 2^es)
+    kmax = (fmt.bits - 3 - fmt.es) << fmt.es
+    lo, hi = np.ldexp(dtype(1.0), -kmax), np.ldexp(dtype(1.0), kmax)
+
+    def walk(codes, stop):
+        mags, kept = [], []
+        for code in codes:
+            mags.append(_oracle.values(fmt, [code]).astype(dtype)[0])
+            kept.append(code)
+            if stop(mags[-1]):
+                break
+        order = np.argsort(mags)
+        return np.asarray(mags, dtype=dtype)[order], np.asarray(kept, dtype=np.int64)[order]
+
+    lo_table = walk(range(1, top), lambda v: v >= lo)
+    hi_table = walk(range(top, 0, -1), lambda v: v <= hi)
+    return min_mag, max_mag, None, (lo, hi, lo_table, hi_table)
+
+
 def _round_tapered(fmt, x: np.ndarray) -> np.ndarray:
     wd = fmt.work_dtype
-    fmt._ensure_magnitudes()
+    min_mag, max_mag, table, extremes = _tapered_magnitudes(fmt)
     finite = np.isfinite(x)
     zero_mask = x == 0
     a = np.abs(np.where(finite, x, 0.0))
     sign = np.where(np.signbit(x), wd(-1.0), wd(1.0))
-    if fmt._full_table:
+    if table is not None:
+        magnitudes, codes = table
         # clamp to the largest magnitude first: far outside the table the
         # distances to the last two entries are indistinguishable in the
         # work precision and the tie rule could pick the wrong one
-        clipped = np.minimum(a.astype(np.float64), fmt._magnitudes[-1])
-        mag = fmt._magnitudes[nearest_in_table(clipped, fmt._magnitudes, fmt._codes)].astype(wd)
+        clipped = np.minimum(a.astype(np.float64), magnitudes[-1])
+        mag = magnitudes[nearest_in_table(clipped, magnitudes, codes)].astype(wd)
         # saturate: never round a non-zero magnitude to zero
-        mag = np.where((mag == 0) & ~zero_mask, wd(fmt._min_mag), mag)
+        mag = np.where((mag == 0) & ~zero_mask, wd(min_mag), mag)
     else:
-        mag = _round_tapered_magnitude(fmt, a, zero_mask)
+        mag = _round_tapered_magnitude(fmt, a, zero_mask, min_mag, max_mag, extremes)
     res = np.where(zero_mask, wd(0.0), sign * mag)
     # infinities arise only from division by exact zero in the work
     # precision; tapered formats map those to NaR like NaN
     return np.where(finite, res, wd(np.nan))
 
 
-def _round_tapered_magnitude(fmt, a, zero_mask) -> np.ndarray:
+def _round_tapered_magnitude(fmt, a, zero_mask, min_mag, max_mag, extremes) -> np.ndarray:
     wd = fmt.work_dtype
     one = wd(1.0)
     # clamp to the largest magnitude up front (rounding saturates, and
     # values far beyond it would make the nearest-table distances
     # indistinguishable in the work precision)
-    safe = np.where(zero_mask, one, np.minimum(a, fmt._max_mag))
+    safe = np.where(zero_mask, one, np.minimum(a, max_mag))
     _, e = np.frexp(safe)
     binades, where = np.unique(e.astype(np.int64) - 1, return_inverse=True)
     qexp = np.array([quantum_exp(fmt, int(b)) for b in binades], dtype=np.int64)
     mag = round_to_quantum(safe, np.ldexp(one, qexp[where.reshape(e.shape)]))
-    lo, hi, lo_table, hi_table = fmt._extremes
-    for extreme, (mags, codes) in ((safe < lo, lo_table), (safe >= hi, hi_table)):
-        if extreme.any():
-            mag[extreme] = mags[nearest_in_table(safe[extreme], mags, codes)]
-    mag = np.clip(mag, fmt._min_mag, fmt._max_mag)
+    if extremes is not None:
+        lo, hi, lo_table, hi_table = extremes
+        for extreme, (mags, codes) in ((safe < lo, lo_table), (safe >= hi, hi_table)):
+            if extreme.any():
+                mag[extreme] = mags[nearest_in_table(safe[extreme], mags, codes)]
+    mag = np.clip(mag, min_mag, max_mag)
     return np.where(zero_mask, wd(0.0), mag)

@@ -1,10 +1,11 @@
 """Bit-identity proofs for the compiled rounding engine.
 
 The kernels in :mod:`repro.arithmetic.bitkernels` must reproduce the
-differential reference of ``tests/_reference.py`` (and ``decode_code`` /
-``_encode_scalar`` for the codecs) bit for bit, NaN bits included, in
-either position of the bit-kernel switch (through the integer lookup
-tables, or by the format's rule alone):
+differential reference of ``tests/_reference.py`` bit for bit, NaN bits
+included, in either position of the bit-kernel switch (through the integer
+lookup tables, or by the format's rule alone), and the formats' codecs
+(``decode``/``encode``) must agree with the exact decoder of
+``tests/_oracle.py``:
 
 * **exhaustively** for every format of <= 16 bits (all representable
   values, every adjacent-code midpoint — the exact rounding ties — and
@@ -12,7 +13,10 @@ tables, or by the format's rule alone):
 * by **randomized, boundary and tie sweeps** for the wide formats
   (posit32/64, takum32/64, float32/64; the 64-bit tapered formats run the
   two-word extended kernel, the cast IEEE widths keep the hardware cast);
-* through a shared **NaR/NaN/inf/signed-zero battery** for every family.
+* through a shared **NaR/NaN/inf/signed-zero battery** for every family;
+* for the codecs: every code of every format of <= 16 bits, and for the
+  wide formats every binade edge, the subnormals, NaN/NaR and ±0 plus
+  codes drawn by ``hypothesis``.
 
 The sweep generators and comparators live in :mod:`tests._kernel_harness`;
 the 64-bit extended-kernel battery is in ``test_bitkernels_64bit.py``.
@@ -23,14 +27,21 @@ to the kernels) is checked for aliasing safety and allocation-free identity.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.arithmetic import bitkernels as bk
 from repro.arithmetic import get_context, get_format, preload_tables
 from repro.arithmetic.context import EmulatedContext
+from tests import _oracle
 from tests._reference import round_array_analytic
 from tests._kernel_harness import (
+    CANONICAL_NAN_CODES,
     E4M3_SATURATING,
     UNREGISTERED_TAPERED,
     assert_rounded_equal,
@@ -152,7 +163,6 @@ def test_64bit_formats_get_extended_kernel():
         if not bk.extended_layout_supported():
             pytest.skip("host longdouble is not the two-word extended layout")
         assert kern is not None, name
-        assert not kern.supports_codec, name
 
 
 def test_cast_ieee_formats_have_no_kernel():
@@ -218,12 +228,11 @@ def test_nonfinite_words_are_pinned(name, enabled):
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("name", NARROW_FORMATS)
 def test_decode_exhaustive(name):
-    """Kernel decode == scalar ``decode_code`` for every code (this is the
-    path the narrow formats build their magnitude lists through)."""
+    """``decode`` == the oracle for every code, word for word (this is the
+    path the narrow formats build their magnitude tables through)."""
     fmt = format_for(name)
     codes = np.arange(1 << fmt.bits, dtype=np.uint64)
-    expected = np.asarray([fmt.decode_code(int(c)) for c in codes], dtype=np.float64)
-    assert_rounded_equal(fmt.bitkernel().decode(codes), expected, name)
+    assert_same_words(fmt.decode(codes), _oracle.values(fmt, codes), name)
 
 
 @pytest.mark.parametrize("name", ["posit32", "takum32"])
@@ -240,32 +249,64 @@ def test_decode_sampled_32bit(name):
             ]
         )
     )
-    expected = np.asarray([fmt.decode_code(int(c)) for c in codes], dtype=np.float64)
-    assert_rounded_equal(fmt.bitkernel().decode(codes), expected, name)
+    assert_same_words(fmt.decode(codes), _oracle.values(fmt, codes), name)
+
+
+def _check_wide_codes(fmt, codes):
+    """``decode`` agrees with the oracle word for word, and ``encode``
+    returns every code it decoded (NaN codes: the canonical one)."""
+    codes = np.asarray(codes, dtype=np.uint64)
+    decoded = fmt.decode(codes)
+    assert decoded.dtype == fmt.work_dtype
+    assert_same_words(decoded, _oracle.values(fmt, codes), fmt.name)
+    expected = np.where(np.isnan(decoded), np.uint64(CANONICAL_NAN_CODES[fmt.name]), codes)
+    assert np.array_equal(fmt.encode(decoded), expected), fmt.name
+
+
+@pytest.mark.parametrize("name", WIDE_FORMATS)
+def test_wide_codec_at_every_binade_edge(name):
+    """Every binade edge of the wide formats (subnormals included), ±0,
+    NaN/NaR and infinities: decode equals the oracle and encode inverts
+    it."""
+    fmt = format_for(name)
+    _check_wide_codes(fmt, _oracle.edge_codes(fmt))
+
+
+@pytest.mark.parametrize("name", WIDE_FORMATS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_wide_codec_sampled_codes(name, data):
+    """Codes drawn uniformly and from the binade edges, in batches."""
+    fmt = format_for(name)
+    edges = st.sampled_from(_oracle.edge_codes(fmt).tolist())
+    code = st.one_of(st.integers(0, (1 << fmt.bits) - 1), edges)
+    _check_wide_codes(fmt, data.draw(st.lists(code, min_size=1, max_size=64)))
 
 
 @pytest.mark.parametrize("name", KERNEL_FORMATS)
 def test_encode_matches_analytic(name):
-    """Kernel encode == the per-element ``_encode_scalar`` of the
-    reference's rounded values."""
+    """``encode`` of the reference's rounded values gives codes whose oracle
+    values are those values (zero signs included, E4M3's ``-0.0`` aside:
+    it has no signed-zero code), and the canonical code for every NaN."""
     fmt = format_for(name)
     values = round_array_analytic(fmt, random_sweep(fmt, 40_000, seed=5))
-    expected = np.asarray([fmt._encode_scalar(v) for v in values], dtype=np.uint64)
-    assert np.array_equal(fmt.bitkernel().encode(values), expected), name
-    # the format-level dispatch must agree as well
-    assert np.array_equal(fmt.encode(values), expected), name
+    if name in ("E4M3", E4M3_SATURATING):
+        values = np.where(values == 0.0, 0.0, values)
+    codes = fmt.encode(values)
+    assert_rounded_equal(_oracle.values(fmt, codes), values, name)
+    nan = np.isnan(values)
+    assert nan.any() and np.all(codes[nan] == CANONICAL_NAN_CODES[name]), name
 
 
 @pytest.mark.parametrize("name", KERNEL_FORMATS)
 def test_encode_decode_roundtrip(name):
     fmt = format_for(name)
-    kern = fmt.bitkernel()
     values = round_array_analytic(fmt, solver_regime_sweep(fmt, 10_000))
     if name in ("E4M3", E4M3_SATURATING):
         # E4M3 has no signed-zero code: -0.0 canonicalises to +0.0 on encode
         values = np.where(values == 0.0, 0.0, values)
-    codes = kern.encode(values)
-    assert_rounded_equal(kern.decode(codes), values, name)
+    codes = fmt.encode(values)
+    assert_rounded_equal(fmt.decode(codes), values, name)
 
 
 # --------------------------------------------------------------------- #
@@ -401,6 +442,29 @@ def test_farray_inplace_on_zero_dim_buffer():
 # --------------------------------------------------------------------- #
 # engine plumbing
 # --------------------------------------------------------------------- #
+def test_import_builds_no_kernel():
+    """``import repro.arithmetic`` in a fresh interpreter neither builds nor
+    loads the compiled library, and a format decodes without building its
+    kernel (the codec is the format's own)."""
+    script = (
+        "import numpy as np\n"
+        "import repro.arithmetic as ra\n"
+        "from repro.arithmetic import bitkernels\n"
+        "assert bitkernels._extension is None\n"
+        "fmt = ra.get_format('E4M3')\n"
+        "assert fmt.decode(0x38) == 1.0 and fmt.decode(np.arange(256)).shape == (256,)\n"
+        "assert bitkernels._extension is None\n"
+        "assert '_kernels_built' not in fmt.__dict__\n"
+    )
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_disable_switch_falls_back_to_analytic():
     """The switch off builds the kernel without its lookup tables: it
     rounds every value by the format's rule, like the reference."""
@@ -449,23 +513,16 @@ def test_analytic_kernels_bypass_bitkernels():
 
 
 @pytest.mark.parametrize("name", ["posit16", "takum16", "E4M3"])
-def test_magnitude_lists_decode_via_bitkernels(name):
-    """The narrow formats enumerate their magnitude lists through the
-    vectorised kernel decode; the result must equal the per-code
-    ``decode_code`` construction exactly, codes included."""
+def test_magnitude_tables_match_oracle(name):
+    """The narrow formats enumerate the magnitude tables their rules search
+    through their own ``decode`` (built here by ``preload_tables``); the
+    table must equal the oracle's exactly, codes included."""
     fmt = format_for(name)
-    via_kernel = fmt._enumerate_magnitudes()
-    codes = np.arange(1 << (fmt.bits - 1), dtype=np.int64)
-    values = np.array([float(fmt.decode_code(c)) for c in codes.tolist()])
-    finite = np.isfinite(values)
-    order = np.argsort(values[finite])
-    via_scalar = values[finite][order], codes[finite][order]
-    for got, expected in zip(via_kernel, via_scalar):
+    preload_tables([name])
+    assert "_table" in fmt.__dict__
+    for got, expected in zip(fmt._table, _oracle.table(fmt)):
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected), name
-    preload_tables([name])
-    assert np.array_equal(fmt._magnitudes, via_scalar[0])
-    assert np.array_equal(fmt._codes, via_scalar[1])
 
 
 def test_scalar_cutoff_path_unchanged():

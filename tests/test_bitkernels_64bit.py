@@ -37,6 +37,7 @@ from repro.arithmetic.bitkernels import (
 )
 from repro.arithmetic.posit import PositFormat
 from repro.arithmetic.takum import TakumFormat
+from tests import _oracle
 from tests._reference import round_array_analytic
 from tests._kernel_harness import (
     assert_rounded_equal,
@@ -106,14 +107,14 @@ def test_tie_exhaustive_at_binade_boundaries(name):
 @extended_only
 @pytest.mark.parametrize("name", FORMATS_64)
 def test_encode_roundtrips_boundary_codes(name):
-    """``encode(decode_code(c)) == c`` around every sampled binade
-    boundary (regression: the encoders used to round the 59-bit fraction
-    through float64, shifting codes near characteristic transitions)."""
+    """``encode`` of the oracle's value of ``c`` is ``c`` around every
+    sampled binade boundary (regression: the encoders used to round the
+    59-bit fraction through float64, shifting codes near characteristic
+    transitions)."""
     fmt = get_format(name)
     codes = binade_boundary_codes(fmt, boundary_exponents(fmt), window=24)
-    values = np.asarray(
-        [fmt.decode_code(int(c)) for c in codes], dtype=np.longdouble
-    )
+    values = _oracle.values(fmt, codes)
+    assert values.dtype == np.longdouble
     recoded = fmt.encode(values)
     assert np.array_equal(recoded, codes.astype(np.uint64)), name
 
@@ -155,13 +156,15 @@ def test_dispatch_round_array_uses_extended_kernel(name):
 @extended_only
 @pytest.mark.parametrize("name", FORMATS_64)
 def test_extended_kernel_has_no_codec(name):
-    """The two-word kernels only round; the family codecs stay float64."""
-    kern = get_format(name).bitkernel()
-    assert not kern.supports_codec
-    with pytest.raises(NotImplementedError):
-        kern.decode(np.asarray([1], dtype=np.uint64))
-    with pytest.raises(NotImplementedError):
-        kern.encode(np.asarray([1.0], dtype=np.longdouble))
+    """The two-word kernels only round; the format's own codec decodes and
+    encodes in ``long double``, exactly as the oracle."""
+    fmt = get_format(name)
+    kern = fmt.bitkernel()
+    assert not hasattr(kern, "decode") and not hasattr(kern, "encode")
+    codes = _oracle.edge_codes(fmt)
+    decoded = fmt.decode(codes)
+    assert decoded.dtype == np.longdouble
+    assert_same_words(decoded, _oracle.values(fmt, codes), name)
 
 
 @pytest.mark.parametrize("name", FORMATS_64)
@@ -205,7 +208,7 @@ def test_forced_fallback_keeps_bit_exact_kernel(degraded_longdouble, family):
     fmt = family(64)
     kern = fmt.bitkernel()
     assert kern is not None
-    assert kern.supports_codec  # the plain one-word family kernel
+    assert kern.work_dtype is np.float64  # the plain one-word family kernel
     run_differential_sweeps(fmt, kern.round, n=30_000, seed=17)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arithmetic import available_formats, get_format
+from tests import _oracle
 
 #: formats cheap enough for exhaustive-table oracles
 TABLE_FORMATS = ["E4M3", "E5M2", "float16", "bfloat16", "posit8", "posit16", "takum8", "takum16"]
@@ -90,13 +91,9 @@ _TABLE_CACHE = {}
 
 
 def _magnitude_table(fmt):
+    """Every finite non-negative magnitude, decoded by the oracle."""
     if fmt.name not in _TABLE_CACHE:
-        mags = [0.0]
-        for code in range(1, 1 << (fmt.bits - 1)):
-            v = float(fmt.decode_code(code))
-            if np.isfinite(v) and v > 0:
-                mags.append(v)
-        _TABLE_CACHE[fmt.name] = np.asarray(sorted(mags))
+        _TABLE_CACHE[fmt.name] = _oracle.table(fmt)[0]
     return _TABLE_CACHE[fmt.name]
 
 
@@ -109,8 +106,9 @@ class TestWideFormatConsistency:
         r = fmt.round_array(np.asarray([x], dtype=fmt.work_dtype))
         if not np.isfinite(r[0]):
             return
-        back = fmt.decode(fmt.encode(r))
-        assert back[0] == r[0]
+        codes = fmt.encode(r)
+        assert fmt.decode(codes)[0] == r[0]
+        assert _oracle.values(fmt, codes)[0] == r[0]
 
     @settings(max_examples=60, deadline=None)
     @given(x=finite_floats)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.arithmetic import BFLOAT16, FLOAT16, FLOAT32, FLOAT64, IEEEFormat
+from tests import _oracle
 
 
 class TestFloat16:
@@ -105,17 +106,21 @@ class TestEncodeDecode:
         assert np.array_equal(rounded[finite], back[finite])
 
     def test_decode_known_float16_codes(self):
-        assert FLOAT16.decode_code(0x3C00) == 1.0
-        assert FLOAT16.decode_code(0xBC00) == -1.0
-        assert FLOAT16.decode_code(0x7BFF) == 65504.0
-        assert FLOAT16.decode_code(0x0001) == 2.0**-24
-        assert FLOAT16.decode_code(0x7C00) == np.inf
-        assert math.isnan(FLOAT16.decode_code(0x7C01))
+        assert FLOAT16.decode(0x3C00) == 1.0
+        assert FLOAT16.decode(0xBC00) == -1.0
+        assert FLOAT16.decode(0x7BFF) == 65504.0
+        assert FLOAT16.decode(0x0001) == 2.0**-24
+        assert FLOAT16.decode(0x7C00) == np.inf
+        assert math.isnan(FLOAT16.decode(0x7C01))
+        codes = [0x3C00, 0xBC00, 0x7BFF, 0x0001, 0x7C00, 0x7C01, 0x8000]
+        assert np.array_equal(
+            FLOAT16.decode(codes).view(np.uint64), _oracle.values(FLOAT16, codes).view(np.uint64)
+        )
 
     def test_decode_known_bfloat16_codes(self):
-        assert BFLOAT16.decode_code(0x3F80) == 1.0
-        assert BFLOAT16.decode_code(0xC000) == -2.0
-        assert BFLOAT16.decode_code(0x7F80) == np.inf
+        assert BFLOAT16.decode(0x3F80) == 1.0
+        assert BFLOAT16.decode(0xC000) == -2.0
+        assert BFLOAT16.decode(0x7F80) == np.inf
 
     def test_encode_zero_and_specials(self):
         codes = FLOAT16.encode(np.array([0.0, np.inf, -np.inf]))

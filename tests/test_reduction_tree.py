@@ -389,7 +389,7 @@ def _nan_words(dtype) -> bytes:
 
 @needs_compiled
 @pytest.mark.parametrize("name, big", HAND_BACKS)
-def test_hand_backs_resolve_once_per_level(name, big, monkeypatch):
+def test_non_finite_sums_take_the_rule_step_once_per_level(name, big, monkeypatch):
     """Each rounding pass (a tree level of every row, or one ``round_into``
     over a whole buffer) whose sums are non-finite rounds them in the
     kernel, and the kernel counts one call per pass with every value

@@ -81,7 +81,7 @@ def _by_the_rule(kern, values) -> np.ndarray:
 
 
 @pytest.mark.parametrize("name", NARROW)
-def test_exhaustive_sweeps_hand_back_only_non_finite(name):
+def test_exhaustive_sweeps_count_rule_steps_as_lut_fallback(name):
     """Every value and tie of the format, as one array and value by value:
     the scalar entry returns a value for every input, non-finite ones
     included, word for word as the array entry; the array pass counts the
@@ -102,7 +102,7 @@ def test_exhaustive_sweeps_hand_back_only_non_finite(name):
     assert_same_words(contexts, rounded, f"{name} round_scalar")
 
 
-def test_fig1_solve_hands_back_only_non_finite():
+def test_fig1_solve_counts_rule_steps_as_lut_fallback():
     """A ``partialschur`` of the seed-0 order-32 fig1 matrix in each paper
     format, once through the lookup tables and once by the rule alone: the
     reductions, the Householder reduction, the QL iteration and the

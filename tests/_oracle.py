@@ -207,7 +207,7 @@ def _top_code(fmt) -> int:
 
 
 @functools.cache
-def _edge_codes(params: tuple, n: int, top: int) -> tuple:
+def _edge_codes(params: tuple, top: int) -> tuple:
     family, *rest = params
     decoder = _DECODERS[family]
 
@@ -238,7 +238,7 @@ def edge_codes(fmt) -> np.ndarray:
     NaN/NaR, infinity and top-binade codes of the format (``uint64``)."""
     n = fmt.bits
     top = _top_code(fmt)
-    positive = np.asarray(_edge_codes(layout(fmt), n, top), dtype=np.uint64)
+    positive = np.asarray(_edge_codes(layout(fmt), top), dtype=np.uint64)
     sign = np.uint64(1 << (n - 1))
     if layout(fmt)[0] in ("posit", "takum"):  # negation is two's complement
         negative = (~positive + np.uint64(1)) & np.uint64((1 << n) - 1)

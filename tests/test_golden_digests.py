@@ -18,7 +18,15 @@ error text.  The Householder reduction has a section of its own (the
 ``tridiagonalize`` section): ``d``, ``e`` and ``Q`` of a seeded order-25
 matrix, the same with a skipped reflector, scaled until the 8-bit formats
 overflow, and with an ``inf`` entry, with the rounded-op tallies, in every
-paper format and the reference context.
+paper format and the reference context.  The Arnoldi expansion has one too
+(the ``arnoldi`` section): ``arnoldi_expand`` of the seeded order-32
+matrix, of a truncated decomposition with a spike row, of a start vector
+that takes the DGKS second pass, of a rank-deficient matrix that reaches the
+random restart and the invariant return, and of scaled inputs that reach
+each :class:`~repro.core.results.ArnoldiBreakdown` text, with the bytes of
+``V``, ``S``, ``b`` and the residual, the invariant flag, the matvecs, the
+rounded-op tallies and the error texts, in every paper format and the
+reference context, with the bit kernels on and off.
 
 A refactor of the solver or the rounding backends proves it changed nothing
 by leaving these digests untouched; an intentional numerical change
@@ -40,14 +48,16 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.arithmetic import LONGDOUBLE_EXTENDED, BatchSpec, get_context
+from repro.arithmetic import LONGDOUBLE_EXTENDED, BatchSpec, get_context, set_bitkernels_enabled
 from repro.arithmetic.registry import PAPER_FORMATS
-from repro.core.krylov_schur import partialschur
+from repro.core import ArnoldiBreakdown, KrylovDecomposition, arnoldi_expand
+from repro.core.krylov_schur import _initial_vector, partialschur
 from repro.core.lockstep import batched_partialschur
 from repro.datasets import get_suite
 from repro.experiments.tolerances import tolerance_for
 from repro.linalg import tridiagonal
 from repro.linalg.tridiagonal import EigenConvergenceError, symmetric_eigen, tridiagonal_eigen
+from repro.sparse import CSRMatrix
 
 GOLDEN = Path(__file__).resolve().parents[1] / "benchmarks" / "reference" / "golden_digests.json"
 
@@ -309,6 +319,178 @@ def tridiagonalize_digests() -> dict:
     }
 
 
+#: the Arnoldi expansion inputs: a 0 -> ``target`` expansion of the matrix
+#: of ``SETTINGS`` from the solver's start vector; the same truncated to
+#: ``keep`` columns with a spike row drawn from ``spike_seed`` and expanded
+#: again; a symmetric matrix of order ``dgks_order`` from ``dgks_seed`` whose
+#: start vector lies within ``dgks_offset`` of an eigenvector (its first
+#: column takes the DGKS second pass); a rank-``rank`` matrix of order
+#: ``rank_order`` expanded to its full order (deflations, random restarts and
+#: the invariant return); and four order-4 inputs scaled to the context's
+#: largest finite value, one per ArnoldiBreakdown text
+ARNOLDI_SETTINGS = {
+    "target": 25,
+    "keep": 12,
+    "spike_seed": 2,
+    "dgks_order": 16,
+    "dgks_seed": 3,
+    "dgks_offset": 0.01,
+    "dgks_target": 8,
+    "rank": 2,
+    "rank_order": 8,
+    "rank_seed": 4,
+}
+#: the inputs in hashing order
+ARNOLDI_INPUTS = (
+    "expand",
+    "spike",
+    "dgks",
+    "rank_deficient",
+    "nonfinite_start",
+    "matvec_overflow",
+    "coefficient_overflow",
+    "norm_overflow",
+)
+#: the switch positions the expansion is checked in: the bit kernels on and off
+SWITCH = {"bitkernels": True, "rule": False}
+
+
+def _decomposition(ctx, v, n: int) -> KrylovDecomposition:
+    return KrylovDecomposition(
+        V=np.zeros((n, 0), dtype=ctx.dtype),
+        S=np.zeros((0, 0), dtype=ctx.dtype),
+        b=np.zeros(0, dtype=ctx.dtype),
+        residual=v,
+        invariant=False,
+    )
+
+
+def _in_context(ctx, dense) -> CSRMatrix:
+    """The CSR form of ``dense`` with its values rounded into ``ctx``."""
+    matrix = CSRMatrix.from_dense(np.asarray(dense, dtype=np.float64))
+    return matrix.with_data(ctx.asarray(matrix.data))
+
+
+def _largest(ctx):
+    """The largest finite value of ``ctx``, in its work dtype."""
+    fmt = getattr(ctx, "format", None)
+    return ctx.dtype(fmt.max_value) if fmt is not None else np.finfo(ctx.dtype).max
+
+
+def _scaled(ctx, template, scale: float) -> CSRMatrix:
+    """``template`` times ``scale`` times the context's largest value."""
+    top = _largest(ctx) * ctx.dtype(scale)
+    matrix = CSRMatrix.from_dense(np.asarray(template, dtype=np.float64))
+    data = np.asarray(matrix.data, dtype=ctx.dtype) * top
+    return matrix.with_data(ctx.asarray(data))
+
+
+def _arnoldi_input(ctx, kind: str):
+    """``(matrix, decomposition, target_order)`` of one expansion input."""
+    st = ARNOLDI_SETTINGS
+    if kind in ("expand", "spike"):
+        matrix = ctx.convert_matrix(_matrix().matrix)[0]
+        n = matrix.shape[0]
+        start = _decomposition(ctx, _initial_vector(ctx, n, None, SETTINGS["seed"]), n)
+        if kind == "expand":
+            return matrix, start, st["target"]
+        try:
+            full, _ = arnoldi_expand(ctx, matrix, start, st["target"], rng=_deflation_rng())
+        except ArnoldiBreakdown:
+            full = start
+        keep = min(st["keep"], full.order)
+        rng = np.random.default_rng(st["spike_seed"])
+        truncated = KrylovDecomposition(
+            V=np.ascontiguousarray(full.V[:, :keep]),
+            S=np.diag(np.diagonal(full.S)[:keep]).astype(ctx.dtype),
+            b=ctx.asarray(rng.standard_normal(keep) * 0.1),
+            residual=full.residual,
+            invariant=False,
+        )
+        return matrix, truncated, st["target"]
+    if kind == "dgks":
+        n = st["dgks_order"]
+        rng = np.random.default_rng(st["dgks_seed"])
+        raw = rng.standard_normal((n, n))
+        dense = (raw + raw.T) / 2
+        vec = np.linalg.eigh(dense)[1][:, -1] + st["dgks_offset"] * rng.standard_normal(n)
+        v = ctx.asarray(vec / np.linalg.norm(vec))
+        return _in_context(ctx, dense), _decomposition(ctx, v, n), st["dgks_target"]
+    if kind == "rank_deficient":
+        n = st["rank_order"]
+        rng = np.random.default_rng(st["rank_seed"])
+        U = np.linalg.qr(rng.standard_normal((n, st["rank"])))[0]
+        dense = U @ np.diag(np.arange(1.0, st["rank"] + 1)) @ U.T
+        v = ctx.asarray(np.full(n, 1.0 / np.sqrt(n)))
+        return _in_context(ctx, dense), _decomposition(ctx, v, n), n
+    # order 4, scaled to the top of the context's range
+    half = ctx.asarray(np.full(4, 0.5))
+    if kind == "nonfinite_start":
+        v = half.copy()
+        v[1] = ctx.dtype(np.nan)
+        return _in_context(ctx, np.eye(4)), _decomposition(ctx, v, 4), 3
+    if kind == "matvec_overflow":
+        # each row sums three products of 0.45 top
+        template = np.ones((4, 4)) - np.eye(4)
+        return _scaled(ctx, template, 0.9), _decomposition(ctx, half, 4), 3
+    if kind == "coefficient_overflow":
+        # w = A v is 0.6 top in every entry, v . w is 1.2 top
+        return _scaled(ctx, np.ones((4, 4)), 0.3), _decomposition(ctx, half, 4), 3
+    # norm_overflow: w = A e0 = 0.9 top (e1 + e2) is orthogonal to e0, and
+    # its norm is 1.27 top
+    template = np.zeros((4, 4))
+    template[1, 0] = template[2, 0] = template[0, 3] = 0.9
+    e0 = ctx.asarray(np.eye(4)[0])
+    return _scaled(ctx, template, 1.0), _decomposition(ctx, e0, 4), 3
+
+
+def _deflation_rng():
+    return np.random.default_rng([SETTINGS["seed"], 0x5EED])
+
+
+def arnoldi_case(ctx, kind: str, h) -> tuple:
+    """Expand one input in ``ctx``, hash its observables into ``h`` and
+    return ``(op_count, matvecs, error text)``."""
+    matrix, decomp, target = _arnoldi_input(ctx, kind)
+    start = ctx.op_count
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            out, matvecs = arnoldi_expand(ctx, matrix, decomp, target, rng=_deflation_rng())
+        arrays = (out.V, out.S, out.b) + (() if out.residual is None else (out.residual,))
+        error, invariant = None, bool(out.invariant)
+    except ArnoldiBreakdown as exc:
+        out, matvecs, arrays, error, invariant = None, None, (), str(exc), None
+    ops = ctx.op_count - start
+    h.update(json.dumps({"op_count": ops, "matvecs": matvecs, "invariant": invariant, "error": error}).encode())
+    for arr in arrays:
+        arr = np.asarray(arr)
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(_array_bytes(arr))
+    return ops, matvecs, error
+
+
+def arnoldi_digest(name: str) -> dict:
+    """``arnoldi_expand`` of every expansion input in ``name``."""
+    ctx = get_context(name)
+    h = hashlib.sha256()
+    ops, matvecs, errors = [], [], []
+    for kind in ARNOLDI_INPUTS:
+        n, m, error = arnoldi_case(ctx, kind, h)
+        ops.append(n)
+        matvecs.append(m)
+        errors.append(error)
+    return {"digest": h.hexdigest(), "op_count": ops, "matvecs": matvecs, "errors": errors}
+
+
+def arnoldi_digests() -> dict:
+    """The ``arnoldi`` section: per-context expansion digests."""
+    return {
+        "settings": ARNOLDI_SETTINGS,
+        "contexts": {name: arnoldi_digest(name) for name in EIGEN_CONTEXTS},
+    }
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     data = json.loads(GOLDEN.read_text())
@@ -380,6 +562,42 @@ def test_tridiagonalize_matches_golden_digest(name, golden_tridiagonalize):
     assert tridiagonalize_digest(name) == golden_tridiagonalize[name]
 
 
+@pytest.fixture(scope="module")
+def golden_arnoldi() -> dict:
+    data = json.loads(GOLDEN.read_text())["arnoldi"]
+    assert data["settings"] == ARNOLDI_SETTINGS, "golden file was generated with other settings"
+    return data["contexts"]
+
+
+@pytest.fixture(params=list(SWITCH.values()), ids=list(SWITCH))
+def switch(request):
+    previous = set_bitkernels_enabled(request.param)
+    yield
+    set_bitkernels_enabled(previous)
+
+
+@pytest.mark.parametrize("name", EIGEN_CONTEXTS)
+def test_arnoldi_matches_golden_digest(name, switch, golden_arnoldi):
+    if not _runnable(name):
+        pytest.skip("numpy.longdouble is not extended precision here")
+    assert arnoldi_digest(name) == golden_arnoldi[name]
+
+
+def test_arnoldi_inputs_reach_every_breakdown_text(golden_arnoldi):
+    """The scaled inputs raise each of the four ArnoldiBreakdown texts in
+    the IEEE-style contexts, whose overflow is an infinity."""
+    texts = {
+        "nonfinite_start": "non-finite Krylov vector",
+        "matvec_overflow": "matrix-vector product overflowed",
+        "coefficient_overflow": "orthogonalisation coefficients overflowed",
+        "norm_overflow": "residual norm overflowed",
+    }
+    for name in ("float16", "bfloat16", "float32", "float64", "reference"):
+        errors = dict(zip(ARNOLDI_INPUTS, golden_arnoldi[name]["errors"]))
+        assert {kind: errors[kind] for kind in texts} == texts, name
+        assert errors["expand"] is None and errors["rank_deficient"] is None, name
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--update"]:
         sys.exit("usage: python tests/test_golden_digests.py --update")
@@ -395,6 +613,7 @@ if __name__ == "__main__":
                 "formats": seq,
                 "eigen": eigen_digests(),
                 "tridiagonalize": tridiagonalize_digests(),
+                "arnoldi": arnoldi_digests(),
             },
             indent=2,
         )

@@ -1248,14 +1248,248 @@ typedef struct {
         }                                                                                       \
     }
 
-EIGEN(f64, double, step_f64, sqrt, fabs, copysign, level_word)
-EIGEN(x87, npy_longdouble, step_x87, sqrtl, fabsl, copysignl, level_x87)
-EIGEN(native_float, float, step_none, sqrtf, fabsf, copysignf, level_float)
-EIGEN(native_double, double, step_none, sqrt, fabs, copysign, level_double)
-EIGEN(native_longdouble, npy_longdouble, step_none, sqrtl, fabsl, copysignl, level_longdouble)
-EIGEN(rule_double, double, step_rule_f64, sqrt, fabs, copysign, level_rule_double)
-EIGEN(rule_longdouble, npy_longdouble, step_rule_ld, sqrtl, fabsl, copysignl,
-      level_rule_longdouble)
+/* ------------------------------------------------------------------------ */
+/* The Arnoldi expansion: classical Gram-Schmidt with the DGKS second pass.  */
+
+enum {
+    ARNOLDI_DONE,
+    ARNOLDI_DEFLATE,
+    ARNOLDI_NONFINITE_VECTOR,
+    ARNOLDI_MATVEC,
+    ARNOLDI_COEFFICIENTS,
+    ARNOLDI_NORM
+};
+
+/* One `arnoldi` call: the rounding, tally and scratch of its ops (`r`), the
+ * CSR matrix (`data` NULL: orthogonalise only), the DGKS factor, and the
+ * Gram-Schmidt calls that took the second pass. */
+typedef struct {
+    Tri r;
+    const npy_intp *indptr;
+    const npy_intp *indices;
+    const char *data;
+    npy_intp nnz;
+    double eta;
+    npy_intp dgks;
+} Arn;
+
+/* The scratch of an expansion over `n` rows and `m` columns: the products
+ * of a pass (`P`, max(nnz, n m) values) and six vectors. */
+typedef struct {
+    char *P, *w, *h, *h2, *gv, *xs, *p;
+} ArnScratch;
+
+/* The Arnoldi expansion over elements of type `T` (see the header), on the
+ * helpers of the EIGEN instance `NAME`:
+ *
+ *   NAME_norm2        `norm2`: NaN when a value is NaN, +inf when one is
+ *                     infinite, 0 when all are zero (no op), otherwise
+ *                     `scale * sqrt((x / scale) . (x / scale))` with `scale`
+ *                     the largest magnitude, as `NAME_householder` scales;
+ *   NAME_project      `h = V^T w` (the products laid out (cols, n), summed
+ *                     per row), then `w - V h` (the products laid out
+ *                     (n, cols), summed per row, and the difference), over
+ *                     the first `cols` columns of the (n, ld) basis `V`;
+ *   NAME_orthogonalize
+ *                     classical Gram-Schmidt with the DGKS second pass and
+ *                     `h + h2`; returns whether the vector broke down;
+ *   NAME_spmv         the rounded CSR product: one pass of products, then
+ *                     the sums of the row segments;
+ *   NAME_arnoldi      the column loop, or with no matrix the Gram-Schmidt
+ *                     and normalisation of one vector. */
+#define ARNOLDI(NAME, T, SQRT, FABS)                                                            \
+    static void NAME##_norm2(Tri *r, const T *x, npy_intp n, T *xs, T *p, T *norm)              \
+    {                                                                                           \
+        Ql *const q = &r->q;                                                                    \
+        void (*const rs)(Ql *, T *) = NAME##_rs;                                                \
+        T scale = 0, dot, root;                                                                 \
+        for (npy_intp i = 0; i < n; i++) {                                                      \
+            const T a = FABS(x[i]);                                                             \
+            if (a != a) {                                                                       \
+                *norm = (T)NAN;                                                                 \
+                return;                                                                         \
+            }                                                                                   \
+            scale = a > scale ? a : scale;                                                      \
+        }                                                                                       \
+        if (scale == 0 || isinf(scale)) {                                                       \
+            *norm = scale;                                                                      \
+            return;                                                                             \
+        }                                                                                       \
+        NAME##_divide(r, x, 1, n, scale, xs);                                                   \
+        NAME##_dot_self(r, xs, n, p, &dot);                                                     \
+        RS(root, SQRT(dot));                                                                    \
+        RS(*norm, scale * root);                                                                \
+        q->ops += 2;                                                                            \
+    }                                                                                           \
+                                                                                                \
+    static void NAME##_project(Tri *r, const T *V, npy_intp n, npy_intp ld, npy_intp cols,      \
+                               T *w, T *h, T *P, T *gv)                                         \
+    {                                                                                           \
+        for (npy_intp i = 0; i < cols; i++) {                                                   \
+            for (npy_intp l = 0; l < n; l++) {                                                  \
+                P[i * n + l] = V[l * ld + i] * w[l];                                            \
+                NAME##_note(r, P, i * n + l);                                                   \
+            }                                                                                   \
+        }                                                                                       \
+        r->q.ops += (unsigned long long)(cols * n);                                             \
+        end_pass(r->rot.k, cols * n, &r->rot.pass);                                             \
+        rows_of(&r->seg, cols, n);                                                              \
+        NAME##_sum(r, P, 0, h);                                                                 \
+        for (npy_intp i = 0; i < n; i++) {                                                      \
+            for (npy_intp l = 0; l < cols; l++) {                                               \
+                P[i * cols + l] = V[i * ld + l] * h[l];                                         \
+                NAME##_note(r, P, i * cols + l);                                                \
+            }                                                                                   \
+        }                                                                                       \
+        r->q.ops += (unsigned long long)(n * cols);                                             \
+        end_pass(r->rot.k, n * cols, &r->rot.pass);                                             \
+        rows_of(&r->seg, n, cols);                                                              \
+        NAME##_sum(r, P, 0, gv);                                                                \
+        NAME##_subtract(r, w, gv, n);                                                           \
+    }                                                                                           \
+                                                                                                \
+    /* `w` orthogonalised in place against the first `cols` columns of `V`,                     \
+     * its coefficients into `h` and its final norm into `*norm`.  A first                      \
+     * pass that keeps more than `eta` of the norm (compared in double) is                      \
+     * accepted; otherwise the second pass runs, and the vector breaks down                     \
+     * when it keeps no more than `eta` of the first pass's norm. */                            \
+    static int NAME##_orthogonalize(Arn *a, const T *V, npy_intp n, npy_intp ld,                \
+                                    npy_intp cols, T *w, T *h, T *norm, const ArnScratch *s)    \
+    {                                                                                           \
+        Tri *const r = &a->r;                                                                   \
+        T *const P = (T *)s->P, *const h2 = (T *)s->h2, *const gv = (T *)s->gv;                 \
+        T *const xs = (T *)s->xs, *const p = (T *)s->p;                                         \
+        T before, after;                                                                        \
+        NAME##_norm2(r, w, n, xs, p, &before);                                                  \
+        NAME##_project(r, V, n, ld, cols, w, h, P, gv);                                         \
+        NAME##_norm2(r, w, n, xs, p, &after);                                                   \
+        if (isfinite(after) && (double)after > a->eta * (double)before) {                       \
+            *norm = after;                                                                      \
+            return 0;                                                                           \
+        }                                                                                       \
+        a->dgks++;                                                                              \
+        NAME##_project(r, V, n, ld, cols, w, h2, P, gv);                                        \
+        for (npy_intp i = 0; i < cols; i++) {                                                   \
+            h[i] = h[i] + h2[i];                                                                \
+            NAME##_note(r, h, i);                                                               \
+        }                                                                                       \
+        r->q.ops += (unsigned long long)cols;                                                   \
+        end_pass(r->rot.k, cols, &r->rot.pass);                                                 \
+        NAME##_norm2(r, w, n, xs, p, norm);                                                     \
+        return !isfinite(*norm) || (double)*norm <= a->eta * (double)after ||                   \
+               (double)*norm == 0;                                                              \
+    }                                                                                           \
+                                                                                                \
+    static void NAME##_spmv(Arn *a, npy_intp n, const T *x, T *P, T *w)                         \
+    {                                                                                           \
+        Tri *const r = &a->r;                                                                   \
+        const T *const data = (const T *)a->data;                                               \
+        if (a->nnz == 0) {                                                                      \
+            memset(w, 0, (size_t)n * sizeof(T));                                                \
+            return;                                                                             \
+        }                                                                                       \
+        for (npy_intp i = 0; i < a->nnz; i++) {                                                 \
+            P[i] = data[i] * x[a->indices[i]];                                                  \
+            NAME##_note(r, P, i);                                                               \
+        }                                                                                       \
+        r->q.ops += (unsigned long long)a->nnz;                                                 \
+        end_pass(r->rot.k, a->nnz, &r->rot.pass);                                               \
+        csr_of(&r->seg, a->indptr, n);                                                          \
+        NAME##_sum(r, P, 0, w);                                                                 \
+    }                                                                                           \
+                                                                                                \
+    /* With a matrix: columns `start` to `m - 1` of the (n, m) basis `V`,                       \
+     * each from the next vector `v`, into `V`, `S` and `b`; `v` ends as the                    \
+     * next vector after the last column, and `*stop` is the column that                        \
+     * returned a status other than ARNOLDI_DONE (m: none).  Without one:                       \
+     * `v` orthogonalised against the first `start` columns of `V` and                          \
+     * normalised in place (ARNOLDI_DEFLATE: it broke down, or its norm is                      \
+     * not finite and positive). */                                                             \
+    static int NAME##_arnoldi(Arn *a, char *V_, char *S_, char *b_, char *v_, npy_intp n,       \
+                              npy_intp m, npy_intp start, npy_intp *stop, const ArnScratch *s)  \
+    {                                                                                           \
+        Tri *const r = &a->r;                                                                   \
+        T *const V = (T *)V_, *const v = (T *)v_, *const w = (T *)s->w, *const h = (T *)s->h;   \
+        T beta;                                                                                 \
+        if (a->data == NULL) {                                                                  \
+            *stop = start;                                                                      \
+            if (NAME##_orthogonalize(a, V, n, m, start, v, h, &beta, s) || !isfinite(beta) ||   \
+                !((double)beta > 0)) {                                                          \
+                return ARNOLDI_DEFLATE;                                                         \
+            }                                                                                   \
+            NAME##_divide(r, v, 1, n, beta, v);                                                 \
+            return ARNOLDI_DONE;                                                                \
+        }                                                                                       \
+        T *const S = (T *)S_, *const b = (T *)b_;                                               \
+        for (npy_intp j = start; j < m; j++) {                                                  \
+            *stop = j;                                                                          \
+            for (npy_intp i = 0; i < n; i++) {                                                  \
+                if (!isfinite(v[i])) {                                                          \
+                    return ARNOLDI_NONFINITE_VECTOR;                                            \
+                }                                                                               \
+                V[i * m + j] = v[i];                                                            \
+            }                                                                                   \
+            NAME##_spmv(a, n, v, (T *)s->P, w);                                                 \
+            for (npy_intp i = 0; i < n; i++) {                                                  \
+                if (!isfinite(w[i])) {                                                          \
+                    return ARNOLDI_MATVEC;                                                      \
+                }                                                                               \
+            }                                                                                   \
+            const int broke = NAME##_orthogonalize(a, V, n, m, j + 1, w, h, &beta, s);          \
+            for (npy_intp i = 0; i <= j; i++) {                                                 \
+                if (!isfinite((double)h[i])) { /* tested as a float64, as Python casts it */    \
+                    return ARNOLDI_COEFFICIENTS;                                                \
+                }                                                                               \
+            }                                                                                   \
+            for (npy_intp i = 0; i <= j; i++) {                                                 \
+                S[i * m + j] = h[i];                                                            \
+            }                                                                                   \
+            if (!isfinite(beta)) {                                                              \
+                return ARNOLDI_NORM;                                                            \
+            }                                                                                   \
+            if (broke || (double)beta == 0) {                                                   \
+                return ARNOLDI_DEFLATE;                                                         \
+            }                                                                                   \
+            NAME##_divide(r, w, 1, n, beta, v);                                                 \
+            if (j + 1 < m) {                                                                    \
+                S[(j + 1) * m + j] = beta;                                                      \
+            }                                                                                   \
+            else {                                                                              \
+                memset(b, 0, (size_t)m * sizeof(T));                                            \
+                b[j] = beta;                                                                    \
+            }                                                                                   \
+        }                                                                                       \
+        *stop = m;                                                                              \
+        return ARNOLDI_DONE;                                                                    \
+    }
+
+/* The `n` row segments of the CSR row pointer `indptr` (a work buffer of
+ * half of each rounded up); `seg` has room for `n` segments. */
+static void
+csr_of(Segments *seg, const npy_intp *indptr, npy_intp n)
+{
+    npy_intp size = 0;
+    seg->count = n;
+    for (npy_intp r = 0; r < n; r++) {
+        seg->from[r] = indptr[r];
+        seg->len[r] = indptr[r + 1] - indptr[r];
+        seg->off[r] = size;
+        size += (seg->len[r] + 1) / 2;
+    }
+}
+
+#define INSTANCE(NAME, T, STEP, SQRT, FABS, COPYSIGN, LEVEL_FN)                                 \
+    EIGEN(NAME, T, STEP, SQRT, FABS, COPYSIGN, LEVEL_FN)                                        \
+    ARNOLDI(NAME, T, SQRT, FABS)
+
+INSTANCE(f64, double, step_f64, sqrt, fabs, copysign, level_word)
+INSTANCE(x87, npy_longdouble, step_x87, sqrtl, fabsl, copysignl, level_x87)
+INSTANCE(native_float, float, step_none, sqrtf, fabsf, copysignf, level_float)
+INSTANCE(native_double, double, step_none, sqrt, fabs, copysign, level_double)
+INSTANCE(native_longdouble, npy_longdouble, step_none, sqrtl, fabsl, copysignl, level_longdouble)
+INSTANCE(rule_double, double, step_rule_f64, sqrt, fabs, copysign, level_rule_double)
+INSTANCE(rule_longdouble, npy_longdouble, step_rule_ld, sqrtl, fabsl, copysignl,
+         level_rule_longdouble)
 
 #undef RS
 
@@ -1265,6 +1499,8 @@ typedef void (*RotateFn)(Rot *rot, char *zt, npy_intp nrows, const npy_intp *col
                          npy_intp waves, char *prods);
 typedef void (*TridiagonalizeFn)(Tri *r, char *aq, npy_intp n, char *scratch);
 typedef void (*ReduceFn)(Tri *r, const char *p, int vector, char *out);
+typedef int (*ArnoldiFn)(Arn *a, char *V, char *S, char *b, char *v, npy_intp n, npy_intp m,
+                         npy_intp start, npy_intp *stop, const ArnScratch *s);
 
 /* the instances, by the rounding of the work array */
 enum { WITH_F64, WITH_X87, NATIVE_FLOAT, NATIVE_DOUBLE, NATIVE_LONGDOUBLE, RULE_DOUBLE, RULE_LONGDOUBLE };
@@ -1281,6 +1517,9 @@ static const TridiagonalizeFn tridiagonalize_of[] = {
 static const ReduceFn reduce_of[] = {f64_reduce,           x87_reduce,        native_float_reduce,
                                      native_double_reduce, native_longdouble_reduce,
                                      rule_double_reduce,   rule_longdouble_reduce};
+static const ArnoldiFn arnoldi_of[] = {f64_arnoldi,           x87_arnoldi,        native_float_arnoldi,
+                                       native_double_arnoldi, native_longdouble_arnoldi,
+                                       rule_double_arnoldi,   rule_longdouble_arnoldi};
 
 /* The instance rounding a `typenum` work array through `kernel` (a Kernel
  * of that work type: with its LUTs, or by its rule alone), or, with
@@ -1634,6 +1873,168 @@ done:
     return res;
 }
 
+/* `obj` as a borrowed 1-D C-contiguous intp array of `len` entries (-1:
+ * any), or NULL with TypeError or ValueError. */
+static PyArrayObject *
+index_array(PyObject *obj, npy_intp len, const char *what)
+{
+    PyArrayObject *a = (PyArrayObject *)obj;
+    if (!PyArray_Check(obj) || PyArray_NDIM(a) != 1 || !PyArray_ISCARRAY_RO(a) ||
+        PyArray_TYPE(a) != NPY_INTP) {
+        PyErr_Format(PyExc_TypeError, "%s must be a 1-D C-contiguous intp array", what);
+        return NULL;
+    }
+    if (len >= 0 && PyArray_DIM(a, 0) != len) {
+        PyErr_Format(PyExc_ValueError, "%s has the wrong length", what);
+        return NULL;
+    }
+    return a;
+}
+
+/* The CSR matrix `(indptr, indices, data)` of order `n` in the work type
+ * `typenum` into `a`, its row pointer and column indices checked; sets
+ * `*level` to the work-buffer values of a pairwise row sum.  -1 with an
+ * exception otherwise. */
+static int
+csr_matrix(PyObject *csr, npy_intp n, int typenum, Arn *a, npy_intp *level)
+{
+    if (!PyTuple_Check(csr) || PyTuple_GET_SIZE(csr) != 3) {
+        PyErr_SetString(PyExc_TypeError, "csr must be None or a tuple (indptr, indices, data)");
+        return -1;
+    }
+    PyArrayObject *indptr = index_array(PyTuple_GET_ITEM(csr, 0), n + 1, "indptr");
+    PyArrayObject *indices = indptr == NULL ? NULL : index_array(PyTuple_GET_ITEM(csr, 1), -1, "indices");
+    PyArrayObject *data = indices == NULL ? NULL : work_array(PyTuple_GET_ITEM(csr, 2), 1, typenum, 0, "data");
+    if (data == NULL) {
+        return -1;
+    }
+    const npy_intp nnz = PyArray_DIM(data, 0);
+    const npy_intp *p = (const npy_intp *)PyArray_DATA(indptr);
+    const npy_intp *col = (const npy_intp *)PyArray_DATA(indices);
+    int bad = PyArray_DIM(indices, 0) != nnz || p[0] != 0 || p[n] != nnz;
+    *level = 0;
+    for (npy_intp r = 0; r < n && !bad; r++) {
+        bad = p[r + 1] < p[r];
+        *level += (p[r + 1] - p[r] + 1) / 2;
+    }
+    for (npy_intp i = 0; i < nnz && !bad; i++) {
+        bad = col[i] < 0 || col[i] >= n;
+    }
+    if (bad) {
+        PyErr_SetString(PyExc_ValueError, "csr is not a matrix of the basis's order");
+        return -1;
+    }
+    a->indptr = p;
+    a->indices = col;
+    a->data = PyArray_BYTES(data);
+    a->nnz = nnz;
+    return 0;
+}
+
+/* arnoldi(V, S, b, v, start, csr, sequential, eta, kernel) */
+static PyObject *
+module_arnoldi(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 9) {
+        PyErr_SetString(PyExc_TypeError,
+                        "arnoldi(V, S, b, v, start, csr, sequential, eta, kernel) takes nine "
+                        "arguments");
+        return NULL;
+    }
+    PyArrayObject *V = work_array(args[0], 2, -1, 1, "V");
+    if (V == NULL) {
+        return NULL;
+    }
+    const int typenum = PyArray_TYPE(V);
+    const npy_intp n = PyArray_DIM(V, 0), m = PyArray_DIM(V, 1);
+    PyArrayObject *v = work_array(args[3], 1, typenum, 1, "v");
+    if (v == NULL) {
+        return NULL;
+    }
+    if (PyArray_DIM(v, 0) != n) {
+        PyErr_SetString(PyExc_ValueError, "v must have a value per row of V");
+        return NULL;
+    }
+    const Py_ssize_t start = PyLong_AsSsize_t(args[4]);
+    const int sequential = PyObject_IsTrue(args[6]);
+    const double eta = PyFloat_AsDouble(args[7]);
+    if (PyErr_Occurred() || sequential < 0) {
+        return NULL;
+    }
+    Kernel *k;
+    const int which = instance_of(args[8], typenum, &k);
+    if (which < 0) {
+        return NULL;
+    }
+    const Tables t = k != NULL ? tables_of(k) : (Tables){NULL, NULL, NULL, 0, NULL};
+    Arn a = {
+        .r = {.q = {.t = &t}, .rot = {k, &t, {0, 0}}, .sequential = sequential},
+        .eta = eta,
+    };
+    PyArrayObject *S = NULL, *b = NULL;
+    npy_intp level = 0;
+    if (args[5] == Py_None) {
+        if (start < 1 || start > m) {
+            PyErr_SetString(PyExc_ValueError, "start must name 1 to m columns of V");
+            return NULL;
+        }
+    }
+    else {
+        S = work_array(args[1], 2, typenum, 1, "S");
+        b = S == NULL ? NULL : work_array(args[2], 1, typenum, 1, "b");
+        if (b == NULL) {
+            return NULL;
+        }
+        if (PyArray_DIM(S, 0) != m || PyArray_DIM(S, 1) != m || PyArray_DIM(b, 0) != m) {
+            PyErr_SetString(PyExc_ValueError, "S must be (m, m) and b (m,) for an (n, m) V");
+            return NULL;
+        }
+        if (start < 0 || start > m) {
+            PyErr_SetString(PyExc_ValueError, "start must be a column of V, or m");
+            return NULL;
+        }
+        if (csr_matrix(args[5], n, typenum, &a, &level) < 0) {
+            return NULL;
+        }
+    }
+    /* the pairwise work buffer of the widest sum: the rows of V h, of
+     * V^T w, or of the matrix */
+    const npy_intp rows = n > m ? n : m, itemsize = PyArray_ITEMSIZE(V);
+    const npy_intp gemv = n * ((m + 1) / 2), gemv_t = m * ((n + 1) / 2);
+    level = level > gemv ? level : gemv;
+    level = level > gemv_t ? level : gemv_t;
+    const npy_intp products = a.nnz > n * m ? a.nnz : n * m;
+    char *scratch = PyMem_Malloc((size_t)((products + 4 * n + 2 * m + level) * itemsize) + 1);
+    a.r.seg.from = PyMem_Malloc((size_t)(3 * rows + 1) * sizeof(npy_intp));
+    PyObject *res = NULL;
+    if (scratch == NULL || a.r.seg.from == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    a.r.seg.off = a.r.seg.from + rows;
+    a.r.seg.len = a.r.seg.off + rows;
+    const ArnScratch s = {
+        .P = scratch,
+        .w = scratch + products * itemsize,
+        .gv = scratch + (products + n) * itemsize,
+        .xs = scratch + (products + 2 * n) * itemsize,
+        .p = scratch + (products + 3 * n) * itemsize,
+        .h = scratch + (products + 4 * n) * itemsize,
+        .h2 = scratch + (products + 4 * n + m) * itemsize,
+    };
+    a.r.work = scratch + (products + 4 * n + 2 * m) * itemsize;
+    npy_intp stop;
+    const int status = arnoldi_of[which](&a, PyArray_BYTES(V), S == NULL ? NULL : PyArray_BYTES(S),
+                                         b == NULL ? NULL : PyArray_BYTES(b), PyArray_BYTES(v), n,
+                                         m, start, &stop, &s);
+    res = Py_BuildValue("(Kinn)", a.r.q.ops, status, stop, a.dgks);
+
+done:
+    PyMem_Free(a.r.seg.from);
+    PyMem_Free(scratch);
+    return res;
+}
+
 static PyObject *
 Kernel_take_counts(Kernel *k, PyObject *Py_UNUSED(ignored))
 {
@@ -1854,6 +2255,10 @@ static PyMethodDef module_methods[] = {
     {"tridiagonalize", (PyCFunction)(void (*)(void))module_tridiagonalize, METH_FASTCALL,
      "tridiagonalize(AQ, sequential, kernel) -> (ops, skipped, first_nonfinite); the "
      "Householder reduction of the stack [A; Q] in place"},
+    {"arnoldi", (PyCFunction)(void (*)(void))module_arnoldi, METH_FASTCALL,
+     "arnoldi(V, S, b, v, start, csr, sequential, eta, kernel) -> (ops, status, stop, dgks); "
+     "Arnoldi columns start.. of V, S and b from the next vector v, or with csr None v "
+     "orthonormalised against the first start columns of V, in place"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -8,15 +8,32 @@ with ``V_k`` orthonormal, ``S_k`` the projected matrix and ``b_k`` the
 residual coupling vector (after a plain Arnoldi expansion ``b_k`` is
 ``beta * e_k``; after a Krylov-Schur truncation it is a dense "spike" row).
 :func:`arnoldi_expand` grows such a decomposition column by column with
-classical Gram-Schmidt plus one DGKS re-orthogonalisation pass, all in the
-target arithmetic.
+classical Gram-Schmidt plus one DGKS re-orthogonalisation pass (Daniel,
+Gragg, Kaufman & Stewart, 1976), all in the target arithmetic.
 
-The expansion is written in the operator form of
-:mod:`repro.arithmetic.farray` — ``w - V @ h`` instead of
-``ctx.sub(w, ctx.gemv(V, h))`` — with every operator performing exactly one
-rounded context operation, so the trajectories are bit-identical to the
-explicit spelling.  The :class:`KrylovDecomposition` state keeps plain
-ndarrays, as before.
+Each column is, in this order and each op rounded as the context's own
+method rounds it:
+
+* ``w = A v`` (:meth:`~repro.arithmetic.context.ComputeContext.spmv`);
+* ``h = V^T w`` (``gemv_t``), ``w = w - V h`` (``gemv``, ``sub``), and the
+  norms before and after (``norm2``); when the pass keeps no more than
+  ``_DGKS_ETA`` of the norm, a second pass ``h2``, ``w - V h2``, ``h + h2``
+  and the final norm ``beta``, with a breakdown when that pass again keeps
+  no more than ``_DGKS_ETA``;
+* ``v = w / beta`` and the writes of ``h`` and ``beta`` into ``S`` (or
+  ``b`` at the last column).
+
+The whole column loop runs in one call of the compiled entry
+``_rounding.arnoldi`` per expansion, with the context's kernel; it returns
+the rounded-op tally, which is added to the context's ``op_count``, and a
+status from which this module raises the same
+:class:`~repro.core.results.ArnoldiBreakdown` texts.  A column whose
+residual breaks down (or vanishes) hands back to Python for ARPACK's
+deflation restart: :func:`_random_orthonormal` draws a random vector,
+orthonormalises it against the basis through the same compiled
+Gram-Schmidt, and the expansion resumes at the next column.  The
+``arnoldi.expand`` trace span reports the columns that took the DGKS
+second pass (``dgks``) and those that broke down (``deflations``).
 """
 
 from __future__ import annotations
@@ -25,6 +42,7 @@ import dataclasses
 
 import numpy as np
 
+from ..arithmetic import bitkernels as _bitkernels
 from ..telemetry import trace as _trace
 from .results import ArnoldiBreakdown
 
@@ -66,47 +84,51 @@ class KrylovDecomposition:
 #: least this fraction of the vector's norm (the classical 1/sqrt(2) value)
 _DGKS_ETA = 0.7071
 
+#: the statuses of the compiled expansion (``_rounding.arnoldi``): the
+#: columns are done, a column broke down, or the breakdown texts
+_DONE, _DEFLATE = 0, 1
+_BREAKDOWN = {
+    2: "non-finite Krylov vector",
+    3: "matrix-vector product overflowed",
+    4: "orthogonalisation coefficients overflowed",
+    5: "residual norm overflowed",
+}
 
-def _orthogonalize(ctx, V_active, w):
-    """Classical Gram-Schmidt with DGKS re-orthogonalisation.
 
-    ``V_active`` and ``w`` are context-bound arrays; returns
-    ``(w_orth, h, norm, breakdown)``: the orthogonalised vector, the
-    accumulated projection coefficients, the remaining norm and a flag that is
-    True when even the second pass could not produce a vector that is
-    numerically independent of the basis (the new direction is pure rounding
-    noise — continuing by normalising it would destroy orthogonality).
-    """
-    norm_before = w.norm2()
-    h = w @ V_active  # V^T w
-    w = w - V_active @ h
-    norm_after = w.norm2()
-    if norm_after.isfinite() and float(norm_after) > _DGKS_ETA * float(norm_before):
-        return w, h, norm_after, False
-    # DGKS re-orthogonalisation: a second pass removes the components the
-    # first (rounded) pass left behind, which is essential at low precision
-    h2 = w @ V_active
-    w = w - V_active @ h2
-    h = h + h2
-    norm_final = w.norm2()
-    breakdown = not norm_final.isfinite() or float(norm_final) <= _DGKS_ETA * float(
-        norm_after
-    ) or float(norm_final) == 0.0
-    return w, h, norm_final, breakdown
+def _compiled(ctx, V, S, b, v, start, csr):
+    """One call of the compiled expansion in ``ctx``: its op tally goes to
+    ``ctx.op_count``; returns ``(status, stop, dgks)``."""
+    ops, status, stop, dgks = _bitkernels.extension().arnoldi(
+        V,
+        S,
+        b,
+        v,
+        start,
+        csr,
+        ctx.accumulation == "sequential",
+        _DGKS_ETA,
+        ctx.compiled_rounding(),
+    )
+    ctx.op_count += ops
+    return status, stop, dgks
 
 
 def _random_orthonormal(ctx, V_active, rng):
     """A random unit vector orthogonalised against the basis, or ``None``.
 
     Used to continue the Arnoldi process after a (numerical) invariant
-    subspace has been found, exactly like ARPACK's deflation restart.
+    subspace has been found, exactly like ARPACK's deflation restart: up to
+    three standard-normal candidates, each rounded into the context and
+    orthonormalised against the columns of ``V_active`` (a context-bound
+    ``(n, j)`` array) by the compiled Gram-Schmidt.
     """
-    n = V_active.shape[0]
+    basis = np.ascontiguousarray(V_active.data)
+    n, cols = basis.shape
     for _ in range(3):
-        candidate = ctx.array(rng.standard_normal(n))
-        candidate, _, norm, breakdown = _orthogonalize(ctx, V_active, candidate)
-        if not breakdown and norm.isfinite() and float(norm) > 0.0:
-            return candidate / norm
+        candidate = ctx.array(rng.standard_normal(n)).data
+        status, _, _ = _compiled(ctx, basis, None, None, candidate, cols, None)
+        if status == _DONE:
+            return ctx.wrap(candidate)
     return None
 
 
@@ -149,74 +171,62 @@ def arnoldi_expand(
         rng = np.random.default_rng(0)
     if k >= target_order or decomp.invariant:
         return decomp, 0
-    with _trace.span("arnoldi.expand", fmt=ctx.name, start=k, target=target_order):
-        return _expand(ctx, matrix, decomp, target_order, rng, n, k)
+    with _trace.span("arnoldi.expand", fmt=ctx.name, start=k, target=target_order) as sp:
+        return _expand(ctx, matrix, decomp, target_order, rng, n, k, sp)
 
 
-def _expand(ctx, matrix, decomp, target_order, rng, n, k):
-    V = ctx.wrap(np.zeros((n, target_order), dtype=ctx.dtype))
-    S = ctx.wrap(np.zeros((target_order, target_order), dtype=ctx.dtype))
+def _expand(ctx, matrix, decomp, target_order, rng, n, k, sp):
+    V = np.zeros((n, target_order), dtype=ctx.dtype)
+    S = np.zeros((target_order, target_order), dtype=ctx.dtype)
     if k:
-        # plain buffer copies through .data: the previous decomposition was
-        # produced by this context, so re-rounding it would be the identity
-        # at the cost of a vector kernel pass per restart
-        V.data[:, :k] = decomp.V
-        S.data[:k, :k] = decomp.S
+        # the previous decomposition was produced by this context: plain
+        # copies, no rounding
+        V[:, :k] = decomp.V
+        S[:k, :k] = decomp.S
         # spike row produced by the previous truncation (dense coupling of
         # the truncated decomposition against the incoming residual; k is
         # strictly below target_order here, so the row always fits)
-        S.data[k, :k] = decomp.b
-    b = ctx.wrap(np.zeros(target_order, dtype=ctx.dtype))
-    v_next = None if decomp.residual is None else ctx.wrap(decomp.residual)
-    matvecs = 0
-
-    for j in range(k, target_order):
-        if v_next is None or not v_next.all_finite():
-            raise ArnoldiBreakdown("non-finite Krylov vector")
-        V[:, j] = v_next
-        w = matrix @ V[:, j]  # the rounded sparse kernel (ctx.spmv)
-        matvecs += 1
-        if not w.all_finite():
-            raise ArnoldiBreakdown("matrix-vector product overflowed")
-        w, h, beta, broke_down = _orthogonalize(ctx, V[:, : j + 1], w)
-        if not np.all(np.isfinite(np.asarray(h.data, dtype=np.float64))):
-            raise ArnoldiBreakdown("orthogonalisation coefficients overflowed")
-        S[: j + 1, j] = h
-        if not beta.isfinite():
-            raise ArnoldiBreakdown("residual norm overflowed")
-        if broke_down or float(beta) == 0.0:
-            # the Krylov space is (numerically) invariant: the residual of
-            # this column is pure noise.  Record a zero coupling and try to
-            # continue with a fresh random orthogonal direction (ARPACK's
-            # deflation restart); stop as invariant if that is impossible.
-            replacement = _random_orthonormal(ctx, V[:, : j + 1], rng)
-            if replacement is None:
-                return (
-                    KrylovDecomposition(
-                        V=V.data[:, : j + 1],
-                        S=S.data[: j + 1, : j + 1],
-                        b=np.zeros(j + 1, dtype=ctx.dtype),
-                        residual=None,
-                        invariant=True,
-                    ),
-                    matvecs,
-                )
-            v_next = replacement
-            if j + 1 < target_order:
-                S[j + 1, j] = 0.0
-            else:
-                b[:] = 0.0
-            continue
-        v_next = w / beta
-        if j + 1 < target_order:
-            S[j + 1, j] = beta
-        else:
-            b[:] = 0.0
-            b[j] = beta
-
-    return (
-        KrylovDecomposition(
-            V=V.data, S=S.data, b=b.data, residual=None if v_next is None else v_next.data, invariant=False
-        ),
-        matvecs,
+        S[k, :k] = decomp.b
+    b = np.zeros(target_order, dtype=ctx.dtype)
+    if decomp.residual is None:
+        raise ArnoldiBreakdown(_BREAKDOWN[2])
+    v = np.array(decomp.residual, dtype=ctx.dtype)  # the next vector, in place
+    csr = (
+        np.asarray(matrix.indptr, dtype=np.intp),
+        np.asarray(matrix.indices, dtype=np.intp),
+        np.ascontiguousarray(matrix.data, dtype=ctx.dtype),
     )
+    matvecs = dgks = deflations = 0
+    j = k
+    while j < target_order:
+        status, stop, passes = _compiled(ctx, V, S, b, v, j, csr)
+        matvecs += stop - j + (status != _DONE)
+        dgks += passes
+        if status in _BREAKDOWN:
+            sp.set(dgks=dgks, deflations=deflations)
+            raise ArnoldiBreakdown(_BREAKDOWN[status])
+        if status == _DONE:
+            break
+        # column ``stop`` is (numerically) invariant: its residual is pure
+        # noise.  Record a zero coupling and continue with a fresh random
+        # orthogonal direction (ARPACK's deflation restart); stop as
+        # invariant if that is impossible.
+        deflations += 1
+        j = stop + 1
+        replacement = _random_orthonormal(ctx, ctx.wrap(V[:, :j]), rng)
+        if replacement is None:
+            sp.set(dgks=dgks, deflations=deflations)
+            return (
+                KrylovDecomposition(
+                    V=V[:, :j],
+                    S=S[:j, :j],
+                    b=np.zeros(j, dtype=ctx.dtype),
+                    residual=None,
+                    invariant=True,
+                ),
+                matvecs,
+            )
+        # the coupling of the deflated column (S[j, stop], or b) stays zero
+        v[:] = replacement.data
+    sp.set(dgks=dgks, deflations=deflations)
+    return KrylovDecomposition(V=V, S=S, b=b, residual=v, invariant=False), matvecs

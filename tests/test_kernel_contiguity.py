@@ -12,7 +12,8 @@ through a contiguous copy; the test records its operands too, and fails if
 the solve never reduces through it.  The compiled eigensolver entries
 (``tridiagonalize``, ``ql`` and ``rotate``) refuse other operands outright;
 the test records theirs as well, and every eigensolve must reduce its
-matrix through the compiled ``tridiagonalize``.  The lockstep solver runs
+matrix through the compiled ``tridiagonalize``.  So does the compiled
+Arnoldi expansion (``arnoldi``), which every sequential solve must take.  The lockstep solver runs
 each batch row through the same compiled entries: one ``tridiagonalize``
 and one ``ql`` per live row per restart, and reductions that never round
 through ``BatchedContext.round``.
@@ -59,10 +60,11 @@ class _RecordingKernel:
 
 class _RecordingExtension:
     """Delegates to the compiled extension, recording every array operand
-    of the entries ``reduce``, ``tridiagonalize``, ``ql`` and ``rotate``
-    that is not a C-contiguous ndarray, and the reductions, the
-    tridiagonalised matrices and the QL solves; a :class:`_RecordingKernel`
-    they are given is replaced by the kernel it wraps."""
+    of the entries ``reduce``, ``tridiagonalize``, ``ql``, ``rotate`` and
+    ``arnoldi`` that is not a C-contiguous ndarray, and the reductions, the
+    tridiagonalised matrices, the QL solves and the expansions' bases; a
+    :class:`_RecordingKernel` they are given is replaced by the kernel it
+    wraps."""
 
     def __init__(self, module, strays: list, reductions: list, solves: list, reduced: list):
         self._module = module
@@ -70,6 +72,7 @@ class _RecordingExtension:
         self._reductions = reductions
         self._solves = solves
         self._reduced = reduced
+        self.expansions: list = []
 
     def reduce(self, values, indptr, sequential, kernel):
         _record_strays(self._strays, values, *(() if indptr is None else (indptr,)))
@@ -92,6 +95,12 @@ class _RecordingExtension:
     def rotate(self, ZT, cols, cs, ss, kernel):
         _record_strays(self._strays, ZT, cols, cs, ss)
         return self._module.rotate(ZT, cols, cs, ss, _unwrap(kernel))
+
+    def arnoldi(self, V, S, b, v, start, csr, sequential, eta, kernel):
+        matrices = () if csr is None else (S, b, *csr)
+        _record_strays(self._strays, V, v, *matrices)
+        self.expansions.append(np.shape(V))
+        return self._module.arnoldi(V, S, b, v, start, csr, sequential, eta, _unwrap(kernel))
 
 
 def _unwrap(kernel):
@@ -122,6 +131,7 @@ def test_solve_rounds_only_contiguous_buffers(name, fig1_matrix, monkeypatch):
             matrix, nev=12, tol=tolerance_for(name), restarts=25, ctx=ctx, seed=0, eps_floor=True
         )
     assert reductions, "the solve never took the compiled reduction"
+    assert extension.expansions, "the solve never took the compiled Arnoldi expansion"
     assert solves, "the solve never took the compiled eigensolver"
     # each QL solve of order n > 1 follows the compiled reduction of its matrix
     assert reduced == [(n, n) for (n,) in solves], "an eigensolve skipped the compiled reduction"

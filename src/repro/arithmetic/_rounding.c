@@ -105,7 +105,27 @@
  *                                rounded-op tally, the reflectors skipped
  *                                (beta 0) and the first step after which
  *                                the stack held a non-finite value (None:
- *                                no step).
+ *                                no step);
+ *   arnoldi(V, S, b, v, start, csr, sequential, eta, kernel)
+ *                                the Arnoldi expansion of the (n, m) basis
+ *                                `V` in place: columns `start` to m - 1,
+ *                                each from the next vector `v` through the
+ *                                CSR matrix `csr` = (indptr, indices, data)
+ *                                of order n, classical Gram-Schmidt with
+ *                                the DGKS second pass (factor `eta`) and
+ *                                the normalisation, written into `V`, the
+ *                                (m, m) `S` and the (m,) `b`; `v` ends as
+ *                                the next vector.  With `csr` None, `v` is
+ *                                orthonormalised against the first `start`
+ *                                columns of `V` instead (S and b unused)
+ *                                -> (ops, status, stop, dgks): the
+ *                                rounded-op tally, the status (0: done, 1:
+ *                                column `stop` broke down, or with `csr`
+ *                                None `v` did; 2-5: a non-finite Krylov
+ *                                vector, matrix-vector product,
+ *                                coefficient or residual norm at column
+ *                                `stop`), and the Gram-Schmidt calls that
+ *                                took the second pass.
  *
  * The module entries round through `kernel` (a Kernel of the work type of
  * the arrays), or, with `kernel` None, not at all (float32, float64 and
@@ -113,10 +133,10 @@
  * at once, since the next op reads it, and is not counted.  An array op
  * rounds in one pass, as `round_into` would round it, counted as one call
  * of the kernel; `rotate` rounds each wave in two passes.
- * `tridiagonalize` rounds each elementwise op of the reduction in one pass
- * and each dot product or matrix-vector product as `reduce` does.  `ql`,
- * `rotate` and `tridiagonalize` take well-behaved C-contiguous arrays
- * only, and write in place; `reduce` only reads `values`.
+ * `tridiagonalize` and `arnoldi` round each elementwise op in one pass and
+ * each dot product or matrix-vector product as `reduce` does.  `ql`,
+ * `rotate`, `tridiagonalize` and `arnoldi` take well-behaved C-contiguous
+ * arrays only, and write in place; `reduce` only reads `values`.
  *
  * A reduction sums each segment of `values`: the segments are the rows
  * along the last axis of `values` (`indptr` None), or the CSR segments

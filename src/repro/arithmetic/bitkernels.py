@@ -279,46 +279,41 @@ class BitKernel:
 
     def _luts(self) -> tuple:
         """The ``(shift, bias, special)`` lookup tables over the sign and
-        exponent field of the work word."""
+        exponent field of the work word, built from :meth:`_keep_bits` of
+        every binade at once.
+
+        A binade that keeps at least as many bits as the work word (a
+        64-bit format degraded to float64 work precision: every work value
+        is already representable) copies through unchanged; so does
+        ``keep == frac_bits``, where ``s = 0`` would degenerate the RNE
+        transform (the lsb must not be added)."""
         exp_fields = 1 << self.WORD_EXP_BITS
         frac_bits = self.WORD_FRAC_BITS
-        shift = np.ones(2 * exp_fields, dtype=_U)
-        bias = np.zeros(2 * exp_fields, dtype=_U)
-        special = np.zeros(2 * exp_fields, dtype=np.uint8)
-        for exp_field in range(exp_fields):
-            keep = None
-            if 0 < exp_field < exp_fields - 1:  # zeros/subnormals, inf/NaN
-                keep = self._keep_bits(exp_field - self.WORD_BIAS)
-            for idx in (exp_field, exp_field + exp_fields):  # mirror the sign half
-                if keep is None:
-                    special[idx] = _SPECIAL_RULE
-                elif keep >= frac_bits:
-                    # the format grid is at least as fine as the work grid in
-                    # this binade (a 64-bit format degraded to float64 work
-                    # precision): every work value is already representable
-                    # and copies through unchanged.  keep == frac_bits would
-                    # need s = 0, where the RNE transform degenerates (lsb
-                    # must not be added), so it lands here too.
-                    special[idx] = _SPECIAL_IDENTITY
-                else:
-                    if keep < 1:
-                        raise ValueError(
-                            f"{type(self).__name__}: keep={keep} below the "
-                            "parity-safe minimum of 1 for exponent "
-                            f"{exp_field - self.WORD_BIAS}"
-                        )
-                    s = frac_bits - keep
-                    shift[idx] = s
-                    bias[idx] = (1 << (s - 1)) - 1
-        return shift, bias, special
+        keep = np.zeros(exp_fields, dtype=np.int64)  # zeros/subnormals, inf/NaN: special
+        keep[1:-1] = self._keep_bits(np.arange(1 - self.WORD_BIAS, exp_fields - 1 - self.WORD_BIAS))
+        if np.any(keep < 0):
+            e = int(np.flatnonzero(keep < 0)[0]) - self.WORD_BIAS
+            raise ValueError(
+                f"{type(self).__name__}: keep={int(keep[e + self.WORD_BIAS])} below the "
+                f"parity-safe minimum of 1 for exponent {e}"
+            )
+        served = (keep >= 1) & (keep < frac_bits)
+        shift = np.where(served, frac_bits - keep, 1).astype(_U)
+        bias = np.where(served, (_U(1) << (shift - _U(1))) - _U(1), _U(0)).astype(_U)
+        special = np.where(
+            keep == 0, _SPECIAL_RULE, np.where(served, 0, _SPECIAL_IDENTITY)
+        ).astype(np.uint8)
+        # mirror the sign half
+        return np.tile(shift, 2), np.tile(bias, 2), np.tile(special, 2)
 
     # ------------------------------------------------------------------ #
     # family hooks
     # ------------------------------------------------------------------ #
-    def _keep_bits(self, e: int) -> Optional[int]:
-        """Retained significand bits for binade ``2^e`` (``None``: special).
+    def _keep_bits(self, e: np.ndarray) -> np.ndarray:
+        """Retained significand bits for each binade ``2^e`` of the int64
+        array ``e`` (0: special, the rule rounds it).
 
-        Returned values must satisfy the three main-region invariants in the
+        Served values must satisfy the three main-region invariants in the
         module docstring (uniform grid, carry safety, parity safety).
         """
         raise NotImplementedError
@@ -389,12 +384,10 @@ class IEEEBitKernel(BitKernel):
         self.emax = bias
         super().__init__(1 + ebits + mbits, rule)
 
-    def _keep_bits(self, e: int) -> Optional[int]:
-        if self.emin <= e < self.emax:
-            return self.mbits
-        if self.emin - self.mbits < e < self.emin:
-            return self.mbits + (e - self.emin)  # gradual underflow taper
-        return None
+    def _keep_bits(self, e: np.ndarray) -> np.ndarray:
+        normal = (self.emin <= e) & (e < self.emax)
+        taper = (self.emin - self.mbits < e) & (e < self.emin)  # gradual underflow
+        return np.where(normal, self.mbits, np.where(taper, self.mbits + (e - self.emin), 0))
 
 
 class E4M3BitKernel(IEEEBitKernel):
@@ -433,11 +426,11 @@ class PositBitKernel(BitKernel):
         self.es = int(es)
         super().__init__(nbits, rule)
 
-    def _keep_bits(self, e: int) -> Optional[int]:
+    def _keep_bits(self, e: np.ndarray) -> np.ndarray:
         k = e >> self.es
-        regime_len = k + 2 if k >= 0 else 1 - k
+        regime_len = np.where(k >= 0, k + 2, 1 - k)
         frac_bits = self.bits - 1 - regime_len - self.es
-        return frac_bits if frac_bits >= 1 else None
+        return np.where(frac_bits >= 1, frac_bits, 0)
 
 
 class TakumBitKernel(BitKernel):
@@ -457,12 +450,14 @@ class TakumBitKernel(BitKernel):
     _C_MIN = -255
     _C_MAX = 254
 
-    def _keep_bits(self, e: int) -> Optional[int]:
-        if not self._C_MIN < e < self._C_MAX:
-            return None
-        r = (e + 1).bit_length() - 1 if e >= 0 else (-e).bit_length() - 1
+    def _keep_bits(self, e: np.ndarray) -> np.ndarray:
+        from .tapered import bit_length  # tapered builds its kernels from here
+
+        # the characteristic's regime: bit_length(e + 1) - 1 for e >= 0,
+        # bit_length(-e) - 1 below
+        r = bit_length(np.where(e >= 0, e + 1, -e)) - 1
         p = self.bits - 5 - r
-        return p if p >= 1 else None
+        return np.where((self._C_MIN < e) & (e < self._C_MAX) & (p >= 1), p, 0)
 
 
 class ExtendedBitKernel(BitKernel):

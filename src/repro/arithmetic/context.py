@@ -688,9 +688,10 @@ class NativeContext(ComputeContext):
         scalar inputs return dtype scalars.  ``out`` receives the converted
         values when given (no-op when it aliases an already-converted
         ``values``)."""
-        if _is_scalar(values):
-            return self.dtype(values)
-        arr = np.asarray(values, dtype=self.dtype)
+        with np.errstate(over="ignore"):  # overflow to +-inf is the rounding
+            if _is_scalar(values):
+                return self.dtype(values)
+            arr = np.asarray(values, dtype=self.dtype)
         if out is not None and out is not arr:
             out[...] = arr
             return out

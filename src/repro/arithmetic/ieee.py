@@ -158,7 +158,8 @@ class IEEEFormat(NumberFormat):
         float32/float64 (see :meth:`NumberFormat.round_array`)."""
         if self._cast_dtype is None:
             return super().round_array(values, out=out)
-        res = np.asarray(values, dtype=np.float64).astype(self._cast_dtype)
+        with np.errstate(over="ignore"):  # overflow to +-inf is the rounding
+            res = np.asarray(values, dtype=np.float64).astype(self._cast_dtype)
         if out is None:
             return res.astype(np.float64)
         out[...] = res
@@ -170,7 +171,12 @@ class IEEEFormat(NumberFormat):
         cast = self._cast_dtype
         if cast is None:
             return self._bound_kernel.round_one
-        return lambda value: np.float64(cast(value))
+
+        def round_one(value):
+            with np.errstate(over="ignore"):  # overflow to +-inf is the rounding
+                return np.float64(cast(value))
+
+        return round_one
 
     # ------------------------------------------------------------------ #
     # metadata

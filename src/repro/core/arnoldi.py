@@ -119,16 +119,16 @@ def _random_orthonormal(ctx, V_active, rng):
     Used to continue the Arnoldi process after a (numerical) invariant
     subspace has been found, exactly like ARPACK's deflation restart: up to
     three standard-normal candidates, each rounded into the context and
-    orthonormalised against the columns of ``V_active`` (a context-bound
-    ``(n, j)`` array) by the compiled Gram-Schmidt.
+    orthonormalised against the columns of the ``(n, j)`` basis
+    ``V_active`` by the compiled Gram-Schmidt.
     """
-    basis = np.ascontiguousarray(V_active.data)
+    basis = np.ascontiguousarray(V_active, dtype=ctx.dtype)
     n, cols = basis.shape
     for _ in range(3):
-        candidate = ctx.array(rng.standard_normal(n)).data
+        candidate = ctx.round(np.asarray(rng.standard_normal(n), dtype=ctx.dtype))
         status, _, _ = _compiled(ctx, basis, None, None, candidate, cols, None)
         if status == _DONE:
-            return ctx.wrap(candidate)
+            return candidate
     return None
 
 
@@ -213,7 +213,7 @@ def _expand(ctx, matrix, decomp, target_order, rng, n, k, sp):
         # invariant if that is impossible.
         deflations += 1
         j = stop + 1
-        replacement = _random_orthonormal(ctx, ctx.wrap(V[:, :j]), rng)
+        replacement = _random_orthonormal(ctx, V[:, :j], rng)
         if replacement is None:
             sp.set(dgks=dgks, deflations=deflations)
             return (
@@ -227,6 +227,6 @@ def _expand(ctx, matrix, decomp, target_order, rng, n, k, sp):
                 matvecs,
             )
         # the coupling of the deflated column (S[j, stop], or b) stays zero
-        v[:] = replacement.data
+        v[:] = replacement
     sp.set(dgks=dgks, deflations=deflations)
     return KrylovDecomposition(V=V, S=S, b=b, residual=v, invariant=False), matvecs

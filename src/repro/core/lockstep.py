@@ -268,7 +268,8 @@ def _finish_invariant(
 def _borthogonalize(bctx, Vact, w, sub):
     """Batched classical Gram-Schmidt with per-row DGKS second pass.
 
-    Mirrors :func:`repro.core.arnoldi._orthogonalize`; only the rows whose
+    Mirrors the Gram-Schmidt of :func:`repro.core.arnoldi.arnoldi_expand`
+    (compiled in ``_rounding.arnoldi``); only the rows whose
     first pass lost too much norm run the re-orthogonalisation, exactly as
     their sequential twins would.
     """
@@ -407,9 +408,7 @@ def _lane_solve(
                     for pos in np.nonzero(defl)[0]:
                         a = int(exp[pos])
                         ctx = contexts[a]
-                        repl = _random_orthonormal(
-                            ctx, ctx.wrap(V[a, :, : j + 1]), rngs[a]
-                        )
+                        repl = _random_orthonormal(ctx, V[a, :, : j + 1], rngs[a])
                         if repl is None:
                             decomp = KrylovDecomposition(
                                 V=np.ascontiguousarray(V[a, :, : j + 1]),
@@ -430,7 +429,7 @@ def _lane_solve(
                                 int(matvecs[a]),
                             )
                         else:
-                            v_next[a] = repl.data
+                            v_next[a] = repl
                             survivors.append(pos)
                             # S[j+1, j] / b stay zero, as sequential writes
                     keep = ~defl

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.arithmetic import get_context
+from repro.arithmetic import bitkernels, get_context
 from repro.core import ArnoldiBreakdown, KrylovDecomposition, arnoldi_expand
 from repro.sparse import CSRMatrix
 from tests.conftest import random_symmetric_csr
@@ -100,3 +100,76 @@ class TestExpansion:
         same, matvecs = arnoldi_expand(float64_ctx, small_symmetric_matrix, decomp, 10)
         assert matvecs == 0
         assert same is decomp
+
+
+def test_arnoldi_refuses_bad_arguments():
+    """The compiled expansion refuses arrays of the wrong dtype, layout or
+    shape, a matrix outside the basis's order and a kernel that does not
+    match the work dtype with ``TypeError`` or ``ValueError``, before it
+    writes anything."""
+    arnoldi = bitkernels.extension().arnoldi
+    fmt = get_context("posit16").format
+    kernel = fmt._build_bitkernel().compiled  # a float64 kernel in either switch position
+    n, m = 4, 3
+    eye = CSRMatrix.identity(n)
+    csr = (eye.indptr.astype(np.intp), eye.indices.astype(np.intp), eye.data)
+
+    def operands():
+        v = np.zeros(n)
+        v[0] = 1.0
+        return np.zeros((n, m)), np.zeros((m, m)), np.zeros(m), v
+
+    def call(V=None, S=None, b=None, v=None, start=0, matrix=csr, kern=None, nargs=9):
+        defaults = operands()
+        args = [
+            defaults[0] if V is None else V,
+            defaults[1] if S is None else S,
+            defaults[2] if b is None else b,
+            defaults[3] if v is None else v,
+            start,
+            matrix,
+            False,
+            0.7071,
+            kern,
+        ]
+        return arnoldi(*args[:nargs])
+
+    bad_types = [
+        dict(V=np.zeros((n, m), dtype=np.float32)),  # float32 basis, float64 vectors
+        dict(V=np.zeros((n, 2 * m))[:, ::2]),  # not C-contiguous
+        dict(V=np.zeros((n, m), dtype=np.int64)),  # integer values
+        dict(V=np.zeros(n)),  # not 2-D
+        dict(v=np.zeros(n, dtype=np.float32)),
+        dict(S=np.zeros((m, m), dtype=np.float32)),
+        dict(matrix=[csr[0], csr[1], csr[2]]),  # not a tuple
+        dict(matrix=(csr[0].astype(np.int32), csr[1], csr[2])),
+        dict(matrix=(csr[0], csr[1], csr[2].astype(np.float32))),
+        dict(kern=kernel, V=np.zeros((n, m), dtype=np.float32),
+             S=np.zeros((m, m), dtype=np.float32), b=np.zeros(m, dtype=np.float32),
+             v=np.zeros(n, dtype=np.float32)),  # a float64 kernel, float32 arrays
+        dict(kern=fmt.round_array),  # a callable in place of the kernel
+        dict(nargs=8),
+    ]
+    for kwargs in bad_types:
+        with pytest.raises(TypeError):
+            call(**kwargs)
+    bad_values = [
+        dict(S=np.zeros((m, m + 1))),
+        dict(b=np.zeros(m + 1)),
+        dict(v=np.zeros(n + 1)),
+        dict(start=m + 1),
+        dict(start=-1),
+        dict(start=0, matrix=None),  # orthogonalising against no column
+        dict(matrix=(np.array([0, 1, 2, 3], dtype=np.intp), csr[1][:3], csr[2][:3])),  # short indptr
+        dict(matrix=(np.array([0, 2, 1, 3, 4], dtype=np.intp), csr[1], csr[2])),  # decreasing
+        dict(matrix=(csr[0], np.array([0, 1, 2, 4], dtype=np.intp), csr[2])),  # column out of range
+        dict(matrix=(csr[0], csr[1], csr[2][:3])),  # fewer values than indices
+    ]
+    for kwargs in bad_values:
+        with pytest.raises(ValueError):
+            call(**kwargs)
+    # the identity: every column is invariant at once (status 1, column 0)
+    V, S, b, v = operands()
+    ops, status, stop, dgks = arnoldi(V, S, b, v, 0, csr, False, 0.7071, None)
+    assert (status, stop) == (1, 0) and dgks == 1 and ops > 0
+    assert V[:, 0].tolist() == [1.0, 0.0, 0.0, 0.0] and S[0, 0] == 1.0

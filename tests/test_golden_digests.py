@@ -26,7 +26,11 @@ random restart and the invariant return, and of scaled inputs that reach
 each :class:`~repro.core.results.ArnoldiBreakdown` text, with the bytes of
 ``V``, ``S``, ``b`` and the residual, the invariant flag, the matvecs, the
 rounded-op tallies and the error texts, in every paper format and the
-reference context, with the bit kernels on and off.
+reference context, with the bit kernels on and off.  The ``kernel_tables``
+section pins what every bit kernel is built with: its ``(shift, bias,
+special)`` lookup tables, layout flags and rule tuple, per kernel format
+(the unregistered tapered widths and the saturating E4M3 included) and
+switch position.
 
 A refactor of the solver or the rounding backends proves it changed nothing
 by leaving these digests untouched; an intentional numerical change
@@ -48,7 +52,14 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.arithmetic import LONGDOUBLE_EXTENDED, BatchSpec, get_context, set_bitkernels_enabled
+from repro.arithmetic import (
+    LONGDOUBLE_EXTENDED,
+    BatchSpec,
+    available_formats,
+    bitkernels,
+    get_context,
+    set_bitkernels_enabled,
+)
 from repro.arithmetic.registry import PAPER_FORMATS
 from repro.core import ArnoldiBreakdown, KrylovDecomposition, arnoldi_expand
 from repro.core.krylov_schur import _initial_vector, partialschur
@@ -58,6 +69,10 @@ from repro.experiments.tolerances import tolerance_for
 from repro.linalg import tridiagonal
 from repro.linalg.tridiagonal import EigenConvergenceError, symmetric_eigen, tridiagonal_eigen
 from repro.sparse import CSRMatrix
+
+if __name__ == "__main__":  # run as a script: the tests package sits in the repo root
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests._kernel_harness import E4M3_SATURATING, UNREGISTERED_TAPERED, format_for  # noqa: E402
 
 GOLDEN = Path(__file__).resolve().parents[1] / "benchmarks" / "reference" / "golden_digests.json"
 
@@ -491,6 +506,74 @@ def arnoldi_digests() -> dict:
     }
 
 
+#: every format with a bit kernel: the registered ones (float32 and float64
+#: round by a cast), the saturating E4M3 and the unregistered tapered widths
+KERNEL_FORMATS = (
+    [name for name in sorted(available_formats()) if name not in ("float32", "float64")]
+    + [E4M3_SATURATING]
+    + list(UNREGISTERED_TAPERED)
+)
+
+
+def _hash_value(h, value) -> None:
+    """Hash one argument of a kernel: arrays and NumPy scalars by dtype,
+    shape and value bytes, tuples item by item, the rest by ``repr``."""
+    if isinstance(value, tuple):
+        h.update(b"(")
+        for item in value:
+            _hash_value(h, item)
+        h.update(b")")
+    elif isinstance(value, (np.ndarray, np.generic)):
+        arr = np.asarray(value)
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(_array_bytes(arr))
+    else:
+        h.update(repr(value).encode())
+
+
+class _RecordingExtension:
+    """The compiled extension, with ``Kernel`` recording its arguments."""
+
+    def __init__(self, module):
+        self._module = module
+        self.kernel_args: list = []
+
+    def __getattr__(self, name):
+        return getattr(self._module, name)
+
+    def Kernel(self, *args):
+        self.kernel_args.append(args)
+        return self._module.Kernel(*args)
+
+
+def kernel_tables_digest(name: str) -> dict:
+    """Per switch position, the digest of the arguments ``name``'s kernel is
+    built with: the ``(shift, bias, special)`` lookup tables (``None`` with
+    the switch off), the layout flags and the rule tuple (the telemetry
+    flag buffer aside)."""
+    fmt = format_for(name)
+    out = {}
+    for position, enabled in SWITCH.items():
+        recording = _RecordingExtension(bitkernels.extension())
+        previous = set_bitkernels_enabled(enabled)
+        try:
+            with mock.patch.object(bitkernels, "extension", lambda: recording):
+                fmt._build_bitkernel()
+        finally:
+            set_bitkernels_enabled(previous)
+        (args,) = recording.kernel_args
+        shift, bias, special, extended, unsigned_zero, _counting, rule = args
+        h = hashlib.sha256()
+        _hash_value(h, (shift, bias, special, extended, unsigned_zero, rule))
+        out[position] = h.hexdigest()
+    return out
+
+
+def kernel_tables_digests() -> dict:
+    """The ``kernel_tables`` section: per-format kernel digests."""
+    return {name: kernel_tables_digest(name) for name in KERNEL_FORMATS}
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     data = json.loads(GOLDEN.read_text())
@@ -598,6 +681,13 @@ def test_arnoldi_inputs_reach_every_breakdown_text(golden_arnoldi):
         assert errors["expand"] is None and errors["rank_deficient"] is None, name
 
 
+@pytest.mark.parametrize("name", KERNEL_FORMATS)
+def test_kernel_tables_match_golden_digest(name):
+    if not _runnable(name):
+        pytest.skip("numpy.longdouble is not extended precision here")
+    assert kernel_tables_digest(name) == json.loads(GOLDEN.read_text())["kernel_tables"][name]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--update"]:
         sys.exit("usage: python tests/test_golden_digests.py --update")
@@ -614,6 +704,7 @@ if __name__ == "__main__":
                 "eigen": eigen_digests(),
                 "tridiagonalize": tridiagonalize_digests(),
                 "arnoldi": arnoldi_digests(),
+                "kernel_tables": kernel_tables_digests(),
             },
             indent=2,
         )

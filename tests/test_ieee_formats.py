@@ -1,11 +1,12 @@
 """Tests of the IEEE-style formats (float16, bfloat16, float32, float64)."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from repro.arithmetic import BFLOAT16, FLOAT16, FLOAT32, FLOAT64, IEEEFormat
+from repro.arithmetic import BFLOAT16, FLOAT16, FLOAT32, FLOAT64, IEEEFormat, NativeContext
 from tests import _oracle
 
 
@@ -89,6 +90,22 @@ class TestFloat32AndFloat64:
         rng = np.random.default_rng(3)
         x = rng.standard_normal(100)
         assert np.array_equal(FLOAT64.round_array(x), x)
+
+    def test_float32_overflow_is_silent(self):
+        """Overflow to +-inf is float32's rounding, not an error: the casts
+        of the format and of the native context raise nothing with warnings
+        turned into errors."""
+        big = np.array([1e300, -1e300, 3.5e38])
+        want = [np.inf, -np.inf, np.inf]
+        ctx = NativeContext(np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert FLOAT32.round_array(big).tolist() == want
+            assert FLOAT32.round_array(big, out=np.empty(3)).tolist() == want
+            assert FLOAT32._round_one(1e300) == np.inf
+            assert FLOAT32.round_scalar(-1e300) == -np.inf
+            assert ctx.round(big).tolist() == want
+            assert ctx.round(1e300) == np.inf
 
     def test_float32_metadata(self):
         assert FLOAT32.max_value == pytest.approx(3.4028234663852886e38)

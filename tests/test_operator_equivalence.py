@@ -16,6 +16,7 @@ import pytest
 
 from repro.arithmetic import available_formats, get_context, set_bitkernels_enabled
 from repro.arithmetic.registry import PAPER_FORMATS
+from repro.core import ArnoldiBreakdown
 from repro.core.arnoldi import KrylovDecomposition, arnoldi_expand
 from repro.core.krylov_schur import partialschur
 from repro.datasets import generate_graph
@@ -66,26 +67,52 @@ def _fresh_decomp(ctx, n):
     )
 
 
+def _top(ctx):
+    """The largest finite value of ``ctx``, in its work dtype."""
+    fmt = getattr(ctx, "format", None)
+    return ctx.dtype(fmt.max_value) if fmt is not None else np.finfo(ctx.dtype).max
+
+
+@pytest.fixture(params=[True, False], ids=["bitkernels", "rule"])
+def kernels(request):
+    previous = set_bitkernels_enabled(request.param)
+    yield
+    set_bitkernels_enabled(previous)
+
+
 @pytest.mark.parametrize("fmt", ALL_CONTEXTS)
 class TestBitIdentity:
-    def test_arnoldi_trajectory(self, fmt):
+    @pytest.mark.parametrize("scale", ["unit", "top"])
+    def test_arnoldi_trajectory(self, fmt, scale, kernels):
+        """The compiled expansion against the explicit spelling, op for op:
+        the same trajectory, op tally and breakdown text, on the Laplacian
+        and on the Laplacian scaled to the top of the context's range
+        (whose coefficients overflow in the IEEE-style formats)."""
         ctx_a = get_context(fmt)
         ctx_b = get_context(fmt)
         matrix = _small_laplacian(16)
-        mat_a = matrix.with_data(ctx_a.round(np.asarray(matrix.data, dtype=ctx_a.dtype)))
-        mat_b = matrix.with_data(ctx_b.round(np.asarray(matrix.data, dtype=ctx_b.dtype)))
+        n = matrix.shape[0]  # the graph generator's order, not always 16
 
-        def run(fn, ctx, mat):
+        def convert(ctx):
+            data = np.asarray(matrix.data, dtype=ctx.dtype)
+            if scale == "top":
+                with np.errstate(over="ignore"):
+                    data = data * _top(ctx)
+            return matrix.with_data(ctx.round(data))
+
+        def run(fn, ctx):
             try:
-                decomp, matvecs = fn(
-                    ctx, mat, _fresh_decomp(ctx, 16), 10, rng=np.random.default_rng(5)
-                )
-            except Exception as exc:  # breakdowns must agree too
-                return type(exc).__name__
+                with np.errstate(all="ignore"):
+                    decomp, matvecs = fn(
+                        ctx, convert(ctx), _fresh_decomp(ctx, n), 10, rng=np.random.default_rng(5)
+                    )
+            except ArnoldiBreakdown as exc:  # breakdowns must agree too
+                return str(exc)
             return decomp, matvecs
 
-        got = run(arnoldi_expand, ctx_a, mat_a)
-        want = run(arnoldi_expand_explicit, ctx_b, mat_b)
+        got = run(arnoldi_expand, ctx_a)
+        want = run(arnoldi_expand_explicit, ctx_b)
+        assert ctx_a.op_count == ctx_b.op_count
         if isinstance(want, str) or isinstance(got, str):
             assert got == want
             return

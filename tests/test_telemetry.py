@@ -18,7 +18,9 @@ import threading
 import numpy as np
 import pytest
 
+from repro import partialschur
 from repro.arithmetic import BatchedContext, get_context
+from repro.datasets import get_suite
 from repro.linalg import tridiagonalize
 from repro.linalg.lockstep import lockstep_symmetric_eigen
 from repro.telemetry import (
@@ -30,6 +32,7 @@ from repro.telemetry import (
     summarize_trace,
     trace,
 )
+from repro.sparse import CSRMatrix
 from repro.telemetry import core as telemetry_core
 from repro.utils.parallel import parallel_map
 
@@ -449,6 +452,25 @@ def test_reduce_span_reports_skipped_and_first_nonfinite(telemetry_on):
     # the finite input overflows in the update of step 2; the reflectors of
     # the subcolumns it leaves non-finite are skipped as well
     assert second == {"fmt": "E5M2", "skipped": 3, "first_nonfinite": 2}
+
+
+def test_arnoldi_spans_report_dgks_and_deflations(telemetry_on):
+    """Each expansion of a traced solve is one ``arnoldi.expand`` span that
+    says how many of its columns took the DGKS second pass and how many
+    broke down into a deflation restart."""
+    # three distinct eigenvalues: every column takes the second pass, and
+    # the last one, with the basis complete, ends the solve as invariant
+    diagonal = CSRMatrix.from_dense(np.diag([1.0, 1, 1, 2, 2, 3, 3, 3]))
+    assert partialschur(diagonal, nev=2, maxdim=8, ctx="float64", seed=0).reason == "invariant"
+    matrix = get_suite("general", count=1, size_range=(32, 32), seed=0)[0].matrix
+    result = partialschur(matrix, nev=12, tol=1e-6, restarts=2, ctx="float16", seed=0)
+    spans = [e["attrs"] for e in trace.read_events(telemetry_on) if e["name"] == "arnoldi.expand"]
+    assert spans[0] == {"fmt": "float64", "start": 0, "target": 8, "dgks": 8, "deflations": 1}
+    assert len(spans) == 1 + result.restarts + 1  # one per expansion
+    for attrs in spans[1:]:
+        assert attrs["fmt"] == "float16"
+        assert 0 < attrs["dgks"] <= attrs["target"] - attrs["start"]
+        assert attrs["deflations"] == 0
 
 
 def test_enabled_flag_round_trip():

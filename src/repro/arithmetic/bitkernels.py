@@ -53,9 +53,10 @@ behind :meth:`BitKernel.round`, which writes into a caller-provided
 ``out=`` buffer — the entry point `EmulatedContext` uses to round
 operation results in place instead of allocating a second array per
 elementary op.  The module's entries (``reduce``, the rounded sums of the
-contexts' dot products, matrix-vector products and ``spmv``, and the
-projected eigensolver's ``tridiagonalize``, ``ql`` and ``rotate``) take the
-kernel object :attr:`BitKernel.compiled` as an argument.  No value leaves
+contexts' dot products, matrix-vector products and ``spmv``, the Arnoldi
+expansion ``arnoldi``, and the projected eigensolver's ``tridiagonalize``,
+``ql`` and ``rotate``) take the kernel object :attr:`BitKernel.compiled` as
+an argument.  No value leaves
 the kernel unrounded.
 
 Correctness invariants of the LUT-served ("main region") binades, checked by
@@ -116,6 +117,8 @@ _U = np.uint64
 #: special-LUT codes: round by the rule / copy through
 _SPECIAL_RULE = 1
 _SPECIAL_IDENTITY = 2
+#: exponent fields per NumPy pass of the LUT build
+_LUT_BLOCK = 4096
 
 _ENABLED = os.environ.get("REPRO_DISABLE_BITKERNELS", "").lower() not in (
     "1",
@@ -280,7 +283,8 @@ class BitKernel:
     def _luts(self) -> tuple:
         """The ``(shift, bias, special)`` lookup tables over the sign and
         exponent field of the work word, built from :meth:`_keep_bits` of
-        every binade at once.
+        blocks of ``_LUT_BLOCK`` binades at once (the block bounds the
+        temporaries: the x87 layout has 32,768 fields).
 
         A binade that keeps at least as many bits as the work word (a
         64-bit format degraded to float64 work precision: every work value
@@ -289,22 +293,26 @@ class BitKernel:
         transform (the lsb must not be added)."""
         exp_fields = 1 << self.WORD_EXP_BITS
         frac_bits = self.WORD_FRAC_BITS
-        keep = np.zeros(exp_fields, dtype=np.int64)  # zeros/subnormals, inf/NaN: special
-        keep[1:-1] = self._keep_bits(np.arange(1 - self.WORD_BIAS, exp_fields - 1 - self.WORD_BIAS))
-        if np.any(keep < 0):
-            e = int(np.flatnonzero(keep < 0)[0]) - self.WORD_BIAS
-            raise ValueError(
-                f"{type(self).__name__}: keep={int(keep[e + self.WORD_BIAS])} below the "
-                f"parity-safe minimum of 1 for exponent {e}"
-            )
-        served = (keep >= 1) & (keep < frac_bits)
-        shift = np.where(served, frac_bits - keep, 1).astype(_U)
-        bias = np.where(served, (_U(1) << (shift - _U(1))) - _U(1), _U(0)).astype(_U)
-        special = np.where(
-            keep == 0, _SPECIAL_RULE, np.where(served, 0, _SPECIAL_IDENTITY)
-        ).astype(np.uint8)
-        # mirror the sign half
-        return np.tile(shift, 2), np.tile(bias, 2), np.tile(special, 2)
+        shift = np.ones(2 * exp_fields, dtype=_U)
+        # written at the served fields only: the zero pages of the rest
+        # stay unmapped
+        bias = np.zeros(2 * exp_fields, dtype=_U)
+        # the first and last fields (zeros/subnormals, inf/NaN) stay special
+        special = np.full(2 * exp_fields, _SPECIAL_RULE, dtype=np.uint8)
+        for lo in range(1, exp_fields - 1, _LUT_BLOCK):
+            hi = min(lo + _LUT_BLOCK, exp_fields - 1)
+            keep = self._keep_bits(np.arange(lo - self.WORD_BIAS, hi - self.WORD_BIAS))
+            if np.any(keep < 0):
+                raise ValueError(f"{type(self).__name__}._keep_bits returned a negative bit count")
+            served = (keep >= 1) & (keep < frac_bits)
+            fields = lo + np.flatnonzero(served)
+            s = (frac_bits - keep[served]).astype(_U)
+            codes = np.where(keep == 0, _SPECIAL_RULE, np.where(served, 0, _SPECIAL_IDENTITY))
+            for half in (0, exp_fields):  # the sign half mirrors the positive half
+                shift[half + fields] = s
+                bias[half + fields] = (_U(1) << (s - _U(1))) - _U(1)
+                special[half + lo : half + hi] = codes
+        return shift, bias, special
 
     # ------------------------------------------------------------------ #
     # family hooks

@@ -444,11 +444,11 @@ class ComputeContext(ABC):
     @abstractmethod
     def compiled_rounding(self):
         """The kernel the compiled entries of
-        :mod:`repro.arithmetic._rounding` (``reduce``, ``tridiagonalize``,
-        ``ql`` and ``rotate``) round through in this context: the compiled
-        kernel of the format, or ``None``, which rounds nothing (the storage
-        dtype is the rounding).  Looked up on every call, so the bit-kernel
-        switch takes effect between calls."""
+        :mod:`repro.arithmetic._rounding` (``reduce``, ``arnoldi``,
+        ``tridiagonalize``, ``ql`` and ``rotate``) round through in this
+        context: the compiled kernel of the format, or ``None``, which
+        rounds nothing (the storage dtype is the rounding).  Looked up on
+        every call, so the bit-kernel switch takes effect between calls."""
 
     def _reduce_last_axis(self, buf: np.ndarray) -> np.ndarray:
         """Rounded reduction of ``buf`` along its last axis, in one call of

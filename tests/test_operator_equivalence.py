@@ -1,14 +1,15 @@
-"""Bit-identity of the operator-API solvers vs the explicit-context baseline.
+"""Bit-identity of the solvers vs the explicit-context baseline.
 
-The solver modules are written in the operator form of
-:mod:`repro.arithmetic.farray`; each operator must map onto exactly one
-rounded context operation, in source order.  These tests prove it the hard
-way: the explicit ``ctx.sub(w, ctx.gemv(V, h))`` spellings preserved in
-``tests/_explicit_baseline.py`` are run side by side with the migrated
+The solvers run in the compiled entries of the rounding library (the
+Arnoldi expansion, the Householder reduction and the QL iteration) or in
+the operator form of :mod:`repro.arithmetic.farray`; each op must be
+exactly one rounded context operation, in source order.  These tests prove
+it the hard way: the explicit ``ctx.sub(w, ctx.gemv(V, h))`` spellings
+preserved in ``tests/_explicit_baseline.py`` are run side by side with the
 solvers on the same inputs, and every trajectory array must be *exactly*
 equal — element for element, for every registered format and the native
 contexts.  Any hidden extra rounding, reordered operation or ndarray
-round-trip in the operator layer would break these comparisons.
+round-trip would break these comparisons.
 """
 
 import numpy as np
@@ -73,60 +74,59 @@ def _top(ctx):
     return ctx.dtype(fmt.max_value) if fmt is not None else np.finfo(ctx.dtype).max
 
 
-@pytest.fixture(params=[True, False], ids=["bitkernels", "rule"])
-def kernels(request):
-    previous = set_bitkernels_enabled(request.param)
-    yield
-    set_bitkernels_enabled(previous)
+def _assert_same_expansion(got, want, label):
+    (decomp, matvecs), (decomp_ref, matvecs_ref) = got, want
+    assert matvecs == matvecs_ref, label
+    assert decomp.invariant == decomp_ref.invariant, label
+    _assert_identical(decomp.V, decomp_ref.V, f"{label} V")
+    _assert_identical(decomp.S, decomp_ref.S, f"{label} S")
+    _assert_identical(decomp.b, decomp_ref.b, f"{label} b")
+    if decomp.residual is None or decomp_ref.residual is None:
+        assert decomp.residual is None and decomp_ref.residual is None, label
+    else:
+        _assert_identical(decomp.residual, decomp_ref.residual, f"{label} residual")
+
+
+def _arnoldi_run(fn, ctx, matrix, scale):
+    """``fn``'s expansion of ``matrix`` (times ``scale``) from a seeded
+    start vector in ``ctx``: ``(decomposition, matvecs)``, or the
+    breakdown text."""
+    data = np.asarray(matrix.data, dtype=ctx.dtype)
+    n = matrix.shape[0]  # the graph generator's order, not always 16
+    try:
+        with np.errstate(all="ignore"):
+            converted = matrix.with_data(ctx.round(data * scale))
+            return fn(ctx, converted, _fresh_decomp(ctx, n), 10, rng=np.random.default_rng(5))
+    except ArnoldiBreakdown as exc:  # breakdowns must agree too
+        return str(exc)
 
 
 @pytest.mark.parametrize("fmt", ALL_CONTEXTS)
 class TestBitIdentity:
-    @pytest.mark.parametrize("scale", ["unit", "top"])
-    def test_arnoldi_trajectory(self, fmt, scale, kernels):
+    def test_arnoldi_trajectory(self, fmt):
         """The compiled expansion against the explicit spelling, op for op:
-        the same trajectory, op tally and breakdown text, on the Laplacian
-        and on the Laplacian scaled to the top of the context's range
-        (whose coefficients overflow in the IEEE-style formats)."""
-        ctx_a = get_context(fmt)
-        ctx_b = get_context(fmt)
+        the same trajectory, op tally and breakdown text, with the bit
+        kernels on and off, on the Laplacian and on the Laplacian scaled to
+        the top of the context's range (whose coefficients overflow in the
+        IEEE-style formats)."""
         matrix = _small_laplacian(16)
-        n = matrix.shape[0]  # the graph generator's order, not always 16
-
-        def convert(ctx):
-            data = np.asarray(matrix.data, dtype=ctx.dtype)
-            if scale == "top":
-                with np.errstate(over="ignore"):
-                    data = data * _top(ctx)
-            return matrix.with_data(ctx.round(data))
-
-        def run(fn, ctx):
+        for enabled in (True, False):
+            previous = set_bitkernels_enabled(enabled)
             try:
-                with np.errstate(all="ignore"):
-                    decomp, matvecs = fn(
-                        ctx, convert(ctx), _fresh_decomp(ctx, n), 10, rng=np.random.default_rng(5)
-                    )
-            except ArnoldiBreakdown as exc:  # breakdowns must agree too
-                return str(exc)
-            return decomp, matvecs
-
-        got = run(arnoldi_expand, ctx_a)
-        want = run(arnoldi_expand_explicit, ctx_b)
-        assert ctx_a.op_count == ctx_b.op_count
-        if isinstance(want, str) or isinstance(got, str):
-            assert got == want
-            return
-        decomp, matvecs = got
-        decomp_ref, matvecs_ref = want
-        assert matvecs == matvecs_ref
-        assert decomp.invariant == decomp_ref.invariant
-        _assert_identical(decomp.V, decomp_ref.V, f"{fmt} V")
-        _assert_identical(decomp.S, decomp_ref.S, f"{fmt} S")
-        _assert_identical(decomp.b, decomp_ref.b, f"{fmt} b")
-        if decomp.residual is None or decomp_ref.residual is None:
-            assert decomp.residual is None and decomp_ref.residual is None
-        else:
-            _assert_identical(decomp.residual, decomp_ref.residual, f"{fmt} residual")
+                for scale in ("unit", "top"):
+                    ctx_a = get_context(fmt)
+                    ctx_b = get_context(fmt)
+                    factor = _top(ctx_a) if scale == "top" else ctx_a.dtype(1)
+                    got = _arnoldi_run(arnoldi_expand, ctx_a, matrix, factor)
+                    want = _arnoldi_run(arnoldi_expand_explicit, ctx_b, matrix, factor)
+                    label = f"{fmt} {scale} bitkernels={enabled}"
+                    assert ctx_a.op_count == ctx_b.op_count, label
+                    if isinstance(want, str) or isinstance(got, str):
+                        assert got == want, label
+                        continue
+                    _assert_same_expansion(got, want, label)
+            finally:
+                set_bitkernels_enabled(previous)
 
     def test_partialschur_trajectory(self, fmt):
         matrix = _small_laplacian(16)

@@ -1457,7 +1457,7 @@ typedef struct {
             }                                                                                   \
             const int broke = NAME##_orthogonalize(a, V, n, m, j + 1, w, h, &beta, s);          \
             for (npy_intp i = 0; i <= j; i++) {                                                 \
-                if (!isfinite((double)h[i])) { /* tested as a float64, as Python casts it */    \
+                if (!isfinite((double)h[i])) { /* as a float64: beyond it breaks down too */    \
                     return ARNOLDI_COEFFICIENTS;                                                \
                 }                                                                               \
             }                                                                                   \

@@ -12,11 +12,11 @@ The QL section times the shipped implicit-shift QL iteration
 step-by-step baseline preserved in ``tests/_explicit_baseline.py``, which
 spells every rounded operation as a ``ctx.add(ctx.mul(...))`` call and
 rotates the eigenvectors with six array ops per Givens step.  Both execute
-bit-identical rounded-operation sequences.  The shipped iteration is two
-calls of the compiled rounding library: ``ql`` runs the recurrence in C,
-each op rounded by the step of the format's kernel, and ``rotate``
-applies the deferred rotations in waves of disjoint column pairs, two
-rounding passes per wave.  The ratio is the shipped loop's cost relative
+bit-identical rounded-operation sequences.  The shipped iteration is one
+call of the compiled rounding library: ``ql`` runs the recurrence in C,
+each op rounded by the step of the format's kernel, and applies each
+Givens step to the eigenvectors as it forms it, one rounding pass per
+step.  The ratio is the shipped loop's cost relative
 to that baseline; it is expected to be far below zero, and the gate
 catches a QL rewrite that makes the loop slower than the step-by-step
 spelling it replaced.

@@ -82,21 +82,20 @@
  *                                `values` (see below) as a fresh 1-D
  *                                array: pairwise, or with `sequential`
  *                                true left to right;
- *   ql(d, e, max_sweeps, eps, kernel)
+ *   ql(d, e, ZT, max_sweeps, eps, kernel)
  *                                the implicit-shift QL iteration of the
  *                                projected eigensolver on the diagonal `d`
  *                                and the subdiagonal `e` (as long as `d`)
- *                                in place -> (ops, status, low, restarts,
- *                                cols, cs, ss): the rounded-op tally, 0 or
+ *                                in place, each Givens step applied to
+ *                                rows i and i + 1 of the (n, nrows)
+ *                                eigenvector matrix `ZT` as it is formed
+ *                                -> (ops, status, low, restarts,
+ *                                rotations): the rounded-op tally, 0 or
  *                                the failure (1: a non-finite value, 2: no
  *                                deflation of eigenvalue `low` within
  *                                `max_sweeps` sweeps), the steps that met a
  *                                zero rotation radius, and the Givens steps
- *                                (i, c, s) recorded for the eigenvectors;
- *   rotate(ZT, cols, cs, ss, kernel)
- *                                those Givens steps applied to the rows of
- *                                `ZT` in place, wave by wave -> the number
- *                                of waves;
+ *                                applied;
  *   tridiagonalize(AQ, sequential, kernel)
  *                                the Householder reduction of the stacked
  *                                `(2, n, n)` buffer `[A; Q]` in place (A
@@ -132,10 +131,10 @@
  * longdouble arrays of the native contexts).  A scalar op rounds its value
  * at once, since the next op reads it, and is not counted.  An array op
  * rounds in one pass, as `round_into` would round it, counted as one call
- * of the kernel; `rotate` rounds each wave in two passes.
- * `tridiagonalize` and `arnoldi` round each elementwise op in one pass and
- * each dot product or matrix-vector product as `reduce` does.  `ql`,
- * `rotate`, `tridiagonalize` and `arnoldi` take well-behaved C-contiguous
+ * of the kernel; `ql` rounds the six ops of each Givens step on `ZT` in one
+ * pass.  `tridiagonalize` and `arnoldi` round each elementwise op in one
+ * pass and each dot product or matrix-vector product as `reduce` does.
+ * `ql`, `tridiagonalize` and `arnoldi` take well-behaved C-contiguous
  * arrays only, and write in place; `reduce` only reads `values`.
  *
  * A reduction sums each segment of `values`: the segments are the rows
@@ -768,7 +767,7 @@ segments_of(PyArrayObject *values, PyObject *indptr, Segments *seg, npy_intp *si
 }
 
 /* ------------------------------------------------------------------------ */
-/* The projected eigensolver: the QL recurrence and its wave rotations.      */
+/* The projected eigensolver: the QL recurrence and its Givens steps.        */
 
 enum { QL_OK, QL_NONFINITE, QL_SWEEPS };
 
@@ -779,62 +778,25 @@ typedef struct {
     double eps;   /* deflation threshold */
     double floor; /* max(eps, 1e-30): the shift denominator that replaces 0 */
     unsigned long long ops;
-    unsigned long long restarts; /* steps that met a zero rotation radius */
+    unsigned long long restarts;  /* steps that met a zero rotation radius */
+    unsigned long long rotations; /* Givens steps applied to the eigenvectors */
     int status;
     npy_intp low; /* the eigenvalue a failure was deflating */
-    /* the recorded rotations (i, c, s) */
-    npy_intp count;
-    npy_intp capacity;
-    npy_intp itemsize;
-    npy_intp *cols;
-    char *cs;
-    char *ss;
 } Ql;
 
-/* Record the Givens step (i, c, s) of the eigenvector update. */
-static int
-record(Ql *q, npy_intp i, const void *c, const void *s)
-{
-    if (q->count == q->capacity) {
-        const npy_intp capacity = q->capacity ? 2 * q->capacity : 64;
-        npy_intp *cols = PyMem_Realloc(q->cols, (size_t)capacity * sizeof(npy_intp));
-        if (cols != NULL) {
-            q->cols = cols;
-        }
-        char *cs = PyMem_Realloc(q->cs, (size_t)(capacity * q->itemsize));
-        if (cs != NULL) {
-            q->cs = cs;
-        }
-        char *ss = PyMem_Realloc(q->ss, (size_t)(capacity * q->itemsize));
-        if (ss != NULL) {
-            q->ss = ss;
-        }
-        if (cols == NULL || cs == NULL || ss == NULL) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        q->capacity = capacity;
-    }
-    q->cols[q->count] = i;
-    memcpy(q->cs + q->count * q->itemsize, c, (size_t)q->itemsize);
-    memcpy(q->ss + q->count * q->itemsize, s, (size_t)q->itemsize);
-    q->count++;
-    return 0;
-}
-
-/* One `rotate` call: its rounding and the pass it is in. */
+/* The rounding of a call's passes and the pass it is in. */
 typedef struct {
     Kernel *k; /* counts the passes (NULL: none) */
     const Tables *t;
     Pass pass;
-} Rot;
+} Rounding;
 
-/* One `tridiagonalize` or `reduce` call: the rounding and tally of its
- * scalar ops (`q`), the rounding of its passes (`rot`), its scratch, and
- * what it found. */
+/* One `ql`, `tridiagonalize` or `reduce` call: the rounding and tally of
+ * its scalar ops (`q`), the rounding of its passes (`rnd`), its scratch,
+ * and what it found. */
 typedef struct {
     Ql q;
-    Rot rot;
+    Rounding rnd;
     int sequential;
     Segments seg; /* the segments of a sum */
     char *work;   /* the level buffer of a pairwise sum */
@@ -856,11 +818,8 @@ typedef struct {
  *                five rounded ops; NaN, zero and infinite operands return
  *                NaN, 0 and inf with no op;
  *   NAME_ql      the implicit-shift QL iteration on `d` and `e` in place,
- *                recording each Givens step (EISPACK tql2);
- *   NAME_rotate  the recorded steps applied to the rows of `Z^T`, wave by
- *                wave: one pass rounds the products `c x, s y, s x, c y` of
- *                every rotation in the wave, one pass the differences and
- *                sums `c x - s y`, `s x + c y`, which overwrite the rows;
+ *                each Givens step applied to the rows of `Z^T` as it is
+ *                formed (EISPACK tql2), in one pass by `NAME_givens`;
  *   NAME_tridiagonalize
  *                the Householder reduction of `[A; Q]` (EISPACK tred2;
  *                Golub & Van Loan, Alg. 8.3.1), with the dot products and
@@ -896,10 +855,38 @@ typedef struct {
         RS(*out, scale * root);                                                                 \
     }                                                                                           \
                                                                                                 \
-    static int NAME##_ql(Ql *q, char *d_, char *e_, npy_intp n)                                 \
+    /* round `buf[i]` into the current pass */                                                  \
+    static inline void NAME##_note(Tri *r, T *buf, npy_intp i)                                  \
     {                                                                                           \
+        note(&r->rnd.pass, STEP(r->rnd.t, &buf[i], &buf[i]));                                   \
+    }                                                                                           \
+                                                                                                \
+    /* the Givens step (c, s) on the rows `zi` and `zi + nrows` of `Z^T`:                       \
+     * `c x - s y` and `s x + c y` from the products `c x, s y, s x, c y`,                      \
+     * the six ops in one pass */                                                               \
+    static void NAME##_givens(Tri *r, T *zi, npy_intp nrows, T c, T s)                          \
+    {                                                                                           \
+        T *const zi1 = zi + nrows;                                                              \
+        for (npy_intp j = 0; j < nrows; j++) {                                                  \
+            T p[4] = {c * zi[j], s * zi1[j], s * zi[j], c * zi1[j]};                            \
+            for (int h = 0; h < 4; h++) {                                                       \
+                NAME##_note(r, p, h);                                                           \
+            }                                                                                   \
+            zi[j] = p[0] - p[1];                                                                \
+            NAME##_note(r, zi, j);                                                              \
+            zi1[j] = p[2] + p[3];                                                               \
+            NAME##_note(r, zi1, j);                                                             \
+        }                                                                                       \
+        r->q.ops += 6 * (unsigned long long)nrows;                                              \
+        r->q.rotations++;                                                                       \
+        end_pass(r->rnd.k, 6 * nrows, &r->rnd.pass);                                            \
+    }                                                                                           \
+                                                                                                \
+    static void NAME##_ql(Tri *tri, char *d_, char *e_, char *zt_, npy_intp n, npy_intp nrows)  \
+    {                                                                                           \
+        Ql *const q = &tri->q;                                                                  \
         void (*const rs)(Ql *, T *) = NAME##_rs;                                                \
-        T *d = (T *)d_, *e = (T *)e_;                                                           \
+        T *d = (T *)d_, *e = (T *)e_, *zt = (T *)zt_;                                           \
         const T one = 1, two = 2;                                                               \
         for (npy_intp low = 0; low < n; low++) {                                                \
             long sweeps = 0;                                                                    \
@@ -908,7 +895,7 @@ typedef struct {
                     if (!isfinite(d[j]) || !isfinite(e[j])) {                                   \
                         q->status = QL_NONFINITE;                                               \
                         q->low = low;                                                           \
-                        return 0;                                                               \
+                        return;                                                                 \
                     }                                                                           \
                 }                                                                               \
                 /* deflation: a float64 test on the values, not format arithmetic */           \
@@ -926,7 +913,7 @@ typedef struct {
                 if (++sweeps > q->max_sweeps) {                                                 \
                     q->status = QL_SWEEPS;                                                      \
                     q->low = low;                                                               \
-                    return 0;                                                                   \
+                    return;                                                                     \
                 }                                                                               \
                 /* Wilkinson-like shift */                                                      \
                 T a, b, g, r, denom;                                                            \
@@ -972,10 +959,7 @@ typedef struct {
                     RS(x, c * r);                                                               \
                     RS(g, x - b);                                                               \
                     q->ops += 14;                                                               \
-                    /* columns i, i + 1 become c zi - s zi1, s zi + c zi1 */                    \
-                    if (record(q, i, &c, &s) < 0) {                                             \
-                        return -1;                                                              \
-                    }                                                                           \
+                    NAME##_givens(tri, zt + i * nrows, nrows, c, s);                            \
                 }                                                                               \
                 if (restart) {                                                                  \
                     continue;                                                                   \
@@ -986,51 +970,6 @@ typedef struct {
                 q->ops += 1;                                                                    \
             }                                                                                   \
         }                                                                                       \
-        return 0;                                                                               \
-    }                                                                                           \
-                                                                                                \
-    static void NAME##_rotate(Rot *rot, char *zt_, npy_intp nrows, const npy_intp *cols,       \
-                              const char *cs_, const char *ss_, const npy_intp *order,          \
-                              const npy_intp *start, npy_intp waves, char *prods_)              \
-    {                                                                                           \
-        T *zt = (T *)zt_, *prods = (T *)prods_;                                                 \
-        const T *cs = (const T *)cs_, *ss = (const T *)ss_;                                     \
-        for (npy_intp w = 0; w < waves; w++) {                                                  \
-            const npy_intp *wave = order + start[w];                                            \
-            const npy_intp width = start[w + 1] - start[w], block = width * nrows;              \
-            /* [[c x, s y], [s x, c y]], each block one row per rotation */                     \
-            T *p = prods;                                                                       \
-            for (int h = 0; h < 4; h++) {                                                       \
-                for (npy_intp j = 0; j < width; j++) {                                          \
-                    const npy_intp k = wave[j];                                                 \
-                    const T coef = h == 0 || h == 3 ? cs[k] : ss[k];                            \
-                    const T *v = zt + (cols[k] + (h & 1)) * nrows;                              \
-                    for (npy_intp i = 0; i < nrows; i++, p++) {                                 \
-                        *p = coef * v[i];                                                       \
-                        note(&rot->pass, STEP(rot->t, p, p));                                   \
-                    }                                                                           \
-                }                                                                               \
-            }                                                                                   \
-            end_pass(rot->k, 4 * block, &rot->pass);                                            \
-            /* c x - s y into row i, then s x + c y into row i + 1 */                           \
-            for (int h = 0; h < 2; h++) {                                                       \
-                const T *left = prods + 2 * h * block, *right = left + block;                   \
-                for (npy_intp j = 0; j < width; j++) {                                          \
-                    T *z = zt + (cols[wave[j]] + h) * nrows;                                    \
-                    for (npy_intp i = 0; i < nrows; i++, left++, right++) {                     \
-                        z[i] = h ? *left + *right : *left - *right;                             \
-                        note(&rot->pass, STEP(rot->t, &z[i], &z[i]));                           \
-                    }                                                                           \
-                }                                                                               \
-            }                                                                                   \
-            end_pass(rot->k, 2 * block, &rot->pass);                                            \
-        }                                                                                       \
-    }                                                                                           \
-                                                                                                \
-    /* round `buf[i]` into the current pass */                                                  \
-    static inline void NAME##_note(Tri *r, T *buf, npy_intp i)                                  \
-    {                                                                                           \
-        note(&r->rot.pass, STEP(r->rot.t, &buf[i], &buf[i]));                                   \
     }                                                                                           \
                                                                                                 \
     /* The rounded sums of the segments `r->seg` of the values at `p` into                      \
@@ -1069,20 +1008,20 @@ typedef struct {
                         n++;                                                                    \
                     }                                                                           \
                 }                                                                               \
-                end_pass(r->rot.k, n, &r->rot.pass);                                            \
+                end_pass(r->rnd.k, n, &r->rnd.pass);                                            \
             }                                                                                   \
             return;                                                                             \
         }                                                                                       \
         const char *src = (const char *)p;                                                      \
         const npy_intp *from = seg->from;                                                       \
         for (;;) {                                                                              \
-            const npy_intp sums = LEVEL_FN(src, from, r->work, seg, r->rot.t, &r->rot.pass);    \
+            const npy_intp sums = LEVEL_FN(src, from, r->work, seg, r->rnd.t, &r->rnd.pass);    \
             if (sums == 0) {                                                                    \
                 break;                                                                          \
             }                                                                                   \
             src = r->work;                                                                      \
             from = seg->off;                                                                    \
-            end_pass(r->rot.k, sums, &r->rot.pass);                                             \
+            end_pass(r->rnd.k, sums, &r->rnd.pass);                                             \
         }                                                                                       \
         for (npy_intp i = 0; i < seg->count; i++) {                                             \
             if (seg->len[i]) {                                                                  \
@@ -1105,7 +1044,7 @@ typedef struct {
             NAME##_note(r, out, i);                                                             \
         }                                                                                       \
         r->q.ops += (unsigned long long)m;                                                      \
-        end_pass(r->rot.k, m, &r->rot.pass);                                                    \
+        end_pass(r->rnd.k, m, &r->rnd.pass);                                                    \
     }                                                                                           \
                                                                                                 \
     /* `v . v` into `*dot`: the `m` squares in one pass (into `p`), then                        \
@@ -1117,7 +1056,7 @@ typedef struct {
             NAME##_note(r, p, i);                                                               \
         }                                                                                       \
         r->q.ops += (unsigned long long)m;                                                      \
-        end_pass(r->rot.k, m, &r->rot.pass);                                                    \
+        end_pass(r->rnd.k, m, &r->rnd.pass);                                                    \
         rows_of(&r->seg, 1, m);                                                                 \
         NAME##_sum(r, p, 1, dot);                                                               \
     }                                                                                           \
@@ -1178,7 +1117,7 @@ typedef struct {
             NAME##_note(r, S, i);                                                               \
         }                                                                                       \
         r->q.ops += (unsigned long long)size;                                                   \
-        end_pass(r->rot.k, size, &r->rot.pass);                                                 \
+        end_pass(r->rnd.k, size, &r->rnd.pass);                                                 \
     }                                                                                           \
                                                                                                 \
     /* `beta * v` for each of `copies` copies of the `n` values of `v`, in                      \
@@ -1192,7 +1131,7 @@ typedef struct {
             }                                                                                   \
         }                                                                                       \
         r->q.ops += (unsigned long long)(copies * n);                                           \
-        end_pass(r->rot.k, copies * n, &r->rot.pass);                                           \
+        end_pass(r->rnd.k, copies * n, &r->rnd.pass);                                           \
     }                                                                                           \
                                                                                                 \
     /* Reduce the `(2, n, n)` stack `[A; Q]` at `aq_` in place: for each                        \
@@ -1221,7 +1160,7 @@ typedef struct {
                     }                                                                           \
                 }                                                                               \
                 r->q.ops += (unsigned long long)(n * n);                                        \
-                end_pass(r->rot.k, n * n, &r->rot.pass);                                        \
+                end_pass(r->rnd.k, n * n, &r->rnd.pass);                                        \
                 rows_of(&r->seg, n, n);                                                         \
                 NAME##_sum(r, P, 0, w);                                                         \
                 NAME##_scale(r, beta, v, n, 1, bv);                                             \
@@ -1232,7 +1171,7 @@ typedef struct {
                     }                                                                           \
                 }                                                                               \
                 r->q.ops += (unsigned long long)(n * n);                                        \
-                end_pass(r->rot.k, n * n, &r->rot.pass);                                        \
+                end_pass(r->rnd.k, n * n, &r->rnd.pass);                                        \
                 NAME##_subtract(r, A, P, n * n);                                                \
                 /* from the right, over the 2n rows of the stack: w = S v */                    \
                 for (npy_intp i = 0; i < 2 * n; i++) {                                          \
@@ -1242,7 +1181,7 @@ typedef struct {
                     }                                                                           \
                 }                                                                               \
                 r->q.ops += (unsigned long long)(2 * n * n);                                    \
-                end_pass(r->rot.k, 2 * n * n, &r->rot.pass);                                    \
+                end_pass(r->rnd.k, 2 * n * n, &r->rnd.pass);                                    \
                 rows_of(&r->seg, 2 * n, n);                                                     \
                 NAME##_sum(r, P, 0, w);                                                         \
                 NAME##_scale(r, beta, v, n, 2, bv);                                             \
@@ -1254,7 +1193,7 @@ typedef struct {
                     }                                                                           \
                 }                                                                               \
                 r->q.ops += (unsigned long long)(2 * n * n);                                    \
-                end_pass(r->rot.k, 2 * n * n, &r->rot.pass);                                    \
+                end_pass(r->rnd.k, 2 * n * n, &r->rnd.pass);                                    \
                 NAME##_subtract(r, A, P, 2 * n * n);                                            \
             }                                                                                   \
             if (r->first_nonfinite < 0) {                                                       \
@@ -1352,7 +1291,7 @@ typedef struct {
             }                                                                                   \
         }                                                                                       \
         r->q.ops += (unsigned long long)(cols * n);                                             \
-        end_pass(r->rot.k, cols * n, &r->rot.pass);                                             \
+        end_pass(r->rnd.k, cols * n, &r->rnd.pass);                                             \
         rows_of(&r->seg, cols, n);                                                              \
         NAME##_sum(r, P, 0, h);                                                                 \
         for (npy_intp i = 0; i < n; i++) {                                                      \
@@ -1362,7 +1301,7 @@ typedef struct {
             }                                                                                   \
         }                                                                                       \
         r->q.ops += (unsigned long long)(n * cols);                                             \
-        end_pass(r->rot.k, n * cols, &r->rot.pass);                                             \
+        end_pass(r->rnd.k, n * cols, &r->rnd.pass);                                             \
         rows_of(&r->seg, n, cols);                                                              \
         NAME##_sum(r, P, 0, gv);                                                                \
         NAME##_subtract(r, w, gv, n);                                                           \
@@ -1394,7 +1333,7 @@ typedef struct {
             NAME##_note(r, h, i);                                                               \
         }                                                                                       \
         r->q.ops += (unsigned long long)cols;                                                   \
-        end_pass(r->rot.k, cols, &r->rot.pass);                                                 \
+        end_pass(r->rnd.k, cols, &r->rnd.pass);                                                 \
         NAME##_norm2(r, w, n, xs, p, norm);                                                     \
         return !isfinite(*norm) || (double)*norm <= a->eta * (double)after ||                   \
                (double)*norm == 0;                                                              \
@@ -1413,7 +1352,7 @@ typedef struct {
             NAME##_note(r, P, i);                                                               \
         }                                                                                       \
         r->q.ops += (unsigned long long)a->nnz;                                                 \
-        end_pass(r->rot.k, a->nnz, &r->rot.pass);                                               \
+        end_pass(r->rnd.k, a->nnz, &r->rnd.pass);                                               \
         csr_of(&r->seg, a->indptr, n);                                                          \
         NAME##_sum(r, P, 0, w);                                                                 \
     }                                                                                           \
@@ -1513,10 +1452,7 @@ INSTANCE(rule_longdouble, npy_longdouble, step_rule_ld, sqrtl, fabsl, copysignl,
 
 #undef RS
 
-typedef int (*QlFn)(Ql *q, char *d, char *e, npy_intp n);
-typedef void (*RotateFn)(Rot *rot, char *zt, npy_intp nrows, const npy_intp *cols, const char *cs,
-                         const char *ss, const npy_intp *order, const npy_intp *start,
-                         npy_intp waves, char *prods);
+typedef void (*QlFn)(Tri *r, char *d, char *e, char *zt, npy_intp n, npy_intp nrows);
 typedef void (*TridiagonalizeFn)(Tri *r, char *aq, npy_intp n, char *scratch);
 typedef void (*ReduceFn)(Tri *r, const char *p, int vector, char *out);
 typedef int (*ArnoldiFn)(Arn *a, char *V, char *S, char *b, char *v, npy_intp n, npy_intp m,
@@ -1527,9 +1463,6 @@ enum { WITH_F64, WITH_X87, NATIVE_FLOAT, NATIVE_DOUBLE, NATIVE_LONGDOUBLE, RULE_
 static const QlFn ql_of[] = {f64_ql,           x87_ql,        native_float_ql,
                              native_double_ql, native_longdouble_ql, rule_double_ql,
                              rule_longdouble_ql};
-static const RotateFn rotate_of[] = {f64_rotate,           x87_rotate,        native_float_rotate,
-                                     native_double_rotate, native_longdouble_rotate,
-                                     rule_double_rotate,   rule_longdouble_rotate};
 static const TridiagonalizeFn tridiagonalize_of[] = {
     f64_tridiagonalize,           x87_tridiagonalize,        native_float_tridiagonalize,
     native_double_tridiagonalize, native_longdouble_tridiagonalize,
@@ -1594,13 +1527,13 @@ work_array(PyObject *obj, int ndim, int typenum, int writeable, const char *what
     return a;
 }
 
-/* ql(d, e, max_sweeps, eps, kernel) */
+/* ql(d, e, ZT, max_sweeps, eps, kernel) */
 static PyObject *
 module_ql(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 5) {
+    if (nargs != 6) {
         PyErr_SetString(PyExc_TypeError,
-                        "ql(d, e, max_sweeps, eps, kernel) takes five arguments");
+                        "ql(d, e, ZT, max_sweeps, eps, kernel) takes six arguments");
         return NULL;
     }
     PyArrayObject *d = work_array(args[0], 1, -1, 1, "d");
@@ -1609,170 +1542,35 @@ module_ql(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
     }
     const int typenum = PyArray_TYPE(d);
     PyArrayObject *e = work_array(args[1], 1, typenum, 1, "e");
-    if (e == NULL) {
+    PyArrayObject *zt = e == NULL ? NULL : work_array(args[2], 2, typenum, 1, "ZT");
+    if (zt == NULL) {
         return NULL;
     }
     const npy_intp n = PyArray_DIM(d, 0);
-    if (PyArray_DIM(e, 0) != n) {
-        PyErr_SetString(PyExc_ValueError, "e must be as long as d");
+    if (PyArray_DIM(e, 0) != n || PyArray_DIM(zt, 0) != n) {
+        PyErr_SetString(PyExc_ValueError, "e and the rows of ZT must be as many as d");
         return NULL;
     }
-    const long max_sweeps = PyLong_AsLong(args[2]);
-    const double eps = PyFloat_AsDouble(args[3]);
+    const long max_sweeps = PyLong_AsLong(args[3]);
+    const double eps = PyFloat_AsDouble(args[4]);
     if (PyErr_Occurred()) {
         return NULL;
     }
     Kernel *k;
-    const int which = instance_of(args[4], typenum, &k);
+    const int which = instance_of(args[5], typenum, &k);
     if (which < 0) {
         return NULL;
     }
     const Tables t = k != NULL ? tables_of(k) : (Tables){NULL, NULL, NULL, 0, NULL};
-    Ql q = {&t,     max_sweeps, eps, eps > 1e-30 ? eps : 1e-30, 0, 0, QL_OK, 0, 0, 0,
-            PyArray_ITEMSIZE(d), NULL, NULL, NULL};
-    PyObject *res = NULL, *cols = NULL, *cs = NULL, *ss = NULL;
-    if (ql_of[which](&q, PyArray_BYTES(d), PyArray_BYTES(e), n) < 0) {
-        goto done;
-    }
-    cols = PyArray_SimpleNew(1, &q.count, NPY_INTP);
-    cs = PyArray_SimpleNew(1, &q.count, typenum);
-    ss = PyArray_SimpleNew(1, &q.count, typenum);
-    if (cols == NULL || cs == NULL || ss == NULL) {
-        goto done;
-    }
-    if (q.count) {
-        memcpy(PyArray_DATA((PyArrayObject *)cols), q.cols, (size_t)q.count * sizeof(npy_intp));
-        memcpy(PyArray_DATA((PyArrayObject *)cs), q.cs, (size_t)(q.count * q.itemsize));
-        memcpy(PyArray_DATA((PyArrayObject *)ss), q.ss, (size_t)(q.count * q.itemsize));
-    }
-    res = Py_BuildValue("(KinKOOO)", q.ops, q.status, (Py_ssize_t)q.low, q.restarts, cols, cs, ss);
-
-done:
-    Py_XDECREF(cols);
-    Py_XDECREF(cs);
-    Py_XDECREF(ss);
-    PyMem_Free(q.cols);
-    PyMem_Free(q.cs);
-    PyMem_Free(q.ss);
-    return res;
-}
-
-/* Group rotations `k` on columns (cols[k], cols[k] + 1) into waves, as
- * `repro.linalg.tridiagonal.wavefront_schedule` does: a rotation goes in
- * the wave after the last one that touched either of its columns.  Fills
- * `order` (the rotations by wave, in recorded order within a wave) and
- * `start` (wave w is order[start[w]:start[w + 1]]); returns the number of
- * waves, or -1 on a memory error. */
-static npy_intp
-schedule(const npy_intp *cols, npy_intp count, npy_intp ncols, npy_intp *order, npy_intp *start)
-{
-    npy_intp *last = PyMem_Calloc((size_t)ncols, sizeof(npy_intp));
-    npy_intp *wave = PyMem_Malloc((size_t)(count ? count : 1) * sizeof(npy_intp));
-    if (last == NULL || wave == NULL) {
-        PyMem_Free(last);
-        PyMem_Free(wave);
-        PyErr_NoMemory();
-        return -1;
-    }
-    npy_intp waves = 0;
-    memset(start, 0, (size_t)(count + 2) * sizeof(npy_intp));
-    for (npy_intp k = 0; k < count; k++) {
-        const npy_intp i = cols[k];
-        const npy_intp w = last[i] > last[i + 1] ? last[i] : last[i + 1];
-        last[i] = last[i + 1] = w + 1;
-        wave[k] = w;
-        start[w + 1]++;
-        waves = w + 1 > waves ? w + 1 : waves;
-    }
-    for (npy_intp w = 0; w < waves; w++) {
-        start[w + 1] += start[w];
-    }
-    for (npy_intp k = 0; k < count; k++) { /* stable: recorded order within a wave */
-        order[start[wave[k]]++] = k;
-    }
-    for (npy_intp w = waves; w > 0; w--) { /* the fill moved each start one wave on */
-        start[w] = start[w - 1];
-    }
-    start[0] = 0;
-    PyMem_Free(last);
-    PyMem_Free(wave);
-    return waves;
-}
-
-/* rotate(ZT, cols, cs, ss, kernel) */
-static PyObject *
-module_rotate(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 5) {
-        PyErr_SetString(PyExc_TypeError,
-                        "rotate(ZT, cols, cs, ss, kernel) takes five arguments");
-        return NULL;
-    }
-    PyArrayObject *zt = work_array(args[0], 2, -1, 1, "ZT");
-    if (zt == NULL) {
-        return NULL;
-    }
-    const int typenum = PyArray_TYPE(zt);
-    PyArrayObject *cols = (PyArrayObject *)args[1];
-    if (!PyArray_Check(args[1]) || PyArray_NDIM(cols) != 1 || !PyArray_ISCARRAY_RO(cols) ||
-        PyArray_TYPE(cols) != NPY_INTP) {
-        PyErr_SetString(PyExc_TypeError, "cols must be a 1-D C-contiguous intp array");
-        return NULL;
-    }
-    PyArrayObject *cs = work_array(args[2], 1, typenum, 0, "cs");
-    PyArrayObject *ss = cs == NULL ? NULL : work_array(args[3], 1, typenum, 0, "ss");
-    if (ss == NULL) {
-        return NULL;
-    }
-    const npy_intp count = PyArray_DIM(cols, 0), ncols = PyArray_DIM(zt, 0);
-    const npy_intp nrows = PyArray_DIM(zt, 1);
-    if (PyArray_DIM(cs, 0) != count || PyArray_DIM(ss, 0) != count) {
-        PyErr_SetString(PyExc_ValueError, "cols, cs and ss differ in length");
-        return NULL;
-    }
-    const npy_intp *col = (const npy_intp *)PyArray_DATA(cols);
-    for (npy_intp k = 0; k < count; k++) {
-        if (col[k] < 0 || col[k] >= ncols - 1) {
-            PyErr_SetString(PyExc_ValueError, "a rotation column lies outside ZT");
-            return NULL;
-        }
-    }
-    Kernel *k;
-    const int which = instance_of(args[4], typenum, &k);
-    if (which < 0) {
-        return NULL;
-    }
-    const Tables t = k != NULL ? tables_of(k) : (Tables){NULL, NULL, NULL, 0, NULL};
-    Rot rot = {k, &t, {0, 0}};
-    PyObject *res = NULL;
-    char *prods = NULL;
-    npy_intp *order = PyMem_Malloc((size_t)(2 * count + 2) * sizeof(npy_intp));
-    if (order == NULL) {
-        PyErr_NoMemory();
-        return NULL;
-    }
-    npy_intp *start = order + count;
-    const npy_intp waves = schedule(col, count, ncols, order, start);
-    if (waves < 0) {
-        goto done;
-    }
-    npy_intp widest = 0;
-    for (npy_intp w = 0; w < waves; w++) {
-        widest = start[w + 1] - start[w] > widest ? start[w + 1] - start[w] : widest;
-    }
-    prods = PyMem_Malloc((size_t)(4 * widest * nrows * PyArray_ITEMSIZE(zt)) + 1);
-    if (prods == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    rotate_of[which](&rot, PyArray_BYTES(zt), nrows, col, PyArray_BYTES(cs), PyArray_BYTES(ss), order,
-                     start, waves, prods);
-    res = PyLong_FromSsize_t((Py_ssize_t)waves);
-
-done:
-    PyMem_Free(prods);
-    PyMem_Free(order);
-    return res;
+    Tri tri = {
+        .q = {.t = &t, .max_sweeps = max_sweeps, .eps = eps, .floor = eps > 1e-30 ? eps : 1e-30},
+        .rnd = {k, &t, {0, 0}},
+    };
+    ql_of[which](&tri, PyArray_BYTES(d), PyArray_BYTES(e), PyArray_BYTES(zt), n,
+                 PyArray_DIM(zt, 1));
+    const Ql *q = &tri.q;
+    return Py_BuildValue("(KinKK)", q->ops, q->status, (Py_ssize_t)q->low, q->restarts,
+                         q->rotations);
 }
 
 /* tridiagonalize(AQ, sequential, kernel) */
@@ -1805,7 +1603,7 @@ module_tridiagonalize(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssi
     const Tables t = k != NULL ? tables_of(k) : (Tables){NULL, NULL, NULL, 0, NULL};
     Tri tri = {
         .q = {.t = &t},
-        .rot = {k, &t, {0, 0}},
+        .rnd = {k, &t, {0, 0}},
         .sequential = sequential,
         .first_nonfinite = -1,
     };
@@ -1867,7 +1665,7 @@ module_reduce(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nar
     const Tables t = k != NULL ? tables_of(k) : (Tables){NULL, NULL, NULL, 0, NULL};
     Tri tri = {
         .q = {.t = &t},
-        .rot = {k, &t, {0, 0}},
+        .rnd = {k, &t, {0, 0}},
         .sequential = sequential,
     };
     PyObject *res = NULL;
@@ -1988,7 +1786,7 @@ module_arnoldi(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t na
     }
     const Tables t = k != NULL ? tables_of(k) : (Tables){NULL, NULL, NULL, 0, NULL};
     Arn a = {
-        .r = {.q = {.t = &t}, .rot = {k, &t, {0, 0}}, .sequential = sequential},
+        .r = {.q = {.t = &t}, .rnd = {k, &t, {0, 0}}, .sequential = sequential},
         .eta = eta,
     };
     PyArrayObject *S = NULL, *b = NULL;
@@ -2267,11 +2065,8 @@ static PyMethodDef module_methods[] = {
      "reduce(values, indptr, sequential, kernel) -> the rounded sum of each segment of "
      "values: pairwise, or left to right"},
     {"ql", (PyCFunction)(void (*)(void))module_ql, METH_FASTCALL,
-     "ql(d, e, max_sweeps, eps, kernel) -> (ops, status, low, restarts, cols, cs, ss); the QL "
-     "iteration on d and e in place"},
-    {"rotate", (PyCFunction)(void (*)(void))module_rotate, METH_FASTCALL,
-     "rotate(ZT, cols, cs, ss, kernel) -> waves; the recorded Givens steps applied to the "
-     "rows of ZT in place"},
+     "ql(d, e, ZT, max_sweeps, eps, kernel) -> (ops, status, low, restarts, rotations); the "
+     "QL iteration on d and e in place, each Givens step applied to the rows of ZT"},
     {"tridiagonalize", (PyCFunction)(void (*)(void))module_tridiagonalize, METH_FASTCALL,
      "tridiagonalize(AQ, sequential, kernel) -> (ops, skipped, first_nonfinite); the "
      "Householder reduction of the stack [A; Q] in place"},

@@ -54,9 +54,9 @@ behind :meth:`BitKernel.round`, which writes into a caller-provided
 operation results in place instead of allocating a second array per
 elementary op.  The module's entries (``reduce``, the rounded sums of the
 contexts' dot products, matrix-vector products and ``spmv``, the Arnoldi
-expansion ``arnoldi``, and the projected eigensolver's ``tridiagonalize``,
-``ql`` and ``rotate``) take the kernel object :attr:`BitKernel.compiled` as
-an argument.  No value leaves
+expansion ``arnoldi``, and the projected eigensolver's ``tridiagonalize``
+and ``ql``) take the kernel object :attr:`BitKernel.compiled` as an
+argument.  No value leaves
 the kernel unrounded.
 
 Correctness invariants of the LUT-served ("main region") binades, checked by

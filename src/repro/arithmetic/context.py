@@ -225,8 +225,8 @@ class ComputeContext(ABC):
         """Bind already-representable data as an
         :class:`~repro.arithmetic.farray.FArray` *without* rounding.
 
-        This is the in-solver fast path; the caller guarantees every entry
-        is a value of the context (use :meth:`array` otherwise).
+        The caller guarantees every entry is a value of the context (use
+        :meth:`array` otherwise).
         """
         cls = self._farray_cls
         if cls is None:
@@ -445,8 +445,7 @@ class ComputeContext(ABC):
     def compiled_rounding(self):
         """The kernel the compiled entries of
         :mod:`repro.arithmetic._rounding` (``reduce``, ``arnoldi``,
-        ``tridiagonalize``, ``ql`` and ``rotate``) round through in this
-        context: the compiled kernel of the format, or ``None``, which
+        ``tridiagonalize`` and ``ql``) round through in this context: the compiled kernel of the format, or ``None``, which
         rounds nothing (the storage dtype is the rounding).  Looked up on
         every call, so the bit-kernel switch takes effect between calls."""
 
@@ -536,11 +535,10 @@ class ComputeContext(ABC):
         ``c`` and ``s`` are scalars, or arrays that broadcast against the
         trailing axes of ``x`` and ``y``: ``(k,)`` vectors over ``(n, k)``
         column blocks, or ``(k, 1)`` columns over ``(k, n)`` row blocks —
-        ``k`` rotations of disjoint pairs in one call, as the QL
-        eigenvector update applies a wave of Givens steps to the rows of
-        ``Z^T``.  The six rounded operations of the unfused spelling
-        (``c*x - s*y`` and ``s*x + c*y``) run in two rounding calls, each
-        on a C-contiguous buffer: one broadcast multiply forms the four
+        ``k`` rotations of disjoint pairs in one call.  The six rounded
+        operations of the unfused spelling (``c*x - s*y`` and
+        ``s*x + c*y``) run in two rounding calls, each on a C-contiguous
+        buffer: one broadcast multiply forms the four
         products ``[[c*x, s*y], [s*x, c*y]]`` and rounds them together,
         then one subtract and one add form both results from those
         products, with the same operands in the same order, and round them

@@ -431,9 +431,9 @@ class FArray:
     back as bound *views* (writes through them are visible in the parent,
     exactly like NumPy), scalar reads come back as :class:`FScalar`.
 
-    The constructor wraps ``data`` without rounding (it trusts the caller —
-    this is the in-solver fast path); use :meth:`ComputeContext.array` to
-    round arbitrary input into the context first.
+    The constructor wraps ``data`` without rounding (it trusts the
+    caller); use :meth:`ComputeContext.array` to round arbitrary input into
+    the context first.
     """
 
     __slots__ = ("ctx", "data")

@@ -67,7 +67,10 @@ class PositFormat(TaperedFormat):
         c = np.asarray(codes, dtype=np.uint64) & np.uint64((1 << n) - 1)
         neg = (c >> np.uint64(n - 1)).astype(bool)
         body_mask = (1 << (n - 1)) - 1
-        body = (np.where(neg, ~c + np.uint64(1), c) & np.uint64(body_mask)).astype(np.int64)
+        # the two's complement of a negative code, modulo 2^(n-1): -low
+        # cannot overflow, as `low` stays below 2^63
+        low = (c & np.uint64(body_mask)).astype(np.int64)
+        body = np.where(neg, -low & body_mask, low)
         # regime: a run of identical bits from position n - 2 and its
         # terminating bit, which may fall past the end
         first = (body >> (n - 2)) & 1

@@ -40,22 +40,22 @@ def default_maxdim(nev: int, n: int) -> int:
 
 def _initial_vector(ctx: ComputeContext, n: int, v0, seed: int) -> np.ndarray:
     if v0 is not None:
-        v = ctx.array(np.asarray(v0, dtype=np.float64))
+        v = ctx.asarray(np.asarray(v0, dtype=np.float64))
     else:
         rng = np.random.default_rng(seed)
-        v = ctx.array(rng.standard_normal(n))
-    nrm = v.norm2()
-    if not nrm.isfinite() or float(nrm) == 0.0:
-        v = ctx.array(np.ones(n) / np.sqrt(n))
-        nrm = v.norm2()
-    return (v / nrm).data
+        v = ctx.asarray(rng.standard_normal(n))
+    nrm = ctx.norm2(v)
+    if not np.isfinite(nrm) or float(nrm) == 0.0:
+        v = ctx.asarray(np.ones(n) / np.sqrt(n))
+        nrm = ctx.norm2(v)
+    return ctx.div(v, nrm)
 
 
 def _ritz_decomposition(ctx, decomp):
     """Diagonalise the projected matrix and transform the coupling vector."""
     theta, Y = symmetric_eigen(ctx, decomp.S)
     # residual coupling in the Ritz basis: b' = Y^T b
-    b_ritz = (ctx.wrap(decomp.b) @ ctx.wrap(Y)).data  # Y^T b
+    b_ritz = ctx.gemv_t(Y, decomp.b)
     return theta, Y, b_ritz
 
 
@@ -206,7 +206,7 @@ def partialschur(
                     )
                     sel = order[:keep]
                     Ysel = np.asarray(Y)[:, sel]
-                    V_new = (ctx.wrap(decomp.V) @ ctx.wrap(Ysel)).data
+                    V_new = ctx.gemm(decomp.V, Ysel)
                     S_new = np.zeros((keep, keep), dtype=ctx.dtype)
                     S_new[np.arange(keep), np.arange(keep)] = np.asarray(theta)[sel]
                     b_new = np.asarray(b_ritz)[sel].astype(ctx.dtype)
@@ -220,7 +220,7 @@ def partialschur(
             theta_np = np.asarray(theta)
             lam = theta_np[sel]
             Ysel = np.asarray(Y)[:, sel]
-            X = (ctx.wrap(decomp.V) @ ctx.wrap(Ysel)).data
+            X = ctx.gemm(decomp.V, Ysel)
             residuals = np.abs(np.asarray(b_ritz, dtype=np.float64))[sel]
             if decomp.invariant:
                 residuals = np.zeros(nret)

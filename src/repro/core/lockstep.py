@@ -9,7 +9,7 @@ elementwise operations are stacked across the format axis through
 :class:`repro.arithmetic.BatchedContext` and round each row in its own
 context, and every reduction and every Ritz eigensolve
 (:mod:`repro.linalg.lockstep`) is the row's own sequential code — its
-compiled ``reduce``, ``tridiagonalize``, ``ql`` and ``rotate`` entries.
+compiled ``reduce``, ``tridiagonalize`` and ``ql`` entries.
 
 The solver is inherently divergent across formats — an 8-bit run breaks
 down in the first sweep while float64 restarts dozens of times — so the
@@ -206,7 +206,7 @@ def _assemble(
     theta_np = np.asarray(theta)
     lam = theta_np[sel]
     Ysel = np.asarray(Y)[:, sel]
-    X = (ctx.wrap(Vd) @ ctx.wrap(Ysel)).data
+    X = ctx.gemm(Vd, Ysel)
     residuals = np.abs(np.asarray(b_ritz, dtype=np.float64))[sel]
     if invariant:
         residuals = np.zeros(nret)

@@ -4,8 +4,8 @@ Batched entry points of :mod:`repro.linalg.tridiagonal` for the lockstep
 solver (:mod:`repro.core.lockstep`): each batch row runs the sequential
 :func:`~repro.linalg.tridiagonal.tridiagonalize` and
 :func:`~repro.linalg.tridiagonal.tridiagonal_eigen` in its own context, so
-each row is one compiled ``tridiagonalize``, one ``ql`` and one ``rotate``
-call, with the row's op tally and its own ``tridiagonal.reduce`` and
+each row is one compiled ``tridiagonalize`` and one ``ql`` call, with the
+row's op tally and its own ``tridiagonal.reduce`` and
 ``tridiagonal.ql`` trace spans.  The QL iteration is data-dependent (each
 format deflates after a different number of sweeps), and the compiled
 entries take one matrix each, so nothing is gained by stacking the rows.

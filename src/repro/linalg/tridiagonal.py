@@ -16,7 +16,7 @@ scalar or small-array operation at a time, where the wrapper objects and
 method calls of the operator API (:mod:`repro.arithmetic.farray`) and the
 fixed cost of each rounding call outweigh the arithmetic itself.
 
-Both therefore run in C, as three entries of the compiled rounding kernel
+Both therefore run in C, as two entries of the compiled rounding kernel
 (:mod:`repro.arithmetic._rounding`), each one call per solve:
 
 * ``tridiagonalize`` reduces ``A`` (EISPACK ``tred2``; Golub & Van Loan,
@@ -48,34 +48,23 @@ Both therefore run in C, as three entries of the compiled rounding kernel
   operator spelling ``ctx.add(ctx.mul(...))``, and rounds at once through
   the step of the format's kernel, since the next op reads it.  The
   deflation test reads the values as float64 (exact comparisons, not
-  arithmetic in the target format).  The entry returns the op tally, the
-  exit status, the number of zero rotation radii (steps that restarted the
+  arithmetic in the target format).  Each Givens step is applied to the
+  eigenvectors as soon as it is formed, as EISPACK ``tql2`` does: columns
+  ``i`` and ``i + 1`` of ``Z`` are the contiguous rows of a ``Z^T`` copy,
+  and the four products ``c*x, s*y, s*x, c*y`` and the results
+  ``c*x - s*y`` and ``s*x + c*y`` round elementwise in one pass, counted
+  as one call of the kernel (``6 * nrows`` ops, the tally of
+  :meth:`~repro.arithmetic.context.ComputeContext.rotate_columns`).  A
+  failed iteration keeps the rotations it applied, so it tallies the ops
+  of the step-by-step spelling.  The entry returns the op tally, the exit
+  status, the number of zero rotation radii (steps that restarted the
   sweep; the ``restarts`` of the ``tridiagonal.ql`` trace span), and the
-  recorded Givens steps.
-* ``rotate`` applies the recorded steps to the eigenvectors.  The
-  eigenvector matrix never feeds back into the ``d``/``e`` recurrence, so
-  its update is deferred: each Givens step only records ``(i, c, s)``, and
-  the whole sequence is applied once the iteration ends — also when it
-  fails, so a failed solve tallies the same ops.  The rotations are grouped
-  into waves as :func:`wavefront_schedule` does (Van Zee, van de Geijn &
-  Quintana-Ortí, "Restructuring the tridiagonal and bidiagonal QR
-  algorithms for performance", ACM TOMS 40(3), 2014): a rotation joins the
-  wave after the last one that touched either of its two columns.
-  Rotations in one wave act on disjoint column pairs, on the contiguous
-  rows of a ``Z^T`` copy, and each wave is two rounding passes, as
-  :meth:`~repro.arithmetic.context.ComputeContext.rotate_columns` rounds
-  them: one over the four products ``c*x, s*y, s*x, c*y`` of every
-  rotation in the wave, one over ``c*x - s*y`` and ``s*x + c*y``.  Each
-  pass counts as one call of the kernel.  Rotations that share a column
-  keep their original
-  order, so every element of ``Z`` sees the same rounded operations on the
-  same values in the same order: the result is bit-identical to rotating
-  step by step.
+  Givens steps applied (its ``rotations``).
 
 :meth:`~repro.arithmetic.context.ComputeContext.compiled_rounding` says
 how the entries round in a context: through the format's kernel (by its
 rule alone with the bit-kernel switch off), or not at all (the native
-dtypes).  The golden digests pin the three entries in every
+dtypes).  The golden digests pin both entries in every
 format (``tests/test_golden_digests.py``), and
 ``tests/test_operator_equivalence.py`` checks them against the explicit
 ``ctx.add(ctx.mul(...))`` spelling in both switch positions.
@@ -97,7 +86,6 @@ __all__ = [
     "tridiagonalize",
     "tridiagonal_eigen",
     "symmetric_eigen",
-    "wavefront_schedule",
 ]
 
 
@@ -173,17 +161,14 @@ def tridiagonal_eigen(ctx, d, e, Z=None, max_sweeps: int = 60):
         if n > 1:
             e_full[: n - 1] = np.asarray(e, dtype=ctx.dtype)[: n - 1]
         if Z is None:
-            Z_full = np.eye(n, dtype=ctx.dtype)
+            ZT = np.eye(n, dtype=ctx.dtype)
         else:
-            Z_full = np.array(np.asarray(Z, dtype=ctx.dtype), copy=True)
-        ops, status, low, restarts, cols, cs, ss = _bitkernels.extension().ql(
-            d_full, e_full, max_sweeps, float(ctx.machine_epsilon), ctx.compiled_rounding()
+            ZT = np.array(np.asarray(Z, dtype=ctx.dtype).T, order="C")  # a copy
+        ops, status, low, restarts, rotations = _bitkernels.extension().ql(
+            d_full, e_full, ZT, max_sweeps, float(ctx.machine_epsilon), ctx.compiled_rounding()
         )
         ctx.op_count += ops
-        # a failed iteration still pays for the rotations it recorded, so
-        # op tallies match the step-by-step update
-        waves = _apply_rotations(ctx, Z_full, cols, cs, ss)
-        sp.set(rotations=len(cols), waves=waves, restarts=restarts)
+        sp.set(rotations=rotations, restarts=restarts)
         if status == _NONFINITE:
             raise EigenConvergenceError("non-finite values during QL iteration")
         if status == _SWEEPS:
@@ -191,52 +176,7 @@ def tridiagonal_eigen(ctx, d, e, Z=None, max_sweeps: int = 60):
                 f"QL iteration did not deflate eigenvalue {low} within "
                 f"{max_sweeps} sweeps in {ctx.name}"
             )
-        return d_full, Z_full
-
-
-def wavefront_schedule(cols, ncols: int) -> list:
-    """Group a Givens sequence into waves of disjoint column pairs.
-
-    Rotation ``k`` acts on columns ``(cols[k], cols[k] + 1)`` of a matrix
-    with ``ncols`` columns.  It goes in the wave after the last one that
-    touched either of its columns, so rotations in one wave touch disjoint
-    columns and rotations that share a column stay in their original order.
-    Returns the waves in application order, each a list of rotation
-    indices in ascending order.  The compiled ``rotate`` groups the
-    rotations of :func:`tridiagonal_eigen` the same way; this function is
-    the Python reference of that schedule (``tests/test_fused_ops.py``).
-    """
-    last = [0] * ncols
-    waves: list = []
-    for k, i in enumerate(cols):
-        w = max(last[i], last[i + 1])
-        last[i] = last[i + 1] = w + 1
-        if w == len(waves):
-            waves.append([k])
-        else:
-            waves[w].append(k)
-    return waves
-
-
-def _apply_rotations(ctx, Z, cols, cs, ss) -> int:
-    """Apply the Givens sequence ``(cols[k], cs[k], ss[k])`` to the columns
-    of ``Z`` in place, wave by wave, in one compiled ``rotate`` call;
-    returns the wave count.  The columns are rotated as the contiguous rows
-    of a ``Z^T`` copy, written back at the end."""
-    cols = np.asarray(cols, dtype=np.intp)
-    if cols.size == 0:
-        return 0
-    ZT = np.ascontiguousarray(Z.T)
-    waves = _bitkernels.extension().rotate(
-        ZT,
-        cols,
-        np.asarray(cs, dtype=ctx.dtype),
-        np.asarray(ss, dtype=ctx.dtype),
-        ctx.compiled_rounding(),
-    )
-    ctx.op_count += 6 * cols.size * ZT.shape[1]
-    Z[...] = ZT.T
-    return waves
+        return d_full, ZT.T
 
 
 def symmetric_eigen(ctx, A, max_sweeps: int = 60):
@@ -248,13 +188,12 @@ def symmetric_eigen(ctx, A, max_sweeps: int = 60):
 
     Returns ``(w, V)`` with ``A @ V[:, j] ≈ w[j] * V[:, j]``.
     """
-    A = ctx.wrap(np.asarray(A, dtype=ctx.dtype))
+    A = np.asarray(A, dtype=ctx.dtype)
     if A.shape[0] != A.shape[1]:
         raise ValueError("symmetric_eigen requires a square matrix")
     if A.shape[0] == 0:
         return np.zeros(0, dtype=ctx.dtype), np.zeros((0, 0), dtype=ctx.dtype)
     if A.shape[0] == 1:
-        return A.data[0, :1].copy(), np.ones((1, 1), dtype=ctx.dtype)
-    sym = 0.5 * (A + A.T)
-    d, e, Q = tridiagonalize(ctx, sym.data)
+        return A[0, :1].copy(), np.ones((1, 1), dtype=ctx.dtype)
+    d, e, Q = tridiagonalize(ctx, ctx.mul(0.5, ctx.add(A, A.T)))
     return tridiagonal_eigen(ctx, d, e, Z=Q, max_sweeps=max_sweeps)

@@ -10,9 +10,9 @@ reach the kernel with no other operand.  The solve's reductions take the
 module's compiled ``reduce`` entry, which reads a non-contiguous operand
 through a contiguous copy; the test records its operands too, and fails if
 the solve never reduces through it.  The compiled eigensolver entries
-(``tridiagonalize``, ``ql`` and ``rotate``) refuse other operands outright;
-the test records theirs as well, and every eigensolve must reduce its
-matrix through the compiled ``tridiagonalize``.  So does the compiled
+(``tridiagonalize`` and ``ql``) refuse other operands outright; the test
+records theirs as well, and every eigensolve must reduce its matrix
+through the compiled ``tridiagonalize``.  So does the compiled
 Arnoldi expansion (``arnoldi``), which every sequential solve must take.  The lockstep solver runs
 each batch row through the same compiled entries: one ``tridiagonalize``
 and one ``ql`` per live row per restart, and reductions that never round
@@ -60,8 +60,8 @@ class _RecordingKernel:
 
 class _RecordingExtension:
     """Delegates to the compiled extension, recording every array operand
-    of the entries ``reduce``, ``tridiagonalize``, ``ql``, ``rotate`` and
-    ``arnoldi`` that is not a C-contiguous ndarray, and the reductions, the
+    of the entries ``reduce``, ``tridiagonalize``, ``ql`` and ``arnoldi``
+    that is not a C-contiguous ndarray, and the reductions, the
     tridiagonalised matrices, the QL solves and the expansions' bases; a
     :class:`_RecordingKernel` they are given is replaced by the kernel it
     wraps."""
@@ -87,14 +87,10 @@ class _RecordingExtension:
     def __getattr__(self, name):
         return getattr(self._module, name)
 
-    def ql(self, d, e, max_sweeps, eps, kernel):
-        _record_strays(self._strays, d, e)
+    def ql(self, d, e, ZT, max_sweeps, eps, kernel):
+        _record_strays(self._strays, d, e, ZT)
         self._solves.append(np.shape(d))
-        return self._module.ql(d, e, max_sweeps, eps, _unwrap(kernel))
-
-    def rotate(self, ZT, cols, cs, ss, kernel):
-        _record_strays(self._strays, ZT, cols, cs, ss)
-        return self._module.rotate(ZT, cols, cs, ss, _unwrap(kernel))
+        return self._module.ql(d, e, ZT, max_sweeps, eps, _unwrap(kernel))
 
     def arnoldi(self, V, S, b, v, start, csr, sequential, eta, kernel):
         matrices = () if csr is None else (S, b, *csr)

@@ -158,8 +158,8 @@ class TestTridiagonalEigen:
         [("posit16", 150.0, 5, 1), ("bfloat16", 150.0, 5, 2), ("E4M3", 400.0, 0, 60)],
     )
     def test_failure_tallies_recorded_rotations(self, fmt, scale, seed, max_sweeps):
-        """A raised EigenConvergenceError still applies (and tallies) the
-        rotations recorded before it, like the step-by-step update."""
+        """A raised EigenConvergenceError keeps (and tallies) the rotations
+        applied before it, like the step-by-step update."""
         rng = np.random.default_rng(seed)
         ctx, ref = get_context(fmt), get_context(fmt)
         d = ctx.round(rng.uniform(-1, 1, 8) * scale)

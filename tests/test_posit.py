@@ -1,6 +1,7 @@
 """Tests of posit arithmetic (2022 standard, es = 2)."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +39,17 @@ class TestPositDecode:
     def test_special_codes(self):
         assert POSIT16.decode(0) == 0.0
         assert math.isnan(float(POSIT16.decode(1 << 15)))
+
+    @pytest.mark.parametrize("fmt", [POSIT8, POSIT16, POSIT32, POSIT64], ids=lambda f: f.name)
+    def test_scalar_special_codes_decode_without_warnings(self, fmt):
+        """0-d codes take no overflowing two's complement (NumPy warns on
+        scalar overflow, where arrays wrap silently)."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            zero = fmt.decode(np.uint64(0))
+            nar = fmt.decode(np.uint64(1 << (fmt.bits - 1)))
+        assert zero == 0.0 and not np.signbit(zero)
+        assert math.isnan(float(nar))
 
     def test_one_and_minus_one(self):
         # +1 is 0b0100...0

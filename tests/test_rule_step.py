@@ -7,7 +7,7 @@ counts as handed back (the ``bitkernel.lut_fallback`` counter); no value
 leaves the kernel for Python.  With the switch off the kernel has no lookup
 tables and rounds every value by the rule.  These tests run two workloads
 through the kernel's entries (``round_one``, ``round_into``, ``reduce``,
-``tridiagonalize``, ``ql`` and ``rotate``):
+``tridiagonalize`` and ``ql``):
 
 * the exhaustive sweeps of every format of at most 16 bits (all values,
   ties and their neighbours, both signs, infinities and NaN), as one array

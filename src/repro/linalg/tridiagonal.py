@@ -163,7 +163,8 @@ def tridiagonal_eigen(ctx, d, e, Z=None, max_sweeps: int = 60):
         if Z is None:
             ZT = np.eye(n, dtype=ctx.dtype)
         else:
-            ZT = np.array(np.asarray(Z, dtype=ctx.dtype).T, order="C")  # a copy
+            # always a copy: ql rotates it in place
+            ZT = np.array(np.asarray(Z, dtype=ctx.dtype).T, order="C")
         ops, status, low, restarts, rotations = _bitkernels.extension().ql(
             d_full, e_full, ZT, max_sweeps, float(ctx.machine_epsilon), ctx.compiled_rounding()
         )

@@ -64,7 +64,8 @@ BATCH_FORMATS = (
 )
 
 #: the batched sweep must beat N sequential solves by at least this factor.
-#: Fusing the QL eigenvector rotation (``rotate_columns``) cut the N
+#: Fusing the QL eigenvector rotation into one context op (since deleted:
+#: the compiled ``ql`` rotates the eigenvectors itself) cut the N
 #: sequential solves more than the lockstep sweep, since it removes four
 #: rounding dispatches per Givens step from every sequential solve but only
 #: per stacked step of the sweep.  On one 2-core x86 host the sequential

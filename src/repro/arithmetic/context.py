@@ -22,8 +22,10 @@ reduction, in every context and in both positions of the bit-kernel switch.
 Scalar operands bypass ndarrays entirely: the elementary operations detect
 them, compute in the work precision on work-dtype NumPy scalars and round
 through ``round_scalar`` — the compiled scalar entry of the format's bit
-kernel.  This is the regime of the solvers' Givens/QL operations, where
-NumPy dispatch on 1-element arrays used to dominate wide-format wall time.
+kernel.  The solvers' own loops run in the compiled entries of
+:mod:`repro.arithmetic._rounding`; these methods are the rounded kernels
+the solvers call between them, and the operations behind the operator API
+(:mod:`repro.arithmetic.farray`).
 """
 
 from __future__ import annotations
@@ -161,17 +163,14 @@ class ComputeContext(ABC):
         of allocating a second array per op.
         """
 
+    @abstractmethod
     def round_scalar(self, value):
         """Round one work-precision scalar into the context.
 
         Scalar twin of :meth:`round`: takes a Python/NumPy scalar and
         returns a work-dtype scalar without any ndarray round-trip.  This is
-        the path the elementary operations use for scalar operands (the
-        solvers' Givens/QL regime).  The default implementation falls back
-        to the array kernel; subclasses override it with direct scalar
-        dispatch.
+        the path the elementary operations use for scalar operands.
         """
-        return self.round(np.asarray([value], dtype=self.dtype))[0]
 
     def asarray(self, values) -> np.ndarray:
         """Convert arbitrary data into the context (rounding each entry).
@@ -186,21 +185,9 @@ class ComputeContext(ABC):
         return np.zeros(shape, dtype=self.dtype)
 
     # ------------------------------------------------------------------ #
-    # operator-API constructors (repro.arithmetic.farray)
+    # operator-API constructors (repro.arithmetic.farray, which imports
+    # this module)
     # ------------------------------------------------------------------ #
-    # The wrapper classes are installed as class attributes when
-    # repro.arithmetic.farray is imported — a per-call ``from .farray
-    # import ...`` would cost more than wrapping itself on the solvers'
-    # scalar paths.
-    _farray_cls = None
-    _fscalar_cls = None
-
-    @classmethod
-    def _operator_classes(cls):
-        if cls._farray_cls is None:  # context imported without the package
-            from . import farray  # noqa: F401  (registers the classes)
-        return cls._farray_cls, cls._fscalar_cls
-
     def array(self, values):
         """Round arbitrary input into the context and bind it as an
         :class:`~repro.arithmetic.farray.FArray` (the operator API).
@@ -209,17 +196,19 @@ class ComputeContext(ABC):
         :class:`~repro.arithmetic.farray.FScalar` instead — the wrapper
         convention everywhere is that 0-d results are scalars.
         """
-        farray_cls, fscalar_cls = self._operator_classes()
+        from .farray import FArray, FScalar
+
         values = np.asarray(values, dtype=self.dtype)
         if values.ndim == 0:
-            return fscalar_cls(self, self.round_scalar(values[()]))
-        return farray_cls(self, self.round(values))
+            return FScalar(self, self.round_scalar(values[()]))
+        return FArray(self, self.round(values))
 
     def scalar(self, value):
         """Round one value into the context and bind it as an
         :class:`~repro.arithmetic.farray.FScalar`."""
-        _, fscalar_cls = self._operator_classes()
-        return fscalar_cls(self, self.round_scalar(value))
+        from .farray import FScalar
+
+        return FScalar(self, self.round_scalar(value))
 
     def wrap(self, data):
         """Bind already-representable data as an
@@ -228,18 +217,16 @@ class ComputeContext(ABC):
         The caller guarantees every entry is a value of the context (use
         :meth:`array` otherwise).
         """
-        cls = self._farray_cls
-        if cls is None:
-            cls, _ = self._operator_classes()
-        return cls(self, data)
+        from .farray import FArray
+
+        return FArray(self, data)
 
     def wrap_scalar(self, value):
         """Bind one already-representable scalar as an
         :class:`~repro.arithmetic.farray.FScalar` *without* rounding."""
-        cls = self._fscalar_cls
-        if cls is None:
-            _, cls = self._operator_classes()
-        return cls(self, value)
+        from .farray import FScalar
+
+        return FScalar(self, value)
 
     def publish_op_count(self) -> int:
         """Flush the context-local op tally into the telemetry registry.
@@ -270,9 +257,7 @@ class ComputeContext(ABC):
     # runs on work-dtype NumPy scalars (an operand that already is the work
     # dtype is not cast: an exact copy that costs ~0.5 us on a longdouble)
     # and the result is rounded through ``round_scalar`` — no ndarray
-    # round-trip.  This is the regime of the solvers' elementwise Givens/QL
-    # operations, where NumPy dispatch on 1-element arrays dominates the
-    # arithmetic.  NumPy scalar division keeps IEEE semantics: division by
+    # round-trip.  NumPy scalar division keeps IEEE semantics: division by
     # zero gives inf/NaN with a RuntimeWarning, never ZeroDivisionError.
 
     # The ``_scalar_*`` twins are the one implementation of a rounded scalar
@@ -496,72 +481,9 @@ class ComputeContext(ABC):
         return self.mul(scale, self.sqrt(self.dot(xs, xs)))
 
     def axpy(self, alpha, x, y, out=None):
-        """``y + alpha * x`` with per-operation rounding.
-
-        Without ``out`` the product buffer is reused as the sum's output,
-        so the whole update costs one allocation.  With ``out`` the update
-        is fully fused — the product is computed straight into ``out`` and
-        the sum rounds in place, touching memory once per element with no
-        temporary at all.  ``out`` may alias ``x`` or ``y`` elementwise
-        (e.g. ``axpy(a, x, y, out=y)``); when it aliases ``y`` the product
-        falls back to a fresh buffer so the addend is not clobbered before
-        it is read.
-        """
-        if (
-            out is not None
-            and isinstance(out, np.ndarray)
-            and not _is_scalar(x)
-            and not np.may_share_memory(out, np.asarray(y))
-        ):
-            t = self.mul(alpha, x, out=out)
-            return self.add(y, t, out=out)
-        t = self.mul(alpha, x)
-        if isinstance(t, np.ndarray):
-            return self.add(y, t, out=t if out is None else out)
-        res = self.add(y, t)
-        if out is None or not isinstance(res, np.ndarray):
-            return res
-        out[...] = res
-        return out
-
-    def scale(self, alpha, x):
-        """``alpha * x`` elementwise."""
-        return self.mul(alpha, x)
-
-    def rotate_columns(self, c, s, x, y):
-        """Givens rotation of two vectors: ``[c*x - s*y, s*x + c*y]``.
-
-        Returns the stacked pair as one C-ordered ``(2, *x.shape)`` array.
-        ``c`` and ``s`` are scalars, or arrays that broadcast against the
-        trailing axes of ``x`` and ``y``: ``(k,)`` vectors over ``(n, k)``
-        column blocks, or ``(k, 1)`` columns over ``(k, n)`` row blocks —
-        ``k`` rotations of disjoint pairs in one call.  The six rounded
-        operations of the unfused spelling (``c*x - s*y`` and
-        ``s*x + c*y``) run in two rounding calls, each on a C-contiguous
-        buffer: one broadcast multiply forms the four
-        products ``[[c*x, s*y], [s*x, c*y]]`` and rounds them together,
-        then one subtract and one add form both results from those
-        products, with the same operands in the same order, and round them
-        together.
-        Rounding is elementwise, so every value and the ``6 * x.size`` op
-        tally are those of the six-op spelling; only the per-call dispatch
-        cost is paid twice instead of six times.  (Rounding returns the same
-        word at any stack size, but when both operands of a product or sum
-        are NaN, the NaN NumPy returns depends on its loop, so a NaN's sign
-        bit can differ from the unfused spelling's.)
-        """
-        x = np.asarray(x, dtype=self.dtype)
-        y = np.asarray(y, dtype=self.dtype)
-        self.op_count += 6 * x.size
-        coef = np.array([[c, s], [s, c]], dtype=self.dtype)
-        coef = coef.reshape((2, 2) + (1,) * (x.ndim - coef.ndim + 2) + coef.shape[2:])
-        prods = np.multiply(coef, np.stack((x, y)), order="C")
-        self._round_work(prods)
-        res = np.empty((2,) + x.shape, dtype=self.dtype)
-        np.subtract(prods[0, 0], prods[0, 1], out=res[0])
-        np.add(prods[1, 0], prods[1, 1], out=res[1])
-        self._round_work(res)
-        return res
+        """``y + alpha * x`` with per-operation rounding: :meth:`mul`, then
+        :meth:`add` (``out`` as there)."""
+        return self.add(y, self.mul(alpha, x), out=out)
 
     # ------------------------------------------------------------------ #
     # dense kernels

@@ -9,7 +9,7 @@ context so that the same computation reads ``w - V @ h``: every operator
 routes through the corresponding context method, which performs the operation
 in the work precision and rounds the result once.
 
-Design rules (these are what make the API safe to use in the solvers):
+Design rules:
 
 * **Bit identity** — each operator maps 1:1 onto one context call, in source
   order, so an operator-form kernel produces *exactly* the trajectory of its
@@ -17,8 +17,7 @@ Design rules (these are what make the API safe to use in the solvers):
 * **One implementation per operation** — operators add no arithmetic of
   their own: they unwrap their operand and call the context method, so a
   rounded scalar op exists once, in the context's ``_scalar_*`` twins, and
-  :class:`FScalar` operands never become 1-element ndarrays (the regime of
-  the solvers' Givens/QL operations).
+  :class:`FScalar` operands never become 1-element ndarrays.
 * **No silent leaks** — NumPy ufuncs and dispatched functions applied to a
   bound value raise :class:`PrecisionLeakError` instead of silently computing
   an unrounded result.  Reading values *out* is always explicit: ``.data``,
@@ -29,7 +28,7 @@ Constructing bound values:
 * ``ctx.array(values)`` / ``ctx.scalar(value)`` round arbitrary input into
   the context and wrap it;
 * ``ctx.wrap(data)`` / ``ctx.wrap_scalar(value)`` wrap data that is already
-  representable (no rounding) — the fast path used inside the solvers;
+  representable (no rounding);
 * :func:`precision` is a small context manager yielding a bound namespace::
 
       with precision("posit16") as p:
@@ -40,6 +39,7 @@ Constructing bound values:
 from __future__ import annotations
 
 import contextlib
+import operator
 
 import numpy as np
 
@@ -215,10 +215,7 @@ def _wrap(ctx, out):
             arr.data = out
             return arr
         out = out[()]
-    s = _new(FScalar)
-    s.ctx = ctx
-    s.value = out
-    return s
+    return _scalar(ctx, out)
 
 
 class FScalar:
@@ -243,89 +240,43 @@ class FScalar:
     # ------------------------------------------------------------------ #
     # arithmetic operators (each is exactly one rounded context call)
     # ------------------------------------------------------------------ #
-    # Scalar operands go to the context's ``_scalar_*`` twins, which own the
-    # work-precision operation, the op tally and the one ``round_scalar``
-    # call; array operands go to the elementwise op and come back as an
-    # FArray.  The FScalar-FScalar test comes first and the result is built
-    # inline: that is the solvers' Givens/QL regime.  A reflected operator
-    # never sees a bound operand (the bound left operand's own operator
-    # takes it), so it needs no unwrap.
+    def _arithmetic(self, other, scalar_op, array_op, reflected=False):
+        """``self <op> other`` (``other <op> self`` when ``reflected``):
+        the context's ``_scalar_*`` twin ``scalar_op`` for a number or bound
+        scalar operand, which owns the work-precision operation, the op
+        tally and the one ``round_scalar`` call, and the elementwise
+        ``array_op`` for an ndarray, whose result comes back bound."""
+        o = _operand(self.ctx, other)
+        a, b = (o, self.value) if reflected else (self.value, o)
+        if isinstance(o, _NUMBERS):
+            return _scalar(self.ctx, scalar_op(a, b))
+        if isinstance(o, np.ndarray):
+            return _wrap(self.ctx, array_op(a, b))
+        return NotImplemented
 
     def __add__(self, other):
-        c = self.ctx
-        o = other.value if type(other) is FScalar and other.ctx is c else _operand(c, other)
-        if isinstance(o, _NUMBERS):
-            r = _new(FScalar)
-            r.ctx = c
-            r.value = c._scalar_add(self.value, o)
-            return r
-        return _wrap(c, c.add(self.value, o)) if isinstance(o, np.ndarray) else NotImplemented
+        return self._arithmetic(other, self.ctx._scalar_add, self.ctx.add)
 
     def __radd__(self, other):
-        c = self.ctx
-        if isinstance(other, _NUMBERS):
-            r = _new(FScalar)
-            r.ctx = c
-            r.value = c._scalar_add(other, self.value)
-            return r
-        return _wrap(c, c.add(other, self.value)) if isinstance(other, np.ndarray) else NotImplemented
+        return self._arithmetic(other, self.ctx._scalar_add, self.ctx.add, True)
 
     def __sub__(self, other):
-        c = self.ctx
-        o = other.value if type(other) is FScalar and other.ctx is c else _operand(c, other)
-        if isinstance(o, _NUMBERS):
-            r = _new(FScalar)
-            r.ctx = c
-            r.value = c._scalar_sub(self.value, o)
-            return r
-        return _wrap(c, c.sub(self.value, o)) if isinstance(o, np.ndarray) else NotImplemented
+        return self._arithmetic(other, self.ctx._scalar_sub, self.ctx.sub)
 
     def __rsub__(self, other):
-        c = self.ctx
-        if isinstance(other, _NUMBERS):
-            r = _new(FScalar)
-            r.ctx = c
-            r.value = c._scalar_sub(other, self.value)
-            return r
-        return _wrap(c, c.sub(other, self.value)) if isinstance(other, np.ndarray) else NotImplemented
+        return self._arithmetic(other, self.ctx._scalar_sub, self.ctx.sub, True)
 
     def __mul__(self, other):
-        c = self.ctx
-        o = other.value if type(other) is FScalar and other.ctx is c else _operand(c, other)
-        if isinstance(o, _NUMBERS):
-            r = _new(FScalar)
-            r.ctx = c
-            r.value = c._scalar_mul(self.value, o)
-            return r
-        return _wrap(c, c.mul(self.value, o)) if isinstance(o, np.ndarray) else NotImplemented
+        return self._arithmetic(other, self.ctx._scalar_mul, self.ctx.mul)
 
     def __rmul__(self, other):
-        c = self.ctx
-        if isinstance(other, _NUMBERS):
-            r = _new(FScalar)
-            r.ctx = c
-            r.value = c._scalar_mul(other, self.value)
-            return r
-        return _wrap(c, c.mul(other, self.value)) if isinstance(other, np.ndarray) else NotImplemented
+        return self._arithmetic(other, self.ctx._scalar_mul, self.ctx.mul, True)
 
     def __truediv__(self, other):
-        c = self.ctx
-        o = other.value if type(other) is FScalar and other.ctx is c else _operand(c, other)
-        if isinstance(o, _NUMBERS):
-            r = _new(FScalar)
-            r.ctx = c
-            r.value = c._scalar_div(self.value, o)
-            return r
-        return _wrap(c, c.div(self.value, o)) if isinstance(o, np.ndarray) else NotImplemented
+        return self._arithmetic(other, self.ctx._scalar_div, self.ctx.div)
 
     def __rtruediv__(self, other):
-        c = self.ctx
-        if isinstance(other, _NUMBERS):
-            r = _new(FScalar)
-            r.ctx = c
-            r.value = c._scalar_div(other, self.value)
-            return r
-        return _wrap(c, c.div(other, self.value)) if isinstance(other, np.ndarray) else NotImplemented
+        return self._arithmetic(other, self.ctx._scalar_div, self.ctx.div, True)
 
     def __neg__(self):
         return _scalar(self.ctx, self.ctx.neg(self.value))
@@ -366,44 +317,29 @@ class FScalar:
     def __bool__(self) -> bool:
         return bool(self.value)
 
-    def __eq__(self, other):
+    def _compare(self, other, op):
+        # exact: no rounding, so no context check either
         if isinstance(other, FScalar):
             other = other.value
-        if isinstance(other, _NUMBERS):
-            return bool(self.value == other)
-        return NotImplemented
+        return bool(op(self.value, other)) if isinstance(other, _NUMBERS) else NotImplemented
+
+    def __eq__(self, other):
+        return self._compare(other, operator.eq)
 
     def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
+        return self._compare(other, operator.ne)
 
     def __lt__(self, other):
-        if isinstance(other, FScalar):
-            other = other.value
-        if isinstance(other, _NUMBERS):
-            return bool(self.value < other)
-        return NotImplemented
+        return self._compare(other, operator.lt)
 
     def __le__(self, other):
-        if isinstance(other, FScalar):
-            other = other.value
-        if isinstance(other, _NUMBERS):
-            return bool(self.value <= other)
-        return NotImplemented
+        return self._compare(other, operator.le)
 
     def __gt__(self, other):
-        if isinstance(other, FScalar):
-            other = other.value
-        if isinstance(other, _NUMBERS):
-            return bool(self.value > other)
-        return NotImplemented
+        return self._compare(other, operator.gt)
 
     def __ge__(self, other):
-        if isinstance(other, FScalar):
-            other = other.value
-        if isinstance(other, _NUMBERS):
-            return bool(self.value >= other)
-        return NotImplemented
+        return self._compare(other, operator.ge)
 
     __hash__ = None  # mutable-context-bound values are not hashable
 
@@ -477,18 +413,7 @@ class FArray:
         return bool(self.data)
 
     def __getitem__(self, key):
-        out = self.data[key]
-        if type(out) is np.ndarray:
-            if out.ndim:
-                r = _new(FArray)
-                r.ctx = self.ctx
-                r.data = out
-                return r
-            out = out[()]
-        s = _new(FScalar)
-        s.ctx = self.ctx
-        s.value = out
-        return s
+        return _wrap(self.ctx, self.data[key])
 
     def __setitem__(self, key, value):
         if type(value) is FScalar or type(value) is FArray:
@@ -608,13 +533,10 @@ class FArray:
         return _wrap(self.ctx, self.ctx.norm2(self.data))
 
     def axpy(self, alpha, x) -> "FArray":
-        """Fused rounded update ``self + alpha * x``.
-
-        Element-for-element identical to ``self + alpha * x`` written as
-        two operator calls, but the product buffer doubles as the sum's
-        output (:meth:`ComputeContext.axpy`), halving the memory traffic of
-        the dominant solver update.  ``alpha`` may be a scalar or
-        :class:`FScalar`; ``x`` an :class:`FArray` or ndarray.
+        """Rounded update ``self + alpha * x`` (:meth:`ComputeContext.axpy`):
+        the two operations of the operator spelling, in its order.
+        ``alpha`` may be a scalar or :class:`FScalar`; ``x`` an
+        :class:`FArray` or ndarray.
         """
         c = self.ctx
         return _wrap(c, c.axpy(_operand(c, alpha), _operand(c, x), self.data))
@@ -642,23 +564,19 @@ class FArray:
         """Whether every entry is finite (exact query, plain bool)."""
         return bool(np.all(np.isfinite(self.data)))
 
-    def __eq__(self, other):
+    def _compare(self, other, op):
+        # exact and elementwise: a plain boolean ndarray, no context check
         if type(other) is FArray:
             other = other.data
         elif type(other) is FScalar:
             other = other.value
-        if isinstance(other, _OPERANDS):
-            return self.data == other
-        return NotImplemented
+        return op(self.data, other) if isinstance(other, _OPERANDS) else NotImplemented
+
+    def __eq__(self, other):
+        return self._compare(other, operator.eq)
 
     def __ne__(self, other):
-        if type(other) is FArray:
-            other = other.data
-        elif type(other) is FScalar:
-            other = other.value
-        if isinstance(other, _OPERANDS):
-            return self.data != other
-        return NotImplemented
+        return self._compare(other, operator.ne)
 
     __hash__ = None
 
@@ -738,9 +656,3 @@ def precision(spec, **kwargs):
     else:
         ctx = get_context(spec, **kwargs)
     yield BoundNamespace(ctx)
-
-
-# register the wrapper classes with the contexts (ctx.array/scalar/wrap
-# construct them without re-importing this module per call)
-ComputeContext._farray_cls = FArray
-ComputeContext._fscalar_cls = FScalar

@@ -53,8 +53,8 @@ Both therefore run in C, as two entries of the compiled rounding kernel
   ``i`` and ``i + 1`` of ``Z`` are the contiguous rows of a ``Z^T`` copy,
   and the four products ``c*x, s*y, s*x, c*y`` and the results
   ``c*x - s*y`` and ``s*x + c*y`` round elementwise in one pass, counted
-  as one call of the kernel (``6 * nrows`` ops, the tally of
-  :meth:`~repro.arithmetic.context.ComputeContext.rotate_columns`).  A
+  as one call of the kernel (``6 * nrows`` ops, the tally of the six
+  rounded ops of the operator spelling).  A
   failed iteration keeps the rotations it applied, so it tallies the ops
   of the step-by-step spelling.  The entry returns the op tally, the exit
   status, the number of zero rotation radii (steps that restarted the

@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges and histograms with monotonic timers.
+"""Metrics registry: counters, gauges and histograms.
 
 One process-wide :class:`MetricsRegistry` (:data:`metrics`) aggregates
 everything the instrumented layers record:
@@ -7,7 +7,7 @@ everything the instrumented layers record:
   store hits/misses, rounded elementary operations);
 * **gauges** — last-written values (table memory, worker counts);
 * **histograms** — streaming summaries (count/sum/min/max) of observations,
-  used for wall-time distributions via :meth:`MetricsRegistry.timer`.
+  used for wall-time distributions.
 
 Instruments are keyed by ``(name, labels)``; the flat snapshot renders label
 sets Prometheus-style (``rounding.dispatch{format=posit16,path=bitkernel}``)
@@ -24,7 +24,6 @@ through :meth:`repro.arithmetic.ComputeContext.publish_op_count`).
 from __future__ import annotations
 
 import threading
-import time
 from typing import Callable, Iterator, Optional
 
 from . import core as _core
@@ -119,38 +118,6 @@ class Histogram:
         }
 
 
-class _Timer:
-    """Context manager observing its wall time into a histogram."""
-
-    __slots__ = ("_histogram", "_start")
-
-    def __init__(self, histogram: Histogram):
-        self._histogram = histogram
-
-    def __enter__(self) -> "_Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self._histogram.observe(time.perf_counter() - self._start)
-        return False
-
-
-class _NullTimer:
-    """Shared no-op timer returned while telemetry is disabled."""
-
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-
-_NULL_TIMER = _NullTimer()
-
-
 class MetricsRegistry:
     """Thread-safe registry of named, labelled instruments.
 
@@ -224,16 +191,6 @@ class MetricsRegistry:
         """Convenience counter increment; no-op while telemetry is off."""
         if _core.ENABLED:
             self.counter(name, **labels).inc(n)
-
-    def timer(self, name: str, **labels):
-        """Context manager timing its block into ``histogram(name)``.
-
-        Returns a shared no-op object while telemetry is disabled, so the
-        ``with`` statement itself is the only residual cost.
-        """
-        if not _core.ENABLED:
-            return _NULL_TIMER
-        return _Timer(self.histogram(name, **labels))
 
     # -- introspection ----------------------------------------------------
 

@@ -1,9 +1,10 @@
 """Explicit-context baseline implementations of the migrated solver kernels.
 
-The solver modules (``repro.core.arnoldi``, ``repro.core.krylov_schur``)
-are written in the operator form of :mod:`repro.arithmetic.farray`;
-``repro.linalg.tridiagonal`` runs its Householder reduction (on a stacked
-``[A; Q]`` buffer) and its QL iteration in the compiled rounding library.
+The solver modules run their loops in the compiled rounding library:
+``repro.core.arnoldi`` its Arnoldi expansion, and
+``repro.linalg.tridiagonal`` its Householder reduction (on a stacked
+``[A; Q]`` buffer) and its QL iteration; ``repro.core.krylov_schur``
+calls the context's rounded kernels between them.
 This module preserves the explicit
 ``ctx.sub(w, ctx.gemv(V, h))`` spelling of the same algorithms — the
 pre-migration code, byte for byte where possible — so that

@@ -191,11 +191,10 @@ class TestReductions:
         for i in range(3):
             assert float(vec[i]) == float(ctx.hypot(a[i], b[i]))
 
-    def test_axpy_and_scale(self, float64_ctx, rng):
+    def test_axpy(self, float64_ctx, rng):
         x = rng.standard_normal(10)
         y = rng.standard_normal(10)
         assert np.allclose(float64_ctx.axpy(2.0, x, y), y + 2.0 * x)
-        assert np.allclose(float64_ctx.scale(3.0, x), 3.0 * x)
 
 
 class TestDenseKernels:

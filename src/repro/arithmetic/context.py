@@ -485,6 +485,19 @@ class ComputeContext(ABC):
         :meth:`add` (``out`` as there)."""
         return self.add(y, self.mul(alpha, x), out=out)
 
+    def rotate_columns(self, c, s, x, y):
+        """Givens rotation of two vectors: ``[c*x - s*y, s*x + c*y]``.
+
+        Returns the stacked pair as one ``(2, *x.shape)`` array: the six
+        rounded ops of the spelling, in that order, tallied ``6 * x.size``.
+        ``c`` and ``s`` are scalars, or arrays that broadcast against
+        ``x`` and ``y`` as :meth:`mul` does.
+        """
+        return np.stack((
+            self.sub(self.mul(c, x), self.mul(s, y)),
+            self.add(self.mul(s, x), self.mul(c, y)),
+        ))
+
     # ------------------------------------------------------------------ #
     # dense kernels
     # ------------------------------------------------------------------ #

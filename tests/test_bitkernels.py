@@ -483,9 +483,11 @@ def test_analytic_kernels_bypass_bitkernels():
     """With the integer transform disabled a context rounds by the format's
     rule alone; it agrees with the switched-on kernel and the reference bit
     for bit.  The ops that round their work buffer in place (an aliased
-    ``out``, a fresh product) give the reference's words too."""
+    ``out``, a fresh product, the Givens rotation) give the
+    reference's words too."""
     values = np.tile([0.3, -1.7, 64.25, 1e-40], 8)
     other = np.tile([1.1, -0.7, 3.0, 2e-3], 8)
+    c, s = 0.6, 0.8
     fmt = get_format("posit32")
     fast = get_context("posit32").round(values)
     previous = bk.set_enabled(False)
@@ -495,6 +497,7 @@ def test_analytic_kernels_bypass_bitkernels():
         acc = analytic.copy()
         summed = ctx.add(acc, other, out=acc)
         product = ctx.mul(analytic, other)
+        rotated = ctx.rotate_columns(c, s, analytic, product)
     finally:
         bk.set_enabled(previous)
     def ref(values):
@@ -505,6 +508,8 @@ def test_analytic_kernels_bypass_bitkernels():
     assert summed is acc
     assert np.array_equal(summed, ref(analytic + other))
     assert np.array_equal(product, ref(analytic * other))
+    prods = ref(np.stack((c * analytic, s * product, s * analytic, c * product)))
+    assert np.array_equal(rotated, ref(np.stack((prods[0] - prods[1], prods[2] + prods[3]))))
 
 
 @pytest.mark.parametrize("name", ["posit16", "takum16", "E4M3"])

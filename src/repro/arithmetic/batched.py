@@ -1,31 +1,27 @@
-"""Stacked multi-format execution: a first-class format axis.
-
-The paper's central experiment runs the *same* Krylov-Schur solve once per
-number format.  This module lets the lockstep solver
-(:mod:`repro.core.lockstep`) advance a stack of ``(n_formats, ...)``
-trajectories together:
+"""The format axis: an ordered list of contexts, and stacked ops over it.
 
 * :class:`BatchSpec` binds an *ordered* list of
-  :class:`~repro.arithmetic.context.ContextSpec` values and partitions them
-  into work-dtype *lanes* (float64, float32, longdouble) — per-row work-dtype
-  promotion is handled at this boundary, so every lane computes in exactly
-  the dtype its sequential contexts would have used;
-* :class:`BatchedContext` owns one context per batch row and runs the
-  solver's operations on stacked arrays whose leading axis is the format
-  axis.  An elementwise operation is one NumPy ufunc over the whole stack,
-  then each leading-axis entry is rounded through *its own row's* context
-  (``round_scalar`` for one value per row, ``round`` for anything larger).
-  A reduction (``norm2``, ``gemv``, ``gemv_t``, ``gemm``, the sums of
-  ``spmv``) is the row context's own method, called row by row, so each
-  row takes the one compiled ``reduce`` of its sequential context.
+  :class:`~repro.arithmetic.context.ContextSpec` values (or built
+  contexts), checks that they share one ``accumulation``, builds one
+  context per row and partitions the rows into work-dtype *lanes*
+  (float64, float32, longdouble).  The solver's format axis,
+  :func:`repro.core.lockstep.batched_partialschur`, takes one and solves
+  each row with :func:`repro.core.krylov_schur.partialschur` in the row's
+  context.
+* :class:`BatchedContext` runs the compute-context operations on stacked
+  arrays whose leading axis is the format axis, one lane at a time.  An
+  elementwise operation is one NumPy ufunc over the whole stack, then each
+  leading-axis entry is rounded through *its own row's* context
+  (``round_scalar`` for one value per row, ``round`` for anything
+  larger); a reduction (``norm2``, ``gemv``, ``gemv_t``, ``gemm``, the
+  sums of ``spmv``) is the row context's own method, called row by row.
+  So every row computes and rounds exactly as its sequential context would
+  (``tests/test_lockstep.py``).
 
-Bit identity is the design contract: for each batch row, every batched
-operation performs the *same* work-precision computation and the *same*
-rounding as the sequential context would, so the per-format trajectories
-of the lockstep solver are bit-identical to the sequential engine (proven
-in ``tests/test_lockstep.py``).  IEEE elementwise operations are
-deterministic — ``np.add`` on a stacked float64 row computes the same bits
-as the sequential path — and everything else is the row's own context.
+:class:`BatchedContext` is off the solve path: it served the lockstep
+driver that stacked the Arnoldi expansion across formats, which is gone.
+It stays only because the figure benchmark's trace targets patch its
+``round`` and ``spmv``; it goes together with those targets.
 """
 
 from __future__ import annotations
@@ -49,9 +45,8 @@ class BatchSpec:
     """An ordered list of context specs forming one format axis.
 
     The order is the row order of every stacked array; results are reported
-    in the same order.  All specs must agree on ``accumulation`` (mixing
-    reduction orders in one lockstep sweep would make the shared index
-    bookkeeping ambiguous).
+    in the same order.  All specs must agree on ``accumulation``, so one
+    batch has one pairing order.
 
     Rows may also be given as already-built
     :class:`~repro.arithmetic.context.ComputeContext` instances;
@@ -179,8 +174,8 @@ class BatchedContext:
 
         The elementwise ops defer their tallies (appending a pair is far
         cheaper than a scatter-add per elementary op); the reductions tally
-        in the row contexts as they run.  The lockstep solver flushes
-        before it publishes the rows' op counts.
+        in the row contexts as they run.  Flush before reading the rows'
+        op counts.
         """
         pending = self._pending_tallies
         if not pending:

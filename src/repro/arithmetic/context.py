@@ -480,7 +480,7 @@ class ComputeContext(ABC):
         xs = self.div(x, scale)
         return self.mul(scale, self.sqrt(self.dot(xs, xs)))
 
-    def axpy(self, alpha, x, y, out=None):
+    def axpy(self, alpha, x, y, *, out=None):
         """``y + alpha * x`` with per-operation rounding: :meth:`mul`, then
         :meth:`add` (``out`` as there)."""
         return self.add(y, self.mul(alpha, x), out=out)

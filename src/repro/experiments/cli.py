@@ -188,10 +188,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--batch-formats",
         action="store_true",
-        help="solve each matrix's formats as one lockstep batch "
-        "(repro.core.lockstep) instead of one sequential solve per format; "
-        "per-format results are bit-identical, so cache entries are shared "
-        "with sequential runs",
+        help="solve each matrix's missing formats as one task, one "
+        "partialschur solve per format (repro.core.lockstep."
+        "batched_partialschur); per-format results are bit-identical, so "
+        "cache entries are shared with sequential runs",
     )
     parser.add_argument(
         "--report-json",

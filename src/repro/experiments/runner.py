@@ -161,7 +161,7 @@ def _evaluate_solve(
     keep: int,
 ) -> RunRecord:
     """Fill a record from a finished solver result (shared by the
-    sequential per-cell path and the batched lockstep path)."""
+    per-cell path and the batched path)."""
     record.restarts = result.restarts
     record.matvecs = result.matvecs
     record.solver_reason = result.reason
@@ -245,16 +245,16 @@ def _run_cells_batched(
     ref_vecs: np.ndarray,
     keep: int,
 ) -> list[RunRecord]:
-    """All (matrix, format) cells of one matrix as one lockstep batch.
+    """All (matrix, format) cells of one matrix as one batched solve.
 
-    The solver phase runs through
-    :func:`repro.core.lockstep.batched_partialschur`, which is bit-identical
-    per format to the sequential engine, so the records are exactly what
-    :func:`_run_cell` would have produced — only faster.  The pre-solve
-    (conversion, ∞σ range check) and post-solve (matching, error metrics)
-    phases stay per-cell.  ``solve_seconds`` of the batched cells is the
-    batch wall time split evenly across them (per-cell attribution inside a
-    lockstep sweep is not observable).
+    The solver phase is one
+    :func:`repro.core.lockstep.batched_partialschur` call, which runs
+    :func:`repro.core.krylov_schur.partialschur` once per solvable format,
+    so the records are exactly what :func:`_run_cell` would have produced.
+    The pre-solve (conversion, ∞σ range check) and post-solve (matching,
+    error metrics) phases stay per-cell.  ``solve_seconds`` of the batched
+    cells is the batch wall time split evenly across them (each row's own
+    time is its ``krylov_schur.solve`` trace span).
     """
     from ..core.lockstep import batched_partialschur
 
@@ -312,9 +312,10 @@ def run_matrix_experiment(
 ) -> MatrixExperiment:
     """Run the full per-matrix pipeline for every requested format.
 
-    With ``batch_formats=True`` the solver phase of all formats runs as one
-    lockstep sweep (:mod:`repro.core.lockstep`) instead of one sequential
-    solve per format; the records are bit-identical either way.
+    With ``batch_formats=True`` the solver phase of all formats is one
+    :func:`repro.core.lockstep.batched_partialschur` call (one
+    ``partialschur`` per format) instead of one :func:`_run_cell` per
+    format; the records are bit-identical either way.
     """
     config = config or ExperimentConfig()
     t_start = time.perf_counter()
@@ -402,10 +403,11 @@ def run_experiment(
         Treat cached ``"failed"`` cells (crashed workers) as missing and
         retry them.
     batch_formats:
-        Solve every matrix's missing formats as one lockstep batch
-        (:func:`repro.core.lockstep.batched_partialschur`) instead of one
-        sequential solver run per format.  Records are bit-identical either
-        way, so batched and sequential runs share cache entries.
+        Solve every matrix's missing formats as one
+        :func:`repro.core.lockstep.batched_partialschur` call, one
+        ``partialschur`` per format, instead of one cell at a time.  Records
+        are bit-identical either way, so batched and sequential runs share
+        cache entries.
     """
     from .store import execute_plan, plan_experiment  # local: store imports us
 

@@ -424,9 +424,11 @@ class _ShardTask:
 
     ``formats`` may be empty — that shard exists only to regenerate a
     missing reference record (cells all cached, reference gc'd away).
-    With ``batch_formats`` the shard's formats are solved as one lockstep
-    batch instead of sequentially — the shard is already the natural
-    batching unit, since it groups all missing cells of one matrix.
+    With ``batch_formats`` the shard's formats are solved by one
+    :func:`repro.core.lockstep.batched_partialschur` call (one
+    ``partialschur`` per format) instead of cell by cell — the shard is
+    already the natural batching unit, since it groups all missing cells
+    of one matrix.
     """
 
     test_matrix: TestMatrix
@@ -517,9 +519,9 @@ def plan_experiment(
     loaded and everything executes; with ``rerun_failed=True`` cached
     ``"failed"`` cells (crashed workers) count as missing.  With
     ``batch_formats=True`` each shard's missing formats are marked for one
-    lockstep batched solve; cache keys are unaffected (the batched engine
-    is bit-identical per cell), so batched and sequential runs interleave
-    freely over one store.
+    batched solve; cache keys are unaffected (each batched row is the
+    sequential solve), so batched and sequential runs interleave freely
+    over one store.
     """
     config = config or ExperimentConfig()
     suite = list(suite)

@@ -1,18 +1,23 @@
 """Symmetric eigendecomposition of a stacked format axis, row by row.
 
-Batched entry points of :mod:`repro.linalg.tridiagonal` for the lockstep
-solver (:mod:`repro.core.lockstep`): each batch row runs the sequential
-:func:`~repro.linalg.tridiagonal.tridiagonalize` and
+Batched entry points of :mod:`repro.linalg.tridiagonal` over a
+:class:`~repro.arithmetic.batched.BatchedContext`: each batch row runs the
+sequential :func:`~repro.linalg.tridiagonal.tridiagonalize` and
 :func:`~repro.linalg.tridiagonal.tridiagonal_eigen` in its own context, so
 each row is one compiled ``tridiagonalize`` and one ``ql`` call, with the
 row's op tally and its own ``tridiagonal.reduce`` and
-``tridiagonal.ql`` trace spans.  The QL iteration is data-dependent (each
-format deflates after a different number of sweeps), and the compiled
-entries take one matrix each, so nothing is gained by stacking the rows.
+``tridiagonal.ql`` trace spans.  A row whose QL iteration fails (the
+paper's ∞ω regime) does not stop the others: its
+:class:`~repro.linalg.tridiagonal.EigenConvergenceError` message goes into
+the returned ``errors`` list instead.
 
-A row whose QL iteration fails (the paper's ∞ω regime) does not stop the
-others: its :class:`~repro.linalg.tridiagonal.EigenConvergenceError`
-message goes into the returned ``errors`` list instead.
+This module is off the solve path: a batched solve
+(:func:`repro.core.lockstep.batched_partialschur`) runs each row through
+:func:`repro.core.krylov_schur.partialschur`, whose Ritz step calls
+:func:`~repro.linalg.tridiagonal.symmetric_eigen` directly.  It stays only
+because the figure benchmark's trace targets patch
+:func:`lockstep_tridiagonalize` and :func:`lockstep_tridiagonal_eigen`; it
+goes together with those targets.
 """
 
 from __future__ import annotations

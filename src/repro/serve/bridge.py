@@ -49,8 +49,8 @@ def solve_cells(
     Planning subtracts store hits, so cells a racing replica committed
     meanwhile drop out before anything runs; execution commits each record
     and the per-matrix reference atomically as they land.  Several formats
-    run as one lockstep sweep (``batch_formats=True``), a single format as
-    one sequential solve — the faster engine for each; cache keys and
+    run as one batched task (``batch_formats=True``: one ``partialschur``
+    per format), a single format as one sequential cell; cache keys and
     payloads are the same either way.  Returns the execution report; the
     caller reads the committed payloads back from the store.
     """

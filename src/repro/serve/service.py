@@ -22,14 +22,14 @@ separated by an ``await``:
 4. the cold remainder is **led**: each of its keys registers an in-flight
    future, and the cells go to the bridge as **one** submission (full pool
    ⇒ ``503`` + ``Retry-After``) — one sequential solve for a single format,
-   one lockstep sweep (the format axis of
-   :func:`repro.core.lockstep.batched_partialschur`) for several.  The
+   one :func:`repro.core.lockstep.batched_partialschur` call (one
+   ``partialschur`` per format, in one pool slot) for several.  The
    committed payloads are read back and resolve every joiner's future.
 
 ``/v1/cell`` is a batch of one: it answers with its cell's payload bytes and
 ``X-Repro-Source``/``X-Repro-Key`` headers, while ``/v1/cells`` answers a
 document of per-cell statuses.  Records are bit-identical between the two
-engines, so both routes share one store and join each other's solves.
+paths, so both routes share one store and join each other's solves.
 
 Lifecycle helpers: :class:`ServiceThread` runs a service on a dedicated
 event-loop thread (tests, benchmarks, smoke scripts) and

@@ -357,6 +357,15 @@ class TestOutKeywordContract:
         assert result is buffer
         assert np.array_equal(buffer, ctx.add(a, b))
 
+    @pytest.mark.parametrize("op", ["mul", "axpy"])
+    def test_positional_out_raises_type_error(self, op):
+        ctx = get_context("takum8")
+        x = ctx.round(np.linspace(0.25, 2.0, 8).astype(ctx.dtype))
+        buffer = np.empty_like(x)
+        operands = (x, x) if op == "mul" else (ctx.dtype(0.5), x, x)
+        with pytest.raises(TypeError):
+            getattr(ctx, op)(*operands, buffer)
+
     def test_scalar_operands_leave_out_untouched(self):
         ctx = get_context("takum8")
         buffer = np.full(4, 7.0, dtype=ctx.dtype)

@@ -20,6 +20,7 @@ import pytest
 
 from repro import partialschur
 from repro.arithmetic import BatchedContext, get_context
+from repro.core.lockstep import batched_partialschur
 from repro.datasets import get_suite
 from repro.linalg import tridiagonalize
 from repro.linalg.lockstep import lockstep_symmetric_eigen
@@ -417,6 +418,29 @@ def test_ql_spans_report_rotations(telemetry_on):
         assert attrs["rotations"] > 0, attrs["fmt"]
         assert "waves" not in attrs, attrs["fmt"]
         assert attrs["restarts"] >= 0, attrs["fmt"]
+
+
+def test_batched_rows_emit_one_solve_span_each(telemetry_on):
+    """A batch is one ``krylov_schur.solve_batched`` span holding one
+    depth-1 ``krylov_schur.solve`` span per row, in row order, and its
+    ``batch.retired`` counters add up the rows' reasons."""
+    matrix = get_suite("general", count=1, size_range=(32, 32), seed=0)[0].matrix
+    formats = ["takum8", "bfloat16", "float64"]
+    results = batched_partialschur(matrix, formats, nev=6, tol=1e-6, restarts=3, seed=0)
+    events = list(trace.read_events(telemetry_on))
+    [batch] = [i for i, e in enumerate(events) if e["name"] == "krylov_schur.solve_batched"]
+    assert events[batch]["depth"] == 0
+    solves = [i for i, e in enumerate(events) if e["name"] == "krylov_schur.solve"]
+    assert [events[i]["attrs"]["fmt"] for i in solves] == formats
+    assert all(events[i]["depth"] == 1 and i < batch for i in solves)
+    reasons: dict = {}
+    for result in results:
+        reasons[result.reason] = reasons.get(result.reason, 0) + 1
+    assert len(reasons) > 1  # the rows retire for different reasons
+    assert events[batch]["attrs"]["retired"] == reasons
+    for reason, count in reasons.items():
+        assert metrics.value("batch.retired", reason=reason) == count, reason
+    assert metrics.value("batch.formats") == len(formats)
 
 
 def test_reduce_span_reports_skipped_and_first_nonfinite(telemetry_on):

@@ -30,7 +30,12 @@ reference context, with the bit kernels on and off.  The ``kernel_tables``
 section pins what every bit kernel is built with: its ``(shift, bias,
 special)`` lookup tables, layout flags and rule tuple, per kernel format
 (the unregistered tapered widths and the saturating E4M3 included) and
-switch position.
+switch position.  The ``pass_tallies`` section pins how the compiled
+entries group their rounded ops into kernel passes: the ``(calls, elements,
+handed_back, zeros)`` tallies and the op tally of one ``tridiagonalize``
+(the ``seeded`` reduction input) and one expansion (the ``expand`` input),
+with telemetry on, per emulated paper format, accumulation order and switch
+position.
 
 A refactor of the solver or the rounding backends proves it changed nothing
 by leaving these digests untouched; an intentional numerical change
@@ -69,6 +74,7 @@ from repro.experiments.tolerances import tolerance_for
 from repro.linalg import tridiagonal
 from repro.linalg.tridiagonal import EigenConvergenceError, symmetric_eigen, tridiagonal_eigen
 from repro.sparse import CSRMatrix
+from repro.telemetry import core as telemetry
 
 if __name__ == "__main__":  # run as a script: the tests package sits in the repo root
     sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -574,6 +580,64 @@ def kernel_tables_digests() -> dict:
     return {name: kernel_tables_digest(name) for name in KERNEL_FORMATS}
 
 
+#: the formats with a kernel among the paper's (float32 and float64 round
+#: by a cast, so the compiled entries make no kernel pass there)
+EMULATED_FORMATS = [name for name in FORMATS if name not in ("float32", "float64")]
+#: the inputs whose passes are pinned, and the orders they are summed in
+PASS_SETTINGS = {
+    "tridiagonalize": "seeded",
+    "arnoldi": "expand",
+    "accumulation": ["pairwise", "sequential"],
+}
+
+
+def _pass_tally(ctx, run) -> dict:
+    """The ``(calls, elements, handed_back, zeros)`` of the kernel passes
+    ``run()`` makes in ``ctx`` with telemetry on, and its rounded-op tally."""
+    kernel = ctx.compiled_rounding()
+    kernel.take_counts()
+    start = ctx.op_count
+    previous = telemetry.set_enabled(True)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            run()
+    finally:
+        telemetry.set_enabled(previous)
+    return {"counts": list(kernel.take_counts()), "op_count": ctx.op_count - start}
+
+
+def pass_tallies(name: str) -> dict:
+    """Per switch position and accumulation order, the pass tallies of one
+    ``tridiagonalize`` and one ``arnoldi_expand`` in ``name``."""
+    out = {}
+    for position, enabled in SWITCH.items():
+        previous = set_bitkernels_enabled(enabled)
+        try:
+            for accumulation in PASS_SETTINGS["accumulation"]:
+                ctx = get_context(name, accumulation=accumulation)
+                A = _reduction_input(ctx, PASS_SETTINGS["tridiagonalize"])
+                matrix, decomp, target = _arnoldi_input(ctx, PASS_SETTINGS["arnoldi"])
+                out.setdefault(position, {})[accumulation] = {
+                    "tridiagonalize": _pass_tally(ctx, lambda: tridiagonal.tridiagonalize(ctx, A)),
+                    "arnoldi": _pass_tally(
+                        ctx,
+                        lambda: arnoldi_expand(ctx, matrix, decomp, target, rng=_deflation_rng()),
+                    ),
+                }
+        finally:
+            set_bitkernels_enabled(previous)
+    return out
+
+
+def pass_tallies_digests() -> dict:
+    """The ``pass_tallies`` section: per-format pass tallies."""
+    return {
+        "settings": PASS_SETTINGS,
+        "contexts": {name: pass_tallies(name) for name in EMULATED_FORMATS},
+    }
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     data = json.loads(GOLDEN.read_text())
@@ -688,6 +752,20 @@ def test_kernel_tables_match_golden_digest(name):
     assert kernel_tables_digest(name) == json.loads(GOLDEN.read_text())["kernel_tables"][name]
 
 
+@pytest.fixture(scope="module")
+def golden_pass_tallies() -> dict:
+    data = json.loads(GOLDEN.read_text())["pass_tallies"]
+    assert data["settings"] == PASS_SETTINGS, "golden file was generated with other settings"
+    return data["contexts"]
+
+
+@pytest.mark.parametrize("name", EMULATED_FORMATS)
+def test_pass_tallies_match_golden(name, golden_pass_tallies):
+    if not _runnable(name):
+        pytest.skip("numpy.longdouble is not extended precision here")
+    assert pass_tallies(name) == golden_pass_tallies[name]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--update"]:
         sys.exit("usage: python tests/test_golden_digests.py --update")
@@ -705,6 +783,7 @@ if __name__ == "__main__":
                 "tridiagonalize": tridiagonalize_digests(),
                 "arnoldi": arnoldi_digests(),
                 "kernel_tables": kernel_tables_digests(),
+                "pass_tallies": pass_tallies_digests(),
             },
             indent=2,
         )

@@ -106,25 +106,26 @@ class TestBitIdentity:
     def test_arnoldi_trajectory(self, fmt):
         """The compiled expansion against the explicit spelling, op for op:
         the same trajectory, op tally and breakdown text, with the bit
-        kernels on and off, on the Laplacian and on the Laplacian scaled to
-        the top of the context's range (whose coefficients overflow in the
-        IEEE-style formats)."""
+        kernels on and off, in both accumulation orders, on the Laplacian
+        and on the Laplacian scaled to the top of the context's range (whose
+        coefficients overflow in the IEEE-style formats)."""
         matrix = _small_laplacian(16)
         for enabled in (True, False):
             previous = set_bitkernels_enabled(enabled)
             try:
-                for scale in ("unit", "top"):
-                    ctx_a = get_context(fmt)
-                    ctx_b = get_context(fmt)
-                    factor = _top(ctx_a) if scale == "top" else ctx_a.dtype(1)
-                    got = _arnoldi_run(arnoldi_expand, ctx_a, matrix, factor)
-                    want = _arnoldi_run(arnoldi_expand_explicit, ctx_b, matrix, factor)
-                    label = f"{fmt} {scale} bitkernels={enabled}"
-                    assert ctx_a.op_count == ctx_b.op_count, label
-                    if isinstance(want, str) or isinstance(got, str):
-                        assert got == want, label
-                        continue
-                    _assert_same_expansion(got, want, label)
+                for accumulation in ("pairwise", "sequential"):
+                    for scale in ("unit", "top"):
+                        ctx_a = get_context(fmt, accumulation=accumulation)
+                        ctx_b = get_context(fmt, accumulation=accumulation)
+                        factor = _top(ctx_a) if scale == "top" else ctx_a.dtype(1)
+                        got = _arnoldi_run(arnoldi_expand, ctx_a, matrix, factor)
+                        want = _arnoldi_run(arnoldi_expand_explicit, ctx_b, matrix, factor)
+                        label = f"{fmt} {accumulation} {scale} bitkernels={enabled}"
+                        assert ctx_a.op_count == ctx_b.op_count, label
+                        if isinstance(want, str) or isinstance(got, str):
+                            assert got == want, label
+                            continue
+                        _assert_same_expansion(got, want, label)
             finally:
                 set_bitkernels_enabled(previous)
 

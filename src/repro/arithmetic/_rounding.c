@@ -133,7 +133,10 @@
  * rounds in one pass, as `round_into` would round it, counted as one call
  * of the kernel; `ql` rounds the six ops of each Givens step on `ZT` in one
  * pass.  `tridiagonalize` and `arnoldi` round each elementwise op in one
- * pass and each dot product or matrix-vector product as `reduce` does.
+ * pass; a dot product or matrix-vector product rounds its products in one
+ * pass and sums them as `reduce` does (so the sequential order sums a dot
+ * product with one scalar op per addition), and a norm is scaled by the
+ * largest magnitude.
  * `ql`, `tridiagonalize` and `arnoldi` take well-behaved C-contiguous
  * arrays only, and write in place; `reduce` only reads `values`.
  *
@@ -820,13 +823,24 @@ typedef struct {
  *   NAME_ql      the implicit-shift QL iteration on `d` and `e` in place,
  *                each Givens step applied to the rows of `Z^T` as it is
  *                formed (EISPACK tql2), in one pass by `NAME_givens`;
+ *   NAME_sum     the `reduce` entry: the rounded sums of the segments of
+ *                its values, the levels of a pairwise tree by `LEVEL_FN`;
+ *   NAME_products
+ *                `out[i] = sum_l M[i rs + l cs] x[l]` for i < rows and
+ *                l < cols, every rounded matrix-vector product (`rs` 0
+ *                and `vector`: one dot product): the products laid out
+ *                (rows, cols) in `P` in one pass, then `NAME_sum` of each row;
+ *   NAME_norm2   the norm of the `m` values `x[0], x[stride], ...`: NaN
+ *                when a value is NaN, +inf when one is infinite, 0 when all
+ *                are zero (no op), otherwise `scale * sqrt((x / scale) .
+ *                (x / scale))` with `scale` the largest magnitude (`xs`
+ *                and `p`: scratch of `m` values);
+ *   NAME_rank1   `S - u b^T` in place over the `rows` rows of `n` values
+ *                of `S`, row `i` reading `b` from `(i / n) bstep` on: the
+ *                products in one pass (into `P`), then the difference;
  *   NAME_tridiagonalize
  *                the Householder reduction of `[A; Q]` (EISPACK tred2;
- *                Golub & Van Loan, Alg. 8.3.1), with the dot products and
- *                matrix-vector products summed by `NAME_sum`;
- *   NAME_reduce  the `reduce` entry: `NAME_sum` over the segments of its
- *                values.
- * `NAME_sum` runs the levels of a pairwise tree with `LEVEL_FN`. */
+ *                Golub & Van Loan, Alg. 8.3.1) on these helpers. */
 #define EIGEN(NAME, T, STEP, SQRT, FABS, COPYSIGN, LEVEL_FN)                                    \
     static inline void NAME##_rs(Ql *q, T *x)                                                   \
     {                                                                                           \
@@ -972,12 +986,14 @@ typedef struct {
         }                                                                                       \
     }                                                                                           \
                                                                                                 \
-    /* The rounded sums of the segments `r->seg` of the values at `p` into                      \
-     * `out` (0 for an empty segment): pairwise, one pass per tree level, or                    \
-     * left to right, one pass per column of the segments still                                 \
+    /* The rounded sums of the segments `r->seg` of the values at `values`                      \
+     * into `sums` (0 for an empty segment): pairwise, one pass per tree                        \
+     * level, or left to right, one pass per column of the segments still                       \
      * accumulating (for a `vector`, one segment, a scalar op per addition). */                 \
-    static void NAME##_sum(Tri *r, const T *p, int vector, T *out)                              \
+    static void NAME##_sum(Tri *r, const void *values, int vector, void *sums)                  \
     {                                                                                           \
+        const T *const p = values;                                                              \
+        T *const out = sums;                                                                    \
         Segments *const seg = &r->seg;                                                          \
         npy_intp longest = 0;                                                                   \
         for (npy_intp i = 0; i < seg->count; i++) {                                             \
@@ -1030,12 +1046,6 @@ typedef struct {
         }                                                                                       \
     }                                                                                           \
                                                                                                 \
-    /* `reduce` over the segments of the values at `p`, into `out` */                           \
-    static void NAME##_reduce(Tri *r, const char *p, int vector, char *out)                     \
-    {                                                                                           \
-        NAME##_sum(r, (const T *)p, vector, (T *)out);                                          \
-    }                                                                                           \
-                                                                                                \
     /* `x[i * stride] / d` for i < m into `out`, in one pass */                                 \
     static void NAME##_divide(Tri *r, const T *x, npy_intp stride, npy_intp m, T d, T *out)     \
     {                                                                                           \
@@ -1047,50 +1057,59 @@ typedef struct {
         end_pass(r->rnd.k, m, &r->rnd.pass);                                                    \
     }                                                                                           \
                                                                                                 \
-    /* `v . v` into `*dot`: the `m` squares in one pass (into `p`), then                        \
-     * their sum */                                                                             \
-    static void NAME##_dot_self(Tri *r, const T *v, npy_intp m, T *p, T *dot)                   \
+    static void NAME##_products(Tri *r, const T *M, npy_intp rs, npy_intp cs, npy_intp rows,    \
+                                npy_intp cols, const T *x, int vector, T *P, T *out)            \
     {                                                                                           \
-        for (npy_intp i = 0; i < m; i++) {                                                      \
-            p[i] = v[i] * v[i];                                                                 \
-            NAME##_note(r, p, i);                                                               \
+        for (npy_intp i = 0; i < rows; i++) {                                                   \
+            for (npy_intp l = 0; l < cols; l++) {                                               \
+                P[i * cols + l] = M[i * rs + l * cs] * x[l];                                    \
+                NAME##_note(r, P, i * cols + l);                                                \
+            }                                                                                   \
         }                                                                                       \
-        r->q.ops += (unsigned long long)m;                                                      \
-        end_pass(r->rnd.k, m, &r->rnd.pass);                                                    \
-        rows_of(&r->seg, 1, m);                                                                 \
-        NAME##_sum(r, p, 1, dot);                                                               \
+        r->q.ops += (unsigned long long)(rows * cols);                                          \
+        end_pass(r->rnd.k, rows * cols, &r->rnd.pass);                                          \
+        rows_of(&r->seg, rows, cols);                                                           \
+        NAME##_sum(r, P, vector, out);                                                          \
+    }                                                                                           \
+                                                                                                \
+    static void NAME##_norm2(Tri *r, const T *x, npy_intp stride, npy_intp m, T *xs, T *p,      \
+                             T *norm)                                                           \
+    {                                                                                           \
+        Ql *const q = &r->q;                                                                    \
+        void (*const rs)(Ql *, T *) = NAME##_rs;                                                \
+        T scale = 0, dot, root;                                                                 \
+        for (npy_intp i = 0; i < m; i++) {                                                      \
+            const T a = FABS(x[i * stride]);                                                    \
+            if (a != a) {                                                                       \
+                *norm = (T)NAN;                                                                 \
+                return;                                                                         \
+            }                                                                                   \
+            scale = a > scale ? a : scale;                                                      \
+        }                                                                                       \
+        if (scale == 0 || isinf(scale)) {                                                       \
+            *norm = scale;                                                                      \
+            return;                                                                             \
+        }                                                                                       \
+        NAME##_divide(r, x, stride, m, scale, xs);                                              \
+        NAME##_products(r, xs, 0, 1, 1, m, xs, 1, p, &dot);                                     \
+        RS(root, SQRT(dot));                                                                    \
+        RS(*norm, scale * root);                                                                \
+        q->ops += 2;                                                                            \
     }                                                                                           \
                                                                                                 \
     /* The reflector `(I - beta v v^T)` that annihilates all but the first                      \
      * of the `m` values `x[0], x[stride], ...` into `v` (`m` values) and                       \
      * `*beta`; `*beta` is 0 when the reflector is skipped: a zero or                           \
      * non-finite norm, a zero or non-finite `v.v`, or a non-finite `beta`.                     \
-     * The norm is scaled by `max |x|` (NaN: NaN, inf: inf, 0: 0, no op).                       \
      * `xs` and `p` are scratch of `m` values. */                                               \
     static void NAME##_householder(Tri *r, const T *x, npy_intp stride, npy_intp m, T *v,       \
                                    T *beta, T *xs, T *p)                                        \
     {                                                                                           \
         Ql *const q = &r->q;                                                                    \
         void (*const rs)(Ql *, T *) = NAME##_rs;                                                \
+        T normx, vnorm2, b;                                                                     \
         *beta = 0;                                                                              \
-        T scale = 0;                                                                            \
-        for (npy_intp i = 0; i < m; i++) {                                                      \
-            const T a = FABS(x[i * stride]);                                                    \
-            if (a != a) {                                                                       \
-                return;                                                                         \
-            }                                                                                   \
-            scale = a > scale ? a : scale;                                                      \
-        }                                                                                       \
-        if (scale == 0 || isinf(scale)) {                                                       \
-            return;                                                                             \
-        }                                                                                       \
-        /* the norm: scale * sqrt((x / scale) . (x / scale)) */                                 \
-        T dot, root, normx, vnorm2, b;                                                          \
-        NAME##_divide(r, x, stride, m, scale, xs);                                              \
-        NAME##_dot_self(r, xs, m, p, &dot);                                                     \
-        RS(root, SQRT(dot));                                                                    \
-        RS(normx, scale * root);                                                                \
-        q->ops += 2;                                                                            \
+        NAME##_norm2(r, x, stride, m, xs, p, &normx);                                           \
         if (!isfinite(normx) || normx == 0) {                                                   \
             return;                                                                             \
         }                                                                                       \
@@ -1100,7 +1119,7 @@ typedef struct {
         const T sign = x[0] < 0 ? -1 : 1;                                                       \
         RS(v[0], v[0] - (-sign));                                                               \
         q->ops += 2;                                                                            \
-        NAME##_dot_self(r, v, m, p, &vnorm2);                                                   \
+        NAME##_products(r, v, 0, 1, 1, m, v, 1, p, &vnorm2);                                    \
         if (!isfinite(vnorm2) || vnorm2 == 0) {                                                 \
             return;                                                                             \
         }                                                                                       \
@@ -1120,18 +1139,27 @@ typedef struct {
         end_pass(r->rnd.k, size, &r->rnd.pass);                                                 \
     }                                                                                           \
                                                                                                 \
-    /* `beta * v` for each of `copies` copies of the `n` values of `v`, in                      \
-     * one pass into `bv` */                                                                    \
-    static void NAME##_scale(Tri *r, T beta, const T *v, npy_intp n, npy_intp copies, T *bv)    \
+    /* `P[i n + j] = u[i ustep] b[(i / n) bstep + j]` for i < rows and j < n,                   \
+     * in one pass */                                                                           \
+    static void NAME##_outer(Tri *r, npy_intp rows, npy_intp n, const T *u, npy_intp ustep,     \
+                             const T *b, npy_intp bstep, T *P)                                  \
     {                                                                                           \
-        for (npy_intp c = 0; c < copies; c++) {                                                 \
+        for (npy_intp i = 0; i < rows; i++) {                                                   \
+            const T *const bi = b + (i / n) * bstep;                                            \
             for (npy_intp j = 0; j < n; j++) {                                                  \
-                bv[c * n + j] = beta * v[j];                                                    \
-                NAME##_note(r, bv, c * n + j);                                                  \
+                P[i * n + j] = u[i * ustep] * bi[j];                                            \
+                NAME##_note(r, P, i * n + j);                                                   \
             }                                                                                   \
         }                                                                                       \
-        r->q.ops += (unsigned long long)(copies * n);                                           \
-        end_pass(r->rnd.k, copies * n, &r->rnd.pass);                                           \
+        r->q.ops += (unsigned long long)(rows * n);                                             \
+        end_pass(r->rnd.k, rows * n, &r->rnd.pass);                                             \
+    }                                                                                           \
+                                                                                                \
+    static void NAME##_rank1(Tri *r, T *S, npy_intp rows, npy_intp n, const T *u, const T *b,   \
+                             npy_intp bstep, T *P)                                              \
+    {                                                                                           \
+        NAME##_outer(r, rows, n, u, 1, b, bstep, P);                                            \
+        NAME##_subtract(r, S, P, rows * n);                                                     \
     }                                                                                           \
                                                                                                 \
     /* Reduce the `(2, n, n)` stack `[A; Q]` at `aq_` in place: for each                        \
@@ -1152,49 +1180,15 @@ typedef struct {
                 r->skipped++;                                                                   \
             }                                                                                   \
             else {                                                                              \
-                /* from the left: w = A^T v from the products A[i, j] v[i] */                   \
-                for (npy_intp j = 0; j < n; j++) {                                              \
-                    for (npy_intp i = 0; i < n; i++) {                                          \
-                        P[j * n + i] = A[i * n + j] * v[i];                                     \
-                        NAME##_note(r, P, j * n + i);                                           \
-                    }                                                                           \
-                }                                                                               \
-                r->q.ops += (unsigned long long)(n * n);                                        \
-                end_pass(r->rnd.k, n * n, &r->rnd.pass);                                        \
-                rows_of(&r->seg, n, n);                                                         \
-                NAME##_sum(r, P, 0, w);                                                         \
-                NAME##_scale(r, beta, v, n, 1, bv);                                             \
-                for (npy_intp i = 0; i < n; i++) {                                              \
-                    for (npy_intp j = 0; j < n; j++) {                                          \
-                        P[i * n + j] = bv[i] * w[j];                                            \
-                        NAME##_note(r, P, i * n + j);                                           \
-                    }                                                                           \
-                }                                                                               \
-                r->q.ops += (unsigned long long)(n * n);                                        \
-                end_pass(r->rnd.k, n * n, &r->rnd.pass);                                        \
-                NAME##_subtract(r, A, P, n * n);                                                \
-                /* from the right, over the 2n rows of the stack: w = S v */                    \
-                for (npy_intp i = 0; i < 2 * n; i++) {                                          \
-                    for (npy_intp j = 0; j < n; j++) {                                          \
-                        P[i * n + j] = A[i * n + j] * v[j];                                     \
-                        NAME##_note(r, P, i * n + j);                                           \
-                    }                                                                           \
-                }                                                                               \
-                r->q.ops += (unsigned long long)(2 * n * n);                                    \
-                end_pass(r->rnd.k, 2 * n * n, &r->rnd.pass);                                    \
-                rows_of(&r->seg, 2 * n, n);                                                     \
-                NAME##_sum(r, P, 0, w);                                                         \
-                NAME##_scale(r, beta, v, n, 2, bv);                                             \
-                for (npy_intp i = 0; i < 2 * n; i++) {                                          \
-                    const T *b = bv + (i / n) * n; /* beta v of row i's matrix */               \
-                    for (npy_intp j = 0; j < n; j++) {                                          \
-                        P[i * n + j] = w[i] * b[j];                                             \
-                        NAME##_note(r, P, i * n + j);                                           \
-                    }                                                                           \
-                }                                                                               \
-                r->q.ops += (unsigned long long)(2 * n * n);                                    \
-                end_pass(r->rnd.k, 2 * n * n, &r->rnd.pass);                                    \
-                NAME##_subtract(r, A, P, 2 * n * n);                                            \
+                /* from the left: w = A^T v, then A - (beta v) w^T */                           \
+                NAME##_products(r, A, 1, n, n, n, v, 0, P, w);                                  \
+                NAME##_outer(r, 1, n, &beta, 0, v, 0, bv);                                      \
+                NAME##_rank1(r, A, n, n, bv, w, 0, P);                                          \
+                /* from the right, over the 2n rows of the stack: w = S v,                      \
+                 * then S - w (beta v)^T */                                                     \
+                NAME##_products(r, A, n, 1, 2 * n, n, v, 0, P, w);                              \
+                NAME##_outer(r, 2, n, &beta, 0, v, 0, bv);                                      \
+                NAME##_rank1(r, A, 2 * n, n, w, bv, n, P);                                      \
             }                                                                                   \
             if (r->first_nonfinite < 0) {                                                       \
                 for (npy_intp i = 0; i < 2 * n * n; i++) {                                      \
@@ -1241,69 +1235,23 @@ typedef struct {
 /* The Arnoldi expansion over elements of type `T` (see the header), on the
  * helpers of the EIGEN instance `NAME`:
  *
- *   NAME_norm2        `norm2`: NaN when a value is NaN, +inf when one is
- *                     infinite, 0 when all are zero (no op), otherwise
- *                     `scale * sqrt((x / scale) . (x / scale))` with `scale`
- *                     the largest magnitude, as `NAME_householder` scales;
- *   NAME_project      `h = V^T w` (the products laid out (cols, n), summed
- *                     per row), then `w - V h` (the products laid out
- *                     (n, cols), summed per row, and the difference), over
- *                     the first `cols` columns of the (n, ld) basis `V`;
+ *   NAME_project      `h = V^T w`, then `w - V h`, over the first `cols`
+ *                     columns of the (n, ld) basis `V`, both products by
+ *                     `NAME_products`;
  *   NAME_orthogonalize
  *                     classical Gram-Schmidt with the DGKS second pass and
- *                     `h + h2`; returns whether the vector broke down;
+ *                     `h + h2`, each norm by `NAME_norm2`; returns whether
+ *                     the vector broke down;
  *   NAME_spmv         the rounded CSR product: one pass of products, then
  *                     the sums of the row segments;
  *   NAME_arnoldi      the column loop, or with no matrix the Gram-Schmidt
  *                     and normalisation of one vector. */
-#define ARNOLDI(NAME, T, SQRT, FABS)                                                            \
-    static void NAME##_norm2(Tri *r, const T *x, npy_intp n, T *xs, T *p, T *norm)              \
-    {                                                                                           \
-        Ql *const q = &r->q;                                                                    \
-        void (*const rs)(Ql *, T *) = NAME##_rs;                                                \
-        T scale = 0, dot, root;                                                                 \
-        for (npy_intp i = 0; i < n; i++) {                                                      \
-            const T a = FABS(x[i]);                                                             \
-            if (a != a) {                                                                       \
-                *norm = (T)NAN;                                                                 \
-                return;                                                                         \
-            }                                                                                   \
-            scale = a > scale ? a : scale;                                                      \
-        }                                                                                       \
-        if (scale == 0 || isinf(scale)) {                                                       \
-            *norm = scale;                                                                      \
-            return;                                                                             \
-        }                                                                                       \
-        NAME##_divide(r, x, 1, n, scale, xs);                                                   \
-        NAME##_dot_self(r, xs, n, p, &dot);                                                     \
-        RS(root, SQRT(dot));                                                                    \
-        RS(*norm, scale * root);                                                                \
-        q->ops += 2;                                                                            \
-    }                                                                                           \
-                                                                                                \
+#define ARNOLDI(NAME, T)                                                                        \
     static void NAME##_project(Tri *r, const T *V, npy_intp n, npy_intp ld, npy_intp cols,      \
                                T *w, T *h, T *P, T *gv)                                         \
     {                                                                                           \
-        for (npy_intp i = 0; i < cols; i++) {                                                   \
-            for (npy_intp l = 0; l < n; l++) {                                                  \
-                P[i * n + l] = V[l * ld + i] * w[l];                                            \
-                NAME##_note(r, P, i * n + l);                                                   \
-            }                                                                                   \
-        }                                                                                       \
-        r->q.ops += (unsigned long long)(cols * n);                                             \
-        end_pass(r->rnd.k, cols * n, &r->rnd.pass);                                             \
-        rows_of(&r->seg, cols, n);                                                              \
-        NAME##_sum(r, P, 0, h);                                                                 \
-        for (npy_intp i = 0; i < n; i++) {                                                      \
-            for (npy_intp l = 0; l < cols; l++) {                                               \
-                P[i * cols + l] = V[i * ld + l] * h[l];                                         \
-                NAME##_note(r, P, i * cols + l);                                                \
-            }                                                                                   \
-        }                                                                                       \
-        r->q.ops += (unsigned long long)(n * cols);                                             \
-        end_pass(r->rnd.k, n * cols, &r->rnd.pass);                                             \
-        rows_of(&r->seg, n, cols);                                                              \
-        NAME##_sum(r, P, 0, gv);                                                                \
+        NAME##_products(r, V, 1, ld, cols, n, w, 0, P, h);                                      \
+        NAME##_products(r, V, ld, 1, n, cols, h, 0, P, gv);                                     \
         NAME##_subtract(r, w, gv, n);                                                           \
     }                                                                                           \
                                                                                                 \
@@ -1319,9 +1267,9 @@ typedef struct {
         T *const P = (T *)s->P, *const h2 = (T *)s->h2, *const gv = (T *)s->gv;                 \
         T *const xs = (T *)s->xs, *const p = (T *)s->p;                                         \
         T before, after;                                                                        \
-        NAME##_norm2(r, w, n, xs, p, &before);                                                  \
+        NAME##_norm2(r, w, 1, n, xs, p, &before);                                               \
         NAME##_project(r, V, n, ld, cols, w, h, P, gv);                                         \
-        NAME##_norm2(r, w, n, xs, p, &after);                                                   \
+        NAME##_norm2(r, w, 1, n, xs, p, &after);                                                \
         if (isfinite(after) && (double)after > a->eta * (double)before) {                       \
             *norm = after;                                                                      \
             return 0;                                                                           \
@@ -1334,7 +1282,7 @@ typedef struct {
         }                                                                                       \
         r->q.ops += (unsigned long long)cols;                                                   \
         end_pass(r->rnd.k, cols, &r->rnd.pass);                                                 \
-        NAME##_norm2(r, w, n, xs, p, norm);                                                     \
+        NAME##_norm2(r, w, 1, n, xs, p, norm);                                                  \
         return !isfinite(*norm) || (double)*norm <= a->eta * (double)after ||                   \
                (double)*norm == 0;                                                              \
     }                                                                                           \
@@ -1439,7 +1387,7 @@ csr_of(Segments *seg, const npy_intp *indptr, npy_intp n)
 
 #define INSTANCE(NAME, T, STEP, SQRT, FABS, COPYSIGN, LEVEL_FN)                                 \
     EIGEN(NAME, T, STEP, SQRT, FABS, COPYSIGN, LEVEL_FN)                                        \
-    ARNOLDI(NAME, T, SQRT, FABS)
+    ARNOLDI(NAME, T)
 
 INSTANCE(f64, double, step_f64, sqrt, fabs, copysign, level_word)
 INSTANCE(x87, npy_longdouble, step_x87, sqrtl, fabsl, copysignl, level_x87)
@@ -1454,7 +1402,7 @@ INSTANCE(rule_longdouble, npy_longdouble, step_rule_ld, sqrtl, fabsl, copysignl,
 
 typedef void (*QlFn)(Tri *r, char *d, char *e, char *zt, npy_intp n, npy_intp nrows);
 typedef void (*TridiagonalizeFn)(Tri *r, char *aq, npy_intp n, char *scratch);
-typedef void (*ReduceFn)(Tri *r, const char *p, int vector, char *out);
+typedef void (*ReduceFn)(Tri *r, const void *values, int vector, void *sums);
 typedef int (*ArnoldiFn)(Arn *a, char *V, char *S, char *b, char *v, npy_intp n, npy_intp m,
                          npy_intp start, npy_intp *stop, const ArnScratch *s);
 
@@ -1467,9 +1415,9 @@ static const TridiagonalizeFn tridiagonalize_of[] = {
     f64_tridiagonalize,           x87_tridiagonalize,        native_float_tridiagonalize,
     native_double_tridiagonalize, native_longdouble_tridiagonalize,
     rule_double_tridiagonalize,   rule_longdouble_tridiagonalize};
-static const ReduceFn reduce_of[] = {f64_reduce,           x87_reduce,        native_float_reduce,
-                                     native_double_reduce, native_longdouble_reduce,
-                                     rule_double_reduce,   rule_longdouble_reduce};
+static const ReduceFn reduce_of[] = {f64_sum,           x87_sum,        native_float_sum,
+                                     native_double_sum, native_longdouble_sum,
+                                     rule_double_sum,   rule_longdouble_sum};
 static const ArnoldiFn arnoldi_of[] = {f64_arnoldi,           x87_arnoldi,        native_float_arnoldi,
                                        native_double_arnoldi, native_longdouble_arnoldi,
                                        rule_double_arnoldi,   rule_longdouble_arnoldi};
